@@ -86,6 +86,23 @@ func TestLCBAndPI(t *testing.T) {
 	}
 }
 
+func TestDominates(t *testing.T) {
+	cases := []struct {
+		a, b []float64
+		want bool
+	}{
+		{[]float64{1, 2}, []float64{2, 3}, true},
+		{[]float64{1, 2}, []float64{1, 2}, false},
+		{[]float64{1, 3}, []float64{2, 2}, false},
+		{[]float64{1, 2}, []float64{1, 3}, true},
+	}
+	for i, c := range cases {
+		if got := Dominates(c.a, c.b); got != c.want {
+			t.Errorf("case %d: Dominates(%v,%v) = %v", i, c.a, c.b, got)
+		}
+	}
+}
+
 func TestParetoFilterSmall(t *testing.T) {
 	objs := [][]float64{
 		{1, 5}, // front

@@ -15,7 +15,7 @@
 //
 // The five internal/apps packages self-register, so importing an app makes
 // it tunable by name; the aggregator package internal/bench/all pulls in
-// everything for binaries (cmd/gptune, cmd/gptuned, cmd/bench_serve) that
+// everything for binaries (cmd/gptune, cmd/gptuned, the benchmark) that
 // want the full catalog. The synthetic scenarios in this package register in
 // their own files' init functions, so any importer of bench (notably
 // internal/serve) always has them available.

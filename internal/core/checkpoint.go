@@ -23,9 +23,9 @@ type CheckpointRecord struct {
 
 // Checkpoint receives every completed evaluation of an MLA run, in an order
 // that depends only on the run's seed and options — never on goroutine
-// scheduling — so the stream is a replayable log. Eval is always called on
-// the coordinating goroutine; Lookup may be called concurrently from
-// evaluation workers.
+// scheduling — so the stream is a replayable log. The engine calls Eval and
+// Lookup under its mutex, one at a time, from whichever goroutine reported
+// the observation or installed the batch.
 type Checkpoint interface {
 	// Eval is called once per completed evaluation, as soon as it and every
 	// earlier evaluation of its batch have finished (mid-batch, not at the

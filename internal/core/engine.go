@@ -95,12 +95,13 @@ func (j *engJob) suggestion() Suggestion {
 // previous batch has fully committed: at that point no job is pending, so
 // no concurrent call can touch the history or generation state it reads.
 //
-// In the default synchronous mode, the Suggest/SuggestAll call that finds
-// the batch exhausted runs the generation itself (concurrent askers wait on
-// a condition variable), preserving the classic blocking semantics the
-// batch Run driver depends on. With Options.Async, generation instead runs
-// in a single background goroutine and Suggest returns ErrNonePending
-// immediately while a batch is being prepared.
+// Every generation runs on the engine's one background goroutine. In the
+// default synchronous mode the Suggest/SuggestAll call that finds the batch
+// exhausted starts it and waits on a condition variable with every other
+// asker until the new batch installs — the classic blocking semantics the
+// batch Run driver depends on. With Options.Async nobody waits: the
+// generation starts the moment the batch commits, and Suggest returns
+// ErrNonePending while it is in flight.
 type Engine struct {
 	mu  sync.Mutex
 	gen *sync.Cond // broadcast after a generation installs (or fails)
@@ -116,8 +117,8 @@ type Engine struct {
 	initGenerated bool
 	priorsMerged  bool
 	generating    bool           // one generation runs off-mutex at a time
-	async         bool           // Options.Async: generation runs in the background
-	genWG         sync.WaitGroup // joins the async background generator (Quiesce)
+	async         bool           // Options.Async: callers never wait on a generation
+	genWG         sync.WaitGroup // joins the background generator (Quiesce)
 	phase         string         // tuning phase of the current batch: "init", "search", "mo"
 	fatal         error
 
@@ -246,43 +247,27 @@ func (e *Engine) SuggestAll() ([]Suggestion, error) {
 
 // awaitBatch brings the engine to a decided state and returns with e.mu
 // HELD: the current batch has uncommitted work, the budget is exhausted,
-// the engine is fatal, or — async mode only — a background generation is in
-// flight (the caller sees an exhausted batch and reports ErrNonePending).
-//
-// In synchronous mode the caller that finds the batch exhausted runs the
-// generation itself, releasing the mutex for the whole expensive phase;
-// concurrent callers wait on the condition variable (which releases the
-// mutex while parked) until the new batch installs.
+// the engine is fatal, or — async mode only — a generation is in flight (the
+// caller sees an exhausted batch and reports ErrNonePending). A synchronous
+// caller starts the generation the exhausted batch needs and parks on the
+// condition variable, which releases the mutex, until it installs.
 func (e *Engine) awaitBatch() {
 	e.mu.Lock()
-	for e.fatal == nil && e.nextCommit == len(e.batch) && !e.doneLocked() {
-		if e.generating {
-			if e.async {
-				return
-			}
-			e.gen.Wait()
-			continue
-		}
-		e.generating = true
-		if e.async {
-			mpx.Go(&e.genWG, e.runGeneration)
+	for {
+		e.startGeneration()
+		if !e.generating || e.async {
 			return
 		}
-		e.mu.Unlock()
-		e.runGeneration()
-		e.mu.Lock()
+		e.gen.Wait()
 	}
 }
 
-// maybeSpawnGeneration starts the background generator as soon as an async
-// engine's batch has fully committed, so the next batch is being fitted —
-// or already installed — before the next Suggest arrives instead of on its
-// critical path. No-op in synchronous mode. Called with e.mu held.
-func (e *Engine) maybeSpawnGeneration() {
-	if !e.async || e.generating || e.fatal != nil {
-		return
-	}
-	if e.nextCommit < len(e.batch) || e.doneLocked() {
+// startGeneration hands the next batch's generation to the engine's
+// background goroutine; a no-op while one is in flight, when the engine is
+// fatal or done, or while the current batch has uncommitted work. Called
+// with e.mu held.
+func (e *Engine) startGeneration() {
+	if e.generating || e.fatal != nil || e.nextCommit < len(e.batch) || e.doneLocked() {
 		return
 	}
 	e.generating = true
@@ -299,10 +284,10 @@ func (e *Engine) GenLatency() time.Duration {
 	return e.genEWMA
 }
 
-// Quiesce blocks until no background generation is in flight. Callers must
-// stop feeding the engine first (no concurrent Suggest/Observe/Fail) or a
-// fresh generation may start after Quiesce returns; the tuning service
-// calls it after draining HTTP handlers, before closing a study's WAL.
+// Quiesce blocks until no generation is in flight. Callers must stop feeding
+// the engine first (no concurrent Suggest/Observe/Fail) or a fresh
+// generation may start after Quiesce returns; the tuning service calls it
+// after draining HTTP handlers, before closing a study's WAL.
 func (e *Engine) Quiesce() {
 	e.genWG.Wait()
 }
@@ -451,9 +436,12 @@ func (e *Engine) Observe(id int64, y []float64) error {
 		return err
 	}
 	// The observation that completes a batch is what unblocks the next
-	// generation; in async mode, start fitting it now — off this request's
-	// path and everyone else's.
-	e.maybeSpawnGeneration()
+	// generation. Async starts fitting it now, so the batch is ready — or
+	// well under way — before the next Suggest; sync stays lazy, so a study
+	// nobody asks again never pays for a fit.
+	if e.async {
+		e.startGeneration()
+	}
 	return nil
 }
 

@@ -3,7 +3,10 @@ package core
 import (
 	"context"
 	"math"
+	"sync/atomic"
 	"testing"
+
+	"repro/internal/surrogate"
 )
 
 func TestBatchEvalsBudgetAccounting(t *testing.T) {
@@ -148,9 +151,16 @@ func TestRunContextCancellation(t *testing.T) {
 		evals++
 		return inner(task, x)
 	}
+	lcm, err := surrogate.New("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fits atomic.Int64
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancel before the BO loop: only initial sampling happens
-	res, err := RunContext(ctx, p, [][]float64{{0}}, Options{EpsTot: 40, Seed: 30})
+	res, err := RunContext(ctx, p, [][]float64{{0}}, Options{
+		EpsTot: 40, Seed: 30, fitterOverride: countingFitter{Fitter: lcm, fits: &fits},
+	})
 	if err == nil {
 		t.Fatalf("cancelled run returned no error")
 	}
@@ -159,5 +169,10 @@ func TestRunContextCancellation(t *testing.T) {
 	}
 	if evals != 20 {
 		t.Fatalf("evals = %d, want just the 20 initial samples", evals)
+	}
+	// The batch driver's engine is lazy: committing the init batch starts no
+	// generation, so a run cancelled there never pays for a fit.
+	if n := fits.Load(); n != 0 {
+		t.Fatalf("cancelled run performed %d surrogate fits, want 0", n)
 	}
 }

@@ -29,22 +29,25 @@ func Run(p *Problem, tasks [][]float64, options Options) (*Result, error) {
 // context's error, so anytime performance is preserved.
 //
 // Run is a thin driver over the ask/tell Engine: each loop turn asks for
-// the next batch of suggestions (SuggestAll runs the modeling and search
-// phases), evaluates them concurrently over Options.Workers, and feeds the
-// outputs back through Observe in the batch's canonical order — the same
-// scheduling-independent order the checkpoint stream has always used.
+// the next batch of suggestions (SuggestAll waits out the modeling and search
+// phases), evaluates them concurrently over Options.Workers, and reports
+// each output through Observe straight from the worker that measured it. The
+// engine's canonical-order prefix commit makes the history and the
+// checkpoint stream independent of completion order — the same path every
+// gptuned request takes.
 func RunContext(ctx context.Context, p *Problem, tasks [][]float64, options Options) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	// The batch driver is synchronous by construction: each loop turn needs
-	// the next batch before it can evaluate anything, so background
-	// generation would only add polling.
+	// the next batch before it can evaluate anything, so an async engine
+	// would only add polling.
 	options.Async = false
 	e, err := NewEngine(p, tasks, options)
 	if err != nil {
 		return nil, err
 	}
+	defer e.Quiesce()
 	st := e.st
 	opts := &st.opts // defaulted copy
 
@@ -68,36 +71,28 @@ func RunContext(ctx context.Context, p *Problem, tasks [][]float64, options Opti
 
 		// Evaluate the batch concurrently (Section 4.2). Evaluation errors
 		// retry through the engine (fresh feasible draws from the job's own
-		// deterministic retry stream); MapStream delivers completions in
-		// canonical order so Observe commits — and checkpoints — them in an
-		// order independent of goroutine scheduling.
-		type outcome struct {
-			id int64
-			y  []float64
-		}
+		// deterministic retry stream); errs[k] keeps a suggestion's terminal
+		// failure.
+		errs := make([]error, len(suggs))
 		t0 := opts.now()
-		_, errs, derr := mpx.MapStream(suggs, opts.Workers, func(sg Suggestion) (outcome, error) {
-			x := sg.X
+		mpx.ParallelFor(len(suggs), opts.Workers, func(k int) {
+			sg := suggs[k]
 			for {
-				y, err := st.evalRepeated(st.tasks[sg.Task], x)
+				y, err := st.evalRepeated(st.tasks[sg.Task], sg.X)
 				if err == nil {
-					return outcome{id: sg.ID, y: y}, nil
+					errs[k] = e.Observe(sg.ID, y)
+					return
 				}
-				next, ferr := e.Fail(sg.ID, err)
-				if ferr != nil {
-					return outcome{}, ferr
+				if sg, errs[k] = e.Fail(sg.ID, err); errs[k] != nil {
+					return
 				}
-				x = next.X
 			}
-		}, func(k int, o outcome, err error) error {
-			if err != nil {
-				return nil // evaluation errors are reported by the loop below
-			}
-			return e.Observe(o.id, o.y)
 		})
 		st.stats.Objective += opts.since(t0)
-		if derr != nil {
-			return nil, derr
+		// A checkpoint failure is fatal to the engine and outranks
+		// evaluation failures, which report by canonical index.
+		if err := e.Err(); err != nil {
+			return nil, err
 		}
 		for k := range suggs {
 			if errs[k] != nil {
@@ -115,9 +110,8 @@ func RunContext(ctx context.Context, p *Problem, tasks [][]float64, options Opti
 	return res, nil
 }
 
-// partialResult packages whatever has been observed so far. Called only
-// from the coordinating goroutine, after any parallel evaluation batch has
-// joined.
+// partialResult packages whatever has been observed so far. Called under
+// the engine mutex, or by the batch driver between batches.
 func (st *state) partialResult() *Result {
 	st.stats.NumEvals = int(st.evals.Load())
 	res := &Result{Tasks: make([]TaskResult, len(st.tasks)), Stats: st.stats}
@@ -244,7 +238,7 @@ func hash3(a, b, c int) int64 {
 }
 
 // checkpointEval streams one completed evaluation to the checkpoint hook
-// (no-op without one). Always called on the coordinating goroutine, in
+// (no-op without one). Called from commitReady under the engine mutex, in
 // batch order.
 func (st *state) checkpointEval(phase string, task int, requested, x, y []float64) error {
 	cp := st.opts.Checkpoint

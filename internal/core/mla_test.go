@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/acq"
 	"repro/internal/apps/analytical/eq11"
 	"repro/internal/space"
 )
@@ -334,7 +335,7 @@ func TestMLAMultiObjectiveParetoFront(t *testing.T) {
 	}
 	for _, i := range front {
 		for j := range tr.Y {
-			if j != i && dominatesMin(tr.Y[j], tr.Y[i]) {
+			if j != i && acq.Dominates(tr.Y[j], tr.Y[i]) {
 				t.Fatalf("front point %d dominated by %d", i, j)
 			}
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"repro/internal/acq"
 	"repro/internal/mpx"
 	"repro/internal/opt"
 	"repro/internal/surrogate"
@@ -108,9 +109,9 @@ type Options struct {
 	// Seed makes runs reproducible.
 	Seed int64
 
-	// Async takes batch generation off the request path: Suggest never runs
-	// or waits on the modeling/search phase. Instead, the Observe that
-	// commits a batch's last evaluation kicks a single background goroutine
+	// Async takes batch generation off the request path: Suggest never
+	// waits on the modeling/search phase. Instead, the Observe that commits
+	// a batch's last evaluation starts the engine's background generator,
 	// which fits the surrogate (behind ModelGate) and swaps the new batch in
 	// atomically under the engine mutex; Suggest calls that arrive while a
 	// batch is being prepared return ErrNonePending immediately. The
@@ -171,7 +172,7 @@ type ModelSnapshot struct {
 }
 
 // ModelStore receives fitted-model snapshots from a run (Options.Transfer).
-// SaveModel is always called on the engine's coordinating goroutine, after
+// SaveModel is always called on the engine's generation goroutine, after
 // the modeling phase that produced the snapshot.
 type ModelStore interface {
 	SaveModel(snap ModelSnapshot) error
@@ -282,38 +283,7 @@ func (t *TaskResult) BestTrace() []float64 {
 
 // ParetoFront returns the indices of the non-dominated observations (for
 // multi-objective runs).
-func (t *TaskResult) ParetoFront() []int {
-	var front []int
-	for i := range t.Y {
-		dominated := false
-		for j := range t.Y {
-			if i == j {
-				continue
-			}
-			if dominatesMin(t.Y[j], t.Y[i]) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			front = append(front, i)
-		}
-	}
-	return front
-}
-
-func dominatesMin(a, b []float64) bool {
-	strict := false
-	for i := range a {
-		if a[i] > b[i] {
-			return false
-		}
-		if a[i] < b[i] {
-			strict = true
-		}
-	}
-	return strict
-}
+func (t *TaskResult) ParetoFront() []int { return acq.ParetoFilter(t.Y) }
 
 // Result is the outcome of an MLA run across all δ tasks.
 type Result struct {

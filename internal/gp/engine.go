@@ -19,7 +19,8 @@ const gradChunkRows = 32
 // phase: one L-BFGS restart performs ~100 evaluations, and the paper's
 // Table 3 shows this phase dominating GPTune's overhead as n·δ grows.
 //
-// Versus the naive evaluation (retained in reference.go), the engine
+// Versus the naive evaluation (kept in reference_test.go as the test
+// oracle), the engine
 //   - reads every pairwise distance from a pairCache computed once per
 //     FitLCM call instead of re-touching the raw coordinates,
 //   - sweeps only the upper triangle (r ≤ s), exploiting the symmetry of

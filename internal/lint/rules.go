@@ -76,7 +76,7 @@ func checkFile(pkg *Package, file *ast.File, cfg Config) []Diagnostic {
 			// funnels through mpx's deterministic chunked pools.
 			if !goAllowed {
 				report(n.Pos(), RuleStrayGoroutine,
-					"go statement outside internal/mpx; route parallelism through mpx.ParallelFor/ParallelChunks/Spawn")
+					"go statement outside internal/mpx; route parallelism through mpx.ParallelFor/ParallelChunks/Go")
 			}
 		case *ast.BinaryExpr:
 			// R5: exact float comparison is almost never what numeric code

@@ -1,152 +1,17 @@
-// Package mpx is the shared-memory substitute for the paper's MPI dynamic
-// process management (Section 4). The original GPTune driver runs as a
-// single MPI process that spawns worker process groups via MPI_Comm_spawn
-// and talks to them through inter-communicators; here the master is the
-// calling goroutine, Spawn launches a group of worker goroutines, and the
-// returned SpawnedComm plays the role of the inter-communicator
-// ("SpawnedComm" in the paper's Fig. 1). Workers see the mirror-image
-// inter-communicator through their WorkerCtx ("ParentComm") plus an
-// intra-communicator connecting the worker group.
-//
-// The package also provides the worker-pool helpers the tuner uses to
-// parallelize objective-function evaluations, modeling-phase random starts,
-// and per-task search (Sections 4.2–4.3).
+// Package mpx holds the tuner's goroutine runtime: every goroutine the
+// system starts goes through one of the helpers here, so each one has a
+// bounded lifetime and a join point (gptlint's no-stray-goroutines rule
+// enforces this). The paper's driver parallelizes objective evaluations,
+// modeling-phase random starts and per-task search across MPI process groups
+// (Section 4); here those are ParallelFor / ParallelChunks worker pools over
+// shared memory, Gate bounds how many studies model at once, and Go runs the
+// engine's one supervised background generator.
 package mpx
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 )
-
-// SpawnedComm is the master's end of the inter-communicator created by
-// Spawn: the local group is the master alone, the remote group is the
-// workers.
-type SpawnedComm struct {
-	size       int
-	toWorker   []chan any
-	fromWorker []chan any
-	done       chan struct{}
-	wg         *sync.WaitGroup
-}
-
-// WorkerCtx is a worker's view of the world: its rank and group size
-// (intra-communicator "MPI_World"), and the parent inter-communicator
-// ("ParentComm") for exchanging data with the master.
-type WorkerCtx struct {
-	Rank, Size int
-	fromMaster chan any
-	toMaster   chan any
-	barrier    *barrier
-}
-
-// Spawn launches size worker goroutines each running body, and returns the
-// master's inter-communicator. The master must eventually call Wait (or
-// drain all worker messages) to join the group.
-func Spawn(size int, body func(ctx *WorkerCtx)) *SpawnedComm {
-	if size <= 0 {
-		panic(fmt.Sprintf("mpx: Spawn size %d", size))
-	}
-	sc := &SpawnedComm{
-		size:       size,
-		toWorker:   make([]chan any, size),
-		fromWorker: make([]chan any, size),
-		done:       make(chan struct{}),
-		wg:         &sync.WaitGroup{},
-	}
-	bar := newBarrier(size)
-	sc.wg.Add(size)
-	for r := 0; r < size; r++ {
-		sc.toWorker[r] = make(chan any, 16)
-		sc.fromWorker[r] = make(chan any, 16)
-		ctx := &WorkerCtx{
-			Rank:       r,
-			Size:       size,
-			fromMaster: sc.toWorker[r],
-			toMaster:   sc.fromWorker[r],
-			barrier:    bar,
-		}
-		go func() {
-			defer sc.wg.Done()
-			body(ctx)
-		}()
-	}
-	go func() {
-		sc.wg.Wait()
-		close(sc.done)
-	}()
-	return sc
-}
-
-// Send delivers v to worker rank (blocking once the worker's mailbox of 16
-// messages is full).
-func (sc *SpawnedComm) Send(rank int, v any) { sc.toWorker[rank] <- v }
-
-// Recv blocks until worker rank sends a message to the master.
-func (sc *SpawnedComm) Recv(rank int) any { return <-sc.fromWorker[rank] }
-
-// Bcast sends v to every worker.
-func (sc *SpawnedComm) Bcast(v any) {
-	for r := 0; r < sc.size; r++ {
-		sc.toWorker[r] <- v
-	}
-}
-
-// Gather receives one message from every worker, indexed by rank.
-func (sc *SpawnedComm) Gather() []any {
-	out := make([]any, sc.size)
-	for r := 0; r < sc.size; r++ {
-		out[r] = <-sc.fromWorker[r]
-	}
-	return out
-}
-
-// Size returns the remote group size.
-func (sc *SpawnedComm) Size() int { return sc.size }
-
-// Wait blocks until every worker body has returned.
-func (sc *SpawnedComm) Wait() { <-sc.done }
-
-// Recv blocks until the master sends this worker a message.
-func (w *WorkerCtx) Recv() any { return <-w.fromMaster }
-
-// Send delivers v to the master.
-func (w *WorkerCtx) Send(v any) { w.toMaster <- v }
-
-// Barrier synchronizes all workers in the spawned group (the workers'
-// intra-communicator).
-func (w *WorkerCtx) Barrier() { w.barrier.await() }
-
-// barrier is a reusable n-party barrier.
-type barrier struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	n     int
-	count int
-	gen   int
-}
-
-func newBarrier(n int) *barrier {
-	b := &barrier{n: n}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-func (b *barrier) await() {
-	b.mu.Lock()
-	gen := b.gen
-	b.count++
-	if b.count == b.n {
-		b.count = 0
-		b.gen++
-		b.cond.Broadcast()
-	} else {
-		for gen == b.gen {
-			b.cond.Wait()
-		}
-	}
-	b.mu.Unlock()
-}
 
 // Gate bounds how many holders may be inside a region at once — a counting
 // semaphore. The tuning service shares one Gate across every study's engine
@@ -174,8 +39,8 @@ func (g *Gate) Release() { <-g.slots }
 // Go runs fn on its own goroutine, registered with wg before the goroutine
 // starts and marked done when fn returns, so the owner can always join it
 // with wg.Wait. This is the sanctioned way to run a supervised background
-// task outside a worker pool — the async engine's batch generator uses it
-// so a shutting-down service can wait out an in-flight surrogate fit.
+// task outside a worker pool — the engine's batch generator uses it so a
+// shutting-down service can wait out an in-flight surrogate fit.
 func Go(wg *sync.WaitGroup, fn func()) {
 	wg.Add(1)
 	go func() {
@@ -255,85 +120,4 @@ func NumChunks(n, chunk int) int {
 		chunk = 1
 	}
 	return (n + chunk - 1) / chunk
-}
-
-// Map applies fn to every input on up to workers goroutines, preserving
-// order. Errors are collected per element (nil when fn succeeded).
-func Map[T, R any](inputs []T, workers int, fn func(T) (R, error)) ([]R, []error) {
-	out := make([]R, len(inputs))
-	errs := make([]error, len(inputs))
-	ParallelFor(len(inputs), workers, func(i int) {
-		out[i], errs[i] = fn(inputs[i])
-	})
-	return out, errs
-}
-
-// MapStream is Map with ordered streaming delivery: fn runs on up to
-// workers goroutines, and deliver(i, out, err) is invoked on the calling
-// goroutine, in input order, as soon as element i and every earlier element
-// have completed — while later elements may still be in flight. Checkpoint
-// hooks use this to persist completed objective evaluations to a
-// write-ahead log mid-batch, in an order that depends only on the input
-// order (never on scheduling), so a crashed run's log is always a prefix of
-// the uninterrupted run's log. A non-nil error from deliver stops further
-// deliveries (in-flight fn calls still drain) and is returned; the full
-// out/errs slices are valid either way.
-func MapStream[T, R any](inputs []T, workers int, fn func(T) (R, error), deliver func(i int, out R, err error) error) ([]R, []error, error) {
-	n := len(inputs)
-	out := make([]R, n)
-	errs := make([]error, n)
-	if n == 0 {
-		return out, errs, nil
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		var derr error
-		for i := 0; i < n; i++ {
-			out[i], errs[i] = fn(inputs[i])
-			if derr == nil && deliver != nil {
-				derr = deliver(i, out[i], errs[i])
-			}
-		}
-		return out, errs, derr
-	}
-	idx := make(chan int, n)
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	completed := make(chan int, n)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				out[i], errs[i] = fn(inputs[i])
-				completed <- i
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(completed)
-	}()
-	// The calling goroutine is the collector: buffer out-of-order
-	// completions and deliver the contiguous prefix. The channel send above
-	// happens-after the worker's writes to out[i]/errs[i], so reading them
-	// here is race-free.
-	delivered := make([]bool, n)
-	next := 0
-	var derr error
-	for i := range completed {
-		delivered[i] = true
-		for next < n && delivered[next] {
-			if derr == nil && deliver != nil {
-				derr = deliver(next, out[next], errs[next])
-			}
-			next++
-		}
-	}
-	return out, errs, derr
 }

@@ -1,107 +1,9 @@
 package mpx
 
 import (
-	"errors"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
-
-func TestSpawnEchoWorkers(t *testing.T) {
-	sc := Spawn(4, func(ctx *WorkerCtx) {
-		v := ctx.Recv().(int)
-		ctx.Send(v * 10)
-	})
-	for r := 0; r < 4; r++ {
-		sc.Send(r, r+1)
-	}
-	got := sc.Gather()
-	for r := 0; r < 4; r++ {
-		if got[r].(int) != (r+1)*10 {
-			t.Fatalf("rank %d returned %v", r, got[r])
-		}
-	}
-	sc.Wait()
-}
-
-func TestBcast(t *testing.T) {
-	sc := Spawn(3, func(ctx *WorkerCtx) {
-		v := ctx.Recv().(string)
-		ctx.Send(v + "-ack")
-	})
-	sc.Bcast("hello")
-	for _, v := range sc.Gather() {
-		if v.(string) != "hello-ack" {
-			t.Fatalf("got %v", v)
-		}
-	}
-	sc.Wait()
-}
-
-func TestWorkerRanksDistinct(t *testing.T) {
-	sc := Spawn(8, func(ctx *WorkerCtx) {
-		ctx.Send(ctx.Rank)
-	})
-	ranks := make([]int, 0, 8)
-	for _, v := range sc.Gather() {
-		ranks = append(ranks, v.(int))
-	}
-	sort.Ints(ranks)
-	for i, r := range ranks {
-		if r != i {
-			t.Fatalf("ranks = %v", ranks)
-		}
-	}
-	sc.Wait()
-}
-
-func TestBarrierSynchronizes(t *testing.T) {
-	const n = 6
-	var before, after int32
-	sc := Spawn(n, func(ctx *WorkerCtx) {
-		atomic.AddInt32(&before, 1)
-		ctx.Barrier()
-		// All n workers must have passed "before" by now.
-		if atomic.LoadInt32(&before) != n {
-			ctx.Send(false)
-			return
-		}
-		atomic.AddInt32(&after, 1)
-		ctx.Barrier()
-		ctx.Send(true)
-	})
-	for _, v := range sc.Gather() {
-		if !v.(bool) {
-			t.Fatalf("barrier did not synchronize")
-		}
-	}
-	sc.Wait()
-	if after != n {
-		t.Fatalf("after = %d", after)
-	}
-}
-
-func TestBarrierReusable(t *testing.T) {
-	b := newBarrier(3)
-	var wg sync.WaitGroup
-	var counter int32
-	for w := 0; w < 3; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for round := 0; round < 50; round++ {
-				atomic.AddInt32(&counter, 1)
-				b.await()
-			}
-		}()
-	}
-	wg.Wait()
-	if counter != 150 {
-		t.Fatalf("counter = %d", counter)
-	}
-}
 
 func TestParallelForCoversAll(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 16} {
@@ -115,148 +17,6 @@ func TestParallelForCoversAll(t *testing.T) {
 		}
 	}
 	ParallelFor(0, 4, func(int) { t.Fatalf("fn called for n=0") })
-}
-
-func TestMapOrderAndErrors(t *testing.T) {
-	in := []int{1, 2, 3, 4, 5}
-	errBad := errors.New("bad")
-	out, errs := Map(in, 3, func(v int) (int, error) {
-		if v == 3 {
-			return 0, errBad
-		}
-		return v * v, nil
-	})
-	want := []int{1, 4, 0, 16, 25}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("out = %v", out)
-		}
-	}
-	if errs[2] != errBad || errs[0] != nil {
-		t.Fatalf("errs = %v", errs)
-	}
-}
-
-func TestSpawnPanicsOnZeroSize(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("expected panic")
-		}
-	}()
-	Spawn(0, func(*WorkerCtx) {})
-}
-
-func TestSizeAccessor(t *testing.T) {
-	sc := Spawn(5, func(ctx *WorkerCtx) {
-		if ctx.Size != 5 {
-			ctx.Send(false)
-			return
-		}
-		ctx.Send(true)
-	})
-	if sc.Size() != 5 {
-		t.Fatalf("Size = %d", sc.Size())
-	}
-	for _, v := range sc.Gather() {
-		if !v.(bool) {
-			t.Fatalf("worker saw wrong size")
-		}
-	}
-	sc.Wait()
-}
-
-func TestMapStreamOrderedDelivery(t *testing.T) {
-	inputs := make([]int, 40)
-	for i := range inputs {
-		inputs[i] = i
-	}
-	var order []int
-	out, errs, derr := MapStream(inputs, 8, func(v int) (int, error) {
-		// Stagger work so completions arrive out of order.
-		time.Sleep(time.Duration((v*7)%5) * time.Millisecond)
-		return v * 2, nil
-	}, func(i, r int, err error) error {
-		order = append(order, i)
-		if r != i*2 || err != nil {
-			t.Errorf("deliver(%d) got %d, %v", i, r, err)
-		}
-		return nil
-	})
-	if derr != nil {
-		t.Fatal(derr)
-	}
-	if len(order) != len(inputs) {
-		t.Fatalf("delivered %d of %d", len(order), len(inputs))
-	}
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("delivery out of order at %d: %v", i, order)
-		}
-	}
-	for i := range inputs {
-		if out[i] != i*2 || errs[i] != nil {
-			t.Fatalf("result %d wrong: %d, %v", i, out[i], errs[i])
-		}
-	}
-}
-
-// TestMapStreamStreamsMidBatch proves delivery happens while later elements
-// are still in flight: element 3 blocks until element 0 has been delivered,
-// which deadlocks any implementation that only delivers after the batch.
-func TestMapStreamStreamsMidBatch(t *testing.T) {
-	release := make(chan struct{})
-	_, _, derr := MapStream([]int{0, 1, 2, 3}, 2, func(v int) (int, error) {
-		if v == 3 {
-			<-release
-		}
-		return v, nil
-	}, func(i, r int, err error) error {
-		if i == 0 {
-			close(release)
-		}
-		return nil
-	})
-	if derr != nil {
-		t.Fatal(derr)
-	}
-}
-
-func TestMapStreamDeliverErrorStops(t *testing.T) {
-	wantErr := errors.New("stop")
-	var delivered []int
-	out, _, derr := MapStream([]int{1, 2, 3, 4}, 2, func(v int) (int, error) {
-		return v * 10, nil
-	}, func(i, r int, err error) error {
-		delivered = append(delivered, i)
-		if i == 1 {
-			return wantErr
-		}
-		return nil
-	})
-	if derr != wantErr {
-		t.Fatalf("derr = %v", derr)
-	}
-	if len(delivered) != 2 {
-		t.Fatalf("deliveries after error: %v", delivered)
-	}
-	// Computation still completed for every element.
-	for i, v := range out {
-		if v != (i+1)*10 {
-			t.Fatalf("out = %v", out)
-		}
-	}
-}
-
-func TestMapStreamSerialAndEmpty(t *testing.T) {
-	if out, _, err := MapStream(nil, 4, func(v int) (int, error) { return v, nil }, nil); err != nil || len(out) != 0 {
-		t.Fatalf("empty input: %v %v", out, err)
-	}
-	var order []int
-	_, _, err := MapStream([]int{5, 6}, 1, func(v int) (int, error) { return v, nil },
-		func(i, r int, err error) error { order = append(order, i); return nil })
-	if err != nil || len(order) != 2 || order[0] != 0 || order[1] != 1 {
-		t.Fatalf("serial delivery: %v %v", order, err)
-	}
 }
 
 func TestGateBoundsConcurrency(t *testing.T) {

@@ -5,10 +5,7 @@
 //   - Particle Swarm Optimization for maximizing Expected Improvement
 //     (search phase);
 //   - NSGA-II for multi-objective search (Section 3.2);
-//   - the model-free techniques referenced in Section 5 (Nelder–Mead,
-//     differential evolution, simulated annealing, genetic algorithm, greedy
-//     hill climbing), which also form the ensemble of the OpenTuner-style
-//     baseline tuner.
+//   - Nelder–Mead for the performance-model coefficient fit (Section 3.3).
 //
 // All box-constrained algorithms operate on the unit hypercube [0,1]^dim;
 // callers denormalize via a space.Space.

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+
+	"repro/internal/acq"
 )
 
 // NSGAIIParams configures the NSGA-II multi-objective evolutionary algorithm
@@ -151,21 +153,6 @@ func crowdedLess(a, b *individual) bool {
 	return a.crowding > b.crowding
 }
 
-// Dominates reports whether objective vector a Pareto-dominates b
-// (all components ≤ and at least one <), minimizing.
-func Dominates(a, b []float64) bool {
-	strictly := false
-	for i := range a {
-		if a[i] > b[i] {
-			return false
-		}
-		if a[i] < b[i] {
-			strictly = true
-		}
-	}
-	return strictly
-}
-
 // rankAndCrowd assigns non-domination ranks (fast non-dominated sort) and
 // per-front crowding distances.
 func rankAndCrowd(pop []*individual) {
@@ -178,9 +165,9 @@ func rankAndCrowd(pop []*individual) {
 			if i == j {
 				continue
 			}
-			if Dominates(pop[i].f, pop[j].f) {
+			if acq.Dominates(pop[i].f, pop[j].f) {
 				dominatedBy[i] = append(dominatedBy[i], j)
-			} else if Dominates(pop[j].f, pop[i].f) {
+			} else if acq.Dominates(pop[j].f, pop[i].f) {
 				domCount[i]++
 			}
 		}

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/acq"
 )
 
 // sphere has its minimum 0 at center c.
@@ -17,17 +19,6 @@ func sphere(c []float64) Objective {
 		}
 		return s
 	}
-}
-
-// rastrigin01 is the Rastrigin function rescaled to [0,1]^d with minimum 0
-// at 0.5 in each coordinate: a standard multimodal stress test.
-func rastrigin01(x []float64) float64 {
-	s := 10.0 * float64(len(x))
-	for _, v := range x {
-		z := (v - 0.5) * 10.24 // map to [-5.12, 5.12]
-		s += z*z - 10*math.Cos(2*math.Pi*z)
-	}
-	return s
 }
 
 func TestLBFGSQuadratic(t *testing.T) {
@@ -123,71 +114,6 @@ func TestNelderMeadSphere(t *testing.T) {
 	}
 }
 
-func TestSimulatedAnnealingImproves(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	start := []float64{0.95, 0.95}
-	f := sphere([]float64{0.2, 0.2})
-	res := SimulatedAnnealing(f, 2, SAParams{MaxEvals: 2000, Start: start}, rng)
-	if res.F >= f(start) {
-		t.Fatalf("SA did not improve: %v >= %v", res.F, f(start))
-	}
-	if res.F > 0.05 {
-		t.Fatalf("SA too far from optimum: f = %v", res.F)
-	}
-}
-
-func TestHillClimbConverges(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	c := []float64{0.25, 0.75, 0.5}
-	res := HillClimb(sphere(c), 3, HillClimbParams{MaxEvals: 2000, Start: []float64{0, 0, 0}}, rng)
-	if res.F > 1e-4 {
-		t.Fatalf("HillClimb: f = %v at %v", res.F, res.X)
-	}
-}
-
-func TestDifferentialEvolutionMultimodal(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	res := DifferentialEvolution(rastrigin01, 2, DEParams{MaxEvals: 4000}, rng)
-	if res.F > 2 {
-		t.Fatalf("DE rastrigin: f = %v at %v", res.F, res.X)
-	}
-}
-
-func TestGeneticAlgorithmSphere(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	res := GeneticAlgorithm(sphere([]float64{0.6, 0.4}), 2, GAParams{MaxEvals: 3000}, rng)
-	if res.F > 1e-2 {
-		t.Fatalf("GA: f = %v at %v", res.F, res.X)
-	}
-}
-
-func TestRandomSearchBudget(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	count := 0
-	f := func(x []float64) float64 { count++; return x[0] }
-	res := RandomSearch(f, 1, 57, rng)
-	if count != 57 || res.Evals != 57 {
-		t.Fatalf("budget not respected: %d evals", count)
-	}
-}
-
-func TestDominates(t *testing.T) {
-	cases := []struct {
-		a, b []float64
-		want bool
-	}{
-		{[]float64{1, 2}, []float64{2, 3}, true},
-		{[]float64{1, 2}, []float64{1, 2}, false},
-		{[]float64{1, 3}, []float64{2, 2}, false},
-		{[]float64{1, 2}, []float64{1, 3}, true},
-	}
-	for i, c := range cases {
-		if got := Dominates(c.a, c.b); got != c.want {
-			t.Errorf("case %d: Dominates(%v,%v) = %v", i, c.a, c.b, got)
-		}
-	}
-}
-
 // Property: no point in the NSGA-II front dominates another.
 func TestNSGAIIFrontIsNonDominated(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
@@ -207,7 +133,7 @@ func TestNSGAIIFrontIsNonDominated(t *testing.T) {
 	}
 	for i := range front {
 		for j := range front {
-			if i != j && Dominates(front[i].F, front[j].F) {
+			if i != j && acq.Dominates(front[i].F, front[j].F) {
 				t.Fatalf("front point %v dominates %v", front[i].F, front[j].F)
 			}
 		}
@@ -247,7 +173,7 @@ func TestRankAgainstBruteForce(t *testing.T) {
 					if j == i || assigned[j] {
 						continue
 					}
-					if Dominates(pop[j].f, pop[i].f) {
+					if acq.Dominates(pop[j].f, pop[i].f) {
 						dominated = true
 						break
 					}
@@ -305,58 +231,5 @@ func TestDedupFront(t *testing.T) {
 	got := dedupFront(front)
 	if len(got) != 2 {
 		t.Fatalf("dedup kept %d points", len(got))
-	}
-}
-
-func TestCMAESSphere(t *testing.T) {
-	rng := rand.New(rand.NewSource(20))
-	c := []float64{0.35, 0.65, 0.5}
-	res := CMAES(sphere(c), 3, CMAESParams{MaxEvals: 2000}, rng)
-	if res.F > 1e-6 {
-		t.Fatalf("CMAES sphere: f = %v at %v", res.F, res.X)
-	}
-}
-
-func TestCMAESRosenbrock01(t *testing.T) {
-	// Rosenbrock scaled into [0,1]²: minimum at (0.75, 0.75) after mapping
-	// x ∈ [-1, 3] per dim... simpler: use banana centered in the box.
-	rng := rand.New(rand.NewSource(21))
-	f := func(x []float64) float64 {
-		a := 4*x[0] - 2 // [-2, 2]
-		b := 4*x[1] - 2
-		return 100*(b-a*a)*(b-a*a) + (1-a)*(1-a)
-	}
-	res := CMAES(f, 2, CMAESParams{MaxEvals: 6000}, rng)
-	if res.F > 1e-3 {
-		t.Fatalf("CMAES rosenbrock: f = %v at %v", res.F, res.X)
-	}
-}
-
-func TestCMAESMultimodal(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	res := CMAES(rastrigin01, 2, CMAESParams{MaxEvals: 4000, Sigma: 0.5}, rng)
-	if res.F > 3 {
-		t.Fatalf("CMAES rastrigin: f = %v at %v", res.F, res.X)
-	}
-}
-
-func TestCMAESRespectsBudgetAndBox(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	count := 0
-	f := func(x []float64) float64 {
-		count++
-		for _, v := range x {
-			if v < 0 || v > 1 {
-				t.Fatalf("out-of-box evaluation %v", x)
-			}
-		}
-		return -x[0]
-	}
-	res := CMAES(f, 2, CMAESParams{MaxEvals: 300}, rng)
-	if count > 300 || res.Evals != count {
-		t.Fatalf("budget violated: %d evals", count)
-	}
-	if res.X[0] < 0.95 {
-		t.Fatalf("boundary optimum missed: %v", res.X)
 	}
 }
