@@ -9,7 +9,7 @@
 //
 //	gptuned -addr :8731 -data ./studies
 //
-// API (JSON bodies):
+// API (JSON bodies; gptune/api declares every shape and route):
 //
 //	POST /studies                  create a study from a StudySpec; a
 //	                               "scenario" field names a registry
@@ -22,7 +22,9 @@
 //	GET  /studies/{s}/best         incumbent per task (objective 0)
 //	GET  /studies/{s}/pareto       non-dominated set per task
 //	GET  /studies/{s}/history      full evaluation history per task
-//	GET  /healthz                  liveness
+//	GET  /studies/{s}/snapshot     export the study as an Archive (migration)
+//	POST /studies/import           re-home an Archive onto this replica
+//	GET  /healthz                  routability: 200 ok, 503 draining
 package main
 
 import (
@@ -36,6 +38,7 @@ import (
 
 	"flag"
 
+	"repro/gptune/api"
 	_ "repro/internal/bench/all" // full workload catalog for scenario studies
 	"repro/internal/serve"
 )
@@ -45,7 +48,7 @@ func main() {
 		addr     = flag.String("addr", ":8731", "listen address")
 		data     = flag.String("data", "gptuned-data", "data directory (study specs + history WALs)")
 		slots    = flag.Int("model-slots", 1, "studies allowed to run modeling/search concurrently")
-		maxBody  = flag.Int64("max-body", 1<<20, "request body size cap in bytes")
+		maxBody  = flag.Int64("max-body", api.DefaultMaxBodyBytes, "request body size cap in bytes (imports: the protocol's fixed 64 MiB)")
 		drainFor = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain timeout")
 	)
 	flag.Parse()

@@ -23,22 +23,24 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"sort"
-	"strconv"
 	"sync"
 	"time"
 
 	"repro/gptune"
+	"repro/gptune/api"
 	"repro/internal/ring"
-	"repro/internal/serve"
 )
 
-// Spec types are aliased from the serving layer so a spec literal compiles
-// identically against the server, the client, and the on-disk format.
+// The wire shapes are the protocol package's; these names predate it.
 type (
-	StudySpec   = serve.StudySpec
-	ParamSpec   = serve.ParamSpec
-	OptionsSpec = serve.OptionsSpec
+	StudySpec    = api.StudySpec
+	ParamSpec    = api.ParamSpec
+	OptionsSpec  = api.OptionsSpec
+	Suggestion   = api.Suggestion
+	Status       = api.Status
+	TaskHistory  = api.TaskHistory
+	BestEntry    = api.BestEntry
+	StudyArchive = api.Archive
 )
 
 // ErrDone and ErrNonePending are aliases of the facade's sentinels (which
@@ -60,50 +62,6 @@ type APIError struct {
 
 func (e *APIError) Error() string {
 	return fmt.Sprintf("gptuned: %s (HTTP %d)", e.Message, e.Status)
-}
-
-// Suggestion is one configuration to evaluate, as handed out by the server.
-type Suggestion struct {
-	ID    int64     `json:"id"`
-	Task  int       `json:"task"`
-	Phase string    `json:"phase,omitempty"`
-	X     []float64 `json:"x"`
-}
-
-// Status mirrors GET /studies/{study}.
-type Status struct {
-	Name         string `json:"name"`
-	Surrogate    string `json:"surrogate"`
-	Phase        string `json:"phase"`
-	Tasks        int    `json:"tasks"`
-	Observations int    `json:"observations"`
-	Logged       int    `json:"logged"`
-	Async        bool   `json:"async,omitempty"`
-	Done         bool   `json:"done"`
-	Error        string `json:"error,omitempty"`
-}
-
-// TaskHistory is one task's evaluations (history and pareto responses).
-type TaskHistory struct {
-	Task []float64   `json:"task"`
-	X    [][]float64 `json:"x"`
-	Y    [][]float64 `json:"y"`
-}
-
-// BestEntry is one task's incumbent for objective 0.
-type BestEntry struct {
-	Task []float64 `json:"task"`
-	X    []float64 `json:"x,omitempty"`
-	Y    []float64 `json:"y,omitempty"`
-}
-
-// StudyArchive is a study in transfer form (GET snapshot / POST import):
-// spec plus a consistent WAL snapshot+log byte pair.
-type StudyArchive struct {
-	Spec     StudySpec `json:"spec"`
-	Snapshot []byte    `json:"snapshot,omitempty"`
-	WAL      []byte    `json:"wal,omitempty"`
-	Logged   int       `json:"logged"`
 }
 
 // Config configures a Client.
@@ -174,12 +132,9 @@ func (c *Client) Owner(study string) string {
 	return o
 }
 
-// Replicas returns the configured replica set (sorted, deduplicated).
-func (c *Client) Replicas() []string { return c.ring.Nodes() }
-
 // Create registers a new study on its owning replica.
 func (c *Client) Create(ctx context.Context, spec StudySpec) error {
-	return c.call(ctx, http.MethodPost, c.Owner(spec.Name), "/studies", spec, nil, false)
+	return c.call(ctx, http.MethodPost, c.Owner(spec.Name), api.StudiesPath, spec, nil, false)
 }
 
 // Suggest asks the study's replica for the next configuration of task
@@ -187,12 +142,9 @@ func (c *Client) Create(ctx context.Context, spec StudySpec) error {
 // the budget is exhausted, ErrNonePending when — after the retry budget,
 // honoring the server's Retry-After hints — no configuration is available.
 func (c *Client) Suggest(ctx context.Context, study string, task int) (Suggestion, error) {
-	var resp struct {
-		Suggestion *Suggestion `json:"suggestion,omitempty"`
-		Done       bool        `json:"done,omitempty"`
-	}
-	err := c.call(ctx, http.MethodPost, c.Owner(study), "/studies/"+study+"/suggest",
-		map[string]int{"task": task}, &resp, true)
+	var resp api.SuggestResponse
+	err := c.call(ctx, http.MethodPost, c.Owner(study), api.StudyPath(study, api.VerbSuggest),
+		api.SuggestRequest{Task: task}, &resp, true)
 	if err != nil {
 		return Suggestion{}, err
 	}
@@ -207,12 +159,9 @@ func (c *Client) Suggest(ctx context.Context, study string, task int) (Suggestio
 
 // Report delivers a measurement for a suggestion ID.
 func (c *Client) Report(ctx context.Context, study string, id int64, y []float64) error {
-	var resp struct {
-		OK    bool   `json:"ok"`
-		Error string `json:"error,omitempty"`
-	}
-	err := c.call(ctx, http.MethodPost, c.Owner(study), "/studies/"+study+"/report",
-		map[string]any{"id": id, "y": y}, &resp, false)
+	var resp api.ReportResponse
+	err := c.call(ctx, http.MethodPost, c.Owner(study), api.StudyPath(study, api.VerbReport),
+		api.ReportRequest{ID: id, Y: y}, &resp, false)
 	if err != nil {
 		return err
 	}
@@ -226,14 +175,9 @@ func (c *Client) Report(ctx context.Context, study string, id int64, y []float64
 // back a substitute configuration under the same ID; terminal=true means
 // the configuration failed for good.
 func (c *Client) ReportFailure(ctx context.Context, study string, id int64, cause string) (retry *Suggestion, terminal bool, err error) {
-	var resp struct {
-		OK       bool        `json:"ok"`
-		Retry    *Suggestion `json:"retry,omitempty"`
-		Terminal bool        `json:"terminal,omitempty"`
-		Error    string      `json:"error,omitempty"`
-	}
-	err = c.call(ctx, http.MethodPost, c.Owner(study), "/studies/"+study+"/report",
-		map[string]any{"id": id, "failed": true, "error": cause}, &resp, false)
+	var resp api.ReportResponse
+	err = c.call(ctx, http.MethodPost, c.Owner(study), api.StudyPath(study, api.VerbReport),
+		api.ReportRequest{ID: id, Failed: true, Error: cause}, &resp, false)
 	if err != nil {
 		return nil, false, err
 	}
@@ -243,88 +187,61 @@ func (c *Client) ReportFailure(ctx context.Context, study string, id int64, caus
 // Status fetches a study's progress.
 func (c *Client) Status(ctx context.Context, study string) (Status, error) {
 	var st Status
-	err := c.call(ctx, http.MethodGet, c.Owner(study), "/studies/"+study, nil, &st, false)
+	err := c.call(ctx, http.MethodGet, c.Owner(study), api.StudyPath(study, ""), nil, &st, false)
 	return st, err
 }
 
 // History fetches a study's full evaluation history per task.
 func (c *Client) History(ctx context.Context, study string) ([]TaskHistory, error) {
-	var resp struct {
-		Tasks []TaskHistory `json:"tasks"`
-	}
-	err := c.call(ctx, http.MethodGet, c.Owner(study), "/studies/"+study+"/history", nil, &resp, false)
+	var resp api.History
+	err := c.call(ctx, http.MethodGet, c.Owner(study), api.StudyPath(study, api.VerbHistory), nil, &resp, false)
 	return resp.Tasks, err
 }
 
 // Best fetches each task's incumbent for objective 0.
 func (c *Client) Best(ctx context.Context, study string) ([]BestEntry, error) {
-	var resp struct {
-		Tasks []BestEntry `json:"tasks"`
-	}
-	err := c.call(ctx, http.MethodGet, c.Owner(study), "/studies/"+study+"/best", nil, &resp, false)
+	var resp api.Best
+	err := c.call(ctx, http.MethodGet, c.Owner(study), api.StudyPath(study, api.VerbBest), nil, &resp, false)
 	return resp.Tasks, err
 }
 
 // Pareto fetches each task's non-dominated set.
 func (c *Client) Pareto(ctx context.Context, study string) ([]TaskHistory, error) {
-	var resp struct {
-		Tasks []TaskHistory `json:"tasks"`
-	}
-	err := c.call(ctx, http.MethodGet, c.Owner(study), "/studies/"+study+"/pareto", nil, &resp, false)
+	var resp api.Pareto
+	err := c.call(ctx, http.MethodGet, c.Owner(study), api.StudyPath(study, api.VerbPareto), nil, &resp, false)
 	return resp.Tasks, err
 }
 
 // Snapshot exports a study from the replica holding it for migration.
 func (c *Client) Snapshot(ctx context.Context, study string) (StudyArchive, error) {
-	return c.SnapshotFrom(ctx, c.Owner(study), study)
-}
-
-// SnapshotFrom exports a study from a specific replica — the recovery path,
-// where the study's data may sit on a node the ring no longer owns it to.
-func (c *Client) SnapshotFrom(ctx context.Context, replica, study string) (StudyArchive, error) {
 	var arc StudyArchive
-	err := c.call(ctx, http.MethodGet, replica, "/studies/"+study+"/snapshot", nil, &arc, false)
+	err := c.call(ctx, http.MethodGet, c.Owner(study), api.StudyPath(study, api.VerbSnapshot), nil, &arc, false)
 	return arc, err
 }
 
-// Import re-homes an archived study onto a replica (the archive's ring
-// owner by default; see ImportTo for explicit placement).
+// Import re-homes an archived study onto its ring owner.
 func (c *Client) Import(ctx context.Context, arc StudyArchive) error {
-	return c.ImportTo(ctx, c.Owner(arc.Spec.Name), arc)
-}
-
-// ImportTo imports an archive onto a specific replica.
-func (c *Client) ImportTo(ctx context.Context, replica string, arc StudyArchive) error {
-	return c.call(ctx, http.MethodPost, replica, "/studies/import", arc, nil, false)
+	return c.call(ctx, http.MethodPost, c.Owner(arc.Spec.Name), api.ImportPath, arc, nil, false)
 }
 
 // Studies lists study names across every replica, merged and sorted.
 func (c *Client) Studies(ctx context.Context) ([]string, error) {
-	seen := make(map[string]bool)
+	all := api.StudyList{Studies: []string{}}
 	var firstErr error
 	for _, rep := range c.ring.Nodes() {
-		var resp struct {
-			Studies []string `json:"studies"`
-		}
-		if err := c.call(ctx, http.MethodGet, rep, "/studies", nil, &resp, false); err != nil {
+		var resp api.StudyList
+		if err := c.call(ctx, http.MethodGet, rep, api.StudiesPath, nil, &resp, false); err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
 			continue
 		}
-		for _, s := range resp.Studies {
-			seen[s] = true
-		}
+		all.Merge(resp)
 	}
-	if len(seen) == 0 && firstErr != nil {
+	if len(all.Studies) == 0 && firstErr != nil {
 		return nil, firstErr
 	}
-	out := make([]string, 0, len(seen))
-	for s := range seen {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out, nil
+	return all.Studies, nil
 }
 
 // call runs one API call with the retry policy: transport errors and 503s
@@ -341,17 +258,11 @@ func (c *Client) call(ctx context.Context, method, replica, path string, in, out
 		switch {
 		case err == nil && status < 400:
 			return nil
-		case err == nil && status == http.StatusConflict && retry409:
+		case err == nil && status == api.StatusConflict && retry409:
 			lastErr = ErrNonePending
-		case err == nil && status == http.StatusServiceUnavailable:
-			if errMsg == "" {
-				errMsg = "replica unavailable"
-			}
+		case err == nil && status == api.StatusDraining:
 			lastErr = &APIError{Status: status, Message: errMsg}
 		case err == nil:
-			if errMsg == "" {
-				errMsg = "request " + path + " failed"
-			}
 			return &APIError{Status: status, Message: errMsg}
 		default:
 			// Transport error (connection refused/reset, timeout). A reset
@@ -401,11 +312,11 @@ func (c *Client) attempt(ctx context.Context, method, replica, path string, in, 
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode >= 400 {
-		var eb struct {
-			Error string `json:"error"`
-		}
+		// A body that is not the protocol's Error (a proxy's HTML, say)
+		// leaves the status text as the message.
+		eb := api.Error{Error: http.StatusText(resp.StatusCode)}
 		_ = json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&eb)
-		return resp.StatusCode, resp.Header.Get("Retry-After"), eb.Error, nil
+		return resp.StatusCode, resp.Header.Get(api.RetryAfterHeader), eb.Error, nil
 	}
 	if out != nil {
 		if derr := json.NewDecoder(resp.Body).Decode(out); derr != nil {
@@ -426,8 +337,8 @@ func (c *Client) attempt(ctx context.Context, method, replica, path string, in, 
 // stampede. Returns early with the context's error if it is canceled.
 func (c *Client) sleep(ctx context.Context, attempt int, retryAfter string) error {
 	var d time.Duration
-	if secs, err := strconv.Atoi(retryAfter); err == nil && secs >= 0 {
-		d = time.Duration(secs) * time.Second
+	if hint, ok := api.ParseRetryAfter(retryAfter); ok {
+		d = hint
 		if d == 0 {
 			// "Retry immediately" still yields a beat so a 1-CPU server's
 			// background generation can run.

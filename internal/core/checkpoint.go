@@ -43,9 +43,6 @@ type CheckpointOptions struct {
 	// Problem names the run in the log; Resume refuses a log whose records
 	// belong to a different problem.
 	Problem string
-	// GroupCommit batches fsyncs (see histdb.WALOptions.GroupCommit).
-	// Default 1: every evaluation is durable the moment it is delivered.
-	GroupCommit int
 	// Clock stamps log records; pass the run's Options.Clock so a
 	// deterministic run performs no wall-clock reads. nil uses time.Now.
 	Clock func() time.Time
@@ -96,10 +93,8 @@ func Resume(path string, opts CheckpointOptions) (*Checkpointer, error) {
 }
 
 func openCheckpoint(path string, opts CheckpointOptions) (*Checkpointer, error) {
-	wal, err := histdb.OpenWAL(path, histdb.WALOptions{
-		GroupCommit: opts.GroupCommit,
-		Clock:       opts.Clock,
-	})
+	// No group commit: every evaluation is durable the moment it is delivered.
+	wal, err := histdb.OpenWAL(path, histdb.WALOptions{Clock: opts.Clock})
 	if err != nil {
 		return nil, err
 	}

@@ -166,7 +166,7 @@ func NewEngine(p *Problem, tasks [][]float64, options Options) (*Engine, error) 
 }
 
 // Surrogate returns the resolved surrogate backend kind the engine models
-// with ("lcm", "gp-indep", "rf").
+// with (one of surrogate.Kinds()).
 func (e *Engine) Surrogate() string { return e.st.fitter.Kind() }
 
 // Phase returns the tuning phase of the engine's current batch: "init"
@@ -368,13 +368,7 @@ func (e *Engine) generate(isInit bool) (jobs []*engJob, phase string, delta Phas
 		st.fitModelCoeffs()
 		delta.ModelUpdate += st.opts.since(t0)
 	}
-	if st.p.Outputs.Dim() == 1 {
-		jobs, err = e.genSearchSingle(&delta)
-		phase = "search"
-	} else {
-		jobs, err = e.genSearchMulti(&delta)
-		phase = "mo"
-	}
+	jobs, phase, err = e.genSearch(&delta)
 	return jobs, phase, delta, err
 }
 
@@ -565,82 +559,49 @@ func (e *Engine) genInit() ([]*engJob, error) {
 	return jobs, nil
 }
 
-// genSearchSingle performs one Algorithm 1 generation: modeling phase (fit
-// the joint LCM on all data, or — on incremental generations under
-// Options.RefitEvery — extend the previous model with the new points) then
-// search phase (per-task EI maximization by PSO), producing the next batch
-// of configurations in (task, slot) order. Runs without the engine mutex;
-// phase timings accumulate into delta.
-func (e *Engine) genSearchSingle(delta *PhaseStats) ([]*engJob, error) {
-	st := e.st
-	ms := st.minSamples()
-
-	t0 := st.opts.now()
-	models, tvs, fs, refit, err := st.modelPhase(1, ms)
-	delta.Modeling += st.opts.since(t0)
-	if err != nil {
-		return nil, err
-	}
-	// Incremental generations skip the transfer snapshot: the model's
-	// hyperparameters haven't moved since the refit that already saved them.
-	if refit {
-		if err := st.saveTransfer(models[0], 0); err != nil {
-			return nil, err
-		}
-	}
-
-	// Search phase: per task, maximize the acquisition over the feasible
-	// tuning space (BatchEvals configurations per task, spread by distance
-	// penalization).
-	t1 := st.opts.now()
-	newX := make([][][]float64, len(st.tasks))
-	mpx.ParallelFor(len(st.tasks), st.opts.Workers, func(i int) {
-		newX[i] = st.searchBatch(i, models[0], tvs[0], fs)
-	})
-	delta.Search += st.opts.since(t1)
-
-	return jobsFromSearch(st, newX, "search", ms), nil
-}
-
-// genSearchMulti performs one Algorithm 2 generation: one LCM per objective
-// in the modeling phase (refit or incremental, like genSearchSingle), then
-// per-task NSGA-II search over the vector of per-objective Expected
-// Improvements.
-func (e *Engine) genSearchMulti(delta *PhaseStats) ([]*engJob, error) {
+// genSearch performs one generation past the initial sampling — Algorithm 1
+// for a single objective, Algorithm 2 for several. Modeling phase: one joint
+// LCM per objective fitted on all data, or — on incremental generations under
+// Options.RefitEvery — the previous models extended with the new points.
+// Search phase: per task, BatchEvals configurations maximizing the
+// acquisition by PSO and spread by distance penalization (phase "search"),
+// or an NSGA-II search over the vector of per-objective Expected
+// Improvements (phase "mo"). The batch comes back in (task, slot) order.
+// Runs without the engine mutex; phase timings accumulate into delta.
+func (e *Engine) genSearch(delta *PhaseStats) (jobs []*engJob, phase string, err error) {
 	st := e.st
 	gamma := st.p.Outputs.Dim()
 	ms := st.minSamples()
 
 	t0 := st.opts.now()
-	models, transforms, fs, refit, err := st.modelPhase(gamma, ms)
+	models, tvs, fs, refit, err := st.modelPhase(gamma, ms)
 	delta.Modeling += st.opts.since(t0)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
+	// Incremental generations skip the transfer snapshot: the model's
+	// hyperparameters haven't moved since the refit that already saved them.
 	if refit {
 		for s, model := range models {
 			if err := st.saveTransfer(model, s); err != nil {
-				return nil, err
+				return nil, "", err
 			}
 		}
 	}
 
+	phase, search := "search", func(i int) [][]float64 { return st.searchBatch(i, models[0], tvs[0], fs) }
+	if gamma > 1 {
+		phase, search = "mo", func(i int) [][]float64 { return st.searchMO(i, models, tvs, fs) }
+	}
 	t1 := st.opts.now()
 	newX := make([][][]float64, len(st.tasks))
-	mpx.ParallelFor(len(st.tasks), st.opts.Workers, func(i int) {
-		newX[i] = st.searchMO(i, models, transforms, fs)
-	})
+	mpx.ParallelFor(len(st.tasks), st.opts.Workers, func(i int) { newX[i] = search(i) })
 	delta.Search += st.opts.since(t1)
 
-	return jobsFromSearch(st, newX, "mo", ms), nil
-}
-
-// jobsFromSearch flattens per-task search output into a canonical-order
-// batch. The retry seed reuses the (task·64+slot, minSamples) salt the
-// evaluation loop always used, with minSamples frozen pre-batch. IDs are
-// assigned at install time, under the engine mutex.
-func jobsFromSearch(st *state, newX [][][]float64, phase string, ms int) []*engJob {
-	var jobs []*engJob
+	// Flatten into a canonical-order batch. The retry seed reuses the
+	// (task·64+slot, minSamples) salt the evaluation loop always used, with
+	// minSamples frozen pre-batch. IDs are assigned at install time, under
+	// the engine mutex.
 	for i := range newX {
 		for b, x := range newX[i] {
 			jobs = append(jobs, &engJob{
@@ -652,5 +613,5 @@ func jobsFromSearch(st *state, newX [][][]float64, phase string, ms int) []*engJ
 			})
 		}
 	}
-	return jobs
+	return jobs, phase, nil
 }

@@ -166,7 +166,7 @@ type PriorSample struct {
 // payload. Snapshots flow out of a run through Options.Transfer and into a
 // later run through Options.WarmStart.
 type ModelSnapshot struct {
-	Kind      string // surrogate backend ("lcm", "gp-indep", "rf")
+	Kind      string // surrogate backend (one of surrogate.Kinds())
 	Objective int    // objective index the model was fitted for
 	Data      []byte // backend-specific serialized model
 }

@@ -41,7 +41,7 @@ type Record struct {
 	// Kind.
 	Kind string `json:"kind,omitempty"`
 	// Surrogate is the backend that produced a model record's snapshot
-	// ("lcm", "gp-indep", "rf").
+	// (one of surrogate.Kinds()).
 	Surrogate string `json:"surrogate,omitempty"`
 	// Objective is the objective index a model record's surrogate modeled
 	// (always 0 for single-objective runs).

@@ -25,7 +25,7 @@ func BenchmarkCholAppendRow400(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t := tp.Clone()
-		if err := t.AppendRow(col, diag); err != nil {
+		if _, err := appendRow(t, col, diag); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -118,26 +118,6 @@ func BackwardSubstT(l *Matrix, b []float64) {
 	}
 }
 
-// SolveCholMat solves (L·Lᵀ)·X = B column-by-column, returning X.
-func SolveCholMat(l *Matrix, b *Matrix) *Matrix {
-	if l.Rows != b.Rows {
-		panic("la: SolveCholMat dimension mismatch")
-	}
-	x := b.Clone()
-	col := make([]float64, b.Rows)
-	for j := 0; j < b.Cols; j++ {
-		for i := 0; i < b.Rows; i++ {
-			col[i] = x.At(i, j)
-		}
-		ForwardSubst(l, col)
-		BackwardSubstT(l, col)
-		for i := 0; i < b.Rows; i++ {
-			x.Set(i, j, col[i])
-		}
-	}
-	return x
-}
-
 // CholInverse returns (L·Lᵀ)⁻¹ densely. Used by the LCM gradient, which
 // needs tr(Σ⁻¹·dΣ) terms. It computes W = L⁻¹ column by column (stored
 // transposed for contiguous access) and assembles Σ⁻¹ = WᵀW from row-wise

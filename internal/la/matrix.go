@@ -8,10 +8,7 @@
 // are dense, row-major, and sized at construction.
 package la
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Matrix is a dense row-major matrix.
 type Matrix struct {
@@ -25,25 +22,6 @@ func NewMatrix(r, c int) *Matrix {
 		panic(fmt.Sprintf("la: invalid dimensions %d×%d", r, c))
 	}
 	return &Matrix{Rows: r, Cols: c, Data: make([]float64, r*c)}
-}
-
-// NewMatrixFrom returns an r×c matrix backed by a copy of data (row-major).
-func NewMatrixFrom(r, c int, data []float64) *Matrix {
-	if len(data) != r*c {
-		panic(fmt.Sprintf("la: data length %d != %d×%d", len(data), r, c))
-	}
-	m := NewMatrix(r, c)
-	copy(m.Data, data)
-	return m
-}
-
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Data[i*n+i] = 1
-	}
-	return m
 }
 
 // At returns element (i, j).
@@ -62,110 +40,6 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
-// T returns the transpose as a new matrix.
-func (m *Matrix) T() *Matrix {
-	t := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		ri := m.Row(i)
-		for j, v := range ri {
-			t.Data[j*t.Cols+i] = v
-		}
-	}
-	return t
-}
-
-// AddScaled adds s*b to m in place. Panics on shape mismatch.
-func (m *Matrix) AddScaled(s float64, b *Matrix) {
-	if m.Rows != b.Rows || m.Cols != b.Cols {
-		panic("la: AddScaled shape mismatch")
-	}
-	for i, v := range b.Data {
-		m.Data[i] += s * v
-	}
-}
-
-// Scale multiplies every element in place.
-func (m *Matrix) Scale(s float64) {
-	for i := range m.Data {
-		m.Data[i] *= s
-	}
-}
-
-// MulVec computes y = m·x into a new slice.
-func (m *Matrix) MulVec(x []float64) []float64 {
-	if len(x) != m.Cols {
-		panic("la: MulVec dimension mismatch")
-	}
-	y := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		y[i] = Dot(m.Row(i), x)
-	}
-	return y
-}
-
-// MulVecT computes y = mᵀ·x into a new slice.
-func (m *Matrix) MulVecT(x []float64) []float64 {
-	if len(x) != m.Rows {
-		panic("la: MulVecT dimension mismatch")
-	}
-	y := make([]float64, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		xi := x[i]
-		if xi == 0 { //gptlint:ignore float-eq exact-zero sparsity skip; any nonzero takes the full multiply
-			continue
-		}
-		ri := m.Row(i)
-		for j, v := range ri {
-			y[j] += xi * v
-		}
-	}
-	return y
-}
-
-// MatMul returns a·b as a new matrix.
-func MatMul(a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic("la: MatMul dimension mismatch")
-	}
-	c := NewMatrix(a.Rows, b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		ci := c.Row(i)
-		ai := a.Row(i)
-		for k, aik := range ai {
-			if aik == 0 { //gptlint:ignore float-eq exact-zero sparsity skip; any nonzero takes the full multiply
-				continue
-			}
-			bk := b.Row(k)
-			for j, bkj := range bk {
-				ci[j] += aik * bkj
-			}
-		}
-	}
-	return c
-}
-
-// MatMulTransA returns aᵀ·b as a new matrix.
-func MatMulTransA(a, b *Matrix) *Matrix {
-	if a.Rows != b.Rows {
-		panic("la: MatMulTransA dimension mismatch")
-	}
-	c := NewMatrix(a.Cols, b.Cols)
-	for k := 0; k < a.Rows; k++ {
-		ak := a.Row(k)
-		bk := b.Row(k)
-		for i, aki := range ak {
-			if aki == 0 { //gptlint:ignore float-eq exact-zero sparsity skip; any nonzero takes the full multiply
-				continue
-			}
-			ci := c.Row(i)
-			for j, bkj := range bk {
-				ci[j] += aki * bkj
-			}
-		}
-	}
-	return c
-}
-
 // MatMulTransB returns a·bᵀ as a new matrix.
 func MatMulTransB(a, b *Matrix) *Matrix {
 	if a.Cols != b.Cols {
@@ -180,45 +54,6 @@ func MatMulTransB(a, b *Matrix) *Matrix {
 		}
 	}
 	return c
-}
-
-// Trace returns the trace of a square matrix.
-func (m *Matrix) Trace() float64 {
-	if m.Rows != m.Cols {
-		panic("la: Trace of non-square matrix")
-	}
-	s := 0.0
-	for i := 0; i < m.Rows; i++ {
-		s += m.Data[i*m.Cols+i]
-	}
-	return s
-}
-
-// Symmetrize replaces m by (m+mᵀ)/2 in place (square only).
-func (m *Matrix) Symmetrize() {
-	if m.Rows != m.Cols {
-		panic("la: Symmetrize of non-square matrix")
-	}
-	n := m.Rows
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			v := 0.5 * (m.Data[i*n+j] + m.Data[j*n+i])
-			m.Data[i*n+j] = v
-			m.Data[j*n+i] = v
-		}
-	}
-}
-
-// MaxAbsDiff returns max |a_ij - b_ij|.
-func MaxAbsDiff(a, b *Matrix) float64 {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic("la: MaxAbsDiff shape mismatch")
-	}
-	d := 0.0
-	for i, v := range a.Data {
-		d = math.Max(d, math.Abs(v-b.Data[i]))
-	}
-	return d
 }
 
 // Dot returns the inner product of two equal-length vectors. The
@@ -275,37 +110,6 @@ func dotPair(a, b0, b1 []float64) (float64, float64) {
 		s10 += a[i] * b1[i]
 	}
 	return (s00 + s02) + (s01 + s03), (s10 + s12) + (s11 + s13)
-}
-
-// Axpy computes y += alpha*x in place.
-func Axpy(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic("la: Axpy length mismatch")
-	}
-	for i, v := range x {
-		y[i] += alpha * v
-	}
-}
-
-// Norm2 returns the Euclidean norm of x.
-func Norm2(x []float64) float64 {
-	// Scaled accumulation for overflow safety.
-	scale, ssq := 0.0, 1.0
-	for _, v := range x {
-		if v == 0 { //gptlint:ignore float-eq exact-zero skip keeps the scaled norm accumulation well-defined
-			continue
-		}
-		a := math.Abs(v)
-		if scale < a {
-			r := scale / a
-			ssq = 1 + ssq*r*r
-			scale = a
-		} else {
-			r := a / scale
-			ssq += r * r
-		}
-	}
-	return scale * math.Sqrt(ssq)
 }
 
 // ScaleVec multiplies x by s in place.

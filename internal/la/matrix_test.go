@@ -21,8 +21,30 @@ func randomSPD(rng *rand.Rand, n int) *Matrix {
 	return a
 }
 
+// maxAbsDiff returns max |a_ij - b_ij|.
+func maxAbsDiff(a, b *Matrix) float64 {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		panic("maxAbsDiff shape mismatch")
+	}
+	d := 0.0
+	for i, v := range a.Data {
+		d = math.Max(d, math.Abs(v-b.Data[i]))
+	}
+	return d
+}
+
+// residual returns ‖a·x − b‖₂.
+func residual(a *Matrix, x, b []float64) float64 {
+	ss := 0.0
+	for i := range b {
+		r := Dot(a.Row(i), x) - b[i]
+		ss += r * r
+	}
+	return math.Sqrt(ss)
+}
+
 func TestMatrixBasics(t *testing.T) {
-	m := NewMatrixFrom(2, 3, []float64{1, 2, 3, 4, 5, 6})
+	m := &Matrix{Rows: 2, Cols: 3, Data: []float64{1, 2, 3, 4, 5, 6}}
 	if m.At(1, 2) != 6 {
 		t.Fatalf("At(1,2) = %v, want 6", m.At(1, 2))
 	}
@@ -30,9 +52,8 @@ func TestMatrixBasics(t *testing.T) {
 	if m.At(0, 1) != 9 {
 		t.Fatalf("Set did not stick")
 	}
-	mt := m.T()
-	if mt.Rows != 3 || mt.Cols != 2 || mt.At(2, 1) != 6 || mt.At(1, 0) != 9 {
-		t.Fatalf("transpose wrong: %+v", mt)
+	if r := m.Row(1); len(r) != 3 || r[0] != 4 {
+		t.Fatalf("Row(1) = %v", r)
 	}
 	c := m.Clone()
 	c.Set(0, 0, -1)
@@ -41,21 +62,14 @@ func TestMatrixBasics(t *testing.T) {
 	}
 }
 
-func TestIdentityTrace(t *testing.T) {
-	id := Identity(5)
-	if id.Trace() != 5 {
-		t.Fatalf("trace(I5) = %v", id.Trace())
-	}
-}
-
 func TestMatMulAgainstHand(t *testing.T) {
-	a := NewMatrixFrom(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	b := NewMatrixFrom(3, 2, []float64{7, 8, 9, 10, 11, 12})
-	c := MatMul(a, b)
+	a := &Matrix{Rows: 2, Cols: 3, Data: []float64{1, 2, 3, 4, 5, 6}}
+	bt := &Matrix{Rows: 2, Cols: 3, Data: []float64{7, 9, 11, 8, 10, 12}} // b = btᵀ is 3×2
+	c := MatMulTransB(a, bt)
 	want := []float64{58, 64, 139, 154}
 	for i, v := range want {
 		if math.Abs(c.Data[i]-v) > 1e-12 {
-			t.Fatalf("MatMul[%d] = %v, want %v", i, c.Data[i], v)
+			t.Fatalf("MatMulTransB[%d] = %v, want %v", i, c.Data[i], v)
 		}
 	}
 }
@@ -63,41 +77,24 @@ func TestMatMulAgainstHand(t *testing.T) {
 func TestMatMulTransVariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := NewMatrix(4, 3)
-	b := NewMatrix(4, 5)
+	c := NewMatrix(5, 3)
 	for i := range a.Data {
 		a.Data[i] = rng.NormFloat64()
 	}
-	for i := range b.Data {
-		b.Data[i] = rng.NormFloat64()
-	}
-	got := MatMulTransA(a, b)
-	want := MatMul(a.T(), b)
-	if MaxAbsDiff(got, want) > 1e-12 {
-		t.Fatalf("MatMulTransA mismatch: %v", MaxAbsDiff(got, want))
-	}
-	c := NewMatrix(5, 3)
 	for i := range c.Data {
 		c.Data[i] = rng.NormFloat64()
 	}
-	got2 := MatMulTransB(a, c)
-	want2 := MatMul(a, c.T())
-	if MaxAbsDiff(got2, want2) > 1e-12 {
-		t.Fatalf("MatMulTransB mismatch")
-	}
-}
-
-func TestMulVec(t *testing.T) {
-	a := NewMatrixFrom(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	y := a.MulVec([]float64{1, 0, -1})
-	if y[0] != -2 || y[1] != -2 {
-		t.Fatalf("MulVec = %v", y)
-	}
-	yt := a.MulVecT([]float64{1, -1})
-	want := []float64{-3, -3, -3}
-	for i := range want {
-		if yt[i] != want[i] {
-			t.Fatalf("MulVecT = %v", yt)
+	got := MatMulTransB(a, c)
+	want := NewMatrix(4, 5)
+	for i := 0; i < 4; i++ {
+		for j := 0; j < 5; j++ {
+			for k := 0; k < 3; k++ {
+				want.Data[i*5+j] += a.At(i, k) * c.At(j, k)
+			}
 		}
+	}
+	if maxAbsDiff(got, want) > 1e-12 {
+		t.Fatalf("MatMulTransB mismatch")
 	}
 }
 
@@ -111,7 +108,7 @@ func TestCholeskyReconstruction(t *testing.T) {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		rec := MatMulTransB(l, l)
-		if d := MaxAbsDiff(a, rec); d > 1e-8*float64(n) {
+		if d := maxAbsDiff(a, rec); d > 1e-8*float64(n) {
 			t.Fatalf("n=%d: reconstruction error %v", n, d)
 		}
 		// L must be lower triangular.
@@ -126,7 +123,7 @@ func TestCholeskyReconstruction(t *testing.T) {
 }
 
 func TestCholeskyRejectsIndefinite(t *testing.T) {
-	a := NewMatrixFrom(2, 2, []float64{1, 2, 2, 1}) // eigenvalues 3, -1
+	a := &Matrix{Rows: 2, Cols: 2, Data: []float64{1, 2, 2, 1}} // eigenvalues 3, -1
 	if _, err := Cholesky(a); err == nil {
 		t.Fatalf("expected ErrNotPositiveDefinite")
 	}
@@ -164,27 +161,9 @@ func TestSolveCholVecResidual(t *testing.T) {
 			b[i] = rng.NormFloat64()
 		}
 		x := SolveCholVec(l, b)
-		r := a.MulVec(x)
-		Axpy(-1, b, r)
-		if Norm2(r) > 1e-8*Norm2(b)*float64(n) {
-			t.Fatalf("n=%d: residual %v", n, Norm2(r))
+		if r := residual(a, x, b); r > 1e-8*math.Sqrt(Dot(b, b))*float64(n) {
+			t.Fatalf("n=%d: residual %v", n, r)
 		}
-	}
-}
-
-func TestSolveCholMat(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	n, m := 12, 4
-	a := randomSPD(rng, n)
-	l, _ := Cholesky(a)
-	b := NewMatrix(n, m)
-	for i := range b.Data {
-		b.Data[i] = rng.NormFloat64()
-	}
-	x := SolveCholMat(l, b)
-	rec := MatMul(a, x)
-	if MaxAbsDiff(rec, b) > 1e-8 {
-		t.Fatalf("SolveCholMat residual %v", MaxAbsDiff(rec, b))
 	}
 }
 
@@ -194,15 +173,18 @@ func TestCholInverse(t *testing.T) {
 	a := randomSPD(rng, n)
 	l, _ := Cholesky(a)
 	inv := CholInverse(l)
-	prod := MatMul(a, inv)
-	if MaxAbsDiff(prod, Identity(n)) > 1e-8 {
-		t.Fatalf("A·A⁻¹ ≠ I: %v", MaxAbsDiff(prod, Identity(n)))
+	prod := MatMulTransB(a, inv) // A⁻¹ is symmetric
+	for i := 0; i < n; i++ {
+		prod.Data[i*n+i]--
+	}
+	if d := maxAbsDiff(prod, NewMatrix(n, n)); d > 1e-8 {
+		t.Fatalf("A·A⁻¹ ≠ I: %v", d)
 	}
 }
 
 func TestLogDetFromChol(t *testing.T) {
 	// diag(4, 9): det = 36, logdet = log 36.
-	a := NewMatrixFrom(2, 2, []float64{4, 0, 0, 9})
+	a := &Matrix{Rows: 2, Cols: 2, Data: []float64{4, 0, 0, 9}}
 	l, _ := Cholesky(a)
 	if got := LogDetFromChol(l); math.Abs(got-math.Log(36)) > 1e-12 {
 		t.Fatalf("logdet = %v, want %v", got, math.Log(36))
@@ -228,7 +210,7 @@ func TestParallelCholeskyMatchesSerial(t *testing.T) {
 				if err != nil {
 					t.Fatalf("n=%d bs=%d w=%d: %v", n, bs, w, err)
 				}
-				if d := MaxAbsDiff(got, want); d > 1e-9*float64(n) {
+				if d := maxAbsDiff(got, want); d > 1e-9*float64(n) {
 					t.Fatalf("n=%d bs=%d w=%d: diff %v", n, bs, w, d)
 				}
 			}
@@ -248,27 +230,11 @@ func TestParallelCholeskyRejectsIndefinite(t *testing.T) {
 	}
 }
 
-func TestNorm2OverflowSafe(t *testing.T) {
-	x := []float64{1e308, 1e308}
-	got := Norm2(x)
-	want := 1e308 * math.Sqrt2
-	if math.IsInf(got, 0) || math.Abs(got-want)/want > 1e-12 {
-		t.Fatalf("Norm2 = %v, want %v", got, want)
-	}
-	if Norm2(nil) != 0 {
-		t.Fatalf("Norm2(nil) != 0")
-	}
-}
-
 func TestVectorHelpers(t *testing.T) {
 	x := []float64{1, 2, 3}
 	y := []float64{4, 5, 6}
 	if Dot(x, y) != 32 {
 		t.Fatalf("Dot = %v", Dot(x, y))
-	}
-	Axpy(2, x, y)
-	if y[0] != 6 || y[2] != 12 {
-		t.Fatalf("Axpy = %v", y)
 	}
 	c := CopyVec(x)
 	c[0] = 99
@@ -278,32 +244,6 @@ func TestVectorHelpers(t *testing.T) {
 	ScaleVec(0.5, x)
 	if x[1] != 1 {
 		t.Fatalf("ScaleVec = %v", x)
-	}
-}
-
-// quick-check: symmetrize is idempotent and produces symmetric matrices.
-func TestSymmetrizeQuick(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(10)
-		m := NewMatrix(n, n)
-		for i := range m.Data {
-			m.Data[i] = rng.NormFloat64()
-		}
-		m.Symmetrize()
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if m.At(i, j) != m.At(j, i) {
-					return false
-				}
-			}
-		}
-		before := m.Clone()
-		m.Symmetrize()
-		return MaxAbsDiff(before, m) == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -322,9 +262,7 @@ func TestCholeskySolveQuick(t *testing.T) {
 			b[i] = rng.NormFloat64()
 		}
 		x := SolveCholVec(l, b)
-		r := a.MulVec(x)
-		Axpy(-1, b, r)
-		return Norm2(r) <= 1e-7*(1+Norm2(b))*float64(n)
+		return residual(a, x, b) <= 1e-7*(1+math.Sqrt(Dot(b, b)))*float64(n)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

@@ -22,7 +22,7 @@ type TriPacked struct {
 }
 
 // NewTriPacked returns an empty factor with capacity reserved for an n×n
-// lower triangle, ready to grow via AppendRow/AppendRows.
+// lower triangle, ready to grow via AppendRows.
 func NewTriPacked(n int) *TriPacked {
 	if n < 0 {
 		n = 0
@@ -109,58 +109,23 @@ func (t *TriPacked) SolveVec(b []float64) []float64 {
 	return y
 }
 
-// LogDet returns log det(L·Lᵀ) = 2·Σ log L_ii.
-func (t *TriPacked) LogDet() float64 {
-	s := 0.0
-	for i := 0; i < t.n; i++ {
-		s += math.Log(t.At(i, i))
-	}
-	return 2 * s
-}
-
-// AppendRow extends the factor of A to the factor of [[A, c], [cᵀ, d]]: the
-// new row is [wᵀ, √(d − w·w)] with L·w = c solved by forward substitution.
-// Cost is O(n²) against the O(n³) of refactoring. Strict like Cholesky: a
-// non-positive pivot returns ErrNotPositiveDefinite and leaves t unchanged.
-func (t *TriPacked) AppendRow(col []float64, diag float64) error {
-	_, err := t.appendRows(rowMatrix(col), cornerMatrix(diag), 0, false, 1)
-	return err
-}
-
-// AppendRowJitter is AppendRow retrying a failed pivot with an escalating
-// jitter added to the new diagonal entry only (the already-factored leading
-// block is untouched). initial ≤ 0 selects the default 1e-10; like
-// CholeskyJitter the scale is relative to the diagonal magnitude. It returns
-// the jitter actually added (0 on the first-try path).
-func (t *TriPacked) AppendRowJitter(col []float64, diag, initial float64) (float64, error) {
-	return t.appendRows(rowMatrix(col), cornerMatrix(diag), initial, true, 1)
-}
-
 // AppendRows is the blocked, jitter-aware k-row extension: given the factor
 // of A, it appends the factor rows of [[A, Bᵀ], [B, C]] where cols holds B
 // (k×n, row j = covariances of new point j against the existing n) and
-// corner holds C (k×k, lower triangle read). The panel solves against the
-// existing factor are distributed over workers goroutines — rows are
-// mutually independent there, so the result is bitwise identical for every
-// worker count, and the whole operation is bitwise identical to k successive
-// AppendRowJitter calls. Failed pivots escalate per-row jitter exactly like
-// AppendRowJitter; the maximum jitter added is returned. On error t is left
-// unchanged.
+// corner holds C (k×k, lower triangle read). Each new row is [wᵀ, √(d − w·w)]
+// with L·w = c solved by forward substitution: O(n²) per row against the
+// O(n³) of refactoring. The panel solves against the existing factor are
+// distributed over workers goroutines — rows are mutually independent
+// there, so the result is bitwise identical for every worker count and to k
+// successive one-row calls. A failed pivot retries with an escalating jitter
+// added to that row's diagonal entry only (the already-factored leading
+// block is untouched); initial ≤ 0 selects the default 1e-10, and like
+// CholeskyJitter the scale is relative to the diagonal magnitude. The
+// maximum jitter added is returned (0 on the first-try path). On error t is
+// left unchanged.
 //
 //gptlint:hotpath
 func (t *TriPacked) AppendRows(cols, corner *Matrix, initial float64, workers int) (float64, error) {
-	return t.appendRows(cols, corner, initial, true, workers)
-}
-
-func rowMatrix(col []float64) *Matrix {
-	return &Matrix{Rows: 1, Cols: len(col), Data: col}
-}
-
-func cornerMatrix(diag float64) *Matrix {
-	return &Matrix{Rows: 1, Cols: 1, Data: []float64{diag}}
-}
-
-func (t *TriPacked) appendRows(cols, corner *Matrix, initial float64, jitterOK bool, workers int) (float64, error) {
 	k := cols.Rows
 	if corner.Rows != k || corner.Cols != k {
 		return 0, errors.New("la: AppendRows corner shape mismatch")
@@ -207,7 +172,7 @@ func (t *TriPacked) appendRows(cols, corner *Matrix, initial float64, jitterOK b
 		s := d - Dot(w[:n0+j], w[:n0+j])
 		if s <= 0 || math.IsNaN(s) {
 			ok := false
-			if jitterOK && !math.IsNaN(s) {
+			if !math.IsNaN(s) {
 				scale := math.Abs(d)
 				if scale < 1 {
 					scale = 1
@@ -234,16 +199,4 @@ func (t *TriPacked) appendRows(cols, corner *Matrix, initial float64, jitterOK b
 		w[n0+j] = math.Sqrt(s)
 	}
 	return maxJitter, nil
-}
-
-// CholAppendRow is the dense one-shot convenience: given the factor l of an
-// n×n matrix A, it returns the (n+1)×(n+1) factor of [[A, col], [colᵀ, diag]]
-// as a new dense matrix. Strict like Cholesky (no jitter). Callers extending
-// repeatedly should hold a TriPacked instead to avoid the dense copies.
-func CholAppendRow(l *Matrix, col []float64, diag float64) (*Matrix, error) {
-	t := PackChol(l)
-	if err := t.AppendRow(col, diag); err != nil {
-		return nil, err
-	}
-	return t.Dense(), nil
 }

@@ -25,10 +25,10 @@ import (
 	"net/http"
 	"net/http/httputil"
 	"net/url"
-	"sort"
 	"sync"
 	"time"
 
+	"repro/gptune/api"
 	"repro/internal/mpx"
 	"repro/internal/ring"
 )
@@ -44,10 +44,6 @@ type Config struct {
 	// FailThreshold is how many consecutive probe failures eject a replica.
 	// A single success re-admits it. Default 3.
 	FailThreshold int
-	// MaxPeekBytes caps how much of a POST /studies or /studies/import body
-	// the router buffers to learn the study name. Default 64 MiB (an import
-	// carries a whole study's WAL).
-	MaxPeekBytes int64
 }
 
 // Router proxies the gptuned API across replicas. Build with New, serve
@@ -59,8 +55,7 @@ type Router struct {
 	probeHC *http.Client
 
 	mu       sync.Mutex
-	failures map[string]int // consecutive probe failures per replica
-	ejected  map[string]bool
+	failures map[string]int // consecutive probe or proxy failures per replica; FailThreshold of them eject it
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -81,16 +76,12 @@ func New(cfg Config) (*Router, error) {
 	if cfg.FailThreshold <= 0 {
 		cfg.FailThreshold = 3
 	}
-	if cfg.MaxPeekBytes <= 0 {
-		cfg.MaxPeekBytes = 64 << 20
-	}
 	rt := &Router{
 		cfg:      cfg,
 		all:      all,
 		proxies:  make(map[string]*httputil.ReverseProxy, all.Len()),
 		probeHC:  &http.Client{Timeout: cfg.ProbeTimeout},
 		failures: make(map[string]int),
-		ejected:  make(map[string]bool),
 		stop:     make(chan struct{}),
 	}
 	for _, rep := range all.Nodes() {
@@ -107,10 +98,7 @@ func New(cfg Config) (*Router, error) {
 			// the retrying client treats it like any draining replica.
 			ErrorHandler: func(w http.ResponseWriter, r *http.Request, err error) {
 				rt.recordFailure(rep)
-				w.Header().Set("Retry-After", "1")
-				w.Header().Set("Content-Type", "application/json")
-				w.WriteHeader(http.StatusServiceUnavailable)
-				fmt.Fprintf(w, `{"error":"router: replica unavailable: %s"}`, rep)
+				writeUnavailable(w, fmt.Errorf("router: replica unavailable: %s", rep))
 			},
 		}
 	}
@@ -147,14 +135,13 @@ func (rt *Router) probeLoop() {
 // else (error, non-200 — including gptuned's draining 503) counts toward
 // ejection.
 func (rt *Router) probe(rep string) {
-	resp, err := rt.probeHC.Get(rep + "/healthz")
+	resp, err := rt.probeHC.Get(rep + api.HealthPath)
 	if err == nil {
 		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
 		resp.Body.Close()
 		if resp.StatusCode == http.StatusOK {
 			rt.mu.Lock()
 			rt.failures[rep] = 0
-			rt.ejected[rep] = false
 			rt.mu.Unlock()
 			return
 		}
@@ -165,9 +152,6 @@ func (rt *Router) probe(rep string) {
 func (rt *Router) recordFailure(rep string) {
 	rt.mu.Lock()
 	rt.failures[rep]++
-	if rt.failures[rep] >= rt.cfg.FailThreshold {
-		rt.ejected[rep] = true
-	}
 	rt.mu.Unlock()
 }
 
@@ -179,8 +163,8 @@ func (rt *Router) Healthy() []string {
 func (rt *Router) healthyRing() *ring.Ring {
 	rt.mu.Lock()
 	var dead []string
-	for rep, out := range rt.ejected {
-		if out {
+	for rep, n := range rt.failures {
+		if n >= rt.cfg.FailThreshold {
 			dead = append(dead, rep)
 		}
 	}
@@ -192,77 +176,67 @@ func (rt *Router) healthyRing() *ring.Ring {
 // study name, plus the router's own /healthz.
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", rt.handleHealth)
-	mux.HandleFunc("GET /studies", rt.handleList)
-	mux.HandleFunc("POST /studies", rt.handleCreate)
-	mux.HandleFunc("POST /studies/import", rt.handleImport)
-	mux.HandleFunc("/studies/{study}", rt.handleStudy)
-	mux.HandleFunc("/studies/{study}/{verb}", rt.handleStudy)
+	mux.HandleFunc(api.RouteHealth, rt.handleHealth)
+	mux.HandleFunc(api.RouteList, rt.handleList)
+	mux.HandleFunc(api.RouteCreate, rt.handleCreate)
+	mux.HandleFunc(api.RouteImport, rt.handleImport)
+	mux.HandleFunc(api.RouteStudy, rt.handleStudy)
+	mux.HandleFunc(api.RouteStudyVerb, rt.handleStudy)
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func (rt *Router) writeNoReplicas(w http.ResponseWriter) {
-	w.Header().Set("Retry-After", "1")
-	writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "router: no healthy replicas"})
+// writeUnavailable answers StatusDraining with a one-second retry hint: the
+// retrying client treats a lost or absent replica like a draining one.
+func writeUnavailable(w http.ResponseWriter, err error) {
+	w.Header().Set(api.RetryAfterHeader, api.FormatRetryAfter(time.Second))
+	api.WriteError(w, api.StatusDraining, err)
 }
 
 // forward proxies the request to the healthy owner of study.
 func (rt *Router) forward(w http.ResponseWriter, r *http.Request, study string) {
 	owner, ok := rt.healthyRing().Owner(study)
 	if !ok {
-		rt.writeNoReplicas(w)
+		writeUnavailable(w, errNoReplicas)
 		return
 	}
 	rt.proxies[owner].ServeHTTP(w, r)
 }
 
+var errNoReplicas = errors.New("router: no healthy replicas")
+
 func (rt *Router) handleStudy(w http.ResponseWriter, r *http.Request) {
-	rt.forward(w, r, r.PathValue("study"))
+	rt.forward(w, r, r.PathValue(api.StudyParam))
 }
 
-// handleCreate peeks the spec's name out of the buffered body, restores the
-// body, and forwards to the name's owner — the one place the router must
-// read a payload to route it.
+// handleCreate and handleImport read the study name out of the buffered
+// body, restore the body, and forward to the name's owner — the two places
+// the router must read a payload to route it.
 func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
-	var peek struct {
-		Name string `json:"name"`
+	var spec api.StudySpec
+	if rt.peekBody(w, r, &spec) {
+		rt.forward(w, r, spec.Name)
 	}
-	if !rt.peekBody(w, r, &peek) {
-		return
-	}
-	rt.forward(w, r, peek.Name)
 }
 
 func (rt *Router) handleImport(w http.ResponseWriter, r *http.Request) {
-	var peek struct {
-		Spec struct {
-			Name string `json:"name"`
-		} `json:"spec"`
+	var arc api.Archive
+	if rt.peekBody(w, r, &arc) {
+		rt.forward(w, r, arc.Spec.Name)
 	}
-	if !rt.peekBody(w, r, &peek) {
-		return
-	}
-	rt.forward(w, r, peek.Spec.Name)
 }
 
-// peekBody buffers the request body (capped), decodes the routing fields
-// into v leniently (unknown fields are the replica's to validate), and
-// replaces r.Body so the proxy forwards the full payload. Returns false
-// with the HTTP error written when the body is unreadable or not JSON.
+// peekBody buffers the request body (capped), decodes it into v leniently
+// (unknown fields are the replica's to reject), and replaces r.Body so the
+// proxy forwards the full payload. Returns false with the HTTP error written
+// when the body is unreadable or does not decode.
 func (rt *Router) peekBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxPeekBytes))
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, api.MaxImportBytes))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "router: reading body: " + err.Error()})
+		api.WriteError(w, http.StatusBadRequest, fmt.Errorf("router: reading body: %w", err))
 		return false
 	}
 	if err := json.Unmarshal(data, v); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "router: body is not JSON: " + err.Error()})
+		api.WriteError(w, http.StatusBadRequest, fmt.Errorf("router: body is not JSON: %w", err))
 		return false
 	}
 	r.Body = io.NopCloser(bytes.NewReader(data))
@@ -275,13 +249,13 @@ func (rt *Router) peekBody(w http.ResponseWriter, r *http.Request, v any) bool {
 func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 	healthy := rt.healthyRing().Nodes()
 	if len(healthy) == 0 {
-		rt.writeNoReplicas(w)
+		writeUnavailable(w, errNoReplicas)
 		return
 	}
-	seen := make(map[string]bool)
+	all := api.StudyList{Studies: []string{}}
 	var firstErr error
 	for _, rep := range healthy {
-		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, rep+"/studies", nil)
+		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, rep+api.StudiesPath, nil)
 		if err != nil {
 			firstErr = err
 			continue
@@ -292,55 +266,38 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 			firstErr = err
 			continue
 		}
-		var body struct {
-			Studies []string `json:"studies"`
-		}
+		var body api.StudyList
 		err = json.NewDecoder(resp.Body).Decode(&body)
 		resp.Body.Close()
 		if err != nil {
 			firstErr = err
 			continue
 		}
-		for _, s := range body.Studies {
-			seen[s] = true
-		}
+		all.Merge(body)
 	}
-	if len(seen) == 0 && firstErr != nil {
-		writeJSON(w, http.StatusBadGateway, map[string]string{"error": "router: listing studies: " + firstErr.Error()})
+	if len(all.Studies) == 0 && firstErr != nil {
+		api.WriteError(w, http.StatusBadGateway, fmt.Errorf("router: listing studies: %w", firstErr))
 		return
 	}
-	names := make([]string, 0, len(seen))
-	for s := range seen {
-		names = append(names, s)
-	}
-	sort.Strings(names)
-	writeJSON(w, http.StatusOK, map[string]any{"studies": names})
-}
-
-// replicaHealth is one replica's row in the router's /healthz payload.
-type replicaHealth struct {
-	Healthy  bool `json:"healthy"`
-	Failures int  `json:"failures,omitempty"`
+	api.WriteJSON(w, http.StatusOK, all)
 }
 
 // handleHealth reports the router's own view: 200 while at least one
 // replica is routable, 503 otherwise.
 func (rt *Router) handleHealth(w http.ResponseWriter, _ *http.Request) {
+	h := api.RouterHealth{Replicas: make(map[string]api.ReplicaHealth, rt.all.Len()), Status: "ok"}
 	rt.mu.Lock()
-	detail := make(map[string]replicaHealth, rt.all.Len())
-	healthy := 0
 	for _, rep := range rt.all.Nodes() {
-		h := !rt.ejected[rep]
-		if h {
-			healthy++
+		up := rt.failures[rep] < rt.cfg.FailThreshold
+		if up {
+			h.Healthy++
 		}
-		detail[rep] = replicaHealth{Healthy: h, Failures: rt.failures[rep]}
+		h.Replicas[rep] = api.ReplicaHealth{Healthy: up, Failures: rt.failures[rep]}
 	}
 	rt.mu.Unlock()
 	code := http.StatusOK
-	status := "ok"
-	if healthy == 0 {
-		code, status = http.StatusServiceUnavailable, "no healthy replicas"
+	if h.Healthy == 0 {
+		code, h.Status = api.StatusDraining, "no healthy replicas"
 	}
-	writeJSON(w, code, map[string]any{"status": status, "healthy": healthy, "replicas": detail})
+	api.WriteJSON(w, code, h)
 }

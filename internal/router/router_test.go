@@ -7,9 +7,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
+	"repro/gptune/api"
 	"repro/gptune/client"
 	"repro/internal/apps/analytical"
 	"repro/internal/histdb"
@@ -74,9 +76,10 @@ func (r *replica) kill() {
 // archiveFromDisk rebuilds a study's transfer archive from a dead replica's
 // data directory — the operator's recovery path when the process is gone
 // and GET /snapshot can't answer.
-func archiveFromDisk(t *testing.T, s *serve.Server, dir, study string) client.StudyArchive {
+func archiveFromDisk(t *testing.T, dir, study string) client.StudyArchive {
 	t.Helper()
-	specData, err := os.ReadFile(s.SpecPath(study))
+	histPath := filepath.Join(dir, study+api.HistSuffix)
+	specData, err := os.ReadFile(filepath.Join(dir, study+api.SpecSuffix))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,12 +88,12 @@ func archiveFromDisk(t *testing.T, s *serve.Server, dir, study string) client.St
 		t.Fatal(err)
 	}
 	arc := client.StudyArchive{Spec: spec}
-	if snap, err := os.ReadFile(s.HistPath(study)); err == nil {
+	if snap, err := os.ReadFile(histPath); err == nil {
 		arc.Snapshot = snap
 	} else if !os.IsNotExist(err) {
 		t.Fatal(err)
 	}
-	wal, err := os.ReadFile(histdb.WalPath(s.HistPath(study)))
+	wal, err := os.ReadFile(histdb.WalPath(histPath))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,14 +177,12 @@ func TestPlacementMatchesRing(t *testing.T) {
 	}
 	// Ask each replica directly who it hosts.
 	hosts := func(rep *replica) map[string]bool {
-		resp, err := http.Get(rep.hs.URL + "/studies")
+		resp, err := http.Get(rep.hs.URL + api.StudiesPath)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var body struct {
-			Studies []string `json:"studies"`
-		}
+		var body api.StudyList
 		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 			t.Fatal(err)
 		}
@@ -233,15 +234,11 @@ func TestEjectionAndRouterHealth(t *testing.T) {
 	if got := rt.Healthy(); len(got) != 1 || got[0] != b.hs.URL {
 		t.Fatalf("healthy after kill: %v", got)
 	}
-	resp, err := http.Get(rhs.URL + "/healthz")
+	resp, err := http.Get(rhs.URL + api.HealthPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var h struct {
-		Status   string                   `json:"status"`
-		Healthy  int                      `json:"healthy"`
-		Replicas map[string]replicaHealth `json:"replicas"`
-	}
+	var h api.RouterHealth
 	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +249,7 @@ func TestEjectionAndRouterHealth(t *testing.T) {
 
 	b.kill()
 	waitHealthy(0)
-	resp, err = http.Get(rhs.URL + "/healthz")
+	resp, err = http.Get(rhs.URL + api.HealthPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +311,7 @@ func TestReplicaKillRecoveryBitwise(t *testing.T) {
 	// Re-home from the dead node's disk. Every evaluation the client paid
 	// was acked only after its WAL append fsync'd, so the files hold all
 	// of them.
-	arc := archiveFromDisk(t, home.srv, home.dir, study)
+	arc := archiveFromDisk(t, home.dir, study)
 	if err := c.Import(ctx, arc); err != nil {
 		t.Fatalf("import onto survivor: %v", err)
 	}
@@ -339,5 +336,32 @@ func TestReplicaKillRecoveryBitwise(t *testing.T) {
 	bj, _ := json.Marshal(gotHist)
 	if string(aj) != string(bj) {
 		t.Fatalf("recovered history differs from the uninterrupted run\nref: %s\ngot: %s", aj, bj)
+	}
+}
+
+// TestProxyErrorBodyEscapesReplicaURL: the 503 a failed forward answers
+// carries the replica's URL, and must stay a decodable Error body whatever
+// that URL contains — it was once interpolated into a JSON literal by hand,
+// so a quote in the URL produced a body no client could parse.
+func TestProxyErrorBodyEscapesReplicaURL(t *testing.T) {
+	const rep = `http://127.0.0.1:1/"quoted"\path`
+	rt, err := New(Config{Replicas: []string{rep}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr := httptest.NewRecorder()
+	rt.Handler().ServeHTTP(rr, httptest.NewRequest("GET", api.StudyPath("s", ""), nil))
+	if rr.Code != api.StatusDraining {
+		t.Fatalf("forward to a dead replica: status %d, want 503", rr.Code)
+	}
+	if d, ok := api.ParseRetryAfter(rr.Header().Get(api.RetryAfterHeader)); !ok || d != time.Second {
+		t.Errorf("Retry-After %q, want one second", rr.Header().Get(api.RetryAfterHeader))
+	}
+	var body api.Error
+	if err := json.Unmarshal(rr.Body.Bytes(), &body); err != nil {
+		t.Fatalf("503 body %q is not JSON: %v", rr.Body.String(), err)
+	}
+	if want := "router: replica unavailable: " + rep; body.Error != want {
+		t.Errorf("error %q, want %q", body.Error, want)
 	}
 }

@@ -1,30 +1,15 @@
 // Package sample provides the initial-design samplers used by GPTune's
 // sampling phase (paper Section 3.1): Latin Hypercube Sampling (the
-// substitute for the lhsmdu dependency), a maximin-optimized LHS variant,
-// plain uniform sampling, and constraint-respecting rejection sampling over a
-// Space.
+// substitute for the lhsmdu dependency) and constraint-respecting rejection
+// sampling over a Space.
 package sample
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"repro/internal/space"
 )
-
-// Uniform draws n points uniformly from the unit hypercube [0,1]^dim.
-func Uniform(n, dim int, rng *rand.Rand) [][]float64 {
-	pts := make([][]float64, n)
-	for i := range pts {
-		p := make([]float64, dim)
-		for d := range p {
-			p[d] = rng.Float64()
-		}
-		pts[i] = p
-	}
-	return pts
-}
 
 // LatinHypercube draws n points from [0,1]^dim with one point per
 // axis-aligned stratum in every dimension: dimension d's values, sorted,
@@ -48,46 +33,6 @@ func LatinHypercube(n, dim int, rng *rand.Rand) [][]float64 {
 		}
 	}
 	return pts
-}
-
-// MaximinLHS generates `tries` Latin hypercube designs and returns the one
-// maximizing the minimum pairwise distance — a cheap stand-in for lhsmdu's
-// multi-dimensional-uniformity optimization.
-func MaximinLHS(n, dim, tries int, rng *rand.Rand) [][]float64 {
-	if tries < 1 {
-		tries = 1
-	}
-	var best [][]float64
-	bestScore := math.Inf(-1)
-	for t := 0; t < tries; t++ {
-		cand := LatinHypercube(n, dim, rng)
-		score := minPairwiseDist(cand)
-		if score > bestScore {
-			bestScore = score
-			best = cand
-		}
-	}
-	return best
-}
-
-func minPairwiseDist(pts [][]float64) float64 {
-	if len(pts) < 2 {
-		return math.Inf(1)
-	}
-	best := math.Inf(1)
-	for i := 0; i < len(pts); i++ {
-		for j := i + 1; j < len(pts); j++ {
-			d := 0.0
-			for k := range pts[i] {
-				diff := pts[i][k] - pts[j][k]
-				d += diff * diff
-			}
-			if d < best {
-				best = d
-			}
-		}
-	}
-	return math.Sqrt(best)
 }
 
 // FeasibleLHS draws n feasible native points from s. It starts from a Latin

@@ -9,24 +9,6 @@ import (
 	"repro/internal/space"
 )
 
-func TestUniformShapeAndRange(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	pts := Uniform(25, 4, rng)
-	if len(pts) != 25 {
-		t.Fatalf("got %d points", len(pts))
-	}
-	for _, p := range pts {
-		if len(p) != 4 {
-			t.Fatalf("dim %d", len(p))
-		}
-		for _, v := range p {
-			if v < 0 || v >= 1 {
-				t.Fatalf("value %v outside [0,1)", v)
-			}
-		}
-	}
-}
-
 // Property: LHS stratification — in every dimension, the sorted values fall
 // one per stratum [k/n, (k+1)/n).
 func TestLatinHypercubeStratification(t *testing.T) {
@@ -67,20 +49,6 @@ func TestLatinHypercubeDegenerate(t *testing.T) {
 	one := LatinHypercube(1, 2, rng)
 	if len(one) != 1 || len(one[0]) != 2 {
 		t.Fatalf("n=1 design wrong: %v", one)
-	}
-}
-
-func TestMaximinImprovesSpread(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	// Average over repeats: maximin(20 tries) should not be worse than a
-	// single LHS draw in min pairwise distance.
-	var plain, maximin float64
-	for rep := 0; rep < 20; rep++ {
-		plain += minPairwiseDist(LatinHypercube(15, 3, rng))
-		maximin += minPairwiseDist(MaximinLHS(15, 3, 20, rng))
-	}
-	if maximin < plain {
-		t.Fatalf("maximin mean min-dist %v < plain %v", maximin/20, plain/20)
 	}
 }
 
@@ -125,12 +93,5 @@ func TestFeasibleUniformBasic(t *testing.T) {
 		if p[0] < 2 || p[0] > 4 || (p[1] != 0 && p[1] != 1) {
 			t.Fatalf("bad native point %v", p)
 		}
-	}
-}
-
-func TestMinPairwiseDistSinglePoint(t *testing.T) {
-	if d := minPairwiseDist([][]float64{{0.5}}); d != d || d < 1e308 {
-		// expect +Inf
-		t.Fatalf("single point min dist = %v", d)
 	}
 }

@@ -1,4 +1,4 @@
-package serve
+package serve_test
 
 import (
 	"bufio"
@@ -11,6 +11,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/gptune/api"
+	"repro/internal/serve"
 )
 
 // TestMain doubles as the gptuned subprocess for the SIGKILL test: when the
@@ -29,7 +32,7 @@ func TestMain(m *testing.M) {
 // ephemeral port, printing "ADDR host:port" so the parent test can connect.
 // It never exits on its own — the parent kills it.
 func runHelper() {
-	s, err := NewServer(Config{DataDir: os.Getenv("GPTUNED_TEST_DATA")})
+	s, err := serve.NewServer(serve.Config{DataDir: os.Getenv("GPTUNED_TEST_DATA")})
 	if err != nil {
 		fmt.Println("ERR", err)
 		os.Exit(1)
@@ -87,7 +90,7 @@ func waitHealthy(t *testing.T, base string) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		resp, err := http.Get(base + "/healthz")
+		resp, err := http.Get(base + api.HealthPath)
 		if err == nil {
 			resp.Body.Close()
 			if resp.StatusCode == http.StatusOK {
@@ -115,29 +118,24 @@ func TestServeSIGKILLRestartResumes(t *testing.T) {
 
 	// Uninterrupted reference, same spec, in-process (the HTTP surface is
 	// identical; only process lifetime differs).
-	_, rc := newTestServer(t)
+	rc := newTestServer(t).c
 	ref := spec
 	ref.Name = "ref"
-	if code := rc.post("/studies", ref, nil); code != http.StatusCreated {
-		t.Fatalf("create ref: status %d", code)
-	}
-	rc.drive("ref", tasks, -1)
-	want := rc.history("ref")
+	create(t, rc, ref)
+	drive(t, rc, "ref", paper(tasks), -1)
+	want := history(t, rc, "ref")
 
 	dir := t.TempDir()
 	cmd1, addr1 := startHelper(t, dir)
 	base1 := "http://" + addr1
 	waitHealthy(t, base1)
-	c1 := &testClient{t: t, base: base1}
-	if code := c1.post("/studies", spec, nil); code != http.StatusCreated {
-		t.Fatalf("create: status %d", code)
-	}
+	c1 := newClient(t, base1)
+	create(t, c1, spec)
 	// Pay killAfter evaluations, then obtain (but do not report) one more
 	// suggestion — the in-flight evaluation a real tuner would lose.
-	paid := c1.drive("victim", tasks, killAfter)
-	var inflight suggestResponse
-	if code := c1.post("/studies/victim/suggest", nil, &inflight); code != http.StatusOK || inflight.Suggestion == nil {
-		t.Fatalf("in-flight suggest: status %d done=%v", code, inflight.Done)
+	paid := drive(t, c1, "victim", paper(tasks), killAfter)
+	if _, err := c1.Suggest(ctx, "victim", -1); err != nil {
+		t.Fatalf("in-flight suggest: %v", err)
 	}
 
 	if err := cmd1.Process.Kill(); err != nil { // SIGKILL: no shutdown hooks run
@@ -149,11 +147,11 @@ func TestServeSIGKILLRestartResumes(t *testing.T) {
 	defer func() { cmd2.Process.Kill(); cmd2.Wait() }()
 	base2 := "http://" + addr2
 	waitHealthy(t, base2)
-	c2 := &testClient{t: t, base: base2}
+	c2 := newClient(t, base2)
 
-	var status studyStatus
-	if code := c2.get("/studies/victim", &status); code != http.StatusOK {
-		t.Fatalf("status after restart: %d", code)
+	status, err := c2.Status(ctx, "victim")
+	if err != nil {
+		t.Fatalf("status after restart: %v", err)
 	}
 	if status.Logged != killAfter {
 		t.Fatalf("restarted server sees %d logged evaluations, want %d (every report must be durable before it is acknowledged)", status.Logged, killAfter)
@@ -161,13 +159,13 @@ func TestServeSIGKILLRestartResumes(t *testing.T) {
 
 	// The restarted engine re-issues the killed process's in-flight
 	// configuration; the client re-pays that one evaluation and no other.
-	paid += c2.drive("victim", tasks, -1)
+	paid += drive(t, c2, "victim", paper(tasks), -1)
 	total := epsTot * len(tasks)
 	if paid != total {
 		t.Fatalf("paid %d evaluations across the kill, want %d (only the in-flight evaluation may be re-paid)", paid, total)
 	}
 
-	got := c2.history("victim")
+	got := history(t, c2, "victim")
 	if len(got) != len(want) {
 		t.Fatalf("resumed history has %d tasks, want %d", len(got), len(want))
 	}

@@ -7,56 +7,30 @@ package serve
 // No record translation, no coordination protocol.
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"os"
 
+	"repro/gptune/api"
 	"repro/internal/histdb"
 )
-
-// studyArchive is a study in transfer form: its spec plus a mutually
-// consistent snapshot/log byte pair (histdb.WAL.Export). It is both the
-// GET /studies/{study}/snapshot response and the POST /studies/import body;
-// the byte fields ride the wire as base64 per encoding/json.
-type studyArchive struct {
-	Spec StudySpec `json:"spec"`
-	// Snapshot is the snapshot file's bytes; empty when the study never
-	// compacted (everything lives in the log).
-	Snapshot []byte `json:"snapshot,omitempty"`
-	// WAL is the append-only log file's bytes (header line + records).
-	WAL []byte `json:"wal,omitempty"`
-	// Logged counts the evaluation records in the archive, so the importer
-	// can account for exactly how many evaluations it will not re-pay.
-	Logged int `json:"logged"`
-}
 
 // handleSnapshot exports a study for migration. The WAL is compacted first
 // so the archive is one dense snapshot plus a header-only log, then both
 // files are copied in a single WAL critical section — no append can
 // interleave, no torn tail can be observed. The study keeps serving
 // throughout; an evaluation committed after the export simply isn't in it.
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	st, ok := s.lookup(r.PathValue("study"))
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("serve: no study %s", r.PathValue("study")))
-		return
-	}
+func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request, st *study) {
 	if err := st.cp.Compact(); err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		api.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	snap, log, err := st.cp.Export()
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		api.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, studyArchive{
-		Spec:     st.spec,
-		Snapshot: snap,
-		WAL:      log,
-		Logged:   st.cp.Logged(),
-	})
+	api.WriteJSON(w, http.StatusOK, api.Archive{Spec: st.spec, Snapshot: snap, WAL: log, Logged: st.cp.Logged()})
 }
 
 // handleImport re-homes a study from an archive: the history files and spec
@@ -66,13 +40,13 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // objective. Importing over an existing study answers 409; delete the
 // loser's data directory entries first if the import should win.
 func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
-	var arc studyArchive
-	if err := s.decodeBodyCapped(w, r, &arc, s.cfg.MaxImportBytes); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	var arc api.Archive
+	if err := decodeBody(w, r, &arc, api.MaxImportBytes); err != nil {
+		api.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	if _, _, _, err := arc.Spec.build(); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if _, _, _, err := buildSpec(&arc.Spec); err != nil {
+		api.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	name := arc.Spec.Name
@@ -83,54 +57,46 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 
 	// History lands before the spec: resumeAll keys on spec files, so a
 	// crash between the two writes leaves no half-imported study visible
-	// after restart — re-POST the archive and the files are rewritten.
-	cleanup := func() {
-		os.Remove(s.histPath(name))
-		os.Remove(histdb.WalPath(s.histPath(name)))
-		os.Remove(s.specPath(name))
-	}
-	if len(arc.Snapshot) > 0 {
-		if err := histdb.WriteFileDurable(s.histPath(name), arc.Snapshot); err != nil {
-			writeError(w, http.StatusInternalServerError, err)
+	// after restart — re-POST the archive and the files are rewritten. Any
+	// failure below removes whatever was written.
+	installed := false
+	defer func() {
+		if !installed {
+			os.Remove(s.histPath(name))
+			os.Remove(histdb.WalPath(s.histPath(name)))
+			os.Remove(s.specPath(name))
+		}
+	}()
+	for _, f := range []struct {
+		path string
+		data []byte
+	}{{s.histPath(name), arc.Snapshot}, {histdb.WalPath(s.histPath(name)), arc.WAL}} {
+		if len(f.data) == 0 {
+			os.Remove(f.path)
+		} else if err := histdb.WriteFileDurable(f.path, f.data); err != nil {
+			api.WriteError(w, http.StatusInternalServerError, err)
 			return
 		}
-	} else {
-		os.Remove(s.histPath(name))
 	}
-	if len(arc.WAL) > 0 {
-		if err := histdb.WriteFileDurable(histdb.WalPath(s.histPath(name)), arc.WAL); err != nil {
-			cleanup()
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-	} else {
-		os.Remove(histdb.WalPath(s.histPath(name)))
+	data, err := api.EncodeSpec(&arc.Spec)
+	if err == nil {
+		err = histdb.WriteFileDurable(s.specPath(name), data)
 	}
-	data, err := json.MarshalIndent(&arc.Spec, "", " ")
 	if err != nil {
-		cleanup()
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	if err := histdb.WriteFileDurable(s.specPath(name), data); err != nil {
-		cleanup()
-		writeError(w, http.StatusInternalServerError, err)
+		api.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	st, err := s.openStudy(arc.Spec)
 	if err != nil {
-		cleanup()
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: importing study %s: %w", name, err))
+		api.WriteError(w, http.StatusBadRequest, fmt.Errorf("serve: importing study %s: %w", name, err))
 		return
 	}
 	if got := st.cp.Logged(); arc.Logged != 0 && got != arc.Logged {
 		st.cp.Close()
-		cleanup()
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: archive for %s claims %d logged evaluations but its WAL recovered %d", name, arc.Logged, got))
+		api.WriteError(w, http.StatusBadRequest, fmt.Errorf("serve: archive for %s claims %d logged evaluations but its WAL recovered %d", name, arc.Logged, got))
 		return
 	}
-	if !s.installStudy(w, st, cleanup) {
-		return
+	if installed = s.installStudy(w, st); installed {
+		api.WriteJSON(w, http.StatusCreated, api.Imported{Logged: st.cp.Logged(), Name: name})
 	}
-	writeJSON(w, http.StatusCreated, map[string]any{"name": name, "logged": st.cp.Logged()})
 }

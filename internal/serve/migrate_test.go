@@ -1,10 +1,11 @@
-package serve
+package serve_test
 
 import (
 	"encoding/json"
 	"net/http"
 	"testing"
-	"time"
+
+	"repro/gptune/api"
 )
 
 // TestSnapshotImportResumeParity is the migration acceptance test: a study
@@ -18,22 +19,18 @@ func TestSnapshotImportResumeParity(t *testing.T) {
 	spec := testSpec("mig", epsTot, seed)
 
 	// Reference: one server drives the study start to finish.
-	_, ref := newTestServer(t)
-	if code := ref.post("/studies", spec, nil); code != http.StatusCreated {
-		t.Fatalf("reference create: status %d", code)
-	}
-	refPaid := ref.drive("mig", testTasks, -1)
-	refHist := ref.history("mig")
+	ref := newTestServer(t).c
+	create(t, ref, spec)
+	refPaid := drive(t, ref, "mig", paper(testTasks), -1)
+	refHist := history(t, ref, "mig")
 
 	// Source: same spec, driven only partway, then exported.
-	_, src := newTestServer(t)
-	if code := src.post("/studies", spec, nil); code != http.StatusCreated {
-		t.Fatalf("source create: status %d", code)
-	}
-	firstPaid := src.drive("mig", testTasks, 7)
-	var arc studyArchive
-	if code := src.get("/studies/mig/snapshot", &arc); code != http.StatusOK {
-		t.Fatalf("snapshot: status %d", code)
+	src := newTestServer(t).c
+	create(t, src, spec)
+	firstPaid := drive(t, src, "mig", paper(testTasks), 7)
+	arc, err := src.Snapshot(ctx, "mig")
+	if err != nil {
+		t.Fatalf("snapshot: %v", err)
 	}
 	if arc.Spec.Name != "mig" {
 		t.Fatalf("archive names study %q", arc.Spec.Name)
@@ -46,23 +43,26 @@ func TestSnapshotImportResumeParity(t *testing.T) {
 	}
 
 	// Destination: a fresh server imports the archive and finishes the run.
-	_, dst := newTestServer(t)
-	var imp struct {
-		Name   string `json:"name"`
-		Logged int    `json:"logged"`
+	// The import goes out raw: the assertion is on the response body's own
+	// logged count, which the client does not surface.
+	dst := newTestServer(t)
+	body, err := json.Marshal(arc)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if code := dst.post("/studies/import", arc, &imp); code != http.StatusCreated {
-		t.Fatalf("import: status %d", code)
+	var imp api.Imported
+	if resp := raw(t, "POST", dst.url+api.ImportPath, string(body), &imp); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("import: status %d", resp.StatusCode)
 	}
 	if imp.Logged != firstPaid {
 		t.Fatalf("import recovered %d logged evaluations, want %d", imp.Logged, firstPaid)
 	}
-	secondPaid := dst.drive("mig", testTasks, -1)
+	secondPaid := drive(t, dst.c, "mig", paper(testTasks), -1)
 	if firstPaid+secondPaid != refPaid {
 		t.Fatalf("paid %d+%d evaluations across the migration, uninterrupted run paid %d — logged work was re-paid",
 			firstPaid, secondPaid, refPaid)
 	}
-	gotHist := dst.history("mig")
+	gotHist := history(t, dst.c, "mig")
 	a, _ := json.Marshal(refHist)
 	b, _ := json.Marshal(gotHist)
 	if string(a) != string(b) {
@@ -70,36 +70,26 @@ func TestSnapshotImportResumeParity(t *testing.T) {
 	}
 
 	// Importing over a live study must not clobber it.
-	if code := dst.post("/studies/import", arc, nil); code != http.StatusConflict {
-		t.Fatalf("duplicate import: status %d, want 409", code)
-	}
+	wantStatus(t, dst.c.Import(ctx, arc), http.StatusConflict, "duplicate import")
 }
 
 // TestImportRejectsBadArchive: a structurally invalid spec and a corrupt
 // WAL must both bounce with 400 and leave no study (or files) behind.
 func TestImportRejectsBadArchive(t *testing.T) {
-	_, c := newTestServer(t)
+	c := newTestServer(t).c
 
-	bad := studyArchive{Spec: testSpec("", 4, 1)} // empty name fails validation
-	if code := c.post("/studies/import", bad, nil); code != http.StatusBadRequest {
-		t.Fatalf("invalid spec import: status %d, want 400", code)
-	}
+	bad := api.Archive{Spec: testSpec("", 4, 1)} // empty name fails validation
+	wantStatus(t, c.Import(ctx, bad), http.StatusBadRequest, "invalid spec import")
 
-	corrupt := studyArchive{Spec: testSpec("c", 4, 1), WAL: []byte("{\"wal\":1,\"snapshot_len\":0}\n{not json}\n")}
-	if code := c.post("/studies/import", corrupt, nil); code != http.StatusBadRequest {
-		t.Fatalf("corrupt WAL import: status %d, want 400", code)
-	}
-	var list struct {
-		Studies []string `json:"studies"`
-	}
-	if code := c.get("/studies", &list); code != http.StatusOK || len(list.Studies) != 0 {
-		t.Fatalf("failed imports left studies behind: %v (status %d)", list.Studies, code)
+	corrupt := api.Archive{Spec: testSpec("c", 4, 1), WAL: []byte("{\"wal\":1,\"snapshot_len\":0}\n{not json}\n")}
+	wantStatus(t, c.Import(ctx, corrupt), http.StatusBadRequest, "corrupt WAL import")
+	if list, err := c.Studies(ctx); err != nil || len(list) != 0 {
+		t.Fatalf("failed imports left studies behind: %v (%v)", list, err)
 	}
 	// The name must be importable again after the failure (files cleaned,
 	// reservation released).
-	ok := studyArchive{Spec: testSpec("c", 4, 1)}
-	if code := c.post("/studies/import", ok, nil); code != http.StatusCreated {
-		t.Fatalf("re-import after failure: status %d, want 201", code)
+	if err := c.Import(ctx, api.Archive{Spec: testSpec("c", 4, 1)}); err != nil {
+		t.Fatalf("re-import after failure: %v", err)
 	}
 }
 
@@ -107,17 +97,11 @@ func TestImportRejectsBadArchive(t *testing.T) {
 // — before any study teardown — and report per-study phase/async state
 // while healthy so a router can make eviction decisions.
 func TestHealthDraining(t *testing.T) {
-	s, c := newTestServer(t)
-	if code := c.post("/studies", testSpec("h", 4, 3), nil); code != http.StatusCreated {
-		t.Fatalf("create: status %d", code)
-	}
-	var h struct {
-		Status  string                 `json:"status"`
-		Studies int                    `json:"studies"`
-		Detail  map[string]healthStudy `json:"detail"`
-	}
-	if code := c.get("/healthz", &h); code != http.StatusOK {
-		t.Fatalf("health: status %d, want 200", code)
+	ts := newTestServer(t)
+	create(t, ts.c, testSpec("h", 4, 3))
+	var h api.Health
+	if resp := raw(t, "GET", ts.url+api.HealthPath, "", &h); resp.StatusCode != http.StatusOK {
+		t.Fatalf("health: status %d, want 200", resp.StatusCode)
 	}
 	if h.Status != "ok" || h.Studies != 1 {
 		t.Fatalf("health payload: %+v", h)
@@ -127,36 +111,12 @@ func TestHealthDraining(t *testing.T) {
 		t.Fatalf("health detail missing study phase: %+v", h.Detail)
 	}
 
-	s.BeginDrain()
+	ts.srv.BeginDrain()
 	h.Detail = nil
-	if code := c.get("/healthz", &h); code != http.StatusServiceUnavailable {
-		t.Fatalf("health while draining: status %d, want 503", code)
+	if resp := raw(t, "GET", ts.url+api.HealthPath, "", &h); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("health while draining: status %d, want 503", resp.StatusCode)
 	}
 	if h.Status != "draining" {
 		t.Fatalf("health status while draining: %q", h.Status)
-	}
-}
-
-// TestRetryAfterSeconds pins the hint derivation: async studies report the
-// truncated EWMA (including "0" — retry immediately), sync studies round up
-// and never drop below one second.
-func TestRetryAfterSeconds(t *testing.T) {
-	cases := []struct {
-		gen   time.Duration
-		async bool
-		want  string
-	}{
-		{0, false, "1"},
-		{0, true, "0"},
-		{10 * time.Millisecond, true, "0"},
-		{10 * time.Millisecond, false, "1"},
-		{time.Second, false, "1"},
-		{2500 * time.Millisecond, false, "3"},
-		{2500 * time.Millisecond, true, "2"},
-	}
-	for _, tc := range cases {
-		if got := retryAfterSeconds(tc.gen, tc.async); got != tc.want {
-			t.Errorf("retryAfterSeconds(%v, async=%v) = %q, want %q", tc.gen, tc.async, got, tc.want)
-		}
 	}
 }

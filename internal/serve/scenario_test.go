@@ -1,13 +1,13 @@
-package serve
+package serve_test
 
 import (
 	"math"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
+	"repro/gptune/api"
+	"repro/gptune/client"
 	"repro/internal/bench"
 	"repro/internal/core"
 )
@@ -27,18 +27,6 @@ func mustScenarioProblem(t *testing.T) *core.Problem {
 	return prob
 }
 
-// newServerAt opens a server over an explicit data directory (so a second
-// server can later resume it) and returns a close func for the HTTP layer.
-func newServerAt(t *testing.T, dir string) (*Server, *testClient, func()) {
-	t.Helper()
-	s, err := NewServer(Config{DataDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := httptest.NewServer(s.Handler())
-	return s, &testClient{t: t, base: hs.URL}, hs.Close
-}
-
 // gemmTasks are native (m, n, k) problem shapes for the constrained "gemm"
 // registry scenario.
 var gemmTasks = [][]float64{{1024, 1024, 1024}, {4096, 512, 2048}}
@@ -46,55 +34,30 @@ var gemmTasks = [][]float64{{1024, 1024, 1024}, {4096, 512, 2048}}
 // gemmSpec names the scenario instead of describing spaces: the server
 // instantiates task/tuning/output spaces — divisibility constraints
 // included — from the workload registry.
-func gemmSpec(name string, epsTot int, seed int64) StudySpec {
-	return StudySpec{
+func gemmSpec(name string, epsTot int, seed int64) api.StudySpec {
+	return api.StudySpec{
 		Name:     name,
 		Scenario: "gemm",
 		Tasks:    gemmTasks,
-		Options:  OptionsSpec{EpsTot: epsTot, Seed: seed, Workers: 1},
+		Options:  api.OptionsSpec{EpsTot: epsTot, Seed: seed, Workers: 1},
 	}
 }
 
-// driveProblem runs suggest/report cycles evaluating prob's own objective
-// client-side, and asserts every suggested configuration satisfies the
-// tuning space's constraints — the server must never hand out an infeasible
-// point. Returns the number of evaluations paid.
-func (c *testClient) driveProblem(study string, prob *core.Problem, tasks [][]float64, maxCycles int) int {
-	c.t.Helper()
-	paid := 0
-	for maxCycles < 0 || paid < maxCycles {
-		var sg suggestResponse
-		code := c.post("/studies/"+study+"/suggest", map[string]int{"task": -1}, &sg)
-		if code == http.StatusConflict {
-			time.Sleep(2 * time.Millisecond)
-			continue
+// feasibleEval evaluates prob's own objective client-side, asserting every
+// suggested configuration satisfies the tuning space's constraints — the
+// server must never hand out an infeasible point.
+func feasibleEval(t *testing.T, prob *core.Problem, tasks [][]float64) func(client.Suggestion) []float64 {
+	return func(sg client.Suggestion) []float64 {
+		t.Helper()
+		if !prob.Tuning.Feasible(sg.X) {
+			t.Fatalf("suggestion %v violates the scenario's constraints", sg.X)
 		}
-		if code != http.StatusOK {
-			c.t.Fatalf("suggest: status %d", code)
-		}
-		if sg.Done {
-			break
-		}
-		if sg.Suggestion == nil {
-			c.t.Fatalf("200 suggest response carries neither a suggestion nor done")
-		}
-		if !prob.Tuning.Feasible(sg.Suggestion.X) {
-			c.t.Fatalf("suggestion %v violates the scenario's constraints", sg.Suggestion.X)
-		}
-		y, err := prob.Objective(tasks[sg.Suggestion.Task], sg.Suggestion.X)
+		y, err := prob.Objective(tasks[sg.Task], sg.X)
 		if err != nil {
-			c.t.Fatalf("objective: %v", err)
+			t.Fatalf("objective: %v", err)
 		}
-		paid++
-		var rep reportResponse
-		if code := c.post("/studies/"+study+"/report", reportRequest{ID: sg.Suggestion.ID, Y: y}, &rep); code != http.StatusOK {
-			c.t.Fatalf("report: status %d", code)
-		}
-		if !rep.OK {
-			c.t.Fatalf("report not acknowledged: %+v", rep)
-		}
+		return y
 	}
-	return paid
 }
 
 // TestServeScenarioParity is the end-to-end acceptance test for server-side
@@ -114,16 +77,14 @@ func TestServeScenarioParity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, c := newTestServer(t)
-	if code := c.post("/studies", gemmSpec("gemm-parity", epsTot, seed), nil); code != http.StatusCreated {
-		t.Fatalf("create: status %d", code)
-	}
-	paid := c.driveProblem("gemm-parity", prob, gemmTasks, -1)
+	c := newTestServer(t).c
+	create(t, c, gemmSpec("gemm-parity", epsTot, seed))
+	paid := drive(t, c, "gemm-parity", feasibleEval(t, prob, gemmTasks), -1)
 	if want := epsTot * len(gemmTasks); paid != want {
 		t.Fatalf("paid %d evaluations, want %d", paid, want)
 	}
 
-	hist := c.history("gemm-parity")
+	hist := history(t, c, "gemm-parity")
 	for ti := range hist {
 		h, b := hist[ti], batch.Tasks[ti]
 		if len(h.X) != len(b.X) {
@@ -152,31 +113,24 @@ func TestServeScenarioRestartResumes(t *testing.T) {
 
 	prob := mustScenarioProblem(t)
 
-	_, rc := newTestServer(t)
-	if code := rc.post("/studies", gemmSpec("ref", epsTot, seed), nil); code != http.StatusCreated {
-		t.Fatalf("create ref: status %d", code)
-	}
-	rc.driveProblem("ref", prob, gemmTasks, -1)
-	want := rc.history("ref")
+	rc := newTestServer(t).c
+	create(t, rc, gemmSpec("ref", epsTot, seed))
+	drive(t, rc, "ref", feasibleEval(t, prob, gemmTasks), -1)
+	want := history(t, rc, "ref")
 
 	dir := t.TempDir()
-	s1, c1, closeHTTP1 := newServerAt(t, dir)
-	if code := c1.post("/studies", gemmSpec("crashy", epsTot, seed), nil); code != http.StatusCreated {
-		t.Fatalf("create crashy: status %d", code)
-	}
-	paid := c1.driveProblem("crashy", prob, gemmTasks, killAfter)
-	closeHTTP1()
-	if err := s1.Close(); err != nil {
-		t.Fatal(err)
-	}
+	s1 := startServer(t, dir)
+	create(t, s1.c, gemmSpec("crashy", epsTot, seed))
+	paid := drive(t, s1.c, "crashy", feasibleEval(t, prob, gemmTasks), killAfter)
+	s1.stop(t)
 
-	s2, c2, closeHTTP2 := newServerAt(t, dir)
-	t.Cleanup(func() { closeHTTP2(); s2.Close() })
-	paid += c2.driveProblem("crashy", prob, gemmTasks, -1)
+	s2 := startServer(t, dir)
+	t.Cleanup(func() { s2.stop(t) })
+	paid += drive(t, s2.c, "crashy", feasibleEval(t, prob, gemmTasks), -1)
 	if want := epsTot * len(gemmTasks); paid != want {
 		t.Fatalf("paid %d evaluations across the restart, want exactly %d", paid, want)
 	}
-	got := c2.history("crashy")
+	got := history(t, s2.c, "crashy")
 	for ti := range want {
 		if len(got[ti].X) != len(want[ti].X) {
 			t.Fatalf("task %d: resumed history has %d evaluations, want %d", ti, len(got[ti].X), len(want[ti].X))
@@ -198,41 +152,41 @@ func TestServeScenarioRestartResumes(t *testing.T) {
 // unknown names are rejected with the full catalog enumerated, and specs
 // that both name a scenario and describe spaces are rejected.
 func TestServeScenarioRejections(t *testing.T) {
-	_, c := newTestServer(t)
+	c := newTestServer(t).c
+
+	// rejected creates the spec, requires a 400, and returns its message.
+	rejected := func(spec api.StudySpec, what string) string {
+		t.Helper()
+		err := c.Create(ctx, spec)
+		wantStatus(t, err, http.StatusBadRequest, what)
+		if err == nil {
+			t.FailNow()
+		}
+		return err.Error()
+	}
 
 	bad := gemmSpec("ok", 4, 1)
 	bad.Scenario = "bogus"
-	var eb errorBody
-	if code := c.post("/studies", bad, &eb); code != http.StatusBadRequest {
-		t.Fatalf("unknown scenario: status %d, want 400", code)
-	}
+	msg := rejected(bad, "unknown scenario")
 	for _, name := range []string{"unknown scenario", "gemm", "analytical"} {
-		if !strings.Contains(eb.Error, name) {
-			t.Errorf("unknown-scenario error %q does not mention %q", eb.Error, name)
+		if !strings.Contains(msg, name) {
+			t.Errorf("unknown-scenario error %q does not mention %q", msg, name)
 		}
 	}
 
 	bad = gemmSpec("ok", 4, 1)
-	bad.Tuning = []ParamSpec{{Name: "x", Kind: "real", Lo: 0, Hi: 1}}
-	if code := c.post("/studies", bad, &eb); code != http.StatusBadRequest {
-		t.Fatalf("scenario+tuning: status %d, want 400", code)
-	}
-	if !strings.Contains(eb.Error, "drop tuning") {
-		t.Errorf("conflicting-spec error %q does not explain the conflict", eb.Error)
+	bad.Tuning = []api.ParamSpec{{Name: "x", Kind: "real", Lo: 0, Hi: 1}}
+	if msg = rejected(bad, "scenario+tuning"); !strings.Contains(msg, "drop tuning") {
+		t.Errorf("conflicting-spec error %q does not explain the conflict", msg)
 	}
 
 	bad = gemmSpec("ok", 4, 1)
 	bad.ScenarioParams = map[string]float64{"bogus": 1}
-	if code := c.post("/studies", bad, &eb); code != http.StatusBadRequest {
-		t.Fatalf("unknown scenario param: status %d, want 400", code)
-	}
-	if !strings.Contains(eb.Error, "bogus") {
-		t.Errorf("unknown-param error %q does not name the offending key", eb.Error)
+	if msg = rejected(bad, "unknown scenario param"); !strings.Contains(msg, "bogus") {
+		t.Errorf("unknown-param error %q does not name the offending key", msg)
 	}
 
 	bad = gemmSpec("ok", 4, 1)
 	bad.Tasks = [][]float64{{1024, 1024}}
-	if code := c.post("/studies", bad, nil); code != http.StatusBadRequest {
-		t.Fatalf("task arity mismatch: status %d, want 400", code)
-	}
+	rejected(bad, "task arity mismatch")
 }

@@ -4,16 +4,16 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
+	"maps"
 	"net/http"
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
+	"repro/gptune/api"
 	"repro/internal/core"
 	"repro/internal/histdb"
 	"repro/internal/mpx"
@@ -29,12 +29,9 @@ type Config struct {
 	// Default 1: concurrent studies interleave suggest calls but model one
 	// at a time.
 	ModelSlots int
-	// MaxBodyBytes caps every request body. Default 1 MiB.
+	// MaxBodyBytes caps every request body but the import, whose cap is the
+	// protocol's api.MaxImportBytes. Default api.DefaultMaxBodyBytes.
 	MaxBodyBytes int64
-	// MaxImportBytes caps the POST /studies/import body, which carries a
-	// whole study's snapshot + WAL and so dwarfs every other request.
-	// Default 64 MiB.
-	MaxImportBytes int64
 	// Clock overrides the wall clock used for phase telemetry and WAL
 	// stamps; nil means the real clock.
 	Clock func() time.Time
@@ -60,7 +57,7 @@ type Server struct {
 }
 
 type study struct {
-	spec StudySpec
+	spec api.StudySpec
 	eng  *core.Engine
 	cp   *core.Checkpointer
 }
@@ -75,10 +72,7 @@ func NewServer(cfg Config) (*Server, error) {
 		cfg.ModelSlots = 1
 	}
 	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 1 << 20
-	}
-	if cfg.MaxImportBytes <= 0 {
-		cfg.MaxImportBytes = 64 << 20
+		cfg.MaxBodyBytes = api.DefaultMaxBodyBytes
 	}
 	if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
 		return nil, err
@@ -92,19 +86,12 @@ func NewServer(cfg Config) (*Server, error) {
 }
 
 func (s *Server) specPath(name string) string {
-	return filepath.Join(s.cfg.DataDir, name+".spec.json")
+	return filepath.Join(s.cfg.DataDir, name+api.SpecSuffix)
 }
 
 func (s *Server) histPath(name string) string {
-	return filepath.Join(s.cfg.DataDir, name+".hist.json")
+	return filepath.Join(s.cfg.DataDir, name+api.HistSuffix)
 }
-
-// SpecPath and HistPath expose the data-directory layout — where a study's
-// spec and history-snapshot files live — for tools that must read a dead
-// server's files directly (crash recovery rebuilds a transfer archive from
-// them; the WAL sidecar is histdb.WalPath(HistPath(name))).
-func (s *Server) SpecPath(name string) string { return s.specPath(name) }
-func (s *Server) HistPath(name string) string { return s.histPath(name) }
 
 // resumeAll rebuilds every study found in the data directory, replaying its
 // WAL through the engine's checkpoint-autofill path.
@@ -115,7 +102,7 @@ func (s *Server) resumeAll() error {
 	}
 	names := make([]string, 0, len(entries))
 	for _, e := range entries {
-		if n, ok := strings.CutSuffix(e.Name(), ".spec.json"); ok && !e.IsDir() {
+		if n, ok := strings.CutSuffix(e.Name(), api.SpecSuffix); ok && !e.IsDir() {
 			names = append(names, n)
 		}
 	}
@@ -125,7 +112,7 @@ func (s *Server) resumeAll() error {
 		if err != nil {
 			return err
 		}
-		var spec StudySpec
+		var spec api.StudySpec
 		if err := json.Unmarshal(data, &spec); err != nil {
 			return fmt.Errorf("serve: parsing %s: %w", s.specPath(name), err)
 		}
@@ -144,8 +131,8 @@ func (s *Server) resumeAll() error {
 // openStudy builds the engine for a spec, wiring the shared modeling gate
 // and a WAL-backed checkpointer (fresh or resumed — core.Resume treats a
 // missing log as a fresh run).
-func (s *Server) openStudy(spec StudySpec) (*study, error) {
-	prob, tasks, opts, err := spec.build()
+func (s *Server) openStudy(spec api.StudySpec) (*study, error) {
+	prob, tasks, opts, err := buildSpec(&spec)
 	if err != nil {
 		return nil, err
 	}
@@ -167,13 +154,6 @@ func (s *Server) openStudy(spec StudySpec) (*study, error) {
 		return nil, err
 	}
 	return &study{spec: spec, eng: eng, cp: cp}, nil
-}
-
-func (s *Server) lookup(name string) (*study, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, ok := s.studies[name]
-	return st, ok
 }
 
 // BeginDrain flips /healthz to 503 without tearing anything down: existing
@@ -203,29 +183,19 @@ func (s *Server) Close() error {
 	// about to start.
 	s.draining = true
 	s.closed = true
-	names := make([]string, 0, len(s.studies))
-	for name := range s.studies {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	cps := make([]*core.Checkpointer, 0, len(names))
-	for _, name := range names {
-		cps = append(cps, s.studies[name].cp)
-	}
-	engs := make([]*core.Engine, 0, len(names))
-	for _, name := range names {
-		engs = append(engs, s.studies[name].eng)
+	open := make([]*study, 0, len(s.studies))
+	for _, st := range s.studies {
+		open = append(open, st)
 	}
 	s.mu.Unlock()
-	// Async studies may have a background batch generation in flight even
-	// with all handlers drained; wait it out before closing the WAL it
-	// streams model snapshots and autofilled commits to.
-	for _, eng := range engs {
-		eng.Quiesce()
-	}
+	sort.Slice(open, func(i, j int) bool { return open[i].spec.Name < open[j].spec.Name })
 	var first error
-	for _, cp := range cps {
-		if err := cp.Close(); err != nil && first == nil {
+	for _, st := range open {
+		// An async study may have a background batch generation in flight
+		// even with all handlers drained; wait it out before closing the
+		// WAL it streams model snapshots and autofilled commits to.
+		st.eng.Quiesce()
+		if err := st.cp.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -235,63 +205,42 @@ func (s *Server) Close() error {
 // Handler returns the service's HTTP API.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", s.handleHealth)
-	mux.HandleFunc("POST /studies", s.handleCreate)
-	mux.HandleFunc("POST /studies/import", s.handleImport)
-	mux.HandleFunc("GET /studies", s.handleList)
-	mux.HandleFunc("GET /studies/{study}/snapshot", s.handleSnapshot)
-	mux.HandleFunc("GET /studies/{study}", s.handleStatus)
-	mux.HandleFunc("POST /studies/{study}/suggest", s.handleSuggest)
-	mux.HandleFunc("POST /studies/{study}/report", s.handleReport)
-	mux.HandleFunc("GET /studies/{study}/best", s.handleBest)
-	mux.HandleFunc("GET /studies/{study}/pareto", s.handlePareto)
-	mux.HandleFunc("GET /studies/{study}/history", s.handleHistory)
+	mux.HandleFunc(api.RouteHealth, s.handleHealth)
+	mux.HandleFunc(api.RouteCreate, s.handleCreate)
+	mux.HandleFunc(api.RouteImport, s.handleImport)
+	mux.HandleFunc(api.RouteList, s.handleList)
+	mux.HandleFunc(api.RouteSnapshot, s.withStudy(s.handleSnapshot))
+	mux.HandleFunc(api.RouteStatus, s.withStudy(s.handleStatus))
+	mux.HandleFunc(api.RouteSuggest, s.withStudy(s.handleSuggest))
+	mux.HandleFunc(api.RouteReport, s.withStudy(s.handleReport))
+	mux.HandleFunc(api.RouteBest, s.withStudy(s.handleBest))
+	mux.HandleFunc(api.RoutePareto, s.withStudy(s.handlePareto))
+	mux.HandleFunc(api.RouteHistory, s.withStudy(s.handleHistory))
 	return mux
 }
 
-// writeJSON encodes v with a status code. Encoding errors past the header
-// cannot be reported to the client; they surface as a truncated body.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
-}
-
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, errorBody{Error: err.Error()})
-}
-
-// decodeBody strict-decodes a JSON request body into v under the size cap.
-// An empty body leaves v untouched and returns nil, so requests with
-// all-default parameters can omit the body entirely.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	return s.decodeBodyCapped(w, r, v, s.cfg.MaxBodyBytes)
-}
-
-func (s *Server) decodeBodyCapped(w http.ResponseWriter, r *http.Request, v any, cap int64) error {
-	body := http.MaxBytesReader(w, r.Body, cap)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil
+// withStudy resolves the route's study for a study-scoped handler, answering
+// 404 itself when there is none.
+func (s *Server) withStudy(h func(http.ResponseWriter, *http.Request, *study)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		name := r.PathValue(api.StudyParam)
+		s.mu.Lock()
+		st, ok := s.studies[name]
+		s.mu.Unlock()
+		if !ok {
+			api.WriteError(w, http.StatusNotFound, fmt.Errorf("serve: no study %s", name))
+			return
 		}
+		h(w, r, st)
+	}
+}
+
+// decodeBody strict-decodes a request body into v under the size cap.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, limit int64) error {
+	if err := api.DecodeBody(w, r, v, limit); err != nil {
 		return fmt.Errorf("serve: bad request body: %w", err)
 	}
 	return nil
-}
-
-// healthStudy is one study's slice of the GET /healthz payload — enough for
-// a router to decide whether evicting the replica strands active work.
-type healthStudy struct {
-	Phase string `json:"phase"`
-	Async bool   `json:"async,omitempty"`
-	Done  bool   `json:"done,omitempty"`
 }
 
 // handleHealth reports the replica's routability. While draining (graceful
@@ -302,60 +251,59 @@ type healthStudy struct {
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	draining := s.draining
-	studies := make(map[string]*study, len(s.studies))
-	for name, st := range s.studies {
-		studies[name] = st
-	}
+	studies := maps.Clone(s.studies)
 	s.mu.Unlock()
 	// Engine queries happen off the server mutex: Phase/Done take the
 	// engine mutex but never block on a generation in flight.
-	detail := make(map[string]healthStudy, len(studies))
+	h := api.Health{Detail: make(map[string]api.HealthStudy, len(studies)), Status: "ok", Studies: len(studies)}
 	for name, st := range studies {
-		detail[name] = healthStudy{Phase: st.eng.Phase(), Async: st.spec.Options.Async, Done: st.eng.Done()}
+		h.Detail[name] = api.HealthStudy{Phase: st.eng.Phase(), Async: st.spec.Options.Async, Done: st.eng.Done()}
 	}
-	status, code := "ok", http.StatusOK
+	code := http.StatusOK
 	if draining {
-		status, code = "draining", http.StatusServiceUnavailable
+		h.Status, code = "draining", api.StatusDraining
 	}
-	writeJSON(w, code, map[string]any{"status": status, "studies": len(studies), "detail": detail})
+	api.WriteJSON(w, code, h)
 }
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
-	var spec StudySpec
-	if err := s.decodeBody(w, r, &spec); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	var spec api.StudySpec
+	if err := decodeBody(w, r, &spec, s.cfg.MaxBodyBytes); err != nil {
+		api.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	if _, _, _, err := spec.build(); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if _, _, _, err := buildSpec(&spec); err != nil {
+		api.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if !s.reserveName(w, spec.Name) {
 		return
 	}
 	defer s.releaseName(spec.Name)
-
+	// On any failure below, leave no spec behind for a restart to resume.
+	installed := false
+	defer func() {
+		if !installed {
+			os.Remove(s.specPath(spec.Name))
+		}
+	}()
 	// Persist the spec before opening the study: after a crash the spec on
 	// disk, not the client, is what rebuilds the engine the WAL replays.
-	data, err := json.MarshalIndent(&spec, "", " ")
+	data, err := api.EncodeSpec(&spec)
+	if err == nil {
+		err = histdb.WriteFileDurable(s.specPath(spec.Name), data)
+	}
+	var st *study
+	if err == nil {
+		st, err = s.openStudy(spec)
+	}
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		api.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
-	if err := histdb.WriteFileDurable(s.specPath(spec.Name), data); err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
+	if installed = s.installStudy(w, st); installed {
+		api.WriteJSON(w, http.StatusCreated, api.Created{Name: spec.Name, Tasks: len(spec.Tasks)})
 	}
-	st, err := s.openStudy(spec)
-	if err != nil {
-		os.Remove(s.specPath(spec.Name))
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	if !s.installStudy(w, st, func() { os.Remove(s.specPath(spec.Name)) }) {
-		return
-	}
-	writeJSON(w, http.StatusCreated, map[string]any{"name": spec.Name, "tasks": len(spec.Tasks)})
 }
 
 // reserveName reserves a study name for an in-flight create/import under
@@ -368,16 +316,18 @@ func (s *Server) reserveName(w http.ResponseWriter, name string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		writeError(w, http.StatusServiceUnavailable, errors.New("serve: server is shutting down"))
+		api.WriteError(w, api.StatusDraining, errShuttingDown)
 		return false
 	}
 	if _, exists := s.studies[name]; exists || s.pending[name] {
-		writeError(w, http.StatusConflict, fmt.Errorf("serve: study %s already exists", name))
+		api.WriteError(w, api.StatusConflict, fmt.Errorf("serve: study %s already exists", name))
 		return false
 	}
 	s.pending[name] = true
 	return true
 }
+
+var errShuttingDown = errors.New("serve: server is shutting down")
 
 func (s *Server) releaseName(name string) {
 	s.mu.Lock()
@@ -387,16 +337,15 @@ func (s *Server) releaseName(name string) {
 
 // installStudy inserts an opened study under the lock, re-checking closed:
 // if Close ran while the study was being opened, its teardown snapshot
-// cannot contain this study, so unwind (close the WAL, run the caller's
-// on-disk cleanup) rather than leak an open log. Writes the HTTP error and
-// returns false on that race.
-func (s *Server) installStudy(w http.ResponseWriter, st *study, cleanup func()) bool {
+// cannot contain this study, so close its WAL rather than leak an open log
+// (the caller removes the files). Writes the HTTP error and returns false on
+// that race.
+func (s *Server) installStudy(w http.ResponseWriter, st *study) bool {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		st.cp.Close()
-		cleanup()
-		writeError(w, http.StatusServiceUnavailable, errors.New("serve: server is shutting down"))
+		api.WriteError(w, api.StatusDraining, errShuttingDown)
 		return false
 	}
 	s.studies[st.spec.Name] = st
@@ -412,34 +361,16 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 	}
 	s.mu.Unlock()
 	sort.Strings(names)
-	writeJSON(w, http.StatusOK, map[string]any{"studies": names})
+	api.WriteJSON(w, http.StatusOK, api.StudyList{Studies: names})
 }
 
-// studyStatus is the GET /studies/{study} response.
-type studyStatus struct {
-	Name         string `json:"name"`
-	Surrogate    string `json:"surrogate"` // model backend the engine resolved (see surrogate.Kinds)
-	Phase        string `json:"phase"`     // engine phase: "init", "search", "mo" or "done"
-	Tasks        int    `json:"tasks"`
-	Observations int    `json:"observations"`    // committed evaluations across tasks
-	Logged       int    `json:"logged"`          // records in the WAL
-	Async        bool   `json:"async,omitempty"` // background batch generation (spec options.async)
-	Done         bool   `json:"done"`
-	Error        string `json:"error,omitempty"` // fatal engine error, if any
-}
-
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	st, ok := s.lookup(r.PathValue("study"))
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("serve: no study %s", r.PathValue("study")))
-		return
-	}
+func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request, st *study) {
 	res := st.eng.Result()
 	obs := 0
 	for _, t := range res.Tasks {
 		obs += len(t.Y)
 	}
-	status := studyStatus{
+	status := api.Status{
 		Name:         st.spec.Name,
 		Surrogate:    st.eng.Surrogate(),
 		Phase:        st.eng.Phase(),
@@ -452,39 +383,15 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if err := st.eng.Err(); err != nil {
 		status.Error = err.Error()
 	}
-	writeJSON(w, http.StatusOK, status)
+	api.WriteJSON(w, http.StatusOK, status)
 }
 
-// suggestRequest is the POST /studies/{study}/suggest body. Task -1 (or an
-// empty body) asks for any task's next configuration.
-type suggestRequest struct {
-	Task int `json:"task"`
+func wireSuggestion(sg core.Suggestion) *api.Suggestion {
+	return &api.Suggestion{ID: sg.ID, Task: sg.Task, Phase: sg.Phase, X: sg.X}
 }
 
-// suggestion is the wire form of one core.Suggestion.
-type suggestion struct {
-	ID    int64     `json:"id"`
-	Task  int       `json:"task"`
-	Phase string    `json:"phase,omitempty"`
-	X     []float64 `json:"x"`
-}
-
-func wireSuggestion(sg core.Suggestion) *suggestion {
-	return &suggestion{ID: sg.ID, Task: sg.Task, Phase: sg.Phase, X: sg.X}
-}
-
-// suggestResponse is the POST suggest response: either Suggestion (a
-// configuration to evaluate) or Done (budget exhausted), never both. The
-// nesting is deliberate — a flat struct without omitempty once serialized a
-// done study as {"id":0,"task":0,"done":true}, indistinguishable from a
-// real task-0 suggestion to a client that ignored the done flag.
-type suggestResponse struct {
-	Suggestion *suggestion `json:"suggestion,omitempty"`
-	Done       bool        `json:"done,omitempty"`
-}
-
-// retryAfterSeconds derives the Retry-After hint (whole seconds) sent with
-// the ErrNonePending 409 from the study's observed batch-generation latency
+// retryAfterSeconds derives the Retry-After hint sent with the
+// ErrNonePending 409 from the study's observed batch-generation latency
 // (Engine.GenLatency EWMA). A constant hint is wrong in both directions: one
 // second is ~100× too long for a sub-10ms async refit and starves a cold
 // n=3k exact refit into hammering. Async studies may be told "0" (retry
@@ -492,76 +399,40 @@ type suggestResponse struct {
 // never below 1, because their 409s mean every outstanding configuration is
 // held by another client, which no fast retry fixes.
 func retryAfterSeconds(gen time.Duration, async bool) string {
-	if async {
-		return strconv.FormatInt(int64(gen/time.Second), 10)
+	if !async {
+		gen = max(gen+time.Second-1, time.Second)
 	}
-	secs := int64((gen + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.FormatInt(secs, 10)
+	return api.FormatRetryAfter(gen)
 }
 
-func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request) {
-	st, ok := s.lookup(r.PathValue("study"))
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("serve: no study %s", r.PathValue("study")))
-		return
-	}
-	req := suggestRequest{Task: -1}
-	if err := s.decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request, st *study) {
+	req := api.SuggestRequest{Task: -1}
+	if err := decodeBody(w, r, &req, s.cfg.MaxBodyBytes); err != nil {
+		api.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if req.Task < -1 || req.Task >= len(st.spec.Tasks) {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: task %d out of range (study has %d tasks)", req.Task, len(st.spec.Tasks)))
+		api.WriteError(w, http.StatusBadRequest, fmt.Errorf("serve: task %d out of range (study has %d tasks)", req.Task, len(st.spec.Tasks)))
 		return
 	}
 	sg, err := st.eng.Suggest(req.Task)
 	switch {
 	case err == nil:
-		writeJSON(w, http.StatusOK, suggestResponse{Suggestion: wireSuggestion(sg)})
+		api.WriteJSON(w, http.StatusOK, api.SuggestResponse{Suggestion: wireSuggestion(sg)})
 	case errors.Is(err, core.ErrDone):
-		writeJSON(w, http.StatusOK, suggestResponse{Done: true})
+		api.WriteJSON(w, http.StatusOK, api.SuggestResponse{Done: true})
 	case errors.Is(err, core.ErrNonePending):
-		// Every outstanding configuration is held by another client, or (on
-		// an async study) the next batch is still being generated; retry
-		// after a short backoff.
-		w.Header().Set("Retry-After", retryAfterSeconds(st.eng.GenLatency(), st.spec.Options.Async))
-		writeError(w, http.StatusConflict, err)
+		w.Header().Set(api.RetryAfterHeader, retryAfterSeconds(st.eng.GenLatency(), st.spec.Options.Async))
+		api.WriteError(w, api.StatusConflict, err)
 	default:
-		writeError(w, statusFor(err), err)
+		api.WriteError(w, statusFor(err), err)
 	}
 }
 
-// reportRequest is the POST /studies/{study}/report body: either Y (the
-// measured outputs) or Failed (the evaluation errored; Error says why).
-type reportRequest struct {
-	ID     int64     `json:"id"`
-	Y      []float64 `json:"y,omitempty"`
-	Failed bool      `json:"failed,omitempty"`
-	Error  string    `json:"error,omitempty"`
-}
-
-// reportResponse acknowledges a report. After a failure the engine may hand
-// back a substitute configuration under the same ID (Retry); Terminal means
-// the configuration failed for good and the study cannot finish its batch.
-type reportResponse struct {
-	OK       bool        `json:"ok"`
-	Retry    *suggestion `json:"retry,omitempty"`
-	Terminal bool        `json:"terminal,omitempty"`
-	Error    string      `json:"error,omitempty"`
-}
-
-func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	st, ok := s.lookup(r.PathValue("study"))
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("serve: no study %s", r.PathValue("study")))
-		return
-	}
-	var req reportRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+func (s *Server) handleReport(w http.ResponseWriter, r *http.Request, st *study) {
+	var req api.ReportRequest
+	if err := decodeBody(w, r, &req, s.cfg.MaxBodyBytes); err != nil {
+		api.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if req.Failed {
@@ -572,28 +443,25 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		next, err := st.eng.Fail(req.ID, cause)
 		switch {
 		case err == nil:
-			writeJSON(w, http.StatusOK, reportResponse{OK: true, Retry: wireSuggestion(next)})
+			api.WriteJSON(w, http.StatusOK, api.ReportResponse{OK: true, Retry: wireSuggestion(next)})
 		case errors.Is(err, core.ErrTerminalFailure):
-			writeJSON(w, http.StatusOK, reportResponse{OK: false, Terminal: true, Error: err.Error()})
+			api.WriteJSON(w, http.StatusOK, api.ReportResponse{OK: false, Terminal: true, Error: err.Error()})
 		default:
-			writeError(w, statusFor(err), err)
+			api.WriteError(w, statusFor(err), err)
 		}
 		return
 	}
 	if err := st.eng.Observe(req.ID, req.Y); err != nil {
-		writeError(w, statusFor(err), err)
+		api.WriteError(w, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, reportResponse{OK: true})
+	api.WriteJSON(w, http.StatusOK, api.ReportResponse{OK: true})
 }
 
 // statusFor maps engine errors onto HTTP codes via the typed sentinels core
 // exports: an unknown suggestion ID is the client's 404, a structurally
 // invalid observation its 400, and everything else (checkpoint IO, modeling
-// failures) the server's 500. Matching with errors.Is replaces the old
-// error-text substring routing, under which any server-side error whose
-// message happened to contain "returned" or "non-finite" — a checkpoint
-// path, a wrapped IO error — was misreported as the client's fault.
+// failures) the server's 500.
 func statusFor(err error) int {
 	switch {
 	case errors.Is(err, core.ErrUnknownSuggestion):
@@ -605,70 +473,36 @@ func statusFor(err error) int {
 	}
 }
 
-// taskHistory is one task's slice of the GET history/best/pareto responses.
-type taskHistory struct {
-	Task []float64   `json:"task"`
-	X    [][]float64 `json:"x"`
-	Y    [][]float64 `json:"y"`
-}
-
-func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
-	st, ok := s.lookup(r.PathValue("study"))
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("serve: no study %s", r.PathValue("study")))
-		return
-	}
+func (s *Server) handleHistory(w http.ResponseWriter, _ *http.Request, st *study) {
 	res := st.eng.Result()
-	out := make([]taskHistory, len(res.Tasks))
+	out := make([]api.TaskHistory, len(res.Tasks))
 	for i, t := range res.Tasks {
-		out[i] = taskHistory{Task: t.Task, X: t.X, Y: t.Y}
+		out[i] = api.TaskHistory{Task: t.Task, X: t.X, Y: t.Y}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"surrogate": st.eng.Surrogate(),
-		"phase":     st.eng.Phase(),
-		"tasks":     out,
-	})
+	api.WriteJSON(w, http.StatusOK, api.History{Phase: st.eng.Phase(), Surrogate: st.eng.Surrogate(), Tasks: out})
 }
 
-// bestEntry is one task's incumbent for objective 0.
-type bestEntry struct {
-	Task []float64 `json:"task"`
-	X    []float64 `json:"x,omitempty"`
-	Y    []float64 `json:"y,omitempty"`
-}
-
-func (s *Server) handleBest(w http.ResponseWriter, r *http.Request) {
-	st, ok := s.lookup(r.PathValue("study"))
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("serve: no study %s", r.PathValue("study")))
-		return
-	}
+func (s *Server) handleBest(w http.ResponseWriter, _ *http.Request, st *study) {
 	res := st.eng.Result()
-	out := make([]bestEntry, len(res.Tasks))
+	out := make([]api.BestEntry, len(res.Tasks))
 	for i, t := range res.Tasks {
-		out[i] = bestEntry{Task: t.Task}
+		out[i] = api.BestEntry{Task: t.Task}
 		if len(t.Y) > 0 {
-			x, y := t.Best()
-			out[i].X, out[i].Y = x, y
+			out[i].X, out[i].Y = t.Best()
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"tasks": out})
+	api.WriteJSON(w, http.StatusOK, api.Best{Tasks: out})
 }
 
-func (s *Server) handlePareto(w http.ResponseWriter, r *http.Request) {
-	st, ok := s.lookup(r.PathValue("study"))
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("serve: no study %s", r.PathValue("study")))
-		return
-	}
+func (s *Server) handlePareto(w http.ResponseWriter, _ *http.Request, st *study) {
 	res := st.eng.Result()
-	out := make([]taskHistory, len(res.Tasks))
+	out := make([]api.TaskHistory, len(res.Tasks))
 	for i, t := range res.Tasks {
-		out[i] = taskHistory{Task: t.Task, X: [][]float64{}, Y: [][]float64{}}
+		out[i] = api.TaskHistory{Task: t.Task, X: [][]float64{}, Y: [][]float64{}}
 		for _, idx := range t.ParetoFront() {
 			out[i].X = append(out[i].X, t.X[idx])
 			out[i].Y = append(out[i].Y, t.Y[idx])
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"tasks": out})
+	api.WriteJSON(w, http.StatusOK, api.Pareto{Tasks: out})
 }

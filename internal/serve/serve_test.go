@@ -1,143 +1,189 @@
-package serve
+package serve_test
 
 import (
-	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/gptune/api"
+	"repro/gptune/client"
 	"repro/internal/apps/analytical"
 	"repro/internal/core"
+	"repro/internal/serve"
 	"repro/internal/space"
 )
 
 // paperObjective is Eq. (11) of the paper, shared from the analytical app.
-// The HTTP client evaluates it out of process — the server never sees an
+// The client evaluates it out of process — the server never sees an
 // Objective.
 var paperObjective = analytical.Objective
 
 var testTasks = [][]float64{{0}, {1.5}, {3}}
 
+var ctx = context.Background()
+
 // testSpec is the wire form of the core tests' analyticalProblem.
-func testSpec(name string, epsTot int, seed int64) StudySpec {
-	return StudySpec{
+func testSpec(name string, epsTot int, seed int64) api.StudySpec {
+	return api.StudySpec{
 		Name:       name,
-		TaskParams: []ParamSpec{{Name: "t", Kind: "real", Lo: 0, Hi: 10}},
-		Tuning:     []ParamSpec{{Name: "x", Kind: "real", Lo: 0, Hi: 1}},
+		TaskParams: []api.ParamSpec{{Name: "t", Kind: "real", Lo: 0, Hi: 10}},
+		Tuning:     []api.ParamSpec{{Name: "x", Kind: "real", Lo: 0, Hi: 1}},
 		Outputs:    []string{"y"},
 		Tasks:      testTasks,
-		Options:    OptionsSpec{EpsTot: epsTot, Seed: seed, Workers: 1},
+		Options:    api.OptionsSpec{EpsTot: epsTot, Seed: seed, Workers: 1},
 	}
 }
 
-// testClient drives the JSON API against a base URL.
-type testClient struct {
-	t    *testing.T
-	base string
+// testServer is one serve.Server behind an httptest listener, driven
+// through the same gptune/client users run.
+type testServer struct {
+	srv *serve.Server
+	hs  *httptest.Server
+	c   *client.Client
+	dir string // data directory
+	url string // base URL, for assertions about status codes, headers or body bytes themselves
 }
 
-// post sends body and decodes the response into out (when non-nil),
-// returning the status code.
-func (c *testClient) post(path string, body, out any) int {
-	c.t.Helper()
-	data, err := json.Marshal(body)
+// startServer opens a server over an explicit data directory (so a second
+// one can later resume it); the caller stops it.
+func startServer(t *testing.T, dir string) *testServer {
+	t.Helper()
+	s, err := serve.NewServer(serve.Config{DataDir: dir})
 	if err != nil {
-		c.t.Fatal(err)
+		t.Fatal(err)
 	}
-	resp, err := http.Post(c.base+path, "application/json", bytes.NewReader(data))
-	if err != nil {
-		c.t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			c.t.Fatalf("POST %s: decoding response: %v", path, err)
-		}
-	}
-	return resp.StatusCode
+	hs := httptest.NewServer(s.Handler())
+	return &testServer{srv: s, hs: hs, c: newClient(t, hs.URL), dir: dir, url: hs.URL}
 }
 
-func (c *testClient) get(path string, out any) int {
-	c.t.Helper()
-	resp, err := http.Get(c.base + path)
+func newClient(t *testing.T, base string) *client.Client {
+	t.Helper()
+	c, err := client.New(client.Config{
+		Replicas:    []string{base},
+		MaxRetries:  3,
+		BaseBackoff: time.Millisecond,
+		MaxBackoff:  4 * time.Millisecond,
+		JitterSeed:  1,
+	})
 	if err != nil {
-		c.t.Fatal(err)
+		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			c.t.Fatalf("GET %s: decoding response: %v", path, err)
-		}
-	}
-	return resp.StatusCode
+	return c
 }
 
-// drive runs suggest/report cycles against a study until the budget is
-// exhausted (maxCycles < 0) or maxCycles evaluations were reported,
-// evaluating paperObjective client-side. A 409 (none pending — on an async
-// study, the next batch is still generating) backs off briefly and retries,
-// like a well-behaved client honoring Retry-After. Returns the number of
-// evaluations paid.
-func (c *testClient) drive(study string, tasks [][]float64, maxCycles int) int {
-	c.t.Helper()
+// stop closes the listener, then the server (flushing every WAL).
+func (ts *testServer) stop(t *testing.T) {
+	t.Helper()
+	ts.hs.Close()
+	if err := ts.srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func newTestServer(t *testing.T) *testServer {
+	t.Helper()
+	ts := startServer(t, t.TempDir())
+	t.Cleanup(func() { ts.hs.Close(); ts.srv.Close() })
+	return ts
+}
+
+// paper evaluates paperObjective for a suggestion's task.
+func paper(tasks [][]float64) func(client.Suggestion) []float64 {
+	return func(sg client.Suggestion) []float64 {
+		return []float64{paperObjective(tasks[sg.Task][0], sg.X[0])}
+	}
+}
+
+// drive runs suggest/evaluate/report cycles through the client until the
+// budget is exhausted (maxCycles < 0) or maxCycles evaluations were
+// reported. ErrNonePending (on an async study the next batch is still
+// generating, and the client's own Retry-After-honoring retries ran out)
+// just asks again. Returns the number of evaluations paid.
+func drive(t *testing.T, c *client.Client, study string, eval func(client.Suggestion) []float64, maxCycles int) int {
+	t.Helper()
 	paid := 0
 	for maxCycles < 0 || paid < maxCycles {
-		var sg suggestResponse
-		code := c.post("/studies/"+study+"/suggest", map[string]int{"task": -1}, &sg)
-		if code == http.StatusConflict {
-			time.Sleep(2 * time.Millisecond)
-			continue
-		}
-		if code != http.StatusOK {
-			c.t.Fatalf("suggest: status %d", code)
-		}
-		if sg.Done {
+		sg, err := c.Suggest(ctx, study, -1)
+		if errors.Is(err, client.ErrDone) {
 			break
 		}
-		if sg.Suggestion == nil {
-			c.t.Fatalf("200 suggest response carries neither a suggestion nor done")
+		if errors.Is(err, client.ErrNonePending) {
+			continue
 		}
-		y := paperObjective(tasks[sg.Suggestion.Task][0], sg.Suggestion.X[0])
+		if err != nil {
+			t.Fatalf("suggest: %v", err)
+		}
+		y := eval(sg)
 		paid++
-		var rep reportResponse
-		if code := c.post("/studies/"+study+"/report", reportRequest{ID: sg.Suggestion.ID, Y: []float64{y}}, &rep); code != http.StatusOK {
-			c.t.Fatalf("report: status %d", code)
-		}
-		if !rep.OK {
-			c.t.Fatalf("report not acknowledged: %+v", rep)
+		if err := c.Report(ctx, study, sg.ID, y); err != nil {
+			t.Fatalf("report: %v", err)
 		}
 	}
 	return paid
 }
 
 // history fetches the study's full evaluation history.
-func (c *testClient) history(study string) []taskHistory {
-	c.t.Helper()
-	var out struct {
-		Tasks []taskHistory `json:"tasks"`
+func history(t *testing.T, c *client.Client, study string) []client.TaskHistory {
+	t.Helper()
+	h, err := c.History(ctx, study)
+	if err != nil {
+		t.Fatalf("history: %v", err)
 	}
-	if code := c.get("/studies/"+study+"/history", &out); code != http.StatusOK {
-		c.t.Fatalf("history: status %d", code)
-	}
-	return out.Tasks
+	return h
 }
 
-func newTestServer(t *testing.T) (*Server, *testClient) {
+// create registers a study, failing the test on any error.
+func create(t *testing.T, c *client.Client, spec api.StudySpec) {
 	t.Helper()
-	s, err := NewServer(Config{DataDir: t.TempDir()})
+	if err := c.Create(ctx, spec); err != nil {
+		t.Fatalf("create %s: %v", spec.Name, err)
+	}
+}
+
+// wantStatus asserts err is the server's answer with this HTTP status.
+func wantStatus(t *testing.T, err error, code int, what string) {
+	t.Helper()
+	var apiErr *client.APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != code {
+		t.Errorf("%s: got %v, want HTTP %d", what, err, code)
+	}
+}
+
+// raw issues one request outside the client — for the assertions that are
+// about a status code, a header or the body bytes themselves — decoding the
+// response into out when non-nil. The returned response's body is consumed.
+func raw(t *testing.T, method, url, body string, out any) *http.Response {
+	t.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := httptest.NewServer(s.Handler())
-	t.Cleanup(func() { hs.Close(); s.Close() })
-	return s, &testClient{t: t, base: hs.URL}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != nil {
+		if err := json.Unmarshal(data, out); err != nil {
+			t.Fatalf("%s %s: decoding %q: %v", method, url, data, err)
+		}
+	}
+	return resp
 }
 
 // TestServeParityWithBatchRun is the acceptance test for the ask/tell
@@ -161,16 +207,14 @@ func TestServeParityWithBatchRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, c := newTestServer(t)
-	if code := c.post("/studies", testSpec("parity", epsTot, seed), nil); code != http.StatusCreated {
-		t.Fatalf("create: status %d", code)
-	}
-	paid := c.drive("parity", testTasks, -1)
+	c := newTestServer(t).c
+	create(t, c, testSpec("parity", epsTot, seed))
+	paid := drive(t, c, "parity", paper(testTasks), -1)
 	if want := epsTot * len(testTasks); paid != want {
 		t.Fatalf("paid %d evaluations, want %d", paid, want)
 	}
 
-	hist := c.history("parity")
+	hist := history(t, c, "parity")
 	if len(hist) != len(batch.Tasks) {
 		t.Fatalf("history has %d tasks, want %d", len(hist), len(batch.Tasks))
 	}
@@ -193,18 +237,16 @@ func TestServeParityWithBatchRun(t *testing.T) {
 		}
 	}
 
-	var best struct {
-		Tasks []bestEntry `json:"tasks"`
+	best, err := c.Best(ctx, "parity")
+	if err != nil {
+		t.Fatalf("best: %v", err)
 	}
-	if code := c.get("/studies/parity/best", &best); code != http.StatusOK {
-		t.Fatalf("best: status %d", code)
-	}
-	for ti := range best.Tasks {
+	for ti := range best {
 		bx, by := batch.Tasks[ti].Best()
-		if math.Float64bits(best.Tasks[ti].X[0]) != math.Float64bits(bx[0]) ||
-			math.Float64bits(best.Tasks[ti].Y[0]) != math.Float64bits(by[0]) {
+		if math.Float64bits(best[ti].X[0]) != math.Float64bits(bx[0]) ||
+			math.Float64bits(best[ti].Y[0]) != math.Float64bits(by[0]) {
 			t.Errorf("task %d: best differs: (%v, %v) vs (%v, %v)",
-				ti, best.Tasks[ti].X[0], best.Tasks[ti].Y[0], bx[0], by[0])
+				ti, best[ti].X[0], best[ti].Y[0], bx[0], by[0])
 		}
 	}
 }
@@ -216,51 +258,86 @@ func TestServeParityWithBatchRun(t *testing.T) {
 func TestServeInProcessRestartResumes(t *testing.T) {
 	const epsTot, seed, killAfter = 8, 7, 9
 
-	ref, rc := newTestServer(t)
-	_ = ref
-	if code := rc.post("/studies", testSpec("ref", epsTot, seed), nil); code != http.StatusCreated {
-		t.Fatalf("create ref: status %d", code)
-	}
-	rc.drive("ref", testTasks, -1)
-	want := rc.history("ref")
+	rc := newTestServer(t).c
+	create(t, rc, testSpec("ref", epsTot, seed))
+	drive(t, rc, "ref", paper(testTasks), -1)
+	want := history(t, rc, "ref")
 
 	dir := t.TempDir()
-	s1, err := NewServer(Config{DataDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs1 := httptest.NewServer(s1.Handler())
-	c1 := &testClient{t: t, base: hs1.URL}
-	if code := c1.post("/studies", testSpec("crashy", epsTot, seed), nil); code != http.StatusCreated {
-		t.Fatalf("create crashy: status %d", code)
-	}
-	paid := c1.drive("crashy", testTasks, killAfter)
-	hs1.Close()
-	if err := s1.Close(); err != nil {
-		t.Fatal(err)
-	}
+	s1 := startServer(t, dir)
+	create(t, s1.c, testSpec("crashy", epsTot, seed))
+	paid := drive(t, s1.c, "crashy", paper(testTasks), killAfter)
+	s1.stop(t)
 
-	s2, err := NewServer(Config{DataDir: dir})
-	if err != nil {
-		t.Fatalf("restart: %v", err)
-	}
-	hs2 := httptest.NewServer(s2.Handler())
-	t.Cleanup(func() { hs2.Close(); s2.Close() })
-	c2 := &testClient{t: t, base: hs2.URL}
+	s2 := startServer(t, dir)
+	t.Cleanup(func() { s2.stop(t) })
 
-	var status studyStatus
-	if code := c2.get("/studies/crashy", &status); code != http.StatusOK {
-		t.Fatalf("status: %d", code)
+	status, err := s2.c.Status(ctx, "crashy")
+	if err != nil {
+		t.Fatalf("status: %v", err)
 	}
 	if status.Logged != killAfter {
 		t.Fatalf("restart sees %d logged records, want %d", status.Logged, killAfter)
 	}
-	paid += c2.drive("crashy", testTasks, -1)
+	paid += drive(t, s2.c, "crashy", paper(testTasks), -1)
 	if want := epsTot * len(testTasks); paid != want {
 		t.Fatalf("paid %d evaluations across the restart, want exactly %d (committed work must not be re-paid)", paid, want)
 	}
 
-	got := c2.history("crashy")
+	got := history(t, s2.c, "crashy")
+	for ti := range want {
+		if len(got[ti].X) != len(want[ti].X) {
+			t.Fatalf("task %d: resumed history has %d evaluations, want %d", ti, len(got[ti].X), len(want[ti].X))
+		}
+		for i := range want[ti].X {
+			if math.Float64bits(got[ti].X[i][0]) != math.Float64bits(want[ti].X[i][0]) ||
+				math.Float64bits(got[ti].Y[i][0]) != math.Float64bits(want[ti].Y[i][0]) {
+				t.Errorf("task %d sample %d: resumed history diverged", ti, i)
+			}
+		}
+	}
+}
+
+// TestParentWrittenDataDirResumes opens testdata/datadir — a spec, a
+// compacted snapshot and a WAL with evaluation and model records, written by
+// the commit before the protocol moved into gptune/api and left as a killed
+// server would leave them — and requires it to resume as that commit's own
+// files did: every logged evaluation recovered, none re-paid, and the
+// finished history bitwise equal to an uninterrupted run of the same spec.
+func TestParentWrittenDataDirResumes(t *testing.T) {
+	const epsTot, logged = 8, 15
+	dir := t.TempDir()
+	files, err := os.ReadDir(filepath.Join("testdata", "datadir"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		data, err := os.ReadFile(filepath.Join("testdata", "datadir", f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, f.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := startServer(t, dir)
+	t.Cleanup(func() { ts.stop(t) })
+	status, err := ts.c.Status(ctx, "fix")
+	if err != nil {
+		t.Fatalf("status: %v", err)
+	}
+	if status.Logged != logged {
+		t.Fatalf("fixture resumes with %d logged records, want %d", status.Logged, logged)
+	}
+	paid := drive(t, ts.c, "fix", paper(testTasks), -1)
+	if want := epsTot*len(testTasks) - logged; paid != want {
+		t.Fatalf("paid %d evaluations after resuming the fixture, want exactly %d", paid, want)
+	}
+
+	rc := newTestServer(t).c
+	create(t, rc, testSpec("fix", epsTot, 7))
+	drive(t, rc, "fix", paper(testTasks), -1)
+	want, got := history(t, rc, "fix"), history(t, ts.c, "fix")
 	for ti := range want {
 		if len(got[ti].X) != len(want[ti].X) {
 			t.Fatalf("task %d: resumed history has %d evaluations, want %d", ti, len(got[ti].X), len(want[ti].X))
@@ -278,88 +355,64 @@ func TestServeInProcessRestartResumes(t *testing.T) {
 // evaluation yields a substitute configuration under the same ID, and the
 // third consecutive failure is terminal.
 func TestServeFailedReportRetries(t *testing.T) {
-	_, c := newTestServer(t)
-	if code := c.post("/studies", testSpec("flaky", 4, 3), nil); code != http.StatusCreated {
-		t.Fatalf("create: status %d", code)
+	c := newTestServer(t).c
+	create(t, c, testSpec("flaky", 4, 3))
+	sg, err := c.Suggest(ctx, "flaky", -1)
+	if err != nil {
+		t.Fatalf("suggest: %v", err)
 	}
-	var sg suggestResponse
-	if code := c.post("/studies/flaky/suggest", nil, &sg); code != http.StatusOK {
-		t.Fatalf("suggest: status %d", code)
-	}
-	id := sg.Suggestion.ID
-	prev := sg.Suggestion.X[0]
+	id := sg.ID
+	prev := sg.X[0]
 	for attempt := 1; attempt <= 3; attempt++ {
-		var rep reportResponse
-		code := c.post("/studies/flaky/report", reportRequest{ID: id, Failed: true, Error: "node died"}, &rep)
-		if code != http.StatusOK {
-			t.Fatalf("attempt %d: status %d", attempt, code)
+		retry, terminal, err := c.ReportFailure(ctx, "flaky", id, "node died")
+		if err != nil {
+			t.Fatalf("attempt %d: %v", attempt, err)
 		}
 		if attempt < 3 {
-			if rep.Retry == nil || rep.Retry.ID != id {
-				t.Fatalf("attempt %d: want retry under id %d, got %+v", attempt, id, rep)
+			if retry == nil || retry.ID != id {
+				t.Fatalf("attempt %d: want retry under id %d, got %+v", attempt, id, retry)
 			}
-			if rep.Retry.X[0] == prev {
+			if retry.X[0] == prev {
 				t.Fatalf("attempt %d: retry did not substitute a fresh configuration", attempt)
 			}
-			prev = rep.Retry.X[0]
-		} else if !rep.Terminal {
-			t.Fatalf("attempt 3: want terminal failure, got %+v", rep)
+			prev = retry.X[0]
+		} else if !terminal {
+			t.Fatalf("attempt 3: want terminal failure, got retry %+v", retry)
 		}
 	}
 }
 
 // TestServeRejectsBadRequests covers the API's validation surface.
 func TestServeRejectsBadRequests(t *testing.T) {
-	_, c := newTestServer(t)
+	ts := newTestServer(t)
+	c := ts.c
 
 	bad := testSpec("ok", 4, 1)
 	bad.Name = "../escape"
-	if code := c.post("/studies", bad, nil); code != http.StatusBadRequest {
-		t.Errorf("path-traversal name: status %d, want 400", code)
-	}
+	wantStatus(t, c.Create(ctx, bad), http.StatusBadRequest, "path-traversal name")
 	bad = testSpec("ok", 4, 1)
 	bad.Tuning[0].Kind = "complex"
-	if code := c.post("/studies", bad, nil); code != http.StatusBadRequest {
-		t.Errorf("unknown kind: status %d, want 400", code)
-	}
+	wantStatus(t, c.Create(ctx, bad), http.StatusBadRequest, "unknown kind")
 	bad = testSpec("ok", 4, 1)
 	bad.Outputs = nil
-	if code := c.post("/studies", bad, nil); code != http.StatusBadRequest {
-		t.Errorf("no outputs: status %d, want 400", code)
-	}
+	wantStatus(t, c.Create(ctx, bad), http.StatusBadRequest, "no outputs")
 	bad = testSpec("ok", 4, 1)
 	bad.Tasks = [][]float64{{0, 1}}
-	if code := c.post("/studies", bad, nil); code != http.StatusBadRequest {
-		t.Errorf("task arity mismatch: status %d, want 400", code)
-	}
+	wantStatus(t, c.Create(ctx, bad), http.StatusBadRequest, "task arity mismatch")
 
-	if code := c.post("/studies", testSpec("ok", 4, 1), nil); code != http.StatusCreated {
-		t.Fatalf("create: status %d", code)
+	create(t, c, testSpec("ok", 4, 1))
+	wantStatus(t, c.Create(ctx, testSpec("ok", 4, 1)), http.StatusConflict, "duplicate study")
+	_, err := c.Suggest(ctx, "nope", -1)
+	wantStatus(t, err, http.StatusNotFound, "unknown study")
+	wantStatus(t, c.Report(ctx, "ok", 999, []float64{1}), http.StatusNotFound, "unknown suggestion id")
+	sg, err := c.Suggest(ctx, "ok", -1)
+	if err != nil {
+		t.Fatalf("suggest: %v", err)
 	}
-	if code := c.post("/studies", testSpec("ok", 4, 1), nil); code != http.StatusConflict {
-		t.Errorf("duplicate study: status %d, want 409", code)
-	}
-	if code := c.post("/studies/nope/suggest", nil, nil); code != http.StatusNotFound {
-		t.Errorf("unknown study: status %d, want 404", code)
-	}
-	if code := c.post("/studies/ok/report", reportRequest{ID: 999, Y: []float64{1}}, nil); code != http.StatusNotFound {
-		t.Errorf("unknown suggestion id: status %d, want 404", code)
-	}
-	var sg suggestResponse
-	if code := c.post("/studies/ok/suggest", nil, &sg); code != http.StatusOK {
-		t.Fatalf("suggest: status %d", code)
-	}
-	if code := c.post("/studies/ok/report", reportRequest{ID: sg.Suggestion.ID, Y: []float64{1, 2}}, nil); code != http.StatusBadRequest {
-		t.Errorf("wrong output arity: status %d, want 400", code)
-	}
+	wantStatus(t, c.Report(ctx, "ok", sg.ID, []float64{1, 2}), http.StatusBadRequest, "wrong output arity")
 	// JSON has no literal for Inf/NaN, so a non-finite report dies at body
 	// parsing; either way the engine never sees it.
-	resp, err := http.Post(c.base+"/studies/ok/report", "application/json",
-		bytes.NewReader([]byte(`{"id":`+fmt.Sprint(sg.Suggestion.ID)+`,"y":[1e999]}`)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	resp := raw(t, "POST", ts.url+api.StudyPath("ok", api.VerbReport), `{"id":`+fmt.Sprint(sg.ID)+`,"y":[1e999]}`, nil)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("non-finite output: status %d, want 400", resp.StatusCode)
 	}
@@ -368,75 +421,57 @@ func TestServeRejectsBadRequests(t *testing.T) {
 // TestServeSuggestPerTask checks task-scoped suggestions and the
 // none-pending signal.
 func TestServeSuggestPerTask(t *testing.T) {
-	_, c := newTestServer(t)
-	if code := c.post("/studies", testSpec("scoped", 4, 5), nil); code != http.StatusCreated {
-		t.Fatalf("create: status %d", code)
+	c := newTestServer(t).c
+	create(t, c, testSpec("scoped", 4, 5))
+	sg, err := c.Suggest(ctx, "scoped", 1)
+	if err != nil {
+		t.Fatalf("suggest task 1: %v", err)
 	}
-	var sg suggestResponse
-	if code := c.post("/studies/scoped/suggest", suggestRequest{Task: 1}, &sg); code != http.StatusOK {
-		t.Fatalf("suggest task 1: status %d", code)
-	}
-	if sg.Suggestion.Task != 1 {
-		t.Fatalf("asked for task 1, got task %d", sg.Suggestion.Task)
+	if sg.Task != 1 {
+		t.Fatalf("asked for task 1, got task %d", sg.Task)
 	}
 	// Drain task 1's remaining fresh init job; the next ask then re-issues
 	// the first outstanding suggestion (crashed-client re-ask), same ID.
-	var second suggestResponse
-	if code := c.post("/studies/scoped/suggest", suggestRequest{Task: 1}, &second); code != http.StatusOK {
-		t.Fatalf("second suggest: status %d", code)
+	if _, err := c.Suggest(ctx, "scoped", 1); err != nil {
+		t.Fatalf("second suggest: %v", err)
 	}
-	var again suggestResponse
-	if code := c.post("/studies/scoped/suggest", suggestRequest{Task: 1}, &again); code != http.StatusOK {
-		t.Fatalf("re-suggest: status %d", code)
+	again, err := c.Suggest(ctx, "scoped", 1)
+	if err != nil {
+		t.Fatalf("re-suggest: %v", err)
 	}
-	if again.Suggestion.ID != sg.Suggestion.ID {
-		t.Fatalf("re-ask for task 1 returned id %d, want outstanding id %d", again.Suggestion.ID, sg.Suggestion.ID)
+	if again.ID != sg.ID {
+		t.Fatalf("re-ask for task 1 returned id %d, want outstanding id %d", again.ID, sg.ID)
 	}
-	if code := c.post("/studies/scoped/suggest", suggestRequest{Task: 99}, nil); code != http.StatusBadRequest {
-		t.Errorf("out-of-range task: status %d, want 400", code)
-	}
+	_, err = c.Suggest(ctx, "scoped", 99)
+	wantStatus(t, err, http.StatusBadRequest, "out-of-range task")
 }
 
 // TestServeMultiObjectivePareto drives a two-objective study over HTTP and
 // checks the pareto endpoint returns a non-dominated set.
 func TestServeMultiObjectivePareto(t *testing.T) {
-	spec := StudySpec{
+	spec := api.StudySpec{
 		Name:       "mo",
-		TaskParams: []ParamSpec{{Name: "t", Kind: "real", Lo: 0, Hi: 10}},
-		Tuning:     []ParamSpec{{Name: "x", Kind: "real", Lo: 0, Hi: 1}},
+		TaskParams: []api.ParamSpec{{Name: "t", Kind: "real", Lo: 0, Hi: 10}},
+		Tuning:     []api.ParamSpec{{Name: "x", Kind: "real", Lo: 0, Hi: 1}},
 		Outputs:    []string{"y1", "y2"},
 		Tasks:      [][]float64{{1}},
-		Options:    OptionsSpec{EpsTot: 6, Seed: 11, MOGenerations: 5, MOPopSize: 12},
+		Options:    api.OptionsSpec{EpsTot: 6, Seed: 11, MOGenerations: 5, MOPopSize: 12},
 	}
-	_, c := newTestServer(t)
-	if code := c.post("/studies", spec, nil); code != http.StatusCreated {
-		t.Fatalf("create: status %d", code)
+	c := newTestServer(t).c
+	create(t, c, spec)
+	drive(t, c, "mo", func(sg client.Suggestion) []float64 {
+		x := sg.X[0]
+		return []float64{x * x, (x - 1) * (x - 1)}
+	}, -1)
+	front, err := c.Pareto(ctx, "mo")
+	if err != nil {
+		t.Fatalf("pareto: %v", err)
 	}
-	for {
-		var sg suggestResponse
-		if code := c.post("/studies/mo/suggest", nil, &sg); code != http.StatusOK {
-			t.Fatalf("suggest: status %d", code)
-		}
-		if sg.Done {
-			break
-		}
-		x := sg.Suggestion.X[0]
-		y := []float64{x * x, (x - 1) * (x - 1)}
-		if code := c.post("/studies/mo/report", reportRequest{ID: sg.Suggestion.ID, Y: y}, nil); code != http.StatusOK {
-			t.Fatalf("report: status %d", code)
-		}
-	}
-	var front struct {
-		Tasks []taskHistory `json:"tasks"`
-	}
-	if code := c.get("/studies/mo/pareto", &front); code != http.StatusOK {
-		t.Fatalf("pareto: status %d", code)
-	}
-	if len(front.Tasks) != 1 || len(front.Tasks[0].Y) == 0 {
+	if len(front) != 1 || len(front[0].Y) == 0 {
 		t.Fatalf("empty pareto front: %+v", front)
 	}
-	for _, a := range front.Tasks[0].Y {
-		for _, b := range front.Tasks[0].Y {
+	for _, a := range front[0].Y {
+		for _, b := range front[0].Y {
 			if dominates(a, b) {
 				t.Fatalf("pareto front contains dominated point: %v dominates %v", a, b)
 			}
@@ -462,37 +497,28 @@ func dominates(a, b []float64) bool {
 // a server restart, and is reported (with the engine phase) by the status and
 // history endpoints. An unknown kind is rejected before anything is persisted.
 func TestServeSurrogateRestartRoundTrip(t *testing.T) {
-	spec := StudySpec{
+	spec := api.StudySpec{
 		Name:       "forest",
-		TaskParams: []ParamSpec{{Name: "t", Kind: "real", Lo: 0, Hi: 10}},
-		Tuning:     []ParamSpec{{Name: "x", Kind: "real", Lo: 0, Hi: 1}},
+		TaskParams: []api.ParamSpec{{Name: "t", Kind: "real", Lo: 0, Hi: 10}},
+		Tuning:     []api.ParamSpec{{Name: "x", Kind: "real", Lo: 0, Hi: 1}},
 		Outputs:    []string{"y"},
 		Tasks:      [][]float64{{1.5}},
-		Options:    OptionsSpec{EpsTot: 6, Seed: 13, Workers: 1, Surrogate: "rf"},
+		Options:    api.OptionsSpec{EpsTot: 6, Seed: 13, Workers: 1, Surrogate: "rf"},
 	}
 	tasks := spec.Tasks
 
 	dir := t.TempDir()
-	s1, err := NewServer(Config{DataDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs1 := httptest.NewServer(s1.Handler())
-	c1 := &testClient{t: t, base: hs1.URL}
+	s1 := startServer(t, dir)
 
 	bad := spec
 	bad.Name = "bogus"
 	bad.Options.Surrogate = "kriging"
-	if code := c1.post("/studies", bad, nil); code != http.StatusBadRequest {
-		t.Fatalf("unknown surrogate: status %d, want 400", code)
-	}
-	if code := c1.post("/studies", spec, nil); code != http.StatusCreated {
-		t.Fatalf("create: status %d", code)
-	}
+	wantStatus(t, s1.c.Create(ctx, bad), http.StatusBadRequest, "unknown surrogate")
+	create(t, s1.c, spec)
 
-	var status studyStatus
-	if code := c1.get("/studies/forest", &status); code != http.StatusOK {
-		t.Fatalf("status: %d", code)
+	status, err := s1.c.Status(ctx, "forest")
+	if err != nil {
+		t.Fatalf("status: %v", err)
 	}
 	if status.Surrogate != "rf" || status.Phase != "init" {
 		t.Fatalf("fresh study: surrogate=%q phase=%q, want rf/init", status.Surrogate, status.Phase)
@@ -500,40 +526,30 @@ func TestServeSurrogateRestartRoundTrip(t *testing.T) {
 
 	// Kill the server mid-init and reopen the data directory: the persisted
 	// spec, not the client, must carry the surrogate choice through.
-	c1.drive("forest", tasks, 2)
-	hs1.Close()
-	if err := s1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := NewServer(Config{DataDir: dir})
-	if err != nil {
-		t.Fatalf("restart: %v", err)
-	}
-	hs2 := httptest.NewServer(s2.Handler())
-	t.Cleanup(func() { hs2.Close(); s2.Close() })
-	c2 := &testClient{t: t, base: hs2.URL}
+	drive(t, s1.c, "forest", paper(tasks), 2)
+	s1.stop(t)
+	s2 := startServer(t, dir)
+	t.Cleanup(func() { s2.stop(t) })
 
-	if code := c2.get("/studies/forest", &status); code != http.StatusOK {
-		t.Fatalf("status after restart: %d", code)
+	if status, err = s2.c.Status(ctx, "forest"); err != nil {
+		t.Fatalf("status after restart: %v", err)
 	}
 	if status.Surrogate != "rf" || status.Phase != "init" {
 		t.Fatalf("resumed study: surrogate=%q phase=%q, want rf/init", status.Surrogate, status.Phase)
 	}
-	c2.drive("forest", tasks, -1)
-	if code := c2.get("/studies/forest", &status); code != http.StatusOK {
-		t.Fatalf("status after finish: %d", code)
+	drive(t, s2.c, "forest", paper(tasks), -1)
+	if status, err = s2.c.Status(ctx, "forest"); err != nil {
+		t.Fatalf("status after finish: %v", err)
 	}
 	if !status.Done || status.Phase != "done" || status.Surrogate != "rf" {
 		t.Fatalf("finished study: done=%v phase=%q surrogate=%q", status.Done, status.Phase, status.Surrogate)
 	}
 
-	var hist struct {
-		Surrogate string        `json:"surrogate"`
-		Phase     string        `json:"phase"`
-		Tasks     []taskHistory `json:"tasks"`
-	}
-	if code := c2.get("/studies/forest/history", &hist); code != http.StatusOK {
-		t.Fatalf("history: %d", code)
+	// The client returns only the tasks; surrogate and phase are fields of
+	// the history body itself.
+	var hist api.History
+	if resp := raw(t, "GET", s2.url+api.StudyPath("forest", api.VerbHistory), "", &hist); resp.StatusCode != http.StatusOK {
+		t.Fatalf("history: %d", resp.StatusCode)
 	}
 	if hist.Surrogate != "rf" || hist.Phase != "done" {
 		t.Fatalf("history reports surrogate=%q phase=%q, want rf/done", hist.Surrogate, hist.Phase)
@@ -543,73 +559,48 @@ func TestServeSurrogateRestartRoundTrip(t *testing.T) {
 	}
 }
 
-// TestServeSpecRoundTrip checks the spec survives its JSON persistence
-// bitwise (tasks are float64s; the spec on disk rebuilds the engine).
-func TestServeSpecRoundTrip(t *testing.T) {
-	spec := testSpec("rt", 6, 99)
-	spec.Tasks = [][]float64{{math.Pi}, {math.Nextafter(1, 2)}}
-	data, err := json.Marshal(&spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back StudySpec
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	for i := range spec.Tasks {
-		if math.Float64bits(back.Tasks[i][0]) != math.Float64bits(spec.Tasks[i][0]) {
-			t.Fatalf("task %d did not round-trip bitwise: %v vs %v", i, back.Tasks[i][0], spec.Tasks[i][0])
-		}
-	}
-	if _, _, _, err := back.build(); err != nil {
-		t.Fatalf("round-tripped spec no longer builds: %v", err)
-	}
-}
-
 // TestConcurrentDuplicateCreate races N identical creates: the name
 // reservation must let exactly one through (201) and reject the rest (409),
 // without ever holding the server mutex across the spec fsync or WAL open.
 func TestConcurrentDuplicateCreate(t *testing.T) {
-	_, c := newTestServer(t)
+	c := newTestServer(t).c
 	const racers = 8
-	codes := make(chan int, racers)
+	errs := make(chan error, racers)
 	var wg sync.WaitGroup
 	wg.Add(racers)
 	for r := 0; r < racers; r++ {
 		go func() {
 			defer wg.Done()
-			codes <- c.post("/studies", testSpec("dup", 4, 1), nil)
+			errs <- c.Create(ctx, testSpec("dup", 4, 1))
 		}()
 	}
 	wg.Wait()
-	close(codes)
+	close(errs)
 	var created, conflicted int
-	for code := range codes {
-		switch code {
-		case http.StatusCreated:
+	for err := range errs {
+		var apiErr *client.APIError
+		switch {
+		case err == nil:
 			created++
-		case http.StatusConflict:
+		case errors.As(err, &apiErr) && apiErr.Status == http.StatusConflict:
 			conflicted++
 		default:
-			t.Fatalf("unexpected status %d", code)
+			t.Fatalf("unexpected create result: %v", err)
 		}
 	}
 	if created != 1 || conflicted != racers-1 {
 		t.Fatalf("got %d created / %d conflicted, want 1 / %d", created, conflicted, racers-1)
 	}
 	// The winner is fully usable.
-	var out struct {
-		Studies []string `json:"studies"`
-	}
-	if code := c.get("/studies", &out); code != http.StatusOK || len(out.Studies) != 1 {
-		t.Fatalf("list after race: code %d, studies %v", code, out.Studies)
+	if studies, err := c.Studies(ctx); err != nil || len(studies) != 1 {
+		t.Fatalf("list after race: %v, studies %v", err, studies)
 	}
 }
 
 // TestConcurrentDistinctCreates verifies distinct names do not serialize
 // against each other's I/O and all succeed.
 func TestConcurrentDistinctCreates(t *testing.T) {
-	_, c := newTestServer(t)
+	c := newTestServer(t).c
 	const n = 6
 	var wg sync.WaitGroup
 	errs := make(chan error, n)
@@ -618,8 +609,8 @@ func TestConcurrentDistinctCreates(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			name := fmt.Sprintf("study-%d", r)
-			if code := c.post("/studies", testSpec(name, 4, int64(r+1)), nil); code != http.StatusCreated {
-				errs <- fmt.Errorf("create %s: status %d", name, code)
+			if err := c.Create(ctx, testSpec(name, 4, int64(r+1))); err != nil {
+				errs <- fmt.Errorf("create %s: %w", name, err)
 			}
 		}(r)
 	}
@@ -628,11 +619,8 @@ func TestConcurrentDistinctCreates(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	var out struct {
-		Studies []string `json:"studies"`
-	}
-	if code := c.get("/studies", &out); code != http.StatusOK || len(out.Studies) != n {
-		t.Fatalf("list: code %d, got %d studies, want %d", code, len(out.Studies), n)
+	if studies, err := c.Studies(ctx); err != nil || len(studies) != n {
+		t.Fatalf("list: %v, got %d studies, want %d", err, len(studies), n)
 	}
 }
 
@@ -642,14 +630,14 @@ func TestConcurrentDistinctCreates(t *testing.T) {
 // suggestion — and a real suggestion nests under "suggestion" with no done
 // flag.
 func TestSuggestResponseEncoding(t *testing.T) {
-	data, err := json.Marshal(suggestResponse{Done: true})
+	data, err := json.Marshal(api.SuggestResponse{Done: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := strings.TrimSpace(string(data)); got != `{"done":true}` {
 		t.Errorf("done response encodes as %s, want {\"done\":true}", got)
 	}
-	data, err = json.Marshal(suggestResponse{Suggestion: &suggestion{ID: 3, Task: 1, Phase: "init", X: []float64{0.5}}})
+	data, err = json.Marshal(api.SuggestResponse{Suggestion: &api.Suggestion{ID: 3, Task: 1, Phase: "init", X: []float64{0.5}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -671,25 +659,16 @@ func TestSuggestResponseEncoding(t *testing.T) {
 	}
 
 	// End to end: a finished study's suggest body must not contain id/task.
-	_, c := newTestServer(t)
-	if code := c.post("/studies", testSpec("enc", 2, 21), nil); code != http.StatusCreated {
-		t.Fatalf("create: status %d", code)
+	ts := newTestServer(t)
+	create(t, ts.c, testSpec("enc", 2, 21))
+	drive(t, ts.c, "enc", paper(testTasks), -1)
+	var body map[string]any
+	raw(t, "POST", ts.url+api.StudyPath("enc", api.VerbSuggest), "", &body)
+	if _, ok := body["id"]; ok {
+		t.Errorf("done suggest body still carries a top-level id: %v", body)
 	}
-	c.drive("enc", testTasks, -1)
-	resp, err := http.Post(c.base+"/studies/enc/suggest", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var raw map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := raw["id"]; ok {
-		t.Errorf("done suggest body still carries a top-level id: %v", raw)
-	}
-	if done, _ := raw["done"].(bool); !done {
-		t.Errorf("finished study's suggest body lacks done: %v", raw)
+	if done, _ := body["done"].(bool); !done {
+		t.Errorf("finished study's suggest body lacks done: %v", body)
 	}
 }
 
@@ -701,27 +680,20 @@ func TestSuggestResponseEncoding(t *testing.T) {
 // Retry-After hint instead of blocking out the fit.
 func TestServeAsyncStudyParity(t *testing.T) {
 	const epsTot, seed = 8, 17
-	_, c := newTestServer(t)
+	ts := newTestServer(t)
+	c := ts.c
 
-	if code := c.post("/studies", testSpec("sync", epsTot, seed), nil); code != http.StatusCreated {
-		t.Fatalf("create sync: status %d", code)
-	}
-	c.drive("sync", testTasks, -1)
-	want := c.history("sync")
+	create(t, c, testSpec("sync", epsTot, seed))
+	drive(t, c, "sync", paper(testTasks), -1)
+	want := history(t, c, "sync")
 
 	async := testSpec("async", epsTot, seed)
 	async.Options.Async = true
-	if code := c.post("/studies", async, nil); code != http.StatusCreated {
-		t.Fatalf("create async: status %d", code)
-	}
+	create(t, c, async)
 	// The very first suggest finds no batch and kicks the background
 	// generator; the engine must answer none-pending immediately rather
 	// than wait for the initial sampling to land.
-	resp, err := http.Post(c.base+"/studies/async/suggest", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	resp := raw(t, "POST", ts.url+api.StudyPath("async", api.VerbSuggest), "", nil)
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("first async suggest: status %d, want 409 while the batch generates", resp.StatusCode)
 	}
@@ -729,12 +701,12 @@ func TestServeAsyncStudyParity(t *testing.T) {
 		t.Errorf("409 carries no Retry-After hint")
 	}
 
-	c.drive("async", testTasks, -1)
-	got := c.history("async")
+	drive(t, c, "async", paper(testTasks), -1)
+	got := history(t, c, "async")
 
-	var status studyStatus
-	if code := c.get("/studies/async", &status); code != http.StatusOK {
-		t.Fatalf("status: %d", code)
+	status, err := c.Status(ctx, "async")
+	if err != nil {
+		t.Fatalf("status: %v", err)
 	}
 	if !status.Async || !status.Done {
 		t.Fatalf("finished async study reports async=%v done=%v", status.Async, status.Done)
@@ -757,43 +729,26 @@ func TestServeAsyncStudyParity(t *testing.T) {
 // in a new server, finishing with the synchronous reference history.
 func TestServeAsyncRestartResumes(t *testing.T) {
 	const epsTot, seed, killAfter = 8, 23, 9
-	_, rc := newTestServer(t)
-	if code := rc.post("/studies", testSpec("ref", epsTot, seed), nil); code != http.StatusCreated {
-		t.Fatalf("create ref: status %d", code)
-	}
-	rc.drive("ref", testTasks, -1)
-	want := rc.history("ref")
+	rc := newTestServer(t).c
+	create(t, rc, testSpec("ref", epsTot, seed))
+	drive(t, rc, "ref", paper(testTasks), -1)
+	want := history(t, rc, "ref")
 
 	dir := t.TempDir()
-	s1, err := NewServer(Config{DataDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs1 := httptest.NewServer(s1.Handler())
-	c1 := &testClient{t: t, base: hs1.URL}
+	s1 := startServer(t, dir)
 	spec := testSpec("crashy", epsTot, seed)
 	spec.Options.Async = true
-	if code := c1.post("/studies", spec, nil); code != http.StatusCreated {
-		t.Fatalf("create crashy: status %d", code)
-	}
-	paid := c1.drive("crashy", testTasks, killAfter)
-	hs1.Close()
-	if err := s1.Close(); err != nil {
-		t.Fatal(err)
-	}
+	create(t, s1.c, spec)
+	paid := drive(t, s1.c, "crashy", paper(testTasks), killAfter)
+	s1.stop(t)
 
-	s2, err := NewServer(Config{DataDir: dir})
-	if err != nil {
-		t.Fatalf("restart: %v", err)
-	}
-	hs2 := httptest.NewServer(s2.Handler())
-	t.Cleanup(func() { hs2.Close(); s2.Close() })
-	c2 := &testClient{t: t, base: hs2.URL}
-	paid += c2.drive("crashy", testTasks, -1)
+	s2 := startServer(t, dir)
+	t.Cleanup(func() { s2.stop(t) })
+	paid += drive(t, s2.c, "crashy", paper(testTasks), -1)
 	if want := epsTot * len(testTasks); paid != want {
 		t.Fatalf("paid %d evaluations across the restart, want exactly %d", paid, want)
 	}
-	got := c2.history("crashy")
+	got := history(t, s2.c, "crashy")
 	for ti := range want {
 		if len(got[ti].X) != len(want[ti].X) {
 			t.Fatalf("task %d: resumed async history has %d evaluations, want %d", ti, len(got[ti].X), len(want[ti].X))
@@ -811,14 +766,12 @@ func TestServeAsyncRestartResumes(t *testing.T) {
 // run, a create must fail with 503 and must not leak a WAL handle or a spec
 // file for a study the close snapshot never saw.
 func TestCreateAfterClose(t *testing.T) {
-	s, c := newTestServer(t)
-	if err := s.Close(); err != nil {
+	ts := newTestServer(t)
+	if err := ts.srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if code := c.post("/studies", testSpec("late", 4, 1), nil); code != http.StatusServiceUnavailable {
-		t.Fatalf("create after close: status %d, want 503", code)
-	}
-	if _, err := os.Stat(s.specPath("late")); !os.IsNotExist(err) {
+	wantStatus(t, ts.c.Create(ctx, testSpec("late", 4, 1)), http.StatusServiceUnavailable, "create after close")
+	if _, err := os.Stat(filepath.Join(ts.dir, "late"+api.SpecSuffix)); !os.IsNotExist(err) {
 		t.Fatalf("spec file leaked after rejected create: %v", err)
 	}
 }

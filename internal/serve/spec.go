@@ -13,23 +13,15 @@ import (
 	"math"
 	"strings"
 
+	"repro/gptune/api"
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/space"
 	"repro/internal/surrogate"
 )
 
-// ParamSpec is the wire form of one space.Param.
-type ParamSpec struct {
-	Name       string   `json:"name"`
-	Kind       string   `json:"kind"` // "real", "integer" or "categorical"
-	Lo         float64  `json:"lo,omitempty"`
-	Hi         float64  `json:"hi,omitempty"`
-	Log        bool     `json:"log,omitempty"`
-	Categories []string `json:"categories,omitempty"`
-}
-
-func (ps ParamSpec) param() (space.Param, error) {
+// buildParam turns one wire parameter into a validated space.Param.
+func buildParam(ps api.ParamSpec) (space.Param, error) {
 	switch ps.Kind {
 	case "real":
 		p := space.NewReal(ps.Name, ps.Lo, ps.Hi)
@@ -46,70 +38,17 @@ func (ps ParamSpec) param() (space.Param, error) {
 	return space.Param{}, fmt.Errorf("serve: parameter %q has unknown kind %q (want real, integer or categorical)", ps.Name, ps.Kind)
 }
 
-// OptionsSpec is the wire form of the core.Options a study runs with. Zero
-// values take the engine's defaults. Fields that cannot round-trip through
-// JSON (callbacks, checkpoint hooks, worker gates) are owned by the server.
-type OptionsSpec struct {
-	EpsTot        int     `json:"eps_tot"`
-	InitFraction  float64 `json:"init_fraction,omitempty"`
-	Workers       int     `json:"workers,omitempty"`
-	LogY          bool    `json:"log_y,omitempty"`
-	Q             int     `json:"q,omitempty"`
-	NumStarts     int     `json:"num_starts,omitempty"`
-	ModelMaxIter  int     `json:"model_max_iter,omitempty"`
-	Acquisition   string  `json:"acquisition,omitempty"`
-	LCBKappa      float64 `json:"lcb_kappa,omitempty"`
-	BatchEvals    int     `json:"batch_evals,omitempty"`
-	MOBatch       int     `json:"mo_batch,omitempty"`
-	MOGenerations int     `json:"mo_generations,omitempty"`
-	MOPopSize     int     `json:"mo_pop_size,omitempty"`
-	Seed          int64   `json:"seed"`
-	// Surrogate selects the model backend; surrogate.Kinds() is the
-	// authoritative list and empty means the default ("lcm"). Validated at
-	// study creation — an unknown kind is rejected (naming the known kinds)
-	// before the spec is persisted.
-	Surrogate string `json:"surrogate,omitempty"`
-	// RefitEvery relearns surrogate hyperparameters only every k-th
-	// generation, extending the model incrementally in between (0 or 1 =
-	// refit every generation). See core.Options.RefitEvery.
-	RefitEvery int `json:"refit_every,omitempty"`
-	// Inducing bounds the "sgp" backend's per-task inducing set (0 = the
-	// backend default, 128).
-	Inducing int `json:"inducing,omitempty"`
-	// Async serves suggestions off the modeling path: batch generation runs
-	// in a background goroutine and suggest requests that arrive while the
-	// next batch is being fitted get an immediate 409 + Retry-After instead
-	// of blocking out the fit. The tuning history is bitwise identical to a
-	// synchronous study's. See core.Options.Async.
-	Async bool `json:"async,omitempty"`
-}
-
-// StudySpec is everything needed to (re)build a study's engine: the spaces,
-// the task vectors, and the tuning options. It is persisted durably next to
-// the study's WAL at creation time, so a restarted server always rebuilds
-// the exact engine whose log it replays — the spec on disk, not the client,
-// is the source of truth after a crash.
-//
-// Constraints (space.Constraint predicates) are Go functions and have no
-// wire form, so hand-described spaces (Tuning/TaskParams) are always
-// unconstrained. To tune a constrained space over HTTP, name a registered
-// workload via Scenario instead: the server instantiates the spaces —
-// constraints included — from the registry, and a restarted server
-// re-resolves the same name from the persisted spec.
-type StudySpec struct {
-	Name string `json:"name"`
-	// Scenario, when non-empty, names a workload-registry scenario
-	// (bench.Get) that supplies the task/tuning/output spaces server-side.
-	// Mutually exclusive with TaskParams/Tuning/Outputs. ScenarioParams are
-	// the scenario's constructor parameters (e.g. {"nodes": 64}); omitted
-	// keys take the scenario's defaults.
-	Scenario       string             `json:"scenario,omitempty"`
-	ScenarioParams map[string]float64 `json:"scenario_params,omitempty"`
-	TaskParams     []ParamSpec        `json:"task_params,omitempty"` // optional IS description
-	Tuning         []ParamSpec        `json:"tuning,omitempty"`
-	Outputs        []string           `json:"outputs,omitempty"`
-	Tasks          [][]float64        `json:"tasks"`
-	Options        OptionsSpec        `json:"options"`
+// buildSpace turns a wire parameter list into a validated space.
+func buildSpace(specs []api.ParamSpec) (*space.Space, error) {
+	params := make([]space.Param, len(specs))
+	for i, ps := range specs {
+		p, err := buildParam(ps)
+		if err != nil {
+			return nil, err
+		}
+		params[i] = p
+	}
+	return space.New(params...)
 }
 
 // validName reports whether a study name is safe to use as a file stem.
@@ -127,9 +66,9 @@ func validName(name string) bool {
 	return true
 }
 
-// build turns the spec into the engine's inputs, validating everything a
+// buildSpec turns a spec into the engine's inputs, validating everything a
 // client could get wrong.
-func (s *StudySpec) build() (*core.Problem, [][]float64, core.Options, error) {
+func buildSpec(s *api.StudySpec) (*core.Problem, [][]float64, core.Options, error) {
 	var zero core.Options
 	if !validName(s.Name) {
 		return nil, nil, zero, fmt.Errorf("serve: study name %q invalid (letters, digits, '.', '_', '-'; no leading dot)", s.Name)
@@ -143,9 +82,9 @@ func (s *StudySpec) build() (*core.Problem, [][]float64, core.Options, error) {
 	var prob *core.Problem
 	var err error
 	if s.Scenario != "" {
-		prob, err = s.scenarioProblem()
+		prob, err = scenarioProblem(s)
 	} else {
-		prob, err = s.describedProblem()
+		prob, err = describedProblem(s)
 	}
 	if err != nil {
 		return nil, nil, zero, err
@@ -190,7 +129,7 @@ func (s *StudySpec) build() (*core.Problem, [][]float64, core.Options, error) {
 // constrained tuning space: the scenario's space.Constraint predicates ride
 // along with the Problem, so the engine's feasible sampling and search apply
 // exactly as they do in-process.
-func (s *StudySpec) scenarioProblem() (*core.Problem, error) {
+func scenarioProblem(s *api.StudySpec) (*core.Problem, error) {
 	if len(s.Tuning) > 0 || len(s.TaskParams) > 0 || len(s.Outputs) > 0 {
 		return nil, fmt.Errorf("serve: study %s: scenario %q supplies the task/tuning/output spaces; drop tuning, task_params and outputs", s.Name, s.Scenario)
 	}
@@ -210,32 +149,24 @@ func (s *StudySpec) scenarioProblem() (*core.Problem, error) {
 
 // describedProblem builds the spaces from the spec's own ParamSpec lists
 // (the original, registry-free creation path).
-func (s *StudySpec) describedProblem() (*core.Problem, error) {
+func describedProblem(s *api.StudySpec) (*core.Problem, error) {
 	if len(s.Tuning) == 0 {
 		return nil, fmt.Errorf("serve: study %s has no tuning parameters", s.Name)
 	}
 	if len(s.Outputs) == 0 {
 		return nil, fmt.Errorf("serve: study %s has no outputs", s.Name)
 	}
-	tuningParams := make([]space.Param, len(s.Tuning))
-	for i, ps := range s.Tuning {
-		p, err := ps.param()
-		if err != nil {
-			return nil, fmt.Errorf("serve: study %s tuning: %w", s.Name, err)
-		}
-		tuningParams[i] = p
-	}
-	tuning, err := space.New(tuningParams...)
+	tuning, err := buildSpace(s.Tuning)
 	if err != nil {
 		return nil, fmt.Errorf("serve: study %s tuning: %w", s.Name, err)
 	}
-	taskSpace, err := s.taskSpace()
+	tasks, err := taskSpace(s)
 	if err != nil {
 		return nil, err
 	}
 	return &core.Problem{
 		Name:    s.Name,
-		Tasks:   taskSpace,
+		Tasks:   tasks,
 		Tuning:  tuning,
 		Outputs: space.NewOutputSpace(s.Outputs...),
 		// No Objective: evaluations arrive over HTTP.
@@ -245,17 +176,9 @@ func (s *StudySpec) describedProblem() (*core.Problem, error) {
 // taskSpace builds the IS from the spec, synthesizing unconstrained real
 // parameters spanning the supplied task vectors when the client omitted
 // task_params (the engine never samples the task space; it only validates).
-func (s *StudySpec) taskSpace() (*space.Space, error) {
+func taskSpace(s *api.StudySpec) (*space.Space, error) {
 	if len(s.TaskParams) > 0 {
-		params := make([]space.Param, len(s.TaskParams))
-		for i, ps := range s.TaskParams {
-			p, err := ps.param()
-			if err != nil {
-				return nil, fmt.Errorf("serve: study %s task_params: %w", s.Name, err)
-			}
-			params[i] = p
-		}
-		sp, err := space.New(params...)
+		sp, err := buildSpace(s.TaskParams)
 		if err != nil {
 			return nil, fmt.Errorf("serve: study %s task_params: %w", s.Name, err)
 		}

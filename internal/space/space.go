@@ -322,12 +322,6 @@ func (s *Space) FeasibleInto(scratch map[string]float64, native []float64) bool 
 	return true
 }
 
-// FeasibleUnit reports whether the unit-hypercube point denormalizes to a
-// feasible native point.
-func (s *Space) FeasibleUnit(u []float64) bool {
-	return s.Feasible(s.Denormalize(u))
-}
-
 // Round snaps a native point to the grid implied by Integer/Categorical
 // parameters and clips to bounds.
 func (s *Space) Round(native []float64) []float64 {

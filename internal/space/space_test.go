@@ -161,7 +161,7 @@ func TestConstraints(t *testing.T) {
 	if s.Feasible([]float64{4, 8}) {
 		t.Fatalf("4,8 should be infeasible")
 	}
-	if s.FeasibleUnit([]float64{0, 1}) {
+	if s.Feasible(s.Denormalize([]float64{0, 1})) {
 		t.Fatalf("unit point (p=1, pr=64) should be infeasible")
 	}
 }

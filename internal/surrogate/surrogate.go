@@ -43,7 +43,7 @@ type Workspace any
 
 // Model is a fitted surrogate.
 type Model interface {
-	// Kind names the backend that fitted this model ("lcm", "gp-indep", "rf").
+	// Kind names the backend that fitted this model (one of Kinds()).
 	Kind() string
 	// NumTasks returns δ, the number of tasks the model was fitted on.
 	NumTasks() int
@@ -97,7 +97,7 @@ type FitOptions struct {
 
 // Fitter fits and restores models of one backend kind.
 type Fitter interface {
-	// Kind names the backend ("lcm", "gp-indep", "rf").
+	// Kind names the backend (one of Kinds()).
 	Kind() string
 	// Fit trains a model on data. The fitted model is bitwise independent of
 	// opts.Workers.
