@@ -162,8 +162,9 @@ func BenchmarkAblationCholBlock16(b *testing.B)  { benchAblationCholBlock(b, 16)
 func BenchmarkAblationCholBlock64(b *testing.B)  { benchAblationCholBlock(b, 64) }
 func BenchmarkAblationCholBlock128(b *testing.B) { benchAblationCholBlock(b, 128) }
 
-// Initial-design ablation: LHS (the paper's lhsmdu) vs plain uniform vs
-// Halton, measured by the best objective in the initial sample alone.
+// Initial-design ablation: the share of the budget spent on the LHS initial
+// design (Options.InitFraction) before the model takes over, measured by the
+// best objective of the whole run at a fixed ε_tot.
 func benchAblationInitDesign(b *testing.B, frac float64) {
 	var best float64
 	for i := 0; i < b.N; i++ {

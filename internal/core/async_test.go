@@ -82,6 +82,27 @@ func TestAsyncMatchesSyncBitwise(t *testing.T) {
 	}
 }
 
+// An ask/tell caller evaluates on its own side whether or not the problem it
+// handed NewEngine carries an Objective (the facade's NewEngine and the
+// benchmark replay both leave it set): every Observe is one evaluation.
+func TestAskTellCountsEvals(t *testing.T) {
+	tasks := [][]float64{{0}, {2}}
+	for _, keepObjective := range []bool{true, false} {
+		p := analyticalProblem()
+		if !keepObjective {
+			p.Objective = nil
+		}
+		eng, err := NewEngine(p, tasks, Options{EpsTot: 6, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		driveEngine(t, eng, tasks)
+		if got, want := eng.Result().Stats.NumEvals, 6*len(tasks); got != want {
+			t.Errorf("objective on problem = %v: NumEvals = %d, want %d", keepObjective, got, want)
+		}
+	}
+}
+
 // slowFitter wraps a real backend, delaying every fit so tests can observe
 // the engine while a modeling phase is verifiably in flight.
 type slowFitter struct {

@@ -423,9 +423,7 @@ func (e *Engine) Observe(id int64, y []float64) error {
 	}
 	j.y = append([]float64(nil), y...)
 	j.observed = true
-	if e.st.p.Objective == nil {
-		e.st.evals.Add(1) // caller-evaluated; count it for the telemetry
-	}
+	e.st.evals.Add(1)
 	if err := e.commitReady(); err != nil { //gptlint:ignore lock-held-across-blocking prefix commits stream to the WAL inside the critical section so replay order always matches commit order
 		return err
 	}

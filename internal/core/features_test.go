@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/space"
 	"repro/internal/surrogate"
 )
 
@@ -140,6 +141,61 @@ func TestEqualVec(t *testing.T) {
 	}
 	if equalVec([]float64{1}, []float64{1, 2}) || equalVec([]float64{1, 2}, []float64{1, 3}) {
 		t.Fatalf("unequal vectors reported equal")
+	}
+}
+
+// The candidate path shared by the PSO and NSGA-II searches — denormalize,
+// feasibility, model point — allocates nothing, and neither do the γ
+// PredictInto calls NSGA-II makes on its result; the multi-objective
+// counterpart of gp's TestPredictIntoZeroAllocs (γ = 1).
+func TestCandidatePointZeroAllocs(t *testing.T) {
+	p := &Problem{
+		Name:    "mo-constrained",
+		Tasks:   space.MustNew(space.NewReal("t", 0, 1)),
+		Tuning:  space.MustNew(space.NewReal("x", 0, 1), space.NewInteger("k", 1, 8)),
+		Outputs: space.NewOutputSpace("f1", "f2"),
+	}
+	p.Tuning.AddConstraint("x·k ≤ 4", func(v map[string]float64) bool { return v["x"]*v["k"] <= 4 })
+	eng, err := NewEngine(p, [][]float64{{0.5}}, Options{EpsTot: 12, Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	suggs, err := eng.SuggestAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sg := range suggs {
+		if err := eng.Observe(sg.ID, []float64{sg.X[0] + sg.X[1], 9 - sg.X[0]*sg.X[1]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The init batch has committed and a synchronous engine starts nothing on
+	// its own, so the state is this goroutine's.
+	st := eng.st
+	models, _, fs, err := st.refitPhase(2, st.minSamples())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wss := []surrogate.Workspace{models[0].NewWorkspace(), models[1].NewWorkspace()}
+	cand := st.newCandidate(0, fs)
+	feasible, infeasible := []float64{0.4, 0.5}, []float64{0.99, 0.99}
+	if _, ok := cand.point(feasible); !ok {
+		t.Fatal("feasible candidate rejected")
+	}
+	if _, ok := cand.point(infeasible); ok {
+		t.Fatal("infeasible candidate accepted")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, u := range [][]float64{feasible, infeasible} {
+			if pt, ok := cand.point(u); ok {
+				for s, m := range models {
+					m.PredictInto(wss[s], 0, pt)
+				}
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("candidate path allocates %v times per pair of candidates, want 0", allocs)
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/surrogate"
 )
@@ -46,7 +45,7 @@ func (st *state) refitPhase(gamma, ms int) ([]surrogate.Model, []func(float64) f
 	logY := make([]bool, gamma)
 	for s := 0; s < gamma; s++ {
 		logY[s] = st.logApplied(s)
-		data, tv := st.buildDataset(s, fs)
+		data := st.buildDataset(s, fs, logY[s], nil)
 		seed := st.opts.Seed + int64(ms)
 		if gamma > 1 {
 			seed = st.opts.Seed + int64(ms)*31 + int64(s)
@@ -67,7 +66,7 @@ func (st *state) refitPhase(gamma, ms int) ([]surrogate.Model, []func(float64) f
 			return nil, nil, nil, fmt.Errorf("core: modeling phase: %w", err)
 		}
 		models[s] = model
-		tvs[s] = tv
+		tvs[s] = yTransform(logY[s])
 	}
 	if st.opts.RefitEvery > 1 {
 		counts := make([]int, len(st.X))
@@ -144,48 +143,16 @@ func (st *state) appendPhase(gamma int) ([]surrogate.Model, []func(float64) floa
 	m := &st.mdl
 	tvs := make([]func(float64) float64, gamma)
 	for s := 0; s < gamma; s++ {
-		delta := st.buildDelta(s)
+		delta := st.buildDataset(s, m.fs, m.logY[s], m.modeledN)
 		if err := m.models[s].(surrogate.Incremental).Append(delta, st.opts.Workers); err != nil {
 			st.mdl = modelState{}
 			return nil, nil, false
 		}
-		if m.logY[s] {
-			tvs[s] = math.Log
-		} else {
-			tvs[s] = identityTransform
-		}
+		tvs[s] = yTransform(m.logY[s])
 	}
 	for i := range st.X {
 		m.modeledN[i] = len(st.X[i])
 	}
 	m.phasesSinceRefit++
 	return m.models, tvs, true
-}
-
-// buildDelta assembles the per-task samples objective s's model has not yet
-// absorbed, mapped through the frozen feature scale and output transform so
-// the new rows live in the same input/output space as the model's training
-// set.
-func (st *state) buildDelta(s int) *surrogate.Dataset {
-	m := &st.mdl
-	dim := st.p.Tuning.Dim()
-	if m.fs != nil {
-		dim += st.p.Model.Dim
-	}
-	data := &surrogate.Dataset{
-		Dim: dim,
-		X:   make([][][]float64, len(st.tasks)),
-		Y:   make([][]float64, len(st.tasks)),
-	}
-	for i := range st.tasks {
-		for j := m.modeledN[i]; j < len(st.X[i]); j++ {
-			data.X[i] = append(data.X[i], st.modelPoint(i, st.X[i][j], m.fs))
-			y := st.Y[i][j][s]
-			if m.logY[s] {
-				y = math.Log(y)
-			}
-			data.Y[i] = append(data.Y[i], y)
-		}
-	}
-	return data
 }

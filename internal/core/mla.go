@@ -208,16 +208,28 @@ func (st *state) mergePriors() error {
 	return nil
 }
 
+// equalVec is the package's one exact vector comparison: prior samples are
+// routed to tasks by it and duplicate configurations are detected by it.
 func equalVec(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if a[i] != b[i] { //gptlint:ignore float-eq exact task-vector match routes prior samples; values are stored, never computed
+		if a[i] != b[i] { //gptlint:ignore float-eq exact match on stored task vectors and configurations; the values are copied, never recomputed
 			return false
 		}
 	}
 	return true
+}
+
+// containsConfig reports whether list holds an exact copy of x.
+func containsConfig(list [][]float64, x []float64) bool {
+	for _, prev := range list {
+		if equalVec(prev, x) {
+			return true
+		}
+	}
+	return false
 }
 
 func (st *state) minSamples() int {
@@ -272,7 +284,8 @@ func (st *state) evalRepeated(t, x []float64) ([]float64, error) {
 			}
 		}
 	}
-	st.evals.Add(int64(st.opts.Repeats))
+	// Engine.Observe counts the evaluation itself; the repeats are extra.
+	st.evals.Add(int64(st.opts.Repeats - 1))
 	return best, nil
 }
 
@@ -281,12 +294,6 @@ func (st *state) evalRepeated(t, x []float64) ([]float64, error) {
 type featureScale struct {
 	lo, hi []float64
 	logT   []bool
-}
-
-func (fs *featureScale) apply(raw []float64) []float64 {
-	out := make([]float64, len(raw))
-	fs.applyInto(out, raw)
-	return out
 }
 
 // applyInto scales raw into dst without allocating; dst must have len(raw).
@@ -348,14 +355,6 @@ func (st *state) buildFeatureScale() *featureScale {
 	return fs
 }
 
-// modelPoint maps a native configuration to the (possibly enriched) LCM
-// input: normalized tuning parameters plus normalized model features.
-func (st *state) modelPoint(task int, xNative []float64, fs *featureScale) []float64 {
-	out := make([]float64, st.modelDim(fs))
-	st.modelPointInto(out, task, xNative, fs)
-	return out
-}
-
 // modelDim returns the surrogate input dimension for the current
 // generation: the tuning dimension plus the feature count when a
 // performance model is in play.
@@ -366,9 +365,10 @@ func (st *state) modelDim(fs *featureScale) int {
 	return st.p.Tuning.Dim() + len(fs.lo)
 }
 
-// modelPointInto fills dst with the surrogate input for xNative — the
-// normalized point plus, when fs is non-nil, the scaled performance-model
-// features. dst must have length modelDim(fs).
+// modelPointInto maps a native configuration to the (possibly enriched)
+// surrogate input: dst receives the normalized tuning parameters plus, when
+// fs is non-nil, the scaled performance-model features. dst must have length
+// modelDim(fs).
 //
 //gptlint:hotpath
 func (st *state) modelPointInto(dst []float64, task int, xNative []float64, fs *featureScale) {
@@ -401,35 +401,44 @@ func (st *state) logApplied(s int) bool {
 
 func identityTransform(v float64) float64 { return v }
 
-// yTransform returns the observed objective s for all tasks, log-transformed
-// when requested and possible, plus the matching inverse-free "transform one
-// value" helper for incumbents.
-func (st *state) yTransform(s int) (tv func(float64) float64) {
-	if st.logApplied(s) {
+// yTransform returns the "transform one value" helper matching a log-space
+// decision (logApplied at a refit, or the one a refit froze): the search
+// phase maps incumbents through it.
+func yTransform(logY bool) func(float64) float64 {
+	if logY {
 		return math.Log
 	}
 	return identityTransform
 }
 
-// buildDataset assembles the surrogate training set for objective s.
-func (st *state) buildDataset(s int, fs *featureScale) (*surrogate.Dataset, func(float64) float64) {
-	dim := st.p.Tuning.Dim()
-	if fs != nil {
-		dim += st.p.Model.Dim
-	}
-	tv := st.yTransform(s)
+// buildDataset assembles surrogate training rows for objective s: for each
+// task the samples from index from[i] on (from == nil means all of them),
+// inputs mapped through fs and outputs log-transformed when logY. A refit
+// passes the scale and transform it just decided and takes everything; an
+// incremental generation passes the ones the last refit froze and the counts
+// its models have absorbed, so the new rows live in the same input/output
+// space as the models' training set.
+func (st *state) buildDataset(s int, fs *featureScale, logY bool, from []int) *surrogate.Dataset {
+	dim := st.modelDim(fs)
+	tv := yTransform(logY)
 	data := &surrogate.Dataset{
 		Dim: dim,
 		X:   make([][][]float64, len(st.tasks)),
 		Y:   make([][]float64, len(st.tasks)),
 	}
 	for i := range st.tasks {
-		for j, x := range st.X[i] {
-			data.X[i] = append(data.X[i], st.modelPoint(i, x, fs))
+		j0 := 0
+		if from != nil {
+			j0 = from[i]
+		}
+		for j := j0; j < len(st.X[i]); j++ {
+			pt := make([]float64, dim)
+			st.modelPointInto(pt, i, st.X[i][j], fs)
+			data.X[i] = append(data.X[i], pt)
 			data.Y[i] = append(data.Y[i], tv(st.Y[i][j][s]))
 		}
 	}
-	return data, tv
+	return data
 }
 
 // fitModelCoeffs implements the Section 3.3 performance model update phase.
@@ -535,21 +544,54 @@ func (st *state) searchBatch(i int, model surrogate.Model, tv func(float64) floa
 	return chosen
 }
 
-// acqSearch is one search's acquisition evaluator: the model, the incumbent
-// and the buffers, allocated once per search so that score — which PSO and
-// the random pool push thousands of candidates through — allocates nothing.
-type acqSearch struct {
+// candidate turns a search's normalized candidates into surrogate inputs. It
+// is the one per-candidate path — denormalize, feasibility, model point —
+// that the PSO search (through acqSearch.score) and the NSGA-II search both
+// push every candidate through, over buffers allocated once per search.
+type candidate struct {
 	st     *state
 	tuning *space.Space // st.p.Tuning, one load away on the per-candidate path
 	task   int
-	model  surrogate.Model
-	ws     surrogate.Workspace
 	fs     *featureScale
-	yBest  float64
-	avoid  [][]float64 // normalized points to damp the acquisition near
 
-	xNat, pt, un []float64
-	feas         map[string]float64
+	xNat, pt []float64
+	feas     map[string]float64
+}
+
+func (st *state) newCandidate(task int, fs *featureScale) candidate {
+	dim := st.p.Tuning.Dim()
+	return candidate{
+		st: st, tuning: st.p.Tuning, task: task, fs: fs,
+		xNat: make([]float64, dim), pt: make([]float64, st.modelDim(fs)),
+		feas: make(map[string]float64, dim),
+	}
+}
+
+// point returns the surrogate input for the normalized candidate u, or
+// ok == false when u denormalizes to an infeasible configuration. The slice
+// (and c.xNat, the native configuration) is overwritten by the next call.
+//
+//gptlint:hotpath
+func (c *candidate) point(u []float64) (pt []float64, ok bool) {
+	c.tuning.DenormalizeInto(c.xNat, u)
+	if !c.tuning.FeasibleInto(c.feas, c.xNat) {
+		return nil, false
+	}
+	c.st.modelPointInto(c.pt, c.task, c.xNat, c.fs)
+	return c.pt, true
+}
+
+// acqSearch is one single-objective search's acquisition evaluator: the
+// candidate path, the model, the incumbent and the batch-spreading buffers,
+// allocated once per search so that score — which PSO and the random pool
+// push thousands of candidates through — allocates nothing.
+type acqSearch struct {
+	candidate
+	model surrogate.Model
+	ws    surrogate.Workspace
+	yBest float64
+	avoid [][]float64 // normalized points to damp the acquisition near
+	un    []float64
 }
 
 // score returns the acquisition at the normalized candidate u, to minimize;
@@ -558,12 +600,11 @@ type acqSearch struct {
 //gptlint:hotpath
 func (a *acqSearch) score(u []float64) float64 {
 	const penaltyRadius = 0.15
-	a.tuning.DenormalizeInto(a.xNat, u)
-	if !a.tuning.FeasibleInto(a.feas, a.xNat) {
+	pt, ok := a.point(u)
+	if !ok {
 		return math.Inf(1)
 	}
-	a.st.modelPointInto(a.pt, a.task, a.xNat, a.fs)
-	mu, v := a.model.PredictInto(a.ws, a.task, a.pt)
+	mu, v := a.model.PredictInto(a.ws, a.task, pt)
 	score := a.st.acquisition(mu, v, a.yBest)
 	if len(a.avoid) > 0 && score < 0 {
 		a.tuning.NormalizeInto(a.un, a.xNat)
@@ -600,9 +641,8 @@ func (st *state) searchOne(i int, model surrogate.Model, ws surrogate.Workspace,
 	rng := rand.New(rand.NewSource(st.opts.Seed ^ hash2(7+i, st.minSamples()) ^ (salt << 17)))
 	dim := st.p.Tuning.Dim()
 	ev := &acqSearch{
-		st: st, tuning: st.p.Tuning, task: i, model: model, ws: ws, fs: fs, yBest: yBest, avoid: avoid,
-		xNat: make([]float64, dim), pt: make([]float64, st.modelDim(fs)), un: make([]float64, dim),
-		feas: make(map[string]float64, dim),
+		candidate: st.newCandidate(i, fs), model: model, ws: ws, yBest: yBest, avoid: avoid,
+		un: make([]float64, dim),
 	}
 	params := st.opts.Search
 	// Clone before appending: params.Seeds shares its backing array with
@@ -636,7 +676,7 @@ func (st *state) searchOne(i int, model surrogate.Model, ws surrogate.Workspace,
 		}
 	}
 	xNat := st.p.Tuning.Denormalize(bestU)
-	if !st.p.Tuning.FeasibleInto(ev.feas, xNat) || st.isDuplicate(i, xNat) || containsConfig(avoidNative(st, avoid), xNat) {
+	if !st.p.Tuning.FeasibleInto(ev.feas, xNat) || containsConfig(st.X[i], xNat) || containsConfig(avoidNative(st, avoid), xNat) {
 		if pts, err := sample.FeasibleUniform(st.p.Tuning, 1, rng); err == nil {
 			return pts[0]
 		}
@@ -651,20 +691,4 @@ func avoidNative(st *state, avoid [][]float64) [][]float64 {
 		out[i] = st.p.Tuning.Denormalize(a)
 	}
 	return out
-}
-
-func (st *state) isDuplicate(i int, x []float64) bool {
-	for _, prev := range st.X[i] {
-		same := true
-		for d := range x {
-			if prev[d] != x[d] { //gptlint:ignore float-eq exact duplicate detection on stored configurations
-				same = false
-				break
-			}
-		}
-		if same {
-			return true
-		}
-	}
-	return false
 }

@@ -164,6 +164,23 @@ func TestBestTraceMonotone(t *testing.T) {
 	}
 }
 
+// Engine.Result is valid mid-study, so a task can have no observations yet:
+// Best and BestTrace must answer "nothing" instead of indexing X[0]/Y[0].
+func TestBestOnEmptyTask(t *testing.T) {
+	eng, err := NewEngine(analyticalProblem(), [][]float64{{0}, {1}}, Options{EpsTot: 4, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tr := range eng.Result().Tasks {
+		if x, y := tr.Best(); x != nil || y != nil {
+			t.Fatalf("task %d: Best() on an empty task = (%v, %v), want nil, nil", i, x, y)
+		}
+		if trace := tr.BestTrace(); len(trace) != 0 {
+			t.Fatalf("task %d: BestTrace() on an empty task = %v", i, trace)
+		}
+	}
+}
+
 func TestMLAObjectiveErrorRetry(t *testing.T) {
 	p := analyticalProblem()
 	calls := 0

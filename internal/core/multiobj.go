@@ -29,17 +29,15 @@ func (st *state) searchMO(i int, models []surrogate.Model, transforms []func(flo
 	for s := range wss {
 		wss[s] = models[s].NewWorkspace()
 	}
+	cand := st.newCandidate(i, fs)
 	objective := func(u []float64) []float64 {
-		xNat := st.p.Tuning.Denormalize(u)
-		out := make([]float64, gamma)
-		if !st.p.Tuning.Feasible(xNat) {
-			for s := range out {
+		out := make([]float64, gamma) // NSGA-II keeps every individual's vector
+		pt, ok := cand.point(u)
+		for s := range out {
+			if !ok {
 				out[s] = math.Inf(1)
+				continue
 			}
-			return out
-		}
-		pt := st.modelPoint(i, xNat, fs)
-		for s := 0; s < gamma; s++ {
 			mu, v := models[s].PredictInto(wss[s], i, pt)
 			out[s] = -acq.ExpectedImprovement(mu, v, yBest[s])
 		}
@@ -92,7 +90,7 @@ func (st *state) searchMO(i int, models []surrogate.Model, transforms []func(flo
 			}
 			xNat = st.p.Tuning.Denormalize(kept[idx].X)
 		}
-		if xNat == nil || !st.p.Tuning.Feasible(xNat) || st.isDuplicate(i, xNat) || containsConfig(out, xNat) {
+		if xNat == nil || !st.p.Tuning.Feasible(xNat) || containsConfig(st.X[i], xNat) || containsConfig(out, xNat) {
 			if pts, err := sample.FeasibleUniform(st.p.Tuning, 1, rng); err == nil {
 				xNat = pts[0]
 			} else {
@@ -102,20 +100,4 @@ func (st *state) searchMO(i int, models []surrogate.Model, transforms []func(flo
 		out = append(out, xNat)
 	}
 	return out
-}
-
-func containsConfig(list [][]float64, x []float64) bool {
-	for _, prev := range list {
-		same := true
-		for d := range x {
-			if prev[d] != x[d] { //gptlint:ignore float-eq exact duplicate detection on stored configurations
-				same = false
-				break
-			}
-		}
-		if same {
-			return true
-		}
-	}
-	return false
 }

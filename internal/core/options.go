@@ -262,15 +262,23 @@ type TaskResult struct {
 	BestIdx int // index minimizing objective 0 (single-objective runs)
 }
 
-// Best returns the best configuration and outputs for objective 0.
+// Best returns the best configuration and outputs for objective 0, or
+// nil, nil for a task with no observations yet (Engine.Result mid-study,
+// before the first commit).
 func (t *TaskResult) Best() (x []float64, y []float64) {
+	if len(t.Y) == 0 {
+		return nil, nil
+	}
 	return t.X[t.BestIdx], t.Y[t.BestIdx]
 }
 
 // BestTrace returns the best objective-0 value observed after each
-// evaluation: trace[j] = min(Y[0..j][0]).
+// evaluation: trace[j] = min(Y[0..j][0]). An empty task has an empty trace.
 func (t *TaskResult) BestTrace() []float64 {
 	trace := make([]float64, len(t.Y))
+	if len(t.Y) == 0 {
+		return trace
+	}
 	best := t.Y[0][0]
 	for j, y := range t.Y {
 		if y[0] < best {

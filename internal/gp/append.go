@@ -3,7 +3,6 @@ package gp
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/la"
 	"repro/internal/mpx"
@@ -41,19 +40,11 @@ func (m *LCM) AppendObservations(xs [][]float64, tasks []int, ys []float64, work
 		return nil
 	}
 	for j, x := range xs {
-		if len(x) != m.Dim {
-			return fmt.Errorf("gp: AppendObservations point %d has dim %d, want %d", j, len(x), m.Dim)
-		}
-		for _, v := range x {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("gp: AppendObservations point %d has non-finite coordinate", j)
-			}
-		}
 		if tasks[j] < 0 || tasks[j] >= m.NumTasks {
 			return fmt.Errorf("gp: AppendObservations point %d task %d out of range", j, tasks[j])
 		}
-		if math.IsNaN(ys[j]) || math.IsInf(ys[j], 0) {
-			return fmt.Errorf("gp: AppendObservations point %d has non-finite output", j)
+		if err := checkSample(x, ys[j], m.Dim); err != nil {
+			return fmt.Errorf("gp: AppendObservations point %d %w", j, err)
 		}
 	}
 	n0 := len(m.flatX)
@@ -100,13 +91,8 @@ func (m *LCM) AppendObservations(xs [][]float64, tasks []int, ys []float64, work
 	for task := 0; task < m.NumTasks; task++ {
 		row := m.predCoef[task]
 		for j := 0; j < k; j++ {
-			tr := tasks[j]
 			for q := 0; q < m.Q; q++ {
-				c := m.A[q][task] * m.A[q][tr]
-				if task == tr {
-					c += m.B[q][task]
-				}
-				row = append(row, c)
+				row = append(row, m.coef(q, task, tasks[j]))
 			}
 		}
 		m.predCoef[task] = row
@@ -120,17 +106,10 @@ func (m *LCM) AppendObservations(xs [][]float64, tasks []int, ys []float64, work
 func (m *LCM) crossCov(x []float64, tx int, y []float64, ty int) float64 {
 	v := 0.0
 	for q := 0; q < m.Q; q++ {
-		coef := m.A[q][tx] * m.A[q][ty]
-		if tx == ty {
-			coef += m.B[q][tx]
-		}
+		coef := m.coef(q, tx, ty)
 		if coef != 0 { //gptlint:ignore float-eq exact-zero sparsity skip in covariance assembly
 			v += coef * rbf(x, y, m.Ls[q])
 		}
 	}
 	return v
 }
-
-// NumSamples returns the number of training samples currently absorbed in
-// the fitted state (including appended ones).
-func (m *LCM) NumSamples() int { return len(m.flatX) }

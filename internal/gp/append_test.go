@@ -51,8 +51,8 @@ func TestAppendObservationsMatchesDirectPosterior(t *testing.T) {
 	if err := m.AppendObservations(xs, tasksOf, ys, 2); err != nil {
 		t.Fatalf("AppendObservations: %v", err)
 	}
-	if m.NumSamples() != 24+k {
-		t.Fatalf("NumSamples = %d, want %d", m.NumSamples(), 24+k)
+	if len(m.flatX) != 24+k {
+		t.Fatalf("model holds %d samples, want %d", len(m.flatX), 24+k)
 	}
 
 	// Oracle: dense posterior at the same hyperparameters on all 24+k points.
@@ -161,7 +161,7 @@ func TestAppendObservationsRejectsBadInput(t *testing.T) {
 	if err != nil {
 		t.Fatalf("FitLCM: %v", err)
 	}
-	n0 := m.NumSamples()
+	n0 := len(m.flatX)
 	cases := []struct {
 		xs    [][]float64
 		tasks []int
@@ -177,7 +177,7 @@ func TestAppendObservationsRejectsBadInput(t *testing.T) {
 		if err := m.AppendObservations(c.xs, c.tasks, c.ys, 1); err == nil {
 			t.Fatalf("case %d: append accepted bad input", i)
 		}
-		if m.NumSamples() != n0 {
+		if len(m.flatX) != n0 {
 			t.Fatalf("case %d: failed append changed the model", i)
 		}
 	}

@@ -34,7 +34,7 @@ func (m *LCM) LeaveOneOut() (*LOODiagnostics, error) {
 		return nil, errors.New("gp: LeaveOneOut on unfitted model")
 	}
 	n := len(m.flatX)
-	inv := la.CholInverse(m.chol.Dense())
+	inv := la.ParallelCholInverse(m.chol.Dense(), 1)
 	d := &LOODiagnostics{
 		Mean:         make([]float64, n),
 		Variance:     make([]float64, n),

@@ -98,11 +98,7 @@ func (e *lcmEngine) prepare(m *LCM) {
 		cq := e.coef[q]
 		for ti := 0; ti < T; ti++ {
 			for tj := 0; tj < T; tj++ {
-				c := m.A[q][ti] * m.A[q][tj]
-				if ti == tj {
-					c += m.B[q][ti]
-				}
-				cq[ti*T+tj] = c
+				cq[ti*T+tj] = m.coef(q, ti, tj)
 			}
 		}
 		for d := 0; d < e.layout.dim; d++ {
@@ -173,7 +169,7 @@ func (e *lcmEngine) logLikGrad(theta []float64) (float64, []float64, error) {
 	e.prepare(m)
 	sigma := e.assembleSigma(m)
 
-	l, _, err := parallelCholJitter(sigma, e.cholBlock, e.workers)
+	l, _, err := la.CholeskyJitter(sigma, 0, e.cholBlock, e.workers)
 	if err != nil {
 		return 0, nil, err
 	}

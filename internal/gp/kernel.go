@@ -20,9 +20,3 @@ func rbf(x, y, lengthscales []float64) float64 {
 	}
 	return math.Exp(-0.5 * s)
 }
-
-// sqDiff returns (x_d - y_d)² for one dimension.
-func sqDiff(x, y []float64, d int) float64 {
-	diff := x[d] - y[d]
-	return diff * diff
-}

@@ -50,18 +50,28 @@ func (d *Dataset) Validate() error {
 			return fmt.Errorf("gp: task %d: %d samples vs %d outputs", i, len(d.X[i]), len(d.Y[i]))
 		}
 		for j, x := range d.X[i] {
-			if len(x) != d.Dim {
-				return fmt.Errorf("gp: task %d sample %d has dim %d, want %d", i, j, len(x), d.Dim)
-			}
-			for _, v := range x {
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					return fmt.Errorf("gp: task %d sample %d has non-finite coordinate", i, j)
-				}
-			}
-			if math.IsNaN(d.Y[i][j]) || math.IsInf(d.Y[i][j], 0) {
-				return fmt.Errorf("gp: task %d sample %d has non-finite output", i, j)
+			if err := checkSample(x, d.Y[i][j], d.Dim); err != nil {
+				return fmt.Errorf("gp: task %d sample %d %w", i, j, err)
 			}
 		}
+	}
+	return nil
+}
+
+// checkSample is the one per-sample validator behind Dataset.Validate and
+// AppendObservations (and, through Validate, the surrogate backends' append
+// deltas): the fitted dimensionality and finite coordinates and output. The
+// error reads as a predicate ("has dim 3, want 2") for the caller to prefix
+// with the sample's position.
+func checkSample(x []float64, y float64, dim int) error {
+	if len(x) != dim {
+		return fmt.Errorf("has dim %d, want %d", len(x), dim)
+	}
+	if !allFinite(x) {
+		return errors.New("has non-finite coordinate")
+	}
+	if math.IsNaN(y) || math.IsInf(y, 0) {
+		return errors.New("has non-finite output")
 	}
 	return nil
 }
@@ -271,24 +281,45 @@ func FitLCM(data *Dataset, options FitOptions) (*LCM, error) {
 	model.LogLik = results[best].ll
 	model.flatX = flatX
 	model.taskOf = taskOf
+	model.yNorm = yn
 	model.yMean = mean
 	model.yStd = std
-
 	// Final factorization for prediction, parallel per Section 4.3, reusing
 	// the distance cache for the covariance assembly.
-	eng := newLCMEngine(cache, layout, taskOf, yn, options.Workers, options.CholBlock)
-	eng.prepare(model)
-	sigma := eng.assembleSigma(model)
-	l, jit, err := parallelCholJitter(sigma, options.CholBlock, options.Workers)
-	if err != nil {
+	if err := model.factorize(cache, options.CholBlock, options.Workers); err != nil {
 		return nil, fmt.Errorf("gp: final covariance factorization: %w", err)
 	}
-	model.Jitter = jit
-	model.chol = la.PackChol(l)
-	model.alpha = la.SolveCholVec(l, yn)
-	model.yNorm = yn
-	model.prepPredict()
 	return model, nil
+}
+
+// factorize is the one post-fit step, shared by FitLCM and UnmarshalBinary:
+// from the hyperparameters, the training state (flatX, taskOf, yNorm) and any
+// jitter already recorded, it assembles Σ through the fused engine path,
+// factors it — escalating the jitter further only if it must — and builds
+// alpha and the prediction tables. Both callers therefore run the same
+// summation orders, which is what makes a reloaded model predict bitwise
+// identically. workers never changes a bit; block does, so a reload passes
+// the fit's default.
+func (m *LCM) factorize(cache *pairCache, block, workers int) error {
+	layout := hyperLayout{q: m.Q, dim: m.Dim, tasks: m.NumTasks}
+	eng := newLCMEngine(cache, layout, m.taskOf, m.yNorm, workers, block)
+	eng.prepare(m)
+	sigma := eng.assembleSigma(m)
+	n := sigma.Rows
+	if m.Jitter > 0 {
+		for i := 0; i < n; i++ {
+			sigma.Data[i*n+i] += m.Jitter
+		}
+	}
+	l, extra, err := la.CholeskyJitter(sigma, 0, block, workers)
+	if err != nil {
+		return err
+	}
+	m.Jitter += extra
+	m.chol = la.PackChol(l)
+	m.alpha = la.SolveCholVec(l, m.yNorm)
+	m.prepPredict()
+	return nil
 }
 
 // OutputStats returns the output standardization (mean, std) the fit froze:
@@ -367,107 +398,22 @@ func thetaToModel(theta []float64, layout hyperLayout) *LCM {
 	return m
 }
 
-// covariance assembles the full Eq. (4) covariance matrix for the given
-// flattened samples.
-func (m *LCM) covariance(flatX [][]float64, taskOf []int) *la.Matrix {
-	n := len(flatX)
-	sigma := la.NewMatrix(n, n)
-	for r := 0; r < n; r++ {
-		for s := r; s < n; s++ {
-			v := 0.0
-			ti, tj := taskOf[r], taskOf[s]
-			for q := 0; q < m.Q; q++ {
-				coef := m.A[q][ti] * m.A[q][tj]
-				if ti == tj {
-					coef += m.B[q][ti]
-				}
-				if coef != 0 { //gptlint:ignore float-eq exact-zero sparsity skip in covariance assembly
-					v += coef * rbf(flatX[r], flatX[s], m.Ls[q])
-				}
-			}
-			if r == s {
-				v += m.D[ti]
-			}
-			sigma.Set(r, s, v)
-			sigma.Set(s, r, v)
-		}
+// coef is the Eq. (4) task coefficient of latent q between tasks i and j:
+// a_qi·a_qj + b_qi·δ_ij. Every covariance the package assembles — the
+// engine's per-latent tables, the prediction tables, the prior variance and
+// the append path's cross-covariances — reads it from here.
+func (m *LCM) coef(q, i, j int) float64 {
+	c := m.A[q][i] * m.A[q][j]
+	if i == j {
+		c += m.B[q][i]
 	}
-	return sigma
+	return c
 }
 
 // Predict returns the posterior mean and variance (Eqs. 5–6) of task i's
 // objective at normalized point x, in the original (de-standardized) units.
+// It is PredictInto over a throwaway workspace, for callers that predict a
+// handful of points; search loops hold a workspace and call PredictInto.
 func (m *LCM) Predict(task int, x []float64) (mean, variance float64) {
-	if m.chol == nil {
-		panic("gp: Predict on unfitted model")
-	}
-	n := len(m.flatX)
-	kstar := make([]float64, n)
-	for r := 0; r < n; r++ {
-		tr := m.taskOf[r]
-		v := 0.0
-		for q := 0; q < m.Q; q++ {
-			coef := m.A[q][task] * m.A[q][tr]
-			if task == tr {
-				coef += m.B[q][task]
-			}
-			if coef != 0 { //gptlint:ignore float-eq exact-zero sparsity skip in cross-covariance
-				v += coef * rbf(x, m.flatX[r], m.Ls[q])
-			}
-		}
-		kstar[r] = v
-	}
-	mu := la.Dot(kstar, m.alpha)
-	// Prior variance at x: Σ_q (a² + b)·k(x,x)=1 + d.
-	prior := m.D[task]
-	for q := 0; q < m.Q; q++ {
-		prior += m.A[q][task]*m.A[q][task] + m.B[q][task]
-	}
-	v := la.CopyVec(kstar)
-	m.chol.ForwardSubst(v)
-	variance = prior - la.Dot(v, v)
-	if variance < 0 {
-		variance = 0
-	}
-	mean = mu*m.yStd + m.yMean
-	variance *= m.yStd * m.yStd
-	return mean, variance
-}
-
-// parallelCholJitter is CholeskyJitter backed by the parallel blocked
-// factorization. Both the per-evaluation factorization inside
-// lcmEngine.logLikGrad and the final prediction factorization route through
-// it, so FitOptions.Workers/CholBlock govern every Cholesky of a fit.
-func parallelCholJitter(a *la.Matrix, block, workers int) (*la.Matrix, float64, error) {
-	n := a.Rows
-	meanDiag := 0.0
-	for i := 0; i < n; i++ {
-		meanDiag += math.Abs(a.At(i, i))
-	}
-	if n > 0 {
-		meanDiag /= float64(n)
-	}
-	if meanDiag == 0 { //gptlint:ignore float-eq exact-zero guard before using the mean diagonal as a jitter scale
-		meanDiag = 1
-	}
-	jitter := 0.0
-	for attempt := 0; attempt < 12; attempt++ {
-		work := a
-		if jitter > 0 {
-			work = a.Clone()
-			for i := 0; i < n; i++ {
-				work.Data[i*n+i] += jitter
-			}
-		}
-		l, err := la.ParallelCholesky(work, block, workers)
-		if err == nil {
-			return l, jitter, nil
-		}
-		if jitter == 0 { //gptlint:ignore float-eq jitter holds exact assigned constants; zero is the unset sentinel
-			jitter = 1e-10 * meanDiag
-		} else {
-			jitter *= 10
-		}
-	}
-	return nil, jitter, la.ErrNotPositiveDefinite
+	return m.PredictInto(m.NewPredictWorkspace(), task, x)
 }

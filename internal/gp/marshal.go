@@ -15,8 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"repro/internal/la"
 )
 
 // lcmSnapshot is the wire form of a fitted LCM. Float fields use the
@@ -228,28 +226,11 @@ func (m *LCM) UnmarshalBinary(data []byte) error {
 	}
 	m.taskOf = snap.TaskOf
 	m.yNorm = snap.YNorm
-	// Reassemble Σ through the same fused engine path FitLCM's final
-	// factorization used — the summation order matches, so the reloaded
-	// factor (and every prediction through it) is bitwise identical.
-	layout := hyperLayout{q: m.Q, dim: m.Dim, tasks: m.NumTasks}
-	eng := newLCMEngine(newPairCache(m.flatX, m.Dim), layout, m.taskOf, m.yNorm, 1, 64)
-	eng.prepare(m)
-	sigma := eng.assembleSigma(m)
-	if m.Jitter > 0 {
-		for i := 0; i < n; i++ {
-			sigma.Data[i*n+i] += m.Jitter
-		}
-	}
 	// The recorded jitter made this matrix factorizable at save time and the
-	// floats round-trip exactly; parallelCholJitter covers the (theoretical)
-	// residual escalation without changing the common path.
-	l, extra, err := parallelCholJitter(sigma, 64, 1)
-	if err != nil {
+	// floats round-trip exactly; factorize covers the (theoretical) residual
+	// escalation without changing the common path.
+	if err := m.factorize(newPairCache(m.flatX, m.Dim), 64, 1); err != nil {
 		return fmt.Errorf("gp: refactorizing LCM snapshot: %w", err)
 	}
-	m.Jitter += extra
-	m.chol = la.PackChol(l)
-	m.alpha = la.SolveCholVec(l, m.yNorm)
-	m.prepPredict()
 	return nil
 }

@@ -33,17 +33,13 @@ func (m *LCM) prepPredict() {
 		for r := 0; r < n; r++ {
 			tr := m.taskOf[r]
 			for q := 0; q < m.Q; q++ {
-				c := m.A[q][task] * m.A[q][tr]
-				if task == tr {
-					c += m.B[q][task]
-				}
-				row[r*m.Q+q] = c
+				row[r*m.Q+q] = m.coef(q, task, tr)
 			}
 		}
 		m.predCoef[task] = row
 		prior := m.D[task]
 		for q := 0; q < m.Q; q++ {
-			prior += m.A[q][task]*m.A[q][task] + m.B[q][task]
+			prior += m.coef(q, task, task)
 		}
 		m.predPrior[task] = prior
 	}
@@ -71,10 +67,11 @@ func (m *LCM) NewPredictWorkspace() *PredictWorkspace {
 	}
 }
 
-// PredictInto is Predict without any allocation: the posterior mean and
-// variance (Eqs. 5–6) of task's objective at normalized point x, computed
-// through ws's reusable buffers and the tables built at fit time. The PSO
-// search loop calls this thousands of times per search phase.
+// PredictInto returns the posterior mean and variance (Eqs. 5–6) of task's
+// objective at normalized point x, in the original (de-standardized) units,
+// without allocating: it works through ws's reusable buffers and the tables
+// built at fit time. The PSO search loop calls this thousands of times per
+// search phase.
 //
 //gptlint:hotpath
 func (m *LCM) PredictInto(ws *PredictWorkspace, task int, x []float64) (mean, variance float64) {

@@ -109,6 +109,12 @@ func lcmLogLikGradReference(theta []float64, layout hyperLayout, flatX [][]float
 	return ll, grad, nil
 }
 
+// sqDiff returns (x_d - y_d)² for one dimension.
+func sqDiff(x, y []float64, d int) float64 {
+	diff := x[d] - y[d]
+	return diff * diff
+}
+
 // refCholesky is the pre-PR serial Cholesky with a single-accumulator inner
 // product, frozen so the baseline benchmark does not drift as internal/la
 // gets faster.
@@ -201,4 +207,69 @@ func refCholInverse(l *la.Matrix) *la.Matrix {
 		}
 	}
 	return inv
+}
+
+// covariance assembles the full Eq. (4) covariance matrix for the given
+// flattened samples, entry by entry from the raw coordinates. It left
+// production when lcmEngine.assembleSigma took over every assembly; it stays
+// here as the dense oracle the append and leave-one-out tests are checked
+// against.
+func (m *LCM) covariance(flatX [][]float64, taskOf []int) *la.Matrix {
+	n := len(flatX)
+	sigma := la.NewMatrix(n, n)
+	for r := 0; r < n; r++ {
+		for s := r; s < n; s++ {
+			v := 0.0
+			ti, tj := taskOf[r], taskOf[s]
+			for q := 0; q < m.Q; q++ {
+				coef := m.A[q][ti] * m.A[q][tj]
+				if ti == tj {
+					coef += m.B[q][ti]
+				}
+				v += coef * rbf(flatX[r], flatX[s], m.Ls[q])
+			}
+			if r == s {
+				v += m.D[ti]
+			}
+			sigma.Set(r, s, v)
+			sigma.Set(s, r, v)
+		}
+	}
+	return sigma
+}
+
+// refPredict is the naive allocating evaluation of Eqs. (5–6) that
+// (*LCM).Predict used to be: k* entry by entry through rbf and the
+// hyperparameter structs, no fit-time tables. It is the oracle PredictInto
+// is checked against.
+func refPredict(m *LCM, task int, x []float64) (mean, variance float64) {
+	n := len(m.flatX)
+	kstar := make([]float64, n)
+	for r := 0; r < n; r++ {
+		tr := m.taskOf[r]
+		v := 0.0
+		for q := 0; q < m.Q; q++ {
+			coef := m.A[q][task] * m.A[q][tr]
+			if task == tr {
+				coef += m.B[q][task]
+			}
+			v += coef * rbf(x, m.flatX[r], m.Ls[q])
+		}
+		kstar[r] = v
+	}
+	mu := la.Dot(kstar, m.alpha)
+	// Prior variance at x: Σ_q (a² + b)·k(x,x)=1 + d.
+	prior := m.D[task]
+	for q := 0; q < m.Q; q++ {
+		prior += m.A[q][task]*m.A[q][task] + m.B[q][task]
+	}
+	v := la.CopyVec(kstar)
+	m.chol.ForwardSubst(v)
+	variance = prior - la.Dot(v, v)
+	if variance < 0 {
+		variance = 0
+	}
+	mean = mu*m.yStd + m.yMean
+	variance *= m.yStd * m.yStd
+	return mean, variance
 }

@@ -15,36 +15,28 @@ var ErrNotPositiveDefinite = errors.New("la: matrix is not positive definite")
 // Cholesky computes the lower-triangular Cholesky factor L of the symmetric
 // positive definite matrix a (only the lower triangle of a is read) such that
 // a = L·Lᵀ. The factor is returned in a new matrix whose strict upper
-// triangle is zero.
+// triangle is zero. It is ParallelCholesky run as one block: the plain
+// row-by-row recurrence, serial.
 func Cholesky(a *Matrix) (*Matrix, error) {
-	if a.Rows != a.Cols {
-		return nil, errors.New("la: Cholesky of non-square matrix")
-	}
-	n := a.Rows
-	l := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		li := l.Row(i)
-		for j := 0; j <= i; j++ {
-			lj := l.Row(j)
-			s := a.At(i, j) - Dot(li[:j], lj[:j])
-			if i == j {
-				if s <= 0 || math.IsNaN(s) {
-					return nil, ErrNotPositiveDefinite
-				}
-				li[j] = math.Sqrt(s)
-			} else {
-				li[j] = s / lj[j]
-			}
-		}
-	}
-	return l, nil
+	return ParallelCholesky(a, a.Rows, 1)
 }
 
-// CholeskyJitter factors a, retrying with a growing diagonal jitter when a
-// is numerically indefinite. It returns the factor of a + jitter·I and the
-// jitter actually used. This is the standard stabilization for GP kernel
-// matrices whose conditioning degrades as samples cluster.
-func CholeskyJitter(a *Matrix, initial float64) (*Matrix, float64, error) {
+// jitterAttempts bounds CholeskyJitter's escalation: one plain attempt, then
+// jitters initial·{1, 10, …, 10¹⁰} relative to the mean diagonal.
+const jitterAttempts = 12
+
+// CholeskyJitter factors a with ParallelCholesky(a, blockSize, nworkers),
+// retrying with a growing diagonal jitter when a is numerically indefinite.
+// It returns the factor of a + jitter·I and the jitter actually used (0 on
+// the first-try path); after jitterAttempts failures it gives up with
+// ErrNotPositiveDefinite and the rung it would have tried next. This is the
+// standard stabilization for GP kernel matrices whose conditioning degrades
+// as samples cluster, and the one whole-matrix escalation loop in the tree:
+// every LCM factorization (per likelihood evaluation, post-fit, snapshot
+// reload) and the sparse-GP m×m factors go through it. initial ≤ 0 selects
+// the default 1e-10. Like ParallelCholesky the result is bitwise independent
+// of nworkers, and a blockSize ≥ n call runs the unblocked recurrence.
+func CholeskyJitter(a *Matrix, initial float64, blockSize, nworkers int) (*Matrix, float64, error) {
 	if initial <= 0 {
 		initial = 1e-10
 	}
@@ -60,8 +52,8 @@ func CholeskyJitter(a *Matrix, initial float64) (*Matrix, float64, error) {
 	if meanDiag == 0 { //gptlint:ignore float-eq exact-zero guard before using the mean diagonal as a jitter scale
 		meanDiag = 1
 	}
-	jitter := 0.0
-	for attempt := 0; attempt < 12; attempt++ {
+	jitter, next := 0.0, initial*meanDiag
+	for attempt := 0; attempt < jitterAttempts; attempt++ {
 		work := a
 		if jitter > 0 {
 			work = a.Clone()
@@ -69,15 +61,11 @@ func CholeskyJitter(a *Matrix, initial float64) (*Matrix, float64, error) {
 				work.Data[i*n+i] += jitter
 			}
 		}
-		l, err := Cholesky(work)
+		l, err := ParallelCholesky(work, blockSize, nworkers)
 		if err == nil {
 			return l, jitter, nil
 		}
-		if jitter == 0 { //gptlint:ignore float-eq jitter holds exact assigned constants; zero is the unset sentinel
-			jitter = initial * meanDiag
-		} else {
-			jitter *= 10
-		}
+		jitter, next = next, next*10
 	}
 	return nil, jitter, ErrNotPositiveDefinite
 }
@@ -118,22 +106,17 @@ func BackwardSubstT(l *Matrix, b []float64) {
 	}
 }
 
-// CholInverse returns (L·Lᵀ)⁻¹ densely. Used by the LCM gradient, which
-// needs tr(Σ⁻¹·dΣ) terms. It computes W = L⁻¹ column by column (stored
-// transposed for contiguous access) and assembles Σ⁻¹ = WᵀW from row-wise
-// dot products, which is roughly 3× cheaper than per-column two-sided
-// solves and fully cache-friendly.
-func CholInverse(l *Matrix) *Matrix {
-	return ParallelCholInverse(l, 1)
-}
-
-// ParallelCholInverse is CholInverse with the independent column solves of
-// W = L⁻¹ and the row-wise WᵀW assembly distributed over nworkers
-// goroutines. Both phases process columns/rows in fused pairs so each shared
-// operand row of L (resp. W) is loaded once for two results, roughly halving
-// the memory traffic of these n³/6 phases. The pairing and every summation
-// order depend only on n — never on nworkers — so the result is bitwise
-// identical to CholInverse for any worker count.
+// ParallelCholInverse returns (L·Lᵀ)⁻¹ densely. Used by the LCM gradient,
+// which needs tr(Σ⁻¹·dΣ) terms, and by the leave-one-out diagnostics. It
+// computes W = L⁻¹ column by column (stored transposed for contiguous access)
+// and assembles Σ⁻¹ = WᵀW from row-wise dot products, which is roughly 3×
+// cheaper than per-column two-sided solves and fully cache-friendly. The
+// independent column solves and the row-wise assembly are distributed over
+// nworkers goroutines. Both phases process columns/rows in fused pairs so
+// each shared operand row of L (resp. W) is loaded once for two results,
+// roughly halving the memory traffic of these n³/6 phases. The pairing and
+// every summation order depend only on n — never on nworkers — so the result
+// is bitwise identical for any worker count.
 func ParallelCholInverse(l *Matrix, nworkers int) *Matrix {
 	return ParallelCholInverseInto(l, nworkers, nil, nil)
 }
@@ -240,15 +223,10 @@ func ParallelCholesky(a *Matrix, blockSize, nworkers int) (*Matrix, error) {
 	if nworkers <= 0 {
 		nworkers = runtime.GOMAXPROCS(0)
 	}
-	if n <= blockSize {
-		return Cholesky(a)
-	}
-	l := a.Clone()
-	// Zero strict upper triangle; we only operate on the lower part.
+	// Only the lower triangle is read; the strict upper triangle stays zero.
+	l := NewMatrix(n, n)
 	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			l.Data[i*n+j] = 0
-		}
+		copy(l.Row(i)[:i+1], a.Row(i)[:i+1])
 	}
 	nb := (n + blockSize - 1) / blockSize
 	bounds := func(b int) (lo, hi int) {

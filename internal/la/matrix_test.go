@@ -135,7 +135,7 @@ func TestCholeskyJitterRecovers(t *testing.T) {
 	for i := range a.Data {
 		a.Data[i] = 1
 	}
-	l, jit, err := CholeskyJitter(a, 1e-10)
+	l, jit, err := CholeskyJitter(a, 1e-10, 0, 1)
 	if err != nil {
 		t.Fatalf("jittered factorization failed: %v", err)
 	}
@@ -144,6 +144,80 @@ func TestCholeskyJitterRecovers(t *testing.T) {
 	}
 	if l.At(0, 0) <= 0 {
 		t.Fatalf("bad factor")
+	}
+}
+
+// The one escalation loop is bounded and honest about what it did, on both
+// sides of the block boundary (n ≤ block runs the unblocked recurrence,
+// n > block the blocked one): a recoverable matrix reports the jitter whose
+// factor it returns, and an indefinite or NaN matrix costs exactly
+// jitterAttempts factorizations before ErrNotPositiveDefinite.
+func TestCholeskyJitterBoundedAndReported(t *testing.T) {
+	const block = 8
+	for _, n := range []int{6, 20} {
+		// Rank-one PSD: ones(n). The first pivot passes, the second is 0.
+		ones := NewMatrix(n, n)
+		for i := range ones.Data {
+			ones.Data[i] = 1
+		}
+		l, jit, err := CholeskyJitter(ones, 1e-10, block, 2)
+		if err != nil {
+			t.Fatalf("n=%d: recoverable matrix failed: %v", n, err)
+		}
+		// Attempts run at jitter 0, 1e-10, 1e-9, …; the reported jitter must be
+		// one of those and must be the one the returned factor was built with.
+		if jit < 1e-10 || jit > 1e-10*1e10 {
+			t.Fatalf("n=%d: reported jitter %g outside the escalation ladder", n, jit)
+		}
+		shifted := ones.Clone()
+		for i := 0; i < n; i++ {
+			shifted.Data[i*n+i] += jit
+		}
+		want, err := ParallelCholesky(shifted, block, 1)
+		if err != nil {
+			t.Fatalf("n=%d: reported jitter %g does not factor: %v", n, jit, err)
+		}
+		if maxAbsDiff(l, want) != 0 {
+			t.Fatalf("n=%d: factor is not that of a + %g·I", n, jit)
+		}
+		if jit > 1e-10 {
+			// A smaller rung must have failed, or the loop skipped one.
+			prev := ones.Clone()
+			for i := 0; i < n; i++ {
+				prev.Data[i*n+i] += jit / 10
+			}
+			if _, err := ParallelCholesky(prev, block, 1); err == nil {
+				t.Fatalf("n=%d: jitter %g reported but %g already factors", n, jit, jit/10)
+			}
+		}
+
+		// Indefinite beyond every rung of the ladder (the last rung adds
+		// 1e-10·10¹⁰ = 1 times the mean diagonal): unit diagonal, last pivot −100.
+		indef := NewMatrix(n, n)
+		for i := 0; i < n; i++ {
+			indef.Data[i*n+i] = 1
+		}
+		indef.Data[n*n-1] = -100
+		nan := indef.Clone()
+		nan.Data[n*n-1] = math.NaN()
+		for name, a := range map[string]*Matrix{"indefinite": indef, "NaN": nan} {
+			l, jit, err := CholeskyJitter(a, 1e-10, block, 2)
+			if err != ErrNotPositiveDefinite || l != nil {
+				t.Fatalf("n=%d %s: got factor %v, err %v; want ErrNotPositiveDefinite", n, name, l != nil, err)
+			}
+			if name == "NaN" {
+				continue // the jitter scale is NaN too; only the bound matters
+			}
+			// Attempt 0 runs bare and every failure escalates once, so giving up
+			// after jitterAttempts leaves the jitter on rung jitterAttempts.
+			want := 1e-10 * ((float64(n-1) + 100) / float64(n))
+			for k := 1; k < jitterAttempts; k++ {
+				want *= 10
+			}
+			if jit != want {
+				t.Fatalf("n=%d: gave up at jitter %g, want %g after %d attempts", n, jit, want, jitterAttempts)
+			}
+		}
 	}
 }
 
@@ -172,7 +246,7 @@ func TestCholInverse(t *testing.T) {
 	n := 15
 	a := randomSPD(rng, n)
 	l, _ := Cholesky(a)
-	inv := CholInverse(l)
+	inv := ParallelCholInverse(l, 1)
 	prod := MatMulTransB(a, inv) // A⁻¹ is symmetric
 	for i := 0; i < n; i++ {
 		prod.Data[i*n+i]--
@@ -266,27 +340,5 @@ func TestCholeskySolveQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkCholeskySerial400(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	a := randomSPD(rng, 400)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Cholesky(a); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCholeskyParallel400(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	a := randomSPD(rng, 400)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ParallelCholesky(a, 64, 0); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -21,15 +21,6 @@ type TriPacked struct {
 	data []float64 // len n(n+1)/2
 }
 
-// NewTriPacked returns an empty factor with capacity reserved for an n×n
-// lower triangle, ready to grow via AppendRows.
-func NewTriPacked(n int) *TriPacked {
-	if n < 0 {
-		n = 0
-	}
-	return &TriPacked{data: make([]float64, 0, n*(n+1)/2)}
-}
-
 // PackChol packs the lower triangle of a dense factor (as produced by
 // Cholesky or ParallelCholesky) into a TriPacked. The strict upper triangle
 // of l is ignored.
@@ -65,7 +56,7 @@ func (t *TriPacked) Clone() *TriPacked {
 }
 
 // Dense expands the factor to a dense n×n Matrix with a zero strict upper
-// triangle, for consumers of the dense kernels (CholInverse diagnostics).
+// triangle, for consumers of the dense kernels (ParallelCholInverse diagnostics).
 func (t *TriPacked) Dense() *Matrix {
 	m := NewMatrix(t.n, t.n)
 	for i := 0; i < t.n; i++ {

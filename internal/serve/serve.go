@@ -487,9 +487,7 @@ func (s *Server) handleBest(w http.ResponseWriter, _ *http.Request, st *study) {
 	out := make([]api.BestEntry, len(res.Tasks))
 	for i, t := range res.Tasks {
 		out[i] = api.BestEntry{Task: t.Task}
-		if len(t.Y) > 0 {
-			out[i].X, out[i].Y = t.Best()
-		}
+		out[i].X, out[i].Y = t.Best()
 	}
 	api.WriteJSON(w, http.StatusOK, api.Best{Tasks: out})
 }

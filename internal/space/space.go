@@ -225,19 +225,15 @@ func (s *Space) IndexOf(name string) int {
 	return -1
 }
 
-// Normalize maps native values into the unit hypercube.
+// Normalize maps native values into the unit hypercube, in a new slice.
 func (s *Space) Normalize(native []float64) []float64 {
-	s.checkLen(native)
 	u := make([]float64, len(native))
-	for i, p := range s.Params {
-		u[i] = p.normalize(native[i])
-	}
+	s.NormalizeInto(u, native)
 	return u
 }
 
 // NormalizeInto writes the unit-hypercube image of native into dst, which
-// must have length Dim — the allocation-free form of Normalize for search
-// inner loops.
+// must have length Dim; it allocates nothing, for search inner loops.
 //
 //gptlint:hotpath
 func (s *Space) NormalizeInto(dst, native []float64) {
@@ -250,19 +246,16 @@ func (s *Space) NormalizeInto(dst, native []float64) {
 	}
 }
 
-// Denormalize maps a unit-hypercube point into native values.
+// Denormalize maps a unit-hypercube point into native values, in a new
+// slice.
 func (s *Space) Denormalize(u []float64) []float64 {
-	s.checkLen(u)
 	v := make([]float64, len(u))
-	for i, p := range s.Params {
-		v[i] = p.denormalize(u[i])
-	}
+	s.DenormalizeInto(v, u)
 	return v
 }
 
 // DenormalizeInto writes the native image of u into dst, which must have
-// length Dim — the allocation-free form of Denormalize for search inner
-// loops.
+// length Dim; it allocates nothing, for search inner loops.
 //
 //gptlint:hotpath
 func (s *Space) DenormalizeInto(dst, u []float64) {
@@ -275,19 +268,16 @@ func (s *Space) DenormalizeInto(dst, u []float64) {
 	}
 }
 
-// ValueMap returns the native values keyed by parameter name.
+// ValueMap returns the native values keyed by parameter name, in a new map.
 func (s *Space) ValueMap(native []float64) map[string]float64 {
-	s.checkLen(native)
 	m := make(map[string]float64, len(native))
-	for i, p := range s.Params {
-		m[p.Name] = native[i]
-	}
+	s.ValueMapInto(m, native)
 	return m
 }
 
 // ValueMapInto fills m with the native values keyed by parameter name,
-// reusing m's storage — the allocation-free form of ValueMap for search
-// inner loops (overwriting an existing key does not allocate).
+// reusing m's storage; overwriting an existing key does not allocate, so a
+// search inner loop can keep one map.
 //
 //gptlint:hotpath
 func (s *Space) ValueMapInto(m map[string]float64, native []float64) {

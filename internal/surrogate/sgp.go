@@ -217,11 +217,13 @@ func (ts *taskSGP) refactor(kmm *la.Matrix) error {
 	if kmm == nil {
 		kmm = ts.buildKmm()
 	}
-	lm, _, err := la.CholeskyJitter(kmm, 0)
+	// block = m: one block, i.e. the unblocked serial recurrence — the m×m
+	// factors are small, and their bits are part of the snapshot contract.
+	lm, _, err := la.CholeskyJitter(kmm, 0, ts.m, 1)
 	if err != nil {
 		return fmt.Errorf("surrogate: sgp inducing Gram factorization: %w", err)
 	}
-	lq, _, err := la.CholeskyJitter(ts.qmat, 0)
+	lq, _, err := la.CholeskyJitter(ts.qmat, 0, ts.m, 1)
 	if err != nil {
 		return fmt.Errorf("surrogate: sgp Q factorization: %w", err)
 	}
@@ -337,25 +339,17 @@ func (s *sgpModel) Append(data *Dataset, workers int) error {
 	return nil
 }
 
-// validateDelta checks one task's slice of an Append delta: matching sample
-// and output counts, the fitted dimensionality, finite values. Empty tasks
-// are fine — Append deltas carry only what's new.
+// validateDelta checks one task's slice of an Append delta through the one
+// dataset validator: matching sample and output counts, the fitted
+// dimensionality, finite values. Empty tasks are fine — Append deltas carry
+// only what's new — which is the one thing Dataset.Validate would reject.
 func validateDelta(data *Dataset, task, dim int) error {
-	if len(data.X[task]) != len(data.Y[task]) {
-		return fmt.Errorf("surrogate: append task %d: %d samples vs %d outputs", task, len(data.X[task]), len(data.Y[task]))
+	if len(data.X[task]) == 0 && len(data.Y[task]) == 0 {
+		return nil
 	}
-	for j, x := range data.X[task] {
-		if len(x) != dim {
-			return fmt.Errorf("surrogate: append task %d sample %d has dim %d, want %d", task, j, len(x), dim)
-		}
-		for _, v := range x {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("surrogate: append task %d sample %d has non-finite coordinate", task, j)
-			}
-		}
-		if math.IsNaN(data.Y[task][j]) || math.IsInf(data.Y[task][j], 0) {
-			return fmt.Errorf("surrogate: append task %d sample %d has non-finite output", task, j)
-		}
+	sub := Dataset{Dim: dim, X: data.X[task : task+1], Y: data.Y[task : task+1]}
+	if err := sub.Validate(); err != nil {
+		return fmt.Errorf("surrogate: append task %d: %w", task, err)
 	}
 	return nil
 }

@@ -61,7 +61,7 @@ type Model interface {
 
 // Incremental is the optional Model capability behind core.Options.RefitEvery:
 // absorb new observations into the fitted state without re-learning
-// hyperparameters (rank-1 factor extension for the GP backends, accumulator
+// hyperparameters (rank-k factor extension for the GP backends, accumulator
 // updates for sparse GPs). Backends that cannot extend (forests) simply don't
 // implement it and the engine falls back to refitting.
 type Incremental interface {

@@ -40,43 +40,71 @@ func TestNewSelectsBackends(t *testing.T) {
 	}
 }
 
+// hostileDatasets are the degenerate histories a tuner meets in practice
+// (Snoek et al.'s practical-BO caveats): one task whose every sample sits on
+// the same point, so its covariance block is rank one before noise, and
+// outputs that never vary, so standardization has no scale to divide by.
+func hostileDatasets() map[string]*Dataset {
+	dup := testDataset(11, 2, 12)
+	for j := range dup.X[0] {
+		dup.X[0][j] = []float64{0.3, 0.7}
+	}
+	flat := testDataset(12, 2, 12)
+	for i := range flat.Y {
+		for j := range flat.Y[i] {
+			flat.Y[i][j] = 4.25
+		}
+	}
+	return map[string]*Dataset{"duplicate-points": dup, "constant-outputs": flat}
+}
+
 // TestAllBackendsFitPredictRoundTrip exercises the full Model contract for
 // every backend: fit, allocation-free prediction through a workspace, and a
-// marshal/unmarshal round trip that predicts bitwise identically.
+// marshal/unmarshal round trip that predicts bitwise identically — on an
+// ordinary dataset and on the hostile ones, where the posterior must stay
+// finite with a non-negative variance on both sides of the round trip.
 func TestAllBackendsFitPredictRoundTrip(t *testing.T) {
-	data := testDataset(1, 2, 12)
-	for _, kind := range Kinds() {
-		f, err := New(kind)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := f.Fit(data, FitOptions{NumStarts: 2, MaxIter: 20, Seed: 7})
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		if m.Kind() != kind || m.NumTasks() != 2 {
-			t.Fatalf("%s: Kind=%q NumTasks=%d", kind, m.Kind(), m.NumTasks())
-		}
-		blob, err := m.MarshalBinary()
-		if err != nil {
-			t.Fatalf("%s marshal: %v", kind, err)
-		}
-		back, err := f.UnmarshalBinary(blob)
-		if err != nil {
-			t.Fatalf("%s unmarshal: %v", kind, err)
-		}
-		rng := rand.New(rand.NewSource(2))
-		ws, wsBack := m.NewWorkspace(), back.NewWorkspace()
-		for k := 0; k < 40; k++ {
-			x := []float64{rng.Float64(), rng.Float64()}
-			task := k % 2
-			mu, v := m.PredictInto(ws, task, x)
-			if math.IsNaN(mu) || math.IsNaN(v) || v < 0 {
-				t.Fatalf("%s: degenerate posterior (%v, %v) at %v", kind, mu, v, x)
+	datasets := hostileDatasets()
+	datasets["correlated"] = testDataset(1, 2, 12)
+	for name, data := range datasets {
+		for _, kind := range Kinds() {
+			f, err := New(kind)
+			if err != nil {
+				t.Fatal(err)
 			}
-			mu2, v2 := back.PredictInto(wsBack, task, x)
-			if math.Float64bits(mu) != math.Float64bits(mu2) || math.Float64bits(v) != math.Float64bits(v2) {
-				t.Fatalf("%s: round trip diverged at %v task %d", kind, x, task)
+			m, err := f.Fit(data, FitOptions{NumStarts: 2, MaxIter: 20, Seed: 7})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, kind, err)
+			}
+			if m.Kind() != kind || m.NumTasks() != 2 {
+				t.Fatalf("%s/%s: Kind=%q NumTasks=%d", name, kind, m.Kind(), m.NumTasks())
+			}
+			blob, err := m.MarshalBinary()
+			if err != nil {
+				t.Fatalf("%s/%s marshal: %v", name, kind, err)
+			}
+			back, err := f.UnmarshalBinary(blob)
+			if err != nil {
+				t.Fatalf("%s/%s unmarshal: %v", name, kind, err)
+			}
+			rng := rand.New(rand.NewSource(2))
+			ws, wsBack := m.NewWorkspace(), back.NewWorkspace()
+			for k := 0; k < 40; k++ {
+				x := []float64{rng.Float64(), rng.Float64()}
+				if k < 2 {
+					x = data.X[k][0] // on top of a training point of each task
+				}
+				task := k % 2
+				mu, v := m.PredictInto(ws, task, x)
+				mu2, v2 := back.PredictInto(wsBack, task, x)
+				for _, p := range [][2]float64{{mu, v}, {mu2, v2}} {
+					if math.IsNaN(p[0]) || math.IsInf(p[0], 0) || math.IsNaN(p[1]) || math.IsInf(p[1], 0) || p[1] < 0 {
+						t.Fatalf("%s/%s: degenerate posterior (%v, %v) at %v", name, kind, p[0], p[1], x)
+					}
+				}
+				if math.Float64bits(mu) != math.Float64bits(mu2) || math.Float64bits(v) != math.Float64bits(v2) {
+					t.Fatalf("%s/%s: round trip diverged at %v task %d", name, kind, x, task)
+				}
 			}
 		}
 	}
