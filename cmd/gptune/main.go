@@ -1,7 +1,8 @@
 // Command gptune tunes any workload from the scenario registry
-// (internal/bench) with any of the supported autotuners, optionally
-// archiving evaluations in a history database (the paper's "tuning improves
-// over time" workflow). `gptune -app list` prints the catalog.
+// (internal/bench) with any of the supported autotuners, optionally seeding
+// the run from a history database and archiving its evaluations back into it
+// (the paper's "tuning improves over time" workflow). `gptune -app list`
+// prints the catalog.
 //
 // Usage:
 //
@@ -100,7 +101,7 @@ func main() {
 		eps      = flag.Int("eps", 20, "function evaluations per task ε_tot")
 		seed     = flag.Int64("seed", 1, "random seed")
 		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "parallel workers")
-		history  = flag.String("history", "", "history database path (loaded and updated)")
+		history  = flag.String("history", "", "history database path: its records for the same app and tasks seed the run as prior samples, and the run's new evaluations are appended (gptune tuner only)")
 		ckpt     = flag.String("checkpoint", "", "write-ahead log path: every evaluation is persisted as it completes (gptune tuner only)")
 		resume   = flag.String("resume", "", "checkpoint path of a killed run to resume (same app, seed and flags required)")
 		surr     = flag.String("surrogate", "", "surrogate backend: "+strings.Join(gptune.SurrogateKinds(), ", ")+" (default lcm; gptune tuner only)")
@@ -146,6 +147,15 @@ func main() {
 			// log, so a later run can -warm from it.
 			opts.Transfer = cp
 		}
+		var db *gptune.History
+		if *history != "" {
+			if db, err = gptune.LoadHistory(*history); err != nil {
+				fmt.Fprintf(os.Stderr, "history: %v\n", err)
+				os.Exit(1)
+			}
+			opts.Prior = gptune.PriorFromHistory(db, p.Name, tasks)
+			fmt.Printf("history: %d prior samples from %s\n", len(opts.Prior), *history)
+		}
 		if *warm != "" {
 			snaps, err := gptune.LoadModelSnapshots(*warm)
 			if err != nil {
@@ -175,7 +185,9 @@ func main() {
 		fmt.Printf("stats: objective=%v modeling=%v search=%v total=%v evals=%d\n",
 			res.Stats.Objective, res.Stats.Modeling, res.Stats.Search,
 			res.Stats.Total, res.Stats.NumEvals)
-		saveHistory(*history, p.Name, res)
+		if db != nil {
+			saveHistory(db, *history, p.Name, res)
+		}
 		return
 	}
 
@@ -221,16 +233,21 @@ func openCheckpoint(ckpt, resume, problem string) (*gptune.Checkpointer, error) 
 	return gptune.NewCheckpoint(ckpt, gptune.CheckpointOptions{Problem: problem})
 }
 
-func saveHistory(path, problem string, res *gptune.Result) {
-	if path == "" {
-		return
+// saveHistory appends the run's new evaluations to the archive it was seeded
+// from: the result also carries the prior samples, which the archive already
+// holds, so a sample is archived only if no record matches it exactly.
+func saveHistory(db *gptune.History, path, problem string, res *gptune.Result) {
+	held := make(map[string]bool)
+	for _, r := range db.Query(problem, nil) {
+		held[fmt.Sprint(r.Task, r.Config, r.Outputs)] = true
 	}
-	db, err := gptune.LoadHistory(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "history: %v\n", err)
-		return
+	for _, tr := range res.Tasks {
+		for j := range tr.X {
+			if !held[fmt.Sprint(tr.Task, tr.X[j], tr.Y[j])] {
+				db.Append(gptune.HistoryRecord{Problem: problem, Task: tr.Task, Config: tr.X[j], Outputs: tr.Y[j]})
+			}
+		}
 	}
-	gptune.RecordResult(db, problem, res)
 	if err := db.Save(path); err != nil {
 		fmt.Fprintf(os.Stderr, "history: %v\n", err)
 		return

@@ -48,7 +48,7 @@ func main() {
 		if v.TornBytes > 0 {
 			fmt.Printf(", torn tail of %d bytes (recoverable: a reopen discards it)", v.TornBytes)
 		}
-		fmt.Printf("; %d total after recovery\n", v.SnapshotRecords+v.LogRecords-v.SkippedRecords)
+		fmt.Printf("; %d total after recovery\n", v.SnapshotRecords+v.LogRecords)
 		return
 	case "compact":
 		w, err := histdb.OpenWAL(*dbPath, histdb.WALOptions{})
@@ -78,19 +78,23 @@ func main() {
 	switch args[0] {
 	case "list":
 		fmt.Printf("%d records in %s\n", db.Len(), *dbPath)
-		probs := map[string]bool{}
+		// One scan; evaluations only, so a log's model snapshots do not
+		// inflate a problem's figure.
+		evals := map[string]int{}
 		for _, r := range db.Query(*problem, nil) {
-			probs[r.Problem] = true
-		}
-		if *problem == "" {
-			// Enumerate problems via a full scan.
-			for _, r := range db.Query("", nil) {
-				probs[r.Problem] = true
+			n := evals[r.Problem]
+			if r.IsEval() {
+				n++
 			}
+			evals[r.Problem] = n
 		}
-		for p := range probs {
-			tasks := db.Tasks(p)
-			fmt.Printf("  problem %-16s %d tasks, %d records\n", p, len(tasks), len(db.Query(p, nil)))
+		probs := make([]string, 0, len(evals))
+		for p := range evals {
+			probs = append(probs, p)
+		}
+		sort.Strings(probs)
+		for _, p := range probs {
+			fmt.Printf("  problem %-16s %d tasks, %d evaluations\n", p, len(db.Tasks(p)), evals[p])
 		}
 	case "best":
 		name := *problem

@@ -121,4 +121,39 @@ func TestPriorFromHistory(t *testing.T) {
 	if got := gptune.PriorFromHistory(db, "demo", [][]float64{{0.77}}); len(got) != 0 {
 		t.Fatalf("unexpected priors for unseen task: %d", len(got))
 	}
+
+	// A checkpoint log is an archive too: its evaluations come back as the
+	// run's history bitwise, the model snapshots logged between them are not
+	// mistaken for evaluations, and LoadModelSnapshots finds those — one per
+	// search generation (ε_tot 6 = 3 initial + 3 searched).
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	cp, err := gptune.NewCheckpoint(path, gptune.CheckpointOptions{Problem: "demo"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err = gptune.Tune(p, [][]float64{{0}}, gptune.Options{EpsTot: 6, Seed: 5, Checkpoint: cp, Transfer: cp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	logged, err := gptune.LoadHistory(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prior = gptune.PriorFromHistory(logged, "demo", [][]float64{{0}})
+	if len(prior) != len(res.Tasks[0].X) {
+		t.Fatalf("checkpoint log yields %d prior samples, run produced %d", len(prior), len(res.Tasks[0].X))
+	}
+	for i, ps := range prior {
+		if math.Float64bits(ps.X[0]) != math.Float64bits(res.Tasks[0].X[i][0]) ||
+			math.Float64bits(ps.Y[0]) != math.Float64bits(res.Tasks[0].Y[i][0]) {
+			t.Fatalf("prior sample %d does not match the run's history: %+v", i, ps)
+		}
+	}
+	snaps, err := gptune.LoadModelSnapshots(path)
+	if err != nil || len(snaps) != 3 {
+		t.Fatalf("checkpoint log yields %d model snapshots (%v), want 3", len(snaps), err)
+	}
 }

@@ -55,23 +55,26 @@ type CheckpointOptions struct {
 // instead of re-paying the objective. Replayed deliveries are verified
 // bitwise against the log, so any divergence (changed seed, options, or
 // objective) fails loudly instead of corrupting the history.
+//
+// It holds no history of its own: the log is on disk, the history in the
+// engine, and in between a replay cursor — released the moment the last
+// logged evaluation is verified — and two counters.
 type Checkpointer struct {
 	wal     *histdb.WAL
 	problem string
 
 	mu     sync.Mutex
-	replay []histdb.Record // evaluation records only (model records filtered out)
+	replay []histdb.Record // logged evaluations still being replayed; nil once Eval has verified the last
 	pos    int             // next replay record Eval must reproduce
 	used   []bool          // replay records consumed by Lookup
-	models int             // model-snapshot records currently in the WAL
-	snaps  []ModelSnapshot // model snapshots found in the log at open time
+	models int             // non-evaluation (model-snapshot) records in the WAL
 }
 
 // NewCheckpoint creates a fresh WAL-backed checkpoint at path. It refuses a
 // location that already holds records — resume those with Resume, or point
 // a new run at a new path (a finished run's log is an archive, not scratch).
 func NewCheckpoint(path string, opts CheckpointOptions) (*Checkpointer, error) {
-	c, err := openCheckpoint(path, opts)
+	c, err := Resume(path, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -89,22 +92,17 @@ func NewCheckpoint(path string, opts CheckpointOptions) (*Checkpointer, error) {
 // objective for logged evaluations, then continues tuning (and logging)
 // from where the crash cut it off. A missing file resumes as a fresh run.
 func Resume(path string, opts CheckpointOptions) (*Checkpointer, error) {
-	return openCheckpoint(path, opts)
-}
-
-func openCheckpoint(path string, opts CheckpointOptions) (*Checkpointer, error) {
 	// No group commit: every evaluation is durable the moment it is delivered.
-	wal, err := histdb.OpenWAL(path, histdb.WALOptions{Clock: opts.Clock})
+	wal, records, err := histdb.OpenWALRecords(path, histdb.WALOptions{Clock: opts.Clock})
 	if err != nil {
 		return nil, err
 	}
 	// Model-snapshot records ride in the same log but are not evaluations:
 	// they never replay through Eval/Lookup (the engine re-fits and re-saves
-	// deterministically), so the replay list holds evaluation records only.
+	// deterministically), so the replay list holds evaluation records only
+	// and their blobs go out of scope here, with the recovered slice.
 	var replay []histdb.Record
-	var snaps []ModelSnapshot
-	models := 0
-	for i, r := range wal.DB().Records() {
+	for i, r := range records {
 		if opts.Problem != "" && r.Problem != opts.Problem {
 			_ = wal.Close() // already failing; the mismatch error is the one to report
 			return nil, fmt.Errorf("core: checkpoint %s record %d belongs to problem %q, not %q",
@@ -112,17 +110,12 @@ func openCheckpoint(path string, opts CheckpointOptions) (*Checkpointer, error) 
 		}
 		if r.IsEval() {
 			replay = append(replay, r)
-			continue
-		}
-		models++
-		if r.Kind == histdb.KindModel {
-			snaps = append(snaps, ModelSnapshot{Kind: r.Surrogate, Objective: r.Objective, Data: r.Snapshot})
 		}
 	}
 	return &Checkpointer{
 		wal: wal, problem: opts.Problem,
 		replay: replay, used: make([]bool, len(replay)),
-		models: models, snaps: snaps,
+		models: len(records) - len(replay),
 	}, nil
 }
 
@@ -138,8 +131,8 @@ func (c *Checkpointer) Logged() int {
 // the write-ahead log as a histdb.KindModel record, so pass the Checkpointer
 // as Options.Transfer to make every modeling phase's result durable
 // alongside the evaluations it was fitted on. Later sessions load the
-// snapshots with ModelSnapshots (or the facade's LoadModelSnapshots) and
-// feed them to Options.WarmStart.
+// snapshots with the facade's LoadModelSnapshots and feed them to
+// Options.WarmStart.
 func (c *Checkpointer) SaveModel(snap ModelSnapshot) error {
 	c.mu.Lock()
 	c.models++
@@ -153,28 +146,13 @@ func (c *Checkpointer) SaveModel(snap ModelSnapshot) error {
 	})
 }
 
-// ModelSnapshots returns the fitted-model snapshots the log held when this
-// Checkpointer was opened (in append order — the last snapshot per
-// (kind, objective) is the most-trained one). Snapshots saved through this
-// Checkpointer after opening are not included; reopen the log to see them.
-func (c *Checkpointer) ModelSnapshots() []ModelSnapshot {
+// Replaying reports whether the checkpoint still holds logged evaluations
+// the run has not reproduced yet — a resumed engine is behind its log until
+// this turns false.
+func (c *Checkpointer) Replaying() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]ModelSnapshot(nil), c.snaps...)
-}
-
-// Prior converts the checkpoint's records into Options.Prior samples — for
-// warm-starting a *different* run (other tasks, other budget) from this
-// run's data rather than resuming it. Output-less records are skipped.
-func (c *Checkpointer) Prior() []PriorSample {
-	var out []PriorSample
-	for _, r := range c.wal.DB().Records() {
-		if !r.IsEval() || len(r.Outputs) == 0 {
-			continue
-		}
-		out = append(out, PriorSample{Task: r.Task, X: r.Config, Y: r.Outputs})
-	}
-	return out
+	return c.pos < len(c.replay)
 }
 
 // Compact folds the checkpoint's log into its snapshot file (see
@@ -195,8 +173,11 @@ func (c *Checkpointer) Close() error { return c.wal.Close() }
 func (c *Checkpointer) Eval(rec CheckpointRecord) error {
 	c.mu.Lock()
 	if c.pos < len(c.replay) {
-		logged := c.replay[c.pos]
+		i, logged := c.pos, c.replay[c.pos]
 		c.pos++
+		if c.pos == len(c.replay) { // log reproduced: the engine's copy is now the only one
+			c.replay, c.used = nil, nil
+		}
 		c.mu.Unlock()
 		if logged.Phase != rec.Phase ||
 			!bitsEqual(logged.Task, rec.Task) ||
@@ -204,7 +185,7 @@ func (c *Checkpointer) Eval(rec CheckpointRecord) error {
 			!bitsEqual(logged.Config, rec.X) ||
 			!bitsEqual(logged.Outputs, rec.Y) {
 			return fmt.Errorf("core: resume diverged at logged evaluation %d: log has phase=%s task=%v x=%v, run produced phase=%s task=%v x=%v (same problem, seed and options required)",
-				c.pos-1, logged.Phase, logged.Task, logged.Config, rec.Phase, rec.Task, rec.X)
+				i, logged.Phase, logged.Task, logged.Config, rec.Phase, rec.Task, rec.X)
 		}
 		return nil
 	}

@@ -117,7 +117,7 @@ type Engine struct {
 	initGenerated bool
 	priorsMerged  bool
 	generating    bool           // one generation runs off-mutex at a time
-	async         bool           // Options.Async: callers never wait on a generation
+	async         bool           // Options.Async: Suggest never waits on a generation
 	genWG         sync.WaitGroup // joins the background generator (Quiesce)
 	phase         string         // tuning phase of the current batch: "init", "search", "mo"
 	fatal         error
@@ -200,7 +200,7 @@ func (e *Engine) Suggest(task int) (Suggestion, error) {
 	if task < -1 || task >= len(e.st.tasks) {
 		return Suggestion{}, fmt.Errorf("core: engine: task %d out of range (have %d tasks)", task, len(e.st.tasks))
 	}
-	e.awaitBatch()
+	e.awaitBatch(!e.async)
 	defer e.mu.Unlock()
 	if e.fatal != nil {
 		return Suggestion{}, e.fatal
@@ -229,7 +229,7 @@ func (e *Engine) Suggest(task int) (Suggestion, error) {
 // fully committed). An empty slice with a nil error means the budget is
 // exhausted. This is the batch driver's path: one call per MLA iteration.
 func (e *Engine) SuggestAll() ([]Suggestion, error) {
-	e.awaitBatch()
+	e.awaitBatch(!e.async)
 	defer e.mu.Unlock()
 	if e.fatal != nil {
 		return nil, e.fatal
@@ -247,19 +247,31 @@ func (e *Engine) SuggestAll() ([]Suggestion, error) {
 
 // awaitBatch brings the engine to a decided state and returns with e.mu
 // HELD: the current batch has uncommitted work, the budget is exhausted,
-// the engine is fatal, or — async mode only — a generation is in flight (the
-// caller sees an exhausted batch and reports ErrNonePending). A synchronous
-// caller starts the generation the exhausted batch needs and parks on the
-// condition variable, which releases the mutex, until it installs.
-func (e *Engine) awaitBatch() {
+// the engine is fatal, or — only when the caller does not wait, as async
+// asks do not — a generation is in flight (the caller sees an exhausted
+// batch and reports ErrNonePending). A waiting caller starts the generation
+// the exhausted batch needs and parks on the condition variable, which
+// releases the mutex, until it installs.
+func (e *Engine) awaitBatch(wait bool) {
 	e.mu.Lock()
 	for {
 		e.startGeneration()
-		if !e.generating || e.async {
+		if !e.generating || !wait {
 			return
 		}
 		e.gen.Wait()
 	}
+}
+
+// CatchUp runs the generations a resumed engine still owes its checkpoint —
+// awaitBatch, waiting even in async mode — so on return the history holds
+// every logged evaluation the run reproduces. It hands nothing out; the
+// batch it stops at is the one the next Suggest would have generated. Call
+// it only while Checkpointer.Replaying: an engine that is not behind must
+// not start or wait on a generation because it was read.
+func (e *Engine) CatchUp() {
+	e.awaitBatch(true)
+	e.mu.Unlock()
 }
 
 // startGeneration hands the next batch's generation to the engine's

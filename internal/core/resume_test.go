@@ -3,10 +3,13 @@ package core
 import (
 	"errors"
 	"math"
+	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/histdb"
 	"repro/internal/space"
 )
 
@@ -66,8 +69,9 @@ func TestResumeDivergenceDetected(t *testing.T) {
 	}
 }
 
-// Prior rebuilds Options.Prior-style samples from the log for warm-starting
-// a different run from a checkpoint's data.
+// A checkpoint's log, read back with histdb.Load, yields Options.Prior-style
+// samples for warm-starting a different run from its data (the conversion
+// the facade's PriorFromHistory performs).
 func TestCheckpointPrior(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.json")
 	cp, err := NewCheckpoint(path, CheckpointOptions{Problem: "analytical"})
@@ -79,12 +83,16 @@ func TestCheckpointPrior(t *testing.T) {
 		t.Fatal(err)
 	}
 	cp.Close()
-	rcp, err := Resume(path, CheckpointOptions{Problem: "analytical"})
+	db, err := histdb.Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rcp.Close()
-	prior := rcp.Prior()
+	var prior []PriorSample
+	for _, r := range db.Query("analytical", []float64{0}) {
+		if r.IsEval() && len(r.Outputs) > 0 {
+			prior = append(prior, PriorSample{Task: r.Task, X: r.Config, Y: r.Outputs})
+		}
+	}
 	if len(prior) != len(res.Tasks[0].X) {
 		t.Fatalf("Prior has %d samples, run produced %d", len(prior), len(res.Tasks[0].X))
 	}
@@ -205,4 +213,72 @@ func TestRetryDrawsDistinctWithinTask(t *testing.T) {
 			}
 		}
 	}
+}
+
+// paddedStore logs a fresh megabyte-sized blob in place of every real model
+// snapshot, so a short run puts far more bytes in its log than the process
+// can hide in noise.
+type paddedStore struct{ cp *Checkpointer }
+
+func (p paddedStore) SaveModel(s ModelSnapshot) error {
+	s.Data = make([]byte, 1<<20)
+	return p.cp.SaveModel(s)
+}
+
+// heapAfterGC is the live heap once two collections have settled it.
+func heapAfterGC() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestCheckpointerRetainsNoHistory: the log lives on disk and the history in
+// the engine; a Checkpointer between them must pin neither. A run logs over
+// 8 MiB of model snapshots and a few hundred evaluations through an open
+// Checkpointer, then a second Checkpointer resumes that log and an engine
+// replays it to the end; each time, with the run's own result dropped, the
+// heap the Checkpointer keeps alive must stay under an eighth of the bytes
+// logged — and the replay cursor must be gone once the last record verified.
+func TestCheckpointerRetainsNoHistory(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ckpt.json")
+	tasks := [][]float64{{0}, {1}, {2}, {3}}
+	opts := func(cp *Checkpointer) Options {
+		// 72 initial + 8 search evaluations per task: 8 generations, each
+		// logging one padded snapshot.
+		return Options{EpsTot: 80, InitFraction: 0.9, Seed: 5, Surrogate: "rf", Checkpoint: cp, Transfer: paddedStore{cp}}
+	}
+	retained := func(what string, open func(string, CheckpointOptions) (*Checkpointer, error), behind bool) {
+		t.Helper()
+		before := heapAfterGC()
+		cp, err := open(path, CheckpointOptions{Problem: "analytical"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cp.Close()
+		if cp.Replaying() != behind {
+			t.Fatalf("%s: Replaying() = %v at open, want %v", what, !behind, behind)
+		}
+		if _, err := Run(analyticalProblem(), tasks, opts(cp)); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		after := heapAfterGC()
+		st, err := os.Stat(histdb.WalPath(path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cp.Logged() != 80*len(tasks) || st.Size() < 8<<20 {
+			t.Fatalf("%s: logged %d evaluations in %d bytes, want %d in over 8 MiB", what, cp.Logged(), st.Size(), 80*len(tasks))
+		}
+		if cp.Replaying() || cap(cp.replay) != 0 || cap(cp.used) != 0 {
+			t.Fatalf("%s: replay cursor still held after the last logged record verified", what)
+		}
+		if grew := int64(after) - int64(before); grew > st.Size()/8 {
+			t.Fatalf("%s: %d bytes logged, %d bytes of heap still live behind the open Checkpointer (limit: an eighth)", what, st.Size(), grew)
+		}
+		runtime.KeepAlive(cp)
+	}
+	retained("logging", NewCheckpoint, false)
+	retained("resume and replay", Resume, true)
 }

@@ -95,7 +95,16 @@ func TestModelSnapshotTransferThroughWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snaps := rcp.ModelSnapshots()
+	db, err := histdb.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snaps []ModelSnapshot
+	for _, r := range db.Records() {
+		if r.Kind == histdb.KindModel {
+			snaps = append(snaps, ModelSnapshot{Kind: r.Surrogate, Objective: r.Objective, Data: r.Snapshot})
+		}
+	}
 	if len(snaps) != 4 {
 		t.Fatalf("got %d model snapshots, want 4 (one per search generation)", len(snaps))
 	}

@@ -20,6 +20,7 @@ var ErrInjected = errors.New("faultio: injected failure")
 // bytes have been written through them. A FailAfter that lands mid-record
 // produces exactly the torn-tail condition WAL recovery must handle.
 type Injector struct {
+	//gptlint:serializes-io the byte budget must decrement atomically with the write it meters, and the short write that exhausts it with tripping the injector
 	mu        sync.Mutex
 	remaining int64
 	tripped   bool
@@ -59,13 +60,13 @@ func (w *file) Write(p []byte) (int, error) {
 	}
 	if int64(len(p)) <= w.in.remaining {
 		w.in.remaining -= int64(len(p))
-		return w.f.Write(p) //gptlint:ignore lock-held-across-blocking the injector mutex deliberately serializes writes so the byte budget decrements atomically with the write it meters
+		return w.f.Write(p)
 	}
 	w.in.tripped = true
 	n := int(w.in.remaining)
 	w.in.remaining = 0
 	if n > 0 {
-		if m, err := w.f.Write(p[:n]); err != nil { //gptlint:ignore lock-held-across-blocking the short write that exhausts the budget must be atomic with tripping the injector
+		if m, err := w.f.Write(p[:n]); err != nil {
 			return m, err
 		}
 	}

@@ -74,14 +74,14 @@ func TestCrashMidRecordLosesOnlyInFlight(t *testing.T) {
 
 	// Recovery: exactly the fully-appended records, and the database is
 	// writable again.
-	w2, err := histdb.OpenWAL(base, histdb.WALOptions{})
+	w2, recs, err := histdb.OpenWALRecords(base, histdb.WALOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w2.Len() != appended {
-		t.Fatalf("recovered %d records, want %d", w2.Len(), appended)
+	if w2.Len() != appended || len(recs) != appended {
+		t.Fatalf("recovered %d records (%d returned), want %d", w2.Len(), len(recs), appended)
 	}
-	for i, r := range w2.DB().Records() {
+	for i, r := range recs {
 		if r.Config[0] != float64(i) {
 			t.Fatalf("record %d corrupted by recovery: %+v", i, r)
 		}

@@ -63,9 +63,6 @@ func (r *Record) IsEval() bool { return r.Kind == "" }
 type DB struct {
 	mu      sync.Mutex
 	records []Record
-	// clock stamps records whose Stamp is zero; nil falls back to the wall
-	// clock. Injected so deterministic runs never call time.Now here.
-	clock func() time.Time
 }
 
 // New returns an empty database.
@@ -76,15 +73,11 @@ func New() *DB { return &DB{} }
 // replayed on top of the snapshot (read-only; the log is not modified), so
 // evaluations streamed by a checkpointed run are visible without compaction.
 func Load(path string) (*DB, error) {
-	records, err := loadSnapshot(path)
+	p, err := readPair(path)
 	if err != nil {
 		return nil, err
 	}
-	rec, err := recoverWAL(walPath(path), len(records))
-	if err != nil {
-		return nil, err
-	}
-	return &DB{records: append(records, rec.records...)}, nil
+	return &DB{records: p.records}, nil
 }
 
 // loadSnapshot reads the JSON-array snapshot file alone (missing = empty).
@@ -111,11 +104,14 @@ func tmpPath(path string) string {
 	return fmt.Sprintf("%s.tmp.%d.%d", path, os.Getpid(), tmpCounter.Add(1))
 }
 
-// writeFileDurable writes data to path via a unique temp file, fsyncs the
+// WriteFileDurable writes data to path via a unique temp file, fsyncs the
 // temp file before the atomic rename, and fsyncs the parent directory after
 // it, so a crash at any point leaves either the old or the new content —
-// never a torn file, and never a rename that a power loss can undo.
-func writeFileDurable(path string, data []byte) error {
+// never a torn file, and never a rename that a power loss can undo. Exported
+// for callers that persist their own metadata next to a history database —
+// the tuning service stores each study's specification this way, so a
+// restart always rebuilds the exact engine whose WAL it replays.
+func WriteFileDurable(path string, data []byte) error {
 	tmp := tmpPath(path)
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
@@ -142,14 +138,6 @@ func writeFileDurable(path string, data []byte) error {
 	return syncDir(filepath.Dir(path))
 }
 
-// WriteFileDurable is the exported form of writeFileDurable, for callers
-// that persist their own metadata next to a history database — the tuning
-// service stores each study's specification this way, so a restart always
-// rebuilds the exact engine whose WAL it replays.
-func WriteFileDurable(path string, data []byte) error {
-	return writeFileDurable(path, data)
-}
-
 // syncDir fsyncs a directory so a just-renamed entry survives power loss.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
@@ -173,17 +161,13 @@ func (db *DB) Save(path string) error {
 	if err != nil {
 		return err
 	}
-	return writeFileDurable(path, data)
+	return WriteFileDurable(path, data)
 }
 
-// Append adds one record.
+// Append adds one record, stamped now if its Stamp is zero.
 func (db *DB) Append(r Record) {
 	if r.Stamp.IsZero() {
-		clk := db.clock
-		if clk == nil {
-			clk = time.Now
-		}
-		r.Stamp = clk().UTC()
+		r.Stamp = time.Now().UTC()
 	}
 	db.mu.Lock()
 	db.records = append(db.records, r)

@@ -29,6 +29,7 @@ import (
 	"io"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -65,21 +66,23 @@ type WALOptions struct {
 // WAL is a history database whose appends stream to an fsync'd log, so a
 // crash at any moment loses at most the record being written (times the
 // group-commit window). All methods are safe for concurrent use.
+// It is a log and nothing else — a handle, a record count and the poison
+// error, never the records: OpenWALRecords hands its caller what recovery
+// found, anyone else reads the files with Load.
 type WAL struct {
+	//gptlint:serializes-io the mutex exists to serialize the log handle: write-then-fsync, compaction's read-rewrite-swap and export's paired read are each one critical section
 	mu      sync.Mutex
 	base    string
 	opts    WALOptions
 	f       File
-	db      *DB
-	pending int   // appends since the last fsync
-	broken  error // sticky: a failed append poisons the log handle
+	n       atomic.Int64 // records in snapshot + log; read by Len without waiting out an fsync
+	pending int          // appends since the last fsync
+	broken  error        // sticky: a failed append poisons the log handle
 }
-
-func walPath(base string) string { return base + ".wal" }
 
 // WalPath returns the log-file path paired with the snapshot at base — the
 // naming contract importers need when materializing an exported WAL.
-func WalPath(base string) string { return walPath(base) }
+func WalPath(base string) string { return base + ".wal" }
 
 // walHeader is the first line of every log file.
 type walHeader struct {
@@ -92,82 +95,80 @@ type walHeader struct {
 // away, and log records already folded into the snapshot by an interrupted
 // compaction are skipped.
 func OpenWAL(base string, opts WALOptions) (*WAL, error) {
+	w, _, err := OpenWALRecords(base, opts)
+	return w, err
+}
+
+// OpenWALRecords is OpenWAL for a caller that replays the log: it also
+// returns every record recovery found, snapshot first, parsed once. The WAL
+// keeps none of them — the slice is the caller's.
+func OpenWALRecords(base string, opts WALOptions) (*WAL, []Record, error) {
 	if opts.GroupCommit < 1 {
 		opts.GroupCommit = 1
 	}
 	if opts.Clock == nil {
 		opts.Clock = time.Now
 	}
-	snap, err := loadSnapshot(base)
+	rec, err := readPair(base)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	lp := walPath(base)
-	rec, err := recoverWAL(lp, len(snap))
-	if err != nil {
-		return nil, err
-	}
-	if rec.tornBytes > 0 {
-		if err := os.Truncate(lp, rec.goodSize); err != nil {
-			return nil, fmt.Errorf("histdb: truncating torn log tail: %w", err)
+	if rec.TornBytes > 0 {
+		if err := os.Truncate(WalPath(base), rec.goodSize); err != nil {
+			return nil, nil, fmt.Errorf("histdb: truncating torn log tail: %w", err)
 		}
 	}
-	w := &WAL{
-		base: base,
-		opts: opts,
-		db:   &DB{records: append(snap, rec.records...), clock: opts.Clock},
-	}
-	if !rec.hasHeader {
+	w := &WAL{base: base, opts: opts}
+	w.n.Store(int64(len(rec.records)))
+	if rec.hasHeader {
+		err = w.reopen()
+	} else {
 		// Fresh (or fully-torn) log: write the header durably before any
 		// record can reference it.
-		if err := w.writeFreshLog(len(snap)); err != nil {
-			return nil, err
-		}
-	} else {
-		f, err := os.OpenFile(lp, os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, err
-		}
-		w.f = w.wrap(f)
+		err = w.writeFreshLog(rec.SnapshotRecords)
 	}
-	return w, nil
-}
-
-func (w *WAL) wrap(f File) File {
-	if w.opts.WrapFile != nil {
-		return w.opts.WrapFile(f)
+	if err != nil {
+		return nil, nil, err
 	}
-	return f
+	return w, rec.records, nil
 }
 
 // writeFreshLog atomically installs a new log containing only a header that
 // extends a snapshot of snapLen records, and points w.f at it.
-// Caller holds w.mu (or has exclusive access during OpenWAL).
+// Caller holds w.mu (or has exclusive access during open).
 func (w *WAL) writeFreshLog(snapLen int) error {
-	lp := walPath(w.base)
 	hdr, err := json.Marshal(walHeader{Wal: 1, SnapshotLen: snapLen})
 	if err != nil {
 		return err
 	}
-	if err := writeFileDurable(lp, append(hdr, '\n')); err != nil {
+	if err := WriteFileDurable(WalPath(w.base), append(hdr, '\n')); err != nil {
 		return err
 	}
-	f, err := os.OpenFile(lp, os.O_WRONLY|os.O_APPEND, 0o644)
+	return w.reopen()
+}
+
+// reopen points w.f at the log file as it now is. Same locking as
+// writeFreshLog.
+func (w *WAL) reopen() error {
+	f, err := os.OpenFile(WalPath(w.base), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return err
 	}
 	if w.f != nil {
 		w.f.Close() // old handle points at the unlinked previous log
 	}
-	w.f = w.wrap(f)
+	w.f = f
+	if w.opts.WrapFile != nil {
+		w.f = w.opts.WrapFile(f)
+	}
 	w.pending = 0
 	return nil
 }
 
 // Append durably adds one record: it is written to the log (fsync'd per the
-// group-commit policy) before being added to the in-memory view. A write
-// error poisons the WAL — every later Append fails with the same error —
-// because a partially-written line must be recovered by reopening.
+// group-commit policy) before it is counted. A write error poisons the WAL —
+// every later Append fails with the same error — because a partially-written
+// line must be recovered by reopening.
 func (w *WAL) Append(r Record) error {
 	if r.Stamp.IsZero() {
 		r.Stamp = w.opts.Clock().UTC()
@@ -185,19 +186,31 @@ func (w *WAL) Append(r Record) error {
 	if w.broken != nil {
 		return fmt.Errorf("histdb: log poisoned by earlier append failure: %w", w.broken)
 	}
-	if _, err := w.f.Write(line); err != nil { //gptlint:ignore lock-held-across-blocking the WAL mutex exists to serialize the log handle; appends are write-then-publish by design
+	if _, err := w.f.Write(line); err != nil {
 		w.broken = err
 		return err
 	}
 	w.pending++
 	if w.pending >= w.opts.GroupCommit {
-		if err := w.f.Sync(); err != nil { //gptlint:ignore lock-held-across-blocking group-commit fsync must happen before the record is published under the same critical section
-			w.broken = err
+		if err := w.flush(); err != nil {
 			return err
 		}
-		w.pending = 0
 	}
-	w.db.Append(r)
+	w.n.Add(1)
+	return nil
+}
+
+// flush fsyncs the appends group commit has buffered; a failed fsync poisons
+// the log like a failed write. Caller holds w.mu.
+func (w *WAL) flush() error {
+	if w.pending == 0 {
+		return nil
+	}
+	if err := w.f.Sync(); err != nil {
+		w.broken = err
+		return err
+	}
+	w.pending = 0
 	return nil
 }
 
@@ -211,21 +224,14 @@ func (w *WAL) Sync() error {
 	if w.broken != nil {
 		return w.broken
 	}
-	if w.pending == 0 {
-		return nil
-	}
-	if err := w.f.Sync(); err != nil { //gptlint:ignore lock-held-across-blocking Sync must observe a stable pending count; the mutex serializes the handle by design
-		w.broken = err
-		return err
-	}
-	w.pending = 0
-	return nil
+	return w.flush()
 }
 
-// Compact folds the log into the snapshot: the full record set is durably
-// rewritten to the snapshot file, then an empty log (header only) atomically
-// replaces the old one. Crash-safe at every step — recovery after an
-// interrupted compaction skips the already-folded records.
+// Compact folds the log into the snapshot: the pair is re-read under the
+// mutex (the WAL keeps no records, and no append can interleave), the full
+// record set is durably rewritten to the snapshot file, then an empty log
+// (header only) atomically replaces the old one. Crash-safe at every step —
+// recovery after an interrupted compaction skips the already-folded records.
 func (w *WAL) Compact() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -235,14 +241,18 @@ func (w *WAL) Compact() error {
 	if w.broken != nil {
 		return w.broken
 	}
-	data, err := json.MarshalIndent(w.db.records, "", " ")
+	rec, err := readPair(w.base)
 	if err != nil {
 		return err
 	}
-	if err := writeFileDurable(w.base, data); err != nil { //gptlint:ignore lock-held-across-blocking compaction must block appends: snapshot and log swap atomically under the WAL mutex
+	data, err := json.MarshalIndent(rec.records, "", " ")
+	if err != nil {
 		return err
 	}
-	return w.writeFreshLog(len(w.db.records)) //gptlint:ignore lock-held-across-blocking the log-file swap is the second half of the same critical section
+	if err := WriteFileDurable(w.base, data); err != nil {
+		return err
+	}
+	return w.writeFreshLog(len(rec.records))
 }
 
 // Export returns a consistent byte-for-byte copy of the snapshot and log
@@ -260,21 +270,14 @@ func (w *WAL) Export() (snapshot, log []byte, err error) {
 	if w.broken != nil {
 		return nil, nil, w.broken
 	}
-	if w.pending > 0 {
-		if err := w.f.Sync(); err != nil { //gptlint:ignore lock-held-across-blocking pending records must hit disk before the files are copied, under the same critical section
-			w.broken = err
-			return nil, nil, err
-		}
-		w.pending = 0
+	if err := w.flush(); err != nil {
+		return nil, nil, err
 	}
-	snapshot, err = os.ReadFile(w.base) //gptlint:ignore lock-held-across-blocking the copy must exclude concurrent appends; the WAL mutex is the only thing that can
-	if err != nil {
-		if !os.IsNotExist(err) {
-			return nil, nil, err
-		}
-		snapshot = nil
+	snapshot, err = os.ReadFile(w.base)
+	if err != nil && !os.IsNotExist(err) {
+		return nil, nil, err
 	}
-	log, err = os.ReadFile(walPath(w.base)) //gptlint:ignore lock-held-across-blocking same critical section as the snapshot read: the pair must be mutually consistent
+	log, err = os.ReadFile(WalPath(w.base))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -289,38 +292,46 @@ func (w *WAL) Close() error {
 		return nil
 	}
 	var err error
-	if w.broken == nil && w.pending > 0 {
-		err = w.f.Sync() //gptlint:ignore lock-held-across-blocking final flush races nothing the mutex does not already exclude; Close owns the handle
+	if w.broken == nil {
+		err = w.flush()
 	}
-	if cerr := w.f.Close(); err == nil { //gptlint:ignore lock-held-across-blocking closing the handle under the mutex is what makes later appends fail cleanly
+	if cerr := w.f.Close(); err == nil {
 		err = cerr
 	}
 	w.f = nil
 	return err
 }
 
-// DB returns the in-memory view of snapshot + log. Callers must treat it as
-// read-only: new records go through WAL.Append so they are logged first.
-func (w *WAL) DB() *DB { return w.db }
-
 // Len returns the total record count (snapshot + log).
-func (w *WAL) Len() int { return w.db.Len() }
+func (w *WAL) Len() int { return int(w.n.Load()) }
 
-// recovered is the result of scanning a log file.
+// recovered is one reading of a snapshot + log pair: the counts Verify
+// reports, plus what open needs to act on them.
 type recovered struct {
-	records   []Record
-	goodSize  int64 // bytes of the valid newline-terminated prefix
-	tornBytes int64 // trailing bytes after the last newline (discarded)
-	skipped   int   // leading records dropped as already in the snapshot
+	VerifyResult
+	records   []Record // the snapshot's records, then the log records that extend them
+	goodSize  int64    // bytes of the log's valid newline-terminated prefix
 	hasHeader bool
 }
 
-// recoverWAL scans the log at path against a snapshot of snapLen records.
-// A missing file or a file whose header line is torn yields an empty result
-// with hasHeader=false. A newline-terminated line that fails to parse is an
+// readPair is the one reader of the snapshot + log pair at base: Load,
+// OpenWALRecords, Verify and Compact all see the files through it, so the
+// recovery rules exist once. It modifies neither file.
+func readPair(base string) (recovered, error) {
+	snap, err := loadSnapshot(base)
+	if err != nil {
+		return recovered{}, err
+	}
+	return recoverWAL(WalPath(base), snap)
+}
+
+// recoverWAL scans the log at path on top of the snapshot's records. A
+// missing file or a file whose header line is torn adds nothing, with
+// hasHeader=false. A newline-terminated line that fails to parse is an
 // error (real corruption, not a torn append).
-func recoverWAL(path string, snapLen int) (recovered, error) {
-	var rec recovered
+func recoverWAL(path string, snap []Record) (recovered, error) {
+	rec := recovered{records: snap}
+	rec.SnapshotRecords = len(snap)
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return rec, nil
@@ -330,17 +341,16 @@ func recoverWAL(path string, snapLen int) (recovered, error) {
 	}
 	var hdr walHeader
 	lineNo := 0
-	off := int64(0)
 	for len(data) > 0 {
 		nl := bytes.IndexByte(data, '\n')
 		if nl < 0 {
-			rec.tornBytes = int64(len(data))
+			rec.TornBytes = int64(len(data))
 			break
 		}
 		line := data[:nl]
 		lineNo++
 		if lineNo == 1 {
-			if err := json.Unmarshal(line, &hdr); err != nil || hdr.Wal != 1 {
+			if err := json.Unmarshal(line, &hdr); err != nil || hdr.Wal != 1 || hdr.SnapshotLen < 0 {
 				return rec, fmt.Errorf("histdb: %s: missing or invalid WAL header", path)
 			}
 			rec.hasHeader = true
@@ -351,29 +361,24 @@ func recoverWAL(path string, snapLen int) (recovered, error) {
 			}
 			rec.records = append(rec.records, r)
 		}
-		off += int64(nl) + 1
-		rec.goodSize = off
+		rec.goodSize += int64(nl) + 1
 		data = data[nl+1:]
 	}
 	if !rec.hasHeader {
 		// Only a torn header (or empty file): recover as a fresh log.
-		rec.records = nil
-		rec.goodSize = 0
 		return rec, nil
 	}
-	if hdr.SnapshotLen > snapLen {
+	if hdr.SnapshotLen > len(snap) {
 		return rec, fmt.Errorf("histdb: %s extends a snapshot of %d records but only %d are present — snapshot lost or rolled back",
-			path, hdr.SnapshotLen, snapLen)
+			path, hdr.SnapshotLen, len(snap))
 	}
 	// Records the snapshot already contains (an interrupted compaction, or a
 	// Save that folded a Load's view back in) are skipped, never replayed
 	// twice.
-	skip := snapLen - hdr.SnapshotLen
-	if skip > len(rec.records) {
-		skip = len(rec.records)
-	}
-	rec.skipped = skip
-	rec.records = rec.records[skip:]
+	log := rec.records[len(snap):]
+	rec.SkippedRecords = min(len(snap)-hdr.SnapshotLen, len(log))
+	rec.LogRecords = len(log) - rec.SkippedRecords
+	rec.records = append(rec.records[:len(snap)], log[rec.SkippedRecords:]...)
 	return rec, nil
 }
 
@@ -389,15 +394,6 @@ type VerifyResult struct {
 // file. A nil error means OpenWAL would recover everything except the
 // reported torn tail.
 func Verify(base string) (VerifyResult, error) {
-	var res VerifyResult
-	snap, err := loadSnapshot(base)
-	if err != nil {
-		return res, err
-	}
-	res.SnapshotRecords = len(snap)
-	rec, err := recoverWAL(walPath(base), len(snap))
-	res.LogRecords = len(rec.records)
-	res.SkippedRecords = rec.skipped
-	res.TornBytes = rec.tornBytes
-	return res, err
+	rec, err := readPair(base)
+	return rec.VerifyResult, err
 }

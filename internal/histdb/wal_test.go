@@ -18,6 +18,16 @@ func walRecord(i int) Record {
 	}
 }
 
+// loaded reads the records at base back from disk — an open WAL keeps none.
+func loaded(t *testing.T, base string) []Record {
+	t.Helper()
+	db, err := Load(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db.Records()
+}
+
 func TestWALRoundTrip(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "hist.json")
 	w, err := OpenWAL(base, WALOptions{})
@@ -33,16 +43,16 @@ func TestWALRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reopen: everything recovered from the log alone (no snapshot yet).
-	w2, err := OpenWAL(base, WALOptions{})
+	// Reopen: everything recovered from the log alone (no snapshot yet), and
+	// handed to the caller that asks for it.
+	w2, recs, err := OpenWALRecords(base, WALOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w2.Close()
-	if w2.Len() != 5 {
-		t.Fatalf("recovered %d records, want 5", w2.Len())
+	if w2.Len() != 5 || len(recs) != 5 {
+		t.Fatalf("recovered %d records (%d returned), want 5", w2.Len(), len(recs))
 	}
-	recs := w2.DB().Records()
 	for i, r := range recs {
 		if r.Config[0] != float64(i) {
 			t.Fatalf("record %d out of order: %+v", i, r)
@@ -75,7 +85,7 @@ func TestWALTornTailRecovered(t *testing.T) {
 	}
 
 	// Simulate a crash mid-append: a partial record with no newline.
-	f, err := os.OpenFile(walPath(base), os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(WalPath(base), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +133,7 @@ func TestWALCorruptMiddleLineErrors(t *testing.T) {
 
 	// A newline-terminated garbage line followed by a valid record is
 	// corruption, not a torn append.
-	f, err := os.OpenFile(walPath(base), os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(WalPath(base), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +201,7 @@ func TestWALCompactCrashWindow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	oldLog, err := os.ReadFile(walPath(base))
+	oldLog, err := os.ReadFile(WalPath(base))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +211,7 @@ func TestWALCompactCrashWindow(t *testing.T) {
 	w.Close()
 	// Undo the log swap, leaving the post-compaction snapshot with the
 	// pre-compaction log — exactly the crash-window state.
-	if err := os.WriteFile(walPath(base), oldLog, 0o644); err != nil {
+	if err := os.WriteFile(WalPath(base), oldLog, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	res, err := Verify(base)
@@ -269,7 +279,7 @@ func TestWALGroupCommit(t *testing.T) {
 
 func TestWALTornHeaderStartsFresh(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "hist.json")
-	if err := os.WriteFile(walPath(base), []byte(`{"wal":1,"snapshot`), 0o644); err != nil {
+	if err := os.WriteFile(WalPath(base), []byte(`{"wal":1,"snapshot`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	w, err := OpenWAL(base, WALOptions{})
@@ -296,7 +306,7 @@ func TestWALClockStampsRecords(t *testing.T) {
 	if err := w.Append(Record{Problem: "p", Outputs: []float64{1}}); err != nil {
 		t.Fatal(err)
 	}
-	if got := w.DB().Records()[0].Stamp; !got.Equal(fixed) {
+	if got := loaded(t, base)[0].Stamp; !got.Equal(fixed) {
 		t.Fatalf("stamp = %v, want %v", got, fixed)
 	}
 }
@@ -315,7 +325,7 @@ func TestWALNilClockDefaultsToWallClock(t *testing.T) {
 	if err := w.Append(Record{Problem: "p", Outputs: []float64{1}}); err != nil {
 		t.Fatal(err)
 	}
-	got := w.DB().Records()[0].Stamp
+	got := loaded(t, base)[0].Stamp
 	if got.IsZero() || got.Before(before) {
 		t.Fatalf("nil-clock stamp = %v, want a recent wall-clock time", got)
 	}
@@ -345,7 +355,7 @@ func TestWALExport(t *testing.T) {
 	}
 
 	// Materialize the export elsewhere and recover it.
-	restore := func(snap, log []byte) *WAL {
+	restore := func(snap, log []byte) (*WAL, string) {
 		dir := t.TempDir()
 		dst := filepath.Join(dir, "hist.json")
 		if snap != nil {
@@ -360,15 +370,15 @@ func TestWALExport(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return w2
+		return w2, dst
 	}
-	w2 := restore(snap, log)
+	w2, dst := restore(snap, log)
 	defer w2.Close()
 	if w2.Len() != 5 {
 		t.Fatalf("restored export has %d records, want 5", w2.Len())
 	}
-	a, _ := json.Marshal(w.DB().Records())
-	b, _ := json.Marshal(w2.DB().Records())
+	a, _ := json.Marshal(loaded(t, base))
+	b, _ := json.Marshal(loaded(t, dst))
 	if string(a) != string(b) {
 		t.Fatal("restored records differ from the source")
 	}
@@ -387,7 +397,7 @@ func TestWALExport(t *testing.T) {
 	if snap == nil {
 		t.Fatal("Export after Compact returned no snapshot")
 	}
-	w3 := restore(snap, log)
+	w3, _ := restore(snap, log)
 	defer w3.Close()
 	if w3.Len() != 6 {
 		t.Fatalf("restored post-compact export has %d records, want 6", w3.Len())

@@ -15,7 +15,8 @@ package lint
 //                             blocking operation (channel op, file I/O,
 //                             fsync, time.Sleep, WaitGroup.Wait, abstract
 //                             I/O method) or at a call whose callee blocks
-//                             transitively.
+//                             transitively — unless every lock held there
+//                             carries a //gptlint:serializes-io marker.
 //   lock-order                two mutex classes are acquired in opposite
 //                             orders somewhere in the module.
 //   goroutine-leak            a go statement whose body shows no join
@@ -533,7 +534,7 @@ func (w *lockWalker) callEvent(call *ast.CallExpr, hp *[]heldLock) {
 		}
 		if m.sumBlock != nil && !w.seen[pos] {
 			w.seen[pos] = true
-			if w.emit {
+			if w.emit && !w.g.ix.serialized(*hp) {
 				w.report(pos, RuleLockBlocking,
 					"call to %s blocks (%s) while holding %s",
 					fnName(m.fn), m.sumBlock.trace(), heldList(*hp))
@@ -554,7 +555,7 @@ func (w *lockWalker) callEvent(call *ast.CallExpr, hp *[]heldLock) {
 }
 
 func (w *lockWalker) blockEvent(pos token.Position, desc string, held []heldLock) {
-	if len(held) == 0 || !w.emit || w.seen[pos] {
+	if len(held) == 0 || !w.emit || w.seen[pos] || w.g.ix.serialized(held) {
 		return
 	}
 	w.seen[pos] = true

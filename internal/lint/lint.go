@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"sort"
 	"strings"
 )
@@ -123,16 +124,23 @@ func DefaultConfig(modulePath string) Config {
 	return cfg
 }
 
-// ignoreDirective is one parsed //gptlint:ignore comment.
+// ignoreDirective is one parsed //gptlint:ignore comment, or one
+// //gptlint:serializes-io marker — the same contract (a reason is required,
+// a malformed one is bad-ignore, one that suppresses nothing is
+// unused-ignore) applied to a lock instead of a line.
 type ignoreDirective struct {
 	pos    token.Position
 	rule   string
 	reason string
 	bad    string // non-empty: malformed, with explanation
 	used   bool
+	lock   string // serializes-io markers only: the lock key of the marked mutex field
 }
 
-const ignorePrefix = "//gptlint:ignore"
+const (
+	ignorePrefix       = "//gptlint:ignore"
+	serializesIOMarker = "//gptlint:serializes-io"
+)
 
 // parseIgnores extracts every //gptlint:ignore directive from a file.
 func parseIgnores(fset *token.FileSet, file *ast.File) []*ignoreDirective {
@@ -167,17 +175,85 @@ func parseIgnores(fset *token.FileSet, file *ast.File) []*ignoreDirective {
 	return out
 }
 
+// parseSerializesIO extracts every //gptlint:serializes-io marker from a
+// file. The marker belongs on a sync.Mutex/RWMutex field of a named struct
+// type — on the field's own line or the line above, like //gptlint:hotpath
+// on a function — and declares that the mutex exists to serialize I/O, so
+// holding it (and only locks like it) at a blocking operation is the design,
+// not a finding. Anywhere else, or without a reason, it is malformed.
+func parseSerializesIO(pkg *Package, file *ast.File) []*ignoreDirective {
+	byComment := make(map[*ast.Comment]*ignoreDirective)
+	var out []*ignoreDirective
+	for _, cg := range file.Comments {
+		for _, c := range cg.List {
+			if c.Text != serializesIOMarker && !strings.HasPrefix(c.Text, serializesIOMarker+" ") {
+				continue
+			}
+			text := c.Text[len(serializesIOMarker):]
+			if i := strings.Index(text, "//"); i >= 0 {
+				text = text[:i]
+			}
+			d := &ignoreDirective{
+				pos:    pkg.Fset.Position(c.Pos()),
+				reason: strings.TrimSpace(text),
+				bad:    "serializes-io marker is not on a (single) sync.Mutex/RWMutex field of a named struct type",
+			}
+			byComment[c] = d
+			out = append(out, d)
+		}
+	}
+	if len(out) == 0 {
+		return nil
+	}
+	ast.Inspect(file, func(x ast.Node) bool {
+		ts, ok := x.(*ast.TypeSpec)
+		if !ok {
+			return true
+		}
+		st, ok := ts.Type.(*ast.StructType)
+		if !ok {
+			return true
+		}
+		for _, f := range st.Fields.List {
+			named, _ := pkg.Info.TypeOf(f.Type).(*types.Named)
+			if len(f.Names) != 1 || (!isNamedIn(named, "sync", "Mutex") && !isNamedIn(named, "sync", "RWMutex")) {
+				continue
+			}
+			for _, cg := range []*ast.CommentGroup{f.Doc, f.Comment} {
+				if cg == nil {
+					continue
+				}
+				for _, c := range cg.List {
+					d := byComment[c]
+					if d == nil {
+						continue
+					}
+					d.bad = ""
+					if d.reason == "" {
+						d.bad = "serializes-io marker has no reason; the contract is //gptlint:serializes-io <reason>"
+					}
+					// The key lockExprKey derives for a selector on this field.
+					d.lock = pkg.Types.Name() + "." + ts.Name.Name + "." + f.Names[0].Name
+				}
+			}
+		}
+		return true
+	})
+	return out
+}
+
 // ignoreIndex holds every directive in the analyzed packages, keyed by
 // file, so both the suppression pass and the call-graph collector (which
 // severs ignored sites from transitive summaries) share one used-tracking
 // view.
 type ignoreIndex struct {
-	byFile map[string][]*ignoreDirective // well-formed directives only
+	byFile map[string][]*ignoreDirective // well-formed ignores only
+	serial map[string]*ignoreDirective   // well-formed serializes-io markers, by lock key
 	all    []*ignoreDirective            // every directive, in file order
 }
 
 func newIgnoreIndex(pkgs []*Package) *ignoreIndex {
-	ix := &ignoreIndex{byFile: make(map[string][]*ignoreDirective)}
+	ix := &ignoreIndex{byFile: make(map[string][]*ignoreDirective), serial: make(map[string]*ignoreDirective)}
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
 			for _, d := range parseIgnores(pkg.Fset, file) {
@@ -186,9 +262,30 @@ func newIgnoreIndex(pkgs []*Package) *ignoreIndex {
 					ix.byFile[d.pos.Filename] = append(ix.byFile[d.pos.Filename], d)
 				}
 			}
+			for _, d := range parseSerializesIO(pkg, file) {
+				ix.all = append(ix.all, d)
+				if d.bad == "" {
+					ix.serial[d.lock] = d
+				}
+			}
 		}
 	}
 	return ix
+}
+
+// serialized reports whether every held lock carries a serializes-io marker
+// — the one case lock-held-across-blocking stays silent about — marking
+// each marker used. One unmarked lock among them and the finding stands.
+func (ix *ignoreIndex) serialized(held []heldLock) bool {
+	for _, h := range held {
+		if ix.serial[h.key] == nil {
+			return false
+		}
+	}
+	for _, h := range held {
+		ix.serial[h.key].used = true
+	}
+	return true
 }
 
 // severs reports whether an ignore for any of the rules sits on pos's line
@@ -228,7 +325,9 @@ func (ix *ignoreIndex) suppress(d Diagnostic) bool {
 // contract: a //gptlint:ignore <rule> <reason> comment on the same line as
 // a violation (or on the line directly above it) suppresses that
 // diagnostic; an ignore that suppresses nothing is itself reported
-// (unused-ignore), as is a malformed one (bad-ignore). The syntactic rules
+// (unused-ignore), as is a malformed one (bad-ignore); a
+// //gptlint:serializes-io marker on a mutex field is held to the same
+// contract. The syntactic rules
 // run per file; the interprocedural rules run over a call graph of the
 // whole package set, so transitive findings are only as complete as the
 // set of packages passed in — lint "./..." for whole-module guarantees.
@@ -262,10 +361,13 @@ func Run(pkgs []*Package, cfg Config) []Diagnostic {
 				Rule: RuleBadIgnore, Msg: ig.bad,
 			})
 		case !ig.used && !partial:
+			msg := fmt.Sprintf("gptlint:ignore %s suppresses nothing; delete it or move it onto the offending line", ig.rule)
+			if ig.lock != "" {
+				msg = fmt.Sprintf("gptlint:serializes-io on %s suppresses nothing; delete it", ig.lock)
+			}
 			kept = append(kept, Diagnostic{
 				File: ig.pos.Filename, Line: ig.pos.Line, Col: ig.pos.Column,
-				Rule: RuleUnusedIgnore,
-				Msg:  fmt.Sprintf("gptlint:ignore %s suppresses nothing; delete it or move it onto the offending line", ig.rule),
+				Rule: RuleUnusedIgnore, Msg: msg,
 			})
 		}
 	}

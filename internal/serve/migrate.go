@@ -7,12 +7,9 @@ package serve
 // No record translation, no coordination protocol.
 
 import (
-	"fmt"
 	"net/http"
-	"os"
 
 	"repro/gptune/api"
-	"repro/internal/histdb"
 )
 
 // handleSnapshot exports a study for migration. The WAL is compacted first
@@ -33,70 +30,19 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request, st *stud
 	api.WriteJSON(w, http.StatusOK, api.Archive{Spec: st.spec, Snapshot: snap, WAL: log, Logged: st.cp.Logged()})
 }
 
-// handleImport re-homes a study from an archive: the history files and spec
-// are written durably, then the study is opened exactly as a post-crash
-// restart would — core.Resume replays the imported log, and the engine
-// satisfies every logged evaluation from it instead of re-paying the
-// objective. Importing over an existing study answers 409; delete the
-// loser's data directory entries first if the import should win.
+// handleImport re-homes a study from an archive through the one admit path:
+// the study is opened exactly as a post-crash restart would — core.Resume
+// replays the imported log, and the engine satisfies every logged evaluation
+// from it instead of re-paying the objective. Importing over an existing
+// study answers 409; delete the loser's data directory entries first if the
+// import should win.
 func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 	var arc api.Archive
 	if err := decodeBody(w, r, &arc, api.MaxImportBytes); err != nil {
 		api.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	if _, _, _, err := buildSpec(&arc.Spec); err != nil {
-		api.WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	name := arc.Spec.Name
-	if !s.reserveName(w, name) {
-		return
-	}
-	defer s.releaseName(name)
-
-	// History lands before the spec: resumeAll keys on spec files, so a
-	// crash between the two writes leaves no half-imported study visible
-	// after restart — re-POST the archive and the files are rewritten. Any
-	// failure below removes whatever was written.
-	installed := false
-	defer func() {
-		if !installed {
-			os.Remove(s.histPath(name))
-			os.Remove(histdb.WalPath(s.histPath(name)))
-			os.Remove(s.specPath(name))
-		}
-	}()
-	for _, f := range []struct {
-		path string
-		data []byte
-	}{{s.histPath(name), arc.Snapshot}, {histdb.WalPath(s.histPath(name)), arc.WAL}} {
-		if len(f.data) == 0 {
-			os.Remove(f.path)
-		} else if err := histdb.WriteFileDurable(f.path, f.data); err != nil {
-			api.WriteError(w, http.StatusInternalServerError, err)
-			return
-		}
-	}
-	data, err := api.EncodeSpec(&arc.Spec)
-	if err == nil {
-		err = histdb.WriteFileDurable(s.specPath(name), data)
-	}
-	if err != nil {
-		api.WriteError(w, http.StatusInternalServerError, err)
-		return
-	}
-	st, err := s.openStudy(arc.Spec)
-	if err != nil {
-		api.WriteError(w, http.StatusBadRequest, fmt.Errorf("serve: importing study %s: %w", name, err))
-		return
-	}
-	if got := st.cp.Logged(); arc.Logged != 0 && got != arc.Logged {
-		st.cp.Close()
-		api.WriteError(w, http.StatusBadRequest, fmt.Errorf("serve: archive for %s claims %d logged evaluations but its WAL recovered %d", name, arc.Logged, got))
-		return
-	}
-	if installed = s.installStudy(w, st); installed {
-		api.WriteJSON(w, http.StatusCreated, api.Imported{Logged: st.cp.Logged(), Name: name})
+	if st := s.admit(w, &arc); st != nil {
+		api.WriteJSON(w, http.StatusCreated, api.Imported{Logged: st.cp.Logged(), Name: arc.Spec.Name})
 	}
 }

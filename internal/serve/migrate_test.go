@@ -76,7 +76,8 @@ func TestSnapshotImportResumeParity(t *testing.T) {
 // TestImportRejectsBadArchive: a structurally invalid spec and a corrupt
 // WAL must both bounce with 400 and leave no study (or files) behind.
 func TestImportRejectsBadArchive(t *testing.T) {
-	c := newTestServer(t).c
+	ts := newTestServer(t)
+	c := ts.c
 
 	bad := api.Archive{Spec: testSpec("", 4, 1)} // empty name fails validation
 	wantStatus(t, c.Import(ctx, bad), http.StatusBadRequest, "invalid spec import")
@@ -86,6 +87,7 @@ func TestImportRejectsBadArchive(t *testing.T) {
 	if list, err := c.Studies(ctx); err != nil || len(list) != 0 {
 		t.Fatalf("failed imports left studies behind: %v (%v)", list, err)
 	}
+	wantNoStudyFiles(t, ts.dir, "c")
 	// The name must be importable again after the failure (files cleaned,
 	// reservation released).
 	if err := c.Import(ctx, api.Archive{Spec: testSpec("c", 4, 1)}); err != nil {

@@ -45,14 +45,10 @@ type Server struct {
 	cfg  Config
 	gate *mpx.Gate
 
-	mu      sync.Mutex
-	studies map[string]*study
-	// pending reserves study names whose create is in flight: the spec
-	// write and WAL open happen outside the lock, and the reservation is
-	// what keeps a concurrent duplicate create from racing past the
-	// exists check in the meantime.
-	pending  map[string]bool
-	draining bool // health reports 503; set by BeginDrain and by Close
+	mu       sync.Mutex
+	studies  map[string]*study
+	pending  map[string]bool // names reserved by an in-flight admit (reserveName)
+	draining bool            // health reports 503; set by BeginDrain and by Close
 	closed   bool
 }
 
@@ -170,7 +166,7 @@ func (s *Server) BeginDrain() {
 // be drained first (http.Server.Shutdown) so no commit races the close.
 func (s *Server) Close() error {
 	// Snapshot under the lock, fsync+close outside it: once closed is set,
-	// nothing inserts into studies (handleCreate re-checks closed before
+	// nothing inserts into studies (installStudy re-checks closed before
 	// its insert), so the snapshot is complete and the WAL closes — which
 	// block on file I/O — run without holding the server mutex.
 	s.mu.Lock()
@@ -210,18 +206,21 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc(api.RouteImport, s.handleImport)
 	mux.HandleFunc(api.RouteList, s.handleList)
 	mux.HandleFunc(api.RouteSnapshot, s.withStudy(s.handleSnapshot))
-	mux.HandleFunc(api.RouteStatus, s.withStudy(s.handleStatus))
+	mux.HandleFunc(api.RouteStatus, s.withStudy(caughtUp(s.handleStatus)))
 	mux.HandleFunc(api.RouteSuggest, s.withStudy(s.handleSuggest))
 	mux.HandleFunc(api.RouteReport, s.withStudy(s.handleReport))
-	mux.HandleFunc(api.RouteBest, s.withStudy(s.handleBest))
-	mux.HandleFunc(api.RoutePareto, s.withStudy(s.handlePareto))
-	mux.HandleFunc(api.RouteHistory, s.withStudy(s.handleHistory))
+	mux.HandleFunc(api.RouteBest, s.withStudy(caughtUp(s.handleBest)))
+	mux.HandleFunc(api.RoutePareto, s.withStudy(caughtUp(s.handlePareto)))
+	mux.HandleFunc(api.RouteHistory, s.withStudy(caughtUp(s.handleHistory)))
 	return mux
 }
 
+// studyHandler is a handler for a study-scoped route.
+type studyHandler func(http.ResponseWriter, *http.Request, *study)
+
 // withStudy resolves the route's study for a study-scoped handler, answering
 // 404 itself when there is none.
-func (s *Server) withStudy(h func(http.ResponseWriter, *http.Request, *study)) http.HandlerFunc {
+func (s *Server) withStudy(h studyHandler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		name := r.PathValue(api.StudyParam)
 		s.mu.Lock()
@@ -230,6 +229,19 @@ func (s *Server) withStudy(h func(http.ResponseWriter, *http.Request, *study)) h
 		if !ok {
 			api.WriteError(w, http.StatusNotFound, fmt.Errorf("serve: no study %s", name))
 			return
+		}
+		h(w, r, st)
+	}
+}
+
+// caughtUp wraps a read route. The engine holds the only in-memory copy of a
+// study's records and replays its log lazily — at the first suggest, which a
+// finished study never gets — so a read first lets an engine that is behind
+// its checkpoint catch up. A study that is not replaying waits on nothing.
+func caughtUp(h studyHandler) studyHandler {
+	return func(w http.ResponseWriter, r *http.Request, st *study) {
+		if st.cp.Replaying() {
+			st.eng.CatchUp()
 		}
 		h(w, r, st)
 	}
@@ -272,42 +284,88 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	if _, _, _, err := buildSpec(&spec); err != nil {
-		api.WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	if !s.reserveName(w, spec.Name) {
-		return
-	}
-	defer s.releaseName(spec.Name)
-	// On any failure below, leave no spec behind for a restart to resume.
-	installed := false
-	defer func() {
-		if !installed {
-			os.Remove(s.specPath(spec.Name))
-		}
-	}()
-	// Persist the spec before opening the study: after a crash the spec on
-	// disk, not the client, is what rebuilds the engine the WAL replays.
-	data, err := api.EncodeSpec(&spec)
-	if err == nil {
-		err = histdb.WriteFileDurable(s.specPath(spec.Name), data)
-	}
-	var st *study
-	if err == nil {
-		st, err = s.openStudy(spec)
-	}
-	if err != nil {
-		api.WriteError(w, http.StatusInternalServerError, err)
-		return
-	}
-	if installed = s.installStudy(w, st); installed {
+	if st := s.admit(w, &api.Archive{Spec: spec}); st != nil { // create = import of an empty archive
 		api.WriteJSON(w, http.StatusCreated, api.Created{Name: spec.Name, Tasks: len(spec.Tasks)})
 	}
 }
 
-// reserveName reserves a study name for an in-flight create/import under
-// the server lock, so the durable writes and WAL open can happen outside
+// admit is the one way a study enters a running server: validate, reserve
+// the name, land the archive's history (if any) and then the spec, open as
+// a restart would, cross-check the logged count, install. On failure it
+// writes the HTTP error, returns nil, and leaves the data directory as it
+// found it — every file written or created on the way (the header-only log
+// core.Resume makes included) is removed before the name is released.
+func (s *Server) admit(w http.ResponseWriter, arc *api.Archive) (st *study) {
+	if _, _, _, err := buildSpec(&arc.Spec); err != nil {
+		api.WriteError(w, http.StatusBadRequest, err)
+		return nil
+	}
+	name := arc.Spec.Name
+	if !s.reserveName(w, name) {
+		return nil
+	}
+	defer s.releaseName(name)
+	defer func() {
+		if st == nil {
+			s.removeFiles(name)
+		}
+	}()
+	// Nothing by this name is live, so what is on disk is a crash's leftover
+	// that an archive without a snapshot or log must not adopt.
+	s.removeFiles(name)
+
+	// History lands before the spec: resumeAll keys on spec files, so a
+	// crash between the writes leaves no half-admitted study to resume. The
+	// spec on disk, not the client, is what rebuilds the engine afterwards.
+	spec, err := api.EncodeSpec(&arc.Spec)
+	hist := s.histPath(name)
+	for _, f := range []struct {
+		path string
+		data []byte
+	}{{hist, arc.Snapshot}, {histdb.WalPath(hist), arc.WAL}, {s.specPath(name), spec}} {
+		if err == nil && len(f.data) > 0 {
+			err = histdb.WriteFileDurable(f.path, f.data)
+		}
+	}
+	if err != nil {
+		api.WriteError(w, http.StatusInternalServerError, err)
+		return nil
+	}
+	opened, err := s.openStudy(arc.Spec)
+	if err != nil {
+		// The spec is valid, so history that will not open is the archive's
+		// fault; with no history the fault can only be the server's.
+		code := http.StatusInternalServerError
+		if len(arc.Snapshot)+len(arc.WAL) > 0 {
+			code = http.StatusBadRequest
+		}
+		api.WriteError(w, code, fmt.Errorf("serve: opening study %s: %w", name, err))
+		return nil
+	}
+	if got := opened.cp.Logged(); arc.Logged != 0 && got != arc.Logged {
+		opened.cp.Close()
+		api.WriteError(w, http.StatusBadRequest, fmt.Errorf("serve: archive for %s claims %d logged evaluations but its WAL recovered %d", name, arc.Logged, got))
+		return nil
+	}
+	if !s.installStudy(w, opened) {
+		return nil
+	}
+	return opened
+}
+
+// removeFiles deletes a study's files, spec first, so a crash partway leaves
+// history nobody resumes rather than a spec over half a history. Errors are
+// dropped: a file that is not there is the goal, and one that will not go
+// fails the write or the open that follows.
+func (s *Server) removeFiles(name string) {
+	hist := s.histPath(name)
+	for _, p := range []string{s.specPath(name), hist, histdb.WalPath(hist)} {
+		os.Remove(p)
+	}
+}
+
+// reserveName reserves a study name for an in-flight admit under the server
+// lock, so the durable writes and WAL open can happen outside
 // it: the reservation keeps a concurrent duplicate from passing the exists
 // check mid-I/O while distinct names proceed in parallel. On failure it
 // writes the HTTP error (503 shutting down, 409 duplicate) and returns

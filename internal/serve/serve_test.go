@@ -20,6 +20,7 @@ import (
 	"repro/gptune/client"
 	"repro/internal/apps/analytical"
 	"repro/internal/core"
+	"repro/internal/histdb"
 	"repro/internal/serve"
 	"repro/internal/space"
 )
@@ -295,6 +296,77 @@ func TestServeInProcessRestartResumes(t *testing.T) {
 				t.Errorf("task %d sample %d: resumed history diverged", ti, i)
 			}
 		}
+	}
+}
+
+// TestReadsReplayLoggedHistory: the engine's history is the only in-memory
+// copy of a study's records, so the read routes must find it complete
+// whoever asks first. A finished study is the hard case — nobody will ever
+// call suggest on it again — so after a restart, and after an import on a
+// second server, status/history/best are read with no suggest in between and
+// must answer exactly what the live study answered. The restarted study's
+// first reads arrive several at once, racing each other into the catch-up;
+// an async study must be waited for just the same.
+func TestReadsReplayLoggedHistory(t *testing.T) {
+	for _, async := range []bool{false, true} {
+		t.Run(fmt.Sprintf("async=%v", async), func(t *testing.T) {
+			const epsTot, seed = 6, 11
+			dir := t.TempDir()
+			s1 := startServer(t, dir)
+			spec := testSpec("fin", epsTot, seed)
+			spec.Options.Async = async
+			create(t, s1.c, spec)
+			drive(t, s1.c, "fin", paper(testTasks), -1)
+			reads := func(c *client.Client) (string, error) {
+				status, err := c.Status(ctx, "fin")
+				if err != nil {
+					return "", err
+				}
+				if n := epsTot * len(testTasks); !status.Done || status.Phase != "done" || status.Observations != n || status.Logged != n {
+					return "", fmt.Errorf("status = %+v, want done with %d observations", status, n)
+				}
+				hist, err := c.History(ctx, "fin")
+				if err != nil {
+					return "", err
+				}
+				best, err := c.Best(ctx, "fin")
+				out, _ := json.Marshal(struct {
+					History []client.TaskHistory
+					Best    []client.BestEntry
+				}{hist, best})
+				return string(out), err
+			}
+			want, err := reads(s1.c)
+			if err != nil {
+				t.Fatalf("live: %v", err)
+			}
+			arc, err := s1.c.Snapshot(ctx, "fin")
+			if err != nil {
+				t.Fatalf("snapshot: %v", err)
+			}
+			s1.stop(t)
+
+			s2 := startServer(t, dir)
+			t.Cleanup(func() { s2.stop(t) })
+			var wg sync.WaitGroup
+			for i := 0; i < 4; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if got, err := reads(s2.c); err != nil || got != want {
+						t.Errorf("reads after restart: %v\nwant: %s\n got: %s", err, want, got)
+					}
+				}()
+			}
+			wg.Wait()
+			dst := newTestServer(t)
+			if err := dst.c.Import(ctx, arc); err != nil {
+				t.Fatalf("import: %v", err)
+			}
+			if got, err := reads(dst.c); err != nil || got != want {
+				t.Fatalf("reads after import: %v\nwant: %s\n got: %s", err, want, got)
+			}
+		})
 	}
 }
 
@@ -762,16 +834,45 @@ func TestServeAsyncRestartResumes(t *testing.T) {
 	}
 }
 
+// wantNoStudyFiles asserts a failed admit left nothing behind for the name:
+// no spec, no snapshot and no write-ahead log.
+func wantNoStudyFiles(t *testing.T, dir, name string) {
+	t.Helper()
+	hist := filepath.Join(dir, name+api.HistSuffix)
+	for _, p := range []string{filepath.Join(dir, name+api.SpecSuffix), hist, histdb.WalPath(hist)} {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("%s left behind by a rejected admit (stat: %v)", filepath.Base(p), err)
+		}
+	}
+}
+
 // TestCreateAfterClose pins the insert-or-rollback path: once Close has
-// run, a create must fail with 503 and must not leak a WAL handle or a spec
-// file for a study the close snapshot never saw.
+// run, a create must fail with 503 and must not leak a WAL handle or any
+// file for a study the close snapshot never saw — also when Close lands
+// while the create is between opening its WAL and installing the study.
 func TestCreateAfterClose(t *testing.T) {
 	ts := newTestServer(t)
 	if err := ts.srv.Close(); err != nil {
 		t.Fatal(err)
 	}
 	wantStatus(t, ts.c.Create(ctx, testSpec("late", 4, 1)), http.StatusServiceUnavailable, "create after close")
-	if _, err := os.Stat(filepath.Join(ts.dir, "late"+api.SpecSuffix)); !os.IsNotExist(err) {
-		t.Fatalf("spec file leaked after rejected create: %v", err)
+	wantNoStudyFiles(t, ts.dir, "late")
+
+	// The engine reads the clock once as it is built, after core.Resume has
+	// made the header-only log: closing the server from there is exactly the
+	// race in which install finds the server closed.
+	var srv *serve.Server
+	var closing sync.Once
+	dir := t.TempDir()
+	srv, err := serve.NewServer(serve.Config{DataDir: dir, Clock: func() time.Time {
+		closing.Do(func() { srv.Close() })
+		return time.Now()
+	}})
+	if err != nil {
+		t.Fatal(err)
 	}
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	wantStatus(t, newClient(t, hs.URL).Create(ctx, testSpec("raced", 4, 1)), http.StatusServiceUnavailable, "create racing close")
+	wantNoStudyFiles(t, dir, "raced")
 }

@@ -64,7 +64,9 @@ const wireSpec = `{"name":"w","task_params":[{"name":"t","kind":"real","lo":0,"h
 // {"done":true}, the 409 + Retry-After, and the 400/404/503 error bodies —
 // against testdata/wire.golden, which was recorded from the commit before
 // the protocol moved into gptune/api. Any byte of drift between the server
-// and its recorded contract fails here.
+// and its recorded contract fails here. One line has been re-recorded since:
+// the status read after the import reports the two logged observations (it
+// said 0), because a read now replays an engine that is behind its log.
 func TestWireGolden(t *testing.T) {
 	fixed := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
 	s, err := serve.NewServer(serve.Config{DataDir: t.TempDir(), Clock: func() time.Time { return fixed }})
