@@ -1,5 +1,5 @@
 // Command gptlint enforces the repo's determinism and concurrency
-// invariants (DESIGN.md §7, §10): no global math/rand, no wall-clock reads
+// invariants (DESIGN.md §7): no global math/rand, no wall-clock reads
 // in the numeric core (directly or through any call chain), no map-range
 // accumulation, no goroutines outside internal/mpx, no float ==, no dropped
 // errors, no locks held across blocking operations, no inconsistent lock

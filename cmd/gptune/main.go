@@ -96,7 +96,7 @@ func main() {
 	var (
 		app      = flag.String("app", "analytical", "scenario to tune: "+strings.Join(bench.Names(), ", ")+" ('list' prints the catalog)")
 		appParam = flag.String("app-param", "", "scenario parameter overrides, key=value[,key=value...] (see -app list)")
-		tuner    = flag.String("tuner", "gptune", "tuner: gptune (multitask MLA), "+strings.Join(gptune.TunerNames(), ", "))
+		tuner    = flag.String("tuner", "gptune", "tuner: gptune (multitask MLA over all tasks) or one run per task of "+strings.Join(gptune.TunerNames(), ", "))
 		delta    = flag.Int("delta", 3, "number of tasks δ (sampled from the task space)")
 		eps      = flag.Int("eps", 20, "function evaluations per task ε_tot")
 		seed     = flag.Int64("seed", 1, "random seed")

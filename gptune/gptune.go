@@ -32,6 +32,7 @@ package gptune
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/gp"
@@ -146,32 +147,40 @@ func SampleTasks(p *Problem, delta int, seed int64) ([][]float64, error) {
 // the baseline tuners.
 type Tuner = tuners.Tuner
 
-// NewTuner returns a tuner by name: "gptune" (single-task MLA),
-// "opentuner", "hpbandster", "surf", "random", or "grid" — mirroring the
-// paper's Section 6.1 interface for invoking other autotuners (it lists
-// OpenTuner, HpBandSter and ytopt; SuRF is the Section 5 random-forest
-// approach).
-func NewTuner(name string) (Tuner, error) {
-	switch name {
-	case "gptune", "gptune-singletask":
-		return singletask.Tuner{}, nil
-	case "opentuner":
-		return opentuner.Tuner{}, nil
-	case "hpbandster":
-		return hpbandster.Tuner{}, nil
-	case "surf":
-		return surf.Tuner{}, nil
-	case "random":
-		return tuners.Random{}, nil
-	case "grid":
-		return tuners.Grid{}, nil
-	}
-	return nil, fmt.Errorf("gptune: unknown tuner %q", name)
+// tunerTable is the one list of invocable single-task tuners, keyed by each
+// tuner's own Name(): NewTuner resolves through it, TunerNames lists it, and
+// cmd/gptune builds its -tuner help from that list. (Multitask MLA is not a
+// Tuner — it takes all tasks at once; see Tune.)
+var tunerTable = []Tuner{
+	singletask.Tuner{},
+	opentuner.Tuner{},
+	hpbandster.Tuner{},
+	surf.Tuner{},
+	tuners.Random{},
+	tuners.Grid{},
 }
 
-// TunerNames lists the invocable tuner names.
+// NewTuner returns a single-task tuner by name (one of TunerNames()) —
+// mirroring the paper's Section 6.1 interface for invoking other autotuners
+// (it lists OpenTuner, HpBandSter and ytopt; SuRF is the Section 5
+// random-forest approach; "gptune-singletask" is GPTune's own MLA run with
+// δ=1).
+func NewTuner(name string) (Tuner, error) {
+	for _, tn := range tunerTable {
+		if tn.Name() == name {
+			return tn, nil
+		}
+	}
+	return nil, fmt.Errorf("gptune: unknown tuner %q (have %s)", name, strings.Join(TunerNames(), ", "))
+}
+
+// TunerNames lists the names NewTuner accepts.
 func TunerNames() []string {
-	return []string{"gptune", "opentuner", "hpbandster", "surf", "random", "grid"}
+	names := make([]string, len(tunerTable))
+	for i, tn := range tunerTable {
+		names[i] = tn.Name()
+	}
+	return names
 }
 
 // History is the persistent tuning-data archive (paper goal #3).

@@ -3,6 +3,7 @@ package gptune_test
 import (
 	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/gptune"
@@ -55,6 +56,9 @@ func TestNewTunerDispatch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		if tn.Name() != name {
+			t.Fatalf("%s resolves to a tuner that calls itself %s", name, tn.Name())
+		}
 		tr, err := tn.Tune(demoProblem(), []float64{0}, 8, 3)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -63,8 +67,18 @@ func TestNewTunerDispatch(t *testing.T) {
 			t.Fatalf("%s: no evaluations", name)
 		}
 	}
-	if _, err := gptune.NewTuner("bogus"); err == nil {
-		t.Fatalf("unknown tuner accepted")
+	// An unknown name is rejected with the valid ones — and "gptune" is
+	// one: it names multitask MLA (Tune), never a single-task Tuner.
+	for _, name := range []string{"bogus", "gptune"} {
+		_, err := gptune.NewTuner(name)
+		if err == nil {
+			t.Fatalf("unknown tuner %q accepted", name)
+		}
+		for _, have := range gptune.TunerNames() {
+			if !strings.Contains(err.Error(), have) {
+				t.Fatalf("error %q does not list %s", err, have)
+			}
+		}
 	}
 }
 

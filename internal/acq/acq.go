@@ -1,13 +1,10 @@
 // Package acq implements the acquisition functions of GPTune's search phase:
 // Expected Improvement (Section 3.1) maximized by PSO, and the
-// multi-objective utilities (Pareto dominance, non-dominated filtering,
-// hypervolume) that back the NSGA-II-based search of Section 3.2.
+// multi-objective utilities (Pareto dominance, non-dominated filtering) that
+// back the NSGA-II-based search of Section 3.2.
 package acq
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // normPDF is the standard normal density φ.
 func normPDF(z float64) float64 {
@@ -111,51 +108,4 @@ func ParetoFilter(objs [][]float64) []int {
 		}
 	}
 	return front
-}
-
-// Hypervolume computes the hypervolume indicator of a 2-D Pareto front with
-// respect to reference point ref (both objectives minimized; every point
-// must weakly dominate ref). Larger is better. Points worse than ref in any
-// coordinate contribute nothing.
-func Hypervolume(front [][]float64, ref []float64) float64 {
-	if len(ref) != 2 {
-		panic("acq: Hypervolume supports exactly 2 objectives")
-	}
-	// Keep points dominating ref, sort by f1 ascending, sweep.
-	var pts [][]float64
-	for _, p := range front {
-		if p[0] < ref[0] && p[1] < ref[1] {
-			pts = append(pts, p)
-		}
-	}
-	if len(pts) == 0 {
-		return 0
-	}
-	sort.Slice(pts, func(i, j int) bool {
-		if pts[i][0] != pts[j][0] { //gptlint:ignore float-eq sort tie-break; exact comparison only picks a stable order for equal coordinates
-			return pts[i][0] < pts[j][0]
-		}
-		return pts[i][1] < pts[j][1]
-	})
-	hv := 0.0
-	prevF2 := ref[1]
-	for _, p := range pts {
-		if p[1] < prevF2 {
-			hv += (ref[0] - p[0]) * (prevF2 - p[1])
-			prevF2 = p[1]
-		}
-	}
-	return hv
-}
-
-// MultiObjectiveEI scalarizes per-objective expected improvements into a
-// single acquisition value by product (the "EI of the box" heuristic):
-// candidates improving several objectives at once score highest. yBest holds
-// the incumbent best value per objective.
-func MultiObjectiveEI(mu, variance, yBest []float64) float64 {
-	v := 1.0
-	for s := range mu {
-		v *= ExpectedImprovement(mu[s], variance[s], yBest[s])
-	}
-	return v
 }

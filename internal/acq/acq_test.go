@@ -170,55 +170,6 @@ func TestParetoFilterQuick(t *testing.T) {
 	}
 }
 
-func TestHypervolumeKnown(t *testing.T) {
-	front := [][]float64{{1, 3}, {2, 2}, {3, 1}}
-	ref := []float64{4, 4}
-	// Sweep: (1,3): (4-1)*(4-3)=3; (2,2): (4-2)*(3-2)=2; (3,1): (4-3)*(2-1)=1.
-	if hv := Hypervolume(front, ref); math.Abs(hv-6) > 1e-12 {
-		t.Fatalf("hypervolume = %v, want 6", hv)
-	}
-	if hv := Hypervolume(nil, ref); hv != 0 {
-		t.Fatalf("empty front hv = %v", hv)
-	}
-	// Points outside the reference box contribute nothing.
-	if hv := Hypervolume([][]float64{{5, 5}}, ref); hv != 0 {
-		t.Fatalf("dominated-by-ref point contributed %v", hv)
-	}
-}
-
-// Property: adding a point never decreases hypervolume.
-func TestHypervolumeMonotone(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		ref := []float64{1, 1}
-		n := 1 + rng.Intn(10)
-		front := make([][]float64, n)
-		for i := range front {
-			front[i] = []float64{rng.Float64(), rng.Float64()}
-		}
-		hv1 := Hypervolume(front, ref)
-		extra := append(front, []float64{rng.Float64(), rng.Float64()})
-		hv2 := Hypervolume(extra, ref)
-		return hv2 >= hv1-1e-15
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMultiObjectiveEI(t *testing.T) {
-	// Both objectives promising → positive product; one hopeless (σ=0,
-	// dominated) → zero.
-	v := MultiObjectiveEI([]float64{1, 1}, []float64{1, 1}, []float64{2, 2})
-	if v <= 0 {
-		t.Fatalf("MO-EI = %v, want > 0", v)
-	}
-	v = MultiObjectiveEI([]float64{3, 1}, []float64{0, 1}, []float64{2, 2})
-	if v != 0 {
-		t.Fatalf("MO-EI with one hopeless objective = %v, want 0", v)
-	}
-}
-
 // TestExpectedImprovementDegenerateInputs: EI must stay finite and
 // non-negative under every degenerate posterior a numerically stressed GP
 // can emit — negative variance (cancellation at training points), NaN or
@@ -256,10 +207,5 @@ func TestExpectedImprovementDegenerateInputs(t *testing.T) {
 	}
 	if got := ExpectedImprovement(5, -1, 4); got != 0 {
 		t.Errorf("EI with clamped variance at dominated mean = %v, want 0", got)
-	}
-	// MultiObjectiveEI inherits the guard: a NaN objective zeroes the
-	// product rather than propagating.
-	if got := MultiObjectiveEI([]float64{1, nan}, []float64{1, 1}, []float64{2, 2}); got != 0 || math.IsNaN(got) {
-		t.Errorf("MO-EI with NaN objective = %v, want 0", got)
 	}
 }

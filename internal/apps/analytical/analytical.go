@@ -75,7 +75,6 @@ func init() {
 	bench.Register(bench.Scenario{
 		Name:        "analytical",
 		Description: "the paper's Eq. (11) closed-form 1-D benchmark (Figs. 2-4); grid-enumerated optimum",
-		Tags:        []string{"paper", "synthetic"},
 		New: func(p bench.Params) (*core.Problem, error) {
 			return Problem(), nil
 		},

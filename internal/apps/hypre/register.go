@@ -11,7 +11,6 @@ func init() {
 	bench.Register(bench.Scenario{
 		Name:        "hypre",
 		Description: "hypre AMG solve time via real proxy multigrid solves on a convection-diffusion problem (Section 6.2)",
-		Tags:        []string{"paper", "hpc"},
 		Params: []bench.ParamDef{
 			{Name: "nodes", Default: 1, Help: "Cori-Haswell nodes (32 cores each)"},
 		},

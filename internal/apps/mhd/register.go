@@ -9,7 +9,6 @@ func init() {
 	bench.Register(bench.Scenario{
 		Name:        "m3dc1",
 		Description: "M3D-C1 fusion MHD time step dominated by SuperLU_DIST solves (Section 6.6 transfer-learning workload)",
-		Tags:        []string{"paper", "hpc"},
 		New: func(p bench.Params) (*core.Problem, error) {
 			return New(M3DC1).Problem(), nil
 		},
@@ -17,7 +16,6 @@ func init() {
 	bench.Register(bench.Scenario{
 		Name:        "nimrod",
 		Description: "NIMROD fusion MHD time step, the related task M3D-C1 history transfers to (Section 6.6)",
-		Tags:        []string{"paper", "hpc"},
 		New: func(p bench.Params) (*core.Problem, error) {
 			return New(NIMROD).Problem(), nil
 		},

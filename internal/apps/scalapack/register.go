@@ -15,7 +15,6 @@ func init() {
 		Name:        "qr",
 		Aliases:     []string{"pdgeqrf"},
 		Description: "ScaLAPACK PDGEQRF dense QR (Section 6.2): block size and process grid with the paper's pr<=p constraint",
-		Tags:        []string{"paper", "hpc", "constrained"},
 		Params: []bench.ParamDef{
 			{Name: "nodes", Default: 16, Help: "Cori-Haswell nodes (32 cores each)"},
 			{Name: "maxdim", Default: 20000, Help: "upper bound on the task dimensions m, n"},
@@ -32,7 +31,6 @@ func init() {
 		Name:        "eigen",
 		Aliases:     []string{"pdsyevx"},
 		Description: "ScaLAPACK PDSYEVX dense symmetric eigensolver (Section 6.2), pr<=p constraint",
-		Tags:        []string{"paper", "hpc", "constrained"},
 		Params: []bench.ParamDef{
 			{Name: "nodes", Default: 1, Help: "Cori-Haswell nodes (32 cores each)"},
 			{Name: "maxdim", Default: 7000, Help: "upper bound on the task dimension m"},

@@ -11,7 +11,6 @@ func init() {
 	bench.Register(bench.Scenario{
 		Name:        "superlu",
 		Description: "SuperLU_DIST sparse LU factorization time on PARSEC matrices (Section 6.2); pr<=p constraint",
-		Tags:        []string{"paper", "hpc", "constrained"},
 		Params: []bench.ParamDef{
 			{Name: "nodes", Default: 32, Help: "Cori-Haswell nodes (32 cores each)"},
 		},
@@ -26,7 +25,6 @@ func init() {
 	bench.Register(bench.Scenario{
 		Name:        "superlu-mo",
 		Description: "SuperLU_DIST multi-objective variant: factorization time and memory (Section 6.5); pr<=p constraint",
-		Tags:        []string{"paper", "hpc", "constrained", "multiobjective"},
 		Params: []bench.ParamDef{
 			{Name: "nodes", Default: 8, Help: "Cori-Haswell nodes (32 cores each)"},
 		},

@@ -5,7 +5,7 @@
 // tiling, recommender hyperparameters).
 //
 // A Scenario is a named, parameterized constructor for a *core.Problem plus
-// metadata: description, tags, aliases, and — where the scenario's objective
+// metadata: description, aliases, and — where the scenario's objective
 // admits one — the known global optimum for a task. Scenarios register
 // themselves in an init-time registry (the surrogate.Kinds() pattern):
 // Names() is the authoritative list, Get resolves names and aliases, and
@@ -48,9 +48,6 @@ type Scenario struct {
 	Name string
 	// Description is a one-line summary for catalogs and usage strings.
 	Description string
-	// Tags classify the scenario ("paper", "hpc", "constrained",
-	// "synthetic", "multiobjective", ...). Purely informational.
-	Tags []string
 	// Aliases are alternate lookup names (e.g. the paper's routine names).
 	Aliases []string
 	// Params declares the constructor parameters and their defaults. Problem
@@ -187,7 +184,6 @@ func (s *Scenario) Problem(p Params) (*core.Problem, error) {
 type Info struct {
 	Name        string
 	Description string
-	Tags        []string
 	Aliases     []string
 	Params      []ParamDef
 	TaskDim     int
@@ -206,7 +202,6 @@ func (s *Scenario) Info() (Info, error) {
 	return Info{
 		Name:        s.Name,
 		Description: s.Description,
-		Tags:        s.Tags,
 		Aliases:     s.Aliases,
 		Params:      s.Params,
 		TaskDim:     prob.Tasks.Dim(),

@@ -149,7 +149,6 @@ func init() {
 		Name:        "compiler-flags",
 		Aliases:     []string{"compiler"},
 		Description: fmt.Sprintf("%d-parameter compiler configuration (opt level, codegen knobs, %d pass toggles) over %d synthetic programs", 6+len(compilerPasses), len(compilerPasses), len(compilerPrograms)),
-		Tags:        []string{"synthetic", "compiler", "categorical", "high-dim"},
 		New: func(p Params) (*core.Problem, error) {
 			return compilerProblem(), nil
 		},

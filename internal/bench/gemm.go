@@ -138,7 +138,6 @@ func init() {
 		Name:        "gemm",
 		Aliases:     []string{"gemm-tiling"},
 		Description: "blocked-GEMM cache/register tiling with divisibility constraints (MC%MR==0, NC%NR==0); exact enumerated optimum",
-		Tags:        []string{"synthetic", "kernel", "constrained"},
 		New: func(p Params) (*core.Problem, error) {
 			return gemmProblem(), nil
 		},

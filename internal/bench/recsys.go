@@ -108,7 +108,6 @@ func init() {
 		Name:        "recsys",
 		Aliases:     []string{"recommender"},
 		Description: "matrix-factorization recommender hyperparameters (algo, factors, lr, reg, epochs, ...) with a task-dependent planted optimum",
-		Tags:        []string{"synthetic", "ml", "mixed"},
 		New: func(p Params) (*core.Problem, error) {
 			return recsysProblem(), nil
 		},

@@ -10,38 +10,15 @@ import (
 	"repro/internal/space"
 )
 
-// VerifyConfig bounds the conformance checks. The zero value of each field
-// means its default.
-type VerifyConfig struct {
-	Tasks           int     // task vectors sampled for objective checks (default 2)
-	Points          int     // tuning points evaluated per task (default 3)
-	BoundsSamples   int     // unit samples for bounds/round-trip checks (default 256)
-	FeasibleSamples int     // unit samples for the feasible-fraction estimate (default 2000)
-	FeasibleFloor   float64 // minimum feasible fraction of a constrained space (default 0.02)
-	Seed            int64   // RNG seed (default 7)
-	SkipOptimum     bool    // skip the (possibly expensive) known-optimum checks
-}
-
-func (c *VerifyConfig) defaults() {
-	if c.Tasks <= 0 {
-		c.Tasks = 2
-	}
-	if c.Points <= 0 {
-		c.Points = 3
-	}
-	if c.BoundsSamples <= 0 {
-		c.BoundsSamples = 256
-	}
-	if c.FeasibleSamples <= 0 {
-		c.FeasibleSamples = 2000
-	}
-	if c.FeasibleFloor <= 0 {
-		c.FeasibleFloor = 0.02
-	}
-	if c.Seed == 0 {
-		c.Seed = 7
-	}
-}
+// Bounds of the conformance checks.
+const (
+	verifyTasks           = 2    // task vectors sampled for objective checks
+	verifyPoints          = 3    // tuning points evaluated per task
+	verifyBoundsSamples   = 256  // unit samples for bounds/round-trip checks
+	verifyFeasibleSamples = 2000 // unit samples for the feasible-fraction estimate
+	verifyFeasibleFloor   = 0.02 // minimum feasible fraction of a constrained space
+	verifySeed            = 7
+)
 
 // Verify runs the scenario conformance suite: the problem builds and
 // validates; spaces round-trip native points through normalize/denormalize
@@ -54,8 +31,7 @@ func (c *VerifyConfig) defaults() {
 // measurement noise legitimately vary across repeats of one configuration.)
 // Where the scenario declares a known optimum, no sampled evaluation may
 // beat it by more than a small tolerance.
-func Verify(s *Scenario, cfg VerifyConfig) error {
-	cfg.defaults()
+func Verify(s *Scenario) error {
 	prob, err := s.Problem(nil)
 	if err != nil {
 		return err
@@ -63,22 +39,22 @@ func Verify(s *Scenario, cfg VerifyConfig) error {
 	if err := prob.Validate(); err != nil {
 		return fmt.Errorf("bench: scenario %q: %w", s.Name, err)
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewSource(verifySeed))
 	for _, sp := range []struct {
 		name string
 		s    *space.Space
 	}{{"task space", prob.Tasks}, {"tuning space", prob.Tuning}} {
-		if err := verifySpace(sp.s, cfg, rng); err != nil {
+		if err := verifySpace(sp.s, rng); err != nil {
 			return fmt.Errorf("bench: scenario %q %s: %w", s.Name, sp.name, err)
 		}
 	}
-	return verifyObjective(s, prob, cfg, rng)
+	return verifyObjective(s, prob, rng)
 }
 
 // verifySpace checks bounds, grid round-trips, and the feasible fraction.
-func verifySpace(sp *space.Space, cfg VerifyConfig, rng *rand.Rand) error {
+func verifySpace(sp *space.Space, rng *rand.Rand) error {
 	u := make([]float64, sp.Dim())
-	for n := 0; n < cfg.BoundsSamples; n++ {
+	for n := 0; n < verifyBoundsSamples; n++ {
 		for d := range u {
 			u[d] = rng.Float64()
 		}
@@ -108,7 +84,7 @@ func verifySpace(sp *space.Space, cfg VerifyConfig, rng *rand.Rand) error {
 		return nil
 	}
 	feasible := 0
-	for n := 0; n < cfg.FeasibleSamples; n++ {
+	for n := 0; n < verifyFeasibleSamples; n++ {
 		for d := range u {
 			u[d] = rng.Float64()
 		}
@@ -116,10 +92,10 @@ func verifySpace(sp *space.Space, cfg VerifyConfig, rng *rand.Rand) error {
 			feasible++
 		}
 	}
-	frac := float64(feasible) / float64(cfg.FeasibleSamples)
-	if frac < cfg.FeasibleFloor {
+	frac := float64(feasible) / verifyFeasibleSamples
+	if frac < verifyFeasibleFloor {
 		return fmt.Errorf("feasible fraction %.4f below floor %.4f (%d/%d samples; rejection sampling would starve)",
-			frac, cfg.FeasibleFloor, feasible, cfg.FeasibleSamples)
+			frac, verifyFeasibleFloor, feasible, verifyFeasibleSamples)
 	}
 	return nil
 }
@@ -161,12 +137,12 @@ func checkRoundTrip(p space.Param, v, rt float64) error {
 // verifyObjective evaluates the same (task, point) sequence on two fresh
 // problem instances and requires bitwise-identical, finite, correctly-sized
 // outputs.
-func verifyObjective(s *Scenario, prob *core.Problem, cfg VerifyConfig, rng *rand.Rand) error {
-	tasks, err := sample.FeasibleLHS(prob.Tasks, cfg.Tasks, rng)
+func verifyObjective(s *Scenario, prob *core.Problem, rng *rand.Rand) error {
+	tasks, err := sample.FeasibleLHS(prob.Tasks, verifyTasks, rng)
 	if err != nil {
 		return fmt.Errorf("bench: scenario %q: sampling tasks: %w", s.Name, err)
 	}
-	pts, err := sample.FeasibleLHS(prob.Tuning, cfg.Points, rng)
+	pts, err := sample.FeasibleLHS(prob.Tuning, verifyPoints, rng)
 	if err != nil {
 		return fmt.Errorf("bench: scenario %q: sampling tuning points: %w", s.Name, err)
 	}
@@ -212,7 +188,7 @@ func verifyObjective(s *Scenario, prob *core.Problem, cfg VerifyConfig, rng *ran
 			}
 		}
 	}
-	if s.Optimum == nil || cfg.SkipOptimum {
+	if s.Optimum == nil {
 		return nil
 	}
 	for ti, t := range tasks {

@@ -56,9 +56,10 @@ type Options struct {
 	Inducing int
 	// Q is the number of LCM latent functions (default min(δ, 3)).
 	Q int
-	// NumStarts is n_start, the modeling phase's L-BFGS restarts (default 4).
-	NumStarts int
-	// ModelMaxIter caps L-BFGS iterations per restart (default 100).
+	// NumStarts is n_start, the modeling phase's L-BFGS restarts, and
+	// ModelMaxIter the iteration cap per restart. Zero means the surrogate
+	// backend's default (4 and 100 for the GP backends, see gp.FitOptions).
+	NumStarts    int
 	ModelMaxIter int
 	// WarmStart supplies fitted-model snapshots from an earlier tuning
 	// session (loaded from its history database — see Checkpointer.
@@ -199,12 +200,6 @@ func (o *Options) defaults() {
 	}
 	if o.Repeats <= 0 {
 		o.Repeats = 1
-	}
-	if o.NumStarts <= 0 {
-		o.NumStarts = 4
-	}
-	if o.ModelMaxIter <= 0 {
-		o.ModelMaxIter = 100
 	}
 	if o.MOBatch <= 0 {
 		o.MOBatch = 1

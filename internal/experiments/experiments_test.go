@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/space"
 )
 
 // The experiment suite is exercised at very small scales: these tests check
@@ -169,10 +173,56 @@ func TestFig6Structure(t *testing.T) {
 			}
 		}
 	}
+	// Columns and summary lines come in sorted tuner-name order, not map
+	// order: every line naming both baselines names hpbandster first.
 	var buf bytes.Buffer
 	PrintFig6(&buf, "test", rows)
-	if !strings.Contains(buf.String(), "beats or ties") {
-		t.Fatalf("print output missing win summary")
+	out := buf.String()
+	hb, ot := strings.Index(out, "beats or ties hpbandster"), strings.Index(out, "beats or ties opentuner")
+	if hb < 0 || ot < hb {
+		t.Fatalf("win summary missing or out of order:\n%s", out)
+	}
+	for _, line := range strings.Split(out, "\n") {
+		if hb, ot := strings.Index(line, "hpbandster="), strings.Index(line, "opentuner="); (hb >= 0 || ot >= 0) && (hb < 0 || ot < hb) {
+			t.Fatalf("row columns out of order: %q", line)
+		}
+	}
+}
+
+// TestComparisonMeasuresEveryTunerAlike: with repeats = 3 every tuner in a
+// comparison — MLA and each baseline — pays three runs per evaluation and
+// records their minimum. (Only MLA used to; the baselines compared one noisy
+// run against its min-of-3.)
+func TestComparisonMeasuresEveryTunerAlike(t *testing.T) {
+	var calls atomic.Int64
+	p := &core.Problem{
+		Name:    "noisy",
+		Tasks:   space.MustNew(space.NewReal("t", 0, 1)),
+		Tuning:  space.MustNew(space.NewReal("x", 0, 1)),
+		Outputs: space.NewOutputSpace("y"),
+		// Runs 1, 2, 3 of a configuration read 3, 2, 1 over its true value:
+		// only a min-of-3 evaluation ever reports a value below 2.
+		Objective: func(task, x []float64) ([]float64, error) {
+			n := calls.Add(1)
+			return []float64{x[0]*x[0] + float64(3-(n-1)%3)}, nil
+		},
+	}
+	const tasks, eps, repeats = 2, 4, 3
+	rows := runComparison(p, [][]float64{{0.2}, {0.8}}, []string{"a", "b"}, eps, 1, 1, false, repeats)
+	tuners := 1 + len(baselines())
+	if got, want := calls.Load(), int64(tuners*tasks*eps*repeats); got != want {
+		t.Errorf("%d objective runs, want %d (%d tuners × %d tasks × %d evaluations × %d repeats)",
+			got, want, tuners, tasks, eps, repeats)
+	}
+	for _, r := range rows {
+		for name, best := range r.Others {
+			if best >= 2 {
+				t.Errorf("task %s: %s best %v is not a min-of-%d measurement", r.TaskLabel, name, best, repeats)
+			}
+		}
+		if r.GPTune >= 2 {
+			t.Errorf("task %s: gptune best %v is not a min-of-%d measurement", r.TaskLabel, r.GPTune, repeats)
+		}
 	}
 }
 

@@ -33,12 +33,11 @@ const gradChunkRows = 32
 // One engine serves one goroutine (the scratch buffers are reused across
 // evaluations); the pairCache is shared read-only by all engines.
 type lcmEngine struct {
-	layout    hyperLayout
-	cache     *pairCache
-	taskOf    []int
-	yn        []float64
-	workers   int
-	cholBlock int
+	layout  hyperLayout
+	cache   *pairCache
+	taskOf  []int
+	yn      []float64
+	workers int
 
 	// Reusable scratch, sized once at construction.
 	kq     []float64   // [npairs*Q] pair-major kernel values k_q(x_r, x_s)
@@ -56,21 +55,20 @@ type lcmEngine struct {
 	chunkEq   [][]float64 // [chunk][Q] per-pair scratch
 }
 
-func newLCMEngine(cache *pairCache, layout hyperLayout, taskOf []int, yn []float64, workers, cholBlock int) *lcmEngine {
+func newLCMEngine(cache *pairCache, layout hyperLayout, taskOf []int, yn []float64, workers int) *lcmEngine {
 	e := &lcmEngine{
-		layout:    layout,
-		cache:     cache,
-		taskOf:    taskOf,
-		yn:        yn,
-		workers:   workers,
-		cholBlock: cholBlock,
-		kq:        make([]float64, cache.npairs*layout.q),
-		sigma:     la.NewMatrix(cache.n, cache.n),
-		invWT:     la.NewMatrix(cache.n, cache.n),
-		invBuf:    la.NewMatrix(cache.n, cache.n),
-		coef:      make([][]float64, layout.q),
-		winv:      make([][]float64, layout.q),
-		grad:      make([]float64, layout.total()),
+		layout:  layout,
+		cache:   cache,
+		taskOf:  taskOf,
+		yn:      yn,
+		workers: workers,
+		kq:      make([]float64, cache.npairs*layout.q),
+		sigma:   la.NewMatrix(cache.n, cache.n),
+		invWT:   la.NewMatrix(cache.n, cache.n),
+		invBuf:  la.NewMatrix(cache.n, cache.n),
+		coef:    make([][]float64, layout.q),
+		winv:    make([][]float64, layout.q),
+		grad:    make([]float64, layout.total()),
 	}
 	for q := 0; q < layout.q; q++ {
 		e.coef[q] = make([]float64, layout.tasks*layout.tasks)
@@ -169,7 +167,7 @@ func (e *lcmEngine) logLikGrad(theta []float64) (float64, []float64, error) {
 	e.prepare(m)
 	sigma := e.assembleSigma(m)
 
-	l, _, err := la.CholeskyJitter(sigma, 0, e.cholBlock, e.workers)
+	l, _, err := la.CholeskyJitter(sigma, 0, cholBlock, e.workers)
 	if err != nil {
 		return 0, nil, err
 	}

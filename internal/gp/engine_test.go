@@ -26,7 +26,7 @@ func flatten(data *Dataset) (flatX [][]float64, taskOf []int, yn []float64) {
 }
 
 // The cached/parallel engine must agree with the naive reference evaluation.
-// Two sizes: n < CholBlock exercises the serial Cholesky shortcut, n > 64
+// Two sizes: n < cholBlock exercises the serial Cholesky shortcut, n > 64
 // the blocked parallel path.
 func TestEngineMatchesReference(t *testing.T) {
 	for _, cfg := range []struct {
@@ -42,7 +42,7 @@ func TestEngineMatchesReference(t *testing.T) {
 			data := syntheticDataset(rng, cfg.tasks, cfg.samples, 3, 0.05)
 			layout := hyperLayout{q: 2, dim: data.Dim, tasks: data.NumTasks()}
 			flatX, taskOf, yn := flatten(data)
-			eng := newLCMEngine(newPairCache(flatX, data.Dim), layout, taskOf, yn, 2, 64)
+			eng := newLCMEngine(newPairCache(flatX, data.Dim), layout, taskOf, yn, 2)
 			for trial := 0; trial < 4; trial++ {
 				theta := randomInit(layout, rng)
 				llRef, gradRef, errRef := lcmLogLikGradReference(theta, layout, flatX, taskOf, yn)
@@ -74,19 +74,19 @@ func TestEngineWorkerCountInvariance(t *testing.T) {
 	// parallel paths genuinely run concurrently even on a 1-CPU machine.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	rng := rand.New(rand.NewSource(33))
-	data := syntheticDataset(rng, 4, 30, 3, 0.05) // n = 120 > CholBlock and > one chunk
+	data := syntheticDataset(rng, 4, 30, 3, 0.05) // n = 120 > cholBlock and > one chunk
 	layout := hyperLayout{q: 2, dim: data.Dim, tasks: data.NumTasks()}
 	flatX, taskOf, yn := flatten(data)
 	cache := newPairCache(flatX, data.Dim)
 	theta := randomInit(layout, rng)
 
-	ll1, g1, err := newLCMEngine(cache, layout, taskOf, yn, 1, 64).logLikGrad(theta)
+	ll1, g1, err := newLCMEngine(cache, layout, taskOf, yn, 1).logLikGrad(theta)
 	if err != nil {
 		t.Fatal(err)
 	}
 	grad1 := append([]float64(nil), g1...)
 	for _, w := range []int{2, 3, 4, 8} {
-		llw, gw, err := newLCMEngine(cache, layout, taskOf, yn, w, 64).logLikGrad(theta)
+		llw, gw, err := newLCMEngine(cache, layout, taskOf, yn, w).logLikGrad(theta)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -111,7 +111,7 @@ func TestFitLCMWorkersIdenticalLargeN(t *testing.T) {
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	rng := rand.New(rand.NewSource(44))
-	data := syntheticDataset(rng, 3, 30, 2, 0.02) // n = 90 > CholBlock
+	data := syntheticDataset(rng, 3, 30, 2, 0.02) // n = 90 > cholBlock
 	opts := FitOptions{Q: 2, NumStarts: 2, MaxIter: 12, Seed: 45}
 
 	o1 := opts

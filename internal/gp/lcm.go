@@ -122,7 +122,6 @@ type FitOptions struct {
 	Workers   int   // parallel restarts and factorization workers; default 1
 	MaxIter   int   // L-BFGS iterations per start; default 100
 	Seed      int64 // RNG seed for restarts
-	CholBlock int   // parallel Cholesky block size; default 64
 
 	// Init, when non-nil, replaces the random initialization of the first
 	// L-BFGS start with the given hyperparameter vector (the Hyperparameters
@@ -133,6 +132,12 @@ type FitOptions struct {
 	// failing. The remaining NumStarts−1 starts stay random and unchanged.
 	Init []float64
 }
+
+// cholBlock is the block size of every LCM covariance factorization — per
+// likelihood evaluation, post-fit and on snapshot reload. It decides the
+// summation order, so all three must agree for a reloaded model to predict
+// bitwise identically.
+const cholBlock = 64
 
 func (o *FitOptions) defaults(numTasks int) {
 	if o.Q <= 0 {
@@ -152,9 +157,6 @@ func (o *FitOptions) defaults(numTasks int) {
 	}
 	if o.MaxIter <= 0 {
 		o.MaxIter = 100
-	}
-	if o.CholBlock <= 0 {
-		o.CholBlock = 64
 	}
 }
 
@@ -238,7 +240,7 @@ func FitLCM(data *Dataset, options FitOptions) (*LCM, error) {
 	}
 	chunk := (options.NumStarts + restartWorkers - 1) / restartWorkers
 	mpx.ParallelChunks(options.NumStarts, chunk, restartWorkers, func(_, lo, hi int) {
-		eng := newLCMEngine(cache, layout, taskOf, yn, innerWorkers, options.CholBlock)
+		eng := newLCMEngine(cache, layout, taskOf, yn, innerWorkers)
 		eval := func(theta []float64, grad []float64) float64 {
 			ll, g, err := eng.logLikGrad(theta)
 			if err != nil {
@@ -286,7 +288,7 @@ func FitLCM(data *Dataset, options FitOptions) (*LCM, error) {
 	model.yStd = std
 	// Final factorization for prediction, parallel per Section 4.3, reusing
 	// the distance cache for the covariance assembly.
-	if err := model.factorize(cache, options.CholBlock, options.Workers); err != nil {
+	if err := model.factorize(cache, options.Workers); err != nil {
 		return nil, fmt.Errorf("gp: final covariance factorization: %w", err)
 	}
 	return model, nil
@@ -298,11 +300,10 @@ func FitLCM(data *Dataset, options FitOptions) (*LCM, error) {
 // factors it — escalating the jitter further only if it must — and builds
 // alpha and the prediction tables. Both callers therefore run the same
 // summation orders, which is what makes a reloaded model predict bitwise
-// identically. workers never changes a bit; block does, so a reload passes
-// the fit's default.
-func (m *LCM) factorize(cache *pairCache, block, workers int) error {
+// identically. workers never changes a bit.
+func (m *LCM) factorize(cache *pairCache, workers int) error {
 	layout := hyperLayout{q: m.Q, dim: m.Dim, tasks: m.NumTasks}
-	eng := newLCMEngine(cache, layout, m.taskOf, m.yNorm, workers, block)
+	eng := newLCMEngine(cache, layout, m.taskOf, m.yNorm, workers)
 	eng.prepare(m)
 	sigma := eng.assembleSigma(m)
 	n := sigma.Rows
@@ -311,7 +312,7 @@ func (m *LCM) factorize(cache *pairCache, block, workers int) error {
 			sigma.Data[i*n+i] += m.Jitter
 		}
 	}
-	l, extra, err := la.CholeskyJitter(sigma, 0, block, workers)
+	l, extra, err := la.CholeskyJitter(sigma, 0, cholBlock, workers)
 	if err != nil {
 		return err
 	}

@@ -45,7 +45,7 @@ func BenchmarkLCMLogLikGradReference(b *testing.B) {
 // gp.append_obs_ms.n920_k2).
 func BenchmarkLCMLogLikGrad(b *testing.B) {
 	layout, flatX, taskOf, yn, theta := benchGradSetup(b)
-	eng := newLCMEngine(newPairCache(flatX, layout.dim), layout, taskOf, yn, 1, 64)
+	eng := newLCMEngine(newPairCache(flatX, layout.dim), layout, taskOf, yn, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := eng.logLikGrad(theta); err != nil {

@@ -107,7 +107,7 @@ func TestLCMGradientMatchesFiniteDifference(t *testing.T) {
 		yn[i] = (v - mean) / std
 	}
 
-	eng := newLCMEngine(newPairCache(flatX, data.Dim), layout, taskOf, yn, 1, 64)
+	eng := newLCMEngine(newPairCache(flatX, data.Dim), layout, taskOf, yn, 1)
 	for trial := 0; trial < 5; trial++ {
 		theta := randomInit(layout, rng)
 		ll, g, err := eng.logLikGrad(theta)

@@ -229,7 +229,7 @@ func (m *LCM) UnmarshalBinary(data []byte) error {
 	// The recorded jitter made this matrix factorizable at save time and the
 	// floats round-trip exactly; factorize covers the (theoretical) residual
 	// escalation without changing the common path.
-	if err := m.factorize(newPairCache(m.flatX, m.Dim), 64, 1); err != nil {
+	if err := m.factorize(newPairCache(m.flatX, m.Dim), 1); err != nil {
 		return fmt.Errorf("gp: refactorizing LCM snapshot: %w", err)
 	}
 	return nil

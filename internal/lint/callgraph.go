@@ -5,7 +5,7 @@ package lint
 // every statically resolvable call. Calls through interface methods are
 // expanded to every module-defined type implementing the interface (the
 // implements-set approximation); calls through function values, method
-// values, and reflection are invisible — DESIGN.md §10 lists the resulting
+// values, and reflection are invisible — DESIGN.md §7.5 lists the resulting
 // false negatives. Alongside the edges, one walk over each body collects
 // the direct facts the dataflow pass propagates: wall-clock reads,
 // allocation sites, blocking operations, mutex acquisitions, and go
@@ -534,7 +534,7 @@ func (c *collector) callExpr(x *ast.CallExpr, spawned bool) {
 	}
 	fn := callee(c.n.pkg.Info, x)
 	if fn == nil {
-		return // dynamic call through a function value: invisible (DESIGN.md §10)
+		return // dynamic call through a function value: invisible (DESIGN.md §7.5)
 	}
 	fn = fn.Origin()
 	if fn.Pkg() != nil && fn.Pkg().Path() == "time" && wallclockFuncs[fn.Name()] {

@@ -10,30 +10,21 @@ type GradObjective func(x []float64, grad []float64) float64
 
 // LBFGSParams configures the limited-memory BFGS minimizer.
 type LBFGSParams struct {
-	Memory    int     // history pairs (default 10)
-	MaxIter   int     // iteration cap (default 200)
-	GradTol   float64 // stop when ‖g‖∞ < GradTol (default 1e-6)
-	FTol      float64 // stop on relative f decrease below FTol (default 1e-12)
-	MaxLSIter int     // line-search step halvings (default 40)
+	MaxIter int // iteration cap (default 200)
 }
 
 func (p *LBFGSParams) defaults() {
-	if p.Memory <= 0 {
-		p.Memory = 10
-	}
 	if p.MaxIter <= 0 {
 		p.MaxIter = 200
 	}
-	if p.GradTol <= 0 {
-		p.GradTol = 1e-6
-	}
-	if p.FTol <= 0 {
-		p.FTol = 1e-12
-	}
-	if p.MaxLSIter <= 0 {
-		p.MaxLSIter = 40
-	}
 }
+
+const (
+	lbfgsMemory    = 10    // curvature pairs kept
+	lbfgsGradTol   = 1e-6  // stop when ‖g‖∞ falls below it
+	lbfgsFTol      = 1e-12 // a relative decrease below it counts as a stall
+	lbfgsMaxLSIter = 40    // line-search step halvings
+)
 
 // LBFGS minimizes an unconstrained smooth function starting from x0 using
 // the two-loop-recursion L-BFGS update with Armijo backtracking line search.
@@ -57,11 +48,11 @@ func LBFGS(f GradObjective, x0 []float64, params LBFGSParams) Result {
 	xNew := make([]float64, n)
 	gNew := make([]float64, n)
 	dir := make([]float64, n)
-	alphaBuf := make([]float64, params.Memory)
+	alphaBuf := make([]float64, lbfgsMemory)
 	stalls := 0
 
 	for iter := 0; iter < params.MaxIter; iter++ {
-		if infNorm(g) < params.GradTol || math.IsNaN(fx) || math.IsInf(fx, 0) {
+		if infNorm(g) < lbfgsGradTol || math.IsNaN(fx) || math.IsInf(fx, 0) {
 			break
 		}
 		// Two-loop recursion: dir = -H·g.
@@ -108,7 +99,7 @@ func LBFGS(f GradObjective, x0 []float64, params LBFGSParams) Result {
 		step := 1.0
 		accepted := false
 		var fNew float64
-		for ls := 0; ls < params.MaxLSIter; ls++ {
+		for ls := 0; ls < lbfgsMaxLSIter; ls++ {
 			for i := range x {
 				xNew[i] = x[i] + step*dir[i]
 			}
@@ -140,7 +131,7 @@ func LBFGS(f GradObjective, x0 []float64, params LBFGSParams) Result {
 		sy := dot(s, y)
 		if sy > 1e-12*norm2(s)*norm2(y) {
 			hist = append(hist, pair{s: s, y: y, rho: 1 / sy})
-			if len(hist) > params.Memory {
+			if len(hist) > lbfgsMemory {
 				hist = hist[1:]
 			}
 		}
@@ -151,7 +142,7 @@ func LBFGS(f GradObjective, x0 []float64, params LBFGSParams) Result {
 		fx = fNew
 		// Stop only after several consecutive negligible decreases; a single
 		// short backtracked step is normal in narrow valleys (Rosenbrock).
-		if relDrop >= 0 && relDrop < params.FTol {
+		if relDrop >= 0 && relDrop < lbfgsFTol {
 			stalls++
 			if stalls >= 5 {
 				break

@@ -10,7 +10,6 @@ import (
 type NelderMeadParams struct {
 	MaxEvals int // objective evaluation budget (default 200)
 	Start    []float64
-	Scale    float64 // initial simplex edge length (default 0.1)
 }
 
 // NelderMead minimizes f over [0,1]^dim with the Nelder–Mead simplex method
@@ -20,10 +19,8 @@ func NelderMead(f Objective, dim int, params NelderMeadParams, rng *rand.Rand) R
 	if params.MaxEvals <= 0 {
 		params.MaxEvals = 200
 	}
-	if params.Scale <= 0 {
-		params.Scale = 0.1
-	}
 	const (
+		scale = 0.1 // initial simplex edge length
 		alpha = 1.0 // reflection
 		gamma = 2.0 // expansion
 		rho   = 0.5 // contraction
@@ -49,9 +46,9 @@ func NelderMead(f Objective, dim int, params NelderMeadParams, rng *rand.Rand) R
 	simplex[0].f = eval(simplex[0].x)
 	for i := 1; i <= dim; i++ {
 		x := append([]float64(nil), start...)
-		x[i-1] += params.Scale
+		x[i-1] += scale
 		if x[i-1] > 1 {
-			x[i-1] = start[i-1] - params.Scale
+			x[i-1] = start[i-1] - scale
 		}
 		simplex[i] = vertex{x: clip01(x)}
 		simplex[i].f = eval(simplex[i].x)

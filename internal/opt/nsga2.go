@@ -12,16 +12,12 @@ import (
 // (Deb et al. 2002), which GPTune's multi-objective search phase relies on
 // (paper Section 3.2).
 type NSGAIIParams struct {
-	PopSize      int     // population size (default 40, rounded up to even)
-	Generations  int     // generations (default 50)
-	CrossoverEta float64 // SBX distribution index (default 15)
-	MutationEta  float64 // polynomial mutation index (default 20)
-	CrossoverP   float64 // crossover probability (default 0.9)
-	MutationP    float64 // per-gene mutation probability (default 1/dim)
-	Seeds        [][]float64
+	PopSize     int // population size (default 40, rounded up to even)
+	Generations int // generations (default 50)
+	Seeds       [][]float64
 }
 
-func (p *NSGAIIParams) defaults(dim int) {
+func (p *NSGAIIParams) defaults() {
 	if p.PopSize <= 0 {
 		p.PopSize = 40
 	}
@@ -31,19 +27,16 @@ func (p *NSGAIIParams) defaults(dim int) {
 	if p.Generations <= 0 {
 		p.Generations = 50
 	}
-	if p.CrossoverEta <= 0 {
-		p.CrossoverEta = 15
-	}
-	if p.MutationEta <= 0 {
-		p.MutationEta = 20
-	}
-	if p.CrossoverP <= 0 {
-		p.CrossoverP = 0.9
-	}
-	if p.MutationP <= 0 {
-		p.MutationP = 1 / math.Max(1, float64(dim))
-	}
 }
+
+// Deb et al.'s operator settings: SBX and polynomial-mutation distribution
+// indices and the crossover probability (the per-gene mutation probability
+// is 1/dim, computed in polyMutate).
+const (
+	crossoverEta = 15.0
+	mutationEta  = 20.0
+	crossoverP   = 0.9
+)
 
 type individual struct {
 	x        []float64
@@ -61,7 +54,7 @@ type ParetoResult struct {
 // NSGAII minimizes all components of f over [0,1]^dim and returns the final
 // population's first non-dominated front.
 func NSGAII(f MultiObjective, dim int, params NSGAIIParams, rng *rand.Rand) []ParetoResult {
-	params.defaults(dim)
+	params.defaults()
 	n := params.PopSize
 
 	pop := make([]*individual, 0, n)
@@ -82,9 +75,9 @@ func NSGAII(f MultiObjective, dim int, params NSGAIIParams, rng *rand.Rand) []Pa
 		for len(offspring) < n {
 			p1 := tournament(pop, rng)
 			p2 := tournament(pop, rng)
-			c1, c2 := sbxCrossover(p1.x, p2.x, params, rng)
-			polyMutate(c1, params, rng)
-			polyMutate(c2, params, rng)
+			c1, c2 := sbxCrossover(p1.x, p2.x, rng)
+			polyMutate(c1, rng)
+			polyMutate(c2, rng)
 			offspring = append(offspring, &individual{x: c1, f: f(c1)})
 			if len(offspring) < n {
 				offspring = append(offspring, &individual{x: c2, f: f(c2)})
@@ -221,11 +214,11 @@ func crowdFront(pop []*individual, front []int) {
 }
 
 // sbxCrossover performs simulated binary crossover, returning two children.
-func sbxCrossover(p1, p2 []float64, params NSGAIIParams, rng *rand.Rand) ([]float64, []float64) {
+func sbxCrossover(p1, p2 []float64, rng *rand.Rand) ([]float64, []float64) {
 	dim := len(p1)
 	c1 := append([]float64(nil), p1...)
 	c2 := append([]float64(nil), p2...)
-	if rng.Float64() > params.CrossoverP {
+	if rng.Float64() > crossoverP {
 		return c1, c2
 	}
 	for d := 0; d < dim; d++ {
@@ -235,9 +228,9 @@ func sbxCrossover(p1, p2 []float64, params NSGAIIParams, rng *rand.Rand) ([]floa
 		u := rng.Float64()
 		var beta float64
 		if u <= 0.5 {
-			beta = math.Pow(2*u, 1/(params.CrossoverEta+1))
+			beta = math.Pow(2*u, 1/(crossoverEta+1))
 		} else {
-			beta = math.Pow(1/(2*(1-u)), 1/(params.CrossoverEta+1))
+			beta = math.Pow(1/(2*(1-u)), 1/(crossoverEta+1))
 		}
 		x1, x2 := p1[d], p2[d]
 		c1[d] = 0.5 * ((1+beta)*x1 + (1-beta)*x2)
@@ -249,17 +242,18 @@ func sbxCrossover(p1, p2 []float64, params NSGAIIParams, rng *rand.Rand) ([]floa
 }
 
 // polyMutate applies polynomial mutation in place.
-func polyMutate(x []float64, params NSGAIIParams, rng *rand.Rand) {
+func polyMutate(x []float64, rng *rand.Rand) {
+	pm := 1 / math.Max(1, float64(len(x)))
 	for d := range x {
-		if rng.Float64() > params.MutationP {
+		if rng.Float64() > pm {
 			continue
 		}
 		u := rng.Float64()
 		var delta float64
 		if u < 0.5 {
-			delta = math.Pow(2*u, 1/(params.MutationEta+1)) - 1
+			delta = math.Pow(2*u, 1/(mutationEta+1)) - 1
 		} else {
-			delta = 1 - math.Pow(2*(1-u), 1/(params.MutationEta+1))
+			delta = 1 - math.Pow(2*(1-u), 1/(mutationEta+1))
 		}
 		x[d] += delta
 	}

@@ -204,14 +204,12 @@ func TestRankAgainstBruteForce(t *testing.T) {
 
 func TestSBXAndMutationStayInBox(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	params := NSGAIIParams{}
-	params.defaults(3)
 	for trial := 0; trial < 200; trial++ {
 		p1 := randomPoint(3, rng)
 		p2 := randomPoint(3, rng)
-		c1, c2 := sbxCrossover(p1, p2, params, rng)
-		polyMutate(c1, params, rng)
-		polyMutate(c2, params, rng)
+		c1, c2 := sbxCrossover(p1, p2, rng)
+		polyMutate(c1, rng)
+		polyMutate(c2, rng)
 		for _, c := range [][]float64{c1, c2} {
 			for _, v := range c {
 				if v < 0 || v > 1 {

@@ -7,15 +7,20 @@ import (
 
 // PSOParams configures the particle swarm optimizer.
 type PSOParams struct {
-	Particles int     // swarm size (default 20)
-	MaxIter   int     // iterations (default 50)
-	Inertia   float64 // velocity inertia ω (default 0.729)
-	Cognitive float64 // personal-best pull c1 (default 1.49445)
-	Social    float64 // global-best pull c2 (default 1.49445)
+	Particles int // swarm size (default 20)
+	MaxIter   int // iterations (default 50)
 	// Seeds are optional initial positions included in the swarm (e.g. the
 	// incumbent best sample, per standard EGO practice).
 	Seeds [][]float64
 }
+
+// The constriction coefficients of Clerc & Kennedy: velocity inertia ω and
+// the personal-best and global-best pulls c1, c2.
+const (
+	psoInertia   = 0.729
+	psoCognitive = 1.49445
+	psoSocial    = 1.49445
+)
 
 func (p *PSOParams) defaults() {
 	if p.Particles <= 0 {
@@ -23,15 +28,6 @@ func (p *PSOParams) defaults() {
 	}
 	if p.MaxIter <= 0 {
 		p.MaxIter = 50
-	}
-	if p.Inertia == 0 { //gptlint:ignore float-eq zero is the unset-parameter sentinel in defaults
-		p.Inertia = 0.729
-	}
-	if p.Cognitive == 0 { //gptlint:ignore float-eq zero is the unset-parameter sentinel in defaults
-		p.Cognitive = 1.49445
-	}
-	if p.Social == 0 { //gptlint:ignore float-eq zero is the unset-parameter sentinel in defaults
-		p.Social = 1.49445
 	}
 }
 
@@ -77,9 +73,9 @@ func PSO(f Objective, dim int, params PSOParams, rng *rand.Rand) Result {
 		for i := 0; i < np; i++ {
 			for d := 0; d < dim; d++ {
 				r1, r2 := rng.Float64(), rng.Float64()
-				vel[i][d] = params.Inertia*vel[i][d] +
-					params.Cognitive*r1*(pBest[i][d]-pos[i][d]) +
-					params.Social*r2*(gBest[d]-pos[i][d])
+				vel[i][d] = psoInertia*vel[i][d] +
+					psoCognitive*r1*(pBest[i][d]-pos[i][d]) +
+					psoSocial*r2*(gBest[d]-pos[i][d])
 				pos[i][d] += vel[i][d]
 				// Reflecting bounds keep particles exploring the interior.
 				if pos[i][d] < 0 {

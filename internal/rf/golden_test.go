@@ -1,0 +1,61 @@
+package rf
+
+import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// TestGoldenFit pins the forest's built-in growth limits (depth cap 12,
+// minimum leaf 2) and the zero-value defaults beside them: a fixed dataset
+// and seed, predictions compared at math.Float64bits. Recorded while the
+// limits were still settable fields. The dataset is a steep 1-D ridge in
+// 3-D, so splits peel thin slices off one side and the trees run into the
+// depth cap; the node count pins the cap and the leaf floor directly.
+func TestGoldenFit(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var X [][]float64
+	var y []float64
+	for i := 0; i < 600; i++ {
+		x := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+		X = append(X, x)
+		y = append(y, math.Exp(9*x[0])+x[1]-x[2]*x[2])
+	}
+	f, err := Fit(X, y, Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes, depth := 0, 0
+	for i := range f.trees {
+		nodes += len(f.trees[i].nodes)
+		if d := treeDepth(&f.trees[i], 0); d > depth {
+			depth = d
+		}
+	}
+	h := fnv.New64a()
+	var b [8]byte
+	for k := 0; k < 20; k++ {
+		mean, variance := f.Predict([]float64{rng.Float64(), rng.Float64(), rng.Float64()})
+		for _, v := range []float64{mean, variance} {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+	}
+	if f.NumTrees() != 50 || nodes != 10324 || depth != 12 || h.Sum64() != 0xb347681e31586d2a {
+		t.Errorf("forest: %d trees, %d nodes, depth %d, prediction hash %#x", f.NumTrees(), nodes, depth, h.Sum64())
+	}
+}
+
+func treeDepth(t *tree, i int32) int {
+	n := &t.nodes[i]
+	if n.feature < 0 {
+		return 0
+	}
+	l, r := treeDepth(t, n.left), treeDepth(t, n.right)
+	if r > l {
+		l = r
+	}
+	return l + 1
+}

@@ -19,8 +19,6 @@ import (
 // Params configures forest growth.
 type Params struct {
 	Trees       int     // ensemble size (default 50)
-	MaxDepth    int     // depth cap (default 12)
-	MinLeaf     int     // minimum samples per leaf (default 2)
 	FeatureFrac float64 // fraction of features tried per split (default 1/3, min 1)
 	Seed        int64
 	// Workers bounds the goroutine parallelism of tree growth (default 1).
@@ -34,12 +32,6 @@ func (p *Params) defaults() {
 	if p.Trees <= 0 {
 		p.Trees = 50
 	}
-	if p.MaxDepth <= 0 {
-		p.MaxDepth = 12
-	}
-	if p.MinLeaf <= 0 {
-		p.MinLeaf = 2
-	}
 	if p.FeatureFrac <= 0 || p.FeatureFrac > 1 {
 		p.FeatureFrac = 1.0 / 3
 	}
@@ -47,6 +39,13 @@ func (p *Params) defaults() {
 		p.Workers = 1
 	}
 }
+
+// Growth limits of every tree: the depth cap and the minimum samples per
+// leaf.
+const (
+	maxDepth = 12
+	minLeaf  = 2
+)
 
 // node is one tree node; leaves have feature == -1.
 type node struct {
@@ -108,10 +107,7 @@ func Fit(X [][]float64, y []float64, params Params) (*Forest, error) {
 		for i := range idx {
 			idx[i] = rng.Intn(len(X))
 		}
-		g := &grower{
-			X: X, y: y, rng: rng,
-			maxDepth: params.MaxDepth, minLeaf: params.MinLeaf, mtry: mtry,
-		}
+		g := &grower{X: X, y: y, rng: rng, mtry: mtry}
 		g.grow(idx, 0)
 		f.trees[b] = tree{nodes: g.nodes}
 	})
@@ -120,13 +116,11 @@ func Fit(X [][]float64, y []float64, params Params) (*Forest, error) {
 
 // grower builds one tree.
 type grower struct {
-	X        [][]float64
-	y        []float64
-	rng      *rand.Rand
-	maxDepth int
-	minLeaf  int
-	mtry     int
-	nodes    []node
+	X     [][]float64
+	y     []float64
+	rng   *rand.Rand
+	mtry  int
+	nodes []node
 }
 
 // grow recursively splits the sample set idx, returning the node index.
@@ -139,7 +133,7 @@ func (g *grower) grow(idx []int, depth int) int32 {
 
 	self := int32(len(g.nodes))
 	g.nodes = append(g.nodes, node{feature: -1, value: mean})
-	if depth >= g.maxDepth || len(idx) < 2*g.minLeaf {
+	if depth >= maxDepth || len(idx) < 2*minLeaf {
 		return self
 	}
 	feature, threshold, ok := g.bestSplit(idx)
@@ -154,7 +148,7 @@ func (g *grower) grow(idx []int, depth int) int32 {
 			right = append(right, i)
 		}
 	}
-	if len(left) < g.minLeaf || len(right) < g.minLeaf {
+	if len(left) < minLeaf || len(right) < minLeaf {
 		return self
 	}
 	l := g.grow(left, depth+1)

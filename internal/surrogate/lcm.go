@@ -96,13 +96,3 @@ func (l *lcmModel) Append(data *Dataset, workers int) error {
 	}
 	return l.m.AppendObservations(xs, tasks, ys, workers)
 }
-
-// LCM exposes the wrapped model for consumers that need LCM-specific state
-// (the facade's coefficient reporting, LOO diagnostics). It returns nil for
-// other backends' models.
-func LCM(m Model) *gp.LCM {
-	if l, ok := m.(*lcmModel); ok {
-		return l.m
-	}
-	return nil
-}

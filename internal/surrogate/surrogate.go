@@ -82,7 +82,7 @@ type FitOptions struct {
 	Q         int   // latent functions (LCM only); default min(δ, 3)
 	NumStarts int   // optimizer restarts (GP backends); default 4
 	Workers   int   // fit parallelism; never affects the fitted model's bits
-	MaxIter   int   // optimizer iteration cap (GP backends)
+	MaxIter   int   // optimizer iteration cap (GP backends); default 100
 	Seed      int64 // RNG seed; same seed + same data → bitwise same model
 	Inducing  int   // inducing points per task (sgp only); default 128
 

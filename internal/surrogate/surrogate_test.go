@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"repro/internal/gp"
 )
 
 // testDataset builds a small multitask dataset with correlated tasks.
@@ -268,27 +266,4 @@ func TestUnmarshalRejectsCrossKind(t *testing.T) {
 	if _, err := rfF.UnmarshalBinary([]byte(`{"kind":"rf","models":[]}`)); err == nil {
 		t.Fatal("empty model list accepted")
 	}
-}
-
-// TestLCMAccessor: the concrete-model escape hatch returns the wrapped LCM
-// for the lcm backend and nil otherwise.
-func TestLCMAccessor(t *testing.T) {
-	data := testDataset(17, 1, 8)
-	lcmF, _ := New(KindLCM)
-	rfF, _ := New(KindRF)
-	a, err := lcmF.Fit(data, FitOptions{NumStarts: 1, MaxIter: 5, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := rfF.Fit(data, FitOptions{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m := LCM(a); m == nil || m.NumTasks != 1 {
-		t.Fatal("LCM accessor failed on lcm model")
-	}
-	if LCM(b) != nil {
-		t.Fatal("LCM accessor returned non-nil for rf model")
-	}
-	var _ *gp.LCM = LCM(a)
 }

@@ -28,9 +28,6 @@ type Tuner struct {
 	// RandomFraction interleaves pure random configurations (default 1/3,
 	// BOHB's default).
 	RandomFraction float64
-	// MinPoints is the observation count below which sampling is random
-	// (default dim+2).
-	MinPoints int
 	// BandwidthFactor widens the sampling kernels (default 3, as in BOHB).
 	BandwidthFactor float64
 }
@@ -46,9 +43,6 @@ type obs struct {
 
 // Tune implements tuners.Tuner.
 func (t Tuner) Tune(p *core.Problem, task []float64, epsTot int, seed int64) (*core.TaskResult, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
 	if t.TopQuantile <= 0 || t.TopQuantile >= 1 {
 		t.TopQuantile = 0.15
 	}
@@ -61,51 +55,30 @@ func (t Tuner) Tune(p *core.Problem, task []float64, epsTot int, seed int64) (*c
 	if t.BandwidthFactor <= 0 {
 		t.BandwidthFactor = 3
 	}
-	dim := p.Tuning.Dim()
-	minPoints := t.MinPoints
-	if minPoints <= 0 {
-		minPoints = dim + 2
-	}
 	rng := rand.New(rand.NewSource(seed))
-
 	var observations []obs
-	xs := make([][]float64, 0, epsTot)
-	ys := make([][]float64, 0, epsTot)
 
-	randomFeasible := func() ([]float64, error) {
+	propose := func() ([]float64, error) {
+		// Sampling is random until dim+2 observations are in, and for a
+		// RandomFraction of the proposals after that.
+		dim := p.Tuning.Dim()
+		if len(observations) >= dim+2 && rng.Float64() >= t.RandomFraction {
+			if nat := t.proposeTPE(p, observations, dim, rng); nat != nil {
+				return nat, nil
+			}
+		}
 		pts, err := sample.FeasibleUniform(p.Tuning, 1, rng)
 		if err != nil {
 			return nil, err
 		}
 		return pts[0], nil
 	}
-
-	for len(xs) < epsTot {
-		var nat []float64
-		var err error
-		if len(observations) < minPoints || rng.Float64() < t.RandomFraction {
-			nat, err = randomFeasible()
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			nat = t.proposeTPE(p, observations, dim, rng)
-			if nat == nil {
-				nat, err = randomFeasible()
-				if err != nil {
-					return nil, err
-				}
-			}
+	observe := func(nat, y []float64) {
+		if y != nil {
+			observations = append(observations, obs{u: p.Tuning.Normalize(nat), y: y[0]})
 		}
-		y, err := tuners.Evaluate(p, task, nat)
-		if err != nil {
-			continue
-		}
-		observations = append(observations, obs{u: p.Tuning.Normalize(nat), y: y[0]})
-		xs = append(xs, nat)
-		ys = append(ys, y)
 	}
-	return tuners.FinishResult(task, xs, ys), nil
+	return tuners.Loop(p, task, epsTot, propose, observe)
 }
 
 // proposeTPE builds the l/g KDEs and returns the feasible candidate with the

@@ -16,13 +16,12 @@ import (
 )
 
 // Tuner is an OpenTuner-style bandit-ensemble autotuner.
-type Tuner struct {
-	// Window is the sliding history length used for AUC credit (default 50).
-	Window int
-	// ExploreC is the UCB exploration constant (default 0.05, OpenTuner's
-	// default C).
-	ExploreC float64
-}
+type Tuner struct{}
+
+const (
+	window   = 50   // sliding history length used for AUC credit
+	exploreC = 0.05 // UCB exploration constant (OpenTuner's default C)
+)
 
 // Name implements tuners.Tuner.
 func (Tuner) Name() string { return "opentuner" }
@@ -199,20 +198,8 @@ type banditArm struct {
 
 // Tune implements tuners.Tuner: a bandit over the technique ensemble, one
 // objective evaluation per round.
-func (t Tuner) Tune(p *core.Problem, task []float64, epsTot int, seed int64) (*core.TaskResult, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	window := t.Window
-	if window <= 0 {
-		window = 50
-	}
-	exploreC := t.ExploreC
-	if exploreC <= 0 {
-		exploreC = 0.05
-	}
+func (Tuner) Tune(p *core.Problem, task []float64, epsTot int, seed int64) (*core.TaskResult, error) {
 	rng := rand.New(rand.NewSource(seed))
-	dim := p.Tuning.Dim()
 
 	arms := []*banditArm{
 		{tech: uniformRandom{}},
@@ -249,12 +236,11 @@ func (t Tuner) Tune(p *core.Problem, task []float64, epsTot int, seed int64) (*c
 	}
 
 	db := &database{}
-	xs := make([][]float64, 0, epsTot)
-	ys := make([][]float64, 0, epsTot)
+	sel := 0 // the arm whose proposal is being evaluated
 
-	for len(xs) < epsTot {
+	propose := func() ([]float64, error) {
 		// Select a technique: UCB over AUC credit.
-		sel := 0
+		sel = 0
 		bestScore := math.Inf(-1)
 		total := len(history) + 1
 		for a, arm := range arms {
@@ -269,6 +255,7 @@ func (t Tuner) Tune(p *core.Problem, task []float64, epsTot int, seed int64) (*c
 
 		// Propose (falling back to random until the database is seeded),
 		// then denormalize and repair feasibility.
+		dim := p.Tuning.Dim()
 		var u []float64
 		if len(db.results) == 0 {
 			u = uniformRandom{}.propose(db, dim, rng)
@@ -283,22 +270,15 @@ func (t Tuner) Tune(p *core.Problem, task []float64, epsTot int, seed int64) (*c
 			}
 			nat = pts[0]
 		}
-		y, err := tuners.Evaluate(p, task, nat)
-		if err != nil {
-			// Treat failures as non-improvements and move on.
-			history = append(history, histEntry{arm: sel, improved: false})
-			if len(history) > window {
-				history = history[1:]
-			}
-			continue
-		}
-		improved := db.add(result{u: p.Tuning.Normalize(nat), y: y[0]})
+		return nat, nil
+	}
+	// A failed evaluation counts as a non-improvement for its arm.
+	observe := func(nat, y []float64) {
+		improved := y != nil && db.add(result{u: p.Tuning.Normalize(nat), y: y[0]})
 		history = append(history, histEntry{arm: sel, improved: improved})
 		if len(history) > window {
 			history = history[1:]
 		}
-		xs = append(xs, nat)
-		ys = append(ys, y)
 	}
-	return tuners.FinishResult(task, xs, ys), nil
+	return tuners.Loop(p, task, epsTot, propose, observe)
 }

@@ -18,97 +18,71 @@ import (
 )
 
 // Tuner is a random-forest surrogate autotuner.
-type Tuner struct {
-	// Trees is the forest size (default 40).
-	Trees int
-	// Candidates is the random pool scored per iteration (default 200).
-	Candidates int
-	// InitSamples is the warmup before the first model (default dim+4).
-	InitSamples int
-}
+type Tuner struct{}
+
+const (
+	trees      = 40  // forest size
+	candidates = 200 // random pool scored per iteration
+	warmup     = 4   // dim+warmup random samples come before the first model
+)
 
 // Name implements tuners.Tuner.
 func (Tuner) Name() string { return "surf" }
 
 // Tune implements tuners.Tuner.
-func (t Tuner) Tune(p *core.Problem, task []float64, epsTot int, seed int64) (*core.TaskResult, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if t.Trees <= 0 {
-		t.Trees = 40
-	}
-	if t.Candidates <= 0 {
-		t.Candidates = 200
-	}
-	dim := p.Tuning.Dim()
-	if t.InitSamples <= 0 {
-		t.InitSamples = dim + 4
-	}
+func (Tuner) Tune(p *core.Problem, task []float64, epsTot int, seed int64) (*core.TaskResult, error) {
 	rng := rand.New(rand.NewSource(seed))
-
-	xs := make([][]float64, 0, epsTot)
-	ys := make([][]float64, 0, epsTot)
 	var feats [][]float64 // normalized configurations for the forest
 	var targets []float64
+	failed := false // the last evaluation failed
 
-	evalAndRecord := func(nat []float64) bool {
-		y, err := tuners.Evaluate(p, task, nat)
+	random := func() ([]float64, error) {
+		pts, err := sample.FeasibleUniform(p.Tuning, 1, rng)
 		if err != nil {
-			return false
+			return nil, err
 		}
-		xs = append(xs, nat)
-		ys = append(ys, y)
+		return pts[0], nil
+	}
+	propose := func() ([]float64, error) {
+		// Warm-up, and after a failed evaluation: spend the attempt on a
+		// fresh random point.
+		if len(targets) < p.Tuning.Dim()+warmup || failed {
+			return random()
+		}
+		forest, err := rf.Fit(feats, targets, rf.Params{
+			Trees: trees, Seed: seed + int64(len(targets)),
+		})
+		if err != nil {
+			return nil, err
+		}
+		yBest := targets[0]
+		for _, v := range targets {
+			if v < yBest {
+				yBest = v
+			}
+		}
+		var nat []float64
+		bestEI := math.Inf(-1)
+		for c := 0; c < candidates; c++ {
+			x, err := random()
+			if err != nil {
+				return nil, err
+			}
+			mean, variance := forest.Predict(p.Tuning.Normalize(x))
+			if ei := acq.ExpectedImprovement(mean, variance, yBest); ei > bestEI {
+				bestEI = ei
+				nat = x
+			}
+		}
+		return nat, nil
+	}
+	observe := func(nat, y []float64) {
+		failed = y == nil
+		if failed {
+			return
+		}
 		feats = append(feats, p.Tuning.Normalize(nat))
 		targets = append(targets, y[0])
-		return true
 	}
-
-	for len(xs) < epsTot {
-		var nat []float64
-		if len(xs) < t.InitSamples {
-			pts, err := sample.FeasibleUniform(p.Tuning, 1, rng)
-			if err != nil {
-				return nil, err
-			}
-			nat = pts[0]
-		} else {
-			forest, err := rf.Fit(feats, targets, rf.Params{
-				Trees: t.Trees, Seed: seed + int64(len(xs)),
-			})
-			if err != nil {
-				return nil, err
-			}
-			yBest := targets[0]
-			for _, v := range targets {
-				if v < yBest {
-					yBest = v
-				}
-			}
-			bestEI := math.Inf(-1)
-			for c := 0; c < t.Candidates; c++ {
-				pts, err := sample.FeasibleUniform(p.Tuning, 1, rng)
-				if err != nil {
-					return nil, err
-				}
-				u := p.Tuning.Normalize(pts[0])
-				mean, variance := forest.Predict(u)
-				if ei := acq.ExpectedImprovement(mean, variance, yBest); ei > bestEI {
-					bestEI = ei
-					nat = pts[0]
-				}
-			}
-		}
-		if nat == nil || !evalAndRecord(nat) {
-			// Evaluation failure: spend the attempt on a fresh random point.
-			pts, err := sample.FeasibleUniform(p.Tuning, 1, rng)
-			if err != nil {
-				return nil, err
-			}
-			if !evalAndRecord(pts[0]) {
-				continue
-			}
-		}
-	}
-	return tuners.FinishResult(task, xs, ys), nil
+	return tuners.Loop(p, task, epsTot, propose, observe)
 }

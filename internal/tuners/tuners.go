@@ -1,7 +1,8 @@
 // Package tuners defines the common single-task tuner interface through
 // which GPTune's comparators are invoked (the paper's Section 6.1 notes that
-// the GPTune interface can invoke other autotuners as well), plus the
-// simplest baselines of Section 5: random search and grid search.
+// the GPTune interface can invoke other autotuners as well), the one
+// evaluation loop every baseline runs (Loop), and the simplest baselines of
+// Section 5: random search and grid search.
 //
 // OpenTuner- and HpBandSter-style tuners live in the opentuner and
 // hpbandster subpackages. The paper runs both separately per task since
@@ -27,9 +28,9 @@ type Tuner interface {
 	Tune(p *core.Problem, task []float64, epsTot int, seed int64) (*core.TaskResult, error)
 }
 
-// Evaluate runs the objective once and validates the outputs, returning an
+// evaluate runs the objective once and validates the outputs, returning an
 // error for non-finite metrics.
-func Evaluate(p *core.Problem, task, x []float64) ([]float64, error) {
+func evaluate(p *core.Problem, task, x []float64) ([]float64, error) {
 	y, err := p.Objective(task, x)
 	if err != nil {
 		return nil, err
@@ -45,15 +46,56 @@ func Evaluate(p *core.Problem, task, x []float64) ([]float64, error) {
 	return y, nil
 }
 
-// FinishResult computes BestIdx and wraps the trajectory.
-func FinishResult(task []float64, xs, ys [][]float64) *core.TaskResult {
-	tr := &core.TaskResult{Task: task, X: xs, Y: ys}
-	for j := range ys {
-		if ys[j][0] < ys[tr.BestIdx][0] {
-			tr.BestIdx = j
+// maxFailures is how many evaluations in a row may fail before a run gives
+// up: core.Engine's three attempts per suggestion, applied to a baseline's
+// stream of proposals.
+const maxFailures = 3
+
+// Loop is the one evaluation loop behind every baseline; a tuner supplies
+// only its proposal code. Loop validates the problem (before the first
+// propose call, so the callbacks may assume valid spaces), then until epsTot
+// evaluations have succeeded it asks propose for the next feasible native
+// configuration (nil: nothing left to try, the run ends early), evaluates it
+// and tells observe the outcome — y is nil when the evaluation failed;
+// observe may itself be nil. A failed evaluation spends the attempt, not
+// the budget, but maxFailures in a row end the run with
+// core.ErrTerminalFailure wrapping the last cause, so a broken application
+// cannot spin a tuner forever. The result lists the successful evaluations
+// in order.
+func Loop(p *core.Problem, task []float64, epsTot int,
+	propose func() ([]float64, error), observe func(x, y []float64)) (*core.TaskResult, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	tr := &core.TaskResult{Task: task, X: make([][]float64, 0, epsTot), Y: make([][]float64, 0, epsTot)}
+	failures := 0
+	for len(tr.X) < epsTot {
+		x, err := propose()
+		if err != nil {
+			return nil, err
+		}
+		if x == nil {
+			break
+		}
+		y, err := evaluate(p, task, x)
+		if err != nil {
+			failures++
+			if failures == maxFailures {
+				return nil, fmt.Errorf("%w: %w", core.ErrTerminalFailure, err)
+			}
+		} else {
+			failures = 0
+			if len(tr.Y) > 0 && y[0] < tr.Y[tr.BestIdx][0] {
+				tr.BestIdx = len(tr.Y)
+			}
+			tr.X = append(tr.X, x)
+			tr.Y = append(tr.Y, y)
+		}
+		if observe != nil {
+			observe(x, y)
 		}
 	}
-	return tr
+	return tr, nil
 }
 
 // Random is uniform random search over the feasible tuning space.
@@ -64,25 +106,14 @@ func (Random) Name() string { return "random" }
 
 // Tune implements Tuner.
 func (Random) Tune(p *core.Problem, task []float64, epsTot int, seed int64) (*core.TaskResult, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
 	rng := rand.New(rand.NewSource(seed))
-	xs := make([][]float64, 0, epsTot)
-	ys := make([][]float64, 0, epsTot)
-	for len(xs) < epsTot {
+	return Loop(p, task, epsTot, func() ([]float64, error) {
 		pts, err := sample.FeasibleUniform(p.Tuning, 1, rng)
 		if err != nil {
 			return nil, err
 		}
-		y, err := Evaluate(p, task, pts[0])
-		if err != nil {
-			continue // failed configuration: spend the attempt, not the run
-		}
-		xs = append(xs, pts[0])
-		ys = append(ys, y)
-	}
-	return FinishResult(task, xs, ys), nil
+		return pts[0], nil
+	}, nil)
 }
 
 // Grid is coarse grid search: the budget is spread over an axis-aligned
@@ -95,48 +126,47 @@ func (Grid) Name() string { return "grid" }
 
 // Tune implements Tuner.
 func (Grid) Tune(p *core.Problem, task []float64, epsTot int, seed int64) (*core.TaskResult, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	dim := p.Tuning.Dim()
-	levels := int(math.Ceil(math.Pow(float64(epsTot), 1/float64(dim))))
-	if levels < 2 {
-		levels = 2
-	}
-	xs := make([][]float64, 0, epsTot)
-	ys := make([][]float64, 0, epsTot)
-	u := make([]float64, dim)
-	idx := make([]int, dim)
-	for {
-		if len(xs) >= epsTot {
-			break
+	// The grid is walked by a mixed-radix counter over its cells, set up on
+	// the first proposal (Loop has validated the spaces by then).
+	var (
+		levels int
+		idx    []int
+		u      []float64
+		done   bool
+	)
+	tr, err := Loop(p, task, epsTot, func() ([]float64, error) {
+		dim := p.Tuning.Dim()
+		if idx == nil {
+			levels = int(math.Ceil(math.Pow(float64(epsTot), 1/float64(dim))))
+			if levels < 2 {
+				levels = 2
+			}
+			idx, u = make([]int, dim), make([]float64, dim)
 		}
-		for d := 0; d < dim; d++ {
-			u[d] = float64(idx[d]) / float64(levels-1)
-		}
-		nat := p.Tuning.Denormalize(u)
-		if p.Tuning.Feasible(nat) {
-			if y, err := Evaluate(p, task, nat); err == nil {
-				xs = append(xs, append([]float64(nil), nat...))
-				ys = append(ys, y)
+		for !done {
+			for d := range u {
+				u[d] = float64(idx[d]) / float64(levels-1)
+			}
+			nat := p.Tuning.Denormalize(u)
+			// Advance the counter; done after the last cell.
+			d := 0
+			for d < dim {
+				idx[d]++
+				if idx[d] < levels {
+					break
+				}
+				idx[d] = 0
+				d++
+			}
+			done = d == dim
+			if p.Tuning.Feasible(nat) {
+				return nat, nil
 			}
 		}
-		// Advance the mixed-radix counter; stop after the last cell.
-		d := 0
-		for d < dim {
-			idx[d]++
-			if idx[d] < levels {
-				break
-			}
-			idx[d] = 0
-			d++
-		}
-		if d == dim {
-			break
-		}
-	}
-	if len(xs) == 0 {
+		return nil, nil
+	}, nil)
+	if err == nil && len(tr.X) == 0 {
 		return nil, errors.New("tuners: grid search found no feasible evaluable point")
 	}
-	return FinishResult(task, xs, ys), nil
+	return tr, err
 }

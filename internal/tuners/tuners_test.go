@@ -1,9 +1,13 @@
 package tuners_test
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
 	"math"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/space"
@@ -139,6 +143,38 @@ func TestTunersSurviveFailingEvaluations(t *testing.T) {
 	}
 }
 
+// TestTunersGiveUpOnBrokenObjective: an application that fails every
+// evaluation ends the run after three attempts with the cause — core.Engine's
+// rule — instead of spinning forever. Each baseline used to carry its own
+// `if err != nil { continue }` loop with no attempt count, so this hung.
+func TestTunersGiveUpOnBrokenObjective(t *testing.T) {
+	cause := errors.New("application is broken")
+	for _, tn := range []tuners.Tuner{tuners.Random{}, tuners.Grid{}, opentuner.Tuner{}, hpbandster.Tuner{}, surf.Tuner{}} {
+		var calls atomic.Int64
+		p := quadProblem()
+		p.Objective = func(task, x []float64) ([]float64, error) {
+			calls.Add(1)
+			return nil, cause
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := tn.Tune(p, []float64{0}, 5, 1)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(err, cause) || !errors.Is(err, core.ErrTerminalFailure) {
+				t.Errorf("%s: error %v, want core.ErrTerminalFailure wrapping the cause", tn.Name(), err)
+			}
+			if n := calls.Load(); n != 3 {
+				t.Errorf("%s: gave up after %d evaluations, want 3", tn.Name(), n)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s: still evaluating a broken objective after 2 s (%d calls)", tn.Name(), calls.Load())
+		}
+	}
+}
+
 func TestGridCoversCorners(t *testing.T) {
 	p := quadProblem()
 	tr, err := tuners.Grid{}.Tune(p, []float64{0}, 9, 4)
@@ -201,5 +237,48 @@ func TestHpBandSterUsesModelAfterWarmup(t *testing.T) {
 	}
 	if late/10 >= early/10 {
 		t.Fatalf("TPE not concentrating: early mean dist %v, late %v", early/10, late/10)
+	}
+}
+
+// TestGoldenTrajectories pins every baseline's full trajectory on a
+// never-failing objective — unconstrained and constrained, long enough to
+// pass each tuner's warm-up and OpenTuner's credit window — at
+// math.Float64bits. Recorded before the baselines' private evaluate/record
+// loops were replaced by tuners.Loop and their never-set fields by
+// constants: neither may move a configuration, an output or an RNG draw.
+func TestGoldenTrajectories(t *testing.T) {
+	constrained := quadProblem()
+	constrained.Tuning.AddConstraint("x1>=x0", func(v map[string]float64) bool { return v["x1"] >= v["x0"] })
+	problems := []*core.Problem{ridgeProblem(), constrained}
+	want := map[string][2]uint64{
+		"random":     {0x866b22ca0b657e70, 0x1585627e5981d171},
+		"grid":       {0xb5270cde250c0a9e, 0x50dbc9321522fe5d},
+		"opentuner":  {0x53ad18a3d3ddd700, 0x50cb9dc32d2f4bb0},
+		"hpbandster": {0x65904a35332fb08e, 0x42c203341f5e384e},
+		"surf":       {0x8d4251a942963055, 0x4ad5ccba6b930c1e},
+	}
+	for _, tn := range []tuners.Tuner{tuners.Random{}, tuners.Grid{}, opentuner.Tuner{}, hpbandster.Tuner{}, surf.Tuner{}} {
+		for i, p := range problems {
+			tr, err := tn.Tune(p, []float64{0.25}, 70, 11)
+			if err != nil {
+				t.Fatalf("%s on %s: %v", tn.Name(), p.Name, err)
+			}
+			h := fnv.New64a()
+			fold := func(vals ...float64) {
+				var b [8]byte
+				for _, v := range vals {
+					binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+					h.Write(b[:])
+				}
+			}
+			for j := range tr.X {
+				fold(tr.X[j]...)
+				fold(tr.Y[j]...)
+			}
+			fold(float64(len(tr.X)), float64(tr.BestIdx))
+			if h.Sum64() != want[tn.Name()][i] {
+				t.Errorf("%s on %s: %d evaluations, trajectory hash %#x, want %#x", tn.Name(), p.Name, len(tr.X), h.Sum64(), want[tn.Name()][i])
+			}
+		}
 	}
 }
