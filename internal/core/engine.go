@@ -139,6 +139,18 @@ func NewEngine(p *Problem, tasks [][]float64, options Options) (*Engine, error) 
 		return nil, errors.New("core: no tasks given")
 	}
 	options.defaults()
+	// A malformed seed would otherwise panic in the acquisition on the
+	// generation goroutine, where no caller can recover it.
+	for i, seed := range options.Search.Seeds {
+		if len(seed) != p.Tuning.Dim() {
+			return nil, fmt.Errorf("core: Options.Search.Seeds[%d] has %d coordinates, the tuning space has %d parameters", i, len(seed), p.Tuning.Dim())
+		}
+		for d, v := range seed {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("core: Options.Search.Seeds[%d][%d] is non-finite (%v)", i, d, v)
+			}
+		}
+	}
 	fitter := options.fitterOverride
 	if fitter == nil {
 		var err error

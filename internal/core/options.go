@@ -80,7 +80,9 @@ type Options struct {
 	// fire-and-forget, so a mid-run crash cannot change resumed decisions.
 	Transfer ModelStore
 
-	// Search configures the per-task PSO maximizing the acquisition.
+	// Search configures the per-task PSO maximizing the acquisition. Its
+	// Seeds are points of the normalized tuning space: NewEngine rejects one
+	// whose length is not the tuning dimension or that is not finite.
 	Search opt.PSOParams
 	// Acquisition selects the search-phase acquisition function: "ei"
 	// (Expected Improvement, the paper's choice and the default), "lcb"

@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -181,6 +182,62 @@ func TestSearchSeedsNotMutatedAcrossTasks(t *testing.T) {
 	}
 	if spare := seeds[:2]; spare[1] != nil {
 		t.Fatalf("run wrote into the caller's spare capacity: %v", spare[1])
+	}
+}
+
+// A wrong-length Options.Search.Seeds entry used to reach the acquisition and
+// panic in DenormalizeInto ("space: point has 1 values, space has 2
+// parameters") on the engine's generation goroutine, where no caller can
+// recover it; a NaN coordinate rode through clip01 into the model. NewEngine
+// now refuses both as errors. The check only looks: a well-formed seed is
+// still accepted, and a run that passes none is the run it was (nil and empty
+// Seeds give one history; the golden and parity tests pin it to the parent's).
+func TestSearchSeedsValidated(t *testing.T) {
+	p := analyticalProblem()
+	p.Tuning = space.MustNew(space.NewReal("x", 0, 1), space.NewReal("unused", 0, 1))
+	tasks := [][]float64{{0}, {1}}
+	opts := func(seeds [][]float64) Options {
+		o := Options{EpsTot: 6, Seed: 3, Workers: 2}
+		o.Search.Seeds = seeds
+		return o
+	}
+	for _, bad := range []struct {
+		name  string
+		seeds [][]float64
+	}{
+		{"short", [][]float64{{0.5}}},
+		{"long", [][]float64{{0.2, 0.4}, {0.1, 0.2, 0.3}}},
+		{"empty entry", [][]float64{{}}},
+		{"NaN", [][]float64{{0.5, math.NaN()}}},
+		{"Inf", [][]float64{{math.Inf(-1), 0.5}}},
+	} {
+		if _, err := NewEngine(p, tasks, opts(bad.seeds)); err == nil || !strings.Contains(err.Error(), "Search.Seeds") {
+			t.Errorf("%s seed: NewEngine error = %v, want one naming Search.Seeds", bad.name, err)
+		}
+		if _, err := Run(p, tasks, opts(bad.seeds)); err == nil {
+			t.Errorf("%s seed: Run returned no error", bad.name)
+		}
+	}
+
+	none, err := Run(p, tasks, opts(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty, err := Run(p, tasks, opts([][]float64{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(none.Tasks, empty.Tasks) {
+		t.Fatal("an empty Seeds list changed the history of a run that passes none")
+	}
+	seeded, err := Run(p, tasks, opts([][]float64{{0.25, 0.75}}))
+	if err != nil {
+		t.Fatalf("well-formed seed rejected: %v", err)
+	}
+	for i, tr := range seeded.Tasks {
+		if len(tr.X) != len(none.Tasks[i].X) {
+			t.Fatalf("task %d: seeded run committed %d evaluations, unseeded %d", i, len(tr.X), len(none.Tasks[i].X))
+		}
 	}
 }
 

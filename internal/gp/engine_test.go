@@ -142,9 +142,9 @@ func TestFitLCMWorkersIdenticalLargeN(t *testing.T) {
 	}
 }
 
-// PredictInto and PredictBatch must match the naive evaluation of Eqs. (5–6)
-// (refPredict, the body Predict had before it became a wrapper) to 1e-12 on
-// random fitted models, and the Predict wrapper must be PredictInto exactly.
+// PredictInto must match the naive evaluation of Eqs. (5–6) (refPredict, the
+// body Predict had before it became a wrapper) to 1e-12 on random fitted
+// models, and the Predict wrapper must be PredictInto exactly.
 func TestPredictWorkspaceMatchesPredict(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	for trial := 0; trial < 3; trial++ {
@@ -162,11 +162,8 @@ func TestPredictWorkspaceMatchesPredict(t *testing.T) {
 			}
 			xs = append(xs, x)
 		}
-		means := make([]float64, len(xs))
-		vars := make([]float64, len(xs))
 		for task := 0; task < data.NumTasks(); task++ {
-			model.PredictBatch(task, xs, means, vars, ws)
-			for k, x := range xs {
+			for _, x := range xs {
 				mu, v := refPredict(model, task, x)
 				muWS, vWS := model.PredictInto(ws, task, x)
 				if math.Abs(mu-muWS) > 1e-12*(1+math.Abs(mu)) || math.Abs(v-vWS) > 1e-12*(1+v) {
@@ -174,9 +171,6 @@ func TestPredictWorkspaceMatchesPredict(t *testing.T) {
 				}
 				if muP, vP := model.Predict(task, x); muP != muWS || vP != vWS {
 					t.Fatalf("trial %d task %d: Predict (%v,%v) is not PredictInto (%v,%v)", trial, task, muP, vP, muWS, vWS)
-				}
-				if means[k] != muWS || vars[k] != vWS {
-					t.Fatalf("trial %d task %d: PredictBatch disagrees with PredictInto", trial, task)
 				}
 			}
 		}

@@ -130,17 +130,3 @@ func (m *LCM) kstarInto(ws *PredictWorkspace, task int, x []float64) []float64 {
 	}
 	return ws.kstar
 }
-
-// PredictBatch predicts every point of xs for one task, writing posterior
-// means and variances into the caller's slices (len(xs) each). In steady
-// state it performs zero heap allocations: all scratch lives in ws.
-//
-//gptlint:hotpath
-func (m *LCM) PredictBatch(task int, xs [][]float64, means, variances []float64, ws *PredictWorkspace) {
-	if len(means) != len(xs) || len(variances) != len(xs) {
-		panic("gp: PredictBatch output length mismatch")
-	}
-	for i, x := range xs {
-		means[i], variances[i] = m.PredictInto(ws, task, x)
-	}
-}

@@ -82,13 +82,60 @@ func SolveCholVec(l *Matrix, b []float64) []float64 {
 // ForwardSubst solves L·y = b in place (b becomes y); L lower triangular.
 func ForwardSubst(l *Matrix, b []float64) {
 	n := l.Rows
-	if len(b) != n {
+	if l.Cols != n || len(b) != n {
 		panic("la: ForwardSubst dimension mismatch")
 	}
-	for i := 0; i < n; i++ {
-		li := l.Row(i)
-		b[i] = (b[i] - Dot(li[:i], b[:i])) / li[i]
+	forwardSubst(l.Data, n, b)
+}
+
+// forwardSubst is the one forward-substitution recurrence, b[i] = (b[i] −
+// Dot(L[i,:i], b[:i])) / L[i,i] for i < len(b), behind the dense and packed
+// ForwardSubst and the AppendRows panel. Row i of L starts at data[i·stride],
+// or at data[i(i+1)/2] when stride is 0 (packed).
+//
+// With a vector kernel the rows advance in blocks of four starting at
+// multiples of four. Rows 4m … 4m+3 share the 4-aligned prefix [0, 4m) of
+// their Dot exactly, so one dotRows4Lanes pass over b[:4m] yields all sixteen
+// lanes, and row 4m+r's r tail terms — columns 4m … 4m+r−1, into lane 0 in
+// order — multiply the b entries the block has just produced. That is Dot's
+// lane contract term for term: the block and the row-by-row loop agree bit
+// for bit.
+func forwardSubst(data []float64, stride int, b []float64) {
+	n := len(b)
+	for i := 0; i < n; {
+		if vectorKernels && i >= vectorMin && i&3 == 0 && i+4 <= n {
+			var o [4]int
+			for r := range o {
+				o[r] = rowStart(i+r, stride)
+			}
+			_ = data[o[3]+i+3] // the block's last element: the kernel reads unchecked
+			var s [16]float64
+			dotRows4Lanes(&data[o[0]], &data[o[1]], &data[o[2]], &data[o[3]], &b[0], i, &s)
+			for r, off := range o {
+				tail := data[off+i : off+i+r+1] // L[i+r, i : i+r+1], pivot last
+				lanes := s[4*r : 4*r+4 : 4*r+4]
+				s0 := lanes[0]
+				for t := 0; t < r; t++ {
+					s0 += tail[t] * b[i+t]
+				}
+				b[i+r] = (b[i+r] - ((s0 + lanes[2]) + (lanes[1] + lanes[3]))) / tail[r]
+			}
+			i += 4
+			continue
+		}
+		o := rowStart(i, stride)
+		b[i] = (b[i] - Dot(data[o:o+i], b[:i])) / data[o+i]
+		i++
 	}
+}
+
+// rowStart returns the offset of row i in dense (stride > 0) or packed
+// (stride 0) lower-triangular storage.
+func rowStart(i, stride int) int {
+	if stride == 0 {
+		return i * (i + 1) / 2
+	}
+	return i * stride
 }
 
 // BackwardSubstT solves Lᵀ·x = b in place (b becomes x); L lower triangular.

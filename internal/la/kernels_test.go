@@ -1,0 +1,172 @@
+package la
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"os"
+	"testing"
+)
+
+// TestMain runs the whole suite twice where a vector kernel exists: as
+// dispatched at start-up, then with the dispatch forced to the scalar
+// bodies, so the path every other CPU and GOARCH takes is exercised on a
+// runner that would never pick it.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if code == 0 && vectorKernels {
+		fmt.Println("la: second pass, scalar dispatch")
+		vectorKernels = false
+		code = m.Run()
+	}
+	os.Exit(code)
+}
+
+// scalarOnly runs fn with the dispatch forced to the scalar bodies — the
+// oracle the vector kernels must match.
+func scalarOnly(fn func()) {
+	defer func(saved bool) { vectorKernels = saved }(vectorKernels)
+	vectorKernels = false
+	fn()
+}
+
+// sameFloat is bit equality, except that any NaN equals any NaN: which
+// payload an operation on two NaNs keeps is not part of the lane contract.
+func sameFloat(got, want float64) bool {
+	return math.Float64bits(got) == math.Float64bits(want) || (math.IsNaN(got) && math.IsNaN(want))
+}
+
+// hostile are the values the salted inputs are laced with: signed zeros,
+// subnormals, magnitudes whose products overflow and underflow, infinities.
+var hostile = []float64{
+	0, math.Copysign(0, -1), 5e-324, -2.5e-310, 1e300, -1e300, 1e-300, -1e-300, math.Inf(1), math.Inf(-1),
+}
+
+// kernelInput fills a fresh slice of n elements starting off elements into
+// its backing array — so the data is 8- but not 32-byte aligned for three
+// offsets in four — with seeded normals, a quarter of them replaced by
+// hostile values when salted.
+func kernelInput(rng *rand.Rand, n, off int, salted bool) []float64 {
+	x := make([]float64, off+n+4)[off : off+n]
+	for i := range x {
+		x[i] = rng.NormFloat64()
+		if salted && rng.Intn(4) == 0 {
+			x[i] = hostile[rng.Intn(len(hostile))]
+		}
+	}
+	return x
+}
+
+// TestVectorKernelsBitwiseEqualScalar is the vector ≡ scalar contract:
+// whatever the length, alignment and values, Dot, dotPair and the four-row
+// kernel return the bits of the scalar lane loops. Almost every normal input
+// rounds differently under a fused multiply-add, so this fails if a kernel
+// is ever "upgraded" to VFMADD.
+func TestVectorKernelsBitwiseEqualScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for _, salted := range []bool{false, true} {
+		for n := 0; n <= 131; n++ {
+			for off := 0; off < 4; off++ {
+				a := kernelInput(rng, n, off, salted)
+				b := kernelInput(rng, n, (off+1)&3, salted)
+				c := kernelInput(rng, n, (off+2)&3, salted)
+				d := kernelInput(rng, n, (off+3)&3, salted)
+				v := kernelInput(rng, n, off, salted)
+
+				var want, want0, want1 float64
+				scalarOnly(func() {
+					want = Dot(a, v)
+					want0, want1 = dotPair(v, a, b)
+				})
+				if got := Dot(a, v); !sameFloat(got, want) {
+					t.Fatalf("salted=%v n=%d off=%d: Dot %x, scalar %x", salted, n, off, math.Float64bits(got), math.Float64bits(want))
+				}
+				if got0, got1 := dotPair(v, a, b); !sameFloat(got0, want0) || !sameFloat(got1, want1) {
+					t.Fatalf("salted=%v n=%d off=%d: dotPair (%x, %x), scalar (%x, %x)", salted, n, off,
+						math.Float64bits(got0), math.Float64bits(got1), math.Float64bits(want0), math.Float64bits(want1))
+				}
+
+				// The four-row kernel directly, over the aligned prefix it is
+				// specified for (forwardSubst adds the tails; tested below).
+				n4 := n &^ 3
+				if !vectorKernels || n4 == 0 {
+					continue
+				}
+				var s [16]float64
+				dotRows4Lanes(&a[0], &b[0], &c[0], &d[0], &v[0], n4, &s)
+				for r, row := range [][]float64{a, b, c, d} {
+					scalarOnly(func() { want = Dot(row[:n4], v[:n4]) })
+					if got := (s[4*r] + s[4*r+2]) + (s[4*r+1] + s[4*r+3]); !sameFloat(got, want) {
+						t.Fatalf("salted=%v n=%d off=%d: four-row kernel row %d %x, scalar %x", salted, n, off, r, math.Float64bits(got), math.Float64bits(want))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestForwardSubstOneBodyBitwise: packed ≡ dense ≡ AppendRows' panel ≡ the
+// row-by-row recurrence over scalar Dots, across the sizes where the blocks
+// of four start, end and leave a remainder, with a zero and a NaN pivot
+// poisoning everything after them identically.
+func TestForwardSubstOneBodyBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	sizes := []int{63, 64, 65, 541}
+	for n := 0; n <= 40; n++ {
+		sizes = append(sizes, n)
+	}
+	for _, n := range sizes {
+		for _, pivot := range []string{"ok", "zero", "nan"} {
+			l := NewMatrix(n, n)
+			for i := 0; i < n; i++ {
+				for j := 0; j < i; j++ {
+					l.Set(i, j, rng.NormFloat64()/math.Sqrt(float64(n)))
+				}
+				l.Set(i, i, 1+rng.Float64())
+			}
+			switch {
+			case n == 0:
+			case pivot == "zero":
+				l.Set(n/2, n/2, 0)
+			case pivot == "nan":
+				l.Set(n/2, n/2, math.NaN())
+			}
+			rhs := make([]float64, n)
+			for i := range rhs {
+				rhs[i] = rng.NormFloat64()
+			}
+
+			want := CopyVec(rhs)
+			scalarOnly(func() {
+				for i := 0; i < n; i++ {
+					li := l.Row(i)
+					want[i] = (want[i] - Dot(li[:i], want[:i])) / li[i]
+				}
+			})
+			dense := CopyVec(rhs)
+			ForwardSubst(l, dense)
+			tp := PackChol(l)
+			packed := CopyVec(rhs)
+			tp.ForwardSubst(packed)
+			for i := range want {
+				if !sameFloat(dense[i], want[i]) || !sameFloat(packed[i], want[i]) {
+					t.Fatalf("n=%d pivot=%s row %d: dense %x packed %x, row-by-row %x", n, pivot, i,
+						math.Float64bits(dense[i]), math.Float64bits(packed[i]), math.Float64bits(want[i]))
+				}
+			}
+
+			if pivot != "ok" {
+				continue // AppendRows would reject the non-finite new row
+			}
+			corner := &Matrix{Rows: 1, Cols: 1, Data: []float64{Dot(want, want) + 1}}
+			if _, err := tp.AppendRows(&Matrix{Rows: 1, Cols: n, Data: rhs}, corner, 0, 1); err != nil {
+				t.Fatalf("n=%d: AppendRows: %v", n, err)
+			}
+			for i, w := range tp.Row(n)[:n] {
+				if !sameFloat(w, want[i]) {
+					t.Fatalf("n=%d: AppendRows panel entry %d %x, row-by-row %x", n, i, math.Float64bits(w), math.Float64bits(want[i]))
+				}
+			}
+		}
+	}
+}

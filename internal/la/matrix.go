@@ -56,17 +56,37 @@ func MatMulTransB(a, b *Matrix) *Matrix {
 	return c
 }
 
-// Dot returns the inner product of two equal-length vectors. The
-// accumulation is 4-way unrolled: independent partial sums break the
-// floating-point add dependency chain, which roughly triples throughput on
-// long vectors (the Cholesky, inverse, and prediction hot loops are all
-// dot-product bound).
+// vectorKernels selects, once at start-up, the vector bodies (kernels_*.s)
+// for the lane loops of Dot, dotPair and forwardSubst; false on CPUs and
+// GOARCHes without one. Either way every result has the same bits, so only
+// the tests ever flip it.
+var vectorKernels = haveVectorKernels()
+
+// vectorMin is the shortest vector handed to a vector kernel; below it the
+// call, which sets up and returns its lanes through memory, costs more than
+// the scalar loop it replaces.
+const vectorMin = 16
+
+// Dot returns the inner product of two equal-length vectors, defined as four
+// independent lanes: over the 4-aligned prefix element i accumulates into
+// lane i mod 4 (s += a[i]*b[i], product rounded, then sum rounded — never
+// fused), the ≤ 3 tail elements go into lane 0 in order, and the result is
+// (l0+l2)+(l1+l3). Independent lanes break the floating-point add dependency
+// chain (the Cholesky, inverse, and prediction hot loops are all dot-product
+// bound) and are what a vector kernel holds in one register: dotLanes runs
+// the prefix when there is one, the scalar loop otherwise, bit for bit.
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {
 		panic("la: Dot length mismatch")
 	}
 	var s0, s1, s2, s3 float64
 	i := 0
+	if vectorKernels && len(a) >= vectorMin {
+		var s [4]float64
+		i = len(a) &^ 3
+		dotLanes(&a[0], &b[0], i, &s)
+		s0, s1, s2, s3 = s[0], s[1], s[2], s[3]
+	}
 	for ; i+4 <= len(a); i += 4 {
 		aa := a[i : i+4 : i+4]
 		bb := b[i : i+4 : i+4]
@@ -81,8 +101,8 @@ func Dot(a, b []float64) float64 {
 	return (s0 + s2) + (s1 + s3)
 }
 
-// dotPair returns (a·b0, a·b1) in a single pass over a, with the same 4-way
-// unrolled independent-accumulator scheme as Dot for each product. Fusing the
+// dotPair returns (a·b0, a·b1) in a single pass over a, each product
+// accumulated in its own four lanes exactly as Dot defines them. Fusing the
 // two products loads the shared operand a once, which matters in the
 // memory-bound triangular-inverse phases that dominate the LCM gradient.
 func dotPair(a, b0, b1 []float64) (float64, float64) {
@@ -92,6 +112,13 @@ func dotPair(a, b0, b1 []float64) (float64, float64) {
 	var s00, s01, s02, s03 float64
 	var s10, s11, s12, s13 float64
 	i := 0
+	if vectorKernels && len(a) >= vectorMin {
+		var s [8]float64
+		i = len(a) &^ 3
+		dotPairLanes(&a[0], &b0[0], &b1[0], i, &s)
+		s00, s01, s02, s03 = s[0], s[1], s[2], s[3]
+		s10, s11, s12, s13 = s[4], s[5], s[6], s[7]
+	}
 	for ; i+4 <= len(a); i += 4 {
 		aa := a[i : i+4 : i+4]
 		x := b0[i : i+4 : i+4]

@@ -65,16 +65,14 @@ func (t *TriPacked) Dense() *Matrix {
 	return m
 }
 
-// ForwardSubst solves L·y = b in place (b becomes y). The recurrence is the
-// dense ForwardSubst's exactly, so results are bitwise identical.
+// ForwardSubst solves L·y = b in place (b becomes y): the dense
+// ForwardSubst's forwardSubst body over packed rows, so results are bitwise
+// identical.
 func (t *TriPacked) ForwardSubst(b []float64) {
 	if len(b) != t.n {
 		panic("la: TriPacked.ForwardSubst dimension mismatch")
 	}
-	for i := 0; i < t.n; i++ {
-		li := t.Row(i)
-		b[i] = (b[i] - Dot(li[:i], b[:i])) / li[i]
-	}
+	forwardSubst(t.data, 0, b)
 }
 
 // BackwardSubstT solves Lᵀ·x = b in place (b becomes x). Same column-order
@@ -144,10 +142,7 @@ func (t *TriPacked) AppendRows(cols, corner *Matrix, initial float64, workers in
 	parallelBlocks(0, k, workers, func(j int) { //gptlint:ignore hotpath-alloc one closure per panel append, not per row; the fan-out is the parallelism seam
 		w := t.Row(n0 + j)
 		copy(w[:n0], cols.Row(j))
-		for i := 0; i < n0; i++ {
-			li := t.Row(i)
-			w[i] = (w[i] - Dot(li[:i], w[:i])) / li[i]
-		}
+		forwardSubst(t.data, 0, w[:n0])
 	})
 	// Corner: finish each new row against the earlier new rows, then take its
 	// pivot — the plain Cholesky recurrence continued past n0, in row order.

@@ -11,6 +11,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -183,7 +184,10 @@ func (l *Loader) hasGoFiles(dir string) bool {
 	return err == nil && len(names) > 0
 }
 
-// goFileNames lists the non-test .go files of dir, sorted.
+// goFileNames lists the non-test .go files of dir that the go tool would
+// build here, sorted: a _GOOS / _GOARCH file-name suffix or a //go:build
+// line that excludes this platform excludes the file, so of a platform twin
+// (x_amd64.go beside a "//go:build !amd64" file) exactly one half loads.
 func goFileNames(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -195,7 +199,12 @@ func goFileNames(dir string) ([]string, error) {
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		if strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+		// MatchFile also rejects names starting with "." or "_".
+		match, err := build.Default.MatchFile(dir, name)
+		if err != nil {
+			return nil, err
+		}
+		if !match {
 			continue
 		}
 		names = append(names, name)
