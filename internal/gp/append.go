@@ -86,8 +86,8 @@ func (m *LCM) AppendObservations(xs [][]float64, tasks []int, ys []float64, work
 		m.flatX = append(m.flatX, x)
 		m.taskOf = append(m.taskOf, tasks[j])
 		m.yNorm = append(m.yNorm, (ys[j]-m.yMean)/m.yStd)
-		m.xflat = append(m.xflat, x...)
 	}
+	m.transposeCoords()
 	for task := 0; task < m.NumTasks; task++ {
 		row := m.predCoef[task]
 		for j := 0; j < k; j++ {

@@ -26,34 +26,49 @@ const gradChunkRows = 32
 //   - sweeps only the upper triangle (r ≤ s), exploiting the symmetry of
 //     both Σ and the gradient contractions,
 //   - reduces the a/b/d gradients to per-task-block sums (δ² per latent)
-//     instead of scattering into the gradient vector per sample pair, and
+//     instead of scattering into the gradient vector per sample pair,
+//   - runs the O(n²) passes — kernel arguments, exp, Σ accumulation, the
+//     lengthscale contractions — as contiguous sweeps over la's four-lane
+//     kernels, each output seeing the operations the per-pair loops
+//     performed (frozen_test.go keeps those loops as the bitwise oracle), and
 //   - distributes kernel assembly, the gradient sweep, the blocked Cholesky
 //     and the inverse over Workers goroutines.
 //
 // One engine serves one goroutine (the scratch buffers are reused across
-// evaluations); the pairCache is shared read-only by all engines.
+// evaluations, so an evaluation allocates nothing that grows with n); the
+// pairCache is shared read-only by all engines.
 type lcmEngine struct {
 	layout  hyperLayout
 	cache   *pairCache
 	taskOf  []int
+	runEnd  []int // runEnd[s]: end of the run of samples sharing s's task, s < runEnd[s] ≤ n
 	yn      []float64
 	workers int
 
 	// Reusable scratch, sized once at construction.
-	kq     []float64   // [npairs*Q] pair-major kernel values k_q(x_r, x_s)
+	model  *LCM        // the hyperparameters under evaluation, refilled per call
+	kq     []float64   // [npairs*Q] kernel values: row r's [Q][n-r] block, latent-major, at pairStart(r)*Q
 	sigma  *la.Matrix  // assembled covariance
+	chol   *la.Matrix  // its Cholesky factor
+	alpha  []float64   // Σ⁻¹·y
 	invWT  *la.Matrix  // W = L⁻¹ scratch for the inverse
 	invBuf *la.Matrix  // Σ⁻¹ output scratch
-	coef   [][]float64 // [q][tasks*tasks]: a_qi·a_qj (+ b_qi when i = j)
+	coef   []float64   // [(i*T+j)*Q + q]: a_qi·a_qj (+ b_qi when i = j)
 	winv   [][]float64 // [q][dim]: 1/l²
 	grad   []float64   // gradient output buffer
 
-	// Per-chunk partial accumulators, merged serially in chunk order.
+	// Per-chunk partial accumulators, merged serially in chunk order. The
+	// lengthscale accumulators and the per-pair factors feeding them are four
+	// latents wide (la.AccumLanesInto's lanes): Q latents occupy ⌈Q/4⌉ lane
+	// blocks, and the lanes past Q hold zeros throughout.
 	chunkV    [][]float64 // [chunk][Q*T*T]: Σ_{r<s} mm·k_q per (q, t_r, t_s)
-	chunkGL   [][]float64 // [chunk][Q*dim]: Σ_{r<s} mm·coef·k_q·sq_d
+	chunkGL   [][]float64 // [chunk][block][dim][4]: Σ_{r<s} mm·coef·k_q·sq_d
 	chunkDsum [][]float64 // [chunk][T]: Σ_r mm_rr per task
-	chunkEq   [][]float64 // [chunk][Q] per-pair scratch
+	chunkEq   [][]float64 // [chunk][block][n-lo][4]: one row's mm·coef·k_q per pair
 }
+
+// laneBlocks returns how many four-latent lane blocks q latents occupy.
+func laneBlocks(q int) int { return (q + 3) / 4 }
 
 func newLCMEngine(cache *pairCache, layout hyperLayout, taskOf []int, yn []float64, workers int) *lcmEngine {
 	e := &lcmEngine{
@@ -62,41 +77,52 @@ func newLCMEngine(cache *pairCache, layout hyperLayout, taskOf []int, yn []float
 		taskOf:  taskOf,
 		yn:      yn,
 		workers: workers,
+		model:   newModel(layout),
 		kq:      make([]float64, cache.npairs*layout.q),
 		sigma:   la.NewMatrix(cache.n, cache.n),
+		chol:    la.NewMatrix(cache.n, cache.n),
+		alpha:   make([]float64, cache.n),
 		invWT:   la.NewMatrix(cache.n, cache.n),
 		invBuf:  la.NewMatrix(cache.n, cache.n),
-		coef:    make([][]float64, layout.q),
+		coef:    make([]float64, layout.q*layout.tasks*layout.tasks),
 		winv:    make([][]float64, layout.q),
 		grad:    make([]float64, layout.total()),
 	}
 	for q := 0; q < layout.q; q++ {
-		e.coef[q] = make([]float64, layout.tasks*layout.tasks)
 		e.winv[q] = make([]float64, layout.dim)
 	}
+	e.runEnd = make([]int, cache.n)
+	for s := cache.n - 1; s >= 0; s-- {
+		e.runEnd[s] = s + 1
+		if s+1 < cache.n && taskOf[s+1] == taskOf[s] {
+			e.runEnd[s] = e.runEnd[s+1]
+		}
+	}
 	nc := mpx.NumChunks(cache.n, gradChunkRows)
+	blocks := laneBlocks(layout.q)
 	e.chunkV = make([][]float64, nc)
 	e.chunkGL = make([][]float64, nc)
 	e.chunkDsum = make([][]float64, nc)
 	e.chunkEq = make([][]float64, nc)
 	for c := 0; c < nc; c++ {
 		e.chunkV[c] = make([]float64, layout.q*layout.tasks*layout.tasks)
-		e.chunkGL[c] = make([]float64, layout.q*layout.dim)
+		e.chunkGL[c] = make([]float64, blocks*layout.dim*4)
 		e.chunkDsum[c] = make([]float64, layout.tasks)
-		e.chunkEq[c] = make([]float64, layout.q)
+		e.chunkEq[c] = make([]float64, blocks*(cache.n-c*gradChunkRows)*4)
 	}
 	return e
 }
 
-// prepare fills the per-latent coefficient tables C_q[i][j] = a_qi·a_qj
-// (+ b_qi on the diagonal) and inverse-square lengthscales for model m.
+// prepare fills the coefficient table C[i][j][q] = a_qi·a_qj (+ b_qi on the
+// diagonal), latents contiguous per task pair, and the inverse-square
+// lengthscales for model m.
 func (e *lcmEngine) prepare(m *LCM) {
 	T := e.layout.tasks
-	for q := 0; q < e.layout.q; q++ {
-		cq := e.coef[q]
+	Q := e.layout.q
+	for q := 0; q < Q; q++ {
 		for ti := 0; ti < T; ti++ {
 			for tj := 0; tj < T; tj++ {
-				cq[ti*T+tj] = m.coef(q, ti, tj)
+				e.coef[(ti*T+tj)*Q+q] = m.coef(q, ti, tj)
 			}
 		}
 		for d := 0; d < e.layout.dim; d++ {
@@ -108,85 +134,83 @@ func (e *lcmEngine) prepare(m *LCM) {
 // assembleSigma computes all latent kernels k_q and the Eq. (4) covariance Σ
 // in one parallel pass over the cached distance tensor. prepare(m) must have
 // been called. The kernels stay in e.kq for the gradient sweep.
+//
+// Each row r and its n-r contiguous pairs take three passes, the first and
+// last on the same lane kernel (la.WeightedSumsInto, four pairs per
+// register): per latent, the kernel arguments -½·Σ_d sq_d/l_qd², d ascending
+// from +0 exactly as the per-pair loop summed them; one la.ExpInto over the
+// row's Q·(n-r) arguments in place; and per run of pairs whose second sample
+// has the same task — so one coefficient vector — Σ_q C_q·k_q, q ascending
+// from +0 likewise (scale 1 is exact).
 func (e *lcmEngine) assembleSigma(m *LCM) *la.Matrix {
 	n := e.cache.n
 	Q := e.layout.q
 	T := e.layout.tasks
-	dim := e.layout.dim
 	sigma := e.sigma
-	sqAll := e.cache.sq
-	kqAll := e.kq
 	mpx.ParallelChunks(n, gradChunkRows, e.workers, func(_, lo, hi int) {
 		for r := lo; r < hi; r++ {
+			// Pairs (r, r..n-1) are contiguous in the packed layout.
+			cnt := n - r
+			p0 := e.cache.pairStart(r)
+			k := e.kq[p0*Q : (p0+cnt)*Q]
+			for q := 0; q < Q; q++ {
+				la.WeightedSumsInto(k[q*cnt:(q+1)*cnt], e.winv[q], e.cache.sq[p0:], e.cache.npairs, -0.5)
+			}
+			la.ExpInto(k, k)
 			tr := e.taskOf[r]
-			trT := tr * T
-			dr := m.D[tr]
 			sigRow := sigma.Data[r*n : (r+1)*n]
-			// Pairs (r, r..n-1) are contiguous in the packed layout; walk
-			// them with running offsets instead of re-deriving slices.
-			pp := e.cache.pairStart(r)
-			sqOff := pp * dim
-			kqOff := pp * Q
-			for s := r; s < n; s++ {
-				ts := e.taskOf[s]
-				v := 0.0
-				for q := 0; q < Q; q++ {
-					w := e.winv[q]
-					acc := 0.0
-					for d := 0; d < dim; d++ {
-						acc += w[d] * sqAll[sqOff+d]
-					}
-					k := math.Exp(-0.5 * acc)
-					kqAll[kqOff+q] = k
-					v += e.coef[q][trT+ts] * k
-				}
-				if r == s {
-					v += dr
-				}
-				sigRow[s] = v
-				sigma.Data[s*n+r] = v
-				sqOff += dim
-				kqOff += Q
+			for s := r; s < n; s = e.runEnd[s] {
+				tt := tr*T + e.taskOf[s]
+				la.WeightedSumsInto(sigRow[s:e.runEnd[s]], e.coef[tt*Q:(tt+1)*Q], k[s-r:], cnt, 1)
+			}
+			sigRow[r] += m.D[tr]
+			for s := r + 1; s < n; s++ {
+				sigma.Data[s*n+r] = sigRow[s]
 			}
 		}
 	})
 	return sigma
 }
 
-// logLikGrad returns the log marginal likelihood and its gradient with
-// respect to theta. The returned gradient slice is owned by the engine and
-// overwritten by the next call. The result is bitwise identical for every
-// worker count.
-func (e *lcmEngine) logLikGrad(theta []float64) (float64, []float64, error) {
-	m := thetaToModel(theta, e.layout)
+// gradSweep runs the gradient sweep over the upper triangle with
+// M = ααᵀ - Σ⁻¹ formed on the fly from e.alpha and inv, against the kernels
+// assembleSigma left in e.kq. All contractions reduce to per-chunk partial
+// sums, merged in fixed chunk order (worker-count independent) into chunk 0's
+// buffers, which it returns:
+//
+//	V_q[i][j]  = Σ_{r<s, t_r=i, t_s=j} M_rs·k_q(r,s)
+//	gl[q][d]   = Σ_{r<s} M_rs·C_q[t_r][t_s]·k_q(r,s)·(x_r[d]-x_s[d])²
+//	dsum[i]    = Σ_{r, t_r=i} M_rr
+//
+// gl comes back in chunkGL's lane layout: gl[q][d] at ((q/4)·dim + d)·4 + q%4.
+//
+// Per row, a scalar pass over its pairs forms M_rs, the task-block sums and
+// the per-pair lengthscale factors eq = M_rs·k_q·C_q, four latents wide; then
+// la.AccumLanesInto adds eq·sq_d into the [dim][4] lengthscale accumulators,
+// lanes = latents, pairs ascending — the order the per-pair loop added them.
+//
+// That loop skipped sq_d = 0 terms; the kernel adds them. An accumulator that
+// starts at +0 never becomes -0 and x + ±0 = x, so adding eq·0 changes
+// nothing while eq is finite. A non-finite eq would need a non-finite α,
+// Σ⁻¹ or kernel value behind a factorization that succeeded (a non-finite
+// coefficient or kernel of any pair puts Inf or NaN off Σ's diagonal, which
+// no pivot survives), and no hyperparameters produce one: the frozen-pass
+// tests in frozen_test.go, whose oracle keeps the skip, pin that at hostile
+// hyperparameters and on an infinite diagonal.
+func (e *lcmEngine) gradSweep(inv *la.Matrix) (v, gl, dsum []float64) {
 	n := e.cache.n
 	Q := e.layout.q
 	T := e.layout.tasks
 	dim := e.layout.dim
-
-	e.prepare(m)
-	sigma := e.assembleSigma(m)
-
-	l, _, err := la.CholeskyJitter(sigma, 0, cholBlock, e.workers)
-	if err != nil {
-		return 0, nil, err
-	}
-	alpha := la.SolveCholVec(l, e.yn)
-	ll := -0.5*la.Dot(e.yn, alpha) - 0.5*la.LogDetFromChol(l) - 0.5*float64(n)*math.Log(2*math.Pi)
-
-	inv := la.ParallelCholInverseInto(l, e.workers, e.invWT, e.invBuf)
-
-	// Gradient sweep over the upper triangle with M = ααᵀ - Σ⁻¹ formed on
-	// the fly. All contractions reduce to per-chunk partial sums:
-	//
-	//	V_q[i][j]  = Σ_{r<s, t_r=i, t_s=j} M_rs·k_q(r,s)
-	//	gl[q][d]   = Σ_{r<s} M_rs·C_q[t_r][t_s]·k_q(r,s)·(x_r[d]-x_s[d])²
-	//	dsum[i]    = Σ_{r, t_r=i} M_rr
+	TT := T * T
+	npairs := e.cache.npairs
+	alpha := e.alpha
 	mpx.ParallelChunks(n, gradChunkRows, e.workers, func(c, lo, hi int) {
 		vbuf := e.chunkV[c]
 		glbuf := e.chunkGL[c]
 		dbuf := e.chunkDsum[c]
 		eq := e.chunkEq[c]
+		eqBlock := len(eq) / laneBlocks(Q) // one lane block of the row buffer
 		for i := range vbuf {
 			vbuf[i] = 0
 		}
@@ -196,58 +220,84 @@ func (e *lcmEngine) logLikGrad(theta []float64) (float64, []float64, error) {
 		for i := range dbuf {
 			dbuf[i] = 0
 		}
-		sqAll := e.cache.sq
-		kqAll := e.kq
-		TT := T * T
 		for r := lo; r < hi; r++ {
 			tr := e.taskOf[r]
 			trT := tr * T
 			ar := alpha[r]
 			invRow := inv.Data[r*n : (r+1)*n]
 			dbuf[tr] += ar*ar - invRow[r]
-			// Running offsets into the packed pair-major tensors, starting
-			// at pair (r, r+1).
-			pp := e.cache.pairStart(r) + 1
-			kqOff := pp * Q
-			sqOff := pp * dim
-			for s := r + 1; s < n; s++ {
-				mm := ar*alpha[s] - invRow[s]
-				tt := trT + e.taskOf[s]
-				for q := 0; q < Q; q++ {
-					mk := mm * kqAll[kqOff+q]
-					vbuf[q*TT+tt] += mk
-					eq[q] = mk * e.coef[q][tt]
+			cnt := n - r
+			p0 := e.cache.pairStart(r)
+			k := e.kq[p0*Q : (p0+cnt)*Q]
+			// Pairs (r, r+1..n-1): their tasks, α, Σ⁻¹ entries and, from p0+1
+			// on, squared distances.
+			tasks, alphaRow, invPairs := e.taskOf[r+1:n], alpha[r+1:n], invRow[r+1:n]
+			sq := e.cache.sq[p0+1:]
+			for b := 0; b*4 < Q; b++ {
+				acc := glbuf[b*dim*4 : (b+1)*dim*4]
+				row := eq[b*eqBlock : b*eqBlock+4*(cnt-1)]
+				lanes := Q - 4*b
+				if lanes > 4 {
+					lanes = 4
 				}
-				for d := 0; d < dim; d++ {
-					sd := sqAll[sqOff+d]
-					if sd == 0 { //gptlint:ignore float-eq exact-zero sparsity skip; zero distance contributes exactly zero gradient
-						continue
-					}
-					for q := 0; q < Q; q++ {
-						glbuf[q*dim+d] += eq[q] * sd
+				kb, vb, cb := k[4*b*cnt:], vbuf[4*b*TT:], e.coef[4*b:]
+				for j, as := range alphaRow {
+					mm := ar*as - invPairs[j]
+					tt := trT + tasks[j]
+					out := row[4*j : 4*j+lanes]
+					for l := range out {
+						mk := mm * kb[l*cnt+j+1]
+						vb[l*TT+tt] += mk
+						out[l] = mk * cb[tt*Q+l]
 					}
 				}
-				kqOff += Q
-				sqOff += dim
+				la.AccumLanesInto(acc, row, sq, npairs)
 			}
 		}
 	})
-
-	// Merge chunk partials in fixed chunk order (worker-count independent).
-	v0 := e.chunkV[0]
-	gl0 := e.chunkGL[0]
-	d0 := e.chunkDsum[0]
+	v, gl, dsum = e.chunkV[0], e.chunkGL[0], e.chunkDsum[0]
 	for c := 1; c < len(e.chunkV); c++ {
-		for i, v := range e.chunkV[c] {
-			v0[i] += v
+		for i, x := range e.chunkV[c] {
+			v[i] += x
 		}
-		for i, v := range e.chunkGL[c] {
-			gl0[i] += v
+		for i, x := range e.chunkGL[c] {
+			gl[i] += x
 		}
-		for i, v := range e.chunkDsum[c] {
-			d0[i] += v
+		for i, x := range e.chunkDsum[c] {
+			dsum[i] += x
 		}
 	}
+	return v, gl, dsum
+}
+
+// logLikGrad returns the log marginal likelihood and its gradient with
+// respect to theta. The returned gradient slice is owned by the engine and
+// overwritten by the next call. The result is bitwise identical for every
+// worker count.
+func (e *lcmEngine) logLikGrad(theta []float64) (float64, []float64, error) {
+	m := e.model
+	m.setTheta(theta, e.layout)
+	n := e.cache.n
+	Q := e.layout.q
+	T := e.layout.tasks
+	dim := e.layout.dim
+
+	e.prepare(m)
+	sigma := e.assembleSigma(m)
+
+	l := e.chol
+	if _, err := la.CholeskyJitterInto(l, sigma, 0, cholBlock, e.workers); err != nil {
+		return 0, nil, err
+	}
+	alpha := e.alpha
+	copy(alpha, e.yn)
+	la.ForwardSubst(l, alpha)
+	la.BackwardSubstT(l, alpha)
+	ll := -0.5*la.Dot(e.yn, alpha) - 0.5*la.LogDetFromChol(l) - 0.5*float64(n)*math.Log(2*math.Pi)
+
+	inv := la.ParallelCholInverseInto(l, e.workers, e.invWT, e.invBuf)
+
+	v0, gl0, d0 := e.gradSweep(inv)
 
 	// Assemble the gradient from the task-block sums. With
 	// T_q[i][j] = Σ_{ordered (r,s), t_r=i, t_s=j} M_rs·k_q (so
@@ -275,7 +325,7 @@ func (e *lcmEngine) logLikGrad(theta []float64) (float64, []float64, error) {
 			grad[e.layout.bAt(q, i)] = 0.5 * m.B[q][i] * tii
 		}
 		for d := 0; d < dim; d++ {
-			grad[e.layout.lsAt(q, d)] = gl0[q*dim+d] * e.winv[q][d]
+			grad[e.layout.lsAt(q, d)] = gl0[((q>>2)*dim+d)*4+q&3] * e.winv[q][d]
 		}
 	}
 	for i := 0; i < T; i++ {

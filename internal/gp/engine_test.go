@@ -1,9 +1,11 @@
 package gp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -192,5 +194,73 @@ func TestPredictIntoZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("PredictInto allocates %v times per call, want 0", allocs)
+	}
+}
+
+// A likelihood evaluation works entirely in engine-owned buffers: at one
+// worker the bytes it allocates are a small constant — the closures of its
+// parallel regions — with no term that grows with n (it used to allocate
+// the n×n factor, a copy of y and a model per call).
+func TestLogLikGradAllocationIndependentOfN(t *testing.T) {
+	bytesPerCall := func(samples int) uint64 {
+		rng := rand.New(rand.NewSource(88))
+		data := syntheticDataset(rng, 4, samples, 3, 0.05)
+		layout := hyperLayout{q: 2, dim: data.Dim, tasks: data.NumTasks()}
+		flatX, taskOf, yn := flatten(data)
+		eng := newLCMEngine(newPairCache(flatX, data.Dim), layout, taskOf, yn, 1)
+		theta := randomInit(layout, rng)
+		if _, _, err := eng.logLikGrad(theta); err != nil {
+			t.Fatal(err)
+		}
+		// TotalAlloc counts the whole process, so a stray runtime allocation
+		// can land inside a trial: the cleanest of a few trials is the call's
+		// own cost.
+		const calls = 20
+		least := ^uint64(0)
+		for trial := 0; trial < 5; trial++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < calls; i++ {
+				if _, _, err := eng.logLikGrad(theta); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			if b := (after.TotalAlloc - before.TotalAlloc) / calls; b < least {
+				least = b
+			}
+		}
+		return least
+	}
+	small, large := bytesPerCall(10), bytesPerCall(40) // n = 40 (one Cholesky block, two chunks) and n = 160
+	if small != large || small > 1024 {
+		t.Fatalf("logLikGrad allocates %d B per call at n=40 and %d B at n=160, want the same small constant", small, large)
+	}
+}
+
+// A point of the wrong dimensionality is a caller bug PredictInto must
+// refuse: the distance kernel reads x through a raw pointer, and before it
+// did, a short point silently reused the previous call's differences.
+func TestPredictIntoRejectsWrongLengthPoint(t *testing.T) {
+	rng := rand.New(rand.NewSource(91))
+	data := syntheticDataset(rng, 2, 8, 3, 0.05)
+	model, err := FitLCM(data, FitOptions{NumStarts: 1, MaxIter: 5, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := model.NewPredictWorkspace()
+	for _, x := range [][]float64{nil, {0.2}, {0.2, 0.3}, {0.2, 0.3, 0.4, 0.5}} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, fmt.Sprint(len(x))) || !strings.Contains(msg, "3") {
+					t.Errorf("PredictInto with %d coordinates: panic %q, want one naming both lengths", len(x), msg)
+				}
+			}()
+			model.PredictInto(ws, 0, x)
+		}()
+	}
+	if mu, v := model.PredictInto(ws, 0, []float64{0.2, 0.3, 0.4}); math.IsNaN(mu) || math.IsNaN(v) {
+		t.Fatalf("right-length point after the rejected ones predicts (%v, %v)", mu, v)
 	}
 }

@@ -105,10 +105,10 @@ type LCM struct {
 	yStd   float64
 
 	// Prediction fast-path tables built by prepPredict (see predict.go):
-	// contiguous training coordinates, the per-task cross-covariance
+	// dimension-major training coordinates, the per-task cross-covariance
 	// coefficient table, per-latent inverse-square lengthscales, and the
 	// per-task prior variance.
-	xflat     []float64   // [n*Dim] row-major copy of flatX
+	xT        []float64   // [Dim*n] dimension-major copy of flatX
 	predCoef  [][]float64 // [task][n*Q]: A[q][task]·A[q][taskOf[r]] (+B[q][task])
 	predWinv  []float64   // [Q*Dim]: 0.5/l²
 	predPrior []float64   // [task]: Σ_q (a²+b) + d
@@ -312,13 +312,13 @@ func (m *LCM) factorize(cache *pairCache, workers int) error {
 			sigma.Data[i*n+i] += m.Jitter
 		}
 	}
-	l, extra, err := la.CholeskyJitter(sigma, 0, cholBlock, workers)
+	extra, err := la.CholeskyJitterInto(eng.chol, sigma, 0, cholBlock, workers)
 	if err != nil {
 		return err
 	}
 	m.Jitter += extra
-	m.chol = la.PackChol(l)
-	m.alpha = la.SolveCholVec(l, m.yNorm)
+	m.chol = la.PackChol(eng.chol)
+	m.alpha = la.SolveCholVec(eng.chol, m.yNorm)
 	m.prepPredict()
 	return nil
 }
@@ -372,6 +372,13 @@ func randomInit(layout hyperLayout, rng *rand.Rand) []float64 {
 }
 
 func thetaToModel(theta []float64, layout hyperLayout) *LCM {
+	m := newModel(layout)
+	m.setTheta(theta, layout)
+	return m
+}
+
+// newModel returns a model of layout's shape with zeroed hyperparameters.
+func newModel(layout hyperLayout) *LCM {
 	m := &LCM{
 		Q:        layout.q,
 		NumTasks: layout.tasks,
@@ -385,6 +392,14 @@ func thetaToModel(theta []float64, layout hyperLayout) *LCM {
 		m.Ls[q] = make([]float64, layout.dim)
 		m.A[q] = make([]float64, layout.tasks)
 		m.B[q] = make([]float64, layout.tasks)
+	}
+	return m
+}
+
+// setTheta overwrites m's hyperparameters with the optimization vector theta
+// (the hyperLayout layout: log-space except A). m must have layout's shape.
+func (m *LCM) setTheta(theta []float64, layout hyperLayout) {
+	for q := 0; q < layout.q; q++ {
 		for d := 0; d < layout.dim; d++ {
 			m.Ls[q][d] = math.Exp(theta[layout.lsAt(q, d)])
 		}
@@ -396,7 +411,6 @@ func thetaToModel(theta []float64, layout hyperLayout) *LCM {
 	for i := 0; i < layout.tasks; i++ {
 		m.D[i] = math.Exp(theta[layout.dAt(i)])
 	}
-	return m
 }
 
 // coef is the Eq. (4) task coefficient of latent q between tasks i and j:

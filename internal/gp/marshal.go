@@ -11,10 +11,12 @@
 package gp
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 )
 
 // lcmSnapshot is the wire form of a fitted LCM. Float fields use the
@@ -103,6 +105,12 @@ func (v *nfVec) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
+// unmarshalNF is the one rule for a snapshot float: a JSON number in float64
+// range, null (out stays as it is, as with encoding/json), or one of the
+// three non-finite strings. data is a value encoding/json has already
+// scanned, so a leading '-' or digit means a well-formed number literal, and
+// strconv.ParseFloat — the conversion encoding/json itself applies — is all
+// that is left to do; unlike json.Unmarshal it allocates nothing.
 func unmarshalNF(data []byte, out *float64) error {
 	switch string(data) {
 	case `"Inf"`:
@@ -114,8 +122,18 @@ func unmarshalNF(data []byte, out *float64) error {
 	case `"NaN"`:
 		*out = math.NaN()
 		return nil
+	case `null`:
+		return nil
 	}
-	return json.Unmarshal(data, out)
+	if len(data) == 0 || (data[0] != '-' && (data[0] < '0' || data[0] > '9')) {
+		return fmt.Errorf("gp: snapshot value %s is not a number", data)
+	}
+	f, err := strconv.ParseFloat(string(data), 64)
+	if err != nil {
+		return fmt.Errorf("gp: snapshot value: %w", err)
+	}
+	*out = f
+	return nil
 }
 
 // toNFRows and fromNFRows convert a hyperparameter matrix between its fitted
@@ -179,15 +197,12 @@ func (m *LCM) MarshalBinary() ([]byte, error) {
 	return json.Marshal(snap)
 }
 
-// UnmarshalBinary decodes a snapshot produced by MarshalBinary and, when the
-// snapshot carries training state, rebuilds the prediction path (covariance
-// assembly with the recorded jitter, Cholesky, alpha solve, fast-path
-// tables) so Predict/PredictInto work on the reloaded model.
-func (m *LCM) UnmarshalBinary(data []byte) error {
-	var snap lcmSnapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return fmt.Errorf("gp: decoding LCM snapshot: %w", err)
-	}
+// checkShape is the one snapshot validator, behind UnmarshalBinary and
+// SnapshotHyperparameters: dimensions present, hyperparameter arrays of
+// those dimensions and, when the snapshot carries training state, nx
+// coordinates and ny outputs for its len(TaskOf) samples with every task
+// label in range.
+func (snap *lcmSnapshot) checkShape(nx, ny int) error {
 	if snap.Q <= 0 || snap.NumTasks <= 0 || snap.Dim <= 0 {
 		return errors.New("gp: LCM snapshot missing dimensions")
 	}
@@ -199,26 +214,51 @@ func (m *LCM) UnmarshalBinary(data []byte) error {
 			return errors.New("gp: LCM snapshot hyperparameter shape mismatch")
 		}
 	}
-	*m = LCM{
-		Q: snap.Q, NumTasks: snap.NumTasks, Dim: snap.Dim,
-		Ls: fromNFRows(snap.Ls), A: fromNFRows(snap.A), B: fromNFRows(snap.B), D: snap.D,
-		LogLik: float64(snap.LogLik), Jitter: float64(snap.Jitter),
-	}
-	m.yMean, m.yStd = float64(snap.YMean), float64(snap.YStd)
-	if m.yStd == 0 { //gptlint:ignore float-eq zero is the unset sentinel for a hyperparameter-only snapshot
-		m.yStd = 1
-	}
-	if len(snap.TaskOf) == 0 {
-		return nil // hyperparameter-only snapshot: warm starts, no prediction
-	}
 	n := len(snap.TaskOf)
-	if len(snap.X) != n*snap.Dim || len(snap.YNorm) != n {
+	if n == 0 {
+		return nil // hyperparameter-only snapshot
+	}
+	if nx != n*snap.Dim || ny != n {
 		return errors.New("gp: LCM snapshot training-state shape mismatch")
 	}
 	for _, task := range snap.TaskOf {
 		if task < 0 || task >= snap.NumTasks {
 			return errors.New("gp: LCM snapshot task label out of range")
 		}
+	}
+	return nil
+}
+
+// hyperModel returns the snapshot's hyperparameters as a model without
+// training state.
+func (snap *lcmSnapshot) hyperModel() LCM {
+	return LCM{
+		Q: snap.Q, NumTasks: snap.NumTasks, Dim: snap.Dim,
+		Ls: fromNFRows(snap.Ls), A: fromNFRows(snap.A), B: fromNFRows(snap.B), D: snap.D,
+		LogLik: float64(snap.LogLik), Jitter: float64(snap.Jitter),
+	}
+}
+
+// UnmarshalBinary decodes a snapshot produced by MarshalBinary and, when the
+// snapshot carries training state, rebuilds the prediction path (covariance
+// assembly with the recorded jitter, Cholesky, alpha solve, fast-path
+// tables) so Predict/PredictInto work on the reloaded model.
+func (m *LCM) UnmarshalBinary(data []byte) error {
+	var snap lcmSnapshot
+	if err := json.Unmarshal(data, &snap); err != nil {
+		return fmt.Errorf("gp: decoding LCM snapshot: %w", err)
+	}
+	if err := snap.checkShape(len(snap.X), len(snap.YNorm)); err != nil {
+		return err
+	}
+	*m = snap.hyperModel()
+	m.yMean, m.yStd = float64(snap.YMean), float64(snap.YStd)
+	if m.yStd == 0 { //gptlint:ignore float-eq zero is the unset sentinel for a hyperparameter-only snapshot
+		m.yStd = 1
+	}
+	n := len(snap.TaskOf)
+	if n == 0 {
+		return nil // hyperparameter-only snapshot: warm starts, no prediction
 	}
 	m.flatX = make([][]float64, n)
 	for r := 0; r < n; r++ {
@@ -233,4 +273,62 @@ func (m *LCM) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("gp: refactorizing LCM snapshot: %w", err)
 	}
 	return nil
+}
+
+// nfCount is the length of a JSON array of nfScalar elements: every element
+// goes through unmarshalNF, nfVec's own rule, and is dropped. encoding/json
+// has already checked the document's syntax when it calls UnmarshalJSON, and
+// no element unmarshalNF accepts contains a comma, so splitting at commas
+// finds exactly the elements of an acceptable array, and of any other hands
+// it the head of the first element that has one — an opening bracket, brace
+// or quote — which it refuses.
+type nfCount int
+
+func (c *nfCount) UnmarshalJSON(data []byte) error {
+	data = bytes.TrimSpace(data)
+	if string(data) == "null" {
+		return nil // as for nfVec: absent
+	}
+	if len(data) < 2 || data[0] != '[' {
+		return errors.New("gp: LCM snapshot vector is not an array")
+	}
+	n := 0
+	for rest := bytes.TrimSpace(data[1 : len(data)-1]); len(rest) > 0; n++ {
+		elem := rest
+		if end := bytes.IndexByte(rest, ','); end >= 0 {
+			elem, rest = rest[:end], rest[end+1:]
+		} else {
+			rest = nil
+		}
+		var discard float64
+		if err := unmarshalNF(bytes.TrimSpace(elem), &discard); err != nil {
+			return err
+		}
+	}
+	*c = nfCount(n)
+	return nil
+}
+
+// SnapshotHyperparameters decodes only what a warm start needs from a
+// MarshalBinary snapshot: the vector (*LCM).Hyperparameters would return
+// after UnmarshalBinary, bit for bit, without rebuilding the model — no
+// distance cache, no covariance, no O(n³) factorization, and the training
+// coordinates and outputs are counted rather than kept. The shape checks are
+// UnmarshalBinary's, training state included, so a snapshot that is corrupt
+// in shape is an error here too (and a cold start to the caller); the one
+// thing not re-established is that the recorded covariance still factors.
+func SnapshotHyperparameters(data []byte) ([]float64, error) {
+	var snap struct {
+		lcmSnapshot
+		X     nfCount `json:"x"`
+		YNorm nfCount `json:"y_norm"`
+	}
+	if err := json.Unmarshal(data, &snap); err != nil {
+		return nil, fmt.Errorf("gp: decoding LCM snapshot: %w", err)
+	}
+	if err := snap.checkShape(int(snap.X), int(snap.YNorm)); err != nil {
+		return nil, err
+	}
+	m := snap.hyperModel()
+	return m.Hyperparameters(), nil
 }

@@ -1,8 +1,10 @@
 package gp
 
 import (
+	"encoding/json"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -180,5 +182,120 @@ func TestUnmarshalRejectsCorruptSnapshots(t *testing.T) {
 		if err := m.UnmarshalBinary([]byte(bad)); err == nil {
 			t.Errorf("snapshot %q accepted", bad)
 		}
+		if _, err := SnapshotHyperparameters([]byte(bad)); err == nil {
+			t.Errorf("snapshot %q accepted by the hyperparameter-only decode", bad)
+		}
+	}
+	// Training coordinates are counted, not kept, by the hyperparameter-only
+	// decode; an element the full decode would refuse is still refused.
+	for _, bad := range []string{`"abc"`, `true`, `[1]`, `1e999`} {
+		snap := `{"q":1,"num_tasks":1,"dim":1,"ls":[[1]],"a":[[1]],"b":[[1]],"d":[1],"task_of":[0],"x":[` + bad + `],"y_norm":[1]}`
+		if err := m.UnmarshalBinary([]byte(snap)); err == nil {
+			t.Errorf("coordinate %s accepted", bad)
+		}
+		if _, err := SnapshotHyperparameters([]byte(snap)); err == nil {
+			t.Errorf("coordinate %s accepted by the hyperparameter-only decode", bad)
+		}
+	}
+}
+
+// TestUnmarshalNFIsTheJSONFloatRule: for every kind of JSON value a snapshot
+// element can be, unmarshalNF accepts what decoding into a float64 with
+// encoding/json accepts, with the same bits, plus the three non-finite
+// strings — through nfVec (the full decode) and nfCount (the counting one)
+// alike, since both are that one function.
+func TestUnmarshalNFIsTheJSONFloatRule(t *testing.T) {
+	for _, elem := range []string{
+		`0`, `-0`, `1`, `-1.5`, `0.1`, `1e5`, `1E+5`, `2.5e-3`, `4.9e-324`, `1e-400`, `-1e-400`,
+		`1.7976931348623157e308`, `1e309`, `-1e309`, `123456789012345678901234567890`,
+		`0.30000000000000004`, `null`, `true`, `false`, `"abc"`, `"1"`, `"inf"`, `""`, `{}`, `[]`, `[1]`, `{"a":1}`,
+	} {
+		var want float64
+		wantErr := json.Unmarshal([]byte(elem), &want)
+		var got float64
+		err := unmarshalNF([]byte(elem), &got)
+		if (err == nil) != (wantErr == nil) || math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("unmarshalNF(%s) = %v, %v; encoding/json %v, %v", elem, got, err, want, wantErr)
+		}
+		array := []byte(`[0.5, ` + elem + `,"-Inf"]`)
+		var vec nfVec
+		var count nfCount
+		vecErr, countErr := json.Unmarshal(array, &vec), json.Unmarshal(array, &count)
+		if (vecErr == nil) != (wantErr == nil) || (countErr == nil) != (wantErr == nil) {
+			t.Errorf("%s: nfVec error %v, nfCount error %v, element error %v", array, vecErr, countErr, wantErr)
+		}
+		if wantErr == nil && (len(vec) != 3 || count != 3 || math.Float64bits(vec[1]) != math.Float64bits(want)) {
+			t.Errorf("%s: nfVec %v, nfCount %d, want 3 elements with %v in the middle", array, vec, count, want)
+		}
+	}
+	for elem, want := range map[string]float64{`"Inf"`: math.Inf(1), `"-Inf"`: math.Inf(-1), `"NaN"`: math.NaN()} {
+		var got float64
+		if err := unmarshalNF([]byte(elem), &got); err != nil || !sameBits(got, want) {
+			t.Errorf("unmarshalNF(%s) = %v, %v", elem, got, err)
+		}
+	}
+}
+
+// TestSnapshotHyperparametersMatchesFullDecode: the hyperparameter-only
+// decode returns the bits UnmarshalBinary + Hyperparameters returns — for a
+// full snapshot, an appended model's, a hyperparameter-only one and one with
+// non-finite entries — while allocating on the order of the blob instead of
+// rebuilding an n = 400 model (distance cache, Σ, factor: over 10 MB).
+func TestSnapshotHyperparametersMatchesFullDecode(t *testing.T) {
+	rng := rand.New(rand.NewSource(97))
+	data := syntheticDataset(rng, 2, 200, 8, 0.05)
+	model, err := FitLCM(data, FitOptions{NumStarts: 1, MaxIter: 2, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	big, err := model.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, small := fitSmall(t, FitOptions{NumStarts: 1, MaxIter: 5, Seed: 2})
+	if err := small.AppendObservations([][]float64{{0.1, 0.9}}, []int{1}, []float64{0.3}, 1); err != nil {
+		t.Fatal(err)
+	}
+	appended, err := small.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hyperOnly, err := (&LCM{Q: small.Q, NumTasks: small.NumTasks, Dim: small.Dim, Ls: small.Ls, A: small.A, B: small.B, D: small.D}).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	small.Ls[0][1], small.B[0][0] = math.Inf(1), 0
+	nonFinite, err := small.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, blob := range map[string][]byte{"n=400": big, "appended": appended, "hyperparameter-only": hyperOnly, "non-finite": nonFinite} {
+		var full LCM
+		if err := full.UnmarshalBinary(blob); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want := full.Hyperparameters()
+		got, err := SnapshotHyperparameters(blob)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d hyperparameters, full decode has %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Errorf("%s: theta[%d] = %v, full decode %v", name, i, got[i], want[i])
+			}
+		}
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := SnapshotHyperparameters(big); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if used := after.TotalAlloc - before.TotalAlloc; used >= 2*uint64(len(big)) {
+		t.Fatalf("decoding a %d-byte snapshot allocated %d bytes, want under twice the blob", len(big), used)
 	}
 }

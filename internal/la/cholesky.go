@@ -37,11 +37,33 @@ const jitterAttempts = 12
 // the default 1e-10. Like ParallelCholesky the result is bitwise independent
 // of nworkers, and a blockSize ≥ n call runs the unblocked recurrence.
 func CholeskyJitter(a *Matrix, initial float64, blockSize, nworkers int) (*Matrix, float64, error) {
+	l := NewMatrix(a.Rows, a.Rows)
+	jitter, err := CholeskyJitterInto(l, a, initial, blockSize, nworkers)
+	if err != nil {
+		return nil, jitter, err
+	}
+	return l, jitter, nil
+}
+
+// CholeskyJitterInto is CholeskyJitter writing the factor into l, which must
+// be a.Rows square: the form for callers that factor the same-sized matrix
+// again and again (one LCM likelihood evaluation each). Only l's lower
+// triangle is written — every attempt starts from a's own, plus that
+// attempt's jitter — so a matrix that came zeroed from NewMatrix stays a
+// proper factor with a zero upper triangle across calls. Nothing here
+// allocates in proportion to n.
+func CholeskyJitterInto(l, a *Matrix, initial float64, blockSize, nworkers int) (float64, error) {
+	n := a.Rows
+	if a.Cols != n {
+		return 0, errors.New("la: CholeskyJitterInto of non-square matrix")
+	}
+	if l.Rows != n || l.Cols != n {
+		panic("la: CholeskyJitterInto factor dimension mismatch")
+	}
 	if initial <= 0 {
 		initial = 1e-10
 	}
 	// Scale jitter relative to the mean diagonal magnitude.
-	n := a.Rows
 	meanDiag := 0.0
 	for i := 0; i < n; i++ {
 		meanDiag += math.Abs(a.At(i, i))
@@ -54,20 +76,12 @@ func CholeskyJitter(a *Matrix, initial float64, blockSize, nworkers int) (*Matri
 	}
 	jitter, next := 0.0, initial*meanDiag
 	for attempt := 0; attempt < jitterAttempts; attempt++ {
-		work := a
-		if jitter > 0 {
-			work = a.Clone()
-			for i := 0; i < n; i++ {
-				work.Data[i*n+i] += jitter
-			}
-		}
-		l, err := ParallelCholesky(work, blockSize, nworkers)
-		if err == nil {
-			return l, jitter, nil
+		if choleskyInto(l, a, jitter, blockSize, nworkers) == nil {
+			return jitter, nil
 		}
 		jitter, next = next, next*10
 	}
-	return nil, jitter, ErrNotPositiveDefinite
+	return jitter, ErrNotPositiveDefinite
 }
 
 // SolveCholVec solves (L·Lᵀ)·x = b given the Cholesky factor L, returning x
@@ -183,7 +197,7 @@ func ParallelCholInverseInto(l *Matrix, nworkers int, wt, inv *Matrix) *Matrix {
 		panic("la: ParallelCholInverseInto wt dimension mismatch")
 	}
 	npair := (n + 1) / 2
-	parallelBlocks(0, npair, nworkers, func(g int) {
+	parallelBlocks(npair, nworkers, func(g int) {
 		j0 := 2 * g
 		j1 := j0 + 1
 		row0 := wt.Row(j0)
@@ -208,7 +222,7 @@ func ParallelCholInverseInto(l *Matrix, nworkers int, wt, inv *Matrix) *Matrix {
 	} else if inv.Rows != n || inv.Cols != n {
 		panic("la: ParallelCholInverseInto inv dimension mismatch")
 	}
-	parallelBlocks(0, npair, nworkers, func(g int) {
+	parallelBlocks(npair, nworkers, func(g int) {
 		i0 := 2 * g
 		i1 := i0 + 1
 		wi0 := wt.Row(i0)
@@ -263,6 +277,20 @@ func ParallelCholesky(a *Matrix, blockSize, nworkers int) (*Matrix, error) {
 	if a.Rows != a.Cols {
 		return nil, errors.New("la: ParallelCholesky of non-square matrix")
 	}
+	l := NewMatrix(a.Rows, a.Rows)
+	if err := choleskyInto(l, a, 0, blockSize, nworkers); err != nil {
+		return nil, err
+	}
+	return l, nil
+}
+
+// choleskyInto is the blocked factorization itself: it copies the lower
+// triangle of the square matrix a into l, adds jitter to the diagonal, and
+// factors l in place. The two block closures are built once and read the
+// current block column through captured variables, which the loop only
+// advances between parallel regions, so a factorization costs the same few
+// small allocations whatever n is.
+func choleskyInto(l, a *Matrix, jitter float64, blockSize, nworkers int) error {
 	n := a.Rows
 	if blockSize <= 0 {
 		blockSize = 64
@@ -270,10 +298,14 @@ func ParallelCholesky(a *Matrix, blockSize, nworkers int) (*Matrix, error) {
 	if nworkers <= 0 {
 		nworkers = runtime.GOMAXPROCS(0)
 	}
-	// Only the lower triangle is read; the strict upper triangle stays zero.
-	l := NewMatrix(n, n)
+	// Only the lower triangle is read; l's strict upper triangle is not
+	// touched.
 	for i := 0; i < n; i++ {
-		copy(l.Row(i)[:i+1], a.Row(i)[:i+1])
+		row := l.Row(i)
+		copy(row[:i+1], a.Row(i)[:i+1])
+		if jitter > 0 {
+			row[i] += jitter
+		}
 	}
 	nb := (n + blockSize - 1) / blockSize
 	bounds := func(b int) (lo, hi int) {
@@ -284,34 +316,36 @@ func ParallelCholesky(a *Matrix, blockSize, nworkers int) (*Matrix, error) {
 		}
 		return
 	}
-	for kb := 0; kb < nb; kb++ {
-		k0, k1 := bounds(kb)
-		// 1. Factor diagonal block in place (serial; it is small).
-		if err := cholInPlace(l, k0, k1); err != nil {
-			return nil, err
-		}
-		// 2. Panel: solve L[i,k]·L[k,k]ᵀ = A[i,k] for all row blocks below,
-		// in parallel.
-		parallelBlocks(kb+1, nb, nworkers, func(ib int) {
-			i0, i1 := bounds(ib)
-			trsmRight(l, i0, i1, k0, k1)
-		})
-		// 3. Trailing update: A[i,j] -= L[i,k]·L[j,k]ᵀ for kb < j ≤ i,
-		// parallel over (i,j) block pairs.
-		var pairs [][2]int
-		for ib := kb + 1; ib < nb; ib++ {
-			for jb := kb + 1; jb <= ib; jb++ {
-				pairs = append(pairs, [2]int{ib, jb})
-			}
-		}
-		parallelBlocks(0, len(pairs), nworkers, func(p int) {
-			ib, jb := pairs[p][0], pairs[p][1]
-			i0, i1 := bounds(ib)
-			j0, j1 := bounds(jb)
-			gemmUpdate(l, i0, i1, j0, j1, k0, k1)
-		})
+	var kb, k0, k1 int
+	// Panel: solve L[i,k]·L[k,k]ᵀ = A[i,k] for the i-th row block below kb.
+	panel := func(i int) {
+		i0, i1 := bounds(kb + 1 + i)
+		trsmRight(l, i0, i1, k0, k1)
 	}
-	return l, nil
+	// Trailing update: A[i,j] -= L[i,k]·L[j,k]ᵀ for kb < j ≤ i, block pair p
+	// of the lower triangle in row-major order.
+	trailing := func(p int) {
+		ib := 0
+		for p > ib {
+			p -= ib + 1
+			ib++
+		}
+		i0, i1 := bounds(kb + 1 + ib)
+		j0, j1 := bounds(kb + 1 + p)
+		gemmUpdate(l, i0, i1, j0, j1, k0, k1)
+	}
+	for kb = 0; kb < nb; kb++ {
+		k0, k1 = bounds(kb)
+		// Factor the diagonal block in place (serial; it is small), then the
+		// panel below it and the trailing blocks, each in parallel.
+		if err := cholInPlace(l, k0, k1); err != nil {
+			return err
+		}
+		below := nb - kb - 1
+		parallelBlocks(below, nworkers, panel)
+		parallelBlocks(below*(below+1)/2, nworkers, trailing)
+	}
+	return nil
 }
 
 // cholInPlace factors the diagonal block l[k0:k1, k0:k1] in place.
@@ -402,17 +436,13 @@ func gemmUpdate(l *Matrix, i0, i1, j0, j1, k0, k1 int) {
 	}
 }
 
-// parallelBlocks runs fn(i) for i in [lo, hi) on the mpx worker pool and
+// parallelBlocks runs fn(i) for i in [0, count) on the mpx worker pool and
 // waits for all iterations (results are identical for any worker count by
 // construction). The work is pure CPU, so nworkers is capped at GOMAXPROCS
 // — extra goroutines would only add scheduling overhead.
-func parallelBlocks(lo, hi, nworkers int, fn func(int)) {
-	count := hi - lo
-	if count <= 0 {
-		return
-	}
+func parallelBlocks(count, nworkers int, fn func(int)) {
 	if p := runtime.GOMAXPROCS(0); nworkers > p {
 		nworkers = p
 	}
-	mpx.ParallelFor(count, nworkers, func(i int) { fn(lo + i) }) //gptlint:ignore hotpath-alloc one adapter closure per parallel region; the fan-out is the parallelism seam
+	mpx.ParallelFor(count, nworkers, fn)
 }

@@ -14,6 +14,22 @@ func dotPairLanes(a, b0, b1 *float64, n int, s *[8]float64)
 //go:noescape
 func dotRows4Lanes(r0, r1, r2, r3, b *float64, n int, s *[16]float64)
 
+// The kernels of lanes_amd64.s; lanes.go states what each computes. n is a
+// positive multiple of 4 for the first three, any positive count for
+// accumLanes, and dim ≥ 1, 1 ≤ nd ≤ 4.
+
+//go:noescape
+func expLanes(dst, src *float64, n int, tab *[16][4]float64) int
+
+//go:noescape
+func weightedSumsLanes(dst, w, x *float64, dim, stride, n int, scale float64)
+
+//go:noescape
+func negSqDistLanes(dst, w, pt, x *float64, dim, stride, n int)
+
+//go:noescape
+func accumLanes(acc, e, x *float64, nd, stride, n int)
+
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
@@ -36,4 +52,11 @@ func haveVectorKernels() bool {
 	const avx2 = 1 << 5
 	_, ebx, _, _ := cpuid(7, 0)
 	return ebx&avx2 != 0
+}
+
+// haveFMA reports CPUID.1:ECX bit 12: the CPU executes expLanes' fused
+// multiply-adds. Whether math.Exp uses them too is fusedExp's probe.
+func haveFMA() bool {
+	_, _, ecx, _ := cpuid(1, 0)
+	return ecx&(1<<12) != 0
 }

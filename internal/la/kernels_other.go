@@ -2,10 +2,13 @@
 
 package la
 
-// No vector kernels on this GOARCH: vectorKernels is false, so Dot, dotPair
-// and forwardSubst always run their scalar bodies and never reach these.
+// No vector kernels on this GOARCH: vectorKernels is false, so Dot, dotPair,
+// forwardSubst and the lanes.go kernels always run their scalar bodies —
+// ExpInto a loop over math.Exp — and never reach these.
 
 func haveVectorKernels() bool { return false }
+
+func haveFMA() bool { return false }
 
 func dotLanes(a, b *float64, n int, s *[4]float64) { panic("la: no vector kernel") }
 
@@ -14,3 +17,13 @@ func dotPairLanes(a, b0, b1 *float64, n int, s *[8]float64) { panic("la: no vect
 func dotRows4Lanes(r0, r1, r2, r3, b *float64, n int, s *[16]float64) {
 	panic("la: no vector kernel")
 }
+
+func expLanes(dst, src *float64, n int, tab *[16][4]float64) int { panic("la: no vector kernel") }
+
+func weightedSumsLanes(dst, w, x *float64, dim, stride, n int, scale float64) {
+	panic("la: no vector kernel")
+}
+
+func negSqDistLanes(dst, w, pt, x *float64, dim, stride, n int) { panic("la: no vector kernel") }
+
+func accumLanes(acc, e, x *float64, nd, stride, n int) { panic("la: no vector kernel") }

@@ -139,7 +139,7 @@ func (t *TriPacked) AppendRows(cols, corner *Matrix, initial float64, workers in
 	// Panel: forward-substitute each new row against the existing factor.
 	// Row j only reads rows < n0 and writes its own segment, so the rows are
 	// independent and the parallel schedule cannot change any bit.
-	parallelBlocks(0, k, workers, func(j int) { //gptlint:ignore hotpath-alloc one closure per panel append, not per row; the fan-out is the parallelism seam
+	parallelBlocks(k, workers, func(j int) { //gptlint:ignore hotpath-alloc one closure per panel append, not per row; the fan-out is the parallelism seam
 		w := t.Row(n0 + j)
 		copy(w[:n0], cols.Row(j))
 		forwardSubst(t.data, 0, w[:n0])

@@ -39,19 +39,18 @@ func (lcmFitter) UnmarshalBinary(data []byte) (Model, error) {
 }
 
 // warmHyperparameters decodes a warm-start snapshot into the hyperparameter
-// vector FitLCM.Init expects. Any decoding failure returns nil (cold start):
-// transfer snapshots come from earlier sessions that may have tuned a
-// different problem shape, and FitLCM itself still ignores vectors whose
-// layout doesn't match the current fit.
+// vector FitLCM.Init expects — the hyperparameters only: a refit runs this
+// on a snapshot as large as its history, and rebuilding that model just to
+// read a few dozen numbers would cost a factorization per refit. Any
+// decoding failure returns nil (cold start): transfer snapshots come from
+// earlier sessions that may have tuned a different problem shape, and FitLCM
+// itself still ignores vectors whose layout doesn't match the current fit.
 func warmHyperparameters(snapshot []byte) []float64 {
 	if len(snapshot) == 0 {
 		return nil
 	}
-	var m gp.LCM
-	if err := m.UnmarshalBinary(snapshot); err != nil {
-		return nil
-	}
-	return m.Hyperparameters()
+	theta, _ := gp.SnapshotHyperparameters(snapshot) // nil on error: a cold start
+	return theta
 }
 
 // lcmModel adapts *gp.LCM to the Model interface.

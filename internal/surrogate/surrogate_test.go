@@ -108,6 +108,40 @@ func TestAllBackendsFitPredictRoundTrip(t *testing.T) {
 	}
 }
 
+// TestGPBackendsRejectWrongLengthPoint: the backends that predict through
+// gp.PredictInto pass its refusal of a point of the wrong dimensionality on
+// as a panic, rather than reading past the point or reusing a previous
+// call's scratch; the workspace stays usable afterwards.
+func TestGPBackendsRejectWrongLengthPoint(t *testing.T) {
+	data := testDataset(3, 2, 10)
+	for _, kind := range []string{KindLCM, KindGPIndep} {
+		f, err := New(kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := f.Fit(data, FitOptions{NumStarts: 1, MaxIter: 5, Seed: 7})
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		ws := m.NewWorkspace()
+		x := []float64{0.3, 0.6}
+		mu, v := m.PredictInto(ws, 1, x)
+		for _, bad := range [][]float64{{0.3}, {0.3, 0.6, 0.9}} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: PredictInto accepted a point with %d coordinates on a 2-dimensional model", kind, len(bad))
+					}
+				}()
+				m.PredictInto(ws, 1, bad)
+			}()
+		}
+		if mu2, v2 := m.PredictInto(ws, 1, x); math.Float64bits(mu2) != math.Float64bits(mu) || math.Float64bits(v2) != math.Float64bits(v) {
+			t.Errorf("%s: prediction changed after rejected points: (%v, %v) then (%v, %v)", kind, mu, v, mu2, v2)
+		}
+	}
+}
+
 // TestFitDeterministicAcrossWorkers pins the determinism contract at the
 // abstraction boundary for every backend.
 func TestFitDeterministicAcrossWorkers(t *testing.T) {
