@@ -40,7 +40,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("fitted LCM: Q=%d latent functions, log-likelihood %.2f\n\n", model.Q, model.LogLik)
+	fmt.Printf("fitted LCM: Q=%d latent functions, log-likelihood %.2f, %d likelihood evaluations over all starts\n\n", model.Q, model.LogLik, model.FitEvals)
 
 	// Out-of-sample error on the sparsely sampled task.
 	var mse float64

@@ -88,9 +88,11 @@ func NewCheckpoint(path string, opts CheckpointOptions) (*Checkpointer, error) {
 // Resume opens the WAL-backed checkpoint at path and prepares its records
 // for replay: pass the returned Checkpointer as Options.Checkpoint and run
 // RunContext with the same problem, tasks, seed and options as the killed
-// run. The run reproduces the logged prefix bitwise without re-invoking the
-// objective for logged evaluations, then continues tuning (and logging)
-// from where the crash cut it off. A missing file resumes as a fresh run.
+// run, on a build whose modeling and search phases decide as the killed
+// run's did (DESIGN.md §8). The run reproduces the logged prefix bitwise
+// without re-invoking the objective for logged evaluations, then continues
+// tuning (and logging) from where the crash cut it off. A missing file
+// resumes as a fresh run.
 func Resume(path string, opts CheckpointOptions) (*Checkpointer, error) {
 	// No group commit: every evaluation is durable the moment it is delivered.
 	wal, records, err := histdb.OpenWALRecords(path, histdb.WALOptions{Clock: opts.Clock})
@@ -184,7 +186,7 @@ func (c *Checkpointer) Eval(rec CheckpointRecord) error {
 			!bitsEqual(loggedRequested(logged), rec.Requested) ||
 			!bitsEqual(logged.Config, rec.X) ||
 			!bitsEqual(logged.Outputs, rec.Y) {
-			return fmt.Errorf("core: resume diverged at logged evaluation %d: log has phase=%s task=%v x=%v, run produced phase=%s task=%v x=%v (same problem, seed and options required)",
+			return fmt.Errorf("core: resume diverged at logged evaluation %d: log has phase=%s task=%v x=%v, run produced phase=%s task=%v x=%v (same problem, seed, options and build required: a log resumes only under the fit and search code that wrote it)",
 				i, logged.Phase, logged.Task, logged.Config, rec.Phase, rec.Task, rec.X)
 		}
 		return nil

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/la"
 	"repro/internal/mpx"
+	"repro/internal/opt"
 )
 
 // gradChunkRows is the fixed row-chunk size of the parallel kernel and
@@ -13,6 +14,16 @@ import (
 // bitwise identical for any FitOptions.Workers (the regression guard
 // TestFitLCMParallelWorkersAgree relies on this).
 const gradChunkRows = 32
+
+// evalParallelMin is the sample count from which FitLCM lets one likelihood
+// evaluation fan its passes out over goroutines. Below it the evaluation is
+// a few hundred microseconds and the half-dozen fork/joins inside it cost
+// more than they return — measured on two cores: 216 → 293 µs at n = 72,
+// 1.13 → 1.29 ms at n = 150, break-even near n = 200, 18 → 11 ms at
+// n = 450. It never moves a bit (the reductions are worker-count
+// independent); it only keeps a small fit's last surviving start, which has
+// every worker to itself, from paying for parallelism it cannot use.
+const evalParallelMin = 3 * cholBlock
 
 // lcmEngine evaluates the LCM log marginal likelihood and its analytic
 // gradient against a fixed dataset. It is the hot path of the modeling
@@ -332,4 +343,24 @@ func (e *lcmEngine) logLikGrad(theta []float64) (float64, []float64, error) {
 		grad[e.layout.dAt(i)] = 0.5 * m.D[i] * d0[i]
 	}
 	return ll, grad, nil
+}
+
+// objective is the engine as the minimizer sees it: the negated log
+// likelihood and gradient, +Inf with a zero gradient where the covariance
+// stays indefinite even after jitter (the line search backs out of the
+// region).
+func (e *lcmEngine) objective() opt.GradObjective {
+	return func(theta, grad []float64) float64 {
+		ll, g, err := e.logLikGrad(theta)
+		if err != nil {
+			for i := range grad {
+				grad[i] = 0
+			}
+			return math.Inf(1)
+		}
+		for i := range grad {
+			grad[i] = -g[i]
+		}
+		return -ll
+	}
 }

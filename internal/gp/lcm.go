@@ -91,6 +91,7 @@ type LCM struct {
 	B        [][]float64 // per-task diagonal boosts [q][task]
 	D        []float64   // per-task noise (regularization) [task]
 	LogLik   float64     // log marginal likelihood at the fitted state
+	FitEvals int         // likelihood evaluations the fit spent, over all starts (0 on a reloaded model)
 	Jitter   float64     // diagonal jitter applied during factorization
 
 	// Fitted prediction state. The Cholesky factor lives in packed
@@ -118,9 +119,9 @@ type LCM struct {
 // phase, Section 3.1 step 2 and Section 4.3).
 type FitOptions struct {
 	Q         int   // latent functions; default min(δ, 3)
-	NumStarts int   // L-BFGS random restarts n_start; default 4
+	NumStarts int   // L-BFGS random restarts n_start; default 4, at most MaxNumStarts
 	Workers   int   // parallel restarts and factorization workers; default 1
-	MaxIter   int   // L-BFGS iterations per start; default 100
+	MaxIter   int   // L-BFGS iterations the surviving start may run; default 100, at most MaxFitIter
 	Seed      int64 // RNG seed for restarts
 
 	// Init, when non-nil, replaces the random initialization of the first
@@ -138,6 +139,16 @@ type FitOptions struct {
 // summation order, so all three must agree for a reloaded model to predict
 // bitwise identically.
 const cholBlock = 64
+
+// MaxNumStarts and MaxFitIter bound FitOptions.NumStarts and MaxIter: FitLCM
+// refuses a larger request before allocating anything for it, and the
+// service refuses a study spec that asks for one. They are far above any
+// useful fit (the defaults are 4 and 100) and far below what exhausts memory
+// or pins a generation for hours.
+const (
+	MaxNumStarts = 64
+	MaxFitIter   = 10000
+)
 
 func (o *FitOptions) defaults(numTasks int) {
 	if o.Q <= 0 {
@@ -177,15 +188,29 @@ func (h hyperLayout) bAt(q, i int) int  { return h.q*h.dim + h.q*h.tasks + q*h.t
 func (h hyperLayout) dAt(i int) int     { return h.q*h.dim + 2*h.q*h.tasks + i }
 
 // FitLCM learns LCM hyperparameters by maximizing the log marginal
-// likelihood with NumStarts multi-start L-BFGS runs (distributed over
-// Workers goroutines, mirroring the paper's parallelism over random starts)
-// and returns the best fitted model.
+// likelihood from NumStarts L-BFGS starts and returns the best fitted model.
+//
+// The starts are raced, not all run out: every start runs to iteration
+// rung1Iter, the rung1Keep best by current objective value go on to
+// rung2Iter, and the rung2Keep best of those to MaxIter (ties go to the
+// lower start index, a start whose value is NaN or ±Inf ranks last, and a
+// start that stopped on its own competes with its final value). A rung at or
+// past MaxIter, or one with nobody to drop, never happens. Racing only decides who continues: a
+// survivor's iterates are bit for bit those it would have walked alone to
+// MaxIter, so whenever the start that wins an un-raced fit survives both
+// rungs the fitted model is that fit's model to the last bit. Each round's
+// starts are spread over Workers goroutines (the paper's parallelism over
+// random starts) with the leftover workers inside the evaluation, so the
+// last survivor factors with all of them; no split changes a bit.
 func FitLCM(data *Dataset, options FitOptions) (*LCM, error) {
 	if err := data.Validate(); err != nil {
 		return nil, err
 	}
 	numTasks := data.NumTasks()
 	options.defaults(numTasks)
+	if options.NumStarts > MaxNumStarts || options.MaxIter > MaxFitIter {
+		return nil, fmt.Errorf("gp: %d starts × %d iterations asked for, the ceiling is %d × %d", options.NumStarts, options.MaxIter, MaxNumStarts, MaxFitIter)
+	}
 
 	// Flatten samples and standardize Y globally (the model's zero-mean
 	// prior then matches the data scale).
@@ -219,68 +244,53 @@ func FitLCM(data *Dataset, options FitOptions) (*LCM, error) {
 	// the raw coordinates).
 	cache := newPairCache(flatX, data.Dim)
 
-	type fitResult struct {
-		theta []float64
-		ll    float64
+	// Each start depends only on its own seed, never on the round, the
+	// worker or the engine that advances it.
+	runs := make([]*opt.LBFGSRun, options.NumStarts)
+	for s := range runs {
+		runs[s] = opt.NewLBFGSRun(startPoint(layout, options.Seed, s, warm))
 	}
-	results := make([]fitResult, options.NumStarts)
-	// Split the worker budget: restarts first (they are embarrassingly
-	// parallel), leftover workers parallelize inside each evaluation. The
-	// fitted model is identical for every split — the engine's reductions
-	// are worker-count independent, and each start depends only on its own
-	// seed, never on which chunk ran it. One engine per chunk keeps the
-	// per-worker buffer reuse of the old hand-rolled pool.
-	restartWorkers := options.Workers
-	if restartWorkers > options.NumStarts {
-		restartWorkers = options.NumStarts
-	}
-	innerWorkers := options.Workers / restartWorkers
-	if innerWorkers < 1 {
-		innerWorkers = 1
-	}
-	chunk := (options.NumStarts + restartWorkers - 1) / restartWorkers
-	mpx.ParallelChunks(options.NumStarts, chunk, restartWorkers, func(_, lo, hi int) {
-		eng := newLCMEngine(cache, layout, taskOf, yn, innerWorkers)
-		eval := func(theta []float64, grad []float64) float64 {
-			ll, g, err := eng.logLikGrad(theta)
-			if err != nil {
-				// Indefinite covariance even after jitter: reject the region.
-				for i := range grad {
-					grad[i] = 0
-				}
-				return math.Inf(1)
-			}
-			for i := range grad {
-				grad[i] = -g[i]
-			}
-			return -ll
+	// One evaluation engine per worker slot, built by the first round (the
+	// widest) and reused by the later ones: memory follows Workers, not
+	// NumStarts.
+	var engines []*lcmEngine
+	best := raceStarts(runs, options.MaxIter, func(alive []int, until int) {
+		// Split the worker budget: starts first (they are embarrassingly
+		// parallel), leftover workers parallelize inside each evaluation
+		// once it is large enough to gain from them. The engine's
+		// reductions are worker-count independent, so the fitted model is
+		// identical for every split.
+		startWorkers := options.Workers
+		if startWorkers > len(alive) {
+			startWorkers = len(alive)
 		}
-		for s := lo; s < hi; s++ {
-			rng := rand.New(rand.NewSource(options.Seed + int64(s)*7919 + 1))
-			theta0 := randomInit(layout, rng)
-			if s == 0 && warm != nil {
-				theta0 = append([]float64(nil), warm...)
-			}
-			res := opt.LBFGS(eval, theta0, opt.LBFGSParams{MaxIter: options.MaxIter})
-			results[s] = fitResult{theta: res.X, ll: -res.F}
+		innerWorkers := options.Workers / startWorkers
+		if n < evalParallelMin {
+			innerWorkers = 1
 		}
+		chunk := (len(alive) + startWorkers - 1) / startWorkers
+		if engines == nil {
+			engines = make([]*lcmEngine, mpx.NumChunks(len(alive), chunk))
+		}
+		mpx.ParallelChunks(len(alive), chunk, startWorkers, func(c, lo, hi int) {
+			if engines[c] == nil {
+				engines[c] = newLCMEngine(cache, layout, taskOf, yn, innerWorkers)
+			}
+			engines[c].workers = innerWorkers
+			eval := engines[c].objective()
+			for _, s := range alive[lo:hi] {
+				runs[s].Advance(eval, until)
+			}
+		})
 	})
-
-	best := -1
-	for s := range results {
-		if results[s].theta == nil || math.IsNaN(results[s].ll) || math.IsInf(results[s].ll, 0) {
-			continue
-		}
-		if best < 0 || results[s].ll > results[best].ll {
-			best = s
-		}
-	}
 	if best < 0 {
 		return nil, errors.New("gp: all hyperparameter starts failed")
 	}
-
-	model := thetaToModel(results[best].theta, layout)
-	model.LogLik = results[best].ll
+	model := thetaToModel(runs[best].Result().X, layout)
+	model.LogLik = -runs[best].Result().F
+	for _, r := range runs {
+		model.FitEvals += r.Result().Evals
+	}
 	model.flatX = flatX
 	model.taskOf = taskOf
 	model.yNorm = yn
@@ -351,6 +361,16 @@ func meanStd(y []float64) (mean, std float64) {
 		std = 1
 	}
 	return mean, std
+}
+
+// startPoint is where start s of a fit seeded with seed begins: a random
+// draw from the start's own stream, or, for start 0 of a warm-started fit,
+// the warm vector.
+func startPoint(layout hyperLayout, seed int64, s int, warm []float64) []float64 {
+	if s == 0 && warm != nil {
+		return warm
+	}
+	return randomInit(layout, rand.New(rand.NewSource(seed+int64(s)*7919+1)))
 }
 
 func randomInit(layout hyperLayout, rng *rand.Rand) []float64 {

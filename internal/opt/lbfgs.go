@@ -24,134 +24,196 @@ const (
 	lbfgsGradTol   = 1e-6  // stop when ‖g‖∞ falls below it
 	lbfgsFTol      = 1e-12 // a relative decrease below it counts as a stall
 	lbfgsMaxLSIter = 40    // line-search step halvings
+	lbfgsStalls    = 5     // consecutive stalls that stop the run
+	lbfgsRing      = lbfgsMemory + 1
 )
 
 // LBFGS minimizes an unconstrained smooth function starting from x0 using
 // the two-loop-recursion L-BFGS update with Armijo backtracking line search.
 // This is the paper's hyperparameter optimizer (Section 3.1 modeling phase,
 // citing Liu & Nocedal); positivity constraints on hyperparameters are
-// handled by the caller via log-parameterization.
+// handled by the caller via log-parameterization. It is a new LBFGSRun
+// advanced to the iteration cap in one go.
 func LBFGS(f GradObjective, x0 []float64, params LBFGSParams) Result {
 	params.defaults()
+	r := NewLBFGSRun(x0)
+	r.Advance(f, params.MaxIter)
+	return r.Result()
+}
+
+// LBFGSRun is one L-BFGS minimization that can be advanced a few iterations
+// at a time: the iterate, its value and gradient, the ring of curvature
+// pairs and the stall counter — everything an iteration reads — live here,
+// so Advance(f, 10) followed by Advance(f, 40) walks bit for bit the
+// iterates of one Advance(f, 40). The modeling phase races several runs this
+// way and drops the losers between calls (gp.FitLCM).
+//
+// Every buffer is allocated by NewLBFGSRun; an iteration allocates nothing.
+// A run serves one goroutine at a time.
+type LBFGSRun struct {
+	x, g    []float64
+	fx      float64
+	evals   int
+	iter    int  // iterations consumed, counting the retry after a failed quasi-Newton direction
+	stopped bool // a stopping rule fired (a tolerance, a non-finite value, a line search failing from steepest descent); further Advance calls do nothing
+	stalls  int
+
+	// Curvature pairs, oldest first, in slots head, head+1, … (mod
+	// lbfgsRing) of a ring one slot larger than the memory: the slot after
+	// the newest pair is where the next candidate pair is formed, so
+	// rejecting it (sᵀy too small) costs no stored pair.
+	s, y  [lbfgsRing][]float64
+	rho   [lbfgsRing]float64
+	head  int
+	pairs int
+
+	xNew, gNew, dir []float64
+	alpha           [lbfgsMemory]float64
+}
+
+// NewLBFGSRun returns a run positioned at x0. Nothing is evaluated until the
+// first Advance.
+func NewLBFGSRun(x0 []float64) *LBFGSRun {
 	n := len(x0)
-	x := append([]float64(nil), x0...)
-	g := make([]float64, n)
-	fx := f(x, g)
-	evals := 1
-
-	type pair struct {
-		s, y []float64
-		rho  float64
+	buf := make([]float64, (5+2*lbfgsRing)*n)
+	next := func() []float64 {
+		v := buf[:n:n]
+		buf = buf[n:]
+		return v
 	}
-	var hist []pair
+	r := &LBFGSRun{x: next(), g: next(), xNew: next(), gNew: next(), dir: next()}
+	for i := range r.s {
+		r.s[i], r.y[i] = next(), next()
+	}
+	copy(r.x, x0)
+	return r
+}
 
-	xNew := make([]float64, n)
-	gNew := make([]float64, n)
-	dir := make([]float64, n)
-	alphaBuf := make([]float64, lbfgsMemory)
-	stalls := 0
+// Advance runs iterations until the run has consumed iter of them in total
+// or a stopping rule fires. f may be a different closure from call to call
+// as long as it is the same function of x (the modeling phase hands a run to
+// whichever worker's evaluation engine is free).
+func (r *LBFGSRun) Advance(f GradObjective, iter int) {
+	if r.evals == 0 {
+		r.fx = f(r.x, r.g)
+		r.evals = 1
+	}
+	for r.iter < iter && !r.stopped {
+		r.stopped = !r.step(f)
+		r.iter++
+	}
+}
 
-	for iter := 0; iter < params.MaxIter; iter++ {
-		if infNorm(g) < lbfgsGradTol || math.IsNaN(fx) || math.IsInf(fx, 0) {
-			break
+// Result is the run's outcome so far (valid after the first Advance). X is
+// the run's own iterate, not a copy: it changes if the run is advanced again.
+func (r *LBFGSRun) Result() Result { return Result{X: r.x, F: r.fx, Evals: r.evals} }
+
+// step is one iteration: direction, line search, curvature update. It
+// reports whether the run goes on.
+//
+//gptlint:hotpath
+func (r *LBFGSRun) step(f GradObjective) bool {
+	x, g, dir, xNew, gNew := r.x, r.g, r.dir, r.xNew, r.gNew
+	fx := r.fx
+	if infNorm(g) < lbfgsGradTol || math.IsNaN(fx) || math.IsInf(fx, 0) {
+		return false
+	}
+	// Two-loop recursion: dir = -H·g.
+	copy(dir, g)
+	m := r.pairs
+	for i := m - 1; i >= 0; i-- {
+		k := (r.head + i) % lbfgsRing
+		r.alpha[i] = r.rho[k] * dot(r.s[k], dir)
+		axpy(-r.alpha[i], r.y[k], dir)
+	}
+	// Initial Hessian scaling γ = sᵀy / yᵀy; with no history yet, scale
+	// so the first trial step has unit length (standard first-iteration
+	// safeguard).
+	if m > 0 {
+		k := (r.head + m - 1) % lbfgsRing
+		gamma := dot(r.s[k], r.y[k]) / dot(r.y[k], r.y[k])
+		if gamma > 0 && !math.IsInf(gamma, 0) {
+			scal(gamma, dir)
 		}
-		// Two-loop recursion: dir = -H·g.
-		copy(dir, g)
-		m := len(hist)
-		for i := m - 1; i >= 0; i-- {
-			h := hist[i]
-			alphaBuf[i] = h.rho * dot(h.s, dir)
-			axpy(-alphaBuf[i], h.y, dir)
-		}
-		// Initial Hessian scaling γ = sᵀy / yᵀy; with no history yet, scale
-		// so the first trial step has unit length (standard first-iteration
-		// safeguard).
-		if m > 0 {
-			h := hist[m-1]
-			gamma := dot(h.s, h.y) / dot(h.y, h.y)
-			if gamma > 0 && !math.IsInf(gamma, 0) {
-				scal(gamma, dir)
-			}
-		} else if gn := norm2(dir); gn > 1 {
-			scal(1/gn, dir)
-		}
-		for i := 0; i < m; i++ {
-			h := hist[i]
-			beta := h.rho * dot(h.y, dir)
-			axpy(alphaBuf[i]-beta, h.s, dir)
-		}
+	} else if gn := norm2(dir); gn > 1 {
+		scal(1/gn, dir)
+	}
+	for i := 0; i < m; i++ {
+		k := (r.head + i) % lbfgsRing
+		beta := r.rho[k] * dot(r.y[k], dir)
+		axpy(r.alpha[i]-beta, r.s[k], dir)
+	}
+	for i := range dir {
+		dir[i] = -dir[i]
+	}
+	// Descent check; fall back to steepest descent.
+	dg := dot(dir, g)
+	if dg >= 0 || math.IsNaN(dg) {
 		for i := range dir {
-			dir[i] = -dir[i]
+			dir[i] = -g[i]
 		}
-		// Descent check; fall back to steepest descent.
-		dg := dot(dir, g)
-		if dg >= 0 || math.IsNaN(dg) {
-			for i := range dir {
-				dir[i] = -g[i]
-			}
-			dg = -dot(g, g)
-			hist = hist[:0]
-		}
+		dg = -dot(g, g)
+		r.pairs = 0
+	}
 
-		// Armijo backtracking (with plain-decrease fallback once the step is
-		// small, which keeps progress in extremely narrow valleys).
-		const c1 = 1e-4
-		step := 1.0
-		accepted := false
-		var fNew float64
-		for ls := 0; ls < lbfgsMaxLSIter; ls++ {
-			for i := range x {
-				xNew[i] = x[i] + step*dir[i]
-			}
-			fNew = f(xNew, gNew)
-			evals++
-			if !math.IsNaN(fNew) && (fNew <= fx+c1*step*dg || (ls > 20 && fNew < fx)) {
-				accepted = true
-				break
-			}
-			step *= 0.5
+	// Armijo backtracking (with plain-decrease fallback once the step is
+	// small, which keeps progress in extremely narrow valleys).
+	const c1 = 1e-4
+	step := 1.0
+	accepted := false
+	var fNew float64
+	for ls := 0; ls < lbfgsMaxLSIter; ls++ {
+		for i := range x {
+			xNew[i] = x[i] + step*dir[i]
 		}
-		if !accepted {
-			// Quasi-Newton direction failed; discard curvature history and
-			// retry from steepest descent, unless we already did.
-			if len(hist) > 0 {
-				hist = hist[:0]
-				continue
-			}
+		fNew = f(xNew, gNew)
+		r.evals++
+		if !math.IsNaN(fNew) && (fNew <= fx+c1*step*dg || (ls > 20 && fNew < fx)) {
+			accepted = true
 			break
 		}
-
-		// Update history.
-		s := make([]float64, n)
-		y := make([]float64, n)
-		for i := range x {
-			s[i] = xNew[i] - x[i]
-			y[i] = gNew[i] - g[i]
+		step *= 0.5
+	}
+	if !accepted {
+		// Quasi-Newton direction failed; discard curvature history and
+		// retry from steepest descent (the retry counts as an iteration),
+		// unless we already did.
+		if r.pairs > 0 {
+			r.pairs = 0
+			return true
 		}
-		sy := dot(s, y)
-		if sy > 1e-12*norm2(s)*norm2(y) {
-			hist = append(hist, pair{s: s, y: y, rho: 1 / sy})
-			if len(hist) > lbfgsMemory {
-				hist = hist[1:]
-			}
-		}
+		return false
+	}
 
-		relDrop := (fx - fNew) / math.Max(1, math.Abs(fx))
-		copy(x, xNew)
-		copy(g, gNew)
-		fx = fNew
-		// Stop only after several consecutive negligible decreases; a single
-		// short backtracked step is normal in narrow valleys (Rosenbrock).
-		if relDrop >= 0 && relDrop < lbfgsFTol {
-			stalls++
-			if stalls >= 5 {
-				break
-			}
+	// Update history: the candidate pair forms in the ring's spare slot.
+	k := (r.head + r.pairs) % lbfgsRing
+	s, y := r.s[k], r.y[k]
+	for i := range x {
+		s[i] = xNew[i] - x[i]
+		y[i] = gNew[i] - g[i]
+	}
+	sy := dot(s, y)
+	if sy > 1e-12*norm2(s)*norm2(y) {
+		r.rho[k] = 1 / sy
+		if r.pairs < lbfgsMemory {
+			r.pairs++
 		} else {
-			stalls = 0
+			r.head = (r.head + 1) % lbfgsRing
 		}
 	}
-	return Result{X: x, F: fx, Evals: evals}
+
+	relDrop := (fx - fNew) / math.Max(1, math.Abs(fx))
+	copy(x, xNew)
+	copy(g, gNew)
+	r.fx = fNew
+	// Stop only after several consecutive negligible decreases; a single
+	// short backtracked step is normal in narrow valleys (Rosenbrock).
+	if relDrop >= 0 && relDrop < lbfgsFTol {
+		r.stalls++
+		return r.stalls < lbfgsStalls
+	}
+	r.stalls = 0
+	return true
 }
 
 func dot(a, b []float64) float64 {

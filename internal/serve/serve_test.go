@@ -23,6 +23,7 @@ import (
 	"repro/internal/histdb"
 	"repro/internal/serve"
 	"repro/internal/space"
+	"repro/internal/surrogate"
 )
 
 // paperObjective is Eq. (11) of the paper, shared from the analytical app.
@@ -371,11 +372,15 @@ func TestReadsReplayLoggedHistory(t *testing.T) {
 }
 
 // TestParentWrittenDataDirResumes opens testdata/datadir — a spec, a
-// compacted snapshot and a WAL with evaluation and model records, written by
-// the commit before the protocol moved into gptune/api and left as a killed
-// server would leave them — and requires it to resume as that commit's own
-// files did: every logged evaluation recovered, none re-paid, and the
-// finished history bitwise equal to an uninterrupted run of the same spec.
+// compacted snapshot and a WAL with evaluation and model records, left as a
+// killed server leaves them — and requires it to resume: every logged
+// evaluation recovered, none re-paid, and the finished history bitwise equal
+// to an uninterrupted run of the same spec. The files were first written by
+// the commit before the protocol moved into gptune/api; the log's model and
+// search-phase records were re-recorded when the LCM fit began racing its
+// starts, because a log resumes only under the fit policy that wrote its
+// search-phase records (DESIGN.md §8) — the snapshot, the spec and the
+// record shapes are the original ones.
 func TestParentWrittenDataDirResumes(t *testing.T) {
 	const epsTot, logged = 8, 15
 	dir := t.TempDir()
@@ -488,6 +493,40 @@ func TestServeRejectsBadRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("non-finite output: status %d, want 400", resp.StatusCode)
 	}
+}
+
+// TestServeRejectsOversizedFitBudget: num_starts reaches the modeling phase as
+// an allocation size and model_max_iter as a loop bound, so a spec past the
+// surrogate ceilings is a 400 on create and on import and leaves nothing on
+// disk — "num_starts": 1099511627776 used to create fine and end the process
+// with "out of memory" at the first modeling phase. At the ceilings a study
+// is created.
+func TestServeRejectsOversizedFitBudget(t *testing.T) {
+	ts := newTestServer(t)
+	for _, c := range []struct {
+		what              string
+		starts, modelIter int
+	}{
+		{"num_starts 1<<40", 1 << 40, 0},
+		{"num_starts past the ceiling", surrogate.MaxNumStarts + 1, 0},
+		{"model_max_iter 2e9", 0, 2_000_000_000},
+		{"model_max_iter past the ceiling", 0, surrogate.MaxFitIter + 1},
+	} {
+		bad := testSpec("greedy", 4, 1)
+		bad.Options.NumStarts, bad.Options.ModelMaxIter = c.starts, c.modelIter
+		err := ts.c.Create(ctx, bad)
+		wantStatus(t, err, http.StatusBadRequest, c.what+" on create")
+		if err == nil || !strings.Contains(err.Error(), "ceiling") {
+			t.Errorf("%s: error %v does not name the ceiling", c.what, err)
+		}
+		wantStatus(t, ts.c.Import(ctx, client.StudyArchive{Spec: bad}), http.StatusBadRequest, c.what+" on import")
+	}
+	if files, err := os.ReadDir(ts.dir); err != nil || len(files) != 0 {
+		t.Errorf("rejected specs left %d files behind (%v)", len(files), err)
+	}
+	ok := testSpec("frugal", 4, 1)
+	ok.Options.NumStarts, ok.Options.ModelMaxIter = surrogate.MaxNumStarts, surrogate.MaxFitIter
+	create(t, ts.c, ok)
 }
 
 // TestServeSuggestPerTask checks task-scoped suggestions and the

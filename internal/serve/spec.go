@@ -101,6 +101,15 @@ func buildSpec(s *api.StudySpec) (*core.Problem, [][]float64, core.Options, erro
 		}
 	}
 	o := s.Options
+	// Both reach the modeling phase as an allocation size and a loop bound;
+	// unchecked, one spec could take the replica down or pin its generation
+	// goroutine for good.
+	if o.NumStarts > surrogate.MaxNumStarts {
+		return nil, nil, zero, fmt.Errorf("serve: study %s: num_starts %d exceeds the ceiling of %d", s.Name, o.NumStarts, surrogate.MaxNumStarts)
+	}
+	if o.ModelMaxIter > surrogate.MaxFitIter {
+		return nil, nil, zero, fmt.Errorf("serve: study %s: model_max_iter %d exceeds the ceiling of %d", s.Name, o.ModelMaxIter, surrogate.MaxFitIter)
+	}
 	opts := core.Options{
 		EpsTot:        o.EpsTot,
 		InitFraction:  o.InitFraction,

@@ -75,14 +75,23 @@ type Incremental interface {
 	Append(data *Dataset, workers int) error
 }
 
+// MaxNumStarts and MaxFitIter are the ceilings on FitOptions.NumStarts and
+// MaxIter (gp's, restated here so spec validation never names gp): the GP
+// backends return an error past them instead of allocating, and the service
+// refuses a study spec that asks for more.
+const (
+	MaxNumStarts = gp.MaxNumStarts
+	MaxFitIter   = gp.MaxFitIter
+)
+
 // FitOptions configures a surrogate fit. The zero value of every field means
 // "backend default". Fields without meaning for a backend are ignored (Q and
 // NumStarts do nothing for forests).
 type FitOptions struct {
 	Q         int   // latent functions (LCM only); default min(δ, 3)
-	NumStarts int   // optimizer restarts (GP backends); default 4
+	NumStarts int   // optimizer restarts (GP backends); default 4, at most MaxNumStarts
 	Workers   int   // fit parallelism; never affects the fitted model's bits
-	MaxIter   int   // optimizer iteration cap (GP backends); default 100
+	MaxIter   int   // optimizer iteration cap (GP backends); default 100, at most MaxFitIter
 	Seed      int64 // RNG seed; same seed + same data → bitwise same model
 	Inducing  int   // inducing points per task (sgp only); default 128
 
