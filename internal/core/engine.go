@@ -163,6 +163,7 @@ func NewEngine(p *Problem, tasks [][]float64, options Options) (*Engine, error) 
 		p:      p,
 		opts:   options,
 		fitter: fitter,
+		warm:   warmModels(fitter, options.WarmStart, p.Outputs.Dim()),
 		tasks:  tasks,
 		X:      make([][][]float64, len(tasks)),
 		Y:      make([][][]float64, len(tasks)),

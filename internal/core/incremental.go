@@ -81,15 +81,13 @@ func (st *state) refitPhase(gamma, ms int) ([]surrogate.Model, []func(float64) f
 // refitWarmStart picks the hyperparameter warm start for objective s: the
 // in-run model from the previous refit cycle when RefitEvery keeps one
 // around (the freshest optimum available), falling back to the cross-session
-// Options.WarmStart snapshot. With RefitEvery ≤ 1 only the fallback exists,
+// Options.WarmStart model. With RefitEvery ≤ 1 only the fallback exists,
 // preserving the historical fit inputs exactly.
-func (st *state) refitWarmStart(s int) []byte {
+func (st *state) refitWarmStart(s int) surrogate.Model {
 	if st.opts.RefitEvery > 1 && s < len(st.mdl.models) && st.mdl.models[s] != nil {
-		if blob, err := st.mdl.models[s].MarshalBinary(); err == nil {
-			return blob
-		}
+		return st.mdl.models[s]
 	}
-	return st.warmSnapshot(s)
+	return st.warm[s]
 }
 
 // canAppend reports whether this generation may extend the previous models

@@ -134,27 +134,38 @@ type state struct {
 	opts   Options
 	fitter surrogate.Fitter // modeling-phase backend, resolved from opts.Surrogate
 	tasks  [][]float64
-	X      [][][]float64 // [task][sample] native configs
-	Y      [][][]float64 // [task][sample] γ outputs
-	done   []int         // evaluations performed this run, per task (priors excluded)
-	coeffs []float64     // performance-model coefficients
-	mdl    modelState    // incremental-modeling bookkeeping (RefitEvery > 1)
+	X      [][][]float64     // [task][sample] native configs
+	Y      [][][]float64     // [task][sample] γ outputs
+	done   []int             // evaluations performed this run, per task (priors excluded)
+	coeffs []float64         // performance-model coefficients
+	mdl    modelState        // incremental-modeling bookkeeping (RefitEvery > 1)
+	warm   []surrogate.Model // per objective: Options.WarmStart's model, nil = cold start
 	stats  PhaseStats
 	evals  atomic.Int64 // objective evaluations; mutated from worker goroutines
 	rng    *rand.Rand
 }
 
-// warmSnapshot returns the warm-start payload for the given objective: the
-// last Options.WarmStart snapshot matching the active backend kind and the
-// objective index, or nil (cold start).
-func (st *state) warmSnapshot(objective int) []byte {
-	var out []byte
-	for _, snap := range st.opts.WarmStart {
-		if snap.Objective == objective && snap.Kind == st.fitter.Kind() {
-			out = snap.Data
+// warmModels restores the cross-session warm starts, one per objective: the
+// last of snaps matching the backend's kind and the objective index, or nil
+// (cold start) when there is none or it does not restore — transfer is
+// best-effort and never fails a run.
+func warmModels(fitter surrogate.Fitter, snaps []ModelSnapshot, objectives int) []surrogate.Model {
+	warm := make([]surrogate.Model, objectives)
+	for s := range warm {
+		var data []byte
+		for _, snap := range snaps {
+			if snap.Objective == s && snap.Kind == fitter.Kind() {
+				data = snap.Data
+			}
+		}
+		if data == nil {
+			continue
+		}
+		if m, err := fitter.UnmarshalBinary(data); err == nil {
+			warm[s] = m
 		}
 	}
-	return out
+	return warm
 }
 
 // saveTransfer streams one fitted model to Options.Transfer (no-op without

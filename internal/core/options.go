@@ -73,7 +73,10 @@ type Options struct {
 	// hyperparameters. WarmStart is a static input, read-only for the whole
 	// run — the engine never feeds its own snapshots back into it, which
 	// keeps crash-resumed runs bitwise identical to uninterrupted ones.
-	// Incompatible snapshots silently degrade to cold starts.
+	// NewEngine restores each snapshot it will use once, through the
+	// backend's UnmarshalBinary; one that does not restore (corrupt, another
+	// problem's shape, a covariance that no longer factors) silently degrades
+	// to a cold start.
 	WarmStart []ModelSnapshot
 	// Transfer, when non-nil, receives a snapshot of every fitted surrogate
 	// (one per modeling phase and objective) so later sessions can warm-start

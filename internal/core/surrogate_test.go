@@ -158,6 +158,10 @@ func TestModelSnapshotTransferThroughWAL(t *testing.T) {
 	warm := session2(warmStart)
 	warm2 := session2(warmStart)
 	requireBitwiseEqualHistories(t, "warm-started session repeatability", warm, warm2)
+	// Transfer is best-effort: a snapshot that does not restore is a cold
+	// start, not an error.
+	corrupt := session2([]ModelSnapshot{{Kind: surrogate.KindLCM, Data: []byte("not a snapshot")}})
+	requireBitwiseEqualHistories(t, "undecodable warm start vs cold start", cold, corrupt)
 	diverged := false
 	for i := range warm.Tasks[0].X {
 		for d := range warm.Tasks[0].X[i] {

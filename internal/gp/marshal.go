@@ -11,7 +11,6 @@
 package gp
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -197,12 +196,11 @@ func (m *LCM) MarshalBinary() ([]byte, error) {
 	return json.Marshal(snap)
 }
 
-// checkShape is the one snapshot validator, behind UnmarshalBinary and
-// SnapshotHyperparameters: dimensions present, hyperparameter arrays of
-// those dimensions and, when the snapshot carries training state, nx
-// coordinates and ny outputs for its len(TaskOf) samples with every task
-// label in range.
-func (snap *lcmSnapshot) checkShape(nx, ny int) error {
+// checkShape validates a decoded snapshot: dimensions present,
+// hyperparameter arrays of those dimensions and, when the snapshot carries
+// training state, Dim coordinates and one output for each of its len(TaskOf)
+// samples with every task label in range.
+func (snap *lcmSnapshot) checkShape() error {
 	if snap.Q <= 0 || snap.NumTasks <= 0 || snap.Dim <= 0 {
 		return errors.New("gp: LCM snapshot missing dimensions")
 	}
@@ -218,7 +216,7 @@ func (snap *lcmSnapshot) checkShape(nx, ny int) error {
 	if n == 0 {
 		return nil // hyperparameter-only snapshot
 	}
-	if nx != n*snap.Dim || ny != n {
+	if len(snap.X) != n*snap.Dim || len(snap.YNorm) != n {
 		return errors.New("gp: LCM snapshot training-state shape mismatch")
 	}
 	for _, task := range snap.TaskOf {
@@ -227,16 +225,6 @@ func (snap *lcmSnapshot) checkShape(nx, ny int) error {
 		}
 	}
 	return nil
-}
-
-// hyperModel returns the snapshot's hyperparameters as a model without
-// training state.
-func (snap *lcmSnapshot) hyperModel() LCM {
-	return LCM{
-		Q: snap.Q, NumTasks: snap.NumTasks, Dim: snap.Dim,
-		Ls: fromNFRows(snap.Ls), A: fromNFRows(snap.A), B: fromNFRows(snap.B), D: snap.D,
-		LogLik: float64(snap.LogLik), Jitter: float64(snap.Jitter),
-	}
 }
 
 // UnmarshalBinary decodes a snapshot produced by MarshalBinary and, when the
@@ -248,10 +236,14 @@ func (m *LCM) UnmarshalBinary(data []byte) error {
 	if err := json.Unmarshal(data, &snap); err != nil {
 		return fmt.Errorf("gp: decoding LCM snapshot: %w", err)
 	}
-	if err := snap.checkShape(len(snap.X), len(snap.YNorm)); err != nil {
+	if err := snap.checkShape(); err != nil {
 		return err
 	}
-	*m = snap.hyperModel()
+	*m = LCM{
+		Q: snap.Q, NumTasks: snap.NumTasks, Dim: snap.Dim,
+		Ls: fromNFRows(snap.Ls), A: fromNFRows(snap.A), B: fromNFRows(snap.B), D: snap.D,
+		LogLik: float64(snap.LogLik), Jitter: float64(snap.Jitter),
+	}
 	m.yMean, m.yStd = float64(snap.YMean), float64(snap.YStd)
 	if m.yStd == 0 { //gptlint:ignore float-eq zero is the unset sentinel for a hyperparameter-only snapshot
 		m.yStd = 1
@@ -273,62 +265,4 @@ func (m *LCM) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("gp: refactorizing LCM snapshot: %w", err)
 	}
 	return nil
-}
-
-// nfCount is the length of a JSON array of nfScalar elements: every element
-// goes through unmarshalNF, nfVec's own rule, and is dropped. encoding/json
-// has already checked the document's syntax when it calls UnmarshalJSON, and
-// no element unmarshalNF accepts contains a comma, so splitting at commas
-// finds exactly the elements of an acceptable array, and of any other hands
-// it the head of the first element that has one — an opening bracket, brace
-// or quote — which it refuses.
-type nfCount int
-
-func (c *nfCount) UnmarshalJSON(data []byte) error {
-	data = bytes.TrimSpace(data)
-	if string(data) == "null" {
-		return nil // as for nfVec: absent
-	}
-	if len(data) < 2 || data[0] != '[' {
-		return errors.New("gp: LCM snapshot vector is not an array")
-	}
-	n := 0
-	for rest := bytes.TrimSpace(data[1 : len(data)-1]); len(rest) > 0; n++ {
-		elem := rest
-		if end := bytes.IndexByte(rest, ','); end >= 0 {
-			elem, rest = rest[:end], rest[end+1:]
-		} else {
-			rest = nil
-		}
-		var discard float64
-		if err := unmarshalNF(bytes.TrimSpace(elem), &discard); err != nil {
-			return err
-		}
-	}
-	*c = nfCount(n)
-	return nil
-}
-
-// SnapshotHyperparameters decodes only what a warm start needs from a
-// MarshalBinary snapshot: the vector (*LCM).Hyperparameters would return
-// after UnmarshalBinary, bit for bit, without rebuilding the model — no
-// distance cache, no covariance, no O(n³) factorization, and the training
-// coordinates and outputs are counted rather than kept. The shape checks are
-// UnmarshalBinary's, training state included, so a snapshot that is corrupt
-// in shape is an error here too (and a cold start to the caller); the one
-// thing not re-established is that the recorded covariance still factors.
-func SnapshotHyperparameters(data []byte) ([]float64, error) {
-	var snap struct {
-		lcmSnapshot
-		X     nfCount `json:"x"`
-		YNorm nfCount `json:"y_norm"`
-	}
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return nil, fmt.Errorf("gp: decoding LCM snapshot: %w", err)
-	}
-	if err := snap.checkShape(int(snap.X), int(snap.YNorm)); err != nil {
-		return nil, err
-	}
-	m := snap.hyperModel()
-	return m.Hyperparameters(), nil
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 )
 
@@ -182,19 +181,11 @@ func TestUnmarshalRejectsCorruptSnapshots(t *testing.T) {
 		if err := m.UnmarshalBinary([]byte(bad)); err == nil {
 			t.Errorf("snapshot %q accepted", bad)
 		}
-		if _, err := SnapshotHyperparameters([]byte(bad)); err == nil {
-			t.Errorf("snapshot %q accepted by the hyperparameter-only decode", bad)
-		}
 	}
-	// Training coordinates are counted, not kept, by the hyperparameter-only
-	// decode; an element the full decode would refuse is still refused.
 	for _, bad := range []string{`"abc"`, `true`, `[1]`, `1e999`} {
 		snap := `{"q":1,"num_tasks":1,"dim":1,"ls":[[1]],"a":[[1]],"b":[[1]],"d":[1],"task_of":[0],"x":[` + bad + `],"y_norm":[1]}`
 		if err := m.UnmarshalBinary([]byte(snap)); err == nil {
 			t.Errorf("coordinate %s accepted", bad)
-		}
-		if _, err := SnapshotHyperparameters([]byte(snap)); err == nil {
-			t.Errorf("coordinate %s accepted by the hyperparameter-only decode", bad)
 		}
 	}
 }
@@ -202,8 +193,7 @@ func TestUnmarshalRejectsCorruptSnapshots(t *testing.T) {
 // TestUnmarshalNFIsTheJSONFloatRule: for every kind of JSON value a snapshot
 // element can be, unmarshalNF accepts what decoding into a float64 with
 // encoding/json accepts, with the same bits, plus the three non-finite
-// strings — through nfVec (the full decode) and nfCount (the counting one)
-// alike, since both are that one function.
+// strings — alone and as an nfVec element.
 func TestUnmarshalNFIsTheJSONFloatRule(t *testing.T) {
 	for _, elem := range []string{
 		`0`, `-0`, `1`, `-1.5`, `0.1`, `1e5`, `1E+5`, `2.5e-3`, `4.9e-324`, `1e-400`, `-1e-400`,
@@ -219,13 +209,11 @@ func TestUnmarshalNFIsTheJSONFloatRule(t *testing.T) {
 		}
 		array := []byte(`[0.5, ` + elem + `,"-Inf"]`)
 		var vec nfVec
-		var count nfCount
-		vecErr, countErr := json.Unmarshal(array, &vec), json.Unmarshal(array, &count)
-		if (vecErr == nil) != (wantErr == nil) || (countErr == nil) != (wantErr == nil) {
-			t.Errorf("%s: nfVec error %v, nfCount error %v, element error %v", array, vecErr, countErr, wantErr)
+		if vecErr := json.Unmarshal(array, &vec); (vecErr == nil) != (wantErr == nil) {
+			t.Errorf("%s: nfVec error %v, element error %v", array, vecErr, wantErr)
 		}
-		if wantErr == nil && (len(vec) != 3 || count != 3 || math.Float64bits(vec[1]) != math.Float64bits(want)) {
-			t.Errorf("%s: nfVec %v, nfCount %d, want 3 elements with %v in the middle", array, vec, count, want)
+		if wantErr == nil && (len(vec) != 3 || math.Float64bits(vec[1]) != math.Float64bits(want)) {
+			t.Errorf("%s: nfVec %v, want 3 elements with %v in the middle", array, vec, want)
 		}
 	}
 	for elem, want := range map[string]float64{`"Inf"`: math.Inf(1), `"-Inf"`: math.Inf(-1), `"NaN"`: math.NaN()} {
@@ -236,66 +224,39 @@ func TestUnmarshalNFIsTheJSONFloatRule(t *testing.T) {
 	}
 }
 
-// TestSnapshotHyperparametersMatchesFullDecode: the hyperparameter-only
-// decode returns the bits UnmarshalBinary + Hyperparameters returns — for a
-// full snapshot, an appended model's, a hyperparameter-only one and one with
-// non-finite entries — while allocating on the order of the blob instead of
-// rebuilding an n = 400 model (distance cache, Σ, factor: over 10 MB).
-func TestSnapshotHyperparametersMatchesFullDecode(t *testing.T) {
-	rng := rand.New(rand.NewSource(97))
-	data := syntheticDataset(rng, 2, 200, 8, 0.05)
-	model, err := FitLCM(data, FitOptions{NumStarts: 1, MaxIter: 2, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	big, err := model.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, small := fitSmall(t, FitOptions{NumStarts: 1, MaxIter: 5, Seed: 2})
-	if err := small.AppendObservations([][]float64{{0.1, 0.9}}, []int{1}, []float64{0.3}, 1); err != nil {
-		t.Fatal(err)
-	}
-	appended, err := small.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	hyperOnly, err := (&LCM{Q: small.Q, NumTasks: small.NumTasks, Dim: small.Dim, Ls: small.Ls, A: small.A, B: small.B, D: small.D}).MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	small.Ls[0][1], small.B[0][0] = math.Inf(1), 0
-	nonFinite, err := small.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, blob := range map[string][]byte{"n=400": big, "appended": appended, "hyperparameter-only": hyperOnly, "non-finite": nonFinite} {
-		var full LCM
-		if err := full.UnmarshalBinary(blob); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		want := full.Hyperparameters()
-		got, err := SnapshotHyperparameters(blob)
+// TestHyperparametersSurviveSnapshot: a warm start reads Hyperparameters off
+// a model, and a model restored from a snapshot must hand a fit the bits the
+// model that was saved would have — for a fitted model, an appended one, a
+// hyperparameter-only one and one with non-finite entries.
+func TestHyperparametersSurviveSnapshot(t *testing.T) {
+	check := func(name string, model *LCM) {
+		t.Helper()
+		blob, err := model.MarshalBinary()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		var back LCM
+		if err := back.UnmarshalBinary(blob); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want, got := model.Hyperparameters(), back.Hyperparameters()
 		if len(got) != len(want) {
-			t.Fatalf("%s: %d hyperparameters, full decode has %d", name, len(got), len(want))
+			t.Fatalf("%s: %d hyperparameters restored, %d saved", name, len(got), len(want))
 		}
 		for i := range want {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Errorf("%s: theta[%d] = %v, full decode %v", name, i, got[i], want[i])
+				t.Errorf("%s: theta[%d] = %v restored, %v saved", name, i, got[i], want[i])
 			}
 		}
 	}
-
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	if _, err := SnapshotHyperparameters(big); err != nil {
+	_, m := fitSmall(t, FitOptions{NumStarts: 1, MaxIter: 5, Seed: 2})
+	check("fitted", m)
+	if err := m.AppendObservations([][]float64{{0.1, 0.9}}, []int{1}, []float64{0.3}, 1); err != nil {
 		t.Fatal(err)
 	}
-	runtime.ReadMemStats(&after)
-	if used := after.TotalAlloc - before.TotalAlloc; used >= 2*uint64(len(big)) {
-		t.Fatalf("decoding a %d-byte snapshot allocated %d bytes, want under twice the blob", len(big), used)
-	}
+	check("appended", m)
+	hyperOnly := &LCM{Q: m.Q, NumTasks: m.NumTasks, Dim: m.Dim, Ls: m.Ls, A: m.A, B: m.B, D: m.D}
+	check("hyperparameter-only", hyperOnly)
+	hyperOnly.Ls[0][1], hyperOnly.B[0][0] = math.Inf(1), 0
+	check("non-finite", hyperOnly)
 }

@@ -27,7 +27,7 @@ func (gpIndepFitter) Fit(data *Dataset, opts FitOptions) (Model, error) {
 	if err := data.Validate(); err != nil {
 		return nil, err
 	}
-	warm := warmTaskSnapshots(opts.WarmStart, KindGPIndep)
+	warm, _ := opts.WarmStart.(*gpIndepModel)
 	models := make([]*gp.LCM, data.NumTasks())
 	for i := range models {
 		sub := &Dataset{Dim: data.Dim, X: data.X[i : i+1], Y: data.Y[i : i+1]}
@@ -38,8 +38,8 @@ func (gpIndepFitter) Fit(data *Dataset, opts FitOptions) (Model, error) {
 			MaxIter:   opts.MaxIter,
 			Seed:      perTaskSeed(opts.Seed, i),
 		}
-		if i < len(warm) {
-			fo.Init = warmHyperparameters(warm[i])
+		if warm != nil && i < len(warm.models) {
+			fo.Init = warm.models[i].Hyperparameters()
 		}
 		m, err := gp.FitLCM(sub, fo)
 		if err != nil {
@@ -149,17 +149,4 @@ func decodeMultiSnapshot(data []byte, kind string) ([]json.RawMessage, error) {
 		return nil, errors.New("surrogate: snapshot has no per-task models")
 	}
 	return snap.Models, nil
-}
-
-// warmTaskSnapshots splits a warm-start container into per-task blobs,
-// returning nil on any mismatch (best-effort transfer, never an error).
-func warmTaskSnapshots(snapshot []byte, kind string) []json.RawMessage {
-	if len(snapshot) == 0 {
-		return nil
-	}
-	blobs, err := decodeMultiSnapshot(snapshot, kind)
-	if err != nil {
-		return nil
-	}
-	return blobs
 }

@@ -21,7 +21,10 @@ func (lcmFitter) Fit(data *Dataset, opts FitOptions) (Model, error) {
 		Workers:   opts.Workers,
 		MaxIter:   opts.MaxIter,
 		Seed:      opts.Seed,
-		Init:      warmHyperparameters(opts.WarmStart),
+	}
+	// FitLCM itself ignores a vector whose layout doesn't match this fit.
+	if warm, ok := opts.WarmStart.(*lcmModel); ok {
+		fo.Init = warm.m.Hyperparameters()
 	}
 	m, err := gp.FitLCM(data, fo)
 	if err != nil {
@@ -36,21 +39,6 @@ func (lcmFitter) UnmarshalBinary(data []byte) (Model, error) {
 		return nil, err
 	}
 	return &lcmModel{m: &m}, nil
-}
-
-// warmHyperparameters decodes a warm-start snapshot into the hyperparameter
-// vector FitLCM.Init expects — the hyperparameters only: a refit runs this
-// on a snapshot as large as its history, and rebuilding that model just to
-// read a few dozen numbers would cost a factorization per refit. Any
-// decoding failure returns nil (cold start): transfer snapshots come from
-// earlier sessions that may have tuned a different problem shape, and FitLCM
-// itself still ignores vectors whose layout doesn't match the current fit.
-func warmHyperparameters(snapshot []byte) []float64 {
-	if len(snapshot) == 0 {
-		return nil
-	}
-	theta, _ := gp.SnapshotHyperparameters(snapshot) // nil on error: a cold start
-	return theta
 }
 
 // lcmModel adapts *gp.LCM to the Model interface.

@@ -49,12 +49,12 @@ func (sgpFitter) Fit(data *Dataset, opts FitOptions) (Model, error) {
 	if inducing <= 0 {
 		inducing = defaultInducing
 	}
-	warm := warmTaskSnapshots(opts.WarmStart, KindSGP)
+	warm, _ := opts.WarmStart.(*sgpModel)
 	tasks := make([]*taskSGP, data.NumTasks())
 	for i := range tasks {
 		var warmTheta []float64
-		if i < len(warm) {
-			warmTheta = warmTaskTheta(warm[i])
+		if warm != nil && i < len(warm.tasks) {
+			warmTheta = warm.tasks[i].theta
 		}
 		ts, err := fitTaskSGP(data.X[i], data.Y[i], data.Dim, inducing, opts, perTaskSeed(opts.Seed, i), warmTheta)
 		if err != nil {
@@ -455,14 +455,4 @@ func decodeTaskSGP(blob []byte) (*taskSGP, error) {
 		return nil, err
 	}
 	return ts, nil
-}
-
-// warmTaskTheta extracts the subset-fit hyperparameter vector from one
-// task's warm-start blob; nil on any mismatch (best-effort transfer).
-func warmTaskTheta(blob []byte) []float64 {
-	var snap sgpTaskSnapshot
-	if err := json.Unmarshal(blob, &snap); err != nil {
-		return nil
-	}
-	return snap.Theta
 }

@@ -169,8 +169,9 @@ func TestSGPSnapshotSurvivesAppend(t *testing.T) {
 	}
 }
 
-// TestSGPWarmStart: sgp warm starts ride the multiSnapshot container like
-// gp-indep's, seeding the subset fit's first optimizer start.
+// TestSGPWarmStart: an sgp model — live, or restored from its snapshot —
+// seeds the next subset fit's first optimizer start with its per-task
+// hyperparameters.
 func TestSGPWarmStart(t *testing.T) {
 	data := testDataset(27, 2, 15)
 	f, _ := New(KindSGP)
@@ -187,12 +188,17 @@ func TestSGPWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	restored, err := f.UnmarshalBinary(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
 	warmOpts := short
-	warmOpts.WarmStart = blob
+	warmOpts.WarmStart = prev
 	warm, err := f.Fit(data, warmOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	warmOpts.WarmStart = restored
 	warm2, err := f.Fit(data, warmOpts)
 	if err != nil {
 		t.Fatal(err)
@@ -202,20 +208,25 @@ func TestSGPWarmStart(t *testing.T) {
 	muW, _ := warm.PredictInto(warm.NewWorkspace(), 0, x)
 	muW2, _ := warm2.PredictInto(warm2.NewWorkspace(), 0, x)
 	if math.Float64bits(muW) != math.Float64bits(muW2) {
-		t.Fatal("warm-started sgp fit not deterministic")
+		t.Fatal("sgp fit warm-started from the restored model differs from the live model's")
 	}
 	if math.Float64bits(muW) == math.Float64bits(muC) {
 		t.Fatal("sgp warm start had no effect")
 	}
+	lcmF, _ := New(KindLCM)
+	other, err := lcmF.Fit(data, short)
+	if err != nil {
+		t.Fatal(err)
+	}
 	badOpts := short
-	badOpts.WarmStart = []byte("not a snapshot")
+	badOpts.WarmStart = other
 	fallback, err := f.Fit(data, badOpts)
 	if err != nil {
-		t.Fatalf("corrupt warm start failed the fit: %v", err)
+		t.Fatalf("cross-kind warm start failed the fit: %v", err)
 	}
 	muF, _ := fallback.PredictInto(fallback.NewWorkspace(), 0, x)
 	if math.Float64bits(muF) != math.Float64bits(muC) {
-		t.Fatal("corrupt sgp warm start did not degrade to cold fit")
+		t.Fatal("cross-kind sgp warm start did not degrade to cold fit")
 	}
 }
 

@@ -95,13 +95,13 @@ type FitOptions struct {
 	Seed      int64 // RNG seed; same seed + same data → bitwise same model
 	Inducing  int   // inducing points per task (sgp only); default 128
 
-	// WarmStart, when non-empty, is a snapshot previously produced by this
-	// backend's MarshalBinary (typically from an earlier tuning session via
-	// the history database). GP backends seed their first optimizer start at
-	// the snapshot's hyperparameters; forests ignore it. A stale, corrupt,
-	// or shape-incompatible snapshot silently degrades to a cold start —
-	// transfer is best-effort and must never fail a fit.
-	WarmStart []byte
+	// WarmStart, when non-nil, is a model this backend produced earlier: the
+	// previous refit's, or one its UnmarshalBinary restored from an earlier
+	// tuning session's snapshot. GP backends seed their first optimizer
+	// start at its hyperparameters; forests ignore it. Another backend's
+	// model, or one of a shape the current fit cannot use, silently degrades
+	// to a cold start — transfer is best-effort and must never fail a fit.
+	WarmStart Model
 }
 
 // Fitter fits and restores models of one backend kind.

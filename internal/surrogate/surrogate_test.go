@@ -203,11 +203,17 @@ func TestGPIndepMatchesLCMSingleTask(t *testing.T) {
 	}
 }
 
-// TestWarmStartRoundTrip: a snapshot saved by one fit changes (and
-// determinizes) the next fit's optimizer trajectory for the GP backends, and
-// corrupt or cross-kind snapshots degrade to a cold start instead of failing.
+// TestWarmStartRoundTrip: a model warm-starts the next fit — changing (and
+// determinizing) its optimizer trajectory for the GP backends — the same
+// whether it is handed over live or restored from its snapshot, and another
+// backend's model degrades to a cold start instead of failing.
 func TestWarmStartRoundTrip(t *testing.T) {
 	data := testDataset(11, 2, 10)
+	rfF, _ := New(KindRF)
+	forest, err := rfF.Fit(data, FitOptions{Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, kind := range []string{KindLCM, KindGPIndep} {
 		f, _ := New(kind)
 		prev, err := f.Fit(data, FitOptions{NumStarts: 2, MaxIter: 40, Seed: 1})
@@ -218,6 +224,10 @@ func TestWarmStartRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		restored, err := f.UnmarshalBinary(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
 
 		short := FitOptions{NumStarts: 1, MaxIter: 2, Seed: 13}
 		cold, err := f.Fit(data, short)
@@ -225,11 +235,12 @@ func TestWarmStartRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		warmOpts := short
-		warmOpts.WarmStart = blob
+		warmOpts.WarmStart = prev
 		warm, err := f.Fit(data, warmOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
+		warmOpts.WarmStart = restored
 		warm2, err := f.Fit(data, warmOpts)
 		if err != nil {
 			t.Fatal(err)
@@ -241,34 +252,29 @@ func TestWarmStartRoundTrip(t *testing.T) {
 		muW, _ := warm.PredictInto(wsW, 0, x)
 		muW2, _ := warm2.PredictInto(wsW2, 0, x)
 		if math.Float64bits(muW) != math.Float64bits(muW2) {
-			t.Fatalf("%s: warm-started fit not deterministic", kind)
+			t.Fatalf("%s: fit warm-started from the restored model differs from the live model's", kind)
 		}
 		if math.Float64bits(muW) == math.Float64bits(muC) {
 			t.Fatalf("%s: warm start had no effect (mu %v)", kind, muC)
 		}
 
-		// Corrupt snapshot → cold start reproduced bitwise.
+		// Another backend's model → cold start reproduced bitwise.
 		badOpts := short
-		badOpts.WarmStart = []byte("not a snapshot")
+		badOpts.WarmStart = forest
 		fallback, err := f.Fit(data, badOpts)
 		if err != nil {
-			t.Fatalf("%s: corrupt warm start failed the fit: %v", kind, err)
+			t.Fatalf("%s: cross-kind warm start failed the fit: %v", kind, err)
 		}
 		wsF := fallback.NewWorkspace()
 		muF, _ := fallback.PredictInto(wsF, 0, x)
 		if math.Float64bits(muF) != math.Float64bits(muC) {
-			t.Fatalf("%s: corrupt warm start did not degrade to cold fit", kind)
+			t.Fatalf("%s: cross-kind warm start did not degrade to cold fit", kind)
 		}
 	}
 
 	// Forests ignore warm starts entirely.
-	rfF, _ := New(KindRF)
-	m1, err := rfF.Fit(data, FitOptions{Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, _ := m1.MarshalBinary()
-	m2, err := rfF.Fit(data, FitOptions{Seed: 2, WarmStart: blob})
+	m1 := forest
+	m2, err := rfF.Fit(data, FitOptions{Seed: 2, WarmStart: forest})
 	if err != nil {
 		t.Fatal(err)
 	}
