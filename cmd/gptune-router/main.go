@@ -53,8 +53,9 @@ func main() {
 	hs := &http.Server{
 		Addr:    *addr,
 		Handler: rt.Handler(),
-		// No write timeout: sync suggests legitimately block through a
-		// replica's modeling phase, same policy as gptuned itself.
+		// No write timeout: a suggest legitimately waits on its replica
+		// through a modeling phase and other evaluators' reports, same
+		// policy as gptuned itself.
 		ReadHeaderTimeout: 10 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}

@@ -62,10 +62,11 @@ func main() {
 	hs := &http.Server{
 		Addr:    *addr,
 		Handler: srv.Handler(),
-		// On a synchronous study, suggest can legitimately block while a
-		// batch's modeling phase runs (async studies answer 409 +
-		// Retry-After instead), so there is no write timeout; slow-client
-		// abuse is bounded at the header and idle layers instead.
+		// A suggest legitimately holds its request open — through a batch's
+		// modeling phase and the other evaluators' reports, up to the
+		// server's own bound on that wait — so there is no write timeout;
+		// slow-client abuse is bounded at the header and idle layers
+		// instead.
 		ReadHeaderTimeout: 10 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
@@ -77,7 +78,8 @@ func main() {
 		defer close(drained)
 		<-ctx.Done()
 		// Flip /healthz to 503 before draining so a router stops routing
-		// work here while the existing handlers finish.
+		// work here while the existing handlers finish; parked suggests are
+		// released with a 503, so the drain waits on none of them.
 		srv.BeginDrain()
 		dctx, cancel := context.WithTimeout(context.Background(), *drainFor)
 		defer cancel()

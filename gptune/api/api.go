@@ -57,11 +57,9 @@ type OptionsSpec struct {
 	// Inducing bounds the "sgp" backend's per-task inducing set (0 = the
 	// backend default).
 	Inducing int `json:"inducing,omitempty"`
-	// Async serves suggestions off the modeling path: batch generation runs
-	// in the background and a suggest that arrives while the next batch is
-	// being fitted gets an immediate 409 + Retry-After instead of blocking
-	// out the fit. The tuning history is bitwise identical to a synchronous
-	// study's.
+	// Async is accepted and has no effect: it once selected a polling
+	// protocol for suggest, and specs persisted beside WALs still carry it.
+	// Every suggest now waits on the engine (see StatusConflict).
 	Async bool `json:"async,omitempty"`
 }
 
@@ -117,9 +115,8 @@ type Status struct {
 	Surrogate    string `json:"surrogate"` // model backend the engine resolved
 	Phase        string `json:"phase"`     // engine phase: "init", "search", "mo" or "done"
 	Tasks        int    `json:"tasks"`
-	Observations int    `json:"observations"`    // committed evaluations across tasks
-	Logged       int    `json:"logged"`          // records in the WAL
-	Async        bool   `json:"async,omitempty"` // background batch generation (spec options.async)
+	Observations int    `json:"observations"` // committed evaluations across tasks
+	Logged       int    `json:"logged"`       // records in the WAL
 	Done         bool   `json:"done"`
 	Error        string `json:"error,omitempty"` // fatal engine error, if any
 }
@@ -227,7 +224,6 @@ type Imported struct {
 // enough for a router to decide whether evicting the replica strands work.
 type HealthStudy struct {
 	Phase string `json:"phase"`
-	Async bool   `json:"async,omitempty"`
 	Done  bool   `json:"done,omitempty"`
 }
 

@@ -20,7 +20,11 @@ func TestRetryAfterRoundTrip(t *testing.T) {
 			t.Errorf("%v round-trips to %v (ok=%v), want %v", d, got, ok, want)
 		}
 	}
-	for _, h := range []string{"", "-1", "1.5", "soon", "Wed, 21 Oct 2026 07:28:00 GMT"} {
+	// The most seconds a Duration holds parses; one more would wrap negative.
+	if d, ok := ParseRetryAfter("9223372036"); !ok || d != 9223372036*time.Second {
+		t.Errorf("ParseRetryAfter(9223372036) = %v (ok=%v)", d, ok)
+	}
+	for _, h := range []string{"", "-1", "1.5", "soon", "Wed, 21 Oct 2026 07:28:00 GMT", "9223372037", "99999999999", "99999999999999999999"} {
 		if d, ok := ParseRetryAfter(h); ok {
 			t.Errorf("ParseRetryAfter(%q) = %v, want absent", h, d)
 		}

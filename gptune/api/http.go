@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -63,11 +64,12 @@ const (
 // request the sender must fix, 404 an unknown study or suggestion ID, 500
 // and 502 faults behind the server or router; none of those is retried.
 const (
-	// StatusConflict on suggest means nothing can be handed out right now —
-	// every outstanding configuration is held by another client, or an async
-	// study's next batch is still being generated — and Retry-After says
-	// when to ask again. On create/import it means the study exists;
-	// retrying cannot help.
+	// StatusConflict on suggest means the server's bound on one request's
+	// wait passed with nothing to hand out: a suggest waits on the replica
+	// through batch generation and through the other evaluators' reports the
+	// batch needs, and is answered the moment there is a configuration for
+	// it. Retry-After is 0 — ask again and the wait resumes. On create/import
+	// it means the study exists; retrying cannot help.
 	StatusConflict = http.StatusConflict
 	// StatusDraining: the replica is shutting down, or the router has no
 	// healthy replica (or just lost the one it tried). Retry after backoff.
@@ -106,10 +108,11 @@ func FormatRetryAfter(d time.Duration) string {
 }
 
 // ParseRetryAfter decodes a Retry-After value; ok is false when the header
-// is absent or not a non-negative whole number of seconds.
+// is absent, not a non-negative whole number of seconds, or more seconds
+// than a time.Duration holds.
 func ParseRetryAfter(h string) (d time.Duration, ok bool) {
-	secs, err := strconv.Atoi(h)
-	if err != nil || secs < 0 {
+	secs, err := strconv.ParseInt(h, 10, 64)
+	if err != nil || secs < 0 || secs > int64(math.MaxInt64/time.Second) {
 		return 0, false
 	}
 	return time.Duration(secs) * time.Second, true

@@ -74,8 +74,9 @@ type Config struct {
 	// by every call, so connections are pooled and reused.
 	HTTPClient *http.Client
 	// Timeout bounds each HTTP attempt (not the whole retry loop).
-	// Default 30s — sync suggests legitimately block through a modeling
-	// phase.
+	// Default 30s — a suggest waits on the server through a modeling phase
+	// and through the other evaluators' reports its batch needs, up to the
+	// server's own 10 s bound on that wait; keep Timeout above it.
 	Timeout time.Duration
 	// MaxRetries bounds retries after the first attempt. Default 4.
 	MaxRetries int
@@ -139,8 +140,9 @@ func (c *Client) Create(ctx context.Context, spec StudySpec) error {
 
 // Suggest asks the study's replica for the next configuration of task
 // (task = -1 means any). Semantics mirror core.Engine.Suggest: ErrDone when
-// the budget is exhausted, ErrNonePending when — after the retry budget,
-// honoring the server's Retry-After hints — no configuration is available.
+// the budget is exhausted, ErrNonePending when no configuration became
+// available — the server holds each attempt until one does or its bound on
+// the wait passes, so this is the retry budget times that bound.
 func (c *Client) Suggest(ctx context.Context, study string, task int) (Suggestion, error) {
 	var resp api.SuggestResponse
 	err := c.call(ctx, http.MethodPost, c.Owner(study), api.StudyPath(study, api.VerbSuggest),
@@ -246,9 +248,10 @@ func (c *Client) Studies(ctx context.Context) ([]string, error) {
 
 // call runs one API call with the retry policy: transport errors and 503s
 // (a draining or restarting replica) always retry; 409 retries only when
-// retry409 is set (suggest's none-pending, where the server's Retry-After
-// hint schedules the next attempt — on create/import a 409 is a duplicate
-// study and retrying cannot help). Each attempt gets its own Timeout.
+// retry409 is set (suggest's none-pending: the server waited as long as it
+// allows one request to and asking again resumes the wait — on create/import
+// a 409 is a duplicate study and retrying cannot help). Each attempt gets its
+// own Timeout.
 // Exhausting the budget on a 409 returns ErrNonePending; on a 503 or
 // transport error, the last underlying error.
 func (c *Client) call(ctx context.Context, method, replica, path string, in, out any, retry409 bool) error {
@@ -330,18 +333,20 @@ func (c *Client) attempt(ctx context.Context, method, replica, path string, in, 
 	return resp.StatusCode, "", "", nil
 }
 
-// sleep blocks for the attempt's backoff: the server's Retry-After hint in
-// seconds when present (a "0" means retry immediately), else exponential
-// from BaseBackoff capped at MaxBackoff; either way jittered over [½d, d)
-// so a fleet of clients released by the same batch install doesn't
-// stampede. Returns early with the context's error if it is canceled.
-func (c *Client) sleep(ctx context.Context, attempt int, retryAfter string) error {
+// backoff is the delay before the retry that follows attempt: the
+// Retry-After hint in seconds when present (a "0" means retry immediately),
+// else exponential from BaseBackoff; either way capped at MaxBackoff — a
+// header is outside input, and nothing between client and replica gets to
+// park the caller for a day — and jittered over [½d, d) so a fleet of clients
+// released together doesn't stampede.
+func (c *Client) backoff(attempt int, retryAfter string) time.Duration {
 	var d time.Duration
 	if hint, ok := api.ParseRetryAfter(retryAfter); ok {
-		d = hint
+		d = min(hint, c.cfg.MaxBackoff)
 		if d == 0 {
-			// "Retry immediately" still yields a beat so a 1-CPU server's
-			// background generation can run.
+			// "Retry immediately" still yields a beat, so a suggest the
+			// server cannot hold (a batch blocked by a dead evaluation) does
+			// not spin through the retry budget.
 			d = c.cfg.BaseBackoff / 4
 		}
 	} else {
@@ -353,7 +358,13 @@ func (c *Client) sleep(ctx context.Context, attempt int, retryAfter string) erro
 	c.mu.Lock()
 	jitter := c.rng.Float64()
 	c.mu.Unlock()
-	d = d/2 + time.Duration(jitter*float64(d/2))
+	return d/2 + time.Duration(jitter*float64(d/2))
+}
+
+// sleep blocks for the attempt's backoff, returning early with the context's
+// error if it is canceled.
+func (c *Client) sleep(ctx context.Context, attempt int, retryAfter string) error {
+	d := c.backoff(attempt, retryAfter)
 	if d <= 0 {
 		return ctx.Err()
 	}

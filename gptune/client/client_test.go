@@ -63,9 +63,9 @@ func (h *countingHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprint(w, `{"suggestion":{"id":7,"task":0,"phase":"search","x":[0.5]}}`)
 }
 
-// TestSuggestRetriesThrough409: two 409-with-Retry-After answers (async
-// generation in flight) must be retried away transparently, like a
-// well-behaved client honoring the hint.
+// TestSuggestRetriesThrough409: two 409-with-Retry-After answers (the
+// server's bound on a suggest's wait passed twice) must be retried away
+// transparently, like a well-behaved client honoring the hint.
 func TestSuggestRetriesThrough409(t *testing.T) {
 	h := &countingHandler{statuses: []int{http.StatusConflict, http.StatusConflict}}
 	srv := httptest.NewServer(h)
@@ -83,6 +83,42 @@ func TestSuggestRetriesThrough409(t *testing.T) {
 	}
 	if h.requests != 3 {
 		t.Fatalf("made %d requests, want 3", h.requests)
+	}
+}
+
+// TestBackoffBoundsTheHint: Retry-After is outside input. Whatever it says —
+// a day, a number that overflows a Duration into the negative — the delay
+// stays within (0, MaxBackoff], so a caller is neither parked for hours nor
+// spun through its retry budget without sleeping.
+func TestBackoffBoundsTheHint(t *testing.T) {
+	cfg := testCfg("http://replica")
+	cfg.BaseBackoff, cfg.MaxBackoff = 8*time.Millisecond, 50*time.Millisecond
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		header  string
+		attempt int
+		d       time.Duration // un-jittered delay: the draw lies in [d/2, d)
+	}{
+		{"", 0, 8 * time.Millisecond},
+		{"", 2, 32 * time.Millisecond},
+		{"", 9, 50 * time.Millisecond},
+		{"0", 0, 2 * time.Millisecond},
+		{"1", 0, 50 * time.Millisecond},
+		{"86400", 0, 50 * time.Millisecond},
+		{"9223372036", 0, 50 * time.Millisecond},  // the most seconds a Duration holds
+		{"99999999999", 1, 16 * time.Millisecond}, // would overflow negative: not a hint
+		{"-5", 1, 16 * time.Millisecond},
+		{"soon", 1, 16 * time.Millisecond},
+	} {
+		for draw := 0; draw < 20; draw++ {
+			if got := c.backoff(tc.attempt, tc.header); got < tc.d/2 || got >= tc.d {
+				t.Errorf("backoff(attempt %d, Retry-After %q) = %v, want within [%v, %v)", tc.attempt, tc.header, got, tc.d/2, tc.d)
+				break
+			}
+		}
 	}
 }
 

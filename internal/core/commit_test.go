@@ -143,8 +143,8 @@ func (f countingFitter) Fit(data *surrogate.Dataset, opts surrogate.FitOptions) 
 	return f.Fitter.Fit(data, opts)
 }
 
-// TestSyncSuggestersShareOneGeneration pins the one generation path in
-// synchronous mode: the first Suggest that finds the batch exhausted starts
+// TestSyncSuggestersShareOneGeneration pins the one generation path: the
+// first Suggest that finds the batch exhausted starts
 // the background generator, every concurrent Suggest parks behind it, and
 // all of them wake on the one batch it installs — distinct suggestions, a
 // single fit, and nothing left running for Quiesce to wait on.
@@ -166,7 +166,7 @@ func TestSyncSuggestersShareOneGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Commit the init batch. Sync is lazy: the last Observe starts nothing.
+	// Commit the init batch. Generation is lazy: the last Observe starts nothing.
 	for i := 0; i < len(tasks)*2; i++ {
 		sg, err := eng.Suggest(-1)
 		if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -18,16 +19,18 @@ import (
 var ErrDone = errors.New("core: tuning budget exhausted")
 
 // ErrNonePending reports that the engine cannot hand out a suggestion right
-// now: the current batch's remaining configurations are all outstanding with
-// other callers (or, in async mode, the next batch is still being generated
-// in the background). Callers should report pending observations or retry
-// shortly — the serve layer surfaces this as a 409 with a Retry-After hint.
+// now: the current batch has nothing unobserved for the asker, and what it is
+// waiting for is other callers' reports. Suggest returns it at once;
+// SuggestContext parks instead and returns it only when its context ends
+// first (or a dead job means the wait can never end). Callers should report
+// pending observations or ask again.
 var ErrNonePending = errors.New("core: no suggestion pending until outstanding observations are reported")
 
 // ErrUnknownSuggestion reports an Observe/Fail against an ID the engine has
-// no pending suggestion for: never issued, already observed, failed
-// terminally, or already committed. The serve layer matches it with
-// errors.Is to return 404 instead of string-matching error text.
+// no pending suggestion for: never issued, failed terminally, or — for Fail
+// only; Observe acknowledges a repeated report — already observed. The serve
+// layer matches it with errors.Is to return 404 instead of string-matching
+// error text.
 var ErrUnknownSuggestion = errors.New("core: engine: no pending suggestion")
 
 // ErrBadObservation reports structurally invalid reported outputs (wrong
@@ -95,16 +98,17 @@ func (j *engJob) suggestion() Suggestion {
 // previous batch has fully committed: at that point no job is pending, so
 // no concurrent call can touch the history or generation state it reads.
 //
-// Every generation runs on the engine's one background goroutine. In the
-// default synchronous mode the Suggest/SuggestAll call that finds the batch
-// exhausted starts it and waits on a condition variable with every other
-// asker until the new batch installs — the classic blocking semantics the
-// batch Run driver depends on. With Options.Async nobody waits: the
-// generation starts the moment the batch commits, and Suggest returns
-// ErrNonePending while it is in flight.
+// Every generation runs on the engine's one background goroutine, started
+// lazily by an asker: the Suggest/SuggestAll/SuggestContext call that finds
+// the batch fully committed starts it and waits on a condition variable with
+// every other asker until the new batch installs. Nothing else starts one, so
+// a study nobody asks again never pays for a fit. A SuggestContext caller
+// parks on the same condition variable through other callers' evaluations
+// too; the one woken by the report that completes the batch is the asker
+// that starts the next generation.
 type Engine struct {
 	mu  sync.Mutex
-	gen *sync.Cond // broadcast after a generation installs (or fails)
+	gen *sync.Cond // broadcast when an asker's answer may have changed: a generation installed or failed, a report, a job going dead, a parked asker's context ending
 
 	st    *state
 	start time.Time
@@ -117,13 +121,9 @@ type Engine struct {
 	initGenerated bool
 	priorsMerged  bool
 	generating    bool           // one generation runs off-mutex at a time
-	async         bool           // Options.Async: Suggest never waits on a generation
 	genWG         sync.WaitGroup // joins the background generator (Quiesce)
 	phase         string         // tuning phase of the current batch: "init", "search", "mo"
 	fatal         error
-
-	genEWMA    time.Duration // smoothed batch-generation latency (α=1/4)
-	genSamples int           // generations folded into genEWMA
 }
 
 // NewEngine builds an ask/tell engine over the problem and native task
@@ -173,7 +173,7 @@ func NewEngine(p *Problem, tasks [][]float64, options Options) (*Engine, error) 
 	if p.Model != nil {
 		st.coeffs = append([]float64(nil), p.Model.Coeffs...)
 	}
-	e := &Engine{st: st, start: st.opts.now(), byID: make(map[int64]*engJob), phase: "init", async: options.Async}
+	e := &Engine{st: st, start: st.opts.now(), byID: make(map[int64]*engJob), phase: "init"}
 	e.gen = sync.NewCond(&e.mu)
 	return e, nil
 }
@@ -203,38 +203,52 @@ func (e *Engine) doneLocked() bool {
 }
 
 // Suggest returns the next configuration to evaluate for the given task
-// (task = -1 means any task). When every fresh configuration of the current
-// batch is already handed out, the outstanding one is returned again — a
-// crashed caller can re-ask — and ErrNonePending is returned when no
-// unobserved configuration for the task exists at all (in async mode, also
-// while the next batch is still generating in the background). ErrDone
-// signals the budget is exhausted.
+// (task = -1 means any task), waiting out a generation in flight but never
+// another caller's evaluation, so a single-threaded ask/tell loop cannot
+// deadlock on its own unreported job. When every fresh configuration of the
+// current batch is already handed out, the outstanding one is returned again
+// — a crashed caller can re-ask — and ErrNonePending is returned when no
+// unobserved configuration for the task exists at all. ErrDone signals the
+// budget is exhausted.
 func (e *Engine) Suggest(task int) (Suggestion, error) {
-	if task < -1 || task >= len(e.st.tasks) {
-		return Suggestion{}, fmt.Errorf("core: engine: task %d out of range (have %d tasks)", task, len(e.st.tasks))
+	if err := e.checkTask(task); err != nil {
+		return Suggestion{}, err
 	}
-	e.awaitBatch(!e.async)
+	e.await(e.settled)
 	defer e.mu.Unlock()
-	if e.fatal != nil {
-		return Suggestion{}, e.fatal
+	return e.handOut(task)
+}
+
+// SuggestContext is Suggest for a caller that would only ask again: where
+// Suggest returns ErrNonePending it parks — through a generation and through
+// the other callers' evaluations the batch is waiting for — until the batch
+// has a configuration for the task, the budget is done, the engine is fatal,
+// or ctx ends, which alone still returns ErrNonePending (a batch blocked by a
+// dead job returns it at once: no report can end that wait). A generation
+// this call started keeps running after ctx ends; the next ask finds its
+// batch.
+func (e *Engine) SuggestContext(ctx context.Context, task int) (Suggestion, error) {
+	if err := e.checkTask(task); err != nil {
+		return Suggestion{}, err
 	}
-	if e.doneLocked() {
-		return Suggestion{}, ErrDone
+	// Under the mutex, so the wake cannot fall between the asker's check of
+	// ctx and its Wait.
+	stop := context.AfterFunc(ctx, func() {
+		e.mu.Lock()
+		e.gen.Broadcast()
+		e.mu.Unlock()
+	})
+	defer stop()
+	e.await(func() bool { return ctx.Err() != nil || e.settled() && e.answerable(task) })
+	defer e.mu.Unlock()
+	return e.handOut(task)
+}
+
+func (e *Engine) checkTask(task int) error {
+	if task < -1 || task >= len(e.st.tasks) {
+		return fmt.Errorf("core: engine: task %d out of range (have %d tasks)", task, len(e.st.tasks))
 	}
-	for _, j := range e.batch[e.nextCommit:] {
-		if j.observed || j.dead || j.issued || (task >= 0 && j.task != task) {
-			continue
-		}
-		j.issued = true
-		return j.suggestion(), nil
-	}
-	for _, j := range e.batch[e.nextCommit:] {
-		if j.observed || j.dead || !j.issued || (task >= 0 && j.task != task) {
-			continue
-		}
-		return j.suggestion(), nil
-	}
-	return Suggestion{}, ErrNonePending
+	return nil
 }
 
 // SuggestAll hands out every not-yet-issued configuration of the current
@@ -242,7 +256,7 @@ func (e *Engine) Suggest(task int) (Suggestion, error) {
 // fully committed). An empty slice with a nil error means the budget is
 // exhausted. This is the batch driver's path: one call per MLA iteration.
 func (e *Engine) SuggestAll() ([]Suggestion, error) {
-	e.awaitBatch(!e.async)
+	e.await(e.settled)
 	defer e.mu.Unlock()
 	if e.fatal != nil {
 		return nil, e.fatal
@@ -258,55 +272,98 @@ func (e *Engine) SuggestAll() ([]Suggestion, error) {
 	return out, nil
 }
 
-// awaitBatch brings the engine to a decided state and returns with e.mu
-// HELD: the current batch has uncommitted work, the budget is exhausted,
-// the engine is fatal, or — only when the caller does not wait, as async
-// asks do not — a generation is in flight (the caller sees an exhausted
-// batch and reports ErrNonePending). A waiting caller starts the generation
-// the exhausted batch needs and parks on the condition variable, which
-// releases the mutex, until it installs.
-func (e *Engine) awaitBatch(wait bool) {
+// await is the engine's one wait loop. It returns with e.mu HELD as soon as
+// until, evaluated under the mutex, holds. Every turn first starts the
+// generation a fully committed batch needs, so whichever asker is woken by
+// the report that completes a batch is the one that starts the next; the
+// wait is on the condition variable, which releases the mutex.
+func (e *Engine) await(until func() bool) {
 	e.mu.Lock()
 	for {
 		e.startGeneration()
-		if !e.generating || !wait {
+		if until() {
 			return
 		}
 		e.gen.Wait()
 	}
 }
 
-// CatchUp runs the generations a resumed engine still owes its checkpoint —
-// awaitBatch, waiting even in async mode — so on return the history holds
-// every logged evaluation the run reproduces. It hands nothing out; the
-// batch it stops at is the one the next Suggest would have generated. Call
-// it only while Checkpointer.Replaying: an engine that is not behind must
-// not start or wait on a generation because it was read.
+// settled reports that no generation is in flight: the batch has uncommitted
+// work, the budget is exhausted, or the engine is fatal. Called with e.mu
+// held.
+func (e *Engine) settled() bool { return !e.generating }
+
+// answerable reports whether a settled engine has an answer other than "ask
+// again later" for an asker of task. Called with e.mu held.
+func (e *Engine) answerable(task int) bool {
+	if e.fatal != nil || e.doneLocked() || e.pick(task) != nil {
+		return true
+	}
+	for _, j := range e.batch[e.nextCommit:] {
+		if j.dead {
+			return true
+		}
+	}
+	return false
+}
+
+// pick returns the job an ask for task is handed: the first not yet issued,
+// else the first issued and still unobserved, else nil. Called with e.mu
+// held.
+func (e *Engine) pick(task int) *engJob {
+	var again *engJob
+	for _, j := range e.batch[e.nextCommit:] {
+		if j.observed || j.dead || (task >= 0 && j.task != task) {
+			continue
+		}
+		if !j.issued {
+			return j
+		}
+		if again == nil {
+			again = j
+		}
+	}
+	return again
+}
+
+// handOut answers an ask for task from the engine's current state. Called
+// with e.mu held.
+func (e *Engine) handOut(task int) (Suggestion, error) {
+	if e.fatal != nil {
+		return Suggestion{}, e.fatal
+	}
+	if e.doneLocked() {
+		return Suggestion{}, ErrDone
+	}
+	j := e.pick(task)
+	if j == nil {
+		return Suggestion{}, ErrNonePending
+	}
+	j.issued = true
+	return j.suggestion(), nil
+}
+
+// CatchUp runs the generations a resumed engine still owes its checkpoint,
+// so on return the history holds every logged evaluation the run reproduces.
+// It hands nothing out; the batch it stops at is the one the next Suggest
+// would have generated. Call it only while Checkpointer.Replaying: an engine
+// that is not behind must not start or wait on a generation because it was
+// read.
 func (e *Engine) CatchUp() {
-	e.awaitBatch(true)
+	e.await(e.settled)
 	e.mu.Unlock()
 }
 
 // startGeneration hands the next batch's generation to the engine's
 // background goroutine; a no-op while one is in flight, when the engine is
 // fatal or done, or while the current batch has uncommitted work. Called
-// with e.mu held.
+// with e.mu held, from await only.
 func (e *Engine) startGeneration() {
 	if e.generating || e.fatal != nil || e.nextCommit < len(e.batch) || e.doneLocked() {
 		return
 	}
 	e.generating = true
 	mpx.Go(&e.genWG, e.runGeneration)
-}
-
-// GenLatency returns an exponentially-weighted moving average of the
-// engine's observed batch-generation latency (modeling + search for one
-// batch), and zero before the first generation completes. The tuning
-// service derives its 409 Retry-After hint from this instead of a constant.
-func (e *Engine) GenLatency() time.Duration {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.genEWMA
 }
 
 // Quiesce blocks until no generation is in flight. Callers must stop feeding
@@ -338,20 +395,8 @@ func (e *Engine) runGeneration() {
 		}
 		isInit := !e.initGenerated
 		e.mu.Unlock()
-		t0 := e.st.opts.now()
 		jobs, phase, delta, err := e.generate(isInit)
-		dur := e.st.opts.now().Sub(t0)
 		e.mu.Lock()
-		// EWMA with α=1/4: heavy enough to track a study crossing a refit
-		// boundary (RefitEvery) within a few batches, smooth enough that one
-		// cold exact refit does not whipsaw the serving layer's Retry-After
-		// hint.
-		if e.genSamples == 0 {
-			e.genEWMA = dur
-		} else {
-			e.genEWMA = (e.genEWMA*3 + dur) / 4
-		}
-		e.genSamples++
 		e.st.stats.Add(delta)
 		if err != nil {
 			e.fatal = err
@@ -398,7 +443,7 @@ func (e *Engine) generate(isInit bool) (jobs []*engJob, phase string, delta Phas
 }
 
 // install registers a freshly generated batch under the engine mutex — the
-// atomic swap the async mode's determinism rests on: sequential IDs, the
+// atomic swap concurrent askers' determinism rests on: sequential IDs, the
 // engine phase, checkpoint autofill, and the prefix commit all land in one
 // critical section, so concurrent callers observe either the old exhausted
 // batch or the complete new one. Sets e.fatal on checkpoint failure.
@@ -433,6 +478,10 @@ func (e *Engine) install(jobs []*engJob, phase string) error {
 // Options.Checkpoint. A checkpoint failure is fatal to the engine. Observe
 // never waits on a generation: it blocks only on the batch-bookkeeping
 // mutex.
+//
+// Reporting an ID again is acknowledged and changes nothing — a caller whose
+// first acknowledgement was lost must be able to retry — so the outputs kept
+// for an ID are the first ones reported.
 func (e *Engine) Observe(id int64, y []float64) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -440,7 +489,12 @@ func (e *Engine) Observe(id int64, y []float64) error {
 		return e.fatal
 	}
 	j, ok := e.byID[id]
-	if !ok || !j.issued || j.observed || j.dead {
+	// IDs are sequential and leave byID at commit, so one below nextID that
+	// is gone was observed and committed.
+	if ok && j.issued && j.observed || !ok && id >= 0 && id < e.nextID {
+		return nil
+	}
+	if !ok || !j.issued || j.dead {
 		return fmt.Errorf("%w %d", ErrUnknownSuggestion, id)
 	}
 	if err := e.st.p.checkOutputs(y); err != nil {
@@ -449,17 +503,11 @@ func (e *Engine) Observe(id int64, y []float64) error {
 	j.y = append([]float64(nil), y...)
 	j.observed = true
 	e.st.evals.Add(1)
-	if err := e.commitReady(); err != nil { //gptlint:ignore lock-held-across-blocking prefix commits stream to the WAL inside the critical section so replay order always matches commit order
-		return err
-	}
-	// The observation that completes a batch is what unblocks the next
-	// generation. Async starts fitting it now, so the batch is ready — or
-	// well under way — before the next Suggest; sync stays lazy, so a study
-	// nobody asks again never pays for a fit.
-	if e.async {
-		e.startGeneration()
-	}
-	return nil
+	err := e.commitReady() //gptlint:ignore lock-held-across-blocking prefix commits stream to the WAL inside the critical section so replay order always matches commit order
+	// A parked asker woken here starts the next generation if this report
+	// completed the batch, and sees the fatal error if the commit failed.
+	e.gen.Broadcast()
+	return err
 }
 
 // Fail reports that evaluating a suggestion errored. The engine substitutes
@@ -486,6 +534,7 @@ func (e *Engine) Fail(id int64, cause error) (Suggestion, error) {
 	j.attempts++
 	if j.attempts >= 3 {
 		j.dead = true
+		e.gen.Broadcast() // parked askers stop waiting on a batch that cannot complete
 		return Suggestion{}, fmt.Errorf("%w: %w", ErrTerminalFailure, j.lastErr)
 	}
 	if j.rng == nil {
@@ -494,6 +543,7 @@ func (e *Engine) Fail(id int64, cause error) (Suggestion, error) {
 	pts, serr := sample.FeasibleUniform(e.st.p.Tuning, 1, j.rng)
 	if serr != nil {
 		j.dead = true
+		e.gen.Broadcast()
 		return Suggestion{}, serr
 	}
 	j.x = pts[0]

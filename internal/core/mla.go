@@ -40,10 +40,6 @@ func RunContext(ctx context.Context, p *Problem, tasks [][]float64, options Opti
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	// The batch driver is synchronous by construction: each loop turn needs
-	// the next batch before it can evaluate anything, so an async engine
-	// would only add polling.
-	options.Async = false
 	e, err := NewEngine(p, tasks, options)
 	if err != nil {
 		return nil, err

@@ -118,18 +118,6 @@ type Options struct {
 	// Seed makes runs reproducible.
 	Seed int64
 
-	// Async takes batch generation off the request path: Suggest never
-	// waits on the modeling/search phase. Instead, the Observe that commits
-	// a batch's last evaluation starts the engine's background generator,
-	// which fits the surrogate (behind ModelGate) and swaps the new batch in
-	// atomically under the engine mutex; Suggest calls that arrive while a
-	// batch is being prepared return ErrNonePending immediately. The
-	// suggestion sequence, tuning history and WAL bytes are bitwise
-	// identical to the synchronous engine's — only the blocking behavior
-	// changes. Ignored by Run/RunContext, whose batch driver is
-	// synchronous by construction.
-	Async bool
-
 	// ModelGate, when non-nil, bounds how many modeling/search generation
 	// phases run at once across every Engine sharing the gate. The tuning
 	// service hands all studies one gate so concurrent studies cannot

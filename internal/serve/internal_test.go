@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"math"
 	"testing"
-	"time"
 
 	"repro/gptune/api"
 )
@@ -35,29 +34,5 @@ func TestServeSpecRoundTrip(t *testing.T) {
 	}
 	if _, _, _, err := buildSpec(&back); err != nil {
 		t.Fatalf("round-tripped spec no longer builds: %v", err)
-	}
-}
-
-// TestRetryAfterSeconds pins the hint derivation: async studies report the
-// truncated EWMA (including "0" — retry immediately), sync studies round up
-// and never drop below one second.
-func TestRetryAfterSeconds(t *testing.T) {
-	cases := []struct {
-		gen   time.Duration
-		async bool
-		want  string
-	}{
-		{0, false, "1"},
-		{0, true, "0"},
-		{10 * time.Millisecond, true, "0"},
-		{10 * time.Millisecond, false, "1"},
-		{time.Second, false, "1"},
-		{2500 * time.Millisecond, false, "3"},
-		{2500 * time.Millisecond, true, "2"},
-	}
-	for _, tc := range cases {
-		if got := retryAfterSeconds(tc.gen, tc.async); got != tc.want {
-			t.Errorf("retryAfterSeconds(%v, async=%v) = %q, want %q", tc.gen, tc.async, got, tc.want)
-		}
 	}
 }

@@ -96,7 +96,7 @@ func TestImportRejectsBadArchive(t *testing.T) {
 }
 
 // TestHealthDraining: /healthz must flip to 503 the moment draining begins
-// — before any study teardown — and report per-study phase/async state
+// — before any study teardown — and report per-study phase
 // while healthy so a router can make eviction decisions.
 func TestHealthDraining(t *testing.T) {
 	ts := newTestServer(t)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -45,12 +46,23 @@ type Server struct {
 	cfg  Config
 	gate *mpx.Gate
 
-	mu       sync.Mutex
-	studies  map[string]*study
-	pending  map[string]bool // names reserved by an in-flight admit (reserveName)
-	draining bool            // health reports 503; set by BeginDrain and by Close
-	closed   bool
+	// drain ends when BeginDrain or Close is called: health reports 503 and
+	// parked suggests are released with one.
+	drain      context.Context
+	beginDrain context.CancelFunc
+	// suggestWait bounds how long a suggest parks; tests shorten it.
+	suggestWait time.Duration
+
+	mu      sync.Mutex
+	studies map[string]*study
+	pending map[string]bool // names reserved by an in-flight admit (reserveName)
+	closed  bool
 }
+
+// maxSuggestWait is how long a suggest may park on the engine before it is
+// answered 409 and asks again: well under the client's 30 s default attempt
+// timeout, so a healthy wait is never mistaken for a dead replica.
+const maxSuggestWait = 10 * time.Second
 
 type study struct {
 	spec api.StudySpec
@@ -73,7 +85,8 @@ func NewServer(cfg Config) (*Server, error) {
 	if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
 		return nil, err
 	}
-	s := &Server{cfg: cfg, gate: mpx.NewGate(cfg.ModelSlots), studies: make(map[string]*study), pending: make(map[string]bool)}
+	s := &Server{cfg: cfg, gate: mpx.NewGate(cfg.ModelSlots), suggestWait: maxSuggestWait, studies: make(map[string]*study), pending: make(map[string]bool)}
+	s.drain, s.beginDrain = context.WithCancel(context.Background())
 	if err := s.resumeAll(); err != nil {
 		s.Close()
 		return nil, err
@@ -154,13 +167,11 @@ func (s *Server) openStudy(spec api.StudySpec) (*study, error) {
 
 // BeginDrain flips /healthz to 503 without tearing anything down: existing
 // studies keep serving, but a router health-checking the replica stops
-// routing new work to it. Call it before http.Server.Shutdown so the
-// health flip races ahead of the connection drain, not behind it.
-func (s *Server) BeginDrain() {
-	s.mu.Lock()
-	s.draining = true
-	s.mu.Unlock()
-}
+// routing new work to it, and a suggest that would park — now or later — is
+// answered 503 instead, so the connection drain never waits on one. Call it
+// before http.Server.Shutdown so the health flip races ahead of the
+// connection drain, not behind it.
+func (s *Server) BeginDrain() { s.beginDrain() }
 
 // Close flushes and closes every study's WAL. In-flight HTTP handlers should
 // be drained first (http.Server.Shutdown) so no commit races the close.
@@ -177,7 +188,7 @@ func (s *Server) Close() error {
 	// Draining flips first: from here until the process exits, a health
 	// probe must never report this replica routable — study teardown is
 	// about to start.
-	s.draining = true
+	s.beginDrain()
 	s.closed = true
 	open := make([]*study, 0, len(s.studies))
 	for _, st := range s.studies {
@@ -187,9 +198,10 @@ func (s *Server) Close() error {
 	sort.Slice(open, func(i, j int) bool { return open[i].spec.Name < open[j].spec.Name })
 	var first error
 	for _, st := range open {
-		// An async study may have a background batch generation in flight
-		// even with all handlers drained; wait it out before closing the
-		// WAL it streams model snapshots and autofilled commits to.
+		// A suggest released by the drain or by its deadline leaves the
+		// generation it started running with every handler gone; wait it out
+		// before closing the WAL it streams model snapshots and autofilled
+		// commits to.
 		st.eng.Quiesce()
 		if err := st.cp.Close(); err != nil && first == nil {
 			first = err
@@ -262,17 +274,16 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any, limit int64) erro
 // alive.
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
-	draining := s.draining
 	studies := maps.Clone(s.studies)
 	s.mu.Unlock()
 	// Engine queries happen off the server mutex: Phase/Done take the
 	// engine mutex but never block on a generation in flight.
 	h := api.Health{Detail: make(map[string]api.HealthStudy, len(studies)), Status: "ok", Studies: len(studies)}
 	for name, st := range studies {
-		h.Detail[name] = api.HealthStudy{Phase: st.eng.Phase(), Async: st.spec.Options.Async, Done: st.eng.Done()}
+		h.Detail[name] = api.HealthStudy{Phase: st.eng.Phase(), Done: st.eng.Done()}
 	}
 	code := http.StatusOK
-	if draining {
+	if s.drain.Err() != nil {
 		h.Status, code = "draining", api.StatusDraining
 	}
 	api.WriteJSON(w, code, h)
@@ -435,7 +446,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request, st *study)
 		Tasks:        len(res.Tasks),
 		Observations: obs,
 		Logged:       st.cp.Logged(),
-		Async:        st.spec.Options.Async,
 		Done:         st.eng.Done(),
 	}
 	if err := st.eng.Err(); err != nil {
@@ -448,21 +458,11 @@ func wireSuggestion(sg core.Suggestion) *api.Suggestion {
 	return &api.Suggestion{ID: sg.ID, Task: sg.Task, Phase: sg.Phase, X: sg.X}
 }
 
-// retryAfterSeconds derives the Retry-After hint sent with the
-// ErrNonePending 409 from the study's observed batch-generation latency
-// (Engine.GenLatency EWMA). A constant hint is wrong in both directions: one
-// second is ~100× too long for a sub-10ms async refit and starves a cold
-// n=3k exact refit into hammering. Async studies may be told "0" (retry
-// immediately — the background fit is sub-second); sync studies round up and
-// never below 1, because their 409s mean every outstanding configuration is
-// held by another client, which no fast retry fixes.
-func retryAfterSeconds(gen time.Duration, async bool) string {
-	if !async {
-		gen = max(gen+time.Second-1, time.Second)
-	}
-	return api.FormatRetryAfter(gen)
-}
-
+// handleSuggest parks on the engine until it has something to hand out: the
+// configuration, or done. The wait ends early three ways — the client hangs
+// up (nobody reads the answer), the replica drains (503: ask whoever serves
+// the study next), or suggestWait passes with the batch still waiting on
+// other evaluators' reports (409, ask again at once: the wait resumes).
 func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request, st *study) {
 	req := api.SuggestRequest{Task: -1}
 	if err := decodeBody(w, r, &req, s.cfg.MaxBodyBytes); err != nil {
@@ -473,14 +473,20 @@ func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request, st *study
 		api.WriteError(w, http.StatusBadRequest, fmt.Errorf("serve: task %d out of range (study has %d tasks)", req.Task, len(st.spec.Tasks)))
 		return
 	}
-	sg, err := st.eng.Suggest(req.Task)
+	ctx, cancel := context.WithTimeout(r.Context(), s.suggestWait)
+	defer cancel()
+	stop := context.AfterFunc(s.drain, cancel)
+	defer stop()
+	sg, err := st.eng.SuggestContext(ctx, req.Task)
 	switch {
 	case err == nil:
 		api.WriteJSON(w, http.StatusOK, api.SuggestResponse{Suggestion: wireSuggestion(sg)})
 	case errors.Is(err, core.ErrDone):
 		api.WriteJSON(w, http.StatusOK, api.SuggestResponse{Done: true})
+	case errors.Is(err, core.ErrNonePending) && s.drain.Err() != nil:
+		api.WriteError(w, api.StatusDraining, errShuttingDown)
 	case errors.Is(err, core.ErrNonePending):
-		w.Header().Set(api.RetryAfterHeader, retryAfterSeconds(st.eng.GenLatency(), st.spec.Options.Async))
+		w.Header().Set(api.RetryAfterHeader, api.FormatRetryAfter(0))
 		api.WriteError(w, api.StatusConflict, err)
 	default:
 		api.WriteError(w, statusFor(err), err)

@@ -109,9 +109,7 @@ func paper(tasks [][]float64) func(client.Suggestion) []float64 {
 
 // drive runs suggest/evaluate/report cycles through the client until the
 // budget is exhausted (maxCycles < 0) or maxCycles evaluations were
-// reported. ErrNonePending (on an async study the next batch is still
-// generating, and the client's own Retry-After-honoring retries ran out)
-// just asks again. Returns the number of evaluations paid.
+// reported. Returns the number of evaluations paid.
 func drive(t *testing.T, c *client.Client, study string, eval func(client.Suggestion) []float64, maxCycles int) int {
 	t.Helper()
 	paid := 0
@@ -119,9 +117,6 @@ func drive(t *testing.T, c *client.Client, study string, eval func(client.Sugges
 		sg, err := c.Suggest(ctx, study, -1)
 		if errors.Is(err, client.ErrDone) {
 			break
-		}
-		if errors.Is(err, client.ErrNonePending) {
-			continue
 		}
 		if err != nil {
 			t.Fatalf("suggest: %v", err)
@@ -306,8 +301,8 @@ func TestServeInProcessRestartResumes(t *testing.T) {
 // call suggest on it again — so after a restart, and after an import on a
 // second server, status/history/best are read with no suggest in between and
 // must answer exactly what the live study answered. The restarted study's
-// first reads arrive several at once, racing each other into the catch-up;
-// an async study must be waited for just the same.
+// first reads arrive several at once, racing each other into the catch-up; a
+// spec carrying the retired async flag resumes just the same.
 func TestReadsReplayLoggedHistory(t *testing.T) {
 	for _, async := range []bool{false, true} {
 		t.Run(fmt.Sprintf("async=%v", async), func(t *testing.T) {
@@ -783,12 +778,11 @@ func TestSuggestResponseEncoding(t *testing.T) {
 	}
 }
 
-// TestServeAsyncStudyParity drives an async study (options.async) to
-// completion and requires its history to match a synchronous study's
-// bitwise: background generation must change blocking behavior only, never
-// a tuning decision. It also pins the async contract's visible edges: the
-// suggest that triggers a background generation answers 409 with a
-// Retry-After hint instead of blocking out the fit.
+// TestServeAsyncStudyParity: options.async once selected a polling protocol
+// for suggest and is still carried by specs persisted beside WALs and sent by
+// old clients. It is accepted and changes nothing: the study's first ask is
+// answered with a suggestion like any other's, and its history matches
+// bitwise that of the same spec without the flag.
 func TestServeAsyncStudyParity(t *testing.T) {
 	const epsTot, seed = 8, 17
 	ts := newTestServer(t)
@@ -801,15 +795,9 @@ func TestServeAsyncStudyParity(t *testing.T) {
 	async := testSpec("async", epsTot, seed)
 	async.Options.Async = true
 	create(t, c, async)
-	// The very first suggest finds no batch and kicks the background
-	// generator; the engine must answer none-pending immediately rather
-	// than wait for the initial sampling to land.
-	resp := raw(t, "POST", ts.url+api.StudyPath("async", api.VerbSuggest), "", nil)
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("first async suggest: status %d, want 409 while the batch generates", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Errorf("409 carries no Retry-After hint")
+	var first api.SuggestResponse
+	if resp := raw(t, "POST", ts.url+api.StudyPath("async", api.VerbSuggest), "", &first); resp.StatusCode != http.StatusOK || first.Suggestion == nil {
+		t.Fatalf("first suggest: status %d, body %+v; want the suggestion, waited for", resp.StatusCode, first)
 	}
 
 	drive(t, c, "async", paper(testTasks), -1)
@@ -819,8 +807,8 @@ func TestServeAsyncStudyParity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("status: %v", err)
 	}
-	if !status.Async || !status.Done {
-		t.Fatalf("finished async study reports async=%v done=%v", status.Async, status.Done)
+	if !status.Done {
+		t.Fatalf("finished study reports done=%v", status.Done)
 	}
 	for ti := range want {
 		if len(got[ti].X) != len(want[ti].X) {
@@ -835,9 +823,9 @@ func TestServeAsyncStudyParity(t *testing.T) {
 	}
 }
 
-// TestServeAsyncRestartResumes closes a server mid-async-study (Close must
-// quiesce the background generator before closing the WAL) and resumes it
-// in a new server, finishing with the synchronous reference history.
+// TestServeAsyncRestartResumes closes a server mid-study and resumes it in a
+// new server from a persisted spec that carries "async": true, finishing
+// with the reference history of the same spec without the flag.
 func TestServeAsyncRestartResumes(t *testing.T) {
 	const epsTot, seed, killAfter = 8, 23, 9
 	rc := newTestServer(t).c

@@ -128,7 +128,6 @@ func buildSpec(s *api.StudySpec) (*core.Problem, [][]float64, core.Options, erro
 		Surrogate:     o.Surrogate,
 		RefitEvery:    o.RefitEvery,
 		Inducing:      o.Inducing,
-		Async:         o.Async,
 	}
 	return prob, s.Tasks, opts, nil
 }

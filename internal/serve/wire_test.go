@@ -66,7 +66,11 @@ const wireSpec = `{"name":"w","task_params":[{"name":"t","kind":"real","lo":0,"h
 // the protocol moved into gptune/api. Any byte of drift between the server
 // and its recorded contract fails here. One line has been re-recorded since:
 // the status read after the import reports the two logged observations (it
-// said 0), because a read now replays an engine that is behind its log.
+// said 0), because a read now replays an engine that is behind its log. And
+// three when suggest stopped polling: the first ask of study "a" is answered
+// with its suggestion (it was 409 + Retry-After), the 409 left — a wait the
+// server cut short — says Retry-After "0" (it said "1"), and health bodies
+// carry no "async".
 func TestWireGolden(t *testing.T) {
 	fixed := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
 	s, err := serve.NewServer(serve.Config{DataDir: t.TempDir(), Clock: func() time.Time { return fixed }})
@@ -145,9 +149,12 @@ func TestWireGolden(t *testing.T) {
 	l2.do("GET", "/studies/w", "")
 	l2.do("GET", "/studies", "")
 
-	// The sync 409: task 0's share of the batch is fully observed while
-	// task 1's is not, so a task-0 ask has nothing to hand out.
+	// The 409: task 0's share of the batch is fully observed while task 1's
+	// is not, so a task-0 ask waits for reports that never come, as long as
+	// the server lets one request wait.
+	restore := s.SetSuggestWait(10 * time.Millisecond)
 	l.do("POST", "/studies/w/suggest", `{"task":0}`)
+	restore()
 	// Terminal failure: the third consecutive failure of one id.
 	l.do("POST", "/studies/w/suggest", `{"task":1}`)
 	l.do("POST", "/studies/w/report", `{"id":2,"failed":true}`)
@@ -166,8 +173,8 @@ func TestWireGolden(t *testing.T) {
 	l.do("GET", "/studies/d/best", "")
 	l.do("GET", "/studies/d/pareto", "")
 
-	// Async: the first ask starts the background generation and answers
-	// 409 + Retry-After "0" instead of waiting for it.
+	// A spec carrying the retired async flag: the first ask waits for the
+	// initial batch like any other study's.
 	l.do("POST", "/studies", `{"name":"a","tuning":[{"name":"x","kind":"real","lo":0,"hi":1}],"outputs":["y"],"tasks":[[1]],"options":{"eps_tot":2,"seed":3,"workers":1,"async":true}}`)
 	l.do("POST", "/studies/a/suggest", "")
 
