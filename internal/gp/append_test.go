@@ -1,6 +1,7 @@
 package gp
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -77,7 +78,9 @@ func TestAppendObservationsMatchesDirectPosterior(t *testing.T) {
 
 		kstar := make([]float64, n)
 		for r := 0; r < n; r++ {
-			kstar[r] = m.crossCov(x, task, flatX[r], taskOf[r])
+			for q := 0; q < m.Q; q++ {
+				kstar[r] += m.coef(q, task, taskOf[r]) * rbf(x, flatX[r], m.Ls[q])
+			}
 		}
 		mu := la.Dot(kstar, alpha)
 		prior := m.D[task]
@@ -99,6 +102,62 @@ func TestAppendObservationsMatchesDirectPosterior(t *testing.T) {
 		if math.Abs(gotVar-wantVar) > 1e-8*math.Max(1, wantVar) {
 			t.Fatalf("trial %d: variance %v, oracle %v", trial, gotVar, wantVar)
 		}
+	}
+}
+
+// TestAppendedModelReloadsBitwise: the append path builds its panel and
+// corner through kstarInto, the form assembleSigma's refactorization agrees
+// with bit for bit, so while the whole model fits in one Cholesky block —
+// where AppendRows continues the very recurrence the refactorization runs —
+// an appended model and its MarshalBinary → UnmarshalBinary reload predict
+// the same bits.
+func TestAppendedModelReloadsBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	data := appendTestData(rng, 2, 12, 3)
+	m, err := FitLCM(data, FitOptions{Q: 2, NumStarts: 2, MaxIter: 20, Seed: 9})
+	if err != nil {
+		t.Fatalf("FitLCM: %v", err)
+	}
+	const k = 5
+	xs := make([][]float64, k)
+	tasksOf := make([]int, k)
+	ys := make([]float64, k)
+	for j := 0; j < k; j++ {
+		xs[j] = []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+		tasksOf[j] = j % 2
+		ys[j] = math.Sin(3*xs[j][0]) + math.Sin(3*xs[j][1]) + math.Sin(3*xs[j][2])
+	}
+	if err := m.AppendObservations(xs, tasksOf, ys, 2); err != nil {
+		t.Fatalf("AppendObservations: %v", err)
+	}
+	if n := len(m.flatX); n > cholBlock {
+		t.Fatalf("model holds %d samples, the test needs at most one %d-row block", n, cholBlock)
+	}
+	blob, err := m.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back LCM
+	if err := back.UnmarshalBinary(blob); err != nil {
+		t.Fatal(err)
+	}
+	ws, wsBack := m.NewPredictWorkspace(), back.NewPredictWorkspace()
+	const predictions = 300
+	differ := 0
+	for p := 0; p < predictions; p++ {
+		x := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+		if p%10 == 0 {
+			copy(x, m.flatX[rng.Intn(len(m.flatX))])
+		}
+		task := p % 2
+		mu, v := m.PredictInto(ws, task, x)
+		muBack, vBack := back.PredictInto(wsBack, task, x)
+		if math.Float64bits(mu) != math.Float64bits(muBack) || math.Float64bits(v) != math.Float64bits(vBack) {
+			differ++
+		}
+	}
+	if differ > 0 {
+		t.Fatalf("%d of %d predictions of the reloaded model differ from the appended one's", differ, predictions)
 	}
 }
 
@@ -180,6 +239,24 @@ func TestAppendObservationsRejectsBadInput(t *testing.T) {
 		if len(m.flatX) != n0 {
 			t.Fatalf("case %d: failed append changed the model", i)
 		}
+	}
+	// A corner that does not factor (a NaN noise term on its diagonal) fails
+	// in AppendRows, after the coordinates grew: they are cut back and the
+	// model predicts the same bits as before.
+	ws := m.NewPredictWorkspace()
+	x := []float64{0.4, 0.6}
+	mu, v := m.PredictInto(ws, 1, x)
+	d0 := m.D[0]
+	m.D[0] = math.NaN()
+	if err := m.AppendObservations([][]float64{{0.5, 0.5}}, []int{0}, []float64{1}, 1); !errors.Is(err, la.ErrNotPositiveDefinite) {
+		t.Fatalf("append onto a NaN noise term: %v, want ErrNotPositiveDefinite", err)
+	}
+	m.D[0] = d0
+	if len(m.flatX) != n0 || len(m.taskOf) != n0 || len(m.xT) != n0*m.Dim {
+		t.Fatalf("failed append left %d samples, %d labels, %d coordinates; want %d", len(m.flatX), len(m.taskOf), len(m.xT), n0)
+	}
+	if mu2, v2 := m.PredictInto(ws, 1, x); math.Float64bits(mu2) != math.Float64bits(mu) || math.Float64bits(v2) != math.Float64bits(v) {
+		t.Fatalf("failed append moved a prediction: (%v, %v) then (%v, %v)", mu, v, mu2, v2)
 	}
 	var bare LCM
 	if err := bare.AppendObservations([][]float64{{0, 0}}, []int{0}, []float64{1}, 1); err == nil {

@@ -64,7 +64,7 @@ type lcmEngine struct {
 	alpha  []float64   // Σ⁻¹·y
 	invWT  *la.Matrix  // W = L⁻¹ scratch for the inverse
 	invBuf *la.Matrix  // Σ⁻¹ output scratch
-	coef   []float64   // [(i*T+j)*Q + q]: a_qi·a_qj (+ b_qi when i = j)
+	coef   []float64   // [(i*T+j)*Q + q]: coefTable's layout
 	winv   [][]float64 // [q][dim]: 1/l²
 	grad   []float64   // gradient output buffer
 
@@ -124,18 +124,11 @@ func newLCMEngine(cache *pairCache, layout hyperLayout, taskOf []int, yn []float
 	return e
 }
 
-// prepare fills the coefficient table C[i][j][q] = a_qi·a_qj (+ b_qi on the
-// diagonal), latents contiguous per task pair, and the inverse-square
+// prepare fills the coefficient table (coefTable) and the inverse-square
 // lengthscales for model m.
 func (e *lcmEngine) prepare(m *LCM) {
-	T := e.layout.tasks
-	Q := e.layout.q
-	for q := 0; q < Q; q++ {
-		for ti := 0; ti < T; ti++ {
-			for tj := 0; tj < T; tj++ {
-				e.coef[(ti*T+tj)*Q+q] = m.coef(q, ti, tj)
-			}
-		}
+	m.coefTable(e.coef)
+	for q := 0; q < e.layout.q; q++ {
 		for d := 0; d < e.layout.dim; d++ {
 			e.winv[q][d] = 1 / (m.Ls[q][d] * m.Ls[q][d])
 		}

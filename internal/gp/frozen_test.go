@@ -203,7 +203,6 @@ func frozenLogLikGrad(theta []float64, layout hyperLayout, flatX [][]float64, ta
 func frozenPredict(m *LCM, task int, x []float64) (mean, variance float64) {
 	n := len(m.flatX)
 	dim, Q := m.Dim, m.Q
-	coefs := m.predCoef[task]
 	kstar := make([]float64, n)
 	diff2 := make([]float64, dim)
 	for r := 0; r < n; r++ {
@@ -213,7 +212,8 @@ func frozenPredict(m *LCM, task int, x []float64) (mean, variance float64) {
 			diff2[d] = diff * diff
 		}
 		v := 0.0
-		for q, c := range coefs[r*Q : (r+1)*Q] {
+		c0 := (task*m.NumTasks + m.taskOf[r]) * Q
+		for q, c := range m.coefTab[c0 : c0+Q] {
 			if c == 0 { //gptlint:ignore float-eq frozen pre-kernel oracle; exact-zero coefficient skip as it was
 				continue
 			}

@@ -1,3 +1,11 @@
+// Package gp implements the surrogate models of the paper's Section 3: the
+// Linear Coregionalization Model (LCM) that generalizes Gaussian process
+// regression to the multitask setting (Eqs. 1–4), its log-marginal-likelihood
+// with analytic gradients, multi-start L-BFGS hyperparameter learning, and
+// the posterior prediction equations (Eqs. 5–6).
+//
+// Single-task GP regression is the δ=1, Q=1 special case of the LCM, exactly
+// as "single-task learning" in the paper is GPTune run with one task.
 package gp
 
 import (
@@ -106,13 +114,13 @@ type LCM struct {
 	yStd   float64
 
 	// Prediction fast-path tables built by prepPredict (see predict.go):
-	// dimension-major training coordinates, the per-task cross-covariance
-	// coefficient table, per-latent inverse-square lengthscales, and the
-	// per-task prior variance.
-	xT        []float64   // [Dim*n] dimension-major copy of flatX
-	predCoef  [][]float64 // [task][n*Q]: A[q][task]·A[q][taskOf[r]] (+B[q][task])
-	predWinv  []float64   // [Q*Dim]: 0.5/l²
-	predPrior []float64   // [task]: Σ_q (a²+b) + d
+	// dimension-major training coordinates, the task-pair coefficient table,
+	// per-latent half-inverse-square lengthscales, and the per-task prior
+	// variance.
+	xT        []float64 // [Dim*n] dimension-major copy of flatX
+	coefTab   []float64 // [(ti*T+tj)*Q + q]: coefTable's layout
+	predWinv  []float64 // [Q*Dim]: 0.5/l²
+	predPrior []float64 // [task]: Σ_q (a²+b) + d
 }
 
 // FitOptions configures LCM hyperparameter learning (the paper's modeling
@@ -434,15 +442,29 @@ func (m *LCM) setTheta(theta []float64, layout hyperLayout) {
 }
 
 // coef is the Eq. (4) task coefficient of latent q between tasks i and j:
-// a_qi·a_qj + b_qi·δ_ij. Every covariance the package assembles — the
-// engine's per-latent tables, the prediction tables, the prior variance and
-// the append path's cross-covariances — reads it from here.
+// a_qi·a_qj + b_qi·δ_ij. Every covariance the package assembles reads it
+// from here, through coefTable or, for the prior variance, directly.
 func (m *LCM) coef(q, i, j int) float64 {
 	c := m.A[q][i] * m.A[q][j]
 	if i == j {
 		c += m.B[q][i]
 	}
 	return c
+}
+
+// coefTable fills dst, T·T·Q long, with every task pair's coefficients,
+// latents contiguous per pair: dst[(i·T+j)·Q+q] = coef(q, i, j). It is the
+// one table layout — the engine's per-evaluation table and the fitted
+// model's coefTab, which serves k* and therefore the append path.
+func (m *LCM) coefTable(dst []float64) {
+	T, Q := m.NumTasks, m.Q
+	for i := 0; i < T; i++ {
+		for j := 0; j < T; j++ {
+			for q := 0; q < Q; q++ {
+				dst[(i*T+j)*Q+q] = m.coef(q, i, j)
+			}
+		}
+	}
 }
 
 // Predict returns the posterior mean and variance (Eqs. 5–6) of task i's

@@ -5,9 +5,11 @@
 // prediction path — covariance assembly, Cholesky factorization, alpha
 // solve, fast-path tables — without access to the original Dataset. Floats
 // survive the JSON round-trip exactly (encoding/json emits shortest
-// round-trippable literals), so a saved-and-reloaded model predicts
-// identically to the original up to re-factorization order, which the
-// worker-count-invariant Cholesky keeps deterministic.
+// round-trippable literals), so a saved-and-reloaded fitted model predicts
+// bitwise identically to the original. An appended one does too while it
+// fits in one cholBlock: its covariance rows are the ones the reload
+// assembles, and only the blocked Cholesky's summation order past 64 rows
+// can move the last bits (AppendObservations).
 package gp
 
 import (

@@ -7,14 +7,11 @@ import (
 )
 
 // prepPredict builds the prediction fast-path tables for a fitted model:
-// a dimension-major copy of the training coordinates, the per-task
-// cross-covariance coefficient table coef[task][r*Q+q] =
-// A[q][task]·A[q][taskOf[r]] (+B[q][task] when the tasks match), the
-// half-inverse-square lengthscales, and the per-task prior variance.
-// Together they let PredictInto evaluate Eqs. (5–6) without touching the
-// hyperparameter structs or allocating.
+// a dimension-major copy of the training coordinates, the task-pair
+// coefficient table, the half-inverse-square lengthscales, and the per-task
+// prior variance. Together they let PredictInto evaluate Eqs. (5–6) without
+// touching the hyperparameter structs or allocating.
 func (m *LCM) prepPredict() {
-	n := len(m.flatX)
 	m.transposeCoords()
 	m.predWinv = make([]float64, m.Q*m.Dim)
 	for q := 0; q < m.Q; q++ {
@@ -23,17 +20,10 @@ func (m *LCM) prepPredict() {
 			m.predWinv[q*m.Dim+d] = 0.5 / (l * l)
 		}
 	}
-	m.predCoef = make([][]float64, m.NumTasks)
+	m.coefTab = make([]float64, m.NumTasks*m.NumTasks*m.Q)
+	m.coefTable(m.coefTab)
 	m.predPrior = make([]float64, m.NumTasks)
 	for task := 0; task < m.NumTasks; task++ {
-		row := make([]float64, n*m.Q)
-		for r := 0; r < n; r++ {
-			tr := m.taskOf[r]
-			for q := 0; q < m.Q; q++ {
-				row[r*m.Q+q] = m.coef(q, task, tr)
-			}
-		}
-		m.predCoef[task] = row
 		prior := m.D[task]
 		for q := 0; q < m.Q; q++ {
 			prior += m.coef(q, task, task)
@@ -66,11 +56,10 @@ type PredictWorkspace struct {
 	args  []float64 // [Q][n] kernel arguments, then kernel values, latent-major
 }
 
-// NewPredictWorkspace returns a workspace sized for m.
+// NewPredictWorkspace returns a workspace sized for m. A model restored from
+// a hyperparameter-only snapshot holds no samples and gets an empty one;
+// PredictInto refuses such a model.
 func (m *LCM) NewPredictWorkspace() *PredictWorkspace {
-	if m.chol == nil {
-		panic("gp: NewPredictWorkspace on unfitted model")
-	}
 	ws := &PredictWorkspace{}
 	ws.resize(len(m.flatX), m.Q)
 	return ws
@@ -91,7 +80,7 @@ func (ws *PredictWorkspace) resize(n, q int) {
 //
 //gptlint:hotpath
 func (m *LCM) PredictInto(ws *PredictWorkspace, task int, x []float64) (mean, variance float64) {
-	if m.predCoef == nil {
+	if m.chol == nil {
 		panic("gp: PredictInto on unfitted model")
 	}
 	if len(x) != m.Dim {
@@ -120,7 +109,9 @@ func (m *LCM) PredictInto(ws *PredictWorkspace, task int, x []float64) (mean, va
 // kernel arguments -Σ_d (x_d - x_r[d])²·(½/l_qd²) (la.NegSqDistInto, four
 // training rows per register, d ascending from +0 as the per-row loop summed
 // them), one la.ExpInto over all Q·n of them, and the scalar Σ_q c·k in q
-// order.
+// order with c from row (task, taskOf[r]) of the coefficient table. It is the
+// one Gaussian-kernel evaluation outside the fit: AppendObservations builds
+// its covariance rows through it too.
 //
 //gptlint:hotpath
 func (m *LCM) kstarInto(ws *PredictWorkspace, task int, x []float64) []float64 {
@@ -131,10 +122,10 @@ func (m *LCM) kstarInto(ws *PredictWorkspace, task int, x []float64) []float64 {
 		la.NegSqDistInto(ws.args[q*n:(q+1)*n], m.predWinv[q*dim:(q+1)*dim], x, m.xT, n)
 	}
 	la.ExpInto(ws.args, ws.args)
-	coefs := m.predCoef[task]
-	for r := 0; r < n; r++ {
+	coefs := m.coefTab[task*m.NumTasks*Q : (task+1)*m.NumTasks*Q]
+	for r, tr := range m.taskOf {
 		v := 0.0
-		for q, c := range coefs[r*Q : (r+1)*Q] {
+		for q, c := range coefs[tr*Q : (tr+1)*Q] {
 			if c == 0 { //gptlint:ignore float-eq exact-zero coefficient skip in the prediction fast path
 				continue
 			}

@@ -6,6 +6,19 @@ import (
 	"repro/internal/la"
 )
 
+// rbf is the textbook Gaussian kernel of Eq. (3) with unit σ_q (the paper
+// fixes σ_q = 1): k(x, x') = exp(-Σ_d (x_d - x'_d)² / (2 l_d²)). Production
+// code evaluates it only in la's lane form (kstarInto, assembleSigma); this
+// scalar form is the oracles'.
+func rbf(x, y, lengthscales []float64) float64 {
+	s := 0.0
+	for d, ld := range lengthscales {
+		diff := (x[d] - y[d]) / ld
+		s += diff * diff
+	}
+	return math.Exp(-0.5 * s)
+}
+
 // lcmLogLikGradReference is the straightforward O(Q·n²·β) evaluation of the
 // LCM log marginal likelihood and gradient, recomputing every pairwise
 // distance from the raw coordinates and sweeping both triangles serially.

@@ -87,19 +87,37 @@ func CholeskyJitterInto(l, a *Matrix, initial float64, blockSize, nworkers int) 
 // SolveCholVec solves (L·Lᵀ)·x = b given the Cholesky factor L, returning x
 // in a new slice.
 func SolveCholVec(l *Matrix, b []float64) []float64 {
-	y := CopyVec(b)
-	ForwardSubst(l, y)
-	BackwardSubstT(l, y)
-	return y
+	return solveCholVec(l.Data, denseStride(l, b, "SolveCholVec"), b)
 }
 
 // ForwardSubst solves L·y = b in place (b becomes y); L lower triangular.
 func ForwardSubst(l *Matrix, b []float64) {
-	n := l.Rows
-	if l.Cols != n || len(b) != n {
-		panic("la: ForwardSubst dimension mismatch")
+	forwardSubst(l.Data, denseStride(l, b, "ForwardSubst"), b)
+}
+
+// BackwardSubstT solves Lᵀ·x = b in place (b becomes x); L lower triangular.
+func BackwardSubstT(l *Matrix, b []float64) {
+	backwardSubstT(l.Data, denseStride(l, b, "BackwardSubstT"), b)
+}
+
+// denseStride returns the row stride of the dense triangular factor l for
+// the substitution bodies, panicking in op's name unless l is square and
+// b has its order.
+func denseStride(l *Matrix, b []float64, op string) int {
+	if l.Cols != l.Rows || len(b) != l.Rows {
+		panic("la: " + op + " dimension mismatch")
 	}
-	forwardSubst(l.Data, n, b)
+	return l.Rows
+}
+
+// solveCholVec is the one Cholesky solve, (L·Lᵀ)·x = b into a new slice —
+// forwardSubst then backwardSubstT over the same rows — behind the dense
+// SolveCholVec and TriPacked.SolveVec.
+func solveCholVec(data []float64, stride int, b []float64) []float64 {
+	y := CopyVec(b)
+	forwardSubst(data, stride, y)
+	backwardSubstT(data, stride, y)
+	return y
 }
 
 // forwardSubst is the one forward-substitution recurrence, b[i] = (b[i] −
@@ -152,18 +170,18 @@ func rowStart(i, stride int) int {
 	return i * stride
 }
 
-// BackwardSubstT solves Lᵀ·x = b in place (b becomes x); L lower triangular.
-func BackwardSubstT(l *Matrix, b []float64) {
-	n := l.Rows
-	if len(b) != n {
-		panic("la: BackwardSubstT dimension mismatch")
-	}
+// backwardSubstT is the one back-substitution recurrence, b[i] = (b[i] −
+// Σ_{k>i} L[k,i]·b[k]) / L[i,i] for i descending, the sum one running
+// difference in k ascending (column order), behind the dense and packed
+// BackwardSubstT. Rows are laid out as for forwardSubst.
+func backwardSubstT(data []float64, stride int, b []float64) {
+	n := len(b)
 	for i := n - 1; i >= 0; i-- {
 		s := b[i]
 		for k := i + 1; k < n; k++ {
-			s -= l.At(k, i) * b[k]
+			s -= data[rowStart(k, stride)+i] * b[k]
 		}
-		b[i] = s / l.At(i, i)
+		b[i] = s / data[rowStart(i, stride)+i]
 	}
 }
 

@@ -75,27 +75,22 @@ func (t *TriPacked) ForwardSubst(b []float64) {
 	forwardSubst(t.data, 0, b)
 }
 
-// BackwardSubstT solves Lᵀ·x = b in place (b becomes x). Same column-order
-// accumulation as the dense BackwardSubstT.
+// BackwardSubstT solves Lᵀ·x = b in place (b becomes x): the dense
+// BackwardSubstT's backwardSubstT body over packed rows.
 func (t *TriPacked) BackwardSubstT(b []float64) {
 	if len(b) != t.n {
 		panic("la: TriPacked.BackwardSubstT dimension mismatch")
 	}
-	for i := t.n - 1; i >= 0; i-- {
-		s := b[i]
-		for k := i + 1; k < t.n; k++ {
-			s -= t.At(k, i) * b[k]
-		}
-		b[i] = s / t.At(i, i)
-	}
+	backwardSubstT(t.data, 0, b)
 }
 
-// SolveVec solves (L·Lᵀ)·x = b, returning x in a new slice.
+// SolveVec solves (L·Lᵀ)·x = b, returning x in a new slice: the dense
+// SolveCholVec's solveCholVec body over packed rows.
 func (t *TriPacked) SolveVec(b []float64) []float64 {
-	y := CopyVec(b)
-	t.ForwardSubst(y)
-	t.BackwardSubstT(y)
-	return y
+	if len(b) != t.n {
+		panic("la: TriPacked.SolveVec dimension mismatch")
+	}
+	return solveCholVec(t.data, 0, b)
 }
 
 // AppendRows is the blocked, jitter-aware k-row extension: given the factor
@@ -164,7 +159,7 @@ func (t *TriPacked) AppendRows(cols, corner *Matrix, initial float64, workers in
 					scale = 1
 				}
 				jitter := initial * scale
-				for attempt := 0; attempt < 12; attempt++ {
+				for attempt := 0; attempt < jitterAttempts; attempt++ {
 					if s+jitter > 0 {
 						s += jitter
 						if jitter > maxJitter {

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 
@@ -82,6 +81,10 @@ type taskSGP struct {
 	yStd   float64
 	prior  float64 // signal + noise
 
+	// Kernel tables derived from ls and z by prepKernel, never serialized.
+	w  []float64 // [dim]: ½/l²
+	zT []float64 // [dim*m]: dimension-major copy of z
+
 	qmat  *la.Matrix    // Q_m (no jitter), grown by Append
 	r     []float64     // K_mn·y accumulator
 	lm    *la.TriPacked // chol(K_mm + jitter·I)
@@ -97,16 +100,32 @@ func (ts *taskSGP) invNoise() float64 {
 	return 1 / ns
 }
 
-// kern evaluates the task kernel signal·exp(−½·Σ_d ((x_d−z_d)/l_d)²)
-// against inducing point i, allocation-free.
-func (ts *taskSGP) kern(i int, x []float64) float64 {
-	zi := ts.z[i*ts.dim : (i+1)*ts.dim]
-	s := 0.0
-	for d, ld := range ts.ls {
-		diff := (x[d] - zi[d]) / ld
-		s += diff * diff
+// prepKernel derives the kernel tables from ls and z, at fit time and on
+// decode, so the snapshot carries neither.
+func (ts *taskSGP) prepKernel() {
+	ts.w = make([]float64, ts.dim)
+	for d, l := range ts.ls {
+		ts.w[d] = 0.5 / (l * l)
 	}
-	return ts.signal * math.Exp(-0.5*s)
+	ts.zT = make([]float64, ts.dim*ts.m)
+	for i := 0; i < ts.m; i++ {
+		for d := 0; d < ts.dim; d++ {
+			ts.zT[d*ts.m+i] = ts.z[i*ts.dim+d]
+		}
+	}
+}
+
+// kernRow sets dst[i] = signal·exp(−Σ_d (½/l_d²)·(x_d − z_i[d])²) for every
+// inducing point i, allocation-free, in the gp package's k* form: one
+// la.NegSqDistInto over zT, one la.ExpInto, then the signal scale. It is the
+// task's one kernel evaluation — K_mn, K_mm, k* and Append's k. len(dst)
+// must be m and len(x) dim.
+//
+//gptlint:hotpath
+func (ts *taskSGP) kernRow(dst, x []float64) {
+	la.NegSqDistInto(dst, ts.w, x, ts.zT, ts.m)
+	la.ExpInto(dst, dst)
+	la.ScaleVec(ts.signal, dst)
 }
 
 func fitTaskSGP(x [][]float64, y []float64, dim, inducing int, opts FitOptions, seed int64, warmTheta []float64) (*taskSGP, error) {
@@ -155,6 +174,7 @@ func fitTaskSGP(x [][]float64, y []float64, dim, inducing int, opts FitOptions, 
 	for j, id := range idx {
 		copy(ts.z[j*dim:(j+1)*dim], x[id])
 	}
+	ts.prepKernel()
 
 	// All outputs, standardized with the subset-fit statistics (the
 	// hyperparameters were learned in that space).
@@ -163,18 +183,22 @@ func fitTaskSGP(x [][]float64, y []float64, dim, inducing int, opts FitOptions, 
 		yn[j] = (v - yMean) / yStd
 	}
 
-	// K_mn rows are independent: parallel build, fixed per-entry arithmetic.
-	kmn := la.NewMatrix(m, n)
+	// K_nm rows (one sample against every inducing point) are independent:
+	// parallel build, fixed per-entry arithmetic; then K_mn is its transpose.
+	knm := la.NewMatrix(n, m)
 	workers := opts.Workers
 	if workers < 1 {
 		workers = 1
 	}
-	mpx.ParallelFor(m, workers, func(i int) {
-		row := kmn.Row(i)
-		for j := 0; j < n; j++ {
-			row[j] = ts.kern(i, x[j])
-		}
+	mpx.ParallelFor(n, workers, func(j int) {
+		ts.kernRow(knm.Row(j), x[j])
 	})
+	kmn := la.NewMatrix(m, n)
+	for j := 0; j < n; j++ {
+		for i, v := range knm.Row(j) {
+			kmn.Data[i*n+j] = v
+		}
+	}
 	inv := ts.invNoise()
 	kmm := ts.buildKmm()
 	qmat := la.NewMatrix(m, m)
@@ -199,14 +223,12 @@ func fitTaskSGP(x [][]float64, y []float64, dim, inducing int, opts FitOptions, 
 
 // buildKmm assembles the inducing-set Gram matrix from the stored
 // coordinates; rebuilt identically on reload, so factors round-trip bitwise.
+// Row i is kernRow at z_i, and (a−b)² = (b−a)² exactly, so the matrix is
+// symmetric bit for bit.
 func (ts *taskSGP) buildKmm() *la.Matrix {
 	kmm := la.NewMatrix(ts.m, ts.m)
 	for i := 0; i < ts.m; i++ {
-		for j := 0; j <= i; j++ {
-			v := ts.kern(i, ts.z[j*ts.dim:(j+1)*ts.dim])
-			kmm.Set(i, j, v)
-			kmm.Set(j, i, v)
-		}
+		ts.kernRow(kmm.Row(i), ts.z[i*ts.dim:(i+1)*ts.dim])
 	}
 	return kmm
 }
@@ -267,9 +289,7 @@ func (s *sgpModel) PredictInto(ws Workspace, task int, x []float64) (mean, varia
 	ts := s.tasks[task]
 	w := ws.(*sgpWorkspace)
 	kstar, v := w.kstar[task], w.v[task]
-	for i := 0; i < ts.m; i++ {
-		kstar[i] = ts.kern(i, x)
-	}
+	ts.kernRow(kstar, x)
 	mu := la.Dot(kstar, ts.alpha)
 	copy(v, kstar)
 	ts.lm.ForwardSubst(v)
@@ -312,9 +332,7 @@ func (s *sgpModel) Append(data *Dataset, workers int) error {
 		inv := ts.invNoise()
 		q := ts.qmat
 		for j, x := range data.X[i] {
-			for p := 0; p < ts.m; p++ {
-				kvec[p] = ts.kern(p, x)
-			}
+			ts.kernRow(kvec, x)
 			yn := (data.Y[i][j] - ts.yMean) / ts.yStd
 			for p := 0; p < ts.m; p++ {
 				kp := inv * kvec[p]
@@ -421,6 +439,8 @@ func decodeTaskSGP(blob []byte) (*taskSGP, error) {
 	if snap.Dim <= 0 || snap.M <= 0 {
 		return nil, errors.New("surrogate: sgp snapshot missing dimensions")
 	}
+	// Accepting needs len(R) = M and len(Ls) = Dim, which bound both by the
+	// blob's length, so neither product can overflow into a false match.
 	if len(snap.Z) != snap.M*snap.Dim || len(snap.Ls) != snap.Dim ||
 		len(snap.Q) != snap.M*(snap.M+1)/2 || len(snap.R) != snap.M {
 		return nil, errors.New("surrogate: sgp snapshot shape mismatch")
@@ -441,6 +461,7 @@ func decodeTaskSGP(blob []byte) (*taskSGP, error) {
 		ts.yStd = 1
 	}
 	ts.prior = ts.signal + ts.noise
+	ts.prepKernel()
 	ts.qmat = la.NewMatrix(ts.m, ts.m)
 	at := 0
 	for p := 0; p < ts.m; p++ {

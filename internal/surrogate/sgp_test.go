@@ -79,10 +79,12 @@ func TestSGPAppendMatchesBatchStatistics(t *testing.T) {
 		kmm := ts.buildKmm()
 		kmn := la.NewMatrix(ts.m, 24)
 		yn := make([]float64, 24)
+		col := make([]float64, ts.m)
 		for j := 0; j < 24; j++ {
 			yn[j] = (full.Y[task][j] - ts.yMean) / ts.yStd
-			for i := 0; i < ts.m; i++ {
-				kmn.Set(i, j, ts.kern(i, full.X[task][j]))
+			ts.kernRow(col, full.X[task][j])
+			for i, v := range col {
+				kmn.Set(i, j, v)
 			}
 		}
 		for i := 0; i < ts.m; i++ {
