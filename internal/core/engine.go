@@ -151,6 +151,21 @@ func NewEngine(p *Problem, tasks [][]float64, options Options) (*Engine, error) 
 			}
 		}
 	}
+	// Priors merge only after the initial batch is paid for, where a bad one
+	// would fail the first modeling phase under a flattened sample index.
+	for k, ps := range options.Prior {
+		if len(ps.X) != p.Tuning.Dim() {
+			return nil, fmt.Errorf("core: Options.Prior[%d] has %d tuning values, the tuning space has %d parameters", k, len(ps.X), p.Tuning.Dim())
+		}
+		for d, v := range ps.X {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("core: Options.Prior[%d] parameter %q is non-finite (%v)", k, p.Tuning.Params[d].Name, v)
+			}
+		}
+		if err := p.checkOutputs(ps.Y); err != nil {
+			return nil, fmt.Errorf("core: Options.Prior[%d] outputs: %w", k, err)
+		}
+	}
 	fitter := options.fitterOverride
 	if fitter == nil {
 		var err error
@@ -384,10 +399,7 @@ func (e *Engine) runGeneration() {
 	e.mu.Lock()
 	for e.fatal == nil && e.nextCommit == len(e.batch) {
 		if e.initGenerated && !e.priorsMerged {
-			if err := e.st.mergePriors(); err != nil {
-				e.fatal = err
-				break
-			}
+			e.st.mergePriors()
 			e.priorsMerged = true
 		}
 		if e.doneLocked() {

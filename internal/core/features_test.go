@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -122,6 +123,27 @@ func TestPriorValidation(t *testing.T) {
 	}})
 	if err == nil {
 		t.Fatalf("NaN prior output accepted")
+	}
+	// A non-finite configuration used to be merged only after the initial
+	// batch was paid for, then failed the first modeling phase naming a
+	// flattened sample index. It is refused up front, by prior and parameter.
+	calls := 0
+	inner := p.Objective
+	p.Objective = func(task, x []float64) ([]float64, error) {
+		calls++
+		return inner(task, x)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		_, err = Run(p, [][]float64{{0}}, Options{EpsTot: 4, Seed: 25, Prior: []PriorSample{
+			{Task: []float64{0}, X: []float64{0.1}, Y: []float64{1}},
+			{Task: []float64{0}, X: []float64{bad}, Y: []float64{1}},
+		}})
+		if err == nil || !strings.Contains(err.Error(), "Prior[1]") || !strings.Contains(err.Error(), `"x"`) {
+			t.Fatalf("prior configuration %v: error %v, want one naming Prior[1] and parameter x", bad, err)
+		}
+		if calls != 0 {
+			t.Fatalf("prior configuration %v: refused after %d objective evaluations, want 0", bad, calls)
+		}
 	}
 	// Priors for unknown tasks are silently ignored.
 	res, err := Run(p, [][]float64{{0}}, Options{EpsTot: 4, Seed: 25, Prior: []PriorSample{

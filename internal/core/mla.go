@@ -195,24 +195,17 @@ func (st *state) minDone() int {
 
 // mergePriors injects Options.Prior samples whose task exactly matches one
 // of the run's tasks. They extend the dataset but not the budget counters.
-func (st *state) mergePriors() error {
+// NewEngine has validated every sample.
+func (st *state) mergePriors() {
 	for _, ps := range st.opts.Prior {
 		for i, task := range st.tasks {
-			if !equalVec(task, ps.Task) {
-				continue
+			if equalVec(task, ps.Task) {
+				st.X[i] = append(st.X[i], append([]float64(nil), ps.X...))
+				st.Y[i] = append(st.Y[i], append([]float64(nil), ps.Y...))
+				break
 			}
-			if len(ps.X) != st.p.Tuning.Dim() {
-				return fmt.Errorf("core: prior sample has %d tuning values, want %d", len(ps.X), st.p.Tuning.Dim())
-			}
-			if err := st.p.checkOutputs(ps.Y); err != nil {
-				return fmt.Errorf("core: prior sample outputs: %w", err)
-			}
-			st.X[i] = append(st.X[i], append([]float64(nil), ps.X...))
-			st.Y[i] = append(st.Y[i], append([]float64(nil), ps.Y...))
-			break
 		}
 	}
-	return nil
 }
 
 // equalVec is the package's one exact vector comparison: prior samples are
@@ -553,8 +546,9 @@ func (st *state) searchBatch(i int, model surrogate.Model, tv func(float64) floa
 
 // candidate turns a search's normalized candidates into surrogate inputs. It
 // is the one per-candidate path — denormalize, feasibility, model point —
-// that the PSO search (through acqSearch.score) and the NSGA-II search both
-// push every candidate through, over buffers allocated once per search.
+// that the PSO search (through each slot of acqSearch.score) and the NSGA-II
+// search both push every candidate through, over buffers allocated once per
+// search.
 type candidate struct {
 	st     *state
 	tuning *space.Space // st.p.Tuning, one load away on the per-candidate path
@@ -588,33 +582,76 @@ func (c *candidate) point(u []float64) (pt []float64, ok bool) {
 	return c.pt, true
 }
 
-// acqSearch is one single-objective search's acquisition evaluator: the
-// candidate path, the model, the incumbent and the batch-spreading buffers,
-// allocated once per search so that score — which PSO and the random pool
-// push thousands of candidates through — allocates nothing.
+// scoreSlots is how many candidates one acqSearch.score group predicts
+// together: the four points the GP backends solve in one pass over their
+// factor.
+const scoreSlots = 4
+
+// acqSearch is one single-objective search's acquisition evaluator: a
+// candidate path per slot of a scored group, the model, the incumbent and
+// the batch-spreading buffers, allocated once per search so that score —
+// which PSO and the random pool push thousands of candidates through —
+// allocates nothing.
 type acqSearch struct {
-	candidate
+	st    *state
+	task  int
 	model surrogate.Model
 	ws    surrogate.Workspace
 	yBest float64
 	avoid [][]float64 // normalized points to damp the acquisition near
 	un    []float64
+
+	slots          [scoreSlots]candidate
+	pts            [scoreSlots][]float64 // the group's feasible model points, in slot order
+	at             [scoreSlots]int       // the slot each of pts came from
+	mean, variance [scoreSlots]float64
 }
 
-// score returns the acquisition at the normalized candidate u, to minimize;
-// infeasible candidates score +Inf.
+func (st *state) newAcqSearch(task int, model surrogate.Model, ws surrogate.Workspace, fs *featureScale, yBest float64, avoid [][]float64) *acqSearch {
+	a := &acqSearch{
+		st: st, task: task, model: model, ws: ws, yBest: yBest, avoid: avoid,
+		un: make([]float64, st.p.Tuning.Dim()),
+	}
+	for k := range a.slots {
+		a.slots[k] = st.newCandidate(task, fs)
+	}
+	return a
+}
+
+// score writes the acquisition at each normalized candidate us[j] into
+// out[j], to minimize; infeasible candidates score +Inf. Candidates go in
+// groups of scoreSlots, each group's feasible ones through one
+// PredictBatchInto, and every score is the bits a group of one gives.
 //
 //gptlint:hotpath
-func (a *acqSearch) score(u []float64) float64 {
-	const penaltyRadius = 0.15
-	pt, ok := a.point(u)
-	if !ok {
-		return math.Inf(1)
+func (a *acqSearch) score(us [][]float64, out []float64) {
+	for len(us) > 0 {
+		k := min(len(us), scoreSlots)
+		m := 0
+		for j, u := range us[:k] {
+			out[j] = math.Inf(1)
+			if pt, ok := a.slots[j].point(u); ok {
+				a.pts[m], a.at[m] = pt, j
+				m++
+			}
+		}
+		a.model.PredictBatchInto(a.ws, a.task, a.pts[:m], a.mean[:m], a.variance[:m])
+		for g, j := range a.at[:m] {
+			out[j] = a.damped(a.slots[j].xNat, a.mean[g], a.variance[g])
+		}
+		us, out = us[k:], out[k:]
 	}
-	mu, v := a.model.PredictInto(a.ws, a.task, pt)
+}
+
+// damped is the acquisition of the posterior (mu, v) at native candidate
+// xNat, damped near the avoid points.
+//
+//gptlint:hotpath
+func (a *acqSearch) damped(xNat []float64, mu, v float64) float64 {
+	const penaltyRadius = 0.15
 	score := a.st.acquisition(mu, v, a.yBest)
 	if len(a.avoid) > 0 && score < 0 {
-		a.tuning.NormalizeInto(a.un, a.xNat)
+		a.st.p.Tuning.NormalizeInto(a.un, xNat)
 		damp := 1.0
 		for _, p := range a.avoid {
 			d := 0.0
@@ -647,10 +684,7 @@ func (st *state) searchOne(i int, model surrogate.Model, ws surrogate.Workspace,
 	}
 	rng := rand.New(rand.NewSource(st.opts.Seed ^ hash2(7+i, st.minSamples()) ^ (salt << 17)))
 	dim := st.p.Tuning.Dim()
-	ev := &acqSearch{
-		candidate: st.newCandidate(i, fs), model: model, ws: ws, yBest: yBest, avoid: avoid,
-		un: make([]float64, dim),
-	}
+	ev := st.newAcqSearch(i, model, ws, fs, yBest, avoid)
 	params := st.opts.Search
 	// Clone before appending: params.Seeds shares its backing array with
 	// the caller's Options.Search.Seeds, and searchOne runs concurrently
@@ -660,30 +694,38 @@ func (st *state) searchOne(i int, model surrogate.Model, ws surrogate.Workspace,
 	seeds := make([][]float64, len(params.Seeds), len(params.Seeds)+1)
 	copy(seeds, params.Seeds)
 	params.Seeds = append(seeds, st.p.Tuning.Normalize(st.X[i][bestIdx]))
-	// A func literal, not the method value ev.score: the literal does not
-	// escape, which keeps ev on the stack, and measured ~4% more evals/s on
-	// the search-bound tune_warm workload.
-	res := opt.PSO(func(u []float64) float64 { return ev.score(u) }, dim, params, rng)
+	res := opt.PSOBatch(ev.score, dim, params, rng)
 	// Hybrid search: PSO explores the continuous relaxation well, but
 	// categorical/integer dimensions make the acquisition piecewise
 	// constant; a scored pool of random feasible candidates covers the
 	// discrete combinations PSO's rounding can miss. Keep whichever wins.
+	// The pool's 8·dim+32 candidates are scored a group of scoreSlots at a
+	// time (the count is a multiple of four), then compared in draw order.
 	bestU := res.X
 	bestScore := res.F
-	// One candidate buffer for the whole pool, swapped with bestU on
-	// improvement instead of allocating per candidate.
-	cand := make([]float64, dim)
-	for c := 0; c < 8*dim+32; c++ {
-		for d := range cand {
-			cand[d] = rng.Float64()
+	// One group of candidate buffers for the whole pool, swapped with bestU
+	// on improvement instead of allocating per candidate.
+	cands := make([][]float64, scoreSlots)
+	for k := range cands {
+		cands[k] = make([]float64, dim)
+	}
+	scores := make([]float64, scoreSlots)
+	for c := 0; c < 8*dim+32; c += scoreSlots {
+		for _, cand := range cands {
+			for d := range cand {
+				cand[d] = rng.Float64()
+			}
 		}
-		if s := ev.score(cand); s < bestScore {
-			bestScore = s
-			bestU, cand = cand, bestU
+		ev.score(cands, scores)
+		for k, s := range scores {
+			if s < bestScore {
+				bestScore = s
+				bestU, cands[k] = cands[k], bestU
+			}
 		}
 	}
 	xNat := st.p.Tuning.Denormalize(bestU)
-	if !st.p.Tuning.FeasibleInto(ev.feas, xNat) || containsConfig(st.X[i], xNat) || containsConfig(avoidNative(st, avoid), xNat) {
+	if !st.p.Tuning.FeasibleInto(ev.slots[0].feas, xNat) || containsConfig(st.X[i], xNat) || containsConfig(avoidNative(st, avoid), xNat) {
 		if pts, err := sample.FeasibleUniform(st.p.Tuning, 1, rng); err == nil {
 			return pts[0]
 		}

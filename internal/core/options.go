@@ -103,9 +103,11 @@ type Options struct {
 	// concurrently"). Default 1.
 	BatchEvals int
 	// Prior seeds the dataset with already-evaluated samples (e.g. from the
-	// history database) before the first modeling phase. Samples whose Task
-	// does not exactly match one of the run's tasks are ignored. Prior
-	// samples do not count against EpsTot.
+	// history database) before the first modeling phase. Every sample must
+	// have finite tuning values and outputs of the problem's shapes
+	// (NewEngine refuses the options otherwise); samples whose Task does not
+	// exactly match one of the run's tasks are then ignored. Prior samples do
+	// not count against EpsTot.
 	Prior []PriorSample
 	// MOBatch is k, the number of configurations per multi-objective search
 	// iteration (Algorithm 2; default 1).

@@ -67,7 +67,8 @@ func (m *LCM) AppendObservations(xs [][]float64, tasks []int, ys []float64, work
 	cols := la.NewMatrix(k, n0)
 	corner := la.NewMatrix(k, k)
 	mpx.ParallelFor(k, workers, func(j int) {
-		kstar := m.kstarInto(m.NewPredictWorkspace(), tasks[j], xs[j])
+		ws := m.NewPredictWorkspace()
+		kstar := m.kstarInto(ws, ws.cols[0], tasks[j], xs[j])
 		copy(cols.Row(j), kstar[:n0])
 		row := corner.Row(j)[:j+1]
 		copy(row, kstar[n0:])

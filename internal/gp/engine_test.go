@@ -179,6 +179,44 @@ func TestPredictWorkspaceMatchesPredict(t *testing.T) {
 	}
 }
 
+// PredictBatchInto returns, per point, the bits PredictInto returns for that
+// point alone, at every batch length from one to nine (whole groups of four
+// and every remainder), for each task, before and after an append grew the
+// model under both workspaces.
+func TestPredictBatchIntoIsPredictIntoPerPoint(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	model, err := FitLCM(appendTestData(rng, 2, 33, 3), FitOptions{Q: 2, NumStarts: 2, MaxIter: 15, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, wsBatch := model.NewPredictWorkspace(), model.NewPredictWorkspace()
+	check := func(stage string) {
+		for size := 1; size <= 9; size++ {
+			xs := make([][]float64, size)
+			for j := range xs {
+				xs[j] = []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+			}
+			mean, variance := make([]float64, size), make([]float64, size)
+			for task := 0; task < model.NumTasks; task++ {
+				model.PredictBatchInto(wsBatch, task, xs, mean, variance)
+				for j, x := range xs {
+					mu, v := model.PredictInto(ws, task, x)
+					if math.Float64bits(mean[j]) != math.Float64bits(mu) || math.Float64bits(variance[j]) != math.Float64bits(v) {
+						t.Fatalf("%s: batch of %d, task %d, point %d: PredictBatchInto (%v, %v), PredictInto (%v, %v)",
+							stage, size, task, j, mean[j], variance[j], mu, v)
+					}
+				}
+			}
+		}
+	}
+	check("fitted")
+	xs := [][]float64{{0.1, 0.2, 0.3}, {0.7, 0.5, 0.9}, {0.4, 0.4, 0.1}}
+	if err := model.AppendObservations(xs, []int{0, 1, 1}, []float64{0.5, -0.2, 1.1}, 2); err != nil {
+		t.Fatal(err)
+	}
+	check("appended")
+}
+
 // PredictInto must not allocate in steady state.
 func TestPredictIntoZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(66))

@@ -51,9 +51,8 @@ func (m *LCM) transposeCoords() {
 // NewPredictWorkspace and reuse it across calls; it follows its model
 // through AppendObservations.
 type PredictWorkspace struct {
-	kstar []float64
-	v     []float64
-	args  []float64 // [Q][n] kernel arguments, then kernel values, latent-major
+	cols [la.MaxRHS][]float64 // a PredictBatchInto group: one point's k* each, then L⁻¹k* in place
+	args []float64            // [Q][n] kernel arguments, then kernel values, latent-major
 }
 
 // NewPredictWorkspace returns a workspace sized for m. A model restored from
@@ -68,53 +67,83 @@ func (m *LCM) NewPredictWorkspace() *PredictWorkspace {
 // resize gives the workspace fresh buffers for a model of n samples and q
 // latents.
 func (ws *PredictWorkspace) resize(n, q int) {
-	buf := make([]float64, (q+2)*n) //gptlint:ignore hotpath-alloc the one workspace allocation: at creation, and once after AppendObservations grew the model
-	ws.kstar, ws.v, ws.args = buf[:n:n], buf[n:2*n:2*n], buf[2*n:]
+	buf := make([]float64, (q+la.MaxRHS)*n) //gptlint:ignore hotpath-alloc the one workspace allocation: at creation, and once after AppendObservations grew the model
+	for j := range ws.cols {
+		ws.cols[j] = buf[j*n : (j+1)*n : (j+1)*n]
+	}
+	ws.args = buf[la.MaxRHS*n:]
 }
 
 // PredictInto returns the posterior mean and variance (Eqs. 5–6) of task's
 // objective at normalized point x, in the original (de-standardized) units,
 // without allocating: it works through ws's reusable buffers and the tables
-// built at fit time. The PSO search loop calls this thousands of times per
-// search phase. x must have the model's Dim coordinates.
+// built at fit time. x must have the model's Dim coordinates. It is
+// PredictBatchInto of one point.
 //
 //gptlint:hotpath
 func (m *LCM) PredictInto(ws *PredictWorkspace, task int, x []float64) (mean, variance float64) {
+	var mu, v [1]float64
+	m.PredictBatchInto(ws, task, [][]float64{x}, mu[:], v[:])
+	return mu[0], v[0]
+}
+
+// PredictBatchInto writes the posterior mean and variance of task's
+// objective at each normalized point xs[j] into mean[j] and variance[j],
+// bit for bit what PredictInto returns for that point alone, without
+// allocating. Points go in groups of la.MaxRHS (four): k* per point, then
+// one multi-right-hand-side forward solve L⁻¹k* for the group's variances —
+// a single pass over the packed factor where one point at a time takes four
+// — then per point the Dots and de-standardization. The PSO search scores its
+// candidates through this thousands of times per search phase.
+//
+//gptlint:hotpath
+func (m *LCM) PredictBatchInto(ws *PredictWorkspace, task int, xs [][]float64, mean, variance []float64) {
 	if m.chol == nil {
 		panic("gp: PredictInto on unfitted model")
 	}
-	if len(x) != m.Dim {
-		panic(fmt.Sprintf("gp: PredictInto point has %d coordinates, model has %d", len(x), m.Dim))
+	if len(mean) != len(xs) || len(variance) != len(xs) {
+		panic(fmt.Sprintf("gp: PredictBatchInto of %d points into %d means and %d variances", len(xs), len(mean), len(variance)))
 	}
-	if n := len(m.flatX); len(ws.kstar) != n {
+	for j, x := range xs {
+		if len(x) != m.Dim {
+			panic(fmt.Sprintf("gp: predicted point %d has %d coordinates, model has %d", j, len(x), m.Dim))
+		}
+	}
+	if n := len(m.flatX); len(ws.cols[0]) != n {
 		// The model grew via AppendObservations since ws was sized; resize
 		// once and stay allocation-free until the next append.
 		ws.resize(n, m.Q)
 	}
-	m.kstarInto(ws, task, x)
-	mu := la.Dot(ws.kstar, m.alpha)
-	copy(ws.v, ws.kstar)
-	m.chol.ForwardSubst(ws.v)
-	variance = m.predPrior[task] - la.Dot(ws.v, ws.v)
-	if variance < 0 {
-		variance = 0
+	for len(xs) > 0 {
+		cols := ws.cols[:min(len(xs), la.MaxRHS)]
+		for j, col := range cols {
+			m.kstarInto(ws, col, task, xs[j])
+			mean[j] = la.Dot(col, m.alpha)
+		}
+		m.chol.ForwardSubst(cols...)
+		for j, col := range cols {
+			v := m.predPrior[task] - la.Dot(col, col)
+			if v < 0 {
+				v = 0
+			}
+			mean[j] = mean[j]*m.yStd + m.yMean
+			variance[j] = v * (m.yStd * m.yStd)
+		}
+		xs, mean, variance = xs[len(cols):], mean[len(cols):], variance[len(cols):]
 	}
-	mean = mu*m.yStd + m.yMean
-	variance *= m.yStd * m.yStd
-	return mean, variance
 }
 
-// kstarInto fills ws.kstar with the cross-covariance vector k* for (task, x)
-// and returns it, in three passes over the training set: per latent, the
+// kstarInto fills dst with the cross-covariance vector k* for (task, x) and
+// returns it, in three passes over the training set: per latent, the
 // kernel arguments -Σ_d (x_d - x_r[d])²·(½/l_qd²) (la.NegSqDistInto, four
 // training rows per register, d ascending from +0 as the per-row loop summed
-// them), one la.ExpInto over all Q·n of them, and the scalar Σ_q c·k in q
-// order with c from row (task, taskOf[r]) of the coefficient table. It is the
-// one Gaussian-kernel evaluation outside the fit: AppendObservations builds
-// its covariance rows through it too.
+// them), one la.ExpInto over all Q·n of them (in ws.args), and the scalar
+// Σ_q c·k in q order with c from row (task, taskOf[r]) of the coefficient
+// table. It is the one Gaussian-kernel evaluation outside the fit:
+// AppendObservations builds its covariance rows through it too.
 //
 //gptlint:hotpath
-func (m *LCM) kstarInto(ws *PredictWorkspace, task int, x []float64) []float64 {
+func (m *LCM) kstarInto(ws *PredictWorkspace, dst []float64, task int, x []float64) []float64 {
 	n := len(m.flatX)
 	dim := m.Dim
 	Q := m.Q
@@ -131,7 +160,7 @@ func (m *LCM) kstarInto(ws *PredictWorkspace, task int, x []float64) []float64 {
 			}
 			v += c * ws.args[q*n+r]
 		}
-		ws.kstar[r] = v
+		dst[r] = v
 	}
-	return ws.kstar
+	return dst
 }

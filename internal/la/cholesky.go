@@ -120,45 +120,85 @@ func solveCholVec(data []float64, stride int, b []float64) []float64 {
 	return y
 }
 
+// MaxRHS is the most right-hand sides one TriPacked.ForwardSubst call — one
+// pass over the factor — carries.
+const MaxRHS = 4
+
 // forwardSubst is the one forward-substitution recurrence, b[i] = (b[i] −
-// Dot(L[i,:i], b[:i])) / L[i,i] for i < len(b), behind the dense and packed
-// ForwardSubst and the AppendRows panel. Row i of L starts at data[i·stride],
-// or at data[i(i+1)/2] when stride is 0 (packed).
+// Dot(L[i,:i], b[:i])) / L[i,i] for i < n, behind the dense and packed
+// ForwardSubst and the AppendRows panel. It solves up to MaxRHS right-hand
+// sides of one length n in one pass over L, each bit for bit its own solo
+// solve: a right-hand side never enters another's arithmetic. Row i of L
+// starts at data[i·stride], or at data[i(i+1)/2] when stride is 0 (packed).
 //
 // With a vector kernel the rows advance in blocks of four starting at
 // multiples of four. Rows 4m … 4m+3 share the 4-aligned prefix [0, 4m) of
-// their Dot exactly, so one dotRows4Lanes pass over b[:4m] yields all sixteen
-// lanes, and row 4m+r's r tail terms — columns 4m … 4m+r−1, into lane 0 in
-// order — multiply the b entries the block has just produced. That is Dot's
-// lane contract term for term: the block and the row-by-row loop agree bit
-// for bit.
-func forwardSubst(data []float64, stride int, b []float64) {
-	n := len(b)
+// their Dot exactly, so the kernels' passes over b[:4m] yield every lane of
+// the block — dotRows4Lanes all four rows of one right-hand side, or
+// dotRows2x4Lanes two rows of up to four, called twice — and row 4m+r's r
+// tail terms (columns 4m … 4m+r−1, into lane 0 in order) multiply the b
+// entries the block has just produced. That is Dot's lane contract term for
+// term: the block and the row-by-row loop agree bit for bit. Several
+// right-hand sides read each row of L once per block instead of once each,
+// which is what the solve — bound by the bandwidth to L, not by its adds —
+// pays for.
+func forwardSubst(data []float64, stride int, bs ...[]float64) {
+	if len(bs) == 0 {
+		return
+	}
+	n := len(bs[0])
 	for i := 0; i < n; {
 		if vectorKernels && i >= vectorMin && i&3 == 0 && i+4 <= n {
 			var o [4]int
 			for r := range o {
 				o[r] = rowStart(i+r, stride)
 			}
-			_ = data[o[3]+i+3] // the block's last element: the kernel reads unchecked
-			var s [16]float64
-			dotRows4Lanes(&data[o[0]], &data[o[1]], &data[o[2]], &data[o[3]], &b[0], i, &s)
-			for r, off := range o {
-				tail := data[off+i : off+i+r+1] // L[i+r, i : i+r+1], pivot last
-				lanes := s[4*r : 4*r+4 : 4*r+4]
-				s0 := lanes[0]
-				for t := 0; t < r; t++ {
-					s0 += tail[t] * b[i+t]
+			_ = data[o[3]+i+3] // the block's last element: the kernels read unchecked
+			if len(bs) == 1 {
+				b := bs[0]
+				var s [16]float64
+				dotRows4Lanes(&data[o[0]], &data[o[1]], &data[o[2]], &data[o[3]], &b[0], i, &s)
+				for r, off := range o {
+					finishRow(data[off+i:off+i+r+1], s[4*r:4*r+4:4*r+4], b, i, r)
 				}
-				b[i+r] = (b[i+r] - ((s0 + lanes[2]) + (lanes[1] + lanes[3]))) / tail[r]
+			} else {
+				// Fewer than four right-hand sides repeat the last one in the
+				// unused kernel slots; their lanes are never read.
+				var p [MaxRHS]*float64
+				for k := range p {
+					p[k] = &bs[min(k, len(bs)-1)][0]
+				}
+				var s [2][32]float64
+				dotRows2x4Lanes(&data[o[0]], &data[o[1]], p[0], p[1], p[2], p[3], i, &s[0])
+				dotRows2x4Lanes(&data[o[2]], &data[o[3]], p[0], p[1], p[2], p[3], i, &s[1])
+				for r, off := range o {
+					tail := data[off+i : off+i+r+1]
+					lanes := s[r>>1][(r&1)*16:]
+					for k, b := range bs {
+						finishRow(tail, lanes[4*k:4*k+4:4*k+4], b, i, r)
+					}
+				}
 			}
 			i += 4
 			continue
 		}
 		o := rowStart(i, stride)
-		b[i] = (b[i] - Dot(data[o:o+i], b[:i])) / data[o+i]
+		for _, b := range bs {
+			b[i] = (b[i] - Dot(data[o:o+i], b[:i])) / data[o+i]
+		}
 		i++
 	}
+}
+
+// finishRow completes row i+r of a forwardSubst block for one right-hand
+// side b: tail is L[i+r, i : i+r+1], pivot last, and lanes the row's four
+// prefix lanes. The r tail terms go into lane 0 in order, then Dot's combine.
+func finishRow(tail, lanes, b []float64, i, r int) {
+	s0 := lanes[0]
+	for t := 0; t < r; t++ {
+		s0 += tail[t] * b[i+t]
+	}
+	b[i+r] = (b[i+r] - ((s0 + lanes[2]) + (lanes[1] + lanes[3]))) / tail[r]
 }
 
 // rowStart returns the offset of row i in dense (stride > 0) or packed

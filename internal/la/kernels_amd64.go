@@ -14,6 +14,9 @@ func dotPairLanes(a, b0, b1 *float64, n int, s *[8]float64)
 //go:noescape
 func dotRows4Lanes(r0, r1, r2, r3, b *float64, n int, s *[16]float64)
 
+//go:noescape
+func dotRows2x4Lanes(r0, r1, b0, b1, b2, b3 *float64, n int, s *[32]float64)
+
 // The kernels of lanes_amd64.s; lanes.go states what each computes. n is a
 // positive multiple of 4 for the first three, any positive count for
 // accumLanes, and dim ≥ 1, 1 ≤ nd ≤ 4.

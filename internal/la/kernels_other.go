@@ -18,6 +18,10 @@ func dotRows4Lanes(r0, r1, r2, r3, b *float64, n int, s *[16]float64) {
 	panic("la: no vector kernel")
 }
 
+func dotRows2x4Lanes(r0, r1, b0, b1, b2, b3 *float64, n int, s *[32]float64) {
+	panic("la: no vector kernel")
+}
+
 func expLanes(dst, src *float64, n int, tab *[16][4]float64) int { panic("la: no vector kernel") }
 
 func weightedSumsLanes(dst, w, x *float64, dim, stride, n int, scale float64) {

@@ -86,7 +86,7 @@ func TestVectorKernelsBitwiseEqualScalar(t *testing.T) {
 						math.Float64bits(got0), math.Float64bits(got1), math.Float64bits(want0), math.Float64bits(want1))
 				}
 
-				// The four-row kernel directly, over the aligned prefix it is
+				// The block kernels directly, over the aligned prefix they are
 				// specified for (forwardSubst adds the tails; tested below).
 				n4 := n &^ 3
 				if !vectorKernels || n4 == 0 {
@@ -100,6 +100,18 @@ func TestVectorKernelsBitwiseEqualScalar(t *testing.T) {
 						t.Fatalf("salted=%v n=%d off=%d: four-row kernel row %d %x, scalar %x", salted, n, off, r, math.Float64bits(got), math.Float64bits(want))
 					}
 				}
+				var s2 [32]float64
+				rhs := [][]float64{v, c, d, a}
+				dotRows2x4Lanes(&a[0], &b[0], &rhs[0][0], &rhs[1][0], &rhs[2][0], &rhs[3][0], n4, &s2)
+				for r, row := range [][]float64{a, b} {
+					for k, x := range rhs {
+						l := s2[16*r+4*k : 16*r+4*k+4]
+						scalarOnly(func() { want = Dot(row[:n4], x[:n4]) })
+						if got := (l[0] + l[2]) + (l[1] + l[3]); !sameFloat(got, want) {
+							t.Fatalf("salted=%v n=%d off=%d: two-row kernel row %d rhs %d %x, scalar %x", salted, n, off, r, k, math.Float64bits(got), math.Float64bits(want))
+						}
+					}
+				}
 			}
 		}
 	}
@@ -108,7 +120,9 @@ func TestVectorKernelsBitwiseEqualScalar(t *testing.T) {
 // TestForwardSubstOneBodyBitwise: packed ≡ dense ≡ AppendRows' panel ≡ the
 // row-by-row recurrence over scalar Dots, across the sizes where the blocks
 // of four start, end and leave a remainder, with a zero and a NaN pivot
-// poisoning everything after them identically.
+// poisoning everything after them identically — and for one to four
+// right-hand sides solved in one pass, dense and packed, each the bits of
+// its own row-by-row solve.
 func TestForwardSubstOneBodyBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	sizes := []int{63, 64, 65, 541}
@@ -131,18 +145,20 @@ func TestForwardSubstOneBodyBitwise(t *testing.T) {
 			case pivot == "nan":
 				l.Set(n/2, n/2, math.NaN())
 			}
-			rhs := make([]float64, n)
-			for i := range rhs {
-				rhs[i] = rng.NormFloat64()
+			var rhss, wants [MaxRHS][]float64
+			for k := range rhss {
+				rhss[k] = kernelInput(rng, n, k, false)
+				wants[k] = CopyVec(rhss[k])
+				scalarOnly(func() {
+					w := wants[k]
+					for i := 0; i < n; i++ {
+						li := l.Row(i)
+						w[i] = (w[i] - Dot(li[:i], w[:i])) / li[i]
+					}
+				})
 			}
+			rhs, want := rhss[0], wants[0]
 
-			want := CopyVec(rhs)
-			scalarOnly(func() {
-				for i := 0; i < n; i++ {
-					li := l.Row(i)
-					want[i] = (want[i] - Dot(li[:i], want[:i])) / li[i]
-				}
-			})
 			dense := CopyVec(rhs)
 			ForwardSubst(l, dense)
 			tp := PackChol(l)
@@ -152,6 +168,22 @@ func TestForwardSubstOneBodyBitwise(t *testing.T) {
 				if !sameFloat(dense[i], want[i]) || !sameFloat(packed[i], want[i]) {
 					t.Fatalf("n=%d pivot=%s row %d: dense %x packed %x, row-by-row %x", n, pivot, i,
 						math.Float64bits(dense[i]), math.Float64bits(packed[i]), math.Float64bits(want[i]))
+				}
+			}
+			for k := 1; k <= MaxRHS; k++ {
+				var denseK, packedK [MaxRHS][]float64
+				for j := 0; j < k; j++ {
+					denseK[j], packedK[j] = CopyVec(rhss[j]), CopyVec(rhss[j])
+				}
+				forwardSubst(l.Data, n, denseK[:k]...)
+				tp.ForwardSubst(packedK[:k]...)
+				for j := 0; j < k; j++ {
+					for i, w := range wants[j] {
+						if !sameFloat(denseK[j][i], w) || !sameFloat(packedK[j][i], w) {
+							t.Fatalf("n=%d pivot=%s %d right-hand sides, #%d row %d: dense %x packed %x, row-by-row %x", n, pivot, k, j, i,
+								math.Float64bits(denseK[j][i]), math.Float64bits(packedK[j][i]), math.Float64bits(w))
+						}
+					}
 				}
 			}
 

@@ -65,14 +65,20 @@ func (t *TriPacked) Dense() *Matrix {
 	return m
 }
 
-// ForwardSubst solves L·y = b in place (b becomes y): the dense
-// ForwardSubst's forwardSubst body over packed rows, so results are bitwise
-// identical.
-func (t *TriPacked) ForwardSubst(b []float64) {
-	if len(b) != t.n {
-		panic("la: TriPacked.ForwardSubst dimension mismatch")
+// ForwardSubst solves L·y = b in place (b becomes y) for each of up to four
+// right-hand sides: the dense ForwardSubst's forwardSubst body over packed
+// rows, so results are bitwise identical, and each right-hand side's bits
+// are those of its solve alone. Several of them share each pass over L.
+func (t *TriPacked) ForwardSubst(bs ...[]float64) {
+	if len(bs) > MaxRHS {
+		panic("la: TriPacked.ForwardSubst of more than four right-hand sides")
 	}
-	forwardSubst(t.data, 0, b)
+	for _, b := range bs {
+		if len(b) != t.n {
+			panic("la: TriPacked.ForwardSubst dimension mismatch")
+		}
+	}
+	forwardSubst(t.data, 0, bs...)
 }
 
 // BackwardSubstT solves Lᵀ·x = b in place (b becomes x): the dense

@@ -16,6 +16,11 @@ import "math/rand"
 // Objective is a scalar function to be minimized over [0,1]^dim.
 type Objective func(x []float64) float64
 
+// BatchObjective scores every point of xs into out (len(out) == len(xs)),
+// out[k] being what the scalar objective returns for xs[k] alone. The points
+// are the optimizer's; f must not keep or modify them.
+type BatchObjective func(xs [][]float64, out []float64)
+
 // MultiObjective returns γ objective values to be minimized over [0,1]^dim.
 type MultiObjective func(x []float64) []float64
 

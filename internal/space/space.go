@@ -135,7 +135,15 @@ func (p Param) normalize(v float64) float64 {
 // skewing LHS initial designs away from the bounds.) Log-scale integers
 // keep rounding on the exponential curve: their cells are intentionally
 // non-uniform in u, so there is no equal-mass partition to preserve.
+//
+// NaN maps to 0, like the lower bound: clamp01 passes it through, and it
+// would denormalize to NaN, or for a categorical to the index int(NaN·k).
+// normalize keeps NaN, so bad native input still reaches the finiteness
+// checks downstream.
 func (p Param) denormalize(u float64) float64 {
+	if math.IsNaN(u) {
+		u = 0
+	}
 	u = clamp01(u)
 	switch p.Kind {
 	case Categorical:

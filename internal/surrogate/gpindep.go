@@ -94,6 +94,11 @@ func (g *gpIndepModel) PredictInto(ws Workspace, task int, x []float64) (mean, v
 	return g.models[task].PredictInto(ws.(*gpIndepWorkspace).wss[task], 0, x)
 }
 
+//gptlint:hotpath
+func (g *gpIndepModel) PredictBatchInto(ws Workspace, task int, xs [][]float64, mean, variance []float64) {
+	g.models[task].PredictBatchInto(ws.(*gpIndepWorkspace).wss[task], 0, xs, mean, variance)
+}
+
 // Append extends each per-task GP with its slice of the delta (task i's new
 // samples go to sub-model i at its local task index 0). A mid-loop failure
 // leaves earlier tasks extended — the caller's refit fallback re-derives

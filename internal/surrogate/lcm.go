@@ -55,6 +55,11 @@ func (l *lcmModel) PredictInto(ws Workspace, task int, x []float64) (mean, varia
 	return l.m.PredictInto(ws.(*gp.PredictWorkspace), task, x)
 }
 
+//gptlint:hotpath
+func (l *lcmModel) PredictBatchInto(ws Workspace, task int, xs [][]float64, mean, variance []float64) {
+	l.m.PredictBatchInto(ws.(*gp.PredictWorkspace), task, xs, mean, variance)
+}
+
 func (l *lcmModel) MarshalBinary() ([]byte, error) { return l.m.MarshalBinary() }
 
 // Append extends the wrapped LCM with the delta's samples via the rank-k

@@ -64,6 +64,13 @@ func (r *rfModel) PredictInto(_ Workspace, task int, x []float64) (mean, varianc
 	return r.forests[task].Predict(x)
 }
 
+//gptlint:hotpath
+func (r *rfModel) PredictBatchInto(ws Workspace, task int, xs [][]float64, mean, variance []float64) {
+	for j, x := range xs {
+		mean[j], variance[j] = r.PredictInto(ws, task, x)
+	}
+}
+
 func (r *rfModel) MarshalBinary() ([]byte, error) {
 	blobs := make([]json.RawMessage, len(r.forests))
 	for i, f := range r.forests {

@@ -305,6 +305,13 @@ func (s *sgpModel) PredictInto(ws Workspace, task int, x []float64) (mean, varia
 	return mean, variance
 }
 
+//gptlint:hotpath
+func (s *sgpModel) PredictBatchInto(ws Workspace, task int, xs [][]float64, mean, variance []float64) {
+	for j, x := range xs {
+		mean[j], variance[j] = s.PredictInto(ws, task, x)
+	}
+}
+
 // Append folds new observations into the DTC sufficient statistics: for each
 // new point, Q_m += σ⁻²·k·kᵀ and r += y·k with k the point's inducing-set
 // cross-covariances, then one O(m³) refactorization re-derives the

@@ -54,6 +54,11 @@ type Model interface {
 	// task, using ws for scratch. It performs no heap allocation, so PSO and
 	// NSGA-II inner loops can call it millions of times.
 	PredictInto(ws Workspace, task int, x []float64) (mean, variance float64)
+	// PredictBatchInto writes PredictInto's mean and variance at each xs[j]
+	// into mean[j] and variance[j], bit for bit what PredictInto returns for
+	// that point alone, without allocating. The GP backends share one pass
+	// over their factor among four points; the others loop.
+	PredictBatchInto(ws Workspace, task int, xs [][]float64, mean, variance []float64)
 	// MarshalBinary serializes the fitted state into a self-contained
 	// snapshot that the same backend's UnmarshalBinary restores.
 	MarshalBinary() ([]byte, error)

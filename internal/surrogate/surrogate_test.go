@@ -87,6 +87,8 @@ func TestAllBackendsFitPredictRoundTrip(t *testing.T) {
 			}
 			rng := rand.New(rand.NewSource(2))
 			ws, wsBack := m.NewWorkspace(), back.NewWorkspace()
+			var xs [2][][]float64
+			var mus, vs [2][]float64
 			for k := 0; k < 40; k++ {
 				x := []float64{rng.Float64(), rng.Float64()}
 				if k < 2 {
@@ -102,6 +104,18 @@ func TestAllBackendsFitPredictRoundTrip(t *testing.T) {
 				}
 				if math.Float64bits(mu) != math.Float64bits(mu2) || math.Float64bits(v) != math.Float64bits(v2) {
 					t.Fatalf("%s/%s: round trip diverged at %v task %d", name, kind, x, task)
+				}
+				xs[task], mus[task], vs[task] = append(xs[task], x), append(mus[task], mu), append(vs[task], v)
+			}
+			// The batch path returns each point's own bits.
+			for task := range xs {
+				mean, variance := make([]float64, len(xs[task])), make([]float64, len(xs[task]))
+				m.PredictBatchInto(ws, task, xs[task], mean, variance)
+				for j := range mean {
+					if math.Float64bits(mean[j]) != math.Float64bits(mus[task][j]) || math.Float64bits(variance[j]) != math.Float64bits(vs[task][j]) {
+						t.Fatalf("%s/%s: PredictBatchInto point %d of task %d (%v, %v), PredictInto (%v, %v)",
+							name, kind, j, task, mean[j], variance[j], mus[task][j], vs[task][j])
+					}
 				}
 			}
 		}
