@@ -364,3 +364,84 @@ func TestClientDrivesRealStudy(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// FuzzResponseDecoding: whatever status (200–599) and body a replica answers
+// with, every call returns a value or an error and never panics, and the two
+// sentinels come back only for their own statuses — ErrDone from a suggest
+// answered below 400, ErrNonePending from a suggest answered 409. Run it with
+// go test ./gptune/client -run '^$' -fuzz FuzzResponseDecoding -fuzztime 60s.
+func FuzzResponseDecoding(f *testing.F) {
+	for _, seed := range []struct {
+		status int
+		body   string
+	}{
+		{200, `{"done":true}`},
+		{200, `{"suggestion":{"id":1,"task":0,"phase":"search","x":[0.5]}}`},
+		{200, `{"suggestion":null}`},
+		{200, `{"ok":false,"error":"x"}`},
+		{200, `{"ok":true,"retry":{"id":2,"x":[1]},"terminal":true}`},
+		{200, `{"tasks":[{"task":[1],"x":[[0.5]],"y":[[1]]}]}`},
+		{200, `{"spec":{"name":"s"},"snapshot":"AAAA","wal":"!!"}`},
+		{200, `{"studies":["a",null,1]}`},
+		{200, `null`},
+		{200, `[`},
+		{204, ``},
+		{302, ``},
+		{409, `{"error":"none pending"}`},
+		{409, `{"error":`},
+		{503, ``},
+		{500, `<html>bad gateway</html>`},
+	} {
+		f.Add(seed.status, []byte(seed.body))
+	}
+	var mu sync.Mutex
+	var status int
+	var body []byte
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		s, b := status, body
+		mu.Unlock()
+		w.WriteHeader(s)
+		_, _ = w.Write(b)
+	}))
+	defer srv.Close()
+	c, err := New(Config{Replicas: []string{srv.URL}, Timeout: 5 * time.Second, MaxRetries: -1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	ctx := context.Background()
+	f.Fuzz(func(t *testing.T, code int, b []byte) {
+		code = 200 + int(uint(code)%400)
+		mu.Lock()
+		status, body = code, b
+		mu.Unlock()
+		check := func(call string, err error) {
+			t.Helper()
+			if errors.Is(err, ErrDone) && (call != "suggest" || code >= 400) {
+				t.Fatalf("%s answered %d: ErrDone", call, code)
+			}
+			if errors.Is(err, ErrNonePending) && (call != "suggest" || code != http.StatusConflict) {
+				t.Fatalf("%s answered %d: ErrNonePending", call, code)
+			}
+		}
+		_, err := c.Suggest(ctx, "s", 0)
+		check("suggest", err)
+		check("report", c.Report(ctx, "s", 1, []float64{1}))
+		_, _, err = c.ReportFailure(ctx, "s", 1, "crashed")
+		check("report failure", err)
+		_, err = c.Status(ctx, "s")
+		check("status", err)
+		_, err = c.History(ctx, "s")
+		check("history", err)
+		_, err = c.Best(ctx, "s")
+		check("best", err)
+		_, err = c.Pareto(ctx, "s")
+		check("pareto", err)
+		_, err = c.Snapshot(ctx, "s")
+		check("snapshot", err)
+		_, err = c.Studies(ctx)
+		check("studies", err)
+		check("create", c.Create(ctx, testSpec("s", 4)))
+		check("import", c.Import(ctx, StudyArchive{Spec: testSpec("s", 4)}))
+	})
+}

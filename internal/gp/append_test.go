@@ -76,12 +76,7 @@ func TestAppendObservationsMatchesDirectPosterior(t *testing.T) {
 		task := trial % 2
 		gotMu, gotVar := m.PredictInto(ws, task, x)
 
-		kstar := make([]float64, n)
-		for r := 0; r < n; r++ {
-			for q := 0; q < m.Q; q++ {
-				kstar[r] += m.coef(q, task, taskOf[r]) * rbf(x, flatX[r], m.Ls[q])
-			}
-		}
+		kstar := refKstar(m, task, x)
 		mu := la.Dot(kstar, alpha)
 		prior := m.D[task]
 		for q := 0; q < m.Q; q++ {

@@ -30,8 +30,9 @@ const evalParallelMin = 3 * cholBlock
 // phase: one L-BFGS restart performs ~100 evaluations, and the paper's
 // Table 3 shows this phase dominating GPTune's overhead as n·δ grows.
 //
-// Versus the naive evaluation (kept in reference_test.go as the test
-// oracle), the engine
+// Versus the naive evaluation (reference_test.go, the package's one oracle:
+// its Σ and likelihood are the engine's bit for bit, its per-pair gradient
+// agrees to a tolerance), the engine
 //   - reads every pairwise distance from a pairCache computed once per
 //     FitLCM call instead of re-touching the raw coordinates,
 //   - sweeps only the upper triangle (r ≤ s), exploiting the symmetry of
@@ -41,7 +42,7 @@ const evalParallelMin = 3 * cholBlock
 //   - runs the O(n²) passes — kernel arguments, exp, Σ accumulation, the
 //     lengthscale contractions — as contiguous sweeps over la's four-lane
 //     kernels, each output seeing the operations the per-pair loops
-//     performed (frozen_test.go keeps those loops as the bitwise oracle), and
+//     performed, in their order, and
 //   - distributes kernel assembly, the gradient sweep, the blocked Cholesky
 //     and the inverse over Workers goroutines.
 //
@@ -198,9 +199,10 @@ func (e *lcmEngine) assembleSigma(m *LCM) *la.Matrix {
 // nothing while eq is finite. A non-finite eq would need a non-finite α,
 // Σ⁻¹ or kernel value behind a factorization that succeeded (a non-finite
 // coefficient or kernel of any pair puts Inf or NaN off Σ's diagonal, which
-// no pivot survives), and no hyperparameters produce one: the frozen-pass
-// tests in frozen_test.go, whose oracle keeps the skip, pin that at hostile
-// hyperparameters and on an infinite diagonal.
+// no pivot survives), and no hyperparameters produce one:
+// TestEngineMatchesReference, whose oracle keeps the skip and requires the
+// engine to be non-finite exactly where it is, pins that at hostile
+// hyperparameters on grid coordinates and on an infinite diagonal.
 func (e *lcmEngine) gradSweep(inv *la.Matrix) (v, gl, dsum []float64) {
 	n := e.cache.n
 	Q := e.layout.q

@@ -27,45 +27,143 @@ func flatten(data *Dataset) (flatX [][]float64, taskOf []int, yn []float64) {
 	return flatX, taskOf, yn
 }
 
-// The cached/parallel engine must agree with the naive reference evaluation.
-// Two sizes: n < cholBlock exercises the serial Cholesky shortcut, n > 64
-// the blocked parallel path.
+// TestEngineMatchesReference: on real and grid coordinates, tasks in order
+// and interleaved (as a model reloaded after appends has them), task and
+// latent counts that fill one lane block, part of one and more than one,
+// sizes on both sides of the 32-row chunk and the 64-row Cholesky block, at
+// ordinary and hostile hyperparameters, an evaluation matches the reference
+// (matchReference).
 func TestEngineMatchesReference(t *testing.T) {
-	for _, cfg := range []struct {
-		name           string
-		tasks, samples int
-		tol            float64
-	}{
-		{"small", 3, 8, 1e-9},
-		{"blocked", 3, 30, 1e-7},
+	rng := rand.New(rand.NewSource(71))
+	for ci, cfg := range []struct{ tasks, samples, dim, q int }{
+		{1, 5, 1, 1},
+		{1, 31, 3, 1},
+		{1, 65, 2, 1},
+		{2, 16, 4, 2},
+		{2, 33, 5, 2},
+		{3, 11, 3, 3},
+		{3, 22, 8, 3},
+		{3, 43, 3, 2},
+		{5, 13, 9, 5},
+		{5, 26, 4, 4},
+		{5, 7, 2, 5},
 	} {
-		t.Run(cfg.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(21))
-			data := syntheticDataset(rng, cfg.tasks, cfg.samples, 3, 0.05)
-			layout := hyperLayout{q: 2, dim: data.Dim, tasks: data.NumTasks()}
-			flatX, taskOf, yn := flatten(data)
-			eng := newLCMEngine(newPairCache(flatX, data.Dim), layout, taskOf, yn, 2)
-			for trial := 0; trial < 4; trial++ {
-				theta := randomInit(layout, rng)
-				llRef, gradRef, errRef := lcmLogLikGradReference(theta, layout, flatX, taskOf, yn)
-				ll, grad, err := eng.logLikGrad(theta)
-				if (err == nil) != (errRef == nil) {
-					t.Fatalf("trial %d: error mismatch: engine %v, reference %v", trial, err, errRef)
-				}
-				if err != nil {
-					continue
-				}
-				if d := math.Abs(ll - llRef); d > cfg.tol*(1+math.Abs(llRef)) {
-					t.Errorf("trial %d: ll %v vs reference %v", trial, ll, llRef)
-				}
-				for p := range grad {
-					if d := math.Abs(grad[p] - gradRef[p]); d > cfg.tol*(1+math.Abs(gradRef[p])) {
-						t.Errorf("trial %d param %d: grad %v vs reference %v", trial, p, grad[p], gradRef[p])
-					}
-				}
+		for _, grid := range []bool{false, true} {
+			data := syntheticDataset(rng, cfg.tasks, cfg.samples, cfg.dim, 0.05)
+			if grid {
+				data = gridDataset(rng, cfg.tasks, cfg.samples, cfg.dim)
 			}
-		})
+			layout := hyperLayout{q: cfg.q, dim: cfg.dim, tasks: cfg.tasks}
+			flatX, taskOf, yn := flatten(data)
+			n := len(flatX)
+			if ci%2 == 1 {
+				rng.Shuffle(n, func(i, j int) {
+					flatX[i], flatX[j] = flatX[j], flatX[i]
+					taskOf[i], taskOf[j] = taskOf[j], taskOf[i]
+					yn[i], yn[j] = yn[j], yn[i]
+				})
+			}
+			eng := newLCMEngine(newPairCache(flatX, cfg.dim), layout, taskOf, yn, 2)
+			thetas := hostileThetas(layout, rng)
+			for i := 0; i < 3; i++ {
+				thetas = append(thetas, randomInit(layout, rng))
+			}
+			for ti, theta := range thetas {
+				name := fmt.Sprintf("config %d: δ=%d n=%d β=%d Q=%d grid=%v theta %d", ci, cfg.tasks, n, cfg.dim, cfg.q, grid, ti)
+				matchReference(t, name, eng, flatX, theta)
+			}
+		}
 	}
+}
+
+// TestEngineMatchesReferenceOnInfiniteDiagonal: a task with a single sample
+// and an overflowing diagonal boost puts +Inf on Σ's diagonal and nowhere
+// else, which the factorization accepts (pivot +Inf, a zero row below it).
+// The likelihood and gradient entries that then come out non-finite are the
+// reference's.
+func TestEngineMatchesReferenceOnInfiniteDiagonal(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	data := gridDataset(rng, 2, 12, 3)
+	data.X[1], data.Y[1] = data.X[1][1:2], data.Y[1][1:2]
+	layout := hyperLayout{q: 2, dim: 3, tasks: 2}
+	flatX, taskOf, yn := flatten(data)
+	eng := newLCMEngine(newPairCache(flatX, 3), layout, taskOf, yn, 1)
+	theta := randomInit(layout, rng)
+	theta[layout.bAt(1, 1)] = 800
+	if err := matchReference(t, "infinite diagonal", eng, flatX, theta); err != nil {
+		t.Fatalf("engine error %v, want an accepted factorization", err)
+	}
+	if last := eng.sigma.At(len(flatX)-1, len(flatX)-1); !math.IsInf(last, 1) {
+		t.Fatalf("Σ's last diagonal entry is %v, want +Inf", last)
+	}
+}
+
+// matchReference evaluates eng at theta and checks it against the reference:
+// Σ is covariance's and k* (at a training point and at an interior one) is
+// refKstar's, bit for bit; the engine fails exactly where
+// lcmLogLikGradReference does; and otherwise the likelihood is the
+// reference's bit for bit, and every gradient entry is non-finite exactly
+// where the reference's is and else within 1e-9 of it relative, plus what
+// summing its terms in another order may change. It returns the engine's
+// error.
+//
+// The reference keeps the exact-zero skips gradSweep's lane kernel retired,
+// so the two would part where a non-finite per-pair factor meets a zero
+// distance (0·Inf is NaN to the kernel and nothing to the skip). Grid
+// coordinates put a zero distance in most pairs, so agreement at every
+// hostile vector that still factors, and on the infinite diagonal, is what
+// pins that corner unreachable.
+func matchReference(t *testing.T, name string, eng *lcmEngine, flatX [][]float64, theta []float64) error {
+	t.Helper()
+	layout, taskOf, n := eng.layout, eng.taskOf, len(flatX)
+	ll, grad, err := eng.logLikGrad(theta)
+	m := thetaToModel(theta, layout)
+	for i, v := range m.covariance(flatX, taskOf).Data {
+		if !sameBits(eng.sigma.Data[i], v) {
+			t.Fatalf("%s: Σ[%d,%d] = %v, reference %v", name, i/n, i%n, eng.sigma.Data[i], v)
+		}
+	}
+	m.flatX, m.taskOf = flatX, taskOf
+	m.prepPredict()
+	ws := m.NewPredictWorkspace()
+	inside := make([]float64, layout.dim)
+	for d := range inside {
+		inside[d] = float64(d+1) / float64(layout.dim+2)
+	}
+	for _, x := range [][]float64{flatX[0], inside} {
+		want := refKstar(m, taskOf[n-1], x)
+		for r, k := range m.kstarInto(ws, ws.cols[0], taskOf[n-1], x) {
+			if !sameBits(k, want[r]) {
+				t.Fatalf("%s: k*(%v)[%d] = %v, reference %v", name, x, r, k, want[r])
+			}
+		}
+	}
+
+	llRef, gradRef, scale, errRef := lcmLogLikGradReference(theta, layout, flatX, taskOf, eng.yn)
+	if (err == nil) != (errRef == nil) {
+		t.Fatalf("%s: engine error %v, reference error %v", name, err, errRef)
+	}
+	if err != nil {
+		return err
+	}
+	if !sameBits(ll, llRef) {
+		t.Errorf("%s: ll %v, reference %v", name, ll, llRef)
+	}
+	// What summing the same terms in another order may change: some n²
+	// roundings, each at most ε·scale.
+	reorder := float64(n*n+8) * 0x1p-52
+	for p, want := range gradRef {
+		got := grad[p]
+		switch {
+		case math.IsNaN(want) || math.IsInf(want, 0) || math.IsNaN(got) || math.IsInf(got, 0):
+			if !sameBits(got, want) {
+				t.Errorf("%s: grad[%d] %v, reference %v", name, p, got, want)
+			}
+		case math.Abs(got-want) > 1e-9*(1+math.Abs(want))+reorder*scale[p]:
+			t.Errorf("%s: grad[%d] %v, reference %v (Σ|term| %v)", name, p, got, want, scale[p])
+		}
+	}
+	return nil
 }
 
 // The engine's chunked reductions and the blocked Cholesky must make every
@@ -144,77 +242,78 @@ func TestFitLCMWorkersIdenticalLargeN(t *testing.T) {
 	}
 }
 
-// PredictInto must match the naive evaluation of Eqs. (5–6) (refPredict, the
-// body Predict had before it became a wrapper) to 1e-12 on random fitted
-// models, and the Predict wrapper must be PredictInto exactly.
-func TestPredictWorkspaceMatchesPredict(t *testing.T) {
-	rng := rand.New(rand.NewSource(55))
-	for trial := 0; trial < 3; trial++ {
-		data := syntheticDataset(rng, 2+trial, 10, 1+trial, 0.05)
-		model, err := FitLCM(data, FitOptions{NumStarts: 2, MaxIter: 30, Seed: int64(trial)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ws := model.NewPredictWorkspace()
-		var xs [][]float64
-		for k := 0; k < 25; k++ {
-			x := make([]float64, data.Dim)
-			for d := range x {
-				x[d] = rng.Float64()*2 - 0.5
+// TestPredictionsMatchReferenceBitwise: k*, PredictBatchInto, PredictInto
+// and Predict return refKstar's and refPredict's bits, for fitted models with
+// one to five latents on real and grid coordinates, n on both sides of the
+// 64-row block, at random points, training points (exact-zero distances), far
+// points (kernel arguments past exp's fast range) and grid points, in batches
+// of every length from one to nine (whole groups of four and every
+// remainder), before and after an append grew the model.
+func TestPredictionsMatchReferenceBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(79))
+	for _, cfg := range []struct{ tasks, samples, dim, q int }{
+		{1, 9, 1, 1}, {2, 17, 3, 2}, {3, 22, 8, 3}, {5, 14, 4, 5}, {4, 16, 5, 4},
+	} {
+		for _, grid := range []bool{false, true} {
+			data := syntheticDataset(rng, cfg.tasks, cfg.samples, cfg.dim, 0.05)
+			if grid {
+				data = gridDataset(rng, cfg.tasks, cfg.samples, cfg.dim)
 			}
-			xs = append(xs, x)
-		}
-		for task := 0; task < data.NumTasks(); task++ {
-			for _, x := range xs {
-				mu, v := refPredict(model, task, x)
-				muWS, vWS := model.PredictInto(ws, task, x)
-				if math.Abs(mu-muWS) > 1e-12*(1+math.Abs(mu)) || math.Abs(v-vWS) > 1e-12*(1+v) {
-					t.Fatalf("trial %d task %d: PredictInto (%v,%v) vs refPredict (%v,%v)", trial, task, muWS, vWS, mu, v)
-				}
-				if muP, vP := model.Predict(task, x); muP != muWS || vP != vWS {
-					t.Fatalf("trial %d task %d: Predict (%v,%v) is not PredictInto (%v,%v)", trial, task, muP, vP, muWS, vWS)
-				}
+			model, err := FitLCM(data, FitOptions{Q: cfg.q, NumStarts: 1, MaxIter: 8, Seed: 5})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-}
-
-// PredictBatchInto returns, per point, the bits PredictInto returns for that
-// point alone, at every batch length from one to nine (whole groups of four
-// and every remainder), for each task, before and after an append grew the
-// model under both workspaces.
-func TestPredictBatchIntoIsPredictIntoPerPoint(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	model, err := FitLCM(appendTestData(rng, 2, 33, 3), FitOptions{Q: 2, NumStarts: 2, MaxIter: 15, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws, wsBatch := model.NewPredictWorkspace(), model.NewPredictWorkspace()
-	check := func(stage string) {
-		for size := 1; size <= 9; size++ {
-			xs := make([][]float64, size)
-			for j := range xs {
-				xs[j] = []float64{rng.Float64(), rng.Float64(), rng.Float64()}
-			}
-			mean, variance := make([]float64, size), make([]float64, size)
-			for task := 0; task < model.NumTasks; task++ {
-				model.PredictBatchInto(wsBatch, task, xs, mean, variance)
-				for j, x := range xs {
-					mu, v := model.PredictInto(ws, task, x)
-					if math.Float64bits(mean[j]) != math.Float64bits(mu) || math.Float64bits(variance[j]) != math.Float64bits(v) {
-						t.Fatalf("%s: batch of %d, task %d, point %d: PredictBatchInto (%v, %v), PredictInto (%v, %v)",
-							stage, size, task, j, mean[j], variance[j], mu, v)
+			ws, wsBatch := model.NewPredictWorkspace(), model.NewPredictWorkspace()
+			check := func(stage string) {
+				t.Helper()
+				for size := 1; size <= 9; size++ {
+					xs := make([][]float64, size)
+					for j := range xs {
+						x := make([]float64, cfg.dim)
+						for d := range x {
+							x[d] = rng.Float64()
+						}
+						switch (size + j) % 4 {
+						case 1:
+							copy(x, model.flatX[rng.Intn(len(model.flatX))])
+						case 2:
+							x[rng.Intn(cfg.dim)] = 40 // far outside the unit cube
+						case 3:
+							for d := cfg.dim / 2; d < cfg.dim; d++ {
+								x[d] = float64(rng.Intn(4)) / 3
+							}
+						}
+						xs[j] = x
+					}
+					task := size % cfg.tasks
+					mean, variance := make([]float64, size), make([]float64, size)
+					model.PredictBatchInto(wsBatch, task, xs, mean, variance)
+					for j, x := range xs {
+						name := fmt.Sprintf("δ=%d β=%d Q=%d grid=%v %s, batch of %d, point %d", cfg.tasks, cfg.dim, cfg.q, grid, stage, size, j)
+						muI, vI := model.PredictInto(ws, task, x) // first: it resizes ws after an append
+						kstar := refKstar(model, task, x)
+						for r, k := range model.kstarInto(ws, ws.cols[0], task, x) {
+							if !sameBits(k, kstar[r]) {
+								t.Fatalf("%s: k*[%d] = %v, reference %v", name, r, k, kstar[r])
+							}
+						}
+						mu, v := refPredict(model, task, x)
+						muP, vP := model.Predict(task, x)
+						if !sameBits(mean[j], mu) || !sameBits(variance[j], v) || !sameBits(muI, mu) || !sameBits(vI, v) || !sameBits(muP, mu) || !sameBits(vP, v) {
+							t.Fatalf("%s: PredictBatchInto (%v, %v), PredictInto (%v, %v), Predict (%v, %v), reference (%v, %v)",
+								name, mean[j], variance[j], muI, vI, muP, vP, mu, v)
+						}
 					}
 				}
 			}
+			check("fitted")
+			extra := syntheticDataset(rng, 1, 3, cfg.dim, 0.05)
+			if err := model.AppendObservations(extra.X[0], []int{0, cfg.tasks - 1, 0}, extra.Y[0], 1); err != nil {
+				t.Fatal(err)
+			}
+			check("after append")
 		}
 	}
-	check("fitted")
-	xs := [][]float64{{0.1, 0.2, 0.3}, {0.7, 0.5, 0.9}, {0.4, 0.4, 0.1}}
-	if err := model.AppendObservations(xs, []int{0, 1, 1}, []float64{0.5, -0.2, 1.1}, 2); err != nil {
-		t.Fatal(err)
-	}
-	check("appended")
 }
 
 // PredictInto must not allocate in steady state.

@@ -303,12 +303,12 @@ func TestMeanStdDegenerate(t *testing.T) {
 
 func TestRBFBasics(t *testing.T) {
 	x := []float64{0.3, 0.7}
-	if v := rbf(x, x, []float64{1, 1}); v != 1 {
+	if v := rbf(x, x, halfInvSq([]float64{1, 1})); v != 1 {
 		t.Fatalf("k(x,x) = %v, want 1", v)
 	}
 	// Monotone decay with distance.
-	k1 := rbf([]float64{0}, []float64{0.1}, []float64{0.5})
-	k2 := rbf([]float64{0}, []float64{0.5}, []float64{0.5})
+	k1 := rbf([]float64{0}, []float64{0.1}, halfInvSq([]float64{0.5}))
+	k2 := rbf([]float64{0}, []float64{0.5}, halfInvSq([]float64{0.5}))
 	if !(k1 > k2 && k2 > 0) {
 		t.Fatalf("kernel not decaying: %v, %v", k1, k2)
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -222,6 +223,35 @@ func TestUnmarshalNFIsTheJSONFloatRule(t *testing.T) {
 			t.Errorf("unmarshalNF(%s) = %v, %v", elem, got, err)
 		}
 	}
+}
+
+// FuzzUnmarshalNF: for any input, decoding it as a snapshot float (nfScalar,
+// whose UnmarshalJSON is unmarshalNF) accepts exactly what decoding it into a
+// float64 with encoding/json accepts, with the same bits — except the three
+// non-finite strings, which only the snapshot form accepts. encoding/json
+// scans the input first, as it does for every snapshot element, so
+// unmarshalNF sees one well-formed value without its surrounding space. Run it
+// with go test ./internal/gp -run '^$' -fuzz FuzzUnmarshalNF -fuzztime 60s.
+func FuzzUnmarshalNF(f *testing.F) {
+	for _, seed := range []string{
+		`0`, `-0`, `1.5e-3`, `4.9e-324`, `1e-400`, `1e309`, `-1e309`, `0x1p3`, `1_0`, `+1`, `.5`, `01`,
+		`-Inf`, `NaN`, `"Inf"`, ` "-Inf" `, `"NaN"`, `"inf"`, `"Inf"`, `null`, ` null`, `true`, `[1]`, `{}`, ``,
+	} {
+		f.Add(seed)
+	}
+	nonFinite := map[string]float64{`"Inf"`: math.Inf(1), `"-Inf"`: math.Inf(-1), `"NaN"`: math.NaN()}
+	f.Fuzz(func(t *testing.T, lit string) {
+		var want float64
+		wantErr := json.Unmarshal([]byte(lit), &want)
+		var got nfScalar
+		err := json.Unmarshal([]byte(lit), &got)
+		if nf, ok := nonFinite[strings.Trim(lit, " \t\n\r")]; ok {
+			want, wantErr = nf, nil
+		}
+		if (err == nil) != (wantErr == nil) || !sameBits(float64(got), want) {
+			t.Fatalf("%q: snapshot float %v, %v; encoding/json %v, %v", lit, float64(got), err, want, wantErr)
+		}
+	})
 }
 
 // TestHyperparametersSurviveSnapshot: a warm start reads Hyperparameters off

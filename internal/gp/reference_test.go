@@ -2,40 +2,66 @@ package gp
 
 import (
 	"math"
+	"math/rand"
 
 	"repro/internal/la"
 )
 
-// rbf is the textbook Gaussian kernel of Eq. (3) with unit σ_q (the paper
-// fixes σ_q = 1): k(x, x') = exp(-Σ_d (x_d - x'_d)² / (2 l_d²)). Production
-// code evaluates it only in la's lane form (kstarInto, assembleSigma); this
-// scalar form is the oracles'.
-func rbf(x, y, lengthscales []float64) float64 {
+// The one oracle of the LCM: every quantity the engine, the prediction path
+// and the append path compute, written entry by entry from the paper's
+// equations, and the hostile corpus it is checked on. Σ, k* and the
+// predictions are the production values bit for bit, because rbf rounds in
+// the order la's lane kernels do; so is the likelihood, and the gradient is
+// the textbook per-pair scatter, which agrees to a tolerance.
+
+// rbf is the Gaussian kernel of Eq. (3) with unit σ_q (the paper fixes
+// σ_q = 1): k(x, x') = exp(−Σ_d w_d·(x_d − x'_d)²) with w_d = 1/(2·l_d²)
+// (halfInvSq). Difference, square, weighted product and sum are separate
+// roundings, d ascending from +0 — the lane contract of la.NegSqDistInto and
+// la.WeightedSumsInto, so assembleSigma and kstarInto produce these bits.
+func rbf(x, y, w []float64) float64 {
 	s := 0.0
-	for d, ld := range lengthscales {
-		diff := (x[d] - y[d]) / ld
-		s += diff * diff
+	for d, wd := range w {
+		diff := x[d] - y[d]
+		sq := diff * diff
+		s += wd * sq
 	}
-	return math.Exp(-0.5 * s)
+	return math.Exp(-s)
+}
+
+// halfInvSq returns rbf's weights 1/(2·l_d²) for lengthscales ls.
+func halfInvSq(ls []float64) []float64 {
+	w := make([]float64, len(ls))
+	for d, l := range ls {
+		w[d] = 0.5 / (l * l)
+	}
+	return w
 }
 
 // lcmLogLikGradReference is the straightforward O(Q·n²·β) evaluation of the
 // LCM log marginal likelihood and gradient, recomputing every pairwise
-// distance from the raw coordinates and sweeping both triangles serially.
-// It is retained verbatim as (a) the oracle the cached/parallel lcmEngine is
-// checked against and (b) the pre-PR baseline for BenchmarkLCMLogLikGrad.
-// Production code must use lcmEngine.logLikGrad instead.
-func lcmLogLikGradReference(theta []float64, layout hyperLayout, flatX [][]float64, taskOf []int, yn []float64) (float64, []float64, error) {
+// distance from the raw coordinates and scattering every pair of both
+// triangles into the gradient serially, with the exact-zero skips the
+// engine's lane kernels retired. The factor, α and Σ⁻¹ come from the la
+// routines the engine calls, so where its Σ is the engine's the likelihood
+// is too, and the gradient differs from the engine's only in the order its
+// terms are summed: scale[p] is Σ|term| over grad[p]'s terms, which bounds
+// what any order can change (a few n²·ε·scale). It is the oracle the
+// cached/parallel lcmEngine is checked against and
+// BenchmarkLCMLogLikGradReference's baseline. Production code must use
+// lcmEngine.logLikGrad instead.
+func lcmLogLikGradReference(theta []float64, layout hyperLayout, flatX [][]float64, taskOf []int, yn []float64) (ll float64, grad, scale []float64, err error) {
 	m := thetaToModel(theta, layout)
 	n := len(flatX)
 
 	// Per-latent kernel matrices K_q (needed again in the gradient).
 	kq := make([]*la.Matrix, layout.q)
 	for q := range kq {
+		w := halfInvSq(m.Ls[q])
 		kq[q] = la.NewMatrix(n, n)
 		for r := 0; r < n; r++ {
 			for s := r; s < n; s++ {
-				v := rbf(flatX[r], flatX[s], m.Ls[q])
+				v := rbf(flatX[r], flatX[s], w)
 				kq[q].Set(r, s, v)
 				kq[q].Set(s, r, v)
 			}
@@ -45,31 +71,26 @@ func lcmLogLikGradReference(theta []float64, layout hyperLayout, flatX [][]float
 	for r := 0; r < n; r++ {
 		for s := r; s < n; s++ {
 			v := 0.0
-			ti, tj := taskOf[r], taskOf[s]
 			for q := 0; q < layout.q; q++ {
-				coef := m.A[q][ti] * m.A[q][tj]
-				if ti == tj {
-					coef += m.B[q][ti]
-				}
-				v += coef * kq[q].At(r, s)
+				v += m.coef(q, taskOf[r], taskOf[s]) * kq[q].At(r, s)
 			}
 			if r == s {
-				v += m.D[ti]
+				v += m.D[taskOf[r]]
 			}
 			sigma.Set(r, s, v)
 			sigma.Set(s, r, v)
 		}
 	}
 
-	l, err := refCholeskyJitter(sigma)
+	l, _, err := la.CholeskyJitter(sigma, 0, cholBlock, 1)
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, nil, err
 	}
 	alpha := la.SolveCholVec(l, yn)
-	ll := -0.5*la.Dot(yn, alpha) - 0.5*la.LogDetFromChol(l) - 0.5*float64(n)*math.Log(2*math.Pi)
+	ll = -0.5*la.Dot(yn, alpha) - 0.5*la.LogDetFromChol(l) - 0.5*float64(n)*math.Log(2*math.Pi)
 
 	// M = ααᵀ - Σ⁻¹; dL/dθ_p = ½ Σ_rs M_rs (∂Σ/∂θ_p)_rs.
-	inv := refCholInverse(l)
+	inv := la.ParallelCholInverse(l, 1)
 	mm := la.NewMatrix(n, n)
 	for r := 0; r < n; r++ {
 		for s := 0; s < n; s++ {
@@ -77,172 +98,76 @@ func lcmLogLikGradReference(theta []float64, layout hyperLayout, flatX [][]float
 		}
 	}
 
-	grad := make([]float64, layout.total())
+	grad = make([]float64, layout.total())
+	scale = make([]float64, layout.total())
+	add := func(p int, term float64) {
+		grad[p] += term
+		scale[p] += math.Abs(term)
+	}
 	for q := 0; q < layout.q; q++ {
 		aq := m.A[q]
-		bq := m.B[q]
 		lsq := m.Ls[q]
-		// Precompute coefficient matrix entries on the fly.
+		// Σ M_rs·k_q(r,s) over task i's block, and the same over |M_rs·k_q|.
+		blockSum, blockAbs := make([]float64, layout.tasks), make([]float64, layout.tasks)
 		for r := 0; r < n; r++ {
 			tr := taskOf[r]
 			for s := 0; s < n; s++ {
 				ts := taskOf[s]
 				mk := mm.At(r, s) * kq[q].At(r, s)
-				if mk == 0 { //gptlint:ignore float-eq frozen pre-parallelization oracle; exact-zero skip must match historic numerics
+				if mk == 0 { //gptlint:ignore float-eq textbook oracle; its exact-zero skips are what makes the engine's 0·Inf corner visible
 					continue
 				}
-				coef := aq[tr] * aq[ts]
-				if tr == ts {
-					coef += bq[tr]
-				}
+				coef := m.coef(q, tr, ts)
 				// Lengthscales (log-space chain rule: ×1/l² instead of 1/l³·l).
-				if coef != 0 { //gptlint:ignore float-eq frozen pre-parallelization oracle; exact-zero skip must match historic numerics
+				if coef != 0 { //gptlint:ignore float-eq textbook oracle; its exact-zero skips are what makes the engine's 0·Inf corner visible
 					base := 0.5 * mk * coef
 					for d := 0; d < layout.dim; d++ {
-						diff2 := sqDiff(flatX[r], flatX[s], d)
-						if diff2 != 0 { //gptlint:ignore float-eq frozen pre-parallelization oracle; exact-zero skip must match historic numerics
-							grad[layout.lsAt(q, d)] += base * diff2 / (lsq[d] * lsq[d])
+						diff := flatX[r][d] - flatX[s][d]
+						if diff2 := diff * diff; diff2 != 0 { //gptlint:ignore float-eq textbook oracle; its exact-zero skips are what makes the engine's 0·Inf corner visible
+							add(layout.lsAt(q, d), base*diff2/(lsq[d]*lsq[d]))
 						}
 					}
 				}
 				// a_{m,q}: ∂Σ_rs/∂a_mq = δ(tr=m)·a_ts + δ(ts=m)·a_tr.
-				grad[layout.aAt(q, tr)] += 0.5 * mk * aq[ts]
-				grad[layout.aAt(q, ts)] += 0.5 * mk * aq[tr]
-				// b_{m,q} (log-space: ×b).
+				add(layout.aAt(q, tr), 0.5*mk*aq[ts])
+				add(layout.aAt(q, ts), 0.5*mk*aq[tr])
 				if tr == ts {
-					grad[layout.bAt(q, tr)] += 0.5 * mk * bq[tr]
+					blockSum[tr] += mk
+					blockAbs[tr] += math.Abs(mk)
 				}
 			}
+		}
+		// b_{m,q} (log-space: ∂Σ/∂log b is b·K_q on task m's block).
+		for i := range blockSum {
+			grad[layout.bAt(q, i)] = 0.5 * m.B[q][i] * blockSum[i]
+			scale[layout.bAt(q, i)] = 0.5 * m.B[q][i] * blockAbs[i]
 		}
 	}
 	// d_i (log-space: ×d).
 	for r := 0; r < n; r++ {
-		grad[layout.dAt(taskOf[r])] += 0.5 * mm.At(r, r) * m.D[taskOf[r]]
+		add(layout.dAt(taskOf[r]), 0.5*mm.At(r, r)*m.D[taskOf[r]])
 	}
-	return ll, grad, nil
+	return ll, grad, scale, nil
 }
 
-// sqDiff returns (x_d - y_d)² for one dimension.
-func sqDiff(x, y []float64, d int) float64 {
-	diff := x[d] - y[d]
-	return diff * diff
-}
-
-// refCholesky is the pre-PR serial Cholesky with a single-accumulator inner
-// product, frozen so the baseline benchmark does not drift as internal/la
-// gets faster.
-func refCholesky(a *la.Matrix) (*la.Matrix, error) {
-	n := a.Rows
-	l := la.NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		li := l.Row(i)
-		for j := 0; j <= i; j++ {
-			lj := l.Row(j)
-			s := a.At(i, j)
-			for k := 0; k < j; k++ {
-				s -= li[k] * lj[k]
-			}
-			if i == j {
-				if s <= 0 || math.IsNaN(s) {
-					return nil, la.ErrNotPositiveDefinite
-				}
-				li[j] = math.Sqrt(s)
-			} else {
-				li[j] = s / lj[j]
-			}
-		}
-	}
-	return l, nil
-}
-
-// refCholeskyJitter is the pre-PR la.CholeskyJitter(·, 1e-10) on top of the
-// frozen serial factorization.
-func refCholeskyJitter(a *la.Matrix) (*la.Matrix, error) {
-	n := a.Rows
-	meanDiag := 0.0
-	for i := 0; i < n; i++ {
-		meanDiag += math.Abs(a.At(i, i))
-	}
-	if n > 0 {
-		meanDiag /= float64(n)
-	}
-	if meanDiag == 0 { //gptlint:ignore float-eq frozen oracle; exact-zero guard before jitter scaling
-		meanDiag = 1
-	}
-	jitter := 0.0
-	for attempt := 0; attempt < 12; attempt++ {
-		work := a
-		if jitter > 0 {
-			work = a.Clone()
-			for i := 0; i < n; i++ {
-				work.Data[i*n+i] += jitter
-			}
-		}
-		l, err := refCholesky(work)
-		if err == nil {
-			return l, nil
-		}
-		if jitter == 0 { //gptlint:ignore float-eq frozen oracle; zero is the unset jitter sentinel
-			jitter = 1e-10 * meanDiag
-		} else {
-			jitter *= 10
-		}
-	}
-	return nil, la.ErrNotPositiveDefinite
-}
-
-// refCholInverse is the pre-PR serial (L·Lᵀ)⁻¹, frozen for the same reason.
-func refCholInverse(l *la.Matrix) *la.Matrix {
-	n := l.Rows
-	wt := la.NewMatrix(n, n)
-	for j := 0; j < n; j++ {
-		row := wt.Row(j)
-		row[j] = 1 / l.At(j, j)
-		for k := j + 1; k < n; k++ {
-			lk := l.Row(k)
-			s := 0.0
-			for m := j; m < k; m++ {
-				s += lk[m] * row[m]
-			}
-			row[k] = -s / lk[k]
-		}
-	}
-	inv := la.NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		wi := wt.Row(i)
-		for j := 0; j <= i; j++ {
-			s := 0.0
-			for k := i; k < n; k++ {
-				s += wi[k] * wt.Row(j)[k]
-			}
-			inv.Data[i*n+j] = s
-			inv.Data[j*n+i] = s
-		}
-	}
-	return inv
-}
-
-// covariance assembles the full Eq. (4) covariance matrix for the given
-// flattened samples, entry by entry from the raw coordinates. It left
-// production when lcmEngine.assembleSigma took over every assembly; it stays
-// here as the dense oracle the append and leave-one-out tests are checked
-// against.
+// covariance assembles the Eq. (4) covariance matrix of the given flattened
+// samples entry by entry from the raw coordinates: Σ_q coef·k_q in q order,
+// plus the task's noise on the diagonal. It is assembleSigma's Σ bit for bit.
 func (m *LCM) covariance(flatX [][]float64, taskOf []int) *la.Matrix {
 	n := len(flatX)
+	w := make([][]float64, m.Q)
+	for q := range w {
+		w[q] = halfInvSq(m.Ls[q])
+	}
 	sigma := la.NewMatrix(n, n)
 	for r := 0; r < n; r++ {
 		for s := r; s < n; s++ {
 			v := 0.0
-			ti, tj := taskOf[r], taskOf[s]
 			for q := 0; q < m.Q; q++ {
-				coef := m.A[q][ti] * m.A[q][tj]
-				if ti == tj {
-					coef += m.B[q][ti]
-				}
-				v += coef * rbf(flatX[r], flatX[s], m.Ls[q])
+				v += m.coef(q, taskOf[r], taskOf[s]) * rbf(flatX[r], flatX[s], w[q])
 			}
 			if r == s {
-				v += m.D[ti]
+				v += m.D[taskOf[r]]
 			}
 			sigma.Set(r, s, v)
 			sigma.Set(s, r, v)
@@ -251,38 +176,95 @@ func (m *LCM) covariance(flatX [][]float64, taskOf []int) *la.Matrix {
 	return sigma
 }
 
-// refPredict is the naive allocating evaluation of Eqs. (5–6) that
-// (*LCM).Predict used to be: k* entry by entry through rbf and the
-// hyperparameter structs, no fit-time tables. It is the oracle PredictInto
-// is checked against.
-func refPredict(m *LCM, task int, x []float64) (mean, variance float64) {
-	n := len(m.flatX)
-	kstar := make([]float64, n)
-	for r := 0; r < n; r++ {
-		tr := m.taskOf[r]
-		v := 0.0
-		for q := 0; q < m.Q; q++ {
-			coef := m.A[q][task] * m.A[q][tr]
-			if task == tr {
-				coef += m.B[q][task]
-			}
-			v += coef * rbf(x, m.flatX[r], m.Ls[q])
-		}
-		kstar[r] = v
+// refKstar is Eq. (5)'s cross-covariance of (task, x) with every training
+// sample, entry by entry: Σ_q coef(q, task, t_r)·rbf(x, x_r) in q order. It is
+// kstarInto's k* bit for bit.
+func refKstar(m *LCM, task int, x []float64) []float64 {
+	w := make([][]float64, m.Q)
+	for q := range w {
+		w[q] = halfInvSq(m.Ls[q])
 	}
+	kstar := make([]float64, len(m.flatX))
+	for r, xr := range m.flatX {
+		for q := 0; q < m.Q; q++ {
+			kstar[r] += m.coef(q, task, m.taskOf[r]) * rbf(x, xr, w[q])
+		}
+	}
+	return kstar
+}
+
+// refPredict is the naive allocating evaluation of Eqs. (5–6) that
+// (*LCM).Predict used to be: k* from refKstar and the prior from the
+// hyperparameter structs, no fit-time tables, one right-hand side. It is
+// PredictInto's and PredictBatchInto's mean and variance bit for bit.
+func refPredict(m *LCM, task int, x []float64) (mean, variance float64) {
+	kstar := refKstar(m, task, x)
 	mu := la.Dot(kstar, m.alpha)
 	// Prior variance at x: Σ_q (a² + b)·k(x,x)=1 + d.
 	prior := m.D[task]
 	for q := 0; q < m.Q; q++ {
-		prior += m.A[q][task]*m.A[q][task] + m.B[q][task]
+		prior += m.coef(q, task, task)
 	}
-	v := la.CopyVec(kstar)
-	m.chol.ForwardSubst(v)
-	variance = prior - la.Dot(v, v)
+	m.chol.ForwardSubst(kstar)
+	variance = prior - la.Dot(kstar, kstar)
 	if variance < 0 {
 		variance = 0
 	}
 	mean = mu*m.yStd + m.yMean
 	variance *= m.yStd * m.yStd
 	return mean, variance
+}
+
+// sameBits is bit equality with all NaNs equal.
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+// gridDataset is syntheticDataset with the last ⌈dim/2⌉ coordinates drawn
+// from a four-level grid, as integer and categorical tuning parameters
+// normalize to: most pairs then have an exact-zero distance in some
+// dimension, and some points coincide entirely.
+func gridDataset(rng *rand.Rand, tasks, samples, dim int) *Dataset {
+	d := syntheticDataset(rng, tasks, samples, dim, 0.05)
+	for i := range d.X {
+		for _, x := range d.X[i] {
+			for k := dim / 2; k < dim; k++ {
+				x[k] = float64(rng.Intn(4)) / 3
+			}
+		}
+		if i > 0 {
+			copy(d.X[i][0], d.X[0][0]) // one point shared across tasks
+		}
+	}
+	return d
+}
+
+// hostileThetas returns hyperparameter vectors at the edges: lengthscales of
+// +Inf (a dimension switched off) and 0 (log l = -Inf), tiny lengthscales
+// whose kernel arguments leave exp's fast range, a diagonal boost that
+// overflows, and huge and zero mixing coefficients.
+func hostileThetas(layout hyperLayout, rng *rand.Rand) [][]float64 {
+	var out [][]float64
+	add := func(edit func(theta []float64)) {
+		theta := randomInit(layout, rng)
+		edit(theta)
+		out = append(out, theta)
+	}
+	add(func(th []float64) { th[layout.lsAt(0, 0)] = math.Inf(1) })
+	add(func(th []float64) { th[layout.lsAt(layout.q-1, layout.dim-1)] = math.Inf(-1) })
+	add(func(th []float64) {
+		for d := 0; d < layout.dim; d++ {
+			th[layout.lsAt(0, d)] = -4 // l ≈ 0.018: arguments down to −1500 and below
+		}
+	})
+	add(func(th []float64) { th[layout.bAt(0, 0)] = 800 }) // e^800 overflows
+	add(func(th []float64) { th[layout.bAt(0, layout.tasks-1)] = 700 })
+	add(func(th []float64) { th[layout.aAt(0, 0)] = 1e160 })
+	add(func(th []float64) {
+		for i := 0; i < layout.tasks; i++ {
+			th[layout.aAt(0, i)] = 0
+		}
+	})
+	add(func(th []float64) { th[layout.dAt(0)] = -800 }) // noise underflows to 0
+	return out
 }

@@ -1,3 +1,5 @@
+//go:build !purego
+
 package la
 
 // The vector kernels of kernels_amd64.s. Each accumulates the 4-aligned

@@ -1,3 +1,5 @@
+//go:build !purego
+
 #include "textflag.h"
 
 // AVX2 bodies for the lane-accumulation loops of Dot, dotPair and

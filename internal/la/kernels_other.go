@@ -1,10 +1,12 @@
-//go:build !amd64
+//go:build !amd64 || purego
 
 package la
 
-// No vector kernels on this GOARCH: vectorKernels is false, so Dot, dotPair,
-// forwardSubst and the lanes.go kernels always run their scalar bodies —
-// ExpInto a loop over math.Exp — and never reach these.
+// No vector kernels on this GOARCH, or the purego build tag asked for none:
+// vectorKernels is false, so Dot, dotPair, forwardSubst and the lanes.go
+// kernels always run their scalar bodies — ExpInto a loop over math.Exp — and
+// never reach these. Every result has the bits of the dispatched build, which
+// is what `go test -tags purego` checks on an amd64 runner.
 
 func haveVectorKernels() bool { return false }
 

@@ -1,29 +1,14 @@
 package la
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
-	"os"
 	"testing"
 )
 
-// TestMain runs the whole suite twice where a vector kernel exists: as
-// dispatched at start-up, then with the dispatch forced to the scalar
-// bodies, so the path every other CPU and GOARCH takes is exercised on a
-// runner that would never pick it.
-func TestMain(m *testing.M) {
-	code := m.Run()
-	if code == 0 && vectorKernels {
-		fmt.Println("la: second pass, scalar dispatch")
-		vectorKernels = false
-		code = m.Run()
-	}
-	os.Exit(code)
-}
-
 // scalarOnly runs fn with the dispatch forced to the scalar bodies — the
-// oracle the vector kernels must match.
+// oracle the vector kernels must match. The whole suite on those bodies is
+// the purego build: go test -tags purego.
 func scalarOnly(fn func()) {
 	defer func(saved bool) { vectorKernels = saved }(vectorKernels)
 	vectorKernels = false

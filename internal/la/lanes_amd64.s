@@ -1,3 +1,5 @@
+//go:build !purego
+
 #include "textflag.h"
 
 // AVX2 bodies for the four-lane kernels of lanes.go. The three sweep kernels

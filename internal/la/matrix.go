@@ -58,8 +58,8 @@ func MatMulTransB(a, b *Matrix) *Matrix {
 
 // vectorKernels selects, once at start-up, the vector bodies (kernels_*.s)
 // for the lane loops of Dot, dotPair and forwardSubst; false on CPUs and
-// GOARCHes without one. Either way every result has the same bits, so only
-// the tests ever flip it.
+// GOARCHes without one and in a build with the purego tag. Either way every
+// result has the same bits, so only the tests ever flip it.
 var vectorKernels = haveVectorKernels()
 
 // vectorMin is the shortest vector handed to a vector kernel; below it the

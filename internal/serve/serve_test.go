@@ -375,8 +375,13 @@ func TestReadsReplayLoggedHistory(t *testing.T) {
 // search-phase records were re-recorded when the LCM fit began racing its
 // starts, because a log resumes only under the fit policy that wrote its
 // search-phase records (DESIGN.md §8) — the snapshot, the spec and the
-// record shapes are the original ones.
+// record shapes are the original ones. They were written under the fused
+// math.Exp of an amd64 with FMA, and a history follows math.Exp's body, so
+// the test runs only where one probe argument shows that body.
 func TestParentWrittenDataDirResumes(t *testing.T) {
+	if math.Float64bits(math.Exp(-0.1875)) != 0x3fea876812c0877b {
+		t.Skip("the fixture was written under the FMA body of math.Exp, and this process runs another")
+	}
 	const epsTot, logged = 8, 15
 	dir := t.TempDir()
 	files, err := os.ReadDir(filepath.Join("testdata", "datadir"))
@@ -491,28 +496,36 @@ func TestServeRejectsBadRequests(t *testing.T) {
 }
 
 // TestServeRejectsOversizedFitBudget: num_starts reaches the modeling phase as
-// an allocation size and model_max_iter as a loop bound, so a spec past the
-// surrogate ceilings is a 400 on create and on import and leaves nothing on
-// disk — "num_starts": 1099511627776 used to create fine and end the process
-// with "out of memory" at the first modeling phase. At the ceilings a study
-// is created.
+// an allocation size and model_max_iter as a loop bound, and so do eps_tot
+// (the initial design), batch_evals and mo_batch (searches per generation)
+// and mo_pop_size and mo_generations (NSGA-II), so a spec past a ceiling is a
+// 400 naming it on create and on import and leaves nothing on disk —
+// "num_starts": 1099511627776 used to create fine and end the process with
+// "out of memory" at the first modeling phase, and "eps_tot" 2^40 at the
+// first suggest. A stored spec past a ceiling fails the replica's start-up by
+// name. At the fit ceilings a study is created.
 func TestServeRejectsOversizedFitBudget(t *testing.T) {
 	ts := newTestServer(t)
 	for _, c := range []struct {
-		what              string
-		starts, modelIter int
+		what string
+		set  func(o *api.OptionsSpec)
 	}{
-		{"num_starts 1<<40", 1 << 40, 0},
-		{"num_starts past the ceiling", surrogate.MaxNumStarts + 1, 0},
-		{"model_max_iter 2e9", 0, 2_000_000_000},
-		{"model_max_iter past the ceiling", 0, surrogate.MaxFitIter + 1},
+		{"num_starts 1<<40", func(o *api.OptionsSpec) { o.NumStarts = 1 << 40 }},
+		{"num_starts past the ceiling", func(o *api.OptionsSpec) { o.NumStarts = surrogate.MaxNumStarts + 1 }},
+		{"model_max_iter 2e9", func(o *api.OptionsSpec) { o.ModelMaxIter = 2_000_000_000 }},
+		{"model_max_iter past the ceiling", func(o *api.OptionsSpec) { o.ModelMaxIter = surrogate.MaxFitIter + 1 }},
+		{"eps_tot 1<<40", func(o *api.OptionsSpec) { o.EpsTot = 1 << 40 }},
+		{"batch_evals 1<<40", func(o *api.OptionsSpec) { o.BatchEvals = 1 << 40 }},
+		{"mo_batch 1<<40", func(o *api.OptionsSpec) { o.MOBatch = 1 << 40 }},
+		{"mo_pop_size 1<<40", func(o *api.OptionsSpec) { o.MOPopSize = 1 << 40 }},
+		{"mo_generations 1<<40", func(o *api.OptionsSpec) { o.MOGenerations = 1 << 40 }},
 	} {
 		bad := testSpec("greedy", 4, 1)
-		bad.Options.NumStarts, bad.Options.ModelMaxIter = c.starts, c.modelIter
+		c.set(&bad.Options)
 		err := ts.c.Create(ctx, bad)
 		wantStatus(t, err, http.StatusBadRequest, c.what+" on create")
-		if err == nil || !strings.Contains(err.Error(), "ceiling") {
-			t.Errorf("%s: error %v does not name the ceiling", c.what, err)
+		if option := strings.Fields(c.what)[0]; err == nil || !strings.Contains(err.Error(), option+" ") || !strings.Contains(err.Error(), "ceiling") {
+			t.Errorf("%s: error %v does not name %s and its ceiling", c.what, err, option)
 		}
 		wantStatus(t, ts.c.Import(ctx, client.StudyArchive{Spec: bad}), http.StatusBadRequest, c.what+" on import")
 	}
@@ -522,6 +535,20 @@ func TestServeRejectsOversizedFitBudget(t *testing.T) {
 	ok := testSpec("frugal", 4, 1)
 	ok.Options.NumStarts, ok.Options.ModelMaxIter = surrogate.MaxNumStarts, surrogate.MaxFitIter
 	create(t, ts.c, ok)
+
+	stored := testSpec("hoarder", 4, 1)
+	stored.Options.EpsTot = 1 << 40
+	blob, err := json.Marshal(stored)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "hoarder"+api.SpecSuffix), blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := serve.NewServer(serve.Config{DataDir: dir}); err == nil || !strings.Contains(err.Error(), "hoarder") || !strings.Contains(err.Error(), "eps_tot") {
+		t.Errorf("resuming a stored spec past a ceiling: %v, want an error naming the study and the option", err)
+	}
 }
 
 // TestServeSuggestPerTask checks task-scoped suggestions and the

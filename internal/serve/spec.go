@@ -66,6 +66,16 @@ func validName(name string) bool {
 	return true
 }
 
+// The ceilings on a study's evaluation and search budgets, far above anything
+// the tree asks for (benchmark studies run at most 40 evaluations per task,
+// NSGA-II defaults to a population of 40 over 40 generations). The fit's own
+// budget has its ceilings in surrogate (MaxNumStarts, MaxFitIter).
+const (
+	maxEpsTot = 10_000 // eps_tot: evaluations per task
+	maxBatch  = 1_000  // batch_evals and mo_batch: configurations per search
+	maxNSGA   = 1_000  // mo_pop_size and mo_generations
+)
+
 // buildSpec turns a spec into the engine's inputs, validating everything a
 // client could get wrong.
 func buildSpec(s *api.StudySpec) (*core.Problem, [][]float64, core.Options, error) {
@@ -101,14 +111,24 @@ func buildSpec(s *api.StudySpec) (*core.Problem, [][]float64, core.Options, erro
 		}
 	}
 	o := s.Options
-	// Both reach the modeling phase as an allocation size and a loop bound;
-	// unchecked, one spec could take the replica down or pin its generation
-	// goroutine for good.
-	if o.NumStarts > surrogate.MaxNumStarts {
-		return nil, nil, zero, fmt.Errorf("serve: study %s: num_starts %d exceeds the ceiling of %d", s.Name, o.NumStarts, surrogate.MaxNumStarts)
-	}
-	if o.ModelMaxIter > surrogate.MaxFitIter {
-		return nil, nil, zero, fmt.Errorf("serve: study %s: model_max_iter %d exceeds the ceiling of %d", s.Name, o.ModelMaxIter, surrogate.MaxFitIter)
+	// Each reaches the engine as an allocation size or a loop bound run on the
+	// generation goroutine while it holds the model gate; unchecked, one spec
+	// could take the replica down or pin that goroutine for good.
+	for _, b := range []struct {
+		option       string
+		value, limit int
+	}{
+		{"num_starts", o.NumStarts, surrogate.MaxNumStarts},
+		{"model_max_iter", o.ModelMaxIter, surrogate.MaxFitIter},
+		{"eps_tot", o.EpsTot, maxEpsTot},
+		{"batch_evals", o.BatchEvals, maxBatch},
+		{"mo_batch", o.MOBatch, maxBatch},
+		{"mo_pop_size", o.MOPopSize, maxNSGA},
+		{"mo_generations", o.MOGenerations, maxNSGA},
+	} {
+		if b.value > b.limit {
+			return nil, nil, zero, fmt.Errorf("serve: study %s: %s %d exceeds the ceiling of %d", s.Name, b.option, b.value, b.limit)
+		}
 	}
 	opts := core.Options{
 		EpsTot:        o.EpsTot,
