@@ -127,6 +127,46 @@ func TestRunCommitOrderIndependentOfCompletionOrder(t *testing.T) {
 	}
 }
 
+// TestCheckpointSyncFailureIsFatal: a checkpoint whose fsync fails (the disk
+// takes the record's bytes but cannot make them durable) fails the Observe
+// whose commit wrote the record and turns the engine fatal, so no later
+// report is acknowledged over a log that may not hold the earlier one.
+func TestCheckpointSyncFailureIsFatal(t *testing.T) {
+	inj := faultio.NewSyncFailer()
+	wal, err := histdb.OpenWAL(filepath.Join(t.TempDir(), "wal.json"), histdb.WALOptions{WrapFile: inj.Wrap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := &Checkpointer{wal: wal, problem: "analytical"}
+	defer cp.Close()
+	tasks := [][]float64{{0}, {1}}
+	eng, err := NewEngine(analyticalProblem(), tasks, Options{EpsTot: 4, Seed: 3, Workers: 1, Checkpoint: cp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var suggs [2]Suggestion
+	for k := range suggs {
+		if suggs[k], err = eng.Suggest(-1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k, sg := range suggs {
+		err := eng.Observe(sg.ID, []float64{paperObjective(tasks[sg.Task][0], sg.X[0])})
+		if !errors.Is(err, faultio.ErrInjected) {
+			t.Fatalf("report %d over a failing fsync returned %v, want the injected failure", k, err)
+		}
+	}
+	if err := eng.Err(); !errors.Is(err, faultio.ErrInjected) {
+		t.Fatalf("engine error %v, want the injected failure", err)
+	}
+	if _, err := eng.Suggest(-1); !errors.Is(err, faultio.ErrInjected) {
+		t.Fatalf("suggest on a fatal engine returned %v, want the injected failure", err)
+	}
+	if n := cp.Logged(); n != 0 {
+		t.Fatalf("checkpoint counts %d evaluations, want 0", n)
+	}
+}
+
 // countingFitter counts fits and, when hold is set, runs it at the start of
 // each one so a test can act while a generation is verifiably in flight.
 type countingFitter struct {

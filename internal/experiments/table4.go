@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/opt"
 	"repro/internal/sample"
-	"repro/internal/tuners"
 )
 
 // Table4Row is one (nodes, ε_tot) experiment: final performance (WinTask vs
@@ -113,8 +112,6 @@ func meanStability(rs []*core.TaskResult, bestAny []float64) float64 {
 	}
 	return s / float64(len(rs))
 }
-
-var _ = tuners.Random{} // keep the baseline package linked for extensions
 
 // PrintTable4 writes the WinTask/stability table in the paper's layout.
 func PrintTable4(w io.Writer, rows []Table4Row) {

@@ -2,18 +2,20 @@
 // database's log file, used to prove the WAL's crash-recovery guarantees:
 // it cuts a write short after a configurable byte budget (simulating a
 // crash or full disk mid-append) and fails every operation afterwards, the
-// way a dead process's file descriptor would.
+// way a dead process's file descriptor would; or it takes every write and
+// fails every fsync, the way a disk that cannot make bytes durable does.
 package faultio
 
 import (
 	"errors"
+	"math"
 	"sync"
 
 	"repro/internal/histdb"
 )
 
 // ErrInjected is returned by every operation after the byte budget is
-// exhausted.
+// exhausted, and by every Sync of a NewSyncFailer file.
 var ErrInjected = errors.New("faultio: injected failure")
 
 // Injector builds wrapped files that collectively fail after FailAfter
@@ -21,9 +23,11 @@ var ErrInjected = errors.New("faultio: injected failure")
 // produces exactly the torn-tail condition WAL recovery must handle.
 type Injector struct {
 	//gptlint:serializes-io the byte budget must decrement atomically with the write it meters, and the short write that exhausts it with tripping the injector
-	mu        sync.Mutex
-	remaining int64
-	tripped   bool
+	mu         sync.Mutex
+	remaining  int64
+	tripped    bool // the byte budget ran out
+	failSync   bool // every Sync fails (NewSyncFailer)
+	syncFailed bool // a Sync has failed under failSync
 }
 
 // NewInjector returns an injector that allows failAfter bytes through
@@ -32,11 +36,18 @@ func NewInjector(failAfter int64) *Injector {
 	return &Injector{remaining: failAfter}
 }
 
+// NewSyncFailer returns an injector whose files take every write and fail
+// every Sync: the bytes may reach the page cache, but no fsync ever
+// confirms them durable.
+func NewSyncFailer() *Injector {
+	return &Injector{remaining: math.MaxInt64, failSync: true}
+}
+
 // Tripped reports whether the fault has fired.
 func (in *Injector) Tripped() bool {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	return in.tripped
+	return in.tripped || in.syncFailed
 }
 
 // Wrap is the histdb.WALOptions.WrapFile hook.
@@ -73,10 +84,15 @@ func (w *file) Write(p []byte) (int, error) {
 	return n, ErrInjected
 }
 
-// Sync fails once the fault has fired (a crashed process never reaches its
-// fsync); before that it passes through.
+// Sync fails always under NewSyncFailer, and otherwise once the write fault
+// has fired (a crashed process never reaches its fsync); before that it
+// passes through.
 func (w *file) Sync() error {
-	if w.in.Tripped() {
+	w.in.mu.Lock()
+	w.in.syncFailed = w.in.failSync
+	fail := w.in.failSync || w.in.tripped
+	w.in.mu.Unlock()
+	if fail {
 		return ErrInjected
 	}
 	return w.f.Sync()

@@ -2,6 +2,7 @@ package faultio_test
 
 import (
 	"encoding/json"
+	"errors"
 	"path/filepath"
 	"testing"
 	"time"
@@ -155,5 +156,31 @@ func TestCrashInsideGroupCommitWindow(t *testing.T) {
 	defer w2.Close()
 	if w2.Len() > appended {
 		t.Fatalf("recovery invented records: %d > %d", w2.Len(), appended)
+	}
+}
+
+// TestFailedSyncPoisonsLog: the disk takes a record's bytes but its fsync
+// fails. The append fails, the record is not counted, and the log is
+// poisoned: later appends fail instead of building on a record whose
+// durability is unknown.
+func TestFailedSyncPoisonsLog(t *testing.T) {
+	base := filepath.Join(t.TempDir(), "hist.json")
+	inj := faultio.NewSyncFailer()
+	w, err := histdb.OpenWAL(base, histdb.WALOptions{WrapFile: inj.Wrap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if err := w.Append(record(0)); !errors.Is(err, faultio.ErrInjected) {
+		t.Fatalf("append over a failing fsync returned %v, want the injected failure", err)
+	}
+	if !inj.Tripped() {
+		t.Fatal("injector never fired")
+	}
+	if err := w.Append(record(1)); !errors.Is(err, faultio.ErrInjected) {
+		t.Fatalf("append after a failed fsync returned %v, want the poisoned log's injected failure", err)
+	}
+	if n := w.Len(); n != 0 {
+		t.Fatalf("Len = %d after a failed fsync, want 0", n)
 	}
 }

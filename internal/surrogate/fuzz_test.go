@@ -15,6 +15,19 @@ func FuzzSurrogateUnmarshal(f *testing.F) {
 	f.Add([]byte(hyperOnly))
 	f.Add([]byte(`{"kind":"gp-indep","models":[` + hyperOnly + `,` + hyperOnly + `]}`))
 
+	// A per-task container with no models has no task to route to.
+	for _, kind := range []string{KindGPIndep, KindSGP, KindRF} {
+		empty := []byte(`{"kind":"` + kind + `","models":[]}`)
+		f.Add(empty)
+		fitter, err := New(kind)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if _, err := fitter.UnmarshalBinary(empty); err == nil {
+			f.Fatalf("%s accepted a snapshot with zero per-task models", kind)
+		}
+	}
+
 	data := testDataset(31, 2, 6)
 	for _, kind := range Kinds() {
 		fitter, err := New(kind)

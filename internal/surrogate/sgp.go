@@ -21,48 +21,24 @@ const defaultInducing = 128
 // noise hyperparameter toward zero.
 const noiseFloor = 1e-12
 
-// sgpFitter fits one sparse GP per task: a deterministic-training-conditional
-// (DTC / projected-process) inducing-point approximation in the style of the
-// subset-of-data scaling tricks of Snoek et al. Hyperparameters are learned
-// by the exact single-task fit on the inducing subset itself (m points, so
-// the O(m³) cost is independent of n), then the DTC posterior is built from
-// all n points in O(n·m²):
+// sgpFitter fits one task's sparse GP — the cell of the sgp backend: a
+// deterministic-training-conditional (DTC / projected-process) inducing-point
+// approximation in the style of the subset-of-data scaling tricks of Snoek
+// et al. Hyperparameters are learned by the exact single-task fit on the
+// inducing subset itself (m points, so the O(m³) cost is independent of n),
+// then the DTC posterior is built from all n points in O(n·m²):
 //
 //	Q_m = K_mm + σ⁻²·K_mn·K_nm
 //	μ(x)  = k*ᵀ·σ⁻²·Q_m⁻¹·K_mn·y
 //	σ²(x) = k** − k*ᵀK_mm⁻¹k* + k*ᵀQ_m⁻¹k* + σ²
 //
-// The inducing subset is chosen by a seeded shuffle of the task's samples
-// (sorted back into canonical order), so the whole fit is seed-deterministic
-// and — like every backend — bitwise independent of FitOptions.Workers: the
-// K_mn and Q_m builds distribute rows whose summation order is fixed.
+// The inducing subset is chosen by a seeded shuffle of the samples (sorted
+// back into canonical order), so the whole fit is seed-deterministic and —
+// like every backend — bitwise independent of FitOptions.Workers: the K_mn
+// and Q_m builds distribute rows whose summation order is fixed.
 type sgpFitter struct{}
 
 func (sgpFitter) Kind() string { return KindSGP }
-
-func (sgpFitter) Fit(data *Dataset, opts FitOptions) (Model, error) {
-	if err := data.Validate(); err != nil {
-		return nil, err
-	}
-	inducing := opts.Inducing
-	if inducing <= 0 {
-		inducing = defaultInducing
-	}
-	warm, _ := opts.WarmStart.(*sgpModel)
-	tasks := make([]*taskSGP, data.NumTasks())
-	for i := range tasks {
-		var warmTheta []float64
-		if warm != nil && i < len(warm.tasks) {
-			warmTheta = warm.tasks[i].theta
-		}
-		ts, err := fitTaskSGP(data.X[i], data.Y[i], data.Dim, inducing, opts, perTaskSeed(opts.Seed, i), warmTheta)
-		if err != nil {
-			return nil, fmt.Errorf("surrogate: fitting task %d sparse GP: %w", i, err)
-		}
-		tasks[i] = ts
-	}
-	return &sgpModel{tasks: tasks}, nil
-}
 
 // taskSGP is one task's fitted sparse GP. qmat and r are the sufficient
 // statistics the posterior is derived from; Append folds new points into
@@ -128,15 +104,23 @@ func (ts *taskSGP) kernRow(dst, x []float64) {
 	la.ScaleVec(ts.signal, dst)
 }
 
-func fitTaskSGP(x [][]float64, y []float64, dim, inducing int, opts FitOptions, seed int64, warmTheta []float64) (*taskSGP, error) {
+func (sgpFitter) Fit(data *Dataset, opts FitOptions) (Model, error) {
+	x, y, dim := data.X[0], data.Y[0], data.Dim
 	n := len(x)
-	m := inducing
+	m := opts.Inducing
+	if m <= 0 {
+		m = defaultInducing
+	}
 	if m > n {
 		m = n
 	}
+	var warmTheta []float64
+	if warm, ok := opts.WarmStart.(*taskSGP); ok {
+		warmTheta = warm.theta
+	}
 	// Deterministic seed-derived inducing selection: shuffle, take m, restore
 	// canonical (ascending) order so downstream summations have a fixed order.
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(rand.NewSource(opts.Seed))
 	idx := rng.Perm(n)[:m]
 	sort.Ints(idx)
 
@@ -151,7 +135,7 @@ func fitTaskSGP(x [][]float64, y []float64, dim, inducing int, opts FitOptions, 
 		NumStarts: opts.NumStarts,
 		Workers:   opts.Workers,
 		MaxIter:   opts.MaxIter,
-		Seed:      seed,
+		Seed:      opts.Seed,
 		Init:      warmTheta,
 	})
 	if err != nil {
@@ -257,38 +241,17 @@ func (ts *taskSGP) refactor(kmm *la.Matrix) error {
 	return nil
 }
 
-// sgpModel holds δ independent per-task sparse GPs.
-type sgpModel struct {
-	tasks []*taskSGP
-}
+func (ts *taskSGP) Kind() string  { return KindSGP }
+func (ts *taskSGP) NumTasks() int { return 1 }
 
-func (s *sgpModel) Kind() string  { return KindSGP }
-func (s *sgpModel) NumTasks() int { return len(s.tasks) }
-
-// sgpWorkspace carries per-task O(m) scratch so a searcher goroutine can
-// probe any task allocation-free.
-type sgpWorkspace struct {
-	kstar [][]float64
-	v     [][]float64
-}
-
-func (s *sgpModel) NewWorkspace() Workspace {
-	ws := &sgpWorkspace{
-		kstar: make([][]float64, len(s.tasks)),
-		v:     make([][]float64, len(s.tasks)),
-	}
-	for i, ts := range s.tasks {
-		ws.kstar[i] = make([]float64, ts.m)
-		ws.v[i] = make([]float64, ts.m)
-	}
-	return ws
-}
+// NewWorkspace returns the O(m) prediction scratch: k* then the
+// forward-substitution vector.
+func (ts *taskSGP) NewWorkspace() Workspace { return make([]float64, 2*ts.m) }
 
 //gptlint:hotpath
-func (s *sgpModel) PredictInto(ws Workspace, task int, x []float64) (mean, variance float64) {
-	ts := s.tasks[task]
-	w := ws.(*sgpWorkspace)
-	kstar, v := w.kstar[task], w.v[task]
+func (ts *taskSGP) PredictInto(ws Workspace, _ int, x []float64) (mean, variance float64) {
+	buf := ws.([]float64)
+	kstar, v := buf[:ts.m], buf[ts.m:]
 	ts.kernRow(kstar, x)
 	mu := la.Dot(kstar, ts.alpha)
 	copy(v, kstar)
@@ -306,9 +269,9 @@ func (s *sgpModel) PredictInto(ws Workspace, task int, x []float64) (mean, varia
 }
 
 //gptlint:hotpath
-func (s *sgpModel) PredictBatchInto(ws Workspace, task int, xs [][]float64, mean, variance []float64) {
+func (ts *taskSGP) PredictBatchInto(ws Workspace, _ int, xs [][]float64, mean, variance []float64) {
 	for j, x := range xs {
-		mean[j], variance[j] = s.PredictInto(ws, task, x)
+		mean[j], variance[j] = ts.PredictInto(ws, 0, x)
 	}
 }
 
@@ -317,66 +280,34 @@ func (s *sgpModel) PredictBatchInto(ws Workspace, task int, xs [][]float64, mean
 // cross-covariances, then one O(m³) refactorization re-derives the
 // posterior. The inducing set and hyperparameters stay frozen at their
 // fitted values. Cost is O(k·m²) + O(m³), independent of history length.
-func (s *sgpModel) Append(data *Dataset, workers int) error {
+func (ts *taskSGP) Append(data *Dataset, workers int) error {
 	_ = workers // O(m²) per point: nothing worth parallelizing
-	if len(data.X) != len(s.tasks) || len(data.Y) != len(s.tasks) {
-		return fmt.Errorf("surrogate: sgp append got %d tasks, model has %d", len(data.X), len(s.tasks))
+	if data.Dim != ts.dim {
+		return fmt.Errorf("surrogate: sgp append got dim %d, model has %d", data.Dim, ts.dim)
 	}
-	for i, ts := range s.tasks {
-		if err := validateDelta(data, i, ts.dim); err != nil {
-			return err
-		}
-	}
-	kvec := make([]float64, 0)
-	for i, ts := range s.tasks {
-		if len(data.X[i]) == 0 {
-			continue
-		}
-		if cap(kvec) < ts.m {
-			kvec = make([]float64, ts.m)
-		}
-		kvec = kvec[:ts.m]
-		inv := ts.invNoise()
-		q := ts.qmat
-		for j, x := range data.X[i] {
-			ts.kernRow(kvec, x)
-			yn := (data.Y[i][j] - ts.yMean) / ts.yStd
-			for p := 0; p < ts.m; p++ {
-				kp := inv * kvec[p]
-				row := q.Row(p)
-				for p2 := 0; p2 <= p; p2++ {
-					row[p2] += kp * kvec[p2]
-				}
-				ts.r[p] += yn * kvec[p]
-			}
-			ts.n++
-		}
-		// Mirror the strict-lower updates into the upper triangle.
+	kvec := make([]float64, ts.m)
+	inv := ts.invNoise()
+	q := ts.qmat
+	for j, x := range data.X[0] {
+		ts.kernRow(kvec, x)
+		yn := (data.Y[0][j] - ts.yMean) / ts.yStd
 		for p := 0; p < ts.m; p++ {
-			for p2 := 0; p2 < p; p2++ {
-				q.Set(p2, p, q.At(p, p2))
+			kp := inv * kvec[p]
+			row := q.Row(p)
+			for p2 := 0; p2 <= p; p2++ {
+				row[p2] += kp * kvec[p2]
 			}
+			ts.r[p] += yn * kvec[p]
 		}
-		if err := ts.refactor(nil); err != nil {
-			return err
+		ts.n++
+	}
+	// Mirror the strict-lower updates into the upper triangle.
+	for p := 0; p < ts.m; p++ {
+		for p2 := 0; p2 < p; p2++ {
+			q.Set(p2, p, q.At(p, p2))
 		}
 	}
-	return nil
-}
-
-// validateDelta checks one task's slice of an Append delta through the one
-// dataset validator: matching sample and output counts, the fitted
-// dimensionality, finite values. Empty tasks are fine — Append deltas carry
-// only what's new — which is the one thing Dataset.Validate would reject.
-func validateDelta(data *Dataset, task, dim int) error {
-	if len(data.X[task]) == 0 && len(data.Y[task]) == 0 {
-		return nil
-	}
-	sub := Dataset{Dim: dim, X: data.X[task : task+1], Y: data.Y[task : task+1]}
-	if err := sub.Validate(); err != nil {
-		return fmt.Errorf("surrogate: append task %d: %w", task, err)
-	}
-	return nil
+	return ts.refactor(nil)
 }
 
 // sgpTaskSnapshot is the wire form of one task's sparse GP. Everything the
@@ -399,46 +330,22 @@ type sgpTaskSnapshot struct {
 	R      gp.NFVec    `json:"r"`
 }
 
-func (s *sgpModel) MarshalBinary() ([]byte, error) {
-	blobs := make([]json.RawMessage, len(s.tasks))
-	for i, ts := range s.tasks {
-		packed := make([]float64, 0, ts.m*(ts.m+1)/2)
-		for p := 0; p < ts.m; p++ {
-			packed = append(packed, ts.qmat.Row(p)[:p+1]...)
-		}
-		blob, err := json.Marshal(sgpTaskSnapshot{
-			Dim: ts.dim, N: ts.n, M: ts.m,
-			Z: ts.z, Ls: ts.ls,
-			Signal: gp.NFScalar(ts.signal), Noise: gp.NFScalar(ts.noise),
-			Theta: ts.theta,
-			YMean: gp.NFScalar(ts.yMean), YStd: gp.NFScalar(ts.yStd),
-			Q: packed, R: ts.r,
-		})
-		if err != nil {
-			return nil, err
-		}
-		blobs[i] = blob
+func (ts *taskSGP) MarshalBinary() ([]byte, error) {
+	packed := make([]float64, 0, ts.m*(ts.m+1)/2)
+	for p := 0; p < ts.m; p++ {
+		packed = append(packed, ts.qmat.Row(p)[:p+1]...)
 	}
-	return encodeMultiSnapshot(KindSGP, blobs)
+	return json.Marshal(sgpTaskSnapshot{
+		Dim: ts.dim, N: ts.n, M: ts.m,
+		Z: ts.z, Ls: ts.ls,
+		Signal: gp.NFScalar(ts.signal), Noise: gp.NFScalar(ts.noise),
+		Theta: ts.theta,
+		YMean: gp.NFScalar(ts.yMean), YStd: gp.NFScalar(ts.yStd),
+		Q: packed, R: ts.r,
+	})
 }
 
-func (sgpFitter) UnmarshalBinary(data []byte) (Model, error) {
-	blobs, err := decodeMultiSnapshot(data, KindSGP)
-	if err != nil {
-		return nil, err
-	}
-	tasks := make([]*taskSGP, len(blobs))
-	for i, blob := range blobs {
-		ts, err := decodeTaskSGP(blob)
-		if err != nil {
-			return nil, fmt.Errorf("surrogate: task %d snapshot: %w", i, err)
-		}
-		tasks[i] = ts
-	}
-	return &sgpModel{tasks: tasks}, nil
-}
-
-func decodeTaskSGP(blob []byte) (*taskSGP, error) {
+func (sgpFitter) UnmarshalBinary(blob []byte) (Model, error) {
 	var snap sgpTaskSnapshot
 	if err := json.Unmarshal(blob, &snap); err != nil {
 		return nil, err

@@ -8,6 +8,16 @@ import (
 	"repro/internal/la"
 )
 
+// sgpTasks returns an sgp model's per-task sparse GPs.
+func sgpTasks(m Model) []*taskSGP {
+	cells := cellsOf(m)
+	tasks := make([]*taskSGP, len(cells))
+	for i, c := range cells {
+		tasks[i] = c.(*taskSGP)
+	}
+	return tasks
+}
+
 // TestSGPInducingSubset: with Inducing below the sample count the model must
 // hold exactly that many inducing points per task and still predict sanely.
 func TestSGPInducingSubset(t *testing.T) {
@@ -20,8 +30,7 @@ func TestSGPInducingSubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm := m.(*sgpModel)
-	for i, ts := range sm.tasks {
+	for i, ts := range sgpTasks(m) {
 		if ts.m != 8 {
 			t.Fatalf("task %d: %d inducing points, want 8", i, ts.m)
 		}
@@ -39,7 +48,7 @@ func TestSGPInducingSubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ts := big.(*sgpModel).tasks[0]; ts.m != 30 {
+	if ts := sgpTasks(big)[0]; ts.m != 30 {
 		t.Fatalf("Inducing=500 on 30 samples gave m = %d, want 30", ts.m)
 	}
 }
@@ -63,15 +72,14 @@ func TestSGPAppendMatchesBatchStatistics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm := m.(*sgpModel)
-	inc, ok := Model(sm).(Incremental)
+	inc, ok := m.(Incremental)
 	if !ok {
 		t.Fatal("sgp model does not implement Incremental")
 	}
 	if err := inc.Append(tail, 2); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
-	for task, ts := range sm.tasks {
+	for task, ts := range sgpTasks(m) {
 		if ts.n != 24 {
 			t.Fatalf("task %d: n = %d, want 24", task, ts.n)
 		}
@@ -233,7 +241,9 @@ func TestSGPWarmStart(t *testing.T) {
 }
 
 // TestIncrementalCapability pins which backends extend in place: the GP
-// family does, forests don't.
+// family does, forests don't. A per-task backend's append is all or
+// nothing: a delta that one task's slice makes invalid leaves every task's
+// posterior bitwise as it was.
 func TestIncrementalCapability(t *testing.T) {
 	data := testDataset(29, 2, 10)
 	delta := &Dataset{Dim: 2, X: [][][]float64{{{0.5, 0.5}}, {}}, Y: [][]float64{{1.5}, {}}}
@@ -268,6 +278,19 @@ func TestIncrementalCapability(t *testing.T) {
 		bad := &Dataset{Dim: 2, X: [][][]float64{{}}, Y: [][]float64{{}}}
 		if err := inc.Append(bad, 1); err == nil {
 			t.Fatalf("%s: task-count mismatch accepted", kind)
+		}
+		if kind == KindLCM {
+			continue
+		}
+		// Valid for task 0, a non-finite output for task 1.
+		x := []float64{0.25, 0.75}
+		mu0, v0 := m.PredictInto(ws, 0, x)
+		mixed := &Dataset{Dim: 2, X: [][][]float64{{{0.2, 0.9}}, {{0.4, 0.1}}}, Y: [][]float64{{0.7}, {math.NaN()}}}
+		if err := inc.Append(mixed, 1); err == nil {
+			t.Fatalf("%s: delta with a non-finite output accepted", kind)
+		}
+		if mu, v := m.PredictInto(ws, 0, x); math.Float64bits(mu) != math.Float64bits(mu0) || math.Float64bits(v) != math.Float64bits(v0) {
+			t.Fatalf("%s: refused append moved task 0's posterior: (%v, %v) → (%v, %v)", kind, mu0, v0, mu, v)
 		}
 	}
 	rfF, _ := New(KindRF)

@@ -12,13 +12,16 @@
 //   - "lcm" (default): the paper's Linear Coregionalization Model, sharing
 //     latent functions across tasks (Section 3.1). Wraps internal/gp
 //     unchanged, cache/parallel hot path included.
-//   - "gp-indep": one single-task GP per task, no cross-task sharing — the
-//     natural ablation baseline for measuring what multitask learning buys.
+//   - "gp-indep": the lcm backend run once per task, no cross-task sharing —
+//     the natural ablation baseline for measuring what multitask learning buys.
 //   - "sgp": per-task sparse GPs (deterministic inducing-point DTC
 //     approximation) — O(n·m²) fitting and O(m²) prediction, the backend for
 //     histories too large for the exact paths.
 //   - "rf": per-task random forests (the SuRF-style baseline of Section 5),
 //     strongest when parameters are categorical.
+//
+// The last three are one per-task container (pertask.go) over a single-task
+// model each.
 //
 // Every backend obeys the repo's determinism contract: fitted models are
 // bitwise independent of FitOptions.Workers, and a model reloaded from its
@@ -139,9 +142,9 @@ var registry = []struct {
 	fitter Fitter
 }{
 	{KindLCM, lcmFitter{}},
-	{KindGPIndep, gpIndepFitter{}},
-	{KindSGP, sgpFitter{}},
-	{KindRF, rfFitter{}},
+	{KindGPIndep, perTaskFitter{KindGPIndep, lcmFitter{}}},
+	{KindSGP, perTaskFitter{KindSGP, sgpFitter{}}},
+	{KindRF, perTaskFitter{KindRF, rfFitter{}}},
 }
 
 // Kinds lists the available backend names in preference order.

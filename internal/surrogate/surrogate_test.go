@@ -320,4 +320,17 @@ func TestUnmarshalRejectsCrossKind(t *testing.T) {
 	if _, err := rfF.UnmarshalBinary([]byte(`{"kind":"rf","models":[]}`)); err == nil {
 		t.Fatal("empty model list accepted")
 	}
+	// A per-task cell routes at local task 0, so a multitask cell is refused.
+	lcmF, _ := New(KindLCM)
+	multi, err := lcmF.Fit(data, FitOptions{NumStarts: 1, MaxIter: 3, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell, err := multi.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := indepF.UnmarshalBinary([]byte(`{"kind":"gp-indep","models":[` + string(cell) + `]}`)); err == nil {
+		t.Fatal("gp-indep accepted a two-task cell")
+	}
 }
