@@ -142,10 +142,7 @@ func main() {
 		}
 		if cp != nil {
 			defer cp.Close()
-			opts.Checkpoint = cp
-			// Snapshot every modeling phase's fitted surrogate into the same
-			// log, so a later run can -warm from it.
-			opts.Transfer = cp
+			opts.Checkpoint = cp // also archives every refit model, so a later run can -warm from it
 		}
 		var db *gptune.History
 		if *history != "" {
@@ -186,7 +183,12 @@ func main() {
 			res.Stats.Objective, res.Stats.Modeling, res.Stats.Search,
 			res.Stats.Total, res.Stats.NumEvals)
 		if db != nil {
-			saveHistory(db, *history, p.Name, res)
+			gptune.RecordResult(db, p.Name, res) // skips the prior samples the archive already holds
+			if err := db.Save(*history); err != nil {
+				fmt.Fprintf(os.Stderr, "history: %v\n", err)
+				return
+			}
+			fmt.Printf("history: %d records in %s\n", db.Len(), *history)
 		}
 		return
 	}
@@ -231,26 +233,4 @@ func openCheckpoint(ckpt, resume, problem string) (*gptune.Checkpointer, error) 
 		return nil, nil
 	}
 	return gptune.NewCheckpoint(ckpt, gptune.CheckpointOptions{Problem: problem})
-}
-
-// saveHistory appends the run's new evaluations to the archive it was seeded
-// from: the result also carries the prior samples, which the archive already
-// holds, so a sample is archived only if no record matches it exactly.
-func saveHistory(db *gptune.History, path, problem string, res *gptune.Result) {
-	held := make(map[string]bool)
-	for _, r := range db.Query(problem, nil) {
-		held[fmt.Sprint(r.Task, r.Config, r.Outputs)] = true
-	}
-	for _, tr := range res.Tasks {
-		for j := range tr.X {
-			if !held[fmt.Sprint(tr.Task, tr.X[j], tr.Y[j])] {
-				db.Append(gptune.HistoryRecord{Problem: problem, Task: tr.Task, Config: tr.X[j], Outputs: tr.Y[j]})
-			}
-		}
-	}
-	if err := db.Save(path); err != nil {
-		fmt.Fprintf(os.Stderr, "history: %v\n", err)
-		return
-	}
-	fmt.Printf("history: %d records in %s\n", db.Len(), path)
 }

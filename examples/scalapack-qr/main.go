@@ -23,6 +23,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	problem = gptune.MinOfRepeats(problem, 3) // min-of-3 runs, as the paper does for QR
 	app := scalapack.NewQR(16, 20000)
 
 	tasks := [][]float64{
@@ -35,7 +36,6 @@ func main() {
 		Seed:    7,
 		Workers: 4,
 		LogY:    true,
-		Repeats: 3, // min-of-3 runs, as the paper does for QR
 	}
 
 	// Plain MLA.
@@ -51,6 +51,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	withModel = gptune.MinOfRepeats(withModel, 3)
 	withModel.Model = app.PerfModel()
 	optsModel := opts
 	optsModel.FitModelCoeffs = true

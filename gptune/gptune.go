@@ -110,6 +110,12 @@ func Tune(p *Problem, tasks [][]float64, options Options) (*Result, error) {
 	return core.Run(p, tasks, options)
 }
 
+// MinOfRepeats returns p with every evaluation the componentwise minimum of r
+// runs of its objective (the paper runs PDGEQRF and PDSYEVX three times to
+// cope with runtime noise); every tuner handed the wrapped problem measures
+// the same way. See core.MinOfRepeats.
+func MinOfRepeats(p *Problem, r int) *Problem { return core.MinOfRepeats(p, r) }
+
 // Engine is the step-wise ask/tell form of the MLA loop: Suggest hands out
 // the next configuration, the caller evaluates it however it likes (no
 // in-process Objective needed), and Observe/Fail feed the outcome back.
@@ -217,10 +223,22 @@ func PriorFromHistory(db *History, problem string, tasks [][]float64) []PriorSam
 	return out
 }
 
-// RecordResult archives every evaluation of an MLA result into db.
+// RecordResult archives every evaluation of an MLA result into db, except one
+// the archive already holds exactly (same problem, task, configuration and
+// outputs): a run seeded from db through PriorFromHistory carries those prior
+// samples in its result, and archiving them again would duplicate them.
 func RecordResult(db *History, problem string, res *Result) {
+	held := make(map[string]bool)
+	for _, r := range db.Query(problem, nil) {
+		if r.IsEval() {
+			held[fmt.Sprint(r.Task, r.Config, r.Outputs)] = true // %v prints each float's shortest exact form
+		}
+	}
 	for _, tr := range res.Tasks {
 		for j := range tr.X {
+			if held[fmt.Sprint(tr.Task, tr.X[j], tr.Y[j])] {
+				continue
+			}
 			db.Append(histdb.Record{
 				Problem: problem,
 				Task:    tr.Task,
@@ -260,12 +278,10 @@ func Resume(path string, opts CheckpointOptions) (*Checkpointer, error) {
 // reports what a recovery would keep (see histdb.Verify).
 func VerifyHistory(path string) (histdb.VerifyResult, error) { return histdb.Verify(path) }
 
-// ModelSnapshot is a serialized fitted surrogate; ModelStore receives one
-// per modeling phase (see Options.Transfer and Options.WarmStart).
-type (
-	ModelSnapshot = core.ModelSnapshot
-	ModelStore    = core.ModelStore
-)
+// ModelSnapshot is a serialized fitted surrogate. A run whose
+// Options.Checkpoint is a Checkpointer logs one per refit and objective;
+// LoadModelSnapshots reads them back for a later run's Options.WarmStart.
+type ModelSnapshot = core.ModelSnapshot
 
 // SurrogateKinds lists the model backends selectable via Options.Surrogate,
 // in the surrogate registry's order: "lcm" (the paper's multitask Linear
@@ -278,7 +294,7 @@ type (
 func SurrogateKinds() []string { return surrogate.Kinds() }
 
 // LoadModelSnapshots reads the fitted-surrogate snapshots a checkpointed run
-// with Options.Transfer left in its history log, enabling transfer learning
+// left in its history log, enabling transfer learning
 // across sessions: feed the result to a later run's Options.WarmStart and
 // its modeling phases seed hyperparameter optimization at the previous
 // session's optimum (the paper's "tuning improves over time" goal, applied

@@ -110,6 +110,36 @@ func TestHistoryIntegration(t *testing.T) {
 	}
 }
 
+// TestRecordResultSkipsPriors: a run seeded from an archive carries the
+// prior samples in its result, and recording it back must add only the
+// run's own evaluations — 6 archived + 6 new, not 6 + 12 with 6 duplicates.
+func TestRecordResultSkipsPriors(t *testing.T) {
+	p := demoProblem()
+	tasks := [][]float64{{0}}
+	res, err := gptune.Tune(p, tasks, gptune.Options{EpsTot: 6, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := gptune.NewHistory()
+	gptune.RecordResult(db, "demo", res)
+	res2, err := gptune.Tune(p, tasks, gptune.Options{EpsTot: 6, Seed: 6, Prior: gptune.PriorFromHistory(db, "demo", tasks)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(res2.Tasks[0].X); n != 12 {
+		t.Fatalf("seeded run holds %d samples, want 12 (6 prior + 6 new)", n)
+	}
+	gptune.RecordResult(db, "demo", res2)
+	if db.Len() != 12 {
+		t.Fatalf("archive holds %d records after recording the seeded run, want 12", db.Len())
+	}
+	// The same evaluations under another problem name are not duplicates.
+	gptune.RecordResult(db, "other", res)
+	if db.Len() != 18 {
+		t.Fatalf("archive holds %d records after recording under a second problem, want 18", db.Len())
+	}
+}
+
 func TestPriorFromHistory(t *testing.T) {
 	p := demoProblem()
 	res, err := gptune.Tune(p, [][]float64{{0}}, gptune.Options{EpsTot: 6, Seed: 5})
@@ -145,7 +175,7 @@ func TestPriorFromHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = gptune.Tune(p, [][]float64{{0}}, gptune.Options{EpsTot: 6, Seed: 5, Checkpoint: cp, Transfer: cp})
+	res, err = gptune.Tune(p, [][]float64{{0}}, gptune.Options{EpsTot: 6, Seed: 5, Checkpoint: cp})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -129,10 +129,10 @@ func (c *Checkpointer) Logged() int {
 	return c.wal.Len() - c.models
 }
 
-// SaveModel implements ModelStore: it appends a fitted-surrogate snapshot to
-// the write-ahead log as a histdb.KindModel record, so pass the Checkpointer
-// as Options.Transfer to make every modeling phase's result durable
-// alongside the evaluations it was fitted on. Later sessions load the
+// SaveModel appends a fitted-surrogate snapshot to the write-ahead log as a
+// histdb.KindModel record. An engine whose Options.Checkpoint is the
+// Checkpointer calls it after every refit, so each modeling phase's result is
+// durable alongside the evaluations it was fitted on. Later sessions load the
 // snapshots with the facade's LoadModelSnapshots and feed them to
 // Options.WarmStart.
 func (c *Checkpointer) SaveModel(snap ModelSnapshot) error {

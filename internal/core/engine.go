@@ -514,7 +514,7 @@ func (e *Engine) Observe(id int64, y []float64) error {
 	}
 	j.y = append([]float64(nil), y...)
 	j.observed = true
-	e.st.evals.Add(1)
+	e.st.stats.NumEvals++
 	err := e.commitReady() //gptlint:ignore lock-held-across-blocking prefix commits stream to the WAL inside the critical section so replay order always matches commit order
 	// A parked asker woken here starts the next generation if this report
 	// completed the batch, and sees the fatal error if the commit failed.
@@ -664,11 +664,11 @@ func (e *Engine) genSearch(delta *PhaseStats) (jobs []*engJob, phase string, err
 	if err != nil {
 		return nil, "", err
 	}
-	// Incremental generations skip the transfer snapshot: the model's
-	// hyperparameters haven't moved since the refit that already saved them.
+	// Incremental generations skip the snapshot: the model's hyperparameters
+	// haven't moved since the refit that already saved them.
 	if refit {
 		for s, model := range models {
-			if err := st.saveTransfer(model, s); err != nil {
+			if err := st.saveModel(model, s); err != nil {
 				return nil, "", err
 			}
 		}

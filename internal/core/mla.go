@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync/atomic"
 
 	"repro/internal/acq"
 	"repro/internal/mpx"
@@ -75,7 +74,7 @@ func RunContext(ctx context.Context, p *Problem, tasks [][]float64, options Opti
 		mpx.ParallelFor(len(suggs), opts.Workers, func(k int) {
 			sg := suggs[k]
 			for {
-				y, err := st.evalRepeated(st.tasks[sg.Task], sg.X)
+				y, err := p.Evaluate(st.tasks[sg.Task], sg.X)
 				if err == nil {
 					errs[k] = e.Observe(sg.ID, y)
 					return
@@ -110,7 +109,6 @@ func RunContext(ctx context.Context, p *Problem, tasks [][]float64, options Opti
 // partialResult packages whatever has been observed so far. Called under
 // the engine mutex, or by the batch driver between batches.
 func (st *state) partialResult() *Result {
-	st.stats.NumEvals = int(st.evals.Load())
 	res := &Result{Tasks: make([]TaskResult, len(st.tasks)), Stats: st.stats}
 	for i := range st.tasks {
 		tr := TaskResult{Task: st.tasks[i], X: st.X[i], Y: st.Y[i]}
@@ -137,7 +135,6 @@ type state struct {
 	mdl    modelState        // incremental-modeling bookkeeping (RefitEvery > 1)
 	warm   []surrogate.Model // per objective: Options.WarmStart's model, nil = cold start
 	stats  PhaseStats
-	evals  atomic.Int64 // objective evaluations; mutated from worker goroutines
 	rng    *rand.Rand
 }
 
@@ -164,12 +161,23 @@ func warmModels(fitter surrogate.Fitter, snaps []ModelSnapshot, objectives int) 
 	return warm
 }
 
-// saveTransfer streams one fitted model to Options.Transfer (no-op without
-// one). Save failures are fatal to the run, like checkpoint failures: a
-// transfer sink that silently drops snapshots would poison later sessions.
-func (st *state) saveTransfer(model surrogate.Model, objective int) error {
-	store := st.opts.Transfer
-	if store == nil {
+// modelSaver is the optional capability of a Checkpoint that archives fitted
+// models beside the evaluations they were fitted on; *Checkpointer has it, so
+// a checkpointed run's log is also a later session's Options.WarmStart. The
+// engine calls SaveModel on its generation goroutine after each refit and
+// never reads a snapshot back, so a mid-run crash cannot change resumed
+// decisions.
+type modelSaver interface {
+	SaveModel(snap ModelSnapshot) error
+}
+
+// saveModel streams one refit model to the checkpoint when it can archive
+// models (no-op otherwise). Save failures are fatal to the run, like
+// checkpoint failures: a log that silently drops snapshots would poison later
+// sessions.
+func (st *state) saveModel(model surrogate.Model, objective int) error {
+	store, ok := st.opts.Checkpoint.(modelSaver)
+	if !ok {
 		return nil
 	}
 	blob, err := model.MarshalBinary()
@@ -259,34 +267,6 @@ func (st *state) checkpointEval(phase string, task int, requested, x, y []float6
 		return nil
 	}
 	return cp.Eval(CheckpointRecord{Phase: phase, Task: st.tasks[task], Requested: requested, X: x, Y: y})
-}
-
-// evalRepeated runs the objective with the configured repeat count, taking
-// the componentwise minimum (the paper's noise mitigation). Retries on
-// error are the Engine's job (see Engine.Fail).
-func (st *state) evalRepeated(t, x []float64) ([]float64, error) {
-	var best []float64
-	for r := 0; r < st.opts.Repeats; r++ {
-		y, err := st.p.Objective(t, x)
-		if err != nil {
-			return nil, err
-		}
-		if err := st.p.checkOutputs(y); err != nil {
-			return nil, err
-		}
-		if best == nil {
-			best = append([]float64(nil), y...)
-			continue
-		}
-		for s := range y {
-			if y[s] < best[s] {
-				best[s] = y[s]
-			}
-		}
-	}
-	// Engine.Observe counts the evaluation itself; the repeats are extra.
-	st.evals.Add(int64(st.opts.Repeats - 1))
-	return best, nil
 }
 
 // featureScale holds the normalization of performance-model features used

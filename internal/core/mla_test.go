@@ -221,19 +221,47 @@ func TestMLANonFiniteOutputRejected(t *testing.T) {
 	}
 }
 
-func TestMLARepeatsTakeMin(t *testing.T) {
+// TestMinOfRepeats: a MinOfRepeats problem runs its objective r times per
+// evaluation and keeps the componentwise minimum, and a non-finite output on
+// any repeat — not only the first — fails the evaluation. A run over it
+// records the minima and counts one evaluation per configuration.
+func TestMinOfRepeats(t *testing.T) {
 	p := analyticalProblem()
-	call := 0
+	p.Outputs = space.NewOutputSpace("a", "b")
+	var outs [][]float64 // the objective's outputs, call by call
+	calls := 0
 	p.Objective = func(task, x []float64) ([]float64, error) {
-		call++
-		// Alternate high/low: with Repeats=2 the recorded value must be the
-		// min of consecutive pairs.
-		if call%2 == 1 {
+		calls++
+		return append([]float64(nil), outs[calls-1]...), nil
+	}
+	if MinOfRepeats(p, 1) != p {
+		t.Fatal("MinOfRepeats(p, 1) wraps p")
+	}
+	q := MinOfRepeats(p, 3)
+	outs = [][]float64{{4, 1}, {2, 5}, {3, 0.5}}
+	y, err := q.Evaluate([]float64{0}, []float64{0.5})
+	if err != nil || calls != 3 || y[0] != 2 || y[1] != 0.5 {
+		t.Fatalf("Evaluate = %v, %v after %d objective calls, want [2 0.5] after 3", y, err, calls)
+	}
+	for bad := range 3 {
+		outs, calls = [][]float64{{1, 1}, {1, 1}, {1, 1}}, 0
+		outs[bad] = []float64{1, math.NaN()}
+		if _, err := q.Evaluate([]float64{0}, []float64{0.5}); err == nil {
+			t.Fatalf("a NaN on repeat %d was accepted", bad)
+		}
+	}
+
+	p = analyticalProblem()
+	calls = 0
+	p.Objective = func(task, x []float64) ([]float64, error) {
+		calls++
+		// Alternate high/low: every recorded value is the low one.
+		if calls%2 == 1 {
 			return []float64{10}, nil
 		}
 		return []float64{5}, nil
 	}
-	res, err := Run(p, [][]float64{{0}}, Options{EpsTot: 4, Seed: 8, Repeats: 2})
+	res, err := Run(MinOfRepeats(p, 2), [][]float64{{0}}, Options{EpsTot: 4, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,8 +270,8 @@ func TestMLARepeatsTakeMin(t *testing.T) {
 			t.Fatalf("repeat-min not applied: %v", y)
 		}
 	}
-	if res.Stats.NumEvals != 8 {
-		t.Fatalf("NumEvals = %d, want 8 (4 samples × 2 repeats)", res.Stats.NumEvals)
+	if calls != 8 || res.Stats.NumEvals != 4 {
+		t.Fatalf("%d objective calls, NumEvals = %d; want 8 calls (4 evaluations × 2 repeats), NumEvals 4", calls, res.Stats.NumEvals)
 	}
 }
 

@@ -21,10 +21,6 @@ type Options struct {
 	// modeling-phase multi-starts / covariance factorization, and per-task
 	// search (Section 4). Default 1.
 	Workers int
-	// Repeats re-evaluates each configuration this many times and keeps the
-	// componentwise minimum (the paper runs PDGEQRF/PDSYEVX 3 times to cope
-	// with runtime noise). Default 1.
-	Repeats int
 	// LogY models log(y) instead of y when all observations are positive,
 	// which suits runtime-like objectives spanning orders of magnitude.
 	LogY bool
@@ -65,26 +61,18 @@ type Options struct {
 	NumStarts    int
 	ModelMaxIter int
 	// WarmStart supplies fitted-model snapshots from an earlier tuning
-	// session (loaded from its history database — see Checkpointer.
-	// ModelSnapshots and the gptune facade's LoadModelSnapshots). Each
-	// modeling-phase fit for objective s is seeded with the last snapshot
-	// whose Kind matches Options.Surrogate and whose Objective is s; GP
-	// backends start their first optimizer restart at the snapshot's
-	// hyperparameters. WarmStart is a static input, read-only for the whole
-	// run — the engine never feeds its own snapshots back into it, which
-	// keeps crash-resumed runs bitwise identical to uninterrupted ones.
+	// session (loaded from its checkpoint log — see the gptune facade's
+	// LoadModelSnapshots). Each modeling-phase fit for objective s is seeded
+	// with the last snapshot whose Kind matches Options.Surrogate and whose
+	// Objective is s; GP backends start their first optimizer restart at the
+	// snapshot's hyperparameters. WarmStart is a static input, read-only for
+	// the whole run — the engine never feeds its own snapshots back into it,
+	// which keeps crash-resumed runs bitwise identical to uninterrupted ones.
 	// NewEngine restores each snapshot it will use once, through the
 	// backend's UnmarshalBinary; one that does not restore (corrupt, another
 	// problem's shape, a covariance that no longer factors) silently degrades
 	// to a cold start.
 	WarmStart []ModelSnapshot
-	// Transfer, when non-nil, receives a snapshot of every fitted surrogate
-	// (one per modeling phase and objective) so later sessions can warm-start
-	// from it. A WAL-backed Checkpointer implements this by appending
-	// histdb.KindModel records to its log. Save errors abort the run. The
-	// engine never reads snapshots back from Transfer — saving is
-	// fire-and-forget, so a mid-run crash cannot change resumed decisions.
-	Transfer ModelStore
 
 	// Search configures the per-task PSO maximizing the acquisition. Its
 	// Seeds are points of the normalized tuning space: NewEngine rejects one
@@ -133,7 +121,11 @@ type Options struct {
 	// order), making the run crash-safe: a WAL-backed Checkpointer
 	// (NewCheckpoint/Resume) persists each evaluation durably and, on
 	// resume, replays the log so the run continues where it was killed
-	// without re-paying logged evaluations. A hook error aborts the run.
+	// without re-paying logged evaluations. A hook error aborts the run. A
+	// checkpoint that also has a SaveModel(ModelSnapshot) error method, as
+	// Checkpointer does, receives a snapshot of every refit surrogate (one
+	// per objective) for later sessions' WarmStart; a save error aborts the
+	// run too.
 	Checkpoint Checkpoint
 
 	// Clock overrides the wall clock behind PhaseStats (useful for tests
@@ -162,19 +154,13 @@ type PriorSample struct {
 
 // ModelSnapshot is one fitted surrogate in serialized form: which backend
 // produced it, which objective it modeled, and the backend's MarshalBinary
-// payload. Snapshots flow out of a run through Options.Transfer and into a
-// later run through Options.WarmStart.
+// payload. Snapshots flow out of a run through its checkpoint
+// (Options.Checkpoint, when it has SaveModel) and into a later run through
+// Options.WarmStart.
 type ModelSnapshot struct {
 	Kind      string // surrogate backend (one of surrogate.Kinds())
 	Objective int    // objective index the model was fitted for
 	Data      []byte // backend-specific serialized model
-}
-
-// ModelStore receives fitted-model snapshots from a run (Options.Transfer).
-// SaveModel is always called on the engine's generation goroutine, after
-// the modeling phase that produced the snapshot.
-type ModelStore interface {
-	SaveModel(snap ModelSnapshot) error
 }
 
 func (o *Options) defaults() {
@@ -195,9 +181,6 @@ func (o *Options) defaults() {
 	}
 	if o.Workers <= 0 {
 		o.Workers = 1
-	}
-	if o.Repeats <= 0 {
-		o.Repeats = 1
 	}
 	if o.MOBatch <= 0 {
 		o.MOBatch = 1
@@ -231,7 +214,10 @@ type PhaseStats struct {
 	Search      time.Duration // acquisition maximization
 	ModelUpdate time.Duration // Section 3.3 coefficient fitting
 	Total       time.Duration
-	NumEvals    int // objective evaluations performed (incl. repeats)
+	// NumEvals counts the evaluations reported to the engine this run, one
+	// per configuration: not objective calls (a MinOfRepeats evaluation is
+	// one), and not the evaluations a resumed run replays from its log.
+	NumEvals int
 }
 
 // Add accumulates other into s.

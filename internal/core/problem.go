@@ -82,6 +82,55 @@ func (p *Problem) validateForEngine() error {
 	return nil
 }
 
+// Evaluate runs the objective once at native task t and configuration x and
+// validates the outputs: the wrong count or a non-finite value is an error.
+// Every tuner evaluates through it — MLA's worker loop and the baselines'
+// tuners.Loop alike.
+func (p *Problem) Evaluate(task, x []float64) ([]float64, error) {
+	y, err := p.Objective(task, x)
+	if err != nil {
+		return nil, err
+	}
+	if err := p.checkOutputs(y); err != nil {
+		return nil, err
+	}
+	return y, nil
+}
+
+// MinOfRepeats returns p with every evaluation replaced by the componentwise
+// minimum of r consecutive runs of its objective: the paper runs PDGEQRF and
+// PDSYEVX three times and keeps the minimum to cope with runtime noise.
+// Wrapping the problem rather than configuring a tuner means every tuner in a
+// comparison measures a configuration the same way. Each run is validated as
+// Evaluate validates one, so a non-finite output on any repeat is an error.
+// r ≤ 1, or a problem without an objective, returns p itself.
+func MinOfRepeats(p *Problem, r int) *Problem {
+	if r <= 1 || p.Objective == nil {
+		return p
+	}
+	q := *p
+	q.Objective = func(task, x []float64) ([]float64, error) {
+		var best []float64
+		for i := 0; i < r; i++ {
+			y, err := p.Evaluate(task, x)
+			if err != nil {
+				return nil, err
+			}
+			if best == nil {
+				best = append([]float64(nil), y...)
+				continue
+			}
+			for s := range y {
+				if y[s] < best[s] {
+					best[s] = y[s]
+				}
+			}
+		}
+		return best, nil
+	}
+	return &q
+}
+
 // checkOutputs validates one objective evaluation result.
 func (p *Problem) checkOutputs(y []float64) error {
 	if len(y) != p.Outputs.Dim() {

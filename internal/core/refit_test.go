@@ -50,27 +50,30 @@ func TestRefitEveryDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// countStore counts transfer snapshots; incremental generations must not
-// produce any (the hyperparameters haven't moved since the refit that
-// already saved them).
-type countStore struct{ saves int }
+// countingCheckpoint is an in-memory checkpoint that can archive models: it
+// counts evaluations and snapshots. Incremental generations must not produce
+// a snapshot (the hyperparameters haven't moved since the refit that already
+// saved them).
+type countingCheckpoint struct{ evals, saves int }
 
-func (c *countStore) SaveModel(ModelSnapshot) error {
-	c.saves++
-	return nil
+func (c *countingCheckpoint) Eval(CheckpointRecord) error { c.evals++; return nil }
+func (c *countingCheckpoint) Lookup(_, _ []float64) ([]float64, []float64, bool) {
+	return nil, nil, false
 }
+func (c *countingCheckpoint) SaveModel(ModelSnapshot) error { c.saves++; return nil }
 
-// TestRefitEveryCadence observes the refit schedule through the transfer
-// sink: the 12-eval benchmark runs 6 search generations, so RefitEvery=3
-// must refit (and snapshot) on generations 1 and 4 only, while the default
-// snapshots all 6. It also pins that the incremental path genuinely runs —
-// if appends silently fell back to refits, the counts would match.
+// TestRefitEveryCadence observes the refit schedule through the checkpoint's
+// snapshots: the 12-eval benchmark runs 6 search generations, so
+// RefitEvery=3 must refit (and snapshot) on generations 1 and 4 only, while
+// the default snapshots all 6. It also pins that the incremental path
+// genuinely runs — if appends silently fell back to refits, the counts would
+// match. A checkpoint without SaveModel gets evaluations and no snapshots.
 func TestRefitEveryCadence(t *testing.T) {
 	procs := runtime.GOMAXPROCS(0)
-	every := &countStore{}
-	runRefit(t, 4, procs, func(o *Options) { o.Transfer = every })
-	inc := &countStore{}
-	runRefit(t, 4, procs, func(o *Options) { o.Transfer = inc; o.RefitEvery = 3 })
+	every := &countingCheckpoint{}
+	saved := runRefit(t, 4, procs, func(o *Options) { o.Checkpoint = every })
+	inc := &countingCheckpoint{}
+	runRefit(t, 4, procs, func(o *Options) { o.Checkpoint = inc; o.RefitEvery = 3 })
 	if every.saves != 6 {
 		t.Fatalf("default run saved %d snapshots, want 6", every.saves)
 	}
@@ -78,13 +81,26 @@ func TestRefitEveryCadence(t *testing.T) {
 		t.Fatalf("RefitEvery=3 run saved %d snapshots, want 2 (generations 1 and 4)", inc.saves)
 	}
 	// rf has no incremental path: every generation refits and snapshots.
-	rf := &countStore{}
+	rf := &countingCheckpoint{}
 	runRefit(t, 4, procs, func(o *Options) {
-		o.Transfer = rf
+		o.Checkpoint = rf
 		o.RefitEvery = 3
 		o.Surrogate = surrogate.KindRF
 	})
 	if rf.saves != 6 {
 		t.Fatalf("rf RefitEvery=3 run saved %d snapshots, want 6 (no incremental support)", rf.saves)
 	}
+	for _, c := range []*countingCheckpoint{every, inc, rf} {
+		if c.evals != 36 {
+			t.Fatalf("checkpoint received %d evaluations, want 36 (3 tasks × 12)", c.evals)
+		}
+	}
+	// Archiving models is a capability of the checkpoint, not a requirement:
+	// one without SaveModel gets every evaluation, and the run is the same.
+	rc := &recordingCheckpoint{}
+	plain := runRefit(t, 4, procs, func(o *Options) { o.Checkpoint = rc })
+	if len(rc.recs) != 36 {
+		t.Fatalf("checkpoint without SaveModel received %d evaluations, want 36", len(rc.recs))
+	}
+	requireBitwiseEqualHistories(t, "checkpoint with vs without SaveModel", saved, plain)
 }

@@ -272,14 +272,14 @@ func TestRetryDrawsDistinctWithinTask(t *testing.T) {
 	}
 }
 
-// paddedStore logs a fresh megabyte-sized blob in place of every real model
-// snapshot, so a short run puts far more bytes in its log than the process
-// can hide in noise.
-type paddedStore struct{ cp *Checkpointer }
+// paddedCheckpoint is a Checkpointer that logs a fresh megabyte-sized blob in
+// place of every real model snapshot, so a short run puts far more bytes in
+// its log than the process can hide in noise.
+type paddedCheckpoint struct{ *Checkpointer }
 
-func (p paddedStore) SaveModel(s ModelSnapshot) error {
+func (p paddedCheckpoint) SaveModel(s ModelSnapshot) error {
 	s.Data = make([]byte, 1<<20)
-	return p.cp.SaveModel(s)
+	return p.Checkpointer.SaveModel(s)
 }
 
 // heapAfterGC is the live heap once two collections have settled it.
@@ -304,7 +304,7 @@ func TestCheckpointerRetainsNoHistory(t *testing.T) {
 	opts := func(cp *Checkpointer) Options {
 		// 72 initial + 8 search evaluations per task: 8 generations, each
 		// logging one padded snapshot.
-		return Options{EpsTot: 80, InitFraction: 0.9, Seed: 5, Surrogate: "rf", Checkpoint: cp, Transfer: paddedStore{cp}}
+		return Options{EpsTot: 80, InitFraction: 0.9, Seed: 5, Surrogate: "rf", Checkpoint: paddedCheckpoint{cp}}
 	}
 	retained := func(what string, open func(string, CheckpointOptions) (*Checkpointer, error), behind bool) {
 		t.Helper()

@@ -61,21 +61,21 @@ func TestUnknownSurrogateRejected(t *testing.T) {
 }
 
 // TestModelSnapshotTransferThroughWAL is the end-to-end transfer contract:
-// a checkpointed run with Options.Transfer appends fitted-model snapshots to
-// its WAL; a later session loads them back and uses them as the modeling
-// phase's hyperparameter warm start, changing (and still determinizing) its
-// tuning trajectory.
+// a run whose Options.Checkpoint is a Checkpointer appends fitted-model
+// snapshots to its WAL; a later session loads them back and uses them as the
+// modeling phase's hyperparameter warm start, changing (and still
+// determinizing) its tuning trajectory.
 func TestModelSnapshotTransferThroughWAL(t *testing.T) {
 	tasks := [][]float64{{1.5}}
 	dir := t.TempDir()
 	path := filepath.Join(dir, "hist.json")
 
-	// Session 1: tune with the WAL as both checkpoint and transfer sink.
+	// Session 1: tune with the WAL as the checkpoint.
 	cp, err := NewCheckpoint(path, CheckpointOptions{Problem: "analytical"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(analyticalProblem(), tasks, opts1func(cp, cp)); err != nil {
+	if _, err := Run(analyticalProblem(), tasks, opts1func(cp)); err != nil {
 		t.Fatal(err)
 	}
 	logged := cp.Logged()
@@ -118,12 +118,12 @@ func TestModelSnapshotTransferThroughWAL(t *testing.T) {
 	// between the logged evaluations (they are filtered from replay, and the
 	// re-fitted models are re-saved without disturbing Eval verification).
 	var baseCalls int64
-	baseline, err := Run(countingProblem(&baseCalls), tasks, opts1func(nil, nil))
+	baseline, err := Run(countingProblem(&baseCalls), tasks, opts1func(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var resumedCalls int64
-	resumed, err := Run(countingProblem(&resumedCalls), tasks, opts1func(rcp, rcp))
+	resumed, err := Run(countingProblem(&resumedCalls), tasks, opts1func(rcp))
 	if err != nil {
 		t.Fatalf("resumed run failed: %v", err)
 	}
@@ -175,8 +175,8 @@ func TestModelSnapshotTransferThroughWAL(t *testing.T) {
 	}
 }
 
-// opts1func rebuilds session 1's options with a given checkpoint/transfer
-// pair (the Options literal must match opts1 exactly for bitwise replay).
-func opts1func(cp Checkpoint, store ModelStore) Options {
-	return Options{EpsTot: 8, Seed: 42, Workers: 2, Checkpoint: cp, Transfer: store}
+// opts1func rebuilds session 1's options with a given checkpoint (the
+// Options literal must match session 1's exactly for bitwise replay).
+func opts1func(cp Checkpoint) Options {
+	return Options{EpsTot: 8, Seed: 42, Workers: 2, Checkpoint: cp}
 }

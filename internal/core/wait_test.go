@@ -92,7 +92,7 @@ func TestParkedAskersMatchSingleAskerBitwise(t *testing.T) {
 		}
 		eng, err := NewEngine(analyticalProblem(), tasks, Options{
 			EpsTot: 8, Seed: 42, Workers: 2,
-			Checkpoint: cp, Transfer: cp, Clock: clock,
+			Checkpoint: cp, Clock: clock,
 		})
 		if err != nil {
 			t.Fatal(err)

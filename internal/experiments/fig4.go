@@ -150,17 +150,17 @@ func Fig4QR(numTasks int, epsTots []int, seed int64, workers int) []Fig4QRRow {
 			Seed:         seed,
 			Workers:      workers,
 			LogY:         true,
-			Repeats:      3,
 			Q:            2,
 			NumStarts:    2,
 			ModelMaxIter: 25,
 			Search:       opt.PSOParams{Particles: 20, MaxIter: 30},
 		}
-		resBase, err := core.Run(scenarioProblem("qr", nil), tasks, opts)
+		// Every evaluation is the minimum of 3 runs, as the paper's are.
+		resBase, err := core.Run(core.MinOfRepeats(scenarioProblem("qr", nil), 3), tasks, opts)
 		if err != nil {
 			panic(err)
 		}
-		withModel := scenarioProblem("qr", nil)
+		withModel := core.MinOfRepeats(scenarioProblem("qr", nil), 3)
 		withModel.Model = app.PerfModel()
 		optsM := opts
 		optsM.FitModelCoeffs = true

@@ -21,43 +21,11 @@ type Fig6Row struct {
 	Ratios    map[string]float64 // tuner name → other/GPTune
 }
 
-// minOfRepeats returns p with every evaluation replaced by the componentwise
-// minimum of repeats consecutive runs of the objective: the paper's
-// run-three-times rule for noisy routines, applied to the application so
-// that every tuner in a comparison measures a configuration the same way.
-// repeats ≤ 1 returns p itself.
-func minOfRepeats(p *core.Problem, repeats int) *core.Problem {
-	if repeats <= 1 {
-		return p
-	}
-	q := *p
-	q.Objective = func(task, x []float64) ([]float64, error) {
-		var best []float64
-		for r := 0; r < repeats; r++ {
-			y, err := p.Objective(task, x)
-			if err != nil {
-				return nil, err
-			}
-			if best == nil {
-				best = append([]float64(nil), y...)
-				continue
-			}
-			for s := range y {
-				if y[s] < best[s] {
-					best[s] = y[s]
-				}
-			}
-		}
-		return best, nil
-	}
-	return &q
-}
-
 // runComparison runs GPTune MLA across all tasks jointly and each baseline
 // per task, all with ε_tot evaluations per task, each evaluation the minimum
 // of repeats runs.
 func runComparison(p *core.Problem, tasks [][]float64, labels []string, epsTot int, seed int64, workers int, logY bool, repeats int) []Fig6Row {
-	p = minOfRepeats(p, repeats)
+	p = core.MinOfRepeats(p, repeats)
 	opts := core.Options{
 		EpsTot:       epsTot,
 		Seed:         seed,

@@ -18,9 +18,8 @@ import (
 
 // Params configures forest growth.
 type Params struct {
-	Trees       int     // ensemble size (default 50)
-	FeatureFrac float64 // fraction of features tried per split (default 1/3, min 1)
-	Seed        int64
+	Trees int // ensemble size (default 50)
+	Seed  int64
 	// Workers bounds the goroutine parallelism of tree growth (default 1).
 	// The fitted forest is bitwise independent of the worker count: every
 	// tree owns an RNG seeded by its tree index, never by which goroutine
@@ -32,19 +31,17 @@ func (p *Params) defaults() {
 	if p.Trees <= 0 {
 		p.Trees = 50
 	}
-	if p.FeatureFrac <= 0 || p.FeatureFrac > 1 {
-		p.FeatureFrac = 1.0 / 3
-	}
 	if p.Workers <= 0 {
 		p.Workers = 1
 	}
 }
 
 // Growth limits of every tree: the depth cap and the minimum samples per
-// leaf.
+// leaf; and the fraction of features tried per split (at least one).
 const (
-	maxDepth = 12
-	minLeaf  = 2
+	maxDepth    = 12
+	minLeaf     = 2
+	featureFrac = 1.0 / 3
 )
 
 // node is one tree node; leaves have feature == -1.
@@ -93,7 +90,7 @@ func Fit(X [][]float64, y []float64, params Params) (*Forest, error) {
 			return nil, errors.New("rf: ragged feature rows")
 		}
 	}
-	mtry := int(math.Ceil(params.FeatureFrac * float64(dim)))
+	mtry := int(math.Ceil(featureFrac * float64(dim)))
 	if mtry < 1 {
 		mtry = 1
 	}

@@ -53,7 +53,7 @@ func TestForestFitsSmoothFunction(t *testing.T) {
 		X = append(X, x)
 		y = append(y, truth(x))
 	}
-	f, err := Fit(X, y, Params{Trees: 60, Seed: 3, FeatureFrac: 1})
+	f, err := Fit(X, y, Params{Trees: 60, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -150,11 +150,6 @@ func (s *Server) openStudy(spec api.StudySpec) (*study, error) {
 		return nil, err
 	}
 	opts.Checkpoint = cp
-	// Every fitted surrogate snapshot rides the same WAL, so a study's log
-	// doubles as transfer-learning input for later sessions (the facade's
-	// LoadModelSnapshots + Options.WarmStart). The engine never reads these
-	// back itself — resume replay stays bitwise.
-	opts.Transfer = cp
 	opts.ModelGate = s.gate
 	opts.Clock = s.cfg.Clock
 	eng, err := core.NewEngine(prob, tasks, opts)

@@ -17,20 +17,16 @@ import (
 	"repro/internal/tuners"
 )
 
+// BOHB's defaults.
+const (
+	topQuantile     = 0.15    // splits observations into the good/bad sets (top_n_percent=15)
+	numCandidates   = 24      // samples from l(x) scored per proposal (num_samples, subsampled)
+	randomFraction  = 1.0 / 3 // share of pure random proposals after the warm-up
+	bandwidthFactor = 3       // widens the sampling kernels
+)
+
 // Tuner is a TPE-based autotuner (BOHB without hyperband).
-type Tuner struct {
-	// TopQuantile splits observations into the good/bad sets (default 0.15,
-	// BOHB's top_n_percent=15).
-	TopQuantile float64
-	// NumCandidates scores this many samples from l(x) per iteration
-	// (default 24, BOHB's num_samples subsampled).
-	NumCandidates int
-	// RandomFraction interleaves pure random configurations (default 1/3,
-	// BOHB's default).
-	RandomFraction float64
-	// BandwidthFactor widens the sampling kernels (default 3, as in BOHB).
-	BandwidthFactor float64
-}
+type Tuner struct{}
 
 // Name implements tuners.Tuner.
 func (Tuner) Name() string { return "hpbandster" }
@@ -42,28 +38,16 @@ type obs struct {
 }
 
 // Tune implements tuners.Tuner.
-func (t Tuner) Tune(p *core.Problem, task []float64, epsTot int, seed int64) (*core.TaskResult, error) {
-	if t.TopQuantile <= 0 || t.TopQuantile >= 1 {
-		t.TopQuantile = 0.15
-	}
-	if t.NumCandidates <= 0 {
-		t.NumCandidates = 24
-	}
-	if t.RandomFraction <= 0 {
-		t.RandomFraction = 1.0 / 3
-	}
-	if t.BandwidthFactor <= 0 {
-		t.BandwidthFactor = 3
-	}
+func (Tuner) Tune(p *core.Problem, task []float64, epsTot int, seed int64) (*core.TaskResult, error) {
 	rng := rand.New(rand.NewSource(seed))
 	var observations []obs
 
 	propose := func() ([]float64, error) {
 		// Sampling is random until dim+2 observations are in, and for a
-		// RandomFraction of the proposals after that.
+		// randomFraction of the proposals after that.
 		dim := p.Tuning.Dim()
-		if len(observations) >= dim+2 && rng.Float64() >= t.RandomFraction {
-			if nat := t.proposeTPE(p, observations, dim, rng); nat != nil {
+		if len(observations) >= dim+2 && rng.Float64() >= randomFraction {
+			if nat := proposeTPE(p, observations, dim, rng); nat != nil {
 				return nat, nil
 			}
 		}
@@ -83,14 +67,14 @@ func (t Tuner) Tune(p *core.Problem, task []float64, epsTot int, seed int64) (*c
 
 // proposeTPE builds the l/g KDEs and returns the feasible candidate with the
 // best density ratio, or nil when none is feasible.
-func (t Tuner) proposeTPE(p *core.Problem, observations []obs, dim int, rng *rand.Rand) []float64 {
+func proposeTPE(p *core.Problem, observations []obs, dim int, rng *rand.Rand) []float64 {
 	// Split observations at the top quantile.
 	idx := make([]int, len(observations))
 	for i := range idx {
 		idx[i] = i
 	}
 	sort.Slice(idx, func(a, b int) bool { return observations[idx[a]].y < observations[idx[b]].y })
-	nGood := int(math.Ceil(t.TopQuantile * float64(len(observations))))
+	nGood := int(math.Ceil(topQuantile * float64(len(observations))))
 	if nGood < 2 {
 		nGood = 2
 	}
@@ -111,12 +95,12 @@ func (t Tuner) proposeTPE(p *core.Problem, observations []obs, dim int, rng *ran
 
 	var bestNat []float64
 	bestScore := math.Inf(-1)
-	for c := 0; c < t.NumCandidates; c++ {
+	for c := 0; c < numCandidates; c++ {
 		// Sample from l(x): pick a good point, jitter by widened bandwidth.
 		center := good[rng.Intn(len(good))]
 		u := make([]float64, dim)
 		for d := range u {
-			u[d] = center[d] + rng.NormFloat64()*bwGood[d]*t.BandwidthFactor
+			u[d] = center[d] + rng.NormFloat64()*bwGood[d]*bandwidthFactor
 			if u[d] < 0 {
 				u[d] = 0
 			} else if u[d] > 1 {

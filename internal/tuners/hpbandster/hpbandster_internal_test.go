@@ -56,7 +56,6 @@ func TestProposeTPESamplesNearGoodPoints(t *testing.T) {
 	// Good points cluster near 0.2; bad near 0.8. TPE proposals must land
 	// closer to the good cluster on average.
 	rng := rand.New(rand.NewSource(1))
-	tn := Tuner{TopQuantile: 0.3, NumCandidates: 32, BandwidthFactor: 1}
 	var observations []obs
 	for i := 0; i < 10; i++ {
 		observations = append(observations, obs{u: []float64{0.2 + 0.02*float64(i%3)}, y: float64(i)})
@@ -68,7 +67,7 @@ func TestProposeTPESamplesNearGoodPoints(t *testing.T) {
 	sum := 0.0
 	const trials = 30
 	for trial := 0; trial < trials; trial++ {
-		nat := tn.proposeTPE(p, observations, 1, rng)
+		nat := proposeTPE(p, observations, 1, rng)
 		if nat == nil {
 			t.Fatalf("trial %d: no proposal", trial)
 		}

@@ -8,25 +8,20 @@ import (
 	"repro/internal/opt"
 )
 
-// Tuner runs core MLA with δ=1 per task.
-type Tuner struct {
-	// Options are forwarded to core.Run; EpsTot and Seed are overridden by
-	// the Tune arguments.
-	Options core.Options
-}
+// Tuner runs core MLA with δ=1 per task, at the engine's defaults and the
+// 20-particle, 30-iteration search the paper's comparisons use.
+type Tuner struct{}
 
 // Name implements tuners.Tuner.
 func (Tuner) Name() string { return "gptune-singletask" }
 
 // Tune implements tuners.Tuner.
-func (t Tuner) Tune(p *core.Problem, task []float64, epsTot int, seed int64) (*core.TaskResult, error) {
-	o := t.Options
-	o.EpsTot = epsTot
-	o.Seed = seed
-	if o.Search.Particles == 0 {
-		o.Search = opt.PSOParams{Particles: 20, MaxIter: 30}
-	}
-	res, err := core.Run(p, [][]float64{task}, o)
+func (Tuner) Tune(p *core.Problem, task []float64, epsTot int, seed int64) (*core.TaskResult, error) {
+	res, err := core.Run(p, [][]float64{task}, core.Options{
+		EpsTot: epsTot,
+		Seed:   seed,
+		Search: opt.PSOParams{Particles: 20, MaxIter: 30},
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -43,25 +43,3 @@ func TestTuneRejectsInvalidProblem(t *testing.T) {
 		t.Fatalf("invalid problem accepted")
 	}
 }
-
-func TestOptionsForwarded(t *testing.T) {
-	// Repeats in the embedded options must reach the engine: count calls.
-	calls := 0
-	p := &core.Problem{
-		Name:    "st2",
-		Tasks:   space.MustNew(space.NewReal("t", 0, 1)),
-		Tuning:  space.MustNew(space.NewReal("x", 0, 1)),
-		Outputs: space.NewOutputSpace("y"),
-		Objective: func(task, x []float64) ([]float64, error) {
-			calls++
-			return []float64{x[0]}, nil
-		},
-	}
-	tn := Tuner{Options: core.Options{Repeats: 2}}
-	if _, err := tn.Tune(p, []float64{0}, 6, 1); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 12 {
-		t.Fatalf("objective called %d times, want 12 (6 evals × 2 repeats)", calls)
-	}
-}

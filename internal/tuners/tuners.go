@@ -28,24 +28,6 @@ type Tuner interface {
 	Tune(p *core.Problem, task []float64, epsTot int, seed int64) (*core.TaskResult, error)
 }
 
-// evaluate runs the objective once and validates the outputs, returning an
-// error for non-finite metrics.
-func evaluate(p *core.Problem, task, x []float64) ([]float64, error) {
-	y, err := p.Objective(task, x)
-	if err != nil {
-		return nil, err
-	}
-	if len(y) != p.Outputs.Dim() {
-		return nil, fmt.Errorf("tuners: objective returned %d outputs, want %d", len(y), p.Outputs.Dim())
-	}
-	for _, v := range y {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, errors.New("tuners: non-finite objective output")
-		}
-	}
-	return y, nil
-}
-
 // maxFailures is how many evaluations in a row may fail before a run gives
 // up: core.Engine's three attempts per suggestion, applied to a baseline's
 // stream of proposals.
@@ -56,7 +38,7 @@ const maxFailures = 3
 // propose call, so the callbacks may assume valid spaces), then until epsTot
 // evaluations have succeeded it asks propose for the next feasible native
 // configuration (nil: nothing left to try, the run ends early), evaluates it
-// and tells observe the outcome — y is nil when the evaluation failed;
+// through p.Evaluate and tells observe the outcome — y is nil when the evaluation failed;
 // observe may itself be nil. A failed evaluation spends the attempt, not
 // the budget, but maxFailures in a row end the run with
 // core.ErrTerminalFailure wrapping the last cause, so a broken application
@@ -77,7 +59,7 @@ func Loop(p *core.Problem, task []float64, epsTot int,
 		if x == nil {
 			break
 		}
-		y, err := evaluate(p, task, x)
+		y, err := p.Evaluate(task, x)
 		if err != nil {
 			failures++
 			if failures == maxFailures {

@@ -216,11 +216,11 @@ func TestOpenTunerDeterministicPerSeed(t *testing.T) {
 }
 
 func TestHpBandSterUsesModelAfterWarmup(t *testing.T) {
-	// With RandomFraction ~0 and enough warmup, TPE proposals should
-	// concentrate: the mean distance of late samples to the optimum should
-	// be smaller than that of early (random) samples.
+	// After the warm-up, TPE proposals (two in three) should concentrate:
+	// the mean distance of late samples to the optimum should be smaller
+	// than that of early (random) samples.
 	p := quadProblem()
-	tr, err := hpbandster.Tuner{RandomFraction: 1e-9}.Tune(p, []float64{0}, 40, 5)
+	tr, err := hpbandster.Tuner{}.Tune(p, []float64{0}, 40, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
