@@ -139,6 +139,9 @@ func NewEngine(p *Problem, tasks [][]float64, options Options) (*Engine, error) 
 		return nil, errors.New("core: no tasks given")
 	}
 	options.defaults()
+	if err := CheckAcquisition(options.Acquisition, p.Outputs.Dim()); err != nil {
+		return nil, err
+	}
 	// A malformed seed would otherwise panic in the acquisition on the
 	// generation goroutine, where no caller can recover it.
 	for i, seed := range options.Search.Seeds {

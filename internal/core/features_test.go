@@ -82,6 +82,28 @@ func TestAcquisitionVariants(t *testing.T) {
 	}
 }
 
+// An acquisition the engine cannot honour is refused up front: an unknown
+// name, and LCB or PI on a multi-objective problem, whose NSGA-II search
+// maximizes EI. All three used to run EI silently.
+func TestNewEngineRefusesAcquisitionItCannotHonour(t *testing.T) {
+	for _, c := range []struct {
+		acq string
+		p   *Problem
+	}{{"ucb", analyticalProblem()}, {"EI", analyticalProblem()}, {"lcb", moProblem()}, {"pi", moProblem()}} {
+		if _, err := NewEngine(c.p, [][]float64{{0}}, Options{EpsTot: 4, Acquisition: c.acq}); err == nil || !strings.Contains(err.Error(), c.acq) {
+			t.Errorf("acquisition %q on %d objectives: error %v, want one naming it", c.acq, c.p.Outputs.Dim(), err)
+		}
+	}
+	for _, c := range []struct {
+		acq string
+		p   *Problem
+	}{{"", moProblem()}, {"ei", moProblem()}, {"lcb", analyticalProblem()}, {"pi", analyticalProblem()}} {
+		if _, err := NewEngine(c.p, [][]float64{{0}}, Options{EpsTot: 4, Acquisition: c.acq}); err != nil {
+			t.Errorf("acquisition %q on %d objectives: %v", c.acq, c.p.Outputs.Dim(), err)
+		}
+	}
+}
+
 func TestPriorSeedingImprovesColdStart(t *testing.T) {
 	p := analyticalProblem()
 	p.Objective = func(task, x []float64) ([]float64, error) {
@@ -166,10 +188,10 @@ func TestEqualVec(t *testing.T) {
 	}
 }
 
-// The candidate path shared by the PSO and NSGA-II searches — denormalize,
-// feasibility, model point — allocates nothing, and neither do the γ
-// PredictInto calls NSGA-II makes on its result; the multi-objective
-// counterpart of gp's TestPredictIntoZeroAllocs (γ = 1).
+// The candidate path NSGA-II scores through — each objective's acqSearch,
+// with nothing to avoid, over a batch spanning a full group and a partial
+// one — allocates nothing on a constrained two-objective problem; the
+// multi-objective counterpart of TestAcqScoreZeroAllocs.
 func TestCandidatePointZeroAllocs(t *testing.T) {
 	p := &Problem{
 		Name:    "mo-constrained",
@@ -198,7 +220,6 @@ func TestCandidatePointZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wss := []surrogate.Workspace{models[0].NewWorkspace(), models[1].NewWorkspace()}
 	cand := st.newCandidate(0, fs)
 	feasible, infeasible := []float64{0.4, 0.5}, []float64{0.99, 0.99}
 	if _, ok := cand.point(feasible); !ok {
@@ -207,17 +228,18 @@ func TestCandidatePointZeroAllocs(t *testing.T) {
 	if _, ok := cand.point(infeasible); ok {
 		t.Fatal("infeasible candidate accepted")
 	}
-	allocs := testing.AllocsPerRun(100, func() {
-		for _, u := range [][]float64{feasible, infeasible} {
-			if pt, ok := cand.point(u); ok {
-				for s, m := range models {
-					m.PredictInto(wss[s], 0, pt)
-				}
-			}
+	us := [][]float64{feasible, infeasible, {0.2, 0.1}, {0.7, 0.3}, {0.1, 0.9}, {0.95, 0.9}}
+	out := make([]float64, len(us))
+	for s, model := range models {
+		ev := st.newAcqSearch(0, model, model.NewWorkspace(), fs, 1, nil)
+		ev.score(us, out)
+		if !math.IsInf(out[1], 1) || math.IsInf(out[0], 0) {
+			t.Fatalf("objective %d: scores %v: want candidate 1 infeasible (+Inf) and candidate 0 scored", s, out)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("candidate path allocates %v times per pair of candidates, want 0", allocs)
+		allocs := testing.AllocsPerRun(100, func() { ev.score(us, out) })
+		if allocs != 0 {
+			t.Fatalf("objective %d: candidate path allocates %v times per batch, want 0", s, allocs)
+		}
 	}
 }
 

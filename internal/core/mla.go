@@ -433,10 +433,6 @@ func (st *state) fitModelCoeffs() {
 			ys = append(ys, st.Y[i][j][0])
 		}
 	}
-	if m.FitCoeffs != nil {
-		st.coeffs = m.FitCoeffs(tasks, xs, ys, st.coeffs)
-		return
-	}
 	st.coeffs = defaultFitCoeffs(m, tasks, xs, ys, st.coeffs, st.rng)
 }
 
@@ -526,9 +522,8 @@ func (st *state) searchBatch(i int, model surrogate.Model, tv func(float64) floa
 
 // candidate turns a search's normalized candidates into surrogate inputs. It
 // is the one per-candidate path — denormalize, feasibility, model point —
-// that the PSO search (through each slot of acqSearch.score) and the NSGA-II
-// search both push every candidate through, over buffers allocated once per
-// search.
+// that every slot of acqSearch.score pushes a candidate through, over buffers
+// allocated once per search.
 type candidate struct {
 	st     *state
 	tuning *space.Space // st.p.Tuning, one load away on the per-candidate path
@@ -567,11 +562,11 @@ func (c *candidate) point(u []float64) (pt []float64, ok bool) {
 // factor.
 const scoreSlots = 4
 
-// acqSearch is one single-objective search's acquisition evaluator: a
-// candidate path per slot of a scored group, the model, the incumbent and
-// the batch-spreading buffers, allocated once per search so that score —
-// which PSO and the random pool push thousands of candidates through —
-// allocates nothing.
+// acqSearch is the acquisition evaluator of one search over one objective's
+// model: a candidate path per slot of a scored group, the model, the
+// incumbent and the batch-spreading buffers, allocated once per search so
+// that score — which PSO, the random pool and NSGA-II (once per objective)
+// push thousands of candidates through — allocates nothing.
 type acqSearch struct {
 	st    *state
 	task  int

@@ -5,54 +5,45 @@ import (
 	"math/rand"
 	"sort"
 
-	"repro/internal/acq"
 	"repro/internal/opt"
 	"repro/internal/sample"
 	"repro/internal/surrogate"
 )
 
 // searchMO returns up to MOBatch native configurations for task i chosen
-// from the NSGA-II front of the negated per-objective EI vector.
+// from the NSGA-II front of the negated per-objective EI vector. Each
+// objective scores the population through its own acqSearch with nothing to
+// avoid, so its score is that objective's −EI (NewEngine allows only EI on a
+// multi-objective problem).
 func (st *state) searchMO(i int, models []surrogate.Model, transforms []func(float64) float64, fs *featureScale) [][]float64 {
 	gamma := len(models)
-	yBest := make([]float64, gamma)
-	for s := 0; s < gamma; s++ {
-		yBest[s] = math.Inf(1)
-		for _, y := range st.Y[i] {
-			if v := transforms[s](y[s]); v < yBest[s] {
-				yBest[s] = v
-			}
-		}
-	}
-	rng := rand.New(rand.NewSource(st.opts.Seed ^ hash2(13+i, st.minSamples())))
-	wss := make([]surrogate.Workspace, gamma) // one set per task goroutine, reused across NSGA-II evals
-	for s := range wss {
-		wss[s] = models[s].NewWorkspace()
-	}
-	cand := st.newCandidate(i, fs)
-	objective := func(u []float64) []float64 {
-		out := make([]float64, gamma) // NSGA-II keeps every individual's vector
-		pt, ok := cand.point(u)
-		for s := range out {
-			if !ok {
-				out[s] = math.Inf(1)
-				continue
-			}
-			mu, v := models[s].PredictInto(wss[s], i, pt)
-			out[s] = -acq.ExpectedImprovement(mu, v, yBest[s])
-		}
-		return out
-	}
-	// Seed with the per-objective incumbents.
-	var seeds [][]float64
-	for s := 0; s < gamma; s++ {
-		best := 0
+	evs := make([]*acqSearch, gamma)
+	var seeds [][]float64 // the per-objective incumbents
+	for s, model := range models {
+		yBest, best := math.Inf(1), 0
 		for j, y := range st.Y[i] {
+			if v := transforms[s](y[s]); v < yBest {
+				yBest = v
+			}
 			if y[s] < st.Y[i][best][s] {
 				best = j
 			}
 		}
+		evs[s] = st.newAcqSearch(i, model, model.NewWorkspace(), fs, yBest, nil)
 		seeds = append(seeds, st.p.Tuning.Normalize(st.X[i][best]))
+	}
+	rng := rand.New(rand.NewSource(st.opts.Seed ^ hash2(13+i, st.minSamples())))
+	objective := func(us, out [][]float64) {
+		col := make([]float64, len(us))
+		for k := range out {
+			out[k] = make([]float64, gamma) // NSGA-II keeps every individual's vector
+		}
+		for s, ev := range evs {
+			ev.score(us, col)
+			for k, v := range col {
+				out[k][s] = v
+			}
+		}
 	}
 	front := opt.NSGAII(objective, st.p.Tuning.Dim(), opt.NSGAIIParams{
 		PopSize:     st.opts.MOPopSize,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/acq"
@@ -81,6 +82,8 @@ type Options struct {
 	// Acquisition selects the search-phase acquisition function: "ei"
 	// (Expected Improvement, the paper's choice and the default), "lcb"
 	// (lower confidence bound), or "pi" (probability of improvement).
+	// Algorithm 2 maximizes EI only, so a multi-objective problem takes "ei"
+	// alone; NewEngine refuses what CheckAcquisition refuses.
 	Acquisition string
 	// LCBKappa is the exploration weight for Acquisition "lcb" (default 2).
 	LCBKappa float64
@@ -161,6 +164,21 @@ type ModelSnapshot struct {
 	Kind      string // surrogate backend (one of surrogate.Kinds())
 	Objective int    // objective index the model was fitted for
 	Data      []byte // backend-specific serialized model
+}
+
+// CheckAcquisition reports an Options.Acquisition the engine cannot honour on
+// a problem with the given number of objectives: a name other than "", "ei",
+// "lcb" and "pi", or anything but EI with more than one objective.
+func CheckAcquisition(name string, objectives int) error {
+	switch {
+	case name == "" || name == "ei":
+		return nil
+	case name != "lcb" && name != "pi":
+		return fmt.Errorf("core: unknown acquisition %q (want ei, lcb or pi)", name)
+	case objectives > 1:
+		return fmt.Errorf("core: acquisition %q on %d objectives: the multi-objective search maximizes EI only", name, objectives)
+	}
+	return nil
 }
 
 func (o *Options) defaults() {

@@ -23,9 +23,10 @@ type Objective func(task, x []float64) ([]float64, error)
 // PerfModel is a coarse analytical performance model ỹ(t, x) with its own
 // tunable coefficients (Section 3.3). Model outputs are appended to the
 // tuning-parameter vector as extra kernel features, enriching the LCM input
-// space from β to β+γ̃ dimensions, and the coefficients can be re-fitted
-// from observed samples before each modeling phase ("performance model
-// update phase").
+// space from β to β+γ̃ dimensions, and with Options.FitModelCoeffs the
+// coefficients are re-fitted from observed samples before each modeling
+// phase ("performance model update phase": Nelder–Mead on the squared error
+// of the first model output against the first objective).
 type PerfModel struct {
 	// Dim is γ̃, the number of model outputs per evaluation.
 	Dim int
@@ -34,11 +35,6 @@ type PerfModel struct {
 	Coeffs []float64
 	// Eval returns the γ̃ model outputs for native task t and native config x.
 	Eval func(task, x, coeffs []float64) []float64
-	// FitCoeffs, when non-nil, re-estimates Coeffs from observed samples
-	// (tasks[i], xs[i]) with measured first-objective values ys[i]. When nil
-	// and len(Coeffs) > 0, a built-in least-squares fit (Nelder–Mead on MSE
-	// against the first model output) is used.
-	FitCoeffs func(tasks, xs [][]float64, ys []float64, current []float64) []float64
 }
 
 // Problem is a complete GPTune tuning problem: the three spaces of Section 2

@@ -27,8 +27,8 @@ func searchProblem() *Problem {
 }
 
 // hostileHistory fills the engine's history with n samples over its two
-// tasks (task 1 gets the odd one): outputs spanning twelve decades, and every
-// third configuration followed by a near-duplicate twin whose real
+// tasks (task 1 gets the odd one): every output spanning twelve decades, and
+// every third configuration followed by a near-duplicate twin whose real
 // coordinate differs in the twelfth digit.
 func hostileHistory(st *state, n int, rng *rand.Rand) {
 	for j := 0; j < n; j++ {
@@ -41,7 +41,11 @@ func hostileHistory(st *state, n int, rng *rand.Rand) {
 			x = []float64{rng.Float64(), float64(1 + rng.Intn(8)), float64(rng.Intn(3))}
 		}
 		st.X[i] = append(st.X[i], x)
-		st.Y[i] = append(st.Y[i], []float64{math.Pow(10, 12*rng.Float64()-6)})
+		y := make([]float64, st.p.Outputs.Dim())
+		for s := range y {
+			y[s] = math.Pow(10, 12*rng.Float64()-6)
+		}
+		st.Y[i] = append(st.Y[i], y)
 	}
 }
 
@@ -151,7 +155,8 @@ func TestSearchOutputInvariantEveryBackend(t *testing.T) {
 // The batch score path — groups of candidates through the slots, one
 // PredictBatchInto per group, the damping near chosen points — allocates
 // nothing, for a batch spanning a full group and a partial one with an
-// infeasible candidate in each.
+// infeasible candidate in each. TestCandidatePointZeroAllocs runs the
+// two-objective counterpart.
 func TestAcqScoreZeroAllocs(t *testing.T) {
 	p := searchProblem()
 	eng, err := NewEngine(p, [][]float64{{0}, {1}}, Options{EpsTot: 100, Seed: 4, NumStarts: 2, ModelMaxIter: 15, Workers: 1})

@@ -12,6 +12,7 @@ import (
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/opt"
 	"repro/internal/tuners"
 	"repro/internal/tuners/hpbandster"
 	"repro/internal/tuners/opentuner"
@@ -21,6 +22,20 @@ import (
 // HpBandSter-style tuners).
 func baselines() []tuners.Tuner {
 	return []tuners.Tuner{opentuner.Tuner{}, hpbandster.Tuner{}}
+}
+
+// paperOptions returns the MLA settings of the paper's comparisons (Figs. 5,
+// 6 and 7 and Table 4): 3 L-BFGS starts × 40 iterations, a 20-particle ×
+// 30-iteration PSO, and runtime-like objectives modeled in log space.
+func paperOptions(seed int64, workers int) core.Options {
+	return core.Options{
+		Seed:         seed,
+		Workers:      workers,
+		LogY:         true,
+		NumStarts:    3,
+		ModelMaxIter: 40,
+		Search:       opt.PSOParams{Particles: 20, MaxIter: 30},
+	}
 }
 
 // bestOf returns the best objective-0 value of a task result.

@@ -208,7 +208,7 @@ func TestComparisonMeasuresEveryTunerAlike(t *testing.T) {
 		},
 	}
 	const tasks, eps, repeats = 2, 4, 3
-	rows := runComparison(p, [][]float64{{0.2}, {0.8}}, []string{"a", "b"}, eps, 1, 1, false, repeats)
+	rows := runComparison(p, [][]float64{{0.2}, {0.8}}, []string{"a", "b"}, eps, 1, 1, repeats)
 	tuners := 1 + len(baselines())
 	if got, want := calls.Load(), int64(tuners*tasks*eps*repeats); got != want {
 		t.Errorf("%d objective runs, want %d (%d tuners × %d tasks × %d evaluations × %d repeats)",

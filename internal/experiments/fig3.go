@@ -2,16 +2,10 @@ package experiments
 
 import (
 	"io"
-	"math/rand"
 	"time"
 
-	"repro/internal/gp"
-	"repro/internal/mpx"
+	"repro/internal/core"
 	"repro/internal/opt"
-
-	"repro/internal/acq"
-	"repro/internal/apps/analytical"
-	"repro/internal/sample"
 )
 
 // Fig3Row is one (ε_tot, workers) measurement of the modeling and search
@@ -29,8 +23,9 @@ type Fig3Row struct {
 // (the paper uses 32 MPI processes; here goroutine workers bounded by the
 // host's cores). As in the paper, the initial sample count is ε_tot−1 so
 // exactly one MLA iteration (one modeling phase + one search phase) is
-// timed. The paper's theoretical scalings are O(ε³δ³) for modeling and
-// O(ε²δ²) for search.
+// timed; a row's EpsTot is the ε samples per task that iteration models.
+// The paper's theoretical scalings are O(ε³δ³) for modeling and O(ε²δ²) for
+// search.
 func Fig3(epsList []int, par int, seed int64) []Fig3Row {
 	if len(epsList) == 0 {
 		epsList = []int{2, 4, 8, 16}
@@ -59,54 +54,24 @@ func Fig3(epsList []int, par int, seed int64) []Fig3Row {
 	return rows
 }
 
-// timeOneIteration performs the sampling + one modeling/search pass
-// directly (bypassing core.Run so the timing includes exactly one iteration
-// at a controlled sample count).
+// timeOneIteration runs MLA on the analytical tasks with ε initial samples
+// and a budget of ε+1, so exactly one modeling phase and one search phase
+// run, and returns the engine's own times for them (core.PhaseStats).
 func timeOneIteration(tasks [][]float64, eps, workers int, seed int64) (modeling, search time.Duration) {
-	rng := rand.New(rand.NewSource(seed))
-	data := &gp.Dataset{Dim: 1}
-	for _, task := range tasks {
-		xs := sample.LatinHypercube(eps, 1, rng)
-		var X [][]float64
-		var Y []float64
-		for _, x := range xs {
-			X = append(X, x)
-			Y = append(Y, analytical.Objective(task[0], x[0]))
-		}
-		data.X = append(data.X, X)
-		data.Y = append(data.Y, Y)
-	}
-
-	t0 := time.Now()
-	model, err := gp.FitLCM(data, gp.FitOptions{
-		Q:         2,
-		NumStarts: 4,
-		Workers:   workers,
-		MaxIter:   4, // timing study: fixed small iteration count per start
-		Seed:      seed,
+	res, err := core.Run(scenarioProblem("analytical", nil), tasks, core.Options{
+		EpsTot:       eps + 1,
+		InitFraction: float64(eps) / float64(eps+1),
+		Workers:      workers,
+		Seed:         seed,
+		Q:            2,
+		NumStarts:    4,
+		ModelMaxIter: 4, // timing study: fixed small iteration count per start
+		Search:       opt.PSOParams{Particles: 20, MaxIter: 30},
 	})
-	modeling = time.Since(t0)
 	if err != nil {
-		return modeling, 0
+		panic(err)
 	}
-
-	t1 := time.Now()
-	mpx.ParallelFor(len(tasks), workers, func(i int) {
-		yBest := data.Y[i][0]
-		for _, y := range data.Y[i] {
-			if y < yBest {
-				yBest = y
-			}
-		}
-		prng := rand.New(rand.NewSource(seed + int64(i)))
-		ws := model.NewPredictWorkspace()
-		opt.PSO(func(u []float64) float64 {
-			mu, v := model.PredictInto(ws, i, u)
-			return -acq.ExpectedImprovement(mu, v, yBest)
-		}, 1, opt.PSOParams{Particles: 20, MaxIter: 30}, prng)
-	})
-	search = time.Since(t1)
-	return modeling, search
+	return res.Stats.Modeling, res.Stats.Search
 }
 
 // PrintFig3 writes the timing table plus the parallel speedups (the paper

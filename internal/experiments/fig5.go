@@ -8,7 +8,6 @@ import (
 	"repro/internal/apps/scalapack"
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/opt"
 	"repro/internal/sample"
 )
 
@@ -57,14 +56,7 @@ func Fig5QR(budget int, seed int64, workers int) *Fig5Result {
 	p := core.MinOfRepeats(scenarioProblem("qr", bench.Params{"nodes": 64, "maxdim": 40000}), 3)
 	bigTask := []float64{23324, 26545}
 
-	opts := core.Options{
-		Seed:         seed,
-		Workers:      workers,
-		LogY:         true,
-		NumStarts:    3,
-		ModelMaxIter: 40,
-		Search:       opt.PSOParams{Particles: 20, MaxIter: 30},
-	}
+	opts := paperOptions(seed, workers)
 
 	// Single-task: all budget on the big task.
 	optsSingle := opts
@@ -164,14 +156,7 @@ func Fig5EV(maxEps int, seed int64, workers int) *Fig5EVResult {
 	// Every evaluation is the minimum of 3 runs, as the paper's are.
 	p := core.MinOfRepeats(scenarioProblem("eigen", nil), 3)
 	out := &Fig5EVResult{}
-	opts := core.Options{
-		Seed:         seed,
-		Workers:      workers,
-		LogY:         true,
-		NumStarts:    3,
-		ModelMaxIter: 40,
-		Search:       opt.PSOParams{Particles: 20, MaxIter: 30},
-	}
+	opts := paperOptions(seed, workers)
 	for _, eps := range []int{maxEps / 2, maxEps} {
 		o := opts
 		o.EpsTot = eps

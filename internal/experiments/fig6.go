@@ -8,7 +8,6 @@ import (
 	"repro/internal/apps/superlu"
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/opt"
 	"repro/internal/sample"
 )
 
@@ -24,17 +23,10 @@ type Fig6Row struct {
 // runComparison runs GPTune MLA across all tasks jointly and each baseline
 // per task, all with ε_tot evaluations per task, each evaluation the minimum
 // of repeats runs.
-func runComparison(p *core.Problem, tasks [][]float64, labels []string, epsTot int, seed int64, workers int, logY bool, repeats int) []Fig6Row {
+func runComparison(p *core.Problem, tasks [][]float64, labels []string, epsTot int, seed int64, workers, repeats int) []Fig6Row {
 	p = core.MinOfRepeats(p, repeats)
-	opts := core.Options{
-		EpsTot:       epsTot,
-		Seed:         seed,
-		Workers:      workers,
-		LogY:         logY,
-		NumStarts:    3,
-		ModelMaxIter: 40,
-		Search:       opt.PSOParams{Particles: 20, MaxIter: 30},
-	}
+	opts := paperOptions(seed, workers)
+	opts.EpsTot = epsTot
 	res, err := core.Run(p, tasks, opts)
 	if err != nil {
 		panic(err)
@@ -82,7 +74,7 @@ func Fig6QR(delta, epsTot int, seed int64, workers int) []Fig6Row {
 	for i, t := range tasks {
 		labels[i] = p.Tasks.Describe(t)
 	}
-	return runComparison(p, tasks, labels, epsTot, seed, workers, true, 3)
+	return runComparison(p, tasks, labels, epsTot, seed, workers, 3)
 }
 
 // Fig6SuperLU reproduces Fig. 6 (right): the same comparison on
@@ -101,7 +93,7 @@ func Fig6SuperLU(epsTot int, seed int64, workers int) []Fig6Row {
 		tasks = append(tasks, []float64{float64(i)})
 		labels = append(labels, superlu.PARSEC[i].Name)
 	}
-	return runComparison(p, tasks, labels, epsTot, seed, workers, true, 1)
+	return runComparison(p, tasks, labels, epsTot, seed, workers, 1)
 }
 
 // PrintFig6 writes the ratio table and win counts (the paper's legend).

@@ -7,7 +7,6 @@ import (
 	"repro/internal/apps/superlu"
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/opt"
 	"repro/internal/sparse"
 )
 
@@ -41,16 +40,8 @@ func Fig7Single(epsTot int, seed int64, workers int) *Fig7SingleResult {
 	app := superlu.New(8) // supplies DefaultConfig/FactorCost comparisons
 	task := []float64{0}  // Si2
 	mo := scenarioProblem("superlu-mo", nil)
-	opts := core.Options{
-		EpsTot:       epsTot,
-		Seed:         seed,
-		Workers:      workers,
-		LogY:         true,
-		MOBatch:      2,
-		NumStarts:    3,
-		ModelMaxIter: 40,
-		Search:       opt.PSOParams{Particles: 20, MaxIter: 30},
-	}
+	opts := paperOptions(seed, workers)
+	opts.EpsTot, opts.MOBatch = epsTot, 2
 	resMO, err := core.Run(mo, [][]float64{task}, opts)
 	if err != nil {
 		panic(err)
@@ -76,9 +67,7 @@ func Fig7Single(epsTot int, seed int64, workers int) *Fig7SingleResult {
 			}
 			return []float64{y[which]}, nil
 		}
-		oS := opts
-		oS.MOBatch = 1
-		res, err := core.Run(p1, [][]float64{task}, oS)
+		res, err := core.Run(p1, [][]float64{task}, opts)
 		if err != nil {
 			panic(err)
 		}
@@ -152,16 +141,8 @@ func Fig7Multi(epsTot int, seed int64, workers int) []Fig7MultiResult {
 		epsTot = 20
 	}
 	mo := scenarioProblem("superlu-mo", nil)
-	opts := core.Options{
-		EpsTot:       epsTot,
-		Seed:         seed,
-		Workers:      workers,
-		LogY:         true,
-		MOBatch:      2,
-		NumStarts:    3,
-		ModelMaxIter: 40,
-		Search:       opt.PSOParams{Particles: 20, MaxIter: 30},
-	}
+	opts := paperOptions(seed, workers)
+	opts.EpsTot, opts.MOBatch = epsTot, 2
 	var tasks [][]float64
 	for i := range superlu.PARSEC {
 		tasks = append(tasks, []float64{float64(i)})

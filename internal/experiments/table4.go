@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/opt"
 	"repro/internal/sample"
 )
 
@@ -51,15 +50,8 @@ func Table4(delta int, epsTots []int, nodesList []int, seed int64, workers int) 
 				WinTask:   map[string]float64{},
 				Stability: map[string]float64{},
 			}
-			opts := core.Options{
-				EpsTot:       eps,
-				Seed:         seed,
-				Workers:      workers,
-				LogY:         true,
-				NumStarts:    3,
-				ModelMaxIter: 40,
-				Search:       opt.PSOParams{Particles: 20, MaxIter: 30},
-			}
+			opts := paperOptions(seed, workers)
+			opts.EpsTot = eps
 			res, err := core.Run(p, tasks, opts)
 			if err != nil {
 				panic(err)

@@ -21,8 +21,11 @@ type Objective func(x []float64) float64
 // are the optimizer's; f must not keep or modify them.
 type BatchObjective func(xs [][]float64, out []float64)
 
-// MultiObjective returns γ objective values to be minimized over [0,1]^dim.
-type MultiObjective func(x []float64) []float64
+// MultiObjective sets out[k] to the γ objective values, to be minimized over
+// [0,1]^dim, of each point xs[k] (len(out) == len(xs)). The points are the
+// optimizer's; f must not keep or modify them. The optimizer keeps every
+// out[k].
+type MultiObjective func(xs, out [][]float64)
 
 // clip01 clamps x into [0,1] in place and returns it.
 func clip01(x []float64) []float64 {

@@ -78,7 +78,7 @@ func TestGoldenNSGAII(t *testing.T) {
 	if !ok {
 		t.Skip("math.Exp runs a body neither recording was made under")
 	}
-	front := NSGAII(f, 3, NSGAIIParams{}, rand.New(rand.NewSource(2)))
+	front := NSGAII(lift(f), 3, NSGAIIParams{}, rand.New(rand.NewSource(2)))
 	h := fnv.New64a()
 	for _, p := range front {
 		foldBits(h, p.X...)

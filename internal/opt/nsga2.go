@@ -52,37 +52,34 @@ type ParetoResult struct {
 }
 
 // NSGAII minimizes all components of f over [0,1]^dim and returns the final
-// population's first non-dominated front.
+// population's first non-dominated front. The initial population and each
+// generation's offspring are drawn whole and then scored in one call of f.
 func NSGAII(f MultiObjective, dim int, params NSGAIIParams, rng *rand.Rand) []ParetoResult {
 	params.defaults()
 	n := params.PopSize
 
-	pop := make([]*individual, 0, n)
-	for i := 0; i < n; i++ {
-		var x []float64
+	xs := make([][]float64, n)
+	for i := range xs {
 		if i < len(params.Seeds) {
-			x = clip01(append([]float64(nil), params.Seeds[i]...))
+			xs[i] = clip01(append([]float64(nil), params.Seeds[i]...))
 		} else {
-			x = randomPoint(dim, rng)
+			xs[i] = randomPoint(dim, rng)
 		}
-		pop = append(pop, &individual{x: x, f: f(x)})
 	}
+	pop := evaluate(f, xs)
 	rankAndCrowd(pop)
 
 	for gen := 0; gen < params.Generations; gen++ {
-		// Offspring via binary tournament + SBX + polynomial mutation.
-		offspring := make([]*individual, 0, n)
-		for len(offspring) < n {
+		// Offspring via binary tournament + SBX + polynomial mutation
+		// (n is even, so the children fill the brood exactly).
+		for k := 0; k < n; k += 2 {
 			p1 := tournament(pop, rng)
 			p2 := tournament(pop, rng)
-			c1, c2 := sbxCrossover(p1.x, p2.x, rng)
-			polyMutate(c1, rng)
-			polyMutate(c2, rng)
-			offspring = append(offspring, &individual{x: c1, f: f(c1)})
-			if len(offspring) < n {
-				offspring = append(offspring, &individual{x: c2, f: f(c2)})
-			}
+			xs[k], xs[k+1] = sbxCrossover(p1.x, p2.x, rng)
+			polyMutate(xs[k], rng)
+			polyMutate(xs[k+1], rng)
 		}
+		offspring := evaluate(f, xs)
 		// Environmental selection over parents ∪ offspring.
 		union := append(append([]*individual{}, pop...), offspring...)
 		rankAndCrowd(union)
@@ -101,6 +98,17 @@ func NSGAII(f MultiObjective, dim int, params NSGAIIParams, rng *rand.Rand) []Pa
 		}
 	}
 	return dedupFront(front)
+}
+
+// evaluate scores the points xs in one call of f, one individual each.
+func evaluate(f MultiObjective, xs [][]float64) []*individual {
+	fs := make([][]float64, len(xs))
+	f(xs, fs)
+	pop := make([]*individual, len(xs))
+	for k, x := range xs {
+		pop[k] = &individual{x: x, f: fs[k]}
+	}
+	return pop
 }
 
 // dedupFront removes exact duplicates in objective space.

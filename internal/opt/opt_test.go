@@ -114,6 +114,15 @@ func TestNelderMeadSphere(t *testing.T) {
 	}
 }
 
+// lift scores a population one point at a time.
+func lift(f func(x []float64) []float64) MultiObjective {
+	return func(xs, out [][]float64) {
+		for k, x := range xs {
+			out[k] = f(x)
+		}
+	}
+}
+
 // Property: no point in the NSGA-II front dominates another.
 func TestNSGAIIFrontIsNonDominated(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
@@ -127,7 +136,7 @@ func TestNSGAIIFrontIsNonDominated(t *testing.T) {
 		f2 := g * (1 - math.Sqrt(f1/g))
 		return []float64{f1, f2}
 	}
-	front := NSGAII(f, 4, NSGAIIParams{PopSize: 40, Generations: 60}, rng)
+	front := NSGAII(lift(f), 4, NSGAIIParams{PopSize: 40, Generations: 60}, rng)
 	if len(front) < 5 {
 		t.Fatalf("front too small: %d", len(front))
 	}

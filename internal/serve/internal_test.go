@@ -1,11 +1,17 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/gptune/api"
+	_ "repro/internal/bench/all"
+	"repro/internal/core"
 )
 
 // TestServeSpecRoundTrip checks the spec survives its JSON persistence
@@ -35,4 +41,36 @@ func TestServeSpecRoundTrip(t *testing.T) {
 	if _, _, _, err := buildSpec(&back); err != nil {
 		t.Fatalf("round-tripped spec no longer builds: %v", err)
 	}
+}
+
+// FuzzBuildSpec drives the create path short of the disk — bytes → api.Decode
+// → buildSpec → core.NewEngine — seeded with the create bodies of
+// testdata/wire.golden. Nothing panics, and NewEngine accepts every spec
+// buildSpec accepts, so the acquisition check and the budget ceilings of the
+// two layers stay in step and a create answered 201 never fails to open.
+func FuzzBuildSpec(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "wire.golden"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, line := range strings.Split(string(golden), "\n") {
+		if body, ok := strings.CutPrefix(line, "> "+api.RouteCreate+" "); ok {
+			f.Add([]byte(body))
+		}
+	}
+	f.Add([]byte(`{"name":"a","tuning":[{"name":"x","kind":"real","hi":1}],"outputs":["y1","y2"],"tasks":[[1]],"options":{"acquisition":"pi"}}`))
+	f.Add([]byte(`{"name":"g","scenario":"gemm","tasks":[[1024,1024,1024]],"options":{"acquisition":"lcb","mo_pop_size":1000}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var spec api.StudySpec
+		if api.Decode(bytes.NewReader(data), &spec) != nil {
+			return
+		}
+		prob, tasks, opts, err := buildSpec(&spec)
+		if err != nil {
+			return
+		}
+		if _, err := core.NewEngine(prob, tasks, opts); err != nil {
+			t.Fatalf("buildSpec accepts a spec NewEngine refuses: %v\n%s", err, data)
+		}
+	})
 }

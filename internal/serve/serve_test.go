@@ -551,6 +551,35 @@ func TestServeRejectsOversizedFitBudget(t *testing.T) {
 	}
 }
 
+// TestServeRejectsAcquisitionItCannotHonour: an unknown acquisition, and LCB
+// or PI on a two-objective study, are a 400 on create and on import that
+// leaves nothing on disk. They used to create a study that ran EI.
+func TestServeRejectsAcquisitionItCannotHonour(t *testing.T) {
+	ts := newTestServer(t)
+	mo := testSpec("mo", 4, 1)
+	mo.Outputs = []string{"y1", "y2"}
+	for _, c := range []struct {
+		spec api.StudySpec
+		acq  string
+	}{{testSpec("so", 4, 1), "ucb"}, {mo, "lcb"}, {mo, "pi"}} {
+		bad := c.spec
+		bad.Options.Acquisition = c.acq
+		what := fmt.Sprintf("acquisition %q on %d outputs", c.acq, len(bad.Outputs))
+		err := ts.c.Create(ctx, bad)
+		wantStatus(t, err, http.StatusBadRequest, what+" on create")
+		if err == nil || !strings.Contains(err.Error(), c.acq) {
+			t.Errorf("%s: error %v does not name it", what, err)
+		}
+		wantStatus(t, ts.c.Import(ctx, client.StudyArchive{Spec: bad}), http.StatusBadRequest, what+" on import")
+	}
+	if files, err := os.ReadDir(ts.dir); err != nil || len(files) != 0 {
+		t.Errorf("rejected specs left %d files behind (%v)", len(files), err)
+	}
+	ok := testSpec("so", 4, 1)
+	ok.Options.Acquisition = "lcb"
+	create(t, ts.c, ok)
+}
+
 // TestServeSuggestPerTask checks task-scoped suggestions and the
 // none-pending signal.
 func TestServeSuggestPerTask(t *testing.T) {

@@ -111,6 +111,9 @@ func buildSpec(s *api.StudySpec) (*core.Problem, [][]float64, core.Options, erro
 		}
 	}
 	o := s.Options
+	if err := core.CheckAcquisition(o.Acquisition, prob.Outputs.Dim()); err != nil {
+		return nil, nil, zero, fmt.Errorf("serve: study %s: %w", s.Name, err)
+	}
 	// Each reaches the engine as an allocation size or a loop bound run on the
 	// generation goroutine while it holds the model gate; unchecked, one spec
 	// could take the replica down or pin that goroutine for good.
