@@ -279,7 +279,8 @@ func Resume(path string, opts CheckpointOptions) (*Checkpointer, error) {
 func VerifyHistory(path string) (histdb.VerifyResult, error) { return histdb.Verify(path) }
 
 // ModelSnapshot is a serialized fitted surrogate. A run whose
-// Options.Checkpoint is a Checkpointer logs one per refit and objective;
+// Options.Checkpoint is a Checkpointer logs one per refit and objective when
+// its backend's fit reads a warm start (every GP backend; not "rf");
 // LoadModelSnapshots reads them back for a later run's Options.WarmStart.
 type ModelSnapshot = core.ModelSnapshot
 

@@ -131,8 +131,9 @@ func (c *Checkpointer) Logged() int {
 
 // SaveModel appends a fitted-surrogate snapshot to the write-ahead log as a
 // histdb.KindModel record. An engine whose Options.Checkpoint is the
-// Checkpointer calls it after every refit, so each modeling phase's result is
-// durable alongside the evaluations it was fitted on. Later sessions load the
+// Checkpointer calls it after every refit of a backend whose fit reads a warm
+// start, so each such modeling phase's result is durable alongside the
+// evaluations it was fitted on. Later sessions load the
 // snapshots with the facade's LoadModelSnapshots and feed them to
 // Options.WarmStart.
 func (c *Checkpointer) SaveModel(snap ModelSnapshot) error {

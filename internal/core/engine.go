@@ -139,7 +139,7 @@ func NewEngine(p *Problem, tasks [][]float64, options Options) (*Engine, error) 
 		return nil, errors.New("core: no tasks given")
 	}
 	options.defaults()
-	if err := CheckAcquisition(options.Acquisition, p.Outputs.Dim()); err != nil {
+	if err := options.Validate(p.Outputs.Dim()); err != nil {
 		return nil, err
 	}
 	// A malformed seed would otherwise panic in the acquisition on the

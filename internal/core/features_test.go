@@ -104,6 +104,42 @@ func TestNewEngineRefusesAcquisitionItCannotHonour(t *testing.T) {
 	}
 }
 
+// Every budget past its ceiling is refused up front, by name, and the ceiling
+// itself is accepted. Each reaches the generation goroutine as an allocation
+// size or a loop bound; the engine used to take any size and leave the check
+// to the service (or, for the fit budget, to the first fit).
+func TestNewEngineRefusesBudgetPastCeiling(t *testing.T) {
+	for _, c := range []struct {
+		option string
+		limit  int
+		set    func(o *Options, v int)
+	}{
+		{"num_starts", surrogate.MaxNumStarts, func(o *Options, v int) { o.NumStarts = v }},
+		{"model_max_iter", surrogate.MaxFitIter, func(o *Options, v int) { o.ModelMaxIter = v }},
+		{"eps_tot", 10_000, func(o *Options, v int) { o.EpsTot = v }},
+		{"batch_evals", 1_000, func(o *Options, v int) { o.BatchEvals = v }},
+		{"mo_batch", 1_000, func(o *Options, v int) { o.MOBatch = v }},
+		{"mo_pop_size", 1_000, func(o *Options, v int) { o.MOPopSize = v }},
+		{"mo_generations", 1_000, func(o *Options, v int) { o.MOGenerations = v }},
+	} {
+		t.Run(c.option, func(t *testing.T) {
+			for _, v := range []int{c.limit + 1, 1 << 40} {
+				o := Options{EpsTot: 4}
+				c.set(&o, v)
+				_, err := NewEngine(analyticalProblem(), [][]float64{{0}}, o)
+				if err == nil || !strings.Contains(err.Error(), c.option+" ") || !strings.Contains(err.Error(), "ceiling") {
+					t.Errorf("%s %d: error %v, want one naming it and its ceiling", c.option, v, err)
+				}
+			}
+			o := Options{EpsTot: 4}
+			c.set(&o, c.limit)
+			if _, err := NewEngine(analyticalProblem(), [][]float64{{0}}, o); err != nil {
+				t.Errorf("%s at its ceiling %d: %v", c.option, c.limit, err)
+			}
+		})
+	}
+}
+
 func TestPriorSeedingImprovesColdStart(t *testing.T) {
 	p := analyticalProblem()
 	p.Objective = func(task, x []float64) ([]float64, error) {

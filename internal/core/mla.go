@@ -140,10 +140,13 @@ type state struct {
 
 // warmModels restores the cross-session warm starts, one per objective: the
 // last of snaps matching the backend's kind and the objective index, or nil
-// (cold start) when there is none or it does not restore — transfer is
-// best-effort and never fails a run.
+// (cold start) when there is none, it does not restore, or the backend's fit
+// would not read it — transfer is best-effort and never fails a run.
 func warmModels(fitter surrogate.Fitter, snaps []ModelSnapshot, objectives int) []surrogate.Model {
 	warm := make([]surrogate.Model, objectives)
+	if !surrogate.ReadsWarmStart(fitter.Kind()) {
+		return warm
+	}
 	for s := range warm {
 		var data []byte
 		for _, snap := range snaps {
@@ -164,20 +167,21 @@ func warmModels(fitter surrogate.Fitter, snaps []ModelSnapshot, objectives int) 
 // modelSaver is the optional capability of a Checkpoint that archives fitted
 // models beside the evaluations they were fitted on; *Checkpointer has it, so
 // a checkpointed run's log is also a later session's Options.WarmStart. The
-// engine calls SaveModel on its generation goroutine after each refit and
-// never reads a snapshot back, so a mid-run crash cannot change resumed
-// decisions.
+// engine calls SaveModel on its generation goroutine after each refit of a
+// backend whose fit reads a warm start, and never reads a snapshot back, so a
+// mid-run crash cannot change resumed decisions.
 type modelSaver interface {
 	SaveModel(snap ModelSnapshot) error
 }
 
 // saveModel streams one refit model to the checkpoint when it can archive
-// models (no-op otherwise). Save failures are fatal to the run, like
-// checkpoint failures: a log that silently drops snapshots would poison later
-// sessions.
+// models and a later session's fit would read the snapshot (no-op otherwise:
+// a forest's would be written after every refit and read by nothing). Save
+// failures are fatal to the run, like checkpoint failures: a log that
+// silently drops snapshots would poison later sessions.
 func (st *state) saveModel(model surrogate.Model, objective int) error {
 	store, ok := st.opts.Checkpoint.(modelSaver)
-	if !ok {
+	if !ok || !surrogate.ReadsWarmStart(model.Kind()) {
 		return nil
 	}
 	blob, err := model.MarshalBinary()

@@ -72,7 +72,8 @@ type Options struct {
 	// NewEngine restores each snapshot it will use once, through the
 	// backend's UnmarshalBinary; one that does not restore (corrupt, another
 	// problem's shape, a covariance that no longer factors) silently degrades
-	// to a cold start.
+	// to a cold start. A backend whose fit reads no warm start ("rf"; see
+	// surrogate.ReadsWarmStart) restores nothing.
 	WarmStart []ModelSnapshot
 
 	// Search configures the per-task PSO maximizing the acquisition. Its
@@ -83,7 +84,7 @@ type Options struct {
 	// (Expected Improvement, the paper's choice and the default), "lcb"
 	// (lower confidence bound), or "pi" (probability of improvement).
 	// Algorithm 2 maximizes EI only, so a multi-objective problem takes "ei"
-	// alone; NewEngine refuses what CheckAcquisition refuses.
+	// alone; NewEngine refuses anything else (Validate).
 	Acquisition string
 	// LCBKappa is the exploration weight for Acquisition "lcb" (default 2).
 	LCBKappa float64
@@ -127,8 +128,8 @@ type Options struct {
 	// without re-paying logged evaluations. A hook error aborts the run. A
 	// checkpoint that also has a SaveModel(ModelSnapshot) error method, as
 	// Checkpointer does, receives a snapshot of every refit surrogate (one
-	// per objective) for later sessions' WarmStart; a save error aborts the
-	// run too.
+	// per objective) for later sessions' WarmStart, when the backend's fit
+	// reads one (not "rf"); a save error aborts the run too.
 	Checkpoint Checkpoint
 
 	// Clock overrides the wall clock behind PhaseStats (useful for tests
@@ -166,17 +167,47 @@ type ModelSnapshot struct {
 	Data      []byte // backend-specific serialized model
 }
 
-// CheckAcquisition reports an Options.Acquisition the engine cannot honour on
-// a problem with the given number of objectives: a name other than "", "ei",
-// "lcb" and "pi", or anything but EI with more than one objective.
-func CheckAcquisition(name string, objectives int) error {
+// The ceilings on a run's evaluation and search budgets, far above anything
+// the tree asks for (benchmark studies run at most 40 evaluations per task,
+// NSGA-II defaults to a population of 40 over 40 generations). The fit's own
+// budget has its ceilings in surrogate (MaxNumStarts, MaxFitIter).
+const (
+	maxEpsTot = 10_000 // EpsTot: evaluations per task
+	maxBatch  = 1_000  // BatchEvals and MOBatch: configurations per search
+	maxNSGA   = 1_000  // MOPopSize and MOGenerations
+)
+
+// Validate reports options the engine refuses on a problem with the given
+// number of objectives: an acquisition it cannot honour (a name other than
+// "", "ei", "lcb" and "pi", or anything but EI with more than one
+// objective), or a budget past its ceiling. Each budget reaches the
+// generation goroutine as an allocation size or a loop bound, so one
+// unchecked value could exhaust memory or pin that goroutine for good. A
+// budget is named by its study-spec spelling (gptune/api's OptionsSpec), the
+// one the service's clients see. NewEngine calls Validate.
+func (o *Options) Validate(objectives int) error {
 	switch {
-	case name == "" || name == "ei":
-		return nil
-	case name != "lcb" && name != "pi":
-		return fmt.Errorf("core: unknown acquisition %q (want ei, lcb or pi)", name)
+	case o.Acquisition == "" || o.Acquisition == "ei":
+	case o.Acquisition != "lcb" && o.Acquisition != "pi":
+		return fmt.Errorf("core: unknown acquisition %q (want ei, lcb or pi)", o.Acquisition)
 	case objectives > 1:
-		return fmt.Errorf("core: acquisition %q on %d objectives: the multi-objective search maximizes EI only", name, objectives)
+		return fmt.Errorf("core: acquisition %q on %d objectives: the multi-objective search maximizes EI only", o.Acquisition, objectives)
+	}
+	for _, b := range []struct {
+		option       string
+		value, limit int
+	}{
+		{"num_starts", o.NumStarts, surrogate.MaxNumStarts},
+		{"model_max_iter", o.ModelMaxIter, surrogate.MaxFitIter},
+		{"eps_tot", o.EpsTot, maxEpsTot},
+		{"batch_evals", o.BatchEvals, maxBatch},
+		{"mo_batch", o.MOBatch, maxBatch},
+		{"mo_pop_size", o.MOPopSize, maxNSGA},
+		{"mo_generations", o.MOGenerations, maxNSGA},
+	} {
+		if b.value > b.limit {
+			return fmt.Errorf("core: %s %d exceeds the ceiling of %d", b.option, b.value, b.limit)
+		}
 	}
 	return nil
 }

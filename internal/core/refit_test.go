@@ -67,7 +67,10 @@ func (c *countingCheckpoint) SaveModel(ModelSnapshot) error { c.saves++; return 
 // RefitEvery=3 must refit (and snapshot) on generations 1 and 4 only, while
 // the default snapshots all 6. It also pins that the incremental path
 // genuinely runs — if appends silently fell back to refits, the counts would
-// match. A checkpoint without SaveModel gets evaluations and no snapshots.
+// match. A forest's fit reads no warm start, so rf archives nothing and its
+// refits show in the history instead: with no incremental path, rf at
+// RefitEvery=3 is rf at RefitEvery=1, bit for bit. A checkpoint without
+// SaveModel gets evaluations and no snapshots.
 func TestRefitEveryCadence(t *testing.T) {
 	procs := runtime.GOMAXPROCS(0)
 	every := &countingCheckpoint{}
@@ -80,16 +83,17 @@ func TestRefitEveryCadence(t *testing.T) {
 	if inc.saves != 2 {
 		t.Fatalf("RefitEvery=3 run saved %d snapshots, want 2 (generations 1 and 4)", inc.saves)
 	}
-	// rf has no incremental path: every generation refits and snapshots.
 	rf := &countingCheckpoint{}
-	runRefit(t, 4, procs, func(o *Options) {
+	rf3 := runRefit(t, 4, procs, func(o *Options) {
 		o.Checkpoint = rf
 		o.RefitEvery = 3
 		o.Surrogate = surrogate.KindRF
 	})
-	if rf.saves != 6 {
-		t.Fatalf("rf RefitEvery=3 run saved %d snapshots, want 6 (no incremental support)", rf.saves)
+	if rf.saves != 0 {
+		t.Fatalf("rf run saved %d snapshots, want none (forests read no warm start)", rf.saves)
 	}
+	rf1 := runRefit(t, 4, procs, func(o *Options) { o.RefitEvery = 1; o.Surrogate = surrogate.KindRF })
+	requireBitwiseEqualHistories(t, "rf RefitEvery=3 vs RefitEvery=1", rf3, rf1)
 	for _, c := range []*countingCheckpoint{every, inc, rf} {
 		if c.evals != 36 {
 			t.Fatalf("checkpoint received %d evaluations, want 36 (3 tasks × 12)", c.evals)

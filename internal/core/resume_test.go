@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/histdb"
 	"repro/internal/space"
+	"repro/internal/surrogate"
 )
 
 func TestNewCheckpointRefusesExistingRecords(t *testing.T) {
@@ -298,13 +299,15 @@ func heapAfterGC() uint64 {
 // replays it to the end; each time, with the run's own result dropped, the
 // heap the Checkpointer keeps alive must stay under an eighth of the bytes
 // logged — and the replay cursor must be gone once the last record verified.
+// The snapshots come from gp-indep, a backend that archives them, on a fit
+// budget small enough to keep the run short.
 func TestCheckpointerRetainsNoHistory(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.json")
 	tasks := [][]float64{{0}, {1}, {2}, {3}}
 	opts := func(cp *Checkpointer) Options {
 		// 72 initial + 8 search evaluations per task: 8 generations, each
 		// logging one padded snapshot.
-		return Options{EpsTot: 80, InitFraction: 0.9, Seed: 5, Surrogate: "rf", Checkpoint: paddedCheckpoint{cp}}
+		return Options{EpsTot: 80, InitFraction: 0.9, Seed: 5, Surrogate: surrogate.KindGPIndep, NumStarts: 1, ModelMaxIter: 5, Checkpoint: paddedCheckpoint{cp}}
 	}
 	retained := func(what string, open func(string, CheckpointOptions) (*Checkpointer, error), behind bool) {
 		t.Helper()

@@ -48,6 +48,53 @@ func TestGoldenFit(t *testing.T) {
 	}
 }
 
+// TestGoldenFitTies pins growth where nearly every split meets ties: integer
+// and categorical-valued columns, and every row present twice, so the split
+// sort orders equal values and the partition keeps each child's order — both
+// feed the floating-point sums of the split scan and the leaf means. Node count
+// and predictions at math.Float64bits, the same at Workers 1 and 8.
+func TestGoldenFitTies(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	var X [][]float64
+	var y []float64
+	for i := 0; i < 150; i++ {
+		x := []float64{
+			float64(rng.Intn(8)),            // integer
+			float64(rng.Intn(3)),            // categorical index
+			float64(rng.Intn(4)),            // integer
+			math.Round(rng.Float64()*4) / 4, // real on a coarse grid
+		}
+		v := math.Round(8*(x[0]*x[0]/7+[]float64{1, -2, 0.5}[int(x[1])]+x[2]*x[3])) / 8
+		for dup := 0; dup < 2; dup++ {
+			X = append(X, x)
+			y = append(y, v)
+		}
+	}
+	for _, workers := range []int{1, 8} {
+		f, err := Fit(X, y, Params{Seed: 3, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes := 0
+		for i := range f.trees {
+			nodes += len(f.trees[i].nodes)
+		}
+		h := fnv.New64a()
+		var b [8]byte
+		for k := 0; k < 40; k++ {
+			x := []float64{float64(k % 8), float64(k % 3), float64(k % 4), float64(k%5) / 4}
+			mean, variance := f.Predict(x)
+			for _, v := range []float64{mean, variance} {
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+				h.Write(b[:])
+			}
+		}
+		if nodes != 6384 || h.Sum64() != 0xdd8e77417e659d0d {
+			t.Errorf("workers %d: %d nodes, prediction hash %#x", workers, nodes, h.Sum64())
+		}
+	}
+}
+
 func treeDepth(t *tree, i int32) int {
 	n := &t.nodes[i]
 	if n.feature < 0 {

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/mpx"
@@ -22,8 +23,8 @@ type Params struct {
 	Seed  int64
 	// Workers bounds the goroutine parallelism of tree growth (default 1).
 	// The fitted forest is bitwise independent of the worker count: every
-	// tree owns an RNG seeded by its tree index, never by which goroutine
-	// grew it, so scheduling cannot leak into the ensemble.
+	// tree draws an RNG stream seeded by its tree index, never by which
+	// goroutine grew it, so scheduling cannot leak into the ensemble.
 	Workers int
 }
 
@@ -95,32 +96,65 @@ func Fit(X [][]float64, y []float64, params Params) (*Forest, error) {
 		mtry = 1
 	}
 	f := &Forest{dim: dim, trees: make([]tree, params.Trees)}
-	// Trees grow in parallel but each draws from its own RNG seeded by the
-	// tree index, so the forest never depends on goroutine scheduling.
-	mpx.ParallelFor(params.Trees, params.Workers, func(b int) {
-		rng := rand.New(rand.NewSource(params.Seed + int64(b)*2654435761))
-		// Bootstrap resample.
-		idx := make([]int, len(X))
-		for i := range idx {
-			idx[i] = rng.Intn(len(X))
+	// Trees grow in parallel, a chunk of them per worker, but each draws its
+	// own stream: the chunk's one generator is reseeded by the tree index
+	// before every tree, so the forest never depends on goroutine scheduling.
+	chunk := (params.Trees-1)/params.Workers + 1
+	mpx.ParallelChunks(params.Trees, chunk, params.Workers, func(_, lo, hi int) {
+		g := newGrower(X, y, mtry)
+		for b := lo; b < hi; b++ {
+			g.rng.Seed(params.Seed + int64(b)*2654435761)
+			f.trees[b] = g.tree()
 		}
-		g := &grower{X: X, y: y, rng: rng, mtry: mtry}
-		g.grow(idx, 0)
-		f.trees[b] = tree{nodes: g.nodes}
 	})
 	return f, nil
 }
 
-// grower builds one tree.
+// grower grows one chunk's trees, one at a time, over scratch it reuses from
+// node to node and tree to tree; only a finished tree's nodes are copied out.
 type grower struct {
-	X     [][]float64
-	y     []float64
-	rng   *rand.Rand
-	mtry  int
-	nodes []node
+	X    [][]float64
+	y    []float64
+	rng  *rand.Rand
+	mtry int
+
+	nodes  []node   // the tree being grown
+	idx    []int    // its bootstrap sample; every node owns a contiguous run of it
+	spill  []int    // partition scratch for a node's right-hand samples
+	perm   []int    // the features in the order this node tries them
+	sorter byValue  // a feature's (value, sample) pairs over one node
+	pairs  []valued // sorter's backing array
 }
 
-// grow recursively splits the sample set idx, returning the node index.
+func newGrower(X [][]float64, y []float64, mtry int) *grower {
+	n := len(X)
+	return &grower{
+		X: X, y: y, mtry: mtry,
+		rng: rand.New(rand.NewSource(0)),
+		// Every leaf holds at least one of the n bootstrap samples, so a tree
+		// has at most 2n−1 nodes and the arena never grows.
+		nodes: make([]node, 0, 2*n-1),
+		idx:   make([]int, n),
+		spill: make([]int, n),
+		perm:  make([]int, len(X[0])),
+		pairs: make([]valued, n),
+	}
+}
+
+// tree grows one tree from the generator's current state: a bootstrap
+// resample, then the recursive splits.
+func (g *grower) tree() tree {
+	for i := range g.idx {
+		g.idx[i] = g.rng.Intn(len(g.X))
+	}
+	g.nodes = g.nodes[:0]
+	g.grow(g.idx, 0)
+	return tree{nodes: slices.Clone(g.nodes)}
+}
+
+// grow recursively splits the sample set idx, returning the node index. The
+// split reorders idx in place: left samples first, then right, each side in
+// the order idx held them.
 func (g *grower) grow(idx []int, depth int) int32 {
 	mean := 0.0
 	for _, i := range idx {
@@ -137,19 +171,22 @@ func (g *grower) grow(idx []int, depth int) int32 {
 	if !ok {
 		return self
 	}
-	var left, right []int
+	nl, nr := 0, 0
 	for _, i := range idx {
 		if g.X[i][feature] <= threshold {
-			left = append(left, i)
+			idx[nl] = i
+			nl++
 		} else {
-			right = append(right, i)
+			g.spill[nr] = i
+			nr++
 		}
 	}
-	if len(left) < minLeaf || len(right) < minLeaf {
+	copy(idx[nl:], g.spill[:nr])
+	if nl < minLeaf || nr < minLeaf {
 		return self
 	}
-	l := g.grow(left, depth+1)
-	r := g.grow(right, depth+1)
+	l := g.grow(idx[:nl], depth+1)
+	r := g.grow(idx[nl:], depth+1)
 	g.nodes[self].feature = feature
 	g.nodes[self].threshold = threshold
 	g.nodes[self].left = l
@@ -157,38 +194,59 @@ func (g *grower) grow(idx []int, depth int) int32 {
 	return self
 }
 
+// valued is one sample's value of the feature being scanned.
+type valued struct {
+	v float64
+	i int // sample index
+}
+
+// byValue orders a node's pairs by value. sort.Sort runs the pdqsort that
+// sort.Slice runs, comparison for comparison and swap for swap, so equal
+// values keep the order sort.Slice left them in.
+type byValue struct{ s []valued }
+
+func (b *byValue) Len() int           { return len(b.s) }
+func (b *byValue) Less(i, j int) bool { return b.s[i].v < b.s[j].v }
+func (b *byValue) Swap(i, j int)      { b.s[i], b.s[j] = b.s[j], b.s[i] }
+
 // bestSplit finds the (feature, threshold) minimizing the weighted child
 // SSE over an mtry-subset of features.
 func (g *grower) bestSplit(idx []int) (int, float64, bool) {
-	features := g.rng.Perm(len(g.X[0]))[:g.mtry]
+	// rand.Perm's draws, into reused scratch.
+	for i := range g.perm {
+		j := g.rng.Intn(i + 1)
+		g.perm[i] = g.perm[j]
+		g.perm[j] = i
+	}
+	// Before any sample moves left, every sample is on the right.
+	var sumAll, sumSqAll float64
+	for _, i := range idx {
+		sumAll += g.y[i]
+		sumSqAll += g.y[i] * g.y[i]
+	}
 	bestSSE := math.Inf(1)
 	bestFeature, bestThreshold := -1, 0.0
 
-	vals := make([]float64, len(idx))
-	order := make([]int, len(idx))
-	for _, feat := range features {
+	pairs := g.pairs[:len(idx)]
+	for _, feat := range g.perm[:g.mtry] {
 		for k, i := range idx {
-			vals[k] = g.X[i][feat]
-			order[k] = k
+			pairs[k] = valued{g.X[i][feat], i}
 		}
-		sort.Slice(order, func(a, b int) bool { return vals[order[a]] < vals[order[b]] })
+		g.sorter.s = pairs
+		sort.Sort(&g.sorter)
 		// Incremental SSE scan: maintain left/right sums.
 		var sumL, sumSqL float64
-		sumR, sumSqR := 0.0, 0.0
-		for _, i := range idx {
-			sumR += g.y[i]
-			sumSqR += g.y[i] * g.y[i]
-		}
+		sumR, sumSqR := sumAll, sumSqAll
 		nL, nR := 0.0, float64(len(idx))
-		for k := 0; k < len(order)-1; k++ {
-			yi := g.y[idx[order[k]]]
+		for k := 0; k < len(pairs)-1; k++ {
+			yi := g.y[pairs[k].i]
 			sumL += yi
 			sumSqL += yi * yi
 			sumR -= yi
 			sumSqR -= yi * yi
 			nL++
 			nR--
-			v, next := vals[order[k]], vals[order[k+1]]
+			v, next := pairs[k].v, pairs[k+1].v
 			if v == next {
 				continue // can't split between equal values
 			}
@@ -207,16 +265,25 @@ func (g *grower) bestSplit(idx []int) (int, float64, bool) {
 // variance serving as the (crude but useful) uncertainty estimate for
 // acquisition functions.
 func (f *Forest) Predict(x []float64) (mean, variance float64) {
+	return f.PredictWith(make([]float64, len(f.trees)), x)
+}
+
+// PredictWith is Predict over caller-held scratch of at least NumTrees
+// values: each tree is walked once, its prediction kept for the variance
+// pass, and nothing is allocated.
+func (f *Forest) PredictWith(scratch, x []float64) (mean, variance float64) {
 	if len(x) != f.dim {
 		panic("rf: prediction dimension mismatch")
 	}
-	n := float64(len(f.trees))
+	vals := scratch[:len(f.trees)]
 	for i := range f.trees {
-		mean += f.trees[i].predict(x)
+		vals[i] = f.trees[i].predict(x)
+		mean += vals[i]
 	}
+	n := float64(len(f.trees))
 	mean /= n
-	for i := range f.trees {
-		d := f.trees[i].predict(x) - mean
+	for _, v := range vals {
+		d := v - mean
 		variance += d * d
 	}
 	variance /= n

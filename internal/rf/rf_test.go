@@ -209,6 +209,42 @@ func TestForestDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestForestFitAllocs: growing a forest allocates per tree (the finished
+// tree's nodes) and per worker (a generator and the grower's scratch), never
+// per node — the permutation, the split sort and the partition all run in
+// reused buffers — and prediction over caller scratch allocates nothing.
+func TestForestFitAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	var X [][]float64
+	var y []float64
+	for i := 0; i < 400; i++ {
+		x := []float64{rng.Float64(), float64(rng.Intn(5)), rng.Float64()}
+		X = append(X, x)
+		y = append(y, math.Sin(6*x[0])+x[1]-x[2])
+	}
+	for _, workers := range []int{1, 4} {
+		p := Params{Trees: 20, Seed: 3, Workers: workers}
+		var f *Forest
+		allocs := testing.AllocsPerRun(3, func() {
+			var err error
+			if f, err = Fit(X, y, p); err != nil {
+				t.Fatal(err)
+			}
+		})
+		nodes := 0
+		for i := range f.trees {
+			nodes += len(f.trees[i].nodes)
+		}
+		if limit := float64(p.Trees + 16*workers + 16); allocs > limit {
+			t.Errorf("workers %d: %v allocations per Fit of %d trees and %d nodes, want at most %v", workers, allocs, p.Trees, nodes, limit)
+		}
+		scratch := make([]float64, f.NumTrees())
+		if allocs := testing.AllocsPerRun(100, func() { f.PredictWith(scratch, X[0]) }); allocs != 0 {
+			t.Errorf("PredictWith allocates %v times per call", allocs)
+		}
+	}
+}
+
 // TestForestMarshalRoundTrip: a saved-and-reloaded forest predicts bitwise
 // identically (the snapshot carries the complete predictive state).
 func TestForestMarshalRoundTrip(t *testing.T) {

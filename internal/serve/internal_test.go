@@ -45,9 +45,9 @@ func TestServeSpecRoundTrip(t *testing.T) {
 
 // FuzzBuildSpec drives the create path short of the disk — bytes → api.Decode
 // → buildSpec → core.NewEngine — seeded with the create bodies of
-// testdata/wire.golden. Nothing panics, and NewEngine accepts every spec
-// buildSpec accepts, so the acquisition check and the budget ceilings of the
-// two layers stay in step and a create answered 201 never fails to open.
+// testdata/wire.golden. Nothing panics; a spec whose options the engine's own
+// validator refuses is refused, whatever else it holds; and NewEngine accepts
+// every spec buildSpec accepts, so a create answered 201 never fails to open.
 func FuzzBuildSpec(f *testing.F) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "wire.golden"))
 	if err != nil {
@@ -66,6 +66,13 @@ func FuzzBuildSpec(f *testing.F) {
 			return
 		}
 		prob, tasks, opts, err := buildSpec(&spec)
+		// On one objective every known acquisition is allowed, so Validate
+		// refuses only what it refuses on any problem: an unknown
+		// acquisition or a budget past its ceiling.
+		asked := specOptions(spec.Options)
+		if refused := asked.Validate(1); refused != nil && err == nil {
+			t.Fatalf("buildSpec accepts options the engine refuses (%v)\n%s", refused, data)
+		}
 		if err != nil {
 			return
 		}

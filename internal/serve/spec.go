@@ -66,18 +66,9 @@ func validName(name string) bool {
 	return true
 }
 
-// The ceilings on a study's evaluation and search budgets, far above anything
-// the tree asks for (benchmark studies run at most 40 evaluations per task,
-// NSGA-II defaults to a population of 40 over 40 generations). The fit's own
-// budget has its ceilings in surrogate (MaxNumStarts, MaxFitIter).
-const (
-	maxEpsTot = 10_000 // eps_tot: evaluations per task
-	maxBatch  = 1_000  // batch_evals and mo_batch: configurations per search
-	maxNSGA   = 1_000  // mo_pop_size and mo_generations
-)
-
 // buildSpec turns a spec into the engine's inputs, validating everything a
-// client could get wrong.
+// client could get wrong; the options go through the engine's own
+// (*core.Options).Validate, so the two layers refuse alike.
 func buildSpec(s *api.StudySpec) (*core.Problem, [][]float64, core.Options, error) {
 	var zero core.Options
 	if !validName(s.Name) {
@@ -110,30 +101,16 @@ func buildSpec(s *api.StudySpec) (*core.Problem, [][]float64, core.Options, erro
 			}
 		}
 	}
-	o := s.Options
-	if err := core.CheckAcquisition(o.Acquisition, prob.Outputs.Dim()); err != nil {
+	opts := specOptions(s.Options)
+	if err := opts.Validate(prob.Outputs.Dim()); err != nil {
 		return nil, nil, zero, fmt.Errorf("serve: study %s: %w", s.Name, err)
 	}
-	// Each reaches the engine as an allocation size or a loop bound run on the
-	// generation goroutine while it holds the model gate; unchecked, one spec
-	// could take the replica down or pin that goroutine for good.
-	for _, b := range []struct {
-		option       string
-		value, limit int
-	}{
-		{"num_starts", o.NumStarts, surrogate.MaxNumStarts},
-		{"model_max_iter", o.ModelMaxIter, surrogate.MaxFitIter},
-		{"eps_tot", o.EpsTot, maxEpsTot},
-		{"batch_evals", o.BatchEvals, maxBatch},
-		{"mo_batch", o.MOBatch, maxBatch},
-		{"mo_pop_size", o.MOPopSize, maxNSGA},
-		{"mo_generations", o.MOGenerations, maxNSGA},
-	} {
-		if b.value > b.limit {
-			return nil, nil, zero, fmt.Errorf("serve: study %s: %s %d exceeds the ceiling of %d", s.Name, b.option, b.value, b.limit)
-		}
-	}
-	opts := core.Options{
+	return prob, s.Tasks, opts, nil
+}
+
+// specOptions maps a spec's options onto the engine's, field for field.
+func specOptions(o api.OptionsSpec) core.Options {
+	return core.Options{
 		EpsTot:        o.EpsTot,
 		InitFraction:  o.InitFraction,
 		Workers:       o.Workers,
@@ -152,7 +129,6 @@ func buildSpec(s *api.StudySpec) (*core.Problem, [][]float64, core.Options, erro
 		RefitEvery:    o.RefitEvery,
 		Inducing:      o.Inducing,
 	}
-	return prob, s.Tasks, opts, nil
 }
 
 // scenarioProblem instantiates the study's spaces from the workload

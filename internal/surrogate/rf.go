@@ -6,7 +6,8 @@ import "repro/internal/rf"
 // backend. No uncertainty calibration is attempted beyond the across-tree
 // variance; the acquisition layer's variance floor absorbs the forests'
 // habit of reporting exactly zero variance deep inside leaves. Forests
-// ignore warm starts.
+// ignore warm starts, so the registry marks rf as a backend whose snapshots
+// nothing reads.
 type rfFitter struct{}
 
 func (rfFitter) Kind() string { return KindRF }
@@ -27,22 +28,23 @@ func (rfFitter) UnmarshalBinary(data []byte) (Model, error) {
 	return forestModel{&f}, nil
 }
 
-// forestModel is one task's forest. Prediction walks fixed trees with no
-// scratch state, so the workspace is nil and PredictInto ignores it.
+// forestModel is one task's forest. Its workspace holds one prediction per
+// tree, so a point walks each tree once and allocates nothing.
 type forestModel struct{ *rf.Forest }
 
-func (forestModel) Kind() string            { return KindRF }
-func (forestModel) NumTasks() int           { return 1 }
-func (forestModel) NewWorkspace() Workspace { return nil }
+func (forestModel) Kind() string              { return KindRF }
+func (forestModel) NumTasks() int             { return 1 }
+func (r forestModel) NewWorkspace() Workspace { return make([]float64, r.NumTrees()) }
 
 //gptlint:hotpath
-func (r forestModel) PredictInto(_ Workspace, _ int, x []float64) (mean, variance float64) {
-	return r.Predict(x)
+func (r forestModel) PredictInto(ws Workspace, _ int, x []float64) (mean, variance float64) {
+	return r.PredictWith(ws.([]float64), x)
 }
 
 //gptlint:hotpath
-func (r forestModel) PredictBatchInto(_ Workspace, _ int, xs [][]float64, mean, variance []float64) {
+func (r forestModel) PredictBatchInto(ws Workspace, _ int, xs [][]float64, mean, variance []float64) {
+	scratch := ws.([]float64)
 	for j, x := range xs {
-		mean[j], variance[j] = r.Predict(x)
+		mean[j], variance[j] = r.PredictWith(scratch, x)
 	}
 }

@@ -106,9 +106,10 @@ type FitOptions struct {
 	// WarmStart, when non-nil, is a model this backend produced earlier: the
 	// previous refit's, or one its UnmarshalBinary restored from an earlier
 	// tuning session's snapshot. GP backends seed their first optimizer
-	// start at its hyperparameters; forests ignore it. Another backend's
-	// model, or one of a shape the current fit cannot use, silently degrades
-	// to a cold start — transfer is best-effort and must never fail a fit.
+	// start at its hyperparameters; forests ignore it, and ReadsWarmStart
+	// says which backends read it. Another backend's model, or one of a
+	// shape the current fit cannot use, silently degrades to a cold start —
+	// transfer is best-effort and must never fail a fit.
 	WarmStart Model
 }
 
@@ -121,7 +122,10 @@ type Fitter interface {
 	Fit(data *Dataset, opts FitOptions) (Model, error)
 	// UnmarshalBinary rebuilds a model from a MarshalBinary snapshot. The
 	// restored model predicts bitwise identically to the one that was saved
-	// (except hyperparameter-only LCM snapshots, which only warm-start).
+	// (except hyperparameter-only LCM snapshots, which only warm-start). The
+	// engine restores snapshots only to warm-start a backend whose Fit reads
+	// them (ReadsWarmStart); the others' decoders serve transfer tooling and
+	// the snapshot round-trip contract.
 	UnmarshalBinary(data []byte) (Model, error)
 }
 
@@ -133,18 +137,19 @@ const (
 	KindRF      = "rf"
 )
 
-// registry is the single source of truth for backend selection: Kinds() and
-// New both walk it, and every external restatement of the kind list (CLI
-// -surrogate help, gptuned spec validation errors) is built from Kinds(), so
-// registering a backend here is the whole job.
+// registry is the single source of truth for backend selection: Kinds(),
+// New and ReadsWarmStart walk it, and every external restatement of the kind
+// list (CLI -surrogate help, gptuned spec validation errors) is built from
+// Kinds(), so registering a backend here is the whole job.
 var registry = []struct {
 	kind   string
 	fitter Fitter
+	warm   bool // Fit reads FitOptions.WarmStart
 }{
-	{KindLCM, lcmFitter{}},
-	{KindGPIndep, perTaskFitter{KindGPIndep, lcmFitter{}}},
-	{KindSGP, perTaskFitter{KindSGP, sgpFitter{}}},
-	{KindRF, perTaskFitter{KindRF, rfFitter{}}},
+	{KindLCM, lcmFitter{}, true},
+	{KindGPIndep, perTaskFitter{KindGPIndep, lcmFitter{}}, true},
+	{KindSGP, perTaskFitter{KindSGP, sgpFitter{}}, true},
+	{KindRF, perTaskFitter{KindRF, rfFitter{}}, false},
 }
 
 // Kinds lists the available backend names in preference order.
@@ -154,6 +159,19 @@ func Kinds() []string {
 		names[i] = e.kind
 	}
 	return names
+}
+
+// ReadsWarmStart reports whether the named backend's Fit reads
+// FitOptions.WarmStart. A snapshot of any other backend's model has no reader
+// (a forest is regrown from the data alone), so the engine neither archives
+// one after a refit nor restores one from Options.WarmStart.
+func ReadsWarmStart(kind string) bool {
+	for _, e := range registry {
+		if e.kind == kind {
+			return e.warm
+		}
+	}
+	return false
 }
 
 // New returns the Fitter for the named backend. The empty string selects the

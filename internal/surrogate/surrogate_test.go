@@ -38,6 +38,41 @@ func TestNewSelectsBackends(t *testing.T) {
 	}
 }
 
+// TestReadsWarmStartMatchesFit: the registry's warm-start fact is what each
+// backend's Fit does. One marked as reading FitOptions.WarmStart fits other
+// bits from an earlier model than cold, and one marked otherwise fits the
+// same bits, so the engine skips archiving exactly the snapshots nothing reads.
+func TestReadsWarmStartMatchesFit(t *testing.T) {
+	data := testDataset(27, 2, 15)
+	x := []float64{0.3, 0.6}
+	for _, kind := range Kinds() {
+		f, _ := New(kind)
+		prev, err := f.Fit(data, FitOptions{NumStarts: 2, MaxIter: 40, Seed: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		short := FitOptions{NumStarts: 1, MaxIter: 2, Seed: 13}
+		cold, err := f.Fit(data, short)
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		short.WarmStart = prev
+		warm, err := f.Fit(data, short)
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		muC, vC := cold.PredictInto(cold.NewWorkspace(), 1, x)
+		muW, vW := warm.PredictInto(warm.NewWorkspace(), 1, x)
+		moved := math.Float64bits(muC) != math.Float64bits(muW) || math.Float64bits(vC) != math.Float64bits(vW)
+		if moved != ReadsWarmStart(kind) {
+			t.Errorf("%s: ReadsWarmStart %v, but a warm start moved the fit: %v", kind, ReadsWarmStart(kind), moved)
+		}
+	}
+	if ReadsWarmStart("kriging") {
+		t.Error("an unknown kind reads warm starts")
+	}
+}
+
 // hostileDatasets are the degenerate histories a tuner meets in practice
 // (Snoek et al.'s practical-BO caveats): one task whose every sample sits on
 // the same point, so its covariance block is rank one before noise, and

@@ -63,12 +63,13 @@ func (Tuner) Tune(p *core.Problem, task []float64, epsTot int, seed int64) (*cor
 		}
 		var nat []float64
 		bestEI := math.Inf(-1)
+		scratch := make([]float64, trees)
 		for c := 0; c < candidates; c++ {
 			x, err := random()
 			if err != nil {
 				return nil, err
 			}
-			mean, variance := forest.Predict(p.Tuning.Normalize(x))
+			mean, variance := forest.PredictWith(scratch, p.Tuning.Normalize(x))
 			if ei := acq.ExpectedImprovement(mean, variance, yBest); ei > bestEI {
 				bestEI = ei
 				nat = x
