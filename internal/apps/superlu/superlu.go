@@ -231,17 +231,6 @@ func (a *App) tuningSpace() *space.Space {
 	return s
 }
 
-func (a *App) configOf(x []float64) Config {
-	return Config{
-		ColPerm: sparse.Ordering(int(x[0])),
-		Look:    int(x[1]),
-		P:       int(x[2]),
-		Pr:      int(x[3]),
-		NSup:    int(x[4]),
-		NRel:    int(x[5]),
-	}
-}
-
 // Problem returns the single-objective (factorization time) tuning problem.
 // Task = [matrix index] (categorical over the PARSEC names).
 func (a *App) Problem() *core.Problem {
@@ -252,7 +241,7 @@ func (a *App) Problem() *core.Problem {
 		Outputs: space.NewOutputSpace("time"),
 		Objective: func(task, x []float64) ([]float64, error) {
 			idx := int(task[0])
-			cfg := a.configOf(x)
+			cfg := ConfigFromVector(x)
 			t, _ := a.FactorCost(idx, cfg)
 			key := fmt.Sprintf("slu|%d|%+v", idx, cfg)
 			return []float64{t * a.Noise.Mul(key)}, nil
@@ -270,7 +259,7 @@ func (a *App) ProblemMO() *core.Problem {
 		Outputs: space.NewOutputSpace("time", "memory"),
 		Objective: func(task, x []float64) ([]float64, error) {
 			idx := int(task[0])
-			cfg := a.configOf(x)
+			cfg := ConfigFromVector(x)
 			t, mem := a.FactorCost(idx, cfg)
 			key := fmt.Sprintf("slu|%d|%+v", idx, cfg)
 			return []float64{t * a.Noise.Mul(key), mem}, nil
@@ -283,5 +272,18 @@ func ConfigToVector(cfg Config) []float64 {
 	return []float64{
 		float64(cfg.ColPerm), float64(cfg.Look), float64(cfg.P),
 		float64(cfg.Pr), float64(cfg.NSup), float64(cfg.NRel),
+	}
+}
+
+// ConfigFromVector converts a native tuning vector to a Config, the inverse
+// of ConfigToVector.
+func ConfigFromVector(x []float64) Config {
+	return Config{
+		ColPerm: sparse.Ordering(int(x[0])),
+		Look:    int(x[1]),
+		P:       int(x[2]),
+		Pr:      int(x[3]),
+		NSup:    int(x[4]),
+		NRel:    int(x[5]),
 	}
 }

@@ -128,6 +128,13 @@ func TestProblemsEvaluate(t *testing.T) {
 	}
 }
 
+func TestConfigVectorRoundTrip(t *testing.T) {
+	cfg := Config{ColPerm: sparse.NestedDissection, Look: 7, P: 64, Pr: 8, NSup: 96, NRel: 12}
+	if got := ConfigFromVector(ConfigToVector(cfg)); got != cfg {
+		t.Fatalf("round trip: %+v vs %+v", got, cfg)
+	}
+}
+
 func TestAnalysisCaching(t *testing.T) {
 	a := New(4)
 	cfg := a.DefaultConfig()

@@ -138,6 +138,9 @@ func NewEngine(p *Problem, tasks [][]float64, options Options) (*Engine, error) 
 	if len(tasks) == 0 {
 		return nil, errors.New("core: no tasks given")
 	}
+	if err := p.CheckTasks(tasks); err != nil {
+		return nil, err
+	}
 	options.defaults()
 	if err := options.Validate(p.Outputs.Dim()); err != nil {
 		return nil, err

@@ -140,6 +140,22 @@ func TestNewEngineRefusesBudgetPastCeiling(t *testing.T) {
 	}
 }
 
+// A task vector of the wrong length or with a non-finite value is refused up
+// front, naming the task. The engine used to take any: Run then panicked in
+// the objective, and with a performance model the first generation panicked
+// building the feature scale, on the generation goroutine, which no caller
+// can recover.
+func TestNewEngineRefusesMalformedTasks(t *testing.T) {
+	for _, task := range [][]float64{{}, {1, 2}, {math.NaN()}} {
+		if _, err := NewEngine(analyticalProblem(), [][]float64{{0}, task}, Options{EpsTot: 4}); err == nil || !strings.Contains(err.Error(), "task 1 ") {
+			t.Errorf("task %v: error %v, want one naming task 1", task, err)
+		}
+		if _, err := Run(analyticalProblem(), [][]float64{task}, Options{EpsTot: 4}); err == nil {
+			t.Errorf("Run accepted task %v", task)
+		}
+	}
+}
+
 func TestPriorSeedingImprovesColdStart(t *testing.T) {
 	p := analyticalProblem()
 	p.Objective = func(task, x []float64) ([]float64, error) {

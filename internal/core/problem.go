@@ -78,6 +78,24 @@ func (p *Problem) validateForEngine() error {
 	return nil
 }
 
+// CheckTasks reports a native task vector the problem cannot take: one whose
+// length is not the task space's dimension, or that holds a non-finite value.
+// NewEngine calls it, so a malformed task is refused up front instead of
+// panicking in the objective or on the generation goroutine.
+func (p *Problem) CheckTasks(tasks [][]float64) error {
+	for i, t := range tasks {
+		if len(t) != p.Tasks.Dim() {
+			return fmt.Errorf("core: task %d has %d values, the task space has %d parameters", i, len(t), p.Tasks.Dim())
+		}
+		for d, v := range t {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("core: task %d parameter %q is non-finite (%v)", i, p.Tasks.Params[d].Name, v)
+			}
+		}
+	}
+	return nil
+}
+
 // Evaluate runs the objective once at native task t and configuration x and
 // validates the outputs: the wrong count or a non-finite value is an error.
 // Every tuner evaluates through it — MLA's worker loop and the baselines'

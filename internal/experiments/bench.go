@@ -25,33 +25,28 @@ func scenarioProblem(name string, p bench.Params) *core.Problem {
 	return prob
 }
 
-// BenchRegress runs the full MLA loop on every registered scenario at one
-// fixed budget and seed — the per-scenario regression table EXPERIMENTS.md
-// tracks across PRs.
-func BenchRegress(cfg bench.RegressConfig) []bench.RegressRow {
-	var rows []bench.RegressRow
+// printBench runs MLA alone on every registered scenario at its default
+// parameters, δ random tasks each, at one fixed budget and seed and the
+// engine's default options, and writes the best found per task next to the
+// scenario's known optimum where it declares one: the workload-registry
+// regression table EXPERIMENTS.md tracks across PRs.
+func printBench(w io.Writer, delta, eps int, seed int64, workers int) {
+	fprintf(w, "Workload-registry regression: best found by MLA at a fixed budget vs known optimum\n")
+	fprintf(w, "%-15s %6s  %13s  %13s  %8s  task\n", "scenario", "evals", "best", "optimum", "gap")
 	for _, s := range bench.All() {
-		rs, err := bench.Regress(s, cfg)
-		if err != nil {
-			panic(err)
+		p := scenarioProblem(s.Name, nil)
+		tasks := randomTasks(p, delta, seed)
+		mla, _ := compare(p, tasks, core.Options{EpsTot: eps, Seed: seed, Workers: workers}, nil, 0)
+		for i, tr := range mla {
+			best, opt, gap := bestOf(tr), "-", "-"
+			if s.Optimum != nil {
+				if o, ok := s.Optimum(tasks[i]); ok {
+					opt = fmt.Sprintf("%13.6g", o)
+					gap = fmt.Sprintf("%+.2f%%", 100*(best-o)/maxAbs(o))
+				}
+			}
+			fprintf(w, "%-15s %6d  %13.6g  %13s  %8s  %s\n", s.Name, eps, best, opt, gap, p.Tasks.Describe(tasks[i]))
 		}
-		rows = append(rows, rs...)
-	}
-	return rows
-}
-
-// PrintBench writes the regression table.
-func PrintBench(w io.Writer, rows []bench.RegressRow) {
-	fmt.Fprintf(w, "Workload-registry regression: best found by MLA at a fixed budget vs known optimum\n")
-	fmt.Fprintf(w, "%-15s %6s  %13s  %13s  %8s  task\n", "scenario", "evals", "best", "optimum", "gap")
-	for _, r := range rows {
-		opt, gap := "-", "-"
-		if r.HasOptimum {
-			opt = fmt.Sprintf("%13.6g", r.Optimum)
-			gap = fmt.Sprintf("%+.2f%%", 100*(r.Best-r.Optimum)/maxAbs(r.Optimum))
-		}
-		fmt.Fprintf(w, "%-15s %6d  %13.6g  %13s  %8s  %s\n",
-			r.Scenario, r.Evals, r.Best, opt, gap, r.Task)
 	}
 }
 

@@ -10,9 +10,11 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 
 	"repro/internal/core"
 	"repro/internal/opt"
+	"repro/internal/sample"
 	"repro/internal/tuners"
 	"repro/internal/tuners/hpbandster"
 	"repro/internal/tuners/opentuner"
@@ -36,6 +38,51 @@ func paperOptions(seed int64, workers int) core.Options {
 		ModelMaxIter: 40,
 		Search:       opt.PSOParams{Particles: 20, MaxIter: 30},
 	}
+}
+
+// reducedOptions returns paperOptions under DESIGN.md §3's full-scale caps on
+// the modeling phase — Q = 2 latent functions, 2 L-BFGS starts × 25
+// iterations — the settings of Fig. 4 and Table 3 (lower).
+func reducedOptions(seed int64, workers int) core.Options {
+	o := paperOptions(seed, workers)
+	o.Q, o.NumStarts, o.ModelMaxIter = 2, 2, 25
+	return o
+}
+
+// compare is the one tuner-comparison driver: it runs MLA once over all the
+// tasks under opts, then each of rivals on each task alone with seed seed0+i,
+// every run at opts.EpsTot evaluations per task, and returns MLA's per-task
+// results and each rival's by name. The call order — MLA, then the rivals in
+// the given order, tasks ascending — is part of every result: a simulator's
+// noise counts the attempts at each configuration (machine.Noise.Mul).
+func compare(p *core.Problem, tasks [][]float64, opts core.Options, rivals []tuners.Tuner, seed0 int64) (mla []*core.TaskResult, byTuner map[string][]*core.TaskResult) {
+	res, err := core.Run(p, tasks, opts)
+	if err != nil {
+		panic(err)
+	}
+	for i := range res.Tasks {
+		mla = append(mla, &res.Tasks[i])
+	}
+	byTuner = map[string][]*core.TaskResult{}
+	for _, tn := range rivals {
+		for i, task := range tasks {
+			tr, err := tn.Tune(p, task, opts.EpsTot, seed0+int64(i))
+			if err != nil {
+				panic(err)
+			}
+			byTuner[tn.Name()] = append(byTuner[tn.Name()], tr)
+		}
+	}
+	return mla, byTuner
+}
+
+// randomTasks draws n feasible tasks of p by Latin hypercube sampling.
+func randomTasks(p *core.Problem, n int, seed int64) [][]float64 {
+	tasks, err := sample.FeasibleLHS(p.Tasks, n, rand.New(rand.NewSource(seed)))
+	if err != nil {
+		panic(err)
+	}
+	return tasks
 }
 
 // bestOf returns the best objective-0 value of a task result.

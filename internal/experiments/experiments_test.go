@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -224,6 +225,61 @@ func TestComparisonMeasuresEveryTunerAlike(t *testing.T) {
 			t.Errorf("task %s: gptune best %v is not a min-of-%d measurement", r.TaskLabel, r.GPTune, repeats)
 		}
 	}
+}
+
+// TestCompareRunsTunersInOrder: compare evaluates MLA's whole run first, then
+// each baseline in baselines() order, each covering task 0 before task 1. The
+// order is part of every result, since a simulator's noise counts attempts.
+func TestCompareRunsTunersInOrder(t *testing.T) {
+	type call struct {
+		task int
+		x    []float64
+	}
+	var log []call
+	p := &core.Problem{
+		Name:    "logged",
+		Tasks:   space.MustNew(space.NewReal("t", 0, 1)),
+		Tuning:  space.MustNew(space.NewReal("x", 0, 1)),
+		Outputs: space.NewOutputSpace("y"),
+		Objective: func(task, x []float64) ([]float64, error) {
+			log = append(log, call{int(task[0]), append([]float64(nil), x...)})
+			return []float64{(x[0] - 0.3) * (x[0] - 0.3)}, nil
+		},
+	}
+	const eps = 4
+	opts := paperOptions(1, 1)
+	opts.EpsTot = eps
+	mla, byTuner := compare(p, [][]float64{{0}, {1}}, opts, baselines(), 100)
+	if want := (1 + len(baselines())) * 2 * eps; len(log) != want {
+		t.Fatalf("%d evaluations, want %d", len(log), want)
+	}
+	// MLA's evaluations, first: every one is in MLA's history of its task.
+	for _, c := range log[:2*eps] {
+		if !containsX(mla[c.task].X, c.x) {
+			t.Fatalf("evaluation %v of task %d is not MLA's", c.x, c.task)
+		}
+	}
+	// Then each baseline's, task by task, in its own evaluation order.
+	next := log[2*eps:]
+	for _, tn := range baselines() {
+		for task, tr := range byTuner[tn.Name()] {
+			for j, x := range tr.X {
+				if next[j].task != task || !slices.Equal(next[j].x, x) {
+					t.Fatalf("%s task %d evaluation %d: logged %+v, want %v", tn.Name(), task, j, next[j], x)
+				}
+			}
+			next = next[len(tr.X):]
+		}
+	}
+}
+
+func containsX(xs [][]float64, x []float64) bool {
+	for _, y := range xs {
+		if slices.Equal(x, y) {
+			return true
+		}
+	}
+	return false
 }
 
 func TestTable4Structure(t *testing.T) {

@@ -3,13 +3,10 @@ package experiments
 import (
 	"io"
 	"math"
-	"math/rand"
 
 	"repro/internal/apps/analytical"
 	"repro/internal/apps/scalapack"
 	"repro/internal/core"
-	"repro/internal/opt"
-	"repro/internal/sample"
 )
 
 // Fig4AnalyticalRow holds, for one (ε_tot, task) pair, the tuned minima with
@@ -45,15 +42,8 @@ func Fig4Analytical(delta int, epsTots []int, seed int64, workers int) []Fig4Ana
 		withModel := scenarioProblem("analytical", nil)
 		withModel.Model = analytical.NoisyModel(0.1)
 
-		opts := core.Options{
-			EpsTot:       eps,
-			Seed:         seed,
-			Workers:      workers,
-			Q:            2,
-			NumStarts:    2,
-			ModelMaxIter: 25,
-			Search:       opt.PSOParams{Particles: 20, MaxIter: 30},
-		}
+		opts := reducedOptions(seed, workers)
+		opts.EpsTot, opts.LogY = eps, false // Eq. (11) takes negative values
 		resBase, err := core.Run(base, tasks, opts)
 		if err != nil {
 			panic(err)
@@ -94,18 +84,10 @@ func Fig4Analytical(delta int, epsTots []int, seed int64, workers int) []Fig4Ana
 // legend reports.
 func PrintFig4Analytical(w io.Writer, rows []Fig4AnalyticalRow) {
 	fprintf(w, "Fig 4 (left): analytical function, performance-model benefit\n")
-	byEps := map[int][]Fig4AnalyticalRow{}
-	var order []int
-	for _, r := range rows {
-		if _, ok := byEps[r.EpsTot]; !ok {
-			order = append(order, r.EpsTot)
-		}
-		byEps[r.EpsTot] = append(byEps[r.EpsTot], r)
-	}
-	for _, eps := range order {
+	for _, group := range groupByEps(rows, func(r Fig4AnalyticalRow) int { return r.EpsTot }) {
 		var ratios []float64
-		fprintf(w, "  eps_tot=%d:\n", eps)
-		for _, r := range byEps[eps] {
+		fprintf(w, "  eps_tot=%d:\n", group[0].EpsTot)
+		for _, r := range group {
 			fprintf(w, "   t=%-4g  no-model=%+.4f  with-model=%+.4f  true=%+.4f  ratio=%.3f\n",
 				r.Task, r.WithoutModel, r.WithModel, r.TrueMin, r.RatioNoModel)
 			ratios = append(ratios, r.RatioNoModel)
@@ -138,23 +120,11 @@ func Fig4QR(numTasks int, epsTots []int, seed int64, workers int) []Fig4QRRow {
 	}
 	app := scalapack.NewQR(16, 20000) // supplies the Eq. (7) model below
 	base := scenarioProblem("qr", nil)
-	rng := rand.New(rand.NewSource(seed))
-	tasks, err := sample.FeasibleLHS(base.Tasks, numTasks, rng)
-	if err != nil {
-		panic(err)
-	}
+	tasks := randomTasks(base, numTasks, seed)
 	var rows []Fig4QRRow
 	for _, eps := range epsTots {
-		opts := core.Options{
-			EpsTot:       eps,
-			Seed:         seed,
-			Workers:      workers,
-			LogY:         true,
-			Q:            2,
-			NumStarts:    2,
-			ModelMaxIter: 25,
-			Search:       opt.PSOParams{Particles: 20, MaxIter: 30},
-		}
+		opts := reducedOptions(seed, workers)
+		opts.EpsTot = eps
 		// Every evaluation is the minimum of 3 runs, as the paper's are.
 		resBase, err := core.Run(core.MinOfRepeats(scenarioProblem("qr", nil), 3), tasks, opts)
 		if err != nil {
@@ -183,18 +153,10 @@ func Fig4QR(numTasks int, epsTots []int, seed int64, workers int) []Fig4QRRow {
 // PrintFig4QR writes the QR model-benefit table.
 func PrintFig4QR(w io.Writer, rows []Fig4QRRow) {
 	fprintf(w, "Fig 4 (right): PDGEQRF with Eq.(7) performance model\n")
-	byEps := map[int][]Fig4QRRow{}
-	var order []int
-	for _, r := range rows {
-		if _, ok := byEps[r.EpsTot]; !ok {
-			order = append(order, r.EpsTot)
-		}
-		byEps[r.EpsTot] = append(byEps[r.EpsTot], r)
-	}
-	for _, eps := range order {
+	for _, group := range groupByEps(rows, func(r Fig4QRRow) int { return r.EpsTot }) {
 		var ratios []float64
-		fprintf(w, "  eps_tot=%d:\n", eps)
-		for _, r := range byEps[eps] {
+		fprintf(w, "  eps_tot=%d:\n", group[0].EpsTot)
+		for _, r := range group {
 			fprintf(w, "   m=%-6.0f n=%-6.0f  no-model=%.3fs  with-model=%.3fs  ratio=%.3f\n",
 				r.M, r.N, r.WithoutModel, r.WithModel, r.Ratio)
 			ratios = append(ratios, r.Ratio)
@@ -202,4 +164,21 @@ func PrintFig4QR(w io.Writer, rows []Fig4QRRow) {
 		fprintf(w, "   tasks with ratio>=1: %d/%d, max ratio %.2f, geomean %.3f\n",
 			countAtLeast(ratios, 1), len(ratios), maxOf(ratios), geoMean(ratios))
 	}
+}
+
+// groupByEps splits rows into groups of equal ε_tot, in the order each ε_tot
+// first appears.
+func groupByEps[R any](rows []R, eps func(R) int) [][]R {
+	var groups [][]R
+	at := map[int]int{} // ε_tot → its group's index
+	for _, r := range rows {
+		k, ok := at[eps(r)]
+		if !ok {
+			k = len(groups)
+			at[eps(r)] = k
+			groups = append(groups, nil)
+		}
+		groups[k] = append(groups[k], r)
+	}
+	return groups
 }

@@ -2,13 +2,11 @@ package experiments
 
 import (
 	"io"
-	"math/rand"
 	"sort"
 
 	"repro/internal/apps/scalapack"
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/sample"
 )
 
 // Fig5TaskRow is one task's best/worst runtime under one setting.
@@ -69,13 +67,7 @@ func Fig5QR(budget int, seed int64, workers int) *Fig5Result {
 	// Multitask: δ=10 tasks (the big one plus 9 random with m,n < 40000),
 	// ε_tot = budget/10.
 	delta := 10
-	rng := rand.New(rand.NewSource(seed + 1))
-	tasks := [][]float64{bigTask}
-	extra, err := sample.FeasibleLHS(p.Tasks, delta-1, rng)
-	if err != nil {
-		panic(err)
-	}
-	tasks = append(tasks, extra...)
+	tasks := append([][]float64{bigTask}, randomTasks(p, delta-1, seed+1)...)
 	optsMulti := opts
 	optsMulti.EpsTot = budget / delta
 	resMulti, err := core.Run(p, tasks, optsMulti)

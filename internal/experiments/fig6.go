@@ -2,13 +2,11 @@ package experiments
 
 import (
 	"io"
-	"math/rand"
 	"sort"
 
 	"repro/internal/apps/superlu"
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/sample"
 )
 
 // Fig6Row is one task's tuner comparison: ratio of another tuner's best
@@ -24,30 +22,20 @@ type Fig6Row struct {
 // per task, all with ε_tot evaluations per task, each evaluation the minimum
 // of repeats runs.
 func runComparison(p *core.Problem, tasks [][]float64, labels []string, epsTot int, seed int64, workers, repeats int) []Fig6Row {
-	p = core.MinOfRepeats(p, repeats)
 	opts := paperOptions(seed, workers)
 	opts.EpsTot = epsTot
-	res, err := core.Run(p, tasks, opts)
-	if err != nil {
-		panic(err)
-	}
+	mla, others := compare(core.MinOfRepeats(p, repeats), tasks, opts, baselines(), seed+100)
 	rows := make([]Fig6Row, len(tasks))
-	for i := range tasks {
+	for i, tr := range mla {
 		rows[i] = Fig6Row{
 			TaskLabel: labels[i],
-			GPTune:    bestOf(&res.Tasks[i]),
+			GPTune:    bestOf(tr),
 			Others:    map[string]float64{},
 			Ratios:    map[string]float64{},
 		}
-	}
-	for _, tn := range baselines() {
-		for i := range tasks {
-			tr, err := tn.Tune(p, tasks[i], epsTot, seed+int64(100+i))
-			if err != nil {
-				panic(err)
-			}
-			rows[i].Others[tn.Name()] = bestOf(tr)
-			rows[i].Ratios[tn.Name()] = bestOf(tr) / rows[i].GPTune
+		for name, rs := range others {
+			rows[i].Others[name] = bestOf(rs[i])
+			rows[i].Ratios[name] = bestOf(rs[i]) / rows[i].GPTune
 		}
 	}
 	return rows
@@ -65,11 +53,7 @@ func Fig6QR(delta, epsTot int, seed int64, workers int) []Fig6Row {
 		epsTot = 10
 	}
 	p := scenarioProblem("qr", bench.Params{"nodes": 64})
-	rng := rand.New(rand.NewSource(seed))
-	tasks, err := sample.FeasibleLHS(p.Tasks, delta, rng)
-	if err != nil {
-		panic(err)
-	}
+	tasks := randomTasks(p, delta, seed)
 	labels := make([]string, len(tasks))
 	for i, t := range tasks {
 		labels[i] = p.Tasks.Describe(t)

@@ -7,7 +7,6 @@ import (
 	"repro/internal/apps/superlu"
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/sparse"
 )
 
 // ParetoPoint is one (time, memory) objective pair with its configuration.
@@ -46,14 +45,7 @@ func Fig7Single(epsTot int, seed int64, workers int) *Fig7SingleResult {
 	if err != nil {
 		panic(err)
 	}
-	out := &Fig7SingleResult{}
-	tr := resMO.Tasks[0]
-	for _, idx := range tr.ParetoFront() {
-		out.Front = append(out.Front, ParetoPoint{
-			Time: tr.Y[idx][0], Memory: tr.Y[idx][1],
-			Config: tr.X[idx],
-		})
-	}
+	out := &Fig7SingleResult{Front: frontOf(&resMO.Tasks[0])}
 
 	// Single-objective runs: tune time only, then memory only, recording
 	// both metrics of the winner for plotting.
@@ -72,7 +64,7 @@ func Fig7Single(epsTot int, seed int64, workers int) *Fig7SingleResult {
 			panic(err)
 		}
 		bx, _ := res.Tasks[0].Best()
-		tFull, mFull := app.FactorCost(0, cfgFromVec(bx))
+		tFull, mFull := app.FactorCost(0, superlu.ConfigFromVector(bx))
 		pt := ParetoPoint{Time: tFull, Memory: mFull, Config: bx}
 		if which == 0 {
 			out.TimeOpt = pt
@@ -86,17 +78,6 @@ func Fig7Single(epsTot int, seed int64, workers int) *Fig7SingleResult {
 	out.Default = ParetoPoint{Time: dt, Memory: dm, Config: superlu.ConfigToVector(defCfg)}
 	out.DefaultCfg = superlu.ConfigToVector(defCfg)
 	return out
-}
-
-func cfgFromVec(x []float64) superlu.Config {
-	return superlu.Config{
-		ColPerm: sparse.Ordering(int(x[0])),
-		Look:    int(x[1]),
-		P:       int(x[2]),
-		Pr:      int(x[3]),
-		NSup:    int(x[4]),
-		NRel:    int(x[5]),
-	}
 }
 
 // PrintFig7Single writes the front, the single-objective minima, the default

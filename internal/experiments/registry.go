@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"io"
-
-	"repro/internal/bench"
-)
+import "io"
 
 // Spec describes one runnable experiment: the paper artifact ID, what it
 // shows, and a runner at either full (reduced-reproduction) or quick scale.
@@ -151,11 +147,11 @@ func All() []Spec {
 			ID:          "Bench",
 			Description: "workload-registry regression: MLA best vs known optimum per scenario",
 			Run: func(w io.Writer, quick bool, seed int64, workers int) {
-				cfg := bench.RegressConfig{Delta: 2, Eps: 30, Seed: seed, Workers: workers}
+				delta, eps := 2, 30
 				if quick {
-					cfg.Delta, cfg.Eps = 1, 10
+					delta, eps = 1, 10
 				}
-				PrintBench(w, BenchRegress(cfg))
+				printBench(w, delta, eps, seed, workers)
 			},
 		},
 	}

@@ -4,7 +4,6 @@ import (
 	"io"
 
 	"repro/internal/core"
-	"repro/internal/opt"
 )
 
 // Table3MHDRow compares single-task and multitask tuning for one MHD code.
@@ -42,15 +41,7 @@ func Table3MHD(epsSingle int, seed int64, workers int) []Table3MHDRow {
 		{scenario: "nimrod", expensive: 15, cheapTasks: []float64{3, 3, 3}},
 	} {
 		p := scenarioProblem(su.scenario, nil)
-		opts := core.Options{
-			Seed:         seed,
-			Workers:      workers,
-			LogY:         true,
-			Q:            2,
-			NumStarts:    2,
-			ModelMaxIter: 25,
-			Search:       opt.PSOParams{Particles: 20, MaxIter: 30},
-		}
+		opts := reducedOptions(seed, workers)
 		oS := opts
 		oS.EpsTot = epsSingle
 		resS, err := core.Run(p, [][]float64{{su.expensive}}, oS)

@@ -3,11 +3,9 @@ package experiments
 import (
 	"io"
 	"math"
-	"math/rand"
 
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/sample"
 )
 
 // Table4Row is one (nodes, ε_tot) experiment: final performance (WinTask vs
@@ -38,59 +36,35 @@ func Table4(delta int, epsTots []int, nodesList []int, seed int64, workers int) 
 	var out []Table4Row
 	for _, nodes := range nodesList {
 		p := scenarioProblem("hypre", bench.Params{"nodes": float64(nodes)})
-		rng := rand.New(rand.NewSource(seed + int64(nodes)))
-		tasks, err := sample.FeasibleLHS(p.Tasks, delta, rng)
-		if err != nil {
-			panic(err)
-		}
+		tasks := randomTasks(p, delta, seed+int64(nodes))
 		for _, eps := range epsTots {
+			opts := paperOptions(seed, workers)
+			opts.EpsTot = eps
+			mla, others := compare(p, tasks, opts, baselines(), seed+1000)
+			// Best over all tuners per task (the stability denominator).
+			bestAny := make([]float64, delta)
+			for i, tr := range mla {
+				bestAny[i] = bestOf(tr)
+				for _, rs := range others {
+					bestAny[i] = math.Min(bestAny[i], bestOf(rs[i]))
+				}
+			}
 			row := Table4Row{
 				Nodes:     nodes,
 				EpsTot:    eps,
 				WinTask:   map[string]float64{},
-				Stability: map[string]float64{},
+				Stability: map[string]float64{"gptune": meanStability(mla, bestAny)},
 			}
-			opts := paperOptions(seed, workers)
-			opts.EpsTot = eps
-			res, err := core.Run(p, tasks, opts)
-			if err != nil {
-				panic(err)
-			}
-			gptuneResults := make([]*core.TaskResult, delta)
-			for i := range res.Tasks {
-				gptuneResults[i] = &res.Tasks[i]
-			}
-			baselineResults := map[string][]*core.TaskResult{}
-			for _, tn := range baselines() {
-				rs := make([]*core.TaskResult, delta)
-				for i := range tasks {
-					tr, err := tn.Tune(p, tasks[i], eps, seed+int64(1000+i))
-					if err != nil {
-						panic(err)
-					}
-					rs[i] = tr
-				}
-				baselineResults[tn.Name()] = rs
-			}
-			// Best over all tuners per task (the stability denominator).
-			bestAny := make([]float64, delta)
-			for i := 0; i < delta; i++ {
-				bestAny[i] = bestOf(gptuneResults[i])
-				for _, rs := range baselineResults {
-					bestAny[i] = math.Min(bestAny[i], bestOf(rs[i]))
-				}
-			}
-			for name, rs := range baselineResults {
+			for name, rs := range others {
 				wins := 0
-				for i := 0; i < delta; i++ {
-					if bestOf(gptuneResults[i]) <= bestOf(rs[i]) {
+				for i, tr := range rs {
+					if bestOf(mla[i]) <= bestOf(tr) {
 						wins++
 					}
 				}
 				row.WinTask[name] = float64(wins) / float64(delta)
 				row.Stability[name] = meanStability(rs, bestAny)
 			}
-			row.Stability["gptune"] = meanStability(gptuneResults, bestAny)
 			out = append(out, row)
 		}
 	}

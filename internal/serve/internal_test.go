@@ -60,6 +60,7 @@ func FuzzBuildSpec(f *testing.F) {
 	}
 	f.Add([]byte(`{"name":"a","tuning":[{"name":"x","kind":"real","hi":1}],"outputs":["y1","y2"],"tasks":[[1]],"options":{"acquisition":"pi"}}`))
 	f.Add([]byte(`{"name":"g","scenario":"gemm","tasks":[[1024,1024,1024]],"options":{"acquisition":"lcb","mo_pop_size":1000}}`))
+	f.Add([]byte(`{"name":"m","scenario":"analytical","tasks":[[0.5],[],[1,2]]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var spec api.StudySpec
 		if api.Decode(bytes.NewReader(data), &spec) != nil {

@@ -67,8 +67,9 @@ func validName(name string) bool {
 }
 
 // buildSpec turns a spec into the engine's inputs, validating everything a
-// client could get wrong; the options go through the engine's own
-// (*core.Options).Validate, so the two layers refuse alike.
+// client could get wrong; the tasks and options go through the engine's own
+// (*core.Problem).CheckTasks and (*core.Options).Validate, so the two layers
+// refuse alike.
 func buildSpec(s *api.StudySpec) (*core.Problem, [][]float64, core.Options, error) {
 	var zero core.Options
 	if !validName(s.Name) {
@@ -90,16 +91,8 @@ func buildSpec(s *api.StudySpec) (*core.Problem, [][]float64, core.Options, erro
 	if err != nil {
 		return nil, nil, zero, err
 	}
-	dim := prob.Tasks.Dim()
-	for i, t := range s.Tasks {
-		if len(t) != dim {
-			return nil, nil, zero, fmt.Errorf("serve: study %s task %d has %d values, task space has %d parameters", s.Name, i, len(t), dim)
-		}
-		for _, v := range t {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, nil, zero, fmt.Errorf("serve: study %s task %d has a non-finite value", s.Name, i)
-			}
-		}
+	if err := prob.CheckTasks(s.Tasks); err != nil {
+		return nil, nil, zero, fmt.Errorf("serve: study %s: %w", s.Name, err)
 	}
 	opts := specOptions(s.Options)
 	if err := opts.Validate(prob.Outputs.Dim()); err != nil {
