@@ -18,11 +18,14 @@ const gradChunkRows = 32
 // evalParallelMin is the sample count from which FitLCM lets one likelihood
 // evaluation fan its passes out over goroutines. Below it the evaluation is
 // a few hundred microseconds and the half-dozen fork/joins inside it cost
-// more than they return — measured on two cores: 216 → 293 µs at n = 72,
-// 1.13 → 1.29 ms at n = 150, break-even near n = 200, 18 → 11 ms at
-// n = 450. It never moves a bit (the reductions are worker-count
-// independent); it only keeps a small fit's last surviving start, which has
-// every worker to itself, from paying for parallelism it cannot use.
+// more than they return — measured on a shared two-core Xeon (δ 3, β 5,
+// Q 3), one worker against two: 189 → 254 µs at n = 72, 1.06 → 1.00 ms at
+// n = 150 (break-even), 1.76 → 1.61 ms at n = 192, 3.29 → 2.81 ms at
+// n = 256, 14.4 → 10.1 ms at n = 450. Between 150 and 192 two workers gain
+// a few percent, inside the machine's noise, so the threshold stays at 192.
+// It never moves a bit (the reductions are worker-count independent); it
+// only keeps a small fit's last surviving start, which has every worker to
+// itself, from paying for parallelism it cannot use.
 const evalParallelMin = 3 * cholBlock
 
 // lcmEngine evaluates the LCM log marginal likelihood and its analytic
@@ -189,8 +192,9 @@ func (e *lcmEngine) assembleSigma(m *LCM) *la.Matrix {
 //
 // gl comes back in chunkGL's lane layout: gl[q][d] at ((q/4)·dim + d)·4 + q%4.
 //
-// Per row, a scalar pass over its pairs forms M_rs, the task-block sums and
-// the per-pair lengthscale factors eq = M_rs·k_q·C_q, four latents wide; then
+// Per row, a scalar pass over its pairs, one sweepRun per run of second
+// samples sharing a task, forms M_rs, the task-block sums and the per-pair
+// lengthscale factors eq = M_rs·k_q·C_q, four latents wide; then
 // la.AccumLanesInto adds eq·sq_d into the [dim][4] lengthscale accumulators,
 // lanes = latents, pairs ascending — the order the per-pair loop added them.
 //
@@ -235,27 +239,19 @@ func (e *lcmEngine) gradSweep(inv *la.Matrix) (v, gl, dsum []float64) {
 			cnt := n - r
 			p0 := e.cache.pairStart(r)
 			k := e.kq[p0*Q : (p0+cnt)*Q]
-			// Pairs (r, r+1..n-1): their tasks, α, Σ⁻¹ entries and, from p0+1
-			// on, squared distances.
-			tasks, alphaRow, invPairs := e.taskOf[r+1:n], alpha[r+1:n], invRow[r+1:n]
+			// Pairs (r, r+1..n-1): their α, Σ⁻¹ entries, kernels and, from p0+1
+			// on, squared distances; pair s is entry s-r-1.
+			alphaRow, invPairs := alpha[r+1:n], invRow[r+1:n]
 			sq := e.cache.sq[p0+1:]
 			for b := 0; b*4 < Q; b++ {
 				acc := glbuf[b*dim*4 : (b+1)*dim*4]
 				row := eq[b*eqBlock : b*eqBlock+4*(cnt-1)]
-				lanes := Q - 4*b
-				if lanes > 4 {
-					lanes = 4
-				}
-				kb, vb, cb := k[4*b*cnt:], vbuf[4*b*TT:], e.coef[4*b:]
-				for j, as := range alphaRow {
-					mm := ar*as - invPairs[j]
-					tt := trT + tasks[j]
-					out := row[4*j : 4*j+lanes]
-					for l := range out {
-						mk := mm * kb[l*cnt+j+1]
-						vb[l*TT+tt] += mk
-						out[l] = mk * cb[tt*Q+l]
-					}
+				lanes := min(Q-4*b, 4)
+				kb, vb, cb := k[4*b*cnt+1:], vbuf[4*b*TT:], e.coef[4*b:]
+				for s := r + 1; s < n; s = e.runEnd[s] {
+					j0, j1 := s-r-1, e.runEnd[s]-r-1
+					tt := trT + e.taskOf[s]
+					sweepRun(lanes, row[4*j0:4*j1], alphaRow[j0:j1], invPairs[j0:j1], kb[j0:], cnt, vb[tt:], TT, cb[tt*Q:], ar)
 				}
 				la.AccumLanesInto(acc, row, sq, npairs)
 			}
@@ -274,6 +270,75 @@ func (e *lcmEngine) gradSweep(inv *la.Matrix) (v, gl, dsum []float64) {
 		}
 	}
 	return v, gl, dsum
+}
+
+// sweepRun is gradSweep's pass over one run of a row's pairs whose second
+// samples share a task, so one task block tt and one coefficient per latent,
+// for the lanes (1–4) latents of one lane block: pair j of the run, in order,
+//
+//	mm = ar·alpha[j] − inv[j],   mk_l = mm·k[l·stride + j],
+//	v[l·vStride] += mk_l,        out[4j + l] = mk_l·c[l].
+//
+// The run's task-block sums live in locals from its first pair to its last,
+// one body per lane count, so each add is the per-pair loop's add without a
+// store and a load around it.
+func sweepRun(lanes int, out, alpha, inv, k []float64, stride int, v []float64, vStride int, c []float64, ar float64) {
+	n := len(alpha)
+	inv, out = inv[:n], out[:4*n]
+	switch lanes {
+	case 1:
+		k0 := k[:n]
+		c0, v0 := c[0], v[0]
+		for j, as := range alpha {
+			mm := ar*as - inv[j]
+			m0 := mm * k0[j]
+			v0 += m0
+			out[4*j] = m0 * c0
+		}
+		v[0] = v0
+	case 2:
+		k0, k1 := k[:n], k[stride:stride+n]
+		c0, c1 := c[0], c[1]
+		v0, v1 := v[0], v[vStride]
+		for j, as := range alpha {
+			mm := ar*as - inv[j]
+			m0, m1 := mm*k0[j], mm*k1[j]
+			v0 += m0
+			v1 += m1
+			o := out[4*j : 4*j+2 : 4*j+2]
+			o[0], o[1] = m0*c0, m1*c1
+		}
+		v[0], v[vStride] = v0, v1
+	case 3:
+		k0, k1, k2 := k[:n], k[stride:stride+n], k[2*stride:2*stride+n]
+		c0, c1, c2 := c[0], c[1], c[2]
+		v0, v1, v2 := v[0], v[vStride], v[2*vStride]
+		for j, as := range alpha {
+			mm := ar*as - inv[j]
+			m0, m1, m2 := mm*k0[j], mm*k1[j], mm*k2[j]
+			v0 += m0
+			v1 += m1
+			v2 += m2
+			o := out[4*j : 4*j+3 : 4*j+3]
+			o[0], o[1], o[2] = m0*c0, m1*c1, m2*c2
+		}
+		v[0], v[vStride], v[2*vStride] = v0, v1, v2
+	default:
+		k0, k1, k2, k3 := k[:n], k[stride:stride+n], k[2*stride:2*stride+n], k[3*stride:3*stride+n]
+		c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
+		v0, v1, v2, v3 := v[0], v[vStride], v[2*vStride], v[3*vStride]
+		for j, as := range alpha {
+			mm := ar*as - inv[j]
+			m0, m1, m2, m3 := mm*k0[j], mm*k1[j], mm*k2[j], mm*k3[j]
+			v0 += m0
+			v1 += m1
+			v2 += m2
+			v3 += m3
+			o := out[4*j : 4*j+4 : 4*j+4]
+			o[0], o[1], o[2], o[3] = m0*c0, m1*c1, m2*c2, m3*c3
+		}
+		v[0], v[vStride], v[2*vStride], v[3*vStride] = v0, v1, v2, v3
+	}
 }
 
 // logLikGrad returns the log marginal likelihood and its gradient with

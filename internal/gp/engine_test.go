@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/la"
 )
 
 // flatten mirrors FitLCM's dataset flattening for direct engine tests.
@@ -399,5 +401,103 @@ func TestPredictIntoRejectsWrongLengthPoint(t *testing.T) {
 	}
 	if mu, v := model.PredictInto(ws, 0, []float64{0.2, 0.3, 0.4}); math.IsNaN(mu) || math.IsNaN(v) {
 		t.Fatalf("right-length point after the rejected ones predicts (%v, %v)", mu, v)
+	}
+}
+
+// gradSweepPerPair is gradSweep as one loop over every pair and latent, the
+// task-block sums added in memory pair by pair: the oracle the run-wise
+// sweep must match bit for bit. It merges its chunks in gradSweep's order
+// into fresh buffers.
+func gradSweepPerPair(e *lcmEngine, inv []float64) (v, gl, dsum []float64) {
+	n, Q, T, dim := e.cache.n, e.layout.q, e.layout.tasks, e.layout.dim
+	TT := T * T
+	nc := (n + gradChunkRows - 1) / gradChunkRows
+	v, gl, dsum = make([]float64, Q*TT), make([]float64, laneBlocks(Q)*dim*4), make([]float64, T)
+	for c := 0; c < nc; c++ {
+		vbuf, glbuf, dbuf := make([]float64, Q*TT), make([]float64, laneBlocks(Q)*dim*4), make([]float64, T)
+		for r := c * gradChunkRows; r < min((c+1)*gradChunkRows, n); r++ {
+			tr := e.taskOf[r]
+			ar := e.alpha[r]
+			dbuf[tr] += ar*ar - inv[r*n+r]
+			cnt := n - r
+			p0 := e.cache.pairStart(r)
+			k := e.kq[p0*Q : (p0+cnt)*Q]
+			for b := 0; b*4 < Q; b++ {
+				eq := make([]float64, 4*(cnt-1))
+				for j := 0; j < cnt-1; j++ {
+					s := r + 1 + j
+					mm := ar*e.alpha[s] - inv[r*n+s]
+					tt := tr*T + e.taskOf[s]
+					for l := 0; l < min(Q-4*b, 4); l++ {
+						q := 4*b + l
+						mk := mm * k[q*cnt+j+1]
+						vbuf[q*TT+tt] += mk
+						eq[4*j+l] = mk * e.coef[tt*Q+q]
+					}
+				}
+				la.AccumLanesInto(glbuf[b*dim*4:(b+1)*dim*4], eq, e.cache.sq[p0+1:], e.cache.npairs)
+			}
+		}
+		for i, x := range vbuf {
+			v[i] += x
+		}
+		for i, x := range glbuf {
+			gl[i] += x
+		}
+		for i, x := range dbuf {
+			dsum[i] += x
+		}
+	}
+	return v, gl, dsum
+}
+
+// TestGradSweepMatchesPerPairLoop: gradSweep's run-wise sums and factors are
+// the per-pair loop's bits — V, gl and dsum — for one to six latents (one and
+// two lane blocks, full and partial) and one to six tasks, with the samples
+// in task order and shuffled (runs of one), at the hostile and random
+// hyperparameters TestEngineMatchesReference evaluates.
+func TestGradSweepMatchesPerPairLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(97))
+	for q := 1; q <= 6; q++ {
+		for tasks := 1; tasks <= 6; tasks++ {
+			for _, shuffled := range []bool{false, true} {
+				dim := 1 + (q+tasks)%4
+				data := syntheticDataset(rng, tasks, 4+60/tasks, dim, 0.05)
+				if shuffled {
+					data = gridDataset(rng, tasks, 4+60/tasks, dim)
+				}
+				layout := hyperLayout{q: q, dim: dim, tasks: tasks}
+				flatX, taskOf, yn := flatten(data)
+				n := len(flatX)
+				if shuffled {
+					rng.Shuffle(n, func(i, j int) {
+						flatX[i], flatX[j] = flatX[j], flatX[i]
+						taskOf[i], taskOf[j] = taskOf[j], taskOf[i]
+						yn[i], yn[j] = yn[j], yn[i]
+					})
+				}
+				eng := newLCMEngine(newPairCache(flatX, dim), layout, taskOf, yn, 1)
+				thetas := append(hostileThetas(layout, rng), randomInit(layout, rng), randomInit(layout, rng))
+				checked := 0
+				for ti, theta := range thetas {
+					if _, _, err := eng.logLikGrad(theta); err != nil {
+						continue
+					}
+					checked++
+					v, gl, dsum := eng.gradSweep(eng.invBuf)
+					wantV, wantGL, wantDsum := gradSweepPerPair(eng, eng.invBuf.Data)
+					for name, pair := range map[string][2][]float64{"V": {v, wantV}, "gl": {gl, wantGL}, "dsum": {dsum, wantDsum}} {
+						for i, want := range pair[1] {
+							if got := pair[0][i]; !sameBits(got, want) {
+								t.Fatalf("Q=%d δ=%d n=%d shuffled=%v theta %d: %s[%d] %v, per-pair loop %v", q, tasks, n, shuffled, ti, name, i, got, want)
+							}
+						}
+					}
+				}
+				if checked < 2 {
+					t.Fatalf("Q=%d δ=%d shuffled=%v: %d of %d hyperparameter vectors factored", q, tasks, shuffled, checked, len(thetas))
+				}
+			}
+		}
 	}
 }

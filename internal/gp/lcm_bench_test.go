@@ -1,6 +1,7 @@
 package gp
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -39,13 +40,30 @@ func BenchmarkLCMLogLikGradReference(b *testing.B) {
 }
 
 // BenchmarkLCMLogLikGrad is the cached engine at one worker (pure
-// algorithmic speedup over the reference). This pair is the one
+// algorithmic speedup over the reference) at n = 300, and at the
+// tune_cold-sized n = 36 and n = 72 (δ 3, β 5, Q 3) whose evaluations
+// a raced fit's last start runs back to back. This is the one
 // micro-benchmark the ledger does not cover — the reference exists only in
-// tests — and DESIGN.md cites its ratio; fits, predictions and appends are
-// ledger rows (gp.fit_lcm_ms.*, gp.predict_into_us.n920,
+// tests — and DESIGN.md cites its n = 300 ratio; fits, predictions and
+// appends are ledger rows (gp.fit_lcm_ms.*, gp.predict_into_us.n920,
 // gp.append_obs_ms.n920_k2).
 func BenchmarkLCMLogLikGrad(b *testing.B) {
-	layout, flatX, taskOf, yn, theta := benchGradSetup(b)
+	b.Run("n300", func(b *testing.B) {
+		layout, flatX, taskOf, yn, theta := benchGradSetup(b)
+		benchLogLikGrad(b, layout, flatX, taskOf, yn, theta)
+	})
+	for _, samples := range []int{12, 24} {
+		b.Run(fmt.Sprintf("n%d", 3*samples), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			data := syntheticDataset(rng, 3, samples, 5, 0.05)
+			layout := hyperLayout{q: 3, dim: data.Dim, tasks: data.NumTasks()}
+			flatX, taskOf, yn := flatten(data)
+			benchLogLikGrad(b, layout, flatX, taskOf, yn, randomInit(layout, rng))
+		})
+	}
+}
+
+func benchLogLikGrad(b *testing.B, layout hyperLayout, flatX [][]float64, taskOf []int, yn, theta []float64) {
 	eng := newLCMEngine(newPairCache(flatX, layout.dim), layout, taskOf, yn, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

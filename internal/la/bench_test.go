@@ -1,0 +1,42 @@
+package la
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+)
+
+// BenchmarkCholeskyJitterInto and BenchmarkCholInverseInto time the two
+// O(n³) steps of one LCM likelihood evaluation, at one worker and the LCM's
+// 64-row block: n = 72 is a tune_cold-sized fit (one block and a sliver), n =
+// 512 a tune_warm-sized one.
+func BenchmarkCholeskyJitterInto(b *testing.B) {
+	for _, n := range []int{72, 512} {
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			a := randomSPD(rand.New(rand.NewSource(1)), n)
+			l := NewMatrix(n, n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := CholeskyJitterInto(l, a, 0, 64, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkCholInverseInto(b *testing.B) {
+	for _, n := range []int{72, 512} {
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			l, err := Cholesky(randomSPD(rand.New(rand.NewSource(1)), n))
+			if err != nil {
+				b.Fatal(err)
+			}
+			wt, inv := NewMatrix(n, n), NewMatrix(n, n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ParallelCholInverseInto(l, 1, wt, inv)
+			}
+		})
+	}
+}

@@ -192,13 +192,9 @@ func forwardSubst(data []float64, stride int, bs ...[]float64) {
 
 // finishRow completes row i+r of a forwardSubst block for one right-hand
 // side b: tail is L[i+r, i : i+r+1], pivot last, and lanes the row's four
-// prefix lanes. The r tail terms go into lane 0 in order, then Dot's combine.
+// prefix lanes.
 func finishRow(tail, lanes, b []float64, i, r int) {
-	s0 := lanes[0]
-	for t := 0; t < r; t++ {
-		s0 += tail[t] * b[i+t]
-	}
-	b[i+r] = (b[i+r] - ((s0 + lanes[2]) + (lanes[1] + lanes[3]))) / tail[r]
+	b[i+r] = (b[i+r] - finishDot(lanes, tail[:r], b[i:i+r])) / tail[r]
 }
 
 // rowStart returns the offset of row i in dense (stride > 0) or packed
@@ -231,11 +227,11 @@ func backwardSubstT(data []float64, stride int, b []float64) {
 // and assembles Σ⁻¹ = WᵀW from row-wise dot products, which is roughly 3×
 // cheaper than per-column two-sided solves and fully cache-friendly. The
 // independent column solves and the row-wise assembly are distributed over
-// nworkers goroutines. Both phases process columns/rows in fused pairs so
-// each shared operand row of L (resp. W) is loaded once for two results,
-// roughly halving the memory traffic of these n³/6 phases. The pairing and
-// every summation order depend only on n — never on nworkers — so the result
-// is bitwise identical for any worker count.
+// nworkers goroutines. Both phases run in 2×4 tiles (tile.dots): a pair of
+// W columns against four rows of L, then a pair of W rows against four
+// others, so each operand row is loaded once for up to eight Dots. The
+// pairing and every summation order depend only on n — never on nworkers —
+// so the result is bitwise identical for any worker count.
 func ParallelCholInverse(l *Matrix, nworkers int) *Matrix {
 	return ParallelCholInverseInto(l, nworkers, nil, nil)
 }
@@ -254,6 +250,15 @@ func ParallelCholInverseInto(l *Matrix, nworkers int, wt, inv *Matrix) *Matrix {
 	} else if wt.Rows != n || wt.Cols != n {
 		panic("la: ParallelCholInverseInto wt dimension mismatch")
 	}
+	// Phase 1, columns j0 = 2g and j1 = j0+1 of W: for k > j1,
+	//
+	//	W[k][j0] = -(Dot(L[k, j1:k], W[j1:k, j0]) + L[k,j0]·W[j0][j0]) / L[k,k]
+	//	W[k][j1] = -Dot(L[k, j1:k], W[j1:k, j1]) / L[k,k]
+	//
+	// Rows k of L advance in blocks of four at k − j1 ≡ 0 (mod 4), which share
+	// the aligned prefix [j1, kb) of all eight Dots; each row's tail multiplies
+	// W entries the block has just produced. Row j1 opens the first block and
+	// keeps its own closed form.
 	npair := (n + 1) / 2
 	parallelBlocks(npair, nworkers, func(g int) {
 		j0 := 2 * g
@@ -267,12 +272,28 @@ func ParallelCholInverseInto(l *Matrix, nworkers int, wt, inv *Matrix) *Matrix {
 		row0[j1] = -lj1[j0] * row0[j0] / lj1[j1]
 		row1 := wt.Row(j1)
 		row1[j1] = 1 / lj1[j1]
-		for k := j1 + 1; k < n; k++ {
-			lk := l.Row(k)
-			s0, s1 := dotPair(lk[j1:k], row0[j1:k], row1[j1:k])
-			s0 += lk[j0] * row0[j0]
-			row0[k] = -s0 / lk[k]
-			row1[k] = -s1 / lk[k]
+		var t tile
+		var lk [4][]float64
+		for kb := j1; kb < n; kb += 4 {
+			nk := min(4, n-kb)
+			for c := range lk {
+				lk[c] = l.Row(kb + min(c, nk-1)) // fewer than four rows repeat the last
+			}
+			t.dots(row0, row1, &lk, j1, kb)
+			if nk == 4 && kb > j1 {
+				invTile(row0[kb:kb+4:kb+4], row1[kb:kb+4:kb+4], &lk, &t, kb, j0, row0[j0])
+				continue
+			}
+			for c := 0; c < nk; c++ {
+				k := kb + c
+				if k == j1 {
+					continue
+				}
+				s0 := finishDot(t.lanes(0, c), lk[c][kb:k], row0[kb:k]) + lk[c][j0]*row0[j0]
+				s1 := finishDot(t.lanes(1, c), lk[c][kb:k], row1[kb:k])
+				row0[k] = -s0 / lk[c][k]
+				row1[k] = -s1 / lk[c][k]
+			}
 		}
 	})
 	if inv == nil {
@@ -293,18 +314,32 @@ func ParallelCholInverseInto(l *Matrix, nworkers int, wt, inv *Matrix) *Matrix {
 			}
 			return
 		}
+		// Phase 2, rows i0 and i1 against rows j ≤ i1 of W four at a time:
+		// every Dot spans [i1, n), so one tile computes eight whole Dots; row
+		// i0's entries then add the W[i0] term, and j = i1 is the diagonal
+		// Dot(W[i1, i1:], W[i1, i1:]).
 		wi1 := wt.Row(i1)
-		for j := 0; j <= i0; j++ {
-			wj := wt.Row(j)
-			s0, s1 := dotPair(wj[i1:], wi0[i1:], wi1[i1:])
-			s0 += wi0[i0] * wj[i0]
-			inv.Data[i0*n+j] = s0
-			inv.Data[j*n+i0] = s0
-			inv.Data[i1*n+j] = s1
-			inv.Data[j*n+i1] = s1
+		var t tile
+		var wj [4][]float64
+		for jb := 0; jb <= i1; jb += 4 {
+			nj := min(4, i1+1-jb)
+			for c := range wj {
+				wj[c] = wt.Row(jb + min(c, nj-1)) // fewer than four rows repeat the last
+			}
+			t.dots(wi0, wi1, &wj, i1, n)
+			for c := 0; c < nj; c++ {
+				j := jb + c
+				s1 := t.dot(1, c)
+				inv.Data[i1*n+j] = s1
+				if j == i1 {
+					continue
+				}
+				s0 := t.dot(0, c) + wi0[i0]*wj[c][i0]
+				inv.Data[i0*n+j] = s0
+				inv.Data[j*n+i0] = s0
+				inv.Data[j*n+i1] = s1
+			}
 		}
-		d := Dot(wi1[i1:], wi1[i1:])
-		inv.Data[i1*n+i1] = d
 	})
 	return inv
 }
@@ -378,7 +413,7 @@ func choleskyInto(l, a *Matrix, jitter float64, blockSize, nworkers int) error {
 	// Panel: solve L[i,k]·L[k,k]ᵀ = A[i,k] for the i-th row block below kb.
 	panel := func(i int) {
 		i0, i1 := bounds(kb + 1 + i)
-		trsmRight(l, i0, i1, k0, k1)
+		_ = cholRows(l, i0, i1, k0, k1) // panel rows hold no pivot
 	}
 	// Trailing update: A[i,j] -= L[i,k]·L[j,k]ᵀ for kb < j ≤ i, block pair p
 	// of the lower triangle in row-major order.
@@ -396,7 +431,7 @@ func choleskyInto(l, a *Matrix, jitter float64, blockSize, nworkers int) error {
 		k0, k1 = bounds(kb)
 		// Factor the diagonal block in place (serial; it is small), then the
 		// panel below it and the trailing blocks, each in parallel.
-		if err := cholInPlace(l, k0, k1); err != nil {
+		if err := cholRows(l, k0, k1, k0, k1); err != nil {
 			return err
 		}
 		below := nb - kb - 1
@@ -406,90 +441,142 @@ func choleskyInto(l, a *Matrix, jitter float64, blockSize, nworkers int) error {
 	return nil
 }
 
-// cholInPlace factors the diagonal block l[k0:k1, k0:k1] in place.
-func cholInPlace(l *Matrix, k0, k1 int) error {
-	n := l.Cols
-	for i := k0; i < k1; i++ {
-		ri := l.Data[i*n:]
-		for j := k0; j <= i; j++ {
-			rj := l.Data[j*n:]
-			s := ri[j] - Dot(ri[k0:j], rj[k0:j])
-			if i == j {
-				if s <= 0 || math.IsNaN(s) {
-					return ErrNotPositiveDefinite
+// cholRows runs the Cholesky recurrence on rows [i0, i1) of l against the
+// column block [k0, k1), whose rows are factored before the rows that read
+// them:
+//
+//	l[i,j] = (l[i,j] − Dot(l[i,k0:j], l[j,k0:j])) / l[j,j]   for k0 ≤ j < min(i, k1)
+//	l[i,i] = √(l[i,i] − Dot(l[i,k0:i], l[i,k0:i]))            when k0 ≤ i < k1
+//
+// Rows [k0, k1) are the diagonal block, factored in place with the one pivot
+// rule (s ≤ 0 or NaN is ErrNotPositiveDefinite); rows past k1 are a panel,
+// X·Lkkᵀ = B, which holds no pivot and cannot fail.
+//
+// Rows go in pairs and columns in tiles of four starting at j − k0 ≡ 0
+// (mod 4). The eight Dots of a tile share the aligned prefix [k0, j) — one
+// tile.dots pass — and entry (i, j+c) adds its c tail terms, entries of row
+// i the tile has just produced, into lane 0 in order. That is Dot's lane
+// contract term for term, so the tiles and the entry-by-entry recurrence
+// agree bit for bit and meet the pivots in the same order.
+func cholRows(l *Matrix, i0, i1, k0, k1 int) error {
+	var t tile
+	var lj [4][]float64
+	for ia := i0; ia < i1; ia += 2 {
+		ib := min(ia+1, i1-1) // an odd last row pairs with itself and is written once
+		ra, rb := l.Row(ia), l.Row(ib)
+		ea, eb := min(ia+1, k1), min(ib+1, k1)
+		for j := k0; j < eb; j += 4 {
+			nj := min(4, eb-j)
+			for c := range lj {
+				lj[c] = l.Row(j + min(c, nj-1)) // fewer than four columns repeat the last
+			}
+			t.dots(ra, rb, &lj, k0, j)
+			if nj == 4 && j+3 < ia && ib != ia {
+				cholTile(ra[j:j+4:j+4], rb[j:j+4:j+4], &lj, &t, j)
+				continue
+			}
+			// A tile that reaches a diagonal, ends the block or has one row
+			// finishes entry by entry.
+			for c := 0; c < nj; c++ {
+				col, lc := j+c, lj[c]
+				if col < ea {
+					sa := ra[col] - finishDot(t.lanes(0, c), ra[j:col], lc[j:col])
+					if col < ia {
+						ra[col] = sa / lc[col]
+					} else if sa <= 0 || math.IsNaN(sa) {
+						return ErrNotPositiveDefinite
+					} else {
+						ra[col] = math.Sqrt(sa)
+					}
 				}
-				ri[j] = math.Sqrt(s)
-			} else {
-				ri[j] = s / rj[j]
+				if ib != ia {
+					sb := rb[col] - finishDot(t.lanes(1, c), rb[j:col], lc[j:col])
+					if col < ib {
+						rb[col] = sb / lc[col]
+					} else if sb <= 0 || math.IsNaN(sb) {
+						return ErrNotPositiveDefinite
+					} else {
+						rb[col] = math.Sqrt(sb)
+					}
+				}
 			}
 		}
 	}
 	return nil
 }
 
-// trsmRight solves X·Lkkᵀ = B in place for the panel block rows
-// l[i0:i1, k0:k1], where Lkk = l[k0:k1, k0:k1] is already factored. Rows are
-// processed in fused pairs sharing each Lkk row load; dotPair accumulates
-// exactly like two Dot calls, so the result is unchanged.
-func trsmRight(l *Matrix, i0, i1, k0, k1 int) {
-	n := l.Cols
-	i := i0
-	for ; i+1 < i1; i += 2 {
-		ra := l.Data[i*n:]
-		rb := l.Data[(i+1)*n:]
-		for j := k0; j < k1; j++ {
-			lj := l.Data[j*n:]
-			sa, sb := dotPair(lj[k0:j], ra[k0:j], rb[k0:j])
-			ra[j] = (ra[j] - sa) / lj[j]
-			rb[j] = (rb[j] - sb) / lj[j]
-		}
-	}
-	for ; i < i1; i++ {
-		row := l.Data[i*n:]
-		for j := k0; j < k1; j++ {
-			lj := l.Data[j*n:]
-			row[j] = (row[j] - Dot(row[k0:j], lj[k0:j])) / lj[j]
-		}
-	}
+// cholTile finishes a full tile of cholRows: entries j … j+3 of two rows,
+// x and y (their slices from j), every column left of both diagonals. Entry
+// c of x is (x[c] − Dot) / l[j+c][j+c], its Dot's lane 0 taking the c tail
+// terms x[t]·l[j+c][j+t] in order, then the combine — finishDot written out,
+// so that the tile's own results stay in registers and neither row's chain
+// of divisions waits on a store.
+func cholTile(x, y []float64, lj *[4][]float64, s *tile, j int) {
+	c0, c1, c2, c3 := lj[0][j:j+1:j+1], lj[1][j:j+2:j+2], lj[2][j:j+3:j+3], lj[3][j:j+4:j+4]
+	x0 := (x[0] - combine(s[0], s[1], s[2], s[3])) / c0[0]
+	y0 := (y[0] - combine(s[16], s[17], s[18], s[19])) / c0[0]
+	x1 := (x[1] - combine(s[4]+x0*c1[0], s[5], s[6], s[7])) / c1[1]
+	y1 := (y[1] - combine(s[20]+y0*c1[0], s[21], s[22], s[23])) / c1[1]
+	x2 := (x[2] - combine(s[8]+x0*c2[0]+x1*c2[1], s[9], s[10], s[11])) / c2[2]
+	y2 := (y[2] - combine(s[24]+y0*c2[0]+y1*c2[1], s[25], s[26], s[27])) / c2[2]
+	x3 := (x[3] - combine(s[12]+x0*c3[0]+x1*c3[1]+x2*c3[2], s[13], s[14], s[15])) / c3[3]
+	y3 := (y[3] - combine(s[28]+y0*c3[0]+y1*c3[1]+y2*c3[2], s[29], s[30], s[31])) / c3[3]
+	x[0], x[1], x[2], x[3] = x0, x1, x2, x3
+	y[0], y[1], y[2], y[3] = y0, y1, y2, y3
+}
+
+// invTile finishes a full block of the inverse's first phase: entries kb …
+// kb+3 of W's columns j0 (w0) and j1 (w1), their slices from kb, against L's
+// rows lk = L[kb … kb+3], where w00 = W[j0][j0]. Entry c of w0 is
+// −(Dot + L[kb+c][j0]·w00) / L[kb+c][kb+c], of w1 −Dot / L[kb+c][kb+c], each
+// Dot's lane 0 taking its c tail terms L[kb+c][kb+t]·w[t] in order, then the
+// combine: the loop in ParallelCholInverseInto written out, with the block's
+// own results in registers.
+func invTile(w0, w1 []float64, lk *[4][]float64, s *tile, kb, j0 int, w00 float64) {
+	l0, l1, l2, l3 := lk[0][kb:kb+1:kb+1], lk[1][kb:kb+2:kb+2], lk[2][kb:kb+3:kb+3], lk[3][kb:kb+4:kb+4]
+	a0 := -(combine(s[0], s[1], s[2], s[3]) + lk[0][j0]*w00) / l0[0]
+	b0 := -combine(s[16], s[17], s[18], s[19]) / l0[0]
+	a1 := -(combine(s[4]+l1[0]*a0, s[5], s[6], s[7]) + lk[1][j0]*w00) / l1[1]
+	b1 := -combine(s[20]+l1[0]*b0, s[21], s[22], s[23]) / l1[1]
+	a2 := -(combine(s[8]+l2[0]*a0+l2[1]*a1, s[9], s[10], s[11]) + lk[2][j0]*w00) / l2[2]
+	b2 := -combine(s[24]+l2[0]*b0+l2[1]*b1, s[25], s[26], s[27]) / l2[2]
+	a3 := -(combine(s[12]+l3[0]*a0+l3[1]*a1+l3[2]*a2, s[13], s[14], s[15]) + lk[3][j0]*w00) / l3[3]
+	b3 := -combine(s[28]+l3[0]*b0+l3[1]*b1+l3[2]*b2, s[29], s[30], s[31]) / l3[3]
+	w0[0], w0[1], w0[2], w0[3] = a0, a1, a2, a3
+	w1[0], w1[1], w1[2], w1[3] = b0, b1, b2, b3
 }
 
 // gemmUpdate performs l[i0:i1, j0:j1] -= l[i0:i1, k0:k1]·l[j0:j1, k0:k1]ᵀ,
-// touching only the lower triangle when the (i,j) block is diagonal. Row
-// pairs share each l[j, k0:k1] load via dotPair, which accumulates exactly
-// like two Dot calls, so the result is unchanged.
+// touching only the lower triangle when the (i,j) block is diagonal, each
+// entry one Dot over [k0, k1). Rows go in pairs against four l[j] rows at a
+// time, and one tile computes the eight whole Dots.
 func gemmUpdate(l *Matrix, i0, i1, j0, j1, k0, k1 int) {
-	n := l.Cols
 	rowMax := func(i int) int {
 		if j0 <= i && i < j1 {
 			return i + 1 // diagonal block: lower triangle only
 		}
 		return j1
 	}
-	i := i0
-	for ; i+1 < i1; i += 2 {
-		ra := l.Data[i*n:]
-		rb := l.Data[(i+1)*n:]
-		rak := ra[k0:k1]
-		rbk := rb[k0:k1]
-		jmaxA := rowMax(i)
-		jmaxB := rowMax(i + 1) // ≥ jmaxA always
-		j := j0
-		for ; j < jmaxA; j++ {
-			rj := l.Data[j*n:]
-			sa, sb := dotPair(rj[k0:k1], rak, rbk)
-			ra[j] -= sa
-			rb[j] -= sb
-		}
-		for ; j < jmaxB; j++ {
-			rb[j] -= Dot(rbk, l.Data[j*n:][k0:k1])
-		}
-	}
-	for ; i < i1; i++ {
-		ri := l.Data[i*n:]
-		rik := ri[k0:k1]
-		jmax := rowMax(i)
-		for j := j0; j < jmax; j++ {
-			ri[j] -= Dot(rik, l.Data[j*n:][k0:k1])
+	var t tile
+	var lj [4][]float64
+	for ia := i0; ia < i1; ia += 2 {
+		ib := min(ia+1, i1-1) // an odd last row pairs with itself and is written once
+		ra, rb := l.Row(ia), l.Row(ib)
+		ea, eb := rowMax(ia), rowMax(ib) // eb ≥ ea always
+		for j := j0; j < eb; j += 4 {
+			nj := min(4, eb-j)
+			for c := range lj {
+				lj[c] = l.Row(j + min(c, nj-1)) // fewer than four columns repeat the last
+			}
+			t.dots(ra, rb, &lj, k0, k1)
+			for c := 0; c < nj; c++ {
+				if j+c < ea {
+					ra[j+c] -= t.dot(0, c)
+				}
+				if ib != ia {
+					rb[j+c] -= t.dot(1, c)
+				}
+			}
 		}
 	}
 }

@@ -11,9 +11,6 @@ package la
 func dotLanes(a, b *float64, n int, s *[4]float64)
 
 //go:noescape
-func dotPairLanes(a, b0, b1 *float64, n int, s *[8]float64)
-
-//go:noescape
 func dotRows4Lanes(r0, r1, r2, r3, b *float64, n int, s *[16]float64)
 
 //go:noescape

@@ -2,12 +2,11 @@
 
 #include "textflag.h"
 
-// AVX2 bodies for the lane-accumulation loops of Dot, dotPair and
-// forwardSubst's one- and multi-RHS blocks (matrix.go states the lane
-// contract). Every kernel keeps one
-// product's four lanes in one YMM register and issues VMULPD then VADDPD per
-// four elements, which is, lane by lane, the scalar loop's sequence of IEEE
-// operations. Never VFMADD*: a fused multiply-add rounds once where the
+// AVX2 bodies for the lane-accumulation loops of Dot, the 2×4 tiles of
+// tile.dots and forwardSubst's one- and multi-RHS blocks (matrix.go states
+// the lane contract). Every kernel keeps one product's four lanes in one YMM
+// register and issues VMULPD then VADDPD per four elements, which is, lane by
+// lane, the scalar loop's sequence of IEEE operations. Never VFMADD*: a fused multiply-add rounds once where the
 // scalar body rounds twice, and the results would no longer be bit-equal.
 // Loads are unaligned (VMOVUPD / VEX memory operands); n is a positive
 // multiple of 4.
@@ -30,33 +29,6 @@ dotloop:
 	JLT     dotloop
 
 	VMOVUPD Y0, (DX)
-	VZEROUPPER
-	RET
-
-// func dotPairLanes(a, b0, b1 *float64, n int, s *[8]float64)
-// s[0:4] are the lanes of a·b0, s[4:8] those of a·b1.
-TEXT ·dotPairLanes(SB), NOSPLIT, $0-40
-	MOVQ   a+0(FP), SI
-	MOVQ   b0+8(FP), DI
-	MOVQ   b1+16(FP), R8
-	MOVQ   n+24(FP), CX
-	MOVQ   s+32(FP), DX
-	XORQ   AX, AX
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-
-pairloop:
-	VMOVUPD (SI)(AX*8), Y2
-	VMULPD  (DI)(AX*8), Y2, Y3
-	VMULPD  (R8)(AX*8), Y2, Y4
-	VADDPD  Y3, Y0, Y0
-	VADDPD  Y4, Y1, Y1
-	ADDQ    $4, AX
-	CMPQ    AX, CX
-	JLT     pairloop
-
-	VMOVUPD Y0, (DX)
-	VMOVUPD Y1, 32(DX)
 	VZEROUPPER
 	RET
 

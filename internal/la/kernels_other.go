@@ -3,7 +3,7 @@
 package la
 
 // No vector kernels on this GOARCH, or the purego build tag asked for none:
-// vectorKernels is false, so Dot, dotPair, forwardSubst and the lanes.go
+// vectorKernels is false, so Dot, tile.dots, forwardSubst and the lanes.go
 // kernels always run their scalar bodies — ExpInto a loop over math.Exp — and
 // never reach these. Every result has the bits of the dispatched build, which
 // is what `go test -tags purego` checks on an amd64 runner.
@@ -13,8 +13,6 @@ func haveVectorKernels() bool { return false }
 func haveFMA() bool { return false }
 
 func dotLanes(a, b *float64, n int, s *[4]float64) { panic("la: no vector kernel") }
-
-func dotPairLanes(a, b0, b1 *float64, n int, s *[8]float64) { panic("la: no vector kernel") }
 
 func dotRows4Lanes(r0, r1, r2, r3, b *float64, n int, s *[16]float64) {
 	panic("la: no vector kernel")

@@ -43,8 +43,8 @@ func kernelInput(rng *rand.Rand, n, off int, salted bool) []float64 {
 }
 
 // TestVectorKernelsBitwiseEqualScalar is the vector ≡ scalar contract:
-// whatever the length, alignment and values, Dot, dotPair and the four-row
-// kernel return the bits of the scalar lane loops. Almost every normal input
+// whatever the length, alignment and values, Dot, the four-row kernel and
+// the 2×4 tile return the bits of the scalar lane loops. Almost every normal input
 // rounds differently under a fused multiply-add, so this fails if a kernel
 // is ever "upgraded" to VFMADD.
 func TestVectorKernelsBitwiseEqualScalar(t *testing.T) {
@@ -58,20 +58,34 @@ func TestVectorKernelsBitwiseEqualScalar(t *testing.T) {
 				d := kernelInput(rng, n, (off+3)&3, salted)
 				v := kernelInput(rng, n, off, salted)
 
-				var want, want0, want1 float64
-				scalarOnly(func() {
-					want = Dot(a, v)
-					want0, want1 = dotPair(v, a, b)
-				})
+				var want float64
+				scalarOnly(func() { want = Dot(a, v) })
 				if got := Dot(a, v); !sameFloat(got, want) {
 					t.Fatalf("salted=%v n=%d off=%d: Dot %x, scalar %x", salted, n, off, math.Float64bits(got), math.Float64bits(want))
 				}
-				if got0, got1 := dotPair(v, a, b); !sameFloat(got0, want0) || !sameFloat(got1, want1) {
-					t.Fatalf("salted=%v n=%d off=%d: dotPair (%x, %x), scalar (%x, %x)", salted, n, off,
-						math.Float64bits(got0), math.Float64bits(got1), math.Float64bits(want0), math.Float64bits(want1))
+
+				// The 2×4 tile, over the whole length: every lane of either
+				// dispatch is the other's, and each row·column combine is the
+				// Dot of that column and row.
+				var vec, scalar tile
+				cols := [4][]float64{v, c, d, a}
+				vec.dots(a, b, &cols, 0, n)
+				scalarOnly(func() { scalar.dots(a, b, &cols, 0, n) })
+				for p, got := range vec {
+					if math.Float64bits(got) != math.Float64bits(scalar[p]) {
+						t.Fatalf("salted=%v n=%d off=%d: tile lane %d %x, scalar %x", salted, n, off, p, math.Float64bits(got), math.Float64bits(scalar[p]))
+					}
+				}
+				for r, row := range [][]float64{a, b} {
+					for k, col := range cols {
+						scalarOnly(func() { want = Dot(col, row) })
+						if got := vec.dot(r, k); !sameFloat(got, want) {
+							t.Fatalf("salted=%v n=%d off=%d: tile row %d column %d %x, Dot %x", salted, n, off, r, k, math.Float64bits(got), math.Float64bits(want))
+						}
+					}
 				}
 
-				// The block kernels directly, over the aligned prefix they are
+				// The four-row kernel directly, over the aligned prefix it is
 				// specified for (forwardSubst adds the tails; tested below).
 				n4 := n &^ 3
 				if !vectorKernels || n4 == 0 {
@@ -83,18 +97,6 @@ func TestVectorKernelsBitwiseEqualScalar(t *testing.T) {
 					scalarOnly(func() { want = Dot(row[:n4], v[:n4]) })
 					if got := (s[4*r] + s[4*r+2]) + (s[4*r+1] + s[4*r+3]); !sameFloat(got, want) {
 						t.Fatalf("salted=%v n=%d off=%d: four-row kernel row %d %x, scalar %x", salted, n, off, r, math.Float64bits(got), math.Float64bits(want))
-					}
-				}
-				var s2 [32]float64
-				rhs := [][]float64{v, c, d, a}
-				dotRows2x4Lanes(&a[0], &b[0], &rhs[0][0], &rhs[1][0], &rhs[2][0], &rhs[3][0], n4, &s2)
-				for r, row := range [][]float64{a, b} {
-					for k, x := range rhs {
-						l := s2[16*r+4*k : 16*r+4*k+4]
-						scalarOnly(func() { want = Dot(row[:n4], x[:n4]) })
-						if got := (l[0] + l[2]) + (l[1] + l[3]); !sameFloat(got, want) {
-							t.Fatalf("salted=%v n=%d off=%d: two-row kernel row %d rhs %d %x, scalar %x", salted, n, off, r, k, math.Float64bits(got), math.Float64bits(want))
-						}
 					}
 				}
 			}

@@ -57,7 +57,7 @@ func MatMulTransB(a, b *Matrix) *Matrix {
 }
 
 // vectorKernels selects, once at start-up, the vector bodies (kernels_*.s)
-// for the lane loops of Dot, dotPair and forwardSubst; false on CPUs and
+// for the lane loops of Dot, tile.dots and forwardSubst; false on CPUs and
 // GOARCHes without one and in a build with the purego tag. Either way every
 // result has the same bits, so only the tests ever flip it.
 var vectorKernels = haveVectorKernels()
@@ -98,46 +98,78 @@ func Dot(a, b []float64) float64 {
 	for ; i < len(a); i++ {
 		s0 += a[i] * b[i]
 	}
-	return (s0 + s2) + (s1 + s3)
+	return combine(s0, s1, s2, s3)
 }
 
-// dotPair returns (a·b0, a·b1) in a single pass over a, each product
-// accumulated in its own four lanes exactly as Dot defines them. Fusing the
-// two products loads the shared operand a once, which matters in the
-// memory-bound triangular-inverse phases that dominate the LCM gradient.
-func dotPair(a, b0, b1 []float64) (float64, float64) {
-	if len(a) != len(b0) || len(a) != len(b1) {
-		panic("la: dotPair length mismatch")
+// tile holds the lanes of eight Dots, two rows against four columns: row r
+// against column c at [16r+4c, 16r+4c+4). It is the one dispatch of the
+// 2×4 tiles behind the Cholesky factorization and the inverse (DESIGN.md
+// §6.1, "Tiles").
+type tile [32]float64
+
+// dots sets t to the lanes of Dot(b[c][lo:hi], r[lo:hi]) for r = r0, r1 and
+// c < 4: the aligned prefix through dotRows2x4Lanes under vectorKernels and
+// the loop below otherwise, then the ≤ 3 tail products into lane 0 in order.
+// So t.dot(r, c) has that Dot's bits, and when hi − lo is a multiple of four
+// a caller may add further tail terms itself (finishDot). Operands may alias
+// one another.
+func (t *tile) dots(r0, r1 []float64, b *[4][]float64, lo, hi int) {
+	x, y := r0[lo:hi], r1[lo:hi]
+	c0, c1, c2, c3 := b[0][lo:hi], b[1][lo:hi], b[2][lo:hi], b[3][lo:hi]
+	m := len(x) &^ 3
+	switch {
+	case m == 0:
+		*t = tile{}
+	case vectorKernels:
+		dotRows2x4Lanes(&x[0], &y[0], &c0[0], &c1[0], &c2[0], &c3[0], m, (*[32]float64)(t))
+	default:
+		for r, row := range [2][]float64{x[:m], y[:m]} {
+			for c, col := range [4][]float64{c0[:m], c1[:m], c2[:m], c3[:m]} {
+				var l0, l1, l2, l3 float64
+				for i := 0; i < m; i += 4 {
+					u, v := row[i:i+4:i+4], col[i:i+4:i+4]
+					l0 += v[0] * u[0]
+					l1 += v[1] * u[1]
+					l2 += v[2] * u[2]
+					l3 += v[3] * u[3]
+				}
+				t[16*r+4*c], t[16*r+4*c+1], t[16*r+4*c+2], t[16*r+4*c+3] = l0, l1, l2, l3
+			}
+		}
 	}
-	var s00, s01, s02, s03 float64
-	var s10, s11, s12, s13 float64
-	i := 0
-	if vectorKernels && len(a) >= vectorMin {
-		var s [8]float64
-		i = len(a) &^ 3
-		dotPairLanes(&a[0], &b0[0], &b1[0], i, &s)
-		s00, s01, s02, s03 = s[0], s[1], s[2], s[3]
-		s10, s11, s12, s13 = s[4], s[5], s[6], s[7]
+	for i := m; i < len(x); i++ {
+		t[0] += c0[i] * x[i]
+		t[4] += c1[i] * x[i]
+		t[8] += c2[i] * x[i]
+		t[12] += c3[i] * x[i]
+		t[16] += c0[i] * y[i]
+		t[20] += c1[i] * y[i]
+		t[24] += c2[i] * y[i]
+		t[28] += c3[i] * y[i]
 	}
-	for ; i+4 <= len(a); i += 4 {
-		aa := a[i : i+4 : i+4]
-		x := b0[i : i+4 : i+4]
-		y := b1[i : i+4 : i+4]
-		s00 += aa[0] * x[0]
-		s10 += aa[0] * y[0]
-		s01 += aa[1] * x[1]
-		s11 += aa[1] * y[1]
-		s02 += aa[2] * x[2]
-		s12 += aa[2] * y[2]
-		s03 += aa[3] * x[3]
-		s13 += aa[3] * y[3]
-	}
-	for ; i < len(a); i++ {
-		s00 += a[i] * b0[i]
-		s10 += a[i] * b1[i]
-	}
-	return (s00 + s02) + (s01 + s03), (s10 + s12) + (s11 + s13)
 }
+
+// lanes returns the four lanes of row r against column c.
+func (t *tile) lanes(r, c int) []float64 { return t[16*r+4*c : 16*r+4*c+4 : 16*r+4*c+4] }
+
+// dot returns Dot's combine of row r against column c.
+func (t *tile) dot(r, c int) float64 {
+	l := t.lanes(r, c)
+	return combine(l[0], l[1], l[2], l[3])
+}
+
+// finishDot completes a Dot from its prefix lanes: the tail products a[t]·b[t]
+// go into lane 0 in order, then the combine (l0+l2)+(l1+l3).
+func finishDot(lanes, a, b []float64) float64 {
+	s0 := lanes[0]
+	for t, x := range a {
+		s0 += x * b[t]
+	}
+	return combine(s0, lanes[1], lanes[2], lanes[3])
+}
+
+// combine is Dot's final sum of its four lanes.
+func combine(l0, l1, l2, l3 float64) float64 { return (l0 + l2) + (l1 + l3) }
 
 // ScaleVec multiplies x by s in place.
 func ScaleVec(s float64, x []float64) {

@@ -1,0 +1,339 @@
+package la
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
+	"testing"
+)
+
+// The entry-by-entry bodies the 2×4 tiles replaced — one Dot per entry, in
+// the recurrence's order — kept as the oracle the tiled factorization and
+// inverse must match bit for bit.
+
+func refCholInPlace(l *Matrix, k0, k1 int) error {
+	n := l.Cols
+	for i := k0; i < k1; i++ {
+		ri := l.Data[i*n:]
+		for j := k0; j <= i; j++ {
+			rj := l.Data[j*n:]
+			s := ri[j] - Dot(ri[k0:j], rj[k0:j])
+			if i == j {
+				if s <= 0 || math.IsNaN(s) {
+					return ErrNotPositiveDefinite
+				}
+				ri[j] = math.Sqrt(s)
+			} else {
+				ri[j] = s / rj[j]
+			}
+		}
+	}
+	return nil
+}
+
+func refTrsmRight(l *Matrix, i0, i1, k0, k1 int) {
+	n := l.Cols
+	for i := i0; i < i1; i++ {
+		row := l.Data[i*n:]
+		for j := k0; j < k1; j++ {
+			lj := l.Data[j*n:]
+			row[j] = (row[j] - Dot(row[k0:j], lj[k0:j])) / lj[j]
+		}
+	}
+}
+
+func refGemmUpdate(l *Matrix, i0, i1, j0, j1, k0, k1 int) {
+	n := l.Cols
+	for i := i0; i < i1; i++ {
+		ri := l.Data[i*n:]
+		jmax := j1
+		if j0 <= i && i < j1 {
+			jmax = i + 1
+		}
+		for j := j0; j < jmax; j++ {
+			ri[j] -= Dot(ri[k0:k1], l.Data[j*n:][k0:k1])
+		}
+	}
+}
+
+// refCholesky is choleskyInto's blocked schedule, serial, over the oracle
+// block bodies.
+func refCholesky(a *Matrix, jitter float64, blockSize int) (*Matrix, error) {
+	n := a.Rows
+	l := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		copy(l.Row(i)[:i+1], a.Row(i)[:i+1])
+		if jitter > 0 {
+			l.Data[i*n+i] += jitter
+		}
+	}
+	for k0 := 0; k0 < n; k0 += blockSize {
+		k1 := min(k0+blockSize, n)
+		if err := refCholInPlace(l, k0, k1); err != nil {
+			return nil, err
+		}
+		for i0 := k1; i0 < n; i0 += blockSize {
+			refTrsmRight(l, i0, min(i0+blockSize, n), k0, k1)
+		}
+		for i0 := k1; i0 < n; i0 += blockSize {
+			for j0 := k1; j0 <= i0; j0 += blockSize {
+				refGemmUpdate(l, i0, min(i0+blockSize, n), j0, min(j0+blockSize, n), k0, k1)
+			}
+		}
+	}
+	return l, nil
+}
+
+// refCholeskyJitter is CholeskyJitter's escalation over refCholesky.
+func refCholeskyJitter(a *Matrix, blockSize int) (*Matrix, float64, error) {
+	n := a.Rows
+	meanDiag := 0.0
+	for i := 0; i < n; i++ {
+		meanDiag += math.Abs(a.At(i, i))
+	}
+	if n > 0 {
+		meanDiag /= float64(n)
+	}
+	if meanDiag == 0 {
+		meanDiag = 1
+	}
+	jitter, next := 0.0, 1e-10*meanDiag
+	for attempt := 0; attempt < jitterAttempts; attempt++ {
+		if l, err := refCholesky(a, jitter, blockSize); err == nil {
+			return l, jitter, nil
+		}
+		jitter, next = next, next*10
+	}
+	return nil, jitter, ErrNotPositiveDefinite
+}
+
+// refCholInverse is ParallelCholInverse's two phases, serial, one Dot per
+// entry.
+func refCholInverse(l *Matrix) *Matrix {
+	n := l.Rows
+	wt, inv := NewMatrix(n, n), NewMatrix(n, n)
+	for j0 := 0; j0 < n; j0 += 2 {
+		j1 := j0 + 1
+		row0 := wt.Row(j0)
+		row0[j0] = 1 / l.At(j0, j0)
+		if j1 >= n {
+			break
+		}
+		lj1 := l.Row(j1)
+		row0[j1] = -lj1[j0] * row0[j0] / lj1[j1]
+		row1 := wt.Row(j1)
+		row1[j1] = 1 / lj1[j1]
+		for k := j1 + 1; k < n; k++ {
+			lk := l.Row(k)
+			s0, s1 := Dot(lk[j1:k], row0[j1:k]), Dot(lk[j1:k], row1[j1:k])
+			s0 += lk[j0] * row0[j0]
+			row0[k] = -s0 / lk[k]
+			row1[k] = -s1 / lk[k]
+		}
+	}
+	for i0 := 0; i0 < n; i0 += 2 {
+		i1 := i0 + 1
+		wi0 := wt.Row(i0)
+		if i1 >= n {
+			for j := 0; j <= i0; j++ {
+				s := Dot(wi0[i0:], wt.Row(j)[i0:])
+				inv.Data[i0*n+j] = s
+				inv.Data[j*n+i0] = s
+			}
+			break
+		}
+		wi1 := wt.Row(i1)
+		for j := 0; j <= i0; j++ {
+			wj := wt.Row(j)
+			s0, s1 := Dot(wj[i1:], wi0[i1:]), Dot(wj[i1:], wi1[i1:])
+			s0 += wi0[i0] * wj[i0]
+			inv.Data[i0*n+j] = s0
+			inv.Data[j*n+i0] = s0
+			inv.Data[i1*n+j] = s1
+			inv.Data[j*n+i1] = s1
+		}
+		inv.Data[i1*n+i1] = Dot(wi1[i1:], wi1[i1:])
+	}
+	return inv
+}
+
+// tileSizes are every n ≤ 80, then a sparse sweep to 300 across block
+// boundaries and tile remainders.
+func tileSizes() []int {
+	var sizes []int
+	for n := 0; n <= 80; n++ {
+		sizes = append(sizes, n)
+	}
+	return append(sizes, 97, 130, 193, 300)
+}
+
+// tileInputs returns the matrices the tiled factorization is checked on:
+// well-conditioned SPD; rank-deficient PSD, which needs a jitter rung;
+// indefinite, whose last pivot fails at every rung; and diagonally dominant
+// with a third of its lower triangle replaced by +0 and −0, so the factor
+// carries signed zeros into every sum.
+func tileInputs(rng *rand.Rand, n int) map[string]*Matrix {
+	spd := randomSPD(rng, n)
+	b := NewMatrix(n, (n+1)/2)
+	for i := range b.Data {
+		b.Data[i] = rng.NormFloat64()
+	}
+	lowRank := MatMulTransB(b, b)
+	indef := spd.Clone()
+	if n > 0 {
+		indef.Data[n*n-1] = -float64(n * n)
+	}
+	zeros := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < i; j++ {
+			v := rng.NormFloat64() / float64(n)
+			switch rng.Intn(6) {
+			case 0:
+				v = 0
+			case 1:
+				v = math.Copysign(0, -1)
+			}
+			zeros.Data[i*n+j] = v
+		}
+		zeros.Data[i*n+i] = 2 + rng.Float64()
+	}
+	inputs := map[string]*Matrix{"spd": spd, "jitter": lowRank, "signed zeros": zeros}
+	if n <= 80 {
+		inputs["indefinite"] = indef // twelve failing rungs per call: the dense sweep is enough
+	}
+	return inputs
+}
+
+// sameMatrixBits reports the first entry whose bits differ, or "".
+func sameMatrixBits(got, want *Matrix) string {
+	for p, w := range want.Data {
+		if g := got.Data[p]; math.Float64bits(g) != math.Float64bits(w) {
+			return fmt.Sprintf("entry (%d,%d) %v (%x), oracle %v (%x)", p/want.Cols, p%want.Cols, g, math.Float64bits(g), w, math.Float64bits(w))
+		}
+	}
+	return ""
+}
+
+// TestTiledCholeskyBitwise: the tiled factorization ≡ the entry-by-entry
+// recurrence, every entry's bits, for every n ≤ 80 and a sparse sweep to
+// 300, block sizes {n, 64, 16, 5}, one, two and eight workers, both
+// dispatches, through the jitter escalation — a rank-deficient input takes
+// the same rung and reports the same jitter, an indefinite one fails at
+// every rung with the same error — and with ParallelCholesky failing at the
+// same first attempt.
+func TestTiledCholeskyBitwise(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	rng := rand.New(rand.NewSource(101))
+	jittered, failed := 0, 0
+	for _, n := range tileSizes() {
+		for name, a := range tileInputs(rng, n) {
+			for _, bs := range []int{n, 64, 16, 5} {
+				if bs == 0 {
+					continue
+				}
+				want, wantJitter, wantErr := refCholeskyJitter(a, bs)
+				_, bareErr := refCholesky(a, 0, bs)
+				if wantErr != nil {
+					failed++
+				} else if wantJitter > 0 {
+					jittered++
+				}
+				for _, w := range []int{1, 2, 8} {
+					for _, scalar := range []bool{false, true} {
+						var got, bare *Matrix
+						var jitter float64
+						var err, gotBareErr error
+						run := func() {
+							got, jitter, err = CholeskyJitter(a, 0, bs, w)
+							bare, gotBareErr = ParallelCholesky(a, bs, w)
+						}
+						if scalar {
+							scalarOnly(run)
+						} else {
+							run()
+						}
+						where := fmt.Sprintf("n=%d %s block=%d workers=%d scalar=%v", n, name, bs, w, scalar)
+						if err != wantErr || gotBareErr != bareErr {
+							t.Fatalf("%s: errors (%v, bare %v), oracle (%v, bare %v)", where, err, gotBareErr, wantErr, bareErr)
+						}
+						if math.Float64bits(jitter) != math.Float64bits(wantJitter) {
+							t.Fatalf("%s: jitter %g, oracle %g", where, jitter, wantJitter)
+						}
+						if err == nil {
+							if d := sameMatrixBits(got, want); d != "" {
+								t.Fatalf("%s: %s", where, d)
+							}
+						}
+						if bareErr == nil && wantJitter == 0 {
+							if d := sameMatrixBits(bare, want); d != "" {
+								t.Fatalf("%s bare: %s", where, d)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if jittered == 0 || failed == 0 {
+		t.Fatalf("%d factorizations took a jitter rung and %d failed at every rung, want both", jittered, failed)
+	}
+}
+
+// TestTiledInverseBitwise: the tiled ParallelCholInverseInto ≡ the
+// entry-by-entry phases, every entry's bits, on the factors
+// TestTiledCholeskyBitwise checks and on random lower-triangular factors a
+// third of whose off-diagonal entries are +0 or −0 (the closed form of W's
+// second row keeps the sign of a zero the general recurrence would flip),
+// for every n ≤ 80 and a sparse sweep to 300, one, two and eight workers,
+// both dispatches, into fresh and into reused scratch.
+func TestTiledInverseBitwise(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	rng := rand.New(rand.NewSource(103))
+	for _, n := range tileSizes() {
+		factors := map[string]*Matrix{}
+		for name, a := range tileInputs(rng, n) {
+			if l, _, err := refCholeskyJitter(a, 64); err == nil {
+				factors[name] = l
+			}
+		}
+		laced := NewMatrix(n, n)
+		for i := 0; i < n; i++ {
+			for j := 0; j < i; j++ {
+				v := rng.NormFloat64()
+				switch rng.Intn(3) {
+				case 0:
+					v = 0
+				case 1:
+					v = math.Copysign(0, -1)
+				}
+				laced.Data[i*n+j] = v
+			}
+			laced.Data[i*n+i] = 0.5 + rng.Float64()
+		}
+		factors["laced"] = laced
+		wt, inv := NewMatrix(n, n), NewMatrix(n, n)
+		for name, l := range factors {
+			want := refCholInverse(l)
+			for _, w := range []int{1, 2, 8} {
+				for _, scalar := range []bool{false, true} {
+					var fresh, reused *Matrix
+					run := func() {
+						fresh = ParallelCholInverse(l, w)
+						reused = ParallelCholInverseInto(l, w, wt, inv)
+					}
+					if scalar {
+						scalarOnly(run)
+					} else {
+						run()
+					}
+					for kind, got := range map[string]*Matrix{"fresh": fresh, "reused": reused} {
+						if d := sameMatrixBits(got, want); d != "" {
+							t.Fatalf("n=%d %s workers=%d scalar=%v %s scratch: %s", n, name, w, scalar, kind, d)
+						}
+					}
+				}
+			}
+		}
+	}
+}
