@@ -2,7 +2,8 @@
 // invariants (DESIGN.md §7): no global math/rand, no wall-clock reads
 // in the numeric core (directly or through any call chain), no map-range
 // accumulation, no goroutines outside internal/mpx, no float ==, no dropped
-// errors, no locks held across blocking operations, no inconsistent lock
+// errors, no math function whose bits follow exp_amd64.s's FMA path in the
+// numeric core, no locks held across blocking operations, no inconsistent lock
 // orders, no join-free goroutines, and no allocations on //gptlint:hotpath
 // paths. Built entirely on the stdlib toolchain — go/parser, go/types,
 // go/importer — per the repo's stdlib-only rule.
@@ -33,7 +34,7 @@ func main() {
 	graph := flag.Bool("graph", false, "dump the interprocedural call graph with per-function effect summaries and exit")
 	rules := flag.String("rules", "", "comma-separated rule names to run (default: all; see -rules=list)")
 	chdir := flag.String("C", "", "resolve patterns against this directory's module instead of the cwd's")
-	numeric := flag.String("numeric", "", "comma-separated import paths treated as the deterministic numeric core (default: the repo's gp,la,core,opt,acq,sample,sparse)")
+	numeric := flag.String("numeric", "", "comma-separated import paths treated as the deterministic numeric core (default: the repo's gp,la,core,opt,acq,sample,sparse,space)")
 	goallow := flag.String("goallow", "", "comma-separated import paths allowed to contain go statements (default: the repo's internal/mpx)")
 	flag.Parse()
 

@@ -4,16 +4,20 @@
 // back the NSGA-II-based search of Section 3.2.
 package acq
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/la"
+)
 
 // normPDF is the standard normal density φ.
 func normPDF(z float64) float64 {
-	return math.Exp(-0.5*z*z) / math.Sqrt(2*math.Pi)
+	return la.Exp(-0.5*z*z) / math.Sqrt(2*math.Pi)
 }
 
 // normCDF is the standard normal distribution Φ.
 func normCDF(z float64) float64 {
-	return 0.5 * math.Erfc(-z/math.Sqrt2)
+	return 0.5 * la.Erfc(-z/math.Sqrt2)
 }
 
 // varianceFloor is the smallest posterior variance EI evaluates at. GP

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 
 	"repro/internal/acq"
+	"repro/internal/la"
 	"repro/internal/mpx"
 	"repro/internal/opt"
 	"repro/internal/sample"
@@ -463,7 +464,7 @@ func defaultFitCoeffs(m *PerfModel, tasks, xs [][]float64, ys []float64, current
 	decode := func(u []float64) []float64 {
 		c := make([]float64, n)
 		for i := range c {
-			c[i] = base[i] * math.Exp(6*(u[i]-0.5))
+			c[i] = base[i] * la.Exp(6*(u[i]-0.5))
 		}
 		return c
 	}

@@ -30,20 +30,13 @@ func moProblem() *Problem {
 
 // TestMultiObjectiveGolden pins the history of a small two-task,
 // two-objective study for every surrogate kind at math.Float64bits: the
-// NSGA-II search and its acquisition scoring have no other bitwise pin. The
-// fits and the acquisition follow math.Exp's body, so each kind carries one
-// recording per body amd64 runs, told apart by one argument the fused and
-// the unfused exp_amd64.s round differently.
+// NSGA-II search and its acquisition scoring have no other bitwise pin.
 func TestMultiObjectiveGolden(t *testing.T) {
-	body, known := map[uint64]int{
-		0x3fea876812c0877b: 0, // FMA
-		0x3fea876812c0877c: 1, // no FMA (GODEBUG=cpu.fma=off)
-	}[math.Float64bits(math.Exp(-0.1875))]
-	want := map[string][2]string{
-		surrogate.KindLCM:     {"e62ef5cfe6c63543", "cb17f689cfffd4ea"},
-		surrogate.KindGPIndep: {"34caf65bacf5db36", "509530b023f9c3db"},
-		surrogate.KindSGP:     {"f25809569be98da9", "dfe7f47c10802cb4"},
-		surrogate.KindRF:      {"d130d5fab8a4679f", "f8955c8db3f5ffc3"},
+	want := map[string]string{
+		surrogate.KindLCM:     "e62ef5cfe6c63543",
+		surrogate.KindGPIndep: "34caf65bacf5db36",
+		surrogate.KindSGP:     "f25809569be98da9",
+		surrogate.KindRF:      "d130d5fab8a4679f",
 	}
 	for _, kind := range surrogate.Kinds() {
 		res, err := Run(moProblem(), [][]float64{{0}, {1}}, Options{
@@ -67,12 +60,8 @@ func TestMultiObjectiveGolden(t *testing.T) {
 			}
 		}
 		got := fmt.Sprintf("%016x", h.Sum64())
-		if !known {
-			t.Logf("%s: history %s (math.Exp runs a body no recording was made under)", kind, got)
-			continue
-		}
-		if got != want[kind][body] {
-			t.Errorf("%s: history hash %s, recorded %s", kind, got, want[kind][body])
+		if got != want[kind] {
+			t.Errorf("%s: history hash %s, recorded %s", kind, got, want[kind])
 		}
 	}
 }

@@ -429,15 +429,15 @@ func newModel(layout hyperLayout) *LCM {
 func (m *LCM) setTheta(theta []float64, layout hyperLayout) {
 	for q := 0; q < layout.q; q++ {
 		for d := 0; d < layout.dim; d++ {
-			m.Ls[q][d] = math.Exp(theta[layout.lsAt(q, d)])
+			m.Ls[q][d] = la.Exp(theta[layout.lsAt(q, d)])
 		}
 		for i := 0; i < layout.tasks; i++ {
 			m.A[q][i] = theta[layout.aAt(q, i)]
-			m.B[q][i] = math.Exp(theta[layout.bAt(q, i)])
+			m.B[q][i] = la.Exp(theta[layout.bAt(q, i)])
 		}
 	}
 	for i := 0; i < layout.tasks; i++ {
-		m.D[i] = math.Exp(theta[layout.dAt(i)])
+		m.D[i] = la.Exp(theta[layout.dAt(i)])
 	}
 }
 

@@ -26,7 +26,7 @@ func rbf(x, y, w []float64) float64 {
 		sq := diff * diff
 		s += wd * sq
 	}
-	return math.Exp(-s)
+	return la.Exp(-s)
 }
 
 // halfInvSq returns rbf's weights 1/(2·l_d²) for lengthscales ls.

@@ -36,15 +36,16 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
 
-// haveVectorKernels reports whether the CPU has AVX2 and the OS saves the
-// YMM state across context switches (internal/cpu is not importable).
+// haveVectorKernels reports whether the CPU has AVX2 and FMA (expLanes' fused
+// multiply-adds) and the OS saves the YMM state across context switches
+// (internal/cpu is not importable).
 func haveVectorKernels() bool {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {
 		return false
 	}
-	const osxsave, avx = 1 << 27, 1 << 28
-	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 || ecx&avx == 0 {
+	const fma, osxsave, avx = 1 << 12, 1 << 27, 1 << 28
+	if _, _, ecx, _ := cpuid(1, 0); ecx&fma == 0 || ecx&osxsave == 0 || ecx&avx == 0 {
 		return false
 	}
 	// XCR0 bits 1 and 2: the OS has enabled XMM and YMM state.
@@ -54,11 +55,4 @@ func haveVectorKernels() bool {
 	const avx2 = 1 << 5
 	_, ebx, _, _ := cpuid(7, 0)
 	return ebx&avx2 != 0
-}
-
-// haveFMA reports CPUID.1:ECX bit 12: the CPU executes expLanes' fused
-// multiply-adds. Whether math.Exp uses them too is fusedExp's probe.
-func haveFMA() bool {
-	_, _, ecx, _ := cpuid(1, 0)
-	return ecx&(1<<12) != 0
 }

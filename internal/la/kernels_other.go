@@ -4,13 +4,11 @@ package la
 
 // No vector kernels on this GOARCH, or the purego build tag asked for none:
 // vectorKernels is false, so Dot, tile.dots, forwardSubst and the lanes.go
-// kernels always run their scalar bodies — ExpInto a loop over math.Exp — and
+// kernels always run their scalar bodies — ExpInto a loop over Exp — and
 // never reach these. Every result has the bits of the dispatched build, which
 // is what `go test -tags purego` checks on an amd64 runner.
 
 func haveVectorKernels() bool { return false }
-
-func haveFMA() bool { return false }
 
 func dotLanes(a, b *float64, n int, s *[4]float64) { panic("la: no vector kernel") }
 

@@ -11,90 +11,48 @@ import "math"
 // Every wrapper bounds-checks the last element of each operand before its
 // unchecked kernel runs.
 
-// fusedExp reports whether expLanes may stand in for math.Exp: the CPU can
-// run it (AVX2 and FMA) and math.Exp in this process runs the body it
-// transcribes — the fused-multiply-add one of $GOROOT/src/math/exp_amd64.s.
-// The second half is observed, not inferred from CPUID: math.useFMA comes
-// from internal/cpu, which GODEBUG=cpu.fma=off or cpu.avx=off overrides, and
-// math.Exp's other body rounds differently.
-var fusedExp = vectorKernels && haveFMA() && expLanesIsMathExp()
-
-// expProbe holds arguments on which the fused and the unfused body of
-// exp_amd64.s return different bits.
-var expProbe = [8]float64{-0.1875, -1.6875, -2.375, -3.0625, -3.75, -5.375, -7.1875, -17}
-
-// expLanesIsMathExp reports whether expLanes returns math.Exp's bits on
-// expProbe, which it does exactly when math.Exp takes its fused body.
-func expLanesIsMathExp() bool {
-	var got [len(expProbe)]float64
-	if expLanes(&got[0], &expProbe[0], len(expProbe), &expTab) != len(expProbe) {
-		return false
-	}
-	for i, x := range expProbe {
-		if math.Float64bits(got[i]) != math.Float64bits(math.Exp(x)) {
-			return false
-		}
-	}
-	return true
-}
-
 // expTab holds expLanes' constants, one row of four equal lanes each, in the
-// order lanes_amd64.s names them. The values are exp_amd64.s's, digit for
-// digit; the last three are the kernel's own: the argument range inside
-// which the scalar code takes no special-case branch (k = round(x·log₂e)
-// stays in [−1021, 1023], so 2^k is a normal number) and the exponent bias
-// as an integer.
+// order lanes_amd64.s names them: Exp's (exp.go), then the kernel's own last
+// three — the argument range inside which Exp takes no special-case branch
+// (k = round(x·log₂e) stays in [−1021, 1023], so 2^k is a normal number) and
+// the exponent bias as an integer.
 var expTab = func() (t [16][4]float64) {
 	for i, c := range [16]float64{
-		1.4426950408889634073599246810018920,                  // log₂ e
-		0.69314718055966295651160180568695068359375,           // ln 2, upper half
-		0.28235290563031577122588448175013436025525412068e-12, // ln 2, lower half
-		0.0625,
-		2.4801587301587301587e-5, // 1/8!
-		1.9841269841269841270e-4, // 1/7!
-		1.3888888888888888889e-3, // 1/6!
-		8.3333333333333333333e-3, // 1/5!
-		4.1666666666666666667e-2, // 1/4!
-		1.6666666666666666667e-1, // 1/3!
-		0.5,
-		1.0,
-		2.0,
-		-708,
-		709,
-		math.Float64frombits(0x3FF),
+		expLog2e, expLn2U, expLn2L, 0.0625,
+		expP8, expP7, expP6, expP5, expP4, expP3, 0.5, 1.0, 2.0,
+		-708, 709, math.Float64frombits(0x3FF),
 	} {
 		t[i] = [4]float64{c, c, c, c}
 	}
 	return t
 }()
 
-// ExpInto sets dst[i] = math.Exp(src[i]) — bit for bit, on every input; dst
-// may be src. Where math.Exp runs its FMA body (fusedExp), blocks of four
-// arguments all inside [−708, 709] go through expLanes, a packed
-// transcription of that body, and a block with any lane outside the range
-// (NaN, ±Inf, overflow, a subnormal result) is four math.Exp calls. On every
-// other CPU and GOARCH the whole vector is a loop over math.Exp. This is the
-// one kernel that fuses, because its contract is math.Exp's bits rather than
-// a scalar loop of products and sums.
+// ExpInto sets dst[i] = Exp(src[i]) — bit for bit, on every input; dst may
+// be src. Under vectorKernels, blocks of four arguments all inside
+// [−708, 709] go through expLanes, a packed copy of Exp, and a block with any
+// lane outside the range (NaN, ±Inf, overflow, a subnormal result) is four
+// Exp calls; elsewhere the whole vector is a loop over Exp. This is the one
+// lane kernel that fuses, because its contract is Exp's bits rather than a
+// scalar loop of products and sums.
 func ExpInto(dst, src []float64) {
 	if len(dst) != len(src) {
 		panic("la: ExpInto length mismatch")
 	}
 	i := 0
-	if vectorKernels && fusedExp {
+	if vectorKernels {
 		for n4 := len(src) &^ 3; i < n4; {
 			i += expLanes(&dst[i], &src[i], n4-i, &expTab)
 			if i < n4 { // the kernel stopped at a block with a lane out of range
 				blockDst, blockSrc := dst[i:i+4:i+4], src[i:i+4:i+4]
 				for k, x := range blockSrc {
-					blockDst[k] = math.Exp(x)
+					blockDst[k] = Exp(x)
 				}
 				i += 4
 			}
 		}
 	}
 	for ; i < len(src); i++ {
-		dst[i] = math.Exp(src[i])
+		dst[i] = Exp(src[i])
 	}
 }
 

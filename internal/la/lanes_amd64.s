@@ -5,8 +5,8 @@
 // AVX2 bodies for the four-lane kernels of lanes.go. The three sweep kernels
 // obey kernels_amd64.s's rule — VMULPD then VADDPD, never fused — because
 // their contract is the scalar loop's sequence of IEEE operations per
-// accumulator. expLanes is the exception: its contract is math.Exp, whose
-// amd64 body already fuses, so it fuses in exactly the same places.
+// accumulator. expLanes is the exception: its contract is Exp (exp.go), which
+// fuses, so it fuses in exactly the same places.
 
 // The rows of expTab (lanes.go), each one constant in all four lanes.
 #define LOG2E   0(R8)
@@ -28,11 +28,11 @@
 
 // func expLanes(dst, src *float64, n int, tab *[16][4]float64) int
 //
-// $GOROOT/src/math/exp_amd64.s, the useFMA path, four arguments at a time:
-// the same multiplies, fused multiply-adds, conversions and shift in the
-// same order, so each lane holds math.Exp's bits. A block is only computed
-// when all four arguments are in [ARGMIN, ARGMAX], where the scalar code
-// takes none of its special-case branches (non-finite, overflow, denormal);
+// Exp (exp.go, $GOROOT/src/math/exp_amd64.s's useFMA path) four arguments
+// at a time: the same multiplies, fused multiply-adds, conversions and shift
+// in the same order, so each lane holds Exp's bits. A block is only computed
+// when all four arguments are in [ARGMIN, ARGMAX], where Exp takes none of
+// its special-case branches (non-finite, overflow, denormal);
 // at the first block that is not — the ordered compares fail for NaN too —
 // the kernel stops and returns the number of elements done.
 TEXT ·expLanes(SB), NOSPLIT, $0-40

@@ -4,47 +4,33 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
-	"os/exec"
 	"testing"
 )
 
 // checkExp runs ExpInto in place over a copy of src placed off elements into
-// its backing array and compares every element with math.Exp.
+// its backing array and compares every element with Exp.
 func checkExp(t *testing.T, what string, src []float64, off int) {
 	t.Helper()
 	buf := make([]float64, off+len(src)+4)[off : off+len(src)]
 	copy(buf, src)
 	ExpInto(buf, buf)
 	for i, x := range src {
-		if want := math.Exp(x); !sameFloat(buf[i], want) {
-			t.Fatalf("%s: len %d off %d: ExpInto(%v = %#x)[%d] = %#x, math.Exp %#x", what, len(src), off,
+		if want := Exp(x); !sameFloat(buf[i], want) {
+			t.Fatalf("%s: len %d off %d: ExpInto(%v = %#x)[%d] = %#x, Exp %#x", what, len(src), off,
 				x, math.Float64bits(x), i, math.Float64bits(buf[i]), math.Float64bits(want))
 		}
 	}
 }
 
-// TestExpIntoIsMathExp is ExpInto's whole contract: math.Exp's bits on every
-// input (any NaN for a NaN). The classes are the LCM's kernel arguments, the
-// arguments whose results are subnormal, both sides of overflow and
-// underflow, arguments that vanish against 1, raw bit patterns, and the
-// special values — which also land in every lane position of a block next
-// to ordinary lanes, so the block fallback is exercised per position. A
-// toolchain whose exp_amd64.s no longer is the body expLanes transcribes
-// fails here. Under -short the vectors shrink to 4 Ki and the lengths stop
-// at 11, which still covers every block, tail and fallback position.
-func TestExpIntoIsMathExp(t *testing.T) {
+// TestExpIntoIsExp is ExpInto's whole contract: Exp's bits on every input
+// (any NaN for a NaN), on every machine. The arguments are expClasses and
+// expSpecials; the special values also land in every lane position of a
+// block next to ordinary lanes, so the block fallback is exercised per
+// position. Under -short the vectors shrink to 4 Ki and the lengths stop at
+// 11, which still covers every block, tail and fallback position.
+func TestExpIntoIsExp(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
-	classes := []struct {
-		name string
-		gen  func() float64
-	}{
-		{"kernel [-50,0]", func() float64 { return -50 * rng.Float64() }},
-		{"subnormal results [-745,0]", func() float64 { return -745 * rng.Float64() }},
-		{"overflow and underflow ±750", func() float64 { return 1500*rng.Float64() - 750 }},
-		{"tiny -10^-k", func() float64 { return -math.Pow(10, -float64(rng.Intn(330))) * rng.Float64() }},
-		{"raw bits", func() float64 { return math.Float64frombits(rng.Uint64()) }},
-	}
+	classes := expClasses(rng)
 	perClass, maxLen := 1<<20, 67 // five classes: 5 Mi inputs through the long vectors alone
 	if testing.Short() {
 		perClass, maxLen = 1<<12, 11
@@ -57,12 +43,6 @@ func TestExpIntoIsMathExp(t *testing.T) {
 		checkExp(t, c.name, src, 0)
 	}
 
-	special := []float64{
-		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
-		709, math.Nextafter(709, 710), 709.782712893384, math.Nextafter(709.782712893384, 710), 710,
-		-708, math.Nextafter(-708, -709), -708.3964185322641, -709, -745.1332191019411, -745.1332191019412, -746,
-		5e-324, -5e-324, 1e-320, 1, -1, 1e300, -1e300,
-	}
 	for n := 0; n <= maxLen; n++ {
 		for off := 0; off < 4; off++ {
 			for _, c := range classes {
@@ -73,7 +53,7 @@ func TestExpIntoIsMathExp(t *testing.T) {
 				checkExp(t, c.name, src, off)
 			}
 			// One special value per vector, walked through every position.
-			for _, s := range special {
+			for _, s := range expSpecials {
 				src := make([]float64, n)
 				for pos := 0; pos < n; pos++ {
 					for i := range src {
@@ -92,25 +72,8 @@ func TestExpIntoIsMathExp(t *testing.T) {
 	dst := make([]float64, len(src))
 	ExpInto(dst, src)
 	for i := range src {
-		if src[i] != keep[i] || !sameFloat(dst[i], math.Exp(src[i])) {
+		if src[i] != keep[i] || !sameFloat(dst[i], Exp(src[i])) {
 			t.Fatalf("out of place: src[%d] %v (was %v), dst %v", i, src[i], keep[i], dst[i])
-		}
-	}
-}
-
-// TestExpIntoFollowsMathExpWithFMAOff reruns TestExpIntoIsMathExp (-short) in
-// a child process whose math.Exp has been switched to its unfused body
-// (GODEBUG=cpu.fma=off, then cpu.avx=off): the CPU still has FMA, so only
-// the start-up probe keeps ExpInto off the fused kernel there.
-func TestExpIntoFollowsMathExpWithFMAOff(t *testing.T) {
-	if !vectorKernels || !fusedExp {
-		t.Skip("expLanes is not selected here")
-	}
-	for _, godebug := range []string{"cpu.fma=off", "cpu.avx=off"} {
-		cmd := exec.Command(os.Args[0], "-test.run=^TestExpIntoIsMathExp$", "-test.short")
-		cmd.Env = append(os.Environ(), "GODEBUG="+godebug)
-		if out, err := cmd.CombinedOutput(); err != nil {
-			t.Errorf("GODEBUG=%s: %v\n%s", godebug, err, out)
 		}
 	}
 }

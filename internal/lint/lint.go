@@ -18,6 +18,7 @@ const (
 	RuleStrayGoroutine = "no-stray-goroutines" // R4
 	RuleFloatEq        = "float-eq"            // R5
 	RuleUncheckedError = "unchecked-error"     // R6
+	RuleMathExp        = "no-math-exp"         // R12
 
 	// Interprocedural rules, computed over the module-wide call graph
 	// (callgraph.go / dataflow.go).
@@ -40,6 +41,7 @@ var knownRules = map[string]bool{
 	RuleStrayGoroutine:      true,
 	RuleFloatEq:             true,
 	RuleUncheckedError:      true,
+	RuleMathExp:             true,
 	RuleTransitiveWallclock: true,
 	RuleLockBlocking:        true,
 	RuleLockOrder:           true,
@@ -73,15 +75,15 @@ func (d Diagnostic) String() string {
 
 // Config scopes the rules. R1 (no-global-rand) applies to every analyzed
 // package; R4 (no-stray-goroutines) to every package not in GoroutineAllowed;
-// R2/R3/R5/R6 only to the NumericPackages — the deterministic numeric core
-// whose outputs must be bitwise reproducible. Of the interprocedural rules,
+// R2/R3/R5/R6/R12 only to the NumericPackages — the deterministic numeric
+// core whose outputs must be bitwise reproducible, on every machine. Of the interprocedural rules,
 // transitive-wallclock applies to the NumericPackages (reported at the edge
 // where a call chain leaves the numeric core); lock-held-across-blocking,
 // lock-order, and goroutine-leak apply everywhere; hotpath-alloc applies to
 // functions marked //gptlint:hotpath wherever they are.
 type Config struct {
 	// NumericPackages are the import paths where the determinism rules
-	// (no-wallclock, no-map-range, float-eq, unchecked-error,
+	// (no-wallclock, no-map-range, float-eq, unchecked-error, no-math-exp,
 	// transitive-wallclock) apply.
 	NumericPackages []string
 	// GoroutineAllowed are the import paths permitted to contain go
@@ -112,10 +114,11 @@ func containsString(xs []string, s string) bool {
 }
 
 // DefaultConfig returns the rule scoping for a module laid out like this
-// repo: the numeric core under internal/{gp,la,core,opt,acq,sample,sparse}
-// and all parallelism in internal/mpx.
+// repo: the numeric core under
+// internal/{gp,la,core,opt,acq,sample,sparse,space} and all parallelism in
+// internal/mpx.
 func DefaultConfig(modulePath string) Config {
-	numeric := []string{"gp", "la", "core", "opt", "acq", "sample", "sparse"}
+	numeric := []string{"gp", "la", "core", "opt", "acq", "sample", "sparse", "space"}
 	cfg := Config{}
 	for _, n := range numeric {
 		cfg.NumericPackages = append(cfg.NumericPackages, modulePath+"/internal/"+n)

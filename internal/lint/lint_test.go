@@ -2,9 +2,14 @@ package lint
 
 import (
 	"fmt"
+	"go/ast"
+	"go/build"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -20,6 +25,7 @@ func corpusConfig() Config {
 			"corpus/errdrop",
 			"corpus/ignores",
 			"corpus/transwc",
+			"corpus/mathexp",
 		},
 		GoroutineAllowed: []string{"corpus/mpxok", "corpus/goleak"},
 	}
@@ -145,11 +151,11 @@ func sameFile(a, b string) bool {
 	return err1 == nil && err2 == nil && aa == bb
 }
 
-// TestDefaultConfig pins the production scoping: the seven numeric
+// TestDefaultConfig pins the production scoping: the eight numeric
 // packages and the single goroutine-bearing package.
 func TestDefaultConfig(t *testing.T) {
 	cfg := DefaultConfig("repro")
-	for _, p := range []string{"gp", "la", "core", "opt", "acq", "sample", "sparse"} {
+	for _, p := range []string{"gp", "la", "core", "opt", "acq", "sample", "sparse", "space"} {
 		if !cfg.isNumeric("repro/internal/" + p) {
 			t.Errorf("repro/internal/%s not numeric", p)
 		}
@@ -233,5 +239,66 @@ func TestIgnoreParsing(t *testing.T) {
 	}
 	if bad != 2 {
 		t.Errorf("parsed %d malformed directives, want 2", bad)
+	}
+}
+
+// TestExpBodyFuncsFollowGOROOT derives no-math-exp's list from the
+// toolchain's own source: every exported function of $GOROOT/src/math whose
+// amd64 build calls, directly or through other functions of the package, the
+// assembly body archExp. A Go release that routes another function through
+// Exp, or stops routing one, fails here.
+func TestExpBodyFuncsFollowGOROOT(t *testing.T) {
+	ctx := build.Default
+	ctx.GOOS, ctx.GOARCH = "linux", "amd64"
+	bp, err := ctx.ImportDir(filepath.Join(ctx.GOROOT, "src", "math"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	calls := make(map[string][]string) // function → the package-level functions it calls
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(fset, filepath.Join(bp.Dir, name), nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Recv != nil || fd.Body == nil {
+				continue
+			}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if c, ok := n.(*ast.CallExpr); ok {
+					if id, ok := c.Fun.(*ast.Ident); ok {
+						calls[fd.Name.Name] = append(calls[fd.Name.Name], id.Name)
+					}
+				}
+				return true
+			})
+		}
+	}
+	reaches := map[string]bool{"archExp": true}
+	for grew := true; grew; {
+		grew = false
+		for fn, callees := range calls {
+			for _, c := range callees {
+				if reaches[c] && !reaches[fn] {
+					reaches[fn], grew = true, true
+				}
+			}
+		}
+	}
+	var derived, listed []string
+	for fn := range reaches {
+		if ast.IsExported(fn) {
+			derived = append(derived, fn)
+		}
+	}
+	for fn := range expBodyFuncs {
+		listed = append(listed, fn)
+	}
+	sort.Strings(derived)
+	sort.Strings(listed)
+	if strings.Join(derived, " ") != strings.Join(listed, " ") {
+		t.Errorf("math functions reaching archExp on amd64: %v; expBodyFuncs lists %v", derived, listed)
 	}
 }

@@ -24,6 +24,22 @@ var wallclockFuncs = map[string]bool{
 	"Until": true,
 }
 
+// expBodyFuncs are the math functions whose amd64 body reaches
+// exp_amd64.s, which rounds differently with and without FMA, so their bits
+// follow the CPU (TestExpBodyFuncsFollowGOROOT derives the set from
+// $GOROOT/src/math). la.Exp, la.Pow and la.Erfc return one set of bits
+// everywhere.
+var expBodyFuncs = map[string]bool{
+	"Cosh":  true,
+	"Erf":   true,
+	"Erfc":  true,
+	"Exp":   true,
+	"Gamma": true,
+	"Pow":   true,
+	"Sinh":  true,
+	"Tanh":  true,
+}
+
 // checkFile applies every in-scope rule to one file and returns the raw
 // (pre-ignore-filtering) diagnostics.
 func checkFile(pkg *Package, file *ast.File, cfg Config) []Diagnostic {
@@ -59,6 +75,15 @@ func checkFile(pkg *Package, file *ast.File, cfg Config) []Diagnostic {
 							"time.%s in deterministic numeric package %s; inject a clock from the caller", fn.Name(), pkg.Path)
 					}
 				}
+			}
+		case *ast.SelectorExpr:
+			// R12: a call of (or a reference to) a math function whose bits
+			// depend on exp_amd64.s's FMA path makes histories depend on the
+			// machine.
+			if fn, ok := pkg.Info.Uses[n.Sel].(*types.Func); numeric && ok && fn.Pkg() != nil &&
+				fn.Pkg().Path() == "math" && expBodyFuncs[fn.Name()] {
+				report(n.Pos(), RuleMathExp,
+					"math.%s reaches exp_amd64.s, whose bits depend on the CPU's FMA; use la.Exp, la.Pow or la.Erfc", fn.Name())
 			}
 		case *ast.RangeStmt:
 			// R3: map iteration order is randomized per run; any accumulation

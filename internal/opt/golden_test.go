@@ -68,23 +68,13 @@ func TestGoldenNSGAII(t *testing.T) {
 		g := 1 + 9*(x[1]+x[2])/2
 		return []float64{x[0], g * (1 - math.Sqrt(x[0]/g))}
 	}
-	// Crossover and mutation go through math.Pow, so the front follows
-	// math.Exp's body: one recording per body amd64 runs, told apart by one
-	// argument the fused and the unfused exp_amd64.s round differently.
-	want, ok := map[uint64]uint64{
-		0x3fea876812c0877b: 0x89420b8d68f90d11, // FMA
-		0x3fea876812c0877c: 0xb9437aeec095e133, // no FMA (GODEBUG=cpu.fma=off)
-	}[math.Float64bits(math.Exp(-0.1875))]
-	if !ok {
-		t.Skip("math.Exp runs a body neither recording was made under")
-	}
 	front := NSGAII(lift(f), 3, NSGAIIParams{}, rand.New(rand.NewSource(2)))
 	h := fnv.New64a()
 	for _, p := range front {
 		foldBits(h, p.X...)
 		foldBits(h, p.F...)
 	}
-	if len(front) != 38 || h.Sum64() != want {
+	if len(front) != 38 || h.Sum64() != 0x89420b8d68f90d11 {
 		t.Errorf("NSGAII front: %d points, hash %#x", len(front), h.Sum64())
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/acq"
+	"repro/internal/la"
 )
 
 // NSGAIIParams configures the NSGA-II multi-objective evolutionary algorithm
@@ -236,9 +237,9 @@ func sbxCrossover(p1, p2 []float64, rng *rand.Rand) ([]float64, []float64) {
 		u := rng.Float64()
 		var beta float64
 		if u <= 0.5 {
-			beta = math.Pow(2*u, 1/(crossoverEta+1))
+			beta = la.Pow(2*u, 1/(crossoverEta+1))
 		} else {
-			beta = math.Pow(1/(2*(1-u)), 1/(crossoverEta+1))
+			beta = la.Pow(1/(2*(1-u)), 1/(crossoverEta+1))
 		}
 		x1, x2 := p1[d], p2[d]
 		c1[d] = 0.5 * ((1+beta)*x1 + (1-beta)*x2)
@@ -259,9 +260,9 @@ func polyMutate(x []float64, rng *rand.Rand) {
 		u := rng.Float64()
 		var delta float64
 		if u < 0.5 {
-			delta = math.Pow(2*u, 1/(mutationEta+1)) - 1
+			delta = la.Pow(2*u, 1/(mutationEta+1)) - 1
 		} else {
-			delta = 1 - math.Pow(2*(1-u), 1/(mutationEta+1))
+			delta = 1 - la.Pow(2*(1-u), 1/(mutationEta+1))
 		}
 		x[d] += delta
 	}

@@ -12,6 +12,7 @@ import (
 	"repro/gptune/api"
 	_ "repro/internal/bench/all"
 	"repro/internal/core"
+	"repro/internal/space"
 )
 
 // TestServeSpecRoundTrip checks the spec survives its JSON persistence
@@ -46,8 +47,10 @@ func TestServeSpecRoundTrip(t *testing.T) {
 // FuzzBuildSpec drives the create path short of the disk — bytes → api.Decode
 // → buildSpec → core.NewEngine — seeded with the create bodies of
 // testdata/wire.golden. Nothing panics; a spec whose options the engine's own
-// validator refuses is refused, whatever else it holds; and NewEngine accepts
-// every spec buildSpec accepts, so a create answered 201 never fails to open.
+// validator refuses is refused, whatever else it holds; NewEngine accepts
+// every spec buildSpec accepts, so a create answered 201 never fails to open;
+// and the centre of an accepted space maps into its bounds and back into
+// [0,1], which a span that overflows does not.
 func FuzzBuildSpec(f *testing.F) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "wire.golden"))
 	if err != nil {
@@ -61,6 +64,7 @@ func FuzzBuildSpec(f *testing.F) {
 	f.Add([]byte(`{"name":"a","tuning":[{"name":"x","kind":"real","hi":1}],"outputs":["y1","y2"],"tasks":[[1]],"options":{"acquisition":"pi"}}`))
 	f.Add([]byte(`{"name":"g","scenario":"gemm","tasks":[[1024,1024,1024]],"options":{"acquisition":"lcb","mo_pop_size":1000}}`))
 	f.Add([]byte(`{"name":"m","scenario":"analytical","tasks":[[0.5],[],[1,2]]}`))
+	f.Add([]byte(`{"name":"o","tuning":[{"name":"x","kind":"real","lo":-1e308,"hi":1e308}],"outputs":["y"],"tasks":[[1]]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var spec api.StudySpec
 		if api.Decode(bytes.NewReader(data), &spec) != nil {
@@ -79,6 +83,17 @@ func FuzzBuildSpec(f *testing.F) {
 		}
 		if _, err := core.NewEngine(prob, tasks, opts); err != nil {
 			t.Fatalf("buildSpec accepts a spec NewEngine refuses: %v\n%s", err, data)
+		}
+		for _, s := range []*space.Space{prob.Tasks, prob.Tuning} {
+			centre := make([]float64, s.Dim())
+			for i := range centre {
+				centre[i] = 0.5
+			}
+			for i, u := range s.Normalize(s.Denormalize(centre)) {
+				if !(u >= 0 && u <= 1) {
+					t.Fatalf("buildSpec accepts %s, whose centre normalizes to %v\n%s", s.Params[i].Name, u, data)
+				}
+			}
 		}
 	})
 }

@@ -375,13 +375,8 @@ func TestReadsReplayLoggedHistory(t *testing.T) {
 // search-phase records were re-recorded when the LCM fit began racing its
 // starts, because a log resumes only under the fit policy that wrote its
 // search-phase records (DESIGN.md §8) — the snapshot, the spec and the
-// record shapes are the original ones. They were written under the fused
-// math.Exp of an amd64 with FMA, and a history follows math.Exp's body, so
-// the test runs only where one probe argument shows that body.
+// record shapes are the original ones.
 func TestParentWrittenDataDirResumes(t *testing.T) {
-	if math.Float64bits(math.Exp(-0.1875)) != 0x3fea876812c0877b {
-		t.Skip("the fixture was written under the FMA body of math.Exp, and this process runs another")
-	}
 	const epsTot, logged = 8, 15
 	dir := t.TempDir()
 	files, err := os.ReadDir(filepath.Join("testdata", "datadir"))
@@ -456,6 +451,24 @@ func TestServeFailedReportRetries(t *testing.T) {
 		} else if !terminal {
 			t.Fatalf("attempt 3: want terminal failure, got retry %+v", retry)
 		}
+	}
+}
+
+// TestServeRejectsOverflowingBounds: a create whose bounds a float64 cannot
+// span — a real span or log ratio that overflows, or integer bounds past
+// ±2^53, which int() would wrap past ±2^63 — is a 400, not a study whose
+// every suggestion sits on a bound.
+func TestServeRejectsOverflowingBounds(t *testing.T) {
+	c := newTestServer(t).c
+	for i, ps := range []api.ParamSpec{
+		{Name: "x", Kind: "real", Lo: -1e308, Hi: 1e308},
+		{Name: "x", Kind: "real", Lo: 1e-300, Hi: 1e300, Log: true},
+		{Name: "x", Kind: "integer", Lo: -1e19, Hi: 1e19},
+		{Name: "x", Kind: "integer", Lo: 0, Hi: 1 << 60},
+	} {
+		bad := testSpec(fmt.Sprintf("wide%d", i), 4, 1)
+		bad.Tuning = []api.ParamSpec{ps}
+		wantStatus(t, c.Create(ctx, bad), http.StatusBadRequest, fmt.Sprintf("%s [%g, %g] log=%v", ps.Kind, ps.Lo, ps.Hi, ps.Log))
 	}
 }
 

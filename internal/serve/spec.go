@@ -28,6 +28,11 @@ func buildParam(ps api.ParamSpec) (space.Param, error) {
 		p.LogScale = ps.Log
 		return p, p.Validate()
 	case "integer":
+		// Beyond ±2^53 a float64 bound is not every integer, and int() wraps
+		// past ±2^63.
+		if !(math.Abs(ps.Lo) <= 1<<53 && math.Abs(ps.Hi) <= 1<<53) {
+			return space.Param{}, fmt.Errorf("serve: integer parameter %q: bounds [%g, %g] outside ±2^53", ps.Name, ps.Lo, ps.Hi)
+		}
 		p := space.NewInteger(ps.Name, int(ps.Lo), int(ps.Hi))
 		p.LogScale = ps.Log
 		return p, p.Validate()

@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"math"
 	"strings"
+
+	"repro/internal/la"
 )
 
 // Kind enumerates the parameter types supported by GPTune.
@@ -83,11 +85,17 @@ func (p Param) Validate() error {
 	}
 	switch p.Kind {
 	case Real, Integer:
-		if !(p.Lo <= p.Hi) {
+		// A span that overflows would map every u > 0 to Hi and every native
+		// value to 0 or NaN.
+		switch {
+		case !(p.Lo <= p.Hi) || math.IsInf(p.Lo, 0) || math.IsInf(p.Hi, 0):
 			return fmt.Errorf("space: %s: bounds [%g, %g] invalid", p.Name, p.Lo, p.Hi)
-		}
-		if p.LogScale && p.Lo <= 0 {
+		case math.IsInf(p.Hi-p.Lo, 0):
+			return fmt.Errorf("space: %s: span of [%g, %g] overflows", p.Name, p.Lo, p.Hi)
+		case p.LogScale && p.Lo <= 0:
 			return fmt.Errorf("space: %s: log scale requires Lo > 0, got %g", p.Name, p.Lo)
+		case p.LogScale && math.IsInf(p.Hi/p.Lo, 0):
+			return fmt.Errorf("space: %s: log span of [%g, %g] overflows", p.Name, p.Lo, p.Hi)
 		}
 	case Categorical:
 		if len(p.Categories) == 0 {
@@ -115,7 +123,7 @@ func (p Param) normalize(v float64) float64 {
 		k := len(p.Categories)
 		return clamp01((v + 0.5) / float64(k))
 	default:
-		if p.Hi == p.Lo {
+		if p.Hi <= p.Lo { // a one-point span (Validate keeps Lo ≤ Hi)
 			return 0
 		}
 		if p.LogScale {
@@ -155,12 +163,12 @@ func (p Param) denormalize(u float64) float64 {
 		return float64(idx)
 	case Integer:
 		if p.LogScale {
-			return clampRange(math.Round(p.Lo*math.Pow(p.Hi/p.Lo, u)), p.Lo, p.Hi)
+			return clampRange(math.Round(p.Lo*la.Pow(p.Hi/p.Lo, u)), p.Lo, p.Hi)
 		}
 		return clampRange(p.Lo+math.Floor(u*(p.Hi-p.Lo+1)), p.Lo, p.Hi)
 	default:
 		if p.LogScale {
-			return clampRange(p.Lo*math.Pow(p.Hi/p.Lo, u), p.Lo, p.Hi)
+			return clampRange(p.Lo*la.Pow(p.Hi/p.Lo, u), p.Lo, p.Hi)
 		}
 		return clampRange(p.Lo+u*(p.Hi-p.Lo), p.Lo, p.Hi)
 	}

@@ -30,6 +30,42 @@ func TestParamValidate(t *testing.T) {
 	}
 }
 
+// TestValidateRefusesOverflowingSpan: bounds whose span (or, on a log axis,
+// ratio) is not a finite float64 are refused. Accepted, [−1e308, 1e308]
+// would denormalize every u > 0 to Hi and u = 0 to NaN, and normalize
+// every native value to 0 or NaN.
+func TestValidateRefusesOverflowingSpan(t *testing.T) {
+	inf := math.Inf(1)
+	for _, p := range []Param{
+		NewReal("x", -1e308, 1e308),
+		NewReal("x", -inf, 0),
+		NewReal("x", 0, inf),
+		NewReal("x", math.NaN(), 1),
+		NewLogReal("x", 1e-300, 1e300),
+		NewLogReal("x", 5e-324, 1),
+	} {
+		if err := p.Validate(); err == nil {
+			t.Errorf("%v [%g, %g] log=%v: Validate accepts it", p.Kind, p.Lo, p.Hi, p.LogScale)
+		}
+	}
+	for _, p := range []Param{
+		NewReal("x", -1e307, 1e307),
+		NewReal("x", math.MaxFloat64, math.MaxFloat64),
+		NewLogReal("x", 1e-150, 1e150),
+	} {
+		if err := p.Validate(); err != nil {
+			t.Errorf("%v [%g, %g]: %v", p.Kind, p.Lo, p.Hi, err)
+		}
+		s := MustNew(p)
+		for _, u := range []float64{0, 0.25, 0.5, 1} {
+			x := s.Denormalize([]float64{u})
+			if back := s.Normalize(x)[0]; !(x[0] >= p.Lo && x[0] <= p.Hi && back >= 0 && back <= 1) {
+				t.Errorf("[%g, %g] log=%v: u %v → %v → %v", p.Lo, p.Hi, p.LogScale, u, x[0], back)
+			}
+		}
+	}
+}
+
 func TestNewRejectsDuplicates(t *testing.T) {
 	if _, err := New(NewReal("a", 0, 1), NewReal("a", 0, 2)); err == nil {
 		t.Fatalf("expected duplicate-name error")
