@@ -34,7 +34,7 @@ func (m *LCM) LeaveOneOut() (*LOODiagnostics, error) {
 		return nil, errors.New("gp: LeaveOneOut on unfitted model")
 	}
 	n := len(m.flatX)
-	inv := la.ParallelCholInverse(m.chol.Dense(), 1)
+	diag := la.CholInverseDiag(m.chol, 1) // K⁻¹_ii
 	d := &LOODiagnostics{
 		Mean:         make([]float64, n),
 		Variance:     make([]float64, n),
@@ -42,7 +42,7 @@ func (m *LCM) LeaveOneOut() (*LOODiagnostics, error) {
 	}
 	var sse float64
 	for i := 0; i < n; i++ {
-		prec := inv.At(i, i)
+		prec := diag[i]
 		if prec <= 0 {
 			return nil, errors.New("gp: non-positive LOO precision (ill-conditioned fit)")
 		}

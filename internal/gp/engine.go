@@ -51,7 +51,10 @@ const evalParallelMin = 3 * cholBlock
 //
 // One engine serves one goroutine (the scratch buffers are reused across
 // evaluations, so an evaluation allocates nothing that grows with n); the
-// pairCache is shared read-only by all engines.
+// pairCache is shared read-only by all engines. An evaluation's four n×n
+// matrices — Σ, its factor L, W = L⁻¹ and Σ⁻¹ — live in two buffers, each
+// holding two of them whose lifetimes do not overlap, so an engine costs
+// Q·n(n+1)/2 kernel values plus 2n² doubles.
 type lcmEngine struct {
 	layout  hyperLayout
 	cache   *pairCache
@@ -61,16 +64,20 @@ type lcmEngine struct {
 	workers int
 
 	// Reusable scratch, sized once at construction.
-	model  *LCM        // the hyperparameters under evaluation, refilled per call
-	kq     []float64   // [npairs*Q] kernel values: row r's [Q][n-r] block, latent-major, at pairStart(r)*Q
-	sigma  *la.Matrix  // assembled covariance
-	chol   *la.Matrix  // its Cholesky factor
-	alpha  []float64   // Σ⁻¹·y
-	invWT  *la.Matrix  // W = L⁻¹ scratch for the inverse
-	invBuf *la.Matrix  // Σ⁻¹ output scratch
-	coef   []float64   // [(i*T+j)*Q + q]: coefTable's layout
-	winv   [][]float64 // [q][dim]: 1/l²
-	grad   []float64   // gradient output buffer
+	model *LCM        // the hyperparameters under evaluation, refilled per call
+	kq    []float64   // [npairs*Q] kernel values: row r's [Q][n-r] block, latent-major, at pairStart(r)*Q
+	alpha []float64   // Σ⁻¹·y
+	coef  []float64   // [(i*T+j)*Q + q]: coefTable's layout
+	winv  [][]float64 // [q][dim]: 1/l²
+	grad  []float64   // gradient output buffer
+
+	// sigmaW holds Σ from assembleSigma through the Cholesky (whose jitter
+	// retries re-read it), then W = L⁻¹ (transposed) from the inverse's
+	// first phase through its second. cholInv holds L from the Cholesky
+	// through the inverse's first phase, then Σ⁻¹ from its second phase
+	// through gradSweep (la.ParallelCholInverseInto's aliasing contract).
+	sigmaW  *la.Matrix
+	cholInv *la.Matrix
 
 	// Per-chunk partial accumulators, merged serially in chunk order. The
 	// lengthscale accumulators and the per-pair factors feeding them are four
@@ -94,11 +101,9 @@ func newLCMEngine(cache *pairCache, layout hyperLayout, taskOf []int, yn []float
 		workers: workers,
 		model:   newModel(layout),
 		kq:      make([]float64, cache.npairs*layout.q),
-		sigma:   la.NewMatrix(cache.n, cache.n),
-		chol:    la.NewMatrix(cache.n, cache.n),
+		sigmaW:  la.NewMatrix(cache.n, cache.n),
+		cholInv: la.NewMatrix(cache.n, cache.n),
 		alpha:   make([]float64, cache.n),
-		invWT:   la.NewMatrix(cache.n, cache.n),
-		invBuf:  la.NewMatrix(cache.n, cache.n),
 		coef:    make([]float64, layout.q*layout.tasks*layout.tasks),
 		winv:    make([][]float64, layout.q),
 		grad:    make([]float64, layout.total()),
@@ -140,8 +145,9 @@ func (e *lcmEngine) prepare(m *LCM) {
 }
 
 // assembleSigma computes all latent kernels k_q and the Eq. (4) covariance Σ
-// in one parallel pass over the cached distance tensor. prepare(m) must have
-// been called. The kernels stay in e.kq for the gradient sweep.
+// in one parallel pass over the cached distance tensor, into e.sigmaW, every
+// entry written. prepare(m) must have been called. The kernels stay in e.kq
+// for the gradient sweep.
 //
 // Each row r and its n-r contiguous pairs take three passes, the first and
 // last on the same lane kernel (la.WeightedSumsInto, four pairs per
@@ -154,7 +160,7 @@ func (e *lcmEngine) assembleSigma(m *LCM) *la.Matrix {
 	n := e.cache.n
 	Q := e.layout.q
 	T := e.layout.tasks
-	sigma := e.sigma
+	sigma := e.sigmaW
 	mpx.ParallelChunks(n, gradChunkRows, e.workers, func(_, lo, hi int) {
 		for r := lo; r < hi; r++ {
 			// Pairs (r, r..n-1) are contiguous in the packed layout.
@@ -214,8 +220,8 @@ func (e *lcmEngine) gradSweep(inv *la.Matrix) (v, gl, dsum []float64) {
 	dim := e.layout.dim
 	TT := T * T
 	npairs := e.cache.npairs
-	alpha := e.alpha
 	mpx.ParallelChunks(n, gradChunkRows, e.workers, func(c, lo, hi int) {
+		alpha := e.alpha // through e, not captured: the closure is built on every call
 		vbuf := e.chunkV[c]
 		glbuf := e.chunkGL[c]
 		dbuf := e.chunkDsum[c]
@@ -356,7 +362,7 @@ func (e *lcmEngine) logLikGrad(theta []float64) (float64, []float64, error) {
 	e.prepare(m)
 	sigma := e.assembleSigma(m)
 
-	l := e.chol
+	l := e.cholInv
 	if _, err := la.CholeskyJitterInto(l, sigma, 0, cholBlock, e.workers); err != nil {
 		return 0, nil, err
 	}
@@ -366,7 +372,7 @@ func (e *lcmEngine) logLikGrad(theta []float64) (float64, []float64, error) {
 	la.BackwardSubstT(l, alpha)
 	ll := -0.5*la.Dot(e.yn, alpha) - 0.5*la.LogDetFromChol(l) - 0.5*float64(n)*math.Log(2*math.Pi)
 
-	inv := la.ParallelCholInverseInto(l, e.workers, e.invWT, e.invBuf)
+	inv := la.ParallelCholInverseInto(l, e.workers, sigma, l)
 
 	v0, gl0, d0 := e.gradSweep(inv)
 

@@ -92,17 +92,20 @@ func TestEngineMatchesReferenceOnInfiniteDiagonal(t *testing.T) {
 	eng := newLCMEngine(newPairCache(flatX, 3), layout, taskOf, yn, 1)
 	theta := randomInit(layout, rng)
 	theta[layout.bAt(1, 1)] = 800
+	m := thetaToModel(theta, layout)
+	eng.prepare(m)
+	if last := eng.assembleSigma(m).At(len(flatX)-1, len(flatX)-1); !math.IsInf(last, 1) {
+		t.Fatalf("Σ's last diagonal entry is %v, want +Inf", last)
+	}
 	if err := matchReference(t, "infinite diagonal", eng, flatX, theta); err != nil {
 		t.Fatalf("engine error %v, want an accepted factorization", err)
 	}
-	if last := eng.sigma.At(len(flatX)-1, len(flatX)-1); !math.IsInf(last, 1) {
-		t.Fatalf("Σ's last diagonal entry is %v, want +Inf", last)
-	}
 }
 
-// matchReference evaluates eng at theta and checks it against the reference:
-// Σ is covariance's and k* (at a training point and at an interior one) is
-// refKstar's, bit for bit; the engine fails exactly where
+// matchReference checks eng at theta against the reference: the Σ
+// assembleSigma leaves (before the evaluation reuses its buffer for W) is
+// covariance's and k* (at a training point and at an interior one) is
+// refKstar's, bit for bit; evaluated, the engine fails exactly where
 // lcmLogLikGradReference does; and otherwise the likelihood is the
 // reference's bit for bit, and every gradient entry is non-finite exactly
 // where the reference's is and else within 1e-9 of it relative, plus what
@@ -118,13 +121,15 @@ func TestEngineMatchesReferenceOnInfiniteDiagonal(t *testing.T) {
 func matchReference(t *testing.T, name string, eng *lcmEngine, flatX [][]float64, theta []float64) error {
 	t.Helper()
 	layout, taskOf, n := eng.layout, eng.taskOf, len(flatX)
-	ll, grad, err := eng.logLikGrad(theta)
 	m := thetaToModel(theta, layout)
+	eng.prepare(m)
+	sigma := eng.assembleSigma(m)
 	for i, v := range m.covariance(flatX, taskOf).Data {
-		if !sameBits(eng.sigma.Data[i], v) {
-			t.Fatalf("%s: Σ[%d,%d] = %v, reference %v", name, i/n, i%n, eng.sigma.Data[i], v)
+		if !sameBits(sigma.Data[i], v) {
+			t.Fatalf("%s: Σ[%d,%d] = %v, reference %v", name, i/n, i%n, sigma.Data[i], v)
 		}
 	}
+	ll, grad, err := eng.logLikGrad(theta)
 	m.flatX, m.taskOf = flatX, taskOf
 	m.prepPredict()
 	ws := m.NewPredictWorkspace()
@@ -484,8 +489,8 @@ func TestGradSweepMatchesPerPairLoop(t *testing.T) {
 						continue
 					}
 					checked++
-					v, gl, dsum := eng.gradSweep(eng.invBuf)
-					wantV, wantGL, wantDsum := gradSweepPerPair(eng, eng.invBuf.Data)
+					v, gl, dsum := eng.gradSweep(eng.cholInv)
+					wantV, wantGL, wantDsum := gradSweepPerPair(eng, eng.cholInv.Data)
 					for name, pair := range map[string][2][]float64{"V": {v, wantV}, "gl": {gl, wantGL}, "dsum": {dsum, wantDsum}} {
 						for i, want := range pair[1] {
 							if got := pair[0][i]; !sameBits(got, want) {

@@ -304,9 +304,11 @@ func FitLCM(data *Dataset, options FitOptions) (*LCM, error) {
 	model.yNorm = yn
 	model.yMean = mean
 	model.yStd = std
-	// Final factorization for prediction, parallel per Section 4.3, reusing
-	// the distance cache for the covariance assembly.
-	if err := model.factorize(cache, options.Workers); err != nil {
+	// Final factorization for prediction, parallel per Section 4.3, on race
+	// engine 0 — its distance cache and buffers are free once the race is
+	// over, so the fit never holds more engines than Workers.
+	engines[0].workers = options.Workers
+	if err := model.factorize(engines[0]); err != nil {
 		return nil, fmt.Errorf("gp: final covariance factorization: %w", err)
 	}
 	return model, nil
@@ -318,10 +320,9 @@ func FitLCM(data *Dataset, options FitOptions) (*LCM, error) {
 // factors it — escalating the jitter further only if it must — and builds
 // alpha and the prediction tables. Both callers therefore run the same
 // summation orders, which is what makes a reloaded model predict bitwise
-// identically. workers never changes a bit.
-func (m *LCM) factorize(cache *pairCache, workers int) error {
-	layout := hyperLayout{q: m.Q, dim: m.Dim, tasks: m.NumTasks}
-	eng := newLCMEngine(cache, layout, m.taskOf, m.yNorm, workers)
+// identically. eng must be an engine over m's training state (FitLCM's
+// race engine 0, or UnmarshalBinary's own); its workers never change a bit.
+func (m *LCM) factorize(eng *lcmEngine) error {
 	eng.prepare(m)
 	sigma := eng.assembleSigma(m)
 	n := sigma.Rows
@@ -330,13 +331,14 @@ func (m *LCM) factorize(cache *pairCache, workers int) error {
 			sigma.Data[i*n+i] += m.Jitter
 		}
 	}
-	extra, err := la.CholeskyJitterInto(eng.chol, sigma, 0, cholBlock, workers)
+	l := eng.cholInv
+	extra, err := la.CholeskyJitterInto(l, sigma, 0, cholBlock, eng.workers)
 	if err != nil {
 		return err
 	}
 	m.Jitter += extra
-	m.chol = la.PackChol(eng.chol)
-	m.alpha = la.SolveCholVec(eng.chol, m.yNorm)
+	m.chol = la.PackChol(l)
+	m.alpha = la.SolveCholVec(l, m.yNorm)
 	m.prepPredict()
 	return nil
 }

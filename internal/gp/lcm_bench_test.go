@@ -72,3 +72,19 @@ func benchLogLikGrad(b *testing.B, layout hyperLayout, flatX [][]float64, taskOf
 		}
 	}
 }
+
+// BenchmarkFitLCM is one fit at tune_warm's shape — δ 2, β 8, n 510, 2
+// starts × 15 iterations, Workers 2 — and reports the bytes it allocates:
+// the pair cache, two engines of Q·n(n+1)/2 + 2n² doubles and the model,
+// about 22 MB (TestFitLCMAllocatesItsLiveSet holds the bound).
+func BenchmarkFitLCM(b *testing.B) {
+	b.Run("n510", func(b *testing.B) {
+		data := syntheticDataset(rand.New(rand.NewSource(5)), 2, 255, 8, 0.05)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := FitLCM(data, FitOptions{NumStarts: 2, MaxIter: 15, Workers: 2, Seed: 1}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -3,6 +3,7 @@ package gp
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -281,6 +282,37 @@ func TestFitLCMParallelWorkersAgree(t *testing.T) {
 	// worker count.
 	if math.Abs(m1.LogLik-m4.LogLik) > 1e-9*(1+math.Abs(m1.LogLik)) {
 		t.Fatalf("worker count changed result: %v vs %v", m1.LogLik, m4.LogLik)
+	}
+}
+
+// A fit holds its live set and no more: the pair cache, β·n(n+1)/2 doubles,
+// and per concurrent start one engine — its kernel values, Q·n(n+1)/2
+// doubles, and its two n×n buffers — which also runs the post-fit
+// factorization. The bytes FitLCM allocates at n = 256 (δ 2, β 8, Q 2,
+// tune_warm's 2 starts × 15) stay within that plus the model it returns —
+// its packed factor, n(n+1)/2 doubles, 7 % of the live set here — plus
+// 10 %; a third n×n buffer per engine, or an engine built only for the
+// factorization, breaks the bound.
+func TestFitLCMAllocatesItsLiveSet(t *testing.T) {
+	data := syntheticDataset(rand.New(rand.NewSource(12)), 2, 128, 8, 0.05)
+	n, dim, q := 256, 8, 2
+	for _, workers := range []int{1, 2} {
+		opts := FitOptions{NumStarts: 2, MaxIter: 15, Workers: workers, Seed: 3}
+		engines := min(workers, opts.NumStarts)
+		liveSet := dim*n*(n+1)/2 + engines*(q*n*(n+1)/2+2*n*n)
+		bound := uint64(float64(8*(liveSet+n*(n+1)/2)) * 1.1)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if _, err := FitLCM(data, opts); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+			t.Errorf("Workers %d: FitLCM allocated %d B, want at most %d (live set %d B, then the factor and 10 %%)", workers, got, bound, 8*liveSet)
+		} else {
+			t.Logf("Workers %d: FitLCM allocated %d B of %d", workers, got, bound)
+		}
 	}
 }
 

@@ -263,7 +263,8 @@ func (m *LCM) UnmarshalBinary(data []byte) error {
 	// The recorded jitter made this matrix factorizable at save time and the
 	// floats round-trip exactly; factorize covers the (theoretical) residual
 	// escalation without changing the common path.
-	if err := m.factorize(newPairCache(m.flatX, m.Dim), 1); err != nil {
+	layout := hyperLayout{q: m.Q, dim: m.Dim, tasks: m.NumTasks}
+	if err := m.factorize(newLCMEngine(newPairCache(m.flatX, m.Dim), layout, m.taskOf, m.yNorm, 1)); err != nil {
 		return fmt.Errorf("gp: refactorizing LCM snapshot: %w", err)
 	}
 	return nil

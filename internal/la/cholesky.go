@@ -46,11 +46,14 @@ func CholeskyJitter(a *Matrix, initial float64, blockSize, nworkers int) (*Matri
 }
 
 // CholeskyJitterInto is CholeskyJitter writing the factor into l, which must
-// be a.Rows square: the form for callers that factor the same-sized matrix
-// again and again (one LCM likelihood evaluation each). Only l's lower
-// triangle is written — every attempt starts from a's own, plus that
-// attempt's jitter — so a matrix that came zeroed from NewMatrix stays a
-// proper factor with a zero upper triangle across calls. Nothing here
+// be a.Rows square and must not be a: the form for callers that factor the
+// same-sized matrix again and again (one LCM likelihood evaluation each).
+// Only l's lower triangle is written — every attempt starts from a's own,
+// plus that attempt's jitter, which is why a must survive the attempts — so
+// a matrix that came zeroed from NewMatrix stays a proper factor with a zero
+// upper triangle across calls, and one whose upper triangle holds something
+// else serves every reader of the factor here (the substitutions, the
+// inverse, PackChol), none of which reads above the diagonal. Nothing here
 // allocates in proportion to n.
 func CholeskyJitterInto(l, a *Matrix, initial float64, blockSize, nworkers int) (float64, error) {
 	n := a.Rows
@@ -222,85 +225,49 @@ func backwardSubstT(data []float64, stride int, b []float64) {
 }
 
 // ParallelCholInverse returns (L·Lᵀ)⁻¹ densely. Used by the LCM gradient,
-// which needs tr(Σ⁻¹·dΣ) terms, and by the leave-one-out diagnostics. It
-// computes W = L⁻¹ column by column (stored transposed for contiguous access)
-// and assembles Σ⁻¹ = WᵀW from row-wise dot products, which is roughly 3×
-// cheaper than per-column two-sided solves and fully cache-friendly. The
-// independent column solves and the row-wise assembly are distributed over
-// nworkers goroutines. Both phases run in 2×4 tiles (tile.dots): a pair of
-// W columns against four rows of L, then a pair of W rows against four
-// others, so each operand row is loaded once for up to eight Dots. The
-// pairing and every summation order depend only on n — never on nworkers —
-// so the result is bitwise identical for any worker count.
+// which needs tr(Σ⁻¹·dΣ) terms (the leave-one-out diagnostics read only the
+// diagonal: CholInverseDiag). It computes W = L⁻¹ column by column (stored
+// transposed for contiguous access) and assembles Σ⁻¹ = WᵀW from row-wise
+// dot products, which is roughly 3× cheaper than per-column two-sided
+// solves and fully cache-friendly. The independent column solves and the
+// row-wise assembly are distributed over nworkers goroutines. Both phases
+// run in 2×4 tiles (tile.dots): a pair of W columns against four rows of L,
+// then a pair of W rows against four others, so each operand row is loaded
+// once for up to eight Dots. The pairing and every summation order depend
+// only on n — never on nworkers — so the result is bitwise identical for any
+// worker count.
 func ParallelCholInverse(l *Matrix, nworkers int) *Matrix {
 	return ParallelCholInverseInto(l, nworkers, nil, nil)
 }
 
 // ParallelCholInverseInto is ParallelCholInverse writing into caller-provided
 // scratch: wt (the W = L⁻¹ workspace) and inv (the result) must each be n×n,
-// or nil to allocate fresh. Neither needs zeroing between calls — every entry
-// read is written first. Reusing both across the ~10² gradient evaluations of
-// an L-BFGS restart removes the dominant per-evaluation allocation.
+// or nil to allocate fresh. Reusing both across the ~10² gradient
+// evaluations of an L-BFGS restart removes the dominant per-evaluation
+// allocation.
+//
+// Neither needs zeroing, and both may be buffers whose contents the caller
+// is done with: the first phase reads L's lower triangle and the entries of
+// wt it has written, the second reads only wt, and no entry of wt or inv is
+// read before it is written. So inv may be l itself — the second phase never
+// reads the factor it overwrites — and wt may be the matrix l was factored
+// from; wt must be neither l nor inv. The LCM engine's two n×n buffers rest
+// on this contract. CholeskyJitterInto has no such freedom: its factor must
+// not be its input, because every jitter rung re-reads the input.
 func ParallelCholInverseInto(l *Matrix, nworkers int, wt, inv *Matrix) *Matrix {
 	n := l.Rows
-	// wt.Row(j)[k] holds W[k][j], i.e. the solution of L·w = e_j (nonzero
-	// only for k ≥ j). Columns of W are mutually independent.
 	if wt == nil {
 		wt = NewMatrix(n, n)
 	} else if wt.Rows != n || wt.Cols != n {
 		panic("la: ParallelCholInverseInto wt dimension mismatch")
 	}
-	// Phase 1, columns j0 = 2g and j1 = j0+1 of W: for k > j1,
-	//
-	//	W[k][j0] = -(Dot(L[k, j1:k], W[j1:k, j0]) + L[k,j0]·W[j0][j0]) / L[k,k]
-	//	W[k][j1] = -Dot(L[k, j1:k], W[j1:k, j1]) / L[k,k]
-	//
-	// Rows k of L advance in blocks of four at k − j1 ≡ 0 (mod 4), which share
-	// the aligned prefix [j1, kb) of all eight Dots; each row's tail multiplies
-	// W entries the block has just produced. Row j1 opens the first block and
-	// keeps its own closed form.
-	npair := (n + 1) / 2
-	parallelBlocks(npair, nworkers, func(g int) {
-		j0 := 2 * g
-		j1 := j0 + 1
-		row0 := wt.Row(j0)
-		row0[j0] = 1 / l.At(j0, j0)
-		if j1 >= n {
-			return
-		}
-		lj1 := l.Row(j1)
-		row0[j1] = -lj1[j0] * row0[j0] / lj1[j1]
-		row1 := wt.Row(j1)
-		row1[j1] = 1 / lj1[j1]
-		var t tile
-		var lk [4][]float64
-		for kb := j1; kb < n; kb += 4 {
-			nk := min(4, n-kb)
-			for c := range lk {
-				lk[c] = l.Row(kb + min(c, nk-1)) // fewer than four rows repeat the last
-			}
-			t.dots(row0, row1, &lk, j1, kb)
-			if nk == 4 && kb > j1 {
-				invTile(row0[kb:kb+4:kb+4], row1[kb:kb+4:kb+4], &lk, &t, kb, j0, row0[j0])
-				continue
-			}
-			for c := 0; c < nk; c++ {
-				k := kb + c
-				if k == j1 {
-					continue
-				}
-				s0 := finishDot(t.lanes(0, c), lk[c][kb:k], row0[kb:k]) + lk[c][j0]*row0[j0]
-				s1 := finishDot(t.lanes(1, c), lk[c][kb:k], row1[kb:k])
-				row0[k] = -s0 / lk[c][k]
-				row1[k] = -s1 / lk[c][k]
-			}
-		}
-	})
+	cholInverseW(l.Data, n, wt, nworkers)
 	if inv == nil {
 		inv = NewMatrix(n, n)
 	} else if inv.Rows != n || inv.Cols != n {
 		panic("la: ParallelCholInverseInto inv dimension mismatch")
 	}
+	npair := (n + 1) / 2
 	parallelBlocks(npair, nworkers, func(g int) {
 		i0 := 2 * g
 		i1 := i0 + 1
@@ -342,6 +309,93 @@ func ParallelCholInverseInto(l *Matrix, nworkers int, wt, inv *Matrix) *Matrix {
 		}
 	})
 	return inv
+}
+
+// CholInverseDiag returns the diagonal of (L·Lᵀ)⁻¹ for the packed factor t,
+// every entry the bits ParallelCholInverse gives it: the inverse's first
+// phase over t's rows, then, of the second, only the diagonal Dots — with
+// w_i = W's column i (wt.Row(i)), Dot(w_i[i:], w_i[i:]) for odd i and the
+// odd tail row, Dot(w_i[i+1:], w_i[i+1:]) + w_i[i]² for the other even i,
+// each the tile's lanes combined as Dot combines them. That is n² doubles
+// and about n³/6 flops, where the dense inverse of a packed factor takes
+// 3n² and n³/3. The leave-one-out diagnostics read nothing else.
+func CholInverseDiag(t *TriPacked, nworkers int) []float64 {
+	n := t.n
+	wt := NewMatrix(n, n)
+	cholInverseW(t.data, 0, wt, nworkers)
+	d := make([]float64, n)
+	for i := range d {
+		w := wt.Row(i)
+		if i&1 == 1 || i == n-1 {
+			d[i] = Dot(w[i:], w[i:])
+		} else {
+			d[i] = Dot(w[i+1:], w[i+1:]) + w[i]*w[i]
+		}
+	}
+	return d
+}
+
+// cholInverseW is the inverse's first phase, behind ParallelCholInverseInto
+// and CholInverseDiag: it fills wt.Row(j)[j:] with column j of W = L⁻¹, the
+// solution of L·w = e_j (zero above j, an entry wt never holds), for
+// n = wt.Rows. L's rows are read as forwardSubst reads them — row i at
+// data[i·stride], or packed when stride is 0 — and only up to their
+// diagonals. Columns of W are mutually independent.
+//
+// Columns j0 = 2g and j1 = j0+1 of W: for k > j1,
+//
+//	W[k][j0] = -(Dot(L[k, j1:k], W[j1:k, j0]) + L[k,j0]·W[j0][j0]) / L[k,k]
+//	W[k][j1] = -Dot(L[k, j1:k], W[j1:k, j1]) / L[k,k]
+//
+// Rows k of L advance in blocks of four at k − j1 ≡ 0 (mod 4), which share
+// the aligned prefix [j1, kb) of all eight Dots; each row's tail multiplies
+// W entries the block has just produced. Row j1 opens the first block and
+// keeps its own closed form.
+func cholInverseW(data []float64, stride int, wt *Matrix, nworkers int) {
+	parallelBlocks((wt.Rows+1)/2, nworkers, func(g int) {
+		n := wt.Rows // not captured: the closure is built on every call
+		j0 := 2 * g
+		j1 := j0 + 1
+		row0 := wt.Row(j0)
+		row0[j0] = 1 / triRow(data, stride, j0)[j0]
+		if j1 >= n {
+			return
+		}
+		lj1 := triRow(data, stride, j1)
+		row0[j1] = -lj1[j0] * row0[j0] / lj1[j1]
+		row1 := wt.Row(j1)
+		row1[j1] = 1 / lj1[j1]
+		var t tile
+		var lk [4][]float64
+		for kb := j1; kb < n; kb += 4 {
+			nk := min(4, n-kb)
+			for c := range lk {
+				lk[c] = triRow(data, stride, kb+min(c, nk-1)) // fewer than four rows repeat the last
+			}
+			t.dots(row0, row1, &lk, j1, kb)
+			if nk == 4 && kb > j1 {
+				invTile(row0[kb:kb+4:kb+4], row1[kb:kb+4:kb+4], &lk, &t, kb, j0, row0[j0])
+				continue
+			}
+			for c := 0; c < nk; c++ {
+				k := kb + c
+				if k == j1 {
+					continue
+				}
+				s0 := finishDot(t.lanes(0, c), lk[c][kb:k], row0[kb:k]) + lk[c][j0]*row0[j0]
+				s1 := finishDot(t.lanes(1, c), lk[c][kb:k], row1[kb:k])
+				row0[k] = -s0 / lk[c][k]
+				row1[k] = -s1 / lk[c][k]
+			}
+		}
+	})
+}
+
+// triRow returns row i of a lower-triangular factor up to its diagonal,
+// laid out as for forwardSubst.
+func triRow(data []float64, stride, i int) []float64 {
+	o := rowStart(i, stride)
+	return data[o : o+i+1 : o+i+1]
 }
 
 // LogDetFromChol returns log det(A) = 2·Σ log L_ii given A's Cholesky factor.

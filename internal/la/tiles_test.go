@@ -291,29 +291,8 @@ func TestTiledInverseBitwise(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	rng := rand.New(rand.NewSource(103))
 	for _, n := range tileSizes() {
-		factors := map[string]*Matrix{}
-		for name, a := range tileInputs(rng, n) {
-			if l, _, err := refCholeskyJitter(a, 64); err == nil {
-				factors[name] = l
-			}
-		}
-		laced := NewMatrix(n, n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < i; j++ {
-				v := rng.NormFloat64()
-				switch rng.Intn(3) {
-				case 0:
-					v = 0
-				case 1:
-					v = math.Copysign(0, -1)
-				}
-				laced.Data[i*n+j] = v
-			}
-			laced.Data[i*n+i] = 0.5 + rng.Float64()
-		}
-		factors["laced"] = laced
 		wt, inv := NewMatrix(n, n), NewMatrix(n, n)
-		for name, l := range factors {
+		for name, l := range inverseFactors(rng, n) {
 			want := refCholInverse(l)
 			for _, w := range []int{1, 2, 8} {
 				for _, scalar := range []bool{false, true} {
@@ -330,6 +309,115 @@ func TestTiledInverseBitwise(t *testing.T) {
 					for kind, got := range map[string]*Matrix{"fresh": fresh, "reused": reused} {
 						if d := sameMatrixBits(got, want); d != "" {
 							t.Fatalf("n=%d %s workers=%d scalar=%v %s scratch: %s", n, name, w, scalar, kind, d)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// inverseFactors returns the order-n factors the inverse is checked on: the
+// oracle's factors of tileInputs, and a random lower-triangular factor a
+// third of whose off-diagonal entries are +0 or −0.
+func inverseFactors(rng *rand.Rand, n int) map[string]*Matrix {
+	factors := map[string]*Matrix{}
+	for name, a := range tileInputs(rng, n) {
+		if l, _, err := refCholeskyJitter(a, 64); err == nil {
+			factors[name] = l
+		}
+	}
+	laced := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < i; j++ {
+			v := rng.NormFloat64()
+			switch rng.Intn(3) {
+			case 0:
+				v = 0
+			case 1:
+				v = math.Copysign(0, -1)
+			}
+			laced.Data[i*n+j] = v
+		}
+		laced.Data[i*n+i] = 0.5 + rng.Float64()
+	}
+	factors["laced"] = laced
+	return factors
+}
+
+// TestCholInverseIntoOverwritesItsFactor: ParallelCholInverseInto with inv
+// the factor itself, NaN above the factor's diagonal and wt full of NaN —
+// what the LCM engine's two buffers hand it — writes every entry the bits
+// it writes into separate, fresh scratch, for the sizes, worker counts and
+// dispatches of TestTiledInverseBitwise. A read of the factor in the second
+// phase or above its diagonal, or of an entry of wt or inv before it is
+// written, shows up as a differing entry.
+func TestCholInverseIntoOverwritesItsFactor(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	rng := rand.New(rand.NewSource(107))
+	for _, n := range tileSizes() {
+		wt := NewMatrix(n, n)
+		for name, l := range inverseFactors(rng, n) {
+			for _, w := range []int{1, 2, 8} {
+				for _, scalar := range []bool{false, true} {
+					var want, got *Matrix
+					run := func() {
+						want = ParallelCholInverse(l, w)
+						for i := range wt.Data {
+							wt.Data[i] = math.NaN()
+						}
+						got = l.Clone()
+						for i := 0; i < n; i++ {
+							for j := i + 1; j < n; j++ {
+								got.Data[i*n+j] = math.NaN()
+							}
+						}
+						if p := ParallelCholInverseInto(got, w, wt, got); p != got {
+							t.Fatalf("n=%d: ParallelCholInverseInto returned another matrix than inv", n)
+						}
+					}
+					if scalar {
+						scalarOnly(run)
+					} else {
+						run()
+					}
+					if d := sameMatrixBits(got, want); d != "" {
+						t.Fatalf("n=%d %s workers=%d scalar=%v, inv = l: %s", n, name, w, scalar, d)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCholInverseDiagBitwise: CholInverseDiag of the packed factor is the
+// diagonal of ParallelCholInverse of the dense one, every entry's bits, for
+// the sizes, worker counts and dispatches of TestTiledInverseBitwise.
+func TestCholInverseDiagBitwise(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	rng := rand.New(rand.NewSource(109))
+	for _, n := range tileSizes() {
+		for name, l := range inverseFactors(rng, n) {
+			packed := PackChol(l)
+			for _, w := range []int{1, 2, 8} {
+				for _, scalar := range []bool{false, true} {
+					var inv *Matrix
+					var diag []float64
+					run := func() {
+						inv = ParallelCholInverse(l, w)
+						diag = CholInverseDiag(packed, w)
+					}
+					if scalar {
+						scalarOnly(run)
+					} else {
+						run()
+					}
+					if len(diag) != n {
+						t.Fatalf("n=%d: %d diagonal entries", n, len(diag))
+					}
+					for i, got := range diag {
+						if want := inv.At(i, i); math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("n=%d %s workers=%d scalar=%v: diag[%d] %v, inverse %v", n, name, w, scalar, i, got, want)
 						}
 					}
 				}

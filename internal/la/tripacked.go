@@ -55,16 +55,6 @@ func (t *TriPacked) Clone() *TriPacked {
 	return c
 }
 
-// Dense expands the factor to a dense n×n Matrix with a zero strict upper
-// triangle, for consumers of the dense kernels (ParallelCholInverse diagnostics).
-func (t *TriPacked) Dense() *Matrix {
-	m := NewMatrix(t.n, t.n)
-	for i := 0; i < t.n; i++ {
-		copy(m.Row(i)[:i+1], t.Row(i))
-	}
-	return m
-}
-
 // ForwardSubst solves L·y = b in place (b becomes y) for each of up to four
 // right-hand sides: the dense ForwardSubst's forwardSubst body over packed
 // rows, so results are bitwise identical, and each right-hand side's bits
