@@ -1,6 +1,7 @@
 // Command gptlint enforces the repo's determinism and concurrency
-// invariants (DESIGN.md §7): no global math/rand, no wall-clock reads
-// in the numeric core (directly or through any call chain), no map-range
+// invariants (DESIGN.md §7): no global math/rand and no generator built
+// outside internal/rng, no wall-clock reads in the numeric core (directly
+// or through any call chain), no map-range
 // accumulation, no goroutines outside internal/mpx, no float ==, no dropped
 // errors, no math function whose bits follow exp_amd64.s's FMA path in the
 // numeric core, no locks held across blocking operations, no inconsistent lock

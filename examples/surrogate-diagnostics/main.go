@@ -9,13 +9,13 @@ import (
 	"fmt"
 	"log"
 	"math"
-	"math/rand"
 
 	"repro/gptune"
+	"repro/internal/rng"
 )
 
 func main() {
-	rng := rand.New(rand.NewSource(7))
+	rng := rng.New(7, rng.Example)
 	truth := func(task int, x float64) float64 {
 		return math.Sin(2*math.Pi*x) + 0.3*float64(task)*math.Cos(2*math.Pi*x)
 	}

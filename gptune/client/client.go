@@ -17,6 +17,8 @@ package client
 import (
 	"bytes"
 	"context"
+	crand "crypto/rand"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -29,6 +31,7 @@ import (
 	"repro/gptune"
 	"repro/gptune/api"
 	"repro/internal/ring"
+	"repro/internal/rng"
 )
 
 // The wire shapes are the protocol package's; these names predate it.
@@ -85,8 +88,9 @@ type Config struct {
 	// 100ms / 5s.
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
-	// JitterSeed seeds the backoff jitter; the zero seed is used as-is
-	// (deterministic tests pin it, production varies it per process).
+	// JitterSeed seeds the backoff jitter. Zero draws a seed per client
+	// from crypto/rand, so clients released together by one 503 do not
+	// retry in lockstep; a non-zero seed (tests pin one) is used as-is.
 	JitterSeed int64
 }
 
@@ -124,7 +128,12 @@ func New(cfg Config) (*Client, error) {
 	if hc == nil {
 		hc = &http.Client{}
 	}
-	return &Client{cfg: cfg, ring: r, hc: hc, rng: rand.New(rand.NewSource(cfg.JitterSeed))}, nil
+	if cfg.JitterSeed == 0 {
+		var b [8]byte
+		crand.Read(b[:]) // never fails: it crashes the program first
+		cfg.JitterSeed = int64(binary.LittleEndian.Uint64(b[:]))
+	}
+	return &Client{cfg: cfg, ring: r, hc: hc, rng: rng.New(cfg.JitterSeed, rng.Jitter)}, nil
 }
 
 // Owner returns the replica base URL a study routes to.

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -119,6 +120,31 @@ func TestBackoffBoundsTheHint(t *testing.T) {
 				break
 			}
 		}
+	}
+}
+
+// TestZeroJitterSeedVariesPerClient: clients left at the zero JitterSeed
+// draw their own seed, so a fleet released by one 503 spreads its retries;
+// a pinned seed replays its own sequence.
+func TestZeroJitterSeedVariesPerClient(t *testing.T) {
+	backoffs := func(seed int64) []time.Duration {
+		cfg := testCfg("http://replica")
+		cfg.JitterSeed = seed
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ds []time.Duration
+		for attempt := 0; attempt < 8; attempt++ {
+			ds = append(ds, c.backoff(attempt%3, ""))
+		}
+		return ds
+	}
+	if a, b := backoffs(0), backoffs(0); slices.Equal(a, b) {
+		t.Errorf("two zero-seed clients drew the same backoffs %v", a)
+	}
+	if a, b := backoffs(7), backoffs(7); !slices.Equal(a, b) {
+		t.Errorf("seed 7 drew %v, then %v", a, b)
 	}
 }
 

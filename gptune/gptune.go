@@ -38,6 +38,7 @@ import (
 	"repro/internal/gp"
 	"repro/internal/histdb"
 	"repro/internal/opt"
+	"repro/internal/rng"
 	"repro/internal/sample"
 	"repro/internal/space"
 	"repro/internal/surrogate"
@@ -46,8 +47,6 @@ import (
 	"repro/internal/tuners/opentuner"
 	"repro/internal/tuners/singletask"
 	"repro/internal/tuners/surf"
-
-	"math/rand"
 )
 
 // Problem describes a tuning problem (task space, tuning space, outputs,
@@ -146,7 +145,7 @@ func SampleTasks(p *Problem, delta int, seed int64) ([][]float64, error) {
 	if p.Tasks == nil {
 		return nil, fmt.Errorf("gptune: problem has no task space")
 	}
-	return sample.FeasibleLHS(p.Tasks, delta, rand.New(rand.NewSource(seed)))
+	return sample.FeasibleLHS(p.Tasks, delta, rng.New(seed, rng.Tasks))
 }
 
 // Tuner is the single-task autotuner interface shared by GPTune (δ=1) and

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"repro/internal/core"
+	"repro/internal/rng"
 	"repro/internal/sample"
 	"repro/internal/space"
 )
@@ -39,7 +40,7 @@ func Verify(s *Scenario) error {
 	if err := prob.Validate(); err != nil {
 		return fmt.Errorf("bench: scenario %q: %w", s.Name, err)
 	}
-	rng := rand.New(rand.NewSource(verifySeed))
+	rng := rng.New(verifySeed, rng.Verify)
 	for _, sp := range []struct {
 		name string
 		s    *space.Space

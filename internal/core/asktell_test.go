@@ -3,9 +3,9 @@ package core
 import (
 	"errors"
 	"math"
-	"math/rand"
 	"testing"
 
+	"repro/internal/rng"
 	"repro/internal/sample"
 )
 
@@ -66,9 +66,13 @@ func TestFailRetryStreamDraws(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// White box: replay the job's retry stream independently.
+	// White box: replay the retry stream of task 0's first initial job
+	// independently.
 	j := eng.byID[sg.ID]
-	rng := rand.New(rand.NewSource(j.retrySeed))
+	if sg.ID != 0 || sg.Task != 0 || sg.Phase != "init" {
+		t.Fatalf("first suggestion %+v is not task 0's first initial job", sg)
+	}
+	rng := rng.New(9, rng.Retry, 0, 0, 0)
 	draw := func() []float64 {
 		pts, err := sample.FeasibleUniform(p.Tuning, 1, rng)
 		if err != nil {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/mpx"
+	"repro/internal/rng"
 	"repro/internal/sample"
 	"repro/internal/surrogate"
 )
@@ -63,8 +64,7 @@ type engJob struct {
 	requested []float64
 	x         []float64
 	y         []float64
-	retrySeed int64
-	rng       *rand.Rand // lazily created on first Fail; fixed at generation
+	rng       *rand.Rand // the retry stream: task, slot, minSamples before the batch
 	attempts  int
 	lastErr   error
 	issued    bool
@@ -189,7 +189,7 @@ func NewEngine(p *Problem, tasks [][]float64, options Options) (*Engine, error) 
 		X:      make([][][]float64, len(tasks)),
 		Y:      make([][][]float64, len(tasks)),
 		done:   make([]int, len(tasks)),
-		rng:    rand.New(rand.NewSource(options.Seed)),
+		rng:    rng.New(options.Seed, rng.Engine),
 	}
 	if p.Model != nil {
 		st.coeffs = append([]float64(nil), p.Model.Coeffs...)
@@ -555,9 +555,6 @@ func (e *Engine) Fail(id int64, cause error) (Suggestion, error) {
 		e.gen.Broadcast() // parked askers stop waiting on a batch that cannot complete
 		return Suggestion{}, fmt.Errorf("%w: %w", ErrTerminalFailure, j.lastErr)
 	}
-	if j.rng == nil {
-		j.rng = rand.New(rand.NewSource(j.retrySeed))
-	}
 	pts, serr := sample.FeasibleUniform(e.st.p.Tuning, 1, j.rng)
 	if serr != nil {
 		j.dead = true
@@ -621,8 +618,8 @@ func (e *Engine) commitReady() error {
 }
 
 // genInit implements Algorithm 1 line 1: ε_tot/2 feasible LHS
-// configurations per task. The retry seed is salted with the job index, not
-// just the task: two failing configurations of the same task must draw
+// configurations per task. A job's retry stream is labelled with its slot,
+// not just the task: two failing configurations of the same task must draw
 // distinct replacement points (a task-only seed made them collide). IDs are
 // assigned later, at install time, under the engine mutex.
 func (e *Engine) genInit() ([]*engJob, error) {
@@ -640,12 +637,9 @@ func (e *Engine) genInit() ([]*engJob, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: initial sampling for task %d: %w", i, err)
 		}
-		for _, x := range pts {
-			jobs = append(jobs, &engJob{task: i, phase: "init", requested: x, x: x})
+		for b, x := range pts {
+			jobs = append(jobs, &engJob{task: i, phase: "init", requested: x, x: x, rng: rng.New(st.opts.Seed, rng.Retry, uint64(i), uint64(b), 0)})
 		}
-	}
-	for idx, j := range jobs {
-		j.retrySeed = st.opts.Seed ^ hash3(j.task, idx, len(jobs))
 	}
 	return jobs, nil
 }
@@ -689,10 +683,9 @@ func (e *Engine) genSearch(delta *PhaseStats) (jobs []*engJob, phase string, err
 	mpx.ParallelFor(len(st.tasks), st.opts.Workers, func(i int) { newX[i] = search(i) })
 	delta.Search += st.opts.since(t1)
 
-	// Flatten into a canonical-order batch. The retry seed reuses the
-	// (task·64+slot, minSamples) salt the evaluation loop always used, with
-	// minSamples frozen pre-batch. IDs are assigned at install time, under
-	// the engine mutex.
+	// Flatten into a canonical-order batch. A job's retry stream is labelled
+	// with its task, slot and minSamples frozen pre-batch. IDs are assigned
+	// at install time, under the engine mutex.
 	for i := range newX {
 		for b, x := range newX[i] {
 			jobs = append(jobs, &engJob{
@@ -700,7 +693,7 @@ func (e *Engine) genSearch(delta *PhaseStats) (jobs []*engJob, phase string, err
 				phase:     phase,
 				requested: x,
 				x:         x,
-				retrySeed: st.opts.Seed ^ hash2(i*64+b, ms),
+				rng:       rng.New(st.opts.Seed, rng.Retry, uint64(i), uint64(b), uint64(ms)),
 			})
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/rng"
 	"repro/internal/surrogate"
 )
 
@@ -46,16 +47,12 @@ func (st *state) refitPhase(gamma, ms int) ([]surrogate.Model, []func(float64) f
 	for s := 0; s < gamma; s++ {
 		logY[s] = st.logApplied(s)
 		data := st.buildDataset(s, fs, logY[s], nil)
-		seed := st.opts.Seed + int64(ms)
-		if gamma > 1 {
-			seed = st.opts.Seed + int64(ms)*31 + int64(s)
-		}
 		model, err := st.fitter.Fit(data, surrogate.FitOptions{
 			Q:         st.opts.Q,
 			NumStarts: st.opts.NumStarts,
 			Workers:   st.opts.Workers,
 			MaxIter:   st.opts.ModelMaxIter,
-			Seed:      seed,
+			Seed:      rng.Mix(st.opts.Seed, rng.Fit, uint64(ms), uint64(s)),
 			WarmStart: st.refitWarmStart(s),
 			Inducing:  st.opts.Inducing,
 		})

@@ -10,6 +10,7 @@ import (
 	"repro/internal/la"
 	"repro/internal/mpx"
 	"repro/internal/opt"
+	"repro/internal/rng"
 	"repro/internal/sample"
 	"repro/internal/space"
 	"repro/internal/surrogate"
@@ -253,14 +254,6 @@ func (st *state) minSamples() int {
 		}
 	}
 	return m
-}
-
-func hash2(a, b int) int64 {
-	return int64(a)*1000003 + int64(b)*7919
-}
-
-func hash3(a, b, c int) int64 {
-	return int64(a)*1000003 + int64(b)*8191 + int64(c)*7919
 }
 
 // checkpointEval streams one completed evaluation to the checkpoint hook
@@ -515,7 +508,7 @@ func (st *state) searchBatch(i int, model surrogate.Model, tv func(float64) floa
 	var chosen [][]float64     // native
 	var chosenNorm [][]float64 // normalized, for the penalty
 	for b := 0; b < k; b++ {
-		x := st.searchOne(i, model, ws, tv, fs, chosenNorm, int64(b))
+		x := st.searchOne(i, model, ws, tv, fs, chosenNorm, b)
 		if x == nil {
 			continue
 		}
@@ -653,7 +646,7 @@ func (a *acqSearch) damped(xNat []float64, mu, v float64) float64 {
 // swarm with the incumbent best configuration, damping near the avoid
 // points (batch spreading). It returns a native configuration, avoiding
 // exact duplicates of already-evaluated points.
-func (st *state) searchOne(i int, model surrogate.Model, ws surrogate.Workspace, tv func(float64) float64, fs *featureScale, avoid [][]float64, salt int64) []float64 {
+func (st *state) searchOne(i int, model surrogate.Model, ws surrogate.Workspace, tv func(float64) float64, fs *featureScale, avoid [][]float64, slot int) []float64 {
 	yBest := math.Inf(1)
 	bestIdx := 0
 	for j, y := range st.Y[i] {
@@ -662,7 +655,7 @@ func (st *state) searchOne(i int, model surrogate.Model, ws surrogate.Workspace,
 			bestIdx = j
 		}
 	}
-	rng := rand.New(rand.NewSource(st.opts.Seed ^ hash2(7+i, st.minSamples()) ^ (salt << 17)))
+	rng := rng.New(st.opts.Seed, rng.Search, uint64(i), uint64(st.minSamples()), uint64(slot))
 	dim := st.p.Tuning.Dim()
 	ev := st.newAcqSearch(i, model, ws, fs, yBest, avoid)
 	params := st.opts.Search

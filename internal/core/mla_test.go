@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/acq"
@@ -62,29 +63,38 @@ func TestRunRejectsEmptyTasks(t *testing.T) {
 	}
 }
 
+// TestMLASingleTaskFindsGoodMinimum: the median over seeds 1–10 of a
+// 20-evaluation run's gap to the true minimum is within 0.15. One seed's
+// gap is a draw (about 70 % of seeds land within 0.15, whatever the stream
+// derivation), so the check is on the tuner, not on one seed's streams.
 func TestMLASingleTaskFindsGoodMinimum(t *testing.T) {
 	p := analyticalProblem()
-	res, err := Run(p, [][]float64{{0}}, Options{EpsTot: 20, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Tasks) != 1 {
-		t.Fatalf("got %d task results", len(res.Tasks))
-	}
-	tr := res.Tasks[0]
-	if len(tr.X) != 20 || len(tr.Y) != 20 {
-		t.Fatalf("expected 20 samples, got %d", len(tr.X))
-	}
-	_, bestY := tr.Best()
 	truth := trueMin(0)
-	if bestY[0] > truth+0.15 {
-		t.Fatalf("best found %v, true minimum %v", bestY[0], truth)
+	var gaps []float64
+	for seed := int64(1); seed <= 10; seed++ {
+		res, err := Run(p, [][]float64{{0}}, Options{EpsTot: 20, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Tasks) != 1 {
+			t.Fatalf("got %d task results", len(res.Tasks))
+		}
+		tr := res.Tasks[0]
+		if len(tr.X) != 20 || len(tr.Y) != 20 {
+			t.Fatalf("expected 20 samples, got %d", len(tr.X))
+		}
+		if res.Stats.NumEvals != 20 {
+			t.Fatalf("NumEvals = %d", res.Stats.NumEvals)
+		}
+		if res.Stats.Total <= 0 || res.Stats.Modeling <= 0 || res.Stats.Search <= 0 {
+			t.Fatalf("phase stats not recorded: %+v", res.Stats)
+		}
+		_, bestY := tr.Best()
+		gaps = append(gaps, bestY[0]-truth)
 	}
-	if res.Stats.NumEvals != 20 {
-		t.Fatalf("NumEvals = %d", res.Stats.NumEvals)
-	}
-	if res.Stats.Total <= 0 || res.Stats.Modeling <= 0 || res.Stats.Search <= 0 {
-		t.Fatalf("phase stats not recorded: %+v", res.Stats)
+	sort.Float64s(gaps)
+	if med := (gaps[4] + gaps[5]) / 2; med > 0.15 {
+		t.Fatalf("median gap to the true minimum %v over seeds 1-10 (gaps %v)", med, gaps)
 	}
 }
 

@@ -2,10 +2,10 @@ package core
 
 import (
 	"math"
-	"math/rand"
 	"sort"
 
 	"repro/internal/opt"
+	"repro/internal/rng"
 	"repro/internal/sample"
 	"repro/internal/surrogate"
 )
@@ -32,7 +32,7 @@ func (st *state) searchMO(i int, models []surrogate.Model, transforms []func(flo
 		evs[s] = st.newAcqSearch(i, model, model.NewWorkspace(), fs, yBest, nil)
 		seeds = append(seeds, st.p.Tuning.Normalize(st.X[i][best]))
 	}
-	rng := rand.New(rand.NewSource(st.opts.Seed ^ hash2(13+i, st.minSamples())))
+	rng := rng.New(st.opts.Seed, rng.MO, uint64(i), uint64(st.minSamples()))
 	objective := func(us, out [][]float64) {
 		col := make([]float64, len(us))
 		for k := range out {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/opt"
+	"repro/internal/rng"
 	"repro/internal/sample"
 	"repro/internal/space"
 	"repro/internal/surrogate"
@@ -63,7 +64,7 @@ func (st *state) searchBatchOneAtATime(i int, model surrogate.Model, tv func(flo
 				yBest, bestIdx = v, j
 			}
 		}
-		rng := rand.New(rand.NewSource(st.opts.Seed ^ hash2(7+i, st.minSamples()) ^ (int64(b) << 17)))
+		rng := rng.New(st.opts.Seed, rng.Search, uint64(i), uint64(st.minSamples()), uint64(b))
 		dim := st.p.Tuning.Dim()
 		ev := st.newAcqSearch(i, model, ws, fs, yBest, chosenNorm)
 		score := func(u []float64) float64 {

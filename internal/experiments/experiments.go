@@ -10,11 +10,10 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 
+	"repro/gptune"
 	"repro/internal/core"
 	"repro/internal/opt"
-	"repro/internal/sample"
 	"repro/internal/tuners"
 	"repro/internal/tuners/hpbandster"
 	"repro/internal/tuners/opentuner"
@@ -78,7 +77,7 @@ func compare(p *core.Problem, tasks [][]float64, opts core.Options, rivals []tun
 
 // randomTasks draws n feasible tasks of p by Latin hypercube sampling.
 func randomTasks(p *core.Problem, n int, seed int64) [][]float64 {
-	tasks, err := sample.FeasibleLHS(p.Tasks, n, rand.New(rand.NewSource(seed)))
+	tasks, err := gptune.SampleTasks(p, n, seed)
 	if err != nil {
 		panic(err)
 	}

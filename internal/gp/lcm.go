@@ -17,6 +17,7 @@ import (
 	"repro/internal/la"
 	"repro/internal/mpx"
 	"repro/internal/opt"
+	"repro/internal/rng"
 )
 
 // Dataset holds multitask training data: for each task i, the normalized
@@ -380,7 +381,7 @@ func startPoint(layout hyperLayout, seed int64, s int, warm []float64) []float64
 	if s == 0 && warm != nil {
 		return warm
 	}
-	return randomInit(layout, rand.New(rand.NewSource(seed+int64(s)*7919+1)))
+	return randomInit(layout, rng.New(seed, rng.Start, uint64(s)))
 }
 
 func randomInit(layout hyperLayout, rng *rand.Rand) []float64 {

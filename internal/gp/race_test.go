@@ -188,7 +188,10 @@ func TestRaceStartsRounds(t *testing.T) {
 // the surviving start reaches run alone to MaxIter; where the start the
 // un-raced fit would have picked survives both rungs, that is the un-raced
 // fit's model. Both outcomes are pinned on a dataset each, next to the fit
-// shapes that cannot lose their winner.
+// shapes that cannot lose their winner. Which start wins follows the starts'
+// rng.Start streams: a change to them re-records the pinned starts, and the
+// eliminated case takes the first synthetic seed (1, 2, …) that still
+// eliminates its winner (seed 3 since the streams moved to internal/rng).
 func TestFitLCMSurvivorIsItsSoloRun(t *testing.T) {
 	recsys, recsysSeed := recsysN54(t)
 	for _, c := range []struct {
@@ -197,8 +200,8 @@ func TestFitLCMSurvivorIsItsSoloRun(t *testing.T) {
 		opts             FitOptions
 		winner, survivor int
 	}{
-		{"the un-raced winner survives", syntheticDataset(rand.New(rand.NewSource(2)), 3, 10, 2, 0.05), FitOptions{Seed: 2}, 2, 2},
-		{"the un-raced winner is eliminated", syntheticDataset(rand.New(rand.NewSource(1)), 3, 10, 2, 0.05), FitOptions{Seed: 1}, 0, 1},
+		{"the un-raced winner survives", syntheticDataset(rand.New(rand.NewSource(2)), 3, 10, 2, 0.05), FitOptions{Seed: 2}, 3, 3},
+		{"the un-raced winner is eliminated", syntheticDataset(rand.New(rand.NewSource(3)), 3, 10, 2, 0.05), FitOptions{Seed: 3}, 3, 1},
 		{"one start", syntheticDataset(rand.New(rand.NewSource(3)), 3, 10, 2, 0.05), FitOptions{Seed: 3, NumStarts: 1}, 0, 0},
 		{"2 x 15, the warm-history shape", syntheticDataset(rand.New(rand.NewSource(4)), 3, 10, 2, 0.05), FitOptions{Seed: 4, NumStarts: 2, MaxIter: 15}, -1, -1},
 		{"2 x 25, the experiments' cap", syntheticDataset(rand.New(rand.NewSource(5)), 3, 10, 2, 0.05), FitOptions{Seed: 5, NumStarts: 2, MaxIter: 25}, -1, -1},

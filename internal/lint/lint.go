@@ -74,7 +74,8 @@ func (d Diagnostic) String() string {
 }
 
 // Config scopes the rules. R1 (no-global-rand) applies to every analyzed
-// package; R4 (no-stray-goroutines) to every package not in GoroutineAllowed;
+// package, its constructor half to every package outside RandOwners; R4
+// (no-stray-goroutines) to every package not in GoroutineAllowed;
 // R2/R3/R5/R6/R12 only to the NumericPackages — the deterministic numeric
 // core whose outputs must be bitwise reproducible, on every machine. Of the interprocedural rules,
 // transitive-wallclock applies to the NumericPackages (reported at the edge
@@ -89,6 +90,9 @@ type Config struct {
 	// GoroutineAllowed are the import paths permitted to contain go
 	// statements (the mpx worker-pool substrate).
 	GoroutineAllowed []string
+	// RandOwners are the import paths permitted to build math/rand
+	// generators (internal/rng and the benchmark harness).
+	RandOwners []string
 	// Rules, when non-empty, restricts the run to the named rules.
 	// bad-ignore is always enforced; unused-ignore is only enforced on
 	// full runs (an ignore for a disabled rule legitimately suppresses
@@ -98,6 +102,8 @@ type Config struct {
 
 func (c *Config) isNumeric(path string) bool { return containsString(c.NumericPackages, path) }
 func (c *Config) allowsGo(path string) bool  { return containsString(c.GoroutineAllowed, path) }
+
+func (c *Config) ownsRand(path string) bool { return containsString(c.RandOwners, path) }
 
 // enabled reports whether diagnostics for rule should be emitted.
 func (c *Config) enabled(rule string) bool {
@@ -115,8 +121,9 @@ func containsString(xs []string, s string) bool {
 
 // DefaultConfig returns the rule scoping for a module laid out like this
 // repo: the numeric core under
-// internal/{gp,la,core,opt,acq,sample,sparse,space} and all parallelism in
-// internal/mpx.
+// internal/{gp,la,core,opt,acq,sample,sparse,space}, all parallelism in
+// internal/mpx, and every generator built by internal/rng (or by the
+// benchmark harness, which is not tuner code).
 func DefaultConfig(modulePath string) Config {
 	numeric := []string{"gp", "la", "core", "opt", "acq", "sample", "sparse", "space"}
 	cfg := Config{}
@@ -124,6 +131,7 @@ func DefaultConfig(modulePath string) Config {
 		cfg.NumericPackages = append(cfg.NumericPackages, modulePath+"/internal/"+n)
 	}
 	cfg.GoroutineAllowed = []string{modulePath + "/internal/mpx"}
+	cfg.RandOwners = []string{modulePath + "/internal/rng", modulePath + "/benchmark"}
 	return cfg
 }
 

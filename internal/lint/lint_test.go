@@ -28,6 +28,7 @@ func corpusConfig() Config {
 			"corpus/mathexp",
 		},
 		GoroutineAllowed: []string{"corpus/mpxok", "corpus/goleak"},
+		RandOwners:       []string{"corpus/rngok"},
 	}
 }
 
@@ -152,7 +153,7 @@ func sameFile(a, b string) bool {
 }
 
 // TestDefaultConfig pins the production scoping: the eight numeric
-// packages and the single goroutine-bearing package.
+// packages, the single goroutine-bearing package and the generator owners.
 func TestDefaultConfig(t *testing.T) {
 	cfg := DefaultConfig("repro")
 	for _, p := range []string{"gp", "la", "core", "opt", "acq", "sample", "sparse", "space"} {
@@ -165,6 +166,16 @@ func TestDefaultConfig(t *testing.T) {
 	}
 	if !cfg.allowsGo("repro/internal/mpx") || cfg.allowsGo("repro/internal/gp") {
 		t.Error("goroutine allowlist must be exactly internal/mpx")
+	}
+	for _, p := range []string{"repro/internal/rng", "repro/benchmark"} {
+		if !cfg.ownsRand(p) {
+			t.Errorf("%s may not build generators", p)
+		}
+	}
+	for _, p := range []string{"repro/internal/core", "repro/internal/rngx", "repro/gptune/client"} {
+		if cfg.ownsRand(p) {
+			t.Errorf("%s may build generators", p)
+		}
 	}
 }
 

@@ -7,12 +7,13 @@ import (
 	"go/types"
 )
 
-// randConstructors are the math/rand package-level functions that build
-// explicitly-seeded generators rather than touching the global source.
+// randConstructors are the math/rand and math/rand/v2 package-level
+// functions that build a generator or a source rather than touching the
+// global one. Only Config.RandOwners may call them: everywhere else a
+// stream comes from rng.New, so no package invents its own derivation.
 var randConstructors = map[string]bool{
 	"New":        true,
 	"NewSource":  true,
-	"NewZipf":    true,
 	"NewPCG":     true, // math/rand/v2
 	"NewChaCha8": true, // math/rand/v2
 }
@@ -61,11 +62,15 @@ func checkFile(pkg *Package, file *ast.File, cfg Config) []Diagnostic {
 				switch fn.Pkg().Path() {
 				case "math/rand", "math/rand/v2":
 					// R1: package-level math/rand functions draw from the
-					// shared global source; methods on an injected *rand.Rand
-					// and the explicit constructors are fine.
-					if fn.Type().(*types.Signature).Recv() == nil && !randConstructors[fn.Name()] {
-						report(n.Pos(), RuleGlobalRand,
-							"call to global %s.%s; thread a seeded *rand.Rand instead", fn.Pkg().Path(), fn.Name())
+					// shared global source, and a constructor outside the
+					// stream owners is a private seed derivation; methods on
+					// an injected *rand.Rand (and NewZipf over one) are fine.
+					if fn.Type().(*types.Signature).Recv() == nil && fn.Name() != "NewZipf" {
+						if !randConstructors[fn.Name()] {
+							report(n.Pos(), RuleGlobalRand, "call to global %s.%s; thread a seeded *rand.Rand instead", fn.Pkg().Path(), fn.Name())
+						} else if !cfg.ownsRand(pkg.Path) {
+							report(n.Pos(), RuleGlobalRand, "call to %s.%s outside internal/rng; derive the stream with rng.New(seed, tag, labels...)", fn.Pkg().Path(), fn.Name())
+						}
 					}
 				case "time":
 					// R2: wall-clock reads in the numeric core break run-to-run

@@ -15,6 +15,7 @@ import (
 	"sort"
 
 	"repro/internal/mpx"
+	"repro/internal/rng"
 )
 
 // Params configures forest growth.
@@ -103,7 +104,7 @@ func Fit(X [][]float64, y []float64, params Params) (*Forest, error) {
 	mpx.ParallelChunks(params.Trees, chunk, params.Workers, func(_, lo, hi int) {
 		g := newGrower(X, y, mtry)
 		for b := lo; b < hi; b++ {
-			g.rng.Seed(params.Seed + int64(b)*2654435761)
+			g.rng.Seed(rng.Mix(params.Seed, rng.Tree, uint64(b)))
 			f.trees[b] = g.tree()
 		}
 	})
@@ -130,7 +131,7 @@ func newGrower(X [][]float64, y []float64, mtry int) *grower {
 	n := len(X)
 	return &grower{
 		X: X, y: y, mtry: mtry,
-		rng: rand.New(rand.NewSource(0)),
+		rng: rng.New(0),
 		// Every leaf holds at least one of the n bootstrap samples, so a tree
 		// has at most 2n−1 nodes and the arena never grows.
 		nodes: make([]node, 0, 2*n-1),

@@ -375,7 +375,10 @@ func TestReadsReplayLoggedHistory(t *testing.T) {
 // search-phase records were re-recorded when the LCM fit began racing its
 // starts, because a log resumes only under the fit policy that wrote its
 // search-phase records (DESIGN.md §8) — the snapshot, the spec and the
-// record shapes are the original ones.
+// record shapes are the original ones. When the streams moved to
+// internal/rng the initial sample moved too, so the snapshot's and the
+// log's drawn values were re-recorded with them; the spec and every record
+// shape (the model snapshot's included) are still the original ones.
 func TestParentWrittenDataDirResumes(t *testing.T) {
 	const epsTot, logged = 8, 15
 	dir := t.TempDir()

@@ -70,7 +70,10 @@ const wireSpec = `{"name":"w","task_params":[{"name":"t","kind":"real","lo":0,"h
 // three when suggest stopped polling: the first ask of study "a" is answered
 // with its suggestion (it was 409 + Retry-After), the 409 left — a wait the
 // server cut short — says Retry-After "0" (it said "1"), and health bodies
-// carry no "async".
+// carry no "async". And every drawn value once, when the streams moved to
+// internal/rng: the configurations in suggestions, retries, histories and
+// the exported snapshot (so the import requests that carry it), with every
+// status, header and error body unchanged.
 func TestWireGolden(t *testing.T) {
 	fixed := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
 	s, err := serve.NewServer(serve.Config{DataDir: t.TempDir(), Clock: func() time.Time { return fixed }})

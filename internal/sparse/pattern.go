@@ -12,8 +12,9 @@ package sparse
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
+
+	"repro/internal/rng"
 )
 
 // Pattern is the symmetric adjacency structure of a sparse matrix (diagonal
@@ -152,7 +153,7 @@ func abs(x int) int {
 // Deterministic in seed. This stands in for the SuiteSparse PARSEC matrices
 // (Si2, SiH4, ...) whose published dimensions and densities it mimics.
 func Hamiltonian(n, avgDeg int, seed int64) *Pattern {
-	rng := rand.New(rand.NewSource(seed))
+	rng := rng.New(seed, rng.Sparse)
 	side := 1
 	for side*side*side < n {
 		side++

@@ -9,12 +9,14 @@ import (
 // TestPerTaskSnapshotGolden pins the MarshalBinary bytes of every per-task
 // backend on one small fixed fit. A snapshot is the resume and transfer
 // format, so a refactor of the per-task plumbing must leave every byte
-// where it was.
+// where it was. Re-recorded when the fits' streams (per-task seeds, gp
+// starts, sgp's inducing set, rf's trees) moved to internal/rng: the
+// encodings are unchanged, the fitted values are new draws.
 func TestPerTaskSnapshotGolden(t *testing.T) {
 	want := map[string]string{
-		KindGPIndep: "647db9899d48be8e",
-		KindSGP:     "b9dc2486530c6ee7",
-		KindRF:      "098f43e0f234bc18",
+		KindGPIndep: "6a794ba000ed9446",
+		KindSGP:     "07949f430a5d3663",
+		KindRF:      "de2c84188c2d1208",
 	}
 	data := testDataset(33, 3, 9)
 	for _, kind := range []string{KindGPIndep, KindSGP, KindRF} {

@@ -4,27 +4,23 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+
+	"repro/internal/rng"
 )
 
 // perTaskFitter fits δ independent single-task models, one "cell" per task,
 // each with the cell fitter — the gp-indep (cells: the lcm backend), sgp and
 // rf backends. No information flows between tasks: cell i sees task i's
-// samples alone as a one-task dataset, seed perTaskSeed(opts.Seed, i) and,
-// as its warm start, cell i of a per-task model the options carry. On a
-// single-task dataset gp-indep is therefore the lcm backend itself, bit for
-// bit.
+// samples alone as a one-task dataset, its own seed rng.Mix(opts.Seed,
+// rng.Cell, i) (task 0 keeps opts.Seed) and, as its warm start, cell i of a
+// per-task model the options carry. On a single-task dataset gp-indep is
+// therefore the lcm backend itself, bit for bit.
 type perTaskFitter struct {
 	kind string
 	cell Fitter
 }
 
 func (f perTaskFitter) Kind() string { return f.kind }
-
-// perTaskSeed spreads task fits across seed space. Task 0 keeps the base
-// seed unchanged — the single-task parity guarantee depends on it.
-func perTaskSeed(base int64, task int) int64 {
-	return base + int64(task)*1000003
-}
 
 // taskData is task i's slice of data as a one-task dataset.
 func taskData(data *Dataset, i int) *Dataset {
@@ -39,7 +35,9 @@ func (f perTaskFitter) Fit(data *Dataset, opts FitOptions) (Model, error) {
 	cells := make([]Model, data.NumTasks())
 	for i := range cells {
 		co := opts
-		co.Seed = perTaskSeed(opts.Seed, i)
+		if i > 0 { // task 0 keeps the seed: the single-task parity guarantee depends on it
+			co.Seed = rng.Mix(opts.Seed, rng.Cell, uint64(i))
+		}
 		co.WarmStart = nil
 		if i < len(warm) {
 			co.WarmStart = warm[i]

@@ -4,12 +4,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"repro/internal/gp"
 	"repro/internal/la"
 	"repro/internal/mpx"
+	"repro/internal/rng"
 )
 
 // defaultInducing is the per-task inducing-set size when FitOptions.Inducing
@@ -120,7 +120,7 @@ func (sgpFitter) Fit(data *Dataset, opts FitOptions) (Model, error) {
 	}
 	// Deterministic seed-derived inducing selection: shuffle, take m, restore
 	// canonical (ascending) order so downstream summations have a fixed order.
-	rng := rand.New(rand.NewSource(opts.Seed))
+	rng := rng.New(opts.Seed, rng.Inducing)
 	idx := rng.Perm(n)[:m]
 	sort.Ints(idx)
 

@@ -13,6 +13,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/rng"
 	"repro/internal/sample"
 	"repro/internal/tuners"
 )
@@ -39,7 +40,7 @@ type obs struct {
 
 // Tune implements tuners.Tuner.
 func (Tuner) Tune(p *core.Problem, task []float64, epsTot int, seed int64) (*core.TaskResult, error) {
-	rng := rand.New(rand.NewSource(seed))
+	rng := rng.New(seed, rng.HpBandSter)
 	var observations []obs
 
 	propose := func() ([]float64, error) {

@@ -11,6 +11,7 @@ import (
 	"math/rand"
 
 	"repro/internal/core"
+	"repro/internal/rng"
 	"repro/internal/sample"
 	"repro/internal/tuners"
 )
@@ -199,7 +200,7 @@ type banditArm struct {
 // Tune implements tuners.Tuner: a bandit over the technique ensemble, one
 // objective evaluation per round.
 func (Tuner) Tune(p *core.Problem, task []float64, epsTot int, seed int64) (*core.TaskResult, error) {
-	rng := rand.New(rand.NewSource(seed))
+	rng := rng.New(seed, rng.OpenTuner)
 
 	arms := []*banditArm{
 		{tech: uniformRandom{}},

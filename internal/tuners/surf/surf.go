@@ -8,11 +8,11 @@ package surf
 
 import (
 	"math"
-	"math/rand"
 
 	"repro/internal/acq"
 	"repro/internal/core"
 	"repro/internal/rf"
+	"repro/internal/rng"
 	"repro/internal/sample"
 	"repro/internal/tuners"
 )
@@ -31,13 +31,13 @@ func (Tuner) Name() string { return "surf" }
 
 // Tune implements tuners.Tuner.
 func (Tuner) Tune(p *core.Problem, task []float64, epsTot int, seed int64) (*core.TaskResult, error) {
-	rng := rand.New(rand.NewSource(seed))
+	r := rng.New(seed, rng.SuRF)
 	var feats [][]float64 // normalized configurations for the forest
 	var targets []float64
 	failed := false // the last evaluation failed
 
 	random := func() ([]float64, error) {
-		pts, err := sample.FeasibleUniform(p.Tuning, 1, rng)
+		pts, err := sample.FeasibleUniform(p.Tuning, 1, r)
 		if err != nil {
 			return nil, err
 		}
@@ -50,7 +50,7 @@ func (Tuner) Tune(p *core.Problem, task []float64, epsTot int, seed int64) (*cor
 			return random()
 		}
 		forest, err := rf.Fit(feats, targets, rf.Params{
-			Trees: trees, Seed: seed + int64(len(targets)),
+			Trees: trees, Seed: rng.Mix(seed, rng.SuRFForest, uint64(len(targets))),
 		})
 		if err != nil {
 			return nil, err

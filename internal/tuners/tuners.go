@@ -14,9 +14,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/core"
+	"repro/internal/rng"
 	"repro/internal/sample"
 )
 
@@ -88,7 +88,7 @@ func (Random) Name() string { return "random" }
 
 // Tune implements Tuner.
 func (Random) Tune(p *core.Problem, task []float64, epsTot int, seed int64) (*core.TaskResult, error) {
-	rng := rand.New(rand.NewSource(seed))
+	rng := rng.New(seed, rng.Random)
 	return Loop(p, task, epsTot, func() ([]float64, error) {
 		pts, err := sample.FeasibleUniform(p.Tuning, 1, rng)
 		if err != nil {
