@@ -235,9 +235,11 @@ func (c *Client) Import(ctx context.Context, arc StudyArchive) error {
 	return c.call(ctx, http.MethodPost, c.Owner(arc.Spec.Name), api.ImportPath, arc, nil, false)
 }
 
-// Studies lists study names across every replica, merged and sorted.
+// Studies lists study names across every replica, merged and sorted. It
+// fails only when no replica answered: an unreachable replica's studies are
+// missing from the list, not an error.
 func (c *Client) Studies(ctx context.Context) ([]string, error) {
-	all := api.StudyList{Studies: []string{}}
+	all, answered := api.StudyList{Studies: []string{}}, false
 	var firstErr error
 	for _, rep := range c.ring.Nodes() {
 		var resp api.StudyList
@@ -248,8 +250,9 @@ func (c *Client) Studies(ctx context.Context) ([]string, error) {
 			continue
 		}
 		all.Merge(resp)
+		answered = true
 	}
-	if len(all.Studies) == 0 && firstErr != nil {
+	if !answered {
 		return nil, firstErr
 	}
 	return all.Studies, nil

@@ -312,6 +312,22 @@ func TestRoutingToOwner(t *testing.T) {
 	}
 }
 
+// TestStudiesSkipsAnUnreachableReplica: a live replica with no studies
+// answers, so Studies returns [] although the other replica is unreachable.
+func TestStudiesSkipsAnUnreachableReplica(t *testing.T) {
+	live := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) { fmt.Fprint(w, `{"studies":[]}`) }))
+	defer live.Close()
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	c, err := New(testCfg(live.URL, dead.URL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if names, err := c.Studies(context.Background()); err != nil || names == nil || len(names) != 0 {
+		t.Fatalf("Studies = %q, %v; want [] and no error", names, err)
+	}
+}
+
 // TestClientDrivesRealStudy: the acceptance loop — a real serve.Server
 // study driven entirely through the client, terminated by errors.Is(err,
 // ErrDone) exactly like a local engine loop.

@@ -66,7 +66,7 @@ type Checkpointer struct {
 	mu     sync.Mutex
 	replay []histdb.Record // logged evaluations still being replayed; nil once Eval has verified the last
 	pos    int             // next replay record Eval must reproduce
-	used   []bool          // replay records consumed by Lookup
+	next   int             // next replay record Lookup may hand out
 	models int             // non-evaluation (model-snapshot) records in the WAL
 }
 
@@ -116,8 +116,7 @@ func Resume(path string, opts CheckpointOptions) (*Checkpointer, error) {
 	}
 	return &Checkpointer{
 		wal: wal, problem: opts.Problem,
-		replay: replay, used: make([]bool, len(replay)),
-		models: len(records) - len(replay),
+		replay: replay, models: len(records) - len(replay),
 	}, nil
 }
 
@@ -179,7 +178,7 @@ func (c *Checkpointer) Eval(rec CheckpointRecord) error {
 		i, logged := c.pos, c.replay[c.pos]
 		c.pos++
 		if c.pos == len(c.replay) { // log reproduced: the engine's copy is now the only one
-			c.replay, c.used = nil, nil
+			c.replay = nil
 		}
 		c.mu.Unlock()
 		if logged.Phase != rec.Phase ||
@@ -216,19 +215,19 @@ func loggedRequested(r histdb.Record) []float64 {
 	return r.Config
 }
 
-// Lookup implements Checkpoint: it finds the first unconsumed replay record
-// matching (task, requested) bitwise.
+// Lookup implements Checkpoint: it hands out the next unconsumed replay
+// record if it matches (task, requested) bitwise. Prefix commit makes a log
+// the canonical job order cut short, the order install looks jobs up in, so
+// no later record can match first; a log out of that order fails in Eval.
 func (c *Checkpointer) Lookup(task, requested []float64) (x, y []float64, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for i, r := range c.replay {
-		if c.used[i] || !bitsEqual(r.Task, task) || !bitsEqual(loggedRequested(r), requested) {
-			continue
-		}
-		c.used[i] = true
-		return append([]float64(nil), r.Config...), append([]float64(nil), r.Outputs...), true
+	if c.next >= len(c.replay) || !bitsEqual(c.replay[c.next].Task, task) || !bitsEqual(loggedRequested(c.replay[c.next]), requested) {
+		return nil, nil, false
 	}
-	return nil, nil, false
+	c.next++
+	r := c.replay[c.next-1]
+	return append([]float64(nil), r.Config...), append([]float64(nil), r.Outputs...), true
 }
 
 // bitsEqual compares two vectors at the Float64bits level — the same

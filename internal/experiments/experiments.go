@@ -55,20 +55,14 @@ func reducedOptions(seed int64, workers int) core.Options {
 // the given order, tasks ascending — is part of every result: a simulator's
 // noise counts the attempts at each configuration (machine.Noise.Mul).
 func compare(p *core.Problem, tasks [][]float64, opts core.Options, rivals []tuners.Tuner, seed0 int64) (mla []*core.TaskResult, byTuner map[string][]*core.TaskResult) {
-	res, err := core.Run(p, tasks, opts)
-	if err != nil {
-		panic(err)
-	}
+	res := must(core.Run(p, tasks, opts))
 	for i := range res.Tasks {
 		mla = append(mla, &res.Tasks[i])
 	}
 	byTuner = map[string][]*core.TaskResult{}
 	for _, tn := range rivals {
 		for i, task := range tasks {
-			tr, err := tn.Tune(p, task, opts.EpsTot, seed0+int64(i))
-			if err != nil {
-				panic(err)
-			}
+			tr := must(tn.Tune(p, task, opts.EpsTot, seed0+int64(i)))
 			byTuner[tn.Name()] = append(byTuner[tn.Name()], tr)
 		}
 	}
@@ -77,11 +71,16 @@ func compare(p *core.Problem, tasks [][]float64, opts core.Options, rivals []tun
 
 // randomTasks draws n feasible tasks of p by Latin hypercube sampling.
 func randomTasks(p *core.Problem, n int, seed int64) [][]float64 {
-	tasks, err := gptune.SampleTasks(p, n, seed)
+	return must(gptune.SampleTasks(p, n, seed))
+}
+
+// must returns v, or panics with err: the experiments' construction paths
+// are statically known-good, so an error there is a misconfiguration.
+func must[T any](v T, err error) T {
 	if err != nil {
 		panic(err)
 	}
-	return tasks
+	return v
 }
 
 // bestOf returns the best objective-0 value of a task result.

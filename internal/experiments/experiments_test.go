@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/space"
 )
@@ -365,5 +366,43 @@ func TestHelpers(t *testing.T) {
 	}
 	if maxOf([]float64{1, 3, 2}) != 3 {
 		t.Fatalf("maxOf wrong")
+	}
+}
+
+// TestQualityRow: evaluations to 1 % and 5 % count to the first evaluation
+// within the level, a run that never gets there is censored, an optimum of 0
+// takes gaps relative to 1, and the seeds' means come with their mean and
+// min-max.
+func TestQualityRow(t *testing.T) {
+	run := func(best int, ys ...float64) *core.TaskResult {
+		tr := &core.TaskResult{BestIdx: best}
+		for _, y := range ys {
+			tr.X, tr.Y = append(tr.X, nil), append(tr.Y, []float64{y})
+		}
+		return tr
+	}
+	var got bytes.Buffer
+	printQualityRow(&got, "t", [][]*core.TaskResult{
+		{run(2, 1.5, 1.04, 1.008, 1.2), run(1, 3, 2.5)}, // 1 % at 3, 5 % at 2; censored
+		{run(1, 0.5, 0.03), run(1, 2.2, 2.012)},         // 5 % of 0 at 2, never 1 %; both at 2
+	}, [][]float64{{1, 2}, {0, 2}})
+	want := "  t                2/4   2.5   3/4   2.0      7.35     12.90      1.80  1.80-12.90\n" +
+		"                                            0.1375     0.254     0.021  0.021-0.254\n"
+	if got.String() != want {
+		t.Errorf("got\n%swant\n%s", got.String(), want)
+	}
+}
+
+// TestQualityMLARowStandsAlone: MLA's row of the quality table reads the
+// same whether or not the ablation arms and the baselines run beside it,
+// since each arm tunes a fresh problem instance and the baselines follow MLA.
+func TestQualityMLARowStandsAlone(t *testing.T) {
+	s := must(bench.Get("recsys"))
+	var alone, full bytes.Buffer
+	printQuality(&alone, s, 1, 10, 2021, 2, 2, nil, nil)
+	printQuality(&full, s, 1, 10, 2021, 2, 2, benchArms, benchRivals)
+	a, f := strings.Split(alone.String(), "\n"), strings.Split(full.String(), "\n")
+	if len(a) != 5 || len(f) != 3+2*(1+len(benchArms)+len(benchRivals)) || !slices.Equal(a[:4], f[:4]) {
+		t.Fatalf("MLA alone:\n%s\nbeside the arms and baselines:\n%s", alone.String(), full.String())
 	}
 }

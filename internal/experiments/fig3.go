@@ -58,7 +58,7 @@ func Fig3(epsList []int, par int, seed int64) []Fig3Row {
 // and a budget of ε+1, so exactly one modeling phase and one search phase
 // run, and returns the engine's own times for them (core.PhaseStats).
 func timeOneIteration(tasks [][]float64, eps, workers int, seed int64) (modeling, search time.Duration) {
-	res, err := core.Run(scenarioProblem("analytical", nil), tasks, core.Options{
+	res := must(core.Run(scenarioProblem("analytical", nil), tasks, core.Options{
 		EpsTot:       eps + 1,
 		InitFraction: float64(eps) / float64(eps+1),
 		Workers:      workers,
@@ -67,10 +67,7 @@ func timeOneIteration(tasks [][]float64, eps, workers int, seed int64) (modeling
 		NumStarts:    4,
 		ModelMaxIter: 4, // timing study: fixed small iteration count per start
 		Search:       opt.PSOParams{Particles: 20, MaxIter: 30},
-	})
-	if err != nil {
-		panic(err)
-	}
+	}))
 	return res.Stats.Modeling, res.Stats.Search
 }
 

@@ -44,14 +44,8 @@ func Fig4Analytical(delta int, epsTots []int, seed int64, workers int) []Fig4Ana
 
 		opts := reducedOptions(seed, workers)
 		opts.EpsTot, opts.LogY = eps, false // Eq. (11) takes negative values
-		resBase, err := core.Run(base, tasks, opts)
-		if err != nil {
-			panic(err)
-		}
-		resModel, err := core.Run(withModel, tasks, opts)
-		if err != nil {
-			panic(err)
-		}
+		resBase := must(core.Run(base, tasks, opts))
+		resModel := must(core.Run(withModel, tasks, opts))
 		for i := range tasks {
 			_, truth := analytical.TrueMin(tasks[i][0])
 			wo := bestOf(&resBase.Tasks[i])
@@ -126,18 +120,12 @@ func Fig4QR(numTasks int, epsTots []int, seed int64, workers int) []Fig4QRRow {
 		opts := reducedOptions(seed, workers)
 		opts.EpsTot = eps
 		// Every evaluation is the minimum of 3 runs, as the paper's are.
-		resBase, err := core.Run(core.MinOfRepeats(scenarioProblem("qr", nil), 3), tasks, opts)
-		if err != nil {
-			panic(err)
-		}
+		resBase := must(core.Run(core.MinOfRepeats(scenarioProblem("qr", nil), 3), tasks, opts))
 		withModel := core.MinOfRepeats(scenarioProblem("qr", nil), 3)
 		withModel.Model = app.PerfModel()
 		optsM := opts
 		optsM.FitModelCoeffs = true
-		resModel, err := core.Run(withModel, tasks, optsM)
-		if err != nil {
-			panic(err)
-		}
+		resModel := must(core.Run(withModel, tasks, optsM))
 		for i := range tasks {
 			wo := bestOf(&resBase.Tasks[i])
 			wi := bestOf(&resModel.Tasks[i])

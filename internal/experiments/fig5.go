@@ -59,10 +59,7 @@ func Fig5QR(budget int, seed int64, workers int) *Fig5Result {
 	// Single-task: all budget on the big task.
 	optsSingle := opts
 	optsSingle.EpsTot = budget
-	resSingle, err := core.Run(p, [][]float64{bigTask}, optsSingle)
-	if err != nil {
-		panic(err)
-	}
+	resSingle := must(core.Run(p, [][]float64{bigTask}, optsSingle))
 
 	// Multitask: δ=10 tasks (the big one plus 9 random with m,n < 40000),
 	// ε_tot = budget/10.
@@ -70,10 +67,7 @@ func Fig5QR(budget int, seed int64, workers int) *Fig5Result {
 	tasks := append([][]float64{bigTask}, randomTasks(p, delta-1, seed+1)...)
 	optsMulti := opts
 	optsMulti.EpsTot = budget / delta
-	resMulti, err := core.Run(p, tasks, optsMulti)
-	if err != nil {
-		panic(err)
-	}
+	resMulti := must(core.Run(p, tasks, optsMulti))
 
 	out := &Fig5Result{
 		SingleStats:      resSingle.Stats,
@@ -152,10 +146,7 @@ func Fig5EV(maxEps int, seed int64, workers int) *Fig5EVResult {
 	for _, eps := range []int{maxEps / 2, maxEps} {
 		o := opts
 		o.EpsTot = eps
-		res, err := core.Run(p, [][]float64{{7000}}, o)
-		if err != nil {
-			panic(err)
-		}
+		res := must(core.Run(p, [][]float64{{7000}}, o))
 		tr := res.Tasks[0]
 		half := tr.Y[0][0]
 		for _, y := range tr.Y[:len(tr.Y)/2] {
@@ -177,10 +168,7 @@ func Fig5EV(maxEps int, seed int64, workers int) *Fig5EVResult {
 	for _, eps := range []int{10, 20} {
 		o := opts
 		o.EpsTot = eps
-		res, err := core.Run(p, tasks, o)
-		if err != nil {
-			panic(err)
-		}
+		res := must(core.Run(p, tasks, o))
 		for i := range res.Tasks {
 			m := tasks[i][0]
 			out.Rows = append(out.Rows, taskRow("multitask", &res.Tasks[i], eps, m*m*m))

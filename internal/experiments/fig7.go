@@ -41,10 +41,7 @@ func Fig7Single(epsTot int, seed int64, workers int) *Fig7SingleResult {
 	mo := scenarioProblem("superlu-mo", nil)
 	opts := paperOptions(seed, workers)
 	opts.EpsTot, opts.MOBatch = epsTot, 2
-	resMO, err := core.Run(mo, [][]float64{task}, opts)
-	if err != nil {
-		panic(err)
-	}
+	resMO := must(core.Run(mo, [][]float64{task}, opts))
 	out := &Fig7SingleResult{Front: frontOf(&resMO.Tasks[0])}
 
 	// Single-objective runs: tune time only, then memory only, recording
@@ -59,10 +56,7 @@ func Fig7Single(epsTot int, seed int64, workers int) *Fig7SingleResult {
 			}
 			return []float64{y[which]}, nil
 		}
-		res, err := core.Run(p1, [][]float64{task}, opts)
-		if err != nil {
-			panic(err)
-		}
+		res := must(core.Run(p1, [][]float64{task}, opts))
 		bx, _ := res.Tasks[0].Best()
 		tFull, mFull := app.FactorCost(0, superlu.ConfigFromVector(bx))
 		pt := ParetoPoint{Time: tFull, Memory: mFull, Config: bx}
@@ -128,16 +122,10 @@ func Fig7Multi(epsTot int, seed int64, workers int) []Fig7MultiResult {
 	for i := range superlu.PARSEC {
 		tasks = append(tasks, []float64{float64(i)})
 	}
-	resMulti, err := core.Run(mo, tasks, opts)
-	if err != nil {
-		panic(err)
-	}
+	resMulti := must(core.Run(mo, tasks, opts))
 	var out []Fig7MultiResult
 	for i := range tasks {
-		resSingle, err := core.Run(mo, tasks[i:i+1], opts)
-		if err != nil {
-			panic(err)
-		}
+		resSingle := must(core.Run(mo, tasks[i:i+1], opts))
 		r := Fig7MultiResult{Matrix: superlu.PARSEC[i].Name}
 		r.Single = frontOf(&resSingle.Tasks[0])
 		r.Multi = frontOf(&resMulti.Tasks[i])

@@ -147,11 +147,11 @@ func All() []Spec {
 			ID:          "Bench",
 			Description: "workload-registry regression: MLA best vs known optimum per scenario",
 			Run: func(w io.Writer, quick bool, seed int64, workers int) {
-				delta, eps := 2, 30
+				delta, eps, seeds := 2, 30, 5
 				if quick {
-					delta, eps = 1, 10
+					delta, eps, seeds = 1, 10, 2
 				}
-				printBench(w, delta, eps, seed, workers)
+				printBench(w, delta, eps, seed, seeds, workers)
 			},
 		},
 	}

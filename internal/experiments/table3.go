@@ -44,10 +44,7 @@ func Table3MHD(epsSingle int, seed int64, workers int) []Table3MHDRow {
 		opts := reducedOptions(seed, workers)
 		oS := opts
 		oS.EpsTot = epsSingle
-		resS, err := core.Run(p, [][]float64{{su.expensive}}, oS)
-		if err != nil {
-			panic(err)
-		}
+		resS := must(core.Run(p, [][]float64{{su.expensive}}, oS))
 		var tasks [][]float64
 		for _, t := range su.cheapTasks {
 			tasks = append(tasks, []float64{t})
@@ -55,10 +52,7 @@ func Table3MHD(epsSingle int, seed int64, workers int) []Table3MHDRow {
 		tasks = append(tasks, []float64{su.expensive})
 		oM := opts
 		oM.EpsTot = epsMulti
-		resM, err := core.Run(p, tasks, oM)
-		if err != nil {
-			panic(err)
-		}
+		resM := must(core.Run(p, tasks, oM))
 		rows = append(rows, Table3MHDRow{
 			App:           su.scenario,
 			SingleMin:     bestOf(&resS.Tasks[0]),

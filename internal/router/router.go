@@ -245,14 +245,15 @@ func (rt *Router) peekBody(w http.ResponseWriter, r *http.Request, v any) bool {
 }
 
 // handleList fans GET /studies out to every healthy replica and merges the
-// names — the one read that spans the cluster.
+// names — the one read that spans the cluster. It answers 502 only when no
+// replica answered.
 func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 	healthy := rt.healthyRing().Nodes()
 	if len(healthy) == 0 {
 		writeUnavailable(w, errNoReplicas)
 		return
 	}
-	all := api.StudyList{Studies: []string{}}
+	all, answered := api.StudyList{Studies: []string{}}, false
 	var firstErr error
 	for _, rep := range healthy {
 		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, rep+api.StudiesPath, nil)
@@ -274,8 +275,9 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		all.Merge(body)
+		answered = true
 	}
-	if len(all.Studies) == 0 && firstErr != nil {
+	if !answered {
 		api.WriteError(w, http.StatusBadGateway, fmt.Errorf("router: listing studies: %w", firstErr))
 		return
 	}

@@ -365,3 +365,19 @@ func TestProxyErrorBodyEscapesReplicaURL(t *testing.T) {
 		t.Errorf("error %q, want %q", body.Error, want)
 	}
 }
+
+// TestListSkipsAnUnreachableReplica: a live replica with no studies answers,
+// so the list is 200 and empty although the other replica is unreachable.
+func TestListSkipsAnUnreachableReplica(t *testing.T) {
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	rt, err := New(Config{Replicas: []string{startReplica(t).hs.URL, dead.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr := httptest.NewRecorder()
+	rt.Handler().ServeHTTP(rr, httptest.NewRequest("GET", api.StudiesPath, nil))
+	if rr.Code != http.StatusOK || rr.Body.String() != "{\"studies\":[]}\n" {
+		t.Fatalf("list: %d %s, want 200 {\"studies\":[]}", rr.Code, rr.Body)
+	}
+}
