@@ -319,7 +319,10 @@ func LoadModelSnapshots(path string) ([]ModelSnapshot, error) {
 type Dataset = gp.Dataset
 
 // Surrogate is a fitted multitask LCM model (Eqs. 1-6 of the paper),
-// usable directly for regression outside the tuning loop.
+// usable directly for regression outside the tuning loop. Its MarshalBinary
+// snapshot holds the hyperparameters alone: a Surrogate restored from one by
+// UnmarshalBinary warm-starts a later fit (its Hyperparameters feed
+// SurrogateOptions.Init); it does not predict.
 type Surrogate = gp.LCM
 
 // SurrogateOptions configures standalone LCM fitting.

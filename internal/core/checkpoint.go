@@ -136,16 +136,19 @@ func (c *Checkpointer) Logged() int {
 // snapshots with the facade's LoadModelSnapshots and feed them to
 // Options.WarmStart.
 func (c *Checkpointer) SaveModel(snap ModelSnapshot) error {
-	c.mu.Lock()
-	c.models++
-	c.mu.Unlock()
-	return c.wal.Append(histdb.Record{
+	if err := c.wal.Append(histdb.Record{
 		Problem:   c.problem,
 		Kind:      histdb.KindModel,
 		Surrogate: snap.Kind,
 		Objective: snap.Objective,
 		Snapshot:  snap.Data,
-	})
+	}); err != nil {
+		return err
+	}
+	c.mu.Lock()
+	c.models++
+	c.mu.Unlock()
+	return nil
 }
 
 // Replaying reports whether the checkpoint still holds logged evaluations

@@ -167,6 +167,25 @@ func TestCheckpointSyncFailureIsFatal(t *testing.T) {
 	}
 }
 
+// TestSaveModelFailureCountsNoRecord: a model snapshot the log refuses is
+// not a record, so Logged — the WAL's records less its model records — is
+// unmoved by it: 0 on a fresh log, not −1.
+func TestSaveModelFailureCountsNoRecord(t *testing.T) {
+	inj := faultio.NewInjector(0)
+	wal, err := histdb.OpenWAL(filepath.Join(t.TempDir(), "wal.json"), histdb.WALOptions{WrapFile: inj.Wrap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := &Checkpointer{wal: wal, problem: "analytical"}
+	defer cp.Close()
+	if err := cp.SaveModel(ModelSnapshot{Kind: "lcm", Data: []byte(`{}`)}); !errors.Is(err, faultio.ErrInjected) {
+		t.Fatalf("SaveModel over a failing log returned %v, want the injected failure", err)
+	}
+	if n := cp.Logged(); n != 0 {
+		t.Fatalf("checkpoint counts %d evaluations after a refused model record, want 0", n)
+	}
+}
+
 // countingFitter counts fits and, when hold is set, runs it at the start of
 // each one so a test can act while a generation is verifiably in flight.
 type countingFitter struct {

@@ -70,10 +70,11 @@ type Options struct {
 	// the whole run — the engine never feeds its own snapshots back into it,
 	// which keeps crash-resumed runs bitwise identical to uninterrupted ones.
 	// NewEngine restores each snapshot it will use once, through the
-	// backend's UnmarshalBinary; one that does not restore (corrupt, another
-	// problem's shape, a covariance that no longer factors) silently degrades
-	// to a cold start. A backend whose fit reads no warm start ("rf"; see
-	// surrogate.ReadsWarmStart) restores nothing.
+	// backend's UnmarshalBinary, which reads its hyperparameters and factors
+	// nothing; one that does not restore (corrupt, or of a shape the backend
+	// refuses) silently degrades to a cold start, as does one of another
+	// problem's shape at fit time. A backend whose fit reads no warm start
+	// ("rf"; see surrogate.ReadsWarmStart) restores nothing.
 	WarmStart []ModelSnapshot
 
 	// Search configures the per-task PSO maximizing the acquisition. Its

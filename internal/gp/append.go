@@ -20,11 +20,12 @@ import (
 // The extension is bitwise identical for every workers value, and appending
 // in one call is bitwise identical to appending the same rows across
 // multiple calls. The new covariance rows are the ones a refactorization at
-// the same hyperparameters assembles, bit for bit, so a model reloaded from
-// MarshalBinary after an append predicts identically while it fits in one
-// cholBlock; past that the blocked Cholesky sums in another order and the
-// two can differ in the last bits (in-run crash recovery replays the same
-// fit+append sequence instead and stays exact).
+// the same hyperparameters assembles, bit for bit, so an appended model and
+// the same training set factored afresh at its hyperparameters predict
+// identically while they fit in one cholBlock; past that the blocked
+// Cholesky sums in another order and the two can differ in the last bits
+// (in-run crash recovery replays the same fit+append sequence instead and
+// stays exact, and a snapshot carries only the hyperparameters).
 //
 // On error the model is left unchanged. A la.ErrNotPositiveDefinite means
 // the new rows made the system numerically singular even after per-row

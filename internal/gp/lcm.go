@@ -99,9 +99,9 @@ type LCM struct {
 	A        [][]float64 // mixing coefficients [q][task]
 	B        [][]float64 // per-task diagonal boosts [q][task]
 	D        []float64   // per-task noise (regularization) [task]
-	LogLik   float64     // log marginal likelihood at the fitted state
+	LogLik   float64     // log marginal likelihood at the fitted state (0 on a reloaded model)
 	FitEvals int         // likelihood evaluations the fit spent, over all starts (0 on a reloaded model)
-	Jitter   float64     // diagonal jitter applied during factorization
+	Jitter   float64     // diagonal jitter applied during factorization (0 on a reloaded model)
 
 	// Fitted prediction state. The Cholesky factor lives in packed
 	// triangular form so AppendObservations can grow it in place — the
@@ -143,10 +143,9 @@ type FitOptions struct {
 	Init []float64
 }
 
-// cholBlock is the block size of every LCM covariance factorization — per
-// likelihood evaluation, post-fit and on snapshot reload. It decides the
-// summation order, so all three must agree for a reloaded model to predict
-// bitwise identically.
+// cholBlock is the block size of every LCM covariance factorization, per
+// likelihood evaluation and post-fit. It decides the summation order, and
+// AppendObservations continues the recurrence it leaves.
 const cholBlock = 64
 
 // MaxNumStarts and MaxFitIter bound FitOptions.NumStarts and MaxIter: FitLCM
@@ -315,14 +314,13 @@ func FitLCM(data *Dataset, options FitOptions) (*LCM, error) {
 	return model, nil
 }
 
-// factorize is the one post-fit step, shared by FitLCM and UnmarshalBinary:
-// from the hyperparameters, the training state (flatX, taskOf, yNorm) and any
-// jitter already recorded, it assembles Σ through the fused engine path,
-// factors it — escalating the jitter further only if it must — and builds
-// alpha and the prediction tables. Both callers therefore run the same
-// summation orders, which is what makes a reloaded model predict bitwise
-// identically. eng must be an engine over m's training state (FitLCM's
-// race engine 0, or UnmarshalBinary's own); its workers never change a bit.
+// factorize is FitLCM's post-fit step: from the hyperparameters, the
+// training state (flatX, taskOf, yNorm) and any jitter already recorded, it
+// assembles Σ through the fused engine path, factors it — escalating the
+// jitter further only if it must — and builds alpha and the prediction
+// tables. eng must be an engine over m's training state (FitLCM hands it
+// race engine 0); its workers never change a bit, so the factorization on a
+// fresh engine is the fitted one bit for bit.
 func (m *LCM) factorize(eng *lcmEngine) error {
 	eng.prepare(m)
 	sigma := eng.assembleSigma(m)

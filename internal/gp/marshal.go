@@ -1,15 +1,15 @@
-// Portable serialization of fitted LCM models. A snapshot captures both the
-// learned hyperparameters (for warm-starting a later fit via
-// FitOptions.Init) and the training state (coordinates, task labels,
-// standardized outputs, jitter), so UnmarshalBinary can rebuild the full
-// prediction path — covariance assembly, Cholesky factorization, alpha
-// solve, fast-path tables — without access to the original Dataset. Floats
-// survive the JSON round-trip exactly (encoding/json emits shortest
-// round-trippable literals), so a saved-and-reloaded fitted model predicts
-// bitwise identically to the original. An appended one does too while it
-// fits in one cholBlock: its covariance rows are the ones the reload
-// assembles, and only the blocked Cholesky's summation order past 64 rows
-// can move the last bits (AppendObservations).
+// Portable serialization of fitted LCM models. A snapshot is the model's
+// hyperparameters and nothing else: its one reader is a later fit's warm
+// start (FitOptions.Init, through Hyperparameters), so a snapshot's size
+// depends on Q, δ and the dimension, never on how many samples the model was
+// fitted on, and restoring one factors nothing. A restored model warm-starts
+// a fit; it does not predict. Older snapshots also carried the training
+// state (the "loglik", "jitter", "y_mean", "y_std", "x", "task_of" and
+// "y_norm" fields); encoding/json skips fields the wire form does not name,
+// so they restore to the same hyperparameters whatever that state holds.
+// Floats survive the JSON round-trip exactly (encoding/json emits shortest
+// round-trippable literals), so a restored model seeds a fit with the bits
+// the saved one would have.
 package gp
 
 import (
@@ -26,20 +26,13 @@ import (
 // infinite lengthscale just means that dimension stopped mattering), and
 // encoding/json rejects bare non-finite numbers.
 type lcmSnapshot struct {
-	Q        int      `json:"q"`
-	NumTasks int      `json:"num_tasks"`
-	Dim      int      `json:"dim"`
-	Ls       []nfVec  `json:"ls"`
-	A        []nfVec  `json:"a"`
-	B        []nfVec  `json:"b"`
-	D        nfVec    `json:"d"`
-	LogLik   nfScalar `json:"loglik"`
-	Jitter   nfScalar `json:"jitter"`
-	YMean    nfScalar `json:"y_mean"`
-	YStd     nfScalar `json:"y_std"`
-	X        nfVec    `json:"x,omitempty"` // row-major training coordinates, n×Dim
-	TaskOf   []int    `json:"task_of,omitempty"`
-	YNorm    nfVec    `json:"y_norm,omitempty"`
+	Q        int     `json:"q"`
+	NumTasks int     `json:"num_tasks"`
+	Dim      int     `json:"dim"`
+	Ls       []nfVec `json:"ls"`
+	A        []nfVec `json:"a"`
+	B        []nfVec `json:"b"`
+	D        nfVec   `json:"d"`
 }
 
 // nfScalar is a float64 whose JSON form admits non-finite values, encoded as
@@ -65,13 +58,10 @@ func (s *nfScalar) UnmarshalJSON(data []byte) error {
 	return unmarshalNF(data, (*float64)(s))
 }
 
-// NFScalar and NFVec expose the non-finite-safe wire types to other
-// packages' snapshot formats (the surrogate package's sparse-GP backend
-// serializes hyperparameters with the same Inf/NaN hazards).
-type (
-	NFScalar = nfScalar
-	NFVec    = nfVec
-)
+// NFVec exposes the non-finite-safe vector wire type to other packages'
+// snapshot formats (the surrogate package's sparse-GP backend serializes
+// hyperparameters with the same Inf/NaN hazards).
+type NFVec = nfVec
 
 // nfVec is a []float64 whose elements use the nfScalar wire form.
 type nfVec []float64
@@ -177,31 +167,18 @@ func (m *LCM) Hyperparameters() []float64 {
 	return theta
 }
 
-// MarshalBinary encodes the fitted model — hyperparameters plus training
-// state — into a self-contained snapshot. It works on hyperparameter-only
-// models too (one built by UnmarshalBinary from a data-less snapshot);
-// such snapshots warm-start fits but cannot predict after reload.
+// MarshalBinary encodes the model's hyperparameters into a self-contained
+// snapshot, the same few hundred bytes whether the model holds ten samples
+// or a thousand.
 func (m *LCM) MarshalBinary() ([]byte, error) {
-	snap := lcmSnapshot{
+	return json.Marshal(lcmSnapshot{
 		Q: m.Q, NumTasks: m.NumTasks, Dim: m.Dim,
 		Ls: toNFRows(m.Ls), A: toNFRows(m.A), B: toNFRows(m.B), D: nfVec(m.D),
-		LogLik: nfScalar(m.LogLik), Jitter: nfScalar(m.Jitter),
-		YMean: nfScalar(m.yMean), YStd: nfScalar(m.yStd),
-		TaskOf: m.taskOf, YNorm: nfVec(m.yNorm),
-	}
-	if len(m.flatX) > 0 {
-		snap.X = make(nfVec, 0, len(m.flatX)*m.Dim)
-		for _, x := range m.flatX {
-			snap.X = append(snap.X, x...)
-		}
-	}
-	return json.Marshal(snap)
+	})
 }
 
-// checkShape validates a decoded snapshot: dimensions present,
-// hyperparameter arrays of those dimensions and, when the snapshot carries
-// training state, Dim coordinates and one output for each of its len(TaskOf)
-// samples with every task label in range.
+// checkShape validates a decoded snapshot: dimensions present and
+// hyperparameter arrays of those dimensions.
 func (snap *lcmSnapshot) checkShape() error {
 	if snap.Q <= 0 || snap.NumTasks <= 0 || snap.Dim <= 0 {
 		return errors.New("gp: LCM snapshot missing dimensions")
@@ -214,25 +191,13 @@ func (snap *lcmSnapshot) checkShape() error {
 			return errors.New("gp: LCM snapshot hyperparameter shape mismatch")
 		}
 	}
-	n := len(snap.TaskOf)
-	if n == 0 {
-		return nil // hyperparameter-only snapshot
-	}
-	if len(snap.X) != n*snap.Dim || len(snap.YNorm) != n {
-		return errors.New("gp: LCM snapshot training-state shape mismatch")
-	}
-	for _, task := range snap.TaskOf {
-		if task < 0 || task >= snap.NumTasks {
-			return errors.New("gp: LCM snapshot task label out of range")
-		}
-	}
 	return nil
 }
 
-// UnmarshalBinary decodes a snapshot produced by MarshalBinary and, when the
-// snapshot carries training state, rebuilds the prediction path (covariance
-// assembly with the recorded jitter, Cholesky, alpha solve, fast-path
-// tables) so Predict/PredictInto work on the reloaded model.
+// UnmarshalBinary decodes a snapshot produced by MarshalBinary, or by a
+// build whose snapshots still carried the training state, into a model that
+// holds the hyperparameters alone: it warm-starts a fit, and PredictInto
+// refuses it.
 func (m *LCM) UnmarshalBinary(data []byte) error {
 	var snap lcmSnapshot
 	if err := json.Unmarshal(data, &snap); err != nil {
@@ -244,28 +209,6 @@ func (m *LCM) UnmarshalBinary(data []byte) error {
 	*m = LCM{
 		Q: snap.Q, NumTasks: snap.NumTasks, Dim: snap.Dim,
 		Ls: fromNFRows(snap.Ls), A: fromNFRows(snap.A), B: fromNFRows(snap.B), D: snap.D,
-		LogLik: float64(snap.LogLik), Jitter: float64(snap.Jitter),
-	}
-	m.yMean, m.yStd = float64(snap.YMean), float64(snap.YStd)
-	if m.yStd == 0 { //gptlint:ignore float-eq zero is the unset sentinel for a hyperparameter-only snapshot
-		m.yStd = 1
-	}
-	n := len(snap.TaskOf)
-	if n == 0 {
-		return nil // hyperparameter-only snapshot: warm starts, no prediction
-	}
-	m.flatX = make([][]float64, n)
-	for r := 0; r < n; r++ {
-		m.flatX[r] = snap.X[r*snap.Dim : (r+1)*snap.Dim]
-	}
-	m.taskOf = snap.TaskOf
-	m.yNorm = snap.YNorm
-	// The recorded jitter made this matrix factorizable at save time and the
-	// floats round-trip exactly; factorize covers the (theoretical) residual
-	// escalation without changing the common path.
-	layout := hyperLayout{q: m.Q, dim: m.Dim, tasks: m.NumTasks}
-	if err := m.factorize(newLCMEngine(newPairCache(m.flatX, m.Dim), layout, m.taskOf, m.yNorm, 1)); err != nil {
-		return fmt.Errorf("gp: refactorizing LCM snapshot: %w", err)
 	}
 	return nil
 }

@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -19,10 +22,29 @@ func fitSmall(t *testing.T, opts FitOptions) (*Dataset, *LCM) {
 	return data, m
 }
 
-// TestMarshalRoundTripPredictsIdentically is the portability contract: a
-// model saved with MarshalBinary and reloaded with UnmarshalBinary must
-// reproduce the original's posterior bitwise — hyperparameters, jitter, and
-// the full prediction path all survive the snapshot.
+// refactorOnFreshEngine returns a model holding hyper's hyperparameters and
+// m's training state, output standardization and jitter, factored by
+// factorize on an engine of its own — the post-fit step FitLCM runs on race
+// engine 0, repeated where no fit has touched the engine.
+func refactorOnFreshEngine(t *testing.T, hyper, m *LCM) *LCM {
+	t.Helper()
+	fresh := &LCM{
+		Q: hyper.Q, NumTasks: hyper.NumTasks, Dim: hyper.Dim,
+		Ls: hyper.Ls, A: hyper.A, B: hyper.B, D: hyper.D, Jitter: m.Jitter,
+		flatX: m.flatX, taskOf: m.taskOf, yNorm: m.yNorm, yMean: m.yMean, yStd: m.yStd,
+	}
+	layout := hyperLayout{q: fresh.Q, dim: fresh.Dim, tasks: fresh.NumTasks}
+	if err := fresh.factorize(newLCMEngine(newPairCache(fresh.flatX, fresh.Dim), layout, fresh.taskOf, fresh.yNorm, 1)); err != nil {
+		t.Fatal(err)
+	}
+	return fresh
+}
+
+// TestMarshalRoundTripPredictsIdentically: a snapshot carries every bit of
+// the hyperparameters the posterior depends on, and FitLCM's post-fit
+// factorization on race engine 0 is the one a fresh engine computes — so the
+// restored hyperparameters over the fit's training state, factored afresh,
+// reproduce the fitted model's posterior and jitter bitwise.
 func TestMarshalRoundTripPredictsIdentically(t *testing.T) {
 	_, m := fitSmall(t, FitOptions{NumStarts: 2, MaxIter: 30, Seed: 3})
 
@@ -30,13 +52,14 @@ func TestMarshalRoundTripPredictsIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back LCM
-	if err := back.UnmarshalBinary(blob); err != nil {
+	var restored LCM
+	if err := restored.UnmarshalBinary(blob); err != nil {
 		t.Fatal(err)
 	}
-	if back.Q != m.Q || back.NumTasks != m.NumTasks || back.Dim != m.Dim {
-		t.Fatalf("dimensions differ after round trip: %+v vs %+v", back, m)
+	if restored.Q != m.Q || restored.NumTasks != m.NumTasks || restored.Dim != m.Dim {
+		t.Fatalf("dimensions differ after round trip: %+v vs %+v", restored, m)
 	}
+	back := refactorOnFreshEngine(t, &restored, m)
 	if math.Float64bits(back.Jitter) != math.Float64bits(m.Jitter) {
 		t.Fatalf("jitter differs: %v vs %v", back.Jitter, m.Jitter)
 	}
@@ -49,6 +72,61 @@ func TestMarshalRoundTripPredictsIdentically(t *testing.T) {
 		muB, vB := back.PredictInto(wsB, task, x)
 		if math.Float64bits(muA) != math.Float64bits(muB) || math.Float64bits(vA) != math.Float64bits(vB) {
 			t.Fatalf("prediction diverged at %v task %d: (%v,%v) vs (%v,%v)", x, task, muA, vA, muB, vB)
+		}
+	}
+}
+
+// TestSnapshotSizeIndependentOfN: a snapshot holds the hyperparameters
+// alone, so two fits of the same Q, δ and dimension — one on ten samples a
+// task, one on a hundred — encode to the same bytes up to the digits of
+// their numbers: with every number literal masked, the blobs have equal
+// length.
+func TestSnapshotSizeIndependentOfN(t *testing.T) {
+	number := regexp.MustCompile(`-?[0-9][0-9.eE+-]*`)
+	var lengths []int
+	for _, perTask := range []int{10, 100} {
+		data := syntheticDataset(rand.New(rand.NewSource(4)), 2, perTask, 2, 0.05)
+		m, err := FitLCM(data, FitOptions{Q: 2, NumStarts: 1, MaxIter: 5, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := m.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		lengths = append(lengths, len(number.ReplaceAll(blob, []byte("0"))))
+	}
+	if lengths[0] != lengths[1] {
+		t.Fatalf("masked snapshot of n = 20 is %d bytes, of n = 200 %d bytes", lengths[0], lengths[1])
+	}
+}
+
+// TestFullSnapshotWithBrokenStateWarmStarts: a full snapshot — one that
+// also carries the training state, as logs written by earlier builds hold —
+// restores to its hyperparameters even when that state does not factor.
+// testdata holds such a snapshot of a small fit, as an earlier build wrote
+// it, and a copy whose first training coordinate is NaN, which that build
+// refused (the covariance is not positive definite), so a warm start from
+// it fell back to a cold one.
+func TestFullSnapshotWithBrokenStateWarmStarts(t *testing.T) {
+	var theta [2][]float64
+	for i, name := range []string{"full_lcm_snapshot.json", "full_lcm_snapshot_nan_x.json"} {
+		blob, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m LCM
+		if err := m.UnmarshalBinary(blob); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		theta[i] = m.Hyperparameters()
+	}
+	if len(theta[0]) != len(theta[1]) {
+		t.Fatalf("%d hyperparameters from the clean snapshot, %d from the broken one", len(theta[0]), len(theta[1]))
+	}
+	for i := range theta[0] {
+		if math.Float64bits(theta[0][i]) != math.Float64bits(theta[1][i]) {
+			t.Errorf("theta[%d] = %v from the clean snapshot, %v from the broken one", i, theta[0][i], theta[1][i])
 		}
 	}
 }
@@ -123,49 +201,31 @@ func TestFitWarmStartUsesInit(t *testing.T) {
 }
 
 // TestMarshalSurvivesNonFiniteHyperparameters: the optimizer can drive a
-// log-lengthscale past exp's range, leaving +Inf in a fitted model, and a
-// degenerate fit can record a -Inf log-likelihood. The snapshot must encode
-// these (encoding/json rejects bare non-finite numbers) and reproduce them
-// bitwise on reload.
+// log-lengthscale past exp's range, leaving +Inf in a fitted model. The
+// snapshot must encode every flavor of non-finite value (encoding/json
+// rejects bare non-finite numbers) and reproduce it, and the finite values
+// bitwise, on reload.
 func TestMarshalSurvivesNonFiniteHyperparameters(t *testing.T) {
-	// Full model with an infinite lengthscale (that dimension stopped
-	// mattering; Σ stays finite, so the prediction path still rebuilds).
 	_, m := fitSmall(t, FitOptions{NumStarts: 1, MaxIter: 10, Seed: 3})
 	m.Ls[0][1] = math.Inf(1)
+	m.B[0][0] = math.Inf(1)
+	m.A[1][0] = math.Inf(-1)
+	m.D[0] = math.NaN()
 	blob, err := m.MarshalBinary()
 	if err != nil {
-		t.Fatalf("marshal with infinite lengthscale: %v", err)
+		t.Fatalf("marshal with non-finite hyperparameters: %v", err)
 	}
 	var back LCM
 	if err := back.UnmarshalBinary(blob); err != nil {
 		t.Fatal(err)
 	}
-	if !math.IsInf(back.Ls[0][1], 1) {
-		t.Fatalf("infinite lengthscale did not round-trip: %v", back.Ls[0][1])
+	if !math.IsInf(back.Ls[0][1], 1) || !math.IsInf(back.B[0][0], 1) ||
+		!math.IsInf(back.A[1][0], -1) || !math.IsNaN(back.D[0]) {
+		t.Fatalf("non-finite values did not round-trip: Ls=%v B=%v A=%v D=%v",
+			back.Ls[0][1], back.B[0][0], back.A[1][0], back.D[0])
 	}
 	if math.Float64bits(back.Ls[0][0]) != math.Float64bits(m.Ls[0][0]) {
 		t.Fatalf("finite Ls[0][0] no longer bitwise: %v vs %v", back.Ls[0][0], m.Ls[0][0])
-	}
-
-	// Hyperparameter-only snapshot (the warm-start transfer form) with every
-	// flavor of non-finite value.
-	m.flatX, m.taskOf, m.yNorm = nil, nil, nil
-	m.B[0][0] = math.Inf(1)
-	m.A[1][0] = math.Inf(-1)
-	m.LogLik = math.Inf(-1)
-	m.D[0] = math.NaN()
-	blob, err = m.MarshalBinary()
-	if err != nil {
-		t.Fatalf("marshal with non-finite hyperparameters: %v", err)
-	}
-	var hyper LCM
-	if err := hyper.UnmarshalBinary(blob); err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsInf(hyper.B[0][0], 1) || !math.IsInf(hyper.A[1][0], -1) ||
-		!math.IsInf(hyper.LogLik, -1) || !math.IsNaN(hyper.D[0]) {
-		t.Fatalf("non-finite values did not round-trip: B=%v A=%v loglik=%v D=%v",
-			hyper.B[0][0], hyper.A[1][0], hyper.LogLik, hyper.D[0])
 	}
 }
 
@@ -176,17 +236,18 @@ func TestUnmarshalRejectsCorruptSnapshots(t *testing.T) {
 		"not json",
 		`{}`,
 		`{"q":1,"num_tasks":1,"dim":1}`, // missing hyperparameters
-		`{"q":1,"num_tasks":1,"dim":1,"ls":[[1]],"a":[[1]],"b":[[1]],"d":[1],"task_of":[0],"x":[],"y_norm":[1]}`,    // X length mismatch
-		`{"q":1,"num_tasks":1,"dim":1,"ls":[[1]],"a":[[1]],"b":[[1]],"d":[1],"task_of":[5],"x":[0.5],"y_norm":[1]}`, // task out of range
+		`{"q":1,"num_tasks":1,"dim":2,"ls":[[1]],"a":[[1]],"b":[[1]],"d":[1]}`,         // ls shorter than dim
+		`{"q":1,"num_tasks":2,"dim":1,"ls":[[1]],"a":[[1,1]],"b":[[1,1]],"d":[1]}`,     // d shorter than num_tasks
+		`{"q":2,"num_tasks":1,"dim":1,"ls":[[1],[1]],"a":[[1]],"b":[[1],[1]],"d":[1]}`, // a shorter than q
 	} {
 		if err := m.UnmarshalBinary([]byte(bad)); err == nil {
 			t.Errorf("snapshot %q accepted", bad)
 		}
 	}
 	for _, bad := range []string{`"abc"`, `true`, `[1]`, `1e999`} {
-		snap := `{"q":1,"num_tasks":1,"dim":1,"ls":[[1]],"a":[[1]],"b":[[1]],"d":[1],"task_of":[0],"x":[` + bad + `],"y_norm":[1]}`
+		snap := `{"q":1,"num_tasks":1,"dim":1,"ls":[[` + bad + `]],"a":[[1]],"b":[[1]],"d":[1]}`
 		if err := m.UnmarshalBinary([]byte(snap)); err == nil {
-			t.Errorf("coordinate %s accepted", bad)
+			t.Errorf("lengthscale %s accepted", bad)
 		}
 	}
 }

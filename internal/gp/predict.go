@@ -56,8 +56,8 @@ type PredictWorkspace struct {
 }
 
 // NewPredictWorkspace returns a workspace sized for m. A model restored from
-// a hyperparameter-only snapshot holds no samples and gets an empty one;
-// PredictInto refuses such a model.
+// a snapshot holds no samples and gets an empty one; PredictInto refuses
+// such a model.
 func (m *LCM) NewPredictWorkspace() *PredictWorkspace {
 	ws := &PredictWorkspace{}
 	ws.resize(len(m.flatX), m.Q)

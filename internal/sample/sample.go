@@ -36,40 +36,26 @@ func LatinHypercube(n, dim int, rng *rand.Rand) [][]float64 {
 }
 
 // FeasibleLHS draws n feasible native points from s. It starts from a Latin
-// hypercube design and replaces infeasible points by uniform rejection
-// sampling. An error is returned when the feasible region appears empty
-// (maxTries consecutive rejections).
+// hypercube design and tops up the infeasible points' places with
+// FeasibleUniform. An error is returned when the feasible region appears
+// empty (maxTries consecutive rejections).
 func FeasibleLHS(s *space.Space, n int, rng *rand.Rand) ([][]float64, error) {
-	const maxTries = 100000
-	cands := LatinHypercube(n, s.Dim(), rng)
 	out := make([][]float64, 0, n)
-	for _, u := range cands {
-		nat := s.Denormalize(u)
-		if s.Feasible(nat) {
+	for _, u := range LatinHypercube(n, s.Dim(), rng) {
+		if nat := s.Denormalize(u); s.Feasible(nat) {
 			out = append(out, nat)
 		}
 	}
-	tries := 0
-	for len(out) < n {
-		u := make([]float64, s.Dim())
-		for d := range u {
-			u[d] = rng.Float64()
-		}
-		nat := s.Denormalize(u)
-		if s.Feasible(nat) {
-			out = append(out, nat)
-			tries = 0
-			continue
-		}
-		tries++
-		if tries >= maxTries {
-			return nil, fmt.Errorf("sample: could not find %d feasible points (found %d; feasible region may be empty)", n, len(out))
-		}
+	more, err := FeasibleUniform(s, n-len(out), rng)
+	out = append(out, more...)
+	if err != nil {
+		return nil, fmt.Errorf("sample: could not find %d feasible points (found %d; feasible region may be empty)", n, len(out))
 	}
 	return out, nil
 }
 
-// FeasibleUniform draws n feasible native points by rejection sampling.
+// FeasibleUniform draws n feasible native points by rejection sampling. On
+// error it returns the points it found before giving up.
 func FeasibleUniform(s *space.Space, n int, rng *rand.Rand) ([][]float64, error) {
 	const maxTries = 100000
 	out := make([][]float64, 0, n)
@@ -87,7 +73,7 @@ func FeasibleUniform(s *space.Space, n int, rng *rand.Rand) ([][]float64, error)
 		}
 		tries++
 		if tries >= maxTries {
-			return nil, fmt.Errorf("sample: could not find %d feasible points (found %d)", n, len(out))
+			return out, fmt.Errorf("sample: could not find %d feasible points (found %d)", n, len(out))
 		}
 	}
 	return out, nil

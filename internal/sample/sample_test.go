@@ -3,6 +3,7 @@ package sample
 import (
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -79,6 +80,16 @@ func TestFeasibleUniformEmptyRegion(t *testing.T) {
 	}
 	if _, err := FeasibleLHS(s, 1, rng); err == nil {
 		t.Fatalf("expected error for empty feasible region (LHS)")
+	}
+
+	// A region that closes after its first point: the design finds that
+	// point, the top-up finds none, and the error counts both phases.
+	s = space.MustNew(space.NewReal("x", 0, 1))
+	open := true
+	s.AddConstraint("once", func(map[string]float64) bool { ok := open; open = false; return ok })
+	_, err := FeasibleLHS(s, 3, rng)
+	if err == nil || !strings.Contains(err.Error(), "could not find 3 feasible points (found 1;") {
+		t.Fatalf("FeasibleLHS over a region that closes after one point: %v", err)
 	}
 }
 

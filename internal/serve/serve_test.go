@@ -426,6 +426,34 @@ func TestParentWrittenDataDirResumes(t *testing.T) {
 	}
 }
 
+// TestDataDirModelRecordRestores: the model record in
+// testdata/datadir, written when a snapshot still carried the fit's training
+// state, restores through its backend's decoder — a later session that
+// passes the log's snapshots as Options.WarmStart warm-starts from it.
+func TestDataDirModelRecordRestores(t *testing.T) {
+	db, err := histdb.Load(filepath.Join("testdata", "datadir", "fix.hist.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	models := 0
+	for _, r := range db.Records() {
+		if r.Kind != histdb.KindModel {
+			continue
+		}
+		models++
+		fitter, err := surrogate.New(r.Surrogate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fitter.UnmarshalBinary(r.Snapshot); err != nil {
+			t.Errorf("%s model record does not restore: %v", r.Surrogate, err)
+		}
+	}
+	if models == 0 {
+		t.Fatal("fixture holds no model record")
+	}
+}
+
 // TestServeFailedReportRetries exercises the Fail path over HTTP: a failed
 // evaluation yields a substitute configuration under the same ID, and the
 // third consecutive failure is terminal.

@@ -1,16 +1,23 @@
 package surrogate
 
-import "testing"
+import (
+	"os"
+	"path/filepath"
+	"testing"
+)
 
 // FuzzSurrogateUnmarshal attacks every backend's snapshot decoder with
 // arbitrary bytes: whatever they are, UnmarshalBinary refuses them with an
 // error or returns a model of its own kind whose NewWorkspace does not
-// panic. The seeds are each backend's snapshot of a small fit, plus the
-// regressions below; plain `go test` runs them.
+// panic. The seeds are each backend's snapshot of a small fit, the
+// regressions below, and full lcm, gp-indep and sgp snapshots of that fit —
+// carrying the training state, as earlier builds wrote them
+// (testdata/full_snapshot_*.json) — which must still restore; plain
+// `go test` runs them.
 func FuzzSurrogateUnmarshal(f *testing.F) {
-	// Hyperparameter-only snapshots (the warm-start transfer form, no
-	// training state) decode to models that cannot predict, and
-	// NewWorkspace panicked on them, for lcm and for every gp-indep task.
+	// Snapshots without training state decode to models that cannot
+	// predict, and NewWorkspace panicked on them, for lcm and for every
+	// gp-indep task.
 	hyperOnly := `{"q":1,"num_tasks":1,"dim":2,"ls":[[0.5,"Inf"]],"a":[[1]],"b":[[0.1]],"d":[0.01]}`
 	f.Add([]byte(hyperOnly))
 	f.Add([]byte(`{"kind":"gp-indep","models":[` + hyperOnly + `,` + hyperOnly + `]}`))
@@ -43,6 +50,21 @@ func FuzzSurrogateUnmarshal(f *testing.F) {
 			f.Fatalf("%s: %v", kind, err)
 		}
 		f.Add(blob)
+	}
+
+	for _, kind := range []string{KindLCM, KindGPIndep, KindSGP} {
+		blob, err := os.ReadFile(filepath.Join("testdata", "full_snapshot_"+kind+".json"))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+		fitter, err := New(kind)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if _, err := fitter.UnmarshalBinary(blob); err != nil {
+			f.Fatalf("%s refused its snapshot with training state: %v", kind, err)
+		}
 	}
 
 	f.Fuzz(func(t *testing.T, blob []byte) {

@@ -7,15 +7,19 @@ import (
 )
 
 // TestPerTaskSnapshotGolden pins the MarshalBinary bytes of every per-task
-// backend on one small fixed fit. A snapshot is the resume and transfer
-// format, so a refactor of the per-task plumbing must leave every byte
-// where it was. Re-recorded when the fits' streams (per-task seeds, gp
-// starts, sgp's inducing set, rf's trees) moved to internal/rng: the
-// encodings are unchanged, the fitted values are new draws.
+// backend on one small fixed fit. A snapshot is the transfer format — a
+// later session's warm start reads it; resuming a run reads evaluation
+// records, never snapshots — so a refactor of the per-task plumbing must
+// leave every byte where it was. Re-recorded when the fits' streams
+// (per-task seeds, gp starts, sgp's inducing set, rf's trees) moved to
+// internal/rng: the encodings were unchanged, the fitted values new draws.
+// Re-recorded for gp-indep and sgp when a GP snapshot became its
+// hyperparameters alone: the fits are unchanged, the encodings lost the
+// training state; the rf hash did not move.
 func TestPerTaskSnapshotGolden(t *testing.T) {
 	want := map[string]string{
-		KindGPIndep: "6a794ba000ed9446",
-		KindSGP:     "07949f430a5d3663",
+		KindGPIndep: "f565fe50e0eead04",
+		KindSGP:     "f2297df03b75a440",
 		KindRF:      "de2c84188c2d1208",
 	}
 	data := testDataset(33, 3, 9)

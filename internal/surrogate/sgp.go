@@ -76,8 +76,7 @@ func (ts *taskSGP) invNoise() float64 {
 	return 1 / ns
 }
 
-// prepKernel derives the kernel tables from ls and z, at fit time and on
-// decode, so the snapshot carries neither.
+// prepKernel derives the kernel tables from ls and z at fit time.
 func (ts *taskSGP) prepKernel() {
 	ts.w = make([]float64, ts.dim)
 	for d, l := range ts.ls {
@@ -206,9 +205,9 @@ func (sgpFitter) Fit(data *Dataset, opts FitOptions) (Model, error) {
 }
 
 // buildKmm assembles the inducing-set Gram matrix from the stored
-// coordinates; rebuilt identically on reload, so factors round-trip bitwise.
-// Row i is kernRow at z_i, and (a−b)² = (b−a)² exactly, so the matrix is
-// symmetric bit for bit.
+// coordinates, the same bits at fit time and on every Append. Row i is
+// kernRow at z_i, and (a−b)² = (b−a)² exactly, so the matrix is symmetric
+// bit for bit.
 func (ts *taskSGP) buildKmm() *la.Matrix {
 	kmm := la.NewMatrix(ts.m, ts.m)
 	for i := 0; i < ts.m; i++ {
@@ -224,7 +223,7 @@ func (ts *taskSGP) refactor(kmm *la.Matrix) error {
 		kmm = ts.buildKmm()
 	}
 	// block = m: one block, i.e. the unblocked serial recurrence — the m×m
-	// factors are small, and their bits are part of the snapshot contract.
+	// factors are small.
 	lm, _, err := la.CholeskyJitter(kmm, 0, ts.m, 1)
 	if err != nil {
 		return fmt.Errorf("surrogate: sgp inducing Gram factorization: %w", err)
@@ -282,6 +281,9 @@ func (ts *taskSGP) PredictBatchInto(ws Workspace, _ int, xs [][]float64, mean, v
 // fitted values. Cost is O(k·m²) + O(m³), independent of history length.
 func (ts *taskSGP) Append(data *Dataset, workers int) error {
 	_ = workers // O(m²) per point: nothing worth parallelizing
+	if ts.qmat == nil {
+		return errors.New("surrogate: sgp append on a model restored from a snapshot")
+	}
 	if data.Dim != ts.dim {
 		return fmt.Errorf("surrogate: sgp append got dim %d, model has %d", data.Dim, ts.dim)
 	}
@@ -310,84 +312,29 @@ func (ts *taskSGP) Append(data *Dataset, workers int) error {
 	return ts.refactor(nil)
 }
 
-// sgpTaskSnapshot is the wire form of one task's sparse GP. Everything the
-// posterior needs is either carried ((Q_m, r) sufficient statistics, packed
-// lower triangle for Q_m) or rebuilt deterministically from carried state
-// (K_mm from the inducing coordinates), so a reloaded model predicts bitwise
-// identically — and can keep absorbing appends.
+// sgpTaskSnapshot is the wire form of one task's sparse GP: its dimension
+// and the subset fit's hyperparameter vector, all a later fit's warm start
+// reads. Snapshots from builds that also carried the sufficient statistics
+// and the inducing set restore to the same pair; encoding/json skips the
+// rest.
 type sgpTaskSnapshot struct {
-	Dim    int         `json:"dim"`
-	N      int         `json:"n"`
-	M      int         `json:"m"`
-	Z      gp.NFVec    `json:"z"`
-	Ls     gp.NFVec    `json:"ls"`
-	Signal gp.NFScalar `json:"signal"`
-	Noise  gp.NFScalar `json:"noise"`
-	Theta  gp.NFVec    `json:"theta"`
-	YMean  gp.NFScalar `json:"y_mean"`
-	YStd   gp.NFScalar `json:"y_std"`
-	Q      gp.NFVec    `json:"q_packed"`
-	R      gp.NFVec    `json:"r"`
+	Dim   int      `json:"dim"`
+	Theta gp.NFVec `json:"theta"`
 }
 
 func (ts *taskSGP) MarshalBinary() ([]byte, error) {
-	packed := make([]float64, 0, ts.m*(ts.m+1)/2)
-	for p := 0; p < ts.m; p++ {
-		packed = append(packed, ts.qmat.Row(p)[:p+1]...)
-	}
-	return json.Marshal(sgpTaskSnapshot{
-		Dim: ts.dim, N: ts.n, M: ts.m,
-		Z: ts.z, Ls: ts.ls,
-		Signal: gp.NFScalar(ts.signal), Noise: gp.NFScalar(ts.noise),
-		Theta: ts.theta,
-		YMean: gp.NFScalar(ts.yMean), YStd: gp.NFScalar(ts.yStd),
-		Q: packed, R: ts.r,
-	})
+	return json.Marshal(sgpTaskSnapshot{Dim: ts.dim, Theta: ts.theta})
 }
 
+// UnmarshalBinary restores a task's hyperparameters: the model warm-starts a
+// fit, and neither predicts nor appends.
 func (sgpFitter) UnmarshalBinary(blob []byte) (Model, error) {
 	var snap sgpTaskSnapshot
 	if err := json.Unmarshal(blob, &snap); err != nil {
 		return nil, err
 	}
-	if snap.Dim <= 0 || snap.M <= 0 {
-		return nil, errors.New("surrogate: sgp snapshot missing dimensions")
+	if snap.Dim <= 0 || len(snap.Theta) == 0 {
+		return nil, errors.New("surrogate: sgp snapshot missing dimensions or hyperparameters")
 	}
-	// Accepting needs len(R) = M and len(Ls) = Dim, which bound both by the
-	// blob's length, so neither product can overflow into a false match.
-	if len(snap.Z) != snap.M*snap.Dim || len(snap.Ls) != snap.Dim ||
-		len(snap.Q) != snap.M*(snap.M+1)/2 || len(snap.R) != snap.M {
-		return nil, errors.New("surrogate: sgp snapshot shape mismatch")
-	}
-	ts := &taskSGP{
-		dim:    snap.Dim,
-		n:      snap.N,
-		m:      snap.M,
-		z:      snap.Z,
-		ls:     snap.Ls,
-		signal: float64(snap.Signal),
-		noise:  float64(snap.Noise),
-		theta:  snap.Theta,
-		yMean:  float64(snap.YMean),
-		yStd:   float64(snap.YStd),
-	}
-	if ts.yStd == 0 { // zero std never leaves a fit; guard against hand-built snapshots
-		ts.yStd = 1
-	}
-	ts.prior = ts.signal + ts.noise
-	ts.prepKernel()
-	ts.qmat = la.NewMatrix(ts.m, ts.m)
-	at := 0
-	for p := 0; p < ts.m; p++ {
-		for p2 := 0; p2 <= p; p2++ {
-			ts.qmat.Set(p, p2, snap.Q[at])
-			ts.qmat.Set(p2, p, snap.Q[at])
-			at++
-		}
-	}
-	ts.r = snap.R
-	if err := ts.refactor(nil); err != nil {
-		return nil, err
-	}
-	return ts, nil
+	return &taskSGP{dim: snap.Dim, theta: snap.Theta}, nil
 }

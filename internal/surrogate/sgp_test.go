@@ -136,49 +136,6 @@ func TestSGPAppendMatchesBatchStatistics(t *testing.T) {
 	}
 }
 
-// TestSGPSnapshotSurvivesAppend: marshal after append, reload, and keep
-// appending — the reload must predict bitwise identically and accept more
-// points (snapshots carry the sufficient statistics).
-func TestSGPSnapshotSurvivesAppend(t *testing.T) {
-	full := testDataset(25, 2, 20)
-	head := &Dataset{Dim: 2, X: [][][]float64{full.X[0][:14], full.X[1][:14]}, Y: [][]float64{full.Y[0][:14], full.Y[1][:14]}}
-	mid := &Dataset{Dim: 2, X: [][][]float64{full.X[0][14:17], full.X[1][14:17]}, Y: [][]float64{full.Y[0][14:17], full.Y[1][14:17]}}
-	tail := &Dataset{Dim: 2, X: [][][]float64{full.X[0][17:], full.X[1][17:]}, Y: [][]float64{full.Y[0][17:], full.Y[1][17:]}}
-	f, _ := New(KindSGP)
-	m, err := f.Fit(head, FitOptions{NumStarts: 1, MaxIter: 10, Seed: 5, Inducing: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.(Incremental).Append(mid, 1); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := m.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := f.UnmarshalBinary(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.(Incremental).Append(tail, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := back.(Incremental).Append(tail, 1); err != nil {
-		t.Fatalf("append after reload: %v", err)
-	}
-	wsA, wsB := m.NewWorkspace(), back.NewWorkspace()
-	rng := rand.New(rand.NewSource(6))
-	for trial := 0; trial < 20; trial++ {
-		x := []float64{rng.Float64(), rng.Float64()}
-		task := trial % 2
-		muA, vA := m.PredictInto(wsA, task, x)
-		muB, vB := back.PredictInto(wsB, task, x)
-		if math.Float64bits(muA) != math.Float64bits(muB) || math.Float64bits(vA) != math.Float64bits(vB) {
-			t.Fatalf("trial %d: reload+append diverged from live model", trial)
-		}
-	}
-}
-
 // TestSGPWarmStart: an sgp model — live, or restored from its snapshot —
 // seeds the next subset fit's first optimizer start with its per-task
 // hyperparameters.

@@ -1,10 +1,10 @@
 // Package surrogate abstracts the performance model behind GPTune's MLA
 // loop. The engine's modeling phase needs four capabilities — fit a model to
 // the multitask history, predict a posterior mean/variance allocation-free
-// from concurrent searchers, serialize the fitted state for transfer
-// sessions, and rebuild a model from such a snapshot — and this package
-// narrows them into the Fitter/Model pair so internal/core never names a
-// concrete model type again.
+// from concurrent searchers, snapshot a fitted model for later tuning
+// sessions, and restore a snapshot as the next fit's warm start — and this
+// package narrows them into the Fitter/Model pair so internal/core never
+// names a concrete model type again.
 //
 // Four backends ship (Kinds() is the authoritative list — CLI help and spec
 // validation derive from it, never restate it):
@@ -24,8 +24,11 @@
 // model each.
 //
 // Every backend obeys the repo's determinism contract: fitted models are
-// bitwise independent of FitOptions.Workers, and a model reloaded from its
-// snapshot predicts bitwise identically to the original.
+// bitwise independent of FitOptions.Workers. A GP backend's snapshot (lcm,
+// gp-indep, sgp) is its hyperparameters alone, the same size whatever the
+// history's length: a model restored from it seeds a fit with the bits the
+// saved model would have, and does not predict. A forest's snapshot is the
+// whole forest, and its restored model predicts bitwise identically.
 package surrogate
 
 import (
@@ -62,8 +65,9 @@ type Model interface {
 	// that point alone, without allocating. The GP backends share one pass
 	// over their factor among four points; the others loop.
 	PredictBatchInto(ws Workspace, task int, xs [][]float64, mean, variance []float64)
-	// MarshalBinary serializes the fitted state into a self-contained
-	// snapshot that the same backend's UnmarshalBinary restores.
+	// MarshalBinary serializes the model into a self-contained snapshot
+	// that the same backend's UnmarshalBinary restores: the hyperparameters
+	// for the GP backends, the fitted trees for forests.
 	MarshalBinary() ([]byte, error)
 }
 
@@ -120,12 +124,13 @@ type Fitter interface {
 	// Fit trains a model on data. The fitted model is bitwise independent of
 	// opts.Workers.
 	Fit(data *Dataset, opts FitOptions) (Model, error)
-	// UnmarshalBinary rebuilds a model from a MarshalBinary snapshot. The
-	// restored model predicts bitwise identically to the one that was saved
-	// (except hyperparameter-only LCM snapshots, which only warm-start). The
-	// engine restores snapshots only to warm-start a backend whose Fit reads
-	// them (ReadsWarmStart); the others' decoders serve transfer tooling and
-	// the snapshot round-trip contract.
+	// UnmarshalBinary rebuilds a model from a MarshalBinary snapshot. A GP
+	// backend's restored model holds the saved hyperparameters bit for bit
+	// and serves only as FitOptions.WarmStart: it neither predicts nor
+	// appends. A restored forest predicts bitwise identically to the saved
+	// one. The engine restores snapshots only to warm-start a backend whose
+	// Fit reads them (ReadsWarmStart); the forest's decoder serves transfer
+	// tooling and the snapshot round-trip contract.
 	UnmarshalBinary(data []byte) (Model, error)
 }
 

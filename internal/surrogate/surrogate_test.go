@@ -92,10 +92,13 @@ func hostileDatasets() map[string]*Dataset {
 }
 
 // TestAllBackendsFitPredictRoundTrip exercises the full Model contract for
-// every backend: fit, allocation-free prediction through a workspace, and a
-// marshal/unmarshal round trip that predicts bitwise identically — on an
-// ordinary dataset and on the hostile ones, where the posterior must stay
-// finite with a non-negative variance on both sides of the round trip.
+// every backend — fit and allocation-free prediction through a workspace,
+// one point at a time and batched — and, for forests, whose snapshot is the
+// fitted model, a marshal/unmarshal round trip that predicts bitwise
+// identically; on an ordinary dataset and on the hostile ones, where the
+// posterior must stay finite with a non-negative variance. (A GP backend's
+// snapshot is its hyperparameters, which TestWarmStartRoundTrip and
+// TestSGPWarmStart follow through a restore.)
 func TestAllBackendsFitPredictRoundTrip(t *testing.T) {
 	datasets := hostileDatasets()
 	datasets["correlated"] = testDataset(1, 2, 12)
@@ -112,13 +115,15 @@ func TestAllBackendsFitPredictRoundTrip(t *testing.T) {
 			if m.Kind() != kind || m.NumTasks() != 2 {
 				t.Fatalf("%s/%s: Kind=%q NumTasks=%d", name, kind, m.Kind(), m.NumTasks())
 			}
-			blob, err := m.MarshalBinary()
-			if err != nil {
-				t.Fatalf("%s/%s marshal: %v", name, kind, err)
-			}
-			back, err := f.UnmarshalBinary(blob)
-			if err != nil {
-				t.Fatalf("%s/%s unmarshal: %v", name, kind, err)
+			back := m
+			if kind == KindRF {
+				blob, err := m.MarshalBinary()
+				if err != nil {
+					t.Fatalf("%s/%s marshal: %v", name, kind, err)
+				}
+				if back, err = f.UnmarshalBinary(blob); err != nil {
+					t.Fatalf("%s/%s unmarshal: %v", name, kind, err)
+				}
 			}
 			rng := rand.New(rand.NewSource(2))
 			ws, wsBack := m.NewWorkspace(), back.NewWorkspace()
@@ -131,12 +136,10 @@ func TestAllBackendsFitPredictRoundTrip(t *testing.T) {
 				}
 				task := k % 2
 				mu, v := m.PredictInto(ws, task, x)
-				mu2, v2 := back.PredictInto(wsBack, task, x)
-				for _, p := range [][2]float64{{mu, v}, {mu2, v2}} {
-					if math.IsNaN(p[0]) || math.IsInf(p[0], 0) || math.IsNaN(p[1]) || math.IsInf(p[1], 0) || p[1] < 0 {
-						t.Fatalf("%s/%s: degenerate posterior (%v, %v) at %v", name, kind, p[0], p[1], x)
-					}
+				if math.IsNaN(mu) || math.IsInf(mu, 0) || math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+					t.Fatalf("%s/%s: degenerate posterior (%v, %v) at %v", name, kind, mu, v, x)
 				}
+				mu2, v2 := back.PredictInto(wsBack, task, x)
 				if math.Float64bits(mu) != math.Float64bits(mu2) || math.Float64bits(v) != math.Float64bits(v2) {
 					t.Fatalf("%s/%s: round trip diverged at %v task %d", name, kind, x, task)
 				}
@@ -332,6 +335,40 @@ func TestWarmStartRoundTrip(t *testing.T) {
 	muB, vB := m2.PredictInto(m2.NewWorkspace(), 0, x)
 	if math.Float64bits(muA) != math.Float64bits(muB) || math.Float64bits(vA) != math.Float64bits(vB) {
 		t.Fatal("rf: warm start changed the fitted forest")
+	}
+}
+
+// TestGPSnapshotIsItsHyperparameters: a GP backend's restored model is
+// exactly what its snapshot says — marshalling it again gives the same
+// bytes — and it holds no training state, so an append is refused with an
+// error (the engine's cue to refit) rather than extending nothing.
+func TestGPSnapshotIsItsHyperparameters(t *testing.T) {
+	data := testDataset(17, 2, 8)
+	delta := &Dataset{Dim: 2, X: [][][]float64{{{0.5, 0.5}}, {{0.25, 0.75}}}, Y: [][]float64{{1}, {2}}}
+	for _, kind := range []string{KindLCM, KindGPIndep, KindSGP} {
+		f, _ := New(kind)
+		m, err := f.Fit(data, FitOptions{NumStarts: 1, MaxIter: 5, Seed: 2, Inducing: 5})
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		blob, err := m.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored, err := f.UnmarshalBinary(blob)
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		again, err := restored.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(again) != string(blob) {
+			t.Errorf("%s: restored model marshals to %s, snapshot was %s", kind, again, blob)
+		}
+		if err := restored.(Incremental).Append(delta, 1); err == nil {
+			t.Errorf("%s: restored model accepted an append", kind)
+		}
 	}
 }
 
