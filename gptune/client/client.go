@@ -325,7 +325,13 @@ func (c *Client) attempt(ctx context.Context, method, replica, path string, in, 
 	if err != nil {
 		return 0, "", "", err
 	}
-	defer resp.Body.Close()
+	defer func() {
+		// A JSON decoder stops at the end of its value, short of a chunked
+		// body's last chunk, and net/http pools a keep-alive connection
+		// again only once its body has been read to EOF.
+		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
+		resp.Body.Close()
+	}()
 	if resp.StatusCode >= 400 {
 		// A body that is not the protocol's Error (a proxy's HTML, say)
 		// leaves the status text as the message.
@@ -339,8 +345,6 @@ func (c *Client) attempt(ctx context.Context, method, replica, path string, in, 
 			// been applied server-side, but re-issuing is safe (see call).
 			return 0, "", "", fmt.Errorf("client: decoding %s response: %w", path, derr)
 		}
-	} else {
-		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
 	}
 	return resp.StatusCode, "", "", nil
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/gptune/api"
 	"repro/internal/ring"
 	"repro/internal/serve"
 )
@@ -226,6 +228,46 @@ func TestConnectionResetMidBodyRetries(t *testing.T) {
 	}
 	if sg.ID != 7 {
 		t.Fatalf("suggestion: %+v", sg)
+	}
+}
+
+// TestLargeResponseKeepsItsConnection: a History large enough that net/http
+// sends it chunked (2,000 points) is read to EOF, so ten calls reuse one
+// keep-alive connection instead of opening one each.
+func TestLargeResponseKeepsItsConnection(t *testing.T) {
+	h := api.History{Phase: "search", Surrogate: "lcm", Tasks: []api.TaskHistory{{Task: []float64{0}}}}
+	for i := 0; i < 2000; i++ {
+		h.Tasks[0].X = append(h.Tasks[0].X, []float64{float64(i) / 2000})
+		h.Tasks[0].Y = append(h.Tasks[0].Y, []float64{math.Sqrt(float64(i))})
+	}
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		api.WriteJSON(w, http.StatusOK, h)
+	}))
+	var mu sync.Mutex
+	conns := 0
+	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			mu.Lock()
+			conns++
+			mu.Unlock()
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+	c, err := New(testCfg(srv.URL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		tasks, err := c.History(context.Background(), "s")
+		if err != nil || len(tasks) != 1 || len(tasks[0].X) != 2000 {
+			t.Fatalf("history: %d tasks, %v", len(tasks), err)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if conns != 1 {
+		t.Fatalf("ten History calls opened %d connections, want 1", conns)
 	}
 }
 

@@ -55,10 +55,11 @@ type Options struct {
 	Q int
 	// NumStarts is n_start, the modeling phase's L-BFGS restarts, and
 	// ModelMaxIter the iteration cap per restart. Zero means the surrogate
-	// backend's default (4 and 100 for the GP backends, see gp.FitOptions);
-	// the GP backends refuse more than surrogate.MaxNumStarts starts or
-	// surrogate.MaxFitIter iterations. The starts are raced (gp.FitLCM):
-	// all run to iteration 10, the best two to 40, the best one to the cap.
+	// backend's default (4 and gp's defaultMaxIter, 50, for the GP
+	// backends, see gp.FitOptions); the GP backends refuse more than
+	// surrogate.MaxNumStarts starts or surrogate.MaxFitIter iterations. The
+	// starts are raced (gp.FitLCM): all run to iteration 10, the best two to
+	// 40, the best one to the cap.
 	NumStarts    int
 	ModelMaxIter int
 	// WarmStart supplies fitted-model snapshots from an earlier tuning

@@ -130,7 +130,7 @@ type FitOptions struct {
 	Q         int   // latent functions; default min(δ, 3)
 	NumStarts int   // L-BFGS random restarts n_start; default 4, at most MaxNumStarts
 	Workers   int   // parallel restarts and factorization workers; default 1
-	MaxIter   int   // L-BFGS iterations the surviving start may run; default 100, at most MaxFitIter
+	MaxIter   int   // L-BFGS iterations the surviving start may run; default defaultMaxIter (50), at most MaxFitIter
 	Seed      int64 // RNG seed for restarts
 
 	// Init, when non-nil, replaces the random initialization of the first
@@ -151,12 +151,20 @@ const cholBlock = 64
 // MaxNumStarts and MaxFitIter bound FitOptions.NumStarts and MaxIter: FitLCM
 // refuses a larger request before allocating anything for it, and the
 // service refuses a study spec that asks for one. They are far above any
-// useful fit (the defaults are 4 and 100) and far below what exhausts memory
-// or pins a generation for hours.
+// useful fit (the defaults are 4 and defaultMaxIter) and far below what
+// exhausts memory or pins a generation for hours.
 const (
 	MaxNumStarts = 64
 	MaxFitIter   = 10000
 )
+
+// defaultMaxIter is FitOptions.MaxIter's default, the last survivor's
+// iteration cap. Past iteration 50 a default start only walks its
+// log-lengthscales up and log b, log d down along directions the data does
+// not pin: the registry quality table (cmd/experiments -run Bench) reads the
+// same at 50 as at 100 over 15 seeds, and the race's one-start last leg
+// shrinks from 60 iterations to 10.
+const defaultMaxIter = 50
 
 func (o *FitOptions) defaults(numTasks int) {
 	if o.Q <= 0 {
@@ -175,7 +183,7 @@ func (o *FitOptions) defaults(numTasks int) {
 		o.Workers = 1
 	}
 	if o.MaxIter <= 0 {
-		o.MaxIter = 100
+		o.MaxIter = defaultMaxIter
 	}
 }
 

@@ -120,7 +120,7 @@ func TestRaceStartsRounds(t *testing.T) {
 		rounds  []round
 		best    int
 	}{
-		{"default 4 x 100: both rungs eliminate",
+		{"4 x 100: both rungs eliminate",
 			[]opt.GradObjective{bowl(3, 2), bowl(3, 0), bowl(3, 3), bowl(3, 1)}, 100,
 			[]round{{[]int{0, 1, 2, 3}, 10}, {[]int{1, 3}, 40}, {[]int{1}, 100}}, 1},
 		{"a tie goes to the lower start index at both rungs",
@@ -191,7 +191,8 @@ func TestRaceStartsRounds(t *testing.T) {
 // shapes that cannot lose their winner. Which start wins follows the starts'
 // rng.Start streams: a change to them re-records the pinned starts, and the
 // eliminated case takes the first synthetic seed (1, 2, …) that still
-// eliminates its winner (seed 3 since the streams moved to internal/rng).
+// eliminates its winner (seed 3 since the streams moved to internal/rng,
+// seed 4 since the default cap became 50: at 50, seed 3's winner survives).
 func TestFitLCMSurvivorIsItsSoloRun(t *testing.T) {
 	recsys, recsysSeed := recsysN54(t)
 	for _, c := range []struct {
@@ -201,7 +202,7 @@ func TestFitLCMSurvivorIsItsSoloRun(t *testing.T) {
 		winner, survivor int
 	}{
 		{"the un-raced winner survives", syntheticDataset(rand.New(rand.NewSource(2)), 3, 10, 2, 0.05), FitOptions{Seed: 2}, 3, 3},
-		{"the un-raced winner is eliminated", syntheticDataset(rand.New(rand.NewSource(3)), 3, 10, 2, 0.05), FitOptions{Seed: 3}, 3, 1},
+		{"the un-raced winner is eliminated", syntheticDataset(rand.New(rand.NewSource(4)), 3, 10, 2, 0.05), FitOptions{Seed: 4}, 1, 0},
 		{"one start", syntheticDataset(rand.New(rand.NewSource(3)), 3, 10, 2, 0.05), FitOptions{Seed: 3, NumStarts: 1}, 0, 0},
 		{"2 x 15, the warm-history shape", syntheticDataset(rand.New(rand.NewSource(4)), 3, 10, 2, 0.05), FitOptions{Seed: 4, NumStarts: 2, MaxIter: 15}, -1, -1},
 		{"2 x 25, the experiments' cap", syntheticDataset(rand.New(rand.NewSource(5)), 3, 10, 2, 0.05), FitOptions{Seed: 5, NumStarts: 2, MaxIter: 25}, -1, -1},
@@ -254,18 +255,20 @@ func TestFitLCMLikelihoodRunResumesBitwise(t *testing.T) {
 	}
 }
 
-// TestFitEvalsHalved: on the recorded tuning-phase dataset a default 4 x 100
-// fit spends at most half the likelihood evaluations of the four starts run
-// out (0.40 over 720 recorded phases; 0.42 here), and FitEvals counts every
-// start, not just the survivor.
+// TestFitEvalsHalved: on the recorded tuning-phase dataset a 4 x 100 fit
+// spends at most half the likelihood evaluations of the four starts run out
+// (0.40 over 720 recorded phases; 192 of 451 here, 0.43), and FitEvals
+// counts every start, not just the survivor. The cap is explicit: at the
+// default 4 x 50 the race has less to cut (138 of 235 here, 0.59).
 func TestFitEvalsHalved(t *testing.T) {
 	data, seed := recsysN54(t)
-	solo, _ := soloStarts(t, data, FitOptions{Seed: seed})
+	opts := FitOptions{Seed: seed, MaxIter: 100}
+	solo, _ := soloStarts(t, data, opts)
 	unraced := 0
 	for _, res := range solo {
 		unraced += res.Evals
 	}
-	m, err := FitLCM(data, FitOptions{Seed: seed})
+	m, err := FitLCM(data, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,6 +280,27 @@ func TestFitEvalsHalved(t *testing.T) {
 		t.Errorf("FitEvals = %d, over half of the %d evaluations of four un-raced starts", m.FitEvals, unraced)
 	}
 	t.Logf("raced %d, un-raced %d (%.2f)", m.FitEvals, unraced, float64(m.FitEvals)/float64(unraced))
+}
+
+// TestFitLCMDefaultCap: MaxIter 0 is a cap of 50, bit for bit, and on the
+// recorded recsys phase — whose starts all run to any cap up to 100 — a cap
+// of 100 is a different fit.
+func TestFitLCMDefaultCap(t *testing.T) {
+	data, seed := recsysN54(t)
+	fit := func(maxIter int) *LCM {
+		m, err := FitLCM(data, FitOptions{Seed: seed, MaxIter: maxIter})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	def, at50, at100 := fit(0), fit(50), fit(100)
+	if def.FitEvals != at50.FitEvals || !sameVecBits(def.Hyperparameters(), at50.Hyperparameters()) {
+		t.Errorf("default fit: %d evaluations, cap 50: %d; or their hyperparameters differ", def.FitEvals, at50.FitEvals)
+	}
+	if def.FitEvals == at100.FitEvals || sameVecBits(def.Hyperparameters(), at100.Hyperparameters()) {
+		t.Errorf("default fit is the cap-100 fit (%d evaluations)", at100.FitEvals)
+	}
 }
 
 // TestFitLCMRaceWorkerInvariant: a fit in which both rungs eliminate, large

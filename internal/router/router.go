@@ -84,6 +84,7 @@ func New(cfg Config) (*Router, error) {
 		failures: make(map[string]int),
 		stop:     make(chan struct{}),
 	}
+	buffers := &bufferPool{}
 	for _, rep := range all.Nodes() {
 		target, err := url.Parse(rep)
 		if err != nil {
@@ -91,7 +92,8 @@ func New(cfg Config) (*Router, error) {
 		}
 		rep := rep
 		rt.proxies[rep] = &httputil.ReverseProxy{
-			Rewrite: func(pr *httputil.ProxyRequest) { pr.SetURL(target) },
+			Rewrite:    func(pr *httputil.ProxyRequest) { pr.SetURL(target) },
+			BufferPool: buffers,
 			// A proxy error is evidence as strong as a failed probe: count
 			// it toward ejection immediately instead of waiting for the
 			// probe loop to notice, and answer 503 (not the default 502) so
@@ -104,6 +106,19 @@ func New(cfg Config) (*Router, error) {
 	}
 	return rt, nil
 }
+
+// bufferPool lends the proxies the buffers they copy response bodies
+// through; a ReverseProxy without a BufferPool allocates 32 KiB per response.
+type bufferPool struct{ p sync.Pool }
+
+func (bp *bufferPool) Get() []byte {
+	if b, ok := bp.p.Get().(*[]byte); ok {
+		return *b
+	}
+	return make([]byte, 32<<10)
+}
+
+func (bp *bufferPool) Put(b []byte) { bp.p.Put(&b) }
 
 // Start launches the background health-probe loop.
 func (rt *Router) Start() {
@@ -269,6 +284,8 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 		}
 		var body api.StudyList
 		err = json.NewDecoder(resp.Body).Decode(&body)
+		// Read to EOF, past the decoded value, so the connection is pooled again.
+		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
 		resp.Body.Close()
 		if err != nil {
 			firstErr = err

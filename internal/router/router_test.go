@@ -381,3 +381,30 @@ func TestListSkipsAnUnreachableReplica(t *testing.T) {
 		t.Fatalf("list: %d %s, want 200 {\"studies\":[]}", rr.Code, rr.Body)
 	}
 }
+
+// BenchmarkForward is one small JSON read through the router: client →
+// router → a replica that answers a fixed body, over keep-alive connections.
+func BenchmarkForward(b *testing.B) {
+	rep := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		api.WriteJSON(w, http.StatusOK, api.Best{Tasks: []api.BestEntry{{Task: []float64{0}, X: []float64{0.5}, Y: []float64{1.25}}}})
+	}))
+	defer rep.Close()
+	rt, err := New(Config{Replicas: []string{rep.URL}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	hs := httptest.NewServer(rt.Handler())
+	defer hs.Close()
+	c, err := client.New(client.Config{Replicas: []string{hs.URL}, Timeout: 10 * time.Second, JitterSeed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Best(ctx, "s"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

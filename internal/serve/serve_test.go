@@ -378,7 +378,11 @@ func TestReadsReplayLoggedHistory(t *testing.T) {
 // record shapes are the original ones. When the streams moved to
 // internal/rng the initial sample moved too, so the snapshot's and the
 // log's drawn values were re-recorded with them; the spec and every record
-// shape (the model snapshot's included) are still the original ones.
+// shape (the model snapshot's included) are still the original ones. When
+// the default fit's iteration cap went from 100 to 50 the model and
+// search-phase records were re-recorded again, by the last build that
+// still wrote a snapshot's training state with the cap set to 50, so the
+// model record keeps its original shape.
 func TestParentWrittenDataDirResumes(t *testing.T) {
 	const epsTot, logged = 8, 15
 	dir := t.TempDir()

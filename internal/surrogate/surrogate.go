@@ -103,7 +103,7 @@ type FitOptions struct {
 	Q         int   // latent functions (LCM only); default min(δ, 3)
 	NumStarts int   // optimizer restarts (GP backends); default 4, at most MaxNumStarts
 	Workers   int   // fit parallelism; never affects the fitted model's bits
-	MaxIter   int   // optimizer iteration cap (GP backends); default 100, at most MaxFitIter
+	MaxIter   int   // optimizer iteration cap (GP backends); default gp's defaultMaxIter (50), at most MaxFitIter
 	Seed      int64 // RNG seed; same seed + same data → bitwise same model
 	Inducing  int   // inducing points per task (sgp only); default 128
 
