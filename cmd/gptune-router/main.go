@@ -21,9 +21,11 @@ import (
 	"os"
 	"os/signal"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
+	"repro/internal/mpx"
 	"repro/internal/router"
 )
 
@@ -61,9 +63,8 @@ func main() {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	drained := make(chan struct{})
-	go func() { //gptlint:ignore no-stray-goroutines shutdown watcher; joined via the drained channel before exit
-		defer close(drained)
+	var watcher sync.WaitGroup // the shutdown watcher, joined before exit
+	mpx.Go(&watcher, func() {
 		<-ctx.Done()
 		dctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
@@ -71,12 +72,12 @@ func main() {
 			fmt.Fprintln(os.Stderr, "gptune-router: drain deadline expired, forcing connections closed:", serr)
 			_ = hs.Close()
 		}
-	}()
+	})
 
 	fmt.Println("gptune-router: listening on", *addr, "routing", len(reps), "replicas")
 	err = hs.ListenAndServe()
 	if err == http.ErrServerClosed {
-		<-drained
+		watcher.Wait()
 		err = nil
 	}
 	if err != nil {

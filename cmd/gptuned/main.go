@@ -33,6 +33,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"sync"
 	"syscall"
 	"time"
 
@@ -40,6 +41,7 @@ import (
 
 	"repro/gptune/api"
 	_ "repro/internal/bench/all" // full workload catalog for scenario studies
+	"repro/internal/mpx"
 	"repro/internal/serve"
 )
 
@@ -73,9 +75,8 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	drained := make(chan struct{})
-	go func() { //gptlint:ignore no-stray-goroutines shutdown watcher; joined via the drained channel before the WALs close
-		defer close(drained)
+	var watcher sync.WaitGroup
+	mpx.Go(&watcher, func() {
 		<-ctx.Done()
 		// Flip /healthz to 503 before draining so a router stops routing
 		// work here while the existing handlers finish; parked suggests are
@@ -86,7 +87,7 @@ func main() {
 		// Shutdown drains in-flight handlers (including modeling-phase
 		// suggests); only once they are gone is it safe to close the study
 		// WALs. ListenAndServe returns the moment Shutdown *begins*, so
-		// main must wait on this goroutine, not on ListenAndServe alone —
+		// main must join this watcher, not wait on ListenAndServe alone —
 		// otherwise srv.Close races handlers still committing to the WALs.
 		if serr := hs.Shutdown(dctx); serr != nil {
 			// Drain deadline expired with connections still open: force
@@ -99,14 +100,14 @@ func main() {
 				fmt.Fprintln(os.Stderr, "gptuned: forced close:", cerr)
 			}
 		}
-	}()
+	})
 
 	fmt.Println("gptuned: listening on", *addr, "data in", *data)
 	err = hs.ListenAndServe()
 	if err == http.ErrServerClosed {
 		// Graceful path: wait for the watcher to finish draining (or force-
 		// closing) every handler before touching the WALs.
-		<-drained
+		watcher.Wait()
 	}
 	if cerr := srv.Close(); err == nil || err == http.ErrServerClosed {
 		err = cerr

@@ -102,11 +102,31 @@ type StudyList struct {
 	Studies []string `json:"studies"`
 }
 
-// Merge folds another replica's list into l, keeping it a sorted set.
-func (l *StudyList) Merge(o StudyList) {
-	l.Studies = append(l.Studies, o.Studies...)
-	sort.Strings(l.Studies)
-	l.Studies = slices.Compact(l.Studies)
+// MergeStudyLists is the one cluster-wide GET /studies: it asks every
+// replica through fetch and merges the names that came back into one sorted
+// set. It fails, with the first replica's error, only when no replica
+// answered: an unreachable replica's studies are missing from the list, not
+// an error.
+func MergeStudyLists(replicas []string, fetch func(replica string) (StudyList, error)) (StudyList, error) {
+	all, answered := StudyList{Studies: []string{}}, false
+	var firstErr error
+	for _, rep := range replicas {
+		l, err := fetch(rep)
+		if err != nil {
+			if firstErr == nil {
+				firstErr = err
+			}
+			continue
+		}
+		all.Studies = append(all.Studies, l.Studies...)
+		answered = true
+	}
+	if !answered {
+		return StudyList{}, firstErr
+	}
+	sort.Strings(all.Studies)
+	all.Studies = slices.Compact(all.Studies)
+	return all, nil
 }
 
 // Status is the GET /studies/{study} response.

@@ -3,8 +3,10 @@ package api
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -162,4 +164,29 @@ func FuzzDecodeArchive(f *testing.F) {
 			t.Fatalf("archive is not a fixed point:\n%s\nvs\n%s", wire, again)
 		}
 	})
+}
+
+// TestMergeStudyListsSkipsFailedReplicas: the merged list is the sorted set
+// of every answering replica's names; a replica whose fetch fails is left
+// out, and only when none answered does the merge fail, with the first
+// failure.
+func TestMergeStudyListsSkipsFailedReplicas(t *testing.T) {
+	lists := map[string][]string{"a": {"s2", "s1"}, "c": {"s3", "s1"}, "e": {}}
+	fetch := func(rep string) (StudyList, error) {
+		names, ok := lists[rep]
+		if !ok {
+			return StudyList{Studies: []string{"ignored"}}, errors.New(rep + " is down")
+		}
+		return StudyList{Studies: names}, nil
+	}
+	got, err := MergeStudyLists([]string{"a", "b", "c"}, fetch)
+	if err != nil || !slices.Equal(got.Studies, []string{"s1", "s2", "s3"}) {
+		t.Errorf("merge of a, b (down), c = %v, %v; want [s1 s2 s3]", got.Studies, err)
+	}
+	if got, err := MergeStudyLists([]string{"b", "e"}, fetch); err != nil || got.Studies == nil || len(got.Studies) != 0 {
+		t.Errorf("merge of b (down), e (empty) = %#v, %v; want an empty, non-nil list", got.Studies, err)
+	}
+	if _, err := MergeStudyLists([]string{"b", "d"}, fetch); err == nil || err.Error() != "b is down" {
+		t.Errorf("merge with every replica down: error %v, want the first one's", err)
+	}
 }

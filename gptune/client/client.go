@@ -239,23 +239,12 @@ func (c *Client) Import(ctx context.Context, arc StudyArchive) error {
 // fails only when no replica answered: an unreachable replica's studies are
 // missing from the list, not an error.
 func (c *Client) Studies(ctx context.Context) ([]string, error) {
-	all, answered := api.StudyList{Studies: []string{}}, false
-	var firstErr error
-	for _, rep := range c.ring.Nodes() {
-		var resp api.StudyList
-		if err := c.call(ctx, http.MethodGet, rep, api.StudiesPath, nil, &resp, false); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		all.Merge(resp)
-		answered = true
-	}
-	if !answered {
-		return nil, firstErr
-	}
-	return all.Studies, nil
+	all, err := api.MergeStudyLists(c.ring.Nodes(), func(rep string) (api.StudyList, error) {
+		var l api.StudyList
+		err := c.call(ctx, http.MethodGet, rep, api.StudiesPath, nil, &l, false)
+		return l, err
+	})
+	return all.Studies, err
 }
 
 // call runs one API call with the retry policy: transport errors and 503s

@@ -294,13 +294,15 @@ type ModelSnapshot = core.ModelSnapshot
 func SurrogateKinds() []string { return surrogate.Kinds() }
 
 // LoadModelSnapshots reads the fitted-surrogate snapshots a checkpointed run
-// left in its history log, enabling transfer learning
-// across sessions: feed the result to a later run's Options.WarmStart and
-// its modeling phases seed hyperparameter optimization at the previous
-// session's optimum (the paper's "tuning improves over time" goal, applied
-// to the model rather than the data). Snapshots are returned in append
-// order; WarmStart uses the last matching (kind, objective) entry. A
-// missing file returns no snapshots and no error.
+// left in its history log, enabling transfer learning across sessions: feed
+// the result to a later run's Options.WarmStart and its modeling phases
+// seed hyperparameter optimization at the previous session's optimum (the
+// paper's "tuning improves over time" goal, applied to the model rather
+// than the data). A snapshot holds hyperparameters only; the run decodes
+// each one it uses into its fits' starting points and builds no model from
+// it. Snapshots are returned in append order; WarmStart uses the last
+// matching (kind, objective) entry. A missing file returns no snapshots and
+// no error.
 func LoadModelSnapshots(path string) ([]ModelSnapshot, error) {
 	db, err := histdb.Load(path)
 	if err != nil {
@@ -320,10 +322,18 @@ type Dataset = gp.Dataset
 
 // Surrogate is a fitted multitask LCM model (Eqs. 1-6 of the paper),
 // usable directly for regression outside the tuning loop. Its MarshalBinary
-// snapshot holds the hyperparameters alone: a Surrogate restored from one by
-// UnmarshalBinary warm-starts a later fit (its Hyperparameters feed
-// SurrogateOptions.Init); it does not predict.
+// snapshot holds the hyperparameters alone, and
+// DecodeSurrogateHyperparameters turns it into a later fit's
+// SurrogateOptions.Init.
 type Surrogate = gp.LCM
+
+// DecodeSurrogateHyperparameters reads a Surrogate's MarshalBinary snapshot
+// and returns, bit for bit, what the saved Surrogate's Hyperparameters did:
+// set it as SurrogateOptions.Init to warm-start a fit from snapshot bytes.
+func DecodeSurrogateHyperparameters(snapshot []byte) ([]float64, error) {
+	theta, _, err := gp.DecodeHyperparameters(snapshot)
+	return theta, err
+}
 
 // SurrogateOptions configures standalone LCM fitting.
 type SurrogateOptions = gp.FitOptions

@@ -201,3 +201,52 @@ func TestPriorFromHistory(t *testing.T) {
 		t.Fatalf("checkpoint log yields %d model snapshots (%v), want 3", len(snaps), err)
 	}
 }
+
+// TestSurrogateSnapshotWarmStartsAFit: a standalone Surrogate's snapshot
+// bytes decode to its Hyperparameters, bit for bit, and seed a later fit
+// exactly as those do.
+func TestSurrogateSnapshotWarmStartsAFit(t *testing.T) {
+	data := &gptune.Dataset{Dim: 1, X: make([][][]float64, 2), Y: make([][]float64, 2)}
+	for i := range data.X {
+		for j := 0; j < 8; j++ {
+			x := float64(j) / 7
+			data.X[i] = append(data.X[i], []float64{x})
+			data.Y[i] = append(data.Y[i], math.Sin(3*x)+0.5*float64(i)*x)
+		}
+	}
+	prev, err := gptune.FitSurrogate(data, gptune.SurrogateOptions{NumStarts: 1, MaxIter: 20, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := prev.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	theta, err := gptune.DecodeSurrogateHyperparameters(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := prev.Hyperparameters()
+	if len(theta) != len(want) {
+		t.Fatalf("decoded %d hyperparameters, the model has %d", len(theta), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(theta[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("theta[%d] = %v decoded, %v saved", i, theta[i], want[i])
+		}
+	}
+	a, err := gptune.FitSurrogate(data, gptune.SurrogateOptions{NumStarts: 1, MaxIter: 2, Seed: 5, Init: theta})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := gptune.FitSurrogate(data, gptune.SurrogateOptions{NumStarts: 1, MaxIter: 2, Seed: 5, Init: want})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(a.LogLik) != math.Float64bits(b.LogLik) {
+		t.Fatalf("fit from the decoded snapshot reached loglik %v, from the model's hyperparameters %v", a.LogLik, b.LogLik)
+	}
+	if _, err := gptune.DecodeSurrogateHyperparameters([]byte(`{}`)); err == nil {
+		t.Fatal("an empty snapshot decoded")
+	}
+}

@@ -184,7 +184,7 @@ func NewEngine(p *Problem, tasks [][]float64, options Options) (*Engine, error) 
 		p:      p,
 		opts:   options,
 		fitter: fitter,
-		warm:   warmModels(fitter, options.WarmStart, p.Outputs.Dim()),
+		warm:   warmStarts(fitter.Kind(), options.WarmStart, p.Outputs.Dim()),
 		tasks:  tasks,
 		X:      make([][][]float64, len(tasks)),
 		Y:      make([][][]float64, len(tasks)),
@@ -665,10 +665,10 @@ func (e *Engine) genSearch(delta *PhaseStats) (jobs []*engJob, phase string, err
 		return nil, "", err
 	}
 	// Incremental generations skip the snapshot: the model's hyperparameters
-	// haven't moved since the refit that already saved them.
+	// haven't moved since the refit that already took one.
 	if refit {
 		for s, model := range models {
-			if err := st.saveModel(model, s); err != nil {
+			if err := st.snapshotModel(model, s); err != nil {
 				return nil, "", err
 			}
 		}

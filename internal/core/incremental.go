@@ -11,9 +11,11 @@ import (
 // Options.RefitEvery > 1: the fitted models themselves plus everything that
 // must stay frozen for incremental extension to be consistent with them —
 // the feature scale and the per-objective log transform decided at the last
-// refit, and how many samples per task the models have already absorbed.
+// refit, and how many samples per task the models have already absorbed —
+// and the models' own snapshots decoded, which seed the next refit.
 type modelState struct {
 	models           []surrogate.Model // one per objective, nil until the first refit
+	warm             [][][]float64     // per objective: the models' snapshots decoded (snapshotModel)
 	fs               *featureScale     // feature scale frozen at the last refit
 	logY             []bool            // per-objective: log transform active at the last refit
 	modeledN         []int             // per-task sample counts the models have absorbed
@@ -47,13 +49,17 @@ func (st *state) refitPhase(gamma, ms int) ([]surrogate.Model, []func(float64) f
 	for s := 0; s < gamma; s++ {
 		logY[s] = st.logApplied(s)
 		data := st.buildDataset(s, fs, logY[s], nil)
+		warm := st.warm[s] // Options.WarmStart's, unless RefitEvery kept the last refit's
+		if s < len(st.mdl.warm) && st.mdl.warm[s] != nil {
+			warm = st.mdl.warm[s] // the freshest optimum available
+		}
 		model, err := st.fitter.Fit(data, surrogate.FitOptions{
 			Q:         st.opts.Q,
 			NumStarts: st.opts.NumStarts,
 			Workers:   st.opts.Workers,
 			MaxIter:   st.opts.ModelMaxIter,
 			Seed:      rng.Mix(st.opts.Seed, rng.Fit, uint64(ms), uint64(s)),
-			WarmStart: st.refitWarmStart(s),
+			WarmStart: warm,
 			Inducing:  st.opts.Inducing,
 		})
 		if err != nil {
@@ -70,21 +76,9 @@ func (st *state) refitPhase(gamma, ms int) ([]surrogate.Model, []func(float64) f
 		for i := range st.X {
 			counts[i] = len(st.X[i])
 		}
-		st.mdl = modelState{models: models, fs: fs, logY: logY, modeledN: counts}
+		st.mdl = modelState{models: models, warm: make([][][]float64, gamma), fs: fs, logY: logY, modeledN: counts}
 	}
 	return models, tvs, fs, nil
-}
-
-// refitWarmStart picks the hyperparameter warm start for objective s: the
-// in-run model from the previous refit cycle when RefitEvery keeps one
-// around (the freshest optimum available), falling back to the cross-session
-// Options.WarmStart model. With RefitEvery ≤ 1 only the fallback exists,
-// preserving the historical fit inputs exactly.
-func (st *state) refitWarmStart(s int) surrogate.Model {
-	if st.opts.RefitEvery > 1 && s < len(st.mdl.models) && st.mdl.models[s] != nil {
-		return st.mdl.models[s]
-	}
-	return st.warm[s]
 }
 
 // canAppend reports whether this generation may extend the previous models
@@ -140,6 +134,8 @@ func (st *state) appendPhase(gamma int) ([]surrogate.Model, []func(float64) floa
 	for s := 0; s < gamma; s++ {
 		delta := st.buildDataset(s, m.fs, m.logY[s], m.modeledN)
 		if err := m.models[s].(surrogate.Incremental).Append(delta, st.opts.Workers); err != nil {
+			// The stale models' hyperparameters go with them: the refit
+			// starts from Options.WarmStart, as the run's first one did.
 			st.mdl = modelState{}
 			return nil, nil, false
 		}

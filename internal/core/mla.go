@@ -130,37 +130,32 @@ type state struct {
 	opts   Options
 	fitter surrogate.Fitter // modeling-phase backend, resolved from opts.Surrogate
 	tasks  [][]float64
-	X      [][][]float64     // [task][sample] native configs
-	Y      [][][]float64     // [task][sample] γ outputs
-	done   []int             // evaluations performed this run, per task (priors excluded)
-	coeffs []float64         // performance-model coefficients
-	mdl    modelState        // incremental-modeling bookkeeping (RefitEvery > 1)
-	warm   []surrogate.Model // per objective: Options.WarmStart's model, nil = cold start
+	X      [][][]float64 // [task][sample] native configs
+	Y      [][][]float64 // [task][sample] γ outputs
+	done   []int         // evaluations performed this run, per task (priors excluded)
+	coeffs []float64     // performance-model coefficients
+	mdl    modelState    // incremental-modeling bookkeeping (RefitEvery > 1)
+	warm   [][][]float64 // per objective: Options.WarmStart decoded, nil = cold start
 	stats  PhaseStats
 	rng    *rand.Rand
 }
 
-// warmModels restores the cross-session warm starts, one per objective: the
+// warmStarts decodes the cross-session warm starts, one per objective: the
 // last of snaps matching the backend's kind and the objective index, or nil
-// (cold start) when there is none, it does not restore, or the backend's fit
-// would not read it — transfer is best-effort and never fails a run.
-func warmModels(fitter surrogate.Fitter, snaps []ModelSnapshot, objectives int) []surrogate.Model {
-	warm := make([]surrogate.Model, objectives)
-	if !surrogate.ReadsWarmStart(fitter.Kind()) {
-		return warm
-	}
+// (cold start) when there is none, or it does not decode — as no snapshot
+// does for a backend whose fit reads no warm start. Transfer is best-effort
+// and never fails a run.
+func warmStarts(kind string, snaps []ModelSnapshot, objectives int) [][][]float64 {
+	warm := make([][][]float64, objectives)
 	for s := range warm {
 		var data []byte
 		for _, snap := range snaps {
-			if snap.Objective == s && snap.Kind == fitter.Kind() {
+			if snap.Objective == s && snap.Kind == kind {
 				data = snap.Data
 			}
 		}
-		if data == nil {
-			continue
-		}
-		if m, err := fitter.UnmarshalBinary(data); err == nil {
-			warm[s] = m
+		if data != nil {
+			warm[s], _ = surrogate.WarmStart(kind, data)
 		}
 	}
 	return warm
@@ -170,25 +165,36 @@ func warmModels(fitter surrogate.Fitter, snaps []ModelSnapshot, objectives int) 
 // models beside the evaluations they were fitted on; *Checkpointer has it, so
 // a checkpointed run's log is also a later session's Options.WarmStart. The
 // engine calls SaveModel on its generation goroutine after each refit of a
-// backend whose fit reads a warm start, and never reads a snapshot back, so a
-// mid-run crash cannot change resumed decisions.
+// backend whose fit reads a warm start, and never reads the log's snapshots
+// back, so a mid-run crash cannot change resumed decisions.
 type modelSaver interface {
 	SaveModel(snap ModelSnapshot) error
 }
 
-// saveModel streams one refit model to the checkpoint when it can archive
-// models and a later session's fit would read the snapshot (no-op otherwise:
-// a forest's would be written after every refit and read by nothing). Save
-// failures are fatal to the run, like checkpoint failures: a log that
-// silently drops snapshots would poison later sessions.
-func (st *state) saveModel(model surrogate.Model, objective int) error {
-	store, ok := st.opts.Checkpoint.(modelSaver)
-	if !ok || !surrogate.ReadsWarmStart(model.Kind()) {
+// snapshotModel hands one refit model's snapshot to its readers: the
+// checkpoint, when it archives models, for a later session's
+// Options.WarmStart; and, under RefitEvery > 1, this run's next refit of the
+// objective, which starts from the same bytes decoded (the freshest optimum
+// available) instead of Options.WarmStart's. A backend whose fit reads no
+// warm start has no reader, so nothing is marshalled: a forest's snapshot
+// would be written after every refit and read by nothing. Save failures are
+// fatal to the run, like checkpoint failures: a log that silently drops
+// snapshots would poison later sessions.
+func (st *state) snapshotModel(model surrogate.Model, objective int) error {
+	store, archive := st.opts.Checkpoint.(modelSaver)
+	carry := st.opts.RefitEvery > 1
+	if (!archive && !carry) || !surrogate.ReadsWarmStart(model.Kind()) {
 		return nil
 	}
 	blob, err := model.MarshalBinary()
 	if err != nil {
 		return fmt.Errorf("core: serializing %s model: %w", model.Kind(), err)
+	}
+	if carry { // best-effort like every warm start: nil leaves Options.WarmStart's
+		st.mdl.warm[objective], _ = surrogate.WarmStart(model.Kind(), blob)
+	}
+	if !archive {
+		return nil
 	}
 	if err := store.SaveModel(ModelSnapshot{Kind: model.Kind(), Objective: objective, Data: blob}); err != nil {
 		return fmt.Errorf("core: saving %s model snapshot: %w", model.Kind(), err)

@@ -38,11 +38,11 @@ type Options struct {
 	// hyperparameters from scratch. With the default (0 or 1) every
 	// generation refits — the canonical Algorithm 1/2 behavior, bitwise
 	// unchanged. With k > 1 only every k-th generation refits (warm-started
-	// from the in-run model); the generations between extend the existing
-	// model with the newly observed points at frozen hyperparameters (a
-	// rank-k Cholesky extension for the GP backends, sufficient-statistic
-	// updates for "sgp"), cutting per-generation modeling from O(n³) to
-	// O(k·n²). Backends without incremental support ("rf") refit every
+	// from the previous refit's snapshot); the generations between extend
+	// the existing model with the newly observed points at frozen
+	// hyperparameters (a rank-k Cholesky extension for the GP backends,
+	// sufficient-statistic updates for "sgp"), cutting per-generation
+	// modeling from O(n³) to O(k·n²). Backends without incremental support ("rf") refit every
 	// generation regardless. Incremental generations reuse the feature
 	// scale and log transform frozen at the last refit; if a frozen log
 	// transform turns invalid (a new observation ≤ 0) or an append fails,
@@ -70,12 +70,14 @@ type Options struct {
 	// snapshot's hyperparameters. WarmStart is a static input, read-only for
 	// the whole run — the engine never feeds its own snapshots back into it,
 	// which keeps crash-resumed runs bitwise identical to uninterrupted ones.
-	// NewEngine restores each snapshot it will use once, through the
-	// backend's UnmarshalBinary, which reads its hyperparameters and factors
-	// nothing; one that does not restore (corrupt, or of a shape the backend
-	// refuses) silently degrades to a cold start, as does one of another
-	// problem's shape at fit time. A backend whose fit reads no warm start
-	// ("rf"; see surrogate.ReadsWarmStart) restores nothing.
+	// NewEngine decodes each snapshot it will use once, through
+	// surrogate.WarmStart, into hyperparameter vectors; nothing builds a
+	// model from one. A snapshot that does not decode (corrupt, or of a
+	// shape the backend refuses) silently degrades to a cold start, as does
+	// one of another problem's shape at fit time. A backend whose fit reads
+	// no warm start ("rf"; see surrogate.ReadsWarmStart) decodes nothing.
+	// Under RefitEvery > 1 each refit after the first starts instead from
+	// the previous refit's own snapshot, decoded the same way.
 	WarmStart []ModelSnapshot
 
 	// Search configures the per-task PSO maximizing the acquisition. Its

@@ -1,6 +1,11 @@
 package core
 
 import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/fnv"
+	"math"
 	"runtime"
 	"testing"
 
@@ -107,4 +112,156 @@ func TestRefitEveryCadence(t *testing.T) {
 		t.Fatalf("checkpoint without SaveModel received %d evaluations, want 36", len(rc.recs))
 	}
 	requireBitwiseEqualHistories(t, "checkpoint with vs without SaveModel", saved, plain)
+}
+
+// historyHash is an FNV-64a hash of every task's configurations and outputs
+// at math.Float64bits.
+func historyHash(res *Result) string {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, tr := range res.Tasks {
+		for j := range tr.X {
+			for _, v := range append(append([]float64(nil), tr.X[j]...), tr.Y[j]...) {
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+				h.Write(b[:])
+			}
+		}
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// snapshotCheckpoint is an in-memory checkpoint that keeps every model
+// snapshot it is handed.
+type snapshotCheckpoint struct {
+	countingCheckpoint
+	snaps []ModelSnapshot
+}
+
+func (c *snapshotCheckpoint) SaveModel(s ModelSnapshot) error {
+	c.snaps = append(c.snaps, s)
+	return nil
+}
+
+// TestRefitEveryWarmStartGolden pins RefitEvery=3 histories of every backend
+// whose fit reads a warm start, cold and from an earlier run's snapshots:
+// the first refit starts from Options.WarmStart, the second from the first
+// refit's hyperparameters. Recorded when the second refit read them off the
+// live model, so the decoded snapshot must hand it the same bits.
+func TestRefitEveryWarmStartGolden(t *testing.T) {
+	want := map[string][2]string{ // kind: {cold, from an earlier run's snapshots}
+		surrogate.KindLCM:     {"15c5000a31fa8320", "15c5000a31fa8320"},
+		surrogate.KindGPIndep: {"8fb5dc2528946617", "96621de1659320aa"},
+		surrogate.KindSGP:     {"6e7ad6c8306ee07a", "9d8a13ba42e2e2ef"},
+	}
+	procs := runtime.GOMAXPROCS(0)
+	for kind, hashes := range want {
+		prior := &snapshotCheckpoint{}
+		runRefit(t, 1, procs, func(o *Options) {
+			o.Surrogate = kind
+			o.Seed = 7
+			o.Checkpoint = prior
+		})
+		for i, warm := range [][]ModelSnapshot{nil, prior.snaps} {
+			res := runRefit(t, 1, procs, func(o *Options) {
+				o.Surrogate = kind
+				o.RefitEvery = 3
+				o.WarmStart = warm
+			})
+			if got := historyHash(res); got != hashes[i] {
+				t.Errorf("%s (%d prior snapshots): history hash %s, recorded %s", kind, len(warm), got, hashes[i])
+			}
+		}
+	}
+}
+
+// warmFitter records, for each fit, the warm start it was handed and its
+// model's snapshot decoded. With refuse set its models refuse every append.
+type warmFitter struct {
+	surrogate.Fitter
+	refuse       bool
+	warm, fitted [][][]float64
+}
+
+func (f *warmFitter) Fit(data *surrogate.Dataset, opts surrogate.FitOptions) (surrogate.Model, error) {
+	m, err := f.Fitter.Fit(data, opts)
+	if err != nil {
+		return nil, err
+	}
+	blob, err := m.MarshalBinary()
+	if err != nil {
+		return nil, err
+	}
+	decoded, err := surrogate.WarmStart(f.Kind(), blob)
+	if err != nil {
+		return nil, err
+	}
+	f.warm, f.fitted = append(f.warm, opts.WarmStart), append(f.fitted, decoded)
+	if f.refuse {
+		return refusingModel{m}, nil
+	}
+	return m, nil
+}
+
+type refusingModel struct{ surrogate.Model }
+
+func (refusingModel) Append(*surrogate.Dataset, int) error { return errors.New("refused") }
+
+// sameVectors reports whether a and b hold the same vectors, bit for bit.
+func sameVectors(a, b [][]float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if len(a[i]) != len(b[i]) {
+			return false
+		}
+		for j := range a[i] {
+			if math.Float64bits(a[i][j]) != math.Float64bits(b[i][j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestRefitWarmStartSource follows each refit's FitOptions.WarmStart under
+// RefitEvery=3: the first refit reads Options.WarmStart and the next one the
+// first refit's model's hyperparameters; but when an append fails, the stale
+// models' hyperparameters go with them and the refit that replaces them
+// reads Options.WarmStart again.
+func TestRefitWarmStartSource(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, kind := range []string{surrogate.KindLCM, surrogate.KindGPIndep, surrogate.KindSGP} {
+		inner, err := surrogate.New(kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prior := &snapshotCheckpoint{}
+		runRefit(t, 1, procs, func(o *Options) { o.Surrogate = kind; o.Seed = 7; o.Checkpoint = prior })
+		last := prior.snaps[len(prior.snaps)-1]
+		opening, err := surrogate.WarmStart(kind, last.Data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, refuse := range []bool{false, true} {
+			f := &warmFitter{Fitter: inner, refuse: refuse}
+			runRefit(t, 1, procs, func(o *Options) {
+				o.RefitEvery = 3
+				o.WarmStart = []ModelSnapshot{last}
+				o.fitterOverride = f
+			})
+			if want := map[bool]int{false: 2, true: 6}[refuse]; len(f.warm) != want {
+				t.Fatalf("%s (appends refused %v): %d refits, want %d", kind, refuse, len(f.warm), want)
+			}
+			for i, got := range f.warm {
+				want := opening
+				if i > 0 && !refuse {
+					want = f.fitted[i-1]
+				}
+				if !sameVectors(got, want) {
+					t.Errorf("%s (appends refused %v): refit %d started from %v, want %v", kind, refuse, i, got, want)
+				}
+			}
+		}
+	}
 }

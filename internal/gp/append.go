@@ -32,7 +32,7 @@ import (
 // jitter escalation; callers should fall back to a full refit.
 func (m *LCM) AppendObservations(xs [][]float64, tasks []int, ys []float64, workers int) error {
 	if m.chol == nil {
-		return errors.New("gp: AppendObservations on a model without training state")
+		return errors.New("gp: AppendObservations on an unfitted model")
 	}
 	k := len(xs)
 	if len(tasks) != k || len(ys) != k {

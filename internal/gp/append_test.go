@@ -64,7 +64,7 @@ func TestAppendObservationsMatchesDirectPosterior(t *testing.T) {
 	for i := 0; i < n; i++ {
 		sigma.Data[i*n+i] += m.Jitter
 	}
-	l, err := la.Cholesky(sigma)
+	l, err := la.ParallelCholesky(sigma, sigma.Rows, 1)
 	if err != nil {
 		t.Fatalf("oracle Cholesky: %v", err)
 	}
@@ -128,7 +128,7 @@ func TestAppendedModelReloadsBitwise(t *testing.T) {
 	if n := len(m.flatX); n > cholBlock {
 		t.Fatalf("model holds %d samples, the test needs at most one %d-row block", n, cholBlock)
 	}
-	back := refactorOnFreshEngine(t, m, m)
+	back := refactorOnFreshEngine(t, m)
 	ws, wsBack := m.NewPredictWorkspace(), back.NewPredictWorkspace()
 	const predictions = 300
 	differ := 0

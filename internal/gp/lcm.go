@@ -99,9 +99,9 @@ type LCM struct {
 	A        [][]float64 // mixing coefficients [q][task]
 	B        [][]float64 // per-task diagonal boosts [q][task]
 	D        []float64   // per-task noise (regularization) [task]
-	LogLik   float64     // log marginal likelihood at the fitted state (0 on a reloaded model)
-	FitEvals int         // likelihood evaluations the fit spent, over all starts (0 on a reloaded model)
-	Jitter   float64     // diagonal jitter applied during factorization (0 on a reloaded model)
+	LogLik   float64     // log marginal likelihood at the fitted state
+	FitEvals int         // likelihood evaluations the fit spent, over all starts
+	Jitter   float64     // diagonal jitter applied during factorization
 
 	// Fitted prediction state. The Cholesky factor lives in packed
 	// triangular form so AppendObservations can grow it in place — the

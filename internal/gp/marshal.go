@@ -1,15 +1,15 @@
 // Portable serialization of fitted LCM models. A snapshot is the model's
 // hyperparameters and nothing else: its one reader is a later fit's warm
-// start (FitOptions.Init, through Hyperparameters), so a snapshot's size
-// depends on Q, δ and the dimension, never on how many samples the model was
-// fitted on, and restoring one factors nothing. A restored model warm-starts
-// a fit; it does not predict. Older snapshots also carried the training
-// state (the "loglik", "jitter", "y_mean", "y_std", "x", "task_of" and
-// "y_norm" fields); encoding/json skips fields the wire form does not name,
-// so they restore to the same hyperparameters whatever that state holds.
-// Floats survive the JSON round-trip exactly (encoding/json emits shortest
-// round-trippable literals), so a restored model seeds a fit with the bits
-// the saved one would have.
+// start, which DecodeHyperparameters hands the vector FitOptions.Init
+// takes, so a snapshot's size depends on Q, δ and the dimension, never on
+// how many samples the model was fitted on. Nothing is ever rebuilt from a
+// snapshot. Older snapshots also carried the training state (the "loglik",
+// "jitter", "y_mean", "y_std", "x", "task_of" and "y_norm" fields);
+// encoding/json skips fields the wire form does not name, so they decode to
+// the same hyperparameters whatever that state holds. Floats survive the
+// JSON round-trip exactly (encoding/json emits shortest round-trippable
+// literals), so a decoded vector is bit for bit the saved model's
+// Hyperparameters.
 package gp
 
 import (
@@ -127,8 +127,8 @@ func unmarshalNF(data []byte, out *float64) error {
 	return nil
 }
 
-// toNFRows and fromNFRows convert a hyperparameter matrix between its fitted
-// and wire representations (the rows share backing arrays; nothing copies).
+// toNFRows views a hyperparameter matrix in its wire representation (the
+// rows share backing arrays; nothing copies).
 func toNFRows(rows [][]float64) []nfVec {
 	out := make([]nfVec, len(rows))
 	for i, r := range rows {
@@ -137,32 +137,37 @@ func toNFRows(rows [][]float64) []nfVec {
 	return out
 }
 
-func fromNFRows(rows []nfVec) [][]float64 {
-	out := make([][]float64, len(rows))
-	for i, r := range rows {
-		out[i] = []float64(r)
+// snapshot is the model's wire form, over the model's own slices.
+func (m *LCM) snapshot() *lcmSnapshot {
+	return &lcmSnapshot{
+		Q: m.Q, NumTasks: m.NumTasks, Dim: m.Dim,
+		Ls: toNFRows(m.Ls), A: toNFRows(m.A), B: toNFRows(m.B), D: nfVec(m.D),
 	}
-	return out
 }
 
 // Hyperparameters returns the model's hyperparameters in the optimization
 // layout FitOptions.Init expects: log-lengthscales, mixing coefficients,
 // log-diagonal boosts, log-noise. Feeding the result of one fit into the
 // next fit's Init seeds the first L-BFGS start at the previous optimum.
-func (m *LCM) Hyperparameters() []float64 {
-	layout := hyperLayout{q: m.Q, dim: m.Dim, tasks: m.NumTasks}
+func (m *LCM) Hyperparameters() []float64 { return m.snapshot().theta() }
+
+// theta is the one computation of the hyperparameter vector, shared by a
+// fitted model's Hyperparameters and DecodeHyperparameters, so a decoded
+// snapshot hands a fit the saved model's bits.
+func (snap *lcmSnapshot) theta() []float64 {
+	layout := hyperLayout{q: snap.Q, dim: snap.Dim, tasks: snap.NumTasks}
 	theta := make([]float64, layout.total())
-	for q := 0; q < m.Q; q++ {
-		for d := 0; d < m.Dim; d++ {
-			theta[layout.lsAt(q, d)] = math.Log(m.Ls[q][d])
+	for q := 0; q < snap.Q; q++ {
+		for d := 0; d < snap.Dim; d++ {
+			theta[layout.lsAt(q, d)] = math.Log(snap.Ls[q][d])
 		}
-		for i := 0; i < m.NumTasks; i++ {
-			theta[layout.aAt(q, i)] = m.A[q][i]
-			theta[layout.bAt(q, i)] = math.Log(m.B[q][i])
+		for i := 0; i < snap.NumTasks; i++ {
+			theta[layout.aAt(q, i)] = snap.A[q][i]
+			theta[layout.bAt(q, i)] = math.Log(snap.B[q][i])
 		}
 	}
-	for i := 0; i < m.NumTasks; i++ {
-		theta[layout.dAt(i)] = math.Log(m.D[i])
+	for i := 0; i < snap.NumTasks; i++ {
+		theta[layout.dAt(i)] = math.Log(snap.D[i])
 	}
 	return theta
 }
@@ -170,12 +175,7 @@ func (m *LCM) Hyperparameters() []float64 {
 // MarshalBinary encodes the model's hyperparameters into a self-contained
 // snapshot, the same few hundred bytes whether the model holds ten samples
 // or a thousand.
-func (m *LCM) MarshalBinary() ([]byte, error) {
-	return json.Marshal(lcmSnapshot{
-		Q: m.Q, NumTasks: m.NumTasks, Dim: m.Dim,
-		Ls: toNFRows(m.Ls), A: toNFRows(m.A), B: toNFRows(m.B), D: nfVec(m.D),
-	})
-}
+func (m *LCM) MarshalBinary() ([]byte, error) { return json.Marshal(m.snapshot()) }
 
 // checkShape validates a decoded snapshot: dimensions present and
 // hyperparameter arrays of those dimensions.
@@ -194,21 +194,18 @@ func (snap *lcmSnapshot) checkShape() error {
 	return nil
 }
 
-// UnmarshalBinary decodes a snapshot produced by MarshalBinary, or by a
-// build whose snapshots still carried the training state, into a model that
-// holds the hyperparameters alone: it warm-starts a fit, and PredictInto
-// refuses it.
-func (m *LCM) UnmarshalBinary(data []byte) error {
+// DecodeHyperparameters reads a snapshot produced by MarshalBinary, or by a
+// build whose snapshots still carried the training state, and returns the
+// saved model's Hyperparameters, bit for bit — the vector a later fit's
+// FitOptions.Init takes — and its task count, which the vector's length
+// alone does not fix (Q = 1, δ = 2, dim = 1 has Q = 1, δ = 1, dim = 4's).
+func DecodeHyperparameters(data []byte) (theta []float64, tasks int, err error) {
 	var snap lcmSnapshot
 	if err := json.Unmarshal(data, &snap); err != nil {
-		return fmt.Errorf("gp: decoding LCM snapshot: %w", err)
+		return nil, 0, fmt.Errorf("gp: decoding LCM snapshot: %w", err)
 	}
 	if err := snap.checkShape(); err != nil {
-		return err
+		return nil, 0, err
 	}
-	*m = LCM{
-		Q: snap.Q, NumTasks: snap.NumTasks, Dim: snap.Dim,
-		Ls: fromNFRows(snap.Ls), A: fromNFRows(snap.A), B: fromNFRows(snap.B), D: snap.D,
-	}
-	return nil
+	return snap.theta(), snap.NumTasks, nil
 }

@@ -1,6 +1,9 @@
 package gp
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"math"
 	"math/rand"
@@ -22,15 +25,15 @@ func fitSmall(t *testing.T, opts FitOptions) (*Dataset, *LCM) {
 	return data, m
 }
 
-// refactorOnFreshEngine returns a model holding hyper's hyperparameters and
-// m's training state, output standardization and jitter, factored by
-// factorize on an engine of its own — the post-fit step FitLCM runs on race
-// engine 0, repeated where no fit has touched the engine.
-func refactorOnFreshEngine(t *testing.T, hyper, m *LCM) *LCM {
+// refactorOnFreshEngine returns a model holding m's hyperparameters,
+// training state, output standardization and jitter, factored by factorize
+// on an engine of its own — the post-fit step FitLCM runs on race engine 0,
+// repeated where no fit has touched the engine.
+func refactorOnFreshEngine(t *testing.T, m *LCM) *LCM {
 	t.Helper()
 	fresh := &LCM{
-		Q: hyper.Q, NumTasks: hyper.NumTasks, Dim: hyper.Dim,
-		Ls: hyper.Ls, A: hyper.A, B: hyper.B, D: hyper.D, Jitter: m.Jitter,
+		Q: m.Q, NumTasks: m.NumTasks, Dim: m.Dim,
+		Ls: m.Ls, A: m.A, B: m.B, D: m.D, Jitter: m.Jitter,
 		flatX: m.flatX, taskOf: m.taskOf, yNorm: m.yNorm, yMean: m.yMean, yStd: m.yStd,
 	}
 	layout := hyperLayout{q: fresh.Q, dim: fresh.Dim, tasks: fresh.NumTasks}
@@ -41,10 +44,11 @@ func refactorOnFreshEngine(t *testing.T, hyper, m *LCM) *LCM {
 }
 
 // TestMarshalRoundTripPredictsIdentically: a snapshot carries every bit of
-// the hyperparameters the posterior depends on, and FitLCM's post-fit
-// factorization on race engine 0 is the one a fresh engine computes — so the
-// restored hyperparameters over the fit's training state, factored afresh,
-// reproduce the fitted model's posterior and jitter bitwise.
+// the hyperparameters the posterior depends on — it decodes to the model's
+// own Hyperparameters — and FitLCM's post-fit factorization on race engine
+// 0 is the one a fresh engine computes, so those hyperparameters over the
+// fit's training state, factored afresh, reproduce the fitted model's
+// posterior and jitter bitwise.
 func TestMarshalRoundTripPredictsIdentically(t *testing.T) {
 	_, m := fitSmall(t, FitOptions{NumStarts: 2, MaxIter: 30, Seed: 3})
 
@@ -52,14 +56,20 @@ func TestMarshalRoundTripPredictsIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var restored LCM
-	if err := restored.UnmarshalBinary(blob); err != nil {
+	theta, _, err := DecodeHyperparameters(blob)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.Q != m.Q || restored.NumTasks != m.NumTasks || restored.Dim != m.Dim {
-		t.Fatalf("dimensions differ after round trip: %+v vs %+v", restored, m)
+	want := m.Hyperparameters()
+	if len(theta) != len(want) {
+		t.Fatalf("snapshot decodes to %d hyperparameters, the model has %d", len(theta), len(want))
 	}
-	back := refactorOnFreshEngine(t, &restored, m)
+	for i := range want {
+		if math.Float64bits(theta[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("theta[%d] = %v decoded, %v saved", i, theta[i], want[i])
+		}
+	}
+	back := refactorOnFreshEngine(t, m)
 	if math.Float64bits(back.Jitter) != math.Float64bits(m.Jitter) {
 		t.Fatalf("jitter differs: %v vs %v", back.Jitter, m.Jitter)
 	}
@@ -103,30 +113,29 @@ func TestSnapshotSizeIndependentOfN(t *testing.T) {
 
 // TestFullSnapshotWithBrokenStateWarmStarts: a full snapshot — one that
 // also carries the training state, as logs written by earlier builds hold —
-// restores to its hyperparameters even when that state does not factor.
+// decodes to its hyperparameters even when that state does not factor.
 // testdata holds such a snapshot of a small fit, as an earlier build wrote
 // it, and a copy whose first training coordinate is NaN, which that build
 // refused (the covariance is not positive definite), so a warm start from
-// it fell back to a cold one.
+// it fell back to a cold one. Both decode to the 14 values whose bits hash
+// to what the last build that restored a snapshot into a model read off the
+// clean one with Hyperparameters.
 func TestFullSnapshotWithBrokenStateWarmStarts(t *testing.T) {
-	var theta [2][]float64
-	for i, name := range []string{"full_lcm_snapshot.json", "full_lcm_snapshot_nan_x.json"} {
+	for _, name := range []string{"full_lcm_snapshot.json", "full_lcm_snapshot_nan_x.json"} {
 		blob, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var m LCM
-		if err := m.UnmarshalBinary(blob); err != nil {
+		theta, _, err := DecodeHyperparameters(blob)
+		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		theta[i] = m.Hyperparameters()
-	}
-	if len(theta[0]) != len(theta[1]) {
-		t.Fatalf("%d hyperparameters from the clean snapshot, %d from the broken one", len(theta[0]), len(theta[1]))
-	}
-	for i := range theta[0] {
-		if math.Float64bits(theta[0][i]) != math.Float64bits(theta[1][i]) {
-			t.Errorf("theta[%d] = %v from the clean snapshot, %v from the broken one", i, theta[0][i], theta[1][i])
+		h := sha256.New()
+		for _, v := range theta {
+			h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
+		}
+		if got := hex.EncodeToString(h.Sum(nil)[:8]); len(theta) != 14 || got != "1a843adffcc13921" {
+			t.Errorf("%s: %d hyperparameters hashing to %s, want 14 hashing to 1a843adffcc13921", name, len(theta), got)
 		}
 	}
 }
@@ -203,8 +212,8 @@ func TestFitWarmStartUsesInit(t *testing.T) {
 // TestMarshalSurvivesNonFiniteHyperparameters: the optimizer can drive a
 // log-lengthscale past exp's range, leaving +Inf in a fitted model. The
 // snapshot must encode every flavor of non-finite value (encoding/json
-// rejects bare non-finite numbers) and reproduce it, and the finite values
-// bitwise, on reload.
+// rejects bare non-finite numbers) and decode it, and the finite values
+// bitwise, into the hyperparameter vector.
 func TestMarshalSurvivesNonFiniteHyperparameters(t *testing.T) {
 	_, m := fitSmall(t, FitOptions{NumStarts: 1, MaxIter: 10, Seed: 3})
 	m.Ls[0][1] = math.Inf(1)
@@ -215,23 +224,23 @@ func TestMarshalSurvivesNonFiniteHyperparameters(t *testing.T) {
 	if err != nil {
 		t.Fatalf("marshal with non-finite hyperparameters: %v", err)
 	}
-	var back LCM
-	if err := back.UnmarshalBinary(blob); err != nil {
+	theta, _, err := DecodeHyperparameters(blob)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !math.IsInf(back.Ls[0][1], 1) || !math.IsInf(back.B[0][0], 1) ||
-		!math.IsInf(back.A[1][0], -1) || !math.IsNaN(back.D[0]) {
-		t.Fatalf("non-finite values did not round-trip: Ls=%v B=%v A=%v D=%v",
-			back.Ls[0][1], back.B[0][0], back.A[1][0], back.D[0])
+	layout := hyperLayout{q: m.Q, dim: m.Dim, tasks: m.NumTasks}
+	if !math.IsInf(theta[layout.lsAt(0, 1)], 1) || !math.IsInf(theta[layout.bAt(0, 0)], 1) ||
+		!math.IsInf(theta[layout.aAt(1, 0)], -1) || !math.IsNaN(theta[layout.dAt(0)]) {
+		t.Fatalf("non-finite values did not round-trip: %v", theta)
 	}
-	if math.Float64bits(back.Ls[0][0]) != math.Float64bits(m.Ls[0][0]) {
-		t.Fatalf("finite Ls[0][0] no longer bitwise: %v vs %v", back.Ls[0][0], m.Ls[0][0])
+	if want := math.Log(m.Ls[0][0]); math.Float64bits(theta[layout.lsAt(0, 0)]) != math.Float64bits(want) {
+		t.Fatalf("finite log Ls[0][0] no longer bitwise: %v vs %v", theta[layout.lsAt(0, 0)], want)
 	}
 }
 
-// TestUnmarshalRejectsCorruptSnapshots exercises the validation paths.
+// TestUnmarshalRejectsCorruptSnapshots exercises DecodeHyperparameters'
+// validation paths.
 func TestUnmarshalRejectsCorruptSnapshots(t *testing.T) {
-	var m LCM
 	for _, bad := range []string{
 		"not json",
 		`{}`,
@@ -240,13 +249,13 @@ func TestUnmarshalRejectsCorruptSnapshots(t *testing.T) {
 		`{"q":1,"num_tasks":2,"dim":1,"ls":[[1]],"a":[[1,1]],"b":[[1,1]],"d":[1]}`,     // d shorter than num_tasks
 		`{"q":2,"num_tasks":1,"dim":1,"ls":[[1],[1]],"a":[[1]],"b":[[1],[1]],"d":[1]}`, // a shorter than q
 	} {
-		if err := m.UnmarshalBinary([]byte(bad)); err == nil {
+		if _, _, err := DecodeHyperparameters([]byte(bad)); err == nil {
 			t.Errorf("snapshot %q accepted", bad)
 		}
 	}
 	for _, bad := range []string{`"abc"`, `true`, `[1]`, `1e999`} {
 		snap := `{"q":1,"num_tasks":1,"dim":1,"ls":[[` + bad + `]],"a":[[1]],"b":[[1]],"d":[1]}`
-		if err := m.UnmarshalBinary([]byte(snap)); err == nil {
+		if _, _, err := DecodeHyperparameters([]byte(snap)); err == nil {
 			t.Errorf("lengthscale %s accepted", bad)
 		}
 	}
@@ -315,10 +324,10 @@ func FuzzUnmarshalNF(f *testing.F) {
 	})
 }
 
-// TestHyperparametersSurviveSnapshot: a warm start reads Hyperparameters off
-// a model, and a model restored from a snapshot must hand a fit the bits the
-// model that was saved would have — for a fitted model, an appended one, a
-// hyperparameter-only one and one with non-finite entries.
+// TestHyperparametersSurviveSnapshot: a warm start decoded from a snapshot
+// must hand a fit the bits the saved model's Hyperparameters would — for a
+// fitted model, an appended one, a hyperparameter-only one and one with
+// non-finite entries.
 func TestHyperparametersSurviveSnapshot(t *testing.T) {
 	check := func(name string, model *LCM) {
 		t.Helper()
@@ -326,17 +335,17 @@ func TestHyperparametersSurviveSnapshot(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		var back LCM
-		if err := back.UnmarshalBinary(blob); err != nil {
+		got, _, err := DecodeHyperparameters(blob)
+		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		want, got := model.Hyperparameters(), back.Hyperparameters()
+		want := model.Hyperparameters()
 		if len(got) != len(want) {
-			t.Fatalf("%s: %d hyperparameters restored, %d saved", name, len(got), len(want))
+			t.Fatalf("%s: %d hyperparameters decoded, %d saved", name, len(got), len(want))
 		}
 		for i := range want {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Errorf("%s: theta[%d] = %v restored, %v saved", name, i, got[i], want[i])
+				t.Errorf("%s: theta[%d] = %v decoded, %v saved", name, i, got[i], want[i])
 			}
 		}
 	}

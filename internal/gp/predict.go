@@ -55,9 +55,7 @@ type PredictWorkspace struct {
 	args []float64            // [Q][n] kernel arguments, then kernel values, latent-major
 }
 
-// NewPredictWorkspace returns a workspace sized for m. A model restored from
-// a snapshot holds no samples and gets an empty one; PredictInto refuses
-// such a model.
+// NewPredictWorkspace returns a workspace sized for m.
 func (m *LCM) NewPredictWorkspace() *PredictWorkspace {
 	ws := &PredictWorkspace{}
 	ws.resize(len(m.flatX), m.Q)

@@ -32,7 +32,7 @@ func BenchmarkCholeskyJitterInto(b *testing.B) {
 func BenchmarkCholInverseInto(b *testing.B) {
 	for _, n := range []int{72, 512} {
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
-			l, err := Cholesky(randomSPD(rand.New(rand.NewSource(1)), n))
+			l, err := ParallelCholesky(randomSPD(rand.New(rand.NewSource(1)), n), n, 1)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -12,15 +12,6 @@ import (
 // non-positive pivot is encountered.
 var ErrNotPositiveDefinite = errors.New("la: matrix is not positive definite")
 
-// Cholesky computes the lower-triangular Cholesky factor L of the symmetric
-// positive definite matrix a (only the lower triangle of a is read) such that
-// a = L·Lᵀ. The factor is returned in a new matrix whose strict upper
-// triangle is zero. It is ParallelCholesky run as one block: the plain
-// row-by-row recurrence, serial.
-func Cholesky(a *Matrix) (*Matrix, error) {
-	return ParallelCholesky(a, a.Rows, 1)
-}
-
 // jitterAttempts bounds CholeskyJitter's escalation: one plain attempt, then
 // jitters initial·{1, 10, …, 10¹⁰} relative to the mean diagonal.
 const jitterAttempts = 12
@@ -407,8 +398,10 @@ func LogDetFromChol(l *Matrix) float64 {
 	return 2 * s
 }
 
-// ParallelCholesky computes the lower Cholesky factor of a using a blocked
-// right-looking algorithm whose panel solves and trailing updates are
+// ParallelCholesky computes the lower-triangular Cholesky factor L of the
+// symmetric positive definite matrix a (only the lower triangle of a is
+// read) such that a = L·Lᵀ, in a new matrix whose strict upper triangle is
+// zero, using a blocked right-looking algorithm whose panel solves and trailing updates are
 // distributed over nworkers goroutines. It is the Go substitute for the
 // ScaLAPACK-parallelized covariance factorization in the paper's Section 4.3
 // and drives the Fig. 3 modeling-phase speedup experiment.
@@ -419,7 +412,8 @@ func LogDetFromChol(l *Matrix) float64 {
 // independent block. The LCM fit relies on this to produce the same model
 // regardless of FitOptions.Workers.
 //
-// blockSize ≤ 0 selects a default. nworkers ≤ 1 runs the blocks inline.
+// blockSize ≤ 0 selects a default, and blockSize ≥ n is one block: the plain
+// row-by-row recurrence. nworkers ≤ 1 runs the blocks inline.
 func ParallelCholesky(a *Matrix, blockSize, nworkers int) (*Matrix, error) {
 	if a.Rows != a.Cols {
 		return nil, errors.New("la: ParallelCholesky of non-square matrix")

@@ -103,7 +103,7 @@ func TestCholeskyReconstruction(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, n := range []int{1, 2, 3, 7, 20, 53} {
 		a := randomSPD(rng, n)
-		l, err := Cholesky(a)
+		l, err := ParallelCholesky(a, a.Rows, 1)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -124,7 +124,7 @@ func TestCholeskyReconstruction(t *testing.T) {
 
 func TestCholeskyRejectsIndefinite(t *testing.T) {
 	a := &Matrix{Rows: 2, Cols: 2, Data: []float64{1, 2, 2, 1}} // eigenvalues 3, -1
-	if _, err := Cholesky(a); err == nil {
+	if _, err := ParallelCholesky(a, a.Rows, 1); err == nil {
 		t.Fatalf("expected ErrNotPositiveDefinite")
 	}
 }
@@ -226,7 +226,7 @@ func TestSolveCholVecResidual(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{1, 5, 17, 40} {
 		a := randomSPD(rng, n)
-		l, err := Cholesky(a)
+		l, err := ParallelCholesky(a, a.Rows, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,7 +245,7 @@ func TestCholInverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	n := 15
 	a := randomSPD(rng, n)
-	l, _ := Cholesky(a)
+	l, _ := ParallelCholesky(a, a.Rows, 1)
 	inv := ParallelCholInverse(l, 1)
 	prod := MatMulTransB(a, inv) // A⁻¹ is symmetric
 	for i := 0; i < n; i++ {
@@ -259,7 +259,7 @@ func TestCholInverse(t *testing.T) {
 func TestLogDetFromChol(t *testing.T) {
 	// diag(4, 9): det = 36, logdet = log 36.
 	a := &Matrix{Rows: 2, Cols: 2, Data: []float64{4, 0, 0, 9}}
-	l, _ := Cholesky(a)
+	l, _ := ParallelCholesky(a, a.Rows, 1)
 	if got := LogDetFromChol(l); math.Abs(got-math.Log(36)) > 1e-12 {
 		t.Fatalf("logdet = %v, want %v", got, math.Log(36))
 	}
@@ -274,7 +274,7 @@ func TestParallelCholeskyMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for _, n := range []int{5, 31, 64, 97, 130} {
 		a := randomSPD(rng, n)
-		want, err := Cholesky(a)
+		want, err := ParallelCholesky(a, a.Rows, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,7 +327,7 @@ func TestCholeskySolveQuick(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(20)
 		a := randomSPD(rng, n)
-		l, err := Cholesky(a)
+		l, err := ParallelCholesky(a, a.Rows, 1)
 		if err != nil {
 			return false
 		}

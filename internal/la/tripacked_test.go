@@ -24,7 +24,7 @@ func appendRow(t *TriPacked, col []float64, diag float64) (float64, error) {
 func TestPackCholRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := randomSPD(rng, 23)
-	l, err := Cholesky(a)
+	l, err := ParallelCholesky(a, a.Rows, 1)
 	if err != nil {
 		t.Fatalf("Cholesky: %v", err)
 	}
@@ -59,7 +59,7 @@ func TestAppendRowMatchesFullCholesky(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const n, k = 40, 6
 	a := randomSPD(rng, n+k)
-	l0, err := Cholesky(subMatrix(a, n))
+	l0, err := ParallelCholesky(subMatrix(a, n), n, 1)
 	if err != nil {
 		t.Fatalf("Cholesky: %v", err)
 	}
@@ -70,7 +70,7 @@ func TestAppendRowMatchesFullCholesky(t *testing.T) {
 			t.Fatalf("append %d: jitter %v, err %v", j, jit, err)
 		}
 	}
-	full, err := Cholesky(a)
+	full, err := ParallelCholesky(a, a.Rows, 1)
 	if err != nil {
 		t.Fatalf("full Cholesky: %v", err)
 	}
@@ -91,7 +91,7 @@ func TestAppendRowsBlockedBitwiseEqualsSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const n, k = 37, 5
 	a := randomSPD(rng, n+k)
-	l0, err := Cholesky(subMatrix(a, n))
+	l0, err := ParallelCholesky(subMatrix(a, n), n, 1)
 	if err != nil {
 		t.Fatalf("Cholesky: %v", err)
 	}
@@ -134,7 +134,7 @@ func TestAppendRowNotPositiveDefinite(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	const n = 12
 	a := randomSPD(rng, n)
-	l, err := Cholesky(a)
+	l, err := ParallelCholesky(a, a.Rows, 1)
 	if err != nil {
 		t.Fatalf("Cholesky: %v", err)
 	}
@@ -164,7 +164,7 @@ func TestAppendRowJitterEscalates(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	const n = 10
 	a := randomSPD(rng, n)
-	l, err := Cholesky(a)
+	l, err := ParallelCholesky(a, a.Rows, 1)
 	if err != nil {
 		t.Fatalf("Cholesky: %v", err)
 	}

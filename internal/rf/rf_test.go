@@ -244,55 +244,3 @@ func TestForestFitAllocs(t *testing.T) {
 		}
 	}
 }
-
-// TestForestMarshalRoundTrip: a saved-and-reloaded forest predicts bitwise
-// identically (the snapshot carries the complete predictive state).
-func TestForestMarshalRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	var X [][]float64
-	var y []float64
-	for i := 0; i < 80; i++ {
-		x := []float64{rng.Float64(), rng.Float64()}
-		X = append(X, x)
-		y = append(y, x[0]*x[1]+rng.NormFloat64()*0.05)
-	}
-	f, err := Fit(X, y, Params{Trees: 15, Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := f.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Forest
-	if err := back.UnmarshalBinary(blob); err != nil {
-		t.Fatal(err)
-	}
-	if back.NumTrees() != f.NumTrees() {
-		t.Fatalf("tree count differs: %d vs %d", back.NumTrees(), f.NumTrees())
-	}
-	for k := 0; k < 40; k++ {
-		x := []float64{rng.Float64(), rng.Float64()}
-		mA, vA := f.Predict(x)
-		mB, vB := back.Predict(x)
-		if math.Float64bits(mA) != math.Float64bits(mB) || math.Float64bits(vA) != math.Float64bits(vB) {
-			t.Fatalf("prediction diverged after round trip at %v", x)
-		}
-	}
-}
-
-// TestForestUnmarshalRejectsCorruptSnapshots exercises the validation paths.
-func TestForestUnmarshalRejectsCorruptSnapshots(t *testing.T) {
-	var f Forest
-	for _, bad := range []string{
-		"not json",
-		`{}`,
-		`{"dim":1,"trees":[{"f":[0],"t":[0.5],"l":[1],"r":[2],"v":[0]}]}`,   // children out of range
-		`{"dim":1,"trees":[{"f":[1],"t":[0.5],"l":[],"r":[],"v":[]}]}`,      // mismatched arrays
-		`{"dim":1,"trees":[{"f":[3],"t":[0.5],"l":[-1],"r":[-1],"v":[0]}]}`, // feature beyond dim
-	} {
-		if err := f.UnmarshalBinary([]byte(bad)); err == nil {
-			t.Errorf("snapshot %q accepted", bad)
-		}
-	}
-}

@@ -268,34 +268,25 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 		writeUnavailable(w, errNoReplicas)
 		return
 	}
-	all, answered := api.StudyList{Studies: []string{}}, false
-	var firstErr error
-	for _, rep := range healthy {
+	all, err := api.MergeStudyLists(healthy, func(rep string) (api.StudyList, error) {
+		var body api.StudyList
 		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, rep+api.StudiesPath, nil)
 		if err != nil {
-			firstErr = err
-			continue
+			return body, err
 		}
 		resp, err := rt.probeHC.Do(req)
 		if err != nil {
 			rt.recordFailure(rep)
-			firstErr = err
-			continue
+			return body, err
 		}
-		var body api.StudyList
 		err = json.NewDecoder(resp.Body).Decode(&body)
 		// Read to EOF, past the decoded value, so the connection is pooled again.
 		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
 		resp.Body.Close()
-		if err != nil {
-			firstErr = err
-			continue
-		}
-		all.Merge(body)
-		answered = true
-	}
-	if !answered {
-		api.WriteError(w, http.StatusBadGateway, fmt.Errorf("router: listing studies: %w", firstErr))
+		return body, err
+	})
+	if err != nil {
+		api.WriteError(w, http.StatusBadGateway, fmt.Errorf("router: listing studies: %w", err))
 		return
 	}
 	api.WriteJSON(w, http.StatusOK, all)

@@ -432,8 +432,8 @@ func TestParentWrittenDataDirResumes(t *testing.T) {
 
 // TestDataDirModelRecordRestores: the model record in
 // testdata/datadir, written when a snapshot still carried the fit's training
-// state, restores through its backend's decoder — a later session that
-// passes the log's snapshots as Options.WarmStart warm-starts from it.
+// state, decodes through surrogate.WarmStart — a later session that passes
+// the log's snapshots as Options.WarmStart warm-starts from it.
 func TestDataDirModelRecordRestores(t *testing.T) {
 	db, err := histdb.Load(filepath.Join("testdata", "datadir", "fix.hist.json"))
 	if err != nil {
@@ -445,12 +445,8 @@ func TestDataDirModelRecordRestores(t *testing.T) {
 			continue
 		}
 		models++
-		fitter, err := surrogate.New(r.Surrogate)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := fitter.UnmarshalBinary(r.Snapshot); err != nil {
-			t.Errorf("%s model record does not restore: %v", r.Surrogate, err)
+		if _, err := surrogate.WarmStart(r.Surrogate, r.Snapshot); err != nil {
+			t.Errorf("%s model record does not decode: %v", r.Surrogate, err)
 		}
 	}
 	if models == 0 {

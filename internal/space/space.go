@@ -284,13 +284,6 @@ func (s *Space) DenormalizeInto(dst, u []float64) {
 	}
 }
 
-// ValueMap returns the native values keyed by parameter name, in a new map.
-func (s *Space) ValueMap(native []float64) map[string]float64 {
-	m := make(map[string]float64, len(native))
-	s.ValueMapInto(m, native)
-	return m
-}
-
 // ValueMapInto fills m with the native values keyed by parameter name,
 // reusing m's storage; overwriting an existing key does not allocate, so a
 // search inner loop can keep one map.

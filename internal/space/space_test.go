@@ -271,9 +271,10 @@ func TestNormalizeBoundsQuick(t *testing.T) {
 
 func TestValueMap(t *testing.T) {
 	s := MustNew(NewReal("x", 0, 1), NewInteger("n", 0, 10))
-	m := s.ValueMap([]float64{0.25, 7})
-	if m["x"] != 0.25 || m["n"] != 7 {
-		t.Fatalf("ValueMap = %v", m)
+	m := map[string]float64{"x": -1, "stale": 3}
+	s.ValueMapInto(m, []float64{0.25, 7})
+	if len(m) != 3 || m["x"] != 0.25 || m["n"] != 7 {
+		t.Fatalf("ValueMapInto = %v", m)
 	}
 }
 

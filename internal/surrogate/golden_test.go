@@ -15,12 +15,14 @@ import (
 // internal/rng: the encodings were unchanged, the fitted values new draws.
 // Re-recorded for gp-indep and sgp when a GP snapshot became its
 // hyperparameters alone: the fits are unchanged, the encodings lost the
-// training state; the rf hash did not move.
+// training state; the rf hash did not move. Re-recorded for rf alone when a
+// forest's snapshot became empty (nothing reads one): the gp-indep and sgp
+// hashes did not move.
 func TestPerTaskSnapshotGolden(t *testing.T) {
 	want := map[string]string{
 		KindGPIndep: "f565fe50e0eead04",
 		KindSGP:     "f2297df03b75a440",
-		KindRF:      "de2c84188c2d1208",
+		KindRF:      "9e517a9134b4275e",
 	}
 	data := testDataset(33, 3, 9)
 	for _, kind := range []string{KindGPIndep, KindSGP, KindRF} {

@@ -23,8 +23,8 @@ func (lcmFitter) Fit(data *Dataset, opts FitOptions) (Model, error) {
 		Seed:      opts.Seed,
 	}
 	// FitLCM itself ignores a vector whose layout doesn't match this fit.
-	if warm, ok := opts.WarmStart.(*lcmModel); ok {
-		fo.Init = warm.m.Hyperparameters()
+	if len(opts.WarmStart) > 0 {
+		fo.Init = opts.WarmStart[0]
 	}
 	m, err := gp.FitLCM(data, fo)
 	if err != nil {
@@ -33,12 +33,27 @@ func (lcmFitter) Fit(data *Dataset, opts FitOptions) (Model, error) {
 	return &lcmModel{m: m}, nil
 }
 
-func (lcmFitter) UnmarshalBinary(data []byte) (Model, error) {
-	var m gp.LCM
-	if err := m.UnmarshalBinary(data); err != nil {
+// decodeLCM is the lcm backend's WarmStart: its snapshot is gp's, one
+// vector for the one multitask fit.
+func decodeLCM(snapshot []byte) ([][]float64, error) {
+	theta, _, err := gp.DecodeHyperparameters(snapshot)
+	if err != nil {
 		return nil, err
 	}
-	return &lcmModel{m: &m}, nil
+	return [][]float64{theta}, nil
+}
+
+// decodeLCMCell decodes one gp-indep cell's snapshot, refusing a multitask
+// model's: a cell is a one-task fit, whatever length the vector has.
+func decodeLCMCell(snapshot []byte) ([]float64, error) {
+	theta, tasks, err := gp.DecodeHyperparameters(snapshot)
+	if err != nil {
+		return nil, err
+	}
+	if tasks != 1 {
+		return nil, fmt.Errorf("surrogate: cell snapshot holds %d tasks, want 1", tasks)
+	}
+	return theta, nil
 }
 
 // lcmModel adapts *gp.LCM to the Model interface.

@@ -12,9 +12,9 @@ import (
 // each with the cell fitter — the gp-indep (cells: the lcm backend), sgp and
 // rf backends. No information flows between tasks: cell i sees task i's
 // samples alone as a one-task dataset, its own seed rng.Mix(opts.Seed,
-// rng.Cell, i) (task 0 keeps opts.Seed) and, as its warm start, cell i of a
-// per-task model the options carry. On a single-task dataset gp-indep is
-// therefore the lcm backend itself, bit for bit.
+// rng.Cell, i) (task 0 keeps opts.Seed) and, as its warm start, the i-th
+// vector the options carry. On a single-task dataset gp-indep is therefore
+// the lcm backend itself, bit for bit.
 type perTaskFitter struct {
 	kind string
 	cell Fitter
@@ -31,7 +31,6 @@ func (f perTaskFitter) Fit(data *Dataset, opts FitOptions) (Model, error) {
 	if err := data.Validate(); err != nil {
 		return nil, err
 	}
-	warm := cellsOf(opts.WarmStart)
 	cells := make([]Model, data.NumTasks())
 	for i := range cells {
 		co := opts
@@ -39,8 +38,8 @@ func (f perTaskFitter) Fit(data *Dataset, opts FitOptions) (Model, error) {
 			co.Seed = rng.Mix(opts.Seed, rng.Cell, uint64(i))
 		}
 		co.WarmStart = nil
-		if i < len(warm) {
-			co.WarmStart = warm[i]
+		if i < len(opts.WarmStart) {
+			co.WarmStart = opts.WarmStart[i : i+1]
 		}
 		c, err := f.cell.Fit(taskData(data, i), co)
 		if err != nil {
@@ -51,36 +50,38 @@ func (f perTaskFitter) Fit(data *Dataset, opts FitOptions) (Model, error) {
 	return newPerTaskModel(f.kind, cells), nil
 }
 
-// multiSnapshot is the wire form of a per-task model: the kind tag rejects
-// cross-backend loads early, and Models holds each cell's own snapshot.
+// multiSnapshot is the wire form of a per-task model: the kind tag refuses
+// another backend's snapshot early, and Models holds each cell's own
+// snapshot.
 type multiSnapshot struct {
 	Kind   string            `json:"kind"`
 	Models []json.RawMessage `json:"models"`
 }
 
-func (f perTaskFitter) UnmarshalBinary(data []byte) (Model, error) {
-	var snap multiSnapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return nil, fmt.Errorf("surrogate: decoding %s snapshot: %w", f.kind, err)
-	}
-	if snap.Kind != f.kind {
-		return nil, fmt.Errorf("surrogate: snapshot kind %q, want %q", snap.Kind, f.kind)
-	}
-	if len(snap.Models) == 0 {
-		return nil, errors.New("surrogate: snapshot has no per-task models")
-	}
-	cells := make([]Model, len(snap.Models))
-	for i, blob := range snap.Models {
-		c, err := f.cell.UnmarshalBinary(blob)
-		if err != nil {
-			return nil, fmt.Errorf("surrogate: task %d snapshot: %w", i, err)
+// perTaskDecoder is a per-task backend's WarmStart: each cell's snapshot
+// decoded by the cell's own decoder, one vector per task.
+func perTaskDecoder(kind string, cell func([]byte) ([]float64, error)) func([]byte) ([][]float64, error) {
+	return func(data []byte) ([][]float64, error) {
+		var snap multiSnapshot
+		if err := json.Unmarshal(data, &snap); err != nil {
+			return nil, fmt.Errorf("surrogate: decoding %s snapshot: %w", kind, err)
 		}
-		if c.NumTasks() != 1 {
-			return nil, fmt.Errorf("surrogate: task %d snapshot holds %d tasks, want 1", i, c.NumTasks())
+		if snap.Kind != kind {
+			return nil, fmt.Errorf("surrogate: snapshot kind %q, want %q", snap.Kind, kind)
 		}
-		cells[i] = c
+		if len(snap.Models) == 0 {
+			return nil, errors.New("surrogate: snapshot has no per-task models")
+		}
+		warm := make([][]float64, len(snap.Models))
+		for i, blob := range snap.Models {
+			theta, err := cell(blob)
+			if err != nil {
+				return nil, fmt.Errorf("surrogate: task %d snapshot: %w", i, err)
+			}
+			warm[i] = theta
+		}
+		return warm, nil
 	}
-	return newPerTaskModel(f.kind, cells), nil
 }
 
 // perTaskModel holds δ single-task cells; task i's predictions route to
@@ -101,17 +102,6 @@ func newPerTaskModel(kind string, cells []Model) Model {
 		return incrementalPerTask{p}
 	}
 	return p
-}
-
-// cellsOf returns a per-task model's cells, or nil for any other model.
-func cellsOf(m Model) []Model {
-	switch p := m.(type) {
-	case *perTaskModel:
-		return p.cells
-	case incrementalPerTask:
-		return p.cells
-	}
-	return nil
 }
 
 func (p *perTaskModel) Kind() string  { return p.kind }

@@ -6,8 +6,7 @@ import "repro/internal/rf"
 // backend. No uncertainty calibration is attempted beyond the across-tree
 // variance; the acquisition layer's variance floor absorbs the forests'
 // habit of reporting exactly zero variance deep inside leaves. Forests
-// ignore warm starts, so the registry marks rf as a backend whose snapshots
-// nothing reads.
+// ignore warm starts, so the registry gives rf no snapshot decoder.
 type rfFitter struct{}
 
 func (rfFitter) Kind() string { return KindRF }
@@ -20,14 +19,6 @@ func (rfFitter) Fit(data *Dataset, opts FitOptions) (Model, error) {
 	return forestModel{f}, nil
 }
 
-func (rfFitter) UnmarshalBinary(data []byte) (Model, error) {
-	var f rf.Forest
-	if err := f.UnmarshalBinary(data); err != nil {
-		return nil, err
-	}
-	return forestModel{&f}, nil
-}
-
 // forestModel is one task's forest. Its workspace holds one prediction per
 // tree, so a point walks each tree once and allocates nothing.
 type forestModel struct{ *rf.Forest }
@@ -35,6 +26,10 @@ type forestModel struct{ *rf.Forest }
 func (forestModel) Kind() string              { return KindRF }
 func (forestModel) NumTasks() int             { return 1 }
 func (r forestModel) NewWorkspace() Workspace { return make([]float64, r.NumTrees()) }
+
+// MarshalBinary returns an empty snapshot: a forest is regrown from the data
+// alone, so nothing would read its trees.
+func (forestModel) MarshalBinary() ([]byte, error) { return []byte("{}"), nil }
 
 //gptlint:hotpath
 func (r forestModel) PredictInto(ws Workspace, _ int, x []float64) (mean, variance float64) {

@@ -114,8 +114,8 @@ func (sgpFitter) Fit(data *Dataset, opts FitOptions) (Model, error) {
 		m = n
 	}
 	var warmTheta []float64
-	if warm, ok := opts.WarmStart.(*taskSGP); ok {
-		warmTheta = warm.theta
+	if len(opts.WarmStart) > 0 {
+		warmTheta = opts.WarmStart[0]
 	}
 	// Deterministic seed-derived inducing selection: shuffle, take m, restore
 	// canonical (ascending) order so downstream summations have a fixed order.
@@ -281,9 +281,6 @@ func (ts *taskSGP) PredictBatchInto(ws Workspace, _ int, xs [][]float64, mean, v
 // fitted values. Cost is O(k·m²) + O(m³), independent of history length.
 func (ts *taskSGP) Append(data *Dataset, workers int) error {
 	_ = workers // O(m²) per point: nothing worth parallelizing
-	if ts.qmat == nil {
-		return errors.New("surrogate: sgp append on a model restored from a snapshot")
-	}
 	if data.Dim != ts.dim {
 		return fmt.Errorf("surrogate: sgp append got dim %d, model has %d", data.Dim, ts.dim)
 	}
@@ -315,7 +312,7 @@ func (ts *taskSGP) Append(data *Dataset, workers int) error {
 // sgpTaskSnapshot is the wire form of one task's sparse GP: its dimension
 // and the subset fit's hyperparameter vector, all a later fit's warm start
 // reads. Snapshots from builds that also carried the sufficient statistics
-// and the inducing set restore to the same pair; encoding/json skips the
+// and the inducing set decode to the same pair; encoding/json skips the
 // rest.
 type sgpTaskSnapshot struct {
 	Dim   int      `json:"dim"`
@@ -326,9 +323,9 @@ func (ts *taskSGP) MarshalBinary() ([]byte, error) {
 	return json.Marshal(sgpTaskSnapshot{Dim: ts.dim, Theta: ts.theta})
 }
 
-// UnmarshalBinary restores a task's hyperparameters: the model warm-starts a
-// fit, and neither predicts nor appends.
-func (sgpFitter) UnmarshalBinary(blob []byte) (Model, error) {
+// decodeSGPTask is one sgp cell's WarmStart: the subset fit's
+// hyperparameters as they were saved.
+func decodeSGPTask(blob []byte) ([]float64, error) {
 	var snap sgpTaskSnapshot
 	if err := json.Unmarshal(blob, &snap); err != nil {
 		return nil, err
@@ -336,5 +333,5 @@ func (sgpFitter) UnmarshalBinary(blob []byte) (Model, error) {
 	if snap.Dim <= 0 || len(snap.Theta) == 0 {
 		return nil, errors.New("surrogate: sgp snapshot missing dimensions or hyperparameters")
 	}
-	return &taskSGP{dim: snap.Dim, theta: snap.Theta}, nil
+	return snap.Theta, nil
 }

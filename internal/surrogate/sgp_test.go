@@ -10,7 +10,7 @@ import (
 
 // sgpTasks returns an sgp model's per-task sparse GPs.
 func sgpTasks(m Model) []*taskSGP {
-	cells := cellsOf(m)
+	cells := m.(incrementalPerTask).cells
 	tasks := make([]*taskSGP, len(cells))
 	for i, c := range cells {
 		tasks[i] = c.(*taskSGP)
@@ -136,9 +136,9 @@ func TestSGPAppendMatchesBatchStatistics(t *testing.T) {
 	}
 }
 
-// TestSGPWarmStart: an sgp model — live, or restored from its snapshot —
-// seeds the next subset fit's first optimizer start with its per-task
-// hyperparameters.
+// TestSGPWarmStart: an sgp model's snapshot seeds the next subset fit's
+// first optimizer start with its per-task hyperparameters, exactly as the
+// live cells' do, and an lcm snapshot does not decode as an sgp one.
 func TestSGPWarmStart(t *testing.T) {
 	data := testDataset(27, 2, 15)
 	f, _ := New(KindSGP)
@@ -155,17 +155,17 @@ func TestSGPWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := f.UnmarshalBinary(blob)
+	decoded, err := WarmStart(KindSGP, blob)
 	if err != nil {
 		t.Fatal(err)
 	}
 	warmOpts := short
-	warmOpts.WarmStart = prev
+	warmOpts.WarmStart = liveWarmStart(t, prev)
 	warm, err := f.Fit(data, warmOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmOpts.WarmStart = restored
+	warmOpts.WarmStart = decoded
 	warm2, err := f.Fit(data, warmOpts)
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +175,7 @@ func TestSGPWarmStart(t *testing.T) {
 	muW, _ := warm.PredictInto(warm.NewWorkspace(), 0, x)
 	muW2, _ := warm2.PredictInto(warm2.NewWorkspace(), 0, x)
 	if math.Float64bits(muW) != math.Float64bits(muW2) {
-		t.Fatal("sgp fit warm-started from the restored model differs from the live model's")
+		t.Fatal("sgp fit warm-started from the snapshot differs from the live model's")
 	}
 	if math.Float64bits(muW) == math.Float64bits(muC) {
 		t.Fatal("sgp warm start had no effect")
@@ -185,15 +185,12 @@ func TestSGPWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	badOpts := short
-	badOpts.WarmStart = other
-	fallback, err := f.Fit(data, badOpts)
+	otherBlob, err := other.MarshalBinary()
 	if err != nil {
-		t.Fatalf("cross-kind warm start failed the fit: %v", err)
+		t.Fatal(err)
 	}
-	muF, _ := fallback.PredictInto(fallback.NewWorkspace(), 0, x)
-	if math.Float64bits(muF) != math.Float64bits(muC) {
-		t.Fatal("cross-kind sgp warm start did not degrade to cold fit")
+	if _, err := WarmStart(KindSGP, otherBlob); err == nil {
+		t.Fatal("an lcm snapshot decoded as an sgp warm start")
 	}
 }
 

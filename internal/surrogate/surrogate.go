@@ -2,9 +2,9 @@
 // loop. The engine's modeling phase needs four capabilities — fit a model to
 // the multitask history, predict a posterior mean/variance allocation-free
 // from concurrent searchers, snapshot a fitted model for later tuning
-// sessions, and restore a snapshot as the next fit's warm start — and this
-// package narrows them into the Fitter/Model pair so internal/core never
-// names a concrete model type again.
+// sessions, and decode a snapshot into the next fit's warm start — and this
+// package narrows them into the Fitter/Model pair and WarmStart so
+// internal/core never names a concrete model type again.
 //
 // Four backends ship (Kinds() is the authoritative list — CLI help and spec
 // validation derive from it, never restate it):
@@ -26,9 +26,10 @@
 // Every backend obeys the repo's determinism contract: fitted models are
 // bitwise independent of FitOptions.Workers. A GP backend's snapshot (lcm,
 // gp-indep, sgp) is its hyperparameters alone, the same size whatever the
-// history's length: a model restored from it seeds a fit with the bits the
-// saved model would have, and does not predict. A forest's snapshot is the
-// whole forest, and its restored model predicts bitwise identically.
+// history's length, and WarmStart decodes it to the vectors the saved model
+// would have seeded a fit with, bit for bit. Nothing rebuilds a model from a
+// snapshot. A forest is regrown from the data alone, so its snapshot is
+// empty and nothing decodes it.
 package surrogate
 
 import (
@@ -66,8 +67,8 @@ type Model interface {
 	// over their factor among four points; the others loop.
 	PredictBatchInto(ws Workspace, task int, xs [][]float64, mean, variance []float64)
 	// MarshalBinary serializes the model into a self-contained snapshot
-	// that the same backend's UnmarshalBinary restores: the hyperparameters
-	// for the GP backends, the fitted trees for forests.
+	// that WarmStart decodes: the hyperparameters for the GP backends,
+	// nothing for forests.
 	MarshalBinary() ([]byte, error)
 }
 
@@ -107,31 +108,25 @@ type FitOptions struct {
 	Seed      int64 // RNG seed; same seed + same data → bitwise same model
 	Inducing  int   // inducing points per task (sgp only); default 128
 
-	// WarmStart, when non-nil, is a model this backend produced earlier: the
-	// previous refit's, or one its UnmarshalBinary restored from an earlier
-	// tuning session's snapshot. GP backends seed their first optimizer
-	// start at its hyperparameters; forests ignore it, and ReadsWarmStart
-	// says which backends read it. Another backend's model, or one of a
-	// shape the current fit cannot use, silently degrades to a cold start —
-	// transfer is best-effort and must never fail a fit.
-	WarmStart Model
+	// WarmStart, when non-nil, holds hyperparameter vectors in the layout
+	// gp.FitOptions.Init takes, as WarmStart(kind, snapshot) decodes them
+	// from a model this backend produced earlier: one vector for lcm, one
+	// per task for gp-indep and sgp. A GP backend seeds its first optimizer
+	// start (task i's: the i-th vector) there; forests ignore it, and
+	// ReadsWarmStart says which backends read it. A task without a vector,
+	// or a vector of a length the current fit cannot use, silently degrades
+	// to a cold start — transfer is best-effort and must never fail a fit.
+	// Fit never writes the vectors, so one decode serves every refit.
+	WarmStart [][]float64
 }
 
-// Fitter fits and restores models of one backend kind.
+// Fitter fits models of one backend kind.
 type Fitter interface {
 	// Kind names the backend (one of Kinds()).
 	Kind() string
 	// Fit trains a model on data. The fitted model is bitwise independent of
 	// opts.Workers.
 	Fit(data *Dataset, opts FitOptions) (Model, error)
-	// UnmarshalBinary rebuilds a model from a MarshalBinary snapshot. A GP
-	// backend's restored model holds the saved hyperparameters bit for bit
-	// and serves only as FitOptions.WarmStart: it neither predicts nor
-	// appends. A restored forest predicts bitwise identically to the saved
-	// one. The engine restores snapshots only to warm-start a backend whose
-	// Fit reads them (ReadsWarmStart); the forest's decoder serves transfer
-	// tooling and the snapshot round-trip contract.
-	UnmarshalBinary(data []byte) (Model, error)
 }
 
 // Backend kind names, as accepted by New and reported by Kind.
@@ -143,18 +138,30 @@ const (
 )
 
 // registry is the single source of truth for backend selection: Kinds(),
-// New and ReadsWarmStart walk it, and every external restatement of the kind
-// list (CLI -surrogate help, gptuned spec validation errors) is built from
-// Kinds(), so registering a backend here is the whole job.
-var registry = []struct {
+// New, ReadsWarmStart and WarmStart walk it, and every external restatement
+// of the kind list (CLI -surrogate help, gptuned spec validation errors) is
+// built from Kinds(), so registering a backend here is the whole job.
+var registry = []backend{
+	{KindLCM, lcmFitter{}, decodeLCM},
+	{KindGPIndep, perTaskFitter{KindGPIndep, lcmFitter{}}, perTaskDecoder(KindGPIndep, decodeLCMCell)},
+	{KindSGP, perTaskFitter{KindSGP, sgpFitter{}}, perTaskDecoder(KindSGP, decodeSGPTask)},
+	{KindRF, perTaskFitter{KindRF, rfFitter{}}, nil},
+}
+
+type backend struct {
 	kind   string
 	fitter Fitter
-	warm   bool // Fit reads FitOptions.WarmStart
-}{
-	{KindLCM, lcmFitter{}, true},
-	{KindGPIndep, perTaskFitter{KindGPIndep, lcmFitter{}}, true},
-	{KindSGP, perTaskFitter{KindSGP, sgpFitter{}}, true},
-	{KindRF, perTaskFitter{KindRF, rfFitter{}}, false},
+	decode func(snapshot []byte) ([][]float64, error) // nil: Fit reads no FitOptions.WarmStart
+}
+
+// lookup returns the named backend's registry entry, nil for an unknown kind.
+func lookup(kind string) *backend {
+	for i := range registry {
+		if registry[i].kind == kind {
+			return &registry[i]
+		}
+	}
+	return nil
 }
 
 // Kinds lists the available backend names in preference order.
@@ -167,16 +174,28 @@ func Kinds() []string {
 }
 
 // ReadsWarmStart reports whether the named backend's Fit reads
-// FitOptions.WarmStart. A snapshot of any other backend's model has no reader
-// (a forest is regrown from the data alone), so the engine neither archives
-// one after a refit nor restores one from Options.WarmStart.
+// FitOptions.WarmStart, which is whether WarmStart can decode its snapshots.
+// A snapshot of any other backend's model has no reader (a forest is regrown
+// from the data alone), so the engine never archives one after a refit.
 func ReadsWarmStart(kind string) bool {
-	for _, e := range registry {
-		if e.kind == kind {
-			return e.warm
-		}
+	e := lookup(kind)
+	return e != nil && e.decode != nil
+}
+
+// WarmStart decodes a snapshot of a kind model — MarshalBinary's bytes, or
+// a snapshot an earlier build wrote — into FitOptions.WarmStart for the next
+// fit of that kind: bit for bit the hyperparameters the saved model would
+// have seeded a fit with. It refuses a kind whose fit reads no warm start,
+// and a snapshot another backend wrote.
+func WarmStart(kind string, snapshot []byte) ([][]float64, error) {
+	switch e := lookup(kind); {
+	case e == nil:
+		return nil, fmt.Errorf("surrogate: unknown kind %q (have %v)", kind, Kinds())
+	case e.decode == nil:
+		return nil, fmt.Errorf("surrogate: %s fits read no warm start", kind)
+	default:
+		return e.decode(snapshot)
 	}
-	return false
 }
 
 // New returns the Fitter for the named backend. The empty string selects the
@@ -187,10 +206,8 @@ func New(kind string) (Fitter, error) {
 	if kind == "" {
 		return registry[0].fitter, nil
 	}
-	for _, e := range registry {
-		if e.kind == kind {
-			return e.fitter, nil
-		}
+	if e := lookup(kind); e != nil {
+		return e.fitter, nil
 	}
 	return nil, fmt.Errorf("surrogate: unknown kind %q (have %v)", kind, Kinds())
 }

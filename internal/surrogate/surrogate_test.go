@@ -1,8 +1,13 @@
 package surrogate
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -39,9 +44,10 @@ func TestNewSelectsBackends(t *testing.T) {
 }
 
 // TestReadsWarmStartMatchesFit: the registry's warm-start fact is what each
-// backend's Fit does. One marked as reading FitOptions.WarmStart fits other
-// bits from an earlier model than cold, and one marked otherwise fits the
-// same bits, so the engine skips archiving exactly the snapshots nothing reads.
+// backend's Fit does. One marked as reading FitOptions.WarmStart decodes an
+// earlier model's snapshot and fits other bits from it than cold, and one
+// marked otherwise decodes nothing and fits the same bits from any vectors,
+// so the engine skips archiving exactly the snapshots nothing reads.
 func TestReadsWarmStartMatchesFit(t *testing.T) {
 	data := testDataset(27, 2, 15)
 	x := []float64{0.3, 0.6}
@@ -51,12 +57,23 @@ func TestReadsWarmStartMatchesFit(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
+		blob, err := prev.MarshalBinary()
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
 		short := FitOptions{NumStarts: 1, MaxIter: 2, Seed: 13}
 		cold, err := f.Fit(data, short)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
-		short.WarmStart = prev
+		short.WarmStart, err = WarmStart(kind, blob)
+		if (err == nil) != ReadsWarmStart(kind) {
+			t.Errorf("%s: ReadsWarmStart %v, but decoding its snapshot gave %v", kind, ReadsWarmStart(kind), err)
+		}
+		if err != nil {
+			// A one-task GP layout over two dimensions: ls, a, b, d.
+			short.WarmStart = [][]float64{{0.1, 0.2, 0.3, 0.4, 0.5}, {0.1, 0.2, 0.3, 0.4, 0.5}}
+		}
 		warm, err := f.Fit(data, short)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
@@ -91,14 +108,12 @@ func hostileDatasets() map[string]*Dataset {
 	return map[string]*Dataset{"duplicate-points": dup, "constant-outputs": flat}
 }
 
-// TestAllBackendsFitPredictRoundTrip exercises the full Model contract for
-// every backend — fit and allocation-free prediction through a workspace,
-// one point at a time and batched — and, for forests, whose snapshot is the
-// fitted model, a marshal/unmarshal round trip that predicts bitwise
-// identically; on an ordinary dataset and on the hostile ones, where the
-// posterior must stay finite with a non-negative variance. (A GP backend's
-// snapshot is its hyperparameters, which TestWarmStartRoundTrip and
-// TestSGPWarmStart follow through a restore.)
+// TestAllBackendsFitPredictRoundTrip exercises the Model contract for every
+// backend — fit and allocation-free prediction through a workspace, one
+// point at a time and batched — on an ordinary dataset and on the hostile
+// ones, where the posterior must stay finite with a non-negative variance.
+// (A snapshot is a warm start, which TestWarmStartRoundTrip and
+// TestSGPWarmStart follow through WarmStart.)
 func TestAllBackendsFitPredictRoundTrip(t *testing.T) {
 	datasets := hostileDatasets()
 	datasets["correlated"] = testDataset(1, 2, 12)
@@ -115,18 +130,8 @@ func TestAllBackendsFitPredictRoundTrip(t *testing.T) {
 			if m.Kind() != kind || m.NumTasks() != 2 {
 				t.Fatalf("%s/%s: Kind=%q NumTasks=%d", name, kind, m.Kind(), m.NumTasks())
 			}
-			back := m
-			if kind == KindRF {
-				blob, err := m.MarshalBinary()
-				if err != nil {
-					t.Fatalf("%s/%s marshal: %v", name, kind, err)
-				}
-				if back, err = f.UnmarshalBinary(blob); err != nil {
-					t.Fatalf("%s/%s unmarshal: %v", name, kind, err)
-				}
-			}
 			rng := rand.New(rand.NewSource(2))
-			ws, wsBack := m.NewWorkspace(), back.NewWorkspace()
+			ws := m.NewWorkspace()
 			var xs [2][][]float64
 			var mus, vs [2][]float64
 			for k := 0; k < 40; k++ {
@@ -138,10 +143,6 @@ func TestAllBackendsFitPredictRoundTrip(t *testing.T) {
 				mu, v := m.PredictInto(ws, task, x)
 				if math.IsNaN(mu) || math.IsInf(mu, 0) || math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
 					t.Fatalf("%s/%s: degenerate posterior (%v, %v) at %v", name, kind, mu, v, x)
-				}
-				mu2, v2 := back.PredictInto(wsBack, task, x)
-				if math.Float64bits(mu) != math.Float64bits(mu2) || math.Float64bits(v) != math.Float64bits(v2) {
-					t.Fatalf("%s/%s: round trip diverged at %v task %d", name, kind, x, task)
 				}
 				xs[task], mus[task], vs[task] = append(xs[task], x), append(mus[task], mu), append(vs[task], v)
 			}
@@ -255,14 +256,64 @@ func TestGPIndepMatchesLCMSingleTask(t *testing.T) {
 	}
 }
 
-// TestWarmStartRoundTrip: a model warm-starts the next fit — changing (and
-// determinizing) its optimizer trajectory for the GP backends — the same
-// whether it is handed over live or restored from its snapshot, and another
-// backend's model degrades to a cold start instead of failing.
+// liveWarmStart is what a fitted GP model would seed a fit with, read off
+// the model itself: the lcm's Hyperparameters, or each per-task cell's (an
+// sgp cell's subset fit's).
+func liveWarmStart(t *testing.T, m Model) [][]float64 {
+	t.Helper()
+	var cells []Model
+	switch p := m.(type) {
+	case *lcmModel:
+		return [][]float64{p.m.Hyperparameters()}
+	case incrementalPerTask:
+		cells = p.cells
+	default:
+		t.Fatalf("%s model has no hyperparameters", m.Kind())
+	}
+	warm := make([][]float64, len(cells))
+	for i, c := range cells {
+		switch c := c.(type) {
+		case *lcmModel:
+			warm[i] = c.m.Hyperparameters()
+		case *taskSGP:
+			warm[i] = c.theta
+		}
+	}
+	return warm
+}
+
+// requireSameVectors fails unless got and want hold the same vectors, bit
+// for bit.
+func requireSameVectors(t *testing.T, name string, got, want [][]float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d vectors, want %d", name, len(got), len(want))
+	}
+	for i := range want {
+		if len(got[i]) != len(want[i]) {
+			t.Fatalf("%s: vector %d has %d values, want %d", name, i, len(got[i]), len(want[i]))
+		}
+		for j := range want[i] {
+			if math.Float64bits(got[i][j]) != math.Float64bits(want[i][j]) {
+				t.Fatalf("%s: vector %d value %d is %v, want %v", name, i, j, got[i][j], want[i][j])
+			}
+		}
+	}
+}
+
+// TestWarmStartRoundTrip: a model's snapshot warm-starts the next fit —
+// changing (and determinizing) its optimizer trajectory for the GP
+// backends — exactly as the model's own hyperparameters do; another
+// backend's snapshot is refused, and a forest ignores whatever vectors it is
+// handed.
 func TestWarmStartRoundTrip(t *testing.T) {
 	data := testDataset(11, 2, 10)
 	rfF, _ := New(KindRF)
 	forest, err := rfF.Fit(data, FitOptions{Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	forestBlob, err := forest.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +327,7 @@ func TestWarmStartRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		restored, err := f.UnmarshalBinary(blob)
+		decoded, err := WarmStart(kind, blob)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -287,46 +338,35 @@ func TestWarmStartRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		warmOpts := short
-		warmOpts.WarmStart = prev
+		warmOpts.WarmStart = liveWarmStart(t, prev)
 		warm, err := f.Fit(data, warmOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		warmOpts.WarmStart = restored
+		warmOpts.WarmStart = decoded
 		warm2, err := f.Fit(data, warmOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
 
 		x := []float64{0.3, 0.6}
-		wsC, wsW, wsW2 := cold.NewWorkspace(), warm.NewWorkspace(), warm2.NewWorkspace()
-		muC, _ := cold.PredictInto(wsC, 0, x)
-		muW, _ := warm.PredictInto(wsW, 0, x)
-		muW2, _ := warm2.PredictInto(wsW2, 0, x)
+		muC, _ := cold.PredictInto(cold.NewWorkspace(), 0, x)
+		muW, _ := warm.PredictInto(warm.NewWorkspace(), 0, x)
+		muW2, _ := warm2.PredictInto(warm2.NewWorkspace(), 0, x)
 		if math.Float64bits(muW) != math.Float64bits(muW2) {
-			t.Fatalf("%s: fit warm-started from the restored model differs from the live model's", kind)
+			t.Fatalf("%s: fit warm-started from the snapshot differs from the live model's", kind)
 		}
 		if math.Float64bits(muW) == math.Float64bits(muC) {
 			t.Fatalf("%s: warm start had no effect (mu %v)", kind, muC)
 		}
-
-		// Another backend's model → cold start reproduced bitwise.
-		badOpts := short
-		badOpts.WarmStart = forest
-		fallback, err := f.Fit(data, badOpts)
-		if err != nil {
-			t.Fatalf("%s: cross-kind warm start failed the fit: %v", kind, err)
-		}
-		wsF := fallback.NewWorkspace()
-		muF, _ := fallback.PredictInto(wsF, 0, x)
-		if math.Float64bits(muF) != math.Float64bits(muC) {
-			t.Fatalf("%s: cross-kind warm start did not degrade to cold fit", kind)
+		if _, err := WarmStart(kind, forestBlob); err == nil {
+			t.Fatalf("%s: decoded a forest's snapshot", kind)
 		}
 	}
 
 	// Forests ignore warm starts entirely.
 	m1 := forest
-	m2, err := rfF.Fit(data, FitOptions{Seed: 2, WarmStart: forest})
+	m2, err := rfF.Fit(data, FitOptions{Seed: 2, WarmStart: [][]float64{{1, 2, 3, 4, 5}, {1, 2, 3, 4, 5}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,13 +378,11 @@ func TestWarmStartRoundTrip(t *testing.T) {
 	}
 }
 
-// TestGPSnapshotIsItsHyperparameters: a GP backend's restored model is
-// exactly what its snapshot says — marshalling it again gives the same
-// bytes — and it holds no training state, so an append is refused with an
-// error (the engine's cue to refit) rather than extending nothing.
+// TestGPSnapshotIsItsHyperparameters: a GP backend's snapshot decodes to
+// exactly the hyperparameters its model would seed a fit with, one vector
+// for lcm and one per task for gp-indep and sgp.
 func TestGPSnapshotIsItsHyperparameters(t *testing.T) {
 	data := testDataset(17, 2, 8)
-	delta := &Dataset{Dim: 2, X: [][][]float64{{{0.5, 0.5}}, {{0.25, 0.75}}}, Y: [][]float64{{1}, {2}}}
 	for _, kind := range []string{KindLCM, KindGPIndep, KindSGP} {
 		f, _ := New(kind)
 		m, err := f.Fit(data, FitOptions{NumStarts: 1, MaxIter: 5, Seed: 2, Inducing: 5})
@@ -355,54 +393,104 @@ func TestGPSnapshotIsItsHyperparameters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		restored, err := f.UnmarshalBinary(blob)
+		warm, err := WarmStart(kind, blob)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
-		again, err := restored.MarshalBinary()
+		requireSameVectors(t, kind, warm, liveWarmStart(t, m))
+	}
+}
+
+// thetaHash is a short digest of a warm start's bits, vector lengths
+// included.
+func thetaHash(warm [][]float64) string {
+	h := sha256.New()
+	for _, v := range warm {
+		h.Write(binary.LittleEndian.AppendUint64(nil, uint64(len(v))))
+		for _, x := range v {
+			h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(x)))
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil)[:8])
+}
+
+// TestWarmStartDecodesRecordedBits: WarmStart hands a fit the bits the last
+// build that restored snapshots into models read off the restored model
+// (Hyperparameters per cell, an sgp cell's subset-fit vector). The hashes
+// were recorded with that build, for the snapshot of one small fit per GP
+// backend and for the full snapshots in testdata, which earlier builds wrote
+// with the training state.
+func TestWarmStartDecodesRecordedBits(t *testing.T) {
+	want := map[string][2]string{ // kind: {small fit, testdata file}
+		KindLCM:     {"3548b4b902fdabe1", "d0e10cdc485d2c3f"},
+		KindGPIndep: {"8e3299c164312853", "1a61090520a21f94"},
+		KindSGP:     {"6dc1335a8242e4c8", "032278527a982cae"},
+	}
+	data := testDataset(33, 3, 9)
+	for _, kind := range []string{KindLCM, KindGPIndep, KindSGP} {
+		f, _ := New(kind)
+		m, err := f.Fit(data, FitOptions{NumStarts: 2, MaxIter: 12, Seed: 4, Inducing: 6})
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		fitBlob, err := m.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(again) != string(blob) {
-			t.Errorf("%s: restored model marshals to %s, snapshot was %s", kind, again, blob)
+		fileBlob, err := os.ReadFile(filepath.Join("testdata", "full_snapshot_"+kind+".json"))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if err := restored.(Incremental).Append(delta, 1); err == nil {
-			t.Errorf("%s: restored model accepted an append", kind)
+		for i, blob := range [][]byte{fitBlob, fileBlob} {
+			warm, err := WarmStart(kind, blob)
+			if err != nil {
+				t.Fatalf("%s: %v", kind, err)
+			}
+			if got := thetaHash(warm); got != want[kind][i] {
+				t.Errorf("%s snapshot %d: warm start hashes to %s, recorded %s", kind, i, got, want[kind][i])
+			}
 		}
 	}
 }
 
-// TestUnmarshalRejectsCrossKind: snapshot containers are kind-tagged and a
-// backend refuses another backend's snapshot.
+// TestUnmarshalRejectsCrossKind: WarmStart refuses a snapshot another
+// backend wrote (per-task containers are kind-tagged), a per-task snapshot
+// with no task, a gp-indep cell holding more than one task, any snapshot for
+// a kind whose fit reads no warm start, and an unknown kind.
 func TestUnmarshalRejectsCrossKind(t *testing.T) {
 	data := testDataset(15, 2, 8)
-	rfF, _ := New(KindRF)
-	indepF, _ := New(KindGPIndep)
-	m, err := rfF.Fit(data, FitOptions{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
+	blobs := map[string][]byte{}
+	for _, kind := range Kinds() {
+		f, _ := New(kind)
+		m, err := f.Fit(data, FitOptions{NumStarts: 1, MaxIter: 3, Seed: 3, Inducing: 4})
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		if blobs[kind], err = m.MarshalBinary(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	blob, err := m.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
+	for _, kind := range Kinds() {
+		for other, blob := range blobs {
+			if _, err := WarmStart(kind, blob); (err == nil) != (other == kind && ReadsWarmStart(kind)) {
+				t.Errorf("WarmStart(%s, %s snapshot): error %v", kind, other, err)
+			}
+		}
 	}
-	if _, err := indepF.UnmarshalBinary(blob); err == nil {
-		t.Fatal("gp-indep accepted an rf snapshot")
+	if _, err := WarmStart(KindGPIndep, []byte(`{"kind":"gp-indep","models":[]}`)); err == nil {
+		t.Error("empty model list accepted")
 	}
-	if _, err := rfF.UnmarshalBinary([]byte(`{"kind":"rf","models":[]}`)); err == nil {
-		t.Fatal("empty model list accepted")
+	// A per-task cell is a one-task fit, so a multitask cell is refused.
+	if _, err := WarmStart(KindGPIndep, []byte(`{"kind":"gp-indep","models":[`+string(blobs[KindLCM])+`]}`)); err == nil {
+		t.Error("gp-indep accepted a two-task cell")
 	}
-	// A per-task cell routes at local task 0, so a multitask cell is refused.
-	lcmF, _ := New(KindLCM)
-	multi, err := lcmF.Fit(data, FitOptions{NumStarts: 1, MaxIter: 3, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
+	// Its vector's length proves nothing: Q = 1, δ = 2, dim = 1 has the
+	// length of a one-task dim = 4 fit's (7).
+	cell := `{"q":1,"num_tasks":2,"dim":1,"ls":[[1]],"a":[[1,1]],"b":[[1,1]],"d":[1,1]}`
+	if _, err := WarmStart(KindGPIndep, []byte(`{"kind":"gp-indep","models":[`+cell+`]}`)); err == nil {
+		t.Error("gp-indep accepted a two-task cell of a one-task vector's length")
 	}
-	cell, err := multi.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := indepF.UnmarshalBinary([]byte(`{"kind":"gp-indep","models":[` + string(cell) + `]}`)); err == nil {
-		t.Fatal("gp-indep accepted a two-task cell")
+	if _, err := WarmStart("kriging", blobs[KindLCM]); err == nil {
+		t.Error("an unknown kind decoded a snapshot")
 	}
 }
