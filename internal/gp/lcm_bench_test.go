@@ -88,3 +88,34 @@ func BenchmarkFitLCM(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkPredictBatchInto scores one group of four points — a PSO window's
+// unit of work — through PredictBatchInto at tune_warm's shape, δ 2, β 8,
+// n 510: four k* vectors, one four-right-hand-side forward solve against the
+// packed factor, and the Dots. The model's short fit only sets the
+// hyperparameters; a prediction costs the same whatever they are. It must
+// not allocate (TestPredictIntoZeroAllocs).
+func BenchmarkPredictBatchInto(b *testing.B) {
+	b.Run("n510_x4", func(b *testing.B) {
+		data := syntheticDataset(rand.New(rand.NewSource(5)), 2, 255, 8, 0.05)
+		m, err := FitLCM(data, FitOptions{NumStarts: 1, MaxIter: 5, Workers: 2, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(6))
+		xs := make([][]float64, 4)
+		for j := range xs {
+			xs[j] = make([]float64, data.Dim)
+			for d := range xs[j] {
+				xs[j][d] = rng.Float64()
+			}
+		}
+		ws := m.NewPredictWorkspace()
+		mean, variance := make([]float64, len(xs)), make([]float64, len(xs))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			m.PredictBatchInto(ws, 0, xs, mean, variance)
+		}
+	})
+}

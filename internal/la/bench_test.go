@@ -44,3 +44,82 @@ func BenchmarkCholInverseInto(b *testing.B) {
 		})
 	}
 }
+
+// benchTiers runs fn as one sub-benchmark per tier this build on this CPU
+// can run, on that tier's bodies: the AVX2 tier is the AVX-512 one's
+// baseline, timed in the same binary.
+func benchTiers(b *testing.B, fn func(b *testing.B)) {
+	for _, tr := range tiersHere() {
+		b.Run(tr.String(), func(b *testing.B) { withTier(tr, func() { fn(b) }) })
+	}
+}
+
+// BenchmarkForwardSubst is one forward solve against a packed factor — the
+// variance solve of a prediction — with one right-hand side and with the
+// four a PredictBatchInto group carries, at n = 72 (tune_cold) and n = 540
+// (tune_warm), per tier. Each iteration restores the right-hand sides
+// first; that copy is n·rhs doubles against the solve's n²·rhs/2 products.
+func BenchmarkForwardSubst(b *testing.B) {
+	for _, n := range []int{72, 540} {
+		l, err := ParallelCholesky(randomSPD(rand.New(rand.NewSource(1)), n), n, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tp := PackChol(l)
+		for _, k := range []int{1, MaxRHS} {
+			rng := rand.New(rand.NewSource(2))
+			src, bs := make([][]float64, k), make([][]float64, k)
+			for j := range src {
+				src[j] = kernelInput(rng, n, 0, false)
+				bs[j] = make([]float64, n)
+			}
+			b.Run(fmt.Sprintf("n%d_rhs%d", n, k), func(b *testing.B) {
+				benchTiers(b, func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						for j, s := range src {
+							copy(bs[j], s)
+						}
+						tp.ForwardSubst(bs...)
+					}
+				})
+			})
+		}
+	}
+}
+
+// BenchmarkLaneKernels times the three lane kernels that have an AVX-512
+// body, per tier, at the shape of one prediction's k* at tune_warm's n = 510
+// and β = 8: NegSqDistInto over one latent's row, ExpInto over two latents'
+// kernel arguments in place, and WeightedSumsInto over a row of the
+// covariance assembly.
+func BenchmarkLaneKernels(b *testing.B) {
+	const n, dim = 510, 8
+	rng := rand.New(rand.NewSource(3))
+	x := kernelInput(rng, dim*n, 0, false)
+	w, pt := make([]float64, dim), make([]float64, dim)
+	for d := range w {
+		w[d], pt[d] = 0.5+rng.Float64(), rng.NormFloat64()
+	}
+	args, dst := make([]float64, 2*n), make([]float64, 2*n)
+	for i := range args {
+		args[i] = -30 * rng.Float64()
+	}
+	for _, c := range []struct {
+		name string
+		fn   func()
+	}{
+		{"negsqdist", func() { NegSqDistInto(dst[:n], w, pt, x, n) }},
+		{"exp", func() { ExpInto(dst, args) }},
+		{"weightedsums", func() { WeightedSumsInto(dst[:n], w, x, n, -0.5) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			benchTiers(b, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					c.fn()
+				}
+			})
+		})
+	}
+}

@@ -128,14 +128,14 @@ const MaxRHS = 4
 // With a vector kernel the rows advance in blocks of four starting at
 // multiples of four. Rows 4m … 4m+3 share the 4-aligned prefix [0, 4m) of
 // their Dot exactly, so the kernels' passes over b[:4m] yield every lane of
-// the block — dotRows4Lanes all four rows of one right-hand side, or
-// dotRows2x4Lanes two rows of up to four, called twice — and row 4m+r's r
-// tail terms (columns 4m … 4m+r−1, into lane 0 in order) multiply the b
-// entries the block has just produced. That is Dot's lane contract term for
-// term: the block and the row-by-row loop agree bit for bit. Several
-// right-hand sides read each row of L once per block instead of once each,
-// which is what the solve — bound by the bandwidth to L, not by its adds —
-// pays for.
+// the block — dotRows4Lanes all four rows of one right-hand side, finished
+// here by finishRow, and forwardBlock4 (AVX2) or forwardBlock4Wide
+// (AVX-512) all four rows of two to four, finished in registers — and row
+// 4m+r's r tail terms (columns 4m … 4m+r−1, into lane 0 in order) multiply
+// the b entries the block has just produced. That is Dot's lane contract
+// term for term: the block and the row-by-row loop agree bit for bit.
+// Several right-hand sides read each row of L once per block instead of
+// once each.
 func forwardSubst(data []float64, stride int, bs ...[]float64) {
 	if len(bs) == 0 {
 		return
@@ -157,20 +157,16 @@ func forwardSubst(data []float64, stride int, bs ...[]float64) {
 				}
 			} else {
 				// Fewer than four right-hand sides repeat the last one in the
-				// unused kernel slots; their lanes are never read.
+				// unused kernel slots: they compute the same bits, so the
+				// kernel's stores through each alias agree.
 				var p [MaxRHS]*float64
 				for k := range p {
 					p[k] = &bs[min(k, len(bs)-1)][0]
 				}
-				var s [2][32]float64
-				dotRows2x4Lanes(&data[o[0]], &data[o[1]], p[0], p[1], p[2], p[3], i, &s[0])
-				dotRows2x4Lanes(&data[o[2]], &data[o[3]], p[0], p[1], p[2], p[3], i, &s[1])
-				for r, off := range o {
-					tail := data[off+i : off+i+r+1]
-					lanes := s[r>>1][(r&1)*16:]
-					for k, b := range bs {
-						finishRow(tail, lanes[4*k:4*k+4:4*k+4], b, i, r)
-					}
+				if wideKernels {
+					forwardBlock4Wide(&data[o[0]], &data[o[1]], &data[o[2]], &data[o[3]], p[0], p[1], p[2], p[3], i)
+				} else {
+					forwardBlock4(&data[o[0]], &data[o[1]], &data[o[2]], &data[o[3]], p[0], p[1], p[2], p[3], i)
 				}
 			}
 			i += 4

@@ -16,6 +16,20 @@ func dotRows4Lanes(r0, r1, r2, r3, b *float64, n int, s *[16]float64)
 //go:noescape
 func dotRows2x4Lanes(r0, r1, b0, b1, b2, b3 *float64, n int, s *[32]float64)
 
+// forwardBlock4 is forwardSubst's whole block of four rows for four
+// right-hand sides (kernels_amd64.s): rows i … i+3 of L start at r0 … r3,
+// and it sets bk[i+r] = (bk[i+r] − Dot(L[i+r, :i+r], bk[:i+r])) /
+// L[i+r, i+r] for r < 4 and every k, tails and combine included. i is a
+// positive multiple of 4, each row holds i+r+1 elements and each bk i+4;
+// the bk may alias one another. forwardBlock4Wide (kernels_avx512_amd64.s)
+// is the AVX-512 tier's body of the same contract.
+//
+//go:noescape
+func forwardBlock4(r0, r1, r2, r3, b0, b1, b2, b3 *float64, i int)
+
+//go:noescape
+func forwardBlock4Wide(r0, r1, r2, r3, b0, b1, b2, b3 *float64, i int)
+
 // The kernels of lanes_amd64.s; lanes.go states what each computes. n is a
 // positive multiple of 4 for the first three, any positive count for
 // accumLanes, and dim ≥ 1, 1 ≤ nd ≤ 4.
@@ -32,27 +46,33 @@ func negSqDistLanes(dst, w, pt, x *float64, dim, stride, n int)
 //go:noescape
 func accumLanes(acc, e, x *float64, nd, stride, n int)
 
+// The AVX-512 tier's bodies of the first three (lanes_avx512_amd64.s): the
+// same contracts, eight elements per register.
+
+//go:noescape
+func expLanesWide(dst, src *float64, n int, tab *[16][4]float64) int
+
+//go:noescape
+func weightedSumsLanesWide(dst, w, x *float64, dim, stride, n int, scale float64)
+
+//go:noescape
+func negSqDistLanesWide(dst, w, pt, x *float64, dim, stride, n int)
+
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
 
-// haveVectorKernels reports whether the CPU has AVX2 and FMA (expLanes' fused
-// multiply-adds) and the OS saves the YMM state across context switches
-// (internal/cpu is not importable).
-func haveVectorKernels() bool {
-	maxLeaf, _, _, _ := cpuid(0, 0)
-	if maxLeaf < 7 {
-		return false
+// detectTier reads the CPU's features for kernelTier (internal/cpu is not
+// importable). XGETBV runs only when OSXSAVE says the OS enabled it.
+func detectTier() tier {
+	var f cpuFeatures
+	f.maxLeaf, _, _, _ = cpuid(0, 0)
+	_, _, f.leaf1ECX, _ = cpuid(1, 0)
+	if f.leaf1ECX&osxsave != 0 {
+		f.xcr0, _ = xgetbv()
 	}
-	const fma, osxsave, avx = 1 << 12, 1 << 27, 1 << 28
-	if _, _, ecx, _ := cpuid(1, 0); ecx&fma == 0 || ecx&osxsave == 0 || ecx&avx == 0 {
-		return false
+	if f.maxLeaf >= 7 {
+		_, f.leaf7EBX, _, _ = cpuid(7, 0)
 	}
-	// XCR0 bits 1 and 2: the OS has enabled XMM and YMM state.
-	if xcr0, _ := xgetbv(); xcr0&6 != 6 {
-		return false
-	}
-	const avx2 = 1 << 5
-	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&avx2 != 0
+	return kernelTier(f)
 }

@@ -3,12 +3,12 @@
 package la
 
 // No vector kernels on this GOARCH, or the purego build tag asked for none:
-// vectorKernels is false, so Dot, tile.dots, forwardSubst and the lanes.go
+// the tier is scalar, so Dot, tile.dots, forwardSubst and the lanes.go
 // kernels always run their scalar bodies — ExpInto a loop over Exp — and
 // never reach these. Every result has the bits of the dispatched build, which
 // is what `go test -tags purego` checks on an amd64 runner.
 
-func haveVectorKernels() bool { return false }
+func detectTier() tier { return tierScalar }
 
 func dotLanes(a, b *float64, n int, s *[4]float64) { panic("la: no vector kernel") }
 
@@ -17,6 +17,14 @@ func dotRows4Lanes(r0, r1, r2, r3, b *float64, n int, s *[16]float64) {
 }
 
 func dotRows2x4Lanes(r0, r1, b0, b1, b2, b3 *float64, n int, s *[32]float64) {
+	panic("la: no vector kernel")
+}
+
+func forwardBlock4(r0, r1, r2, r3, b0, b1, b2, b3 *float64, i int) {
+	panic("la: no vector kernel")
+}
+
+func forwardBlock4Wide(r0, r1, r2, r3, b0, b1, b2, b3 *float64, i int) {
 	panic("la: no vector kernel")
 }
 
@@ -29,3 +37,11 @@ func weightedSumsLanes(dst, w, x *float64, dim, stride, n int, scale float64) {
 func negSqDistLanes(dst, w, pt, x *float64, dim, stride, n int) { panic("la: no vector kernel") }
 
 func accumLanes(acc, e, x *float64, nd, stride, n int) { panic("la: no vector kernel") }
+
+func expLanesWide(dst, src *float64, n int, tab *[16][4]float64) int { panic("la: no vector kernel") }
+
+func weightedSumsLanesWide(dst, w, x *float64, dim, stride, n int, scale float64) {
+	panic("la: no vector kernel")
+}
+
+func negSqDistLanesWide(dst, w, pt, x *float64, dim, stride, n int) { panic("la: no vector kernel") }

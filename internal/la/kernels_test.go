@@ -3,16 +3,61 @@ package la
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
+
+// setTier switches the dispatch to tier tr — the two package switches, as
+// start-up sets them from cpuTier — and returns the tier it replaced.
+func setTier(tr tier) tier {
+	was := tierScalar
+	if wideKernels {
+		was = tierAVX512
+	} else if vectorKernels {
+		was = tierAVX2
+	}
+	vectorKernels, wideKernels = tr >= tierAVX2, tr >= tierAVX512
+	return was
+}
+
+// withTier runs fn on tier tr's bodies.
+func withTier(tr tier, fn func()) {
+	defer setTier(setTier(tr))
+	fn()
+}
 
 // scalarOnly runs fn with the dispatch forced to the scalar bodies — the
 // oracle the vector kernels must match. The whole suite on those bodies is
 // the purego build: go test -tags purego.
-func scalarOnly(fn func()) {
-	defer func(saved bool) { vectorKernels = saved }(vectorKernels)
-	vectorKernels = false
-	fn()
+func scalarOnly(fn func()) { withTier(tierScalar, fn) }
+
+// tiersHere are the tiers this build can run on this CPU, scalar first.
+func tiersHere() []tier {
+	var ts []tier
+	for tr := tierScalar; tr <= cpuTier; tr++ {
+		ts = append(ts, tr)
+	}
+	return ts
+}
+
+// eachTier runs fn as one subtest per tier — scalar, AVX2, AVX-512 — on that
+// tier's bodies, skips a tier this build on this CPU cannot run with its
+// reason, and logs the tiers that ran. A kernel test under it compares every
+// tier's bits with the scalar oracle.
+func eachTier(t *testing.T, fn func(t *testing.T)) {
+	var ran []string
+	for tr := tierScalar; tr <= tierAVX512; tr++ {
+		t.Run(tr.String(), func(t *testing.T) {
+			if tr > cpuTier {
+				t.Skipf("no %s kernels: this build on this CPU stops at the %s tier (a purego build, or a CPU or OS without the features)", tr, cpuTier)
+			}
+			withTier(tr, func() { fn(t) })
+		})
+		if tr <= cpuTier {
+			ran = append(ran, tr.String())
+		}
+	}
+	t.Logf("tiers run: %s", strings.Join(ran, ", "))
 }
 
 // sameFloat is bit equality, except that any NaN equals any NaN: which
@@ -48,6 +93,10 @@ func kernelInput(rng *rand.Rand, n, off int, salted bool) []float64 {
 // rounds differently under a fused multiply-add, so this fails if a kernel
 // is ever "upgraded" to VFMADD.
 func TestVectorKernelsBitwiseEqualScalar(t *testing.T) {
+	eachTier(t, testVectorKernelsBitwiseEqualScalar)
+}
+
+func testVectorKernelsBitwiseEqualScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for _, salted := range []bool{false, true} {
 		for n := 0; n <= 131; n++ {
@@ -111,6 +160,10 @@ func TestVectorKernelsBitwiseEqualScalar(t *testing.T) {
 // right-hand sides solved in one pass, dense and packed, each the bits of
 // its own row-by-row solve.
 func TestForwardSubstOneBodyBitwise(t *testing.T) {
+	eachTier(t, testForwardSubstOneBodyBitwise)
+}
+
+func testForwardSubstOneBodyBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	sizes := []int{63, 64, 65, 541}
 	for n := 0; n <= 40; n++ {

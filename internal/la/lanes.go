@@ -41,7 +41,11 @@ func ExpInto(dst, src []float64) {
 	i := 0
 	if vectorKernels {
 		for n4 := len(src) &^ 3; i < n4; {
-			i += expLanes(&dst[i], &src[i], n4-i, &expTab)
+			if wideKernels {
+				i += expLanesWide(&dst[i], &src[i], n4-i, &expTab)
+			} else {
+				i += expLanes(&dst[i], &src[i], n4-i, &expTab)
+			}
 			if i < n4 { // the kernel stopped at a block with a lane out of range
 				blockDst, blockSrc := dst[i:i+4:i+4], src[i:i+4:i+4]
 				for k, x := range blockSrc {
@@ -78,7 +82,11 @@ func WeightedSumsInto(dst, w, x []float64, stride int, scale float64) {
 	p := 0
 	if vectorKernels && dim > 0 && n >= 4 {
 		p = n &^ 3
-		weightedSumsLanes(&dst[0], &w[0], &x[0], dim, stride, p, scale)
+		if wideKernels {
+			weightedSumsLanesWide(&dst[0], &w[0], &x[0], dim, stride, p, scale)
+		} else {
+			weightedSumsLanes(&dst[0], &w[0], &x[0], dim, stride, p, scale)
+		}
 	}
 	for ; p < n; p++ {
 		acc := 0.0
@@ -103,7 +111,11 @@ func NegSqDistInto(dst, w, pt, x []float64, stride int) {
 	r := 0
 	if vectorKernels && dim > 0 && n >= 4 {
 		r = n &^ 3
-		negSqDistLanes(&dst[0], &w[0], &pt[0], &x[0], dim, stride, r)
+		if wideKernels {
+			negSqDistLanesWide(&dst[0], &w[0], &pt[0], &x[0], dim, stride, r)
+		} else {
+			negSqDistLanes(&dst[0], &w[0], &pt[0], &x[0], dim, stride, r)
+		}
 	}
 	for ; r < n; r++ {
 		acc := 0.0

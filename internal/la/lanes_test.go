@@ -28,7 +28,9 @@ func checkExp(t *testing.T, what string, src []float64, off int) {
 // block next to ordinary lanes, so the block fallback is exercised per
 // position. Under -short the vectors shrink to 4 Ki and the lengths stop at
 // 11, which still covers every block, tail and fallback position.
-func TestExpIntoIsExp(t *testing.T) {
+func TestExpIntoIsExp(t *testing.T) { eachTier(t, testExpIntoIsExp) }
+
+func testExpIntoIsExp(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	classes := expClasses(rng)
 	perClass, maxLen := 1<<20, 67 // five classes: 5 Mi inputs through the long vectors alone
@@ -111,6 +113,10 @@ func lacedInput(rng *rand.Rand, n, off int, laced bool) []float64 {
 // fused multiply-add from a product and a sum; laced ones propagate NaN, Inf
 // and signed zeros through every accumulator.
 func TestLaneKernelsBitwiseEqualScalar(t *testing.T) {
+	eachTier(t, testLaneKernelsBitwiseEqualScalar)
+}
+
+func testLaneKernelsBitwiseEqualScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for _, laced := range []bool{false, true} {
 		for _, n := range laneSizes() {

@@ -56,11 +56,13 @@ func MatMulTransB(a, b *Matrix) *Matrix {
 	return c
 }
 
-// vectorKernels selects, once at start-up, the vector bodies (kernels_*.s)
-// for the lane loops of Dot, tile.dots and forwardSubst; false on CPUs and
-// GOARCHes without one and in a build with the purego tag. Either way every
-// result has the same bits, so only the tests ever flip it.
-var vectorKernels = haveVectorKernels()
+// vectorKernels selects the AVX2 bodies (kernels_amd64.s, lanes_amd64.s) of
+// the lane loops of Dot, tile.dots, forwardSubst and lanes.go, and
+// wideKernels the AVX-512 ones that replace some of them; both follow
+// cpuTier, so both are false on CPUs and GOARCHes without AVX2 and in a
+// build with the purego tag. Whatever the tier every result has the same
+// bits, so only the tests ever flip them (tier by tier).
+var vectorKernels, wideKernels = cpuTier >= tierAVX2, cpuTier >= tierAVX512
 
 // vectorMin is the shortest vector handed to a vector kernel; below it the
 // call, which sets up and returns its lanes through memory, costs more than
