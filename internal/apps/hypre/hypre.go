@@ -275,8 +275,9 @@ func (a *App) Problem() *core.Problem {
 		space.NewLogInteger("coarsesize", 4, 32),
 		space.NewInteger("restart", 10, 50),
 	)
-	tuning.AddConstraint("pxpy<=P", func(v map[string]float64) bool {
-		return v["px"]*v["py"] <= float64(a.PMax)
+	px, py := tuning.IndexOf("px"), tuning.IndexOf("py")
+	tuning.AddConstraint("pxpy<=P", func(x []float64) bool {
+		return x[px]*x[py] <= float64(a.PMax)
 	})
 	return &core.Problem{
 		Name:    "hypre",

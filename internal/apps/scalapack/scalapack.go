@@ -135,7 +135,8 @@ func (q *QR) Problem() *core.Problem {
 		space.NewLogInteger("p", maxInt(1, q.PMax/64), q.PMax),
 		space.NewLogInteger("pr", 1, q.PMax),
 	)
-	tuning.AddConstraint("pr<=p", func(v map[string]float64) bool { return v["pr"] <= v["p"] })
+	pr, p := tuning.IndexOf("pr"), tuning.IndexOf("p")
+	tuning.AddConstraint("pr<=p", func(x []float64) bool { return x[pr] <= x[p] })
 	return &core.Problem{
 		Name:    "pdgeqrf",
 		Tasks:   tasks,
@@ -243,7 +244,8 @@ func (e *Eigen) Problem() *core.Problem {
 		space.NewLogInteger("p", maxInt(1, e.PMax/64), e.PMax),
 		space.NewLogInteger("pr", 1, e.PMax),
 	)
-	tuning.AddConstraint("pr<=p", func(v map[string]float64) bool { return v["pr"] <= v["p"] })
+	pr, p := tuning.IndexOf("pr"), tuning.IndexOf("p")
+	tuning.AddConstraint("pr<=p", func(x []float64) bool { return x[pr] <= x[p] })
 	return &core.Problem{
 		Name:    "pdsyevx",
 		Tasks:   tasks,

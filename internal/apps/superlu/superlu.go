@@ -227,7 +227,8 @@ func (a *App) tuningSpace() *space.Space {
 		space.NewLogInteger("NSUP", 8, 512),
 		space.NewLogInteger("NREL", 1, 128),
 	)
-	s.AddConstraint("pr<=p", func(v map[string]float64) bool { return v["pr"] <= v["p"] })
+	pr, p := s.IndexOf("pr"), s.IndexOf("p")
+	s.AddConstraint("pr<=p", func(x []float64) bool { return x[pr] <= x[p] })
 	return s
 }
 

@@ -90,11 +90,13 @@ func gemmProblem() *core.Problem {
 		space.NewInteger("NR", gemmMicroLo, gemmMicroHi),
 	)
 	// Native values are exact small integers, so math.Mod is exact.
-	tuning.AddConstraint("MC%MR==0", func(v map[string]float64) bool {
-		return math.Mod(v["MC"], v["MR"]) == 0
+	mc, nc := tuning.IndexOf("MC"), tuning.IndexOf("NC")
+	mr, nr := tuning.IndexOf("MR"), tuning.IndexOf("NR")
+	tuning.AddConstraint("MC%MR==0", func(x []float64) bool {
+		return math.Mod(x[mc], x[mr]) == 0
 	})
-	tuning.AddConstraint("NC%NR==0", func(v map[string]float64) bool {
-		return math.Mod(v["NC"], v["NR"]) == 0
+	tuning.AddConstraint("NC%NR==0", func(x []float64) bool {
+		return math.Mod(x[nc], x[nr]) == 0
 	})
 	return &core.Problem{
 		Name:    "gemm",

@@ -251,7 +251,8 @@ func TestCandidatePointZeroAllocs(t *testing.T) {
 		Tuning:  space.MustNew(space.NewReal("x", 0, 1), space.NewInteger("k", 1, 8)),
 		Outputs: space.NewOutputSpace("f1", "f2"),
 	}
-	p.Tuning.AddConstraint("x·k ≤ 4", func(v map[string]float64) bool { return v["x"]*v["k"] <= 4 })
+	x, k := p.Tuning.IndexOf("x"), p.Tuning.IndexOf("k")
+	p.Tuning.AddConstraint("x·k ≤ 4", func(v []float64) bool { return v[x]*v[k] <= 4 })
 	eng, err := NewEngine(p, [][]float64{{0.5}}, Options{EpsTot: 12, Seed: 6})
 	if err != nil {
 		t.Fatal(err)

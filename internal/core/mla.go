@@ -535,15 +535,12 @@ type candidate struct {
 	fs     *featureScale
 
 	xNat, pt []float64
-	feas     map[string]float64
 }
 
 func (st *state) newCandidate(task int, fs *featureScale) candidate {
-	dim := st.p.Tuning.Dim()
 	return candidate{
 		st: st, tuning: st.p.Tuning, task: task, fs: fs,
-		xNat: make([]float64, dim), pt: make([]float64, st.modelDim(fs)),
-		feas: make(map[string]float64, dim),
+		xNat: make([]float64, st.p.Tuning.Dim()), pt: make([]float64, st.modelDim(fs)),
 	}
 }
 
@@ -554,7 +551,7 @@ func (st *state) newCandidate(task int, fs *featureScale) candidate {
 //gptlint:hotpath
 func (c *candidate) point(u []float64) (pt []float64, ok bool) {
 	c.tuning.DenormalizeInto(c.xNat, u)
-	if !c.tuning.FeasibleInto(c.feas, c.xNat) {
+	if !c.tuning.Feasible(c.xNat) {
 		return nil, false
 	}
 	c.st.modelPointInto(c.pt, c.task, c.xNat, c.fs)
@@ -704,7 +701,7 @@ func (st *state) searchOne(i int, model surrogate.Model, ws surrogate.Workspace,
 		}
 	}
 	xNat := st.p.Tuning.Denormalize(bestU)
-	if !st.p.Tuning.FeasibleInto(ev.slots[0].feas, xNat) || containsConfig(st.X[i], xNat) || containsConfig(avoidNative(st, avoid), xNat) {
+	if !st.p.Tuning.Feasible(xNat) || containsConfig(st.X[i], xNat) || containsConfig(avoidNative(st, avoid), xNat) {
 		if pts, err := sample.FeasibleUniform(st.p.Tuning, 1, rng); err == nil {
 			return pts[0]
 		}

@@ -288,7 +288,8 @@ func TestMinOfRepeats(t *testing.T) {
 func TestMLAWithConstraints(t *testing.T) {
 	p := analyticalProblem()
 	p.Tuning = space.MustNew(space.NewReal("x", 0, 1), space.NewReal("z", 0, 1))
-	p.Tuning.AddConstraint("z<=x", func(v map[string]float64) bool { return v["z"] <= v["x"] })
+	x, z := p.Tuning.IndexOf("x"), p.Tuning.IndexOf("z")
+	p.Tuning.AddConstraint("z<=x", func(v []float64) bool { return v[z] <= v[x] })
 	p.Objective = func(task, x []float64) ([]float64, error) {
 		return []float64{paperObjective(task[0], x[0]) + x[1]}, nil
 	}

@@ -23,7 +23,8 @@ func searchProblem() *Problem {
 		Tuning:  space.MustNew(space.NewReal("x", 0, 1), space.NewInteger("k", 1, 8), space.NewCategorical("c", "a", "b", "c")),
 		Outputs: space.NewOutputSpace("y"),
 	}
-	p.Tuning.AddConstraint("x·k ≤ 6", func(v map[string]float64) bool { return v["x"]*v["k"] <= 6 })
+	x, k := p.Tuning.IndexOf("x"), p.Tuning.IndexOf("k")
+	p.Tuning.AddConstraint("x·k ≤ 6", func(v []float64) bool { return v[x]*v[k] <= 6 })
 	return p
 }
 

@@ -12,7 +12,7 @@ import (
 // re-learning hyperparameters: the covariance factorization grows by k rows
 // through the packed Cholesky extension (O(k·n²) against the O(n³) of a
 // refit), the alpha solve is redone against the extended factor, and the
-// dimension-major coordinates are rebuilt. Hyperparameters, the output
+// training-row tables are rebuilt. Hyperparameters, the output
 // standardization (yMean/yStd), and the base jitter are frozen at their
 // fitted values — this is the "extend between refits" half of the
 // RefitEvery contract; LogLik is not updated and refers to the last fit.
@@ -64,12 +64,12 @@ func (m *LCM) AppendObservations(xs [][]float64, tasks []int, ys []float64, work
 		m.flatX = append(m.flatX, append(make([]float64, 0, m.Dim), x...))
 		m.taskOf = append(m.taskOf, tasks[j])
 	}
-	m.transposeCoords()
+	m.trainingTables()
 	cols := la.NewMatrix(k, n0)
 	corner := la.NewMatrix(k, k)
 	mpx.ParallelFor(k, workers, func(j int) {
 		ws := m.NewPredictWorkspace()
-		kstar := m.kstarInto(ws, ws.cols[0], tasks[j], xs[j])
+		kstar := m.KStarInto(ws, ws.cols[0], tasks[j], xs[j])
 		copy(cols.Row(j), kstar[:n0])
 		row := corner.Row(j)[:j+1]
 		copy(row, kstar[n0:])
@@ -77,7 +77,7 @@ func (m *LCM) AppendObservations(xs [][]float64, tasks []int, ys []float64, work
 	})
 	if _, err := m.chol.AppendRows(cols, corner, 0, workers); err != nil {
 		m.flatX, m.taskOf = m.flatX[:n0], m.taskOf[:n0]
-		m.transposeCoords()
+		m.trainingTables()
 		return err
 	}
 	for _, y := range ys {

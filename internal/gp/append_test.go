@@ -101,7 +101,7 @@ func TestAppendObservationsMatchesDirectPosterior(t *testing.T) {
 }
 
 // TestAppendedModelReloadsBitwise: the append path builds its panel and
-// corner through kstarInto, the form assembleSigma's refactorization agrees
+// corner through KStarInto, the form assembleSigma's refactorization agrees
 // with bit for bit, so while the whole model fits in one Cholesky block —
 // where AppendRows continues the very recurrence the refactorization runs —
 // an appended model and its training state factored afresh at the same

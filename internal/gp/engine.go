@@ -59,7 +59,7 @@ type lcmEngine struct {
 	layout  hyperLayout
 	cache   *pairCache
 	taskOf  []int
-	runEnd  []int // runEnd[s]: end of the run of samples sharing s's task, s < runEnd[s] ≤ n
+	runEnd  []int // runEnds(taskOf)
 	yn      []float64
 	workers int
 
@@ -92,11 +92,26 @@ type lcmEngine struct {
 // laneBlocks returns how many four-latent lane blocks q latents occupy.
 func laneBlocks(q int) int { return (q + 3) / 4 }
 
+// runEnds is the same-task run table of taskOf: runEnd[s] is one past the
+// last of the consecutive samples from s on with s's task. A run shares one
+// coefficient vector, so Σ, the gradient sweep and k* take it in one call.
+func runEnds(taskOf []int) []int {
+	runEnd := make([]int, len(taskOf))
+	for s := len(taskOf) - 1; s >= 0; s-- {
+		runEnd[s] = s + 1
+		if s+1 < len(taskOf) && taskOf[s+1] == taskOf[s] {
+			runEnd[s] = runEnd[s+1]
+		}
+	}
+	return runEnd
+}
+
 func newLCMEngine(cache *pairCache, layout hyperLayout, taskOf []int, yn []float64, workers int) *lcmEngine {
 	e := &lcmEngine{
 		layout:  layout,
 		cache:   cache,
 		taskOf:  taskOf,
+		runEnd:  runEnds(taskOf),
 		yn:      yn,
 		workers: workers,
 		model:   newModel(layout),
@@ -110,13 +125,6 @@ func newLCMEngine(cache *pairCache, layout hyperLayout, taskOf []int, yn []float
 	}
 	for q := 0; q < layout.q; q++ {
 		e.winv[q] = make([]float64, layout.dim)
-	}
-	e.runEnd = make([]int, cache.n)
-	for s := cache.n - 1; s >= 0; s-- {
-		e.runEnd[s] = s + 1
-		if s+1 < cache.n && taskOf[s+1] == taskOf[s] {
-			e.runEnd[s] = e.runEnd[s+1]
-		}
 	}
 	nc := mpx.NumChunks(cache.n, gradChunkRows)
 	blocks := laneBlocks(layout.q)

@@ -139,7 +139,7 @@ func matchReference(t *testing.T, name string, eng *lcmEngine, flatX [][]float64
 	}
 	for _, x := range [][]float64{flatX[0], inside} {
 		want := refKstar(m, taskOf[n-1], x)
-		for r, k := range m.kstarInto(ws, ws.cols[0], taskOf[n-1], x) {
+		for r, k := range m.KStarInto(ws, ws.cols[0], taskOf[n-1], x) {
 			if !sameBits(k, want[r]) {
 				t.Fatalf("%s: k*(%v)[%d] = %v, reference %v", name, x, r, k, want[r])
 			}
@@ -255,7 +255,10 @@ func TestFitLCMWorkersIdenticalLargeN(t *testing.T) {
 // 64-row block, at random points, training points (exact-zero distances), far
 // points (kernel arguments past exp's fast range) and grid points, in batches
 // of every length from one to nine (whole groups of four and every
-// remainder), before and after an append grew the model.
+// remainder), before and after an append grew the model by a tail whose
+// tasks alternate (k*'s same-task runs one row long), and, with two or more
+// tasks, for the fitted hyperparameters with one mixing coefficient set to
+// zero, factored afresh, so that the coefficient table holds exact zeros.
 func TestPredictionsMatchReferenceBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	for _, cfg := range []struct{ tasks, samples, dim, q int }{
@@ -271,7 +274,7 @@ func TestPredictionsMatchReferenceBitwise(t *testing.T) {
 				t.Fatal(err)
 			}
 			ws, wsBatch := model.NewPredictWorkspace(), model.NewPredictWorkspace()
-			check := func(stage string) {
+			check := func(model *LCM, stage string) {
 				t.Helper()
 				for size := 1; size <= 9; size++ {
 					xs := make([][]float64, size)
@@ -299,7 +302,7 @@ func TestPredictionsMatchReferenceBitwise(t *testing.T) {
 						name := fmt.Sprintf("δ=%d β=%d Q=%d grid=%v %s, batch of %d, point %d", cfg.tasks, cfg.dim, cfg.q, grid, stage, size, j)
 						muI, vI := model.PredictInto(ws, task, x) // first: it resizes ws after an append
 						kstar := refKstar(model, task, x)
-						for r, k := range model.kstarInto(ws, ws.cols[0], task, x) {
+						for r, k := range model.KStarInto(ws, ws.cols[0], task, x) {
 							if !sameBits(k, kstar[r]) {
 								t.Fatalf("%s: k*[%d] = %v, reference %v", name, r, k, kstar[r])
 							}
@@ -313,12 +316,25 @@ func TestPredictionsMatchReferenceBitwise(t *testing.T) {
 					}
 				}
 			}
-			check("fitted")
-			extra := syntheticDataset(rng, 1, 3, cfg.dim, 0.05)
-			if err := model.AppendObservations(extra.X[0], []int{0, cfg.tasks - 1, 0}, extra.Y[0], 1); err != nil {
+			check(model, "fitted")
+			if cfg.tasks > 1 {
+				zeroed := *model
+				zeroed.A = make([][]float64, model.Q)
+				for q := range zeroed.A {
+					zeroed.A[q] = append([]float64(nil), model.A[q]...)
+				}
+				zeroed.A[0][1] = 0 // coef(0, 1, j) = 0 for every j ≠ 1
+				check(refactorOnFreshEngine(t, &zeroed), "zero coefficient")
+			}
+			extra := syntheticDataset(rng, 1, 5, cfg.dim, 0.05)
+			tasks := make([]int, 5)
+			for j := range tasks {
+				tasks[j] = j % cfg.tasks
+			}
+			if err := model.AppendObservations(extra.X[0], tasks, extra.Y[0], 1); err != nil {
 				t.Fatal(err)
 			}
-			check("after append")
+			check(model, "after append")
 		}
 	}
 }

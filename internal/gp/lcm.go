@@ -115,10 +115,11 @@ type LCM struct {
 	yStd   float64
 
 	// Prediction fast-path tables built by prepPredict (see predict.go):
-	// dimension-major training coordinates, the task-pair coefficient table,
-	// per-latent half-inverse-square lengthscales, and the per-task prior
-	// variance.
+	// dimension-major training coordinates, the same-task run table, the
+	// task-pair coefficient table, per-latent half-inverse-square
+	// lengthscales, and the per-task prior variance.
 	xT        []float64 // [Dim*n] dimension-major copy of flatX
+	runEnd    []int     // runEnds(taskOf)
 	coefTab   []float64 // [(ti*T+tj)*Q + q]: coefTable's layout
 	predWinv  []float64 // [Q*Dim]: 0.5/l²
 	predPrior []float64 // [task]: Σ_q (a²+b) + d

@@ -7,12 +7,12 @@ import (
 )
 
 // prepPredict builds the prediction fast-path tables for a fitted model:
-// a dimension-major copy of the training coordinates, the task-pair
-// coefficient table, the half-inverse-square lengthscales, and the per-task
-// prior variance. Together they let PredictInto evaluate Eqs. (5–6) without
-// touching the hyperparameter structs or allocating.
+// the training-row tables (trainingTables), the task-pair coefficient table,
+// the half-inverse-square lengthscales, and the per-task prior variance.
+// Together they let PredictInto evaluate Eqs. (5–6) without touching the
+// hyperparameter structs or allocating.
 func (m *LCM) prepPredict() {
-	m.transposeCoords()
+	m.trainingTables()
 	m.predWinv = make([]float64, m.Q*m.Dim)
 	for q := 0; q < m.Q; q++ {
 		for d := 0; d < m.Dim; d++ {
@@ -32,11 +32,11 @@ func (m *LCM) prepPredict() {
 	}
 }
 
-// transposeCoords rebuilds xT, the dimension-major copy of flatX
-// (xT[d*n+r] = flatX[r][d]): one dimension of all training points is
-// contiguous, so kstarInto's distance pass runs four training rows per
-// register. The stride is n, so a model that grew rebuilds it.
-func (m *LCM) transposeCoords() {
+// trainingTables rebuilds what KStarInto reads off the training rows: xT,
+// the dimension-major copy of flatX (xT[d*n+r] = flatX[r][d]), whose
+// distance pass runs four rows per register, and taskOf's run table runEnd.
+// Both depend on n, so a model that grew rebuilds them.
+func (m *LCM) trainingTables() {
 	n := len(m.flatX)
 	m.xT = make([]float64, m.Dim*n)
 	for r, x := range m.flatX {
@@ -44,7 +44,12 @@ func (m *LCM) transposeCoords() {
 			m.xT[d*n+r] = xd
 		}
 	}
+	m.runEnd = runEnds(m.taskOf)
 }
+
+// PriorVariance is the posterior's prior variance of task at any point, in
+// standardized units: Σ_q (a_q,task² + b_q,task) + d_task, k(x, x) being 1.
+func (m *LCM) PriorVariance(task int) float64 { return m.predPrior[task] }
 
 // PredictWorkspace holds the scratch vectors one goroutine needs to run the
 // allocation-free prediction path. Create one per goroutine with
@@ -115,7 +120,7 @@ func (m *LCM) PredictBatchInto(ws *PredictWorkspace, task int, xs [][]float64, m
 	for len(xs) > 0 {
 		cols := ws.cols[:min(len(xs), la.MaxRHS)]
 		for j, col := range cols {
-			m.kstarInto(ws, col, task, xs[j])
+			m.KStarInto(ws, col, task, xs[j])
 			mean[j] = la.Dot(col, m.alpha)
 		}
 		m.chol.ForwardSubst(cols...)
@@ -131,17 +136,18 @@ func (m *LCM) PredictBatchInto(ws *PredictWorkspace, task int, xs [][]float64, m
 	}
 }
 
-// kstarInto fills dst with the cross-covariance vector k* for (task, x) and
-// returns it, in three passes over the training set: per latent, the
-// kernel arguments -Σ_d (x_d - x_r[d])²·(½/l_qd²) (la.NegSqDistInto, four
-// training rows per register, d ascending from +0 as the per-row loop summed
-// them), one la.ExpInto over all Q·n of them (in ws.args), and the scalar
-// Σ_q c·k in q order with c from row (task, taskOf[r]) of the coefficient
-// table. It is the one Gaussian-kernel evaluation outside the fit:
-// AppendObservations builds its covariance rows through it too.
+// KStarInto fills dst, one entry per training sample, with Eq. (5)'s k* for
+// (task, x) and returns it; ws must be sized for m's current n. Three passes,
+// the first and last on assembleSigma's lane kernels: per latent the
+// arguments -Σ_d (x_d - x_r[d])²·(½/l_qd²) (la.NegSqDistInto, d ascending
+// from +0), one la.ExpInto over all Q·n (in ws.args), and per run of
+// same-task rows Σ_q C_q·k_q by la.WeightedSumsInto with row (task, t_r) of
+// the coefficient table, q ascending from +0 (scale 1 is exact). It is the
+// one Gaussian-kernel evaluation outside the fit: the append path's
+// covariance rows and the sparse GP's kernel rows come from it.
 //
 //gptlint:hotpath
-func (m *LCM) kstarInto(ws *PredictWorkspace, dst []float64, task int, x []float64) []float64 {
+func (m *LCM) KStarInto(ws *PredictWorkspace, dst []float64, task int, x []float64) []float64 {
 	n := len(m.flatX)
 	dim := m.Dim
 	Q := m.Q
@@ -150,15 +156,9 @@ func (m *LCM) kstarInto(ws *PredictWorkspace, dst []float64, task int, x []float
 	}
 	la.ExpInto(ws.args, ws.args)
 	coefs := m.coefTab[task*m.NumTasks*Q : (task+1)*m.NumTasks*Q]
-	for r, tr := range m.taskOf {
-		v := 0.0
-		for q, c := range coefs[tr*Q : (tr+1)*Q] {
-			if c == 0 { //gptlint:ignore float-eq exact-zero coefficient skip in the prediction fast path
-				continue
-			}
-			v += c * ws.args[q*n+r]
-		}
-		dst[r] = v
+	for r := 0; r < n; r = m.runEnd[r] {
+		tr := m.taskOf[r]
+		la.WeightedSumsInto(dst[r:m.runEnd[r]], coefs[tr*Q:(tr+1)*Q], ws.args[r:], n, 1)
 	}
 	return dst
 }

@@ -18,7 +18,7 @@ import (
 // σ_q = 1): k(x, x') = exp(−Σ_d w_d·(x_d − x'_d)²) with w_d = 1/(2·l_d²)
 // (halfInvSq). Difference, square, weighted product and sum are separate
 // roundings, d ascending from +0 — the lane contract of la.NegSqDistInto and
-// la.WeightedSumsInto, so assembleSigma and kstarInto produce these bits.
+// la.WeightedSumsInto, so assembleSigma and KStarInto produce these bits.
 func rbf(x, y, w []float64) float64 {
 	s := 0.0
 	for d, wd := range w {
@@ -178,7 +178,7 @@ func (m *LCM) covariance(flatX [][]float64, taskOf []int) *la.Matrix {
 
 // refKstar is Eq. (5)'s cross-covariance of (task, x) with every training
 // sample, entry by entry: Σ_q coef(q, task, t_r)·rbf(x, x_r) in q order. It is
-// kstarInto's k* bit for bit.
+// KStarInto's k* bit for bit.
 func refKstar(m *LCM, task int, x []float64) []float64 {
 	w := make([][]float64, m.Q)
 	for q := range w {

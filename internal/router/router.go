@@ -260,8 +260,9 @@ func (rt *Router) peekBody(w http.ResponseWriter, r *http.Request, v any) bool {
 }
 
 // handleList fans GET /studies out to every healthy replica and merges the
-// names — the one read that spans the cluster. It answers 502 only when no
-// replica answered.
+// names — the one read that spans the cluster. A replica that fails or
+// answers other than 200 counts toward its ejection and adds nothing; the
+// list is 502 only when no replica answered.
 func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 	healthy := rt.healthyRing().Nodes()
 	if len(healthy) == 0 {
@@ -279,7 +280,12 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 			rt.recordFailure(rep)
 			return body, err
 		}
-		err = json.NewDecoder(resp.Body).Decode(&body)
+		if resp.StatusCode != http.StatusOK {
+			rt.recordFailure(rep)
+			err = fmt.Errorf("replica %s answered %s", rep, resp.Status)
+		} else {
+			err = json.NewDecoder(resp.Body).Decode(&body)
+		}
 		// Read to EOF, past the decoded value, so the connection is pooled again.
 		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
 		resp.Body.Close()

@@ -382,6 +382,47 @@ func TestListSkipsAnUnreachableReplica(t *testing.T) {
 	}
 }
 
+// TestListTreatsAnErrorAnswerAsFailed: a replica that answers GET /studies
+// with 500 and an error body is a failed replica, not one with no studies.
+// Alone it makes the list 502; beside a replica that answers, the list is
+// that replica's; and each error answer counts toward its ejection.
+func TestListTreatsAnErrorAnswerAsFailed(t *testing.T) {
+	broken := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		api.WriteError(w, http.StatusInternalServerError, errors.New("store offline"))
+	}))
+	defer broken.Close()
+	live := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		api.WriteJSON(w, http.StatusOK, api.StudyList{Studies: []string{"a", "b"}})
+	}))
+	defer live.Close()
+	list := func(rt *Router) *httptest.ResponseRecorder {
+		rr := httptest.NewRecorder()
+		rt.Handler().ServeHTTP(rr, httptest.NewRequest("GET", api.StudiesPath, nil))
+		return rr
+	}
+
+	alone, err := New(Config{Replicas: []string{broken.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rr := list(alone); rr.Code != http.StatusBadGateway {
+		t.Fatalf("list over an erroring replica alone: %d %s, want 502", rr.Code, rr.Body)
+	}
+
+	rt, err := New(Config{Replicas: []string{broken.URL, live.URL}, FailThreshold: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if rr := list(rt); rr.Code != http.StatusOK || rr.Body.String() != "{\"studies\":[\"a\",\"b\"]}\n" {
+			t.Fatalf("list %d: %d %s, want 200 {\"studies\":[\"a\",\"b\"]}", i, rr.Code, rr.Body)
+		}
+	}
+	if h := rt.Healthy(); len(h) != 1 || h[0] != live.URL {
+		t.Fatalf("healthy after two error answers: %v, want only %s", h, live.URL)
+	}
+}
+
 // BenchmarkForward is one small JSON read through the router: client →
 // router → a replica that answers a fixed body, over keep-alive connections.
 func BenchmarkForward(b *testing.B) {

@@ -55,7 +55,8 @@ func TestLatinHypercubeDegenerate(t *testing.T) {
 
 func TestFeasibleLHSRespectsConstraints(t *testing.T) {
 	s := space.MustNew(space.NewInteger("p", 1, 64), space.NewInteger("pr", 1, 64))
-	s.AddConstraint("pr<=p", func(v map[string]float64) bool { return v["pr"] <= v["p"] })
+	pi, pr := s.IndexOf("p"), s.IndexOf("pr")
+	s.AddConstraint("pr<=p", func(x []float64) bool { return x[pr] <= x[pi] })
 	rng := rand.New(rand.NewSource(4))
 	pts, err := FeasibleLHS(s, 50, rng)
 	if err != nil {
@@ -73,7 +74,7 @@ func TestFeasibleLHSRespectsConstraints(t *testing.T) {
 
 func TestFeasibleUniformEmptyRegion(t *testing.T) {
 	s := space.MustNew(space.NewReal("x", 0, 1))
-	s.AddConstraint("never", func(map[string]float64) bool { return false })
+	s.AddConstraint("never", func([]float64) bool { return false })
 	rng := rand.New(rand.NewSource(5))
 	if _, err := FeasibleUniform(s, 1, rng); err == nil {
 		t.Fatalf("expected error for empty feasible region")
@@ -86,7 +87,7 @@ func TestFeasibleUniformEmptyRegion(t *testing.T) {
 	// point, the top-up finds none, and the error counts both phases.
 	s = space.MustNew(space.NewReal("x", 0, 1))
 	open := true
-	s.AddConstraint("once", func(map[string]float64) bool { ok := open; open = false; return ok })
+	s.AddConstraint("once", func([]float64) bool { ok := open; open = false; return ok })
 	_, err := FeasibleLHS(s, 3, rng)
 	if err == nil || !strings.Contains(err.Error(), "could not find 3 feasible points (found 1;") {
 		t.Fatalf("FeasibleLHS over a region that closes after one point: %v", err)

@@ -186,11 +186,16 @@ func clampRange(v, lo, hi float64) float64 {
 	return v
 }
 
-// Constraint is a named feasibility predicate over native parameter values,
-// keyed by parameter name. The paper's PDGEQRF example uses p_r ≤ p.
+// Constraint is a named feasibility predicate over a native point, one
+// value per parameter in the space's order. Its author resolves the
+// positions it reads once, by IndexOf, when building it; the paper's PDGEQRF
+// example p_r ≤ p is
+//
+//	pr, p := s.IndexOf("pr"), s.IndexOf("p")
+//	s.AddConstraint("pr<=p", func(x []float64) bool { return x[pr] <= x[p] })
 type Constraint struct {
 	Name string
-	Ok   func(vals map[string]float64) bool
+	Ok   func(native []float64) bool
 }
 
 // Space is an ordered collection of parameters plus constraints. It
@@ -226,7 +231,7 @@ func MustNew(params ...Param) *Space {
 }
 
 // AddConstraint appends a feasibility predicate.
-func (s *Space) AddConstraint(name string, ok func(vals map[string]float64) bool) {
+func (s *Space) AddConstraint(name string, ok func(native []float64) bool) {
 	s.Constraints = append(s.Constraints, Constraint{Name: name, Ok: ok})
 }
 
@@ -284,37 +289,17 @@ func (s *Space) DenormalizeInto(dst, u []float64) {
 	}
 }
 
-// ValueMapInto fills m with the native values keyed by parameter name,
-// reusing m's storage; overwriting an existing key does not allocate, so a
-// search inner loop can keep one map.
+// Feasible reports whether the native point satisfies every constraint. It
+// allocates nothing: the search checks every candidate through it.
 //
 //gptlint:hotpath
-func (s *Space) ValueMapInto(m map[string]float64, native []float64) {
-	s.checkLen(native)
-	for i, p := range s.Params {
-		m[p.Name] = native[i]
-	}
-}
-
-// Feasible reports whether the native point satisfies every constraint.
 func (s *Space) Feasible(native []float64) bool {
 	if len(s.Constraints) == 0 {
 		return true
 	}
-	return s.FeasibleInto(make(map[string]float64, len(native)), native)
-}
-
-// FeasibleInto is Feasible with a caller-provided scratch map, so the
-// per-candidate constraint check of a search inner loop allocates nothing.
-//
-//gptlint:hotpath
-func (s *Space) FeasibleInto(scratch map[string]float64, native []float64) bool {
-	if len(s.Constraints) == 0 {
-		return true
-	}
-	s.ValueMapInto(scratch, native)
+	s.checkLen(native)
 	for _, c := range s.Constraints {
-		if !c.Ok(scratch) {
+		if !c.Ok(native) {
 			return false
 		}
 	}

@@ -190,7 +190,8 @@ func TestIntegerCellUniformity(t *testing.T) {
 
 func TestConstraints(t *testing.T) {
 	s := MustNew(NewInteger("p", 1, 64), NewInteger("pr", 1, 64))
-	s.AddConstraint("pr<=p", func(v map[string]float64) bool { return v["pr"] <= v["p"] })
+	p, pr := s.IndexOf("p"), s.IndexOf("pr")
+	s.AddConstraint("pr<=p", func(x []float64) bool { return x[pr] <= x[p] })
 	if !s.Feasible([]float64{8, 4}) {
 		t.Fatalf("8,4 should be feasible")
 	}
@@ -269,26 +270,19 @@ func TestNormalizeBoundsQuick(t *testing.T) {
 	}
 }
 
-func TestValueMap(t *testing.T) {
-	s := MustNew(NewReal("x", 0, 1), NewInteger("n", 0, 10))
-	m := map[string]float64{"x": -1, "stale": 3}
-	s.ValueMapInto(m, []float64{0.25, 7})
-	if len(m) != 3 || m["x"] != 0.25 || m["n"] != 7 {
-		t.Fatalf("ValueMapInto = %v", m)
-	}
-}
-
 // TestIntoVariantsMatch pins the allocation-free forms against their
-// allocating originals on random points, and asserts they are actually
-// allocation-free — the property the hotpath-alloc lint rule now enforces
-// transitively on every search inner loop.
+// allocating originals on random points, and Feasible on a constrained space
+// against its predicate, and asserts that the per-candidate path a search
+// runs — denormalize, normalize, Feasible — allocates nothing, the property
+// the hotpath-alloc lint rule enforces transitively on every search inner
+// loop.
 func TestIntoVariantsMatch(t *testing.T) {
 	s := MustNew(NewReal("r", -3, 7), NewInteger("i", 0, 9), NewCategorical("c", "a", "b", "x"))
-	s.AddConstraint("i<=5ish", func(v map[string]float64) bool { return v["i"] <= 5 || v["r"] > 0 })
+	r, i := s.IndexOf("r"), s.IndexOf("i")
+	s.AddConstraint("i<=5ish", func(x []float64) bool { return x[i] <= 5 || x[r] > 0 })
 	rng := rand.New(rand.NewSource(7))
 	dst := make([]float64, s.Dim())
 	nat := make([]float64, s.Dim())
-	scratch := make(map[string]float64, s.Dim())
 	for trial := 0; trial < 200; trial++ {
 		u := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
 		want := s.Denormalize(u)
@@ -305,8 +299,8 @@ func TestIntoVariantsMatch(t *testing.T) {
 				t.Fatalf("NormalizeInto[%d] = %v, want %v", d, dst[d], wantU[d])
 			}
 		}
-		if got, want := s.FeasibleInto(scratch, nat), s.Feasible(nat); got != want {
-			t.Fatalf("FeasibleInto = %v, Feasible = %v at %v", got, want, nat)
+		if got, want := s.Feasible(nat), nat[1] <= 5 || nat[0] > 0; got != want {
+			t.Fatalf("Feasible = %v, want %v at %v", got, want, nat)
 		}
 	}
 
@@ -316,9 +310,9 @@ func TestIntoVariantsMatch(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		s.DenormalizeInto(nat, u)
 		s.NormalizeInto(dst, nat)
-		feasible = s.FeasibleInto(scratch, nat)
+		feasible = s.Feasible(nat)
 	}); n != 0 {
-		t.Fatalf("Into variants allocate %.1f times per candidate, want 0", n)
+		t.Fatalf("the candidate path allocates %.1f times per candidate, want 0", n)
 	}
 	if !feasible {
 		t.Fatal("probe point should be feasible (r > 0)")

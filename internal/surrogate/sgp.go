@@ -40,26 +40,16 @@ type sgpFitter struct{}
 
 func (sgpFitter) Kind() string { return KindSGP }
 
-// taskSGP is one task's fitted sparse GP. qmat and r are the sufficient
-// statistics the posterior is derived from; Append folds new points into
-// them and re-derives the m×m factor and alpha, never touching the O(n)
+// taskSGP is one task's fitted sparse GP: a view over the exact fit on its
+// inducing subset — kernel rows (the fit's k* at task 0), prior variance,
+// noise, output standardization and hyperparameters all read off it — plus
+// the DTC sufficient statistics qmat and r. Append folds new points into
+// them and re-derives the m×m factors and alpha, never touching the O(n)
 // training set again.
 type taskSGP struct {
-	dim    int
-	n      int       // samples absorbed (bookkeeping only)
-	m      int       // inducing-set size
-	z      []float64 // m×dim inducing coordinates, row-major
-	ls     []float64 // lengthscales (dim)
-	signal float64   // kernel variance a² + b from the subset fit
-	noise  float64   // noise variance d from the subset fit
-	theta  []float64 // full subset-fit hyperparameter vector (warm starts)
-	yMean  float64   // output standardization frozen from the subset fit
-	yStd   float64
-	prior  float64 // signal + noise
-
-	// Kernel tables derived from ls and z by prepKernel, never serialized.
-	w  []float64 // [dim]: ½/l²
-	zT []float64 // [dim*m]: dimension-major copy of z
+	fit *gp.LCM     // the exact single-task fit on the inducing subset
+	z   [][]float64 // the m inducing rows: fit's training rows, in its order
+	n   int         // samples absorbed (bookkeeping only)
 
 	qmat  *la.Matrix    // Q_m (no jitter), grown by Append
 	r     []float64     // K_mn·y accumulator
@@ -69,38 +59,11 @@ type taskSGP struct {
 }
 
 func (ts *taskSGP) invNoise() float64 {
-	ns := ts.noise
+	ns := ts.fit.D[0]
 	if ns < noiseFloor {
 		ns = noiseFloor
 	}
 	return 1 / ns
-}
-
-// prepKernel derives the kernel tables from ls and z at fit time.
-func (ts *taskSGP) prepKernel() {
-	ts.w = make([]float64, ts.dim)
-	for d, l := range ts.ls {
-		ts.w[d] = 0.5 / (l * l)
-	}
-	ts.zT = make([]float64, ts.dim*ts.m)
-	for i := 0; i < ts.m; i++ {
-		for d := 0; d < ts.dim; d++ {
-			ts.zT[d*ts.m+i] = ts.z[i*ts.dim+d]
-		}
-	}
-}
-
-// kernRow sets dst[i] = signal·exp(−Σ_d (½/l_d²)·(x_d − z_i[d])²) for every
-// inducing point i, allocation-free, in the gp package's k* form: one
-// la.NegSqDistInto over zT, one la.ExpInto, then the signal scale. It is the
-// task's one kernel evaluation — K_mn, K_mm, k* and Append's k. len(dst)
-// must be m and len(x) dim.
-//
-//gptlint:hotpath
-func (ts *taskSGP) kernRow(dst, x []float64) {
-	la.NegSqDistInto(dst, ts.w, x, ts.zT, ts.m)
-	la.ExpInto(dst, dst)
-	la.ScaleVec(ts.signal, dst)
 }
 
 func (sgpFitter) Fit(data *Dataset, opts FitOptions) (Model, error) {
@@ -140,27 +103,11 @@ func (sgpFitter) Fit(data *Dataset, opts FitOptions) (Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	yMean, yStd := fit.OutputStats()
-	ts := &taskSGP{
-		dim:    dim,
-		n:      n,
-		m:      m,
-		z:      make([]float64, m*dim),
-		ls:     append([]float64(nil), fit.Ls[0]...),
-		signal: fit.A[0][0]*fit.A[0][0] + fit.B[0][0],
-		noise:  fit.D[0],
-		theta:  fit.Hyperparameters(),
-		yMean:  yMean,
-		yStd:   yStd,
-	}
-	ts.prior = ts.signal + ts.noise
-	for j, id := range idx {
-		copy(ts.z[j*dim:(j+1)*dim], x[id])
-	}
-	ts.prepKernel()
+	ts := &taskSGP{fit: fit, z: subX, n: n}
 
 	// All outputs, standardized with the subset-fit statistics (the
 	// hyperparameters were learned in that space).
+	yMean, yStd := fit.OutputStats()
 	yn := make([]float64, n)
 	for j, v := range y {
 		yn[j] = (v - yMean) / yStd
@@ -173,8 +120,11 @@ func (sgpFitter) Fit(data *Dataset, opts FitOptions) (Model, error) {
 	if workers < 1 {
 		workers = 1
 	}
-	mpx.ParallelFor(n, workers, func(j int) {
-		ts.kernRow(knm.Row(j), x[j])
+	mpx.ParallelChunks(n, (n+workers-1)/workers, workers, func(_, lo, hi int) {
+		ws := fit.NewPredictWorkspace()
+		for j := lo; j < hi; j++ {
+			fit.KStarInto(ws, knm.Row(j), 0, x[j])
+		}
 	})
 	kmn := la.NewMatrix(m, n)
 	for j := 0; j < n; j++ {
@@ -204,14 +154,15 @@ func (sgpFitter) Fit(data *Dataset, opts FitOptions) (Model, error) {
 	return ts, nil
 }
 
-// buildKmm assembles the inducing-set Gram matrix from the stored
-// coordinates, the same bits at fit time and on every Append. Row i is
-// kernRow at z_i, and (a−b)² = (b−a)² exactly, so the matrix is symmetric
-// bit for bit.
+// buildKmm assembles the inducing-set Gram matrix, the same bits at fit
+// time and on every Append. Row i is the subset fit's k* at z_i, and
+// (a−b)² = (b−a)² exactly, so the matrix is symmetric bit for bit.
 func (ts *taskSGP) buildKmm() *la.Matrix {
-	kmm := la.NewMatrix(ts.m, ts.m)
-	for i := 0; i < ts.m; i++ {
-		ts.kernRow(kmm.Row(i), ts.z[i*ts.dim:(i+1)*ts.dim])
+	m := len(ts.z)
+	kmm := la.NewMatrix(m, m)
+	ws := ts.fit.NewPredictWorkspace()
+	for i, z := range ts.z {
+		ts.fit.KStarInto(ws, kmm.Row(i), 0, z)
 	}
 	return kmm
 }
@@ -224,11 +175,12 @@ func (ts *taskSGP) refactor(kmm *la.Matrix) error {
 	}
 	// block = m: one block, i.e. the unblocked serial recurrence — the m×m
 	// factors are small.
-	lm, _, err := la.CholeskyJitter(kmm, 0, ts.m, 1)
+	m := len(ts.z)
+	lm, _, err := la.CholeskyJitter(kmm, 0, m, 1)
 	if err != nil {
 		return fmt.Errorf("surrogate: sgp inducing Gram factorization: %w", err)
 	}
-	lq, _, err := la.CholeskyJitter(ts.qmat, 0, ts.m, 1)
+	lq, _, err := la.CholeskyJitter(ts.qmat, 0, m, 1)
 	if err != nil {
 		return fmt.Errorf("surrogate: sgp Q factorization: %w", err)
 	}
@@ -243,27 +195,36 @@ func (ts *taskSGP) refactor(kmm *la.Matrix) error {
 func (ts *taskSGP) Kind() string  { return KindSGP }
 func (ts *taskSGP) NumTasks() int { return 1 }
 
-// NewWorkspace returns the O(m) prediction scratch: k* then the
-// forward-substitution vector.
-func (ts *taskSGP) NewWorkspace() Workspace { return make([]float64, 2*ts.m) }
+// sgpWorkspace is one goroutine's O(m) prediction scratch: the subset
+// fit's own k* workspace, k* and the forward-substitution vector.
+type sgpWorkspace struct {
+	fit      *gp.PredictWorkspace
+	kstar, v []float64
+}
+
+func (ts *taskSGP) NewWorkspace() Workspace {
+	m := len(ts.z)
+	buf := make([]float64, 2*m)
+	return &sgpWorkspace{fit: ts.fit.NewPredictWorkspace(), kstar: buf[:m], v: buf[m:]}
+}
 
 //gptlint:hotpath
 func (ts *taskSGP) PredictInto(ws Workspace, _ int, x []float64) (mean, variance float64) {
-	buf := ws.([]float64)
-	kstar, v := buf[:ts.m], buf[ts.m:]
-	ts.kernRow(kstar, x)
+	w := ws.(*sgpWorkspace)
+	kstar, v := ts.fit.KStarInto(w.fit, w.kstar, 0, x), w.v
 	mu := la.Dot(kstar, ts.alpha)
 	copy(v, kstar)
 	ts.lm.ForwardSubst(v)
-	vr := ts.prior - la.Dot(v, v)
+	vr := ts.fit.PriorVariance(0) - la.Dot(v, v)
 	copy(v, kstar)
 	ts.lq.ForwardSubst(v)
 	vr += la.Dot(v, v)
 	if vr < 0 {
 		vr = 0
 	}
-	mean = mu*ts.yStd + ts.yMean
-	variance = vr * ts.yStd * ts.yStd
+	yMean, yStd := ts.fit.OutputStats()
+	mean = mu*yStd + yMean
+	variance = vr * yStd * yStd
 	return mean, variance
 }
 
@@ -281,16 +242,18 @@ func (ts *taskSGP) PredictBatchInto(ws Workspace, _ int, xs [][]float64, mean, v
 // fitted values. Cost is O(k·m²) + O(m³), independent of history length.
 func (ts *taskSGP) Append(data *Dataset, workers int) error {
 	_ = workers // O(m²) per point: nothing worth parallelizing
-	if data.Dim != ts.dim {
-		return fmt.Errorf("surrogate: sgp append got dim %d, model has %d", data.Dim, ts.dim)
+	if data.Dim != ts.fit.Dim {
+		return fmt.Errorf("surrogate: sgp append got dim %d, model has %d", data.Dim, ts.fit.Dim)
 	}
-	kvec := make([]float64, ts.m)
+	m := len(ts.z)
+	ws, kvec := ts.fit.NewPredictWorkspace(), make([]float64, m)
 	inv := ts.invNoise()
+	yMean, yStd := ts.fit.OutputStats()
 	q := ts.qmat
 	for j, x := range data.X[0] {
-		ts.kernRow(kvec, x)
-		yn := (data.Y[0][j] - ts.yMean) / ts.yStd
-		for p := 0; p < ts.m; p++ {
+		ts.fit.KStarInto(ws, kvec, 0, x)
+		yn := (data.Y[0][j] - yMean) / yStd
+		for p := 0; p < m; p++ {
 			kp := inv * kvec[p]
 			row := q.Row(p)
 			for p2 := 0; p2 <= p; p2++ {
@@ -301,7 +264,7 @@ func (ts *taskSGP) Append(data *Dataset, workers int) error {
 		ts.n++
 	}
 	// Mirror the strict-lower updates into the upper triangle.
-	for p := 0; p < ts.m; p++ {
+	for p := 0; p < m; p++ {
 		for p2 := 0; p2 < p; p2++ {
 			q.Set(p2, p, q.At(p, p2))
 		}
@@ -320,7 +283,7 @@ type sgpTaskSnapshot struct {
 }
 
 func (ts *taskSGP) MarshalBinary() ([]byte, error) {
-	return json.Marshal(sgpTaskSnapshot{Dim: ts.dim, Theta: ts.theta})
+	return json.Marshal(sgpTaskSnapshot{Dim: ts.fit.Dim, Theta: ts.fit.Hyperparameters()})
 }
 
 // decodeSGPTask is one sgp cell's WarmStart: the subset fit's

@@ -31,8 +31,8 @@ func TestSGPInducingSubset(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, ts := range sgpTasks(m) {
-		if ts.m != 8 {
-			t.Fatalf("task %d: %d inducing points, want 8", i, ts.m)
+		if len(ts.z) != 8 {
+			t.Fatalf("task %d: %d inducing points, want 8", i, len(ts.z))
 		}
 		if ts.n != 30 {
 			t.Fatalf("task %d: n = %d, want 30", i, ts.n)
@@ -48,8 +48,8 @@ func TestSGPInducingSubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ts := sgpTasks(big)[0]; ts.m != 30 {
-		t.Fatalf("Inducing=500 on 30 samples gave m = %d, want 30", ts.m)
+	if ts := sgpTasks(big)[0]; len(ts.z) != 30 {
+		t.Fatalf("Inducing=500 on 30 samples gave m = %d, want 30", len(ts.z))
 	}
 }
 
@@ -83,19 +83,21 @@ func TestSGPAppendMatchesBatchStatistics(t *testing.T) {
 		if ts.n != 24 {
 			t.Fatalf("task %d: n = %d, want 24", task, ts.n)
 		}
+		m := len(ts.z)
 		inv := ts.invNoise()
 		kmm := ts.buildKmm()
-		kmn := la.NewMatrix(ts.m, 24)
+		kmn := la.NewMatrix(m, 24)
 		yn := make([]float64, 24)
-		col := make([]float64, ts.m)
+		ws, col := ts.fit.NewPredictWorkspace(), make([]float64, m)
+		yMean, yStd := ts.fit.OutputStats()
 		for j := 0; j < 24; j++ {
-			yn[j] = (full.Y[task][j] - ts.yMean) / ts.yStd
-			ts.kernRow(col, full.X[task][j])
+			yn[j] = (full.Y[task][j] - yMean) / yStd
+			ts.fit.KStarInto(ws, col, 0, full.X[task][j])
 			for i, v := range col {
 				kmn.Set(i, j, v)
 			}
 		}
-		for i := 0; i < ts.m; i++ {
+		for i := 0; i < m; i++ {
 			wantR := la.Dot(kmn.Row(i), yn)
 			if math.Abs(ts.r[i]-wantR) > 1e-9*math.Max(1, math.Abs(wantR)) {
 				t.Fatalf("task %d: r[%d] = %v, oracle %v", task, i, ts.r[i], wantR)

@@ -276,7 +276,7 @@ func liveWarmStart(t *testing.T, m Model) [][]float64 {
 		case *lcmModel:
 			warm[i] = c.m.Hyperparameters()
 		case *taskSGP:
-			warm[i] = c.theta
+			warm[i] = c.fit.Hyperparameters()
 		}
 	}
 	return warm

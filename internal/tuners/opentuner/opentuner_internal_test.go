@@ -142,7 +142,8 @@ func TestTuneInfeasibleRepair(t *testing.T) {
 			return []float64{x[0] + x[1]}, nil
 		},
 	}
-	p.Tuning.AddConstraint("sum<=1", func(v map[string]float64) bool { return v["x0"]+v["x1"] <= 1 })
+	x0, x1 := p.Tuning.IndexOf("x0"), p.Tuning.IndexOf("x1")
+	p.Tuning.AddConstraint("sum<=1", func(x []float64) bool { return x[x0]+x[x1] <= 1 })
 	tr, err := (Tuner{}).Tune(p, []float64{0}, 20, 12)
 	if err != nil {
 		t.Fatal(err)

@@ -106,7 +106,8 @@ func TestModelBasedTunersBeatBudgetedRandom(t *testing.T) {
 
 func TestTunersRespectConstraints(t *testing.T) {
 	p := quadProblem()
-	p.Tuning.AddConstraint("x1>=x0", func(v map[string]float64) bool { return v["x1"] >= v["x0"] })
+	x0, x1 := p.Tuning.IndexOf("x0"), p.Tuning.IndexOf("x1")
+	p.Tuning.AddConstraint("x1>=x0", func(x []float64) bool { return x[x1] >= x[x0] })
 	for _, tn := range allTuners() {
 		tr, err := tn.Tune(p, []float64{0}, 10, 2)
 		if err != nil {
@@ -250,7 +251,8 @@ func TestHpBandSterUsesModelAfterWarmup(t *testing.T) {
 // tag) (grid draws nothing and kept its hashes).
 func TestGoldenTrajectories(t *testing.T) {
 	constrained := quadProblem()
-	constrained.Tuning.AddConstraint("x1>=x0", func(v map[string]float64) bool { return v["x1"] >= v["x0"] })
+	x0, x1 := constrained.Tuning.IndexOf("x0"), constrained.Tuning.IndexOf("x1")
+	constrained.Tuning.AddConstraint("x1>=x0", func(x []float64) bool { return x[x1] >= x[x0] })
 	problems := []*core.Problem{ridgeProblem(), constrained}
 	want := map[string][2]uint64{
 		"random":     {0xa5d6146187bc3483, 0x7c6246274007817f},
