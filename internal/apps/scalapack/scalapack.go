@@ -18,6 +18,7 @@ import (
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/la"
 	"repro/internal/machine"
 	"repro/internal/space"
 )
@@ -89,7 +90,7 @@ func threadEfficiency(nt int) float64 {
 	if nt < 1 {
 		nt = 1
 	}
-	return math.Pow(float64(nt), 0.9)
+	return la.Pow(float64(nt), 0.9)
 }
 
 // imbalance grows when the block-cyclic tiles are too coarse for the grid.

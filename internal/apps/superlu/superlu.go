@@ -19,6 +19,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/la"
 	"repro/internal/machine"
 	"repro/internal/space"
 	"repro/internal/sparse"
@@ -182,7 +183,7 @@ func ModelCost(mach machine.Machine, n float64, an *sparse.Analysis, cfg Config)
 	rate := mach.FlopsPerCore * supEfficiency(stats.WeightedLen)
 	aspect := math.Max(float64(cfg.Pr)/float64(pc), float64(pc)/float64(cfg.Pr))
 	granularity := 1 + stats.WeightedLen*math.Sqrt(float64(cfg.P))/n
-	tFlop := flops / (float64(cfg.P) * rate) * math.Pow(aspect, 0.25) * granularity
+	tFlop := flops / (float64(cfg.P) * rate) * la.Pow(aspect, 0.25) * granularity
 
 	// Communication: one row- and column-broadcast per supernode panel,
 	// partially hidden by the look-ahead pipeline.

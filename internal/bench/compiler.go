@@ -6,6 +6,7 @@ import (
 	"strconv"
 
 	"repro/internal/core"
+	"repro/internal/la"
 	"repro/internal/space"
 )
 
@@ -81,7 +82,7 @@ func compilerRuntime(task, x []float64) float64 {
 
 	// Base cost of the program at this input scale.
 	base := (1.2 + 0.7*hash01(prog, "base")) *
-		math.Pow(scale, 0.8+0.5*hash01(prog, "scale-exp"))
+		la.Pow(scale, 0.8+0.5*hash01(prog, "scale-exp"))
 
 	// Log-runtime effects accumulate in s; runtime = base * exp(s).
 	s := 0.0
@@ -95,7 +96,7 @@ func compilerRuntime(task, x []float64) float64 {
 
 	// Inline threshold: quadratic in log space around a program-dependent
 	// sweet spot.
-	thStar := 60 * math.Pow(10, hash01(prog, "inline-star")) // 60..600
+	thStar := 60 * la.Pow(10, hash01(prog, "inline-star")) // 60..600
 	dTh := math.Log10(x[1] / thStar)
 	s += gate * 0.08 * dTh * dTh
 
@@ -141,7 +142,7 @@ func compilerRuntime(task, x []float64) float64 {
 		}
 	}
 
-	return base * math.Exp(s)
+	return base * la.Exp(s)
 }
 
 func init() {

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand"
 	"sort"
@@ -49,21 +47,12 @@ func TestMultiObjectiveGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
-		h := fnv.New64a()
-		var b [8]byte
 		for _, tr := range res.Tasks {
 			if len(tr.X) != 8 {
 				t.Fatalf("%s: task %v has %d samples, want 8", kind, tr.Task, len(tr.X))
 			}
-			for j := range tr.X {
-				for _, v := range append(append([]float64(nil), tr.X[j]...), tr.Y[j]...) {
-					binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-					h.Write(b[:])
-				}
-			}
 		}
-		got := fmt.Sprintf("%016x", h.Sum64())
-		if got != want[kind] {
+		if got := historyHash(res); got != want[kind] {
 			t.Errorf("%s: history hash %s, recorded %s", kind, got, want[kind])
 		}
 	}

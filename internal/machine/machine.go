@@ -15,6 +15,8 @@ import (
 	"hash/fnv"
 	"math"
 	"sync"
+
+	"repro/internal/la"
 )
 
 // Machine holds the hardware parameters of the cost models.
@@ -116,7 +118,7 @@ func (n *Noise) MulAt(key string, attempt uint64) float64 {
 	h.Write([]byte{0xA5})
 	u2 := float64(h.Sum64()>>11) / float64(1<<53)
 	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	return math.Exp(n.Sigma * z)
+	return la.Exp(n.Sigma * z)
 }
 
 // Reset clears attempt counters (fresh measurement sequences).

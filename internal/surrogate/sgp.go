@@ -44,8 +44,9 @@ func (sgpFitter) Kind() string { return KindSGP }
 // inducing subset — kernel rows (the fit's k* at task 0), prior variance,
 // noise, output standardization and hyperparameters all read off it — plus
 // the DTC sufficient statistics qmat and r. Append folds new points into
-// them and re-derives the m×m factors and alpha, never touching the O(n)
-// training set again.
+// them and re-derives Q_m's factor and alpha, never touching the O(n)
+// training set again; K_mm's factor depends on the inducing rows and the
+// hyperparameters alone, so Fit computes it once.
 type taskSGP struct {
 	fit *gp.LCM     // the exact single-task fit on the inducing subset
 	z   [][]float64 // the m inducing rows: fit's training rows, in its order
@@ -53,7 +54,7 @@ type taskSGP struct {
 
 	qmat  *la.Matrix    // Q_m (no jitter), grown by Append
 	r     []float64     // K_mn·y accumulator
-	lm    *la.TriPacked // chol(K_mm + jitter·I)
+	lm    *la.TriPacked // chol(K_mm + jitter·I), fixed at Fit
 	lq    *la.TriPacked // chol(Q_m + jitter·I)
 	alpha []float64     // σ⁻²·Q_m⁻¹·r
 }
@@ -132,8 +133,13 @@ func (sgpFitter) Fit(data *Dataset, opts FitOptions) (Model, error) {
 			kmn.Data[i*n+j] = v
 		}
 	}
+	// K_mm's row i is K_nm's row at z_i's sample: the subset fit's k* at
+	// z_i, symmetric bit for bit since (a−b)² = (b−a)² exactly.
+	kmm := la.NewMatrix(m, m)
+	for i, id := range idx {
+		copy(kmm.Row(i), knm.Row(id))
+	}
 	inv := ts.invNoise()
-	kmm := ts.buildKmm()
 	qmat := la.NewMatrix(m, m)
 	mpx.ParallelFor(m, workers, func(i int) {
 		ri := kmn.Row(i)
@@ -148,43 +154,26 @@ func (sgpFitter) Fit(data *Dataset, opts FitOptions) (Model, error) {
 	for i := 0; i < m; i++ {
 		ts.r[i] = la.Dot(kmn.Row(i), yn)
 	}
-	if err := ts.refactor(kmm); err != nil {
+	// block = m: one block, i.e. the unblocked serial recurrence — the m×m
+	// factors are small.
+	lm, _, err := la.CholeskyJitter(kmm, 0, m, 1)
+	if err != nil {
+		return nil, fmt.Errorf("surrogate: sgp inducing Gram factorization: %w", err)
+	}
+	ts.lm = la.PackChol(lm)
+	if err := ts.refactor(); err != nil {
 		return nil, err
 	}
 	return ts, nil
 }
 
-// buildKmm assembles the inducing-set Gram matrix, the same bits at fit
-// time and on every Append. Row i is the subset fit's k* at z_i, and
-// (a−b)² = (b−a)² exactly, so the matrix is symmetric bit for bit.
-func (ts *taskSGP) buildKmm() *la.Matrix {
-	m := len(ts.z)
-	kmm := la.NewMatrix(m, m)
-	ws := ts.fit.NewPredictWorkspace()
-	for i, z := range ts.z {
-		ts.fit.KStarInto(ws, kmm.Row(i), 0, z)
-	}
-	return kmm
-}
-
-// refactor derives the posterior factors and weights from (qmat, r): the two
-// jittered Cholesky factorizations and alpha. kmm may be nil to rebuild it.
-func (ts *taskSGP) refactor(kmm *la.Matrix) error {
-	if kmm == nil {
-		kmm = ts.buildKmm()
-	}
-	// block = m: one block, i.e. the unblocked serial recurrence — the m×m
-	// factors are small.
-	m := len(ts.z)
-	lm, _, err := la.CholeskyJitter(kmm, 0, m, 1)
-	if err != nil {
-		return fmt.Errorf("surrogate: sgp inducing Gram factorization: %w", err)
-	}
-	lq, _, err := la.CholeskyJitter(ts.qmat, 0, m, 1)
+// refactor derives Q_m's jittered Cholesky factor and alpha from (qmat, r),
+// one block like K_mm's.
+func (ts *taskSGP) refactor() error {
+	lq, _, err := la.CholeskyJitter(ts.qmat, 0, len(ts.z), 1)
 	if err != nil {
 		return fmt.Errorf("surrogate: sgp Q factorization: %w", err)
 	}
-	ts.lm = la.PackChol(lm)
 	ts.lq = la.PackChol(lq)
 	alpha := ts.lq.SolveVec(ts.r)
 	la.ScaleVec(ts.invNoise(), alpha)
@@ -237,7 +226,7 @@ func (ts *taskSGP) PredictBatchInto(ws Workspace, _ int, xs [][]float64, mean, v
 
 // Append folds new observations into the DTC sufficient statistics: for each
 // new point, Q_m += σ⁻²·k·kᵀ and r += y·k with k the point's inducing-set
-// cross-covariances, then one O(m³) refactorization re-derives the
+// cross-covariances, then one O(m³) factorization of Q_m re-derives the
 // posterior. The inducing set and hyperparameters stay frozen at their
 // fitted values. Cost is O(k·m²) + O(m³), independent of history length.
 func (ts *taskSGP) Append(data *Dataset, workers int) error {
@@ -269,7 +258,7 @@ func (ts *taskSGP) Append(data *Dataset, workers int) error {
 			q.Set(p2, p, q.At(p, p2))
 		}
 	}
-	return ts.refactor(nil)
+	return ts.refactor()
 }
 
 // sgpTaskSnapshot is the wire form of one task's sparse GP: its dimension

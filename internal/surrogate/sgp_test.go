@@ -85,10 +85,13 @@ func TestSGPAppendMatchesBatchStatistics(t *testing.T) {
 		}
 		m := len(ts.z)
 		inv := ts.invNoise()
-		kmm := ts.buildKmm()
+		kmm := la.NewMatrix(m, m)
 		kmn := la.NewMatrix(m, 24)
 		yn := make([]float64, 24)
 		ws, col := ts.fit.NewPredictWorkspace(), make([]float64, m)
+		for i, z := range ts.z {
+			ts.fit.KStarInto(ws, kmm.Row(i), 0, z)
+		}
 		yMean, yStd := ts.fit.OutputStats()
 		for j := 0; j < 24; j++ {
 			yn[j] = (full.Y[task][j] - yMean) / yStd
