@@ -68,7 +68,7 @@ func TestFailRetryStreamDraws(t *testing.T) {
 	}
 	// White box: replay the retry stream of task 0's first initial job
 	// independently.
-	j := eng.byID[sg.ID]
+	j := eng.pending(sg.ID)
 	if sg.ID != 0 || sg.Task != 0 || sg.Phase != "init" {
 		t.Fatalf("first suggestion %+v is not task 0's first initial job", sg)
 	}

@@ -114,9 +114,8 @@ type Engine struct {
 	start time.Time
 
 	batch      []*engJob // current batch, canonical order
+	batchBase  int64     // ID of batch[0]: IDs are sequential, batch after batch
 	nextCommit int       // first uncommitted index in batch
-	byID       map[int64]*engJob
-	nextID     int64
 
 	initGenerated bool
 	priorsMerged  bool
@@ -194,7 +193,7 @@ func NewEngine(p *Problem, tasks [][]float64, options Options) (*Engine, error) 
 	if p.Model != nil {
 		st.coeffs = append([]float64(nil), p.Model.Coeffs...)
 	}
-	e := &Engine{st: st, start: st.opts.now(), byID: make(map[int64]*engJob), phase: "init"}
+	e := &Engine{st: st, start: st.opts.now(), phase: "init"}
 	e.gen = sync.NewCond(&e.mu)
 	return e, nil
 }
@@ -469,10 +468,9 @@ func (e *Engine) generate(isInit bool) (jobs []*engJob, phase string, delta Phas
 func (e *Engine) install(jobs []*engJob, phase string) error {
 	st := e.st
 	e.phase = phase
-	for _, j := range jobs {
-		j.id = e.nextID
-		e.nextID++
-		e.byID[j.id] = j
+	e.batchBase += int64(len(e.batch))
+	for i, j := range jobs {
+		j.id = e.batchBase + int64(i)
 	}
 	e.batch, e.nextCommit = jobs, 0
 	// A resumed run satisfies already-logged evaluations from the
@@ -506,13 +504,13 @@ func (e *Engine) Observe(id int64, y []float64) error {
 	if e.fatal != nil {
 		return e.fatal
 	}
-	j, ok := e.byID[id]
-	// IDs are sequential and leave byID at commit, so one below nextID that
-	// is gone was observed and committed.
-	if ok && j.issued && j.observed || !ok && id >= 0 && id < e.nextID {
+	j := e.pending(id)
+	// IDs are sequential, so one below the batch's uncommitted suffix was
+	// observed and committed.
+	if j != nil && j.issued && j.observed || id >= 0 && id < e.batchBase+int64(e.nextCommit) {
 		return nil
 	}
-	if !ok || !j.issued || j.dead {
+	if j == nil || !j.issued || j.dead {
 		return fmt.Errorf("%w %d", ErrUnknownSuggestion, id)
 	}
 	if err := e.st.p.checkOutputs(y); err != nil {
@@ -541,8 +539,8 @@ func (e *Engine) Fail(id int64, cause error) (Suggestion, error) {
 	if e.fatal != nil {
 		return Suggestion{}, e.fatal
 	}
-	j, ok := e.byID[id]
-	if !ok || !j.issued || j.observed || j.dead {
+	j := e.pending(id)
+	if j == nil || !j.issued || j.observed || j.dead {
 		return Suggestion{}, fmt.Errorf("%w %d", ErrUnknownSuggestion, id)
 	}
 	if cause == nil {
@@ -593,6 +591,16 @@ func (e *Engine) Result() *Result {
 	return res
 }
 
+// pending returns the uncommitted job of the current batch with the given
+// ID, or nil. Called with e.mu held.
+func (e *Engine) pending(id int64) *engJob {
+	i := id - e.batchBase
+	if i < int64(e.nextCommit) || i >= int64(len(e.batch)) {
+		return nil
+	}
+	return e.batch[i]
+}
+
 // commitReady commits the contiguous observed prefix of the current batch:
 // each job is streamed to the checkpoint first (write-ahead), then appended
 // to the tuning history. Called with e.mu held.
@@ -612,7 +620,6 @@ func (e *Engine) commitReady() error {
 		st.Y[j.task] = append(st.Y[j.task], j.y)
 		st.done[j.task]++
 		e.nextCommit++
-		delete(e.byID, j.id)
 	}
 	return nil
 }

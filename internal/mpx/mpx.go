@@ -11,6 +11,7 @@ package mpx
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Gate bounds how many holders may be inside a region at once — a counting
@@ -64,17 +65,18 @@ func ParallelFor(n, workers int, fn func(i int)) {
 		}
 		return
 	}
-	idx := make(chan int, n) //gptlint:ignore hotpath-alloc the work queue is the price of fanning out; hot paths pay it once per parallel region, never per item
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
+	// Workers claim indices from one shared cursor until it passes n.
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for i := range idx {
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
 				fn(i)
 			}
 		}()

@@ -8,8 +8,8 @@
 // Rendezvous was chosen over a ketama-style virtual-node circle because the
 // replica counts here are small (units to tens): O(n) per lookup is
 // negligible, the balance is as good as the hash with no vnode tuning, and
-// the "every node ranked per key" form directly yields the failover order a
-// router wants.
+// failover needs no extra structure: a router that ejects a replica routes
+// on Without(dead).Owner, which is the next-highest weight for the key.
 package ring
 
 import (
@@ -64,31 +64,6 @@ func (r *Ring) Owner(key string) (string, bool) {
 		}
 	}
 	return best, true
-}
-
-// Ranked returns every node ordered by descending weight for key: Ranked[0]
-// is the owner, Ranked[1] the node the key moves to if the owner dies, and
-// so on — the failover/migration order for the key.
-func (r *Ring) Ranked(key string) []string {
-	type pair struct {
-		n string
-		w uint64
-	}
-	ps := make([]pair, len(r.nodes))
-	for i, n := range r.nodes {
-		ps[i] = pair{n, weight(n, key)}
-	}
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].w != ps[j].w {
-			return ps[i].w > ps[j].w
-		}
-		return ps[i].n < ps[j].n
-	})
-	out := make([]string, len(ps))
-	for i, p := range ps {
-		out[i] = p.n
-	}
-	return out
 }
 
 // Without returns a ring over this ring's nodes minus the given ones — the

@@ -107,28 +107,6 @@ func TestBalance(t *testing.T) {
 	}
 }
 
-// TestRankedIsFailoverOrder: Ranked[0] is the owner; dropping the first k
-// ranked nodes makes Ranked[k] the owner — the failover chain a router
-// walks as replicas die.
-func TestRankedIsFailoverOrder(t *testing.T) {
-	r := New(names(4, "n")...)
-	for i := 0; i < 50; i++ {
-		key := fmt.Sprintf("study-%d", i)
-		ranked := r.Ranked(key)
-		if len(ranked) != 4 {
-			t.Fatalf("Ranked returned %d nodes, want 4", len(ranked))
-		}
-		cur := r
-		for k := 0; k < 3; k++ {
-			o, _ := cur.Owner(key)
-			if o != ranked[k] {
-				t.Fatalf("key %s: after %d removals owner is %s, Ranked says %s", key, k, o, ranked[k])
-			}
-			cur = cur.Without(ranked[k])
-		}
-	}
-}
-
 // TestWithoutUnknownNode: removing a node that is not in the ring is a no-op.
 func TestWithoutUnknownNode(t *testing.T) {
 	r := New("a", "b")

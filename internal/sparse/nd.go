@@ -7,7 +7,27 @@ package sparse
 // graphs this achieves the classic O(n log n) fill bound that minimum
 // degree only approaches heuristically.
 
-import "sort"
+import "slices"
+
+// dissection holds one nested dissection's vertex sets as stamp arrays
+// sized n, allocated once per ordering: v belongs to the fragment being
+// split while member[v] == frag, and the current search has reached it
+// while seen[v] == search.
+type dissection struct {
+	p            *Pattern
+	member, seen []int
+	frag, search int
+}
+
+// enter makes vertices the current fragment.
+func (d *dissection) enter(vertices []int32) {
+	d.frag++
+	for _, v := range vertices {
+		d.member[v] = d.frag
+	}
+}
+
+func (d *dissection) in(v int32) bool { return d.member[v] == d.frag }
 
 // orderND computes a nested dissection permutation: perm[k] is the old
 // vertex eliminated k-th.
@@ -15,6 +35,7 @@ func orderND(p *Pattern) []int32 {
 	n := p.N
 	perm := make([]int32, 0, n)
 	visited := make([]bool, n)
+	d := &dissection{p: p, member: make([]int, n), seen: make([]int, n)}
 
 	var recurse func(vertices []int32)
 	recurse = func(vertices []int32) {
@@ -22,20 +43,17 @@ func orderND(p *Pattern) []int32 {
 		if len(vertices) <= smallCutoff {
 			// Base case: order the fragment by (local) minimum degree —
 			// cheap and good at leaf size.
-			perm = append(perm, localMinDegree(p, vertices)...)
+			perm = append(perm, d.localMinDegree(vertices)...)
 			return
 		}
 		// BFS level structure from a pseudo-peripheral vertex of this
 		// fragment.
-		member := map[int32]bool{}
-		for _, v := range vertices {
-			member[v] = true
-		}
-		start := pseudoPeripheral(p, vertices[0], member)
-		levels := bfsLevels(p, start, member)
+		d.enter(vertices)
+		start := d.pseudoPeripheral(vertices[0])
+		levels := d.bfsLevels(start, vertices)
 		if len(levels) < 3 {
 			// No useful separator (dense or tiny diameter): fall back.
-			perm = append(perm, localMinDegree(p, vertices)...)
+			perm = append(perm, d.localMinDegree(vertices)...)
 			return
 		}
 		// Separator = the median BFS level; halves = levels on either side.
@@ -52,7 +70,7 @@ func orderND(p *Pattern) []int32 {
 			}
 		}
 		if len(left) == 0 || len(right) == 0 {
-			perm = append(perm, localMinDegree(p, vertices)...)
+			perm = append(perm, d.localMinDegree(vertices)...)
 			return
 		}
 		recurse(left)
@@ -90,65 +108,51 @@ func collectComponent(p *Pattern, start int32, visited []bool) []int32 {
 	return comp
 }
 
-// pseudoPeripheral runs BFS twice within the member set to approximate a
-// diameter endpoint.
-func pseudoPeripheral(p *Pattern, start int32, member map[int32]bool) int32 {
-	far := lastBFS(p, start, member)
-	return lastBFS(p, far, member)
-}
-
-func lastBFS(p *Pattern, start int32, member map[int32]bool) int32 {
-	seen := map[int32]bool{start: true}
-	frontier := []int32{start}
-	last := start
-	for len(frontier) > 0 {
-		var next []int32
-		for _, u := range frontier {
-			for _, w := range p.Adj[u] {
-				if member[w] && !seen[w] {
-					seen[w] = true
-					next = append(next, w)
-				}
-			}
-		}
-		if len(next) > 0 {
-			last = next[len(next)-1]
-		}
-		frontier = next
+// pseudoPeripheral runs BFS twice within the fragment to approximate a
+// diameter endpoint: the last vertex the second search reaches.
+func (d *dissection) pseudoPeripheral(start int32) int32 {
+	for range 2 {
+		levels := d.bfs(start)
+		last := levels[len(levels)-1]
+		start = last[len(last)-1]
 	}
-	return last
+	return start
 }
 
-// bfsLevels returns the level sets of a BFS restricted to member vertices,
-// including any member vertices unreachable from start as a final level.
-func bfsLevels(p *Pattern, start int32, member map[int32]bool) [][]int32 {
-	seen := map[int32]bool{start: true}
+// bfs returns the level sets of a breadth-first search from start restricted
+// to the fragment.
+func (d *dissection) bfs(start int32) [][]int32 {
+	d.search++
+	d.seen[start] = d.search
 	var levels [][]int32
-	frontier := []int32{start}
-	for len(frontier) > 0 {
+	for frontier := []int32{start}; len(frontier) > 0; {
 		levels = append(levels, frontier)
 		var next []int32
 		for _, u := range frontier {
-			for _, w := range p.Adj[u] {
-				if member[w] && !seen[w] {
-					seen[w] = true
+			for _, w := range d.p.Adj[u] {
+				if d.in(w) && d.seen[w] != d.search {
+					d.seen[w] = d.search
 					next = append(next, w)
 				}
 			}
 		}
 		frontier = next
 	}
+	return levels
+}
+
+// bfsLevels returns bfs(start)'s levels plus, sorted as a final level, the
+// fragment vertices unreachable from start.
+func (d *dissection) bfsLevels(start int32, vertices []int32) [][]int32 {
+	levels := d.bfs(start)
 	var stragglers []int32
-	//gptlint:ignore no-map-range set collection only; stragglers are sorted below before they reach the ordering
-	for v := range member {
-		if !seen[v] {
+	for _, v := range vertices {
+		if d.seen[v] != d.search {
 			stragglers = append(stragglers, v)
 		}
 	}
 	if len(stragglers) > 0 {
-		// Map iteration order is random per run; sorting makes the final
-		// level — and with it the whole dissection — deterministic.
-		sort.Slice(stragglers, func(i, j int) bool { return stragglers[i] < stragglers[j] })
+		slices.Sort(stragglers)
 		levels = append(levels, stragglers)
 	}
 	return levels
@@ -156,11 +160,8 @@ func bfsLevels(p *Pattern, start int32, member map[int32]bool) [][]int32 {
 
 // localMinDegree orders a small fragment by repeated minimum degree within
 // the fragment (simple quadratic implementation; fragments are tiny).
-func localMinDegree(p *Pattern, vertices []int32) []int32 {
-	member := map[int32]bool{}
-	for _, v := range vertices {
-		member[v] = true
-	}
+func (d *dissection) localMinDegree(vertices []int32) []int32 {
+	d.enter(vertices)
 	out := make([]int32, 0, len(vertices))
 	remaining := append([]int32(nil), vertices...)
 	for len(remaining) > 0 {
@@ -168,8 +169,8 @@ func localMinDegree(p *Pattern, vertices []int32) []int32 {
 		bestDeg := 1 << 30
 		for i, v := range remaining {
 			deg := 0
-			for _, w := range p.Adj[v] {
-				if member[w] {
+			for _, w := range d.p.Adj[v] {
+				if d.in(w) {
 					deg++
 				}
 			}
@@ -180,7 +181,7 @@ func localMinDegree(p *Pattern, vertices []int32) []int32 {
 		}
 		v := remaining[bestIdx]
 		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
-		delete(member, v)
+		d.member[v] = 0 // leaves the fragment
 		out = append(out, v)
 	}
 	return out

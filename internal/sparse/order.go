@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"container/heap"
+	"slices"
 	"sort"
 )
 
@@ -76,10 +77,13 @@ func orderRCM(p *Pattern) []int32 {
 	visited := make([]bool, n)
 	perm := make([]int32, 0, n)
 	deg := func(v int32) int { return len(p.Adj[v]) }
+	seen := make([]int, n) // seen[v] == stamp: the current BFS reached v
+	stamp := 0
 
 	bfsLevels := func(start int32) (last int32, order []int32) {
+		stamp++
 		order = append(order, start)
-		seen := map[int32]bool{start: true}
+		seen[start] = stamp
 		frontier := []int32{start}
 		last = start
 		for len(frontier) > 0 {
@@ -88,8 +92,8 @@ func orderRCM(p *Pattern) []int32 {
 				nbrs := append([]int32(nil), p.Adj[u]...)
 				sort.Slice(nbrs, func(i, j int) bool { return deg(nbrs[i]) < deg(nbrs[j]) })
 				for _, v := range nbrs {
-					if !seen[v] && !visited[v] {
-						seen[v] = true
+					if seen[v] != stamp && !visited[v] {
+						seen[v] = stamp
 						next = append(next, v)
 						order = append(order, v)
 					}
@@ -146,20 +150,15 @@ func (h *degHeap) Pop() any     { old := *h; n := len(old); it := old[n-1]; *h =
 // absorption.
 func orderMinDegree(p *Pattern) []int32 {
 	n := p.N
-	// Variable-variable adjacency (mutable copies).
-	adj := make([]map[int32]struct{}, n)
+	// Variable-variable adjacency (mutable sorted copies).
+	adj := make([][]int32, n)
 	for u := range adj {
-		adj[u] = make(map[int32]struct{}, len(p.Adj[u]))
-		for _, v := range p.Adj[u] {
-			adj[u][v] = struct{}{}
-		}
+		adj[u] = slices.Clone(p.Adj[u])
 	}
 	// Elements created by eliminations.
-	var elems [][]int32                       // element id → boundary variables (alive subset maintained lazily)
-	varElems := make([]map[int32]struct{}, n) // variable → element ids
-	for u := range varElems {
-		varElems[u] = make(map[int32]struct{})
-	}
+	var elems [][]int32            // element id → boundary variables (alive subset maintained lazily)
+	varElems := make([][]int32, n) // variable → ids of its unabsorbed elements
+	absorbed := make([]bool, n)    // element id → merged into a later element
 	eliminated := make([]bool, n)
 	approxDeg := make([]int, n)
 	h := make(degHeap, 0, n)
@@ -198,44 +197,39 @@ func orderMinDegree(p *Pattern) []int32 {
 		// elements (computed with a visitation stamp).
 		stamp++
 		var boundary []int32
-		//gptlint:ignore no-map-range stamp-deduplicated set collection; boundary is sorted below before any order-sensitive use
-		for u := range adj[v] {
+		for _, u := range adj[v] {
 			if !eliminated[u] && mark[u] != stamp {
 				mark[u] = stamp
 				boundary = append(boundary, u)
 			}
 		}
-		//gptlint:ignore no-map-range absorption order is irrelevant to the collected set; boundary is sorted below
-		for e := range varElems[v] {
+		for _, e := range varElems[v] {
 			for _, u := range elems[e] {
 				if !eliminated[u] && u != v && mark[u] != stamp {
 					mark[u] = stamp
 					boundary = append(boundary, u)
 				}
 			}
-			elems[e] = nil // absorbed
+			elems[e] = nil
+			absorbed[e] = true
 		}
-		// boundary's *content* is a set, but its order flows into element
-		// lists, heap push order, and ultimately the permutation; sort it so
-		// the ordering is bitwise reproducible run to run.
-		sort.Slice(boundary, func(i, j int) bool { return boundary[i] < boundary[j] })
+		// boundary's order flows into element lists, heap push order, and
+		// ultimately the permutation, so it is sorted.
+		slices.Sort(boundary)
 
 		newElem := int32(len(elems))
 		elems = append(elems, boundary)
 		for _, u := range boundary {
 			// Remove v and absorbed elements from u's lists; attach the new
 			// element.
-			delete(adj[u], v)
-			//gptlint:ignore no-map-range pure set subtraction; deletion order cannot affect the result
-			for e := range varElems[v] {
-				delete(varElems[u], e)
+			if i, ok := slices.BinarySearch(adj[u], v); ok {
+				adj[u] = slices.Delete(adj[u], i, i+1)
 			}
-			varElems[u][newElem] = struct{}{}
+			varElems[u] = append(slices.DeleteFunc(varElems[u], func(e int32) bool { return absorbed[e] }), newElem)
 			// Approximate external degree: variable neighbors plus element
 			// boundary sizes (upper bound; AMD's d̄).
 			d := len(adj[u])
-			//gptlint:ignore no-map-range integer summation; addition over a set is order-free
-			for e := range varElems[u] {
+			for _, e := range varElems[u] {
 				d += len(elems[e]) - 1
 			}
 			if d != approxDeg[u] {

@@ -12,7 +12,7 @@ package sparse
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/rng"
 )
@@ -60,46 +60,34 @@ func (p *Pattern) Validate() error {
 }
 
 func contains(sorted []int32, x int32) bool {
-	i := sort.Search(len(sorted), func(i int) bool { return sorted[i] >= x })
-	return i < len(sorted) && sorted[i] == x
+	_, ok := slices.BinarySearch(sorted, x)
+	return ok
 }
 
 // builder accumulates edges then produces a Pattern.
 type builder struct {
-	n    int
-	sets []map[int32]struct{}
+	adj [][]int32 // both directions of every edge, duplicates included
 }
 
 func newBuilder(n int) *builder {
-	return &builder{n: n, sets: make([]map[int32]struct{}, n)}
+	return &builder{adj: make([][]int32, n)}
 }
 
 func (b *builder) addEdge(u, v int) {
-	if u == v || u < 0 || v < 0 || u >= b.n || v >= b.n {
+	n := len(b.adj)
+	if u == v || u < 0 || v < 0 || u >= n || v >= n {
 		return
 	}
-	if b.sets[u] == nil {
-		b.sets[u] = make(map[int32]struct{})
-	}
-	if b.sets[v] == nil {
-		b.sets[v] = make(map[int32]struct{})
-	}
-	b.sets[u][int32(v)] = struct{}{}
-	b.sets[v][int32(u)] = struct{}{}
+	b.adj[u] = append(b.adj[u], int32(v))
+	b.adj[v] = append(b.adj[v], int32(u))
 }
 
 func (b *builder) build() *Pattern {
-	p := &Pattern{N: b.n, Adj: make([][]int32, b.n)}
-	for u, s := range b.sets {
-		a := make([]int32, 0, len(s))
-		//gptlint:ignore no-map-range key collection only; keys are sorted on the next line
-		for v := range s {
-			a = append(a, v)
-		}
-		sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
-		p.Adj[u] = a
+	for u, a := range b.adj {
+		slices.Sort(a)
+		b.adj[u] = slices.Compact(a)
 	}
-	return p
+	return &Pattern{N: len(b.adj), Adj: b.adj}
 }
 
 // Grid3D returns the pattern of a radius-r finite-difference stencil on an
@@ -159,20 +147,6 @@ func Hamiltonian(n, avgDeg int, seed int64) *Pattern {
 		side++
 	}
 	b := newBuilder(n)
-	pos := make([][3]int, n)
-	// Fill the cube in scan order; positions are dense so neighbor lookup
-	// is direct.
-	idOf := make(map[[3]int]int, n)
-	k := 0
-	for z := 0; z < side && k < n; z++ {
-		for y := 0; y < side && k < n; y++ {
-			for x := 0; x < side && k < n; x++ {
-				pos[k] = [3]int{x, y, z}
-				idOf[pos[k]] = k
-				k++
-			}
-		}
-	}
 	// Choose the coupling radius to reach roughly avgDeg neighbors: a ball
 	// of Chebyshev radius r holds (2r+1)³-1 lattice points.
 	r := 1
@@ -180,7 +154,9 @@ func Hamiltonian(n, avgDeg int, seed int64) *Pattern {
 		r++
 	}
 	for u := 0; u < n; u++ {
-		p := pos[u]
+		// Orbital u sits at the u-th lattice point of the cube in scan
+		// order, so a lattice point maps back to its orbital arithmetically.
+		x, y, z := u%side, u/side%side, u/(side*side)
 		count := 0
 		for dz := -r; dz <= r && count < avgDeg; dz++ {
 			for dy := -r; dy <= r && count < avgDeg; dy++ {
@@ -188,8 +164,11 @@ func Hamiltonian(n, avgDeg int, seed int64) *Pattern {
 					if dx == 0 && dy == 0 && dz == 0 {
 						continue
 					}
-					q := [3]int{p[0] + dx, p[1] + dy, p[2] + dz}
-					if v, ok := idOf[q]; ok && v > u {
+					X, Y, Z := x+dx, y+dy, z+dz
+					if X < 0 || Y < 0 || Z < 0 || X >= side || Y >= side || Z >= side {
+						continue
+					}
+					if v := (Z*side+Y)*side + X; v < n && v > u {
 						b.addEdge(u, v)
 						count++
 					}
@@ -218,7 +197,7 @@ func (p *Pattern) Permute(perm []int32) *Pattern {
 		for i, v := range a {
 			na[i] = inv[v]
 		}
-		sort.Slice(na, func(i, j int) bool { return na[i] < na[j] })
+		slices.Sort(na)
 		out.Adj[u] = na
 	}
 	return out
