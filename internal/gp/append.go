@@ -64,7 +64,7 @@ func (m *LCM) AppendObservations(xs [][]float64, tasks []int, ys []float64, work
 		m.flatX = append(m.flatX, append(make([]float64, 0, m.Dim), x...))
 		m.taskOf = append(m.taskOf, tasks[j])
 	}
-	m.trainingTables()
+	m.trainingTables(nil)
 	cols := la.NewMatrix(k, n0)
 	corner := la.NewMatrix(k, k)
 	mpx.ParallelFor(k, workers, func(j int) {
@@ -77,7 +77,7 @@ func (m *LCM) AppendObservations(xs [][]float64, tasks []int, ys []float64, work
 	})
 	if _, err := m.chol.AppendRows(cols, corner, 0, workers); err != nil {
 		m.flatX, m.taskOf = m.flatX[:n0], m.taskOf[:n0]
-		m.trainingTables()
+		m.trainingTables(nil)
 		return err
 	}
 	for _, y := range ys {

@@ -36,8 +36,9 @@ const evalParallelMin = 3 * cholBlock
 // Versus the naive evaluation (reference_test.go, the package's one oracle:
 // its Σ and likelihood are the engine's bit for bit, its per-pair gradient
 // agrees to a tolerance), the engine
-//   - reads every pairwise distance from a pairCache computed once per
-//     FitLCM call instead of re-touching the raw coordinates,
+//   - fills each row's squared differences once per pass from the
+//     dimension-major coordinates of a pairCache built once per FitLCM call,
+//     through one lane kernel, instead of one scalar loop per pair,
 //   - sweeps only the upper triangle (r ≤ s), exploiting the symmetry of
 //     both Σ and the gradient contractions,
 //   - reduces the a/b/d gradients to per-task-block sums (δ² per latent)
@@ -49,12 +50,19 @@ const evalParallelMin = 3 * cholBlock
 //   - distributes kernel assembly, the gradient sweep, the blocked Cholesky
 //     and the inverse over Workers goroutines.
 //
+// An evaluation comes in two halves, so the minimizer pays for a gradient
+// only where it reads one (objective): logLik assembles, factors and solves
+// for α, and gradient, run right after it on what it left, inverts and
+// sweeps.
+//
 // One engine serves one goroutine (the scratch buffers are reused across
 // evaluations, so an evaluation allocates nothing that grows with n); the
 // pairCache is shared read-only by all engines. An evaluation's four n×n
-// matrices — Σ, its factor L, W = L⁻¹ and Σ⁻¹ — live in two buffers, each
-// holding two of them whose lifetimes do not overlap, so an engine costs
-// Q·n(n+1)/2 kernel values plus 2n² doubles.
+// matrices — Σ, its factor L, W = L⁻¹ and Σ⁻¹ — are each symmetric or
+// triangular and live as packed triangles in two buffers, each holding two
+// of them whose lifetimes do not overlap, so an engine costs Q·n(n+1)/2
+// kernel values, n(n+1) doubles of buffers and a per-chunk row scratch of
+// about β·n²/64 doubles.
 type lcmEngine struct {
 	layout  hyperLayout
 	cache   *pairCache
@@ -71,13 +79,16 @@ type lcmEngine struct {
 	winv  [][]float64 // [q][dim]: 1/l²
 	grad  []float64   // gradient output buffer
 
-	// sigmaW holds Σ from assembleSigma through the Cholesky (whose jitter
-	// retries re-read it), then W = L⁻¹ (transposed) from the inverse's
-	// first phase through its second. cholInv holds L from the Cholesky
-	// through the inverse's first phase, then Σ⁻¹ from its second phase
-	// through gradSweep (la.ParallelCholInverseInto's aliasing contract).
-	sigmaW  *la.Matrix
-	cholInv *la.Matrix
+	// The two buffers, n(n+1)/2 doubles each. a holds Σ's lower triangle
+	// (sigma) from assembleSigma through the Cholesky, whose jitter retries
+	// re-read it, then W = L⁻¹ (transposed, upper-packed) from the inverse's
+	// first phase through its second. b holds L (chol) from the Cholesky
+	// through the inverse's first phase, then Σ⁻¹'s upper triangle — pair p
+	// at p, pairCache's indexing — from its second phase through gradSweep
+	// (la.CholInversePackedInto's aliasing contract).
+	a, b        []float64
+	sigma, chol *la.TriPacked
+	state       evalState // what a and b hold for the gradient half
 
 	// Per-chunk partial accumulators, merged serially in chunk order. The
 	// lengthscale accumulators and the per-pair factors feeding them are four
@@ -87,7 +98,17 @@ type lcmEngine struct {
 	chunkGL   [][]float64 // [chunk][block][dim][4]: Σ_{r<s} mm·coef·k_q·sq_d
 	chunkDsum [][]float64 // [chunk][T]: Σ_r mm_rr per task
 	chunkEq   [][]float64 // [chunk][block][n-lo][4]: one row's mm·coef·k_q per pair
+	chunkSq   [][]float64 // [chunk][dim][n-lo]: one row's squared differences (pairCache.sqRow), then in assembleSigma its row of Σ
 }
+
+// evalState is what an engine's buffers hold for the gradient half.
+type evalState uint8
+
+const (
+	evalSpent    evalState = iota // nothing the gradient half can use
+	evalFactored                  // logLik's Σ factor, α and kernels
+	evalFailed                    // logLik found Σ indefinite at every jitter rung
+)
 
 // laneBlocks returns how many four-latent lane blocks q latents occupy.
 func laneBlocks(q int) int { return (q + 3) / 4 }
@@ -116,13 +137,14 @@ func newLCMEngine(cache *pairCache, layout hyperLayout, taskOf []int, yn []float
 		workers: workers,
 		model:   newModel(layout),
 		kq:      make([]float64, cache.npairs*layout.q),
-		sigmaW:  la.NewMatrix(cache.n, cache.n),
-		cholInv: la.NewMatrix(cache.n, cache.n),
+		a:       make([]float64, cache.npairs),
+		b:       make([]float64, cache.npairs),
 		alpha:   make([]float64, cache.n),
 		coef:    make([]float64, layout.q*layout.tasks*layout.tasks),
 		winv:    make([][]float64, layout.q),
 		grad:    make([]float64, layout.total()),
 	}
+	e.sigma, e.chol = la.NewTriPacked(cache.n, e.a), la.NewTriPacked(cache.n, e.b)
 	for q := 0; q < layout.q; q++ {
 		e.winv[q] = make([]float64, layout.dim)
 	}
@@ -132,11 +154,13 @@ func newLCMEngine(cache *pairCache, layout hyperLayout, taskOf []int, yn []float
 	e.chunkGL = make([][]float64, nc)
 	e.chunkDsum = make([][]float64, nc)
 	e.chunkEq = make([][]float64, nc)
+	e.chunkSq = make([][]float64, nc)
 	for c := 0; c < nc; c++ {
 		e.chunkV[c] = make([]float64, layout.q*layout.tasks*layout.tasks)
 		e.chunkGL[c] = make([]float64, blocks*layout.dim*4)
 		e.chunkDsum[c] = make([]float64, layout.tasks)
 		e.chunkEq[c] = make([]float64, blocks*(cache.n-c*gradChunkRows)*4)
+		e.chunkSq[c] = make([]float64, layout.dim*(cache.n-c*gradChunkRows))
 	}
 	return e
 }
@@ -153,50 +177,56 @@ func (e *lcmEngine) prepare(m *LCM) {
 }
 
 // assembleSigma computes all latent kernels k_q and the Eq. (4) covariance Σ
-// in one parallel pass over the cached distance tensor, into e.sigmaW, every
-// entry written. prepare(m) must have been called. The kernels stay in e.kq
-// for the gradient sweep.
+// in one parallel pass over the rows, into e.sigma, every entry of the lower
+// triangle written once. prepare(m) must have been called. The kernels stay
+// in e.kq for the gradient sweep.
 //
-// Each row r and its n-r contiguous pairs take three passes, the first and
+// Each row r and its n-r contiguous pairs take four passes, the second and
 // last on the same lane kernel (la.WeightedSumsInto, four pairs per
-// register): per latent, the kernel arguments -½·Σ_d sq_d/l_qd², d ascending
-// from +0 exactly as the per-pair loop summed them; one la.ExpInto over the
-// row's Q·(n-r) arguments in place; and per run of pairs whose second sample
-// has the same task — so one coefficient vector — Σ_q C_q·k_q, q ascending
-// from +0 likewise (scale 1 is exact).
-func (e *lcmEngine) assembleSigma(m *LCM) *la.Matrix {
+// register): the row's squared differences (pairCache.sqRow); per latent,
+// the kernel arguments -½·Σ_d sq_d/l_qd², d ascending from +0 exactly as the
+// per-pair loop summed them; one la.ExpInto over the row's Q·(n-r)
+// arguments in place; and per run of pairs whose second sample has the same
+// task — so one coefficient vector — Σ_q C_q·k_q, q ascending from +0
+// likewise (scale 1 is exact), into the row's spent squared differences,
+// from where it goes to column r of Σ's lower triangle.
+func (e *lcmEngine) assembleSigma(m *LCM) *la.TriPacked {
 	n := e.cache.n
 	Q := e.layout.q
 	T := e.layout.tasks
-	sigma := e.sigmaW
-	mpx.ParallelChunks(n, gradChunkRows, e.workers, func(_, lo, hi int) {
+	mpx.ParallelChunks(n, gradChunkRows, e.workers, func(c, lo, hi int) {
+		sigma := e.a // through e, not captured: the closure is built on every call
 		for r := lo; r < hi; r++ {
 			// Pairs (r, r..n-1) are contiguous in the packed layout.
 			cnt := n - r
 			p0 := e.cache.pairStart(r)
+			sq := e.cache.sqRow(e.chunkSq[c], r)
 			k := e.kq[p0*Q : (p0+cnt)*Q]
 			for q := 0; q < Q; q++ {
-				la.WeightedSumsInto(k[q*cnt:(q+1)*cnt], e.winv[q], e.cache.sq[p0:], e.cache.npairs, -0.5)
+				la.WeightedSumsInto(k[q*cnt:(q+1)*cnt], e.winv[q], sq, cnt, -0.5)
 			}
 			la.ExpInto(k, k)
 			tr := e.taskOf[r]
-			sigRow := sigma.Data[r*n : (r+1)*n]
+			row := sq[:cnt] // the squared differences are spent: Σ[r][s] at s-r
 			for s := r; s < n; s = e.runEnd[s] {
 				tt := tr*T + e.taskOf[s]
-				la.WeightedSumsInto(sigRow[s:e.runEnd[s]], e.coef[tt*Q:(tt+1)*Q], k[s-r:], cnt, 1)
+				la.WeightedSumsInto(row[s-r:e.runEnd[s]-r], e.coef[tt*Q:(tt+1)*Q], k[s-r:], cnt, 1)
 			}
-			sigRow[r] += m.D[tr]
-			for s := r + 1; s < n; s++ {
-				sigma.Data[s*n+r] = sigRow[s]
+			row[0] += m.D[tr]
+			// Σ[s][r] sits at s(s+1)/2 + r, one lower row further per pair.
+			o := r*(r+1)/2 + r
+			for j, v := range row {
+				sigma[o] = v
+				o += r + j + 1
 			}
 		}
 	})
-	return sigma
+	return e.sigma
 }
 
 // gradSweep runs the gradient sweep over the upper triangle with
-// M = ααᵀ - Σ⁻¹ formed on the fly from e.alpha and inv, against the kernels
-// assembleSigma left in e.kq. All contractions reduce to per-chunk partial
+// M = ααᵀ - Σ⁻¹ formed on the fly from e.alpha and inv, Σ⁻¹'s upper
+// triangle in pair order, against the kernels assembleSigma left in e.kq. All contractions reduce to per-chunk partial
 // sums, merged in fixed chunk order (worker-count independent) into chunk 0's
 // buffers, which it returns:
 //
@@ -208,7 +238,8 @@ func (e *lcmEngine) assembleSigma(m *LCM) *la.Matrix {
 //
 // Per row, a scalar pass over its pairs, one sweepRun per run of second
 // samples sharing a task, forms M_rs, the task-block sums and the per-pair
-// lengthscale factors eq = M_rs·k_q·C_q, four latents wide; then
+// lengthscale factors eq = M_rs·k_q·C_q, four latents wide; then, over the
+// row's squared differences (pairCache.sqRow, filled once per row),
 // la.AccumLanesInto adds eq·sq_d into the [dim][4] lengthscale accumulators,
 // lanes = latents, pairs ascending — the order the per-pair loop added them.
 //
@@ -221,13 +252,12 @@ func (e *lcmEngine) assembleSigma(m *LCM) *la.Matrix {
 // TestEngineMatchesReference, whose oracle keeps the skip and requires the
 // engine to be non-finite exactly where it is, pins that at hostile
 // hyperparameters on grid coordinates and on an infinite diagonal.
-func (e *lcmEngine) gradSweep(inv *la.Matrix) (v, gl, dsum []float64) {
+func (e *lcmEngine) gradSweep(inv []float64) (v, gl, dsum []float64) {
 	n := e.cache.n
 	Q := e.layout.q
 	T := e.layout.tasks
 	dim := e.layout.dim
 	TT := T * T
-	npairs := e.cache.npairs
 	mpx.ParallelChunks(n, gradChunkRows, e.workers, func(c, lo, hi int) {
 		alpha := e.alpha // through e, not captured: the closure is built on every call
 		vbuf := e.chunkV[c]
@@ -248,15 +278,19 @@ func (e *lcmEngine) gradSweep(inv *la.Matrix) (v, gl, dsum []float64) {
 			tr := e.taskOf[r]
 			trT := tr * T
 			ar := alpha[r]
-			invRow := inv.Data[r*n : (r+1)*n]
-			dbuf[tr] += ar*ar - invRow[r]
 			cnt := n - r
 			p0 := e.cache.pairStart(r)
+			invRow := inv[p0 : p0+cnt] // Σ⁻¹[r][s] at s-r
+			dbuf[tr] += ar*ar - invRow[0]
+			if cnt == 1 {
+				continue
+			}
 			k := e.kq[p0*Q : (p0+cnt)*Q]
-			// Pairs (r, r+1..n-1): their α, Σ⁻¹ entries, kernels and, from p0+1
-			// on, squared distances; pair s is entry s-r-1.
-			alphaRow, invPairs := alpha[r+1:n], invRow[r+1:n]
-			sq := e.cache.sq[p0+1:]
+			// Pairs (r, r+1..n-1): their α, Σ⁻¹ entries, kernels and squared
+			// distances (rows of cnt from the second on); pair s is entry
+			// s-r-1.
+			alphaRow, invPairs := alpha[r+1:n], invRow[1:]
+			sq := e.cache.sqRow(e.chunkSq[c], r)[1:]
 			for b := 0; b*4 < Q; b++ {
 				acc := glbuf[b*dim*4 : (b+1)*dim*4]
 				row := eq[b*eqBlock : b*eqBlock+4*(cnt-1)]
@@ -267,7 +301,7 @@ func (e *lcmEngine) gradSweep(inv *la.Matrix) (v, gl, dsum []float64) {
 					tt := trT + e.taskOf[s]
 					sweepRun(lanes, row[4*j0:4*j1], alphaRow[j0:j1], invPairs[j0:j1], kb[j0:], cnt, vb[tt:], TT, cb[tt*Q:], ar)
 				}
-				la.AccumLanesInto(acc, row, sq, npairs)
+				la.AccumLanesInto(acc, row, sq, cnt)
 			}
 		}
 	})
@@ -355,33 +389,35 @@ func sweepRun(lanes int, out, alpha, inv, k []float64, stride int, v []float64, 
 	}
 }
 
-// logLikGrad returns the log marginal likelihood and its gradient with
-// respect to theta. The returned gradient slice is owned by the engine and
-// overwritten by the next call. The result is bitwise identical for every
-// worker count.
-func (e *lcmEngine) logLikGrad(theta []float64) (float64, []float64, error) {
+// logLik is an evaluation's value half: the log marginal likelihood at
+// theta — Σ assembled into a, factored into b, α solved — or the error of a
+// covariance indefinite at every jitter rung. It leaves in the engine what
+// the gradient half reads: the kernels, L and α.
+func (e *lcmEngine) logLik(theta []float64) (float64, error) {
 	m := e.model
 	m.setTheta(theta, e.layout)
 	n := e.cache.n
-	Q := e.layout.q
-	T := e.layout.tasks
-	dim := e.layout.dim
-
 	e.prepare(m)
 	sigma := e.assembleSigma(m)
-
-	l := e.cholInv
-	if _, err := la.CholeskyJitterInto(l, sigma, 0, cholBlock, e.workers); err != nil {
-		return 0, nil, err
+	if _, err := la.CholeskyJitterPackedInto(e.chol, sigma, 0, cholBlock, e.workers); err != nil {
+		return 0, err
 	}
 	alpha := e.alpha
 	copy(alpha, e.yn)
-	la.ForwardSubst(l, alpha)
-	la.BackwardSubstT(l, alpha)
-	ll := -0.5*la.Dot(e.yn, alpha) - 0.5*la.LogDetFromChol(l) - 0.5*float64(n)*math.Log(2*math.Pi)
+	e.chol.ForwardSubst(alpha)
+	e.chol.BackwardSubstT(alpha)
+	return -0.5*la.Dot(e.yn, alpha) - 0.5*e.chol.LogDet() - 0.5*float64(n)*math.Log(2*math.Pi), nil
+}
 
-	inv := la.ParallelCholInverseInto(l, e.workers, sigma, l)
-
+// gradient is an evaluation's gradient half: the gradient of the log
+// likelihood with respect to the theta of the logLik call just before it,
+// which must have succeeded. It inverts L into the two buffers (W over Σ in
+// a, Σ⁻¹ over L in b) and sweeps, so it runs once per logLik. The returned
+// slice is owned by the engine and overwritten by the next call.
+func (e *lcmEngine) gradient() []float64 {
+	m := e.model
+	T := e.layout.tasks
+	inv := la.CholInversePackedInto(e.chol, e.workers, e.a, e.b)
 	v0, gl0, d0 := e.gradSweep(inv)
 
 	// Assemble the gradient from the task-block sums. With
@@ -394,7 +430,7 @@ func (e *lcmEngine) logLikGrad(theta []float64) (float64, []float64, error) {
 	//	∂L/∂log d_i    = ½·d_i·dsum[i]
 	//	∂L/∂log l_qd   = gl[q][d]/l²
 	grad := e.grad
-	for q := 0; q < Q; q++ {
+	for q := 0; q < e.layout.q; q++ {
 		vq := v0[q*T*T : (q+1)*T*T]
 		aq := m.A[q]
 		for i := 0; i < T; i++ {
@@ -409,32 +445,59 @@ func (e *lcmEngine) logLikGrad(theta []float64) (float64, []float64, error) {
 			grad[e.layout.aAt(q, i)] = ga
 			grad[e.layout.bAt(q, i)] = 0.5 * m.B[q][i] * tii
 		}
-		for d := 0; d < dim; d++ {
-			grad[e.layout.lsAt(q, d)] = gl0[((q>>2)*dim+d)*4+q&3] * e.winv[q][d]
+		for d := 0; d < e.layout.dim; d++ {
+			grad[e.layout.lsAt(q, d)] = gl0[((q>>2)*e.layout.dim+d)*4+q&3] * e.winv[q][d]
 		}
 	}
 	for i := 0; i < T; i++ {
 		grad[e.layout.dAt(i)] = 0.5 * m.D[i] * d0[i]
 	}
-	return ll, grad, nil
+	return grad
 }
 
-// objective is the engine as the minimizer sees it: the negated log
-// likelihood and gradient, +Inf with a zero gradient where the covariance
-// stays indefinite even after jitter (the line search backs out of the
-// region).
-func (e *lcmEngine) objective() opt.GradObjective {
-	return func(theta, grad []float64) float64 {
-		ll, g, err := e.logLikGrad(theta)
-		if err != nil {
-			for i := range grad {
-				grad[i] = 0
-			}
-			return math.Inf(1)
-		}
-		for i := range grad {
-			grad[i] = -g[i]
-		}
-		return -ll
+// logLikGrad is both halves: the log marginal likelihood at theta and its
+// gradient, which the engine owns. The result is bitwise identical for
+// every worker count.
+func (e *lcmEngine) logLikGrad(theta []float64) (float64, []float64, error) {
+	ll, err := e.logLik(theta)
+	if err != nil {
+		return 0, nil, err
 	}
+	return ll, e.gradient(), nil
+}
+
+// objective is the engine as the minimizer sees it, its two halves negated:
+// Value is −logLik, +Inf where the covariance stays indefinite even after
+// jitter (the line search backs out of the region), and Grad the negated
+// gradient at the point of the Value call just before it — zero after a
+// +Inf. L-BFGS asks for Grad only at points it accepts, so a rejected trial
+// point costs no inverse and no sweep.
+func (e *lcmEngine) objective() opt.SplitObjective {
+	return opt.SplitObjective{Value: e.negLogLik, Grad: e.negGradient}
+}
+
+func (e *lcmEngine) negLogLik(theta []float64) float64 {
+	ll, err := e.logLik(theta)
+	if err != nil {
+		e.state = evalFailed
+		return math.Inf(1)
+	}
+	e.state = evalFactored
+	return -ll
+}
+
+func (e *lcmEngine) negGradient(_, grad []float64) {
+	switch e.state {
+	case evalFactored:
+		for i, g := range e.gradient() {
+			grad[i] = -g
+		}
+	case evalFailed:
+		for i := range grad {
+			grad[i] = 0
+		}
+	default:
+		panic("gp: likelihood gradient asked for twice, or before its value")
+	}
+	e.state = evalSpent
 }

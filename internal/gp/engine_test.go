@@ -124,14 +124,17 @@ func matchReference(t *testing.T, name string, eng *lcmEngine, flatX [][]float64
 	m := thetaToModel(theta, layout)
 	eng.prepare(m)
 	sigma := eng.assembleSigma(m)
-	for i, v := range m.covariance(flatX, taskOf).Data {
-		if !sameBits(sigma.Data[i], v) {
-			t.Fatalf("%s: Σ[%d,%d] = %v, reference %v", name, i/n, i%n, sigma.Data[i], v)
+	cov := m.covariance(flatX, taskOf)
+	for i := 0; i < n; i++ {
+		for j := 0; j <= i; j++ {
+			if got, want := sigma.At(i, j), cov.At(i, j); !sameBits(got, want) {
+				t.Fatalf("%s: Σ[%d,%d] = %v, reference %v", name, i, j, got, want)
+			}
 		}
 	}
 	ll, grad, err := eng.logLikGrad(theta)
 	m.flatX, m.taskOf = flatX, taskOf
-	m.prepPredict()
+	m.prepPredict(nil)
 	ws := m.NewPredictWorkspace()
 	inside := make([]float64, layout.dim)
 	for d := range inside {
@@ -426,9 +429,10 @@ func TestPredictIntoRejectsWrongLengthPoint(t *testing.T) {
 }
 
 // gradSweepPerPair is gradSweep as one loop over every pair and latent, the
-// task-block sums added in memory pair by pair: the oracle the run-wise
-// sweep must match bit for bit. It merges its chunks in gradSweep's order
-// into fresh buffers.
+// task-block sums added in memory pair by pair and each pair's squared
+// distances computed from the coordinates: the oracle the run-wise sweep
+// must match bit for bit. inv is Σ⁻¹'s upper triangle in pair order. It
+// merges its chunks in gradSweep's order into fresh buffers.
 func gradSweepPerPair(e *lcmEngine, inv []float64) (v, gl, dsum []float64) {
 	n, Q, T, dim := e.cache.n, e.layout.q, e.layout.tasks, e.layout.dim
 	TT := T * T
@@ -439,15 +443,22 @@ func gradSweepPerPair(e *lcmEngine, inv []float64) (v, gl, dsum []float64) {
 		for r := c * gradChunkRows; r < min((c+1)*gradChunkRows, n); r++ {
 			tr := e.taskOf[r]
 			ar := e.alpha[r]
-			dbuf[tr] += ar*ar - inv[r*n+r]
 			cnt := n - r
 			p0 := e.cache.pairStart(r)
+			dbuf[tr] += ar*ar - inv[p0]
 			k := e.kq[p0*Q : (p0+cnt)*Q]
+			sq := make([]float64, dim*(cnt-1)) // [d][s-r-1]
+			for d := 0; d < dim; d++ {
+				for j := range cnt - 1 {
+					diff := e.cache.xT[d*n+r] - e.cache.xT[d*n+r+1+j]
+					sq[d*(cnt-1)+j] = diff * diff
+				}
+			}
 			for b := 0; b*4 < Q; b++ {
 				eq := make([]float64, 4*(cnt-1))
 				for j := 0; j < cnt-1; j++ {
 					s := r + 1 + j
-					mm := ar*e.alpha[s] - inv[r*n+s]
+					mm := ar*e.alpha[s] - inv[p0+s-r]
 					tt := tr*T + e.taskOf[s]
 					for l := 0; l < min(Q-4*b, 4); l++ {
 						q := 4*b + l
@@ -456,7 +467,7 @@ func gradSweepPerPair(e *lcmEngine, inv []float64) (v, gl, dsum []float64) {
 						eq[4*j+l] = mk * e.coef[tt*Q+q]
 					}
 				}
-				la.AccumLanesInto(glbuf[b*dim*4:(b+1)*dim*4], eq, e.cache.sq[p0+1:], e.cache.npairs)
+				la.AccumLanesInto(glbuf[b*dim*4:(b+1)*dim*4], eq, sq, cnt-1)
 			}
 		}
 		for i, x := range vbuf {
@@ -505,8 +516,8 @@ func TestGradSweepMatchesPerPairLoop(t *testing.T) {
 						continue
 					}
 					checked++
-					v, gl, dsum := eng.gradSweep(eng.cholInv)
-					wantV, wantGL, wantDsum := gradSweepPerPair(eng, eng.cholInv.Data)
+					v, gl, dsum := eng.gradSweep(eng.b)
+					wantV, wantGL, wantDsum := gradSweepPerPair(eng, eng.b)
 					for name, pair := range map[string][2][]float64{"V": {v, wantV}, "gl": {gl, wantGL}, "dsum": {dsum, wantDsum}} {
 						for i, want := range pair[1] {
 							if got := pair[0][i]; !sameBits(got, want) {

@@ -254,11 +254,10 @@ func FitLCM(data *Dataset, options FitOptions) (*LCM, error) {
 		warm = nil
 	}
 
-	// The per-dimension pairwise squared-difference tensor is computed once
-	// and shared read-only by every L-BFGS evaluation of every restart and
-	// by the final factorization (Section 4.2 parallelizes hyperparameter
-	// learning; the cache is what keeps each evaluation from re-touching
-	// the raw coordinates).
+	// The dimension-major coordinates are laid out once and shared
+	// read-only by every L-BFGS evaluation of every restart, by the final
+	// factorization and then by the model's predictions (Section 4.2
+	// parallelizes hyperparameter learning).
 	cache := newPairCache(flatX, data.Dim)
 
 	// Each start depends only on its own seed, never on the round, the
@@ -314,8 +313,9 @@ func FitLCM(data *Dataset, options FitOptions) (*LCM, error) {
 	model.yMean = mean
 	model.yStd = std
 	// Final factorization for prediction, parallel per Section 4.3, on race
-	// engine 0 — its distance cache and buffers are free once the race is
-	// over, so the fit never holds more engines than Workers.
+	// engine 0 — its coordinates and buffers are free once the race is over,
+	// so the fit never holds more engines than Workers, and its factor
+	// buffer becomes the model's.
 	engines[0].workers = options.Workers
 	if err := model.factorize(engines[0]); err != nil {
 		return nil, fmt.Errorf("gp: final covariance factorization: %w", err)
@@ -329,25 +329,28 @@ func FitLCM(data *Dataset, options FitOptions) (*LCM, error) {
 // jitter further only if it must — and builds alpha and the prediction
 // tables. eng must be an engine over m's training state (FitLCM hands it
 // race engine 0); its workers never change a bit, so the factorization on a
-// fresh engine is the fitted one bit for bit.
+// fresh engine is the fitted one bit for bit. The model keeps the engine's
+// factor buffer and coordinates, so eng is spent.
 func (m *LCM) factorize(eng *lcmEngine) error {
 	eng.prepare(m)
 	sigma := eng.assembleSigma(m)
-	n := sigma.Rows
 	if m.Jitter > 0 {
-		for i := 0; i < n; i++ {
-			sigma.Data[i*n+i] += m.Jitter
+		for i := 0; i < sigma.N(); i++ {
+			sigma.Row(i)[i] += m.Jitter
 		}
 	}
-	l := eng.cholInv
-	extra, err := la.CholeskyJitterInto(l, sigma, 0, cholBlock, eng.workers)
+	extra, err := la.CholeskyJitterPackedInto(eng.chol, sigma, 0, cholBlock, eng.workers)
 	if err != nil {
 		return err
 	}
 	m.Jitter += extra
-	m.chol = la.PackChol(l)
-	m.alpha = la.SolveCholVec(l, m.yNorm)
-	m.prepPredict()
+	// The engine's packed factor and its coordinates become the model's: no
+	// copies, and the engine, whose factor buffer it was, evaluates nothing
+	// more.
+	m.chol = eng.chol
+	eng.chol, eng.b = nil, nil
+	m.alpha = m.chol.SolveVec(m.yNorm)
+	m.prepPredict(eng.cache.xT)
 	return nil
 }
 

@@ -74,19 +74,33 @@ func benchLogLikGrad(b *testing.B, layout hyperLayout, flatX [][]float64, taskOf
 }
 
 // BenchmarkFitLCM is one fit at tune_warm's shape — δ 2, β 8, n 510, 2
-// starts × 15 iterations, Workers 2 — and reports the bytes it allocates:
-// the pair cache, two engines of Q·n(n+1)/2 + 2n² doubles and the model,
-// about 22 MB (TestFitLCMAllocatesItsLiveSet holds the bound).
+// starts × 15 iterations, Workers 2 — and one at tune_cold's — δ 3, β 5,
+// n 72, 4 starts, the default cap, Workers 2 — each reporting the bytes it
+// allocates. At n 510 that is the coordinates, two engines of
+// Q·n(n+1)/2 + n(n+1) doubles plus their row scratch, and the model, whose
+// packed factor is engine 0's buffer: about 9.4 MB
+// (TestFitLCMAllocatesItsLiveSet holds the bound). At n 72 an evaluation
+// is a few hundred microseconds, so this one times what the row-by-row
+// squared differences cost and the value-only line-search trials save.
 func BenchmarkFitLCM(b *testing.B) {
-	b.Run("n510", func(b *testing.B) {
-		data := syntheticDataset(rand.New(rand.NewSource(5)), 2, 255, 8, 0.05)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := FitLCM(data, FitOptions{NumStarts: 2, MaxIter: 15, Workers: 2, Seed: 1}); err != nil {
-				b.Fatal(err)
+	for _, c := range []struct {
+		name                  string
+		tasks, samples, dim   int
+		starts, maxIter, seed int
+	}{
+		{"n510", 2, 255, 8, 2, 15, 5},
+		{"n72", 3, 24, 5, 4, 0, 7},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			data := syntheticDataset(rand.New(rand.NewSource(int64(c.seed))), c.tasks, c.samples, c.dim, 0.05)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := FitLCM(data, FitOptions{NumStarts: c.starts, MaxIter: c.maxIter, Workers: 2, Seed: 1}); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkPredictBatchInto scores one group of four points — a PSO window's

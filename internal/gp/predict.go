@@ -7,12 +7,12 @@ import (
 )
 
 // prepPredict builds the prediction fast-path tables for a fitted model:
-// the training-row tables (trainingTables), the task-pair coefficient table,
-// the half-inverse-square lengthscales, and the per-task prior variance.
-// Together they let PredictInto evaluate Eqs. (5–6) without touching the
-// hyperparameter structs or allocating.
-func (m *LCM) prepPredict() {
-	m.trainingTables()
+// the training-row tables (trainingTables, over xT when it is not nil), the
+// task-pair coefficient table, the half-inverse-square lengthscales, and the
+// per-task prior variance. Together they let PredictInto evaluate Eqs. (5–6)
+// without touching the hyperparameter structs or allocating.
+func (m *LCM) prepPredict(xT []float64) {
+	m.trainingTables(xT)
 	m.predWinv = make([]float64, m.Q*m.Dim)
 	for q := 0; q < m.Q; q++ {
 		for d := 0; d < m.Dim; d++ {
@@ -35,15 +35,14 @@ func (m *LCM) prepPredict() {
 // trainingTables rebuilds what KStarInto reads off the training rows: xT,
 // the dimension-major copy of flatX (xT[d*n+r] = flatX[r][d]), whose
 // distance pass runs four rows per register, and taskOf's run table runEnd.
-// Both depend on n, so a model that grew rebuilds them.
-func (m *LCM) trainingTables() {
-	n := len(m.flatX)
-	m.xT = make([]float64, m.Dim*n)
-	for r, x := range m.flatX {
-		for d, xd := range x {
-			m.xT[d*n+r] = xd
-		}
+// Both depend on n, so a model that grew rebuilds them. A caller that holds
+// flatX's dimension-major copy already (the fit's pairCache, which nothing
+// writes) passes it as xT; nil makes a fresh one.
+func (m *LCM) trainingTables(xT []float64) {
+	if xT == nil {
+		xT = dimMajor(m.flatX, m.Dim)
 	}
+	m.xT = xT
 	m.runEnd = runEnds(m.taskOf)
 }
 

@@ -25,13 +25,26 @@ func soloStarts(t *testing.T, data *Dataset, opts FitOptions) (solo []opt.Result
 	eng := newLCMEngine(newPairCache(flatX, data.Dim), layout, taskOf, yn, 1)
 	winner = -1
 	for s := 0; s < opts.NumStarts; s++ {
-		res := opt.LBFGS(eng.objective(), startPoint(layout, opts.Seed, s, nil), opt.LBFGSParams{MaxIter: opts.MaxIter})
+		res := opt.LBFGS(combined(eng), startPoint(layout, opts.Seed, s, nil), opt.LBFGSParams{MaxIter: opts.MaxIter})
 		solo = append(solo, res)
 		if !failedStart(res.F) && (winner < 0 || res.F < solo[winner].F) {
 			winner = s
 		}
 	}
 	return solo, winner
+}
+
+// combined is the engine as a GradObjective, value and gradient at every
+// point the minimizer evaluates, as it was before the minimizer asked for
+// the gradient only at accepted points: what a fit's split evaluations must
+// reproduce bit for bit.
+func combined(e *lcmEngine) opt.GradObjective {
+	return func(theta, grad []float64) float64 {
+		o := e.objective()
+		f := o.Value(theta)
+		o.Grad(theta, grad)
+		return f
+	}
 }
 
 // isStart reports whether m carries, bit for bit, the hyperparameters and
@@ -160,7 +173,7 @@ func TestRaceStartsRounds(t *testing.T) {
 			best := raceStarts(runs, c.maxIter, func(alive []int, until int) {
 				got = append(got, round{append([]int(nil), alive...), until})
 				for _, s := range alive {
-					runs[s].Advance(c.objs[s], until)
+					runs[s].Advance(opt.Replayed(c.objs[s], 1), until)
 				}
 			})
 			if best != c.best {
@@ -232,8 +245,9 @@ func TestFitLCMSurvivorIsItsSoloRun(t *testing.T) {
 
 // TestFitLCMLikelihoodRunResumesBitwise is opt's resume contract on the
 // objective it exists for: a start on the recorded recsys likelihood taken
-// to 10, then 40, then 100 iterations lands on the bits of one
-// uninterrupted minimization.
+// to 10, then 40, then 100 iterations, its gradient asked for only at
+// accepted points, lands on the bits of one uninterrupted minimization that
+// computed the gradient at every point it evaluated.
 func TestFitLCMLikelihoodRunResumesBitwise(t *testing.T) {
 	data, seed := recsysN54(t)
 	var opts FitOptions
@@ -243,7 +257,7 @@ func TestFitLCMLikelihoodRunResumesBitwise(t *testing.T) {
 	eng := newLCMEngine(newPairCache(flatX, data.Dim), layout, taskOf, yn, 1)
 	for s := 0; s < 2; s++ {
 		x0 := startPoint(layout, seed, s, nil)
-		want := opt.LBFGS(eng.objective(), x0, opt.LBFGSParams{MaxIter: 100})
+		want := opt.LBFGS(combined(eng), x0, opt.LBFGSParams{MaxIter: 100})
 		run := opt.NewLBFGSRun(x0)
 		for _, until := range []int{rung1Iter, rung2Iter, 100} {
 			run.Advance(eng.objective(), until)

@@ -22,11 +22,13 @@ const jitterAttempts = 12
 // the first-try path); after jitterAttempts failures it gives up with
 // ErrNotPositiveDefinite and the rung it would have tried next. This is the
 // standard stabilization for GP kernel matrices whose conditioning degrades
-// as samples cluster, and the one whole-matrix escalation loop in the tree:
-// every LCM factorization (per likelihood evaluation, post-fit, snapshot
-// reload) and the sparse-GP m×m factors go through it. initial ≤ 0 selects
-// the default 1e-10. Like ParallelCholesky the result is bitwise independent
-// of nworkers, and a blockSize ≥ n call runs the unblocked recurrence.
+// as samples cluster. Its loop (choleskyJitter) is the one whole-matrix
+// escalation in the tree: every LCM factorization (per likelihood
+// evaluation and post-fit, through CholeskyJitterPackedInto) and the
+// sparse-GP m×m factors (CholeskyJitterPacked) go through it. initial ≤ 0
+// selects the default 1e-10. Like ParallelCholesky the result is bitwise
+// independent of nworkers, and a blockSize ≥ n call runs the unblocked
+// recurrence.
 func CholeskyJitter(a *Matrix, initial float64, blockSize, nworkers int) (*Matrix, float64, error) {
 	l := NewMatrix(a.Rows, a.Rows)
 	jitter, err := CholeskyJitterInto(l, a, initial, blockSize, nworkers)
@@ -38,14 +40,13 @@ func CholeskyJitter(a *Matrix, initial float64, blockSize, nworkers int) (*Matri
 
 // CholeskyJitterInto is CholeskyJitter writing the factor into l, which must
 // be a.Rows square and must not be a: the form for callers that factor the
-// same-sized matrix again and again (one LCM likelihood evaluation each).
-// Only l's lower triangle is written — every attempt starts from a's own,
-// plus that attempt's jitter, which is why a must survive the attempts — so
-// a matrix that came zeroed from NewMatrix stays a proper factor with a zero
-// upper triangle across calls, and one whose upper triangle holds something
-// else serves every reader of the factor here (the substitutions, the
-// inverse, PackChol), none of which reads above the diagonal. Nothing here
-// allocates in proportion to n.
+// same-sized matrix again and again. Only l's lower triangle is written —
+// every attempt starts from a's own, plus that attempt's jitter, which is
+// why a must survive the attempts — so a matrix that came zeroed from
+// NewMatrix stays a proper factor with a zero upper triangle across calls,
+// and one whose upper triangle holds something else serves every reader of
+// the factor here (the substitutions, the inverse, PackChol), none of which
+// reads above the diagonal. Nothing here allocates in proportion to n.
 func CholeskyJitterInto(l, a *Matrix, initial float64, blockSize, nworkers int) (float64, error) {
 	n := a.Rows
 	if a.Cols != n {
@@ -54,13 +55,49 @@ func CholeskyJitterInto(l, a *Matrix, initial float64, blockSize, nworkers int) 
 	if l.Rows != n || l.Cols != n {
 		panic("la: CholeskyJitterInto factor dimension mismatch")
 	}
+	return choleskyJitter(l.Data, n, a.Data, n, n, initial, blockSize, nworkers)
+}
+
+// CholeskyJitterPacked is CholeskyJitter into packed storage: the factor of
+// the square matrix a (lower triangle read), plus the jitter it needed, in
+// a new TriPacked — PackChol of CholeskyJitter's factor, bit for bit,
+// without the dense factor in between.
+func CholeskyJitterPacked(a *Matrix, initial float64, blockSize, nworkers int) (*TriPacked, float64, error) {
+	n := a.Rows
+	if a.Cols != n {
+		return nil, 0, errors.New("la: CholeskyJitterPacked of non-square matrix")
+	}
+	l := NewTriPacked(n, nil)
+	jitter, err := choleskyJitter(l.data, 0, a.Data, n, n, initial, blockSize, nworkers)
+	if err != nil {
+		return nil, jitter, err
+	}
+	return l, jitter, nil
+}
+
+// CholeskyJitterPackedInto is CholeskyJitterInto over packed rows: a holds
+// the lower triangle of a symmetric matrix, packed as a TriPacked factor is,
+// and l, of a's order and not a, receives its factor. The LCM engine factors
+// every likelihood evaluation's covariance so, in n(n+1)/2 doubles each.
+func CholeskyJitterPackedInto(l, a *TriPacked, initial float64, blockSize, nworkers int) (float64, error) {
+	if l.n != a.n {
+		panic("la: CholeskyJitterPackedInto factor dimension mismatch")
+	}
+	return choleskyJitter(l.data, 0, a.data, 0, a.n, initial, blockSize, nworkers)
+}
+
+// choleskyJitter is the one whole-matrix escalation, behind CholeskyJitter
+// and its Into and packed forms: the order-n matrix whose lower rows are
+// laid out in a as for forwardSubst (row i at a[i·astride], or packed when
+// astride is 0) is factored into l's rows, laid out likewise by lstride.
+func choleskyJitter(l []float64, lstride int, a []float64, astride, n int, initial float64, blockSize, nworkers int) (float64, error) {
 	if initial <= 0 {
 		initial = 1e-10
 	}
 	// Scale jitter relative to the mean diagonal magnitude.
 	meanDiag := 0.0
 	for i := 0; i < n; i++ {
-		meanDiag += math.Abs(a.At(i, i))
+		meanDiag += math.Abs(a[rowStart(i, astride)+i])
 	}
 	if n > 0 {
 		meanDiag /= float64(n)
@@ -70,7 +107,7 @@ func CholeskyJitterInto(l, a *Matrix, initial float64, blockSize, nworkers int) 
 	}
 	jitter, next := 0.0, initial*meanDiag
 	for attempt := 0; attempt < jitterAttempts; attempt++ {
-		if choleskyInto(l, a, jitter, blockSize, nworkers) == nil {
+		if choleskyInto(l, lstride, a, astride, n, jitter, blockSize, nworkers) == nil {
 			return jitter, nil
 		}
 		jitter, next = next, next*10
@@ -211,36 +248,35 @@ func backwardSubstT(data []float64, stride int, b []float64) {
 	}
 }
 
-// ParallelCholInverse returns (L·Lᵀ)⁻¹ densely. Used by the LCM gradient,
-// which needs tr(Σ⁻¹·dΣ) terms (the leave-one-out diagnostics read only the
-// diagonal: CholInverseDiag). It computes W = L⁻¹ column by column (stored
-// transposed for contiguous access) and assembles Σ⁻¹ = WᵀW from row-wise
-// dot products, which is roughly 3× cheaper than per-column two-sided
-// solves and fully cache-friendly. The independent column solves and the
-// row-wise assembly are distributed over nworkers goroutines. Both phases
-// run in 2×4 tiles (tile.dots): a pair of W columns against four rows of L,
-// then a pair of W rows against four others, so each operand row is loaded
-// once for up to eight Dots. The pairing and every summation order depend
-// only on n — never on nworkers — so the result is bitwise identical for any
-// worker count.
+// ParallelCholInverse returns (L·Lᵀ)⁻¹ densely, both triangles. It computes
+// W = L⁻¹ column by column (stored transposed for contiguous access) and
+// assembles Σ⁻¹ = WᵀW from row-wise dot products, which is roughly 3×
+// cheaper than per-column two-sided solves and fully cache-friendly. The
+// independent column solves and the row-wise assembly are distributed over
+// nworkers goroutines. Both phases run in 2×4 tiles (tile.dots): a pair of W
+// columns against four rows of L, then a pair of W rows against four others,
+// so each operand row is loaded once for up to eight Dots. The pairing and
+// every summation order depend only on n — never on nworkers — so the result
+// is bitwise identical for any worker count. The LCM gradient reads the
+// packed form, CholInversePackedInto, which is the same body over packed
+// rows; the leave-one-out diagnostics read only the diagonal
+// (CholInverseDiag).
 func ParallelCholInverse(l *Matrix, nworkers int) *Matrix {
 	return ParallelCholInverseInto(l, nworkers, nil, nil)
 }
 
 // ParallelCholInverseInto is ParallelCholInverse writing into caller-provided
 // scratch: wt (the W = L⁻¹ workspace) and inv (the result) must each be n×n,
-// or nil to allocate fresh. Reusing both across the ~10² gradient
-// evaluations of an L-BFGS restart removes the dominant per-evaluation
-// allocation.
+// or nil to allocate fresh.
 //
 // Neither needs zeroing, and both may be buffers whose contents the caller
 // is done with: the first phase reads L's lower triangle and the entries of
 // wt it has written, the second reads only wt, and no entry of wt or inv is
 // read before it is written. So inv may be l itself — the second phase never
 // reads the factor it overwrites — and wt may be the matrix l was factored
-// from; wt must be neither l nor inv. The LCM engine's two n×n buffers rest
-// on this contract. CholeskyJitterInto has no such freedom: its factor must
-// not be its input, because every jitter rung re-reads the input.
+// from; wt must be neither l nor inv. CholeskyJitterInto has no such
+// freedom: its factor must not be its input, because every jitter rung
+// re-reads the input.
 func ParallelCholInverseInto(l *Matrix, nworkers int, wt, inv *Matrix) *Matrix {
 	n := l.Rows
 	if wt == nil {
@@ -248,71 +284,105 @@ func ParallelCholInverseInto(l *Matrix, nworkers int, wt, inv *Matrix) *Matrix {
 	} else if wt.Rows != n || wt.Cols != n {
 		panic("la: ParallelCholInverseInto wt dimension mismatch")
 	}
-	cholInverseW(l.Data, n, wt, nworkers)
 	if inv == nil {
 		inv = NewMatrix(n, n)
 	} else if inv.Rows != n || inv.Cols != n {
 		panic("la: ParallelCholInverseInto inv dimension mismatch")
 	}
-	npair := (n + 1) / 2
-	parallelBlocks(npair, nworkers, func(g int) {
+	cholInverse(l.Data, n, wt.Data, n, inv.Data, n, n, nworkers)
+	return inv
+}
+
+// CholInversePackedInto is ParallelCholInverseInto for a packed factor, into
+// packed scratch: W goes to wt and Σ⁻¹'s upper triangle to inv, each n(n+1)/2
+// long, upper-packed row by row — row i's entries j ≥ i from
+// i·n − i(i−1)/2 on, the order in which the LCM enumerates its sample pairs
+// (r ≤ s). Every entry has the bits ParallelCholInverse gives it, and the
+// lower triangle, which the gradient never reads, is not written. The
+// aliasing contract is ParallelCholInverseInto's: inv may be l's own
+// storage and wt the storage l was factored from, which is how the LCM
+// engine's two packed buffers hold Σ, L, W and Σ⁻¹ between them. It returns
+// inv.
+func CholInversePackedInto(l *TriPacked, nworkers int, wt, inv []float64) []float64 {
+	n := l.n
+	if len(wt) != len(l.data) || len(inv) != len(l.data) {
+		panic("la: CholInversePackedInto scratch dimension mismatch")
+	}
+	cholInverse(l.data, 0, wt, 0, inv, 0, n, nworkers)
+	return inv
+}
+
+// cholInverse is the one two-phase inverse of the order-n factor whose rows
+// l holds (laid out as for forwardSubst by lstride), behind the dense and
+// packed entry points. W and Σ⁻¹ are stored by upper rows (upRow): dense
+// when the stride is n, packed when it is 0. A dense inv gets both
+// triangles, a packed one only the upper.
+func cholInverse(l []float64, lstride int, wt []float64, wstride int, inv []float64, istride, n, nworkers int) {
+	cholInverseW(l, lstride, wt, wstride, n, nworkers)
+	parallelBlocks((n+1)/2, nworkers, func(g int) {
 		i0 := 2 * g
 		i1 := i0 + 1
-		wi0 := wt.Row(i0)
+		wi0 := upRow(wt, wstride, n, i0)
 		if i1 >= n {
 			// Odd tail row: plain per-entry dot products.
 			for j := 0; j <= i0; j++ {
-				s := Dot(wi0[i0:], wt.Row(j)[i0:]) // entries below max(i,j)=i0 vanish
-				inv.Data[i0*n+j] = s
-				inv.Data[j*n+i0] = s
+				s := Dot(wi0[i0:], upRow(wt, wstride, n, j)[i0:]) // entries below max(i,j)=i0 vanish
+				inv[upStart(j, istride, n)+i0] = s
+				if istride > 0 {
+					inv[i0*istride+j] = s
+				}
 			}
 			return
 		}
 		// Phase 2, rows i0 and i1 against rows j ≤ i1 of W four at a time:
 		// every Dot spans [i1, n), so one tile computes eight whole Dots; row
 		// i0's entries then add the W[i0] term, and j = i1 is the diagonal
-		// Dot(W[i1, i1:], W[i1, i1:]).
-		wi1 := wt.Row(i1)
+		// Dot(W[i1, i1:], W[i1, i1:]). Entries (j, i0) and (j, i1) are upper
+		// ones; a dense inv mirrors them.
+		wi1 := upRow(wt, wstride, n, i1)
 		var t tile
 		var wj [4][]float64
 		for jb := 0; jb <= i1; jb += 4 {
 			nj := min(4, i1+1-jb)
 			for c := range wj {
-				wj[c] = wt.Row(jb + min(c, nj-1)) // fewer than four rows repeat the last
+				wj[c] = upRow(wt, wstride, n, jb+min(c, nj-1)) // fewer than four rows repeat the last
 			}
 			t.dots(wi0, wi1, &wj, i1, n)
 			for c := 0; c < nj; c++ {
 				j := jb + c
+				uj := upStart(j, istride, n)
 				s1 := t.dot(1, c)
-				inv.Data[i1*n+j] = s1
+				inv[uj+i1] = s1
 				if j == i1 {
 					continue
 				}
 				s0 := t.dot(0, c) + wi0[i0]*wj[c][i0]
-				inv.Data[i0*n+j] = s0
-				inv.Data[j*n+i0] = s0
-				inv.Data[j*n+i1] = s1
+				inv[uj+i0] = s0
+				if istride > 0 {
+					inv[i0*istride+j] = s0
+					inv[i1*istride+j] = s1
+				}
 			}
 		}
 	})
-	return inv
 }
 
 // CholInverseDiag returns the diagonal of (L·Lᵀ)⁻¹ for the packed factor t,
 // every entry the bits ParallelCholInverse gives it: the inverse's first
-// phase over t's rows, then, of the second, only the diagonal Dots — with
-// w_i = W's column i (wt.Row(i)), Dot(w_i[i:], w_i[i:]) for odd i and the
-// odd tail row, Dot(w_i[i+1:], w_i[i+1:]) + w_i[i]² for the other even i,
-// each the tile's lanes combined as Dot combines them. That is n² doubles
-// and about n³/6 flops, where the dense inverse of a packed factor takes
-// 3n² and n³/3. The leave-one-out diagnostics read nothing else.
+// phase over t's rows into packed W, then, of the second, only the diagonal
+// Dots — with w_i = W's column i (upper row i of wt), Dot(w_i[i:], w_i[i:])
+// for odd i and the odd tail row, Dot(w_i[i+1:], w_i[i+1:]) + w_i[i]² for the
+// other even i, each the tile's lanes combined as Dot combines them. That is
+// n(n+1)/2 doubles and about n³/6 flops, where the dense inverse of a packed
+// factor takes 3n² and n³/3. The leave-one-out diagnostics read nothing
+// else.
 func CholInverseDiag(t *TriPacked, nworkers int) []float64 {
 	n := t.n
-	wt := NewMatrix(n, n)
-	cholInverseW(t.data, 0, wt, nworkers)
+	wt := make([]float64, len(t.data))
+	cholInverseW(t.data, 0, wt, 0, n, nworkers)
 	d := make([]float64, n)
 	for i := range d {
-		w := wt.Row(i)
+		w := upRow(wt, 0, n, i)
 		if i&1 == 1 || i == n-1 {
 			d[i] = Dot(w[i:], w[i:])
 		} else {
@@ -322,12 +392,13 @@ func CholInverseDiag(t *TriPacked, nworkers int) []float64 {
 	return d
 }
 
-// cholInverseW is the inverse's first phase, behind ParallelCholInverseInto
-// and CholInverseDiag: it fills wt.Row(j)[j:] with column j of W = L⁻¹, the
-// solution of L·w = e_j (zero above j, an entry wt never holds), for
-// n = wt.Rows. L's rows are read as forwardSubst reads them — row i at
-// data[i·stride], or packed when stride is 0 — and only up to their
-// diagonals. Columns of W are mutually independent.
+// cholInverseW is the inverse's first phase, behind cholInverse and
+// CholInverseDiag: it fills upper row j of wt, from column j on, with column
+// j of W = L⁻¹, the solution of L·w = e_j (zero above j, an entry wt never
+// holds). L's rows are read as forwardSubst reads them — row i at
+// l[i·lstride], or packed when lstride is 0 — and only up to their
+// diagonals; wt's upper rows are laid out by wstride (upRow). Columns of W
+// are mutually independent.
 //
 // Columns j0 = 2g and j1 = j0+1 of W: for k > j1,
 //
@@ -338,26 +409,25 @@ func CholInverseDiag(t *TriPacked, nworkers int) []float64 {
 // the aligned prefix [j1, kb) of all eight Dots; each row's tail multiplies
 // W entries the block has just produced. Row j1 opens the first block and
 // keeps its own closed form.
-func cholInverseW(data []float64, stride int, wt *Matrix, nworkers int) {
-	parallelBlocks((wt.Rows+1)/2, nworkers, func(g int) {
-		n := wt.Rows // not captured: the closure is built on every call
+func cholInverseW(l []float64, lstride int, wt []float64, wstride, n, nworkers int) {
+	parallelBlocks((n+1)/2, nworkers, func(g int) {
 		j0 := 2 * g
 		j1 := j0 + 1
-		row0 := wt.Row(j0)
-		row0[j0] = 1 / triRow(data, stride, j0)[j0]
+		row0 := upRow(wt, wstride, n, j0)
+		row0[j0] = 1 / triRow(l, lstride, j0)[j0]
 		if j1 >= n {
 			return
 		}
-		lj1 := triRow(data, stride, j1)
+		lj1 := triRow(l, lstride, j1)
 		row0[j1] = -lj1[j0] * row0[j0] / lj1[j1]
-		row1 := wt.Row(j1)
+		row1 := upRow(wt, wstride, n, j1)
 		row1[j1] = 1 / lj1[j1]
 		var t tile
 		var lk [4][]float64
 		for kb := j1; kb < n; kb += 4 {
 			nk := min(4, n-kb)
 			for c := range lk {
-				lk[c] = triRow(data, stride, kb+min(c, nk-1)) // fewer than four rows repeat the last
+				lk[c] = triRow(l, lstride, kb+min(c, nk-1)) // fewer than four rows repeat the last
 			}
 			t.dots(row0, row1, &lk, j1, kb)
 			if nk == 4 && kb > j1 {
@@ -385,11 +455,36 @@ func triRow(data []float64, stride, i int) []float64 {
 	return data[o : o+i+1 : o+i+1]
 }
 
+// upStart returns where upper row i of an order-n matrix would hold column
+// 0: i·stride for dense rows, and for upper-packed ones (stride 0, row i's
+// n − i entries from i·n − i(i−1)/2 on) that offset less i. Entry (i, j ≥ i)
+// is at upStart(i, stride, n) + j either way.
+func upStart(i, stride, n int) int {
+	if stride == 0 {
+		return i*n - i*(i+1)/2
+	}
+	return i * stride
+}
+
+// upRow returns upper row i of an order-n matrix stored by upper rows,
+// indexed by column: only entries [i, n) are the row's own.
+func upRow(data []float64, stride, n, i int) []float64 {
+	o := upStart(i, stride, n)
+	return data[o : o+n : o+n]
+}
+
 // LogDetFromChol returns log det(A) = 2·Σ log L_ii given A's Cholesky factor.
 func LogDetFromChol(l *Matrix) float64 {
+	return logDetFromChol(l.Data, l.Rows, l.Rows)
+}
+
+// logDetFromChol is the one log-determinant sum, i ascending, over the
+// diagonal of the order-n factor whose rows data holds as for forwardSubst:
+// behind LogDetFromChol and TriPacked.LogDet.
+func logDetFromChol(data []float64, stride, n int) float64 {
 	s := 0.0
-	for i := 0; i < l.Rows; i++ {
-		s += math.Log(l.At(i, i))
+	for i := 0; i < n; i++ {
+		s += math.Log(data[rowStart(i, stride)+i])
 	}
 	return 2 * s
 }
@@ -415,31 +510,31 @@ func ParallelCholesky(a *Matrix, blockSize, nworkers int) (*Matrix, error) {
 		return nil, errors.New("la: ParallelCholesky of non-square matrix")
 	}
 	l := NewMatrix(a.Rows, a.Rows)
-	if err := choleskyInto(l, a, 0, blockSize, nworkers); err != nil {
+	if err := choleskyInto(l.Data, a.Rows, a.Data, a.Rows, a.Rows, 0, blockSize, nworkers); err != nil {
 		return nil, err
 	}
 	return l, nil
 }
 
 // choleskyInto is the blocked factorization itself: it copies the lower
-// triangle of the square matrix a into l, adds jitter to the diagonal, and
-// factors l in place. The two block closures are built once and read the
-// current block column through captured variables, which the loop only
-// advances between parallel regions, so a factorization costs the same few
-// small allocations whatever n is.
-func choleskyInto(l, a *Matrix, jitter float64, blockSize, nworkers int) error {
-	n := a.Rows
+// triangle of the order-n matrix whose rows a holds into l's, adds jitter to
+// the diagonal, and factors l in place. Rows are laid out as for
+// forwardSubst — dense at stride n, packed at stride 0 — each operand by its
+// own stride, and nothing above a diagonal is read or written. The two block
+// closures are built once and read the current block column through
+// captured variables, which the loop only advances between parallel
+// regions, so a factorization costs the same few small allocations whatever
+// n is.
+func choleskyInto(l []float64, lstride int, a []float64, astride, n int, jitter float64, blockSize, nworkers int) error {
 	if blockSize <= 0 {
 		blockSize = 64
 	}
 	if nworkers <= 0 {
 		nworkers = runtime.GOMAXPROCS(0)
 	}
-	// Only the lower triangle is read; l's strict upper triangle is not
-	// touched.
 	for i := 0; i < n; i++ {
-		row := l.Row(i)
-		copy(row[:i+1], a.Row(i)[:i+1])
+		row := triRow(l, lstride, i)
+		copy(row, triRow(a, astride, i))
 		if jitter > 0 {
 			row[i] += jitter
 		}
@@ -457,7 +552,7 @@ func choleskyInto(l, a *Matrix, jitter float64, blockSize, nworkers int) error {
 	// Panel: solve L[i,k]·L[k,k]ᵀ = A[i,k] for the i-th row block below kb.
 	panel := func(i int) {
 		i0, i1 := bounds(kb + 1 + i)
-		_ = cholRows(l, i0, i1, k0, k1) // panel rows hold no pivot
+		_ = cholRows(l, lstride, i0, i1, k0, k1) // panel rows hold no pivot
 	}
 	// Trailing update: A[i,j] -= L[i,k]·L[j,k]ᵀ for kb < j ≤ i, block pair p
 	// of the lower triangle in row-major order.
@@ -469,13 +564,13 @@ func choleskyInto(l, a *Matrix, jitter float64, blockSize, nworkers int) error {
 		}
 		i0, i1 := bounds(kb + 1 + ib)
 		j0, j1 := bounds(kb + 1 + p)
-		gemmUpdate(l, i0, i1, j0, j1, k0, k1)
+		gemmUpdate(l, lstride, i0, i1, j0, j1, k0, k1)
 	}
 	for kb = 0; kb < nb; kb++ {
 		k0, k1 = bounds(kb)
 		// Factor the diagonal block in place (serial; it is small), then the
 		// panel below it and the trailing blocks, each in parallel.
-		if err := cholRows(l, k0, k1, k0, k1); err != nil {
+		if err := cholRows(l, lstride, k0, k1, k0, k1); err != nil {
 			return err
 		}
 		below := nb - kb - 1
@@ -485,7 +580,8 @@ func choleskyInto(l, a *Matrix, jitter float64, blockSize, nworkers int) error {
 	return nil
 }
 
-// cholRows runs the Cholesky recurrence on rows [i0, i1) of l against the
+// cholRows runs the Cholesky recurrence on rows [i0, i1) of the factor
+// whose rows l holds (laid out by stride as for forwardSubst) against the
 // column block [k0, k1), whose rows are factored before the rows that read
 // them:
 //
@@ -502,17 +598,17 @@ func choleskyInto(l, a *Matrix, jitter float64, blockSize, nworkers int) error {
 // i the tile has just produced, into lane 0 in order. That is Dot's lane
 // contract term for term, so the tiles and the entry-by-entry recurrence
 // agree bit for bit and meet the pivots in the same order.
-func cholRows(l *Matrix, i0, i1, k0, k1 int) error {
+func cholRows(l []float64, stride, i0, i1, k0, k1 int) error {
 	var t tile
 	var lj [4][]float64
 	for ia := i0; ia < i1; ia += 2 {
 		ib := min(ia+1, i1-1) // an odd last row pairs with itself and is written once
-		ra, rb := l.Row(ia), l.Row(ib)
+		ra, rb := triRow(l, stride, ia), triRow(l, stride, ib)
 		ea, eb := min(ia+1, k1), min(ib+1, k1)
 		for j := k0; j < eb; j += 4 {
 			nj := min(4, eb-j)
 			for c := range lj {
-				lj[c] = l.Row(j + min(c, nj-1)) // fewer than four columns repeat the last
+				lj[c] = triRow(l, stride, j+min(c, nj-1)) // fewer than four columns repeat the last
 			}
 			t.dots(ra, rb, &lj, k0, j)
 			if nj == 4 && j+3 < ia && ib != ia {
@@ -590,11 +686,12 @@ func invTile(w0, w1 []float64, lk *[4][]float64, s *tile, kb, j0 int, w00 float6
 	w1[0], w1[1], w1[2], w1[3] = b0, b1, b2, b3
 }
 
-// gemmUpdate performs l[i0:i1, j0:j1] -= l[i0:i1, k0:k1]·l[j0:j1, k0:k1]ᵀ,
-// touching only the lower triangle when the (i,j) block is diagonal, each
-// entry one Dot over [k0, k1). Rows go in pairs against four l[j] rows at a
-// time, and one tile computes the eight whole Dots.
-func gemmUpdate(l *Matrix, i0, i1, j0, j1, k0, k1 int) {
+// gemmUpdate performs L[i0:i1, j0:j1] -= L[i0:i1, k0:k1]·L[j0:j1, k0:k1]ᵀ
+// on the rows l holds (laid out by stride as for forwardSubst), touching
+// only the lower triangle when the (i,j) block is diagonal, each entry one
+// Dot over [k0, k1). Rows go in pairs against four L[j] rows at a time, and
+// one tile computes the eight whole Dots.
+func gemmUpdate(l []float64, stride, i0, i1, j0, j1, k0, k1 int) {
 	rowMax := func(i int) int {
 		if j0 <= i && i < j1 {
 			return i + 1 // diagonal block: lower triangle only
@@ -605,12 +702,12 @@ func gemmUpdate(l *Matrix, i0, i1, j0, j1, k0, k1 int) {
 	var lj [4][]float64
 	for ia := i0; ia < i1; ia += 2 {
 		ib := min(ia+1, i1-1) // an odd last row pairs with itself and is written once
-		ra, rb := l.Row(ia), l.Row(ib)
+		ra, rb := triRow(l, stride, ia), triRow(l, stride, ib)
 		ea, eb := rowMax(ia), rowMax(ib) // eb ≥ ea always
 		for j := j0; j < eb; j += 4 {
 			nj := min(4, eb-j)
 			for c := range lj {
-				lj[c] = l.Row(j + min(c, nj-1)) // fewer than four columns repeat the last
+				lj[c] = triRow(l, stride, j+min(c, nj-1)) // fewer than four columns repeat the last
 			}
 			t.dots(ra, rb, &lj, k0, k1)
 			for c := 0; c < nj; c++ {

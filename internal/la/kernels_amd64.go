@@ -32,7 +32,8 @@ func forwardBlock4Wide(r0, r1, r2, r3, b0, b1, b2, b3 *float64, i int)
 
 // The kernels of lanes_amd64.s; lanes.go states what each computes. n is a
 // positive multiple of 4 for the first three, any positive count for
-// accumLanes, and dim ≥ 1, 1 ≤ nd ≤ 4.
+// accumLanes and sqDiffsLanes (whose masks are laneMasks), and dim ≥ 1,
+// 1 ≤ nd ≤ 4.
 
 //go:noescape
 func expLanes(dst, src *float64, n int, tab *[16][4]float64) int
@@ -46,8 +47,12 @@ func negSqDistLanes(dst, w, pt, x *float64, dim, stride, n int)
 //go:noescape
 func accumLanes(acc, e, x *float64, nd, stride, n int)
 
-// The AVX-512 tier's bodies of the first three (lanes_avx512_amd64.s): the
-// same contracts, eight elements per register.
+//go:noescape
+func sqDiffsLanes(dst, x *float64, dim, stride, n int, masks *[8]int64)
+
+// The AVX-512 tier's bodies of the first three and of sqDiffsLanes
+// (lanes_avx512_amd64.s, which masks its tails itself): the same
+// contracts, eight elements per register.
 
 //go:noescape
 func expLanesWide(dst, src *float64, n int, tab *[16][4]float64) int
@@ -57,6 +62,9 @@ func weightedSumsLanesWide(dst, w, x *float64, dim, stride, n int, scale float64
 
 //go:noescape
 func negSqDistLanesWide(dst, w, pt, x *float64, dim, stride, n int)
+
+//go:noescape
+func sqDiffsLanesWide(dst, x *float64, dim, stride, n int)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

@@ -38,6 +38,10 @@ func negSqDistLanes(dst, w, pt, x *float64, dim, stride, n int) { panic("la: no 
 
 func accumLanes(acc, e, x *float64, nd, stride, n int) { panic("la: no vector kernel") }
 
+func sqDiffsLanes(dst, x *float64, dim, stride, n int, masks *[8]int64) {
+	panic("la: no vector kernel")
+}
+
 func expLanesWide(dst, src *float64, n int, tab *[16][4]float64) int { panic("la: no vector kernel") }
 
 func weightedSumsLanesWide(dst, w, x *float64, dim, stride, n int, scale float64) {
@@ -45,3 +49,5 @@ func weightedSumsLanesWide(dst, w, x *float64, dim, stride, n int, scale float64
 }
 
 func negSqDistLanesWide(dst, w, pt, x *float64, dim, stride, n int) { panic("la: no vector kernel") }
+
+func sqDiffsLanesWide(dst, x *float64, dim, stride, n int) { panic("la: no vector kernel") }

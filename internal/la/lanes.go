@@ -128,6 +128,49 @@ func NegSqDistInto(dst, w, pt, x []float64, stride int) {
 	}
 }
 
+// SqDiffsInto sets dst[d·n+j] = (x[d·stride] − x[d·stride+j])² for j < n and
+// every row d of dst (len(dst)/n of them): difference and square are two
+// separate roundings. With x the dimension-major training coordinates from
+// sample r on, that is sample r's squared differences against samples r …
+// r+n−1, one row of n per dimension — the operand the LCM's assembly hands
+// WeightedSumsInto and its gradient sweep AccumLanesInto, filled per row
+// instead of held for every pair. Lanes are four consecutive j, and the
+// vector bodies mask each row's last block themselves: the rows are short
+// (n − r for row r), so a tail loop per dimension would cost as much as the
+// kernel.
+func SqDiffsInto(dst, x []float64, stride, n int) {
+	if n <= 0 {
+		return
+	}
+	dim := len(dst) / n
+	if len(dst) != dim*n {
+		panic("la: SqDiffsInto destination is not whole rows")
+	}
+	checkStrided(x, dim, stride, n)
+	if dim == 0 {
+		return
+	}
+	if vectorKernels {
+		if wideKernels {
+			sqDiffsLanesWide(&dst[0], &x[0], dim, stride, n)
+		} else {
+			sqDiffsLanes(&dst[0], &x[0], dim, stride, n, &laneMasks)
+		}
+		return
+	}
+	for d := 0; d < dim; d++ {
+		xd, row := x[d*stride:d*stride+n], dst[d*n:(d+1)*n]
+		for j, xs := range xd {
+			diff := xd[0] - xs
+			row[j] = diff * diff
+		}
+	}
+}
+
+// laneMasks are sqDiffsLanes' VMASKMOVPD masks: the last block's k lanes
+// are selected by the four entries from 4 − k on.
+var laneMasks = [8]int64{-1, -1, -1, -1, 0, 0, 0, 0}
+
 // AccumLanesInto does acc[4d+l] += e[4j+l]·x[d·stride+j] for every row d of
 // x, lane l < 4 and j ascending: len(acc)/4 rows of len(e)/4 elements. Each
 // of the accumulators sees its products in j order, whatever else runs

@@ -241,3 +241,57 @@ accnext:
 accstored:
 	VZEROUPPER
 	RET
+
+// func sqDiffsLanes(dst, x *float64, dim, stride, n int, masks *[8]int64)
+//
+// dst[d·n+j] = (x[d·stride] − x[d·stride+j])² for d < dim, j < n: lanes are
+// four consecutive j; the difference and the square are two separate
+// operations. A last block of n mod 4 goes through VMASKMOVPD under
+// masks[4 − n mod 4 :], whose masked loads read nothing past the row and
+// whose masked stores write nothing there.
+TEXT ·sqDiffsLanes(SB), NOSPLIT, $0-48
+	MOVQ    dst+0(FP), DI
+	MOVQ    x+8(FP), SI
+	MOVQ    dim+16(FP), R10
+	MOVQ    stride+24(FP), R11
+	MOVQ    n+32(FP), CX
+	MOVQ    masks+40(FP), R8
+	SHLQ    $3, R11                      // stride in bytes
+	MOVQ    CX, R9
+	ANDQ    $3, R9                       // the last block's lanes, 0 when none
+	MOVQ    CX, BX
+	SUBQ    R9, BX                       // elements in whole blocks
+	MOVQ    $4, DX
+	SUBQ    R9, DX
+	VMOVDQU (R8)(DX*8), Y4               // the last block's mask
+
+sqdloop:
+	VBROADCASTSD (SI), Y1                // x[d·stride], the row's own sample
+	XORQ         AX, AX
+	CMPQ         AX, BX
+	JGE          sqtail
+
+sqjloop:
+	VSUBPD  (SI)(AX*8), Y1, Y0           // x_r − x_s
+	VMULPD  Y0, Y0, Y0
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, BX
+	JLT     sqjloop
+
+sqtail:
+	TESTQ      R9, R9
+	JZ         sqnext
+	VMASKMOVPD (SI)(AX*8), Y4, Y2
+	VSUBPD     Y2, Y1, Y0
+	VMULPD     Y0, Y0, Y0
+	VMASKMOVPD Y0, Y4, (DI)(AX*8)
+
+sqnext:
+	ADDQ R11, SI
+	LEAQ (DI)(CX*8), DI
+	DECQ R10
+	JNZ  sqdloop
+
+	VZEROUPPER
+	RET

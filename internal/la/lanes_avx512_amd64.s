@@ -182,3 +182,53 @@ wsddloop:
 
 	VZEROUPPER
 	RET
+
+// func sqDiffsLanesWide(dst, x *float64, dim, stride, n int)
+//
+// sqDiffsLanes eight consecutive j at a time, difference then square, the
+// row's last block of (n−1) mod 8 + 1 elements under the opmask K2.
+TEXT ·sqDiffsLanesWide(SB), NOSPLIT, $0-40
+	MOVQ  dst+0(FP), DI
+	MOVQ  x+8(FP), SI
+	MOVQ  dim+16(FP), R10
+	MOVQ  stride+24(FP), R11
+	MOVQ  n+32(FP), R9
+	SHLQ  $3, R11                         // stride in bytes
+	MOVQ  R9, CX
+	DECQ  CX
+	ANDQ  $7, CX
+	NEGQ  CX
+	ADDQ  $7, CX                          // 8 − the last block's lanes
+	MOVL  $0xFF, R12
+	SHRL  CX, R12
+	KMOVW R12, K2
+	LEAQ  -8(R9)(CX*1), BX                // elements in the blocks before it
+
+wsqdloop:
+	VBROADCASTSD (SI), Z1                 // x[d·stride], the row's own sample
+	XORQ         AX, AX
+	CMPQ         AX, BX
+	JGE          wsqlast
+
+wsqjloop:
+	VMOVUPD (SI)(AX*8), Z2
+	VSUBPD  Z2, Z1, Z0                    // x_r − x_s
+	VMULPD  Z0, Z0, Z0
+	VMOVUPD Z0, (DI)(AX*8)
+	ADDQ    $8, AX
+	CMPQ    AX, BX
+	JLT     wsqjloop
+
+wsqlast:
+	VMOVUPD.Z (SI)(AX*8), K2, Z2
+	VSUBPD    Z2, Z1, Z0
+	VMULPD    Z0, Z0, Z0
+	VMOVUPD   Z0, K2, (DI)(AX*8)
+
+	ADDQ R11, SI
+	LEAQ (DI)(R9*8), DI
+	DECQ R10
+	JNZ  wsqdloop
+
+	VZEROUPPER
+	RET

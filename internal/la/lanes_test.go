@@ -155,6 +155,30 @@ func testLaneKernelsBitwiseEqualScalar(t *testing.T) {
 					}
 				}
 
+				// Rows dim of n from column col of x on, as the LCM fills one
+				// sample's row from the coordinates of those after it; the
+				// guard past the last row shows a masked tail writing on.
+				guarded := make([]float64, dim*n+8)
+				for i := range guarded {
+					guarded[i] = 7
+				}
+				sq := guarded[:dim*n]
+				col := rng.Intn(stride - n + 1)
+				SqDiffsInto(sq, x[col:], stride, n)
+				for i, v := range guarded[dim*n:] {
+					if v != 7 {
+						t.Fatalf("%s n=%d dim=%d: wrote %v past the last row at +%d", where("SqDiffsInto"), n, dim, v, i)
+					}
+				}
+				for d := 0; d < dim; d++ {
+					for j := 0; j < n; j++ {
+						diff := x[d*stride+col] - x[d*stride+col+j]
+						if want := diff * diff; !sameFloat(sq[d*n+j], want) {
+							t.Fatalf("%s n=%d dim=%d: [%d][%d] = %#x, scalar %#x", where("SqDiffsInto"), n, dim, d, j, math.Float64bits(sq[d*n+j]), math.Float64bits(want))
+						}
+					}
+				}
+
 				// Two calls into the same accumulators, as consecutive rows
 				// of a chunk make them.
 				e1 := lacedInput(rng, 4*n, (off+3)&3, laced)
@@ -203,4 +227,6 @@ func TestLaneKernelsRejectShortOperands(t *testing.T) {
 	mustPanic("NegSqDistInto short point", func() { NegSqDistInto(make([]float64, 8), w, w[:2], x, 10) })
 	mustPanic("AccumLanesInto short x", func() { AccumLanesInto(make([]float64, 12), make([]float64, 44), x, 10) })
 	mustPanic("AccumLanesInto ragged lanes", func() { AccumLanesInto(make([]float64, 11), make([]float64, 40), x, 10) })
+	mustPanic("SqDiffsInto short x", func() { SqDiffsInto(make([]float64, 33), x, 10, 11) })
+	mustPanic("SqDiffsInto ragged rows", func() { SqDiffsInto(make([]float64, 25), x, 10, 8) })
 }

@@ -215,13 +215,29 @@ func sameMatrixBits(got, want *Matrix) string {
 	return ""
 }
 
+// samePackedBits reports the first entry of the packed lower triangle got
+// whose bits differ from want's lower triangle, or "".
+func samePackedBits(got *TriPacked, want *Matrix) string {
+	for i := 0; i < want.Rows; i++ {
+		for j := 0; j <= i; j++ {
+			if g, w := got.At(i, j), want.At(i, j); math.Float64bits(g) != math.Float64bits(w) {
+				return fmt.Sprintf("packed entry (%d,%d) %v (%x), oracle %v (%x)", i, j, g, math.Float64bits(g), w, math.Float64bits(w))
+			}
+		}
+	}
+	return ""
+}
+
 // TestTiledCholeskyBitwise: the tiled factorization ≡ the entry-by-entry
 // recurrence, every entry's bits, for every n ≤ 80 and a sparse sweep to
 // 300, block sizes {n, 64, 16, 5}, one, two and eight workers, both
 // dispatches, through the jitter escalation — a rank-deficient input takes
 // the same rung and reports the same jitter, an indefinite one fails at
 // every rung with the same error — and with ParallelCholesky failing at the
-// same first attempt.
+// same first attempt. The packed layouts run the same grid: a dense input
+// factored into packed storage (CholeskyJitterPacked), and a packed input
+// into a reused packed factor (CholeskyJitterPackedInto, its storage full
+// of NaN beforehand, as the LCM engine's buffer holds the last Σ⁻¹).
 func TestTiledCholeskyBitwise(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	rng := rand.New(rand.NewSource(101))
@@ -239,14 +255,22 @@ func TestTiledCholeskyBitwise(t *testing.T) {
 				} else if wantJitter > 0 {
 					jittered++
 				}
+				packedA := PackChol(a)
 				for _, w := range []int{1, 2, 8} {
 					for _, scalar := range []bool{false, true} {
 						var got, bare *Matrix
-						var jitter float64
-						var err, gotBareErr error
+						var packed *TriPacked
+						into := NewTriPacked(n, nil)
+						var jitter, packedJitter, intoJitter float64
+						var err, gotBareErr, packedErr, intoErr error
 						run := func() {
 							got, jitter, err = CholeskyJitter(a, 0, bs, w)
 							bare, gotBareErr = ParallelCholesky(a, bs, w)
+							packed, packedJitter, packedErr = CholeskyJitterPacked(a, 0, bs, w)
+							for i := range into.data {
+								into.data[i] = math.NaN()
+							}
+							intoJitter, intoErr = CholeskyJitterPackedInto(into, packedA, 0, bs, w)
 						}
 						if scalar {
 							scalarOnly(run)
@@ -270,6 +294,19 @@ func TestTiledCholeskyBitwise(t *testing.T) {
 								t.Fatalf("%s bare: %s", where, d)
 							}
 						}
+						if packedErr != wantErr || intoErr != wantErr {
+							t.Fatalf("%s: packed errors (%v, into %v), oracle %v", where, packedErr, intoErr, wantErr)
+						}
+						if math.Float64bits(packedJitter) != math.Float64bits(wantJitter) || math.Float64bits(intoJitter) != math.Float64bits(wantJitter) {
+							t.Fatalf("%s: packed jitter (%g, into %g), oracle %g", where, packedJitter, intoJitter, wantJitter)
+						}
+						if err == nil {
+							for kind, p := range map[string]*TriPacked{"packed": packed, "packed into": into} {
+								if d := samePackedBits(p, want); d != "" {
+									t.Fatalf("%s %s: %s", where, kind, d)
+								}
+							}
+						}
 					}
 				}
 			}
@@ -280,26 +317,47 @@ func TestTiledCholeskyBitwise(t *testing.T) {
 	}
 }
 
+// sameUpperPackedBits reports the first entry of the upper-packed triangle
+// got (CholInversePackedInto's layout) whose bits differ from want's upper
+// triangle, or "".
+func sameUpperPackedBits(got []float64, want *Matrix) string {
+	n := want.Rows
+	for i := 0; i < n; i++ {
+		for j := i; j < n; j++ {
+			if g, w := got[upStart(i, 0, n)+j], want.At(i, j); math.Float64bits(g) != math.Float64bits(w) {
+				return fmt.Sprintf("packed entry (%d,%d) %v (%x), oracle %v (%x)", i, j, g, math.Float64bits(g), w, math.Float64bits(w))
+			}
+		}
+	}
+	return ""
+}
+
 // TestTiledInverseBitwise: the tiled ParallelCholInverseInto ≡ the
 // entry-by-entry phases, every entry's bits, on the factors
 // TestTiledCholeskyBitwise checks and on random lower-triangular factors a
 // third of whose off-diagonal entries are +0 or −0 (the closed form of W's
 // second row keeps the sign of a zero the general recurrence would flip),
 // for every n ≤ 80 and a sparse sweep to 300, one, two and eight workers,
-// both dispatches, into fresh and into reused scratch.
+// both dispatches, into fresh and into reused scratch — and the packed
+// layout, CholInversePackedInto of the packed factor, over the same grid:
+// its upper triangle is the oracle's, entry for entry.
 func TestTiledInverseBitwise(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	rng := rand.New(rand.NewSource(103))
 	for _, n := range tileSizes() {
 		wt, inv := NewMatrix(n, n), NewMatrix(n, n)
+		pwt, pinv := make([]float64, n*(n+1)/2), make([]float64, n*(n+1)/2)
 		for name, l := range inverseFactors(rng, n) {
 			want := refCholInverse(l)
+			packedL := PackChol(l)
 			for _, w := range []int{1, 2, 8} {
 				for _, scalar := range []bool{false, true} {
 					var fresh, reused *Matrix
+					var packed []float64
 					run := func() {
 						fresh = ParallelCholInverse(l, w)
 						reused = ParallelCholInverseInto(l, w, wt, inv)
+						packed = CholInversePackedInto(packedL, w, pwt, pinv)
 					}
 					if scalar {
 						scalarOnly(run)
@@ -310,6 +368,9 @@ func TestTiledInverseBitwise(t *testing.T) {
 						if d := sameMatrixBits(got, want); d != "" {
 							t.Fatalf("n=%d %s workers=%d scalar=%v %s scratch: %s", n, name, w, scalar, kind, d)
 						}
+					}
+					if d := sameUpperPackedBits(packed, want); d != "" {
+						t.Fatalf("n=%d %s workers=%d scalar=%v packed: %s", n, name, w, scalar, d)
 					}
 				}
 			}
@@ -346,10 +407,11 @@ func inverseFactors(rng *rand.Rand, n int) map[string]*Matrix {
 }
 
 // TestCholInverseIntoOverwritesItsFactor: ParallelCholInverseInto with inv
-// the factor itself, NaN above the factor's diagonal and wt full of NaN —
-// what the LCM engine's two buffers hand it — writes every entry the bits
-// it writes into separate, fresh scratch, for the sizes, worker counts and
-// dispatches of TestTiledInverseBitwise. A read of the factor in the second
+// the factor itself, NaN above the factor's diagonal and wt full of NaN,
+// and CholInversePackedInto with inv the packed factor's own storage and wt
+// full of NaN — what the LCM engine's two buffers hand it — write every
+// entry the bits of separate, fresh scratch, for the sizes, worker counts
+// and dispatches of TestTiledInverseBitwise. A read of the factor in the second
 // phase or above its diagonal, or of an entry of wt or inv before it is
 // written, shows up as a differing entry.
 func TestCholInverseIntoOverwritesItsFactor(t *testing.T) {
@@ -357,10 +419,12 @@ func TestCholInverseIntoOverwritesItsFactor(t *testing.T) {
 	rng := rand.New(rand.NewSource(107))
 	for _, n := range tileSizes() {
 		wt := NewMatrix(n, n)
+		pwt := make([]float64, n*(n+1)/2)
 		for name, l := range inverseFactors(rng, n) {
 			for _, w := range []int{1, 2, 8} {
 				for _, scalar := range []bool{false, true} {
 					var want, got *Matrix
+					var gotPacked []float64
 					run := func() {
 						want = ParallelCholInverse(l, w)
 						for i := range wt.Data {
@@ -375,6 +439,11 @@ func TestCholInverseIntoOverwritesItsFactor(t *testing.T) {
 						if p := ParallelCholInverseInto(got, w, wt, got); p != got {
 							t.Fatalf("n=%d: ParallelCholInverseInto returned another matrix than inv", n)
 						}
+						gotPacked = PackChol(l).data
+						for i := range pwt {
+							pwt[i] = math.NaN()
+						}
+						CholInversePackedInto(NewTriPacked(n, gotPacked), w, pwt, gotPacked)
 					}
 					if scalar {
 						scalarOnly(run)
@@ -383,6 +452,9 @@ func TestCholInverseIntoOverwritesItsFactor(t *testing.T) {
 					}
 					if d := sameMatrixBits(got, want); d != "" {
 						t.Fatalf("n=%d %s workers=%d scalar=%v, inv = l: %s", n, name, w, scalar, d)
+					}
+					if d := sameUpperPackedBits(gotPacked, want); d != "" {
+						t.Fatalf("n=%d %s workers=%d scalar=%v, packed inv = l: %s", n, name, w, scalar, d)
 					}
 				}
 			}

@@ -21,15 +21,30 @@ type TriPacked struct {
 	data []float64 // len n(n+1)/2
 }
 
-// PackChol packs the lower triangle of a dense factor (as produced by
-// Cholesky or ParallelCholesky) into a TriPacked. The strict upper triangle
-// of l is ignored.
+// NewTriPacked returns the order-n packed triangle stored in data, which it
+// shares and which must hold n(n+1)/2 elements; nil data allocates zeroed
+// storage. A caller that factors into the same storage again and again (the
+// LCM engine, CholeskyJitterPackedInto) keeps its buffer this way, and one
+// that is done with the buffer can hand the factor on without a copy.
+func NewTriPacked(n int, data []float64) *TriPacked {
+	if data == nil {
+		data = make([]float64, n*(n+1)/2)
+	} else if len(data) != n*(n+1)/2 {
+		panic("la: NewTriPacked storage is not n(n+1)/2 long")
+	}
+	return &TriPacked{n: n, data: data}
+}
+
+// PackChol packs the lower triangle of a dense matrix — a factor as produced
+// by Cholesky or ParallelCholesky, or a symmetric matrix to be factored by
+// CholeskyJitterPackedInto — into a TriPacked. The strict upper triangle of
+// l is ignored.
 func PackChol(l *Matrix) *TriPacked {
 	if l.Rows != l.Cols {
 		panic("la: PackChol of non-square matrix")
 	}
 	n := l.Rows
-	t := &TriPacked{n: n, data: make([]float64, n*(n+1)/2)}
+	t := NewTriPacked(n, nil)
 	for i := 0; i < n; i++ {
 		copy(t.Row(i), l.Row(i)[:i+1])
 	}
@@ -88,6 +103,10 @@ func (t *TriPacked) SolveVec(b []float64) []float64 {
 	}
 	return solveCholVec(t.data, 0, b)
 }
+
+// LogDet returns log det(L·Lᵀ) = 2·Σ log L_ii: the dense LogDetFromChol's
+// sum over packed rows.
+func (t *TriPacked) LogDet() float64 { return logDetFromChol(t.data, 0, t.n) }
 
 // AppendRows is the blocked, jitter-aware k-row extension: given the factor
 // of A, it appends the factor rows of [[A, Bᵀ], [B, C]] where cols holds B

@@ -8,6 +8,28 @@ import (
 // gradient must be written into grad (len(grad) == len(x)).
 type GradObjective func(x []float64, grad []float64) float64
 
+// SplitObjective is a scalar function in the two halves a line search asks
+// for: Value at every trial point, and Grad, the gradient at x — the point
+// of the Value call just before it, with no other evaluation between —
+// written into grad. L-BFGS asks for Grad once per point it accepts and for
+// no other, so an objective whose gradient costs more than its value (the
+// LCM likelihood's inverse and sweep) pays for it only there. Like the
+// package's other objectives, the halves are function values.
+type SplitObjective struct {
+	Value func(x []float64) float64
+	Grad  func(x, grad []float64)
+}
+
+// Replayed adapts a GradObjective of n coordinates: Value evaluates both
+// halves and keeps the gradient, Grad copies it out.
+func Replayed(f GradObjective, n int) SplitObjective {
+	g := make([]float64, n)
+	return SplitObjective{
+		Value: func(x []float64) float64 { return f(x, g) },
+		Grad:  func(_, grad []float64) { copy(grad, g) },
+	}
+}
+
 // LBFGSParams configures the limited-memory BFGS minimizer.
 type LBFGSParams struct {
 	MaxIter int // iteration cap (default 200)
@@ -33,11 +55,12 @@ const (
 // This is the paper's hyperparameter optimizer (Section 3.1 modeling phase,
 // citing Liu & Nocedal); positivity constraints on hyperparameters are
 // handled by the caller via log-parameterization. It is a new LBFGSRun
-// advanced to the iteration cap in one go.
+// advanced to the iteration cap in one go, f computing value and gradient
+// at every point and the run reading the gradient where it accepts one.
 func LBFGS(f GradObjective, x0 []float64, params LBFGSParams) Result {
 	params.defaults()
 	r := NewLBFGSRun(x0)
-	r.Advance(f, params.MaxIter)
+	r.Advance(Replayed(f, len(x0)), params.MaxIter)
 	return r.Result()
 }
 
@@ -90,12 +113,13 @@ func NewLBFGSRun(x0 []float64) *LBFGSRun {
 }
 
 // Advance runs iterations until the run has consumed iter of them in total
-// or a stopping rule fires. f may be a different closure from call to call
+// or a stopping rule fires. f may be a different objective from call to call
 // as long as it is the same function of x (the modeling phase hands a run to
 // whichever worker's evaluation engine is free).
-func (r *LBFGSRun) Advance(f GradObjective, iter int) {
+func (r *LBFGSRun) Advance(f SplitObjective, iter int) {
 	if r.evals == 0 {
-		r.fx = f(r.x, r.g)
+		r.fx = f.Value(r.x)
+		f.Grad(r.x, r.g)
 		r.evals = 1
 	}
 	for r.iter < iter && !r.stopped {
@@ -112,7 +136,7 @@ func (r *LBFGSRun) Result() Result { return Result{X: r.x, F: r.fx, Evals: r.eva
 // reports whether the run goes on.
 //
 //gptlint:hotpath
-func (r *LBFGSRun) step(f GradObjective) bool {
+func (r *LBFGSRun) step(f SplitObjective) bool {
 	x, g, dir, xNew, gNew := r.x, r.g, r.dir, r.xNew, r.gNew
 	fx := r.fx
 	if infNorm(g) < lbfgsGradTol || math.IsNaN(fx) || math.IsInf(fx, 0) {
@@ -157,7 +181,8 @@ func (r *LBFGSRun) step(f GradObjective) bool {
 	}
 
 	// Armijo backtracking (with plain-decrease fallback once the step is
-	// small, which keeps progress in extremely narrow valleys).
+	// small, which keeps progress in extremely narrow valleys). Trial points
+	// are evaluated by value; the gradient is asked for at the accepted one.
 	const c1 = 1e-4
 	step := 1.0
 	accepted := false
@@ -166,9 +191,10 @@ func (r *LBFGSRun) step(f GradObjective) bool {
 		for i := range x {
 			xNew[i] = x[i] + step*dir[i]
 		}
-		fNew = f(xNew, gNew)
+		fNew = f.Value(xNew)
 		r.evals++
 		if !math.IsNaN(fNew) && (fNew <= fx+c1*step*dg || (ls > 20 && fNew < fx)) {
+			f.Grad(xNew, gNew)
 			accepted = true
 			break
 		}

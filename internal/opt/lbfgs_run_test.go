@@ -77,23 +77,24 @@ func TestLBFGSRunResumesBitwise(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			want := LBFGS(c.f, c.x0, LBFGSParams{MaxIter: maxIter})
+			f := Replayed(c.f, len(c.x0))
 
 			rungs := NewLBFGSRun(c.x0)
-			rungs.Advance(c.f, 10)
+			rungs.Advance(f, 10)
 			if rungs.stopped {
 				t.Fatalf("stopped within 10 iterations")
 			}
-			rungs.Advance(c.f, 40)
+			rungs.Advance(f, 40)
 			if rungs.stopped != c.stopped {
 				t.Fatalf("stopped by iteration 40: %v, want %v (at iteration %d)", rungs.stopped, c.stopped, rungs.iter)
 			}
-			rungs.Advance(c.f, maxIter)
+			rungs.Advance(f, maxIter)
 
 			single := NewLBFGSRun(c.x0)
 			for i := 1; i <= maxIter; i++ {
-				single.Advance(c.f, i)
+				single.Advance(f, i)
 			}
-			single.Advance(c.f, maxIter) // an Advance to where the run already is does nothing
+			single.Advance(f, maxIter) // an Advance to where the run already is does nothing
 
 			for name, r := range map[string]*LBFGSRun{"10/40/cap": rungs, "one at a time": single} {
 				got := r.Result()
@@ -121,16 +122,69 @@ func TestLBFGSRunResumesBitwise(t *testing.T) {
 func TestLBFGSRunIterationAllocatesNothing(t *testing.T) {
 	x0 := []float64{-1.2, 1, -0.5, 0.8, -1.2, 1, -0.5, 0.8}
 	r := NewLBFGSRun(x0)
-	r.Advance(chainedRosenbrock, 15) // the ring has rolled
+	f := Replayed(chainedRosenbrock, len(x0))
+	r.Advance(f, 15) // the ring has rolled
 	iter := 15
 	allocs := testing.AllocsPerRun(20, func() {
 		iter++
-		r.Advance(chainedRosenbrock, iter)
+		r.Advance(f, iter)
 	})
 	if r.stopped {
 		t.Fatalf("the run stopped at iteration %d; the measurement needs live iterations", r.iter)
 	}
 	if allocs != 0 {
 		t.Errorf("an iteration allocates %v times, want 0", allocs)
+	}
+}
+
+// TestLBFGSRunAsksGradientOnlyAtAcceptedPoints: a run over a split
+// objective asks for the gradient once per point it moves to — at the x of
+// the Value call just before, never twice — skips it at the line search's
+// rejected trials, and walks the bits, and counts the evaluations, of LBFGS
+// over the combined objective.
+func TestLBFGSRunAsksGradientOnlyAtAcceptedPoints(t *testing.T) {
+	x0 := []float64{-1.2, 1, -0.5, 0.8, -1.2, 1, -0.5, 0.8, -1.2, 1}
+	const maxIter = 60
+	want := LBFGS(chainedRosenbrock, x0, LBFGSParams{MaxIter: maxIter})
+
+	last := make([]float64, len(x0))
+	values, grads, asked := 0, 0, true
+	f := SplitObjective{
+		Value: func(x []float64) float64 {
+			values++
+			copy(last, x)
+			asked = false
+			return chainedRosenbrock(x, make([]float64, len(x)))
+		},
+		Grad: func(x, grad []float64) {
+			grads++
+			if asked {
+				t.Fatalf("gradient asked for twice after value %d", values)
+			}
+			for i := range x {
+				if math.Float64bits(x[i]) != math.Float64bits(last[i]) {
+					t.Fatalf("gradient asked for at another point than value %d's", values)
+				}
+			}
+			asked = true
+			chainedRosenbrock(x, grad)
+		},
+	}
+	r := NewLBFGSRun(x0)
+	r.Advance(f, maxIter)
+	got := r.Result()
+	if got.Evals != want.Evals || values != want.Evals {
+		t.Errorf("%d evaluations (%d values), combined run took %d", got.Evals, values, want.Evals)
+	}
+	if math.Float64bits(got.F) != math.Float64bits(want.F) {
+		t.Errorf("F = %v, combined %v", got.F, want.F)
+	}
+	for i := range want.X {
+		if math.Float64bits(got.X[i]) != math.Float64bits(want.X[i]) {
+			t.Errorf("X[%d] = %v, combined %v", i, got.X[i], want.X[i])
+		}
+	}
+	if grads >= values {
+		t.Errorf("%d gradients for %d values: no rejected trial point was spared one", grads, values)
 	}
 }

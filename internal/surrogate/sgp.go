@@ -156,11 +156,11 @@ func (sgpFitter) Fit(data *Dataset, opts FitOptions) (Model, error) {
 	}
 	// block = m: one block, i.e. the unblocked serial recurrence — the m×m
 	// factors are small.
-	lm, _, err := la.CholeskyJitter(kmm, 0, m, 1)
+	lm, _, err := la.CholeskyJitterPacked(kmm, 0, m, 1)
 	if err != nil {
 		return nil, fmt.Errorf("surrogate: sgp inducing Gram factorization: %w", err)
 	}
-	ts.lm = la.PackChol(lm)
+	ts.lm = lm
 	if err := ts.refactor(); err != nil {
 		return nil, err
 	}
@@ -170,11 +170,11 @@ func (sgpFitter) Fit(data *Dataset, opts FitOptions) (Model, error) {
 // refactor derives Q_m's jittered Cholesky factor and alpha from (qmat, r),
 // one block like K_mm's.
 func (ts *taskSGP) refactor() error {
-	lq, _, err := la.CholeskyJitter(ts.qmat, 0, len(ts.z), 1)
+	lq, _, err := la.CholeskyJitterPacked(ts.qmat, 0, len(ts.z), 1)
 	if err != nil {
 		return fmt.Errorf("surrogate: sgp Q factorization: %w", err)
 	}
-	ts.lq = la.PackChol(lq)
+	ts.lq = lq
 	alpha := ts.lq.SolveVec(ts.r)
 	la.ScaleVec(ts.invNoise(), alpha)
 	ts.alpha = alpha
