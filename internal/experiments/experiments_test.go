@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/bench"
 	"repro/internal/core"
@@ -44,26 +45,40 @@ func TestFig2CurveShapes(t *testing.T) {
 }
 
 func TestFig3TimingsAndScaling(t *testing.T) {
-	rows := Fig3([]int{2, 4}, 4, 1)
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.Modeling <= 0 || r.Search <= 0 {
-			t.Fatalf("non-positive phase time: %+v", r)
+	// One modeling phase at ε = 2 is about a millisecond and at ε = 4 a few,
+	// so a single co-tenant stall can reverse one pair of them; the minimum
+	// over several repeats cannot be reversed by a stall that hits only some.
+	const repeats = 5
+	var fastest [2]time.Duration // one worker's modeling at ε = 2, then 4
+	for k := 0; k < repeats; k++ {
+		rows := Fig3([]int{2, 4}, 4, 1)
+		if len(rows) != 4 {
+			t.Fatalf("rows = %d", len(rows))
 		}
-		if r.KernelN != 20*r.EpsTot {
-			t.Fatalf("kernel size %d for eps=%d", r.KernelN, r.EpsTot)
+		for _, r := range rows {
+			if r.Modeling <= 0 || r.Search <= 0 {
+				t.Fatalf("non-positive phase time: %+v", r)
+			}
+			if r.KernelN != 20*r.EpsTot {
+				t.Fatalf("kernel size %d for eps=%d", r.KernelN, r.EpsTot)
+			}
+		}
+		for e, r := range []Fig3Row{rows[0], rows[2]} {
+			if k == 0 || r.Modeling < fastest[e] {
+				fastest[e] = r.Modeling
+			}
+		}
+		if k == 0 {
+			var buf bytes.Buffer
+			PrintFig3(&buf, rows)
+			if !strings.Contains(buf.String(), "speedups") {
+				t.Fatalf("print output missing speedups")
+			}
 		}
 	}
 	// Larger eps must cost more modeling time at the same worker count.
-	if rows[2].Modeling < rows[0].Modeling {
-		t.Fatalf("modeling time did not grow with eps: %v then %v", rows[0].Modeling, rows[2].Modeling)
-	}
-	var buf bytes.Buffer
-	PrintFig3(&buf, rows)
-	if !strings.Contains(buf.String(), "speedups") {
-		t.Fatalf("print output missing speedups")
+	if fastest[1] < fastest[0] {
+		t.Fatalf("modeling time did not grow with eps: fastest of %d %v then %v", repeats, fastest[0], fastest[1])
 	}
 }
 

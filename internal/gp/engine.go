@@ -19,10 +19,11 @@ const gradChunkRows = 32
 // evaluation fan its passes out over goroutines. Below it the evaluation is
 // a few hundred microseconds and the half-dozen fork/joins inside it cost
 // more than they return — measured on a shared two-core Xeon (δ 3, β 5,
-// Q 3), one worker against two: 189 → 254 µs at n = 72, 1.06 → 1.00 ms at
-// n = 150 (break-even), 1.76 → 1.61 ms at n = 192, 3.29 → 2.81 ms at
-// n = 256, 14.4 → 10.1 ms at n = 450. Between 150 and 192 two workers gain
-// a few percent, inside the machine's noise, so the threshold stays at 192.
+// Q 3), one worker against two, medians of three runs with la's fused
+// factorization and inverse strips: 153 → 198 µs at n = 72, 705 → 727 µs
+// at n = 150, 1.17 → 1.15 ms at n = 192 (break-even), 2.36 → 2.05 ms at
+// n = 255, 10.7 → 8.1 ms at n = 450. Below 192 one worker is as fast or
+// faster, inside the machine's noise, so the threshold stays at 192.
 // It never moves a bit (the reductions are worker-count independent); it
 // only keeps a small fit's last surviving start, which has every worker to
 // itself, from paying for parallelism it cannot use.

@@ -45,6 +45,48 @@ func BenchmarkCholInverseInto(b *testing.B) {
 	}
 }
 
+// BenchmarkCholeskyJitterPackedInto and BenchmarkCholInversePackedInto
+// time the two O(n³) steps of one LCM likelihood evaluation through the
+// engine's entry points — packed Σ into a reused packed factor, then the
+// packed factor into reused packed W and Σ⁻¹ — at one worker and the LCM's
+// 64-row block, per tier: n = 24 and 72 are tune_cold-sized fits, n = 510 a
+// tune_warm-sized one.
+func BenchmarkCholeskyJitterPackedInto(b *testing.B) {
+	for _, n := range []int{24, 72, 510} {
+		a := PackChol(randomSPD(rand.New(rand.NewSource(1)), n))
+		l := NewTriPacked(n, nil)
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			benchTiers(b, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := CholeskyJitterPackedInto(l, a, 0, 64, 1); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		})
+	}
+}
+
+func BenchmarkCholInversePackedInto(b *testing.B) {
+	for _, n := range []int{24, 72, 510} {
+		l, err := ParallelCholesky(randomSPD(rand.New(rand.NewSource(1)), n), n, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		packed := PackChol(l)
+		wt, inv := make([]float64, len(packed.data)), make([]float64, len(packed.data))
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			benchTiers(b, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					CholInversePackedInto(packed, 1, wt, inv)
+				}
+			})
+		})
+	}
+}
+
 // benchTiers runs fn as one sub-benchmark per tier this build on this CPU
 // can run, on that tier's bodies: the AVX2 tier is the AVX-512 one's
 // baseline, timed in the same binary.

@@ -253,9 +253,11 @@ func backwardSubstT(data []float64, stride int, b []float64) {
 // assembles Σ⁻¹ = WᵀW from row-wise dot products, which is roughly 3×
 // cheaper than per-column two-sided solves and fully cache-friendly. The
 // independent column solves and the row-wise assembly are distributed over
-// nworkers goroutines. Both phases run in 2×4 tiles (tile.dots): a pair of W
-// columns against four rows of L, then a pair of W rows against four others,
-// so each operand row is loaded once for up to eight Dots. The pairing and
+// nworkers goroutines. Both phases run in 2×4 tiles: a pair of W columns
+// against four rows of L, then a pair of W rows against four others, so each
+// operand row is loaded once for up to eight Dots — through tile.dots on the
+// scalar tier, and on the vector tiers as fused strips (invWStrip,
+// invWStrip4, wtwStrip), one call per column pair or row pair. The pairing and
 // every summation order depend only on n — never on nworkers — so the result
 // is bitwise identical for any worker count. The LCM gradient reads the
 // packed form, CholInversePackedInto, which is the same body over packed
@@ -289,7 +291,7 @@ func ParallelCholInverseInto(l *Matrix, nworkers int, wt, inv *Matrix) *Matrix {
 	} else if inv.Rows != n || inv.Cols != n {
 		panic("la: ParallelCholInverseInto inv dimension mismatch")
 	}
-	cholInverse(l.Data, n, wt.Data, n, inv.Data, n, n, nworkers)
+	cholInverse(l.Data, n, wt.Data, inv.Data, n, n, nworkers)
 	return inv
 }
 
@@ -308,30 +310,35 @@ func CholInversePackedInto(l *TriPacked, nworkers int, wt, inv []float64) []floa
 	if len(wt) != len(l.data) || len(inv) != len(l.data) {
 		panic("la: CholInversePackedInto scratch dimension mismatch")
 	}
-	cholInverse(l.data, 0, wt, 0, inv, 0, n, nworkers)
+	cholInverse(l.data, 0, wt, inv, 0, n, nworkers)
 	return inv
 }
 
 // cholInverse is the one two-phase inverse of the order-n factor whose rows
 // l holds (laid out as for forwardSubst by lstride), behind the dense and
-// packed entry points. W and Σ⁻¹ are stored by upper rows (upRow): dense
-// when the stride is n, packed when it is 0. A dense inv gets both
+// packed entry points. W and Σ⁻¹ are stored by upper rows (upRow), both by
+// ustride: dense when it is n, packed when it is 0. A dense inv gets both
 // triangles, a packed one only the upper.
-func cholInverse(l []float64, lstride int, wt []float64, wstride int, inv []float64, istride, n, nworkers int) {
-	cholInverseW(l, lstride, wt, wstride, n, nworkers)
+func cholInverse(l []float64, lstride int, wt, inv []float64, ustride, n, nworkers int) {
+	cholInverseW(l, lstride, wt, ustride, n, nworkers)
 	parallelBlocks((n+1)/2, nworkers, func(g int) {
 		i0 := 2 * g
 		i1 := i0 + 1
-		wi0 := upRow(wt, wstride, n, i0)
+		wi0 := upRow(wt, ustride, n, i0)
 		if i1 >= n {
 			// Odd tail row: plain per-entry dot products.
 			for j := 0; j <= i0; j++ {
-				s := Dot(wi0[i0:], upRow(wt, wstride, n, j)[i0:]) // entries below max(i,j)=i0 vanish
-				inv[upStart(j, istride, n)+i0] = s
-				if istride > 0 {
-					inv[i0*istride+j] = s
+				s := Dot(wi0[i0:], upRow(wt, ustride, n, j)[i0:]) // entries below max(i,j)=i0 vanish
+				inv[upStart(j, ustride, n)+i0] = s
+				if ustride > 0 {
+					inv[i0*ustride+j] = s
 				}
 			}
+			return
+		}
+		wi1 := upRow(wt, ustride, n, i1)
+		if vectorKernels {
+			wtwRows(wt, inv, wi0, wi1, ustride, n, i0)
 			return
 		}
 		// Phase 2, rows i0 and i1 against rows j ≤ i1 of W four at a time:
@@ -339,18 +346,17 @@ func cholInverse(l []float64, lstride int, wt []float64, wstride int, inv []floa
 		// i0's entries then add the W[i0] term, and j = i1 is the diagonal
 		// Dot(W[i1, i1:], W[i1, i1:]). Entries (j, i0) and (j, i1) are upper
 		// ones; a dense inv mirrors them.
-		wi1 := upRow(wt, wstride, n, i1)
 		var t tile
 		var wj [4][]float64
 		for jb := 0; jb <= i1; jb += 4 {
 			nj := min(4, i1+1-jb)
 			for c := range wj {
-				wj[c] = upRow(wt, wstride, n, jb+min(c, nj-1)) // fewer than four rows repeat the last
+				wj[c] = upRow(wt, ustride, n, jb+min(c, nj-1)) // fewer than four rows repeat the last
 			}
 			t.dots(wi0, wi1, &wj, i1, n)
 			for c := 0; c < nj; c++ {
 				j := jb + c
-				uj := upStart(j, istride, n)
+				uj := upStart(j, ustride, n)
 				s1 := t.dot(1, c)
 				inv[uj+i1] = s1
 				if j == i1 {
@@ -358,13 +364,60 @@ func cholInverse(l []float64, lstride int, wt []float64, wstride int, inv []floa
 				}
 				s0 := t.dot(0, c) + wi0[i0]*wj[c][i0]
 				inv[uj+i0] = s0
-				if istride > 0 {
-					inv[i0*istride+j] = s0
-					inv[i1*istride+j] = s1
+				if ustride > 0 {
+					inv[i0*ustride+j] = s0
+					inv[i1*ustride+j] = s1
 				}
 			}
 		}
 	})
+}
+
+// wtwRows is the second phase's W rows i0 and i1 = i0+1 (wi0, wi1) on the
+// vector tiers, the loop above in one wtwStrip call: the quads of rows
+// j ≤ i0 are finished and stored in the kernel, and the last quad, which
+// ends at the diagonal j = i1, leaves its eight Dots for the stores here.
+func wtwRows(wt, inv, wi0, wi1 []float64, ustride, n, i0 int) {
+	i1 := i0 + 1
+	var out [8]float64
+	m0, mstride := &inv[0], 0
+	if ustride > 0 {
+		m0, mstride = &inv[i0*ustride], ustride
+	}
+	_ = inv[upStart(i1, ustride, n)+i1] // past every entry the kernel writes: it writes unchecked
+	step, grow := upperStep(ustride, n)
+	wtwStrip(&wi0[i1], &wi1[i1], &wt[i1], &inv[i1], m0, &out[0], i1>>2, i1&3+1, n-i1, step, grow, mstride, wi0[i0])
+	for jb, c := i1&^3, 0; jb+c <= i1; c++ {
+		j := jb + c
+		uj := upStart(j, ustride, n)
+		inv[uj+i1] = out[4+c]
+		if j < i1 {
+			inv[uj+i0] = out[c]
+			if ustride > 0 {
+				inv[i0*ustride+j] = out[c]
+				inv[i1*ustride+j] = out[4+c]
+			}
+		}
+	}
+}
+
+// lowerStep returns the strip kernels' step and grow for lower rows laid
+// out by stride, from row i on: the distance in elements from row i to row
+// i+1, and what that distance gains per row.
+func lowerStep(i, stride int) (step, grow int) {
+	if stride == 0 {
+		return i + 1, 1
+	}
+	return stride, 0
+}
+
+// upperStep is lowerStep for the upper rows of an order-n matrix (upStart),
+// from row 0 on.
+func upperStep(stride, n int) (step, grow int) {
+	if stride == 0 {
+		return n - 1, -1
+	}
+	return stride, 0
 }
 
 // CholInverseDiag returns the diagonal of (L·Lᵀ)⁻¹ for the packed factor t,
@@ -408,44 +461,92 @@ func CholInverseDiag(t *TriPacked, nworkers int) []float64 {
 // Rows k of L advance in blocks of four at k − j1 ≡ 0 (mod 4), which share
 // the aligned prefix [j1, kb) of all eight Dots; each row's tail multiplies
 // W entries the block has just produced. Row j1 opens the first block and
-// keeps its own closed form.
+// keeps its own closed form. On the vector tiers a pair's blocks are one
+// invWStrip call, and pairs g and g+2, whose blocks coincide from the
+// second pair's row j1 on, share one invWStrip4 call: every entry keeps its
+// operations, and each division chain carries four columns instead of two.
 func cholInverseW(l []float64, lstride int, wt []float64, wstride, n, nworkers int) {
-	parallelBlocks((n+1)/2, nworkers, func(g int) {
-		j0 := 2 * g
-		j1 := j0 + 1
-		row0 := upRow(wt, wstride, n, j0)
-		row0[j0] = 1 / triRow(l, lstride, j0)[j0]
-		if j1 >= n {
+	pairs := (n + 1) / 2
+	if !vectorKernels {
+		parallelBlocks(pairs, nworkers, func(g int) {
+			invWTiles(l, lstride, wt, wstride, n, 2*g)
+		})
+		return
+	}
+	// Unit u is pairs g = 4⌊u/2⌋ + u mod 2 and g+2.
+	parallelBlocks((pairs+3)/4*2, nworkers, func(u int) {
+		j0 := 4*(u&^1) + 2*(u&1)
+		if j0 >= n {
 			return
 		}
-		lj1 := triRow(l, lstride, j1)
-		row0[j1] = -lj1[j0] * row0[j0] / lj1[j1]
-		row1 := upRow(wt, wstride, n, j1)
-		row1[j1] = 1 / lj1[j1]
-		var t tile
-		var lk [4][]float64
-		for kb := j1; kb < n; kb += 4 {
-			nk := min(4, n-kb)
-			for c := range lk {
-				lk[c] = triRow(l, lstride, kb+min(c, nk-1)) // fewer than four rows repeat the last
-			}
-			t.dots(row0, row1, &lk, j1, kb)
-			if nk == 4 && kb > j1 {
-				invTile(row0[kb:kb+4:kb+4], row1[kb:kb+4:kb+4], &lk, &t, kb, j0, row0[j0])
-				continue
-			}
-			for c := 0; c < nk; c++ {
-				k := kb + c
-				if k == j1 {
-					continue
-				}
-				s0 := finishDot(t.lanes(0, c), lk[c][kb:k], row0[kb:k]) + lk[c][j0]*row0[j0]
-				s1 := finishDot(t.lanes(1, c), lk[c][kb:k], row1[kb:k])
-				row0[k] = -s0 / lk[c][k]
-				row1[k] = -s1 / lk[c][k]
+		row0, row1 := invWHead(l, lstride, wt, wstride, n, j0)
+		j1 := j0 + 1
+		if j1+1 >= n {
+			return
+		}
+		_ = triRow(l, lstride, n-1)[n-1] // the last row's pivot: the kernels read unchecked
+		step, grow := lowerStep(j1, lstride)
+		if j0+4 < n {
+			b0, b1 := invWHead(l, lstride, wt, wstride, n, j0+4)
+			if j1+5 < n {
+				var spill [32]float64
+				invWStrip4(&row0[j1], &row1[j1], &b0[j1], &b1[j1], &l[rowStart(j1, lstride)+j1], n-j1, step, grow, row0[j0], b0[j0+4], &spill)
+				return
 			}
 		}
+		invWStrip(&row0[j1], &row1[j1], &l[rowStart(j1, lstride)+j1], n-j1, step, grow, row0[j0])
 	})
+}
+
+// invWHead sets the closed forms that open columns j0 and j1 = j0+1 of W —
+// W[j0][j0], and below n W[j1][j0] and W[j1][j1] — and returns their upper
+// rows of wt, the second nil when j1 = n.
+func invWHead(l []float64, lstride int, wt []float64, wstride, n, j0 int) (row0, row1 []float64) {
+	j1 := j0 + 1
+	row0 = upRow(wt, wstride, n, j0)
+	row0[j0] = 1 / triRow(l, lstride, j0)[j0]
+	if j1 >= n {
+		return row0, nil
+	}
+	lj1 := triRow(l, lstride, j1)
+	row0[j1] = -lj1[j0] * row0[j0] / lj1[j1]
+	row1 = upRow(wt, wstride, n, j1)
+	row1[j1] = 1 / lj1[j1]
+	return row0, row1
+}
+
+// invWTiles is columns j0 and j0+1 of W on the scalar tier: the closed
+// forms, then the blocks of L rows in 2×4 tiles, full ones finished by
+// invTile.
+func invWTiles(l []float64, lstride int, wt []float64, wstride, n, j0 int) {
+	row0, row1 := invWHead(l, lstride, wt, wstride, n, j0)
+	j1 := j0 + 1
+	if j1 >= n {
+		return
+	}
+	var t tile
+	var lk [4][]float64
+	for kb := j1; kb < n; kb += 4 {
+		nk := min(4, n-kb)
+		for c := range lk {
+			lk[c] = triRow(l, lstride, kb+min(c, nk-1)) // fewer than four rows repeat the last
+		}
+		t.dots(row0, row1, &lk, j1, kb)
+		if nk == 4 && kb > j1 {
+			invTile(row0[kb:kb+4:kb+4], row1[kb:kb+4:kb+4], &lk, &t, kb, j0, row0[j0])
+			continue
+		}
+		for c := 0; c < nk; c++ {
+			k := kb + c
+			if k == j1 {
+				continue
+			}
+			s0 := finishDot(t.lanes(0, c), lk[c][kb:k], row0[kb:k]) + lk[c][j0]*row0[j0]
+			s1 := finishDot(t.lanes(1, c), lk[c][kb:k], row1[kb:k])
+			row0[k] = -s0 / lk[c][k]
+			row1[k] = -s1 / lk[c][k]
+		}
+	}
 }
 
 // triRow returns row i of a lower-triangular factor up to its diagonal,
@@ -597,15 +698,57 @@ func choleskyInto(l []float64, lstride int, a []float64, astride, n int, jitter 
 // tile.dots pass — and entry (i, j+c) adds its c tail terms, entries of row
 // i the tile has just produced, into lane 0 in order. That is Dot's lane
 // contract term for term, so the tiles and the entry-by-entry recurrence
-// agree bit for bit and meet the pivots in the same order.
+// agree bit for bit and meet the pivots in the same order. On the vector
+// tiers the full off-diagonal tiles of two row pairs with the same tiles
+// are one cholStrip4 call, which in a diagonal block also finishes their
+// diagonal tile, and those of a lone row pair one cholStrip call; the
+// tiles left finish here.
 func cholRows(l []float64, stride, i0, i1, k0, k1 int) error {
 	var t tile
 	var lj [4][]float64
+	var spill [32]float64
+	resume := -1 // where this row pair's tiles resume when a four-row strip ran ahead
 	for ia := i0; ia < i1; ia += 2 {
 		ib := min(ia+1, i1-1) // an odd last row pairs with itself and is written once
 		ra, rb := triRow(l, stride, ia), triRow(l, stride, ib)
 		ea, eb := min(ia+1, k1), min(ib+1, k1)
-		for j := k0; j < eb; j += 4 {
+		j := k0
+		tiles := (min(ia, k1) - k0) / 4
+		diag := ia < k1 // the tile at ia reaches the rows' diagonals
+		switch {
+		case resume >= 0:
+			j, resume = resume, -1
+		case vectorKernels && ia+3 < i1 && (diag && ia == k0+4*tiles || !diag && tiles > 0):
+			// Two row pairs at once, the next one having the same full
+			// tiles: they read only rows above ia. In a diagonal block the
+			// strip also finishes the four rows' diagonal tile.
+			rc, rd := triRow(l, stride, ia+2), triRow(l, stride, ia+3)
+			if tiles > 0 {
+				last := k0 + 4*tiles - 1
+				_ = triRow(l, stride, last)[last] // the kernel reads unchecked
+			}
+			step, grow := lowerStep(k0, stride)
+			d := 0
+			if diag {
+				d = 1
+			}
+			if cholStrip4(&ra[k0], &rb[k0], &rc[k0], &rd[k0], &l[rowStart(k0, stride)+k0], tiles, step, grow, d, &spill) != 0 {
+				return ErrNotPositiveDefinite
+			}
+			j = k0 + 4*tiles
+			resume = j
+			if diag {
+				j, resume = eb, eb+2 // both pairs' rows are finished
+			}
+		case vectorKernels && ib != ia && tiles > 0:
+			// The full off-diagonal tiles in one call, cholTile's chain each.
+			last := k0 + 4*tiles - 1
+			_ = triRow(l, stride, last)[last] // the kernel reads unchecked
+			step, grow := lowerStep(k0, stride)
+			cholStrip(&ra[k0], &rb[k0], &l[rowStart(k0, stride)+k0], tiles, step, grow)
+			j += 4 * tiles
+		}
+		for ; j < eb; j += 4 {
 			nj := min(4, eb-j)
 			for c := range lj {
 				lj[c] = triRow(l, stride, j+min(c, nj-1)) // fewer than four columns repeat the last
@@ -690,7 +833,8 @@ func invTile(w0, w1 []float64, lk *[4][]float64, s *tile, kb, j0 int, w00 float6
 // on the rows l holds (laid out by stride as for forwardSubst), touching
 // only the lower triangle when the (i,j) block is diagonal, each entry one
 // Dot over [k0, k1). Rows go in pairs against four L[j] rows at a time, and
-// one tile computes the eight whole Dots.
+// one tile computes the eight whole Dots; on the vector tiers the quads both
+// rows of a pair fill are one gemmStrip call.
 func gemmUpdate(l []float64, stride, i0, i1, j0, j1, k0, k1 int) {
 	rowMax := func(i int) int {
 		if j0 <= i && i < j1 {
@@ -704,7 +848,16 @@ func gemmUpdate(l []float64, stride, i0, i1, j0, j1, k0, k1 int) {
 		ib := min(ia+1, i1-1) // an odd last row pairs with itself and is written once
 		ra, rb := triRow(l, stride, ia), triRow(l, stride, ib)
 		ea, eb := rowMax(ia), rowMax(ib) // eb ≥ ea always
-		for j := j0; j < eb; j += 4 {
+		j := j0
+		if quads := (ea - j0) / 4; vectorKernels && ib != ia && quads > 0 {
+			// The quads both rows fill, in one call.
+			last := j0 + 4*quads - 1
+			_ = triRow(l, stride, last)[k1-1] // the kernel reads unchecked
+			step, grow := lowerStep(j0, stride)
+			gemmStrip(&ra[k0], &rb[k0], &ra[j0], &rb[j0], &l[rowStart(j0, stride)+k0], quads, k1-k0, step, grow)
+			j += 4 * quads
+		}
+		for ; j < eb; j += 4 {
 			nj := min(4, eb-j)
 			for c := range lj {
 				lj[c] = triRow(l, stride, j+min(c, nj-1)) // fewer than four columns repeat the last

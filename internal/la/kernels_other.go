@@ -3,9 +3,9 @@
 package la
 
 // No vector kernels on this GOARCH, or the purego build tag asked for none:
-// the tier is scalar, so Dot, tile.dots, forwardSubst and the lanes.go
-// kernels always run their scalar bodies — ExpInto a loop over Exp — and
-// never reach these. Every result has the bits of the dispatched build, which
+// the tier is scalar, so Dot, tile.dots, forwardSubst, the Cholesky and
+// inverse tiles and the lanes.go kernels always run their scalar bodies —
+// ExpInto a loop over Exp — and never reach these. Every result has the bits of the dispatched build, which
 // is what `go test -tags purego` checks on an amd64 runner.
 
 func detectTier() tier { return tierScalar }
@@ -25,6 +25,26 @@ func forwardBlock4(r0, r1, r2, r3, b0, b1, b2, b3 *float64, i int) {
 }
 
 func forwardBlock4Wide(r0, r1, r2, r3, b0, b1, b2, b3 *float64, i int) {
+	panic("la: no vector kernel")
+}
+
+func cholStrip(x, y, l *float64, tiles, step, grow int) { panic("la: no vector kernel") }
+
+func cholStrip4(x0, x1, x2, x3, l *float64, tiles, step, grow, diag int, spill *[32]float64) int {
+	panic("la: no vector kernel")
+}
+
+func invWStrip(x, y, l *float64, rows, step, grow int, w00 float64) { panic("la: no vector kernel") }
+
+func invWStrip4(xa, ya, xb, yb, l *float64, rows, step, grow int, w00a, w00b float64, spill *[32]float64) {
+	panic("la: no vector kernel")
+}
+
+func wtwStrip(x, y, w, iv, m0, out *float64, quads, nlast, length, step, grow, mstride int, w00 float64) {
+	panic("la: no vector kernel")
+}
+
+func gemmStrip(x, y, xo, yo, l *float64, quads, length, step, grow int) {
 	panic("la: no vector kernel")
 }
 

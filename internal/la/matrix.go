@@ -57,7 +57,8 @@ func MatMulTransB(a, b *Matrix) *Matrix {
 }
 
 // vectorKernels selects the AVX2 bodies (kernels_amd64.s, lanes_amd64.s) of
-// the lane loops of Dot, tile.dots, forwardSubst and lanes.go, and
+// the lane loops of Dot, tile.dots, forwardSubst and lanes.go and the fused
+// strips of the Cholesky factorization and the inverse, and
 // wideKernels the AVX-512 ones that replace some of them; both follow
 // cpuTier, so both are false on CPUs and GOARCHes without AVX2 and in a
 // build with the purego tag. Whatever the tier every result has the same
@@ -104,9 +105,10 @@ func Dot(a, b []float64) float64 {
 }
 
 // tile holds the lanes of eight Dots, two rows against four columns: row r
-// against column c at [16r+4c, 16r+4c+4). It is the one dispatch of the
-// 2×4 tiles behind the Cholesky factorization and the inverse (DESIGN.md
-// §6.1, "Tiles").
+// against column c at [16r+4c, 16r+4c+4). It runs the 2×4 tiles of the
+// Cholesky factorization and the inverse on the scalar tier, and on the
+// vector tiers the edge tiles that the fused strips leave (DESIGN.md §6.1,
+// "Tiles").
 type tile [32]float64
 
 // dots sets t to the lanes of Dot(b[c][lo:hi], r[lo:hi]) for r = r0, r1 and

@@ -230,15 +230,19 @@ func samePackedBits(got *TriPacked, want *Matrix) string {
 
 // TestTiledCholeskyBitwise: the tiled factorization ≡ the entry-by-entry
 // recurrence, every entry's bits, for every n ≤ 80 and a sparse sweep to
-// 300, block sizes {n, 64, 16, 5}, one, two and eight workers, both
-// dispatches, through the jitter escalation — a rank-deficient input takes
-// the same rung and reports the same jitter, an indefinite one fails at
-// every rung with the same error — and with ParallelCholesky failing at the
-// same first attempt. The packed layouts run the same grid: a dense input
-// factored into packed storage (CholeskyJitterPacked), and a packed input
-// into a reused packed factor (CholeskyJitterPackedInto, its storage full
-// of NaN beforehand, as the LCM engine's buffer holds the last Σ⁻¹).
-func TestTiledCholeskyBitwise(t *testing.T) {
+// 300, block sizes {n, 64, 16, 5}, one, two and eight workers, once per
+// kernel tier (eachTier: the scalar tiles, and the fused strips on the
+// AVX2 and AVX-512 tiers), through the jitter escalation — a rank-deficient
+// input takes the same rung and reports the same jitter, an indefinite one
+// fails at every rung with the same error — and with ParallelCholesky
+// failing at the same first attempt. The packed layouts run the same grid:
+// a dense input factored into packed storage (CholeskyJitterPacked), and a
+// packed input into a reused packed factor (CholeskyJitterPackedInto, its
+// storage full of NaN beforehand, as the LCM engine's buffer holds the last
+// Σ⁻¹).
+func TestTiledCholeskyBitwise(t *testing.T) { eachTier(t, testTiledCholeskyBitwise) }
+
+func testTiledCholeskyBitwise(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	rng := rand.New(rand.NewSource(101))
 	jittered, failed := 0, 0
@@ -257,54 +261,41 @@ func TestTiledCholeskyBitwise(t *testing.T) {
 				}
 				packedA := PackChol(a)
 				for _, w := range []int{1, 2, 8} {
-					for _, scalar := range []bool{false, true} {
-						var got, bare *Matrix
-						var packed *TriPacked
-						into := NewTriPacked(n, nil)
-						var jitter, packedJitter, intoJitter float64
-						var err, gotBareErr, packedErr, intoErr error
-						run := func() {
-							got, jitter, err = CholeskyJitter(a, 0, bs, w)
-							bare, gotBareErr = ParallelCholesky(a, bs, w)
-							packed, packedJitter, packedErr = CholeskyJitterPacked(a, 0, bs, w)
-							for i := range into.data {
-								into.data[i] = math.NaN()
-							}
-							intoJitter, intoErr = CholeskyJitterPackedInto(into, packedA, 0, bs, w)
+					got, jitter, err := CholeskyJitter(a, 0, bs, w)
+					bare, gotBareErr := ParallelCholesky(a, bs, w)
+					packed, packedJitter, packedErr := CholeskyJitterPacked(a, 0, bs, w)
+					into := NewTriPacked(n, nil)
+					for i := range into.data {
+						into.data[i] = math.NaN()
+					}
+					intoJitter, intoErr := CholeskyJitterPackedInto(into, packedA, 0, bs, w)
+					where := fmt.Sprintf("n=%d %s block=%d workers=%d", n, name, bs, w)
+					if err != wantErr || gotBareErr != bareErr {
+						t.Fatalf("%s: errors (%v, bare %v), oracle (%v, bare %v)", where, err, gotBareErr, wantErr, bareErr)
+					}
+					if math.Float64bits(jitter) != math.Float64bits(wantJitter) {
+						t.Fatalf("%s: jitter %g, oracle %g", where, jitter, wantJitter)
+					}
+					if err == nil {
+						if d := sameMatrixBits(got, want); d != "" {
+							t.Fatalf("%s: %s", where, d)
 						}
-						if scalar {
-							scalarOnly(run)
-						} else {
-							run()
+					}
+					if bareErr == nil && wantJitter == 0 {
+						if d := sameMatrixBits(bare, want); d != "" {
+							t.Fatalf("%s bare: %s", where, d)
 						}
-						where := fmt.Sprintf("n=%d %s block=%d workers=%d scalar=%v", n, name, bs, w, scalar)
-						if err != wantErr || gotBareErr != bareErr {
-							t.Fatalf("%s: errors (%v, bare %v), oracle (%v, bare %v)", where, err, gotBareErr, wantErr, bareErr)
-						}
-						if math.Float64bits(jitter) != math.Float64bits(wantJitter) {
-							t.Fatalf("%s: jitter %g, oracle %g", where, jitter, wantJitter)
-						}
-						if err == nil {
-							if d := sameMatrixBits(got, want); d != "" {
-								t.Fatalf("%s: %s", where, d)
-							}
-						}
-						if bareErr == nil && wantJitter == 0 {
-							if d := sameMatrixBits(bare, want); d != "" {
-								t.Fatalf("%s bare: %s", where, d)
-							}
-						}
-						if packedErr != wantErr || intoErr != wantErr {
-							t.Fatalf("%s: packed errors (%v, into %v), oracle %v", where, packedErr, intoErr, wantErr)
-						}
-						if math.Float64bits(packedJitter) != math.Float64bits(wantJitter) || math.Float64bits(intoJitter) != math.Float64bits(wantJitter) {
-							t.Fatalf("%s: packed jitter (%g, into %g), oracle %g", where, packedJitter, intoJitter, wantJitter)
-						}
-						if err == nil {
-							for kind, p := range map[string]*TriPacked{"packed": packed, "packed into": into} {
-								if d := samePackedBits(p, want); d != "" {
-									t.Fatalf("%s %s: %s", where, kind, d)
-								}
+					}
+					if packedErr != wantErr || intoErr != wantErr {
+						t.Fatalf("%s: packed errors (%v, into %v), oracle %v", where, packedErr, intoErr, wantErr)
+					}
+					if math.Float64bits(packedJitter) != math.Float64bits(wantJitter) || math.Float64bits(intoJitter) != math.Float64bits(wantJitter) {
+						t.Fatalf("%s: packed jitter (%g, into %g), oracle %g", where, packedJitter, intoJitter, wantJitter)
+					}
+					if err == nil {
+						for kind, p := range map[string]*TriPacked{"packed": packed, "packed into": into} {
+							if d := samePackedBits(p, want); d != "" {
+								t.Fatalf("%s %s: %s", where, kind, d)
 							}
 						}
 					}
@@ -338,10 +329,14 @@ func sameUpperPackedBits(got []float64, want *Matrix) string {
 // third of whose off-diagonal entries are +0 or −0 (the closed form of W's
 // second row keeps the sign of a zero the general recurrence would flip),
 // for every n ≤ 80 and a sparse sweep to 300, one, two and eight workers,
-// both dispatches, into fresh and into reused scratch — and the packed
-// layout, CholInversePackedInto of the packed factor, over the same grid:
-// its upper triangle is the oracle's, entry for entry.
-func TestTiledInverseBitwise(t *testing.T) {
+// once per kernel tier (eachTier), into fresh and into reused scratch, the
+// reused scratch full of NaN beforehand — and the packed layout,
+// CholInversePackedInto of the packed factor into NaN-filled reused
+// buffers, over the same grid: its upper triangle is the oracle's, entry
+// for entry.
+func TestTiledInverseBitwise(t *testing.T) { eachTier(t, testTiledInverseBitwise) }
+
+func testTiledInverseBitwise(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	rng := rand.New(rand.NewSource(103))
 	for _, n := range tileSizes() {
@@ -351,27 +346,21 @@ func TestTiledInverseBitwise(t *testing.T) {
 			want := refCholInverse(l)
 			packedL := PackChol(l)
 			for _, w := range []int{1, 2, 8} {
-				for _, scalar := range []bool{false, true} {
-					var fresh, reused *Matrix
-					var packed []float64
-					run := func() {
-						fresh = ParallelCholInverse(l, w)
-						reused = ParallelCholInverseInto(l, w, wt, inv)
-						packed = CholInversePackedInto(packedL, w, pwt, pinv)
+				for _, buf := range [][]float64{wt.Data, inv.Data, pwt, pinv} {
+					for i := range buf {
+						buf[i] = math.NaN()
 					}
-					if scalar {
-						scalarOnly(run)
-					} else {
-						run()
+				}
+				fresh := ParallelCholInverse(l, w)
+				reused := ParallelCholInverseInto(l, w, wt, inv)
+				packed := CholInversePackedInto(packedL, w, pwt, pinv)
+				for kind, got := range map[string]*Matrix{"fresh": fresh, "reused": reused} {
+					if d := sameMatrixBits(got, want); d != "" {
+						t.Fatalf("n=%d %s workers=%d %s scratch: %s", n, name, w, kind, d)
 					}
-					for kind, got := range map[string]*Matrix{"fresh": fresh, "reused": reused} {
-						if d := sameMatrixBits(got, want); d != "" {
-							t.Fatalf("n=%d %s workers=%d scalar=%v %s scratch: %s", n, name, w, scalar, kind, d)
-						}
-					}
-					if d := sameUpperPackedBits(packed, want); d != "" {
-						t.Fatalf("n=%d %s workers=%d scalar=%v packed: %s", n, name, w, scalar, d)
-					}
+				}
+				if d := sameUpperPackedBits(packed, want); d != "" {
+					t.Fatalf("n=%d %s workers=%d packed: %s", n, name, w, d)
 				}
 			}
 		}
