@@ -630,15 +630,20 @@ func choleskyInto(l []float64, lstride int, a []float64, astride, n int, jitter 
 	if blockSize <= 0 {
 		blockSize = 64
 	}
+	if lstride == 0 && astride == 0 {
+		copy(l, a[:n*(n+1)/2]) // packed rows are one contiguous triangle
+	} else {
+		for i := 0; i < n; i++ {
+			copy(triRow(l, lstride, i), triRow(a, astride, i))
+		}
+	}
+	if jitter > 0 {
+		for i := 0; i < n; i++ {
+			l[rowStart(i, lstride)+i] += jitter
+		}
+	}
 	if nworkers <= 0 {
 		nworkers = runtime.GOMAXPROCS(0)
-	}
-	for i := 0; i < n; i++ {
-		row := triRow(l, lstride, i)
-		copy(row, triRow(a, astride, i))
-		if jitter > 0 {
-			row[i] += jitter
-		}
 	}
 	nb := (n + blockSize - 1) / blockSize
 	bounds := func(b int) (lo, hi int) {
