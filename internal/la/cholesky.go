@@ -256,8 +256,8 @@ func backwardSubstT(data []float64, stride int, b []float64) {
 // nworkers goroutines. Both phases run in 2×4 tiles: a pair of W columns
 // against four rows of L, then a pair of W rows against four others, so each
 // operand row is loaded once for up to eight Dots — through tile.dots on the
-// scalar tier, and on the vector tiers as fused strips (invWStrip,
-// invWStrip4, wtwStrip), one call per column pair or row pair. The pairing and
+// scalar tier, and on the vector tiers as fused strips (invWStrip4, wtwStrip),
+// one call per two column pairs or per row pair. The pairing and
 // every summation order depend only on n — never on nworkers — so the result
 // is bitwise identical for any worker count. The LCM gradient reads the
 // packed form, CholInversePackedInto, which is the same body over packed
@@ -461,10 +461,11 @@ func CholInverseDiag(t *TriPacked, nworkers int) []float64 {
 // Rows k of L advance in blocks of four at k − j1 ≡ 0 (mod 4), which share
 // the aligned prefix [j1, kb) of all eight Dots; each row's tail multiplies
 // W entries the block has just produced. Row j1 opens the first block and
-// keeps its own closed form. On the vector tiers a pair's blocks are one
-// invWStrip call, and pairs g and g+2, whose blocks coincide from the
-// second pair's row j1 on, share one invWStrip4 call: every entry keeps its
-// operations, and each division chain carries four columns instead of two.
+// keeps its own closed form. On the vector tiers pairs g and g+2, whose
+// blocks coincide from the second pair's row j1 on, share one invWStrip4
+// call: every entry keeps its operations, and each division chain carries
+// four columns instead of two. The pairs from j0 = n − 5 on, whose rows
+// below j1 are a single block, run the tiles.
 func cholInverseW(l []float64, lstride int, wt []float64, wstride, n, nworkers int) {
 	pairs := (n + 1) / 2
 	if !vectorKernels {
@@ -476,25 +477,21 @@ func cholInverseW(l []float64, lstride int, wt []float64, wstride, n, nworkers i
 	// Unit u is pairs g = 4⌊u/2⌋ + u mod 2 and g+2.
 	parallelBlocks((pairs+3)/4*2, nworkers, func(u int) {
 		j0 := 4*(u&^1) + 2*(u&1)
-		if j0 >= n {
+		if j0+5 >= n {
+			// Pair j0's rows below j1 are one block, which pair j0+4 does
+			// not reach.
+			for j := j0; j < n; j += 4 {
+				invWTiles(l, lstride, wt, wstride, n, j)
+			}
 			return
 		}
 		row0, row1 := invWHead(l, lstride, wt, wstride, n, j0)
+		b0, b1 := invWHead(l, lstride, wt, wstride, n, j0+4)
 		j1 := j0 + 1
-		if j1+1 >= n {
-			return
-		}
-		_ = triRow(l, lstride, n-1)[n-1] // the last row's pivot: the kernels read unchecked
+		_ = triRow(l, lstride, n-1)[n-1] // the last row's pivot: the kernel reads unchecked
 		step, grow := lowerStep(j1, lstride)
-		if j0+4 < n {
-			b0, b1 := invWHead(l, lstride, wt, wstride, n, j0+4)
-			if j1+5 < n {
-				var spill [32]float64
-				invWStrip4(&row0[j1], &row1[j1], &b0[j1], &b1[j1], &l[rowStart(j1, lstride)+j1], n-j1, step, grow, row0[j0], b0[j0+4], &spill)
-				return
-			}
-		}
-		invWStrip(&row0[j1], &row1[j1], &l[rowStart(j1, lstride)+j1], n-j1, step, grow, row0[j0])
+		var spill [32]float64
+		invWStrip4(&row0[j1], &row1[j1], &b0[j1], &b1[j1], &l[rowStart(j1, lstride)+j1], n-j1, step, grow, row0[j0], b0[j0+4], &spill)
 	})
 }
 

@@ -32,18 +32,15 @@ func forwardBlock4Wide(r0, r1, r2, r3, b0, b1, b2, b3 *float64, i int)
 
 // The fused strips of kernels_amd64.s, which states what each computes:
 // one call per row pair of the Cholesky factorization (cholStrip, gemmStrip;
-// cholStrip4 for two row pairs) and per column pair or row pair of the
-// inverse (invWStrip, invWStrip4 for two column pairs, wtwStrip). They run
-// on the AVX2 and AVX-512 tiers alike.
+// cholStrip4 for two row pairs) and per two column pairs (invWStrip4) or
+// per row pair (wtwStrip) of the inverse. They run on the AVX2 and AVX-512
+// tiers alike.
 
 //go:noescape
 func cholStrip(x, y, l *float64, tiles, step, grow int)
 
 //go:noescape
 func cholStrip4(x0, x1, x2, x3, l *float64, tiles, step, grow, diag int, spill *[32]float64) int
-
-//go:noescape
-func invWStrip(x, y, l *float64, rows, step, grow int, w00 float64)
 
 //go:noescape
 func invWStrip4(xa, ya, xb, yb, l *float64, rows, step, grow int, w00a, w00b float64, spill *[32]float64)

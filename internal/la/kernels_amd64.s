@@ -624,100 +624,11 @@ chol4fail:
 	MOVQ $1, ret+80(FP)
 	RET
 
-// INVENTRY(d, r, res) finishes entry c of an inverse block, r the row
-// register of L[kb+c] and d = 8c: it takes PAIRLANES' X8–X10 and the tail
-// terms already in X8, adds L[kb+c][j0]·w00 (w00 in X14) to column j0's
-// Dot alone (a scalar add, which leaves element 1 as it is), negates both,
-// divides them by L[kb+c][kb+c] into res and stores res to W[kb+c][j0] and
-// W[kb+c][j1].
-#define INVENTRY(d, r, res) \
-	COMBINE; \
-	VMOVSD   -8(r), X11; \
-	VMULSD   X14, X11, X11; \
-	VADDSD   X11, X8, X8; \
-	VXORPD   X15, X8, X8; \
-	VMOVDDUP d(r)(CX*8), X11; \
-	VDIVPD   X11, X8, res; \
-	VMOVSD   res, d(SI)(CX*8); \
-	VMOVHPD  res, d(DI)(CX*8)
-
-// func invWStrip(x, y, l *float64, rows, step, grow int, w00 float64)
-//
-// cholInverseW's whole column pair j0, j1 = j0+1 below row j1: x and y are
-// W's columns j0 and j1 (upper rows of wt) from row j1 on, x[0] and y[0]
-// already set, l is row j1 of L from column j1 on, and rows = n − j1. Block
-// b covers rows kb = j1+4b … kb+3 below n, row j1 itself excepted, over the
-// prefix [j1, kb): entry c of column j0 is −(D + L[kb+c][j0]·w00) /
-// L[kb+c][kb+c] and of column j1 −D / L[kb+c][kb+c], lane 0 of each D
-// taking the c tail terms L[kb+c][kb+t]·W[kb+t] first — invTile's chain,
-// which the first and last blocks also follow when they hold fewer rows.
-// Rows past n − 1 repeat the last, so their Dots read nothing outside L,
-// and their entries are never finished.
-TEXT ·invWStrip(SB), NOSPLIT, $0-56
-	MOVQ     x+0(FP), SI
-	MOVQ     y+8(FP), DI
-	MOVQ     l+16(FP), R10
-	MOVQ     rows+24(FP), DX         // rows from kb on
-	MOVQ     step+32(FP), R8
-	MOVQ     grow+40(FP), R9
-	SHLQ     $3, R8
-	SHLQ     $3, R9
-	VMOVSD   w00+48(FP), X14
-	VPCMPEQQ X15, X15, X15
-	VPSLLQ   $63, X15, X15           // the sign bit in both elements
-	XORQ     CX, CX                  // the prefix [j1, kb), in elements
-
-invwblock:
-	CLAMPROWS(invwrow1, invwrow2, invwrows)
-	ZERO8
-	TESTQ CX, CX
-	JNZ   invwprefix
-
-	// The first block: entry 0 is row j1 itself, whose W entries are set.
-	VMOVSD  (SI), X4
-	VMOVHPD (DI), X4, X4
-	JMP     invwentry1
-
-invwprefix:
-	LOOP2X4(SI, DI)
-	PAIRLANES(Y0, Y4)
-	INVENTRY(0, R10, X4)
-
-invwentry1:
-	CMPQ DX, $1
-	JLE  invwdone
-	PAIRLANES(Y1, Y5)
-	TAILTERM((R11)(CX*8), X4)
-	INVENTRY(8, R11, X5)
-	CMPQ DX, $2
-	JLE  invwdone
-	PAIRLANES(Y2, Y6)
-	TAILTERM((R12)(CX*8), X4)
-	TAILTERM(8(R12)(CX*8), X5)
-	INVENTRY(16, R12, X6)
-	CMPQ DX, $3
-	JLE  invwdone
-	PAIRLANES(Y3, Y7)
-	TAILTERM((R13)(CX*8), X4)
-	TAILTERM(8(R13)(CX*8), X5)
-	TAILTERM(16(R13)(CX*8), X6)
-	INVENTRY(24, R13, X7)
-	CMPQ DX, $4
-	JLE  invwdone
-
-	SUBQ $4, DX
-	ADDQ $4, CX
-	NEXTROW(R13, R10)
-	JMP  invwblock
-
-invwdone:
-	VZEROUPPER
-	RET
-
-// INV4(d, r, ya, yb, tails) is INVENTRY for the four W columns of
-// invWStrip4, d = 8c and r the row register of L[kb+c]: lanes from the
-// spill (BX) and from ya = Yc and yb = Y(4+c) become lane vectors over the
-// columns, tails adds the c tail terms, and the columns j0 and j0+4 add
+// INV4(d, r, ya, yb, tails) finishes entry c of an inverse block for the
+// four W columns of invWStrip4, d = 8c and r the row register of L[kb+c]:
+// lanes from the spill (BX) and from ya = Yc and yb = Y(4+c) become lane
+// vectors over the columns, tails adds the c tail terms, the combine
+// (l0 + l2) + (l1 + l3) follows, and the columns j0 and j0+4 add
 // L[kb+c][j0]·w00a and L[kb+c][j0+4]·w00b — Y14 = [w00a, −0, w00b, −0], so
 // the other two add −0, which leaves every value as it is — before the
 // negation (Y15, the sign bit) and the division into yb.
@@ -751,16 +662,25 @@ invwdone:
 
 // func invWStrip4(xa, ya, xb, yb, l *float64, rows, step, grow int, w00a, w00b float64, spill *[32]float64)
 //
-// invWStrip for two column pairs at once, j0, j1 = j0+1 (xa, ya) and
-// j0+4, j1+4 (xb, yb), every pointer from row j1 on: their blocks of L rows
-// coincide from row j1+4 on, where the second pair's start, so one tile
-// serves both and every division chain carries four columns. The first
-// pair's prefix is [j1, kb), the second's [j1+4, kb) — the second ROWS2X4
-// pass starts four elements in — and the second pair's rows j1 … j1+3, above
-// its own diagonal, are neither read nor written: its entries of the first
-// block are never stored, and row j1+4's, set beforehand like row j1's, is
-// put in their place in the second. l, rows, step and grow are
-// invWStrip's, and the second pair must have a row below j1+4.
+// cholInverseW's column pairs j0, j1 = j0+1 (xa, ya) and j0+4, j1+4 (xb,
+// yb) below row j1, W's columns as upper rows of wt, every pointer from row
+// j1 on; l is row j1 of L from column j1 on and rows = n − j1. Block b
+// covers rows kb = j1+4b … kb+3 below n: entry c of column j0 is
+// −(D + L[kb+c][j0]·w00a) / L[kb+c][kb+c], w00a = W[j0][j0], and of column j1
+// −D / L[kb+c][kb+c], lane 0 of each Dot D taking the c tail terms
+// L[kb+c][kb+t]·W[kb+t] first — invTile's chain, which the first and last
+// blocks also follow when they hold fewer rows. Rows past n − 1 repeat the
+// last, so their Dots read nothing outside L, and their entries are never
+// finished. The two pairs' blocks coincide from row j1+4 on, where the
+// second pair's start, so one tile serves both and every division chain
+// carries four columns. The first pair's prefix is [j1, kb), the second's
+// [j1+4, kb) — the second ROWS2X4 pass starts four elements in — and the
+// second pair's rows j1 … j1+3, above its own diagonal, are neither read
+// nor written: its entries of the first block are never stored, and row
+// j1+4's, set beforehand like row j1's, is put in their place in the
+// second. The column pair j0+4, j1+4 is finished the same way, with
+// w00b = W[j0+4][j0+4]. The closed forms W[j1][j0], W[j1][j1],
+// W[j1+4][j0+4] and W[j1+4][j1+4] must be set, so rows is at least 5.
 TEXT ·invWStrip4(SB), NOSPLIT, $0-88
 	MOVQ        xa+0(FP), SI
 	MOVQ        ya+8(FP), DI

@@ -34,8 +34,6 @@ func cholStrip4(x0, x1, x2, x3, l *float64, tiles, step, grow, diag int, spill *
 	panic("la: no vector kernel")
 }
 
-func invWStrip(x, y, l *float64, rows, step, grow int, w00 float64) { panic("la: no vector kernel") }
-
 func invWStrip4(xa, ya, xb, yb, l *float64, rows, step, grow int, w00a, w00b float64, spill *[32]float64) {
 	panic("la: no vector kernel")
 }
