@@ -5,16 +5,16 @@
 // accumulation, no goroutines outside internal/mpx, no float ==, no dropped
 // errors, no math function whose bits follow exp_amd64.s's FMA path in the
 // numeric core, no locks held across blocking operations, no inconsistent lock
-// orders, no join-free goroutines, and no allocations on //gptlint:hotpath
-// paths. Built entirely on the stdlib toolchain — go/parser, go/types,
+// orders, no join-free goroutines, no allocations on //gptlint:hotpath
+// paths, and no function of an internal/ package that only tests reach. Built entirely on the stdlib toolchain — go/parser, go/types,
 // go/importer — per the repo's stdlib-only rule.
 //
 // Usage:
 //
-//	gptlint [-json] [-github] [-graph] [-rules r1,r2] [-C dir]
-//	        [-numeric paths] [-goallow paths] [patterns...]
+//	gptlint [-json] [-github] [-graph] [-rules r1,r2] [-C dir] [patterns...]
 //
-// Patterns default to ./... and are resolved against the enclosing module.
+// Patterns default to ./... and are resolved against the enclosing module;
+// the rules are scoped by lint.DefaultConfig.
 // Exit status: 0 clean, 1 diagnostics reported, 2 load/type-check failure
 // (or an unknown rule name).
 package main
@@ -35,8 +35,6 @@ func main() {
 	graph := flag.Bool("graph", false, "dump the interprocedural call graph with per-function effect summaries and exit")
 	rules := flag.String("rules", "", "comma-separated rule names to run (default: all; see -rules=list)")
 	chdir := flag.String("C", "", "resolve patterns against this directory's module instead of the cwd's")
-	numeric := flag.String("numeric", "", "comma-separated import paths treated as the deterministic numeric core (default: the repo's gp,la,core,opt,acq,sample,sparse,space)")
-	goallow := flag.String("goallow", "", "comma-separated import paths allowed to contain go statements (default: the repo's internal/mpx)")
 	flag.Parse()
 
 	if *rules == "list" {
@@ -60,12 +58,6 @@ func main() {
 		fatal(err)
 	}
 	cfg := lint.DefaultConfig(loader.Module)
-	if *numeric != "" {
-		cfg.NumericPackages = splitList(*numeric)
-	}
-	if *goallow != "" {
-		cfg.GoroutineAllowed = splitList(*goallow)
-	}
 	if *rules != "" {
 		cfg.Rules = splitList(*rules)
 		known := make(map[string]bool)

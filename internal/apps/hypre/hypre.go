@@ -72,18 +72,6 @@ type Config struct {
 	Restart    int
 }
 
-// DefaultConfig mirrors hypre-ish defaults.
-func (a *App) DefaultConfig() Config {
-	return Config{
-		Px: 1, Py: 1,
-		Coarsen:  0,
-		Restrict: mg.Weighted, Interp: mg.Weighted,
-		Smoother: mg.GaussSeidel, Omega: 1.0,
-		PreSweeps: 1, PostSweeps: 1,
-		Cycle: mg.VCycle, CoarseSize: 8, Restart: 30,
-	}
-}
-
 // mgOptions converts a Config into solver options.
 func (c Config) mgOptions() mg.Options {
 	ratio := 2
@@ -241,15 +229,6 @@ func (a *App) configOf(x []float64) Config {
 		Cycle:      mg.Cycle(int(x[9])),
 		CoarseSize: int(x[10]),
 		Restart:    int(x[11]),
-	}
-}
-
-// ConfigToVector converts a Config to the native tuning vector.
-func ConfigToVector(c Config) []float64 {
-	return []float64{
-		float64(c.Px), float64(c.Py), float64(c.Coarsen), float64(c.Restrict),
-		float64(c.Interp), float64(c.Smoother), c.Omega, float64(c.PreSweeps),
-		float64(c.PostSweeps), float64(c.Cycle), float64(c.CoarseSize), float64(c.Restart),
 	}
 }
 

@@ -6,9 +6,31 @@ import (
 	"repro/internal/mg"
 )
 
+// defaultConfig mirrors hypre-ish defaults.
+func defaultConfig() Config {
+	return Config{
+		Px: 1, Py: 1,
+		Coarsen:  0,
+		Restrict: mg.Weighted, Interp: mg.Weighted,
+		Smoother: mg.GaussSeidel, Omega: 1.0,
+		PreSweeps: 1, PostSweeps: 1,
+		Cycle: mg.VCycle, CoarseSize: 8, Restart: 30,
+	}
+}
+
+// configToVector converts a Config to the native tuning vector, configOf's
+// inverse.
+func configToVector(c Config) []float64 {
+	return []float64{
+		float64(c.Px), float64(c.Py), float64(c.Coarsen), float64(c.Restrict),
+		float64(c.Interp), float64(c.Smoother), c.Omega, float64(c.PreSweeps),
+		float64(c.PostSweeps), float64(c.Cycle), float64(c.CoarseSize), float64(c.Restart),
+	}
+}
+
 func TestRuntimePositiveAndScalesWithGrid(t *testing.T) {
 	a := New(1)
-	cfg := a.DefaultConfig()
+	cfg := defaultConfig()
 	small := a.Runtime(10, 10, 10, cfg)
 	big := a.Runtime(100, 100, 100, cfg)
 	if small <= 0 || big <= 0 {
@@ -21,7 +43,7 @@ func TestRuntimePositiveAndScalesWithGrid(t *testing.T) {
 
 func TestBadSmootherWeightCostsTime(t *testing.T) {
 	a := New(1)
-	good := a.DefaultConfig()
+	good := defaultConfig()
 	good.Smoother = mg.Jacobi
 	good.Omega = 0.8
 	bad := good
@@ -35,7 +57,7 @@ func TestBadSmootherWeightCostsTime(t *testing.T) {
 
 func TestNoSmoothingIsWorse(t *testing.T) {
 	a := New(1)
-	cfg := a.DefaultConfig()
+	cfg := defaultConfig()
 	none := cfg
 	none.PreSweeps, none.PostSweeps = 0, 0 // mg clamps to one post sweep
 	base := a.Runtime(30, 30, 30, cfg)
@@ -50,7 +72,7 @@ func TestNoSmoothingIsWorse(t *testing.T) {
 
 func TestProcessGridMatters(t *testing.T) {
 	a := New(4) // 128 processes
-	cfg := a.DefaultConfig()
+	cfg := defaultConfig()
 	// Very skewed grid should be slower than a balanced one on an
 	// anisotropy-free task.
 	cfg.Px, cfg.Py = 128, 1 // pz = 1
@@ -64,7 +86,7 @@ func TestProcessGridMatters(t *testing.T) {
 
 func TestSolveCacheHits(t *testing.T) {
 	a := New(1)
-	cfg := a.DefaultConfig()
+	cfg := defaultConfig()
 	_ = a.Runtime(50, 50, 50, cfg)
 	before := len(a.cache)
 	_ = a.Runtime(50, 50, 50, cfg)
@@ -99,13 +121,13 @@ func TestProblemEvaluatesAndConstrains(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	x := ConfigToVector(a.DefaultConfig())
+	x := configToVector(defaultConfig())
 	y, err := p.Objective([]float64{30, 20, 15}, x)
 	if err != nil || len(y) != 1 || y[0] <= 0 {
 		t.Fatalf("objective: %v %v", y, err)
 	}
 	// px·py > P must be infeasible.
-	bad := ConfigToVector(a.DefaultConfig())
+	bad := configToVector(defaultConfig())
 	bad[0], bad[1] = float64(a.PMax), 2
 	if p.Tuning.Feasible(bad) {
 		t.Fatalf("oversubscribed process grid accepted")
@@ -126,7 +148,7 @@ func TestConfigVectorRoundTrip(t *testing.T) {
 		PreSweeps: 2, PostSweeps: 0,
 		Cycle: mg.WCycle, CoarseSize: 16, Restart: 40,
 	}
-	got := a.configOf(ConfigToVector(cfg))
+	got := a.configOf(configToVector(cfg))
 	if got != cfg {
 		t.Fatalf("round trip: %+v vs %+v", got, cfg)
 	}

@@ -136,11 +136,6 @@ type Config struct {
 	Nybl    int
 }
 
-// DefaultConfig returns SuperLU-like defaults.
-func (a *App) DefaultConfig() Config {
-	return Config{RowPerm: 1, ColPerm: sparse.MinDegree, Pr: 4, NSup: 128, NRel: 20, Nxbl: 1, Nybl: 1}
-}
-
 // StepCost returns the modeled (noise-free) cost of one time step: assemble,
 // factor the plane blocks, and run GMRES with triangular solves.
 func (a *App) StepCost(cfg Config) float64 {
@@ -207,16 +202,6 @@ func (a *App) configOf(x []float64) Config {
 		cfg.Nybl = int(x[6])
 	}
 	return cfg
-}
-
-// ConfigToVector converts a Config to the native tuning vector for this
-// variant.
-func (a *App) ConfigToVector(c Config) []float64 {
-	v := []float64{float64(c.RowPerm), float64(c.ColPerm), float64(c.Pr), float64(c.NSup), float64(c.NRel)}
-	if a.Variant == NIMROD {
-		v = append(v, float64(c.Nxbl), float64(c.Nybl))
-	}
-	return v
 }
 
 // Problem returns the tuning problem: task = [steps], tuning per Table 2

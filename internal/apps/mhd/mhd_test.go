@@ -6,9 +6,23 @@ import (
 	"repro/internal/sparse"
 )
 
+// defaultConfig returns SuperLU-like defaults.
+func defaultConfig() Config {
+	return Config{RowPerm: 1, ColPerm: sparse.MinDegree, Pr: 4, NSup: 128, NRel: 20, Nxbl: 1, Nybl: 1}
+}
+
+// configToVector converts a Config to a's native tuning vector.
+func configToVector(a *App, c Config) []float64 {
+	v := []float64{float64(c.RowPerm), float64(c.ColPerm), float64(c.Pr), float64(c.NSup), float64(c.NRel)}
+	if a.Variant == NIMROD {
+		v = append(v, float64(c.Nxbl), float64(c.Nybl))
+	}
+	return v
+}
+
 func TestRuntimeLinearInSteps(t *testing.T) {
 	a := New(M3DC1)
-	cfg := a.DefaultConfig()
+	cfg := defaultConfig()
 	t1 := a.Runtime(1, cfg)
 	t3 := a.Runtime(3, cfg)
 	t9 := a.Runtime(9, cfg)
@@ -29,7 +43,7 @@ func TestRuntimeLinearInSteps(t *testing.T) {
 
 func TestRowPermMatters(t *testing.T) {
 	a := New(M3DC1)
-	good := a.DefaultConfig()
+	good := defaultConfig()
 	bad := good
 	bad.RowPerm = 0
 	if a.StepCost(bad) <= a.StepCost(good) {
@@ -39,7 +53,7 @@ func TestRowPermMatters(t *testing.T) {
 
 func TestNimrodBlockSizesHaveInteriorOptimum(t *testing.T) {
 	a := New(NIMROD)
-	cfg := a.DefaultConfig()
+	cfg := defaultConfig()
 	at := func(bx, by int) float64 {
 		c := cfg
 		c.Nxbl, c.Nybl = bx, by
@@ -53,7 +67,7 @@ func TestNimrodBlockSizesHaveInteriorOptimum(t *testing.T) {
 	}
 	// M3D_C1 must ignore block sizes entirely.
 	m := New(M3DC1)
-	c1 := m.DefaultConfig()
+	c1 := defaultConfig()
 	c2 := c1
 	c2.Nxbl, c2.Nybl = 7, 7
 	if m.StepCost(c1) != m.StepCost(c2) {
@@ -75,11 +89,11 @@ func TestProblemShapes(t *testing.T) {
 	if pn.Tuning.Dim() != 7 {
 		t.Fatalf("NIMROD β = %d, want 7", pn.Tuning.Dim())
 	}
-	y, err := pm.Objective([]float64{3}, m.ConfigToVector(m.DefaultConfig()))
+	y, err := pm.Objective([]float64{3}, configToVector(m, defaultConfig()))
 	if err != nil || y[0] <= 0 {
 		t.Fatalf("objective: %v %v", y, err)
 	}
-	y2, err := pn.Objective([]float64{15}, n.ConfigToVector(n.DefaultConfig()))
+	y2, err := pn.Objective([]float64{15}, configToVector(n, defaultConfig()))
 	if err != nil || y2[0] <= 0 {
 		t.Fatalf("nimrod objective: %v %v", y2, err)
 	}
@@ -87,7 +101,7 @@ func TestProblemShapes(t *testing.T) {
 
 func TestColPermAffectsStepCost(t *testing.T) {
 	a := New(M3DC1)
-	cfg := a.DefaultConfig()
+	cfg := defaultConfig()
 	cfg.ColPerm = sparse.MinDegree
 	md := a.StepCost(cfg)
 	cfg.ColPerm = sparse.RandomOrder

@@ -21,7 +21,7 @@ func TestConformance(t *testing.T) {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
 			t.Parallel()
-			if err := bench.Verify(s); err != nil {
+			if err := verify(s); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -68,7 +68,8 @@ func TestAppendObservationsMatchesDirectPosterior(t *testing.T) {
 	if err != nil {
 		t.Fatalf("oracle Cholesky: %v", err)
 	}
-	alpha := la.SolveCholVec(l, m.yNorm)
+	lp := la.PackChol(l)
+	alpha := lp.SolveVec(m.yNorm)
 
 	ws := m.NewPredictWorkspace()
 	for trial := 0; trial < 25; trial++ {
@@ -83,7 +84,7 @@ func TestAppendObservationsMatchesDirectPosterior(t *testing.T) {
 			prior += m.A[q][task]*m.A[q][task] + m.B[q][task]
 		}
 		v := la.CopyVec(kstar)
-		la.ForwardSubst(l, v)
+		lp.ForwardSubst(v)
 		variance := prior - la.Dot(v, v)
 		if variance < 0 {
 			variance = 0

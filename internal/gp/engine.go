@@ -456,17 +456,6 @@ func (e *lcmEngine) gradient() []float64 {
 	return grad
 }
 
-// logLikGrad is both halves: the log marginal likelihood at theta and its
-// gradient, which the engine owns. The result is bitwise identical for
-// every worker count.
-func (e *lcmEngine) logLikGrad(theta []float64) (float64, []float64, error) {
-	ll, err := e.logLik(theta)
-	if err != nil {
-		return 0, nil, err
-	}
-	return ll, e.gradient(), nil
-}
-
 // objective is the engine as the minimizer sees it, its two halves negated:
 // Value is −logLik, +Inf where the covariance stays indefinite even after
 // jitter (the line search backs out of the region), and Grad the negated

@@ -11,6 +11,18 @@ import (
 	"repro/internal/la"
 )
 
+// logLikGrad is both halves of an evaluation, as the minimizer's split
+// objective asks for them at an accepted point: the log marginal likelihood
+// at theta and its gradient. The result is bitwise identical for
+// every worker count.
+func (e *lcmEngine) logLikGrad(theta []float64) (float64, []float64, error) {
+	ll, err := e.logLik(theta)
+	if err != nil {
+		return 0, nil, err
+	}
+	return ll, e.gradient(), nil
+}
+
 // flatten mirrors FitLCM's dataset flattening for direct engine tests.
 func flatten(data *Dataset) (flatX [][]float64, taskOf []int, yn []float64) {
 	var flatY []float64
@@ -94,7 +106,7 @@ func TestEngineMatchesReferenceOnInfiniteDiagonal(t *testing.T) {
 	theta[layout.bAt(1, 1)] = 800
 	m := thetaToModel(theta, layout)
 	eng.prepare(m)
-	if last := eng.assembleSigma(m).At(len(flatX)-1, len(flatX)-1); !math.IsInf(last, 1) {
+	if last := eng.assembleSigma(m).Row(len(flatX) - 1)[len(flatX)-1]; !math.IsInf(last, 1) {
 		t.Fatalf("Σ's last diagonal entry is %v, want +Inf", last)
 	}
 	if err := matchReference(t, "infinite diagonal", eng, flatX, theta); err != nil {
@@ -127,7 +139,7 @@ func matchReference(t *testing.T, name string, eng *lcmEngine, flatX [][]float64
 	cov := m.covariance(flatX, taskOf)
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
-			if got, want := sigma.At(i, j), cov.At(i, j); !sameBits(got, want) {
+			if got, want := sigma.Row(i)[j], cov.At(i, j); !sameBits(got, want) {
 				t.Fatalf("%s: Σ[%d,%d] = %v, reference %v", name, i, j, got, want)
 			}
 		}

@@ -157,7 +157,7 @@ func TestLCMCovariancePSD(t *testing.T) {
 			}
 		}
 		sigma := m.covariance(flatX, taskOf)
-		_, _, err := la.CholeskyJitter(sigma, 1e-10, 0, 1)
+		_, _, err := la.CholeskyJitterPacked(sigma, 1e-10, 0, 1)
 		return err == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

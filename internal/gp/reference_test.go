@@ -49,7 +49,7 @@ func halfInvSq(ls []float64) []float64 {
 // what any order can change (a few n²·ε·scale). It is the oracle the
 // cached/parallel lcmEngine is checked against and
 // BenchmarkLCMLogLikGradReference's baseline. Production code must use
-// lcmEngine.logLikGrad instead.
+// lcmEngine's logLik and gradient instead.
 func lcmLogLikGradReference(theta []float64, layout hyperLayout, flatX [][]float64, taskOf []int, yn []float64) (ll float64, grad, scale []float64, err error) {
 	m := thetaToModel(theta, layout)
 	n := len(flatX)
@@ -82,14 +82,18 @@ func lcmLogLikGradReference(theta []float64, layout hyperLayout, flatX [][]float
 		}
 	}
 
-	l, _, err := la.CholeskyJitter(sigma, 0, cholBlock, 1)
+	lp, _, err := la.CholeskyJitterPacked(sigma, 0, cholBlock, 1)
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	alpha := la.SolveCholVec(l, yn)
-	ll = -0.5*la.Dot(yn, alpha) - 0.5*la.LogDetFromChol(l) - 0.5*float64(n)*math.Log(2*math.Pi)
+	alpha := lp.SolveVec(yn)
+	ll = -0.5*la.Dot(yn, alpha) - 0.5*lp.LogDet() - 0.5*float64(n)*math.Log(2*math.Pi)
 
 	// M = ααᵀ - Σ⁻¹; dL/dθ_p = ½ Σ_rs M_rs (∂Σ/∂θ_p)_rs.
+	l := la.NewMatrix(n, n)
+	for r := 0; r < n; r++ {
+		copy(l.Row(r), lp.Row(r))
+	}
 	inv := la.ParallelCholInverse(l, 1)
 	mm := la.NewMatrix(n, n)
 	for r := 0; r < n; r++ {

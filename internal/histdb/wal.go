@@ -33,7 +33,7 @@ import (
 	"time"
 )
 
-// ErrClosed is returned by Append/Sync/Compact/Export on a WAL whose Close
+// ErrClosed is returned by Append/Compact/Export on a WAL whose Close
 // has completed. It makes the shutdown race benign: a handler that commits
 // after teardown gets a clean error instead of a nil-handle panic.
 var ErrClosed = errors.New("histdb: WAL is closed")
@@ -212,19 +212,6 @@ func (w *WAL) flush() error {
 	}
 	w.pending = 0
 	return nil
-}
-
-// Sync forces an fsync of any appends buffered by group commit.
-func (w *WAL) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
-		return ErrClosed
-	}
-	if w.broken != nil {
-		return w.broken
-	}
-	return w.flush()
 }
 
 // Compact folds the log into the snapshot: the pair is re-read under the

@@ -262,18 +262,29 @@ func TestWALGroupCommit(t *testing.T) {
 	if err := w.Append(walRecord(8)); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if sc.syncs != 3 {
-		t.Fatalf("explicit Sync did not flush: %d syncs, want 3", sc.syncs)
-	}
-	// Close with nothing pending adds no sync.
+	// Close flushes the open group.
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if sc.syncs != 3 {
-		t.Fatalf("Close with empty group synced: %d, want 3", sc.syncs)
+		t.Fatalf("Close did not flush the open group: %d syncs, want 3", sc.syncs)
+	}
+	// Close with nothing pending adds no sync.
+	w, err = OpenWAL(base, WALOptions{
+		GroupCommit: 4,
+		WrapFile:    func(f File) File { sc = &syncCounter{f: f}; return sc },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.Len() != 9 {
+		t.Fatalf("reopened log holds %d records, want 9", w.Len())
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if sc.syncs != 0 {
+		t.Fatalf("Close with empty group synced: %d, want 0", sc.syncs)
 	}
 }
 
@@ -421,9 +432,6 @@ func TestWALClosedOps(t *testing.T) {
 	}
 	if err := w.Append(walRecord(1)); err != ErrClosed {
 		t.Fatalf("Append after Close: got %v, want ErrClosed", err)
-	}
-	if err := w.Sync(); err != ErrClosed {
-		t.Fatalf("Sync after Close: got %v, want ErrClosed", err)
 	}
 	if err := w.Compact(); err != ErrClosed {
 		t.Fatalf("Compact after Close: got %v, want ErrClosed", err)

@@ -6,22 +6,17 @@ import (
 	"testing"
 )
 
-// BenchmarkCholeskyJitterInto and BenchmarkCholInverseInto time the two
-// O(n³) steps of one LCM likelihood evaluation, at one worker and the LCM's
-// 64-row block: n = 72 is a tune_cold-sized fit (one block and a sliver), n =
-// 512 a tune_warm-sized one. The factorization's n384_b* cases are the
-// block-size ablation: blocks of 16, 64 and 128 rows over 4 workers.
-func BenchmarkCholeskyJitterInto(b *testing.B) {
-	for _, c := range []struct {
-		name              string
-		n, block, workers int
-	}{{"n72", 72, 64, 1}, {"n512", 512, 64, 1}, {"n384_b16_w4", 384, 16, 4}, {"n384_b64_w4", 384, 64, 4}, {"n384_b128_w4", 384, 128, 4}} {
-		b.Run(c.name, func(b *testing.B) {
-			a := randomSPD(rand.New(rand.NewSource(1)), c.n)
-			l := NewMatrix(c.n, c.n)
-			b.ResetTimer()
+// BenchmarkCholeskyBlockSize is the factorization's block-size ablation:
+// CholeskyJitterPackedInto at n = 384 with blocks of 16, 64 and 128 rows over
+// 4 workers.
+func BenchmarkCholeskyBlockSize(b *testing.B) {
+	const n = 384
+	a := PackChol(randomSPD(rand.New(rand.NewSource(1)), n))
+	l := NewTriPacked(n, nil)
+	for _, block := range []int{16, 64, 128} {
+		b.Run(fmt.Sprintf("n%d_b%d_w4", n, block), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := CholeskyJitterInto(l, a, 0, c.block, c.workers); err != nil {
+				if _, err := CholeskyJitterPackedInto(l, a, 0, block, 4); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -29,6 +24,9 @@ func BenchmarkCholeskyJitterInto(b *testing.B) {
 	}
 }
 
+// BenchmarkCholInverseInto times the dense inverse, ParallelCholInverseInto,
+// at one worker: n = 72 is a tune_cold-sized fit (one 64-row block and a
+// sliver), n = 512 a tune_warm-sized one.
 func BenchmarkCholInverseInto(b *testing.B) {
 	for _, n := range []int{72, 512} {
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {

@@ -12,56 +12,21 @@ import (
 // non-positive pivot is encountered.
 var ErrNotPositiveDefinite = errors.New("la: matrix is not positive definite")
 
-// jitterAttempts bounds CholeskyJitter's escalation: one plain attempt, then
+// jitterAttempts bounds choleskyJitter's escalation: one plain attempt, then
 // jitters initial·{1, 10, …, 10¹⁰} relative to the mean diagonal.
 const jitterAttempts = 12
 
-// CholeskyJitter factors a with ParallelCholesky(a, blockSize, nworkers),
-// retrying with a growing diagonal jitter when a is numerically indefinite.
-// It returns the factor of a + jitter·I and the jitter actually used (0 on
-// the first-try path); after jitterAttempts failures it gives up with
-// ErrNotPositiveDefinite and the rung it would have tried next. This is the
-// standard stabilization for GP kernel matrices whose conditioning degrades
-// as samples cluster. Its loop (choleskyJitter) is the one whole-matrix
-// escalation in the tree: every LCM factorization (per likelihood
-// evaluation and post-fit, through CholeskyJitterPackedInto) and the
-// sparse-GP m×m factors (CholeskyJitterPacked) go through it. initial ≤ 0
-// selects the default 1e-10. Like ParallelCholesky the result is bitwise
-// independent of nworkers, and a blockSize ≥ n call runs the unblocked
-// recurrence.
-func CholeskyJitter(a *Matrix, initial float64, blockSize, nworkers int) (*Matrix, float64, error) {
-	l := NewMatrix(a.Rows, a.Rows)
-	jitter, err := CholeskyJitterInto(l, a, initial, blockSize, nworkers)
-	if err != nil {
-		return nil, jitter, err
-	}
-	return l, jitter, nil
-}
-
-// CholeskyJitterInto is CholeskyJitter writing the factor into l, which must
-// be a.Rows square and must not be a: the form for callers that factor the
-// same-sized matrix again and again. Only l's lower triangle is written —
-// every attempt starts from a's own, plus that attempt's jitter, which is
-// why a must survive the attempts — so a matrix that came zeroed from
-// NewMatrix stays a proper factor with a zero upper triangle across calls,
-// and one whose upper triangle holds something else serves every reader of
-// the factor here (the substitutions, the inverse, PackChol), none of which
-// reads above the diagonal. Nothing here allocates in proportion to n.
-func CholeskyJitterInto(l, a *Matrix, initial float64, blockSize, nworkers int) (float64, error) {
-	n := a.Rows
-	if a.Cols != n {
-		return 0, errors.New("la: CholeskyJitterInto of non-square matrix")
-	}
-	if l.Rows != n || l.Cols != n {
-		panic("la: CholeskyJitterInto factor dimension mismatch")
-	}
-	return choleskyJitter(l.Data, n, a.Data, n, n, initial, blockSize, nworkers)
-}
-
-// CholeskyJitterPacked is CholeskyJitter into packed storage: the factor of
-// the square matrix a (lower triangle read), plus the jitter it needed, in
-// a new TriPacked — PackChol of CholeskyJitter's factor, bit for bit,
-// without the dense factor in between.
+// CholeskyJitterPacked factors the square matrix a (lower triangle read)
+// into a new TriPacked with ParallelCholesky's blocked recurrence
+// (blockSize, nworkers), retrying with a growing diagonal jitter when a is
+// numerically indefinite. It returns the factor of a + jitter·I and the
+// jitter actually used (0 on the first-try path); after jitterAttempts
+// failures it gives up with ErrNotPositiveDefinite and the rung it would
+// have tried next. This is the standard stabilization for GP kernel
+// matrices whose conditioning degrades as samples cluster; the sparse-GP
+// m×m factors take it. initial ≤ 0 selects the default 1e-10. Like
+// ParallelCholesky the result is bitwise independent of nworkers, and a
+// blockSize ≥ n call runs the unblocked recurrence.
 func CholeskyJitterPacked(a *Matrix, initial float64, blockSize, nworkers int) (*TriPacked, float64, error) {
 	n := a.Rows
 	if a.Cols != n {
@@ -75,10 +40,13 @@ func CholeskyJitterPacked(a *Matrix, initial float64, blockSize, nworkers int) (
 	return l, jitter, nil
 }
 
-// CholeskyJitterPackedInto is CholeskyJitterInto over packed rows: a holds
-// the lower triangle of a symmetric matrix, packed as a TriPacked factor is,
-// and l, of a's order and not a, receives its factor. The LCM engine factors
-// every likelihood evaluation's covariance so, in n(n+1)/2 doubles each.
+// CholeskyJitterPackedInto is CholeskyJitterPacked over packed rows into a
+// reused factor: a holds the lower triangle of a symmetric matrix, packed as
+// a TriPacked factor is, and l, of a's order and not a, receives its factor.
+// Only l is written — every attempt starts from a's own triangle, plus that
+// attempt's jitter, which is why a must survive the attempts — and nothing
+// here allocates in proportion to n. The LCM engine factors every
+// likelihood evaluation's covariance so, in n(n+1)/2 doubles each.
 func CholeskyJitterPackedInto(l, a *TriPacked, initial float64, blockSize, nworkers int) (float64, error) {
 	if l.n != a.n {
 		panic("la: CholeskyJitterPackedInto factor dimension mismatch")
@@ -86,10 +54,11 @@ func CholeskyJitterPackedInto(l, a *TriPacked, initial float64, blockSize, nwork
 	return choleskyJitter(l.data, 0, a.data, 0, a.n, initial, blockSize, nworkers)
 }
 
-// choleskyJitter is the one whole-matrix escalation, behind CholeskyJitter
-// and its Into and packed forms: the order-n matrix whose lower rows are
-// laid out in a as for forwardSubst (row i at a[i·astride], or packed when
-// astride is 0) is factored into l's rows, laid out likewise by lstride.
+// choleskyJitter is the one whole-matrix escalation, behind
+// CholeskyJitterPacked and CholeskyJitterPackedInto: the order-n matrix
+// whose lower rows are laid out in a as for forwardSubst (row i at
+// a[i·astride], or packed when astride is 0) is factored into l's rows, laid
+// out likewise by lstride.
 func choleskyJitter(l []float64, lstride int, a []float64, astride, n int, initial float64, blockSize, nworkers int) (float64, error) {
 	if initial <= 0 {
 		initial = 1e-10
@@ -115,35 +84,9 @@ func choleskyJitter(l []float64, lstride int, a []float64, astride, n int, initi
 	return jitter, ErrNotPositiveDefinite
 }
 
-// SolveCholVec solves (L·Lᵀ)·x = b given the Cholesky factor L, returning x
-// in a new slice.
-func SolveCholVec(l *Matrix, b []float64) []float64 {
-	return solveCholVec(l.Data, denseStride(l, b, "SolveCholVec"), b)
-}
-
-// ForwardSubst solves L·y = b in place (b becomes y); L lower triangular.
-func ForwardSubst(l *Matrix, b []float64) {
-	forwardSubst(l.Data, denseStride(l, b, "ForwardSubst"), b)
-}
-
-// BackwardSubstT solves Lᵀ·x = b in place (b becomes x); L lower triangular.
-func BackwardSubstT(l *Matrix, b []float64) {
-	backwardSubstT(l.Data, denseStride(l, b, "BackwardSubstT"), b)
-}
-
-// denseStride returns the row stride of the dense triangular factor l for
-// the substitution bodies, panicking in op's name unless l is square and
-// b has its order.
-func denseStride(l *Matrix, b []float64, op string) int {
-	if l.Cols != l.Rows || len(b) != l.Rows {
-		panic("la: " + op + " dimension mismatch")
-	}
-	return l.Rows
-}
-
 // solveCholVec is the one Cholesky solve, (L·Lᵀ)·x = b into a new slice —
-// forwardSubst then backwardSubstT over the same rows — behind the dense
-// SolveCholVec and TriPacked.SolveVec.
+// forwardSubst then backwardSubstT over the same rows — behind
+// TriPacked.SolveVec.
 func solveCholVec(data []float64, stride int, b []float64) []float64 {
 	y := CopyVec(b)
 	forwardSubst(data, stride, y)
@@ -235,8 +178,8 @@ func rowStart(i, stride int) int {
 
 // backwardSubstT is the one back-substitution recurrence, b[i] = (b[i] −
 // Σ_{k>i} L[k,i]·b[k]) / L[i,i] for i descending, the sum one running
-// difference in k ascending (column order), behind the dense and packed
-// BackwardSubstT. Rows are laid out as for forwardSubst.
+// difference in k ascending (column order), behind
+// TriPacked.BackwardSubstT. Rows are laid out as for forwardSubst.
 func backwardSubstT(data []float64, stride int, b []float64) {
 	n := len(b)
 	for i := n - 1; i >= 0; i-- {
@@ -276,8 +219,8 @@ func ParallelCholInverse(l *Matrix, nworkers int) *Matrix {
 // wt it has written, the second reads only wt, and no entry of wt or inv is
 // read before it is written. So inv may be l itself — the second phase never
 // reads the factor it overwrites — and wt may be the matrix l was factored
-// from; wt must be neither l nor inv. CholeskyJitterInto has no such
-// freedom: its factor must not be its input, because every jitter rung
+// from; wt must be neither l nor inv. CholeskyJitterPackedInto has no
+// such freedom: its factor must not be its input, because every jitter rung
 // re-reads the input.
 func ParallelCholInverseInto(l *Matrix, nworkers int, wt, inv *Matrix) *Matrix {
 	n := l.Rows
@@ -571,14 +514,9 @@ func upRow(data []float64, stride, n, i int) []float64 {
 	return data[o : o+n : o+n]
 }
 
-// LogDetFromChol returns log det(A) = 2·Σ log L_ii given A's Cholesky factor.
-func LogDetFromChol(l *Matrix) float64 {
-	return logDetFromChol(l.Data, l.Rows, l.Rows)
-}
-
 // logDetFromChol is the one log-determinant sum, i ascending, over the
 // diagonal of the order-n factor whose rows data holds as for forwardSubst:
-// behind LogDetFromChol and TriPacked.LogDet.
+// behind TriPacked.LogDet.
 func logDetFromChol(data []float64, stride, n int) float64 {
 	s := 0.0
 	for i := 0; i < n; i++ {

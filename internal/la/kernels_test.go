@@ -200,7 +200,7 @@ func testForwardSubstOneBodyBitwise(t *testing.T) {
 			rhs, want := rhss[0], wants[0]
 
 			dense := CopyVec(rhs)
-			ForwardSubst(l, dense)
+			forwardSubst(l.Data, n, dense)
 			tp := PackChol(l)
 			packed := CopyVec(rhs)
 			tp.ForwardSubst(packed)

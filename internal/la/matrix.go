@@ -33,13 +33,6 @@ func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 // Row returns a view of row i (shared storage).
 func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
-
 // MatMulTransB returns a·bᵀ as a new matrix.
 func MatMulTransB(a, b *Matrix) *Matrix {
 	if a.Cols != b.Cols {

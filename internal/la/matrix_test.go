@@ -33,6 +33,13 @@ func maxAbsDiff(a, b *Matrix) float64 {
 	return d
 }
 
+// clone returns a deep copy of m.
+func clone(m *Matrix) *Matrix {
+	c := NewMatrix(m.Rows, m.Cols)
+	copy(c.Data, m.Data)
+	return c
+}
+
 // residual returns ‖a·x − b‖₂.
 func residual(a *Matrix, x, b []float64) float64 {
 	ss := 0.0
@@ -54,11 +61,6 @@ func TestMatrixBasics(t *testing.T) {
 	}
 	if r := m.Row(1); len(r) != 3 || r[0] != 4 {
 		t.Fatalf("Row(1) = %v", r)
-	}
-	c := m.Clone()
-	c.Set(0, 0, -1)
-	if m.At(0, 0) == -1 {
-		t.Fatalf("Clone shares storage")
 	}
 }
 
@@ -135,14 +137,14 @@ func TestCholeskyJitterRecovers(t *testing.T) {
 	for i := range a.Data {
 		a.Data[i] = 1
 	}
-	l, jit, err := CholeskyJitter(a, 1e-10, 0, 1)
+	l, jit, err := CholeskyJitterPacked(a, 1e-10, 0, 1)
 	if err != nil {
 		t.Fatalf("jittered factorization failed: %v", err)
 	}
 	if jit <= 0 {
 		t.Fatalf("expected positive jitter, got %v", jit)
 	}
-	if l.At(0, 0) <= 0 {
+	if l.Row(0)[0] <= 0 {
 		t.Fatalf("bad factor")
 	}
 }
@@ -151,7 +153,9 @@ func TestCholeskyJitterRecovers(t *testing.T) {
 // sides of the block boundary (n ≤ block runs the unblocked recurrence,
 // n > block the blocked one): a recoverable matrix reports the jitter whose
 // factor it returns, and an indefinite or NaN matrix costs exactly
-// jitterAttempts factorizations before ErrNotPositiveDefinite.
+// jitterAttempts factorizations before ErrNotPositiveDefinite. Both entry
+// points run it: a dense input into a new packed factor and a packed one
+// into a reused factor.
 func TestCholeskyJitterBoundedAndReported(t *testing.T) {
 	const block = 8
 	for _, n := range []int{6, 20} {
@@ -160,16 +164,20 @@ func TestCholeskyJitterBoundedAndReported(t *testing.T) {
 		for i := range ones.Data {
 			ones.Data[i] = 1
 		}
-		l, jit, err := CholeskyJitter(ones, 1e-10, block, 2)
+		l, jit, err := CholeskyJitterPacked(ones, 1e-10, block, 2)
 		if err != nil {
 			t.Fatalf("n=%d: recoverable matrix failed: %v", n, err)
+		}
+		into := NewTriPacked(n, nil)
+		if intoJit, err := CholeskyJitterPackedInto(into, PackChol(ones), 1e-10, block, 2); err != nil || intoJit != jit {
+			t.Fatalf("n=%d: packed input took jitter %g (%v), dense input %g", n, intoJit, err, jit)
 		}
 		// Attempts run at jitter 0, 1e-10, 1e-9, …; the reported jitter must be
 		// one of those and must be the one the returned factor was built with.
 		if jit < 1e-10 || jit > 1e-10*1e10 {
 			t.Fatalf("n=%d: reported jitter %g outside the escalation ladder", n, jit)
 		}
-		shifted := ones.Clone()
+		shifted := clone(ones)
 		for i := 0; i < n; i++ {
 			shifted.Data[i*n+i] += jit
 		}
@@ -177,12 +185,14 @@ func TestCholeskyJitterBoundedAndReported(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: reported jitter %g does not factor: %v", n, jit, err)
 		}
-		if maxAbsDiff(l, want) != 0 {
-			t.Fatalf("n=%d: factor is not that of a + %g·I", n, jit)
+		for i, v := range PackChol(want).data {
+			if v != l.data[i] || v != into.data[i] {
+				t.Fatalf("n=%d: factor is not that of a + %g·I", n, jit)
+			}
 		}
 		if jit > 1e-10 {
 			// A smaller rung must have failed, or the loop skipped one.
-			prev := ones.Clone()
+			prev := clone(ones)
 			for i := 0; i < n; i++ {
 				prev.Data[i*n+i] += jit / 10
 			}
@@ -198,12 +208,16 @@ func TestCholeskyJitterBoundedAndReported(t *testing.T) {
 			indef.Data[i*n+i] = 1
 		}
 		indef.Data[n*n-1] = -100
-		nan := indef.Clone()
+		nan := clone(indef)
 		nan.Data[n*n-1] = math.NaN()
 		for name, a := range map[string]*Matrix{"indefinite": indef, "NaN": nan} {
-			l, jit, err := CholeskyJitter(a, 1e-10, block, 2)
+			l, jit, err := CholeskyJitterPacked(a, 1e-10, block, 2)
 			if err != ErrNotPositiveDefinite || l != nil {
 				t.Fatalf("n=%d %s: got factor %v, err %v; want ErrNotPositiveDefinite", n, name, l != nil, err)
+			}
+			intoJit, err := CholeskyJitterPackedInto(NewTriPacked(n, nil), PackChol(a), 1e-10, block, 2)
+			if err != ErrNotPositiveDefinite || math.Float64bits(intoJit) != math.Float64bits(jit) {
+				t.Fatalf("n=%d %s: packed input gave up at jitter %g (%v), dense input at %g", n, name, intoJit, err, jit)
 			}
 			if name == "NaN" {
 				continue // the jitter scale is NaN too; only the bound matters
@@ -221,7 +235,7 @@ func TestCholeskyJitterBoundedAndReported(t *testing.T) {
 	}
 }
 
-// Property: SolveCholVec returns x with A·x = b.
+// Property: SolveVec returns x with A·x = b.
 func TestSolveCholVecResidual(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{1, 5, 17, 40} {
@@ -234,7 +248,7 @@ func TestSolveCholVecResidual(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		x := SolveCholVec(l, b)
+		x := PackChol(l).SolveVec(b)
 		if r := residual(a, x, b); r > 1e-8*math.Sqrt(Dot(b, b))*float64(n) {
 			t.Fatalf("n=%d: residual %v", n, r)
 		}
@@ -260,7 +274,7 @@ func TestLogDetFromChol(t *testing.T) {
 	// diag(4, 9): det = 36, logdet = log 36.
 	a := &Matrix{Rows: 2, Cols: 2, Data: []float64{4, 0, 0, 9}}
 	l, _ := ParallelCholesky(a, a.Rows, 1)
-	if got := LogDetFromChol(l); math.Abs(got-math.Log(36)) > 1e-12 {
+	if got := PackChol(l).LogDet(); math.Abs(got-math.Log(36)) > 1e-12 {
 		t.Fatalf("logdet = %v, want %v", got, math.Log(36))
 	}
 }
@@ -335,7 +349,7 @@ func TestCholeskySolveQuick(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		x := SolveCholVec(l, b)
+		x := PackChol(l).SolveVec(b)
 		return residual(a, x, b) <= 1e-7*(1+math.Sqrt(Dot(b, b)))*float64(n)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

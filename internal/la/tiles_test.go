@@ -85,7 +85,7 @@ func refCholesky(a *Matrix, jitter float64, blockSize int) (*Matrix, error) {
 	return l, nil
 }
 
-// refCholeskyJitter is CholeskyJitter's escalation over refCholesky.
+// refCholeskyJitter is choleskyJitter's escalation over refCholesky.
 func refCholeskyJitter(a *Matrix, blockSize int) (*Matrix, float64, error) {
 	n := a.Rows
 	meanDiag := 0.0
@@ -180,7 +180,7 @@ func tileInputs(rng *rand.Rand, n int) map[string]*Matrix {
 		b.Data[i] = rng.NormFloat64()
 	}
 	lowRank := MatMulTransB(b, b)
-	indef := spd.Clone()
+	indef := clone(spd)
 	if n > 0 {
 		indef.Data[n*n-1] = -float64(n * n)
 	}
@@ -220,7 +220,7 @@ func sameMatrixBits(got, want *Matrix) string {
 func samePackedBits(got *TriPacked, want *Matrix) string {
 	for i := 0; i < want.Rows; i++ {
 		for j := 0; j <= i; j++ {
-			if g, w := got.At(i, j), want.At(i, j); math.Float64bits(g) != math.Float64bits(w) {
+			if g, w := got.Row(i)[j], want.At(i, j); math.Float64bits(g) != math.Float64bits(w) {
 				return fmt.Sprintf("packed entry (%d,%d) %v (%x), oracle %v (%x)", i, j, g, math.Float64bits(g), w, math.Float64bits(w))
 			}
 		}
@@ -232,14 +232,14 @@ func samePackedBits(got *TriPacked, want *Matrix) string {
 // recurrence, every entry's bits, for every n ≤ 80 and a sparse sweep to
 // 300, block sizes {n, 64, 16, 5}, one, two and eight workers, once per
 // kernel tier (eachTier: the scalar tiles, and the fused strips on the
-// AVX2 and AVX-512 tiers), through the jitter escalation — a rank-deficient
-// input takes the same rung and reports the same jitter, an indefinite one
-// fails at every rung with the same error — and with ParallelCholesky
-// failing at the same first attempt. The packed layouts run the same grid:
-// a dense input factored into packed storage (CholeskyJitterPacked), and a
-// packed input into a reused packed factor (CholeskyJitterPackedInto, its
-// storage full of NaN beforehand, as the LCM engine's buffer holds the last
-// Σ⁻¹).
+// AVX2 and AVX-512 tiers). The dense ParallelCholesky fails at the same
+// first attempt or matches bit for bit. The jitter escalation runs the same
+// grid into packed storage — a dense input into a new factor
+// (CholeskyJitterPacked), and a packed input into a reused factor
+// (CholeskyJitterPackedInto, its storage full of NaN beforehand, as the LCM
+// engine's buffer holds the last Σ⁻¹) — where a rank-deficient input takes
+// the same rung and reports the same jitter, and an indefinite one fails at
+// every rung with the same error.
 func TestTiledCholeskyBitwise(t *testing.T) { eachTier(t, testTiledCholeskyBitwise) }
 
 func testTiledCholeskyBitwise(t *testing.T) {
@@ -261,7 +261,6 @@ func testTiledCholeskyBitwise(t *testing.T) {
 				}
 				packedA := PackChol(a)
 				for _, w := range []int{1, 2, 8} {
-					got, jitter, err := CholeskyJitter(a, 0, bs, w)
 					bare, gotBareErr := ParallelCholesky(a, bs, w)
 					packed, packedJitter, packedErr := CholeskyJitterPacked(a, 0, bs, w)
 					into := NewTriPacked(n, nil)
@@ -270,16 +269,8 @@ func testTiledCholeskyBitwise(t *testing.T) {
 					}
 					intoJitter, intoErr := CholeskyJitterPackedInto(into, packedA, 0, bs, w)
 					where := fmt.Sprintf("n=%d %s block=%d workers=%d", n, name, bs, w)
-					if err != wantErr || gotBareErr != bareErr {
-						t.Fatalf("%s: errors (%v, bare %v), oracle (%v, bare %v)", where, err, gotBareErr, wantErr, bareErr)
-					}
-					if math.Float64bits(jitter) != math.Float64bits(wantJitter) {
-						t.Fatalf("%s: jitter %g, oracle %g", where, jitter, wantJitter)
-					}
-					if err == nil {
-						if d := sameMatrixBits(got, want); d != "" {
-							t.Fatalf("%s: %s", where, d)
-						}
+					if gotBareErr != bareErr {
+						t.Fatalf("%s: bare error %v, oracle %v", where, gotBareErr, bareErr)
 					}
 					if bareErr == nil && wantJitter == 0 {
 						if d := sameMatrixBits(bare, want); d != "" {
@@ -292,7 +283,7 @@ func testTiledCholeskyBitwise(t *testing.T) {
 					if math.Float64bits(packedJitter) != math.Float64bits(wantJitter) || math.Float64bits(intoJitter) != math.Float64bits(wantJitter) {
 						t.Fatalf("%s: packed jitter (%g, into %g), oracle %g", where, packedJitter, intoJitter, wantJitter)
 					}
-					if err == nil {
+					if wantErr == nil {
 						for kind, p := range map[string]*TriPacked{"packed": packed, "packed into": into} {
 							if d := samePackedBits(p, want); d != "" {
 								t.Fatalf("%s %s: %s", where, kind, d)
@@ -419,7 +410,7 @@ func TestCholInverseIntoOverwritesItsFactor(t *testing.T) {
 						for i := range wt.Data {
 							wt.Data[i] = math.NaN()
 						}
-						got = l.Clone()
+						got = clone(l)
 						for i := 0; i < n; i++ {
 							for j := i + 1; j < n; j++ {
 								got.Data[i*n+j] = math.NaN()

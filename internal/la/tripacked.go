@@ -13,9 +13,10 @@ import (
 // factors, which is what lets the incremental exact surrogate hold histories
 // an order of magnitude past the refit-from-scratch ceiling.
 //
-// The arithmetic of every method matches the dense Matrix routines operation
-// for operation (same Dot calls over the same prefixes, in the same order),
-// so a factor moved between representations yields bitwise-identical solves.
+// Its methods run the bodies the dense routines run (forwardSubst,
+// backwardSubstT and choleskyInto take either row layout): the same Dot
+// calls over the same prefixes, in the same order, so a factor moved between
+// representations yields bitwise-identical results.
 type TriPacked struct {
 	n    int
 	data []float64 // len n(n+1)/2
@@ -60,9 +61,6 @@ func (t *TriPacked) Row(i int) []float64 {
 	return t.data[off : off+i+1]
 }
 
-// At returns element (i, j) for j ≤ i.
-func (t *TriPacked) At(i, j int) float64 { return t.data[i*(i+1)/2+j] }
-
 // Clone returns a deep copy.
 func (t *TriPacked) Clone() *TriPacked {
 	c := &TriPacked{n: t.n, data: make([]float64, len(t.data))}
@@ -71,9 +69,8 @@ func (t *TriPacked) Clone() *TriPacked {
 }
 
 // ForwardSubst solves L·y = b in place (b becomes y) for each of up to four
-// right-hand sides: the dense ForwardSubst's forwardSubst body over packed
-// rows, so results are bitwise identical, and each right-hand side's bits
-// are those of its solve alone. Several of them share each pass over L.
+// right-hand sides: the forwardSubst body over packed rows, so each
+// right-hand side's bits are those of its solve alone. Several of them share each pass over L.
 func (t *TriPacked) ForwardSubst(bs ...[]float64) {
 	if len(bs) > MaxRHS {
 		panic("la: TriPacked.ForwardSubst of more than four right-hand sides")
@@ -86,8 +83,8 @@ func (t *TriPacked) ForwardSubst(bs ...[]float64) {
 	forwardSubst(t.data, 0, bs...)
 }
 
-// BackwardSubstT solves Lᵀ·x = b in place (b becomes x): the dense
-// BackwardSubstT's backwardSubstT body over packed rows.
+// BackwardSubstT solves Lᵀ·x = b in place (b becomes x): the
+// backwardSubstT body over packed rows.
 func (t *TriPacked) BackwardSubstT(b []float64) {
 	if len(b) != t.n {
 		panic("la: TriPacked.BackwardSubstT dimension mismatch")
@@ -95,8 +92,8 @@ func (t *TriPacked) BackwardSubstT(b []float64) {
 	backwardSubstT(t.data, 0, b)
 }
 
-// SolveVec solves (L·Lᵀ)·x = b, returning x in a new slice: the dense
-// SolveCholVec's solveCholVec body over packed rows.
+// SolveVec solves (L·Lᵀ)·x = b, returning x in a new slice: the
+// solveCholVec body over packed rows.
 func (t *TriPacked) SolveVec(b []float64) []float64 {
 	if len(b) != t.n {
 		panic("la: TriPacked.SolveVec dimension mismatch")
@@ -104,8 +101,8 @@ func (t *TriPacked) SolveVec(b []float64) []float64 {
 	return solveCholVec(t.data, 0, b)
 }
 
-// LogDet returns log det(L·Lᵀ) = 2·Σ log L_ii: the dense LogDetFromChol's
-// sum over packed rows.
+// LogDet returns log det(L·Lᵀ) = 2·Σ log L_ii: the logDetFromChol sum over
+// packed rows.
 func (t *TriPacked) LogDet() float64 { return logDetFromChol(t.data, 0, t.n) }
 
 // AppendRows is the blocked, jitter-aware k-row extension: given the factor
@@ -119,7 +116,7 @@ func (t *TriPacked) LogDet() float64 { return logDetFromChol(t.data, 0, t.n) }
 // successive one-row calls. A failed pivot retries with an escalating jitter
 // added to that row's diagonal entry only (the already-factored leading
 // block is untouched); initial ≤ 0 selects the default 1e-10, and like
-// CholeskyJitter the scale is relative to the diagonal magnitude. The
+// CholeskyJitterPacked the scale is relative to the diagonal magnitude. The
 // maximum jitter added is returned (0 on the first-try path). On error t is
 // left unchanged.
 //

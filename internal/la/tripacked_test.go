@@ -43,7 +43,7 @@ func TestPackCholRoundTrip(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	want := SolveCholVec(l, b)
+	want := solveCholVec(l.Data, l.Rows, b)
 	got := tp.SolveVec(b)
 	for i := range want {
 		if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
@@ -76,7 +76,7 @@ func TestAppendRowMatchesFullCholesky(t *testing.T) {
 	}
 	for i := 0; i < n+k; i++ {
 		for j := 0; j <= i; j++ {
-			got, want := tp.At(i, j), full.At(i, j)
+			got, want := tp.Row(i)[j], full.At(i, j)
 			if math.Abs(got-want) > 1e-9*math.Max(1, math.Abs(want)) {
 				t.Fatalf("factor (%d,%d): append %v vs full %v", i, j, got, want)
 			}
@@ -120,7 +120,7 @@ func TestAppendRowsBlockedBitwiseEqualsSequential(t *testing.T) {
 		}
 		for i := 0; i < blk.N(); i++ {
 			for j := 0; j <= i; j++ {
-				if math.Float64bits(blk.At(i, j)) != math.Float64bits(seq.At(i, j)) {
+				if math.Float64bits(blk.Row(i)[j]) != math.Float64bits(seq.Row(i)[j]) {
 					t.Fatalf("workers=%d: blocked factor differs from sequential at (%d,%d)", workers, i, j)
 				}
 			}
@@ -149,7 +149,7 @@ func TestAppendRowNotPositiveDefinite(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
-			if math.Float64bits(tp.At(i, j)) != math.Float64bits(before.At(i, j)) {
+			if math.Float64bits(tp.Row(i)[j]) != math.Float64bits(before.Row(i)[j]) {
 				t.Fatalf("failed append mutated the factor at (%d,%d)", i, j)
 			}
 		}

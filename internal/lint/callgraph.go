@@ -99,9 +99,7 @@ type graph struct {
 	ix    *ignoreIndex
 	nodes map[*types.Func]*fnNode
 	order []*fnNode // deterministic: packages sorted, files sorted, decl order
-
-	namedTypes []*types.Named // module-defined named types, for implements-sets
-	implCache  map[*types.Interface]map[string][]*types.Func
+	impls *implIndex
 
 	orders []orderEdge // lock-order observations, filled by lockDiscipline
 }
@@ -135,20 +133,12 @@ func isHotpath(fd *ast.FuncDecl) bool {
 // facts and call edges.
 func buildGraph(pkgs []*Package, cfg *Config, ix *ignoreIndex) *graph {
 	g := &graph{
-		cfg:       cfg,
-		ix:        ix,
-		nodes:     make(map[*types.Func]*fnNode),
-		implCache: make(map[*types.Interface]map[string][]*types.Func),
+		cfg:   cfg,
+		ix:    ix,
+		nodes: make(map[*types.Func]*fnNode),
+		impls: newImplIndex(pkgs),
 	}
 	for _, pkg := range pkgs {
-		scope := pkg.Types.Scope()
-		for _, name := range scope.Names() {
-			if tn, ok := scope.Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
-				if named, ok := tn.Type().(*types.Named); ok {
-					g.namedTypes = append(g.namedTypes, named)
-				}
-			}
-		}
 		for _, file := range pkg.Files {
 			for _, d := range file.Decls {
 				fd, ok := d.(*ast.FuncDecl)
@@ -172,13 +162,35 @@ func buildGraph(pkgs []*Package, cfg *Config, ix *ignoreIndex) *graph {
 	return g
 }
 
-// implsOf returns the module-defined concrete methods implementing the
-// interface method m, cached per interface.
-func (g *graph) implsOf(iface *types.Interface, m *types.Func) []*types.Func {
-	byName, ok := g.implCache[iface]
+// implIndex resolves an interface method to the concrete methods of a
+// package set that implement it (the implements-set approximation).
+type implIndex struct {
+	namedTypes []*types.Named // the packages' package-level named types
+	cache      map[*types.Interface]map[string][]*types.Func
+}
+
+func newImplIndex(pkgs []*Package) *implIndex {
+	x := &implIndex{cache: make(map[*types.Interface]map[string][]*types.Func)}
+	for _, pkg := range pkgs {
+		scope := pkg.Types.Scope()
+		for _, name := range scope.Names() {
+			if tn, ok := scope.Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
+				if named, ok := tn.Type().(*types.Named); ok {
+					x.namedTypes = append(x.namedTypes, named)
+				}
+			}
+		}
+	}
+	return x
+}
+
+// implsOf returns the concrete methods implementing the interface method m,
+// cached per interface.
+func (x *implIndex) implsOf(iface *types.Interface, m *types.Func) []*types.Func {
+	byName, ok := x.cache[iface]
 	if !ok {
 		byName = make(map[string][]*types.Func)
-		for _, named := range g.namedTypes {
+		for _, named := range x.namedTypes {
 			if types.IsInterface(named.Underlying()) || named.TypeParams().Len() > 0 {
 				continue
 			}
@@ -198,7 +210,7 @@ func (g *graph) implsOf(iface *types.Interface, m *types.Func) []*types.Func {
 				}
 			}
 		}
-		g.implCache[iface] = byName
+		x.cache[iface] = byName
 	}
 	return byName[m.Name()]
 }
@@ -214,7 +226,7 @@ func (g *graph) calleesOf(pkg *Package, call *ast.CallExpr) []*types.Func {
 	fn = fn.Origin()
 	if iface := recvInterface(fn); iface != nil {
 		var out []*types.Func
-		for _, impl := range g.implsOf(iface, fn) {
+		for _, impl := range g.impls.implsOf(iface, fn) {
 			if g.nodes[impl] != nil {
 				out = append(out, impl)
 			}

@@ -19,6 +19,7 @@ const (
 	RuleFloatEq        = "float-eq"            // R5
 	RuleUncheckedError = "unchecked-error"     // R6
 	RuleMathExp        = "no-math-exp"         // R12
+	RuleDeadCode       = "dead-code"           // R13, deadcode.go
 
 	// Interprocedural rules, computed over the module-wide call graph
 	// (callgraph.go / dataflow.go).
@@ -42,6 +43,7 @@ var knownRules = map[string]bool{
 	RuleFloatEq:             true,
 	RuleUncheckedError:      true,
 	RuleMathExp:             true,
+	RuleDeadCode:            true,
 	RuleTransitiveWallclock: true,
 	RuleLockBlocking:        true,
 	RuleLockOrder:           true,
@@ -81,7 +83,9 @@ func (d Diagnostic) String() string {
 // transitive-wallclock applies to the NumericPackages (reported at the edge
 // where a call chain leaves the numeric core); lock-held-across-blocking,
 // lock-order, and goroutine-leak apply everywhere; hotpath-alloc applies to
-// functions marked //gptlint:hotpath wherever they are.
+// functions marked //gptlint:hotpath wherever they are. dead-code is scoped
+// by Go's own visibility, not by the Config: it checks every package under
+// an internal/ path element.
 type Config struct {
 	// NumericPackages are the import paths where the determinism rules
 	// (no-wallclock, no-map-range, float-eq, unchecked-error, no-math-exp,
@@ -352,6 +356,9 @@ func Run(pkgs []*Package, cfg Config) []Diagnostic {
 		}
 	}
 	raw = append(raw, runInterprocedural(pkgs, &cfg, ix)...)
+	if cfg.enabled(RuleDeadCode) {
+		raw = append(raw, deadCode(pkgs)...)
+	}
 
 	var kept []Diagnostic
 	for _, d := range raw {

@@ -152,6 +152,39 @@ func sameFile(a, b string) bool {
 	return err1 == nil && err2 == nil && aa == bb
 }
 
+// TestDeadCodeSeesWholeModule: reach is taken over the whole module,
+// whatever the patterns. Linting internal/deadcode alone reports exactly what
+// the full run reports there, so Used, Table.Rows and Counter.Value, which
+// only corpus/deaduser reaches, stay silent.
+func TestDeadCodeSeesWholeModule(t *testing.T) {
+	run := func(pattern string) []Diagnostic {
+		loader, err := NewLoader(filepath.Join("testdata", "src"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkgs, err := loader.Load([]string{pattern})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := corpusConfig()
+		cfg.Rules = []string{RuleDeadCode}
+		return Run(pkgs, cfg)
+	}
+	var want []string
+	for _, d := range run("./...") {
+		if strings.Contains(d.File, filepath.Join("internal", "deadcode")) {
+			want = append(want, d.String())
+		}
+	}
+	var got []string
+	for _, d := range run("./internal/deadcode") {
+		got = append(got, d.String())
+	}
+	if len(want) == 0 || strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("internal/deadcode alone reports\n%s\nthe whole module\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
 // TestDefaultConfig pins the production scoping: the eight numeric
 // packages, the single goroutine-bearing package and the generator owners.
 func TestDefaultConfig(t *testing.T) {

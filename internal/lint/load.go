@@ -5,7 +5,8 @@
 // modeling hot path depends on: no global math/rand, no wall-clock reads
 // in numeric code, no map-iteration-order-dependent accumulation, all
 // goroutines routed through internal/mpx, no float ==, and no silently
-// dropped errors. See DESIGN.md §7.
+// dropped errors. One more rule keeps the tree lean: no function of an
+// internal/ package that only tests reach. See DESIGN.md §7.
 package lint
 
 import (
@@ -30,6 +31,16 @@ type Package struct {
 	Files []*ast.File // non-test files only, sorted by filename
 	Types *types.Package
 	Info  *types.Info
+
+	mod *module // the whole module, whatever patterns loaded this package
+}
+
+// module is every package of a module, whatever patterns Load was given, so
+// that a rule asking whether anything uses a function sees every caller.
+type module struct {
+	path     string
+	pkgs     []*Package      // sorted by import path
+	excluded map[string]bool // identifiers of the build-excluded non-test files (addReferences)
 }
 
 // Loader parses and type-checks packages of a single module. Imports of
@@ -43,6 +54,7 @@ type Loader struct {
 	fset *token.FileSet
 	src  types.ImporterFrom
 	pkgs map[string]*Package // by import path; nil value marks in-progress
+	mod  *module
 }
 
 // NewLoader locates the module root at or above dir and prepares a loader.
@@ -103,8 +115,12 @@ func readModulePath(gomod string) (string, error) {
 // Load resolves the given patterns ("./...", "./internal/...", "./gptune")
 // against the module tree and returns the matched packages, parsed and
 // type-checked. Directories named testdata, hidden directories, and
-// directories with no non-test Go files are skipped.
+// directories with no non-test Go files are skipped. Every other package of
+// the module is type-checked too, as the context the dead-code rule reads.
 func (l *Loader) Load(patterns []string) ([]*Package, error) {
+	if err := l.loadModule(); err != nil {
+		return nil, err
+	}
 	dirs, err := l.resolve(patterns)
 	if err != nil {
 		return nil, err
@@ -122,6 +138,59 @@ func (l *Loader) Load(patterns []string) ([]*Package, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
 	return out, nil
+}
+
+// loadModule type-checks every package of the module once and collects the
+// identifiers of its build-excluded non-test files.
+func (l *Loader) loadModule() error {
+	if l.mod != nil {
+		return nil
+	}
+	dirs, err := l.resolve([]string{"./..."})
+	if err != nil {
+		return err
+	}
+	m := &module{path: l.Module, excluded: make(map[string]bool)}
+	fset := token.NewFileSet()
+	for _, dir := range dirs {
+		pkg, err := l.check(l.importPathFor(dir))
+		if err != nil {
+			return err
+		}
+		m.pkgs = append(m.pkgs, pkg)
+		_, excluded, err := goFileNames(dir)
+		if err != nil {
+			return err
+		}
+		for _, name := range excluded {
+			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			addReferences(f, m.excluded)
+		}
+	}
+	for _, pkg := range m.pkgs {
+		pkg.mod = m
+	}
+	l.mod = m
+	return nil
+}
+
+// addReferences adds every identifier of f's declarations to names, a
+// declared function's own name apart: both halves of a twin declare it. A
+// file the build context leaves out (the other half of a platform twin, a
+// purego body) is not type-checked, so its references are matched by name.
+func addReferences(f *ast.File, names map[string]bool) {
+	for _, d := range f.Decls {
+		fd, _ := d.(*ast.FuncDecl)
+		ast.Inspect(d, func(x ast.Node) bool {
+			if id, ok := x.(*ast.Ident); ok && (fd == nil || id != fd.Name) {
+				names[id.Name] = true
+			}
+			return true
+		})
+	}
 }
 
 // resolve expands patterns into absolute package directories.
@@ -180,20 +249,20 @@ func (l *Loader) resolve(patterns []string) ([]string, error) {
 }
 
 func (l *Loader) hasGoFiles(dir string) bool {
-	names, err := goFileNames(dir)
+	names, _, err := goFileNames(dir)
 	return err == nil && len(names) > 0
 }
 
 // goFileNames lists the non-test .go files of dir that the go tool would
-// build here, sorted: a _GOOS / _GOARCH file-name suffix or a //go:build
-// line that excludes this platform excludes the file, so of a platform twin
-// (x_amd64.go beside a "//go:build !amd64" file) exactly one half loads.
-func goFileNames(dir string) ([]string, error) {
+// build here, sorted, and apart from them the ones it would leave out: a
+// _GOOS / _GOARCH file-name suffix or a //go:build line that excludes this
+// platform excludes the file, so of a platform twin (x_amd64.go beside a
+// "//go:build !amd64" file) exactly one half loads.
+func goFileNames(dir string) (names, excluded []string, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var names []string
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
@@ -202,15 +271,16 @@ func goFileNames(dir string) ([]string, error) {
 		// MatchFile also rejects names starting with "." or "_".
 		match, err := build.Default.MatchFile(dir, name)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if !match {
+			excluded = append(excluded, name)
 			continue
 		}
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	return names, nil
+	return names, excluded, nil
 }
 
 func (l *Loader) importPathFor(dir string) string {
@@ -240,7 +310,7 @@ func (l *Loader) check(importPath string) (*Package, error) {
 	}
 	l.pkgs[importPath] = nil // mark in-progress
 	dir := l.dirFor(importPath)
-	names, err := goFileNames(dir)
+	names, _, err := goFileNames(dir)
 	if err != nil {
 		return nil, err
 	}

@@ -46,18 +46,6 @@ func CoriHaswell() Machine {
 	}
 }
 
-// TimeFlops returns the time to execute flops floating point operations on
-// p cores at the given efficiency ∈ (0, 1].
-func (m Machine) TimeFlops(flops float64, p int, efficiency float64) float64 {
-	if p < 1 {
-		p = 1
-	}
-	if efficiency <= 0 {
-		efficiency = 1e-3
-	}
-	return flops / (float64(p) * m.FlopsPerCore * efficiency)
-}
-
 // TimeComm returns the α-β model time for nMsg messages carrying volBytes in
 // total: nMsg·α + volBytes/β.
 func (m Machine) TimeComm(nMsg, volBytes float64) float64 {
@@ -119,14 +107,4 @@ func (n *Noise) MulAt(key string, attempt uint64) float64 {
 	u2 := float64(h.Sum64()>>11) / float64(1<<53)
 	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 	return la.Exp(n.Sigma * z)
-}
-
-// Reset clears attempt counters (fresh measurement sequences).
-func (n *Noise) Reset() {
-	if n == nil {
-		return
-	}
-	n.mu.Lock()
-	n.attempts = make(map[string]uint64)
-	n.mu.Unlock()
 }

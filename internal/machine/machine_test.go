@@ -12,21 +12,6 @@ func TestCoriParameters(t *testing.T) {
 	}
 }
 
-func TestTimeFlopsScaling(t *testing.T) {
-	m := CoriHaswell()
-	t1 := m.TimeFlops(1e12, 1, 0.5)
-	t32 := m.TimeFlops(1e12, 32, 0.5)
-	if math.Abs(t1/t32-32) > 1e-9 {
-		t.Fatalf("flop time should scale linearly with cores: %v vs %v", t1, t32)
-	}
-	if m.TimeFlops(1e9, 0, 0.5) != m.TimeFlops(1e9, 1, 0.5) {
-		t.Fatalf("p=0 should clamp to 1")
-	}
-	if m.TimeFlops(1e9, 1, 0) <= 0 {
-		t.Fatalf("zero efficiency must clamp, not divide by zero")
-	}
-}
-
 func TestTimeComm(t *testing.T) {
 	m := Machine{Latency: 1e-6, Bandwidth: 1e9}
 	got := m.TimeComm(1000, 1e9)
@@ -101,15 +86,5 @@ func TestNoiseNilAndZeroSigma(t *testing.T) {
 	z := NewNoise(0, 1)
 	if z.Mul("x") != 1 {
 		t.Fatalf("zero sigma must be identity")
-	}
-}
-
-func TestNoiseReset(t *testing.T) {
-	n := NewNoise(0.1, 3)
-	first := n.Mul("k")
-	n.Mul("k")
-	n.Reset()
-	if got := n.Mul("k"); got != first {
-		t.Fatalf("after Reset, first attempt should repeat: %v vs %v", got, first)
 	}
 }

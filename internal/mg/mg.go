@@ -171,15 +171,6 @@ func newLevel(nx, ny, nz int) *level {
 // Levels returns the number of grids in the hierarchy.
 func (h *Hierarchy) Levels() int { return len(h.levels) }
 
-// LevelSizes returns the unknown count per level (finest first).
-func (h *Hierarchy) LevelSizes() []int {
-	out := make([]int, len(h.levels))
-	for i, l := range h.levels {
-		out[i] = l.n()
-	}
-	return out
-}
-
 // applyA computes out = A·u for the 7-point Laplacian at level l.
 func (h *Hierarchy) applyA(l *level, u, out []float64) {
 	for z := 0; z < l.nz; z++ {

@@ -28,7 +28,10 @@ func TestHierarchyLevels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sizes := h.LevelSizes()
+	sizes := make([]int, len(h.levels)) // unknowns per level, finest first
+	for i, l := range h.levels {
+		sizes[i] = l.n()
+	}
 	if len(sizes) < 3 {
 		t.Fatalf("too few levels: %v", sizes)
 	}

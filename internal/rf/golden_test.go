@@ -42,7 +42,7 @@ func TestGoldenFit(t *testing.T) {
 	h := fnv.New64a()
 	var b [8]byte
 	for k := 0; k < 20; k++ {
-		mean, variance := f.Predict([]float64{rng.Float64(), rng.Float64(), rng.Float64()})
+		mean, variance := predict(f, []float64{rng.Float64(), rng.Float64(), rng.Float64()})
 		for _, v := range []float64{mean, variance} {
 			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
 			h.Write(b[:])
@@ -89,7 +89,7 @@ func TestGoldenFitTies(t *testing.T) {
 		var b [8]byte
 		for k := 0; k < 40; k++ {
 			x := []float64{float64(k % 8), float64(k % 3), float64(k % 4), float64(k%5) / 4}
-			mean, variance := f.Predict(x)
+			mean, variance := predict(f, x)
 			for _, v := range []float64{mean, variance} {
 				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
 				h.Write(b[:])

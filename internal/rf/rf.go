@@ -262,14 +262,9 @@ func (g *grower) bestSplit(idx []int) (int, float64, bool) {
 	return bestFeature, bestThreshold, bestFeature >= 0
 }
 
-// Predict returns the ensemble mean and across-tree variance at x — the
+// PredictWith returns the ensemble mean and across-tree variance at x — the
 // variance serving as the (crude but useful) uncertainty estimate for
-// acquisition functions.
-func (f *Forest) Predict(x []float64) (mean, variance float64) {
-	return f.PredictWith(make([]float64, len(f.trees)), x)
-}
-
-// PredictWith is Predict over caller-held scratch of at least NumTrees
+// acquisition functions — over caller-held scratch of at least NumTrees
 // values: each tree is walked once, its prediction kept for the variance
 // pass, and nothing is allocated.
 func (f *Forest) PredictWith(scratch, x []float64) (mean, variance float64) {

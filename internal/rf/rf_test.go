@@ -7,6 +7,11 @@ import (
 	"testing/quick"
 )
 
+// predict is PredictWith over fresh scratch.
+func predict(f *Forest, x []float64) (mean, variance float64) {
+	return f.PredictWith(make([]float64, f.NumTrees()), x)
+}
+
 func TestFitRejectsBadInput(t *testing.T) {
 	if _, err := Fit(nil, nil, Params{}); err == nil {
 		t.Fatalf("empty input accepted")
@@ -36,8 +41,8 @@ func TestForestFitsStepFunction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, _ := f.Predict([]float64{0.2})
-	hi, _ := f.Predict([]float64{0.8})
+	lo, _ := predict(f, []float64{0.2})
+	hi, _ := predict(f, []float64{0.8})
 	if math.Abs(lo-1) > 0.1 || math.Abs(hi-3) > 0.1 {
 		t.Fatalf("step not learned: %v %v", lo, hi)
 	}
@@ -60,7 +65,7 @@ func TestForestFitsSmoothFunction(t *testing.T) {
 	mse := 0.0
 	for i := 0; i < 100; i++ {
 		x := []float64{rng.Float64(), rng.Float64()}
-		mean, _ := f.Predict(x)
+		mean, _ := predict(f, x)
 		d := mean - truth(x)
 		mse += d * d
 	}
@@ -85,11 +90,11 @@ func TestVarianceHigherOffData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, vIn := f.Predict([]float64{0.25})
+	_, vIn := predict(f, []float64{0.25})
 	// Averaged variance over several extrapolation points.
 	vOut := 0.0
 	for _, x := range []float64{0.9, 0.95, 1.0} {
-		_, v := f.Predict([]float64{x})
+		_, v := predict(f, []float64{x})
 		vOut += v
 	}
 	vOut /= 3
@@ -119,7 +124,7 @@ func TestCategoricalSplits(t *testing.T) {
 		t.Fatal(err)
 	}
 	for c := 0; c < 3; c++ {
-		mean, _ := f.Predict([]float64{float64(c)})
+		mean, _ := predict(f, []float64{float64(c)})
 		if math.Abs(mean-means[c]) > 0.2 {
 			t.Fatalf("category %d: predicted %v, want %v", c, mean, means[c])
 		}
@@ -147,7 +152,7 @@ func TestPredictionsWithinTargetRange(t *testing.T) {
 			return false
 		}
 		for trial := 0; trial < 20; trial++ {
-			mean, _ := forest.Predict([]float64{rng.Float64(), rng.Float64()})
+			mean, _ := predict(forest, []float64{rng.Float64(), rng.Float64()})
 			if mean < lo-1e-9 || mean > hi+1e-9 {
 				return false
 			}
@@ -171,8 +176,8 @@ func TestDeterministicPerSeed(t *testing.T) {
 	f2, _ := Fit(X, y, Params{Trees: 10, Seed: 42})
 	for i := 0; i < 10; i++ {
 		x := []float64{float64(i) / 10}
-		m1, v1 := f1.Predict(x)
-		m2, v2 := f2.Predict(x)
+		m1, v1 := predict(f1, x)
+		m2, v2 := predict(f2, x)
 		if m1 != m2 || v1 != v2 {
 			t.Fatalf("same seed diverged at %v", x)
 		}
@@ -201,8 +206,8 @@ func TestForestDeterministicAcrossWorkers(t *testing.T) {
 	}
 	for k := 0; k < 50; k++ {
 		x := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
-		m1, v1 := serial.Predict(x)
-		m8, v8 := parallel.Predict(x)
+		m1, v1 := predict(serial, x)
+		m8, v8 := predict(parallel, x)
 		if math.Float64bits(m1) != math.Float64bits(m8) || math.Float64bits(v1) != math.Float64bits(v8) {
 			t.Fatalf("workers=1 vs workers=8 diverged at %v: (%v,%v) vs (%v,%v)", x, m1, v1, m8, v8)
 		}

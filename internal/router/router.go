@@ -170,11 +170,6 @@ func (rt *Router) recordFailure(rep string) {
 	rt.mu.Unlock()
 }
 
-// Healthy returns the replicas currently routed to, sorted.
-func (rt *Router) Healthy() []string {
-	return rt.healthyRing().Nodes()
-}
-
 func (rt *Router) healthyRing() *ring.Ring {
 	rt.mu.Lock()
 	var dead []string

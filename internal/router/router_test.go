@@ -221,17 +221,17 @@ func TestEjectionAndRouterHealth(t *testing.T) {
 		t.Helper()
 		deadline := time.Now().Add(5 * time.Second)
 		for time.Now().Before(deadline) {
-			if len(rt.Healthy()) == want {
+			if len(rt.healthyRing().Nodes()) == want {
 				return
 			}
 			time.Sleep(10 * time.Millisecond)
 		}
-		t.Fatalf("router never settled at %d healthy replicas (have %v)", want, rt.Healthy())
+		t.Fatalf("router never settled at %d healthy replicas (have %v)", want, rt.healthyRing().Nodes())
 	}
 	waitHealthy(2)
 	a.kill()
 	waitHealthy(1)
-	if got := rt.Healthy(); len(got) != 1 || got[0] != b.hs.URL {
+	if got := rt.healthyRing().Nodes(); len(got) != 1 || got[0] != b.hs.URL {
 		t.Fatalf("healthy after kill: %v", got)
 	}
 	resp, err := http.Get(rhs.URL + api.HealthPath)
@@ -301,7 +301,7 @@ func TestReplicaKillRecoveryBitwise(t *testing.T) {
 	// Wait for ejection so the import routes to the survivor.
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		h := rt.Healthy()
+		h := rt.healthyRing().Nodes()
 		if len(h) == 1 && h[0] == survivor.hs.URL {
 			break
 		}
@@ -418,7 +418,7 @@ func TestListTreatsAnErrorAnswerAsFailed(t *testing.T) {
 			t.Fatalf("list %d: %d %s, want 200 {\"studies\":[\"a\",\"b\"]}", i, rr.Code, rr.Body)
 		}
 	}
-	if h := rt.Healthy(); len(h) != 1 || h[0] != live.URL {
+	if h := rt.healthyRing().Nodes(); len(h) != 1 || h[0] != live.URL {
 		t.Fatalf("healthy after two error answers: %v, want only %s", h, live.URL)
 	}
 }

@@ -11,7 +11,6 @@
 package sparse
 
 import (
-	"fmt"
 	"slices"
 
 	"repro/internal/rng"
@@ -22,46 +21,6 @@ import (
 type Pattern struct {
 	N   int
 	Adj [][]int32 // sorted neighbor lists
-}
-
-// NNZ returns the nonzero count of the represented matrix (off-diagonals
-// plus the diagonal).
-func (p *Pattern) NNZ() int {
-	n := p.N
-	for _, a := range p.Adj {
-		n += len(a)
-	}
-	return n
-}
-
-// Validate checks structural invariants: sorted lists, symmetric edges, no
-// self loops, indices in range.
-func (p *Pattern) Validate() error {
-	if len(p.Adj) != p.N {
-		return fmt.Errorf("sparse: %d adjacency lists for N=%d", len(p.Adj), p.N)
-	}
-	for u, a := range p.Adj {
-		for i, v := range a {
-			if int(v) < 0 || int(v) >= p.N {
-				return fmt.Errorf("sparse: vertex %d has out-of-range neighbor %d", u, v)
-			}
-			if int(v) == u {
-				return fmt.Errorf("sparse: self-loop at %d", u)
-			}
-			if i > 0 && a[i-1] >= v {
-				return fmt.Errorf("sparse: adjacency of %d not strictly sorted", u)
-			}
-			if !contains(p.Adj[v], int32(u)) {
-				return fmt.Errorf("sparse: edge (%d,%d) not symmetric", u, v)
-			}
-		}
-	}
-	return nil
-}
-
-func contains(sorted []int32, x int32) bool {
-	_, ok := slices.BinarySearch(sorted, x)
-	return ok
 }
 
 // builder accumulates edges then produces a Pattern.

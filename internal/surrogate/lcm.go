@@ -62,7 +62,6 @@ type lcmModel struct {
 }
 
 func (l *lcmModel) Kind() string            { return KindLCM }
-func (l *lcmModel) NumTasks() int           { return l.m.NumTasks }
 func (l *lcmModel) NewWorkspace() Workspace { return l.m.NewPredictWorkspace() }
 
 //gptlint:hotpath

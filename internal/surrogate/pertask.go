@@ -104,8 +104,7 @@ func newPerTaskModel(kind string, cells []Model) Model {
 	return p
 }
 
-func (p *perTaskModel) Kind() string  { return p.kind }
-func (p *perTaskModel) NumTasks() int { return len(p.cells) }
+func (p *perTaskModel) Kind() string { return p.kind }
 
 // perTaskWorkspace carries one cell workspace per task so a searcher
 // goroutine can probe any task allocation-free.

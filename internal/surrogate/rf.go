@@ -24,7 +24,6 @@ func (rfFitter) Fit(data *Dataset, opts FitOptions) (Model, error) {
 type forestModel struct{ *rf.Forest }
 
 func (forestModel) Kind() string              { return KindRF }
-func (forestModel) NumTasks() int             { return 1 }
 func (r forestModel) NewWorkspace() Workspace { return make([]float64, r.NumTrees()) }
 
 // MarshalBinary returns an empty snapshot: a forest is regrown from the data

@@ -181,8 +181,7 @@ func (ts *taskSGP) refactor() error {
 	return nil
 }
 
-func (ts *taskSGP) Kind() string  { return KindSGP }
-func (ts *taskSGP) NumTasks() int { return 1 }
+func (ts *taskSGP) Kind() string { return KindSGP }
 
 // sgpWorkspace is one goroutine's O(m) prediction scratch: the subset
 // fit's own k* workspace, k* and the forward-substitution vector.

@@ -52,8 +52,6 @@ type Workspace any
 type Model interface {
 	// Kind names the backend that fitted this model (one of Kinds()).
 	Kind() string
-	// NumTasks returns δ, the number of tasks the model was fitted on.
-	NumTasks() int
 	// NewWorkspace allocates prediction scratch for one goroutine. The
 	// returned workspace must not be shared across goroutines.
 	NewWorkspace() Workspace

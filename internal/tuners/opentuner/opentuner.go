@@ -72,14 +72,12 @@ func (db *database) topK(k int) []result {
 
 // technique proposes the next normalized configuration given the database.
 type technique interface {
-	name() string
 	propose(db *database, dim int, rng *rand.Rand) []float64
 }
 
 // uniformRandom: global random sampling.
 type uniformRandom struct{}
 
-func (uniformRandom) name() string { return "UniformRandom" }
 func (uniformRandom) propose(db *database, dim int, rng *rand.Rand) []float64 {
 	u := make([]float64, dim)
 	for d := range u {
@@ -92,7 +90,6 @@ func (uniformRandom) propose(db *database, dim int, rng *rand.Rand) []float64 {
 // subset of the best configuration's coordinates with Gaussian noise.
 type greedyMutationNormal struct{ sigma float64 }
 
-func (greedyMutationNormal) name() string { return "NormalGreedyMutation" }
 func (t greedyMutationNormal) propose(db *database, dim int, rng *rand.Rand) []float64 {
 	u := append([]float64(nil), db.best().u...)
 	d := rng.Intn(dim)
@@ -104,7 +101,6 @@ func (t greedyMutationNormal) propose(db *database, dim int, rng *rand.Rand) []f
 // the best configuration uniformly.
 type greedyMutationUniform struct{}
 
-func (greedyMutationUniform) name() string { return "UniformGreedyMutation" }
 func (greedyMutationUniform) propose(db *database, dim int, rng *rand.Rand) []float64 {
 	u := append([]float64(nil), db.best().u...)
 	u[rng.Intn(dim)] = rng.Float64()
@@ -114,7 +110,6 @@ func (greedyMutationUniform) propose(db *database, dim int, rng *rand.Rand) []fl
 // differentialEvolution: DE/best/1/bin over the top of the database.
 type differentialEvolution struct{ f, cr float64 }
 
-func (differentialEvolution) name() string { return "DifferentialEvolution" }
 func (t differentialEvolution) propose(db *database, dim int, rng *rand.Rand) []float64 {
 	pool := db.topK(10)
 	if len(pool) < 3 {
@@ -139,7 +134,6 @@ func (t differentialEvolution) propose(db *database, dim int, rng *rand.Rand) []
 // point through the centroid of the current top dim+1 points.
 type simplexReflection struct{}
 
-func (simplexReflection) name() string { return "SimplexReflection" }
 func (simplexReflection) propose(db *database, dim int, rng *rand.Rand) []float64 {
 	pool := db.topK(dim + 1)
 	if len(pool) < 2 {
@@ -166,7 +160,6 @@ func (simplexReflection) propose(db *database, dim int, rng *rand.Rand) []float6
 // result with a shrinking step.
 type annealedWalk struct{}
 
-func (annealedWalk) name() string { return "AnnealedWalk" }
 func (annealedWalk) propose(db *database, dim int, rng *rand.Rand) []float64 {
 	last := db.results[len(db.results)-1]
 	temp := 0.3 * math.Pow(0.97, float64(len(db.results)))

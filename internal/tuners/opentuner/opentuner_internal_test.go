@@ -59,11 +59,11 @@ func TestTechniquesProposeInBox(t *testing.T) {
 		for trial := 0; trial < 100; trial++ {
 			u := tech.propose(db, 2, rng)
 			if len(u) != 2 {
-				t.Fatalf("%s: dim %d", tech.name(), len(u))
+				t.Fatalf("%T: dim %d", tech, len(u))
 			}
 			for _, v := range u {
 				if v < 0 || v > 1 {
-					t.Fatalf("%s proposed out-of-box %v", tech.name(), u)
+					t.Fatalf("%T proposed out-of-box %v", tech, u)
 				}
 			}
 		}
