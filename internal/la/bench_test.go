@@ -129,37 +129,40 @@ func BenchmarkForwardSubst(b *testing.B) {
 }
 
 // BenchmarkLaneKernels times the three lane kernels that have an AVX-512
-// body, per tier, at the shape of one prediction's k* at tune_warm's n = 510
-// and β = 8: NegSqDistInto over one latent's row, ExpInto over two latents'
-// kernel arguments in place, and WeightedSumsInto over a row of the
-// covariance assembly.
+// body, per tier, at the shape of one prediction's k* with β = 8:
+// NegSqDistInto over one latent's row, ExpInto over two latents' kernel
+// arguments in place, and WeightedSumsInto over a row of the covariance
+// assembly. n = 510 is tune_warm's history; 37, 71 and 509 end in a partial
+// block on either tier, as tune_cold's short rows (n − r pairs) mostly do.
 func BenchmarkLaneKernels(b *testing.B) {
-	const n, dim = 510, 8
-	rng := rand.New(rand.NewSource(3))
-	x := kernelInput(rng, dim*n, 0, false)
-	w, pt := make([]float64, dim), make([]float64, dim)
-	for d := range w {
-		w[d], pt[d] = 0.5+rng.Float64(), rng.NormFloat64()
-	}
-	args, dst := make([]float64, 2*n), make([]float64, 2*n)
-	for i := range args {
-		args[i] = -30 * rng.Float64()
-	}
-	for _, c := range []struct {
-		name string
-		fn   func()
-	}{
-		{"negsqdist", func() { NegSqDistInto(dst[:n], w, pt, x, n) }},
-		{"exp", func() { ExpInto(dst, args) }},
-		{"weightedsums", func() { WeightedSumsInto(dst[:n], w, x, n, -0.5) }},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			benchTiers(b, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					c.fn()
-				}
+	const dim = 8
+	for _, n := range []int{37, 71, 509, 510} {
+		rng := rand.New(rand.NewSource(3))
+		x := kernelInput(rng, dim*n, 0, false)
+		w, pt := make([]float64, dim), make([]float64, dim)
+		for d := range w {
+			w[d], pt[d] = 0.5+rng.Float64(), rng.NormFloat64()
+		}
+		args, dst := make([]float64, 2*n), make([]float64, 2*n)
+		for i := range args {
+			args[i] = -30 * rng.Float64()
+		}
+		for _, c := range []struct {
+			name string
+			fn   func()
+		}{
+			{"negsqdist", func() { NegSqDistInto(dst[:n], w, pt, x, n) }},
+			{"exp", func() { ExpInto(dst, args) }},
+			{"weightedsums", func() { WeightedSumsInto(dst[:n], w, x, n, -0.5) }},
+		} {
+			b.Run(fmt.Sprintf("%s_n%d", c.name, n), func(b *testing.B) {
+				benchTiers(b, func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						c.fn()
+					}
+				})
 			})
-		})
+		}
 	}
 }

@@ -33,7 +33,7 @@ func CholeskyJitterPacked(a *Matrix, initial float64, blockSize, nworkers int) (
 		return nil, 0, errors.New("la: CholeskyJitterPacked of non-square matrix")
 	}
 	l := NewTriPacked(n, nil)
-	jitter, err := choleskyJitter(l.data, 0, a.Data, n, n, initial, blockSize, nworkers)
+	jitter, err := choleskyJitter(l.data, a.Data, n, n, initial, blockSize, nworkers)
 	if err != nil {
 		return nil, jitter, err
 	}
@@ -51,15 +51,14 @@ func CholeskyJitterPackedInto(l, a *TriPacked, initial float64, blockSize, nwork
 	if l.n != a.n {
 		panic("la: CholeskyJitterPackedInto factor dimension mismatch")
 	}
-	return choleskyJitter(l.data, 0, a.data, 0, a.n, initial, blockSize, nworkers)
+	return choleskyJitter(l.data, a.data, 0, a.n, initial, blockSize, nworkers)
 }
 
 // choleskyJitter is the one whole-matrix escalation, behind
 // CholeskyJitterPacked and CholeskyJitterPackedInto: the order-n matrix
-// whose lower rows are laid out in a as for forwardSubst (row i at
-// a[i·astride], or packed when astride is 0) is factored into l's rows, laid
-// out likewise by lstride.
-func choleskyJitter(l []float64, lstride int, a []float64, astride, n int, initial float64, blockSize, nworkers int) (float64, error) {
+// whose lower rows are laid out in a by astride (row i at a[i·astride], or
+// packed when astride is 0) is factored into the packed rows of l.
+func choleskyJitter(l, a []float64, astride, n int, initial float64, blockSize, nworkers int) (float64, error) {
 	if initial <= 0 {
 		initial = 1e-10
 	}
@@ -76,7 +75,7 @@ func choleskyJitter(l []float64, lstride int, a []float64, astride, n int, initi
 	}
 	jitter, next := 0.0, initial*meanDiag
 	for attempt := 0; attempt < jitterAttempts; attempt++ {
-		if choleskyInto(l, lstride, a, astride, n, jitter, blockSize, nworkers) == nil {
+		if choleskyInto(l, 0, a, astride, n, jitter, blockSize, nworkers) == nil {
 			return jitter, nil
 		}
 		jitter, next = next, next*10
@@ -87,10 +86,10 @@ func choleskyJitter(l []float64, lstride int, a []float64, astride, n int, initi
 // solveCholVec is the one Cholesky solve, (L·Lᵀ)·x = b into a new slice —
 // forwardSubst then backwardSubstT over the same rows — behind
 // TriPacked.SolveVec.
-func solveCholVec(data []float64, stride int, b []float64) []float64 {
+func solveCholVec(data, b []float64) []float64 {
 	y := CopyVec(b)
-	forwardSubst(data, stride, y)
-	backwardSubstT(data, stride, y)
+	forwardSubst(data, y)
+	backwardSubstT(data, y)
 	return y
 }
 
@@ -102,8 +101,8 @@ const MaxRHS = 4
 // Dot(L[i,:i], b[:i])) / L[i,i] for i < n, behind the dense and packed
 // ForwardSubst and the AppendRows panel. It solves up to MaxRHS right-hand
 // sides of one length n in one pass over L, each bit for bit its own solo
-// solve: a right-hand side never enters another's arithmetic. Row i of L
-// starts at data[i·stride], or at data[i(i+1)/2] when stride is 0 (packed).
+// solve: a right-hand side never enters another's arithmetic. L is packed:
+// row i starts at data[i(i+1)/2].
 //
 // With a vector kernel the rows advance in blocks of four starting at
 // multiples of four. Rows 4m … 4m+3 share the 4-aligned prefix [0, 4m) of
@@ -116,7 +115,7 @@ const MaxRHS = 4
 // term for term: the block and the row-by-row loop agree bit for bit.
 // Several right-hand sides read each row of L once per block instead of
 // once each.
-func forwardSubst(data []float64, stride int, bs ...[]float64) {
+func forwardSubst(data []float64, bs ...[]float64) {
 	if len(bs) == 0 {
 		return
 	}
@@ -125,7 +124,7 @@ func forwardSubst(data []float64, stride int, bs ...[]float64) {
 		if vectorKernels && i >= vectorMin && i&3 == 0 && i+4 <= n {
 			var o [4]int
 			for r := range o {
-				o[r] = rowStart(i+r, stride)
+				o[r] = rowStart(i+r, 0)
 			}
 			_ = data[o[3]+i+3] // the block's last element: the kernels read unchecked
 			if len(bs) == 1 {
@@ -152,7 +151,7 @@ func forwardSubst(data []float64, stride int, bs ...[]float64) {
 			i += 4
 			continue
 		}
-		o := rowStart(i, stride)
+		o := rowStart(i, 0)
 		for _, b := range bs {
 			b[i] = (b[i] - Dot(data[o:o+i], b[:i])) / data[o+i]
 		}
@@ -179,15 +178,15 @@ func rowStart(i, stride int) int {
 // backwardSubstT is the one back-substitution recurrence, b[i] = (b[i] −
 // Σ_{k>i} L[k,i]·b[k]) / L[i,i] for i descending, the sum one running
 // difference in k ascending (column order), behind
-// TriPacked.BackwardSubstT. Rows are laid out as for forwardSubst.
-func backwardSubstT(data []float64, stride int, b []float64) {
+// TriPacked.BackwardSubstT. L is packed, as for forwardSubst.
+func backwardSubstT(data, b []float64) {
 	n := len(b)
 	for i := n - 1; i >= 0; i-- {
 		s := b[i]
 		for k := i + 1; k < n; k++ {
-			s -= data[rowStart(k, stride)+i] * b[k]
+			s -= data[rowStart(k, 0)+i] * b[k]
 		}
-		b[i] = s / data[rowStart(i, stride)+i]
+		b[i] = s / data[rowStart(i, 0)+i]
 	}
 }
 
@@ -515,12 +514,11 @@ func upRow(data []float64, stride, n, i int) []float64 {
 }
 
 // logDetFromChol is the one log-determinant sum, i ascending, over the
-// diagonal of the order-n factor whose rows data holds as for forwardSubst:
-// behind TriPacked.LogDet.
-func logDetFromChol(data []float64, stride, n int) float64 {
+// diagonal of the order-n packed factor data: behind TriPacked.LogDet.
+func logDetFromChol(data []float64, n int) float64 {
 	s := 0.0
 	for i := 0; i < n; i++ {
-		s += math.Log(data[rowStart(i, stride)+i])
+		s += math.Log(data[rowStart(i, 0)+i])
 	}
 	return 2 * s
 }

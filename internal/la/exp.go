@@ -79,7 +79,26 @@ func Exp(x float64) float64 {
 // math.Exp: √x at y = ½, and otherwise x^yf·x^yi with yf ∈ (−½, ½] the
 // fraction of y, x^yf = e^(yf·ln x) and x^yi by squarings of x's Frexp
 // fraction. Outside the domain (−0 included) it returns NaN.
-func Pow(x, y float64) float64 {
+func Pow(x, y float64) float64 { return NewPowBase(x).Pow(y) }
+
+// PowBase is what Pow(x, y) computes of x alone — ln x and x's Frexp — for
+// a caller that raises one base to many exponents (space's log axes, one
+// per parameter, for every search candidate).
+type PowBase struct {
+	x, ln, frac float64
+	exp         int
+}
+
+// NewPowBase returns x's share of Pow: math.Log(x) and math.Frexp(x), the
+// same functions on the same input as Pow, so the same bits.
+func NewPowBase(x float64) PowBase {
+	frac, exp := math.Frexp(x)
+	return PowBase{x: x, ln: math.Log(x), frac: frac, exp: exp}
+}
+
+// Pow returns Pow(x, y) for b = NewPowBase(x): the one body of Pow.
+func (b PowBase) Pow(y float64) float64 {
+	x := b.x
 	switch {
 	case math.Signbit(x) || !(x <= math.MaxFloat64 && y >= 0 && y < 1<<63):
 		return math.NaN()
@@ -97,9 +116,9 @@ func Pow(x, y float64) float64 {
 			yf--
 			yi++
 		}
-		a1 = Exp(float64(yf * math.Log(x)))
+		a1 = Exp(float64(yf * b.ln))
 	}
-	x1, xe := math.Frexp(x)
+	x1, xe := b.frac, b.exp
 	for i := int64(yi); i != 0; i >>= 1 {
 		if xe < -1<<12 || 1<<12 < xe { // the result under- or overflows
 			ae += xe

@@ -51,19 +51,19 @@ func wtwStrip(x, y, w, iv, m0, out *float64, quads, nlast, length, step, grow, m
 //go:noescape
 func gemmStrip(x, y, xo, yo, l *float64, quads, length, step, grow int)
 
-// The kernels of lanes_amd64.s; lanes.go states what each computes. n is a
-// positive multiple of 4 for the first three, any positive count for
-// accumLanes and sqDiffsLanes (whose masks are laneMasks), and dim ≥ 1,
-// 1 ≤ nd ≤ 4.
+// The kernels of lanes_amd64.s; lanes.go states what each computes. n is
+// any positive count for all but accumLanes, whose n is a positive count
+// of four-lane elements; each masks its own last block of n mod 4 under
+// masks = &laneMasks. dim ≥ 1, 1 ≤ nd ≤ 4.
 
 //go:noescape
-func expLanes(dst, src *float64, n int, tab *[16][4]float64) int
+func expLanes(dst, src *float64, n int, tab *[16][4]float64, masks *[8]int64) int
 
 //go:noescape
-func weightedSumsLanes(dst, w, x *float64, dim, stride, n int, scale float64)
+func weightedSumsLanes(dst, w, x *float64, dim, stride, n int, scale float64, masks *[8]int64)
 
 //go:noescape
-func negSqDistLanes(dst, w, pt, x *float64, dim, stride, n int)
+func negSqDistLanes(dst, w, pt, x *float64, dim, stride, n int, masks *[8]int64)
 
 //go:noescape
 func accumLanes(acc, e, x *float64, nd, stride, n int)
@@ -72,8 +72,8 @@ func accumLanes(acc, e, x *float64, nd, stride, n int)
 func sqDiffsLanes(dst, x *float64, dim, stride, n int, masks *[8]int64)
 
 // The AVX-512 tier's bodies of the first three and of sqDiffsLanes
-// (lanes_avx512_amd64.s, which masks its tails itself): the same
-// contracts, eight elements per register.
+// (lanes_avx512_amd64.s): the same contracts, eight elements per register,
+// the last block of (n − 1) mod 8 + 1 under an opmask.
 
 //go:noescape
 func expLanesWide(dst, src *float64, n int, tab *[16][4]float64) int

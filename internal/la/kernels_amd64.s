@@ -11,7 +11,10 @@
 // sequence of IEEE operations. Never VFMADD*: a fused multiply-add rounds
 // once where the scalar body rounds twice, and the results would no longer
 // be bit-equal. Loads are unaligned (VMOVUPD / VEX memory operands); n is a
-// positive multiple of 4.
+// positive multiple of 4. Every loop head — the target of every branch
+// back — is 64-byte aligned (PCALIGN $64), so how a loop sits against the
+// fetch blocks does not follow the size of the code before it;
+// TestLoopHeadsAligned holds the rule.
 
 // func dotLanes(a, b *float64, n int, s *[4]float64)
 TEXT ·dotLanes(SB), NOSPLIT, $0-32
@@ -21,6 +24,8 @@ TEXT ·dotLanes(SB), NOSPLIT, $0-32
 	MOVQ   s+24(FP), DX
 	XORQ   AX, AX
 	VXORPD Y0, Y0, Y0
+
+	PCALIGN $64
 
 dotloop:
 	VMOVUPD (SI)(AX*8), Y1
@@ -49,6 +54,8 @@ TEXT ·dotRows4Lanes(SB), NOSPLIT, $0-56
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
 	VXORPD Y3, Y3, Y3
+
+	PCALIGN $64
 
 rows4loop:
 	VMOVUPD (R10)(AX*8), Y4
@@ -92,8 +99,11 @@ rows4loop:
 	LOOP2X4(ra, rb)
 
 // LOOP2X4(ra, rb) is ROWS2X4's loop alone: it adds the lanes over [AX, CX),
-// AX < CX, onto the accumulators as they are.
+// AX < CX, onto the accumulators as they are. Its head is 64-byte aligned
+// like every loop head here, and its branch back counts the 24 instructions
+// after the PCALIGN.
 #define LOOP2X4(ra, rb) \
+	PCALIGN $64; \
 	VMOVUPD (ra)(AX*8), Y8; \
 	VMOVUPD (rb)(AX*8), Y9; \
 	VMOVUPD (R10)(AX*8), Y10; \
@@ -373,6 +383,8 @@ TEXT ·cholStrip(SB), NOSPLIT, $0-48
 	SHLQ $3, R9
 	XORQ CX, CX                      // the prefix [k0, j), in elements
 
+	PCALIGN $64
+
 choltile:
 	NEXTROW(R10, R11)
 	NEXTROW(R11, R12)
@@ -568,6 +580,8 @@ TEXT ·cholStrip4(SB), NOSPLIT, $0-88
 	TESTQ BX, BX
 	JZ   chol4diag
 
+	PCALIGN $64
+
 chol4tile:
 	NEXTROW(R10, R11)
 	NEXTROW(R11, R12)
@@ -702,6 +716,8 @@ TEXT ·invWStrip4(SB), NOSPLIT, $0-88
 	VINSERTF128 $1, X13, Y14, Y14
 	XORQ        CX, CX
 
+	PCALIGN $64
+
 inv4block:
 	CLAMPROWS(inv4row1, inv4row2, inv4rows)
 	PREFIX4(BX, 4, inv4spill, inv4lanes)
@@ -783,6 +799,7 @@ tail: \
 	TRANSPOSE(Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11); \
 	CMPQ AX, len; \
 	JGE  combined; \
+	PCALIGN $64; \
 tailloop: \
 	GATHER4((R10)(AX*8), (R11)(AX*8), (R12)(AX*8), (R13)(AX*8), Y10); \
 	VBROADCASTSD (SI)(AX*8), Y9; \
@@ -831,6 +848,8 @@ TEXT ·wtwStrip(SB), NOSPLIT, $0-104
 	SHLQ $3, R8
 	SHLQ $3, R9
 	SHLQ $3, R15
+
+	PCALIGN $64
 
 wtwquad:
 	NEXTROW(R10, R11)
@@ -903,6 +922,8 @@ TEXT ·gemmStrip(SB), NOSPLIT, $0-72
 	MOVQ grow+64(FP), R9
 	SHLQ $3, R8
 	SHLQ $3, R9
+
+	PCALIGN $64
 
 gemmquad:
 	NEXTROW(R10, R11)

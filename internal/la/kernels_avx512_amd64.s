@@ -84,6 +84,8 @@ TEXT ·forwardBlock4Wide(SB), NOSPLIT, $0-72
 	VPXORQ Z22, Z22, Z22
 	VPXORQ Z23, Z23, Z23
 
+	PCALIGN $64
+
 fwdloop:
 	VMOVUPD         (R10)(AX*8), Y24
 	VINSERTF64X4    $1, (R11)(AX*8), Z24, Z24 // [b0 | b1]

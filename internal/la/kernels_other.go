@@ -46,13 +46,17 @@ func gemmStrip(x, y, xo, yo, l *float64, quads, length, step, grow int) {
 	panic("la: no vector kernel")
 }
 
-func expLanes(dst, src *float64, n int, tab *[16][4]float64) int { panic("la: no vector kernel") }
-
-func weightedSumsLanes(dst, w, x *float64, dim, stride, n int, scale float64) {
+func expLanes(dst, src *float64, n int, tab *[16][4]float64, masks *[8]int64) int {
 	panic("la: no vector kernel")
 }
 
-func negSqDistLanes(dst, w, pt, x *float64, dim, stride, n int) { panic("la: no vector kernel") }
+func weightedSumsLanes(dst, w, x *float64, dim, stride, n int, scale float64, masks *[8]int64) {
+	panic("la: no vector kernel")
+}
+
+func negSqDistLanes(dst, w, pt, x *float64, dim, stride, n int, masks *[8]int64) {
+	panic("la: no vector kernel")
+}
 
 func accumLanes(acc, e, x *float64, nd, stride, n int) { panic("la: no vector kernel") }
 

@@ -9,7 +9,13 @@ import "math"
 // register performs the same operations lane by lane: products rounded, then
 // sums rounded, never fused. ExpInto is the one exception, stated there.
 // Every wrapper bounds-checks the last element of each operand before its
-// unchecked kernel runs.
+// unchecked kernel runs. On the vector tiers a wrapper hands the kernel the
+// whole length: the kernels mask their own last block, VMASKMOVPD under
+// laneMasks on AVX2 and an opmask on AVX-512, so the rows the LCM sweeps —
+// n − r pairs long, mostly ending in a partial block — never fall back to a
+// Go tail loop; the scalar loops here run on the scalar tier alone, as the
+// oracle (and for an empty w, which the kernels do not take). Every kernel
+// loop head is 64-byte aligned (PCALIGN $64, TestLoopHeadsAligned).
 
 // expTab holds expLanes' constants, one row of four equal lanes each, in the
 // order lanes_amd64.s names them: Exp's (exp.go), then the kernel's own last
@@ -28,35 +34,34 @@ var expTab = func() (t [16][4]float64) {
 }()
 
 // ExpInto sets dst[i] = Exp(src[i]) — bit for bit, on every input; dst may
-// be src. Under vectorKernels, blocks of four arguments all inside
-// [−708, 709] go through expLanes, a packed copy of Exp, and a block with any
-// lane outside the range (NaN, ±Inf, overflow, a subnormal result) is four
-// Exp calls; elsewhere the whole vector is a loop over Exp. This is the one
-// lane kernel that fuses, because its contract is Exp's bits rather than a
-// scalar loop of products and sums.
+// be src. Under vectorKernels the whole vector goes through expLanes, a
+// packed copy of Exp that masks its own last block (a masked-off lane counts
+// as in range and is never stored), and a block with any lane outside
+// [−708, 709] (NaN, ±Inf, overflow, a subnormal result) is four Exp calls,
+// or fewer at the end; elsewhere the whole vector is a loop over Exp. This
+// is the one lane kernel that fuses, because its contract is Exp's bits
+// rather than a scalar loop of products and sums.
 func ExpInto(dst, src []float64) {
-	if len(dst) != len(src) {
+	n := len(src)
+	if len(dst) != n {
 		panic("la: ExpInto length mismatch")
 	}
-	i := 0
-	if vectorKernels {
-		for n4 := len(src) &^ 3; i < n4; {
-			if wideKernels {
-				i += expLanesWide(&dst[i], &src[i], n4-i, &expTab)
-			} else {
-				i += expLanes(&dst[i], &src[i], n4-i, &expTab)
-			}
-			if i < n4 { // the kernel stopped at a block with a lane out of range
-				blockDst, blockSrc := dst[i:i+4:i+4], src[i:i+4:i+4]
-				for k, x := range blockSrc {
-					blockDst[k] = Exp(x)
-				}
-				i += 4
-			}
+	if !vectorKernels {
+		for i, x := range src {
+			dst[i] = Exp(x)
 		}
+		return
 	}
-	for ; i < len(src); i++ {
-		dst[i] = Exp(src[i])
+	for i := 0; i < n; {
+		if wideKernels {
+			i += expLanesWide(&dst[i], &src[i], n-i, &expTab)
+		} else {
+			i += expLanes(&dst[i], &src[i], n-i, &expTab, &laneMasks)
+		}
+		// The kernel stopped at a block with a lane out of range.
+		for end := min(i+4, n); i < end; i++ {
+			dst[i] = Exp(src[i])
+		}
 	}
 }
 
@@ -75,20 +80,19 @@ func checkStrided(x []float64, rows, stride, n int) {
 // starts at +0, adds its products for d ascending, and is scaled last. The
 // LCM assembly uses it with x the dimension-major squared-distance tensor, w
 // the inverse-square lengthscales and scale −½ to produce a row of kernel
-// arguments; lanes are four consecutive p.
+// arguments; lanes are four consecutive p, the last block masked.
 func WeightedSumsInto(dst, w, x []float64, stride int, scale float64) {
 	n, dim := len(dst), len(w)
 	checkStrided(x, dim, stride, n)
-	p := 0
-	if vectorKernels && dim > 0 && n >= 4 {
-		p = n &^ 3
+	if vectorKernels && dim > 0 && n > 0 {
 		if wideKernels {
-			weightedSumsLanesWide(&dst[0], &w[0], &x[0], dim, stride, p, scale)
+			weightedSumsLanesWide(&dst[0], &w[0], &x[0], dim, stride, n, scale)
 		} else {
-			weightedSumsLanes(&dst[0], &w[0], &x[0], dim, stride, p, scale)
+			weightedSumsLanes(&dst[0], &w[0], &x[0], dim, stride, n, scale, &laneMasks)
 		}
+		return
 	}
-	for ; p < n; p++ {
+	for p := range dst {
 		acc := 0.0
 		for d, wd := range w {
 			acc += wd * x[d*stride+p]
@@ -101,23 +105,22 @@ func WeightedSumsInto(dst, w, x []float64, stride int, scale float64) {
 // square, weighted product and sum are separate roundings, d ascending from
 // +0, and the negation is a sign flip. With x the dimension-major training
 // coordinates and w = ½/l² this is one latent's row of k* arguments; lanes
-// are four consecutive r.
+// are four consecutive r, the last block masked.
 func NegSqDistInto(dst, w, pt, x []float64, stride int) {
 	n, dim := len(dst), len(w)
 	if len(pt) != dim {
 		panic("la: NegSqDistInto point length mismatch")
 	}
 	checkStrided(x, dim, stride, n)
-	r := 0
-	if vectorKernels && dim > 0 && n >= 4 {
-		r = n &^ 3
+	if vectorKernels && dim > 0 && n > 0 {
 		if wideKernels {
-			negSqDistLanesWide(&dst[0], &w[0], &pt[0], &x[0], dim, stride, r)
+			negSqDistLanesWide(&dst[0], &w[0], &pt[0], &x[0], dim, stride, n)
 		} else {
-			negSqDistLanes(&dst[0], &w[0], &pt[0], &x[0], dim, stride, r)
+			negSqDistLanes(&dst[0], &w[0], &pt[0], &x[0], dim, stride, n, &laneMasks)
 		}
+		return
 	}
-	for ; r < n; r++ {
+	for r := range dst {
 		acc := 0.0
 		for d, wd := range w {
 			diff := pt[d] - x[d*stride+r]
@@ -167,8 +170,10 @@ func SqDiffsInto(dst, x []float64, stride, n int) {
 	}
 }
 
-// laneMasks are sqDiffsLanes' VMASKMOVPD masks: the last block's k lanes
-// are selected by the four entries from 4 − k on.
+// laneMasks are the AVX2 kernels' VMASKMOVPD masks (expLanes,
+// weightedSumsLanes, negSqDistLanes, sqDiffsLanes): a last block of k lanes
+// is selected by the four entries from 4 − k on, and a masked-off lane is
+// neither loaded nor stored.
 var laneMasks = [8]int64{-1, -1, -1, -1, 0, 0, 0, 0}
 
 // AccumLanesInto does acc[4d+l] += e[4j+l]·x[d·stride+j] for every row d of

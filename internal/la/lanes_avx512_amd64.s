@@ -2,23 +2,33 @@
 
 #include "textflag.h"
 
-// AVX-512 bodies (AVX512F alone) for three of the four-lane kernels of
-// lanes.go: lanes_amd64.s's loops eight elements per ZMM, each element
-// seeing the same IEEE operations in the same order as in the AVX2 body, so
-// the same bits. n is a positive multiple of 4; a last block of four runs
-// under the opmask K1 = 0x0F, whose masked loads read nothing past the
-// operand and whose masked stores write nothing there.
+// AVX-512 bodies (AVX512F alone) for four of the lane kernels of lanes.go:
+// lanes_amd64.s's loops eight elements per ZMM, each element seeing the same
+// IEEE operations in the same order as in the AVX2 body, so the same bits.
+// n is any length ≥ 1; the last block of (n − 1) mod 8 + 1 elements runs
+// under an opmask, whose masked loads read nothing past the operand (and
+// zero the lanes masked off) and whose masked stores write nothing there.
+// Every loop head is 64-byte aligned (PCALIGN).
 
-// K1 = the lanes of the block at AX: all eight, or four when that is all
-// that is left of CX. Clobbers DX and R12.
+// LASTBLOCK(n) sets BX to where the last block of n ≥ 1 elements starts and
+// R13 to the opmask of its (n − 1) mod 8 + 1 lanes. Clobbers CX.
+#define LASTBLOCK(n) \
+	MOVQ n, CX; \
+	DECQ CX; \
+	ANDQ $7, CX; \
+	NEGQ CX; \
+	ADDQ $7, CX; \
+	MOVL $0xFF, R13; \
+	SHRL CX, R13; \
+	LEAQ -8(n)(CX*1), BX
+
+// BLOCKMASK sets K1 to the lanes of the block at AX: all eight before BX,
+// the last block's R13 at BX. Clobbers R12.
 #define BLOCKMASK \
-	MOVQ  CX, DX; \
-	SUBQ  AX, DX; \
-	MOVL  $0xFF, R12; \
-	CMPQ  DX, $8; \
-	JGE   2(PC); \
-	MOVL  $0x0F, R12; \
-	KMOVW R12, K1
+	MOVL    $0xFF, R12; \
+	CMPQ    AX, BX; \
+	CMOVLGE R13, R12; \
+	KMOVW   R12, K1
 
 // The rows of expTab (lanes.go), each broadcast from its first lane.
 #define LOG2E   0(R8)
@@ -40,17 +50,20 @@
 
 // func expLanesWide(dst, src *float64, n int, tab *[16][4]float64) int
 //
-// expLanes eight arguments at a time, with expLanes' instructions in their
+// expLanes eight arguments at a time, with EXPBLOCK's instructions in their
 // ZMM forms: a block is computed only when every lane of it is in
-// [ARGMIN, ARGMAX] (a masked-off lane reads +0, which is), and the kernel
-// stops at the first block that is not and returns the number of elements
-// done.
+// [ARGMIN, ARGMAX] (a masked-off lane reads +0, which is, and is never
+// stored), and the kernel stops at the first block that is not and returns
+// the number of elements done; otherwise it returns n.
 TEXT ·expLanesWide(SB), NOSPLIT, $0-40
 	MOVQ dst+0(FP), DI
 	MOVQ src+8(FP), SI
-	MOVQ n+16(FP), CX
+	MOVQ n+16(FP), R10
 	MOVQ tab+24(FP), R8
+	LASTBLOCK(R10)
 	XORQ AX, AX
+
+	PCALIGN $64
 
 wexploop:
 	BLOCKMASK
@@ -89,9 +102,9 @@ wexploop:
 	VMULPD            Z2, Z0, Z0
 	VMOVUPD           Z0, K1, (DI)(AX*8)
 	ADDQ              $8, AX
-	CMPQ              AX, CX
+	CMPQ              AX, R10
 	JLT               wexploop
-	MOVQ              CX, AX                     // a last block of four overshot by four
+	MOVQ              R10, AX                    // the last block overshot n
 
 wexpdone:
 	VZEROUPPER
@@ -101,30 +114,29 @@ wexpdone:
 // func weightedSumsLanesWide(dst, w, x *float64, dim, stride, n int, scale float64)
 //
 // weightedSumsLanes eight consecutive p at a time: each sums d ascending
-// from +0, then is scaled.
+// from +0, then is scaled. Each block, the last one masked, loops back to
+// the d loop's head with its sums cleared.
 TEXT ·weightedSumsLanesWide(SB), NOSPLIT, $0-56
 	MOVQ         dst+0(FP), DI
-	MOVQ         w+8(FP), BX
+	MOVQ         w+8(FP), R8
 	MOVQ         x+16(FP), SI
 	MOVQ         dim+24(FP), R10
 	MOVQ         stride+32(FP), R11
-	MOVQ         n+40(FP), CX
+	MOVQ         n+40(FP), R9
 	VBROADCASTSD scale+48(FP), Z3
 	SHLQ         $3, R11                  // stride in bytes
+	LASTBLOCK(R9)
 	XORQ         AX, AX
+	JMP          wwsblock
 
-wwsploop:
-	BLOCKMASK
-	LEAQ   (SI)(AX*8), R8                 // &x[0·stride+p]
-	XORQ   DX, DX
-	VPXORQ Z0, Z0, Z0
+	PCALIGN $64
 
 wwsdloop:
-	VMOVUPD.Z    (R8), K1, Z2
-	VBROADCASTSD (BX)(DX*8), Z1
+	VMOVUPD.Z    (CX), K1, Z2
+	VBROADCASTSD (R8)(DX*8), Z1
 	VMULPD       Z2, Z1, Z1
 	VADDPD       Z1, Z0, Z0
-	ADDQ         R11, R8
+	ADDQ         R11, CX
 	INCQ         DX
 	CMPQ         DX, R10
 	JLT          wwsdloop
@@ -132,9 +144,17 @@ wwsdloop:
 	VMULPD  Z3, Z0, Z0
 	VMOVUPD Z0, K1, (DI)(AX*8)
 	ADDQ    $8, AX
-	CMPQ    AX, CX
-	JLT     wwsploop
+	CMPQ    AX, R9
+	JGE     wwsdone
 
+wwsblock:
+	BLOCKMASK
+	LEAQ   (SI)(AX*8), CX                 // &x[0·stride+p]
+	XORQ   DX, DX
+	VPXORQ Z0, Z0, Z0
+	JMP    wwsdloop
+
+wwsdone:
 	VZEROUPPER
 	RET
 
@@ -142,34 +162,33 @@ wwsdloop:
 //
 // negSqDistLanes eight consecutive r at a time: difference, square, weight
 // and add are four separate operations, and the final negation a sign flip.
+// Blocks go as in weightedSumsLanesWide.
 TEXT ·negSqDistLanesWide(SB), NOSPLIT, $0-56
 	MOVQ         dst+0(FP), DI
-	MOVQ         w+8(FP), BX
-	MOVQ         pt+16(FP), R9
+	MOVQ         w+8(FP), R8
+	MOVQ         pt+16(FP), R14
 	MOVQ         x+24(FP), SI
 	MOVQ         dim+32(FP), R10
 	MOVQ         stride+40(FP), R11
-	MOVQ         n+48(FP), CX
+	MOVQ         n+48(FP), R9
 	MOVQ         $0x8000000000000000, DX
 	VPBROADCASTQ DX, Z3                   // the sign bit in every lane
 	SHLQ         $3, R11
+	LASTBLOCK(R9)
 	XORQ         AX, AX
+	JMP          wsdblock
 
-wsdrloop:
-	BLOCKMASK
-	LEAQ   (SI)(AX*8), R8
-	XORQ   DX, DX
-	VPXORQ Z0, Z0, Z0
+	PCALIGN $64
 
 wsddloop:
-	VMOVUPD.Z    (R8), K1, Z2
-	VBROADCASTSD (R9)(DX*8), Z1
+	VMOVUPD.Z    (CX), K1, Z2
+	VBROADCASTSD (R14)(DX*8), Z1
 	VSUBPD       Z2, Z1, Z1               // pt[d] − x
 	VMULPD       Z1, Z1, Z1
-	VBROADCASTSD (BX)(DX*8), Z2
+	VBROADCASTSD (R8)(DX*8), Z2
 	VMULPD       Z1, Z2, Z2
 	VADDPD       Z2, Z0, Z0
-	ADDQ         R11, R8
+	ADDQ         R11, CX
 	INCQ         DX
 	CMPQ         DX, R10
 	JLT          wsddloop
@@ -177,9 +196,17 @@ wsddloop:
 	VPXORQ  Z3, Z0, Z0
 	VMOVUPD Z0, K1, (DI)(AX*8)
 	ADDQ    $8, AX
-	CMPQ    AX, CX
-	JLT     wsdrloop
+	CMPQ    AX, R9
+	JGE     wsddone
 
+wsdblock:
+	BLOCKMASK
+	LEAQ   (SI)(AX*8), CX
+	XORQ   DX, DX
+	VPXORQ Z0, Z0, Z0
+	JMP    wsddloop
+
+wsddone:
 	VZEROUPPER
 	RET
 
@@ -194,21 +221,18 @@ TEXT ·sqDiffsLanesWide(SB), NOSPLIT, $0-40
 	MOVQ  stride+24(FP), R11
 	MOVQ  n+32(FP), R9
 	SHLQ  $3, R11                         // stride in bytes
-	MOVQ  R9, CX
-	DECQ  CX
-	ANDQ  $7, CX
-	NEGQ  CX
-	ADDQ  $7, CX                          // 8 − the last block's lanes
-	MOVL  $0xFF, R12
-	SHRL  CX, R12
-	KMOVW R12, K2
-	LEAQ  -8(R9)(CX*1), BX                // elements in the blocks before it
+	LASTBLOCK(R9)
+	KMOVW R13, K2
+
+	PCALIGN $64
 
 wsqdloop:
 	VBROADCASTSD (SI), Z1                 // x[d·stride], the row's own sample
 	XORQ         AX, AX
 	CMPQ         AX, BX
 	JGE          wsqlast
+
+	PCALIGN $64
 
 wsqjloop:
 	VMOVUPD (SI)(AX*8), Z2

@@ -7,13 +7,42 @@ import (
 	"testing"
 )
 
+// guardLen elements of guardNaN follow every operand a kernel writes in the
+// tail tests: a NaN no kernel produces, so a store past the operand's end —
+// a masked-off lane stored, or a tail written whole — changes its bits.
+const guardLen = 8
+
+var guardNaN = math.Float64frombits(0x7FF8_0000_0000_0BAD)
+
+// guarded returns n elements starting off elements into a fresh backing
+// array, followed by guardLen elements of guardNaN.
+func guarded(n, off int) []float64 {
+	b := make([]float64, off+n+guardLen)
+	for i := off + n; i < len(b); i++ {
+		b[i] = guardNaN
+	}
+	return b[off : off+n]
+}
+
+// checkGuard fails unless the guard after s, made by guarded, still holds
+// guardNaN's bits.
+func checkGuard(t *testing.T, what string, s []float64) {
+	t.Helper()
+	for i, v := range s[len(s) : len(s)+guardLen] {
+		if math.Float64bits(v) != math.Float64bits(guardNaN) {
+			t.Fatalf("%s: len %d: wrote %#x past the end at +%d", what, len(s), math.Float64bits(v), i)
+		}
+	}
+}
+
 // checkExp runs ExpInto in place over a copy of src placed off elements into
-// its backing array and compares every element with Exp.
+// its guarded backing array and compares every element with Exp.
 func checkExp(t *testing.T, what string, src []float64, off int) {
 	t.Helper()
-	buf := make([]float64, off+len(src)+4)[off : off+len(src)]
+	buf := guarded(len(src), off)
 	copy(buf, src)
 	ExpInto(buf, buf)
+	checkGuard(t, what, buf)
 	for i, x := range src {
 		if want := Exp(x); !sameFloat(buf[i], want) {
 			t.Fatalf("%s: len %d off %d: ExpInto(%v = %#x)[%d] = %#x, Exp %#x", what, len(src), off,
@@ -22,12 +51,24 @@ func checkExp(t *testing.T, what string, src []float64, off int) {
 	}
 }
 
+// expKernel runs this tier's Exp kernel once over all of src, as ExpInto
+// does first, and returns how many elements it did.
+func expKernel(dst, src []float64) int {
+	if wideKernels {
+		return expLanesWide(&dst[0], &src[0], len(src), &expTab)
+	}
+	return expLanes(&dst[0], &src[0], len(src), &expTab, &laneMasks)
+}
+
 // TestExpIntoIsExp is ExpInto's whole contract: Exp's bits on every input
-// (any NaN for a NaN), on every machine. The arguments are expClasses and
-// expSpecials; the special values also land in every lane position of a
-// block next to ordinary lanes, so the block fallback is exercised per
-// position. Under -short the vectors shrink to 4 Ki and the lengths stop at
-// 11, which still covers every block, tail and fallback position.
+// (any NaN for a NaN), on every machine, and nothing written past dst. The
+// arguments are expClasses and expSpecials; at every length from 0 to 67
+// and four alignments the special values also land in every lane position
+// next to ordinary lanes — the last, partial block's included — so the block
+// fallback is exercised per position. The kernel alone must count a
+// masked-off lane as in range whatever lies past the operand (here a NaN,
+// which is not): in-range arguments take one call at every length. Under
+// -short the long vectors shrink to 4 Ki.
 func TestExpIntoIsExp(t *testing.T) { eachTier(t, testExpIntoIsExp) }
 
 func testExpIntoIsExp(t *testing.T) {
@@ -35,7 +76,7 @@ func testExpIntoIsExp(t *testing.T) {
 	classes := expClasses(rng)
 	perClass, maxLen := 1<<20, 67 // five classes: 5 Mi inputs through the long vectors alone
 	if testing.Short() {
-		perClass, maxLen = 1<<12, 11
+		perClass = 1 << 12
 	}
 	for _, c := range classes {
 		src := make([]float64, perClass)
@@ -66,13 +107,24 @@ func testExpIntoIsExp(t *testing.T) {
 				}
 			}
 		}
+		if vectorKernels && n > 0 {
+			src, dst := guarded(n, 0), guarded(n, 1)
+			for i := range src {
+				src[i] = -30 * rng.Float64()
+			}
+			if done := expKernel(dst, src); done != n {
+				t.Fatalf("len %d in range: the kernel stopped after %d", n, done)
+			}
+			checkGuard(t, "kernel", dst)
+		}
 	}
 
 	// Separate source and destination leave the source alone.
 	src := []float64{-1, -2, -3, -4, -5, -800, 3, 2, 1}
 	keep := CopyVec(src)
-	dst := make([]float64, len(src))
+	dst := guarded(len(src), 0)
 	ExpInto(dst, src)
+	checkGuard(t, "out of place", dst)
 	for i := range src {
 		if src[i] != keep[i] || !sameFloat(dst[i], Exp(src[i])) {
 			t.Fatalf("out of place: src[%d] %v (was %v), dst %v", i, src[i], keep[i], dst[i])
@@ -81,11 +133,11 @@ func testExpIntoIsExp(t *testing.T) {
 }
 
 // laneSizes are the vector lengths the sweep kernels are checked at: every
-// tail and block count up to forty, both sides of the 64 boundary, and a
-// long odd one.
+// length up to 67 — every tail of either tier after up to eight blocks,
+// both sides of the 64 boundary — and a long odd one.
 func laneSizes() []int {
-	sizes := []int{63, 64, 65, 541}
-	for n := 0; n <= 40; n++ {
+	sizes := []int{541}
+	for n := 0; n <= 67; n++ {
 		sizes = append(sizes, n)
 	}
 	return sizes
@@ -109,9 +161,10 @@ func lacedInput(rng *rand.Rand, n, off int, laced bool) []float64 {
 // TestLaneKernelsBitwiseEqualScalar: each sweep kernel returns the bits of
 // its definition written out as the plainest loop — for AccumLanesInto in
 // the order the gradient sweep ran before it had a kernel, element outermost
-// — at every length, dimension count and alignment. Normal inputs tell a
-// fused multiply-add from a product and a sum; laced ones propagate NaN, Inf
-// and signed zeros through every accumulator.
+// — at every length, dimension count and alignment, and writes nothing past
+// its destination. Normal inputs tell a fused multiply-add from a product
+// and a sum; laced ones propagate NaN, Inf and signed zeros through every
+// accumulator.
 func TestLaneKernelsBitwiseEqualScalar(t *testing.T) {
 	eachTier(t, testLaneKernelsBitwiseEqualScalar)
 }
@@ -128,9 +181,10 @@ func testLaneKernelsBitwiseEqualScalar(t *testing.T) {
 				pt := lacedInput(rng, dim, (off+2)&3, laced)
 				where := func(kernel string) string { return fmt.Sprintf("%s: laced=%v", kernel, laced) }
 
-				got := make([]float64, n)
+				got := guarded(n, (off+3)&3)
 				for _, scale := range []float64{-0.5, 1} { // the LCM's two uses
 					WeightedSumsInto(got, w, x, stride, scale)
+					checkGuard(t, where("WeightedSumsInto"), got)
 					for p := 0; p < n; p++ {
 						acc := 0.0
 						for d := 0; d < dim; d++ {
@@ -143,6 +197,7 @@ func testLaneKernelsBitwiseEqualScalar(t *testing.T) {
 				}
 
 				NegSqDistInto(got, w, pt, x, stride)
+				checkGuard(t, where("NegSqDistInto"), got)
 				for r := 0; r < n; r++ {
 					acc := 0.0
 					for d := 0; d < dim; d++ {
@@ -158,18 +213,10 @@ func testLaneKernelsBitwiseEqualScalar(t *testing.T) {
 				// Rows dim of n from column col of x on, as the LCM fills one
 				// sample's row from the coordinates of those after it; the
 				// guard past the last row shows a masked tail writing on.
-				guarded := make([]float64, dim*n+8)
-				for i := range guarded {
-					guarded[i] = 7
-				}
-				sq := guarded[:dim*n]
+				sq := guarded(dim*n, 0)
 				col := rng.Intn(stride - n + 1)
 				SqDiffsInto(sq, x[col:], stride, n)
-				for i, v := range guarded[dim*n:] {
-					if v != 7 {
-						t.Fatalf("%s n=%d dim=%d: wrote %v past the last row at +%d", where("SqDiffsInto"), n, dim, v, i)
-					}
-				}
+				checkGuard(t, where("SqDiffsInto"), sq)
 				for d := 0; d < dim; d++ {
 					for j := 0; j < n; j++ {
 						diff := x[d*stride+col] - x[d*stride+col+j]

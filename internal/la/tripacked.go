@@ -13,10 +13,11 @@ import (
 // factors, which is what lets the incremental exact surrogate hold histories
 // an order of magnitude past the refit-from-scratch ceiling.
 //
-// Its methods run the bodies the dense routines run (forwardSubst,
-// backwardSubstT and choleskyInto take either row layout): the same Dot
-// calls over the same prefixes, in the same order, so a factor moved between
-// representations yields bitwise-identical results.
+// Its factorization and inverse run the bodies the dense routines run
+// (choleskyInto and cholInverse take either row layout): the same Dot calls
+// over the same prefixes, in the same order, so a factor moved between
+// representations yields bitwise-identical results. The solves and the
+// log-determinant read packed rows alone.
 type TriPacked struct {
 	n    int
 	data []float64 // len n(n+1)/2
@@ -80,7 +81,7 @@ func (t *TriPacked) ForwardSubst(bs ...[]float64) {
 			panic("la: TriPacked.ForwardSubst dimension mismatch")
 		}
 	}
-	forwardSubst(t.data, 0, bs...)
+	forwardSubst(t.data, bs...)
 }
 
 // BackwardSubstT solves Lᵀ·x = b in place (b becomes x): the
@@ -89,7 +90,7 @@ func (t *TriPacked) BackwardSubstT(b []float64) {
 	if len(b) != t.n {
 		panic("la: TriPacked.BackwardSubstT dimension mismatch")
 	}
-	backwardSubstT(t.data, 0, b)
+	backwardSubstT(t.data, b)
 }
 
 // SolveVec solves (L·Lᵀ)·x = b, returning x in a new slice: the
@@ -98,12 +99,12 @@ func (t *TriPacked) SolveVec(b []float64) []float64 {
 	if len(b) != t.n {
 		panic("la: TriPacked.SolveVec dimension mismatch")
 	}
-	return solveCholVec(t.data, 0, b)
+	return solveCholVec(t.data, b)
 }
 
 // LogDet returns log det(L·Lᵀ) = 2·Σ log L_ii: the logDetFromChol sum over
 // packed rows.
-func (t *TriPacked) LogDet() float64 { return logDetFromChol(t.data, 0, t.n) }
+func (t *TriPacked) LogDet() float64 { return logDetFromChol(t.data, t.n) }
 
 // AppendRows is the blocked, jitter-aware k-row extension: given the factor
 // of A, it appends the factor rows of [[A, Bᵀ], [B, C]] where cols holds B
@@ -149,7 +150,7 @@ func (t *TriPacked) AppendRows(cols, corner *Matrix, initial float64, workers in
 	parallelBlocks(k, workers, func(j int) { //gptlint:ignore hotpath-alloc one closure per panel append, not per row; the fan-out is the parallelism seam
 		w := t.Row(n0 + j)
 		copy(w[:n0], cols.Row(j))
-		forwardSubst(t.data, 0, w[:n0])
+		forwardSubst(t.data, w[:n0])
 	})
 	// Corner: finish each new row against the earlier new rows, then take its
 	// pivot — the plain Cholesky recurrence continued past n0, in row order.

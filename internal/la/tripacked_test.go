@@ -43,11 +43,24 @@ func TestPackCholRoundTrip(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	want := solveCholVec(l.Data, l.Rows, b)
+	// The solve written out over the dense factor: forward substitution
+	// row by row over Dot, then back substitution as one running
+	// difference per row in column order.
+	want := CopyVec(b)
+	for i := range want {
+		want[i] = (want[i] - Dot(l.Row(i)[:i], want[:i])) / l.At(i, i)
+	}
+	for i := len(want) - 1; i >= 0; i-- {
+		s := want[i]
+		for k := i + 1; k < len(want); k++ {
+			s -= l.At(k, i) * want[k]
+		}
+		want[i] = s / l.At(i, i)
+	}
 	got := tp.SolveVec(b)
 	for i := range want {
 		if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
-			t.Fatalf("packed solve differs from dense solve at %d: %v vs %v", i, got[i], want[i])
+			t.Fatalf("packed solve differs from the dense one at %d: %v vs %v", i, got[i], want[i])
 		}
 	}
 }

@@ -107,6 +107,25 @@ func (p Param) Validate() error {
 	return nil
 }
 
+// axis is one parameter as a Space maps it, with the constants of a log
+// axis fixed once by New: logSpan = ln(Hi/Lo), normalize's divisor, and
+// Hi/Lo as la.Pow's base for denormalize. The same functions on the same
+// inputs as when every call computed them, so the same bits.
+type axis struct {
+	Param
+	logSpan float64
+	base    la.PowBase
+}
+
+func newAxis(p Param) axis {
+	a := axis{Param: p}
+	if p.LogScale {
+		a.logSpan = math.Log(p.Hi / p.Lo)
+		a.base = la.NewPowBase(p.Hi / p.Lo)
+	}
+	return a
+}
+
 // normalize maps a native value into [0,1].
 //
 // Categorical parameters use the cell-center convention: category j of k
@@ -117,19 +136,19 @@ func (p Param) Validate() error {
 // mapped j to j/(k−1), which placed the categories on a grid denormalize
 // never inverted consistently, distorting every GP distance involving a
 // categorical axis.)
-func (p Param) normalize(v float64) float64 {
-	switch p.Kind {
+func (a *axis) normalize(v float64) float64 {
+	switch a.Kind {
 	case Categorical:
-		k := len(p.Categories)
+		k := len(a.Categories)
 		return clamp01((v + 0.5) / float64(k))
 	default:
-		if p.Hi <= p.Lo { // a one-point span (Validate keeps Lo ≤ Hi)
+		if a.Hi <= a.Lo { // a one-point span (Validate keeps Lo ≤ Hi)
 			return 0
 		}
-		if p.LogScale {
-			return clamp01(math.Log(v/p.Lo) / math.Log(p.Hi/p.Lo))
+		if a.LogScale {
+			return clamp01(math.Log(v/a.Lo) / a.logSpan)
 		}
-		return clamp01((v - p.Lo) / (p.Hi - p.Lo))
+		return clamp01((v - a.Lo) / (a.Hi - a.Lo))
 	}
 }
 
@@ -148,29 +167,29 @@ func (p Param) normalize(v float64) float64 {
 // would denormalize to NaN, or for a categorical to the index int(NaN·k).
 // normalize keeps NaN, so bad native input still reaches the finiteness
 // checks downstream.
-func (p Param) denormalize(u float64) float64 {
+func (a *axis) denormalize(u float64) float64 {
 	if math.IsNaN(u) {
 		u = 0
 	}
 	u = clamp01(u)
-	switch p.Kind {
+	switch a.Kind {
 	case Categorical:
-		k := len(p.Categories)
+		k := len(a.Categories)
 		idx := int(u * float64(k))
 		if idx >= k {
 			idx = k - 1
 		}
 		return float64(idx)
 	case Integer:
-		if p.LogScale {
-			return clampRange(math.Round(p.Lo*la.Pow(p.Hi/p.Lo, u)), p.Lo, p.Hi)
+		if a.LogScale {
+			return clampRange(math.Round(a.Lo*a.base.Pow(u)), a.Lo, a.Hi)
 		}
-		return clampRange(p.Lo+math.Floor(u*(p.Hi-p.Lo+1)), p.Lo, p.Hi)
+		return clampRange(a.Lo+math.Floor(u*(a.Hi-a.Lo+1)), a.Lo, a.Hi)
 	default:
-		if p.LogScale {
-			return clampRange(p.Lo*la.Pow(p.Hi/p.Lo, u), p.Lo, p.Hi)
+		if a.LogScale {
+			return clampRange(a.Lo*a.base.Pow(u), a.Lo, a.Hi)
 		}
-		return clampRange(p.Lo+u*(p.Hi-p.Lo), p.Lo, p.Hi)
+		return clampRange(a.Lo+u*(a.Hi-a.Lo), a.Lo, a.Hi)
 	}
 }
 
@@ -199,20 +218,24 @@ type Constraint struct {
 }
 
 // Space is an ordered collection of parameters plus constraints. It
-// implements the paper's IS and PS spaces.
+// implements the paper's IS and PS spaces. Params is read-only once New
+// has returned: the space maps points through its own copy of each
+// parameter, with its log-axis constants, made by New.
 type Space struct {
 	Params      []Param
 	Constraints []Constraint
 	index       map[string]int
+	axes        []axis // Params[i] as New saw it
 }
 
 // New builds a Space from the given parameters, validating each.
 func New(params ...Param) (*Space, error) {
-	s := &Space{Params: params, index: make(map[string]int, len(params))}
+	s := &Space{Params: params, index: make(map[string]int, len(params)), axes: make([]axis, len(params))}
 	for i, p := range params {
 		if err := p.Validate(); err != nil {
 			return nil, err
 		}
+		s.axes[i] = newAxis(p)
 		if _, dup := s.index[p.Name]; dup {
 			return nil, fmt.Errorf("space: duplicate parameter %q", p.Name)
 		}
@@ -262,8 +285,8 @@ func (s *Space) NormalizeInto(dst, native []float64) {
 	if len(dst) != len(native) {
 		panic("space: NormalizeInto: dst length mismatch")
 	}
-	for i, p := range s.Params {
-		dst[i] = p.normalize(native[i])
+	for i := range s.Params {
+		dst[i] = s.axes[i].normalize(native[i])
 	}
 }
 
@@ -284,8 +307,8 @@ func (s *Space) DenormalizeInto(dst, u []float64) {
 	if len(dst) != len(u) {
 		panic("space: DenormalizeInto: dst length mismatch")
 	}
-	for i, p := range s.Params {
-		dst[i] = p.denormalize(u[i])
+	for i := range s.Params {
+		dst[i] = s.axes[i].denormalize(u[i])
 	}
 }
 

@@ -112,11 +112,11 @@ func TestNormalizeDenormalizeRoundTrip(t *testing.T) {
 }
 
 func TestNormalizeEdges(t *testing.T) {
-	p := NewReal("x", 3, 3)
+	p := newAxis(NewReal("x", 3, 3))
 	if p.normalize(3) != 0 {
 		t.Fatalf("degenerate range normalize != 0")
 	}
-	c := NewCategorical("c", "only")
+	c := newAxis(NewCategorical("c", "only"))
 	if c.normalize(0) != 0.5 || c.denormalize(0.7) != 0 {
 		t.Fatalf("single-category param mishandled: normalize=%v denormalize=%v",
 			c.normalize(0), c.denormalize(0.7))
@@ -134,7 +134,7 @@ func TestCategoricalCellConsistency(t *testing.T) {
 		for i := range cats {
 			cats[i] = strings.Repeat("x", i+1)
 		}
-		p := NewCategorical("c", cats...)
+		p := newAxis(NewCategorical("c", cats...))
 		for j := 0; j < k; j++ {
 			u := p.normalize(float64(j))
 			// The normalized point must be the center of cell j …
@@ -161,7 +161,7 @@ func TestCategoricalCellConsistency(t *testing.T) {
 // mapping Lo + ⌊u·(Hi−Lo+1)⌋ gives every value — endpoints included — the
 // same mass. Checked exactly on a deterministic grid of u values.
 func TestIntegerCellUniformity(t *testing.T) {
-	p := NewInteger("i", -3, 7) // 11 values
+	p := newAxis(NewInteger("i", -3, 7)) // 11 values
 	cells := 11
 	perCell := 1000
 	m := cells * perCell
