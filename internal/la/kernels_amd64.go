@@ -52,9 +52,9 @@ func wtwStrip(x, y, w, iv, m0, out *float64, quads, nlast, length, step, grow, m
 func gemmStrip(x, y, xo, yo, l *float64, quads, length, step, grow int)
 
 // The kernels of lanes_amd64.s; lanes.go states what each computes. n is
-// any positive count for all but accumLanes, whose n is a positive count
-// of four-lane elements; each masks its own last block of n mod 4 under
-// masks = &laneMasks. dim ≥ 1, 1 ≤ nd ≤ 4.
+// any positive count; the kernels that take masks (= &laneMasks) run a last
+// block of n mod 4 under them, and accumLanes' n counts four-lane elements.
+// dim ≥ 1, 1 ≤ nd ≤ 4.
 
 //go:noescape
 func expLanes(dst, src *float64, n int, tab *[16][4]float64, masks *[8]int64) int
