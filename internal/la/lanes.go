@@ -18,7 +18,7 @@ import "math"
 // loop head is 64-byte aligned (PCALIGN $64, TestLoopHeadsAligned).
 
 // expTab holds expLanes' constants, one row of four equal lanes each, in the
-// order lanes_amd64.s names them: Exp's (exp.go), then the kernel's own last
+// order exptab_amd64.h names them for both assembly files: Exp's (exp.go), then the kernel's own last
 // three — the argument range inside which Exp takes no special-case branch
 // (k = round(x·log₂e) stays in [−1021, 1023], so 2^k is a normal number) and
 // the exponent bias as an integer.

@@ -1,6 +1,7 @@
 //go:build !purego
 
 #include "textflag.h"
+#include "exptab_amd64.h"
 
 // AVX2 bodies for the four-lane kernels of lanes.go. The sweep kernels obey
 // kernels_amd64.s's rule — VMULPD then VADDPD, never fused — because their
@@ -10,24 +11,6 @@
 // length n ≥ 1 and masks its own last block (LASTMASK), and every loop head
 // is 64-byte aligned (PCALIGN), so a loop's fetch does not depend on the
 // size of the code before it.
-
-// The rows of expTab (lanes.go), each one constant in all four lanes.
-#define LOG2E   0(R8)
-#define LN2U    32(R8)
-#define LN2L    64(R8)
-#define C16TH   96(R8)
-#define P8      128(R8)
-#define P7      160(R8)
-#define P6      192(R8)
-#define P5      224(R8)
-#define P4      256(R8)
-#define P3      288(R8)
-#define HALF    320(R8)
-#define ONE     352(R8)
-#define TWO     384(R8)
-#define ARGMIN  416(R8)
-#define ARGMAX  448(R8)
-#define BIAS    480(R8)
 
 // LASTMASK(masks, n, lanes, whole, ymask) splits n elements into whole =
 // n − n mod 4 in whole blocks and a last block of lanes = n mod 4, 0 when

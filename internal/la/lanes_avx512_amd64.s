@@ -1,6 +1,7 @@
 //go:build !purego
 
 #include "textflag.h"
+#include "exptab_amd64.h"
 
 // AVX-512 bodies (AVX512F alone) for four of the lane kernels of lanes.go:
 // lanes_amd64.s's loops eight elements per ZMM, each element seeing the same
@@ -29,24 +30,6 @@
 	CMPQ    AX, BX; \
 	CMOVLGE R13, R12; \
 	KMOVW   R12, K1
-
-// The rows of expTab (lanes.go), each broadcast from its first lane.
-#define LOG2E   0(R8)
-#define LN2U    32(R8)
-#define LN2L    64(R8)
-#define C16TH   96(R8)
-#define P8      128(R8)
-#define P7      160(R8)
-#define P6      192(R8)
-#define P5      224(R8)
-#define P4      256(R8)
-#define P3      288(R8)
-#define HALF    320(R8)
-#define ONE     352(R8)
-#define TWO     384(R8)
-#define ARGMIN  416(R8)
-#define ARGMAX  448(R8)
-#define BIAS    480(R8)
 
 // func expLanesWide(dst, src *float64, n int, tab *[16][4]float64) int
 //
