@@ -24,25 +24,6 @@ func BenchmarkCholeskyBlockSize(b *testing.B) {
 	}
 }
 
-// BenchmarkCholInverseInto times the dense inverse, ParallelCholInverseInto,
-// at one worker: n = 72 is a tune_cold-sized fit (one 64-row block and a
-// sliver), n = 512 a tune_warm-sized one.
-func BenchmarkCholInverseInto(b *testing.B) {
-	for _, n := range []int{72, 512} {
-		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
-			l, err := ParallelCholesky(randomSPD(rand.New(rand.NewSource(1)), n), n, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			wt, inv := NewMatrix(n, n), NewMatrix(n, n)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ParallelCholInverseInto(l, 1, wt, inv)
-			}
-		})
-	}
-}
-
 // BenchmarkCholeskyJitterPackedInto and BenchmarkCholInversePackedInto
 // time the two O(n³) steps of one LCM likelihood evaluation through the
 // engine's entry points — packed Σ into a reused packed factor, then the
@@ -68,11 +49,10 @@ func BenchmarkCholeskyJitterPackedInto(b *testing.B) {
 
 func BenchmarkCholInversePackedInto(b *testing.B) {
 	for _, n := range []int{24, 72, 510} {
-		l, err := ParallelCholesky(randomSPD(rand.New(rand.NewSource(1)), n), n, 1)
-		if err != nil {
+		packed := NewTriPacked(n, nil)
+		if _, err := CholeskyJitterPackedInto(packed, PackChol(randomSPD(rand.New(rand.NewSource(1)), n)), 0, n, 1); err != nil {
 			b.Fatal(err)
 		}
-		packed := PackChol(l)
 		wt, inv := make([]float64, len(packed.data)), make([]float64, len(packed.data))
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
 			benchTiers(b, func(b *testing.B) {

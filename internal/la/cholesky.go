@@ -12,60 +12,53 @@ import (
 // non-positive pivot is encountered.
 var ErrNotPositiveDefinite = errors.New("la: matrix is not positive definite")
 
-// jitterAttempts bounds choleskyJitter's escalation: one plain attempt, then
+// jitterAttempts bounds CholeskyJitterPackedInto's escalation: one plain attempt, then
 // jitters initial·{1, 10, …, 10¹⁰} relative to the mean diagonal.
 const jitterAttempts = 12
 
 // CholeskyJitterPacked factors the square matrix a (lower triangle read)
-// into a new TriPacked with ParallelCholesky's blocked recurrence
-// (blockSize, nworkers), retrying with a growing diagonal jitter when a is
-// numerically indefinite. It returns the factor of a + jitter·I and the
-// jitter actually used (0 on the first-try path); after jitterAttempts
-// failures it gives up with ErrNotPositiveDefinite and the rung it would
-// have tried next. This is the standard stabilization for GP kernel
-// matrices whose conditioning degrades as samples cluster; the sparse-GP
-// m×m factors take it. initial ≤ 0 selects the default 1e-10. Like
-// ParallelCholesky the result is bitwise independent of nworkers, and a
-// blockSize ≥ n call runs the unblocked recurrence.
+// into a new TriPacked, retrying with a growing diagonal jitter when a is
+// numerically indefinite: a shim that packs a's lower triangle and runs
+// CholeskyJitterPackedInto (blockSize, nworkers as for ParallelCholesky). It
+// returns the factor of a + jitter·I and the jitter actually used (0 on the
+// first-try path); after jitterAttempts failures it gives up with
+// ErrNotPositiveDefinite and the rung it would have tried next. This is the
+// standard stabilization for GP kernel matrices whose conditioning degrades
+// as samples cluster; the sparse-GP m×m factors take it. initial ≤ 0 selects
+// the default 1e-10. Like ParallelCholesky the result is bitwise independent
+// of nworkers, and a blockSize ≥ n call runs the unblocked recurrence.
 func CholeskyJitterPacked(a *Matrix, initial float64, blockSize, nworkers int) (*TriPacked, float64, error) {
-	n := a.Rows
-	if a.Cols != n {
+	if a.Rows != a.Cols {
 		return nil, 0, errors.New("la: CholeskyJitterPacked of non-square matrix")
 	}
-	l := NewTriPacked(n, nil)
-	jitter, err := choleskyJitter(l.data, a.Data, n, n, initial, blockSize, nworkers)
+	l := NewTriPacked(a.Rows, nil)
+	jitter, err := CholeskyJitterPackedInto(l, PackChol(a), initial, blockSize, nworkers)
 	if err != nil {
 		return nil, jitter, err
 	}
 	return l, jitter, nil
 }
 
-// CholeskyJitterPackedInto is CholeskyJitterPacked over packed rows into a
-// reused factor: a holds the lower triangle of a symmetric matrix, packed as
-// a TriPacked factor is, and l, of a's order and not a, receives its factor.
-// Only l is written — every attempt starts from a's own triangle, plus that
-// attempt's jitter, which is why a must survive the attempts — and nothing
-// here allocates in proportion to n. The LCM engine factors every
-// likelihood evaluation's covariance so, in n(n+1)/2 doubles each.
+// CholeskyJitterPackedInto is the one whole-matrix jitter escalation, over
+// packed rows into a reused factor: a holds the lower triangle of a
+// symmetric matrix, packed as a TriPacked factor is, and l, of a's order and
+// not a, receives its factor. Only l is written — every attempt starts from
+// a's own triangle, plus that attempt's jitter, which is why a must survive
+// the attempts — and nothing here allocates in proportion to n. The LCM
+// engine factors every likelihood evaluation's covariance so, in n(n+1)/2
+// doubles each.
 func CholeskyJitterPackedInto(l, a *TriPacked, initial float64, blockSize, nworkers int) (float64, error) {
 	if l.n != a.n {
 		panic("la: CholeskyJitterPackedInto factor dimension mismatch")
 	}
-	return choleskyJitter(l.data, a.data, 0, a.n, initial, blockSize, nworkers)
-}
-
-// choleskyJitter is the one whole-matrix escalation, behind
-// CholeskyJitterPacked and CholeskyJitterPackedInto: the order-n matrix
-// whose lower rows are laid out in a by astride (row i at a[i·astride], or
-// packed when astride is 0) is factored into the packed rows of l.
-func choleskyJitter(l, a []float64, astride, n int, initial float64, blockSize, nworkers int) (float64, error) {
+	n := a.n
 	if initial <= 0 {
 		initial = 1e-10
 	}
 	// Scale jitter relative to the mean diagonal magnitude.
 	meanDiag := 0.0
 	for i := 0; i < n; i++ {
-		meanDiag += math.Abs(a[rowStart(i, astride)+i])
+		meanDiag += math.Abs(a.data[rowStart(i)+i])
 	}
 	if n > 0 {
 		meanDiag /= float64(n)
@@ -75,7 +68,7 @@ func choleskyJitter(l, a []float64, astride, n int, initial float64, blockSize, 
 	}
 	jitter, next := 0.0, initial*meanDiag
 	for attempt := 0; attempt < jitterAttempts; attempt++ {
-		if choleskyInto(l, 0, a, astride, n, jitter, blockSize, nworkers) == nil {
+		if choleskyInto(l.data, a.data, n, jitter, blockSize, nworkers) == nil {
 			return jitter, nil
 		}
 		jitter, next = next, next*10
@@ -98,11 +91,11 @@ func solveCholVec(data, b []float64) []float64 {
 const MaxRHS = 4
 
 // forwardSubst is the one forward-substitution recurrence, b[i] = (b[i] −
-// Dot(L[i,:i], b[:i])) / L[i,i] for i < n, behind the dense and packed
-// ForwardSubst and the AppendRows panel. It solves up to MaxRHS right-hand
-// sides of one length n in one pass over L, each bit for bit its own solo
-// solve: a right-hand side never enters another's arithmetic. L is packed:
-// row i starts at data[i(i+1)/2].
+// Dot(L[i,:i], b[:i])) / L[i,i] for i < n, behind TriPacked.ForwardSubst
+// and the AppendRows panel. It solves up to MaxRHS right-hand sides of one
+// length n in one pass over L, each bit for bit its own solo solve: a
+// right-hand side never enters another's arithmetic. L is packed: row i
+// starts at data[i(i+1)/2].
 //
 // With a vector kernel the rows advance in blocks of four starting at
 // multiples of four. Rows 4m … 4m+3 share the 4-aligned prefix [0, 4m) of
@@ -124,7 +117,7 @@ func forwardSubst(data []float64, bs ...[]float64) {
 		if vectorKernels && i >= vectorMin && i&3 == 0 && i+4 <= n {
 			var o [4]int
 			for r := range o {
-				o[r] = rowStart(i+r, 0)
+				o[r] = rowStart(i + r)
 			}
 			_ = data[o[3]+i+3] // the block's last element: the kernels read unchecked
 			if len(bs) == 1 {
@@ -151,7 +144,7 @@ func forwardSubst(data []float64, bs ...[]float64) {
 			i += 4
 			continue
 		}
-		o := rowStart(i, 0)
+		o := rowStart(i)
 		for _, b := range bs {
 			b[i] = (b[i] - Dot(data[o:o+i], b[:i])) / data[o+i]
 		}
@@ -166,14 +159,8 @@ func finishRow(tail, lanes, b []float64, i, r int) {
 	b[i+r] = (b[i+r] - finishDot(lanes, tail[:r], b[i:i+r])) / tail[r]
 }
 
-// rowStart returns the offset of row i in dense (stride > 0) or packed
-// (stride 0) lower-triangular storage.
-func rowStart(i, stride int) int {
-	if stride == 0 {
-		return i * (i + 1) / 2
-	}
-	return i * stride
-}
+// rowStart returns the offset of row i in packed lower-triangular storage.
+func rowStart(i int) int { return i * (i + 1) / 2 }
 
 // backwardSubstT is the one back-substitution recurrence, b[i] = (b[i] −
 // Σ_{k>i} L[k,i]·b[k]) / L[i,i] for i descending, the sum one running
@@ -184,200 +171,150 @@ func backwardSubstT(data, b []float64) {
 	for i := n - 1; i >= 0; i-- {
 		s := b[i]
 		for k := i + 1; k < n; k++ {
-			s -= data[rowStart(k, 0)+i] * b[k]
+			s -= data[rowStart(k)+i] * b[k]
 		}
-		b[i] = s / data[rowStart(i, 0)+i]
+		b[i] = s / data[rowStart(i)+i]
 	}
 }
 
-// ParallelCholInverse returns (L·Lᵀ)⁻¹ densely, both triangles. It computes
-// W = L⁻¹ column by column (stored transposed for contiguous access) and
-// assembles Σ⁻¹ = WᵀW from row-wise dot products, which is roughly 3×
-// cheaper than per-column two-sided solves and fully cache-friendly. The
+// ParallelCholInverse returns (L·Lᵀ)⁻¹ densely, both triangles, for the
+// dense factor l (lower triangle read): a shim that packs l, runs
+// CholInversePackedInto and mirrors its upper triangle, each entry with the
+// bits the packed inverse gives it.
+func ParallelCholInverse(l *Matrix, nworkers int) *Matrix {
+	t := PackChol(l)
+	n := t.n
+	wt := make([]float64, len(t.data))
+	up := CholInversePackedInto(t, nworkers, wt, t.data)
+	inv := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		for j := i; j < n; j++ {
+			v := up[upStart(i, n)+j]
+			inv.Data[i*n+j], inv.Data[j*n+i] = v, v
+		}
+	}
+	return inv
+}
+
+// CholInversePackedInto is the one inverse of a packed factor, into packed
+// scratch: W = L⁻¹ goes to wt and Σ⁻¹'s upper triangle to inv, each n(n+1)/2
+// long, upper-packed row by row — row i's entries j ≥ i from
+// i·n − i(i−1)/2 on, the order in which the LCM enumerates its sample pairs
+// (r ≤ s). It computes W column by column (stored transposed, as upper rows,
+// for contiguous access) and assembles Σ⁻¹ = WᵀW from row-wise dot products,
+// which is roughly 3× cheaper than per-column two-sided solves. The
 // independent column solves and the row-wise assembly are distributed over
 // nworkers goroutines. Both phases run in 2×4 tiles: a pair of W columns
 // against four rows of L, then a pair of W rows against four others, so each
 // operand row is loaded once for up to eight Dots — through tile.dots on the
-// scalar tier, and on the vector tiers as fused strips (invWStrip4, wtwStrip),
-// one call per two column pairs or per row pair. The pairing and
+// scalar tier, and on the vector tiers as fused strips (invWStrip4,
+// wtwStrip), one call per two column pairs or per row pair. The pairing and
 // every summation order depend only on n — never on nworkers — so the result
-// is bitwise identical for any worker count. The LCM gradient reads the
-// packed form, CholInversePackedInto, which is the same body over packed
-// rows; the leave-one-out diagnostics read only the diagonal
-// (CholInverseDiag).
-func ParallelCholInverse(l *Matrix, nworkers int) *Matrix {
-	return ParallelCholInverseInto(l, nworkers, nil, nil)
-}
-
-// ParallelCholInverseInto is ParallelCholInverse writing into caller-provided
-// scratch: wt (the W = L⁻¹ workspace) and inv (the result) must each be n×n,
-// or nil to allocate fresh.
+// is bitwise identical for any worker count. The lower triangle, which the
+// LCM gradient never reads, is not written; the leave-one-out diagnostics
+// read only the diagonal (CholInverseDiag).
 //
-// Neither needs zeroing, and both may be buffers whose contents the caller
-// is done with: the first phase reads L's lower triangle and the entries of
-// wt it has written, the second reads only wt, and no entry of wt or inv is
-// read before it is written. So inv may be l itself — the second phase never
-// reads the factor it overwrites — and wt may be the matrix l was factored
-// from; wt must be neither l nor inv. CholeskyJitterPackedInto has no
-// such freedom: its factor must not be its input, because every jitter rung
-// re-reads the input.
-func ParallelCholInverseInto(l *Matrix, nworkers int, wt, inv *Matrix) *Matrix {
-	n := l.Rows
-	if wt == nil {
-		wt = NewMatrix(n, n)
-	} else if wt.Rows != n || wt.Cols != n {
-		panic("la: ParallelCholInverseInto wt dimension mismatch")
-	}
-	if inv == nil {
-		inv = NewMatrix(n, n)
-	} else if inv.Rows != n || inv.Cols != n {
-		panic("la: ParallelCholInverseInto inv dimension mismatch")
-	}
-	cholInverse(l.Data, n, wt.Data, inv.Data, n, n, nworkers)
-	return inv
-}
-
-// CholInversePackedInto is ParallelCholInverseInto for a packed factor, into
-// packed scratch: W goes to wt and Σ⁻¹'s upper triangle to inv, each n(n+1)/2
-// long, upper-packed row by row — row i's entries j ≥ i from
-// i·n − i(i−1)/2 on, the order in which the LCM enumerates its sample pairs
-// (r ≤ s). Every entry has the bits ParallelCholInverse gives it, and the
-// lower triangle, which the gradient never reads, is not written. The
-// aliasing contract is ParallelCholInverseInto's: inv may be l's own
-// storage and wt the storage l was factored from, which is how the LCM
-// engine's two packed buffers hold Σ, L, W and Σ⁻¹ between them. It returns
-// inv.
+// Neither buffer needs zeroing, and both may be storage whose contents the
+// caller is done with: the first phase reads L and the entries of wt it has
+// written, the second reads only wt, and no entry of wt or inv is read
+// before it is written. So inv may be l's own storage — the second phase
+// never reads the factor it overwrites — and wt the storage l was factored
+// from, which is how the LCM engine's two packed buffers hold Σ, L, W and
+// Σ⁻¹ between them; wt must be neither l's storage nor inv.
+// CholeskyJitterPackedInto has no such freedom: its factor must not be its
+// input, because every jitter rung re-reads the input. It returns inv.
 func CholInversePackedInto(l *TriPacked, nworkers int, wt, inv []float64) []float64 {
-	n := l.n
 	if len(wt) != len(l.data) || len(inv) != len(l.data) {
 		panic("la: CholInversePackedInto scratch dimension mismatch")
 	}
-	cholInverse(l.data, 0, wt, inv, 0, n, nworkers)
-	return inv
-}
-
-// cholInverse is the one two-phase inverse of the order-n factor whose rows
-// l holds (laid out as for forwardSubst by lstride), behind the dense and
-// packed entry points. W and Σ⁻¹ are stored by upper rows (upRow), both by
-// ustride: dense when it is n, packed when it is 0. A dense inv gets both
-// triangles, a packed one only the upper.
-func cholInverse(l []float64, lstride int, wt, inv []float64, ustride, n, nworkers int) {
-	cholInverseW(l, lstride, wt, ustride, n, nworkers)
+	n := l.n
+	cholInverseW(l.data, wt, n, nworkers)
 	parallelBlocks((n+1)/2, nworkers, func(g int) {
 		i0 := 2 * g
 		i1 := i0 + 1
-		wi0 := upRow(wt, ustride, n, i0)
+		wi0 := upRow(wt, n, i0)
 		if i1 >= n {
 			// Odd tail row: plain per-entry dot products.
 			for j := 0; j <= i0; j++ {
-				s := Dot(wi0[i0:], upRow(wt, ustride, n, j)[i0:]) // entries below max(i,j)=i0 vanish
-				inv[upStart(j, ustride, n)+i0] = s
-				if ustride > 0 {
-					inv[i0*ustride+j] = s
-				}
+				inv[upStart(j, n)+i0] = Dot(wi0[i0:], upRow(wt, n, j)[i0:]) // entries below max(i,j)=i0 vanish
 			}
 			return
 		}
-		wi1 := upRow(wt, ustride, n, i1)
+		wi1 := upRow(wt, n, i1)
 		if vectorKernels {
-			wtwRows(wt, inv, wi0, wi1, ustride, n, i0)
+			wtwRows(wt, inv, wi0, wi1, n, i0)
 			return
 		}
 		// Phase 2, rows i0 and i1 against rows j ≤ i1 of W four at a time:
 		// every Dot spans [i1, n), so one tile computes eight whole Dots; row
 		// i0's entries then add the W[i0] term, and j = i1 is the diagonal
 		// Dot(W[i1, i1:], W[i1, i1:]). Entries (j, i0) and (j, i1) are upper
-		// ones; a dense inv mirrors them.
+		// ones.
 		var t tile
 		var wj [4][]float64
 		for jb := 0; jb <= i1; jb += 4 {
 			nj := min(4, i1+1-jb)
 			for c := range wj {
-				wj[c] = upRow(wt, ustride, n, jb+min(c, nj-1)) // fewer than four rows repeat the last
+				wj[c] = upRow(wt, n, jb+min(c, nj-1)) // fewer than four rows repeat the last
 			}
 			t.dots(wi0, wi1, &wj, i1, n)
 			for c := 0; c < nj; c++ {
 				j := jb + c
-				uj := upStart(j, ustride, n)
-				s1 := t.dot(1, c)
-				inv[uj+i1] = s1
-				if j == i1 {
-					continue
-				}
-				s0 := t.dot(0, c) + wi0[i0]*wj[c][i0]
-				inv[uj+i0] = s0
-				if ustride > 0 {
-					inv[i0*ustride+j] = s0
-					inv[i1*ustride+j] = s1
+				uj := upStart(j, n)
+				inv[uj+i1] = t.dot(1, c)
+				if j < i1 {
+					inv[uj+i0] = t.dot(0, c) + wi0[i0]*wj[c][i0]
 				}
 			}
 		}
 	})
+	return inv
 }
 
 // wtwRows is the second phase's W rows i0 and i1 = i0+1 (wi0, wi1) on the
 // vector tiers, the loop above in one wtwStrip call: the quads of rows
 // j ≤ i0 are finished and stored in the kernel, and the last quad, which
 // ends at the diagonal j = i1, leaves its eight Dots for the stores here.
-func wtwRows(wt, inv, wi0, wi1 []float64, ustride, n, i0 int) {
+func wtwRows(wt, inv, wi0, wi1 []float64, n, i0 int) {
 	i1 := i0 + 1
 	var out [8]float64
-	m0, mstride := &inv[0], 0
-	if ustride > 0 {
-		m0, mstride = &inv[i0*ustride], ustride
-	}
-	_ = inv[upStart(i1, ustride, n)+i1] // past every entry the kernel writes: it writes unchecked
-	step, grow := upperStep(ustride, n)
-	wtwStrip(&wi0[i1], &wi1[i1], &wt[i1], &inv[i1], m0, &out[0], i1>>2, i1&3+1, n-i1, step, grow, mstride, wi0[i0])
+	_ = inv[upStart(i1, n)+i1] // past every entry the kernel writes: it writes unchecked
+	step, grow := upperStep(n)
+	wtwStrip(&wi0[i1], &wi1[i1], &wt[i1], &inv[i1], &out[0], i1>>2, i1&3+1, n-i1, step, grow, wi0[i0])
 	for jb, c := i1&^3, 0; jb+c <= i1; c++ {
 		j := jb + c
-		uj := upStart(j, ustride, n)
+		uj := upStart(j, n)
 		inv[uj+i1] = out[4+c]
 		if j < i1 {
 			inv[uj+i0] = out[c]
-			if ustride > 0 {
-				inv[i0*ustride+j] = out[c]
-				inv[i1*ustride+j] = out[4+c]
-			}
 		}
 	}
 }
 
-// lowerStep returns the strip kernels' step and grow for lower rows laid
-// out by stride, from row i on: the distance in elements from row i to row
-// i+1, and what that distance gains per row.
-func lowerStep(i, stride int) (step, grow int) {
-	if stride == 0 {
-		return i + 1, 1
-	}
-	return stride, 0
-}
+// lowerStep returns the strip kernels' step and grow for packed lower rows
+// from row i on: the distance in elements from row i to row i+1, and what
+// that distance gains per row.
+func lowerStep(i int) (step, grow int) { return i + 1, 1 }
 
-// upperStep is lowerStep for the upper rows of an order-n matrix (upStart),
-// from row 0 on.
-func upperStep(stride, n int) (step, grow int) {
-	if stride == 0 {
-		return n - 1, -1
-	}
-	return stride, 0
-}
+// upperStep is lowerStep for the upper-packed rows of an order-n matrix
+// (upStart), from row 0 on.
+func upperStep(n int) (step, grow int) { return n - 1, -1 }
 
 // CholInverseDiag returns the diagonal of (L·Lᵀ)⁻¹ for the packed factor t,
-// every entry the bits ParallelCholInverse gives it: the inverse's first
+// every entry the bits CholInversePackedInto gives it: the inverse's first
 // phase over t's rows into packed W, then, of the second, only the diagonal
 // Dots — with w_i = W's column i (upper row i of wt), Dot(w_i[i:], w_i[i:])
 // for odd i and the odd tail row, Dot(w_i[i+1:], w_i[i+1:]) + w_i[i]² for the
 // other even i, each the tile's lanes combined as Dot combines them. That is
-// n(n+1)/2 doubles and about n³/6 flops, where the dense inverse of a packed
-// factor takes 3n² and n³/3. The leave-one-out diagnostics read nothing
-// else.
+// n(n+1)/2 doubles and about n³/6 flops, where the whole inverse takes n²
+// and n³/3. The leave-one-out diagnostics read nothing else.
 func CholInverseDiag(t *TriPacked, nworkers int) []float64 {
 	n := t.n
 	wt := make([]float64, len(t.data))
-	cholInverseW(t.data, 0, wt, 0, n, nworkers)
+	cholInverseW(t.data, wt, n, nworkers)
 	d := make([]float64, n)
 	for i := range d {
-		w := upRow(wt, 0, n, i)
+		w := upRow(wt, n, i)
 		if i&1 == 1 || i == n-1 {
 			d[i] = Dot(w[i:], w[i:])
 		} else {
@@ -387,13 +324,12 @@ func CholInverseDiag(t *TriPacked, nworkers int) []float64 {
 	return d
 }
 
-// cholInverseW is the inverse's first phase, behind cholInverse and
-// CholInverseDiag: it fills upper row j of wt, from column j on, with column
+// cholInverseW is the inverse's first phase, behind CholInversePackedInto
+// and CholInverseDiag: it fills upper row j of wt, from column j on, with column
 // j of W = L⁻¹, the solution of L·w = e_j (zero above j, an entry wt never
-// holds). L's rows are read as forwardSubst reads them — row i at
-// l[i·lstride], or packed when lstride is 0 — and only up to their
-// diagonals; wt's upper rows are laid out by wstride (upRow). Columns of W
-// are mutually independent.
+// holds). L's packed rows are read as forwardSubst reads them, and only up
+// to their diagonals; wt's rows are upper-packed (upRow). Columns of W are
+// mutually independent.
 //
 // Columns j0 = 2g and j1 = j0+1 of W: for k > j1,
 //
@@ -408,11 +344,11 @@ func CholInverseDiag(t *TriPacked, nworkers int) []float64 {
 // call: every entry keeps its operations, and each division chain carries
 // four columns instead of two. The pairs from j0 = n − 5 on, whose rows
 // below j1 are a single block, run the tiles.
-func cholInverseW(l []float64, lstride int, wt []float64, wstride, n, nworkers int) {
+func cholInverseW(l, wt []float64, n, nworkers int) {
 	pairs := (n + 1) / 2
 	if !vectorKernels {
 		parallelBlocks(pairs, nworkers, func(g int) {
-			invWTiles(l, lstride, wt, wstride, n, 2*g)
+			invWTiles(l, wt, n, 2*g)
 		})
 		return
 	}
@@ -423,33 +359,33 @@ func cholInverseW(l []float64, lstride int, wt []float64, wstride, n, nworkers i
 			// Pair j0's rows below j1 are one block, which pair j0+4 does
 			// not reach.
 			for j := j0; j < n; j += 4 {
-				invWTiles(l, lstride, wt, wstride, n, j)
+				invWTiles(l, wt, n, j)
 			}
 			return
 		}
-		row0, row1 := invWHead(l, lstride, wt, wstride, n, j0)
-		b0, b1 := invWHead(l, lstride, wt, wstride, n, j0+4)
+		row0, row1 := invWHead(l, wt, n, j0)
+		b0, b1 := invWHead(l, wt, n, j0+4)
 		j1 := j0 + 1
-		_ = triRow(l, lstride, n-1)[n-1] // the last row's pivot: the kernel reads unchecked
-		step, grow := lowerStep(j1, lstride)
+		_ = triRow(l, n-1)[n-1] // the last row's pivot: the kernel reads unchecked
+		step, grow := lowerStep(j1)
 		var spill [32]float64
-		invWStrip4(&row0[j1], &row1[j1], &b0[j1], &b1[j1], &l[rowStart(j1, lstride)+j1], n-j1, step, grow, row0[j0], b0[j0+4], &spill)
+		invWStrip4(&row0[j1], &row1[j1], &b0[j1], &b1[j1], &l[rowStart(j1)+j1], n-j1, step, grow, row0[j0], b0[j0+4], &spill)
 	})
 }
 
 // invWHead sets the closed forms that open columns j0 and j1 = j0+1 of W —
 // W[j0][j0], and below n W[j1][j0] and W[j1][j1] — and returns their upper
 // rows of wt, the second nil when j1 = n.
-func invWHead(l []float64, lstride int, wt []float64, wstride, n, j0 int) (row0, row1 []float64) {
+func invWHead(l, wt []float64, n, j0 int) (row0, row1 []float64) {
 	j1 := j0 + 1
-	row0 = upRow(wt, wstride, n, j0)
-	row0[j0] = 1 / triRow(l, lstride, j0)[j0]
+	row0 = upRow(wt, n, j0)
+	row0[j0] = 1 / triRow(l, j0)[j0]
 	if j1 >= n {
 		return row0, nil
 	}
-	lj1 := triRow(l, lstride, j1)
+	lj1 := triRow(l, j1)
 	row0[j1] = -lj1[j0] * row0[j0] / lj1[j1]
-	row1 = upRow(wt, wstride, n, j1)
+	row1 = upRow(wt, n, j1)
 	row1[j1] = 1 / lj1[j1]
 	return row0, row1
 }
@@ -457,8 +393,8 @@ func invWHead(l []float64, lstride int, wt []float64, wstride, n, j0 int) (row0,
 // invWTiles is columns j0 and j0+1 of W on the scalar tier: the closed
 // forms, then the blocks of L rows in 2×4 tiles, full ones finished by
 // invTile.
-func invWTiles(l []float64, lstride int, wt []float64, wstride, n, j0 int) {
-	row0, row1 := invWHead(l, lstride, wt, wstride, n, j0)
+func invWTiles(l, wt []float64, n, j0 int) {
+	row0, row1 := invWHead(l, wt, n, j0)
 	j1 := j0 + 1
 	if j1 >= n {
 		return
@@ -468,7 +404,7 @@ func invWTiles(l []float64, lstride int, wt []float64, wstride, n, j0 int) {
 	for kb := j1; kb < n; kb += 4 {
 		nk := min(4, n-kb)
 		for c := range lk {
-			lk[c] = triRow(l, lstride, kb+min(c, nk-1)) // fewer than four rows repeat the last
+			lk[c] = triRow(l, kb+min(c, nk-1)) // fewer than four rows repeat the last
 		}
 		t.dots(row0, row1, &lk, j1, kb)
 		if nk == 4 && kb > j1 {
@@ -488,28 +424,22 @@ func invWTiles(l []float64, lstride int, wt []float64, wstride, n, j0 int) {
 	}
 }
 
-// triRow returns row i of a lower-triangular factor up to its diagonal,
-// laid out as for forwardSubst.
-func triRow(data []float64, stride, i int) []float64 {
-	o := rowStart(i, stride)
+// triRow returns packed row i of a lower-triangular factor up to its
+// diagonal.
+func triRow(data []float64, i int) []float64 {
+	o := rowStart(i)
 	return data[o : o+i+1 : o+i+1]
 }
 
-// upStart returns where upper row i of an order-n matrix would hold column
-// 0: i·stride for dense rows, and for upper-packed ones (stride 0, row i's
-// n − i entries from i·n − i(i−1)/2 on) that offset less i. Entry (i, j ≥ i)
-// is at upStart(i, stride, n) + j either way.
-func upStart(i, stride, n int) int {
-	if stride == 0 {
-		return i*n - i*(i+1)/2
-	}
-	return i * stride
-}
+// upStart returns where upper-packed row i of an order-n matrix (row i's
+// n − i entries from i·n − i(i−1)/2 on) would hold column 0: entry
+// (i, j ≥ i) is at upStart(i, n) + j.
+func upStart(i, n int) int { return i*n - i*(i+1)/2 }
 
-// upRow returns upper row i of an order-n matrix stored by upper rows,
-// indexed by column: only entries [i, n) are the row's own.
-func upRow(data []float64, stride, n, i int) []float64 {
-	o := upStart(i, stride, n)
+// upRow returns upper-packed row i of an order-n matrix, indexed by column:
+// only entries [i, n) are the row's own.
+func upRow(data []float64, n, i int) []float64 {
+	o := upStart(i, n)
 	return data[o : o+n : o+n]
 }
 
@@ -518,7 +448,7 @@ func upRow(data []float64, stride, n, i int) []float64 {
 func logDetFromChol(data []float64, n int) float64 {
 	s := 0.0
 	for i := 0; i < n; i++ {
-		s += math.Log(data[rowStart(i, 0)+i])
+		s += math.Log(data[rowStart(i)+i])
 	}
 	return 2 * s
 }
@@ -526,10 +456,13 @@ func logDetFromChol(data []float64, n int) float64 {
 // ParallelCholesky computes the lower-triangular Cholesky factor L of the
 // symmetric positive definite matrix a (only the lower triangle of a is
 // read) such that a = L·Lᵀ, in a new matrix whose strict upper triangle is
-// zero, using a blocked right-looking algorithm whose panel solves and trailing updates are
-// distributed over nworkers goroutines. It is the Go substitute for the
-// ScaLAPACK-parallelized covariance factorization in the paper's Section 4.3
-// and drives the Fig. 3 modeling-phase speedup experiment.
+// zero: a shim that packs a's lower triangle, factors it with the packed
+// body CholeskyJitterPackedInto runs (a blocked right-looking algorithm
+// whose panel solves and trailing updates are distributed over nworkers
+// goroutines) and unpacks the factor. That body is the Go substitute for
+// the ScaLAPACK-parallelized covariance factorization in the paper's Section
+// 4.3: the LCM fit runs it through CholeskyJitterPackedInto, and it drives
+// the Fig. 3 modeling-phase speedup experiment.
 //
 // The factor is bitwise identical for every nworkers value: the blocked
 // schedule (and hence every floating-point summation order) depends only on
@@ -543,36 +476,33 @@ func ParallelCholesky(a *Matrix, blockSize, nworkers int) (*Matrix, error) {
 	if a.Rows != a.Cols {
 		return nil, errors.New("la: ParallelCholesky of non-square matrix")
 	}
-	l := NewMatrix(a.Rows, a.Rows)
-	if err := choleskyInto(l.Data, a.Rows, a.Data, a.Rows, a.Rows, 0, blockSize, nworkers); err != nil {
+	n := a.Rows
+	t := PackChol(a)
+	if err := choleskyInto(t.data, t.data, n, 0, blockSize, nworkers); err != nil {
 		return nil, err
+	}
+	l := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		copy(l.Row(i), t.Row(i))
 	}
 	return l, nil
 }
 
-// choleskyInto is the blocked factorization itself: it copies the lower
-// triangle of the order-n matrix whose rows a holds into l's, adds jitter to
-// the diagonal, and factors l in place. Rows are laid out as for
-// forwardSubst — dense at stride n, packed at stride 0 — each operand by its
-// own stride, and nothing above a diagonal is read or written. The two block
+// choleskyInto is the blocked factorization itself: it copies the packed
+// lower triangle of the order-n matrix a into l (a may be l), adds jitter to
+// the diagonal, and factors l in place. The two block
 // closures are built once and read the current block column through
 // captured variables, which the loop only advances between parallel
 // regions, so a factorization costs the same few small allocations whatever
 // n is.
-func choleskyInto(l []float64, lstride int, a []float64, astride, n int, jitter float64, blockSize, nworkers int) error {
+func choleskyInto(l, a []float64, n int, jitter float64, blockSize, nworkers int) error {
 	if blockSize <= 0 {
 		blockSize = 64
 	}
-	if lstride == 0 && astride == 0 {
-		copy(l, a[:n*(n+1)/2]) // packed rows are one contiguous triangle
-	} else {
-		for i := 0; i < n; i++ {
-			copy(triRow(l, lstride, i), triRow(a, astride, i))
-		}
-	}
+	copy(l, a[:n*(n+1)/2])
 	if jitter > 0 {
 		for i := 0; i < n; i++ {
-			l[rowStart(i, lstride)+i] += jitter
+			l[rowStart(i)+i] += jitter
 		}
 	}
 	if nworkers <= 0 {
@@ -591,7 +521,7 @@ func choleskyInto(l []float64, lstride int, a []float64, astride, n int, jitter 
 	// Panel: solve L[i,k]·L[k,k]ᵀ = A[i,k] for the i-th row block below kb.
 	panel := func(i int) {
 		i0, i1 := bounds(kb + 1 + i)
-		_ = cholRows(l, lstride, i0, i1, k0, k1) // panel rows hold no pivot
+		_ = cholRows(l, i0, i1, k0, k1) // panel rows hold no pivot
 	}
 	// Trailing update: A[i,j] -= L[i,k]·L[j,k]ᵀ for kb < j ≤ i, block pair p
 	// of the lower triangle in row-major order.
@@ -603,13 +533,13 @@ func choleskyInto(l []float64, lstride int, a []float64, astride, n int, jitter 
 		}
 		i0, i1 := bounds(kb + 1 + ib)
 		j0, j1 := bounds(kb + 1 + p)
-		gemmUpdate(l, lstride, i0, i1, j0, j1, k0, k1)
+		gemmUpdate(l, i0, i1, j0, j1, k0, k1)
 	}
 	for kb = 0; kb < nb; kb++ {
 		k0, k1 = bounds(kb)
 		// Factor the diagonal block in place (serial; it is small), then the
 		// panel below it and the trailing blocks, each in parallel.
-		if err := cholRows(l, lstride, k0, k1, k0, k1); err != nil {
+		if err := cholRows(l, k0, k1, k0, k1); err != nil {
 			return err
 		}
 		below := nb - kb - 1
@@ -620,8 +550,7 @@ func choleskyInto(l []float64, lstride int, a []float64, astride, n int, jitter 
 }
 
 // cholRows runs the Cholesky recurrence on rows [i0, i1) of the factor
-// whose rows l holds (laid out by stride as for forwardSubst) against the
-// column block [k0, k1), whose rows are factored before the rows that read
+// whose packed rows l holds against the column block [k0, k1), whose rows are factored before the rows that read
 // them:
 //
 //	l[i,j] = (l[i,j] − Dot(l[i,k0:j], l[j,k0:j])) / l[j,j]   for k0 ≤ j < min(i, k1)
@@ -641,14 +570,14 @@ func choleskyInto(l []float64, lstride int, a []float64, astride, n int, jitter 
 // are one cholStrip4 call, which in a diagonal block also finishes their
 // diagonal tile, and those of a lone row pair one cholStrip call; the
 // tiles left finish here.
-func cholRows(l []float64, stride, i0, i1, k0, k1 int) error {
+func cholRows(l []float64, i0, i1, k0, k1 int) error {
 	var t tile
 	var lj [4][]float64
 	var spill [32]float64
 	resume := -1 // where this row pair's tiles resume when a four-row strip ran ahead
 	for ia := i0; ia < i1; ia += 2 {
 		ib := min(ia+1, i1-1) // an odd last row pairs with itself and is written once
-		ra, rb := triRow(l, stride, ia), triRow(l, stride, ib)
+		ra, rb := triRow(l, ia), triRow(l, ib)
 		ea, eb := min(ia+1, k1), min(ib+1, k1)
 		j := k0
 		tiles := (min(ia, k1) - k0) / 4
@@ -660,17 +589,17 @@ func cholRows(l []float64, stride, i0, i1, k0, k1 int) error {
 			// Two row pairs at once, the next one having the same full
 			// tiles: they read only rows above ia. In a diagonal block the
 			// strip also finishes the four rows' diagonal tile.
-			rc, rd := triRow(l, stride, ia+2), triRow(l, stride, ia+3)
+			rc, rd := triRow(l, ia+2), triRow(l, ia+3)
 			if tiles > 0 {
 				last := k0 + 4*tiles - 1
-				_ = triRow(l, stride, last)[last] // the kernel reads unchecked
+				_ = triRow(l, last)[last] // the kernel reads unchecked
 			}
-			step, grow := lowerStep(k0, stride)
+			step, grow := lowerStep(k0)
 			d := 0
 			if diag {
 				d = 1
 			}
-			if cholStrip4(&ra[k0], &rb[k0], &rc[k0], &rd[k0], &l[rowStart(k0, stride)+k0], tiles, step, grow, d, &spill) != 0 {
+			if cholStrip4(&ra[k0], &rb[k0], &rc[k0], &rd[k0], &l[rowStart(k0)+k0], tiles, step, grow, d, &spill) != 0 {
 				return ErrNotPositiveDefinite
 			}
 			j = k0 + 4*tiles
@@ -681,15 +610,15 @@ func cholRows(l []float64, stride, i0, i1, k0, k1 int) error {
 		case vectorKernels && ib != ia && tiles > 0:
 			// The full off-diagonal tiles in one call, cholTile's chain each.
 			last := k0 + 4*tiles - 1
-			_ = triRow(l, stride, last)[last] // the kernel reads unchecked
-			step, grow := lowerStep(k0, stride)
-			cholStrip(&ra[k0], &rb[k0], &l[rowStart(k0, stride)+k0], tiles, step, grow)
+			_ = triRow(l, last)[last] // the kernel reads unchecked
+			step, grow := lowerStep(k0)
+			cholStrip(&ra[k0], &rb[k0], &l[rowStart(k0)+k0], tiles, step, grow)
 			j += 4 * tiles
 		}
 		for ; j < eb; j += 4 {
 			nj := min(4, eb-j)
 			for c := range lj {
-				lj[c] = triRow(l, stride, j+min(c, nj-1)) // fewer than four columns repeat the last
+				lj[c] = triRow(l, j+min(c, nj-1)) // fewer than four columns repeat the last
 			}
 			t.dots(ra, rb, &lj, k0, j)
 			if nj == 4 && j+3 < ia && ib != ia {
@@ -751,7 +680,7 @@ func cholTile(x, y []float64, lj *[4][]float64, s *tile, j int) {
 // rows lk = L[kb … kb+3], where w00 = W[j0][j0]. Entry c of w0 is
 // −(Dot + L[kb+c][j0]·w00) / L[kb+c][kb+c], of w1 −Dot / L[kb+c][kb+c], each
 // Dot's lane 0 taking its c tail terms L[kb+c][kb+t]·w[t] in order, then the
-// combine: the loop in ParallelCholInverseInto written out, with the block's
+// combine: the loop in invWTiles written out, with the block's
 // own results in registers.
 func invTile(w0, w1 []float64, lk *[4][]float64, s *tile, kb, j0 int, w00 float64) {
 	l0, l1, l2, l3 := lk[0][kb:kb+1:kb+1], lk[1][kb:kb+2:kb+2], lk[2][kb:kb+3:kb+3], lk[3][kb:kb+4:kb+4]
@@ -768,12 +697,12 @@ func invTile(w0, w1 []float64, lk *[4][]float64, s *tile, kb, j0 int, w00 float6
 }
 
 // gemmUpdate performs L[i0:i1, j0:j1] -= L[i0:i1, k0:k1]·L[j0:j1, k0:k1]ᵀ
-// on the rows l holds (laid out by stride as for forwardSubst), touching
+// on the packed rows l holds, touching
 // only the lower triangle when the (i,j) block is diagonal, each entry one
 // Dot over [k0, k1). Rows go in pairs against four L[j] rows at a time, and
 // one tile computes the eight whole Dots; on the vector tiers the quads both
 // rows of a pair fill are one gemmStrip call.
-func gemmUpdate(l []float64, stride, i0, i1, j0, j1, k0, k1 int) {
+func gemmUpdate(l []float64, i0, i1, j0, j1, k0, k1 int) {
 	rowMax := func(i int) int {
 		if j0 <= i && i < j1 {
 			return i + 1 // diagonal block: lower triangle only
@@ -784,21 +713,21 @@ func gemmUpdate(l []float64, stride, i0, i1, j0, j1, k0, k1 int) {
 	var lj [4][]float64
 	for ia := i0; ia < i1; ia += 2 {
 		ib := min(ia+1, i1-1) // an odd last row pairs with itself and is written once
-		ra, rb := triRow(l, stride, ia), triRow(l, stride, ib)
+		ra, rb := triRow(l, ia), triRow(l, ib)
 		ea, eb := rowMax(ia), rowMax(ib) // eb ≥ ea always
 		j := j0
 		if quads := (ea - j0) / 4; vectorKernels && ib != ia && quads > 0 {
 			// The quads both rows fill, in one call.
 			last := j0 + 4*quads - 1
-			_ = triRow(l, stride, last)[k1-1] // the kernel reads unchecked
-			step, grow := lowerStep(j0, stride)
-			gemmStrip(&ra[k0], &rb[k0], &ra[j0], &rb[j0], &l[rowStart(j0, stride)+k0], quads, k1-k0, step, grow)
+			_ = triRow(l, last)[k1-1] // the kernel reads unchecked
+			step, grow := lowerStep(j0)
+			gemmStrip(&ra[k0], &rb[k0], &ra[j0], &rb[j0], &l[rowStart(j0)+k0], quads, k1-k0, step, grow)
 			j += 4 * quads
 		}
 		for ; j < eb; j += 4 {
 			nj := min(4, eb-j)
 			for c := range lj {
-				lj[c] = triRow(l, stride, j+min(c, nj-1)) // fewer than four columns repeat the last
+				lj[c] = triRow(l, j+min(c, nj-1)) // fewer than four columns repeat the last
 			}
 			t.dots(ra, rb, &lj, k0, k1)
 			for c := 0; c < nj; c++ {

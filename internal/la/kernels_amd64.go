@@ -46,7 +46,7 @@ func cholStrip4(x0, x1, x2, x3, l *float64, tiles, step, grow, diag int, spill *
 func invWStrip4(xa, ya, xb, yb, l *float64, rows, step, grow int, w00a, w00b float64, spill *[32]float64)
 
 //go:noescape
-func wtwStrip(x, y, w, iv, m0, out *float64, quads, nlast, length, step, grow, mstride int, w00 float64)
+func wtwStrip(x, y, w, iv, out *float64, quads, nlast, length, step, grow int, w00 float64)
 
 //go:noescape
 func gemmStrip(x, y, xo, yo, l *float64, quads, length, step, grow int)

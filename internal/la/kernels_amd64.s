@@ -819,35 +819,30 @@ combined: \
 	VADDPD Y7, Y5, Y5; \
 	VADDPD Y5, Y4, Y4
 
-// func wtwStrip(x, y, w, iv, m0, out *float64, quads, nlast, length, step, grow, mstride int, w00 float64)
+// func wtwStrip(x, y, w, iv, out *float64, quads, nlast, length, step, grow int, w00 float64)
 //
 // The inverse's second phase for one pair of W rows i0 and i1 = i0+1 (x and
 // y, upper rows of wt from column i1 on, length = n − i1) against upper rows
 // j = 0 … i1 of wt four at a time, w being row 0 from column i1 and iv the
 // same entry of inv. Each quad's eight Dots span [i1, n); row i0's then add
 // w00·W[j][i0] (w00 = W[i0][i0]). The first quads, quads of them, hold
-// only rows j ≤ i0: their entries go to inv's (j, i0) and (j, i1) — the
-// same offsets in inv as in wt — and, when mstride is not 0, to rows i0
-// (from m0 on) and i1 (mstride elements later) of a dense inv's lower
-// triangle. The last quad ends at row i1, the diagonal: nlast = 2 or 4
-// rows, the unused ones repeating row i1, and its Dots go to out (row i0's
-// four, then row i1's) for the caller to store.
-TEXT ·wtwStrip(SB), NOSPLIT, $0-104
+// only rows j ≤ i0: their entries go to inv's (j, i0) and (j, i1), the
+// same offsets in inv as in wt. The last quad ends at row i1, the diagonal:
+// nlast = 2 or 4 rows, the unused ones repeating row i1, and its Dots go to
+// out (row i0's four, then row i1's) for the caller to store.
+TEXT ·wtwStrip(SB), NOSPLIT, $0-88
 	MOVQ x+0(FP), SI
 	MOVQ y+8(FP), DI
 	MOVQ w+16(FP), R10
 	MOVQ iv+24(FP), DX
 	SUBQ R10, DX                     // inv's entries lie DX bytes from wt's
-	MOVQ m0+32(FP), R14
-	MOVQ quads+48(FP), BX
-	MOVQ length+64(FP), CX
+	MOVQ quads+40(FP), BX
+	MOVQ length+56(FP), CX
 	ANDQ $-4, CX
-	MOVQ step+72(FP), R8
-	MOVQ grow+80(FP), R9
-	MOVQ mstride+88(FP), R15
+	MOVQ step+64(FP), R8
+	MOVQ grow+72(FP), R9
 	SHLQ $3, R8
 	SHLQ $3, R9
-	SHLQ $3, R15
 
 	PCALIGN $64
 
@@ -855,7 +850,7 @@ wtwquad:
 	NEXTROW(R10, R11)
 	TESTQ BX, BX
 	JNZ   wtwfull
-	CMPQ  nlast+56(FP), $2
+	CMPQ  nlast+48(FP), $2
 	JNE   wtwfull
 	MOVQ  R11, R12
 	MOVQ  R11, R13
@@ -866,9 +861,9 @@ wtwfull:
 	NEXTROW(R12, R13)
 
 wtwrows:
-	QUADDOTS(length+64(FP), wtwtail, wtwtailloop, wtwcombined)
+	QUADDOTS(length+56(FP), wtwtail, wtwtailloop, wtwcombined)
 	GATHER4(-8(R10), -8(R11), -8(R12), -8(R13), Y8)
-	VBROADCASTSD w00+96(FP), Y9
+	VBROADCASTSD w00+80(FP), Y9
 	VMULPD       Y9, Y8, Y8
 	VADDPD       Y8, Y0, Y0
 	TESTQ        BX, BX
@@ -884,19 +879,12 @@ wtwrows:
 	VMOVHPD      X0, -8(R11)(DX*1)
 	VMOVSD       X1, -8(R12)(DX*1)
 	VMOVHPD      X1, -8(R13)(DX*1)
-	TESTQ        R15, R15
-	JZ           wtwnext
-	VMOVUPD      Y0, (R14)
-	VMOVUPD      Y4, (R14)(R15*1)
-	ADDQ         $32, R14
-
-wtwnext:
-	DECQ BX
+	DECQ         BX
 	NEXTROW(R13, R10)
-	JMP  wtwquad
+	JMP          wtwquad
 
 wtwlast:
-	MOVQ    out+40(FP), AX
+	MOVQ    out+32(FP), AX
 	VMOVUPD Y0, (AX)
 	VMOVUPD Y4, 32(AX)
 	VZEROUPPER

@@ -38,7 +38,7 @@ func invWStrip4(xa, ya, xb, yb, l *float64, rows, step, grow int, w00a, w00b flo
 	panic("la: no vector kernel")
 }
 
-func wtwStrip(x, y, w, iv, m0, out *float64, quads, nlast, length, step, grow, mstride int, w00 float64) {
+func wtwStrip(x, y, w, iv, out *float64, quads, nlast, length, step, grow int, w00 float64) {
 	panic("la: no vector kernel")
 }
 

@@ -1,11 +1,13 @@
-// Package la provides the dense linear algebra kernels used by the GP/LCM
-// surrogate models: row-major matrices, matrix products, Cholesky
-// factorization (serial and parallel blocked, the stand-in for the
-// ScaLAPACK-parallelized covariance factorization of the paper's Section 4.3),
-// and triangular solves.
+// Package la provides the linear algebra kernels used by the GP/LCM
+// surrogate models: row-major matrices, matrix products, the Cholesky
+// factorization and inverse (blocked and parallel, the stand-in for the
+// ScaLAPACK-parallelized covariance factorization of the paper's Section
+// 4.3), and triangular solves.
 //
 // All routines are deterministic and allocate only when documented. Matrices
-// are dense, row-major, and sized at construction.
+// are dense, row-major, and sized at construction; a Cholesky factor is
+// packed (TriPacked), the one row layout the factorization and inverse
+// bodies run, and the dense entry points pack and unpack at the edge.
 package la
 
 import "fmt"

@@ -85,7 +85,7 @@ func refCholesky(a *Matrix, jitter float64, blockSize int) (*Matrix, error) {
 	return l, nil
 }
 
-// refCholeskyJitter is choleskyJitter's escalation over refCholesky.
+// refCholeskyJitter is CholeskyJitterPackedInto's escalation over refCholesky.
 func refCholeskyJitter(a *Matrix, blockSize int) (*Matrix, float64, error) {
 	n := a.Rows
 	meanDiag := 0.0
@@ -232,14 +232,13 @@ func samePackedBits(got *TriPacked, want *Matrix) string {
 // recurrence, every entry's bits, for every n ≤ 80 and a sparse sweep to
 // 300, block sizes {n, 64, 16, 5}, one, two and eight workers, once per
 // kernel tier (eachTier: the scalar tiles, and the fused strips on the
-// AVX2 and AVX-512 tiers). The dense ParallelCholesky fails at the same
-// first attempt or matches bit for bit. The jitter escalation runs the same
-// grid into packed storage — a dense input into a new factor
-// (CholeskyJitterPacked), and a packed input into a reused factor
-// (CholeskyJitterPackedInto, its storage full of NaN beforehand, as the LCM
-// engine's buffer holds the last Σ⁻¹) — where a rank-deficient input takes
-// the same rung and reports the same jitter, and an indefinite one fails at
-// every rung with the same error.
+// AVX2 and AVX-512 tiers). The dense shim ParallelCholesky fails at the
+// same first attempt or matches bit for bit. The jitter escalation runs the
+// same grid — through the dense shim CholeskyJitterPacked, and a packed
+// input into a reused factor (CholeskyJitterPackedInto, its storage full of
+// NaN beforehand, as the LCM engine's buffer holds the last Σ⁻¹) — where a
+// rank-deficient input takes the same rung and reports the same jitter, and
+// an indefinite one fails at every rung with the same error.
 func TestTiledCholeskyBitwise(t *testing.T) { eachTier(t, testTiledCholeskyBitwise) }
 
 func testTiledCholeskyBitwise(t *testing.T) {
@@ -306,7 +305,7 @@ func sameUpperPackedBits(got []float64, want *Matrix) string {
 	n := want.Rows
 	for i := 0; i < n; i++ {
 		for j := i; j < n; j++ {
-			if g, w := got[upStart(i, 0, n)+j], want.At(i, j); math.Float64bits(g) != math.Float64bits(w) {
+			if g, w := got[upStart(i, n)+j], want.At(i, j); math.Float64bits(g) != math.Float64bits(w) {
 				return fmt.Sprintf("packed entry (%d,%d) %v (%x), oracle %v (%x)", i, j, g, math.Float64bits(g), w, math.Float64bits(w))
 			}
 		}
@@ -314,42 +313,36 @@ func sameUpperPackedBits(got []float64, want *Matrix) string {
 	return ""
 }
 
-// TestTiledInverseBitwise: the tiled ParallelCholInverseInto ≡ the
+// TestTiledInverseBitwise: the tiled CholInversePackedInto ≡ the
 // entry-by-entry phases, every entry's bits, on the factors
 // TestTiledCholeskyBitwise checks and on random lower-triangular factors a
 // third of whose off-diagonal entries are +0 or −0 (the closed form of W's
 // second row keeps the sign of a zero the general recurrence would flip),
 // for every n ≤ 80 and a sparse sweep to 300, one, two and eight workers,
-// once per kernel tier (eachTier), into fresh and into reused scratch, the
-// reused scratch full of NaN beforehand — and the packed layout,
-// CholInversePackedInto of the packed factor into NaN-filled reused
-// buffers, over the same grid: its upper triangle is the oracle's, entry
-// for entry.
+// once per kernel tier (eachTier), into reused buffers full of NaN
+// beforehand: its upper triangle is the oracle's, entry for entry. The
+// dense shim ParallelCholInverse matches the oracle's both triangles over
+// the same grid.
 func TestTiledInverseBitwise(t *testing.T) { eachTier(t, testTiledInverseBitwise) }
 
 func testTiledInverseBitwise(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	rng := rand.New(rand.NewSource(103))
 	for _, n := range tileSizes() {
-		wt, inv := NewMatrix(n, n), NewMatrix(n, n)
 		pwt, pinv := make([]float64, n*(n+1)/2), make([]float64, n*(n+1)/2)
 		for name, l := range inverseFactors(rng, n) {
 			want := refCholInverse(l)
 			packedL := PackChol(l)
 			for _, w := range []int{1, 2, 8} {
-				for _, buf := range [][]float64{wt.Data, inv.Data, pwt, pinv} {
+				for _, buf := range [][]float64{pwt, pinv} {
 					for i := range buf {
 						buf[i] = math.NaN()
 					}
 				}
-				fresh := ParallelCholInverse(l, w)
-				reused := ParallelCholInverseInto(l, w, wt, inv)
-				packed := CholInversePackedInto(packedL, w, pwt, pinv)
-				for kind, got := range map[string]*Matrix{"fresh": fresh, "reused": reused} {
-					if d := sameMatrixBits(got, want); d != "" {
-						t.Fatalf("n=%d %s workers=%d %s scratch: %s", n, name, w, kind, d)
-					}
+				if d := sameMatrixBits(ParallelCholInverse(l, w), want); d != "" {
+					t.Fatalf("n=%d %s workers=%d dense: %s", n, name, w, d)
 				}
+				packed := CholInversePackedInto(packedL, w, pwt, pinv)
 				if d := sameUpperPackedBits(packed, want); d != "" {
 					t.Fatalf("n=%d %s workers=%d packed: %s", n, name, w, d)
 				}
@@ -386,39 +379,24 @@ func inverseFactors(rng *rand.Rand, n int) map[string]*Matrix {
 	return factors
 }
 
-// TestCholInverseIntoOverwritesItsFactor: ParallelCholInverseInto with inv
-// the factor itself, NaN above the factor's diagonal and wt full of NaN,
-// and CholInversePackedInto with inv the packed factor's own storage and wt
-// full of NaN — what the LCM engine's two buffers hand it — write every
-// entry the bits of separate, fresh scratch, for the sizes, worker counts
-// and dispatches of TestTiledInverseBitwise. A read of the factor in the second
-// phase or above its diagonal, or of an entry of wt or inv before it is
-// written, shows up as a differing entry.
+// TestCholInverseIntoOverwritesItsFactor: CholInversePackedInto with inv
+// the packed factor's own storage and wt full of NaN — what the LCM
+// engine's two buffers hand it — writes every entry the bits of the
+// entry-by-entry oracle, for the sizes, worker counts and dispatches of
+// TestTiledInverseBitwise. A read of the factor in the second phase, or of
+// an entry of wt or inv before it is written, shows up as a differing
+// entry.
 func TestCholInverseIntoOverwritesItsFactor(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	rng := rand.New(rand.NewSource(107))
 	for _, n := range tileSizes() {
-		wt := NewMatrix(n, n)
 		pwt := make([]float64, n*(n+1)/2)
 		for name, l := range inverseFactors(rng, n) {
+			want := refCholInverse(l)
 			for _, w := range []int{1, 2, 8} {
 				for _, scalar := range []bool{false, true} {
-					var want, got *Matrix
 					var gotPacked []float64
 					run := func() {
-						want = ParallelCholInverse(l, w)
-						for i := range wt.Data {
-							wt.Data[i] = math.NaN()
-						}
-						got = clone(l)
-						for i := 0; i < n; i++ {
-							for j := i + 1; j < n; j++ {
-								got.Data[i*n+j] = math.NaN()
-							}
-						}
-						if p := ParallelCholInverseInto(got, w, wt, got); p != got {
-							t.Fatalf("n=%d: ParallelCholInverseInto returned another matrix than inv", n)
-						}
 						gotPacked = PackChol(l).data
 						for i := range pwt {
 							pwt[i] = math.NaN()
@@ -429,9 +407,6 @@ func TestCholInverseIntoOverwritesItsFactor(t *testing.T) {
 						scalarOnly(run)
 					} else {
 						run()
-					}
-					if d := sameMatrixBits(got, want); d != "" {
-						t.Fatalf("n=%d %s workers=%d scalar=%v, inv = l: %s", n, name, w, scalar, d)
 					}
 					if d := sameUpperPackedBits(gotPacked, want); d != "" {
 						t.Fatalf("n=%d %s workers=%d scalar=%v, packed inv = l: %s", n, name, w, scalar, d)

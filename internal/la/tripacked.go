@@ -13,11 +13,11 @@ import (
 // factors, which is what lets the incremental exact surrogate hold histories
 // an order of magnitude past the refit-from-scratch ceiling.
 //
-// Its factorization and inverse run the bodies the dense routines run
-// (choleskyInto and cholInverse take either row layout): the same Dot calls
-// over the same prefixes, in the same order, so a factor moved between
-// representations yields bitwise-identical results. The solves and the
-// log-determinant read packed rows alone.
+// It is the one row layout of la's Cholesky bodies: the factorization, the
+// inverse, the solves and the log-determinant read and write packed rows
+// alone, and the dense entry points (ParallelCholesky, ParallelCholInverse,
+// CholeskyJitterPacked) pack their input and unpack their result at the
+// edge, so a factor moved between representations carries the same bits.
 type TriPacked struct {
 	n    int
 	data []float64 // len n(n+1)/2
@@ -38,7 +38,7 @@ func NewTriPacked(n int, data []float64) *TriPacked {
 }
 
 // PackChol packs the lower triangle of a dense matrix — a factor as produced
-// by Cholesky or ParallelCholesky, or a symmetric matrix to be factored by
+// by ParallelCholesky, or a symmetric matrix to be factored by
 // CholeskyJitterPackedInto — into a TriPacked. The strict upper triangle of
 // l is ignored.
 func PackChol(l *Matrix) *TriPacked {
