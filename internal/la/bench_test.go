@@ -29,9 +29,10 @@ func BenchmarkCholeskyBlockSize(b *testing.B) {
 // engine's entry points — packed Σ into a reused packed factor, then the
 // packed factor into reused packed W and Σ⁻¹ — at one worker and the LCM's
 // 64-row block, per tier: n = 24 and 72 are tune_cold-sized fits, n = 510 a
-// tune_warm-sized one.
+// tune_warm-sized one. The factor also runs n = 74, whose last block ends in
+// a lone row pair (74 − 64 ≡ 2 mod 4).
 func BenchmarkCholeskyJitterPackedInto(b *testing.B) {
-	for _, n := range []int{24, 72, 510} {
+	for _, n := range []int{24, 72, 74, 510} {
 		a := PackChol(randomSPD(rand.New(rand.NewSource(1)), n))
 		l := NewTriPacked(n, nil)
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
@@ -108,12 +109,14 @@ func BenchmarkForwardSubst(b *testing.B) {
 	}
 }
 
-// BenchmarkLaneKernels times the three lane kernels that have an AVX-512
+// BenchmarkLaneKernels times the four lane kernels that have an AVX-512
 // body, per tier, at the shape of one prediction's k* with β = 8:
 // NegSqDistInto over one latent's row, ExpInto over two latents' kernel
-// arguments in place, and WeightedSumsInto over a row of the covariance
-// assembly. n = 510 is tune_warm's history; 37, 71 and 509 end in a partial
-// block on either tier, as tune_cold's short rows (n − r pairs) mostly do.
+// arguments in place, WeightedSumsInto over a row of the covariance
+// assembly, and SqDiffsInto filling that row's squared differences, one row
+// of n per dimension. n = 510 is tune_warm's history; 37, 71 and 509 end in
+// a partial block on either tier, as tune_cold's short rows (n − r pairs)
+// mostly do.
 func BenchmarkLaneKernels(b *testing.B) {
 	const dim = 8
 	for _, n := range []int{37, 71, 509, 510} {
@@ -123,7 +126,7 @@ func BenchmarkLaneKernels(b *testing.B) {
 		for d := range w {
 			w[d], pt[d] = 0.5+rng.Float64(), rng.NormFloat64()
 		}
-		args, dst := make([]float64, 2*n), make([]float64, 2*n)
+		args, dst, sq := make([]float64, 2*n), make([]float64, 2*n), make([]float64, dim*n)
 		for i := range args {
 			args[i] = -30 * rng.Float64()
 		}
@@ -134,6 +137,7 @@ func BenchmarkLaneKernels(b *testing.B) {
 			{"negsqdist", func() { NegSqDistInto(dst[:n], w, pt, x, n) }},
 			{"exp", func() { ExpInto(dst, args) }},
 			{"weightedsums", func() { WeightedSumsInto(dst[:n], w, x, n, -0.5) }},
+			{"sqdiffs", func() { SqDiffsInto(sq, x, n, n) }},
 		} {
 			b.Run(fmt.Sprintf("%s_n%d", c.name, n), func(b *testing.B) {
 				benchTiers(b, func(b *testing.B) {

@@ -279,8 +279,7 @@ func wtwRows(wt, inv, wi0, wi1 []float64, n, i0 int) {
 	i1 := i0 + 1
 	var out [8]float64
 	_ = inv[upStart(i1, n)+i1] // past every entry the kernel writes: it writes unchecked
-	step, grow := upperStep(n)
-	wtwStrip(&wi0[i1], &wi1[i1], &wt[i1], &inv[i1], &out[0], i1>>2, i1&3+1, n-i1, step, grow, wi0[i0])
+	wtwStrip(&wi0[i1], &wi1[i1], &wt[i1], &inv[i1], &out[0], i1>>2, i1&3+1, n-i1, n-1, wi0[i0])
 	for jb, c := i1&^3, 0; jb+c <= i1; c++ {
 		j := jb + c
 		uj := upStart(j, n)
@@ -290,15 +289,6 @@ func wtwRows(wt, inv, wi0, wi1 []float64, n, i0 int) {
 		}
 	}
 }
-
-// lowerStep returns the strip kernels' step and grow for packed lower rows
-// from row i on: the distance in elements from row i to row i+1, and what
-// that distance gains per row.
-func lowerStep(i int) (step, grow int) { return i + 1, 1 }
-
-// upperStep is lowerStep for the upper-packed rows of an order-n matrix
-// (upStart), from row 0 on.
-func upperStep(n int) (step, grow int) { return n - 1, -1 }
 
 // CholInverseDiag returns the diagonal of (L·Lᵀ)⁻¹ for the packed factor t,
 // every entry the bits CholInversePackedInto gives it: the inverse's first
@@ -367,9 +357,8 @@ func cholInverseW(l, wt []float64, n, nworkers int) {
 		b0, b1 := invWHead(l, wt, n, j0+4)
 		j1 := j0 + 1
 		_ = triRow(l, n-1)[n-1] // the last row's pivot: the kernel reads unchecked
-		step, grow := lowerStep(j1)
 		var spill [32]float64
-		invWStrip4(&row0[j1], &row1[j1], &b0[j1], &b1[j1], &l[rowStart(j1)+j1], n-j1, step, grow, row0[j0], b0[j0+4], &spill)
+		invWStrip4(&row0[j1], &row1[j1], &b0[j1], &b1[j1], &l[rowStart(j1)+j1], n-j1, j1+1, row0[j0], b0[j0+4], &spill)
 	})
 }
 
@@ -568,8 +557,8 @@ func choleskyInto(l, a []float64, n int, jitter float64, blockSize, nworkers int
 // agree bit for bit and meet the pivots in the same order. On the vector
 // tiers the full off-diagonal tiles of two row pairs with the same tiles
 // are one cholStrip4 call, which in a diagonal block also finishes their
-// diagonal tile, and those of a lone row pair one cholStrip call; the
-// tiles left finish here.
+// diagonal tile, and those of a lone row pair run through the same strip,
+// the pair standing in for the second pair too. The tiles left finish here.
 func cholRows(l []float64, i0, i1, k0, k1 int) error {
 	var t tile
 	var lj [4][]float64
@@ -582,38 +571,38 @@ func cholRows(l []float64, i0, i1, k0, k1 int) error {
 		j := k0
 		tiles := (min(ia, k1) - k0) / 4
 		diag := ia < k1 // the tile at ia reaches the rows' diagonals
+		// The next row pair has the same full tiles: in a diagonal block they
+		// must end at ia, where the four rows' diagonal tile starts.
+		four := ia+3 < i1 && (!diag || ia == k0+4*tiles)
 		switch {
 		case resume >= 0:
 			j, resume = resume, -1
-		case vectorKernels && ia+3 < i1 && (diag && ia == k0+4*tiles || !diag && tiles > 0):
-			// Two row pairs at once, the next one having the same full
-			// tiles: they read only rows above ia. In a diagonal block the
-			// strip also finishes the four rows' diagonal tile.
-			rc, rd := triRow(l, ia+2), triRow(l, ia+3)
+		case vectorKernels && ib != ia && (tiles > 0 || four && diag):
+			// The full off-diagonal tiles in one strip: of this pair and the
+			// next when four (the next reads only rows above ia), which in a
+			// diagonal block also finishes the four rows' diagonal tile, and
+			// else of this pair standing in for both.
+			rc, rd, d := ra, rb, 0
+			if four {
+				rc, rd = triRow(l, ia+2), triRow(l, ia+3)
+				if diag {
+					d = 1
+				}
+			}
 			if tiles > 0 {
 				last := k0 + 4*tiles - 1
 				_ = triRow(l, last)[last] // the kernel reads unchecked
 			}
-			step, grow := lowerStep(k0)
-			d := 0
-			if diag {
-				d = 1
-			}
-			if cholStrip4(&ra[k0], &rb[k0], &rc[k0], &rd[k0], &l[rowStart(k0)+k0], tiles, step, grow, d, &spill) != 0 {
+			if cholStrip4(&ra[k0], &rb[k0], &rc[k0], &rd[k0], &l[rowStart(k0)+k0], tiles, k0+1, d, &spill) != 0 {
 				return ErrNotPositiveDefinite
 			}
 			j = k0 + 4*tiles
-			resume = j
-			if diag {
-				j, resume = eb, eb+2 // both pairs' rows are finished
+			if four {
+				resume = j
+				if diag {
+					j, resume = eb, eb+2 // both pairs' rows are finished
+				}
 			}
-		case vectorKernels && ib != ia && tiles > 0:
-			// The full off-diagonal tiles in one call, cholTile's chain each.
-			last := k0 + 4*tiles - 1
-			_ = triRow(l, last)[last] // the kernel reads unchecked
-			step, grow := lowerStep(k0)
-			cholStrip(&ra[k0], &rb[k0], &l[rowStart(k0)+k0], tiles, step, grow)
-			j += 4 * tiles
 		}
 		for ; j < eb; j += 4 {
 			nj := min(4, eb-j)
@@ -720,8 +709,7 @@ func gemmUpdate(l []float64, i0, i1, j0, j1, k0, k1 int) {
 			// The quads both rows fill, in one call.
 			last := j0 + 4*quads - 1
 			_ = triRow(l, last)[k1-1] // the kernel reads unchecked
-			step, grow := lowerStep(j0)
-			gemmStrip(&ra[k0], &rb[k0], &ra[j0], &rb[j0], &l[rowStart(j0)+k0], quads, k1-k0, step, grow)
+			gemmStrip(&ra[k0], &rb[k0], &ra[j0], &rb[j0], &l[rowStart(j0)+k0], quads, k1-k0, j0+1)
 			j += 4 * quads
 		}
 		for ; j < eb; j += 4 {

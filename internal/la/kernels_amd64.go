@@ -31,25 +31,22 @@ func forwardBlock4(r0, r1, r2, r3, b0, b1, b2, b3 *float64, i int)
 func forwardBlock4Wide(r0, r1, r2, r3, b0, b1, b2, b3 *float64, i int)
 
 // The fused strips of kernels_amd64.s, which states what each computes:
-// one call per row pair of the Cholesky factorization (cholStrip, gemmStrip;
-// cholStrip4 for two row pairs) and per two column pairs (invWStrip4) or
-// per row pair (wtwStrip) of the inverse. They run on the AVX2 and AVX-512
-// tiers alike.
+// one call per two row pairs of the Cholesky factorization, or per lone row
+// pair standing in for both (cholStrip4), per row pair of its trailing
+// update (gemmStrip), and per two column pairs (invWStrip4) or per row pair
+// (wtwStrip) of the inverse. They run on the AVX2 and AVX-512 tiers alike.
 
 //go:noescape
-func cholStrip(x, y, l *float64, tiles, step, grow int)
+func cholStrip4(x0, x1, x2, x3, l *float64, tiles, step, diag int, spill *[32]float64) int
 
 //go:noescape
-func cholStrip4(x0, x1, x2, x3, l *float64, tiles, step, grow, diag int, spill *[32]float64) int
+func invWStrip4(xa, ya, xb, yb, l *float64, rows, step int, w00a, w00b float64, spill *[32]float64)
 
 //go:noescape
-func invWStrip4(xa, ya, xb, yb, l *float64, rows, step, grow int, w00a, w00b float64, spill *[32]float64)
+func wtwStrip(x, y, w, iv, out *float64, quads, nlast, length, step int, w00 float64)
 
 //go:noescape
-func wtwStrip(x, y, w, iv, out *float64, quads, nlast, length, step, grow int, w00 float64)
-
-//go:noescape
-func gemmStrip(x, y, xo, yo, l *float64, quads, length, step, grow int)
+func gemmStrip(x, y, xo, yo, l *float64, quads, length, step int)
 
 // The kernels of lanes_amd64.s; lanes.go states what each computes. n is
 // any positive count; the kernels that take masks (= &laneMasks) run a last

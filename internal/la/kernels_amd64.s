@@ -297,43 +297,21 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 // leaves a register between the prefix and the store of its result. The
 // finish is the Go tile code's sequence of IEEE operations written out:
 // entry (r, c) of a tile is lane 0 plus its tail products in order, then
-// (· + l2) + (l1 + l3), then whatever the routine does with that Dot. The
-// two rows of a tile share every column operand, so the finish keeps them
-// side by side in one XMM register, row r in element r — or, in the
-// four-row strips, four rows in one YMM register. The rows of the
-// third operand, L or W, are stepped incrementally: step is the distance
-// from the first row to the next in elements, and grow what the step gains
-// from one row to the next (packed lower rows 1, packed upper rows −1,
-// dense rows 0).
+// (· + l2) + (l1 + l3), then whatever the routine does with that Dot.
+// cholStrip4 and invWStrip4 finish two tiles that share every column
+// operand at once, their four rows side by side in one YMM register. The
+// rows of the third operand, L or W, are stepped incrementally: step is the
+// distance in elements from the first row to the next, and each row's
+// distance to the one after it is one more than the last's in the packed
+// lower rows of cholStrip4, invWStrip4 and gemmStrip, one less in
+// wtwStrip's upper-packed rows.
 
-// NEXTROW(from, to) sets to to the row after from: from plus the step R8
-// (bytes), which then grows by R9.
-#define NEXTROW(from, to) \
+// NEXTROW(from, to, change) sets to to the row after from: from plus the
+// step R8 (bytes), which then changes by change bytes (8 or −8).
+#define NEXTROW(from, to, change) \
 	MOVQ from, to; \
 	ADDQ R8, to; \
-	ADDQ R9, R8
-
-// PAIRLANES(ya, yb) splits the lanes of one column's two Dots, rows a and
-// b (accumulators ya and yb), into X8 = lane 0, X10 = lane 2 and
-// X9 = lane 1 + lane 3, row a in element 0 and row b in element 1.
-#define PAIRLANES(ya, yb) \
-	VUNPCKLPD    yb, ya, Y8; \
-	VUNPCKHPD    yb, ya, Y9; \
-	VEXTRACTF128 $1, Y8, X10; \
-	VEXTRACTF128 $1, Y9, X11; \
-	VADDPD       X11, X9, X9
-
-// TAILTERM(l, res) adds the tail product l·res into both rows' lane 0:
-// l is the column operand (one element, both rows), res a result pair.
-#define TAILTERM(l, res) \
-	VMOVDDUP l, X11; \
-	VMULPD   res, X11, X11; \
-	VADDPD   X11, X8, X8
-
-// COMBINE finishes PAIRLANES: X8 = (l0 + l2) + (l1 + l3).
-#define COMBINE \
-	VADDPD X10, X8, X8; \
-	VADDPD X9, X8, X8
+	ADDQ $change, R8
 
 // GATHER4(a, b, c, d, dst) loads the elements a–d, one of each of the rows
 // R10–R13, into the four lanes of dst, through X8 and X9.
@@ -344,116 +322,25 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	VMOVHPD     d, X9, X9; \
 	VINSERTF128 $1, X9, Y8, dst
 
-// CLAMPROWS(row1, row2, rows) sets R11–R13 to the three rows after R10,
-// each row past the DX rows that remain repeating the one before it; the
+// CLAMPROWS(row1, row2, rows) sets R11–R13 to the three packed lower rows
+// after R10, each row past the DX rows that remain repeating the one before it; the
 // labels are the caller's.
 #define CLAMPROWS(row1, row2, rows) \
 	MOVQ R10, R11; \
 	CMPQ DX, $2; \
 	JLT  row1; \
-	NEXTROW(R10, R11); \
+	NEXTROW(R10, R11, 8); \
 row1: \
 	MOVQ R11, R12; \
 	CMPQ DX, $3; \
 	JLT  row2; \
-	NEXTROW(R11, R12); \
+	NEXTROW(R11, R12, 8); \
 row2: \
 	MOVQ R12, R13; \
 	CMPQ DX, $4; \
 	JLT  rows; \
-	NEXTROW(R12, R13); \
+	NEXTROW(R12, R13, 8); \
 rows:
-
-// func cholStrip(x, y, l *float64, tiles, step, grow int)
-//
-// cholRows' full off-diagonal tiles of one row pair: x and y are the rows
-// from the block column's first index k0, l is row k0 of L from k0 on, and
-// tile t covers columns j = k0+4t … j+3, every one left of both rows'
-// diagonals. Entry c of row x becomes (x[j+c] − D) / L[j+c][j+c], D its Dot
-// over [k0, j+c): the prefix over [k0, j), lane 0 plus the c tail terms
-// x[j+t]·L[j+c][j+t] from the entries just produced. cholTile's chain.
-TEXT ·cholStrip(SB), NOSPLIT, $0-48
-	MOVQ x+0(FP), SI
-	MOVQ y+8(FP), DI
-	MOVQ l+16(FP), R10
-	MOVQ tiles+24(FP), BX
-	MOVQ step+32(FP), R8
-	MOVQ grow+40(FP), R9
-	SHLQ $3, R8
-	SHLQ $3, R9
-	XORQ CX, CX                      // the prefix [k0, j), in elements
-
-	PCALIGN $64
-
-choltile:
-	NEXTROW(R10, R11)
-	NEXTROW(R11, R12)
-	NEXTROW(R12, R13)
-	ZERO8
-	TESTQ CX, CX
-	JZ    cholfinish
-	LOOP2X4(SI, DI)
-
-cholfinish:
-	// Column j: no tail term.
-	PAIRLANES(Y0, Y4)
-	COMBINE
-	VMOVSD   (SI)(CX*8), X11
-	VMOVHPD  (DI)(CX*8), X11, X11
-	VSUBPD   X8, X11, X8
-	VMOVDDUP (R10)(CX*8), X11
-	VDIVPD   X11, X8, X4
-	VMOVSD   X4, (SI)(CX*8)
-	VMOVHPD  X4, (DI)(CX*8)
-
-	// Column j+1: one.
-	PAIRLANES(Y1, Y5)
-	TAILTERM((R11)(CX*8), X4)
-	COMBINE
-	VMOVSD   8(SI)(CX*8), X11
-	VMOVHPD  8(DI)(CX*8), X11, X11
-	VSUBPD   X8, X11, X8
-	VMOVDDUP 8(R11)(CX*8), X11
-	VDIVPD   X11, X8, X5
-	VMOVSD   X5, 8(SI)(CX*8)
-	VMOVHPD  X5, 8(DI)(CX*8)
-
-	// Column j+2: two.
-	PAIRLANES(Y2, Y6)
-	TAILTERM((R12)(CX*8), X4)
-	TAILTERM(8(R12)(CX*8), X5)
-	COMBINE
-	VMOVSD   16(SI)(CX*8), X11
-	VMOVHPD  16(DI)(CX*8), X11, X11
-	VSUBPD   X8, X11, X8
-	VMOVDDUP 16(R12)(CX*8), X11
-	VDIVPD   X11, X8, X6
-	VMOVSD   X6, 16(SI)(CX*8)
-	VMOVHPD  X6, 16(DI)(CX*8)
-
-	// Column j+3: three.
-	PAIRLANES(Y3, Y7)
-	TAILTERM((R13)(CX*8), X4)
-	TAILTERM(8(R13)(CX*8), X5)
-	TAILTERM(16(R13)(CX*8), X6)
-	COMBINE
-	VMOVSD   24(SI)(CX*8), X11
-	VMOVHPD  24(DI)(CX*8), X11, X11
-	VSUBPD   X8, X11, X8
-	VMOVDDUP 24(R13)(CX*8), X11
-	VDIVPD   X11, X8, X7
-	VMOVSD   X7, 24(SI)(CX*8)
-	VMOVHPD  X7, 24(DI)(CX*8)
-
-	DECQ BX
-	JZ   choldone
-	ADDQ $4, CX
-	NEXTROW(R13, R10)
-	JMP  choltile
-
-choldone:
-	VZEROUPPER
-	RET
 
 // CHOL4(d, r, ya, yb, xb, tails) finishes column j+c of a four-row Cholesky
 // tile, d = 8c and r the row register of L[j+c]: rows 0 and 1's lanes from
@@ -552,19 +439,26 @@ summed:
 	VMULPD  res, Y10, Y10; \
 	VADDPD  Y10, Y8, Y8
 
-// func cholStrip4(x0, x1, x2, x3, l *float64, tiles, step, grow, diag int, spill *[32]float64) int
+// func cholStrip4(x0, x1, x2, x3, l *float64, tiles, step, diag int, spill *[32]float64) int
 //
-// cholStrip for four rows at once, two row pairs with the same full tiles:
-// the same entries, each by the same operations, but every division chain
-// carries four rows in a YMM register where cholStrip carries two. A tile's
-// prefix runs as two ROWS2X4 passes (PREFIX4), rows x0 and x1 first, whose
-// lanes wait in spill while rows x2 and x3 take the accumulators. When diag
-// is not 0 the rows are a diagonal block's x0 = row j … x3 = row j+3, j the
-// first column past the full tiles, and the strip ends with their diagonal
-// tile: the lower triangle of columns j … j+3, whose rows of L are x0 … x3
-// themselves, with cholRows' pivot rule on each diagonal entry. It returns
-// 1 when a pivot fails (the rows are then left part-written), else 0.
-TEXT ·cholStrip4(SB), NOSPLIT, $0-88
+// cholRows' full off-diagonal tiles of two row pairs with the same tiles:
+// x0 … x3 are the rows from the block column's first index k0, l is row k0
+// of L from k0 on, and tile t covers columns j = k0+4t … j+3, every one left
+// of the rows' diagonals. Entry c of row x becomes (x[j+c] − D) /
+// L[j+c][j+c], D its Dot over [k0, j+c): the prefix over [k0, j), lane 0
+// plus the c tail terms x[j+t]·L[j+c][j+t] from the entries just produced —
+// cholTile's chain, with every division chain carrying the four rows in a
+// YMM register. A tile's prefix runs as two ROWS2X4 passes (PREFIX4), rows
+// x0 and x1 first, whose lanes wait in spill while rows x2 and x3 take the
+// accumulators. When diag is 0, x2 and x3 may be x0 and x1, which is how a
+// lone row pair runs: CHOL4 loads all four rows' entries of a column before
+// it stores any, so aliased rows compute the same bits and store them twice.
+// When diag is not 0 the rows are a diagonal block's x0 = row j … x3 = row
+// j+3, j the first column past the full tiles, and the strip ends with their
+// diagonal tile: the lower triangle of columns j … j+3, whose rows of L are
+// x0 … x3 themselves, with cholRows' pivot rule on each diagonal entry. It
+// returns 1 when a pivot fails (the rows are then left part-written), else 0.
+TEXT ·cholStrip4(SB), NOSPLIT, $0-80
 	MOVQ x0+0(FP), SI
 	MOVQ x1+8(FP), DI
 	MOVQ x2+16(FP), R14
@@ -572,10 +466,8 @@ TEXT ·cholStrip4(SB), NOSPLIT, $0-88
 	MOVQ l+32(FP), R10
 	MOVQ tiles+40(FP), BX
 	MOVQ step+48(FP), R8
-	MOVQ grow+56(FP), R9
-	MOVQ spill+72(FP), DX
+	MOVQ spill+64(FP), DX
 	SHLQ $3, R8
-	SHLQ $3, R9
 	XORQ CX, CX
 	TESTQ BX, BX
 	JZ   chol4diag
@@ -583,9 +475,9 @@ TEXT ·cholStrip4(SB), NOSPLIT, $0-88
 	PCALIGN $64
 
 chol4tile:
-	NEXTROW(R10, R11)
-	NEXTROW(R11, R12)
-	NEXTROW(R12, R13)
+	NEXTROW(R10, R11, 8)
+	NEXTROW(R11, R12, 8)
+	NEXTROW(R12, R13, 8)
 	PREFIX4(DX, 0, chol4spill, chol4finish)
 	CHOL4(0, R10, Y0, Y4, X4, NOP)
 	CHOL4(8, R11, Y1, Y5, X5, TAIL4((R11)(CX*8), Y4))
@@ -594,11 +486,11 @@ chol4tile:
 	ADDQ $4, CX
 	DECQ BX
 	JZ   chol4diag
-	NEXTROW(R13, R10)
+	NEXTROW(R13, R10, 8)
 	JMP  chol4tile
 
 chol4diag:
-	CMPQ diag+64(FP), $0
+	CMPQ diag+56(FP), $0
 	JEQ  chol4done
 	MOVQ SI, R10
 	MOVQ DI, R11
@@ -630,12 +522,12 @@ chol4diag:
 
 chol4done:
 	VZEROUPPER
-	MOVQ $0, ret+80(FP)
+	MOVQ $0, ret+72(FP)
 	RET
 
 chol4fail:
 	VZEROUPPER
-	MOVQ $1, ret+80(FP)
+	MOVQ $1, ret+72(FP)
 	RET
 
 // INV4(d, r, ya, yb, tails) finishes entry c of an inverse block for the
@@ -674,7 +566,7 @@ chol4fail:
 	VMOVSD       X10, d(R14)(CX*8); \
 	VMOVHPD      X10, d(R15)(CX*8)
 
-// func invWStrip4(xa, ya, xb, yb, l *float64, rows, step, grow int, w00a, w00b float64, spill *[32]float64)
+// func invWStrip4(xa, ya, xb, yb, l *float64, rows, step int, w00a, w00b float64, spill *[32]float64)
 //
 // cholInverseW's column pairs j0, j1 = j0+1 (xa, ya) and j0+4, j1+4 (xb,
 // yb) below row j1, W's columns as upper rows of wt, every pointer from row
@@ -695,7 +587,7 @@ chol4fail:
 // second. The column pair j0+4, j1+4 is finished the same way, with
 // w00b = W[j0+4][j0+4]. The closed forms W[j1][j0], W[j1][j1],
 // W[j1+4][j0+4] and W[j1+4][j1+4] must be set, so rows is at least 5.
-TEXT ·invWStrip4(SB), NOSPLIT, $0-88
+TEXT ·invWStrip4(SB), NOSPLIT, $0-80
 	MOVQ        xa+0(FP), SI
 	MOVQ        ya+8(FP), DI
 	MOVQ        xb+16(FP), R14
@@ -703,14 +595,12 @@ TEXT ·invWStrip4(SB), NOSPLIT, $0-88
 	MOVQ        l+32(FP), R10
 	MOVQ        rows+40(FP), DX
 	MOVQ        step+48(FP), R8
-	MOVQ        grow+56(FP), R9
-	MOVQ        spill+80(FP), BX
+	MOVQ        spill+72(FP), BX
 	SHLQ        $3, R8
-	SHLQ        $3, R9
 	VPCMPEQQ    Y15, Y15, Y15
 	VPSLLQ      $63, Y15, Y15
-	VMOVSD      w00a+64(FP), X14
-	VMOVSD      w00b+72(FP), X13
+	VMOVSD      w00a+56(FP), X14
+	VMOVSD      w00b+64(FP), X13
 	VUNPCKLPD   X15, X14, X14
 	VUNPCKLPD   X15, X13, X13
 	VINSERTF128 $1, X13, Y14, Y14
@@ -776,7 +666,7 @@ inv4next:
 	JLE  inv4done
 	SUBQ $4, DX
 	ADDQ $4, CX
-	NEXTROW(R13, R10)
+	NEXTROW(R13, R10, 8)
 	JMP  inv4block
 
 inv4done:
@@ -819,7 +709,7 @@ combined: \
 	VADDPD Y7, Y5, Y5; \
 	VADDPD Y5, Y4, Y4
 
-// func wtwStrip(x, y, w, iv, out *float64, quads, nlast, length, step, grow int, w00 float64)
+// func wtwStrip(x, y, w, iv, out *float64, quads, nlast, length, step int, w00 float64)
 //
 // The inverse's second phase for one pair of W rows i0 and i1 = i0+1 (x and
 // y, upper rows of wt from column i1 on, length = n − i1) against upper rows
@@ -830,7 +720,7 @@ combined: \
 // same offsets in inv as in wt. The last quad ends at row i1, the diagonal:
 // nlast = 2 or 4 rows, the unused ones repeating row i1, and its Dots go to
 // out (row i0's four, then row i1's) for the caller to store.
-TEXT ·wtwStrip(SB), NOSPLIT, $0-88
+TEXT ·wtwStrip(SB), NOSPLIT, $0-80
 	MOVQ x+0(FP), SI
 	MOVQ y+8(FP), DI
 	MOVQ w+16(FP), R10
@@ -840,14 +730,12 @@ TEXT ·wtwStrip(SB), NOSPLIT, $0-88
 	MOVQ length+56(FP), CX
 	ANDQ $-4, CX
 	MOVQ step+64(FP), R8
-	MOVQ grow+72(FP), R9
 	SHLQ $3, R8
-	SHLQ $3, R9
 
 	PCALIGN $64
 
 wtwquad:
-	NEXTROW(R10, R11)
+	NEXTROW(R10, R11, -8)
 	TESTQ BX, BX
 	JNZ   wtwfull
 	CMPQ  nlast+48(FP), $2
@@ -857,13 +745,13 @@ wtwquad:
 	JMP   wtwrows
 
 wtwfull:
-	NEXTROW(R11, R12)
-	NEXTROW(R12, R13)
+	NEXTROW(R11, R12, -8)
+	NEXTROW(R12, R13, -8)
 
 wtwrows:
 	QUADDOTS(length+56(FP), wtwtail, wtwtailloop, wtwcombined)
 	GATHER4(-8(R10), -8(R11), -8(R12), -8(R13), Y8)
-	VBROADCASTSD w00+80(FP), Y9
+	VBROADCASTSD w00+72(FP), Y9
 	VMULPD       Y9, Y8, Y8
 	VADDPD       Y8, Y0, Y0
 	TESTQ        BX, BX
@@ -880,7 +768,7 @@ wtwrows:
 	VMOVSD       X1, -8(R12)(DX*1)
 	VMOVHPD      X1, -8(R13)(DX*1)
 	DECQ         BX
-	NEXTROW(R13, R10)
+	NEXTROW(R13, R10, -8)
 	JMP          wtwquad
 
 wtwlast:
@@ -890,14 +778,14 @@ wtwlast:
 	VZEROUPPER
 	RET
 
-// func gemmStrip(x, y, xo, yo, l *float64, quads, length, step, grow int)
+// func gemmStrip(x, y, xo, yo, l *float64, quads, length, step int)
 //
 // gemmUpdate's full quads of one row pair: x and y are the rows from the
 // block column's first index k0 on, l is row j0 of L from k0 on, and quad q
 // subtracts the eight whole Dots over [k0, k0+length) of x and y against
 // rows j0+4q … j0+4q+3 from xo[4q …] and yo[4q …], the rows' entries from
 // column j0 on.
-TEXT ·gemmStrip(SB), NOSPLIT, $0-72
+TEXT ·gemmStrip(SB), NOSPLIT, $0-64
 	MOVQ x+0(FP), SI
 	MOVQ y+8(FP), DI
 	MOVQ xo+16(FP), R14
@@ -907,16 +795,14 @@ TEXT ·gemmStrip(SB), NOSPLIT, $0-72
 	MOVQ length+48(FP), CX
 	ANDQ $-4, CX
 	MOVQ step+56(FP), R8
-	MOVQ grow+64(FP), R9
 	SHLQ $3, R8
-	SHLQ $3, R9
 
 	PCALIGN $64
 
 gemmquad:
-	NEXTROW(R10, R11)
-	NEXTROW(R11, R12)
-	NEXTROW(R12, R13)
+	NEXTROW(R10, R11, 8)
+	NEXTROW(R11, R12, 8)
+	NEXTROW(R12, R13, 8)
 	QUADDOTS(length+48(FP), gemmtail, gemmtailloop, gemmcombined)
 	VMOVUPD (R14), Y8
 	VSUBPD  Y0, Y8, Y8
@@ -928,7 +814,7 @@ gemmquad:
 	JZ      gemmdone
 	ADDQ    $32, R14
 	ADDQ    $32, R15
-	NEXTROW(R13, R10)
+	NEXTROW(R13, R10, 8)
 	JMP     gemmquad
 
 gemmdone:

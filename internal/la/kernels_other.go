@@ -28,21 +28,19 @@ func forwardBlock4Wide(r0, r1, r2, r3, b0, b1, b2, b3 *float64, i int) {
 	panic("la: no vector kernel")
 }
 
-func cholStrip(x, y, l *float64, tiles, step, grow int) { panic("la: no vector kernel") }
-
-func cholStrip4(x0, x1, x2, x3, l *float64, tiles, step, grow, diag int, spill *[32]float64) int {
+func cholStrip4(x0, x1, x2, x3, l *float64, tiles, step, diag int, spill *[32]float64) int {
 	panic("la: no vector kernel")
 }
 
-func invWStrip4(xa, ya, xb, yb, l *float64, rows, step, grow int, w00a, w00b float64, spill *[32]float64) {
+func invWStrip4(xa, ya, xb, yb, l *float64, rows, step int, w00a, w00b float64, spill *[32]float64) {
 	panic("la: no vector kernel")
 }
 
-func wtwStrip(x, y, w, iv, out *float64, quads, nlast, length, step, grow int, w00 float64) {
+func wtwStrip(x, y, w, iv, out *float64, quads, nlast, length, step int, w00 float64) {
 	panic("la: no vector kernel")
 }
 
-func gemmStrip(x, y, xo, yo, l *float64, quads, length, step, grow int) {
+func gemmStrip(x, y, xo, yo, l *float64, quads, length, step int) {
 	panic("la: no vector kernel")
 }
 
